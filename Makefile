@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build test race lint lint-sweep fuzz-smoke chaos-short repair-race obs-race
+.PHONY: all build test race lint lint-sweep fuzz-smoke bench-smoke chaos-short repair-race obs-race
 
 all: build test
 
@@ -19,7 +19,7 @@ bin/relidevlint: $(wildcard cmd/relidevlint/*.go internal/lint/*.go)
 
 # lint runs the repo's own analyzer suite (locking, determinism,
 # transport-error, context, goroutine-lifetime, atomic-discipline, and
-# wire-registry invariants — see DESIGN.md §9 and §14) over every
+# wire-registry/codec-coverage invariants — see DESIGN.md §9 and §14) over every
 # package, then govulncheck when it is installed (CI installs it;
 # offline dev boxes skip it).
 lint: bin/relidevlint
@@ -43,11 +43,23 @@ lint-sweep: bin/relidevlint
 
 # fuzz-smoke gives each property fuzzer a short budget — enough to shake
 # out regressions in the quorum arithmetic, the was-available closure,
-# and the chaos payload codec without stalling CI.
+# the chaos payload codec, and the wire codec's two decoders (which
+# must refuse every malformed frame without panicking) without stalling
+# CI.
 fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzVersionQuorum -fuzztime=$(FUZZTIME) ./internal/voting
 	$(GO) test -run=NONE -fuzz=FuzzClosure -fuzztime=$(FUZZTIME) ./internal/availcopy
 	$(GO) test -run=NONE -fuzz=FuzzPayloadRoundTrip -fuzztime=$(FUZZTIME) ./internal/chaos
+	$(GO) test -run=NONE -fuzz=FuzzDecodeRequest -fuzztime=$(FUZZTIME) ./internal/protocol
+	$(GO) test -run=NONE -fuzz=FuzzDecodeResponse -fuzztime=$(FUZZTIME) ./internal/protocol
+
+# bench-smoke vets and tests the benchmark module, which lives outside
+# `./...` (benchmark/go.mod) and reaches into rpcnet, protocol and site:
+# a changed exported signature there fails here instead of silently
+# breaking the benchmark. Its smoke test runs every workload at a
+# fraction of the measured size.
+bench-smoke:
+	cd benchmark && $(GO) vet . && $(GO) test .
 
 # repair-race hammers the background repairer's concurrency surface:
 # foreground writes racing repair installs, mid-stream donor failover,

@@ -6,6 +6,8 @@
 // Usage:
 //
 //	go test -run='^$' -bench=Parallel . | benchjson -o BENCH_parallel.json
+//	go test -run='^$' -bench=Parallel -benchmem . | benchjson ...
+//	                               also records B/op and allocs/op
 //	benchjson bench.txt            read from a file instead of stdin
 //	benchjson -obs snap.json ...   embed a metrics snapshot from a
 //	                               metered run (see BENCH_obs.json)
@@ -205,6 +207,10 @@ type result struct {
 	Iterations int64   `json:"iterations"`
 	NsPerOp    float64 `json:"ns_per_op"`
 	OpsPerSec  float64 `json:"ops_per_sec,omitempty"`
+	// BytesPerOp and AllocsPerOp are the -benchmem columns; nil when the
+	// run was made without the flag, so a measured zero stays a zero.
+	BytesPerOp  *int64 `json:"bytes_per_op,omitempty"`
+	AllocsPerOp *int64 `json:"allocs_per_op,omitempty"`
 }
 
 func parse(in io.Reader) ([]result, error) {
@@ -225,9 +231,10 @@ func parse(in io.Reader) ([]result, error) {
 	return out, nil
 }
 
-// parseLine decodes one `go test -bench` result line:
+// parseLine decodes one `go test -bench` result line, with or without
+// the two -benchmem columns:
 //
-//	BenchmarkParallelWrite/voting/n5/lat100us-1  100  9000 ns/op  111.7 ops/sec
+//	BenchmarkParallelWrite/voting/n5/lat100us-1  100  9000 ns/op  111.7 ops/sec  22128 B/op  287 allocs/op
 func parseLine(line string) (result, bool) {
 	fields := strings.Fields(line)
 	if len(fields) < 4 || !strings.HasPrefix(fields[0], "Benchmark") {
@@ -250,6 +257,12 @@ func parseLine(line string) (result, bool) {
 			r.NsPerOp = v
 		case "ops/sec":
 			r.OpsPerSec = v
+		case "B/op":
+			n := int64(v)
+			r.BytesPerOp = &n
+		case "allocs/op":
+			n := int64(v)
+			r.AllocsPerOp = &n
 		}
 	}
 	decomposeName(&r)

@@ -36,6 +36,43 @@ func TestParseLineRPCNameWithoutLatency(t *testing.T) {
 	}
 }
 
+func TestParseLineBenchmem(t *testing.T) {
+	r, ok := parseLine("BenchmarkParallelWriteRPC/voting/n5-2 \t 5824\t 239719 ns/op\t 4171 ops/sec\t 50638 B/op\t 675 allocs/op")
+	if !ok {
+		t.Fatal("line not recognised")
+	}
+	if r.NsPerOp != 239719 || r.OpsPerSec != 4171 {
+		t.Fatalf("timing columns = %+v", r)
+	}
+	if r.BytesPerOp == nil || *r.BytesPerOp != 50638 || r.AllocsPerOp == nil || *r.AllocsPerOp != 675 {
+		t.Fatalf("benchmem columns = %v, %v; want 50638, 675", r.BytesPerOp, r.AllocsPerOp)
+	}
+	// A measured zero is recorded as zero, and survives the JSON.
+	r, ok = parseLine("BenchmarkCodecPut/decode-2  16350324  64.37 ns/op  0 B/op  0 allocs/op")
+	if !ok || r.AllocsPerOp == nil || *r.AllocsPerOp != 0 {
+		t.Fatalf("zero allocs/op = %+v (ok=%v)", r, ok)
+	}
+	raw, err := json.Marshal(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(raw), `"allocs_per_op":0`) || !strings.Contains(string(raw), `"bytes_per_op":0`) {
+		t.Fatalf("JSON drops a measured zero: %s", raw)
+	}
+	// Without -benchmem the columns are absent, not zero.
+	r, _ = parseLine("BenchmarkParallelRead/voting/n3/lat0-1   416738   812.6 ns/op")
+	if r.BytesPerOp != nil || r.AllocsPerOp != nil {
+		t.Fatalf("run without -benchmem reports memory columns: %+v", r)
+	}
+	raw, err = json.Marshal(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(string(raw), "allocs_per_op") {
+		t.Fatalf("JSON invents a memory column: %s", raw)
+	}
+}
+
 func TestParseSkipsNoise(t *testing.T) {
 	in := `goos: linux
 goarch: amd64

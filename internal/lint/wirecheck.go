@@ -8,24 +8,30 @@ import (
 )
 
 // WireCheck closes the protocol surface: every request/reply type the
-// cluster can put on the wire must be visible to the three registries
-// that keep the §5 traffic model honest. A new RPC that skips any of
-// them "works" — gob ships what it's told, WireSize falls back to a
-// bare header, the transport buckets the traffic as unpriced — and
-// silently skews the byte accounting and the conformance checker's
-// cost comparison against the paper's tables.
+// cluster can put on the wire must be visible to the registries that
+// keep the §5 traffic model honest and to the codec that carries it
+// over TCP. A new RPC that skips the first three "works" on simnet —
+// WireSize falls back to a bare header, the transport buckets the
+// traffic as unpriced — and silently skews the byte accounting and the
+// conformance checker's cost comparison against the paper's tables; one
+// that skips the codec works on simnet and fails its first call over
+// rpcnet.
 //
 // Within the protocol package it checks that every struct type with a
 // Kind() (request) or RespKind() (reply) method:
 //
 //  1. has a case in the WireSize type switch, so simnet's byte-level
 //     §5 accounting prices it instead of counting a bare header;
-//  2. is registered in RegisterGob, so rpcnet can ship it as an
-//     interface value;
+//  2. is registered in RegisterGob, so a gob stream (today only the
+//     benchmark's codec ladder rung) can carry it as an interface value;
 //  3. (requests) has its kind string in the KindOps pricing table
 //     that maps each request kind to the §5 operation classes whose
 //     cost formulas cover its traffic — the conformance checker
-//     rejects traffic from unpriced kinds.
+//     rejects traffic from unpriced kinds;
+//  4. has a case in the encode type switch (AppendRequest or
+//     AppendResponse) and is built in a case of the decode switch
+//     (DecodeRequest or DecodeResponse) of the binary codec, so rpcnet
+//     can frame it.
 //
 // Stale KindOps entries (a priced kind with no message type) are
 // reported too, so the table and the type set can never drift apart
@@ -34,8 +40,8 @@ var WireCheck = &Analyzer{
 	Name:  "wirecheck",
 	Topic: "wire",
 	Doc: "every protocol request/reply type must be priced in WireSize, " +
-		"registered in RegisterGob, and (requests) mapped in the KindOps " +
-		"§5 pricing table",
+		"registered in RegisterGob, (requests) mapped in the KindOps §5 " +
+		"pricing table, and handled by both switches of the binary codec",
 	Run: runWireCheck,
 }
 
@@ -55,7 +61,9 @@ func runWireCheck(p *Pass) {
 		return
 	}
 
-	sized, haveWireSize := wireSizeCases(p)
+	sized, haveWireSize := switchCaseTypes(p, "WireSize")
+	encoded, haveEncode := switchCaseTypes(p, "AppendRequest", "AppendResponse")
+	decoded, haveDecode := decodedTypes(p, "DecodeRequest", "DecodeResponse")
 	registered, haveRegister := gobRegistrations(p)
 	priced, kindKeys, haveKindOps := kindOpsKeys(p)
 
@@ -64,7 +72,10 @@ func runWireCheck(p *Pass) {
 		p.Reportf(first, "package declares protocol messages but no WireSize function: simnet's §5 byte accounting cannot price them")
 	}
 	if !haveRegister {
-		p.Reportf(first, "package declares protocol messages but no RegisterGob function: rpcnet cannot ship them as interface values")
+		p.Reportf(first, "package declares protocol messages but no RegisterGob function: a gob stream cannot carry them as interface values")
+	}
+	if !haveEncode || !haveDecode {
+		p.Reportf(first, "package declares protocol messages but no binary codec (AppendRequest/AppendResponse, DecodeRequest/DecodeResponse): rpcnet cannot frame them")
 	}
 	if !haveKindOps {
 		p.Reportf(first, "package declares protocol messages but no KindOps pricing table: the §5 conformance checker cannot attribute their traffic")
@@ -77,7 +88,17 @@ func runWireCheck(p *Pass) {
 		}
 		if haveRegister && !registered[m.name] {
 			p.Reportf(m.name.Pos(),
-				"protocol message %s is not registered in RegisterGob: rpcnet cannot decode it off the wire", m.name.Name())
+				"protocol message %s is not registered in RegisterGob: a gob stream cannot carry it as an interface value", m.name.Name())
+		}
+		if haveEncode && haveDecode {
+			if !encoded[m.name] {
+				p.Reportf(m.name.Pos(),
+					"protocol message %s has no case in the codec's encode switch: rpcnet cannot put it on the wire", m.name.Name())
+			}
+			if !decoded[m.name] {
+				p.Reportf(m.name.Pos(),
+					"protocol message %s has no case in the codec's decode switch: rpcnet cannot read it off the wire", m.name.Name())
+			}
 		}
 		if m.request && haveKindOps {
 			if m.kind == "" {
@@ -172,34 +193,78 @@ func kindLiterals(p *Pass) map[string]string {
 	return lits
 }
 
-// wireSizeCases collects the named types that appear as cases of the
-// type switch inside the package's WireSize function.
-func wireSizeCases(p *Pass) (map[*types.TypeName]bool, bool) {
-	cases := make(map[*types.TypeName]bool)
-	fd := findFuncDecl(p, "WireSize")
-	if fd == nil {
-		return nil, false
+// eachCaseClause calls visit for every switch case clause inside the
+// package's functions of the given names (clauses nested in a clause's
+// body are visit's to walk). It reports whether any of the functions
+// exists.
+func eachCaseClause(p *Pass, funcs []string, visit func(*ast.CaseClause)) bool {
+	found := false
+	for _, name := range funcs {
+		fd := findFuncDecl(p, name)
+		if fd == nil {
+			continue
+		}
+		found = true
+		ast.Inspect(fd, func(n ast.Node) bool {
+			clause, ok := n.(*ast.CaseClause)
+			if ok {
+				visit(clause)
+			}
+			return !ok
+		})
 	}
-	ast.Inspect(fd, func(n ast.Node) bool {
-		clause, ok := n.(*ast.CaseClause)
-		if !ok {
-			return true
-		}
+	return found
+}
+
+// switchCaseTypes collects the named types that appear as cases of the
+// type switches inside the named functions.
+func switchCaseTypes(p *Pass, funcs ...string) (map[*types.TypeName]bool, bool) {
+	cases := make(map[*types.TypeName]bool)
+	found := eachCaseClause(p, funcs, func(clause *ast.CaseClause) {
 		for _, e := range clause.List {
-			t := p.Info.TypeOf(e)
-			if t == nil {
-				continue
-			}
-			if ptr, ok := t.(*types.Pointer); ok {
-				t = ptr.Elem()
-			}
-			if named, ok := t.(*types.Named); ok {
-				cases[named.Obj()] = true
+			if tn := namedTypeOf(p, e); tn != nil {
+				cases[tn] = true
 			}
 		}
-		return true
 	})
-	return cases, true
+	return cases, found
+}
+
+// decodedTypes collects the named types built by a composite literal
+// inside a case clause of the named functions — the shape of the
+// codec's decode switch, whose cases are kind tags and whose bodies
+// construct the message.
+func decodedTypes(p *Pass, funcs ...string) (map[*types.TypeName]bool, bool) {
+	built := make(map[*types.TypeName]bool)
+	found := eachCaseClause(p, funcs, func(clause *ast.CaseClause) {
+		for _, stmt := range clause.Body {
+			ast.Inspect(stmt, func(n ast.Node) bool {
+				if lit, ok := n.(*ast.CompositeLit); ok {
+					if tn := namedTypeOf(p, lit); tn != nil {
+						built[tn] = true
+					}
+				}
+				return true
+			})
+		}
+	})
+	return built, found
+}
+
+// namedTypeOf returns the declared type (through one pointer) of an
+// expression, or nil when it has none.
+func namedTypeOf(p *Pass, e ast.Expr) *types.TypeName {
+	t := p.Info.TypeOf(e)
+	if t == nil {
+		return nil
+	}
+	if ptr, ok := t.(*types.Pointer); ok {
+		t = ptr.Elem()
+	}
+	if named, ok := t.(*types.Named); ok {
+		return named.Obj()
+	}
+	return nil
 }
 
 // gobRegistrations collects the named types registered by the
@@ -219,15 +284,8 @@ func gobRegistrations(p *Pass) (map[*types.TypeName]bool, bool) {
 		if fn == nil || fn.Name() != "Register" || fn.Pkg() == nil || fn.Pkg().Path() != "encoding/gob" {
 			return true
 		}
-		t := p.Info.TypeOf(call.Args[0])
-		if t == nil {
-			return true
-		}
-		if ptr, ok := t.(*types.Pointer); ok {
-			t = ptr.Elem()
-		}
-		if named, ok := t.(*types.Named); ok {
-			regs[named.Obj()] = true
+		if tn := namedTypeOf(p, call.Args[0]); tn != nil {
+			regs[tn] = true
 		}
 		return true
 	})

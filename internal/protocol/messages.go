@@ -283,8 +283,12 @@ type TelemetryPullReply struct {
 func (TelemetryPullReply) RespKind() string { return "telemetry-pull-reply" }
 
 // RegisterGob registers all protocol messages with encoding/gob so that
-// rpcnet can ship them as interface values. Safe to call more than once
-// only from a single init path; rpcnet calls it exactly once.
+// they can travel as interface values in a gob stream. Nothing in the
+// program's data path does that any more — rpcnet frames messages with
+// the binary codec in codec.go — but benchmark/ladder.go calls this for
+// its ladder.codec_* rung, which therefore keeps measuring gob until a
+// benchmark change re-points it at AppendRequest/DecodeRequest. Calling
+// it again is harmless: gob permits an identical re-registration.
 func RegisterGob() {
 	gob.Register(VoteRequest{})
 	gob.Register(VoteReply{})

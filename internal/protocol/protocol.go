@@ -6,7 +6,8 @@
 //
 // Two transports implement the interface: simnet (in-process simulated
 // network, with the exact high-level transmission accounting of paper §5)
-// and rpcnet (TCP + gob between real server processes).
+// and rpcnet (TCP between real server processes, one length-prefixed
+// binary frame per message — codec.go defines the frame body).
 package protocol
 
 import (
@@ -188,6 +189,13 @@ type Result struct {
 // caller's operation label and trace span (WithOp, WithSpan), so a
 // handler can record causally-linked trace events; it is not used for
 // cancellation — a site that accepted a request always answers it.
+//
+// The byte payloads of req (PutRequest.Data, PrepareWriteRequest.Data)
+// are valid only until Handle returns: rpcnet's server decodes them in
+// place over its per-connection read buffer and reuses that buffer for
+// the next request. A handler that needs the bytes afterwards must copy
+// them; handing them to a store.Store is enough, every store copies or
+// finishes writing before its Write returns.
 type Handler interface {
 	Handle(ctx context.Context, from SiteID, req Request) (Response, error)
 }

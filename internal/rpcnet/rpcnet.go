@@ -1,6 +1,8 @@
-// Package rpcnet carries the inter-site protocol over TCP with gob
-// encoding, turning the reliable device into what the paper actually
-// describes: "a set of server processes on several sites" (§1).
+// Package rpcnet carries the inter-site protocol over TCP, one
+// length-prefixed binary frame per message (frame.go, and
+// protocol/codec.go for the body), turning the reliable device into
+// what the paper actually describes: "a set of server processes on
+// several sites" (§1).
 //
 // A Server exposes one replica's protocol handler on a TCP address; a
 // Client implements protocol.Transport against a map of peer addresses.
@@ -25,7 +27,6 @@ package rpcnet
 
 import (
 	"context"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -43,7 +44,7 @@ import (
 // scheme logic (which matches them with errors.Is) works identically over
 // TCP.
 const (
-	errNone = iota
+	errNone uint8 = iota
 	errGeneric
 	errComatose
 	errNotOperational
@@ -66,23 +67,15 @@ func init() {
 	})
 }
 
-type rpcRequest struct {
-	From protocol.SiteID
-	Req  protocol.Request
-	// Trace carries the caller's span context across the wire so the
-	// remote site's trace ring records causally-linked spans (zero when
-	// the caller is untraced). TraceID/SpanID only — no payload, so the
-	// field costs 16 bytes per request.
-	Trace protocol.SpanContext
+// reply is one decoded response frame: the handler's answer, or the
+// error it returned as a wire code plus its text.
+type reply struct {
+	resp protocol.Response
+	code uint8
+	text string
 }
 
-type rpcResponse struct {
-	Resp    protocol.Response
-	ErrCode int
-	ErrText string
-}
-
-func encodeErr(err error) (int, string) {
+func encodeErr(err error) (uint8, string) {
 	switch {
 	case err == nil:
 		return errNone, ""
@@ -95,7 +88,7 @@ func encodeErr(err error) (int, string) {
 	}
 }
 
-func decodeErr(code int, text string) error {
+func decodeErr(code uint8, text string) error {
 	switch code {
 	case errNone:
 		return nil
@@ -106,12 +99,6 @@ func decodeErr(code int, text string) error {
 	default:
 		return fmt.Errorf("%s: %w", text, ErrRemote)
 	}
-}
-
-var registerOnce sync.Once
-
-func registerWire() {
-	registerOnce.Do(protocol.RegisterGob)
 }
 
 // Server exposes a protocol handler on a TCP listener.
@@ -131,7 +118,6 @@ func Serve(addr string, h protocol.Handler) (*Server, error) {
 	if h == nil {
 		return nil, errors.New("rpcnet: nil handler")
 	}
-	registerWire()
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("rpcnet: listen %s: %w", addr, err)
@@ -191,12 +177,17 @@ func (s *Server) serveConn(conn net.Conn) {
 		delete(s.conns, conn)
 		s.mu.Unlock()
 	}()
-	dec := gob.NewDecoder(conn)
-	enc := gob.NewEncoder(conn)
+	w := newWireConn(conn)
 	for {
-		var req rpcRequest
-		if err := dec.Decode(&req); err != nil {
-			return // connection closed or corrupt
+		body, _, err := w.readFrame()
+		if err != nil {
+			return // connection closed, or not a frame stream
+		}
+		// req's byte payloads point into body, which readFrame reuses:
+		// they are valid until Handle returns (see protocol.Handler).
+		from, trace, req, err := protocol.DecodeRequest(body)
+		if err != nil {
+			return // malformed frame: the stream cannot be trusted further
 		}
 		// The caller's deadline does not cross the wire (the caller
 		// abandons the exchange on its own clock); what does cross is the
@@ -204,13 +195,22 @@ func (s *Server) serveConn(conn net.Conn) {
 		// the remote parent.
 		//relidev:allow context: server side of the wire is a call root; the caller's deadline stays on the caller
 		ctx := context.Background()
-		if req.Trace.Valid() {
-			ctx = protocol.WithSpan(ctx, req.Trace)
+		if trace.Valid() {
+			ctx = protocol.WithSpan(ctx, trace)
 		}
-		resp, err := s.handler.Handle(ctx, req.From, req.Req)
+		resp, err := s.handler.Handle(ctx, from, req)
 		code, text := encodeErr(err)
-		out := rpcResponse{Resp: resp, ErrCode: code, ErrText: text}
-		if err := enc.Encode(out); err != nil {
+		frame, err := protocol.AppendResponse(w.beginFrame(), resp, code, text)
+		if err == nil {
+			err = checkFrameSize(frame)
+		}
+		if err != nil {
+			// The answer cannot travel (too large, or a type the codec
+			// does not know). The stream itself is fine, so say why in an
+			// error reply instead of dropping the connection.
+			frame, _ = protocol.AppendResponse(w.beginFrame(), nil, errGeneric, err.Error())
+		}
+		if err := w.sendFrame(frame); err != nil {
 			return
 		}
 	}
@@ -315,18 +315,6 @@ type peerPool struct {
 	backoff     time.Duration
 	nextDialAt  time.Time
 	firstFailAt time.Time
-}
-
-// wireConn is one gob-encoded TCP stream. It is used by one round trip
-// at a time; the gob codec state lives with the connection.
-type wireConn struct {
-	conn net.Conn
-	enc  *gob.Encoder
-	dec  *gob.Decoder
-}
-
-func (w *wireConn) close() {
-	w.conn.Close()
 }
 
 // get pops an idle connection, or returns nil when the caller must dial.
@@ -466,7 +454,6 @@ func NewClientConfig(self protocol.SiteID, addrs map[protocol.SiteID]string, cfg
 	if len(addrs) == 0 {
 		return nil, errors.New("rpcnet: client needs peer addresses")
 	}
-	registerWire()
 	m := make(map[protocol.SiteID]string, len(addrs))
 	for id, a := range addrs {
 		m[id] = a
@@ -577,20 +564,33 @@ func (c *Client) peer(to protocol.SiteID) (*peerPool, error) {
 }
 
 // exchange runs one request/response on an established connection. On
-// success the connection returns to the pool; on error it is closed.
-func (c *Client) exchange(p *peerPool, w *wireConn, deadline time.Time, req protocol.Request, trace protocol.SpanContext) (rpcResponse, error) {
+// success the connection returns to the pool; on a wire error —
+// including a response that is not a well-formed frame — it is closed.
+func (c *Client) exchange(p *peerPool, w *wireConn, deadline time.Time, req protocol.Request, trace protocol.SpanContext) (reply, error) {
 	w.conn.SetDeadline(deadline)
-	if err := w.enc.Encode(rpcRequest{From: c.self, Req: req, Trace: trace}); err != nil {
-		w.close()
-		return rpcResponse{}, fmt.Errorf("send: %w", err)
+	frame, err := protocol.AppendRequest(w.beginFrame(), c.self, trace, req)
+	if err == nil {
+		err = w.sendFrame(frame)
 	}
-	var resp rpcResponse
-	if err := w.dec.Decode(&resp); err != nil {
+	if err != nil {
 		w.close()
-		return rpcResponse{}, fmt.Errorf("receive: %w", err)
+		return reply{}, fmt.Errorf("send: %w", err)
+	}
+	body, inPlace, err := w.readFrame()
+	if err != nil {
+		w.close()
+		return reply{}, fmt.Errorf("receive: %w", err)
+	}
+	// A body in the connection's buffer is overwritten by the next
+	// exchange, so its payloads are copied out; a body that needed its
+	// own allocation is simply handed over to the response.
+	var rep reply
+	if rep.resp, rep.code, rep.text, err = protocol.DecodeResponse(body, !inPlace); err != nil {
+		w.close()
+		return reply{}, fmt.Errorf("receive: %w", err)
 	}
 	p.put(w)
-	return resp, nil
+	return rep, nil
 }
 
 // dial opens a fresh connection, honoring the backoff gate: while a
@@ -612,7 +612,7 @@ func (c *Client) dial(ctx context.Context, p *peerPool, to protocol.SiteID, dead
 	if err != nil {
 		return nil, c.fault(ctx, p, to, "dial", false, err)
 	}
-	return &wireConn{conn: conn, enc: gob.NewEncoder(conn), dec: gob.NewDecoder(conn)}, nil
+	return newWireConn(conn), nil
 }
 
 // fault classifies one failed dial or exchange. Context cancellation is
@@ -683,10 +683,10 @@ func (c *Client) roundTrip(ctx context.Context, to protocol.SiteID, req protocol
 		deadline = d
 	}
 	trace := protocol.CtxSpan(ctx)
-	var resp rpcResponse
+	var rep reply
 	done := false
 	if w := p.get(); w != nil {
-		if resp, err = c.exchange(p, w, deadline, req, trace); err == nil {
+		if rep, err = c.exchange(p, w, deadline, req, trace); err == nil {
 			done = true
 		}
 		// On error: fall through to one fresh-dial retry.
@@ -696,7 +696,7 @@ func (c *Client) roundTrip(ctx context.Context, to protocol.SiteID, req protocol
 		if err != nil {
 			return nil, err
 		}
-		if resp, err = c.exchange(p, w, deadline, req, trace); err != nil {
+		if rep, err = c.exchange(p, w, deadline, req, trace); err != nil {
 			// The dial above succeeded, so this stream was established
 			// and then broke: classify as severed.
 			return nil, c.fault(ctx, p, to, "exchange with", true, err)
@@ -705,10 +705,10 @@ func (c *Client) roundTrip(ctx context.Context, to protocol.SiteID, req protocol
 	if p.recordSuccess(c.cfg.SuspectThreshold) {
 		c.notifyDetector(to, false, c.now())
 	}
-	if err := decodeErr(resp.ErrCode, resp.ErrText); err != nil {
+	if err := decodeErr(rep.code, rep.text); err != nil {
 		return nil, err
 	}
-	return resp.Resp, nil
+	return rep.resp, nil
 }
 
 // Call implements protocol.Transport.

@@ -8,6 +8,7 @@ import (
 	"io/fs"
 	"net/http"
 	"sort"
+	"sync"
 	"time"
 
 	"relidev/internal/availcopy"
@@ -108,7 +109,12 @@ type RemoteSite struct {
 	flight    *flight.Recorder
 	tsdb      *tsdb.DB
 	slo       *slo.Engine
+	// stopPoll is closed by Close to stop the telemetry poller and
+	// pollDone by the poller as it exits; both are nil when no poller
+	// runs, and neither is reassigned after OpenRemote.
 	stopPoll  chan struct{}
+	pollDone  chan struct{}
+	closeOnce sync.Once
 }
 
 // OpenRemote starts a site: it opens (or creates) the local store,
@@ -292,6 +298,7 @@ func OpenRemote(cfg RemoteConfig) (*RemoteSite, error) {
 			rs.slo = slo.NewEngine(rs.tsdb, observer.Now, rs.sealOnExhaustion, cfg.SLOs...)
 		}
 		rs.stopPoll = make(chan struct{})
+		rs.pollDone = make(chan struct{})
 		go rs.poll(cfg.TelemetryStep)
 	}
 	return rs, nil
@@ -301,6 +308,7 @@ func OpenRemote(cfg RemoteConfig) (*RemoteSite, error) {
 // registry into the ring, then re-evaluate the burn rates so budget
 // exhaustion seals the flight recorder even with nobody polling /slo.
 func (r *RemoteSite) poll(step time.Duration) {
+	defer close(r.pollDone)
 	t := time.NewTicker(step)
 	defer t.Stop()
 	for {
@@ -479,8 +487,8 @@ func (r *RemoteSite) FetchFrom(ctx context.Context, siteID int, idx int) ([]byte
 // connections, store.
 func (r *RemoteSite) Close() error {
 	if r.stopPoll != nil {
-		close(r.stopPoll)
-		r.stopPoll = nil
+		r.closeOnce.Do(func() { close(r.stopPoll) })
+		<-r.pollDone
 	}
 	errServer := r.server.Close()
 	errClient := r.client.Close()
