@@ -34,9 +34,9 @@ import (
 // created, the directory is fsynced so the new name survives crash,
 // and segments whose records have all been superseded are deleted.
 //
-// On open the segments are replayed in sequence order to rebuild the
-// image. A torn tail — a short or CRC-damaged record at the end of the
-// *last* segment, the only place an in-flight append can be
+// On open the segments are replayed newest first to rebuild the image
+// (see OpenSeg). A torn tail — a short or CRC-damaged record at the end
+// of the *last* segment, the only place an in-flight append can be
 // interrupted — is truncated away; damage anywhere else is corruption
 // and fails the open.
 const (
@@ -49,6 +49,11 @@ const (
 
 	// defaultMaxSegmentBytes rotates segments at 4 MiB.
 	defaultMaxSegmentBytes = 4 << 20
+
+	// replayBufBytes is the least size of the buffer an OpenSeg streams
+	// every segment through, so that replay costs one sequential read
+	// per MiB of log instead of two small ones per record.
+	replayBufBytes = 1 << 20
 )
 
 // ErrCorruptSegment reports CRC or framing damage before the tail of
@@ -82,6 +87,10 @@ type SegStore struct {
 	liveSeg []uint64
 	metaSeg uint64
 	live    map[uint64]int
+
+	// rec is appendLocked's scratch record. The append is a synchronous
+	// file write, so the buffer is free again when it returns.
+	rec []byte
 }
 
 const liveNone = ^uint64(0)
@@ -126,52 +135,110 @@ func CreateSeg(dir string, geom block.Geometry, opts ...SegOption) (*SegStore, e
 	return s, nil
 }
 
-// OpenSeg replays an existing segment store, truncating a torn tail in
-// the final segment.
+// OpenSeg rebuilds the image from an existing segment store.
+//
+// Segments are replayed newest first, each streamed through one buffer
+// with every record CRC-verified in place. A block (or the metadata
+// area) whose current record a newer segment already supplied has its
+// older records verified but neither copied into the image nor counted
+// live; records of the same segment overwrite each other in file
+// order. Log order decides, never the version number: an aborted write
+// legitimately restores a lower version over a higher one.
+//
+// A bad frame in the final segment is a torn append and is truncated
+// away; anywhere else it is ErrCorruptSegment. A final segment shorter
+// than its header is a rotation that crashed between creating the file
+// and writing the header: it is removed, and its predecessor — fsynced
+// before the successor was created, so held to the sealed-segment
+// standard — becomes the active segment.
 func OpenSeg(dir string, opts ...SegOption) (*SegStore, error) {
 	names, err := segmentNames(dir)
 	if err != nil {
 		return nil, err
 	}
+	tornTailOK := true
+	if n := len(names); n > 0 {
+		last := filepath.Join(dir, names[n-1])
+		fi, err := os.Stat(last)
+		if err != nil {
+			return nil, fmt.Errorf("stat segment: %w", err)
+		}
+		if fi.Size() < segHeaderSize {
+			if err := os.Remove(last); err != nil {
+				return nil, fmt.Errorf("remove torn segment creation: %w", err)
+			}
+			if err := syncDir(dir); err != nil {
+				return nil, err
+			}
+			names, tornTailOK = names[:n-1], false
+		}
+	}
 	if len(names) == 0 {
 		return nil, fmt.Errorf("%w in %s", ErrNoSegments, dir)
 	}
-	var s *SegStore
-	var lastSeq uint64
-	for i, name := range names {
-		path := filepath.Join(dir, name)
-		geom, seq, err := readSegHeader(path)
-		if err != nil {
-			return nil, err
-		}
-		if s == nil {
-			if s, err = newSegStore(dir, geom, opts); err != nil {
-				return nil, err
-			}
-		} else if s.mem.geom != geom {
-			s.mem.Close()
-			return nil, fmt.Errorf("store: segment %s geometry %+v differs from %+v", name, geom, s.mem.geom)
-		}
-		if err := s.replaySegment(path, seq, i == len(names)-1); err != nil {
-			s.mem.Close()
-			return nil, err
-		}
-		lastSeq = seq
-	}
-	last := filepath.Join(dir, names[len(names)-1])
-	f, err := os.OpenFile(last, os.O_RDWR, 0)
+	sealed, last := names[:len(names)-1], names[len(names)-1]
+	active, err := os.OpenFile(filepath.Join(dir, last), os.O_RDWR, 0)
 	if err != nil {
-		s.mem.Close()
-		return nil, fmt.Errorf("reopen active segment: %w", err)
+		return nil, fmt.Errorf("open active segment: %w", err)
 	}
-	if s.activeLen, err = f.Seek(0, io.SeekEnd); err != nil {
-		f.Close()
-		s.mem.Close()
-		return nil, fmt.Errorf("seek active segment: %w", err)
+	geom, seq, err := readSegHeader(active)
+	if err != nil {
+		active.Close()
+		return nil, err
 	}
-	s.active = f
-	s.activeSeq = lastSeq
+	s, err := newSegStore(dir, geom, opts)
+	if err != nil {
+		active.Close()
+		return nil, err
+	}
+	s.active, s.activeSeq = active, seq
+	if err := s.replay(sealed, tornTailOK); err != nil {
+		active.Close()
+		s.mem.Close()
+		return nil, err
+	}
 	return s, nil
+}
+
+// replay rebuilds the image and the liveness counts from the already
+// opened active segment and then the sealed ones, newest first.
+func (s *SegStore) replay(sealed []string, tornTailOK bool) error {
+	// Two maximal records, so that a refill always leaves a whole
+	// record in the buffer.
+	buf := make([]byte, max(replayBufBytes, 2*(recHeaderSize+s.maxPayload())))
+	end, err := s.replaySegment(s.active, s.activeSeq, buf, tornTailOK)
+	if err != nil {
+		return err
+	}
+	if _, err := s.active.Seek(end, io.SeekStart); err != nil {
+		return fmt.Errorf("seek active segment: %w", err)
+	}
+	s.activeLen = end
+	for i := len(sealed) - 1; i >= 0; i-- {
+		if err := s.replaySealed(sealed[i], buf); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// replaySealed replays one sealed segment, opened read-only: only the
+// final segment can need truncating.
+func (s *SegStore) replaySealed(name string, buf []byte) error {
+	f, err := os.Open(filepath.Join(s.dir, name))
+	if err != nil {
+		return fmt.Errorf("open segment: %w", err)
+	}
+	defer f.Close()
+	geom, seq, err := readSegHeader(f)
+	if err != nil {
+		return err
+	}
+	if geom != s.mem.geom {
+		return fmt.Errorf("store: segment %s geometry %+v differs from %+v", name, geom, s.mem.geom)
+	}
+	_, err = s.replaySegment(f, seq, buf, false)
+	return err
 }
 
 func newSegStore(dir string, geom block.Geometry, opts []SegOption) (*SegStore, error) {
@@ -289,7 +356,11 @@ func (s *SegStore) appendLocked(typ byte, idx block.Index, ver block.Version, pa
 			return err
 		}
 	}
-	rec := make([]byte, recHeaderSize+len(payload))
+	n := recHeaderSize + len(payload)
+	if cap(s.rec) < n {
+		s.rec = make([]byte, n)
+	}
+	rec := s.rec[:n]
 	rec[4] = typ
 	binary.LittleEndian.PutUint32(rec[5:], uint32(idx))
 	binary.LittleEndian.PutUint64(rec[9:], uint64(ver))
@@ -384,83 +455,134 @@ func (s *SegStore) openSegmentLocked(seq uint64) error {
 	return nil
 }
 
-// replaySegment applies one segment's records to the image. A damaged
-// record in the last segment is a torn append: the file is truncated
-// at the last intact record and replay succeeds. Damage elsewhere is
-// corruption.
-func (s *SegStore) replaySegment(path string, seq uint64, last bool) error {
-	f, err := os.OpenFile(path, os.O_RDWR, 0)
-	if err != nil {
-		return fmt.Errorf("replay segment: %w", err)
-	}
-	defer f.Close()
-	if _, ok := s.live[seq]; !ok {
-		s.live[seq] = 0
-	}
-	off := int64(segHeaderSize)
-	hdr := make([]byte, recHeaderSize)
-	for {
-		n, err := f.ReadAt(hdr, off)
-		if err == io.EOF && n == 0 {
-			return nil
-		}
-		payload, recErr := func() ([]byte, error) {
-			if err != nil {
-				return nil, fmt.Errorf("torn record header at %d", off)
-			}
-			size := binary.LittleEndian.Uint32(hdr[17:])
-			if size > uint32(s.mem.geom.BlockSize)+defaultMetaCap {
-				return nil, fmt.Errorf("implausible record length %d at %d", size, off)
-			}
-			body := make([]byte, int(size))
-			if _, err := f.ReadAt(body, off+recHeaderSize); err != nil {
-				return nil, fmt.Errorf("torn record payload at %d", off)
-			}
-			sum := crc32.ChecksumIEEE(hdr[4:])
-			sum = crc32.Update(sum, crc32.IEEETable, body)
-			if sum != binary.LittleEndian.Uint32(hdr[:4]) {
-				return nil, fmt.Errorf("checksum mismatch at %d", off)
-			}
-			return body, nil
-		}()
-		if recErr != nil {
-			if !last {
-				return fmt.Errorf("%w: %s: %v", ErrCorruptSegment, filepath.Base(path), recErr)
-			}
-			if err := f.Truncate(off); err != nil {
-				return fmt.Errorf("truncate torn tail: %w", err)
-			}
-			return f.Sync()
-		}
-		idx := block.Index(binary.LittleEndian.Uint32(hdr[5:]))
-		ver := block.Version(binary.LittleEndian.Uint64(hdr[9:]))
-		switch hdr[4] {
-		case recBlock:
-			if err := checkWrite(s.mem.geom, idx, payload); err != nil {
-				return fmt.Errorf("%w: %s: record at %d: %v", ErrCorruptSegment, filepath.Base(path), off, err)
-			}
-			copy(s.mem.slice(idx), payload)
-			s.mem.versions[idx] = ver
-			s.live[seq]++
-			s.retireAt(&s.liveSeg[idx], seq)
-		case recMeta:
-			s.mem.meta = append([]byte(nil), payload...)
-			s.live[seq]++
-			s.retireAt(&s.metaSeg, seq)
-		default:
-			return fmt.Errorf("%w: %s: unknown record type %d at %d", ErrCorruptSegment, filepath.Base(path), hdr[4], off)
-		}
-		off += recHeaderSize + int64(len(payload))
-	}
+// maxPayload bounds a record's length field: a block or a metadata
+// area. A larger length is framing damage, not a record to read.
+func (s *SegStore) maxPayload() int { return s.mem.geom.BlockSize + defaultMetaCap }
+
+// segScanner frames the records of one segment file out of large
+// sequential reads into a caller-owned buffer.
+type segScanner struct {
+	f          *os.File
+	buf        []byte // at least two maximal records long
+	r, w       int    // buf[r:w] is read and not yet consumed
+	off        int64  // file offset of buf[r]
+	eof        bool
+	maxPayload uint32
 }
 
-// retireAt is retireLocked for replay, where the landing segment is
-// the one being replayed rather than the active segment.
-func (s *SegStore) retireAt(slot *uint64, seq uint64) {
-	if old := *slot; old != liveNone {
-		s.live[old]--
+// next returns the next record, header included, CRC-verified and
+// aliasing the buffer until the following call; nil at a clean end of
+// file. bad describes a short or damaged frame starting at sc.off.
+func (sc *segScanner) next() (rec []byte, bad string, err error) {
+	if err := sc.fill(recHeaderSize); err != nil {
+		return nil, "", err
 	}
-	*slot = seq
+	switch avail := sc.w - sc.r; {
+	case avail == 0:
+		return nil, "", nil
+	case avail < recHeaderSize:
+		return nil, "torn record header", nil
+	}
+	size := binary.LittleEndian.Uint32(sc.buf[sc.r+17:])
+	if size > sc.maxPayload {
+		return nil, fmt.Sprintf("implausible record length %d", size), nil
+	}
+	n := recHeaderSize + int(size)
+	if err := sc.fill(n); err != nil {
+		return nil, "", err
+	}
+	if sc.w-sc.r < n {
+		return nil, "torn record payload", nil
+	}
+	rec = sc.buf[sc.r : sc.r+n]
+	if crc32.ChecksumIEEE(rec[4:]) != binary.LittleEndian.Uint32(rec) {
+		return nil, "checksum mismatch", nil
+	}
+	sc.r += n
+	sc.off += int64(n)
+	return rec, "", nil
+}
+
+// fill makes buf[r:w] hold at least need bytes (at most half the
+// buffer) unless the file ends first.
+func (sc *segScanner) fill(need int) error {
+	if sc.w-sc.r >= need || sc.eof {
+		return nil
+	}
+	sc.w = copy(sc.buf, sc.buf[sc.r:sc.w])
+	sc.r = 0
+	n, err := sc.f.ReadAt(sc.buf[sc.w:], sc.off+int64(sc.w))
+	sc.w += n
+	if err == io.EOF {
+		sc.eof = true
+	} else if err != nil {
+		return fmt.Errorf("read segment: %w", err)
+	}
+	return nil
+}
+
+// replaySegment verifies every record of segment seq, streaming the
+// file through buf, and installs those that no newer segment has
+// superseded (see OpenSeg). It returns the offset just past the last
+// intact record. A damaged record is a torn append when tornTailOK: the
+// file is cut there and fsynced, and replay succeeds. Otherwise it is
+// corruption.
+func (s *SegStore) replaySegment(f *os.File, seq uint64, buf []byte, tornTailOK bool) (int64, error) {
+	name := filepath.Base(f.Name())
+	sc := segScanner{f: f, buf: buf, off: segHeaderSize, maxPayload: uint32(s.maxPayload())}
+	live := 0
+	// current reports whether this segment holds a slot's current
+	// record, claiming a slot that no newer segment has.
+	current := func(slot *uint64) bool {
+		if *slot == liveNone {
+			*slot = seq
+			live++
+		}
+		return *slot == seq
+	}
+	for {
+		at := sc.off
+		rec, bad, err := sc.next()
+		if err != nil {
+			return 0, err
+		}
+		if bad != "" {
+			if !tornTailOK {
+				return 0, fmt.Errorf("%w: %s: %s at %d", ErrCorruptSegment, name, bad, at)
+			}
+			if err := f.Truncate(at); err != nil {
+				return 0, fmt.Errorf("truncate torn tail: %w", err)
+			}
+			if err := f.Sync(); err != nil {
+				return 0, fmt.Errorf("sync truncated tail: %w", err)
+			}
+		}
+		if rec == nil {
+			s.live[seq] = live
+			return at, nil
+		}
+		payload := rec[recHeaderSize:]
+		switch rec[4] {
+		case recBlock:
+			idx := block.Index(binary.LittleEndian.Uint32(rec[5:]))
+			if err := checkWrite(s.mem.geom, idx, payload); err != nil {
+				return 0, fmt.Errorf("%w: %s: record at %d: %v", ErrCorruptSegment, name, at, err)
+			}
+			if current(&s.liveSeg[idx]) {
+				copy(s.mem.slice(idx), payload)
+				s.mem.versions[idx] = block.Version(binary.LittleEndian.Uint64(rec[9:]))
+			}
+		case recMeta:
+			if current(&s.metaSeg) {
+				// An empty area is nil, as SaveMeta leaves it.
+				if s.mem.meta = append(s.mem.meta[:0], payload...); len(payload) == 0 {
+					s.mem.meta = nil
+				}
+			}
+		default:
+			return 0, fmt.Errorf("%w: %s: unknown record type %d at %d", ErrCorruptSegment, name, rec[4], at)
+		}
+	}
 }
 
 func segmentName(seq uint64) string { return fmt.Sprintf("seg-%08d.log", seq) }
@@ -482,16 +604,12 @@ func segmentNames(dir string) ([]string, error) {
 	return names, nil
 }
 
-// readSegHeader validates a segment file's header and returns its
-// geometry and sequence number.
-func readSegHeader(path string) (block.Geometry, uint64, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return block.Geometry{}, 0, fmt.Errorf("open segment: %w", err)
-	}
-	defer f.Close()
+// readSegHeader validates an open segment file's header, which must
+// carry the sequence number the file is named for, and returns its
+// geometry and that number.
+func readSegHeader(f *os.File) (block.Geometry, uint64, error) {
 	hdr := make([]byte, segHeaderSize)
-	if _, err := io.ReadFull(f, hdr); err != nil {
+	if _, err := f.ReadAt(hdr, 0); err != nil {
 		return block.Geometry{}, 0, fmt.Errorf("read segment header: %w", err)
 	}
 	if string(hdr[:8]) != segMagic {
@@ -504,7 +622,11 @@ func readSegHeader(path string) (block.Geometry, uint64, error) {
 	if err := geom.Validate(); err != nil {
 		return block.Geometry{}, 0, fmt.Errorf("segment header: %w", err)
 	}
-	return geom, binary.LittleEndian.Uint64(hdr[16:]), nil
+	seq := binary.LittleEndian.Uint64(hdr[16:])
+	if name := filepath.Base(f.Name()); name != segmentName(seq) {
+		return block.Geometry{}, 0, fmt.Errorf("store: segment %s carries sequence %d in its header", name, seq)
+	}
+	return geom, seq, nil
 }
 
 // syncDir fsyncs a directory so entry creations and deletions inside
