@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build test race lint lint-sweep fuzz-smoke bench-smoke chaos-short repair-race obs-race
+.PHONY: all build test race lint lint-sweep fuzz-smoke bench-smoke chaos-short repair-race obs-race report-stable loc
 
 all: build test
 
@@ -85,6 +85,21 @@ chaos-short:
 	$(GO) run -race ./cmd/chaos -scheme=voting -seed=7 -events=150 -ops-per-event=4 -metrics-out=artifacts/chaos-voting-metrics.json -avail-out=artifacts/chaos-voting-avail.json -ttf-out=artifacts/chaos-voting-ttf.json -flight-out=artifacts/chaos-voting-flight.json -slo-out=artifacts/chaos-voting-slo.json
 	$(GO) run -race ./cmd/chaos -scheme=ac     -seed=7 -events=150 -ops-per-event=4 -metrics-out=artifacts/chaos-ac-metrics.json -avail-out=artifacts/chaos-ac-avail.json -ttf-out=artifacts/chaos-ac-ttf.json -flight-out=artifacts/chaos-ac-flight.json -slo-out=artifacts/chaos-ac-slo.json
 	$(GO) run -race ./cmd/chaos -scheme=nac    -seed=7 -events=150 -ops-per-event=4 -metrics-out=artifacts/chaos-nac-metrics.json -avail-out=artifacts/chaos-nac-avail.json -ttf-out=artifacts/chaos-nac-ttf.json -flight-out=artifacts/chaos-nac-flight.json -slo-out=artifacts/chaos-nac-slo.json
+
+# report-stable is the whole-report replay check (DESIGN.md "Time"): a
+# chaos report — metrics, health, flight, SLOs and time-to-freshness,
+# not only the digest — must be the same bytes at any GOMAXPROCS, plain
+# and under the race detector's different scheduling (~15 min there, so
+# past go test's 10 min default).
+STABLE := -timeout 60m -cpu 1,2,4 -count=5 -run 'TestRunDigestStableAcrossInvocations|TestReportBytesStableAcrossGOMAXPROCS' ./cmd/chaos ./internal/chaos
+report-stable:
+	$(GO) test $(STABLE)
+	$(GO) test -race $(STABLE)
+
+# loc prints the tracked size (ROADMAP item 5): non-test Go lines
+# outside benchmark/ and testdata/. BENCH_history.json keeps the trend.
+loc:
+	@find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' -not -path '*/testdata/*' | xargs cat | wc -l
 
 # obs-race hammers the new observability surfaces — the health engine's
 # hysteresis state machines and the flight recorder's ring — under the

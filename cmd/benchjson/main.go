@@ -86,8 +86,11 @@ func main() {
 // A historyEntry is one archived run inside a -history file, which is
 // a JSON array of entries ordered by append time.
 type historyEntry struct {
-	At         string   `json:"at"`
-	Label      string   `json:"label,omitempty"`
+	At    string `json:"at"`
+	Label string `json:"label,omitempty"`
+	// NonTestLOC is `make loc` at the labelled revision, written by hand
+	// and kept here so an append does not drop it (ROADMAP item 5).
+	NonTestLOC int      `json:"non_test_loc,omitempty"`
 	Benchmarks []result `json:"benchmarks"`
 }
 

@@ -18,6 +18,7 @@ import (
 	"os"
 
 	"relidev/internal/analysis"
+	"relidev/internal/clock"
 	"relidev/internal/core"
 	"relidev/internal/obs"
 	"relidev/internal/obs/avail"
@@ -227,9 +228,12 @@ func runTraffic(w io.Writer, asJSON bool, schemeName string, sites int, rho floa
 	}
 	// The observer rides along only for JSON runs: the snapshot and the
 	// §5 conformance verdict become part of the machine-readable report.
+	// Its clock is a Manual nobody advances: the report carries counts,
+	// not timestamps, so every duration is zero by construction instead
+	// of a count of other goroutines' clock reads.
 	var o *obs.Observer
 	if asJSON {
-		o = obs.New(obs.WithClock(obs.NewLogicalClock(1).Now))
+		o = obs.New(obs.WithClock(clock.NewManual()))
 	}
 	res, err := sim.SimulateTraffic(context.Background(), sim.TrafficConfig{
 		Scheme:    kind,

@@ -38,6 +38,7 @@ import (
 
 	"relidev/internal/availcopy"
 	"relidev/internal/block"
+	"relidev/internal/clock"
 	"relidev/internal/core"
 	"relidev/internal/faultnet"
 	"relidev/internal/obs"
@@ -73,14 +74,15 @@ type Config struct {
 	Rho float64
 	// Observe attaches the observability layer: per-scheme metrics, a
 	// protocol trace ring, and the §5 bracket-conformance check as an
-	// additional end-of-run invariant. The observer runs on a logical
-	// clock and never feeds the replay digest, so a run's digest is
-	// bit-identical with observation on or off.
+	// additional end-of-run invariant. The whole observability layer —
+	// this, Flight and Telemetry — runs on the engine's schedule clock
+	// (DESIGN.md "Time") and never feeds the replay digest, so a run's
+	// digest is bit-identical with any of them on or off.
 	Observe bool
 	// Repair enables the background anti-entropy repairer (DESIGN.md
 	// §13) on every readmitted site, under a deterministic policy: one
 	// in-flight page per donor so every faultnet link sees a sequential,
-	// replayable request stream, a logical clock so backoff costs no
+	// replayable request stream, a manual clock so backoff costs no
 	// wall time, and seeded jitter. It adds a standing invariant —
 	// bounded time-to-freshness: every repair run must finish within
 	// Policy.Deadline of the staleness it found, and on the loss-free
@@ -91,20 +93,15 @@ type Config struct {
 	// engine (requires Observe): every quiescent checkpoint snapshots
 	// metrics deltas, the trace tail, repair lag, and site states into
 	// a bounded ring, and the first invariant violation or critical
-	// health breach seals the ring into Report.Flight. Like the rest of
-	// the observability layer it runs on the logical clock and never
-	// feeds the replay digest, so a run's digest is bit-identical with
-	// the recorder on or off.
+	// health breach seals the ring into Report.Flight.
 	Flight bool
 	// Telemetry attaches the telemetry plane (requires Observe): a tsdb
-	// ring sampled at every quiescent checkpoint on its own logical
-	// clock — one tick per checkpoint, so burn-rate windows are
-	// measured in checkpoints — and the SLO engine evaluated over it.
-	// Alert transitions land in Report.SLOAlerts with logical-clock
-	// timestamps, the final evaluation in Report.SLO, and an exhausted
-	// error budget seals the flight recorder. The plane reads snapshots
-	// only and never stamps, so a run's digest is bit-identical with
-	// telemetry on or off (a pinned invariant).
+	// ring sampled at every quiescent checkpoint — burn-rate windows are
+	// sized in checkpoint cycles — and the SLO engine evaluated over it.
+	// Alert transitions land in Report.SLOAlerts stamped with the
+	// schedule tick they happened at, the final evaluation in
+	// Report.SLO, and an exhausted error budget seals the flight
+	// recorder.
 	Telemetry bool
 	// Coda appends this many fault-free workload batches (each followed
 	// by a checkpoint) after convergence. The quiet tail is part of the
@@ -134,9 +131,15 @@ func Defaults(kind core.SchemeKind) Config {
 }
 
 // repairPolicy is the deterministic repair tuning chaos runs use. The
-// rate limiter stays off (the logical clock would count its debt
+// rate limiter stays off (the manual clock would count its debt
 // sleeps against the deadline without modelling any real bandwidth);
 // rate-limit behaviour is covered by the repair package's own tests.
+//
+// The repairers get a clock.Manual of their own, not the schedule
+// clock: donor workers back off concurrently and each Sleep advances
+// the clock, so on a shared instance a reading taken by one worker
+// would depend on whether another's sleep had landed yet. On their own
+// instance only the sum is read (Elapsed, after the workers join).
 func repairPolicy(seed int64) repair.Policy {
 	return repair.Policy{
 		PageBlocks:         4,
@@ -144,7 +147,7 @@ func repairPolicy(seed int64) repair.Policy {
 		RetryBase:          5 * time.Millisecond,
 		RetryMax:           40 * time.Millisecond,
 		Seed:               uint64(seed),
-		Clock:              repair.NewLogical(),
+		Clock:              clock.NewManual(),
 	}
 }
 
@@ -234,7 +237,7 @@ type Report struct {
 	AvailConformance *avail.Report `json:"avail_conformance,omitempty"`
 	// Repair holds one time-to-freshness sample per background repair
 	// run, present when Config.Repair is set. Elapsed is measured on the
-	// repairer's logical clock, so samples replay bit-identically.
+	// repairers' manual clock, so samples replay bit-identically.
 	Repair []TTFSample `json:"repair,omitempty"`
 	// Flight is the sealed flight-recorder dump, present when
 	// Config.Flight is set and a trigger fired: the first invariant
@@ -247,14 +250,14 @@ type Report struct {
 	Health *health.Verdict `json:"health,omitempty"`
 	// SLO is the burn-rate engine's evaluation at the last quiescent
 	// checkpoint and SLOAlerts the run's full alert transition log, both
-	// present when Config.Telemetry is set. Timestamps are telemetry
-	// logical-clock values (one tick per checkpoint), so a replayed run
-	// fires and clears the same alerts at the same instants.
+	// present when Config.Telemetry is set. Timestamps are schedule
+	// ticks, so a replayed run fires and clears the same alerts at the
+	// same instants.
 	SLO       *slo.Report `json:"slo,omitempty"`
 	SLOAlerts []SLOAlert  `json:"slo_alerts,omitempty"`
 }
 
-// An SLOAlert records one burn-rate alert's lifetime: the checkpoint
+// An SLOAlert records one burn-rate alert's lifetime: the schedule
 // tick it fired and, if the run's quiet coda let the windows drain, the
 // tick it cleared (0 while still firing at end of run).
 type SLOAlert struct {
@@ -286,6 +289,11 @@ type engine struct {
 	cl  *core.Cluster
 	fn  *faultnet.Network
 	rng *rand.Rand
+	// clk is the schedule clock every observability plane reads. Only
+	// tick() moves it — once per workload op, event and checkpoint — so
+	// each duration and timestamp in the report is a function of the
+	// schedule, never of how often or in what order goroutines read it.
+	clk *clock.Manual
 	obs *obs.Observer
 	// repairPol is the policy the cluster's repairers run under, kept
 	// for computing each run's time-to-freshness deadline.
@@ -303,8 +311,8 @@ type engine struct {
 	healthEng *health.Engine
 	// tsdb and sloEng are the telemetry plane, attached under
 	// Config.Telemetry: the ring samples the registry once per quiescent
-	// checkpoint on its own logical clock and the SLO engine evaluates
-	// over it. sloFiring remembers which alerts fired at the previous
+	// checkpoint and the SLO engine evaluates over it. sloFiring
+	// remembers which alerts fired at the previous
 	// checkpoint so transitions land in Report.SLOAlerts. Like the
 	// recorder, the plane is read-only over snapshots and never reaches
 	// stamp().
@@ -336,6 +344,7 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 	}
 	e := &engine{
 		cfg:       cfg,
+		clk:       clock.NewManual(),
 		rng:       rand.New(rand.NewSource(cfg.Seed ^ 0x5ca1ab1e)),
 		maxIssued: make([]uint64, cfg.Blocks),
 		committed: make([]uint64, cfg.Blocks),
@@ -354,45 +363,41 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 		pol = &e.repairPol
 	}
 	if cfg.Observe {
-		// A logical clock keeps timestamps a pure function of call order,
-		// and the tracer's ring never feeds the digest: observation cannot
-		// perturb a replay.
-		clk := obs.NewLogicalClock(1)
-		e.obs = obs.New(obs.WithClock(clk.Now), obs.WithTracing(4096))
+		// The schedule clock keeps timestamps a pure function of the
+		// schedule, and the tracer's ring never feeds the digest:
+		// observation cannot perturb a replay.
+		e.obs = obs.New(obs.WithClock(e.clk), obs.WithTracing(4096))
 		est, eerr := avail.New(cfg.Sites, cfg.Scheme.String())
 		if eerr != nil {
 			return nil, eerr
 		}
 		e.est = est
 		if cfg.Flight {
-			// The recorder and the health engine share the observer's
-			// logical clock; both are read-only over snapshots, so (like
-			// tracing) they cannot perturb the replay digest.
-			e.flight = flight.New(clk.Now, 64,
+			// The recorder and the health engine are read-only over
+			// snapshots, so (like tracing) they cannot perturb the replay
+			// digest.
+			e.flight = flight.New(e.clk, 64,
 				flight.MetricsDelta(e.obs),
 				flight.TraceTail(e.obs, 64),
 				flight.RepairLag(e.obs),
 				flight.Occupancy(e.obs),
 				flight.Probe("site_states", e.siteStates),
 			)
-			e.healthEng = health.NewEngine(e.obs.Snapshot, clk.Now, healthRules(cfg, pol)...)
+			e.healthEng = health.NewEngine(e.obs.Snapshot, e.clk, healthRules(cfg, pol)...)
 		}
 		if cfg.Telemetry {
-			// The telemetry plane gets its own logical clock, ticked only by
-			// the plane itself: each checkpoint's Sample stamps one tick, so
-			// tsdb timestamps count checkpoints and the burn-rate windows in
-			// chaosSLOs are measured in checkpoints. Sampling reads registry
-			// snapshots and evaluation reads the ring — neither stamps nor
-			// draws from the workload RNG, so the replay digest is
-			// bit-identical with telemetry on or off.
-			tclk := obs.NewLogicalClock(1)
+			// One sample per checkpoint, so the nominal step is one
+			// checkpoint cycle. Sampling reads registry snapshots and
+			// evaluation reads the ring — neither stamps nor draws from the
+			// workload RNG, so the replay digest is bit-identical with
+			// telemetry on or off.
 			e.tsdb = tsdb.New(tsdb.Config{
-				Clock:  tclk.Now,
+				Clock:  e.clk,
 				Source: e.obs.Snapshot,
-				StepNs: 1,
+				StepNs: cycleNs(cfg),
 				Retain: 4096,
 			})
-			e.sloEng = slo.NewEngine(e.tsdb, tclk.Now, e.sealFlight, chaosSLOs(cfg)...)
+			e.sloEng = slo.NewEngine(e.tsdb, e.clk, e.sealFlight, chaosSLOs(cfg)...)
 			e.sloFiring = make(map[string]bool)
 		}
 	}
@@ -477,18 +482,26 @@ func healthRules(cfg Config, pol *repair.Policy) []health.Rule {
 	return rules
 }
 
+// tick moves the schedule clock one schedule point: a nanosecond, so
+// report timestamps count schedule points.
+func (e *engine) tick() { e.clk.Advance(1) }
+
+// cycleNs is one checkpoint cycle on the schedule clock: a tick per
+// workload op, one for the event and one for the checkpoint.
+func cycleNs(cfg Config) int64 { return int64(cfg.OpsPerEvent + 2) }
+
 // chaosSLOs is the objective set chaos runs evaluate at every quiescent
-// checkpoint, the SLO-engine mirror of healthRules. Windows are
-// measured on the telemetry logical clock, which advances two ticks per
-// checkpoint (one for the tsdb sample, one for the evaluation), so the
-// fast window spans ~5 checkpoints and the slow ~20. The availability
-// target is deliberately loose — injected faults make op errors routine
-// and only a sustained degradation should page — while the latency and
-// conformance objectives are strict: on the logical clock every op
-// completes within one histogram bucket, and voting must never serve a
-// stale read at all.
+// checkpoint, the SLO-engine mirror of healthRules. Windows are sized
+// in checkpoint cycles: the fast window spans 5 checkpoints and the
+// slow 20. The availability target is deliberately loose — injected
+// faults make op errors routine and only a sustained degradation should
+// page — while the latency and conformance objectives are strict: the
+// schedule clock stands still inside an op, so every op lands in the
+// lowest histogram bucket, and voting must never serve a stale read at
+// all.
 func chaosSLOs(cfg Config) []slo.SLO {
-	w := slo.Windows{FastNs: 10, SlowNs: 40, Burn: 2}
+	cycle := cycleNs(cfg)
+	w := slo.Windows{FastNs: 5 * cycle, SlowNs: 20 * cycle, Burn: 2}
 	scheme := cfg.Scheme.String()
 	slos := []slo.SLO{
 		slo.ReadLatency(scheme, 1024, 0.99, w),
@@ -499,7 +512,7 @@ func chaosSLOs(cfg Config) []slo.SLO {
 		// Deadline in checkpoint dwell: a repair backlog that survives
 		// three whole checkpoints has outlived the drain-at-quiescence
 		// cadence the engine promises.
-		slos = append(slos, slo.RepairFreshness(6, 0.9, w))
+		slos = append(slos, slo.RepairFreshness(3*cycle, 0.9, w))
 	}
 	return slos
 }
@@ -705,6 +718,7 @@ func (e *engine) coda(ctx context.Context) {
 // chaos already restarted, or vice versa) are counted as skipped, never
 // silently dropped.
 func (e *engine) applyEvent(ctx context.Context, ev sim.Event) {
+	e.tick()
 	if ev.At > e.simNow {
 		e.simNow = ev.At
 	}
@@ -753,7 +767,7 @@ func (e *engine) applyEvent(ctx context.Context, ev sim.Event) {
 // logged since the last drain and applies the standing bounded
 // time-to-freshness invariant. Only deterministic facts feed the
 // digest (staleness, installs, the error class); elapsed times stay in
-// the report, where the logical repair clock keeps them replayable.
+// the report, where the manual repair clock keeps them replayable.
 func (e *engine) drainRepairs() {
 	if !e.cfg.Repair {
 		return
@@ -886,6 +900,7 @@ func (e *engine) workload(ctx context.Context) {
 // chaos (no quorum, site not available, injected faults); anything
 // outside that closed set is a violation.
 func (e *engine) step(ctx context.Context) {
+	e.tick()
 	avail := make([]protocol.SiteID, 0, e.cfg.Sites)
 	for i, st := range e.cl.States() {
 		if st == protocol.StateAvailable {
@@ -963,9 +978,10 @@ func (e *engine) step(ctx context.Context) {
 // monotonicity for every scheme, was-available closure safety for the
 // available copy scheme. It is also the flight recorder's heartbeat —
 // one frame per quiescent point — and the health engine's evaluation
-// cadence, so alert windows are measured in checkpoints on the logical
+// cadence, so alert windows are measured in checkpoints on the schedule
 // clock.
 func (e *engine) checkpoint() {
+	e.tick()
 	e.flight.Snapshot("checkpoint")
 	e.healthCheck()
 	e.telemetryTick()

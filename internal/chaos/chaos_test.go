@@ -5,11 +5,12 @@ import (
 	"context"
 	"encoding/json"
 	"hash/fnv"
+	"runtime"
 	"strings"
 	"testing"
 
+	"relidev/internal/clock"
 	"relidev/internal/core"
-	"relidev/internal/obs"
 	"relidev/internal/obs/flight"
 	"relidev/internal/obs/health"
 )
@@ -72,7 +73,7 @@ func TestChaosReplayIsDeterministic(t *testing.T) {
 // TestObservationDoesNotPerturbReplay is the central determinism claim
 // of the observability layer: attaching metrics and tracing to a chaos
 // run must leave its replay digest bit-identical, because the observer
-// runs on a logical clock and never feeds stamp().
+// runs on the schedule clock and never feeds stamp().
 func TestObservationDoesNotPerturbReplay(t *testing.T) {
 	for _, kind := range []core.SchemeKind{core.Voting, core.AvailableCopy, core.NaiveAvailableCopy} {
 		t.Run(kind.String(), func(t *testing.T) {
@@ -225,7 +226,7 @@ func TestChaosHonoursContextCancellation(t *testing.T) {
 
 // TestFlightRecordingDoesNotPerturbReplay extends the determinism
 // claim to the diagnosis tier: the flight recorder and health engine
-// only read snapshots on the shared logical clock, so attaching them
+// only read snapshots on the shared schedule clock, so attaching them
 // must leave the replay digest bit-identical.
 func TestFlightRecordingDoesNotPerturbReplay(t *testing.T) {
 	for _, kind := range []core.SchemeKind{core.Voting, core.AvailableCopy, core.NaiveAvailableCopy} {
@@ -263,26 +264,16 @@ func TestFlightRecordingDoesNotPerturbReplay(t *testing.T) {
 
 // TestFlightHealthVerdictIsDeterministic: the health verdict riding
 // the report replays identically in every observable rule outcome —
-// severity, firing, latching, measured values, details. Raw logical
-// timestamps are excluded: the clock is shared with concurrent
-// background repairers, so its read COUNT can drift by a few ticks
-// between runs even though no timestamp ever feeds the digest.
+// severity, firing, latching, measured values, details, and the
+// timestamps, which are schedule ticks.
 func TestFlightHealthVerdictIsDeterministic(t *testing.T) {
 	a := run(t, short(core.Voting, 99))
 	b := run(t, short(core.Voting, 99))
-	strip := func(v *health.Verdict) *health.Verdict {
-		out := &health.Verdict{Overall: v.Overall, Rules: make([]health.RuleVerdict, len(v.Rules))}
-		for i, rv := range v.Rules {
-			rv.SinceNs = 0
-			out.Rules[i] = rv
-		}
-		return out
-	}
-	aj, err := json.Marshal(strip(a.Health))
+	aj, err := json.Marshal(a.Health)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bj, err := json.Marshal(strip(b.Health))
+	bj, err := json.Marshal(b.Health)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,9 +292,8 @@ func TestFlightHealthVerdictIsDeterministic(t *testing.T) {
 func TestViolationSealsFlight(t *testing.T) {
 	cfg := short(core.Voting, 7)
 	e := &engine{cfg: cfg, report: &Report{}, hash: fnv.New64a()}
-	clk := obs.NewLogicalClock(1)
 	probe := 0
-	e.flight = flight.New(clk.Now, 4, flight.Probe("p", func() any { probe++; return probe }))
+	e.flight = flight.New(clock.NewManual(), 4, flight.Probe("p", func() any { probe++; return probe }))
 	e.flight.Snapshot("checkpoint")
 	e.violatef("first invariant broke")
 	e.violatef("second invariant broke")
@@ -320,4 +310,65 @@ func TestViolationSealsFlight(t *testing.T) {
 	if len(rep.Flight.Frames) != 1 {
 		t.Fatalf("dump frames = %d, want 1", len(rep.Flight.Frames))
 	}
+}
+
+// TestReportBytesStableAcrossGOMAXPROCS is the whole-report form of the
+// replay claim: with every plane on — observer and tracer, repairers,
+// flight recorder and health engine, tsdb ring and SLO engine — the
+// marshalled Report (metrics, health, flight frames and trace tails,
+// SLO evaluation and alert log, time-to-freshness samples, not only the
+// digest) is the same bytes on one, two and four Ps. It holds because
+// nothing in the report reads a clock that moves on its own: the
+// engine's schedule clock ticks at schedule points and the repairers'
+// clock only by their own sleeps.
+func TestReportBytesStableAcrossGOMAXPROCS(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, kind := range []core.SchemeKind{core.Voting, core.AvailableCopy, core.NaiveAvailableCopy} {
+		t.Run(kind.String(), func(t *testing.T) {
+			cfg := Defaults(kind)
+			cfg.Seed = 11
+			cfg.Events = 24
+			cfg.OpsPerEvent = 4
+			// Enough churn that voting loses quorum, repairs from several
+			// donors at once with backoff retries, fires and clears an SLO
+			// alert and seals a flight dump.
+			cfg.Rho = 0.5
+			var want []byte
+			for _, procs := range []int{1, 2, 4} {
+				runtime.GOMAXPROCS(procs)
+				for i := 0; i < 10; i++ {
+					got, err := json.Marshal(run(t, cfg))
+					if err != nil {
+						t.Fatal(err)
+					}
+					if want == nil {
+						want = got
+						continue
+					}
+					if !bytes.Equal(got, want) {
+						t.Fatalf("GOMAXPROCS=%d run %d: report differs from the first run (%d vs %d bytes)\n%s",
+							procs, i, len(got), len(want), firstDiff(want, got))
+					}
+				}
+			}
+			var rep Report
+			if err := json.Unmarshal(want, &rep); err != nil {
+				t.Fatal(err)
+			}
+			if rep.Metrics == nil || rep.Health == nil || rep.SLO == nil || len(rep.Repair) == 0 {
+				t.Fatalf("a plane is missing from the compared report: metrics=%v health=%v slo=%v repair=%d",
+					rep.Metrics != nil, rep.Health != nil, rep.SLO != nil, len(rep.Repair))
+			}
+		})
+	}
+}
+
+// firstDiff shows both reports around their first differing byte.
+func firstDiff(a, b []byte) string {
+	i := 0
+	for i < len(a) && i < len(b) && a[i] == b[i] {
+		i++
+	}
+	lo := max(i-200, 0)
+	return "want ..." + string(a[lo:min(i+200, len(a))]) + "...\n got ..." + string(b[lo:min(i+200, len(b))]) + "..."
 }

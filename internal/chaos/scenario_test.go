@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"relidev/internal/block"
+	"relidev/internal/clock"
 	"relidev/internal/core"
 	"relidev/internal/protocol"
 	"relidev/internal/repair"
@@ -32,7 +33,7 @@ func donorKillScenario(t *testing.T, seed uint64) string {
 		RetryBase:          time.Millisecond,
 		RetryMax:           8 * time.Millisecond,
 		Seed:               seed,
-		Clock:              repair.NewLogical(),
+		Clock:              clock.NewManual(),
 	}
 	cl, err := core.NewCluster(core.ClusterConfig{
 		Sites:    4,
@@ -160,7 +161,7 @@ func TestRepairBoundedTimeToFreshness(t *testing.T) {
 	}
 	again := run(t, short(core.Voting, 7))
 	if !reflect.DeepEqual(rep.Repair, again.Repair) {
-		t.Fatal("repair samples (logical-clock elapsed included) did not replay identically")
+		t.Fatal("repair samples (manual-clock elapsed included) did not replay identically")
 	}
 }
 

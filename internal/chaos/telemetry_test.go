@@ -11,8 +11,8 @@ import (
 
 // TestTelemetryDoesNotPerturbReplay extends the observation-determinism
 // claim to the telemetry plane: the tsdb sampler and SLO engine run on
-// their own logical clock, read registry snapshots only, and never
-// stamp — so attaching them must leave the replay digest bit-identical.
+// the schedule clock, read registry snapshots only, and never stamp —
+// so attaching them must leave the replay digest bit-identical.
 func TestTelemetryDoesNotPerturbReplay(t *testing.T) {
 	for _, kind := range []core.SchemeKind{core.Voting, core.AvailableCopy, core.NaiveAvailableCopy} {
 		t.Run(kind.String(), func(t *testing.T) {
@@ -38,7 +38,7 @@ func TestTelemetryDoesNotPerturbReplay(t *testing.T) {
 // for burn-rate alerting: a schedule with heavy injected degradation
 // (voting under high churn loses its quorum routinely) makes the write
 // availability objective fire, the fault-free coda lets it clear, and
-// both transitions carry identical telemetry-clock timestamps on
+// both transitions carry identical schedule-clock timestamps on
 // replay.
 func TestSLOAlertsFireAndClearDeterministically(t *testing.T) {
 	cfg := Defaults(core.Voting)
@@ -77,8 +77,8 @@ func TestSLOAlertsFireAndClearDeterministically(t *testing.T) {
 	}
 
 	// Replay: the full transition log and the final evaluation are
-	// bit-identical — timestamps included, because the telemetry clock
-	// ticks only at checkpoints.
+	// bit-identical — timestamps included, because the clock moves only
+	// at schedule points.
 	if !reflect.DeepEqual(a.SLOAlerts, b.SLOAlerts) {
 		t.Fatalf("alert logs diverged:\n%+v\n---\n%+v", a.SLOAlerts, b.SLOAlerts)
 	}

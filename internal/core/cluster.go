@@ -227,32 +227,12 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	// send — including traffic the WrapTransport decorator (fault
 	// injection) will fail. A nil Observer leaves the transport as-is.
 	cl.transport = obs.WrapTransport(cfg.Observer, "sim", cl.transport, ids)
-	for i := range ids {
-		env := scheme.Env{
-			Self:      cl.replicas[i],
-			Transport: cl.transport,
-			Sites:     ids,
-			Weights:   cfg.Weights,
-			Obs:       cfg.Observer.SchemeSite(cfg.Scheme.String(), ids[i]),
-		}
-		if env.Obs != nil {
-			cl.replicas[i].SetWTransitionHook(env.Obs.WTransition)
-		}
-		if hook := cfg.Observer.HandleHook(cfg.Scheme.String(), ids[i]); hook != nil {
-			cl.replicas[i].SetHandleHook(hook)
-		}
-		ctrl, err := buildController(cfg, env)
-		if err != nil {
-			return nil, err
-		}
-		cl.ctrls[i] = ctrl
-		dev, err := NewReliableDevice(cfg.Geometry, ctrl)
-		if err != nil {
-			return nil, err
-		}
-		cl.devices[i] = dev
+	// Construction and reconfiguration share one wiring path, so a site
+	// added by Grow is observed exactly like a founding one.
+	for i := range cl.devices {
+		cl.devices[i] = &ReliableDevice{geom: cfg.Geometry}
 	}
-	if err := cl.buildRepairers(ids); err != nil {
+	if err := cl.rebuildControllers(); err != nil {
 		return nil, err
 	}
 	return cl, nil

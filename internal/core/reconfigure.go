@@ -119,8 +119,9 @@ func (cl *Cluster) Remove(ctx context.Context, force bool) error {
 	return cl.DriveRecovery(ctx)
 }
 
-// rebuildControllers reconstructs every site's consistency engine over
-// the current membership and swaps them into the live devices.
+// rebuildControllers (re)constructs every site's consistency engine and
+// observation hooks over the current membership and swaps the engines
+// into the live devices.
 func (cl *Cluster) rebuildControllers() error {
 	ids := make([]protocol.SiteID, cl.cfg.Sites)
 	for i := range ids {
@@ -139,6 +140,9 @@ func (cl *Cluster) rebuildControllers() error {
 		}
 		if env.Obs != nil {
 			cl.replicas[i].SetWTransitionHook(env.Obs.WTransition)
+		}
+		if hook := cl.cfg.Observer.HandleHook(cl.cfg.Scheme.String(), ids[i]); hook != nil {
+			cl.replicas[i].SetHandleHook(hook)
 		}
 		ctrl, err := buildController(cl.cfg, env)
 		if err != nil {

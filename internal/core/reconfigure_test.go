@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"relidev/internal/block"
+	"relidev/internal/obs"
 	"relidev/internal/protocol"
 	"relidev/internal/store"
 )
@@ -57,6 +58,55 @@ func TestGrowAllSchemes(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestGrownSiteIsObserved: a site added by Grow is wired like a founding
+// one. A write fanned out to it and a round trip served by it must leave
+// handle spans in its name and a per-peer latency series for it — Grow
+// used to install neither the handle hook nor the peer's histogram, so
+// the newcomer's half of every trace tree was orphaned.
+func TestGrownSiteIsObserved(t *testing.T) {
+	ctx := context.Background()
+	o := obs.New(obs.WithTracing(1 << 10))
+	cl, err := NewCluster(ClusterConfig{
+		Sites:    2,
+		Geometry: block.Geometry{BlockSize: 32, NumBlocks: 8},
+		Scheme:   Voting,
+		Observer: o,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	id, err := cl.Grow(ctx)
+	if err != nil {
+		t.Fatalf("Grow: %v", err)
+	}
+	dev, _ := cl.Device(0)
+	if err := dev.WriteBlock(ctx, 1, pad(cl, "post-grow")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cl.transport.Call(ctx, 0, id, protocol.StatusRequest{}); err != nil {
+		t.Fatalf("call to the new site: %v", err)
+	}
+
+	handles := 0
+	for _, e := range o.Tracer().Events() {
+		if e.Kind == obs.EvHandle && e.Site == int(id) {
+			handles++
+		}
+	}
+	if handles < 2 {
+		t.Errorf("new site %v emitted %d handle spans, want one per request it served (write fan-out, status call)", id, handles)
+	}
+	var peerSeries bool
+	for _, h := range o.Snapshot().Histograms {
+		if h.Name == obs.MetricTransportPeerLatency && h.Labels["peer"] == id.String() {
+			peerSeries = h.Count >= 1
+		}
+	}
+	if !peerSeries {
+		t.Errorf("no %s{peer=%v} observation after a round trip to the new site", obs.MetricTransportPeerLatency, id)
 	}
 }
 

@@ -12,8 +12,7 @@ import (
 // process-seeded global math/rand source, and map iteration order
 // all break that.
 //
-// Within internal/{faultnet,chaos,sim,workload,markov,obs,store} it
-// flags:
+// Within the packages detScopeElems names it flags:
 //
 //  1. wall-clock calls (time.Now, Since, Until, Sleep, After, ...);
 //  2. package-level math/rand functions, which draw from the shared
@@ -31,48 +30,15 @@ var DetCheck = &Analyzer{
 	Run: runDetCheck,
 }
 
-// The observability layer is in scope too: its snapshots feed chaos
-// reports and its trace stream must replay identically, so the only
-// wall-clock read lives behind the documented WallClock exception.
-// The availability observatory (obs/avail) is named explicitly as
-// well: it is already covered via its "obs" path element, but its
-// chaos-facing conformance verdicts make the intent worth pinning —
-// the estimator consumes an explicit timeline, never the wall clock.
-// The store layer joined the scope with group commit: its flush
-// policy decides *when* batched writes hit the disk, and deterministic
-// harnesses (and the batcher's own tests) replay those decisions
-// through an injected store.Clock — a stray time.NewTimer or
-// time.After in batching code would put flush timing back on the wall
-// clock. Only the sanctioned realClock default carries an allow
-// directive.
-// The repair engine is in scope for the same reason as store: its
-// backoff, jitter, and rate-limiter decisions replay through an
-// injected repair.Clock (the chaos harness shares one Logical clock
-// across all repairers), and its Result counters land in chaos digests
-// and time-to-freshness samples — a stray time.Now or global rand call
-// would make donor schedules diverge between replays. Only the
-// sanctioned Wall clock default carries allow directives.
-// simnet and cache joined the scope in PR 8: simnet's delivery,
-// partition, and counter decisions feed the replayed chaos digests
-// directly (its only wall-clock use, the simulated-latency sleep,
-// carries the allow directive), and the cache's admission/eviction
-// decisions determine which reads hit the transport at all.
-// flight and health are the diagnosis tier (DESIGN.md §15): the flight
-// recorder's frames ride chaos reports whose dumps must replay
-// identically, and the health engine's hysteresis windows are measured
-// on its injected clock — a stray time.Now in either would make alert
-// timing or dump contents diverge between replays. Both already match
-// via their parent "obs" element; they are listed explicitly so the
-// scope survives the packages ever moving out from under it.
-// tsdb and slo are the telemetry plane (DESIGN.md §16): the ring's
-// frame timestamps and the SLO engine's fired/cleared stamps ride
-// chaos artifacts that must be bit-identical between replays, so both
-// run entirely on the injected obs clock — a stray time.Now, a global
-// rand jitter on the sampling cadence, or an unsorted map walk into
-// the /timeseries or /slo payload would all break the digest contract.
-// Like flight and health they already match via "obs" and are named
-// explicitly to pin the intent.
-var detScopeElems = []string{"faultnet", "chaos", "sim", "simnet", "workload", "markov", "obs", "avail", "store", "repair", "cache", "flight", "health", "tsdb", "slo"}
+// The scope is every package whose decisions or output ride a replayed
+// artifact: the harnesses and their models, the observability tree
+// whose snapshots, traces, dumps and alerts land in chaos reports (its
+// subpackages named so the scope survives a move), and store, repair
+// and cache, whose flush timing, backoff and admission replay. All take
+// their time from an injected clock.Clock (DESIGN.md "Time"): the only
+// allowed wall-clock touches are clock.Wall's two, plus the pacing
+// sleeps in simnet and faultnet.
+var detScopeElems = []string{"faultnet", "chaos", "sim", "simnet", "workload", "markov", "obs", "avail", "store", "repair", "cache", "flight", "health", "tsdb", "slo", "clock"}
 
 var wallClockFuncs = map[string]bool{
 	"Now": true, "Since": true, "Until": true, "Sleep": true,

@@ -57,6 +57,10 @@ func TestDetCheckSloFixtures(t *testing.T) {
 	linttest.Run(t, testdata, "fixtures/detcheck/slo", lint.DetCheck)
 }
 
+func TestDetCheckClockFixtures(t *testing.T) {
+	linttest.Run(t, testdata, "fixtures/detcheck/clock", lint.DetCheck)
+}
+
 func TestDetCheckOutOfScope(t *testing.T) {
 	linttest.Run(t, testdata, "fixtures/detcheck/other", lint.DetCheck)
 }

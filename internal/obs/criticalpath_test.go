@@ -5,21 +5,17 @@ import (
 	"strings"
 	"testing"
 
+	"relidev/internal/clock"
 	"relidev/internal/protocol"
 )
-
-// fakeClock is a hand-cranked clock for exact-duration tests.
-type fakeClock struct{ t int64 }
-
-func (c *fakeClock) Now() int64 { return c.t }
 
 // TestPhasePartitionExact pins the partition invariant at its source:
 // lock_wait + fanout + rpc + local equals the measured end-to-end
 // latency exactly, with the straggler sub-phase re-slicing fanout
 // rather than adding to the sum.
 func TestPhasePartitionExact(t *testing.T) {
-	clk := &fakeClock{}
-	o := New(WithClock(clk.Now), WithTracing(256))
+	clk := clock.NewManual()
+	o := New(WithClock(clk), WithTracing(256))
 	s := o.SchemeSite("voting", 0)
 
 	ctx, sp := s.StartOp(context.Background(), protocol.OpWrite, 3)
@@ -32,7 +28,7 @@ func TestPhasePartitionExact(t *testing.T) {
 	rec.RecordPhase(protocol.PhaseRPC, 25)
 	rec.RecordPhase(protocol.PhaseStraggler, 60)
 	rec.RecordPeerRTT(1, 90)
-	clk.t = 200 // end-to-end = 200 - (0 - 40) = 240
+	clk.Advance(200) // end-to-end = 200 - (0 - 40) = 240
 	sp.Done(3, nil)
 
 	p := o.CriticalPath()
@@ -104,14 +100,14 @@ func TestPhasePartitionExact(t *testing.T) {
 // residual clamps at zero instead of going negative, and Coverage
 // reports the overshoot honestly (> 1).
 func TestPhasePartitionClampsPipelinedOverlap(t *testing.T) {
-	clk := &fakeClock{}
-	o := New(WithClock(clk.Now))
+	clk := clock.NewManual()
+	o := New(WithClock(clk))
 	s := o.SchemeSite("ac", 1)
 
 	ctx, sp := s.StartOp(context.Background(), protocol.OpRepair, NoBlock)
 	rec := protocol.CtxPhases(ctx)
 	rec.RecordPhase(protocol.PhaseRPC, 300) // three overlapped 100ns fetches
-	clk.t = 120
+	clk.Advance(120)
 	sp.Done(2, nil)
 
 	p := o.CriticalPath()
@@ -136,12 +132,12 @@ func TestPhasePartitionClampsPipelinedOverlap(t *testing.T) {
 // observation entirely, so the partition invariant is never diluted by
 // half-measured operations.
 func TestFailedOpsRecordNoPhases(t *testing.T) {
-	clk := &fakeClock{}
-	o := New(WithClock(clk.Now))
+	clk := clock.NewManual()
+	o := New(WithClock(clk))
 	s := o.SchemeSite("naive", 0)
 	ctx, sp := s.StartOp(context.Background(), protocol.OpRead, 1)
 	protocol.CtxPhases(ctx).RecordPhase(protocol.PhaseRPC, 50)
-	clk.t = 80
+	clk.Advance(80)
 	sp.Done(0, context.DeadlineExceeded)
 
 	p := o.CriticalPath()
@@ -153,18 +149,18 @@ func TestFailedOpsRecordNoPhases(t *testing.T) {
 // TestInterferenceProfile: operations started inside a repair window
 // land in the interference comparison.
 func TestInterferenceProfile(t *testing.T) {
-	clk := &fakeClock{}
-	o := New(WithClock(clk.Now))
+	clk := clock.NewManual()
+	o := New(WithClock(clk))
 	r := o.Repair("voting", 2)
 	s := o.SchemeSite("voting", 2)
 
 	r.Active(true)
 	_, sp := s.StartOp(context.Background(), protocol.OpRead, 0)
-	clk.t = 500
+	clk.Advance(500)
 	sp.Done(1, nil)
 	r.Active(false)
 	_, sp2 := s.StartOp(context.Background(), protocol.OpRead, 1)
-	clk.t = 600
+	clk.Advance(100)
 	sp2.Done(1, nil)
 
 	p := o.CriticalPath()
@@ -213,14 +209,14 @@ func TestMergeHist(t *testing.T) {
 // TestFlameRendering: the text flamegraph is deterministic, carries
 // the partition header, and indents sub-phases under their parent.
 func TestFlameRendering(t *testing.T) {
-	clk := &fakeClock{}
-	o := New(WithClock(clk.Now))
+	clk := clock.NewManual()
+	o := New(WithClock(clk))
 	s := o.SchemeSite("voting", 0)
 	ctx, sp := s.StartOp(context.Background(), protocol.OpWrite, 0)
 	rec := protocol.CtxPhases(ctx)
 	rec.RecordPhase(protocol.PhaseFanout, 800)
 	rec.RecordPhase(protocol.PhaseStraggler, 200)
-	clk.t = 1000
+	clk.Advance(1000)
 	sp.Done(3, nil)
 
 	p := o.CriticalPath()
@@ -254,13 +250,13 @@ func TestFlameBar(t *testing.T) {
 // TestSpanPhases: the EvPhase children of a traced op span carry the
 // partition back out through the stitcher.
 func TestSpanPhases(t *testing.T) {
-	clk := &fakeClock{}
-	o := New(WithClock(clk.Now), WithTracing(256))
+	clk := clock.NewManual()
+	o := New(WithClock(clk), WithTracing(256))
 	s := o.SchemeSite("ac", 0)
 	ctx, sp := s.StartOp(context.Background(), protocol.OpWrite, 7)
 	sp.AddLockWait(10)
 	protocol.CtxPhases(ctx).RecordPhase(protocol.PhaseFanout, 30)
-	clk.t = 50 // total = 60, local residual = 20
+	clk.Advance(50) // total = 60, local residual = 20
 	sp.Done(2, nil)
 
 	trees := o.TraceTrees()

@@ -4,7 +4,7 @@
 // into a diagnostic dump when something goes wrong — a chaos invariant
 // violation, an SLO breach from the health engine, or an explicit
 // /debug/flight request. The recorder is strictly an observer: it
-// never feeds replay digests, and with a logical clock its dumps are
+// never feeds replay digests, and on a clock.Manual its dumps are
 // deterministic given a deterministic workload (DESIGN.md §15).
 package flight
 
@@ -13,6 +13,8 @@ import (
 	"io"
 	"net/http"
 	"sync"
+
+	"relidev/internal/clock"
 )
 
 // A Source is one named probe collected into every frame. Collect
@@ -64,7 +66,7 @@ func (d *Dump) WriteJSON(w io.Writer) error {
 // recorder without guards.
 type Recorder struct {
 	mu      sync.Mutex
-	now     func() int64
+	clk     clock.Clock
 	cap     int
 	sources []Source
 
@@ -78,15 +80,15 @@ type Recorder struct {
 	seals int64
 }
 
-// New builds a recorder over the given sources. now is the frame
-// timestamp source (inject a logical clock for deterministic dumps);
+// New builds a recorder over the given sources. clk is the frame
+// timestamp source (a *clock.Manual makes dumps replayable);
 // capacity bounds the ring (minimum 1).
-func New(now func() int64, capacity int, sources ...Source) *Recorder {
+func New(clk clock.Clock, capacity int, sources ...Source) *Recorder {
 	if capacity < 1 {
 		capacity = 1
 	}
 	return &Recorder{
-		now:     now,
+		clk:     clk,
 		cap:     capacity,
 		sources: sources,
 		frames:  make([]Frame, capacity),
@@ -109,7 +111,7 @@ func (r *Recorder) Snapshot(reason string) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.seq++
-	f := Frame{Seq: r.seq, AtNs: r.now(), Reason: reason, Observations: obs}
+	f := Frame{Seq: r.seq, AtNs: r.clk.Now().UnixNano(), Reason: reason, Observations: obs}
 	if r.count < r.cap {
 		r.frames[(r.head+r.count)%r.cap] = f
 		r.count++
@@ -131,7 +133,7 @@ func (r *Recorder) Seal(trigger string) *Dump {
 	defer r.mu.Unlock()
 	d := &Dump{
 		Trigger:    trigger,
-		SealedAtNs: r.now(),
+		SealedAtNs: r.clk.Now().UnixNano(),
 		Dropped:    r.dropped,
 		Frames:     make([]Frame, r.count),
 	}

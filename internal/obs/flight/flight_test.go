@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"net/http/httptest"
 	"testing"
+
+	"relidev/internal/clock"
 )
 
 func counter(vals ...any) (Source, *int) {
@@ -17,9 +19,8 @@ func counter(vals ...any) (Source, *int) {
 }
 
 func TestRingEviction(t *testing.T) {
-	var now int64
 	src, _ := counter("a", "b", "c", "d", "e")
-	r := New(func() int64 { now++; return now }, 3, src)
+	r := New(clock.NewManual(), 3, src)
 
 	for i, reason := range []string{"r1", "r2", "r3", "r4", "r5"} {
 		r.Snapshot(reason)
@@ -51,9 +52,8 @@ func TestRingEviction(t *testing.T) {
 // TestSealIsNonDestructive: sealing copies the ring; frames keep
 // accumulating and a later seal sees both old and new.
 func TestSealIsNonDestructive(t *testing.T) {
-	var now int64
 	src, _ := counter(1, 2, 3)
-	r := New(func() int64 { now++; return now }, 8, src)
+	r := New(clock.NewManual(), 8, src)
 
 	r.Snapshot("before")
 	d1 := r.Seal("first")
@@ -86,9 +86,8 @@ func TestSealIsNonDestructive(t *testing.T) {
 // produce byte-identical JSON dumps.
 func TestDeterministicDump(t *testing.T) {
 	run := func() []byte {
-		var now int64
 		src, _ := counter(map[string]int{"b": 2, "a": 1}, []string{"x", "y"})
-		r := New(func() int64 { now += 7; return now }, 4, src, Probe("static", func() any { return "s" }))
+		r := New(clock.NewManual(), 4, src, Probe("static", func() any { return "s" }))
 		r.Snapshot("checkpoint")
 		r.Snapshot("checkpoint")
 		var buf bytes.Buffer
@@ -120,9 +119,8 @@ func TestNilRecorderIsSafe(t *testing.T) {
 }
 
 func TestHandlerSnapshotsAndSeals(t *testing.T) {
-	var now int64
 	src, calls := counter("v")
-	r := New(func() int64 { now++; return now }, 4, src)
+	r := New(clock.NewManual(), 4, src)
 	r.Snapshot("checkpoint")
 
 	rec := httptest.NewRecorder()

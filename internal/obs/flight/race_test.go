@@ -5,8 +5,9 @@ import (
 	"fmt"
 	"net/http/httptest"
 	"sync"
-	"sync/atomic"
 	"testing"
+
+	"relidev/internal/clock"
 )
 
 // TestConcurrentHTTPSealDuringWraparound hammers one recorder from
@@ -17,8 +18,7 @@ import (
 // this is the telemetry plane's concurrency contract: a seal taken
 // mid-wraparound must still yield a well-formed, strictly-ordered dump.
 func TestConcurrentHTTPSealDuringWraparound(t *testing.T) {
-	var clk int64
-	rec := New(func() int64 { return atomic.AddInt64(&clk, 1) }, 8,
+	rec := New(clock.NewManual(), 8,
 		Source{Name: "load", Collect: func() any { return "x" }},
 	)
 	srv := httptest.NewServer(Handler(rec))

@@ -69,7 +69,13 @@ func MetricsDelta(o *obs.Observer) Source {
 }
 
 // TraceTail probes the last n retained trace events, rendered as
-// compact strings. Returns nil when tracing is off.
+// compact strings. Returns nil when tracing is off. The ring holds
+// concurrent emitters' events in scheduler order, so the tail is taken
+// after a stable sort by (At, Site) — the merge of per-site logs that
+// obs.CollectTraces implies for separate processes, which keeps each
+// site's own order — and, within one site and instant, each run of
+// consecutive per-peer lane events (a repairer's donor workers) is put
+// in peer order. On a clock.Manual the rendering is then replayable.
 func TraceTail(o *obs.Observer, n int) Source {
 	return Source{Name: "trace_tail", Collect: func() any {
 		t := o.Tracer()
@@ -77,6 +83,22 @@ func TraceTail(o *obs.Observer, n int) Source {
 			return nil
 		}
 		evs := t.Events()
+		sort.SliceStable(evs, func(i, j int) bool {
+			if evs[i].At != evs[j].At {
+				return evs[i].At < evs[j].At
+			}
+			return evs[i].Site < evs[j].Site
+		})
+		for i := 0; i < len(evs); i++ {
+			j := i
+			for j < len(evs) && evs[j].Lane != 0 && evs[j].At == evs[i].At && evs[j].Site == evs[i].Site {
+				j++
+			}
+			if run := evs[i:j]; len(run) > 1 {
+				sort.SliceStable(run, func(a, b int) bool { return run[a].Lane < run[b].Lane })
+				i = j - 1
+			}
+		}
 		if len(evs) > n {
 			evs = evs[len(evs)-n:]
 		}

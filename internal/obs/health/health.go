@@ -14,6 +14,7 @@ import (
 	"net/http"
 	"sync"
 
+	"relidev/internal/clock"
 	"relidev/internal/obs"
 )
 
@@ -142,7 +143,7 @@ type ruleState struct {
 type Engine struct {
 	mu      sync.Mutex
 	snap    func() obs.Snapshot
-	clk     obs.Clock
+	clk     clock.Clock
 	rules   []Rule
 	states  []ruleState
 	prev    obs.Snapshot
@@ -151,12 +152,8 @@ type Engine struct {
 }
 
 // NewEngine builds an engine reading snapshots from snap on the given
-// clock. A nil clock uses the wall clock; deterministic harnesses must
-// inject a logical one.
-func NewEngine(snap func() obs.Snapshot, clk obs.Clock, rules ...Rule) *Engine {
-	if clk == nil {
-		clk = obs.WallClock
-	}
+// clock: the observer's, so alert windows share its time base.
+func NewEngine(snap func() obs.Snapshot, clk clock.Clock, rules ...Rule) *Engine {
 	return &Engine{
 		snap:   snap,
 		clk:    clk,
@@ -180,7 +177,7 @@ func (e *Engine) Rules() []string {
 func (e *Engine) Evaluate() Verdict {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	now := e.clk()
+	now := e.clk.Now().UnixNano()
 	snap := e.snap()
 	in := Input{NowNs: now, Snapshot: snap, Prev: e.prev, First: !e.hasPrev}
 	if e.hasPrev {

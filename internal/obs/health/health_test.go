@@ -8,6 +8,7 @@ import (
 	"sync"
 	"testing"
 
+	"relidev/internal/clock"
 	"relidev/internal/obs"
 	"relidev/internal/protocol"
 	"relidev/internal/repair"
@@ -39,9 +40,9 @@ func TestSeverityStrings(t *testing.T) {
 // condition has fired continuously that long; a flap in the middle
 // resets the streak.
 func TestHysteresisActivation(t *testing.T) {
-	var now int64
+	clk := clock.NewManual()
 	on := false
-	e := NewEngine(emptySnap, func() int64 { return now }, flagRule("r", Critical, 100, 0, &on))
+	e := NewEngine(emptySnap, clk, flagRule("r", Critical, 100, 0, &on))
 
 	// Clear: never active.
 	if v := e.Evaluate(); v.Overall != OK || v.Rules[0].Active {
@@ -50,27 +51,27 @@ func TestHysteresisActivation(t *testing.T) {
 
 	// Fires at t=10; streak too short until t=110.
 	on = true
-	now = 10
+	clk.Advance(10)
 	if v := e.Evaluate(); v.Rules[0].Active {
 		t.Fatal("activated with zero streak")
 	}
-	now = 60
+	clk.Advance(50)
 	if v := e.Evaluate(); v.Rules[0].Active {
 		t.Fatal("activated before ForNs elapsed")
 	}
 
 	// Flap: one clear evaluation resets the streak start.
 	on = false
-	now = 80
+	clk.Advance(20)
 	e.Evaluate()
 	on = true
-	now = 90
+	clk.Advance(10)
 	e.Evaluate()
-	now = 170 // only 80ns into the new streak
+	clk.Advance(80) // only 80ns into the new streak
 	if v := e.Evaluate(); v.Rules[0].Active {
 		t.Fatal("flap did not reset the hysteresis streak")
 	}
-	now = 195 // 105ns into the new streak
+	clk.Advance(25) // 105ns into the new streak
 	v := e.Evaluate()
 	if !v.Rules[0].Active || v.Overall != Critical {
 		t.Fatalf("rule did not latch after ForNs: %+v", v.Rules[0])
@@ -83,24 +84,24 @@ func TestHysteresisActivation(t *testing.T) {
 // TestHysteresisClear: an active alert stays latched until the clear
 // streak outlasts ClearNs.
 func TestHysteresisClear(t *testing.T) {
-	var now int64
+	clk := clock.NewManual()
 	on := true
-	e := NewEngine(emptySnap, func() int64 { return now }, flagRule("r", Warn, 0, 50, &on))
+	e := NewEngine(emptySnap, clk, flagRule("r", Warn, 0, 50, &on))
 
 	if v := e.Evaluate(); !v.Rules[0].Active {
 		t.Fatal("ForNs=0 rule did not activate immediately")
 	}
 
 	on = false
-	now = 10
+	clk.Advance(10)
 	if v := e.Evaluate(); !v.Rules[0].Active {
 		t.Fatal("alert dropped before ClearNs elapsed")
 	}
-	now = 40
+	clk.Advance(30)
 	if v := e.Evaluate(); !v.Rules[0].Active {
 		t.Fatal("alert dropped mid clear-streak")
 	}
-	now = 65
+	clk.Advance(25)
 	v := e.Evaluate()
 	if v.Rules[0].Active {
 		t.Fatal("alert still latched after ClearNs of clear")
@@ -113,16 +114,16 @@ func TestHysteresisClear(t *testing.T) {
 // TestOverallIsMaxOverActive: the fold takes the maximum severity over
 // active rules only.
 func TestOverallIsMaxOverActive(t *testing.T) {
-	var now int64
+	clk := clock.NewManual()
 	warnOn, critOn := true, false
-	e := NewEngine(emptySnap, func() int64 { return now },
+	e := NewEngine(emptySnap, clk,
 		flagRule("w", Warn, 0, 0, &warnOn),
 		flagRule("c", Critical, 0, 0, &critOn))
 	if v := e.Evaluate(); v.Overall != Warn {
 		t.Fatalf("overall = %v, want warn (critical rule is clear)", v.Overall)
 	}
 	critOn = true
-	now = 1
+	clk.Advance(1)
 	if v := e.Evaluate(); v.Overall != Critical {
 		t.Fatalf("overall = %v, want critical", v.Overall)
 	}
@@ -131,15 +132,15 @@ func TestOverallIsMaxOverActive(t *testing.T) {
 // TestFirstEvaluationWindow: rules see First on the first evaluation
 // and a real elapsed window afterwards.
 func TestFirstEvaluationWindow(t *testing.T) {
-	var now int64
+	clk := clock.NewManual()
 	var got []Input
 	r := Rule{Name: "probe", Check: func(in Input) Sample {
 		got = append(got, in)
 		return Sample{}
 	}}
-	e := NewEngine(emptySnap, func() int64 { return now }, r)
+	e := NewEngine(emptySnap, clk, r)
 	e.Evaluate()
-	now = 250
+	clk.Advance(250)
 	e.Evaluate()
 	if !got[0].First || got[0].ElapsedNs != 0 {
 		t.Errorf("first input = First=%v Elapsed=%d, want First=true Elapsed=0", got[0].First, got[0].ElapsedNs)
@@ -152,9 +153,9 @@ func TestFirstEvaluationWindow(t *testing.T) {
 // TestHandlerStatusCodes: 200 below critical, 503 at critical, 404 for
 // a nil engine; the body is the JSON verdict either way.
 func TestHandlerStatusCodes(t *testing.T) {
-	var now int64
+	clk := clock.NewManual()
 	on := false
-	e := NewEngine(emptySnap, func() int64 { return now }, flagRule("r", Critical, 0, 0, &on))
+	e := NewEngine(emptySnap, clk, flagRule("r", Critical, 0, 0, &on))
 
 	rec := httptest.NewRecorder()
 	Handler(e)(rec, httptest.NewRequest("GET", "/healthz", nil))
@@ -163,7 +164,7 @@ func TestHandlerStatusCodes(t *testing.T) {
 	}
 
 	on = true
-	now = 1
+	clk.Advance(1)
 	rec = httptest.NewRecorder()
 	Handler(e)(rec, httptest.NewRequest("GET", "/healthz", nil))
 	if rec.Code != 503 {
@@ -187,11 +188,11 @@ func TestHandlerStatusCodes(t *testing.T) {
 // TestConcurrentEvaluate: Evaluate is safe under concurrency (run with
 // -race in CI).
 func TestConcurrentEvaluate(t *testing.T) {
-	clk := obs.NewLogicalClock(1)
-	o := obs.New(obs.WithClock(clk.Now))
+	clk := clock.NewManual()
+	o := obs.New(obs.WithClock(clk))
 	c := o.Registry().Counter(obs.MetricOpAttempts, obs.L("scheme", "voting"), obs.L("site", "site0"), obs.L("op", "write"))
 	on := true
-	e := NewEngine(o.Snapshot, clk.Now,
+	e := NewEngine(o.Snapshot, clk,
 		flagRule("r", Warn, 5, 5, &on),
 		ErrorRateRule(0.5))
 	var wg sync.WaitGroup
@@ -226,8 +227,8 @@ func driveOps(t *testing.T, o *obs.Observer, scheme string, participants int, fa
 }
 
 func TestStalenessRule(t *testing.T) {
-	clk := obs.NewLogicalClock(1)
-	o := obs.New(obs.WithClock(clk.Now))
+	clk := clock.NewManual()
+	o := obs.New(obs.WithClock(clk))
 	pol := repair.Policy{}
 	r := StalenessRule(pol)
 	if r.ForNs != pol.Deadline(1).Nanoseconds() {
@@ -255,8 +256,8 @@ func TestStalenessRule(t *testing.T) {
 }
 
 func TestQuorumMarginRule(t *testing.T) {
-	clk := obs.NewLogicalClock(1)
-	o := obs.New(obs.WithClock(clk.Now))
+	clk := clock.NewManual()
+	o := obs.New(obs.WithClock(clk))
 	r := QuorumMarginRule("voting", 3)
 
 	if s := r.Check(Input{First: true}); s.Firing {
@@ -277,8 +278,8 @@ func TestQuorumMarginRule(t *testing.T) {
 }
 
 func TestErrorRateRule(t *testing.T) {
-	clk := obs.NewLogicalClock(1)
-	o := obs.New(obs.WithClock(clk.Now))
+	clk := clock.NewManual()
+	o := obs.New(obs.WithClock(clk))
 	r := ErrorRateRule(0.5)
 
 	if s := r.Check(Input{First: true}); s.Firing {
@@ -303,8 +304,8 @@ func TestErrorRateRule(t *testing.T) {
 }
 
 func TestBatcherOccupancyRule(t *testing.T) {
-	clk := obs.NewLogicalClock(1)
-	o := obs.New(obs.WithClock(clk.Now))
+	clk := clock.NewManual()
+	o := obs.New(obs.WithClock(clk))
 	r := BatcherOccupancyRule(8)
 	g := o.Registry().Gauge(obs.MetricGroupCommitOccupancy, obs.L("site", "site1"))
 
@@ -320,8 +321,8 @@ func TestBatcherOccupancyRule(t *testing.T) {
 }
 
 func TestConformanceDriftRule(t *testing.T) {
-	clk := obs.NewLogicalClock(1)
-	o := obs.New(obs.WithClock(clk.Now))
+	clk := clock.NewManual()
+	o := obs.New(obs.WithClock(clk))
 	r := ConformanceDriftRule("voting", 0)
 	s0 := o.SchemeSite("voting", 0)
 

@@ -9,13 +9,19 @@ import (
 	"strings"
 	"testing"
 
+	"relidev/internal/clock"
 	"relidev/internal/protocol"
 )
 
 func TestDebugMux(t *testing.T) {
-	o := New(WithClock(NewLogicalClock(1).Now), WithTracing(16))
+	clk := clock.NewManual()
+	o := New(WithClock(clk), WithTracing(16))
 	s := o.SchemeSite("voting", 0)
-	func() { _, sp := s.StartOp(context.Background(), protocol.OpWrite, 1); sp.Done(3, nil) }()
+	func() {
+		_, sp := s.StartOp(context.Background(), protocol.OpWrite, 1)
+		clk.Advance(1) // a non-zero latency, so the op has a local phase
+		sp.Done(3, nil)
+	}()
 
 	srv := httptest.NewServer(NewDebugMux(o))
 	defer srv.Close()
@@ -95,7 +101,7 @@ func TestDebugMuxTracingDisabled(t *testing.T) {
 // are reported in the errors map, and spans whose parents lived on an
 // uncollected site surface as orphans rather than vanishing.
 func TestClusterTraceHandlerDegradesPartially(t *testing.T) {
-	local := New(WithClock(NewLogicalClock(1).Now), WithTracing(64))
+	local := New(WithClock(clock.NewManual()), WithTracing(64))
 	s := local.SchemeSite("voting", 0)
 	func() { _, sp := s.StartOp(context.Background(), protocol.OpWrite, 1); sp.Done(3, nil) }()
 	evs := local.Tracer().Events()
@@ -106,7 +112,7 @@ func TestClusterTraceHandlerDegradesPartially(t *testing.T) {
 
 	// The healthy peer's ring: a handle span parented to the local op,
 	// plus a span whose parent lives on a site nobody collects.
-	peer := New(WithClock(NewLogicalClock(1).Now), WithTracing(64))
+	peer := New(WithClock(clock.NewManual()), WithTracing(64))
 	peer.Tracer().Emit(Event{TraceID: root.TraceID, SpanID: 777, ParentID: root.SpanID,
 		Site: 1, Kind: EvHandle, Op: protocol.OpWrite, Block: 1})
 	peer.Tracer().Emit(Event{TraceID: 999, SpanID: 888, ParentID: 555,

@@ -7,6 +7,7 @@ import (
 
 	"relidev/internal/analysis"
 	"relidev/internal/block"
+	"relidev/internal/clock"
 	"relidev/internal/core"
 	"relidev/internal/obs"
 	"relidev/internal/protocol"
@@ -33,7 +34,7 @@ func TestClusterConformanceStrict(t *testing.T) {
 
 func runConformanceWorkload(t *testing.T, kind core.SchemeKind, mode simnet.Mode) {
 	const n = 5
-	o := obs.New(obs.WithClock(obs.NewLogicalClock(1).Now), obs.WithTracing(1<<14))
+	o := obs.New(obs.WithClock(clock.NewManual()), obs.WithTracing(1<<14))
 	cl, err := core.NewCluster(core.ClusterConfig{
 		Sites:    n,
 		Geometry: block.Geometry{BlockSize: 32, NumBlocks: 8},
@@ -188,7 +189,7 @@ func runConformanceWorkload(t *testing.T, kind core.SchemeKind, mode simnet.Mode
 // envelope must hold per attempt even with failed recoveries — plus the
 // closure trace events the single-site restart can never produce.
 func TestTotalFailureClosureTrace(t *testing.T) {
-	o := obs.New(obs.WithClock(obs.NewLogicalClock(1).Now), obs.WithTracing(1<<12))
+	o := obs.New(obs.WithClock(clock.NewManual()), obs.WithTracing(1<<12))
 	cl, err := core.NewCluster(core.ClusterConfig{
 		Sites:    3,
 		Geometry: block.Geometry{BlockSize: 32, NumBlocks: 4},
@@ -287,7 +288,7 @@ func mustScheme(t *testing.T, name string) analysis.Scheme {
 // attached across Grow: the metering decorator wraps the shared
 // transport, so traffic from sites added later is still observed.
 func TestObserverSurvivesReconfiguration(t *testing.T) {
-	o := obs.New(obs.WithClock(obs.NewLogicalClock(1).Now))
+	o := obs.New(obs.WithClock(clock.NewManual()))
 	cl, err := core.NewCluster(core.ClusterConfig{
 		Sites:    3,
 		Geometry: block.Geometry{BlockSize: 32, NumBlocks: 4},

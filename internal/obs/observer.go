@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 
 	"relidev/internal/block"
+	"relidev/internal/clock"
 	"relidev/internal/protocol"
 )
 
@@ -72,7 +73,7 @@ func opIndex(op string) int {
 type Observer struct {
 	reg    *Registry
 	tracer *Tracer
-	clock  Clock
+	clock  clock.Clock
 
 	// spanSeq allocates span identities for this process's sites; the
 	// originating site rides in the top bits (see newSpanID), so spans
@@ -148,13 +149,13 @@ func (o *Observer) HandleHook(scheme string, site protocol.SiteID) func(ctx cont
 type Option func(*observerConfig)
 
 type observerConfig struct {
-	clock    Clock
+	clock    clock.Clock
 	traceCap int
 }
 
-// WithClock injects the timestamp source (default WallClock).
-// Deterministic harnesses pass a LogicalClock.
-func WithClock(c Clock) Option {
+// WithClock injects the timestamp source (default clock.Wall).
+// Replayed harnesses pass a *clock.Manual.
+func WithClock(c clock.Clock) Option {
 	return func(cfg *observerConfig) { cfg.clock = c }
 }
 
@@ -173,7 +174,7 @@ func WithTracing(capacity int) Option {
 
 // New builds an Observer.
 func New(opts ...Option) *Observer {
-	cfg := observerConfig{clock: WallClock}
+	cfg := observerConfig{clock: clock.Wall}
 	for _, opt := range opts {
 		opt(&cfg)
 	}
@@ -188,14 +189,24 @@ func New(opts ...Option) *Observer {
 	return o
 }
 
-// Now reads the observer's injected clock (0 for a nil observer), so
-// wiring layers can time external phases — group-commit flushes, lock
-// waits — on the same clock the op latencies use.
+// Now reads the observer's clock in nanoseconds (0 for a nil observer),
+// so wiring layers can time external phases — group-commit flushes,
+// lock waits — on the same clock the op latencies use.
 func (o *Observer) Now() int64 {
 	if o == nil {
 		return 0
 	}
-	return o.now()
+	return o.clock.Now().UnixNano()
+}
+
+// Clock returns the observer's clock (clock.Wall for a nil observer),
+// so the planes stacked on it — tsdb, SLO, health, flight — share its
+// time base.
+func (o *Observer) Clock() clock.Clock {
+	if o == nil {
+		return clock.Wall
+	}
+	return o.clock
 }
 
 // Registry returns the observer's metric registry (nil for a nil
@@ -221,14 +232,6 @@ func (o *Observer) Snapshot() Snapshot {
 		return Snapshot{}
 	}
 	return o.reg.Snapshot()
-}
-
-// now reads the injected clock (0 for a nil observer).
-func (o *Observer) now() int64 {
-	if o == nil {
-		return 0
-	}
-	return o.clock()
 }
 
 // SchemeSite returns the instrumentation handle for one consistency
@@ -331,7 +334,7 @@ func (s *SchemeObs) StartOp(ctx context.Context, op string, blk int64) (context.
 		return ctx, OpSpan{}
 	}
 	s.attempts[i].Inc()
-	sp := OpSpan{s: s, op: op, idx: i, block: blk, start: s.o.now()}
+	sp := OpSpan{s: s, op: op, idx: i, block: blk, start: s.o.Now()}
 	sp.acc = &phaseAcc{s: s, op: i}
 	ctx = protocol.WithPhases(ctx, sp.acc)
 	if s.repairActive.Load() {
@@ -378,7 +381,7 @@ func (sp OpSpan) Done(participants int, err error) {
 	if participants > 0 {
 		s.participants[sp.idx].Add(uint64(participants))
 	}
-	total := s.o.now() - sp.start
+	total := s.o.Now() - sp.start
 	s.latency[sp.idx].Observe(total)
 	durs := sp.closePhases(total)
 	sp.emitPhases(durs)

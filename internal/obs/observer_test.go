@@ -5,6 +5,7 @@ import (
 	"errors"
 	"testing"
 
+	"relidev/internal/clock"
 	"relidev/internal/protocol"
 )
 
@@ -36,8 +37,8 @@ func TestNilObserverAndSchemeObs(t *testing.T) {
 }
 
 func TestSchemeObsCounters(t *testing.T) {
-	clk := NewLogicalClock(1)
-	o := New(WithClock(clk.Now), WithTracing(64))
+	clk := clock.NewManual()
+	o := New(WithClock(clk), WithTracing(64))
 	s := o.SchemeSite("voting", 2)
 	if again := o.SchemeSite("voting", 2); again != s {
 		t.Fatal("SchemeSite handle not cached")

@@ -98,7 +98,7 @@ var _ protocol.PhaseRecorder = (*phaseAcc)(nil)
 
 // Now implements protocol.PhaseRecorder with the observer's injected
 // clock, so in-scope transports measure durations deterministically.
-func (a *phaseAcc) Now() int64 { return a.s.o.now() }
+func (a *phaseAcc) Now() int64 { return a.s.o.Now() }
 
 // RecordPhase implements protocol.PhaseRecorder.
 func (a *phaseAcc) RecordPhase(phase string, ns int64) {
@@ -147,7 +147,7 @@ func (s *SchemeObs) Now() int64 {
 	if s == nil {
 		return 0
 	}
-	return s.o.now()
+	return s.o.Now()
 }
 
 // AddLockWait charges ns of pre-protocol lock-queue wait to the

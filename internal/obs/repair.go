@@ -138,7 +138,7 @@ func (r *RepairObs) PageFetched(donor protocol.SiteID, installed, payloadBytes i
 	if payloadBytes > 0 {
 		r.bytes.Add(uint64(payloadBytes))
 	}
-	r.emit(Event{Kind: EvRepairPage, Op: protocol.OpRepair, Block: NoBlock,
+	r.emit(Event{Kind: EvRepairPage, Op: protocol.OpRepair, Block: NoBlock, Lane: int(donor) + 1,
 		Detail: fmt.Sprintf("donor=%v installed=%d bytes=%d", donor, installed, payloadBytes)})
 }
 
@@ -167,7 +167,7 @@ func (r *RepairObs) Demoted(donor protocol.SiteID, reason string) {
 		return
 	}
 	r.demotions.Inc()
-	r.emit(Event{Kind: EvRepairDonor, Op: protocol.OpRepair, Block: NoBlock,
+	r.emit(Event{Kind: EvRepairDonor, Op: protocol.OpRepair, Block: NoBlock, Lane: int(donor) + 1,
 		Detail: fmt.Sprintf("demoted donor=%v reason=%s", donor, reason)})
 }
 

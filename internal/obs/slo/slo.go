@@ -10,20 +10,20 @@
 // The engine follows the health package's discipline: it reads
 // tsdb/registry data only, takes an injected clock, and is therefore
 // deterministic under chaos replay — fire and clear timestamps are
-// logical-clock values that replay bit-identically. Severities reuse
+// schedule-clock values that replay bit-identically. Severities reuse
 // health.Severity so /slo and /healthz speak the same vocabulary.
 package slo
 
 import (
 	"sync"
 
-	"relidev/internal/obs"
+	"relidev/internal/clock"
 	"relidev/internal/obs/health"
 	"relidev/internal/obs/tsdb"
 )
 
 // Default burn-rate windows and threshold: 5m fast / 1h slow, alerting
-// at 2x budget-neutral burn. Deterministic harnesses on logical clocks
+// at 2x budget-neutral burn. Replayed harnesses on manual clocks
 // override the windows with clock-scale values.
 const (
 	DefaultFastNs = 5 * 60 * 1e9
@@ -101,7 +101,7 @@ type sloState struct {
 type Engine struct {
 	mu     sync.Mutex
 	db     *tsdb.DB
-	clk    obs.Clock
+	clk    clock.Clock
 	seal   func(trigger string)
 	slos   []SLO
 	states []sloState
@@ -109,12 +109,8 @@ type Engine struct {
 
 // NewEngine builds an engine over db on the given clock. seal, when
 // non-nil, is invoked once per SLO the first time its error budget
-// exhausts (wire the flight recorder's Seal here). A nil clock uses
-// the wall clock; deterministic harnesses must inject a logical one.
-func NewEngine(db *tsdb.DB, clk obs.Clock, seal func(trigger string), slos ...SLO) *Engine {
-	if clk == nil {
-		clk = obs.WallClock
-	}
+// exhausts (wire the flight recorder's Seal here).
+func NewEngine(db *tsdb.DB, clk clock.Clock, seal func(trigger string), slos ...SLO) *Engine {
 	for i := range slos {
 		if slos[i].FastNs <= 0 {
 			slos[i].FastNs = DefaultFastNs
@@ -165,7 +161,7 @@ func burnRate(bad, total uint64, target float64) float64 {
 func (e *Engine) Evaluate() Report {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	now := e.clk()
+	now := e.clk.Now().UnixNano()
 	rep := Report{AtNs: now, SLOs: make([]Status, len(e.slos))}
 	var seals []string
 	for i, s := range e.slos {

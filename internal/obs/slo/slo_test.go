@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"relidev/internal/clock"
 	"relidev/internal/obs"
 	"relidev/internal/obs/tsdb"
 )
@@ -36,10 +37,10 @@ func (f *fakeCounts) slo(target, burn float64) SLO {
 	}
 }
 
-func testEngine(t *testing.T, s SLO, seal func(string)) (*Engine, *int64) {
+func testEngine(t *testing.T, s SLO, seal func(string)) (*Engine, *clock.Manual) {
 	t.Helper()
-	var now int64
-	return NewEngine(nil, func() int64 { now++; return now }, seal, s), &now
+	clk := clock.NewManual()
+	return NewEngine(nil, clk, seal, s), clk
 }
 
 // TestMultiWindowFireAndClear: the alert needs BOTH windows above the
@@ -48,40 +49,45 @@ func testEngine(t *testing.T, s SLO, seal func(string)) (*Engine, *int64) {
 func TestMultiWindowFireAndClear(t *testing.T) {
 	f := &fakeCounts{}
 	// Target 0.5 → budget 0.5; a bad fraction of 1.0 burns at 2.0x.
-	e, _ := testEngine(t, f.slo(0.5, 2), nil)
+	e, clk := testEngine(t, f.slo(0.5, 2), nil)
+	// One tick per evaluation, so evaluation k reads time k.
+	evaluate := func() Report {
+		clk.Advance(1)
+		return e.Evaluate()
+	}
 
 	// Only the fast window burning: a blip, no alert.
 	f.fast = [2]uint64{10, 10}
 	f.slow = [2]uint64{0, 10}
 	f.all = [2]uint64{10, 100}
-	if rep := e.Evaluate(); rep.SLOs[0].Firing || rep.Firing != 0 {
+	if rep := evaluate(); rep.SLOs[0].Firing || rep.Firing != 0 {
 		t.Fatalf("fast-only burn fired: %+v", rep.SLOs[0])
 	}
 	// Only the slow window burning: an old wound, no alert.
 	f.fast, f.slow = [2]uint64{0, 10}, [2]uint64{10, 10}
-	if rep := e.Evaluate(); rep.SLOs[0].Firing {
+	if rep := evaluate(); rep.SLOs[0].Firing {
 		t.Fatalf("slow-only burn fired: %+v", rep.SLOs[0])
 	}
 	// Both windows burning: fire, stamped with this evaluation's time.
 	f.fast, f.slow = [2]uint64{10, 10}, [2]uint64{10, 10}
-	rep := e.Evaluate()
+	rep := evaluate()
 	st := rep.SLOs[0]
 	if !st.Firing || st.FiredAtNs != 3 || rep.Firing != 1 || rep.Overall != 1 {
 		t.Fatalf("both-window burn: %+v overall %v", st, rep.Overall)
 	}
 	// Still burning: the latch holds the original fire time.
-	if st = e.Evaluate().SLOs[0]; !st.Firing || st.FiredAtNs != 3 {
+	if st = evaluate().SLOs[0]; !st.Firing || st.FiredAtNs != 3 {
 		t.Fatalf("latch lost the fire timestamp: %+v", st)
 	}
 	// Fast window recovers: clear, with a cleared timestamp after fire.
 	f.fast = [2]uint64{0, 10}
-	st = e.Evaluate().SLOs[0]
+	st = evaluate().SLOs[0]
 	if st.Firing || st.ClearedAtNs != 5 || st.FiredAtNs != 3 {
 		t.Fatalf("recovery did not clear: %+v", st)
 	}
 	// Re-fire gets a fresh timestamp.
 	f.fast = [2]uint64{10, 10}
-	if st = e.Evaluate().SLOs[0]; !st.Firing || st.FiredAtNs != 6 {
+	if st = evaluate().SLOs[0]; !st.Firing || st.FiredAtNs != 6 {
 		t.Fatalf("re-fire kept stale timestamp: %+v", st)
 	}
 }
@@ -139,7 +145,7 @@ func TestPerfectTargetBurnsInfinitely(t *testing.T) {
 // TestDefaultsAndNames: zero windows and threshold pick the 5m/1h/2x
 // defaults; Names preserves declaration order.
 func TestDefaultsAndNames(t *testing.T) {
-	e := NewEngine(nil, func() int64 { return 1 }, nil,
+	e := NewEngine(nil, clock.NewManual(), nil,
 		SLO{Name: "a", Target: 0.9, Eval: func(*tsdb.DB, int64) (uint64, uint64) { return 0, 0 }},
 		SLO{Name: "b", Target: 0.9, Eval: func(*tsdb.DB, int64) (uint64, uint64) { return 0, 0 }},
 	)
@@ -156,10 +162,10 @@ func TestDefaultsAndNames(t *testing.T) {
 // a real ring: failures beyond the budget push both windows over the
 // threshold and the alert fires; a recovered fast window clears it.
 func TestWriteAvailabilityOverRing(t *testing.T) {
-	var at int64
+	clk := clock.NewManual()
 	var snap obs.Snapshot
 	db := tsdb.New(tsdb.Config{
-		Clock:  func() int64 { at++; return at },
+		Clock:  clk,
 		Source: func() obs.Snapshot { return snap },
 		StepNs: 1,
 		Retain: 64,
@@ -169,9 +175,10 @@ func TestWriteAvailabilityOverRing(t *testing.T) {
 			{Name: obs.MetricOpAttempts, Labels: map[string]string{"scheme": "voting", "op": "write"}, Value: attempts},
 			{Name: obs.MetricOpFailures, Labels: map[string]string{"scheme": "voting", "op": "write"}, Value: failures},
 		}}
+		clk.Advance(1)
 		db.Sample()
 	}
-	e := NewEngine(db, func() int64 { return at }, nil,
+	e := NewEngine(db, clk, nil,
 		WriteAvailability("voting", 0.8, Windows{FastNs: 4, SlowNs: 16, Burn: 2}))
 
 	// Healthy traffic fills both windows.

@@ -12,7 +12,7 @@ import (
 // The standard objective set: one SLO per promise the repo's analyses
 // make. Each constructor is pure declaration — windows, threshold, and
 // clock scale come from the caller, so the same objective runs on wall
-// time in a blockserver and on the logical clock under chaos.
+// time in a blockserver and on the schedule clock under chaos.
 
 // Windows bundles the per-deployment burn-rate tuning.
 type Windows struct {

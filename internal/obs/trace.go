@@ -3,6 +3,8 @@ package obs
 import (
 	"sync"
 	"sync/atomic"
+
+	"relidev/internal/clock"
 )
 
 // Trace event kinds. Each names the protocol moment it records; the
@@ -74,16 +76,22 @@ type Event struct {
 	Kind     string `json:"kind"`
 	Block    int64  `json:"block"`
 	Detail   string `json:"detail,omitempty"`
+	// Lane is peer+1 on events a site may emit from several goroutines
+	// at once, one per peer (round-trip rpc spans, repair page and donor
+	// events), and 0 on its sequential path; flight.TraceTail puts a
+	// concurrent section in lane order instead of scheduler order.
+	Lane int `json:"-"`
 }
 
 // A Tracer collects events into a bounded ring buffer; when full, the
 // oldest events are overwritten (Dropped counts them). Timestamps come
 // from the injected clock and sequence numbers from an atomic counter,
-// so with a LogicalClock the events are deterministic up to goroutine
-// interleaving — and the ring never feeds replay digests. A nil
-// *Tracer discards events.
+// so on a clock.Manual each site's own events are deterministic; only
+// the ring order (and Seq) of concurrently emitting sites is the
+// scheduler's, which a stable sort by (At, Site) removes — and the
+// ring never feeds replay digests. A nil *Tracer discards events.
 type Tracer struct {
-	clock Clock
+	clock clock.Clock
 	seq   atomic.Uint64
 
 	mu      sync.Mutex
@@ -94,15 +102,12 @@ type Tracer struct {
 }
 
 // NewTracer returns a tracer holding the last capacity events
-// (capacity <= 0 means 4096), stamped by clock (nil means WallClock).
-func NewTracer(capacity int, clock Clock) *Tracer {
+// (capacity <= 0 means 4096), stamped by clk.
+func NewTracer(capacity int, clk clock.Clock) *Tracer {
 	if capacity <= 0 {
 		capacity = 4096
 	}
-	if clock == nil {
-		clock = WallClock
-	}
-	return &Tracer{clock: clock, ring: make([]Event, capacity)}
+	return &Tracer{clock: clk, ring: make([]Event, capacity)}
 }
 
 // Emit records one event, filling Seq and At.
@@ -111,7 +116,7 @@ func (t *Tracer) Emit(e Event) {
 		return
 	}
 	e.Seq = t.seq.Add(1)
-	e.At = t.clock()
+	e.At = t.clock.Now().UnixNano()
 	t.mu.Lock()
 	if t.wrapped {
 		t.dropped++

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+
+	"relidev/internal/clock"
 )
 
 func TestTracerNil(t *testing.T) {
@@ -16,9 +18,10 @@ func TestTracerNil(t *testing.T) {
 }
 
 func TestTracerRing(t *testing.T) {
-	clk := NewLogicalClock(10)
-	tr := NewTracer(4, clk.Now)
+	clk := clock.NewManual()
+	tr := NewTracer(4, clk)
 	for i := 0; i < 6; i++ {
+		clk.Advance(10)
 		tr.Emit(Event{Kind: EvOpStart, Block: int64(i)})
 	}
 	evs := tr.Events()
@@ -37,16 +40,16 @@ func TestTracerRing(t *testing.T) {
 	if tr.Dropped() != 2 {
 		t.Fatalf("dropped = %d, want 2", tr.Dropped())
 	}
-	// Logical timestamps are strictly increasing in emit order.
-	for i := 1; i < len(evs); i++ {
-		if evs[i].At <= evs[i-1].At {
-			t.Fatalf("timestamps not increasing: %d then %d", evs[i-1].At, evs[i].At)
+	// Each event is stamped with the clock's reading at its emit.
+	for i, e := range evs {
+		if want := int64(10 * (i + 3)); e.At != want {
+			t.Fatalf("event %d at = %d, want %d", i, e.At, want)
 		}
 	}
 }
 
 func TestTracerDefaults(t *testing.T) {
-	tr := NewTracer(0, nil) // capacity and clock both defaulted
+	tr := NewTracer(0, clock.Wall) // capacity defaulted
 	tr.Emit(Event{Kind: EvOpEnd})
 	evs := tr.Events()
 	if len(evs) != 1 || evs[0].At == 0 {
@@ -65,7 +68,7 @@ func TestTracerWraparoundConcurrent(t *testing.T) {
 		writers = 8
 		perG    = 500
 	)
-	tr := NewTracer(cap, NewLogicalClock(1).Now)
+	tr := NewTracer(cap, clock.NewManual())
 	var wg sync.WaitGroup
 	for g := 0; g < writers; g++ {
 		wg.Add(1)

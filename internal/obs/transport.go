@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"relidev/internal/protocol"
 )
@@ -93,22 +94,18 @@ func classifyError(err error) string {
 	}
 }
 
-// transport method names.
-const (
-	methodCall      = "call"
-	methodFetch     = "fetch"
-	methodBroadcast = "broadcast"
-	methodNotify    = "notify"
-)
-
-var methods = [...]string{methodCall, methodFetch, methodBroadcast, methodNotify}
-
+// Transport methods: index, metric label, and rpc span detail format
+// (round trips name their destination, fan-outs their width).
 const (
 	mCall = iota
 	mFetch
 	mBroadcast
 	mNotify
 )
+
+var methods = [...]string{"call", "fetch", "broadcast", "notify"}
+
+var traceFormats = [...]string{"call to=%v req=%s", "fetch to=%v req=%s", "broadcast dests=%d req=%s", "notify dests=%d req=%s"}
 
 // methodMetrics is the pre-resolved series set for one transport
 // method, so the wire path is atomics-only.
@@ -142,10 +139,12 @@ func (mm *methodMetrics) countErr(err error) {
 type MeteredTransport struct {
 	inner   protocol.Transport
 	o       *Observer
+	name    Label // transport=<name>
 	methods [len(methods)]methodMetrics
-	// peerLat is indexed by SiteID for the peers declared at wrap time;
-	// calls to undeclared peers fall back to the method histogram only.
-	peerLat []*Histogram
+	// peerLat is indexed by SiteID. The peers declared at wrap time are
+	// resolved there (so their series exist from the start); a peer that
+	// joins later (Cluster.Grow) is resolved on its first round trip.
+	peerLat [protocol.MaxSites]atomic.Pointer[Histogram]
 }
 
 var _ protocol.Transport = (*MeteredTransport)(nil)
@@ -157,31 +156,21 @@ func WrapTransport(o *Observer, name string, inner protocol.Transport, peers []p
 	if o == nil {
 		return inner
 	}
-	t := &MeteredTransport{inner: inner, o: o}
-	tl := L("transport", name)
+	t := &MeteredTransport{inner: inner, o: o, name: L("transport", name)}
 	for i, m := range methods {
 		ml := L("method", m)
 		mm := methodMetrics{
-			ops:     o.reg.Counter(MetricTransportOps, tl, ml),
-			latency: o.reg.Histogram(MetricTransportLatency, tl, ml),
+			ops:     o.reg.Counter(MetricTransportOps, t.name, ml),
+			latency: o.reg.Histogram(MetricTransportLatency, t.name, ml),
 			errs:    make(map[string]*Counter, len(errorClasses)),
 		}
 		for _, class := range errorClasses {
-			mm.errs[class] = o.reg.Counter(MetricTransportErrors, tl, ml, L("class", class))
+			mm.errs[class] = o.reg.Counter(MetricTransportErrors, t.name, ml, L("class", class))
 		}
 		t.methods[i] = mm
 	}
-	maxPeer := protocol.SiteID(-1)
 	for _, p := range peers {
-		if p > maxPeer {
-			maxPeer = p
-		}
-	}
-	if maxPeer >= 0 {
-		t.peerLat = make([]*Histogram, maxPeer+1)
-		for _, p := range peers {
-			t.peerLat[p] = o.reg.Histogram(MetricTransportPeerLatency, tl, L("peer", p.String()))
-		}
+		t.peerHist(p)
 	}
 	return t
 }
@@ -189,27 +178,18 @@ func WrapTransport(o *Observer, name string, inner protocol.Transport, peers []p
 // Inner returns the wrapped transport.
 func (t *MeteredTransport) Inner() protocol.Transport { return t.inner }
 
-func (t *MeteredTransport) observePeer(to protocol.SiteID, ns int64) {
-	if int(to) < len(t.peerLat) && to >= 0 {
-		t.peerLat[to].Observe(ns)
+// peerHist returns a peer's round-trip latency series, resolving it on
+// first use; nil for an id outside the site space.
+func (t *MeteredTransport) peerHist(to protocol.SiteID) *Histogram {
+	if to < 0 || int(to) >= len(t.peerLat) {
+		return nil
 	}
-}
-
-func (t *MeteredTransport) roundTrip(m int, rec protocol.PhaseRecorder, to protocol.SiteID, do func() (protocol.Response, error)) (protocol.Response, error) {
-	mm := &t.methods[m]
-	mm.ops.Inc()
-	start := t.o.now()
-	resp, err := do()
-	elapsed := t.o.now() - start
-	mm.latency.Observe(elapsed)
-	t.observePeer(to, elapsed)
-	if rec != nil {
-		rec.RecordPhase(protocol.PhaseRPC, elapsed)
+	h := t.peerLat[to].Load()
+	if h == nil {
+		h = t.o.reg.Histogram(MetricTransportPeerLatency, t.name, L("peer", to.String()))
+		t.peerLat[to].Store(h)
 	}
-	if err != nil {
-		mm.countErr(err)
-	}
-	return resp, err
+	return h
 }
 
 // traceCall opens a client-side rpc span under the caller's operation
@@ -217,10 +197,17 @@ func (t *MeteredTransport) roundTrip(m int, rec protocol.PhaseRecorder, to proto
 // (so the remote site's handle span links to it, through simnet's
 // shared context or rpcnet's wire trace field) and the returned closer
 // emits the span's trace event with the outcome. Without tracing the
-// context passes through and the closer is nil.
-func (t *MeteredTransport) traceCall(ctx context.Context, from protocol.SiteID, detail string) (context.Context, func(err error)) {
+// context passes through, the closer is nil, and nothing is formatted.
+func (t *MeteredTransport) traceCall(ctx context.Context, m int, from, to protocol.SiteID, dests []protocol.SiteID, req protocol.Request) (context.Context, func(err error)) {
 	if t.o.tracer == nil {
 		return ctx, nil
+	}
+	var detail string
+	lane := 0
+	if m == mCall || m == mFetch {
+		detail, lane = fmt.Sprintf(traceFormats[m], to, req.Kind()), int(to)+1
+	} else {
+		detail = fmt.Sprintf(traceFormats[m], len(dests), req.Kind())
 	}
 	sp := t.o.newSpan(from, protocol.CtxSpan(ctx))
 	ctx = protocol.WithSpan(ctx, protocol.SpanContext{TraceID: sp.TraceID, SpanID: sp.SpanID})
@@ -229,39 +216,57 @@ func (t *MeteredTransport) traceCall(ctx context.Context, from protocol.SiteID, 
 		if err != nil {
 			detail += " err=" + classifyError(err)
 		}
-		t.o.tracer.Emit(withSpan(sp, Event{Site: int(from), Op: op, Kind: EvRPC, Block: NoBlock, Detail: detail}))
+		t.o.tracer.Emit(withSpan(sp, Event{Site: int(from), Op: op, Kind: EvRPC, Block: NoBlock, Detail: detail, Lane: lane}))
 	}
+}
+
+// roundTrip meters and traces one Call or Fetch.
+func (t *MeteredTransport) roundTrip(ctx context.Context, m int, from, to protocol.SiteID, req protocol.Request,
+	do func(context.Context, protocol.SiteID, protocol.SiteID, protocol.Request) (protocol.Response, error)) (protocol.Response, error) {
+	ctx, end := t.traceCall(ctx, m, from, to, nil, req)
+	mm := &t.methods[m]
+	mm.ops.Inc()
+	start := t.o.Now()
+	resp, err := do(ctx, from, to, req)
+	if end != nil {
+		end(err)
+	}
+	elapsed := t.o.Now() - start
+	mm.latency.Observe(elapsed)
+	if h := t.peerHist(to); h != nil {
+		h.Observe(elapsed)
+	}
+	if rec := protocol.CtxPhases(ctx); rec != nil {
+		rec.RecordPhase(protocol.PhaseRPC, elapsed)
+	}
+	if err != nil {
+		mm.countErr(err)
+	}
+	return resp, err
 }
 
 // Call implements protocol.Transport.
 func (t *MeteredTransport) Call(ctx context.Context, from, to protocol.SiteID, req protocol.Request) (protocol.Response, error) {
-	ctx, end := t.traceCall(ctx, from, fmt.Sprintf("call to=%v req=%s", to, req.Kind()))
-	return t.roundTrip(mCall, protocol.CtxPhases(ctx), to, func() (protocol.Response, error) {
-		resp, err := t.inner.Call(ctx, from, to, req)
-		if end != nil {
-			end(err)
-		}
-		return resp, err
-	})
+	return t.roundTrip(ctx, mCall, from, to, req, t.inner.Call)
 }
 
 // Fetch implements protocol.Transport.
 func (t *MeteredTransport) Fetch(ctx context.Context, from, to protocol.SiteID, req protocol.Request) (protocol.Response, error) {
-	ctx, end := t.traceCall(ctx, from, fmt.Sprintf("fetch to=%v req=%s", to, req.Kind()))
-	return t.roundTrip(mFetch, protocol.CtxPhases(ctx), to, func() (protocol.Response, error) {
-		resp, err := t.inner.Fetch(ctx, from, to, req)
-		if end != nil {
-			end(err)
-		}
-		return resp, err
-	})
+	return t.roundTrip(ctx, mFetch, from, to, req, t.inner.Fetch)
 }
 
-func (t *MeteredTransport) fanOut(m int, rec protocol.PhaseRecorder, results map[protocol.SiteID]protocol.Result, start int64) map[protocol.SiteID]protocol.Result {
+// fanOut meters and traces one Broadcast or Notify. The whole fan-out
+// is one child span: every destination's handle span parents to it.
+func (t *MeteredTransport) fanOut(ctx context.Context, m int, from protocol.SiteID, dests []protocol.SiteID, req protocol.Request,
+	do func(context.Context, protocol.SiteID, []protocol.SiteID, protocol.Request) map[protocol.SiteID]protocol.Result) map[protocol.SiteID]protocol.Result {
 	mm := &t.methods[m]
-	elapsed := t.o.now() - start
+	mm.ops.Inc()
+	ctx, end := t.traceCall(ctx, m, from, 0, dests, req)
+	start := t.o.Now()
+	results := do(ctx, from, dests, req)
+	elapsed := t.o.Now() - start
 	mm.latency.Observe(elapsed)
-	if rec != nil {
+	if rec := protocol.CtxPhases(ctx); rec != nil {
 		// The whole concurrent fan-out is one critical-path slice: the
 		// coordinator waits for the slowest destination, and the
 		// straggler sub-phase (recorded inside simnet/rpcnet, which see
@@ -273,32 +278,18 @@ func (t *MeteredTransport) fanOut(m int, rec protocol.PhaseRecorder, results map
 			mm.countErr(res.Err)
 		}
 	}
-	return results
-}
-
-// Broadcast implements protocol.Transport. The whole fan-out is one
-// child span: every destination's handle span parents to it.
-func (t *MeteredTransport) Broadcast(ctx context.Context, from protocol.SiteID, dests []protocol.SiteID, req protocol.Request) map[protocol.SiteID]protocol.Result {
-	mm := &t.methods[mBroadcast]
-	mm.ops.Inc()
-	ctx, end := t.traceCall(ctx, from, fmt.Sprintf("broadcast dests=%d req=%s", len(dests), req.Kind()))
-	start := t.o.now()
-	out := t.fanOut(mBroadcast, protocol.CtxPhases(ctx), t.inner.Broadcast(ctx, from, dests, req), start)
 	if end != nil {
 		end(nil)
 	}
-	return out
+	return results
+}
+
+// Broadcast implements protocol.Transport.
+func (t *MeteredTransport) Broadcast(ctx context.Context, from protocol.SiteID, dests []protocol.SiteID, req protocol.Request) map[protocol.SiteID]protocol.Result {
+	return t.fanOut(ctx, mBroadcast, from, dests, req, t.inner.Broadcast)
 }
 
 // Notify implements protocol.Transport.
 func (t *MeteredTransport) Notify(ctx context.Context, from protocol.SiteID, dests []protocol.SiteID, req protocol.Request) map[protocol.SiteID]protocol.Result {
-	mm := &t.methods[mNotify]
-	mm.ops.Inc()
-	ctx, end := t.traceCall(ctx, from, fmt.Sprintf("notify dests=%d req=%s", len(dests), req.Kind()))
-	start := t.o.now()
-	out := t.fanOut(mNotify, protocol.CtxPhases(ctx), t.inner.Notify(ctx, from, dests, req), start)
-	if end != nil {
-		end(nil)
-	}
-	return out
+	return t.fanOut(ctx, mNotify, from, dests, req, t.inner.Notify)
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"testing"
 
+	"relidev/internal/clock"
 	"relidev/internal/protocol"
 )
 
@@ -106,7 +107,7 @@ func TestWrapTransportNilObserver(t *testing.T) {
 }
 
 func TestMeteredTransportCounts(t *testing.T) {
-	o := New(WithClock(NewLogicalClock(1).Now))
+	o := New(WithClock(clock.NewManual()))
 	inner := &fakeTransport{
 		results: map[protocol.SiteID]protocol.Result{
 			1: {Resp: fakeResp{}},

@@ -1,7 +1,7 @@
 // Package tsdb is the telemetry plane's time dimension (DESIGN.md
 // §16): a fixed-step, bounded-memory time-series ring over an obs
 // registry. Every sample reads the registry through an injected
-// source, stamps it with the injected obs.Clock, and stores only the
+// source, stamps it with the injected clock.Clock, and stores only the
 // per-series deltas since the previous sample — counters and histogram
 // totals are cumulative, so delta encoding keeps a frame proportional
 // to the series that actually moved, and any trailing window
@@ -9,7 +9,7 @@
 //
 // The package never reads the wall clock and never ranges a map into
 // its output: sampling rides the caller's clock (the chaos harness
-// drives it from the logical clock, so replays are bit-identical) and
+// drives it from its clock.Manual, so replays are bit-identical) and
 // every emission walks the series table in insertion order or sorts
 // first. Memory is bounded by retain × live series.
 package tsdb
@@ -18,6 +18,7 @@ import (
 	"sort"
 	"sync"
 
+	"relidev/internal/clock"
 	"relidev/internal/obs"
 )
 
@@ -30,9 +31,9 @@ const (
 
 // Config parameterises a DB.
 type Config struct {
-	// Clock stamps samples; required (chaos injects its logical clock,
-	// live servers pass obs.WallClock).
-	Clock obs.Clock
+	// Clock stamps samples; required (chaos injects its clock.Manual,
+	// live servers pass the observer's clock).
+	Clock clock.Clock
 	// Source reads the registry being retained (typically
 	// Observer.Snapshot or Registry.Snapshot).
 	Source func() obs.Snapshot
@@ -50,7 +51,7 @@ type Config struct {
 // concurrent use.
 type DB struct {
 	mu     sync.Mutex
-	clock  obs.Clock
+	clock  clock.Clock
 	source func() obs.Snapshot
 	stepNs int64
 
@@ -155,7 +156,7 @@ func (db *DB) Sample() {
 	snap := db.source()
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	f := frame{atNs: db.clock()}
+	f := frame{atNs: db.clock.Now().UnixNano()}
 	for _, p := range snap.Counters {
 		id := db.sid(p.Name, p.Labels, KindCounter)
 		if d := p.Value - db.prevCounter[id]; d != 0 {

@@ -4,19 +4,27 @@ import (
 	"reflect"
 	"testing"
 
+	"relidev/internal/clock"
 	"relidev/internal/obs"
 )
 
-// harness drives a DB from a hand-built snapshot and a logical clock
-// ticking 10ns per sample.
+// harness drives a DB from a hand-built snapshot and a manual clock
+// that sample moves 10ns per sample.
 type harness struct {
-	at   int64
+	clk  *clock.Manual
 	snap obs.Snapshot
 }
 
+// sample takes the next sample, one nominal step after the last.
+func (h *harness) sample(db *DB) {
+	h.clk.Advance(10)
+	db.Sample()
+}
+
 func (h *harness) db(retain int) *DB {
+	h.clk = clock.NewManual()
 	return New(Config{
-		Clock:  func() int64 { h.at += 10; return h.at },
+		Clock:  h.clk,
 		Source: func() obs.Snapshot { return h.snap },
 		StepNs: 10,
 		Retain: retain,
@@ -40,11 +48,11 @@ func TestDeltaEncodingAndWindows(t *testing.T) {
 	h := &harness{}
 	db := h.db(8)
 	h.set(5, 1, 2, 20, 2)
-	db.Sample() // t=10: +5, g=1, h +2/+20
+	h.sample(db) // t=10: +5, g=1, h +2/+20
 	h.set(9, 3, 5, 60, 5)
-	db.Sample() // t=20: +4, g=3, h +3/+40
+	h.sample(db) // t=20: +4, g=3, h +3/+40
 	h.set(9, 2, 5, 60, 5)
-	db.Sample() // t=30: counter and hist unchanged, g=2
+	h.sample(db) // t=30: counter and hist unchanged, g=2
 
 	if got := db.WindowTotal("c", 0); got != 9 {
 		t.Fatalf("full-retention counter total = %d, want 9 (deltas must sum back to the cumulative value)", got)
@@ -84,7 +92,7 @@ func TestRingEvictsOldestFrames(t *testing.T) {
 	db := h.db(4)
 	for i := uint64(1); i <= 10; i++ {
 		h.set(i, 0, 0, 0, 0)
-		db.Sample()
+		h.sample(db)
 	}
 	if db.Len() != 4 {
 		t.Fatalf("Len = %d, want retention 4", db.Len())
@@ -103,7 +111,7 @@ func TestQueryDownsamplesExactly(t *testing.T) {
 	db := h.db(16)
 	for i := 1; i <= 6; i++ {
 		h.set(uint64(i), int64(2*i), uint64(i), uint64(10*i), uint64(i))
-		db.Sample() // t=10..60, counter +1 per sample
+		h.sample(db) // t=10..60, counter +1 per sample
 	}
 	q := db.Query(0, 20)
 	if q.FromNs != 10 || q.ToNs != 60 || q.StepNs != 20 {

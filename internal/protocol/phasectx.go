@@ -33,7 +33,7 @@ const (
 // observability layer implements it; transports reach it through the
 // operation context so they need no obs dependency.
 //
-// Now reads the recorder's injected clock (nanoseconds; logical under
+// Now reads the recorder's injected clock (nanoseconds; manual under
 // deterministic harnesses) so in-scope transports can measure
 // durations without touching the wall clock themselves.
 type PhaseRecorder interface {

@@ -4,6 +4,8 @@ import (
 	"context"
 	"sync"
 	"time"
+
+	"relidev/internal/clock"
 )
 
 // limiter is a token-bucket rate limit over *blocks*: a worker acquires
@@ -20,12 +22,12 @@ type limiter struct {
 	burst float64
 
 	mu     sync.Mutex
-	clock  Clock
+	clock  clock.Clock
 	tokens float64
 	last   time.Time
 }
 
-func newLimiter(blocksPerSec float64, burst int, clock Clock) *limiter {
+func newLimiter(blocksPerSec float64, burst int, clk clock.Clock) *limiter {
 	if blocksPerSec <= 0 {
 		return nil
 	}
@@ -35,9 +37,9 @@ func newLimiter(blocksPerSec float64, burst int, clock Clock) *limiter {
 	return &limiter{
 		rate:   blocksPerSec,
 		burst:  float64(burst),
-		clock:  clock,
+		clock:  clk,
 		tokens: float64(burst),
-		last:   clock.Now(),
+		last:   clk.Now(),
 	}
 }
 

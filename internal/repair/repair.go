@@ -39,6 +39,7 @@ import (
 	"time"
 
 	"relidev/internal/block"
+	"relidev/internal/clock"
 	"relidev/internal/obs"
 	"relidev/internal/protocol"
 	"relidev/internal/site"
@@ -88,8 +89,10 @@ type Policy struct {
 	// Seed feeds the deterministic backoff jitter.
 	Seed uint64
 	// Clock is the time source for rate limiting and backoff. Default
-	// Wall; deterministic harnesses inject a *Logical clock.
-	Clock Clock
+	// clock.Wall; replayed harnesses inject a *clock.Manual, whose Sleep
+	// advances instead of blocking (concurrent sleepers accumulate: an
+	// upper bound on a serial wait, the safe side for a deadline).
+	Clock clock.Clock
 }
 
 func (p Policy) withDefaults() Policy {
@@ -112,7 +115,7 @@ func (p Policy) withDefaults() Policy {
 		p.MaxRounds = 3
 	}
 	if p.Clock == nil {
-		p.Clock = Wall
+		p.Clock = clock.Wall
 	}
 	return p
 }

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"relidev/internal/block"
+	"relidev/internal/clock"
 	"relidev/internal/protocol"
 	"relidev/internal/simnet"
 	"relidev/internal/site"
@@ -159,7 +160,7 @@ func TestRepairNoStaleIsNoOp(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		h.fill(t, i, 0, testGeom.NumBlocks, 5)
 	}
-	res, err := h.repairer(t, 0, Policy{Clock: NewLogical()}, nil).Run(context.Background())
+	res, err := h.repairer(t, 0, Policy{Clock: clock.NewManual()}, nil).Run(context.Background())
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -174,7 +175,7 @@ func TestRepairAllDonorsStaleIsNoOp(t *testing.T) {
 	h.fill(t, 0, 0, testGeom.NumBlocks, 9)
 	h.fill(t, 1, 0, testGeom.NumBlocks, 3)
 	h.fill(t, 2, 0, testGeom.NumBlocks, 4)
-	res, err := h.repairer(t, 0, Policy{Clock: NewLogical()}, nil).Run(context.Background())
+	res, err := h.repairer(t, 0, Policy{Clock: clock.NewManual()}, nil).Run(context.Background())
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -197,7 +198,7 @@ func TestRepairNoReachableDonorIsNoOp(t *testing.T) {
 	// No peer reachable: the freshest *reachable* image is the local one,
 	// so the pass vacuously succeeds and a later pass (after recovery
 	// readmits peers) does the work.
-	res, err := h.repairer(t, 0, Policy{Clock: NewLogical()}, nil).Run(context.Background())
+	res, err := h.repairer(t, 0, Policy{Clock: clock.NewManual()}, nil).Run(context.Background())
 	if err != nil {
 		t.Fatalf("Run with no reachable donors: %v", err)
 	}
@@ -211,7 +212,7 @@ func TestRepairStreamsFromMultipleDonors(t *testing.T) {
 	for i := 1; i < 4; i++ {
 		h.fill(t, i, 0, testGeom.NumBlocks, 6)
 	}
-	res, err := h.repairer(t, 0, Policy{PageBlocks: 4, Clock: NewLogical()}, nil).Run(context.Background())
+	res, err := h.repairer(t, 0, Policy{PageBlocks: 4, Clock: clock.NewManual()}, nil).Run(context.Background())
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -241,7 +242,7 @@ func TestRepairConvergesToElementwiseMax(t *testing.T) {
 	h.fill(t, 1, half, testGeom.NumBlocks, 2)
 	h.fill(t, 2, 0, half, 2)
 	h.fill(t, 2, half, testGeom.NumBlocks, 8)
-	res, err := h.repairer(t, 0, Policy{PageBlocks: 4, Clock: NewLogical()}, nil).Run(context.Background())
+	res, err := h.repairer(t, 0, Policy{PageBlocks: 4, Clock: clock.NewManual()}, nil).Run(context.Background())
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -275,7 +276,7 @@ func TestRepairDonorCrashMidStreamFailsOver(t *testing.T) {
 		}
 		return nil
 	})
-	res, err := h.repairer(t, 0, Policy{PageBlocks: 4, MaxInFlightPerPeer: 1, Clock: NewLogical()}, tr).Run(context.Background())
+	res, err := h.repairer(t, 0, Policy{PageBlocks: 4, MaxInFlightPerPeer: 1, Clock: clock.NewManual()}, tr).Run(context.Background())
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -302,7 +303,7 @@ func TestRepairSurvivesWithOneDonorLeft(t *testing.T) {
 		}
 		return nil
 	})
-	res, err := h.repairer(t, 0, Policy{PageBlocks: 4, MaxInFlightPerPeer: 1, Clock: NewLogical()}, tr).Run(context.Background())
+	res, err := h.repairer(t, 0, Policy{PageBlocks: 4, MaxInFlightPerPeer: 1, Clock: clock.NewManual()}, tr).Run(context.Background())
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -331,7 +332,7 @@ func TestRepairPartitionDuringRepair(t *testing.T) {
 		}
 		return nil
 	})
-	res, err := h.repairer(t, 0, Policy{PageBlocks: 4, MaxInFlightPerPeer: 1, Clock: NewLogical()}, tr).Run(context.Background())
+	res, err := h.repairer(t, 0, Policy{PageBlocks: 4, MaxInFlightPerPeer: 1, Clock: clock.NewManual()}, tr).Run(context.Background())
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -352,7 +353,7 @@ func TestRepairRetriesTransientFaults(t *testing.T) {
 		}
 		return nil
 	})
-	clk := NewLogical()
+	clk := clock.NewManual()
 	res, err := h.repairer(t, 0, Policy{
 		PageBlocks:         testGeom.NumBlocks, // one page: the faults hit it
 		MaxInFlightPerPeer: 1,
@@ -370,8 +371,8 @@ func TestRepairRetriesTransientFaults(t *testing.T) {
 	}
 	// Two backoff sleeps happened on the injected clock: at least
 	// base/2 + 2*base/2 = 15ms advanced.
-	if clk.Elapsed() < 15*time.Millisecond {
-		t.Fatalf("clock advanced %v, want backoff sleeps on the logical clock", clk.Elapsed())
+	if elapsed(clk) < 15*time.Millisecond {
+		t.Fatalf("clock advanced %v, want backoff sleeps on the manual clock", elapsed(clk))
 	}
 	checkConverged(t, h.reps[0], h.reps[1])
 }
@@ -389,7 +390,7 @@ func TestRepairSeveredStreamDemotesWithoutRetry(t *testing.T) {
 		}
 		return nil
 	})
-	res, err := h.repairer(t, 0, Policy{PageBlocks: 4, MaxInFlightPerPeer: 1, Clock: NewLogical()}, tr).Run(context.Background())
+	res, err := h.repairer(t, 0, Policy{PageBlocks: 4, MaxInFlightPerPeer: 1, Clock: clock.NewManual()}, tr).Run(context.Background())
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -422,7 +423,7 @@ func TestRepairExhaustsRetriesThenDemotes(t *testing.T) {
 		MaxInFlightPerPeer: 1,
 		MaxAttemptsPerPage: 3,
 		RetryBase:          time.Millisecond,
-		Clock:              NewLogical(),
+		Clock:              clock.NewManual(),
 	}, tr).Run(context.Background())
 	if err != nil {
 		t.Fatalf("Run: %v", err)
@@ -451,7 +452,7 @@ func TestRepairLaggingDonorOmissionFailsOver(t *testing.T) {
 	h.fill(t, 1, 0, half, 9)
 	h.fill(t, 1, half, testGeom.NumBlocks, 1)
 	h.fill(t, 2, 0, testGeom.NumBlocks, 5)
-	res, err := h.repairer(t, 0, Policy{PageBlocks: 8, MaxInFlightPerPeer: 1, Clock: NewLogical()}, nil).Run(context.Background())
+	res, err := h.repairer(t, 0, Policy{PageBlocks: 8, MaxInFlightPerPeer: 1, Clock: clock.NewManual()}, nil).Run(context.Background())
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -472,7 +473,7 @@ func TestRepairLaggingDonorOmissionFailsOver(t *testing.T) {
 func TestRepairRateLimiterPacesOnInjectedClock(t *testing.T) {
 	h := newHarness(t, 2)
 	h.fill(t, 1, 0, testGeom.NumBlocks, 6)
-	clk := NewLogical()
+	clk := clock.NewManual()
 	res, err := h.repairer(t, 0, Policy{
 		PageBlocks:   8,
 		BlocksPerSec: 64, // 32 blocks at 64/s with burst 8: ≥ 375ms of pacing
@@ -484,11 +485,11 @@ func TestRepairRateLimiterPacesOnInjectedClock(t *testing.T) {
 	if res.Installed != testGeom.NumBlocks {
 		t.Fatalf("Installed = %d, want %d", res.Installed, testGeom.NumBlocks)
 	}
-	if clk.Elapsed() < 300*time.Millisecond {
-		t.Fatalf("rate limiter advanced the clock only %v; pacing missing", clk.Elapsed())
+	if elapsed(clk) < 300*time.Millisecond {
+		t.Fatalf("rate limiter advanced the clock only %v; pacing missing", elapsed(clk))
 	}
-	if clk.Elapsed() > 2*time.Second {
-		t.Fatalf("rate limiter overslept: %v", clk.Elapsed())
+	if elapsed(clk) > 2*time.Second {
+		t.Fatalf("rate limiter overslept: %v", elapsed(clk))
 	}
 }
 
@@ -500,7 +501,7 @@ func TestRepairIgnoresWitnessAndComatoseDonors(t *testing.T) {
 	// it must not donate. Repair converges to the freshest *available*
 	// peer instead.
 	h.reps[2].SetState(protocol.StateComatose)
-	res, err := h.repairer(t, 0, Policy{Clock: NewLogical()}, nil).Run(context.Background())
+	res, err := h.repairer(t, 0, Policy{Clock: clock.NewManual()}, nil).Run(context.Background())
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -520,7 +521,7 @@ func TestRepairIncompleteWhenLastDonorDies(t *testing.T) {
 	tr := newHookTransport(h.net, func(to protocol.SiteID, n int) error {
 		return fmt.Errorf("injected crash: %w", protocol.ErrSiteDown)
 	})
-	res, err := h.repairer(t, 0, Policy{PageBlocks: 4, MaxRounds: 2, Clock: NewLogical()}, tr).Run(context.Background())
+	res, err := h.repairer(t, 0, Policy{PageBlocks: 4, MaxRounds: 2, Clock: clock.NewManual()}, tr).Run(context.Background())
 	if !errors.Is(err, ErrIncomplete) {
 		t.Fatalf("Run = %v, want ErrIncomplete", err)
 	}
@@ -537,7 +538,7 @@ func TestRepairCancelledContext(t *testing.T) {
 	h.fill(t, 1, 0, testGeom.NumBlocks, 6)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := h.repairer(t, 0, Policy{Clock: NewLogical()}, nil).Run(ctx)
+	_, err := h.repairer(t, 0, Policy{Clock: clock.NewManual()}, nil).Run(ctx)
 	if err == nil {
 		t.Fatal("Run on a cancelled context succeeded")
 	}
@@ -608,7 +609,7 @@ func TestRepairRacesForegroundWrites(t *testing.T) {
 		}()
 	}
 
-	rep := h.repairer(t, 0, Policy{PageBlocks: 4, MaxInFlightPerPeer: 2, Clock: NewLogical()}, nil)
+	rep := h.repairer(t, 0, Policy{PageBlocks: 4, MaxInFlightPerPeer: 2, Clock: clock.NewManual()}, nil)
 	for pass := 0; pass < 5; pass++ {
 		if _, err := rep.Run(context.Background()); err != nil {
 			t.Fatalf("Run pass %d: %v", pass, err)
@@ -645,20 +646,5 @@ func TestPolicyDeadlineScalesWithStaleness(t *testing.T) {
 	}
 }
 
-func TestLogicalClockSleepAdvancesWithoutBlocking(t *testing.T) {
-	clk := NewLogical()
-	t0 := clk.Now()
-	done := make(chan struct{})
-	go func() {
-		clk.Sleep(context.Background(), time.Hour)
-		close(done)
-	}()
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("Logical.Sleep blocked")
-	}
-	if got := clk.Now().Sub(t0); got != time.Hour {
-		t.Fatalf("Sleep advanced %v, want 1h", got)
-	}
-}
+// elapsed is how far a manual clock has been advanced (slept) in total.
+func elapsed(clk *clock.Manual) time.Duration { return clk.Now().Sub(time.Unix(0, 0)) }

@@ -24,7 +24,7 @@ const (
 	// speaking some other protocol can cost us; 64 MiB is sixteen times
 	// the largest frame the benchmark moves (an unpaged 4 MiB recovery
 	// reply). A device whose stale set is larger must page its recovery
-	// (relidev.WithRecoveryPageBlocks), and gets a remote error telling it
+	// (relidev.WithPagedRecovery), and gets a remote error telling it
 	// so rather than a dead connection.
 	maxFrame = 64 << 20
 

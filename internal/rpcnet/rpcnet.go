@@ -35,6 +35,7 @@ import (
 	"syscall"
 	"time"
 
+	"relidev/internal/clock"
 	"relidev/internal/obs"
 	"relidev/internal/protocol"
 	"relidev/internal/site"
@@ -240,11 +241,10 @@ type Config struct {
 	SuspectThreshold int
 	// Clock supplies the current time to the failure detector (backoff
 	// arming, dial gating, and the timestamps reported to the
-	// DetectorObserver). Nil means time.Now; tests inject a fake so
-	// detector behaviour is checkable without real waiting. Connection
-	// deadlines always use the wall clock — they are handed to the
-	// kernel.
-	Clock func() time.Time
+	// DetectorObserver). Nil means clock.Wall; tests inject a
+	// *clock.Manual. Connection deadlines always use the wall clock —
+	// they are handed to the kernel.
+	Clock clock.Clock
 	// DetectorObserver, when non-nil, is told about suspect-list
 	// transitions: down=true when a peer crosses the suspect threshold,
 	// with since = the time of the *first* conclusive failure of the
@@ -273,7 +273,7 @@ func (c Config) withDefaults() Config {
 		c.SuspectThreshold = 3
 	}
 	if c.Clock == nil {
-		c.Clock = time.Now
+		c.Clock = clock.Wall
 	}
 	return c
 }
@@ -493,9 +493,6 @@ func (c *Client) SuspectedSince(id protocol.SiteID) (down bool, since time.Time)
 	return p.suspectedSince(c.cfg.SuspectThreshold)
 }
 
-// now reads the failure detector's clock (injectable via Config.Clock).
-func (c *Client) now() time.Time { return c.cfg.Clock() }
-
 // notifyDetector forwards a suspect-list transition to the configured
 // observer, if any.
 func (c *Client) notifyDetector(peer protocol.SiteID, down bool, since time.Time) {
@@ -597,7 +594,7 @@ func (c *Client) exchange(p *peerPool, w *wireConn, deadline time.Time, req prot
 // redial is gated the call fails fast — classified by the current
 // suspicion — without touching the network or counting new evidence.
 func (c *Client) dial(ctx context.Context, p *peerPool, to protocol.SiteID, deadline time.Time) (*wireConn, error) {
-	if gated, down := p.dialGate(c.cfg.SuspectThreshold, c.now()); gated {
+	if gated, down := p.dialGate(c.cfg.SuspectThreshold, c.cfg.Clock.Now()); gated {
 		if down {
 			return nil, fmt.Errorf("rpcnet: %v suspected down, redial backed off: %w", to, protocol.ErrSiteDown)
 		}
@@ -636,12 +633,12 @@ func (c *Client) fault(ctx context.Context, p *peerPool, to protocol.SiteID, op 
 		return fmt.Errorf("rpcnet: %s %v: %v: %w", op, to, cause, cerr)
 	}
 	if errors.Is(cause, syscall.ECONNREFUSED) {
-		if transitioned, since := p.markDown(c.cfg, c.now(), c.jitter); transitioned {
+		if transitioned, since := p.markDown(c.cfg, c.cfg.Clock.Now(), c.jitter); transitioned {
 			c.notifyDetector(to, true, since)
 		}
 		return fmt.Errorf("rpcnet: %s %v: %v: %w", op, to, cause, protocol.ErrSiteDown)
 	}
-	fails, down, transitioned, since := p.recordFault(c.cfg, c.now(), c.jitter)
+	fails, down, transitioned, since := p.recordFault(c.cfg, c.cfg.Clock.Now(), c.jitter)
 	if transitioned {
 		c.notifyDetector(to, true, since)
 	}
@@ -703,7 +700,7 @@ func (c *Client) roundTrip(ctx context.Context, to protocol.SiteID, req protocol
 		}
 	}
 	if p.recordSuccess(c.cfg.SuspectThreshold) {
-		c.notifyDetector(to, false, c.now())
+		c.notifyDetector(to, false, c.cfg.Clock.Now())
 	}
 	if err := decodeErr(rep.code, rep.text); err != nil {
 		return nil, err

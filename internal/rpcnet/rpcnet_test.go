@@ -10,6 +10,7 @@ import (
 
 	"relidev/internal/availcopy"
 	"relidev/internal/block"
+	"relidev/internal/clock"
 	"relidev/internal/protocol"
 	"relidev/internal/scheme"
 	"relidev/internal/site"
@@ -772,24 +773,6 @@ func TestContextDeadlineRespected(t *testing.T) {
 	}
 }
 
-// fakeClock is an injectable detector clock, advanced manually.
-type fakeClock struct {
-	mu sync.Mutex
-	t  time.Time
-}
-
-func (f *fakeClock) Now() time.Time {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.t
-}
-
-func (f *fakeClock) Advance(d time.Duration) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.t = f.t.Add(d)
-}
-
 // TestSuspectSinceIsFirstConclusiveFailure: the suspect list must
 // report a peer's outage from the *first* conclusive failure of the
 // streak, not from the Nth retry that happened to cross the threshold
@@ -816,7 +799,8 @@ func TestSuspectSinceIsFirstConclusiveFailure(t *testing.T) {
 	}()
 	addrs[protocol.SiteID(1)] = ln.Addr().String()
 
-	clk := &fakeClock{t: time.Unix(100_000, 0)}
+	clk := clock.NewManual()
+	clk.Advance(100_000 * time.Second) // a reading no zero-valued since can equal
 	var (
 		transMu     sync.Mutex
 		transitions []struct {
@@ -828,7 +812,7 @@ func TestSuspectSinceIsFirstConclusiveFailure(t *testing.T) {
 		CallTimeout: 300 * time.Millisecond,
 		RetryBase:   time.Millisecond,
 		RetryMax:    4 * time.Millisecond,
-		Clock:       clk.Now,
+		Clock:       clk,
 		DetectorObserver: func(peer protocol.SiteID, down bool, since time.Time) {
 			if peer != 1 {
 				t.Errorf("observer saw peer %v", peer)

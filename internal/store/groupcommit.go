@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"relidev/internal/block"
+	"relidev/internal/clock"
 )
 
 // Syncer is the durability hook a Batcher amortises: SegStore and
@@ -12,32 +13,6 @@ import (
 type Syncer interface {
 	Sync() error
 }
-
-// A Clock creates timers. The flush policy must never read the wall
-// clock directly (detcheck scopes this package): deterministic
-// harnesses inject a fake so batch boundaries replay identically.
-type Clock interface {
-	NewTimer(d time.Duration) Timer
-}
-
-// A Timer is the subset of *time.Timer the batcher needs, as an
-// interface so fakes can drive it.
-type Timer interface {
-	C() <-chan time.Time
-	Stop() bool
-}
-
-type realClock struct{}
-
-func (realClock) NewTimer(d time.Duration) Timer {
-	//relidev:allow nondeterminism: default clock for live stores; deterministic harnesses inject a fake Clock
-	return realTimer{t: time.NewTimer(d)}
-}
-
-type realTimer struct{ t *time.Timer }
-
-func (r realTimer) C() <-chan time.Time { return r.t.C }
-func (r realTimer) Stop() bool          { return r.t.Stop() }
 
 // BatchPolicy tunes group commit. The fsync cost model (PAPERS.md,
 // "Characterizing Synchronous Writes in Stable Memory Devices") makes
@@ -95,7 +70,7 @@ type Batcher struct {
 	st     Store
 	syncer Syncer
 	policy BatchPolicy
-	clock  Clock
+	clock  clock.Clock
 
 	// onFlush, when set, observes each batch's occupancy; core wires
 	// this to the obs gauge so batch sizes are visible live.
@@ -118,8 +93,10 @@ var _ Store = (*Batcher)(nil)
 // BatchOption tunes a Batcher.
 type BatchOption func(*Batcher)
 
-// WithBatchClock injects the timer source used for MaxDelay waits.
-func WithBatchClock(c Clock) BatchOption {
+// WithBatchClock injects the timer source used for MaxDelay waits
+// (default clock.Wall); the flush policy never reads the wall clock
+// directly, so a *clock.Manual makes batch boundaries replay.
+func WithBatchClock(c clock.Clock) BatchOption {
 	return func(b *Batcher) { b.clock = c }
 }
 
@@ -151,7 +128,7 @@ func NewBatcher(st Store, policy BatchPolicy, opts ...BatchOption) *Batcher {
 	b := &Batcher{
 		st:     st,
 		policy: policy,
-		clock:  realClock{},
+		clock:  clock.Wall,
 		reqs:   make(chan *batchReq, 4*policy.MaxBatch),
 	}
 	if sy, ok := st.(Syncer); ok {
@@ -272,7 +249,7 @@ drain:
 				return batch
 			}
 			batch = append(batch, r)
-		case <-timer.C():
+		case <-timer.C:
 			return batch
 		}
 	}

@@ -10,42 +10,8 @@ import (
 	"time"
 
 	"relidev/internal/block"
+	"relidev/internal/clock"
 )
-
-// fakeClock hands out timers that never fire on their own; the test
-// fires them explicitly. This keeps batch boundaries deterministic —
-// the same discipline detcheck enforces on the package itself.
-type fakeClock struct {
-	mu     sync.Mutex
-	timers []*fakeTimer
-}
-
-type fakeTimer struct {
-	ch chan time.Time
-}
-
-func (c *fakeClock) NewTimer(d time.Duration) Timer {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	t := &fakeTimer{ch: make(chan time.Time, 1)}
-	c.timers = append(c.timers, t)
-	return t
-}
-
-func (c *fakeClock) fireAll() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for _, t := range c.timers {
-		select {
-		case t.ch <- time.Time{}:
-		default:
-		}
-	}
-	c.timers = nil
-}
-
-func (t *fakeTimer) C() <-chan time.Time { return t.ch }
-func (t *fakeTimer) Stop() bool          { return true }
 
 // syncCountingStore wraps a Store+Syncer and counts Sync calls, so the
 // tests can assert how many fsyncs a workload cost.
@@ -119,12 +85,15 @@ func TestBatcherMaxDelayHoldsForJoiners(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	clock := &fakeClock{}
+	// A manual clock's timers never fire on their own; the test drives
+	// them. This keeps batch boundaries deterministic — the same
+	// discipline detcheck enforces on the package itself.
+	clk := clock.NewManual()
 	var batches []int
 	var batchMu sync.Mutex
 	flushed := make(chan struct{}, 16)
 	b := NewBatcher(seg, BatchPolicy{MaxDelay: time.Second, MaxBatch: 64},
-		WithBatchClock(clock),
+		WithBatchClock(clk),
 		WithFlushObserver(func(n int) {
 			batchMu.Lock()
 			batches = append(batches, n)
@@ -147,13 +116,13 @@ func TestBatcherMaxDelayHoldsForJoiners(t *testing.T) {
 		}()
 	}
 	// Wait until the leader is parked on its timer with all three
-	// writes in hand, then fire. Firing repeatedly is harmless: only a
-	// timer that exists can go off.
+	// writes in hand, then let MaxDelay pass. Advancing repeatedly is
+	// harmless: only a timer that exists can go off.
 	deadline := time.After(5 * time.Second)
 	done := make(chan struct{})
 	go func() { wg.Wait(); close(done) }()
 	for {
-		clock.fireAll()
+		clk.Advance(time.Second)
 		select {
 		case <-done:
 			batchMu.Lock()
@@ -175,9 +144,9 @@ func TestBatcherMaxBatchFlushesWithoutTimer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	clock := &fakeClock{} // never fired: MaxBatch alone must release writers
+	clk := clock.NewManual() // never advanced: MaxBatch alone must release writers
 	b := NewBatcher(seg, BatchPolicy{MaxDelay: time.Hour, MaxBatch: 1},
-		WithBatchClock(clock))
+		WithBatchClock(clk))
 	defer b.Close()
 	errc := make(chan error, 1)
 	go func() {

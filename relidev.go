@@ -535,7 +535,7 @@ func New(n int, scheme Scheme, opts ...Option) (*Cluster, error) {
 	}
 	c := &Cluster{inner: inner, obs: observer}
 	if observer != nil && len(o.healthRules) > 0 {
-		c.health = health.NewEngine(observer.Snapshot, nil, o.healthRules...)
+		c.health = health.NewEngine(observer.Snapshot, observer.Clock(), o.healthRules...)
 	}
 	if o.telemetry {
 		if o.telemetryStep <= 0 {
@@ -546,13 +546,13 @@ func New(n int, scheme Scheme, opts ...Option) (*Cluster, error) {
 		}
 		c.step = o.telemetryStep
 		c.tsdb = tsdb.New(tsdb.Config{
-			Clock:  observer.Now,
+			Clock:  observer.Clock(),
 			Source: observer.Snapshot,
 			StepNs: o.telemetryStep.Nanoseconds(),
 			Retain: o.telemetryKeep,
 		})
 		if len(o.slos) > 0 {
-			c.slo = slo.NewEngine(c.tsdb, observer.Now, nil, o.slos...)
+			c.slo = slo.NewEngine(c.tsdb, observer.Clock(), nil, o.slos...)
 		}
 	}
 	if observer != nil {
@@ -586,8 +586,8 @@ func (c *Cluster) installTelemetryHook(id protocol.SiteID) {
 // storeObsOpts wires a site's group-commit batcher to the observer:
 // the occupancy gauge plus the store-side phase histograms (queue
 // wait, apply, fsync) that the critical-path profile reports beside
-// the op partition. Flush timing runs on the observer's clock, so
-// deterministic harnesses replay it.
+// the op partition. The MaxDelay timer and the flush stats both run on
+// the observer's clock: one time base, which replayed harnesses own.
 func storeObsOpts(observer *obs.Observer, id protocol.SiteID) []store.BatchOption {
 	if observer == nil {
 		return nil
@@ -598,6 +598,7 @@ func storeObsOpts(observer *obs.Observer, id protocol.SiteID) []store.BatchOptio
 	ap := observer.Registry().Histogram(obs.MetricStorePhase, site, obs.L("phase", obs.StorePhaseApply))
 	fs := observer.Registry().Histogram(obs.MetricStorePhase, site, obs.L("phase", obs.StorePhaseFsync))
 	return []store.BatchOption{
+		store.WithBatchClock(observer.Clock()),
 		store.WithFlushObserver(func(n int) { g.Set(int64(n)) }),
 		store.WithFlushStats(func(st store.FlushStats) {
 			for _, w := range st.QueueWaitNs {

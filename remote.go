@@ -264,7 +264,7 @@ func OpenRemote(cfg RemoteConfig) (*RemoteSite, error) {
 		// /debug/flight request snapshots the live signals — metrics
 		// deltas, the trace tail, the failure detector's suspect set,
 		// repair lag, batcher occupancy — and seals the ring into a dump.
-		rs.flight = flight.New(obs.WallClock, 64,
+		rs.flight = flight.New(observer.Clock(), 64,
 			flight.MetricsDelta(observer),
 			flight.TraceTail(observer, 64),
 			flight.Suspects(client.SuspectSet),
@@ -272,7 +272,7 @@ func OpenRemote(cfg RemoteConfig) (*RemoteSite, error) {
 			flight.Occupancy(observer),
 		)
 		if len(cfg.HealthRules) > 0 {
-			rs.health = health.NewEngine(observer.Snapshot, nil, cfg.HealthRules...)
+			rs.health = health.NewEngine(observer.Snapshot, observer.Clock(), cfg.HealthRules...)
 		}
 		// Answer peers' TelemetryPull scrapes with the full local
 		// registry: separate processes hold genuinely separate
@@ -289,13 +289,13 @@ func OpenRemote(cfg RemoteConfig) (*RemoteSite, error) {
 			retain = 600
 		}
 		rs.tsdb = tsdb.New(tsdb.Config{
-			Clock:  observer.Now,
+			Clock:  observer.Clock(),
 			Source: observer.Snapshot,
 			StepNs: cfg.TelemetryStep.Nanoseconds(),
 			Retain: retain,
 		})
 		if len(cfg.SLOs) > 0 {
-			rs.slo = slo.NewEngine(rs.tsdb, observer.Now, rs.sealOnExhaustion, cfg.SLOs...)
+			rs.slo = slo.NewEngine(rs.tsdb, observer.Clock(), rs.sealOnExhaustion, cfg.SLOs...)
 		}
 		rs.stopPoll = make(chan struct{})
 		rs.pollDone = make(chan struct{})
