@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build test race lint lint-sweep fuzz-smoke bench-smoke chaos-short repair-race obs-race report-stable loc
+.PHONY: all build test race lint lint-sweep fuzz-smoke bench-smoke chaos-short repair-race obs-race report-stable loc loc-check
 
 all: build test
 
@@ -101,9 +101,20 @@ report-stable:
 loc:
 	@find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' -not -path '*/testdata/*' | xargs cat | wc -l
 
+# loc-check fails when the tracked size exceeds the newest non_test_loc
+# recorded in BENCH_history.json: this round the number only goes down,
+# and a PR that legitimately grows it has to say so in the ledger.
+loc-check:
+	@loc=$$($(MAKE) -s loc); \
+	max=$$(grep -o '"non_test_loc": *[0-9]*' BENCH_history.json | tail -1 | grep -o '[0-9]*$$'); \
+	if [ "$$loc" -gt "$$max" ]; then \
+		echo "loc-check: $$loc non-test lines, but BENCH_history.json's newest non_test_loc is $$max"; exit 1; \
+	fi; \
+	echo "loc-check: $$loc non-test lines (ledger: $$max)"
+
 # obs-race hammers the new observability surfaces — the health engine's
 # hysteresis state machines and the flight recorder's ring — under the
 # race detector, alongside the phase-attribution integration tests.
 obs-race:
 	$(GO) test -race ./internal/obs/...
-	$(GO) test -race -run 'TestHealthSurface|TestCriticalPathSurface|TestRemoteObservabilitySurface' .
+	$(GO) test -race -run 'TestHealthSurface|TestCriticalPathSurface|TestRemoteObservabilitySurface|TestHostDebugSurfaceParity|TestRemoteBlackBox|TestRemoteCriticalHealthSeals' .

@@ -2,7 +2,9 @@ package main
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -279,5 +281,30 @@ func TestRunAvailOutRequiresObservation(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "avail.json")
 	if _, err := run(&bytes.Buffer{}, cfg, false, "", path, "", "", ""); err == nil {
 		t.Fatal("avail-out accepted without observation")
+	}
+}
+
+// TestReportBytesPinned pins the whole -json report — metrics, health,
+// flight, SLOs and time-to-freshness, not only the digest — of the CI
+// schedule (`chaos -scheme=S -seed=7 -events=150 -ops-per-event=4
+// -json`) to the bytes captured before the wiring was moved behind the
+// op bracket and the observability plane: a refactor of either must
+// leave every trace event, metric and verdict where it was.
+func TestReportBytesPinned(t *testing.T) {
+	for scheme, want := range map[string]string{
+		"voting": "f4ba9ec87f3b5f2f9cb246562adc3729347f1ef6fde9f40fce8a3ca977fa66fe",
+		"ac":     "4c105d1178334e47fb409ae54de19f84e37c0b158de3c5d5c2151dd93c0ab651",
+		"nac":    "d084c2852f76527d773517cc523af378712ef212de646f693bab8fc34debccac",
+	} {
+		cfg := testConfig(t, scheme, 7, 150, 4)
+		cfg.Sites, cfg.Blocks = 5, 12 // the command's flag defaults
+		cfg.Flight, cfg.Telemetry, cfg.Coda = true, true, 4
+		var buf bytes.Buffer
+		if _, err := run(&buf, cfg, true, "", "", "", "", ""); err != nil {
+			t.Fatalf("%s: %v", scheme, err)
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256(buf.Bytes())); got != want {
+			t.Errorf("%s: report sha256 = %s, want %s", scheme, got, want)
+		}
 	}
 }

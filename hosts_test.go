@@ -1,0 +1,351 @@
+package relidev_test
+
+import (
+	"context"
+	"encoding/json"
+	"io"
+	"net/http"
+	"net/http/httptest"
+	"strings"
+	"testing"
+	"time"
+
+	"relidev"
+)
+
+// get fetches one debug route and returns its status and body.
+func get(t *testing.T, srv *httptest.Server, path string) (int, string) {
+	t.Helper()
+	resp, err := srv.Client().Get(srv.URL + path)
+	if err != nil {
+		t.Fatalf("GET %s: %v", path, err)
+	}
+	defer resp.Body.Close()
+	body, _ := io.ReadAll(resp.Body)
+	return resp.StatusCode, string(body)
+}
+
+// loneVoter opens site 1 of a two-site voting group whose peer (site 0,
+// which holds the §4.1 tie-breaking weight) never comes up: every write
+// fails its quorum, quickly.
+func loneVoter(t *testing.T, cfg relidev.RemoteConfig) (*relidev.RemoteSite, *httptest.Server) {
+	t.Helper()
+	cfg.Self, cfg.Peers = 1, map[int]string{0: "127.0.0.1:1", 1: "127.0.0.1:0"}
+	cfg.Scheme, cfg.Geometry = relidev.Voting, relidev.Geometry{BlockSize: 64, NumBlocks: 8}
+	cfg.Timeout, cfg.Metered = 200*time.Millisecond, true
+	s, err := relidev.OpenRemote(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { s.Close() })
+	h, err := s.DebugHandler()
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(h)
+	t.Cleanup(srv.Close)
+	return s, srv
+}
+
+type flightDump struct {
+	Trigger string `json:"trigger"`
+	Frames  []struct {
+		Reason       string `json:"reason"`
+		Observations []struct {
+			Source string `json:"source"`
+			Value  any    `json:"value"`
+		} `json:"observations"`
+	} `json:"frames"`
+}
+
+// TestRemoteBlackBox is the regression test for the TCP black box: the
+// poller feeds the flight ring one frame per telemetry step, budget
+// exhaustion seals a dump that holds the frames leading up to it — with
+// nobody watching — and that dump stays retrievable over the debug
+// surface after later on-demand /debug/flight GETs. Before the plane
+// owned the wiring the sealed dump had no frames and no endpoint
+// returned it.
+func TestRemoteBlackBox(t *testing.T) {
+	ctx := context.Background()
+	s, srv := loneVoter(t, relidev.RemoteConfig{
+		TelemetryStep: 5 * time.Millisecond,
+		SLOs:          []relidev.SLO{relidev.WriteAvailabilitySLO(relidev.Voting, 0.99, relidev.SLOWindows{})},
+	})
+	if code, _ := get(t, srv, "/debug/flight/sealed"); code != http.StatusNotFound {
+		t.Fatalf("/debug/flight/sealed before any trigger = %d, want 404", code)
+	}
+	time.Sleep(25 * time.Millisecond) // a few quiet frames first
+	payload := make([]byte, 64)
+	deadline := time.Now().Add(10 * time.Second)
+	for sealed := false; !sealed; {
+		if time.Now().After(deadline) {
+			t.Fatal("budget exhaustion never sealed the recorder")
+		}
+		if err := s.Device().WriteBlock(ctx, 1, payload); err == nil {
+			t.Fatal("write succeeded without a quorum")
+		}
+		time.Sleep(5 * time.Millisecond)
+		code, _ := get(t, srv, "/debug/flight/sealed")
+		sealed = code == http.StatusOK
+	}
+
+	// A plain GET is an on-demand dump and must not displace the sealed one.
+	if code, body := get(t, srv, "/debug/flight"); code != 200 || !strings.Contains(body, `"trigger": "http request"`) {
+		t.Fatalf("/debug/flight = %d:\n%s", code, body)
+	}
+	code, body := get(t, srv, "/debug/flight/sealed")
+	if code != 200 {
+		t.Fatalf("/debug/flight/sealed after an on-demand GET = %d", code)
+	}
+	var d flightDump
+	if err := json.Unmarshal([]byte(body), &d); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.HasPrefix(d.Trigger, "slo ") || !strings.Contains(d.Trigger, "error budget exhausted") {
+		t.Fatalf("sealed trigger = %q, want the SLO exhaustion", d.Trigger)
+	}
+	if len(d.Frames) < 2 {
+		t.Fatalf("sealed dump has %d frames, want the poller's history (>= 2)", len(d.Frames))
+	}
+	failing := 0
+	for _, f := range d.Frames {
+		if f.Reason != "poll" {
+			t.Errorf("frame reason %q, want poll", f.Reason)
+		}
+		for _, o := range f.Observations {
+			if o.Source != "metrics_delta" {
+				continue
+			}
+			if lines, _ := json.Marshal(o.Value); strings.Contains(string(lines), "relidev_op_failures_total{op=write") {
+				failing++
+			}
+		}
+	}
+	if failing == 0 {
+		t.Fatalf("no frame's metrics_delta shows the failing writes:\n%s", body)
+	}
+}
+
+// TestRemoteCriticalHealthSeals: a critical verdict seals the recorder
+// wherever it is computed — Health() here, /healthz below — not only in
+// the chaos harness.
+func TestRemoteCriticalHealthSeals(t *testing.T) {
+	ctx := context.Background()
+	for _, probe := range []string{"Health()", "/healthz"} {
+		t.Run(probe, func(t *testing.T) {
+			s, srv := loneVoter(t, relidev.RemoteConfig{
+				HealthRules: relidev.DefaultHealthRules(relidev.Voting, 2, nil),
+			})
+			critical := func() bool {
+				if probe == "/healthz" {
+					code, _ := get(t, srv, "/healthz")
+					return code == http.StatusServiceUnavailable
+				}
+				v, err := s.Health()
+				if err != nil {
+					t.Fatal(err)
+				}
+				return v.Overall >= relidev.HealthCritical
+			}
+			if critical() {
+				t.Fatal("critical before any operation")
+			}
+			get(t, srv, "/debug/flight") // one frame in the ring
+			if err := s.Device().WriteBlock(ctx, 1, make([]byte, 64)); err == nil {
+				t.Fatal("write succeeded without a quorum")
+			}
+			if !critical() {
+				t.Fatal("an all-failing window is not critical")
+			}
+			code, body := get(t, srv, "/debug/flight/sealed")
+			if code != 200 || !strings.Contains(body, `"trigger": "health: error_rate (`) {
+				t.Fatalf("/debug/flight/sealed = %d, want the health seal:\n%s", code, body)
+			}
+		})
+	}
+}
+
+// TestHostDebugSurfaceParity: for the same rules, step and SLOs the two
+// hosts serve the same route set with the same status codes (and the
+// same kind of body), plane by plane. The in-process Cluster only lacks
+// the flight recorder, which nothing there would feed.
+func TestHostDebugSurfaceParity(t *testing.T) {
+	rules := relidev.DefaultHealthRules(relidev.NaiveAvailableCopy, 1, nil)
+	slos := []relidev.SLO{relidev.WriteAvailabilitySLO(relidev.NaiveAvailableCopy, 0.9, relidev.SLOWindows{})}
+	// route -> what a 200 body must contain.
+	routes := map[string]string{
+		"/metrics": `"counters"`, "/metrics.prom": "", "/trace": `"events"`, "/trace/tree": `"traces"`,
+		"/profile": `"ops"`, "/cluster/metrics": `"metrics"`, "/healthz": `"overall"`, "/timeseries": `"step_ns"`,
+		"/slo": `"slos"`, "/debug/flight": `"trigger": "http request"`, "/debug/flight/sealed": "", "/nope": "",
+	}
+	for _, tc := range []struct {
+		name          string
+		health, telem bool
+	}{
+		{name: "bare metering"},
+		{name: "health", health: true},
+		{name: "health+telemetry+slo", health: true, telem: true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			opts := []relidev.Option{relidev.WithTracing(4096)}
+			rc := relidev.RemoteConfig{Self: 0, Peers: map[int]string{0: "127.0.0.1:0"},
+				Scheme: relidev.NaiveAvailableCopy, Metered: true}
+			if tc.health {
+				opts = append(opts, relidev.WithHealthRules(rules...))
+				rc.HealthRules = rules
+			}
+			if tc.telem {
+				opts = append(opts, relidev.WithTelemetry(time.Hour, 8), relidev.WithSLOs(slos...))
+				rc.TelemetryStep, rc.TelemetryRetain, rc.SLOs = time.Hour, 8, slos
+			}
+			c, err := relidev.New(1, relidev.NaiveAvailableCopy, opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r, err := relidev.OpenRemote(rc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer r.Close()
+			ch, err := c.DebugHandler()
+			if err != nil {
+				t.Fatal(err)
+			}
+			rh, err := r.DebugHandler()
+			if err != nil {
+				t.Fatal(err)
+			}
+			hosts := map[string]*httptest.Server{"Cluster": httptest.NewServer(ch), "RemoteSite": httptest.NewServer(rh)}
+			for host, srv := range hosts {
+				defer srv.Close()
+				for path, marker := range routes {
+					want := 200
+					switch path {
+					case "/healthz":
+						if !tc.health {
+							want = 404
+						}
+					case "/timeseries", "/slo":
+						if !tc.telem {
+							want = 404
+						}
+					case "/debug/flight":
+						if host == "Cluster" {
+							want = 404
+						}
+					case "/debug/flight/sealed", "/nope": // nothing has sealed; no such route
+						want = 404
+					}
+					got, body := get(t, srv, path)
+					if got != want {
+						t.Errorf("%s %s = %d, want %d:\n%s", host, path, got, want, body)
+					}
+					if got == 200 && !strings.Contains(body, marker) {
+						t.Errorf("%s %s body lacks %s:\n%s", host, path, marker, body)
+					}
+				}
+			}
+		})
+	}
+	// Unmetered hosts have no surface at all.
+	plain, err := relidev.New(1, relidev.Voting)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := plain.DebugHandler(); err != relidev.ErrNotMetered {
+		t.Fatalf("unmetered Cluster.DebugHandler: %v", err)
+	}
+	bare, err := relidev.OpenRemote(relidev.RemoteConfig{Self: 0, Peers: map[int]string{0: "127.0.0.1:0"}, Scheme: relidev.Voting})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer bare.Close()
+	if _, err := bare.DebugHandler(); err != relidev.ErrNotMetered {
+		t.Fatalf("unmetered RemoteSite.DebugHandler: %v", err)
+	}
+}
+
+// TestGrownSiteIsWiredByCore: a site added by Grow is wired by the same
+// core path as a founding one — it answers telemetry pulls with its own
+// registry slice and records handle spans — with no code in
+// relidev.Grow beyond the call into core.
+func TestGrownSiteIsWiredByCore(t *testing.T) {
+	ctx := context.Background()
+	c, err := relidev.New(2, relidev.AvailableCopy,
+		relidev.WithGeometry(relidev.Geometry{BlockSize: 64, NumBlocks: 8}),
+		relidev.WithTracing(1024))
+	if err != nil {
+		t.Fatal(err)
+	}
+	grown, err := c.Grow(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Coordinate from the newcomer (so its own op series exist) and from
+	// site 0 (so the newcomer serves a put: a handle span at its site).
+	for _, site := range []int{grown, 0} {
+		dev, err := c.Device(site)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := dev.WriteBlock(ctx, 3, make([]byte, 64)); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	raw, err := c.ClusterMetricsJSON(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var view struct {
+		Metrics struct {
+			Counters []struct {
+				Name   string            `json:"name"`
+				Labels map[string]string `json:"labels"`
+				Value  uint64            `json:"value"`
+			} `json:"counters"`
+		} `json:"metrics"`
+		Errors map[string]string `json:"errors"`
+	}
+	if err := json.Unmarshal(raw, &view); err != nil {
+		t.Fatal(err)
+	}
+	if len(view.Errors) != 0 {
+		t.Fatalf("scrape degraded: %v", view.Errors)
+	}
+	pulled := false
+	for _, p := range view.Metrics.Counters {
+		if p.Name == "relidev_op_completions_total" && p.Labels["site"] == "site2" && p.Labels["op"] == "write" && p.Value > 0 {
+			pulled = true
+		}
+	}
+	if !pulled {
+		t.Fatalf("cluster view lacks the grown site's slice — it answered the telemetry pull with nothing:\n%s", raw)
+	}
+
+	trees, err := c.TraceTrees()
+	if err != nil {
+		t.Fatal(err)
+	}
+	handled := false
+	var walk func(sp *relidev.TraceSpan)
+	walk = func(sp *relidev.TraceSpan) {
+		if sp.Kind == "handle" && sp.Site == grown {
+			handled = true
+		}
+		for _, ch := range sp.Children {
+			walk(ch)
+		}
+	}
+	for _, tr := range trees {
+		if tr.Root != nil {
+			walk(tr.Root)
+		}
+		for _, o := range tr.Orphans {
+			walk(o)
+		}
+	}
+	if !handled {
+		t.Fatal("no handle span recorded at the grown site")
+	}
+}

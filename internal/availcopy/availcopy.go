@@ -29,7 +29,6 @@ import (
 	"fmt"
 
 	"relidev/internal/block"
-	"relidev/internal/obs"
 	"relidev/internal/protocol"
 	"relidev/internal/scheme"
 	"relidev/internal/site"
@@ -102,11 +101,8 @@ func (c *Controller) Name() string { return "available-copy" }
 // Read serves the block from the local copy: every available site holds
 // the most recent version of every block, so reads cost no messages.
 func (c *Controller) Read(ctx context.Context, idx block.Index) (_ []byte, err error) {
-	ob := c.env.Obs
-	lockT0 := ob.Now()
-	c.locks.LockOp(idx)
-	defer c.locks.UnlockOp(idx)
-	lockWait := ob.Now() - lockT0
+	op := c.locks.BeginOp(c.env.Obs, protocol.OpRead, idx)
+	defer op.End(&err)
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -114,11 +110,8 @@ func (c *Controller) Read(ctx context.Context, idx block.Index) (_ []byte, err e
 		return nil, fmt.Errorf("available copy read of %v at %v (%v): %w",
 			idx, c.env.Self.ID(), c.env.Self.State(), scheme.ErrNotAvailable)
 	}
-	// The span opens past the availability gate so attempt counts match
-	// the §5 accounting (a refused operation generates no traffic).
-	_, sp := ob.StartOp(ctx, protocol.OpRead, int64(idx))
-	sp.AddLockWait(lockWait)
-	defer func() { sp.Done(1, err) }()
+	op.Start(ctx)
+	op.Participants = 1
 	data, _, err := c.env.Self.ReadLocal(idx)
 	if err != nil {
 		return nil, fmt.Errorf("available copy read of %v: %w", idx, err)
@@ -132,21 +125,14 @@ func (c *Controller) Read(ctx context.Context, idx block.Index) (_ []byte, err e
 // delayed-information scheme); the coordinator then learns the exact
 // recipient set from the acknowledgements and resets its own W to it.
 func (c *Controller) Write(ctx context.Context, idx block.Index, data []byte) (err error) {
-	ob := c.env.Obs
-	lockT0 := ob.Now()
-	c.locks.LockOp(idx)
-	defer c.locks.UnlockOp(idx)
-	lockWait := ob.Now() - lockT0
+	op := c.locks.BeginOp(c.env.Obs, protocol.OpWrite, idx)
+	defer op.End(&err)
 	self := c.env.Self
 	if self.State() != protocol.StateAvailable {
 		return fmt.Errorf("available copy write of %v at %v (%v): %w",
 			idx, self.ID(), self.State(), scheme.ErrNotAvailable)
 	}
-	ctx = ob.Label(ctx, protocol.OpWrite)
-	ctx, sp := ob.StartOp(ctx, protocol.OpWrite, int64(idx))
-	sp.AddLockWait(lockWait)
-	participants := 0
-	defer func() { sp.Done(participants, err) }()
+	ctx = op.Start(ctx)
 	localVer, err := self.VersionLocal(idx)
 	if err != nil {
 		return fmt.Errorf("available copy write of %v: %w", idx, err)
@@ -190,7 +176,7 @@ func (c *Controller) Write(ctx context.Context, idx block.Index, data []byte) (e
 	if err := self.WriteLocal(idx, data, newVer); err != nil {
 		return fmt.Errorf("available copy write of %v: %w", idx, err)
 	}
-	participants = recipients.Len()
+	op.Participants = recipients.Len()
 	// The coordinator knows the recipient set exactly: W_s = sites that
 	// received the most recent write.
 	if err := self.SetWasAvailable(recipients); err != nil {
@@ -226,21 +212,14 @@ type status struct {
 //     itself, just become available), or
 //   - otherwise: recovery must wait (ErrAwaitingSites).
 func (c *Controller) Recover(ctx context.Context) (err error) {
-	ob := c.env.Obs
-	lockT0 := ob.Now()
-	c.locks.LockRecovery()
-	defer c.locks.UnlockRecovery()
-	lockWait := ob.Now() - lockT0
+	op := c.locks.BeginRecovery(c.env.Obs)
+	defer op.End(&err)
 	self := c.env.Self
 	if self.State() == protocol.StateAvailable {
 		return nil
 	}
 	self.SetState(protocol.StateComatose)
-	ctx = ob.Label(ctx, protocol.OpRecovery)
-	ctx, sp := ob.StartOp(ctx, protocol.OpRecovery, obs.NoBlock)
-	sp.AddLockWait(lockWait)
-	participants := 0
-	defer func() { sp.Done(participants, err) }()
+	ctx = op.Start(ctx)
 
 	results := c.env.Transport.Broadcast(ctx, self.ID(), c.env.Remotes(), protocol.StatusRequest{})
 	states := map[protocol.SiteID]status{
@@ -257,7 +236,7 @@ func (c *Controller) Recover(ctx context.Context) (err error) {
 		states[id] = status{state: st.State, wasAvail: st.WasAvail, sum: st.VersionSum}
 	}
 	// Participation = status responders plus the recovering site itself.
-	participants = len(states)
+	op.Participants = len(states)
 
 	// Case 1: when ∃u ∈ S: state(u) = available, repair from any such u.
 	if t, ok := pickAvailable(states); ok {
@@ -278,7 +257,7 @@ func (c *Controller) Recover(ctx context.Context) (err error) {
 			break
 		}
 	}
-	ob.ClosureRecomputed(root, closure, allRecovered)
+	c.env.Obs.ClosureRecomputed(root, closure, allRecovered)
 	if allRecovered {
 		t := mostCurrent(states, closure)
 		if t == self.ID() {

@@ -45,8 +45,8 @@ import (
 	"relidev/internal/obs/avail"
 	"relidev/internal/obs/flight"
 	"relidev/internal/obs/health"
+	"relidev/internal/obs/plane"
 	"relidev/internal/obs/slo"
-	"relidev/internal/obs/tsdb"
 	"relidev/internal/protocol"
 	"relidev/internal/repair"
 	"relidev/internal/scheme"
@@ -294,7 +294,12 @@ type engine struct {
 	// each duration and timestamp in the report is a function of the
 	// schedule, never of how often or in what order goroutines read it.
 	clk *clock.Manual
-	obs *obs.Observer
+	// plane is the observability stack, attached under Config.Observe
+	// (nil otherwise): observer and tracer always, the flight recorder
+	// and health engine under Config.Flight, the tsdb ring and SLO engine
+	// under Config.Telemetry. All of it only reads snapshots on the
+	// schedule clock — none of it may ever reach stamp().
+	plane *plane.Plane
 	// repairPol is the policy the cluster's repairers run under, kept
 	// for computing each run's time-to-freshness deadline.
 	repairPol repair.Policy
@@ -304,21 +309,6 @@ type engine struct {
 	// feeds the replay digest.
 	est    *avail.Estimator
 	simNow float64
-	// flight and healthEng are the black-box recorder and the health
-	// engine, attached under Config.Flight. Both only read snapshots —
-	// neither may ever reach stamp().
-	flight    *flight.Recorder
-	healthEng *health.Engine
-	// tsdb and sloEng are the telemetry plane, attached under
-	// Config.Telemetry: the ring samples the registry once per quiescent
-	// checkpoint and the SLO engine evaluates over it. sloFiring
-	// remembers which alerts fired at the previous
-	// checkpoint so transitions land in Report.SLOAlerts. Like the
-	// recorder, the plane is read-only over snapshots and never reaches
-	// stamp().
-	tsdb      *tsdb.DB
-	sloEng    *slo.Engine
-	sloFiring map[string]bool
 
 	// maxIssued and committed bracket, per block, the write sequence
 	// numbers a read may legally return. committed also absorbs every
@@ -364,48 +354,30 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 	}
 	if cfg.Observe {
 		// The schedule clock keeps timestamps a pure function of the
-		// schedule, and the tracer's ring never feeds the digest:
-		// observation cannot perturb a replay.
-		e.obs = obs.New(obs.WithClock(e.clk), obs.WithTracing(4096))
-		est, eerr := avail.New(cfg.Sites, cfg.Scheme.String())
-		if eerr != nil {
-			return nil, eerr
-		}
-		e.est = est
+		// schedule, and nothing the plane records feeds the digest:
+		// observation cannot perturb a replay. One sample per checkpoint,
+		// so the ring's nominal step is one checkpoint cycle.
+		pc := plane.Config{Metered: true, Clock: e.clk, TraceCap: 4096, Flight: cfg.Flight,
+			Probes: []flight.Source{flight.Probe("site_states", e.siteStates)}}
 		if cfg.Flight {
-			// The recorder and the health engine are read-only over
-			// snapshots, so (like tracing) they cannot perturb the replay
-			// digest.
-			e.flight = flight.New(e.clk, 64,
-				flight.MetricsDelta(e.obs),
-				flight.TraceTail(e.obs, 64),
-				flight.RepairLag(e.obs),
-				flight.Occupancy(e.obs),
-				flight.Probe("site_states", e.siteStates),
-			)
-			e.healthEng = health.NewEngine(e.obs.Snapshot, e.clk, healthRules(cfg, pol)...)
+			pc.HealthRules = healthRules(cfg, pol)
 		}
 		if cfg.Telemetry {
-			// One sample per checkpoint, so the nominal step is one
-			// checkpoint cycle. Sampling reads registry snapshots and
-			// evaluation reads the ring — neither stamps nor draws from the
-			// workload RNG, so the replay digest is bit-identical with
-			// telemetry on or off.
-			e.tsdb = tsdb.New(tsdb.Config{
-				Clock:  e.clk,
-				Source: e.obs.Snapshot,
-				StepNs: cycleNs(cfg),
-				Retain: 4096,
-			})
-			e.sloEng = slo.NewEngine(e.tsdb, e.clk, e.sealFlight, chaosSLOs(cfg)...)
-			e.sloFiring = make(map[string]bool)
+			pc.StepNs, pc.Retain, pc.SLOs = cycleNs(cfg), 4096, chaosSLOs(cfg)
+		}
+		var err error
+		if e.plane, err = plane.New(pc); err != nil {
+			return nil, err
+		}
+		if e.est, err = avail.New(cfg.Sites, cfg.Scheme.String()); err != nil {
+			return nil, err
 		}
 	}
 	cl, err := core.NewCluster(core.ClusterConfig{
 		Sites:    cfg.Sites,
 		Geometry: block.Geometry{BlockSize: 32, NumBlocks: cfg.Blocks},
 		Scheme:   cfg.Scheme,
-		Observer: e.obs,
+		Observer: e.plane.Observer(),
 		Repair:   pol,
 		WrapTransport: func(inner protocol.Transport) protocol.Transport {
 			fn, ferr := faultnet.New(inner, menu(cfg.Scheme, cfg.Seed))
@@ -425,7 +397,11 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 		e.highWater[i] = block.NewVector(cfg.Blocks)
 	}
 
-	if err := e.run(ctx); err != nil {
+	err = e.run(ctx)
+	// The first trigger's dump: an invariant violation, a critical health
+	// verdict or an exhausted error budget, whichever came first.
+	e.report.Flight = e.plane.Sealed()
+	if err != nil {
 		return e.report, err
 	}
 	e.report.Faults = e.fn.Stats()
@@ -447,16 +423,14 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 // it runs after the digest is sealed and reports through Violations
 // directly.
 func (e *engine) telemetryCheck() {
-	if e.sloEng == nil {
+	disruptive := e.report.Faults.Total() - e.report.Faults.Delays
+	if e.report.Fails != 0 || disruptive != 0 {
 		return
 	}
-	disruptive := e.report.Faults.Total() - e.report.Faults.Delays
-	if e.report.Fails == 0 && disruptive == 0 && len(e.report.SLOAlerts) > 0 {
-		for _, a := range e.report.SLOAlerts {
-			e.report.Violations = append(e.report.Violations,
-				fmt.Sprintf("slo: alert %q fired at tick %d on a clean run (no failures, no disruptive faults)",
-					a.Name, a.FiredAtNs))
-		}
+	for _, a := range e.report.SLOAlerts {
+		e.report.Violations = append(e.report.Violations,
+			fmt.Sprintf("slo: alert %q fired at tick %d on a clean run (no failures, no disruptive faults)",
+				a.Name, a.FiredAtNs))
 	}
 }
 
@@ -517,77 +491,35 @@ func chaosSLOs(cfg Config) []slo.SLO {
 	return slos
 }
 
-// telemetryTick is the telemetry plane's checkpoint duty: sample the
-// registry into the tsdb ring, evaluate the SLO set, and log alert
-// transitions. It runs after healthCheck so the two planes see the same
-// quiescent state, and — like the recorder and health engine — never
-// stamps.
-func (e *engine) telemetryTick() {
-	if e.tsdb == nil {
-		return
-	}
-	e.tsdb.Sample()
-	rep := e.sloEng.Evaluate()
-	e.report.SLO = &rep
+// logAlerts records the SLO alert transitions of one checkpoint's
+// evaluation in Report.SLOAlerts; an entry with no clear tick is an
+// alert still firing.
+func (e *engine) logAlerts(rep *slo.Report) {
 	for _, st := range rep.SLOs {
-		was := e.sloFiring[st.Name]
-		if st.Firing && !was {
-			e.report.SLOAlerts = append(e.report.SLOAlerts,
-				SLOAlert{Name: st.Name, FiredAtNs: st.FiredAtNs})
-		}
-		if !st.Firing && was {
-			for i := len(e.report.SLOAlerts) - 1; i >= 0; i-- {
-				if e.report.SLOAlerts[i].Name == st.Name && e.report.SLOAlerts[i].ClearedAtNs == 0 {
-					e.report.SLOAlerts[i].ClearedAtNs = st.ClearedAtNs
-					break
-				}
+		var open *SLOAlert
+		for i := range e.report.SLOAlerts {
+			if a := &e.report.SLOAlerts[i]; a.Name == st.Name && a.ClearedAtNs == 0 {
+				open = a
 			}
 		}
-		e.sloFiring[st.Name] = st.Firing
+		switch {
+		case st.Firing && open == nil:
+			e.report.SLOAlerts = append(e.report.SLOAlerts, SLOAlert{Name: st.Name, FiredAtNs: st.FiredAtNs})
+		case !st.Firing && open != nil:
+			open.ClearedAtNs = st.ClearedAtNs
+		}
 	}
 }
 
 // siteStates is the flight-recorder probe for the cluster's up/down
 // map, the recorder's stand-in for a failure detector's suspect list.
 func (e *engine) siteStates() any {
-	if e.cl == nil {
-		return nil
-	}
 	states := make([]string, e.cfg.Sites)
 	for i := 0; i < e.cfg.Sites; i++ {
 		st, _ := e.cl.State(protocol.SiteID(i))
 		states[i] = fmt.Sprintf("site%d=%v", i, st)
 	}
 	return states
-}
-
-// sealFlight seals the flight ring into the report, keeping the first
-// trigger: the earliest failure's dump shows the frames that led up to
-// it, which later triggers would only dilute.
-func (e *engine) sealFlight(trigger string) {
-	if e.flight == nil || e.report.Flight != nil {
-		return
-	}
-	e.report.Flight = e.flight.Seal(trigger)
-}
-
-// healthCheck evaluates the rule set at a quiescent checkpoint; a
-// critical verdict seals the flight recorder, so SLO breaches produce
-// a dump even when no hard invariant has (yet) been violated.
-func (e *engine) healthCheck() {
-	if e.healthEng == nil {
-		return
-	}
-	v := e.healthEng.Evaluate()
-	e.report.Health = &v
-	if v.Overall >= health.Critical {
-		for _, rv := range v.Rules {
-			if rv.Active && rv.Severity >= health.Critical {
-				e.sealFlight(fmt.Sprintf("health: %s (%s)", rv.Rule, rv.Detail))
-				break
-			}
-		}
-	}
 }
 
 // conformanceCheck is the end-of-run §5 invariant: the mean messages
@@ -597,10 +529,10 @@ func (e *engine) healthCheck() {
 // attempts. Strict (exact) conformance is a separate, failure-free
 // check — see internal/obs's integration test.
 func (e *engine) conformanceCheck() {
-	if e.obs == nil {
+	if e.plane == nil {
 		return
 	}
-	snap := e.obs.Snapshot()
+	snap := e.plane.Observer().Snapshot()
 	e.report.Metrics = &snap
 	as, ok := obs.SchemeFromName(e.report.Scheme)
 	if !ok {
@@ -976,15 +908,17 @@ func (e *engine) step(ctx context.Context) {
 
 // checkpoint runs the quiescent-point invariants: per-site version
 // monotonicity for every scheme, was-available closure safety for the
-// available copy scheme. It is also the flight recorder's heartbeat —
-// one frame per quiescent point — and the health engine's evaluation
-// cadence, so alert windows are measured in checkpoints on the schedule
-// clock.
+// available copy scheme. It is also the plane's step — one flight frame,
+// one health evaluation, one telemetry sample and SLO evaluation per
+// quiescent point, so alert windows are measured in checkpoints on the
+// schedule clock; a critical verdict or an exhausted budget seals the
+// recorder even when no hard invariant has (yet) been violated.
 func (e *engine) checkpoint() {
 	e.tick()
-	e.flight.Snapshot("checkpoint")
-	e.healthCheck()
-	e.telemetryTick()
+	e.report.Health, e.report.SLO = e.plane.Step("checkpoint", true)
+	if e.report.SLO != nil {
+		e.logAlerts(e.report.SLO)
+	}
 	for i := 0; i < e.cfg.Sites; i++ {
 		rep, err := e.cl.Replica(protocol.SiteID(i))
 		if err != nil {
@@ -1203,5 +1137,5 @@ func (e *engine) violatef(format string, args ...interface{}) {
 	e.stamp("VIOLATION %s", v)
 	// The first violation seals the black box: the dump captures the
 	// frames leading up to the failure, not the aftermath.
-	e.sealFlight("violation: " + v)
+	e.plane.Seal("violation: " + v)
 }

@@ -11,8 +11,8 @@ import (
 
 	"relidev/internal/clock"
 	"relidev/internal/core"
-	"relidev/internal/obs/flight"
 	"relidev/internal/obs/health"
+	"relidev/internal/obs/plane"
 )
 
 func run(t *testing.T, cfg Config) *Report {
@@ -292,23 +292,27 @@ func TestFlightHealthVerdictIsDeterministic(t *testing.T) {
 func TestViolationSealsFlight(t *testing.T) {
 	cfg := short(core.Voting, 7)
 	e := &engine{cfg: cfg, report: &Report{}, hash: fnv.New64a()}
-	probe := 0
-	e.flight = flight.New(clock.NewManual(), 4, flight.Probe("p", func() any { probe++; return probe }))
-	e.flight.Snapshot("checkpoint")
-	e.violatef("first invariant broke")
-	e.violatef("second invariant broke")
-	rep := e.report
-	if len(rep.Violations) != 2 {
-		t.Fatalf("violations = %v", rep.Violations)
+	var err error
+	e.plane, err = plane.New(plane.Config{Metered: true, Clock: clock.NewManual(), Flight: true})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if rep.Flight == nil {
+	e.plane.Step("checkpoint", true)
+	e.violatef("first invariant broke")
+	e.plane.Step("checkpoint", true)
+	e.violatef("second invariant broke")
+	if len(e.report.Violations) != 2 {
+		t.Fatalf("violations = %v", e.report.Violations)
+	}
+	dump := e.plane.Sealed()
+	if dump == nil {
 		t.Fatal("violation did not seal the flight ring")
 	}
-	if rep.Flight.Trigger != "violation: first invariant broke" {
-		t.Fatalf("trigger = %q, want the FIRST violation", rep.Flight.Trigger)
+	if dump.Trigger != "violation: first invariant broke" {
+		t.Fatalf("trigger = %q, want the FIRST violation", dump.Trigger)
 	}
-	if len(rep.Flight.Frames) != 1 {
-		t.Fatalf("dump frames = %d, want 1", len(rep.Flight.Frames))
+	if len(dump.Frames) != 1 {
+		t.Fatalf("dump frames = %d, want 1", len(dump.Frames))
 	}
 }
 

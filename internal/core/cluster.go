@@ -121,16 +121,7 @@ func (c *ClusterConfig) applyDefaults() error {
 		c.Mode = simnet.Multicast
 	}
 	if c.Weights == nil {
-		c.Weights = make([]int64, c.Sites)
-		for i := range c.Weights {
-			c.Weights[i] = 1000
-		}
-		if c.Sites%2 == 0 {
-			// §4.1: with an even number of equally weighted copies, draws
-			// occur whenever half the copies are down; adjust one copy's
-			// weight by a small quantity to break ties.
-			c.Weights[0]++
-		}
+		c.Weights = DefaultWeights(c.Sites)
 	}
 	if len(c.Weights) != c.Sites {
 		return fmt.Errorf("core: %d weights for %d sites", len(c.Weights), c.Sites)
@@ -280,7 +271,63 @@ func remotesOf(ids []protocol.SiteID, self protocol.SiteID) []protocol.SiteID {
 	return out
 }
 
-func buildController(cfg ClusterConfig, env scheme.Env) (scheme.Controller, error) {
+// DefaultWeights gives each of n sites one vote (1000 thousandths).
+// §4.1: with an even number of equally weighted copies, draws occur
+// whenever half the copies are down, so one copy's weight is adjusted
+// by a small quantity to break ties.
+func DefaultWeights(n int) []int64 {
+	weights := make([]int64, n)
+	for i := range weights {
+		weights[i] = 1000
+	}
+	if n%2 == 0 {
+		weights[0]++
+	}
+	return weights
+}
+
+// WireSite assembles one site's consistency engine over a membership:
+// the scheme.Env, the replica's three observation hooks and the
+// controller of cfg.Scheme (of cfg it reads Scheme, Observer, Weights —
+// nil means DefaultWeights — the controller options and
+// RecoveryPageBlocks). Every host wires through here — the Cluster for
+// each site, again after Grow and Remove, and relidev.OpenRemote for
+// its one — so a site is observed the same way wherever it runs.
+//
+// sharedRegistry says the observer's registry also holds other sites'
+// series (an in-process cluster): the site then answers telemetry pulls
+// with its own "site"-labelled slice, which the aggregator merges with
+// its site-less residue; a site alone in its process answers with the
+// whole registry.
+func WireSite(cfg ClusterConfig, self *site.Replica, transport protocol.Transport, ids []protocol.SiteID, sharedRegistry bool) (scheme.Controller, error) {
+	weights := cfg.Weights
+	if weights == nil {
+		weights = DefaultWeights(len(ids))
+	}
+	name, id := cfg.Scheme.String(), self.ID()
+	env := scheme.Env{
+		Self:      self,
+		Transport: transport,
+		Sites:     ids,
+		Weights:   weights,
+		Obs:       cfg.Observer.SchemeSite(name, id),
+	}
+	if o := cfg.Observer; o != nil {
+		self.SetWTransitionHook(env.Obs.WTransition)
+		if hook := o.HandleHook(name, id); hook != nil {
+			self.SetHandleHook(hook)
+		}
+		want := id.String()
+		self.SetTelemetryHook(func() []byte {
+			snap := o.Snapshot()
+			if sharedRegistry {
+				snap = obs.FilterSnapshot(snap, func(_ string, labels map[string]string) bool {
+					return labels["site"] == want
+				})
+			}
+			return obs.EncodeSnapshot(snap)
+		})
+	}
 	switch cfg.Scheme {
 	case Voting:
 		opts := cfg.VotingOptions

@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"relidev/internal/protocol"
-	"relidev/internal/scheme"
 	"relidev/internal/site"
 	"relidev/internal/store"
 )
@@ -128,23 +127,10 @@ func (cl *Cluster) rebuildControllers() error {
 		ids[i] = protocol.SiteID(i)
 	}
 	for i := range ids {
-		env := scheme.Env{
-			Self: cl.replicas[i],
-			// Keep the WrapTransport decoration (fault injection,
-			// accounting): rebuilding over the bare network would
-			// silently strip it after Grow/Remove.
-			Transport: cl.transport,
-			Sites:     ids,
-			Weights:   cl.cfg.Weights,
-			Obs:       cl.cfg.Observer.SchemeSite(cl.cfg.Scheme.String(), ids[i]),
-		}
-		if env.Obs != nil {
-			cl.replicas[i].SetWTransitionHook(env.Obs.WTransition)
-		}
-		if hook := cl.cfg.Observer.HandleHook(cl.cfg.Scheme.String(), ids[i]); hook != nil {
-			cl.replicas[i].SetHandleHook(hook)
-		}
-		ctrl, err := buildController(cl.cfg, env)
+		// Keep the WrapTransport decoration (fault injection, accounting):
+		// rebuilding over the bare network would silently strip it after
+		// Grow/Remove.
+		ctrl, err := WireSite(cl.cfg, cl.replicas[i], cl.transport, ids, true)
 		if err != nil {
 			return err
 		}

@@ -13,6 +13,13 @@ func TestLockCheckFixtures(t *testing.T) {
 	linttest.Run(t, testdata, "fixtures/lockcheck/voting", lint.LockCheck)
 }
 
+// TestLockCheckSeededMutation is lockcheck's planted-bug test: fixture
+// copies of availcopy.Write with the end not deferred and with the
+// was-available reset hoisted above the acquisition must be flagged.
+func TestLockCheckSeededMutation(t *testing.T) {
+	linttest.Run(t, testdata, "fixtures/lockcheck/availcopy", lint.LockCheck)
+}
+
 func TestLockCheckOutOfScope(t *testing.T) {
 	linttest.Run(t, testdata, "fixtures/lockcheck/outofscope", lint.LockCheck)
 }

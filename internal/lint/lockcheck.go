@@ -2,6 +2,7 @@ package lint
 
 import (
 	"go/ast"
+	"go/token"
 	"go/types"
 	"strings"
 )
@@ -10,21 +11,22 @@ import (
 // replicated-block data path (paper §3: a site is either operational
 // and follows the protocol, or it is down; there is no third state in
 // which it mutates replica state outside the protocol's mutual
-// exclusion).
+// exclusion). Controllers take OpLocks through the scheme.Op bracket,
+// so the rules key on its acquire/end pair.
 //
 // Within internal/{voting,availcopy,naiveac,core} it checks:
 //
-//  1. pairing: LockOp/LockRecovery must be immediately followed by a
-//     `defer` of the matching unlock on the same receiver and block
-//     index, and unlocks may only appear in defer position;
-//  2. ordering: a function must not acquire OpLocks twice — with
-//     deferred unlocks the first acquisition is held to return, so a
-//     second LockOp or LockRecovery self-deadlocks (stripe vs
-//     recovery exclusion must be split across functions);
+//  1. pairing: an acquisition (OpLocks.BeginOp/BeginRecovery) must be
+//     a statement `op := ...` immediately followed by `defer op.End(..)`
+//     on that variable, and End may only appear in defer position;
+//  2. ordering: a function must not acquire OpLocks twice — with the
+//     end deferred the first acquisition is held to return, so a second
+//     one self-deadlocks (stripe vs recovery exclusion must be split
+//     across functions);
 //  3. guarded mutation: calls to site.Replica mutators (WriteLocal,
 //     SetState, SetWasAvailable, ApplyRecovery) must happen in a
-//     locked context — the function acquires OpLocks itself or every
-//     intra-package caller does.
+//     locked context — after the function's own acquisition, or in a
+//     function every intra-package caller of which acquires.
 //
 // The store layer joined the scope with group commit (DESIGN.md §12):
 // SegStore serialises image and segment mutation under one mutex and
@@ -56,23 +58,16 @@ var replicaMutators = map[string]bool{
 	"ApplyRecovery":   true,
 }
 
-var lockPairs = map[string]string{
-	"LockOp":       "UnlockOp",
-	"LockRecovery": "UnlockRecovery",
-}
-
-// opLockMethod returns the OpLocks method name a call resolves to
-// ("LockOp", "UnlockOp", "LockRecovery", "UnlockRecovery"), or "".
-func opLockMethod(info *types.Info, call *ast.CallExpr) string {
+// bracketMethod returns the bracket method a call resolves to:
+// "BeginOp" or "BeginRecovery" (acquisitions, on scheme.OpLocks), "End"
+// (on scheme.Op), or "".
+func bracketMethod(info *types.Info, call *ast.CallExpr) string {
 	fn := calleeOf(info, call)
 	if fn == nil || fn.Pkg() == nil || !samePkgPath(fn.Pkg().Path(), schemePkgPath) {
 		return ""
 	}
-	if recvBaseName(fn) != "OpLocks" {
-		return ""
-	}
-	switch name := fn.Name(); name {
-	case "LockOp", "UnlockOp", "LockRecovery", "UnlockRecovery":
+	switch recv, name := recvBaseName(fn), fn.Name(); {
+	case recv == "OpLocks" && (name == "BeginOp" || name == "BeginRecovery"), recv == "Op" && name == "End":
 		return name
 	}
 	return ""
@@ -109,8 +104,9 @@ func runLockCheck(p *Pass) {
 	// Phase 1: collect lock acquisitions and mutator calls per
 	// function node. Call edges come from the shared package call
 	// graph instead of a hand-rolled caller map.
+	paired := make(map[*ast.CallExpr]bool) // acquisitions in the canonical two-statement shape
 	for _, file := range p.Files {
-		checkLockPairing(p, file)
+		checkLockPairing(p, file, paired)
 
 		tree := buildFuncTree(file)
 		for _, fn := range tree.funcs {
@@ -128,10 +124,14 @@ func runLockCheck(p *Pass) {
 				return true // package-level initializer expression
 			}
 			st := states[owner]
-			switch opLockMethod(p.Info, call) {
-			case "LockOp", "LockRecovery":
+			switch bracketMethod(p.Info, call) {
+			case "BeginOp", "BeginRecovery":
 				st.locked = true
 				st.acquires = append(st.acquires, call)
+				if !paired[call] {
+					p.Reportf(call.Pos(),
+						"OpLocks.%s must be the statement 'op := ...' immediately followed by 'defer op.End(&err)' on that variable", calleeOf(p.Info, call).Name())
+				}
 			}
 			if isReplicaMutator(p.Info, call) {
 				st.mutants = append(st.mutants, call)
@@ -155,7 +155,7 @@ func runLockCheck(p *Pass) {
 		}
 		for _, extra := range st.acquires[1:] {
 			p.Reportf(extra.Pos(),
-				"OpLocks acquired while an earlier acquisition in the same function is still held (unlocks are deferred to return); stripe and recovery exclusion must not nest")
+				"OpLocks acquired while an earlier acquisition in the same function is still held (the end is deferred to return); stripe and recovery exclusion must not nest")
 		}
 	}
 
@@ -164,10 +164,22 @@ func runLockCheck(p *Pass) {
 		if len(st.mutants) == 0 {
 			continue
 		}
-		// Lockedness flows from enclosing function literals, then
-		// from the intra-package callers via the call graph.
+		// A function's own acquisition guards what follows it, not what
+		// was hoisted above it.
+		if st.locked {
+			for _, call := range st.mutants {
+				if call.Pos() < st.acquires[0].Pos() {
+					p.Reportf(call.Pos(),
+						"site.Replica.%s before the OpLocks acquisition: the mutation runs outside the critical section",
+						calleeOf(p.Info, call).Name())
+				}
+			}
+			continue
+		}
+		// Otherwise lockedness flows from enclosing function literals,
+		// then from the intra-package callers via the call graph.
 		guarded := false
-		for o := fn; o != nil; o = graph.ParentFunc(o) {
+		for o := graph.ParentFunc(fn); o != nil; o = graph.ParentFunc(o) {
 			if states[o].locked {
 				guarded = true
 				break
@@ -258,59 +270,32 @@ func funcNodeIsLocked(n ast.Node) bool {
 	return ok && strings.HasSuffix(d.Name.Name, "Locked")
 }
 
-// checkLockPairing enforces, per statement list, that every lock
-// acquisition is immediately followed by a defer of the matching
-// unlock, and that unlocks only occur in defer position.
-func checkLockPairing(p *Pass, file *ast.File) {
+// checkLockPairing walks every statement list: it records in paired the
+// acquisitions written as `op := acquire(...)` immediately followed by
+// `defer op.End(...)` on the same variable, and reports every End that
+// is not in defer position.
+func checkLockPairing(p *Pass, file *ast.File, paired map[*ast.CallExpr]bool) {
 	forEachStmtList(file, func(list []ast.Stmt) {
 		for i, stmt := range list {
-			expr, ok := stmt.(*ast.ExprStmt)
-			if !ok {
-				continue
-			}
-			call, ok := expr.X.(*ast.CallExpr)
-			if !ok {
-				continue
-			}
-			switch method := opLockMethod(p.Info, call); method {
-			case "UnlockOp", "UnlockRecovery":
-				p.Reportf(call.Pos(),
-					"OpLocks.%s outside a defer: unlocks must be deferred immediately after the acquisition so failures cannot leak the lock", method)
-			case "LockOp", "LockRecovery":
-				want := lockPairs[method]
-				if i+1 < len(list) {
-					if d, ok := list[i+1].(*ast.DeferStmt); ok && matchesUnlock(p, call, d.Call, want) {
-						continue
-					}
+			switch stmt := stmt.(type) {
+			case *ast.ExprStmt:
+				if call, ok := stmt.X.(*ast.CallExpr); ok && bracketMethod(p.Info, call) == "End" {
+					p.Reportf(call.Pos(),
+						"Op.End outside a defer: the end must be deferred immediately after the acquisition so failures cannot leak the lock")
 				}
-				p.Reportf(call.Pos(),
-					"OpLocks.%s must be immediately followed by 'defer %s' on the same receiver and block index", method, want)
+			case *ast.AssignStmt:
+				if stmt.Tok != token.DEFINE || len(stmt.Lhs) != 1 || len(stmt.Rhs) != 1 || i+1 >= len(list) {
+					continue
+				}
+				call, ok := stmt.Rhs[0].(*ast.CallExpr)
+				if !ok || !strings.HasPrefix(bracketMethod(p.Info, call), "Begin") {
+					continue
+				}
+				if d, ok := list[i+1].(*ast.DeferStmt); ok && bracketMethod(p.Info, d.Call) == "End" {
+					sel := ast.Unparen(d.Call.Fun).(*ast.SelectorExpr)
+					paired[call] = nodeText(p.Fset, sel.X) == nodeText(p.Fset, stmt.Lhs[0])
+				}
 			}
 		}
 	})
-}
-
-// matchesUnlock reports whether deferred is `recv.want(args...)` with
-// the same receiver and arguments as the acquisition.
-func matchesUnlock(p *Pass, acquire, deferred *ast.CallExpr, want string) bool {
-	if opLockMethod(p.Info, deferred) != want {
-		return false
-	}
-	aSel, aOK := ast.Unparen(acquire.Fun).(*ast.SelectorExpr)
-	dSel, dOK := ast.Unparen(deferred.Fun).(*ast.SelectorExpr)
-	if !aOK || !dOK {
-		return false
-	}
-	if nodeText(p.Fset, aSel.X) != nodeText(p.Fset, dSel.X) {
-		return false
-	}
-	if len(acquire.Args) != len(deferred.Args) {
-		return false
-	}
-	for i := range acquire.Args {
-		if nodeText(p.Fset, acquire.Args[i]) != nodeText(p.Fset, deferred.Args[i]) {
-			return false
-		}
-	}
-	return true
 }

@@ -10,20 +10,21 @@ import (
 
 type Controller struct {
 	locks scheme.OpLocks
+	obs   *scheme.SchemeObs
 	self  *site.Replica
 }
 
-// ok: canonical pattern — acquire, defer the matching unlock, mutate.
-func (c *Controller) WriteGood(idx block.Index, data []byte) error {
-	c.locks.LockOp(idx)
-	defer c.locks.UnlockOp(idx)
+// ok: canonical pattern — acquire, defer the end on that value, mutate.
+func (c *Controller) WriteGood(idx block.Index, data []byte) (err error) {
+	op := c.locks.BeginOp(c.obs, "write", idx)
+	defer op.End(&err)
 	return c.self.WriteLocal(idx, data, 1)
 }
 
-// ok: recovery exclusion with the matching deferred unlock.
-func (c *Controller) RecoverGood() error {
-	c.locks.LockRecovery()
-	defer c.locks.UnlockRecovery()
+// ok: recovery exclusion with the deferred end.
+func (c *Controller) RecoverGood() (err error) {
+	op := c.locks.BeginRecovery(c.obs)
+	defer op.End(&err)
 	return c.self.ApplyRecovery(2)
 }
 
@@ -32,33 +33,36 @@ func (c *Controller) repairLocked(idx block.Index) error {
 	return c.self.WriteLocal(idx, nil, 3)
 }
 
-func (c *Controller) RecoverViaHelper(idx block.Index) error {
-	c.locks.LockRecovery()
-	defer c.locks.UnlockRecovery()
+func (c *Controller) RecoverViaHelper(idx block.Index) (err error) {
+	op := c.locks.BeginRecovery(c.obs)
+	defer op.End(&err)
 	return c.repairLocked(idx)
 }
 
-func missingDefer(c *Controller, idx block.Index) error {
-	c.locks.LockOp(idx) // want "must be immediately followed by 'defer UnlockOp'"
-	err := c.self.WriteLocal(idx, nil, 1)
-	c.locks.UnlockOp(idx) // want "outside a defer"
+func missingDefer(c *Controller, idx block.Index) (err error) {
+	op := c.locks.BeginOp(c.obs, "write", idx) // want "must be the statement 'op := ...' immediately followed by 'defer op.End"
+	err = c.self.WriteLocal(idx, nil, 1)
+	op.End(&err) // want "outside a defer"
 	return err
 }
 
-func wrongIndexDefer(c *Controller, idx, other block.Index) {
-	c.locks.LockOp(idx) // want "must be immediately followed by 'defer UnlockOp' on the same receiver and block index"
-	defer c.locks.UnlockOp(other)
+func wrongValueDefer(c *Controller, idx block.Index, other scheme.Op) (err error) {
+	op := c.locks.BeginOp(c.obs, "read", idx) // want "must be the statement 'op := ...' immediately followed by 'defer op.End"
+	defer other.End(&err)
+	op.Participants = 1
+	return nil
 }
 
-func mismatchedKind(c *Controller, idx block.Index) {
-	c.locks.LockRecovery() // want "must be immediately followed by 'defer UnlockRecovery'"
-	defer c.locks.UnlockOp(idx)
+func discardedAcquisition(c *Controller) {
+	c.locks.BeginRecovery(c.obs) // want "BeginRecovery must be the statement"
 }
 
-func nestedAcquisition(c *Controller, idx block.Index) {
-	c.locks.LockOp(idx)
-	defer c.locks.UnlockOp(idx)
-	c.locks.LockRecovery() // want "still held" "must be immediately followed by 'defer UnlockRecovery'"
+func nestedAcquisition(c *Controller, idx block.Index) (err error) {
+	op := c.locks.BeginOp(c.obs, "write", idx)
+	defer op.End(&err)
+	rec := c.locks.BeginRecovery(c.obs) // want "still held"
+	defer rec.End(&err)
+	return nil
 }
 
 func unguardedMutation(c *Controller, idx block.Index) error {

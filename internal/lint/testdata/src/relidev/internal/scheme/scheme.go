@@ -1,13 +1,34 @@
 // Stand-in for relidev/internal/scheme with the same import path.
 package scheme
 
-import "relidev/internal/block"
+import (
+	"context"
+
+	"relidev/internal/block"
+)
 
 type OpLocks struct{ held int }
 
-func (l *OpLocks) LockOp(idx block.Index)   { l.held++ }
-func (l *OpLocks) UnlockOp(idx block.Index) { l.held-- }
-func (l *OpLocks) LockRecovery()            { l.held++ }
-func (l *OpLocks) UnlockRecovery()          { l.held-- }
+// SchemeObs stands in for the instrumentation handle.
+type SchemeObs struct{}
+
+// Op stands in for the controller op bracket.
+type Op struct {
+	l            *OpLocks
+	Participants int
+}
+
+func (l *OpLocks) BeginOp(ob *SchemeObs, kind string, idx block.Index) Op {
+	l.held++
+	return Op{l: l}
+}
+
+func (l *OpLocks) BeginRecovery(ob *SchemeObs) Op {
+	l.held++
+	return Op{l: l}
+}
+
+func (o *Op) Start(ctx context.Context) context.Context { return ctx }
+func (o *Op) End(err *error)                            { o.l.held-- }
 
 func IsTransportError(err error) bool { return false }

@@ -14,7 +14,6 @@ import (
 	"fmt"
 
 	"relidev/internal/block"
-	"relidev/internal/obs"
 	"relidev/internal/protocol"
 	"relidev/internal/scheme"
 )
@@ -45,11 +44,8 @@ func (c *Controller) Name() string { return "naive" }
 // Read serves the block locally, exactly as the available copy scheme
 // does: zero network traffic.
 func (c *Controller) Read(ctx context.Context, idx block.Index) (_ []byte, err error) {
-	ob := c.env.Obs
-	lockT0 := ob.Now()
-	c.locks.LockOp(idx)
-	defer c.locks.UnlockOp(idx)
-	lockWait := ob.Now() - lockT0
+	op := c.locks.BeginOp(c.env.Obs, protocol.OpRead, idx)
+	defer op.End(&err)
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -57,11 +53,8 @@ func (c *Controller) Read(ctx context.Context, idx block.Index) (_ []byte, err e
 		return nil, fmt.Errorf("naive read of %v at %v (%v): %w",
 			idx, c.env.Self.ID(), c.env.Self.State(), scheme.ErrNotAvailable)
 	}
-	// The span opens past the availability gate so attempt counts match
-	// the §5 accounting (a refused operation generates no traffic).
-	_, sp := ob.StartOp(ctx, protocol.OpRead, int64(idx))
-	sp.AddLockWait(lockWait)
-	defer func() { sp.Done(1, err) }()
+	op.Start(ctx)
+	op.Participants = 1
 	data, _, err := c.env.Self.ReadLocal(idx)
 	if err != nil {
 		return nil, fmt.Errorf("naive read of %v: %w", idx, err)
@@ -74,20 +67,15 @@ func (c *Controller) Read(ctx context.Context, idx block.Index) (_ []byte, err e
 // unique addressing (§5). Because no was-available information is
 // maintained, nothing is piggybacked.
 func (c *Controller) Write(ctx context.Context, idx block.Index, data []byte) (err error) {
-	ob := c.env.Obs
-	lockT0 := ob.Now()
-	c.locks.LockOp(idx)
-	defer c.locks.UnlockOp(idx)
-	lockWait := ob.Now() - lockT0
+	op := c.locks.BeginOp(c.env.Obs, protocol.OpWrite, idx)
+	defer op.End(&err)
 	self := c.env.Self
 	if self.State() != protocol.StateAvailable {
 		return fmt.Errorf("naive write of %v at %v (%v): %w",
 			idx, self.ID(), self.State(), scheme.ErrNotAvailable)
 	}
-	ctx = ob.Label(ctx, protocol.OpWrite)
-	ctx, sp := ob.StartOp(ctx, protocol.OpWrite, int64(idx))
-	sp.AddLockWait(lockWait)
-	defer func() { sp.Done(1, err) }()
+	ctx = op.Start(ctx)
+	op.Participants = 1
 	localVer, err := self.VersionLocal(idx)
 	if err != nil {
 		return fmt.Errorf("naive write of %v: %w", idx, err)
@@ -108,21 +96,14 @@ func (c *Controller) Write(ctx context.Context, idx block.Index, data []byte) (e
 // otherwise wait until every site has recovered and repair from (or
 // become) the one with the highest version.
 func (c *Controller) Recover(ctx context.Context) (err error) {
-	ob := c.env.Obs
-	lockT0 := ob.Now()
-	c.locks.LockRecovery()
-	defer c.locks.UnlockRecovery()
-	lockWait := ob.Now() - lockT0
+	op := c.locks.BeginRecovery(c.env.Obs)
+	defer op.End(&err)
 	self := c.env.Self
 	if self.State() == protocol.StateAvailable {
 		return nil
 	}
 	self.SetState(protocol.StateComatose)
-	ctx = ob.Label(ctx, protocol.OpRecovery)
-	ctx, sp := ob.StartOp(ctx, protocol.OpRecovery, obs.NoBlock)
-	sp.AddLockWait(lockWait)
-	participants := 0
-	defer func() { sp.Done(participants, err) }()
+	ctx = op.Start(ctx)
 
 	results := c.env.Transport.Broadcast(ctx, self.ID(), c.env.Remotes(), protocol.StatusRequest{})
 
@@ -144,7 +125,7 @@ func (c *Controller) Recover(ctx context.Context) (err error) {
 		states[id] = status{state: st.State, sum: st.VersionSum}
 	}
 	// Participation = status responders plus the recovering site itself.
-	participants = len(states)
+	op.Participants = len(states)
 
 	// Case 1: ∃u ∈ S: state(u) = available.
 	var best protocol.SiteID = -1

@@ -9,12 +9,11 @@
 package flight
 
 import (
-	"encoding/json"
-	"io"
 	"net/http"
 	"sync"
 
 	"relidev/internal/clock"
+	"relidev/internal/obs"
 )
 
 // A Source is one named probe collected into every frame. Collect
@@ -43,7 +42,9 @@ type Frame struct {
 }
 
 // A Dump is a sealed copy of the recorder's ring: the artifact written
-// out when a trigger fires. Frames are ordered oldest first.
+// out when a trigger fires. Frames are ordered oldest first. Its JSON is
+// byte-for-byte deterministic for deterministic frames (encoding/json
+// sorts map keys; frame observations are ordered lists).
 type Dump struct {
 	Trigger    string  `json:"trigger"`
 	SealedAtNs int64   `json:"sealed_at_ns"`
@@ -51,21 +52,17 @@ type Dump struct {
 	Frames     []Frame `json:"frames"`
 }
 
-// WriteJSON writes the dump as indented JSON. Output is byte-for-byte
-// deterministic for deterministic frames (encoding/json sorts map
-// keys; frame observations are ordered lists).
-func (d *Dump) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(d)
-}
-
 // A Recorder keeps the last capacity frames in a ring and seals them
 // into Dumps on demand. All methods are safe for concurrent use and
 // no-ops on a nil receiver, so wiring layers can thread an optional
 // recorder without guards.
 type Recorder struct {
-	mu      sync.Mutex
+	// collect serialises Snapshot: frames come from a poller and from
+	// HTTP handlers at once, sources may keep state between frames
+	// (MetricsDelta), and ring order must be collection order.
+	collect sync.Mutex
+
+	mu      sync.Mutex // the ring
 	clk     clock.Clock
 	cap     int
 	sources []Source
@@ -75,9 +72,6 @@ type Recorder struct {
 	frames  []Frame // ring storage
 	head    int     // index of the oldest frame
 	count   int
-
-	last  *Dump
-	seals int64
 }
 
 // New builds a recorder over the given sources. clk is the frame
@@ -102,8 +96,10 @@ func (r *Recorder) Snapshot(reason string) {
 	if r == nil {
 		return
 	}
-	// Collect outside the lock: sources may take registry or tracer
-	// locks of their own, and frames must not serialise op traffic.
+	r.collect.Lock()
+	defer r.collect.Unlock()
+	// Collect outside the ring lock: sources take registry or tracer
+	// locks of their own, and a seal must not wait for them.
 	obs := make([]Observation, len(r.sources))
 	for i, src := range r.sources {
 		obs[i] = Observation{Source: src.Name, Value: src.Collect()}
@@ -124,7 +120,8 @@ func (r *Recorder) Snapshot(reason string) {
 
 // Seal copies the ring into a Dump tagged with the trigger, without
 // clearing it — later frames keep accumulating and a later seal sees
-// them. The dump is also retained as LastDump.
+// them. Keeping a trigger's dump is the caller's business (plane.Seal
+// retains the first).
 func (r *Recorder) Seal(trigger string) *Dump {
 	if r == nil {
 		return nil
@@ -140,20 +137,7 @@ func (r *Recorder) Seal(trigger string) *Dump {
 	for i := 0; i < r.count; i++ {
 		d.Frames[i] = r.frames[(r.head+i)%r.cap]
 	}
-	r.last = d
-	r.seals++
 	return d
-}
-
-// LastDump returns the most recently sealed dump, or nil if the
-// recorder has never sealed.
-func (r *Recorder) LastDump() *Dump {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.last
 }
 
 // Len reports how many frames the ring currently holds.
@@ -166,16 +150,6 @@ func (r *Recorder) Len() int {
 	return r.count
 }
 
-// Seals reports how many dumps have been sealed.
-func (r *Recorder) Seals() int64 {
-	if r == nil {
-		return 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.seals
-}
-
 // Handler serves the recorder at /debug/flight: each GET snapshots
 // once more (reason "http"), seals with trigger "http request", and
 // returns the dump as JSON. A nil recorder answers 404.
@@ -186,8 +160,6 @@ func Handler(r *Recorder) http.HandlerFunc {
 			return
 		}
 		r.Snapshot("http")
-		d := r.Seal("http request")
-		w.Header().Set("Content-Type", "application/json")
-		d.WriteJSON(w)
+		obs.WriteJSON(w, http.StatusOK, r.Seal("http request"))
 	}
 }

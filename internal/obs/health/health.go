@@ -144,6 +144,7 @@ type Engine struct {
 	mu      sync.Mutex
 	snap    func() obs.Snapshot
 	clk     clock.Clock
+	seal    func(trigger string)
 	rules   []Rule
 	states  []ruleState
 	prev    obs.Snapshot
@@ -152,23 +153,18 @@ type Engine struct {
 }
 
 // NewEngine builds an engine reading snapshots from snap on the given
-// clock: the observer's, so alert windows share its time base.
-func NewEngine(snap func() obs.Snapshot, clk clock.Clock, rules ...Rule) *Engine {
+// clock: the observer's, so alert windows share its time base. seal,
+// when non-nil, is invoked by every evaluation whose verdict is
+// critical, naming the first active critical rule — so a breach seals
+// the flight recorder wherever the verdict was computed.
+func NewEngine(snap func() obs.Snapshot, clk clock.Clock, seal func(trigger string), rules ...Rule) *Engine {
 	return &Engine{
 		snap:   snap,
 		clk:    clk,
+		seal:   seal,
 		rules:  rules,
 		states: make([]ruleState, len(rules)),
 	}
-}
-
-// Rules returns the engine's rule names in evaluation order.
-func (e *Engine) Rules() []string {
-	names := make([]string, len(e.rules))
-	for i, r := range e.rules {
-		names[i] = r.Name
-	}
-	return names
 }
 
 // Evaluate runs every rule against a fresh snapshot and advances the
@@ -216,6 +212,14 @@ func (e *Engine) Evaluate() Verdict {
 		v.Rules[i] = rv
 	}
 	e.prev, e.prevAt, e.hasPrev = snap, now, true
+	if e.seal != nil && v.Overall >= Critical {
+		for _, rv := range v.Rules {
+			if rv.Severity >= Critical {
+				e.seal(fmt.Sprintf("health: %s (%s)", rv.Rule, rv.Detail))
+				break
+			}
+		}
+	}
 	return v
 }
 
@@ -230,13 +234,10 @@ func Handler(e *Engine) http.HandlerFunc {
 			http.Error(w, "health engine disabled", http.StatusNotFound)
 			return
 		}
-		v := e.Evaluate()
-		w.Header().Set("Content-Type", "application/json")
+		v, status := e.Evaluate(), http.StatusOK
 		if v.Overall >= Critical {
-			w.WriteHeader(http.StatusServiceUnavailable)
+			status = http.StatusServiceUnavailable
 		}
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		enc.Encode(v)
+		obs.WriteJSON(w, status, v)
 	}
 }

@@ -42,7 +42,7 @@ func TestSeverityStrings(t *testing.T) {
 func TestHysteresisActivation(t *testing.T) {
 	clk := clock.NewManual()
 	on := false
-	e := NewEngine(emptySnap, clk, flagRule("r", Critical, 100, 0, &on))
+	e := NewEngine(emptySnap, clk, nil, flagRule("r", Critical, 100, 0, &on))
 
 	// Clear: never active.
 	if v := e.Evaluate(); v.Overall != OK || v.Rules[0].Active {
@@ -86,7 +86,7 @@ func TestHysteresisActivation(t *testing.T) {
 func TestHysteresisClear(t *testing.T) {
 	clk := clock.NewManual()
 	on := true
-	e := NewEngine(emptySnap, clk, flagRule("r", Warn, 0, 50, &on))
+	e := NewEngine(emptySnap, clk, nil, flagRule("r", Warn, 0, 50, &on))
 
 	if v := e.Evaluate(); !v.Rules[0].Active {
 		t.Fatal("ForNs=0 rule did not activate immediately")
@@ -116,7 +116,7 @@ func TestHysteresisClear(t *testing.T) {
 func TestOverallIsMaxOverActive(t *testing.T) {
 	clk := clock.NewManual()
 	warnOn, critOn := true, false
-	e := NewEngine(emptySnap, clk,
+	e := NewEngine(emptySnap, clk, nil,
 		flagRule("w", Warn, 0, 0, &warnOn),
 		flagRule("c", Critical, 0, 0, &critOn))
 	if v := e.Evaluate(); v.Overall != Warn {
@@ -138,7 +138,7 @@ func TestFirstEvaluationWindow(t *testing.T) {
 		got = append(got, in)
 		return Sample{}
 	}}
-	e := NewEngine(emptySnap, clk, r)
+	e := NewEngine(emptySnap, clk, nil, r)
 	e.Evaluate()
 	clk.Advance(250)
 	e.Evaluate()
@@ -155,7 +155,7 @@ func TestFirstEvaluationWindow(t *testing.T) {
 func TestHandlerStatusCodes(t *testing.T) {
 	clk := clock.NewManual()
 	on := false
-	e := NewEngine(emptySnap, clk, flagRule("r", Critical, 0, 0, &on))
+	e := NewEngine(emptySnap, clk, nil, flagRule("r", Critical, 0, 0, &on))
 
 	rec := httptest.NewRecorder()
 	Handler(e)(rec, httptest.NewRequest("GET", "/healthz", nil))
@@ -192,7 +192,7 @@ func TestConcurrentEvaluate(t *testing.T) {
 	o := obs.New(obs.WithClock(clk))
 	c := o.Registry().Counter(obs.MetricOpAttempts, obs.L("scheme", "voting"), obs.L("site", "site0"), obs.L("op", "write"))
 	on := true
-	e := NewEngine(o.Snapshot, clk,
+	e := NewEngine(o.Snapshot, clk, nil,
 		flagRule("r", Warn, 5, 5, &on),
 		ErrorRateRule(0.5))
 	var wg sync.WaitGroup

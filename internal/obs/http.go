@@ -24,10 +24,7 @@ import (
 func NewDebugMux(o *Observer) *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		enc.Encode(o.Snapshot())
+		WriteJSON(w, http.StatusOK, o.Snapshot())
 	})
 	mux.HandleFunc("/metrics.prom", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4")
@@ -39,13 +36,7 @@ func NewDebugMux(o *Observer) *http.ServeMux {
 			http.Error(w, "tracing disabled", http.StatusNotFound)
 			return
 		}
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		enc.Encode(struct {
-			Dropped uint64  `json:"dropped"`
-			Events  []Event `json:"events"`
-		}{t.Dropped(), t.Events()})
+		WriteJSON(w, http.StatusOK, traceDump{t.Dropped(), t.Events()})
 	})
 	mux.HandleFunc("/trace/tree", func(w http.ResponseWriter, r *http.Request) {
 		if o.Tracer() == nil {
@@ -73,23 +64,27 @@ func ProfileHandler(o *Observer) http.HandlerFunc {
 			io.WriteString(w, p.Flame())
 			return
 		}
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		enc.Encode(p)
+		WriteJSON(w, http.StatusOK, p)
 	}
 }
 
-func writeTraceTrees(w http.ResponseWriter, trees []*TraceTree) {
+// WriteJSON answers a debug route with v as indented JSON: the one
+// rendering every endpoint of the debug surface shares.
+func WriteJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	enc.Encode(struct {
+	enc.Encode(v)
+}
+
+func writeTraceTrees(w http.ResponseWriter, trees []*TraceTree) {
+	WriteJSON(w, http.StatusOK, struct {
 		Traces []*TraceTree `json:"traces"`
 	}{trees})
 }
 
-// traceDump mirrors the /trace endpoint's JSON shape.
+// traceDump is the /trace endpoint's JSON shape.
 type traceDump struct {
 	Dropped uint64  `json:"dropped"`
 	Events  []Event `json:"events"`
@@ -149,10 +144,7 @@ func ClusterTraceHandler(o *Observer, client *http.Client, peerURLs []string) ht
 		for u, err := range errs {
 			errMsgs[u] = err.Error()
 		}
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		enc.Encode(struct {
+		WriteJSON(w, http.StatusOK, struct {
 			Traces []*TraceTree      `json:"traces"`
 			Errors map[string]string `json:"errors,omitempty"`
 		}{Stitch(events), errMsgs})

@@ -300,17 +300,6 @@ type SchemeObs struct {
 	peers  map[protocol.SiteID]*Histogram
 }
 
-// Label attaches the §5 operation label to ctx so the transport can
-// attribute this operation's traffic; with a nil receiver the context
-// passes through untouched (and unlabelled traffic costs nothing
-// extra).
-func (s *SchemeObs) Label(ctx context.Context, op string) context.Context {
-	if s == nil {
-		return ctx
-	}
-	return protocol.WithOp(ctx, op)
-}
-
 // NoBlock marks spans and events not tied to a particular block
 // (recovery operates on the whole device).
 const NoBlock int64 = -1
@@ -321,10 +310,12 @@ const NoBlock int64 = -1
 // only once the operation will actually run (past the availability
 // gate), so attempt counts line up with the §5 conformance brackets.
 //
-// When tracing is on the returned context carries the operation's
-// span, so transport calls made with it produce causally-linked child
-// spans (on remote sites too); without tracing the context passes
-// through unchanged.
+// The returned context carries the operation's scope — the §5 label the
+// transport attributes this operation's traffic to and the recorder it
+// charges wire time to — and, when tracing is on, the operation's span,
+// so transport calls made with it produce causally-linked child spans
+// (on remote sites too). With a nil receiver the context passes through
+// untouched, and unlabelled traffic costs nothing extra.
 func (s *SchemeObs) StartOp(ctx context.Context, op string, blk int64) (context.Context, OpSpan) {
 	if s == nil {
 		return ctx, OpSpan{}
@@ -336,7 +327,8 @@ func (s *SchemeObs) StartOp(ctx context.Context, op string, blk int64) (context.
 	s.attempts[i].Inc()
 	sp := OpSpan{s: s, op: op, idx: i, block: blk, start: s.o.Now()}
 	sp.acc = &phaseAcc{s: s, op: i}
-	ctx = protocol.WithPhases(ctx, sp.acc)
+	sp.acc.scope = protocol.OpScope{Op: op, Phases: sp.acc}
+	ctx = protocol.WithOpScope(ctx, &sp.acc.scope)
 	if s.repairActive.Load() {
 		sp.interfered = true
 		s.duringRepair[i].Inc()
@@ -374,7 +366,9 @@ func (sp OpSpan) Done(participants int, err error) {
 	}
 	if err != nil {
 		s.failures[sp.idx].Inc()
-		s.emit(withSpan(sp.span, Event{Kind: EvOpEnd, Op: sp.op, Block: sp.block, Detail: "err=" + errClass(err)}))
+		if s.tracing() {
+			s.emit(withSpan(sp.span, Event{Kind: EvOpEnd, Op: sp.op, Block: sp.block, Detail: "err=" + errClass(err)}))
+		}
 		return
 	}
 	s.completions[sp.idx].Inc()
@@ -388,12 +382,14 @@ func (sp OpSpan) Done(participants int, err error) {
 	if sp.interfered {
 		s.interference[sp.idx].Observe(total)
 	}
-	s.emit(withSpan(sp.span, Event{Kind: EvOpEnd, Op: sp.op, Block: sp.block, Detail: fmt.Sprintf("participants=%d", participants)}))
+	if s.tracing() {
+		s.emit(withSpan(sp.span, Event{Kind: EvOpEnd, Op: sp.op, Block: sp.block, Detail: fmt.Sprintf("participants=%d", participants)}))
+	}
 }
 
 // QuorumAssembled traces a voting quorum collection.
 func (s *SchemeObs) QuorumAssembled(op string, idx block.Index, participants int, weight int64) {
-	if s == nil || s.o.tracer == nil {
+	if !s.tracing() {
 		return
 	}
 	s.emit(Event{Kind: EvQuorumAssembled, Op: op, Block: int64(idx),
@@ -402,7 +398,7 @@ func (s *SchemeObs) QuorumAssembled(op string, idx block.Index, participants int
 
 // VersionResolved traces the version-resolution step of a quorum.
 func (s *SchemeObs) VersionResolved(op string, idx block.Index, ver block.Version) {
-	if s == nil || s.o.tracer == nil {
+	if !s.tracing() {
 		return
 	}
 	s.emit(Event{Kind: EvVersionResolved, Op: op, Block: int64(idx),
@@ -416,8 +412,10 @@ func (s *SchemeObs) LazyRefresh(idx block.Index, src protocol.SiteID, ver block.
 		return
 	}
 	s.staleReads.Inc()
-	s.emit(Event{Kind: EvLazyRefresh, Op: protocol.OpRead, Block: int64(idx),
-		Detail: fmt.Sprintf("from=%v version=%d", src, uint64(ver))})
+	if s.tracing() {
+		s.emit(Event{Kind: EvLazyRefresh, Op: protocol.OpRead, Block: int64(idx),
+			Detail: fmt.Sprintf("from=%v version=%d", src, uint64(ver))})
+	}
 }
 
 // WriteTwoRound records a completed write that took the classic
@@ -440,8 +438,10 @@ func (s *SchemeObs) WTransition(old, next protocol.SiteSet) {
 		return
 	}
 	s.wTransitions.Inc()
-	s.emit(Event{Kind: EvWTransition, Block: -1,
-		Detail: fmt.Sprintf("%v->%v", old, next)})
+	if s.tracing() {
+		s.emit(Event{Kind: EvWTransition, Block: -1,
+			Detail: fmt.Sprintf("%v->%v", old, next)})
+	}
 }
 
 // ClosureRecomputed records an available copy recovery evaluating
@@ -452,14 +452,21 @@ func (s *SchemeObs) ClosureRecomputed(root, closure protocol.SiteSet, complete b
 		return
 	}
 	s.closures.Inc()
-	s.emit(Event{Kind: EvClosureRecomputed, Op: protocol.OpRecovery, Block: -1,
-		Detail: fmt.Sprintf("root=%v closure=%v complete=%t", root, closure, complete)})
+	if s.tracing() {
+		s.emit(Event{Kind: EvClosureRecomputed, Op: protocol.OpRecovery, Block: -1,
+			Detail: fmt.Sprintf("root=%v closure=%v complete=%t", root, closure, complete)})
+	}
 }
+
+// tracing reports whether trace events go anywhere. Callers that format
+// an event's detail check it first: with tracing off a metered op must
+// not pay for a string nobody reads.
+func (s *SchemeObs) tracing() bool { return s != nil && s.o.tracer != nil }
 
 // emit stamps the shared fields and forwards to the tracer (a no-op
 // when tracing is off).
 func (s *SchemeObs) emit(e Event) {
-	if s.o.tracer == nil {
+	if !s.tracing() {
 		return
 	}
 	e.Scheme = s.scheme

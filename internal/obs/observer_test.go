@@ -23,10 +23,10 @@ func TestNilObserverAndSchemeObs(t *testing.T) {
 	}
 	// Every SchemeObs method must be a nil-receiver no-op.
 	ctx := context.Background()
-	if s.Label(ctx, protocol.OpWrite) != ctx {
-		t.Fatal("nil SchemeObs.Label altered the context")
+	got, sp := s.StartOp(ctx, protocol.OpWrite, 3)
+	if got != ctx {
+		t.Fatal("nil SchemeObs.StartOp altered the context")
 	}
-	_, sp := s.StartOp(context.Background(), protocol.OpWrite, 3)
 	sp.Done(2, nil)
 	sp.Done(0, errors.New("boom"))
 	s.QuorumAssembled(protocol.OpRead, 0, 2, 2)
@@ -125,7 +125,8 @@ func TestStartOpUnknownOp(t *testing.T) {
 func TestLabelRoundTrip(t *testing.T) {
 	o := New()
 	s := o.SchemeSite("naive", 0)
-	ctx := s.Label(context.Background(), protocol.OpRecovery)
+	ctx, sp := s.StartOp(context.Background(), protocol.OpRecovery, NoBlock)
+	defer sp.Done(1, nil)
 	if got := protocol.CtxOp(ctx); got != protocol.OpRecovery {
 		t.Fatalf("CtxOp = %q, want %q", got, protocol.OpRecovery)
 	}

@@ -83,15 +83,19 @@ func phaseIndex(phase string) int {
 }
 
 // A phaseAcc accumulates one operation's critical-path attribution. It
-// is the protocol.PhaseRecorder the op context carries, so transports
-// (and the fan-out internals of simnet/rpcnet) can charge wire time to
-// the operation without an obs dependency. Sums are atomics because
+// is the protocol.PhaseRecorder the op context's scope carries, so
+// transports (and the fan-out internals of simnet/rpcnet) can charge
+// wire time to the operation without an obs dependency. Sums are atomics because
 // pipelined operations (background repair) issue concurrent fetches
 // under one span.
 type phaseAcc struct {
 	s    *SchemeObs
 	op   int // ops index
 	sums [len(phases)]atomic.Int64
+	// scope is the context value StartOp attaches (label + this
+	// recorder), embedded so an op start is one allocation plus the
+	// context node.
+	scope protocol.OpScope
 }
 
 var _ protocol.PhaseRecorder = (*phaseAcc)(nil)
@@ -244,10 +248,9 @@ func (r *RepairObs) Active(on bool) {
 		return
 	}
 	r.active.Store(on)
-	state := "open"
+	detail := "window=open"
 	if !on {
-		state = "closed"
+		detail = "window=closed"
 	}
-	r.emit(Event{Kind: EvRepairWindow, Op: protocol.OpRepair, Block: NoBlock,
-		Detail: "window=" + state})
+	r.emit(Event{Kind: EvRepairWindow, Op: protocol.OpRepair, Block: NoBlock, Detail: detail})
 }

@@ -2,7 +2,6 @@ package obs
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"sort"
@@ -80,20 +79,21 @@ type ClusterMetrics struct {
 	Errors  map[string]string `json:"errors,omitempty"`
 }
 
+// NewClusterMetrics renders what a ClusterPull returned.
+func NewClusterMetrics(snap Snapshot, errs map[protocol.SiteID]error) ClusterMetrics {
+	errMsgs := make(map[string]string, len(errs))
+	for id, err := range errs {
+		errMsgs[id.String()] = err.Error()
+	}
+	return ClusterMetrics{Metrics: snap, Errors: errMsgs}
+}
+
 // ClusterMetricsHandler serves the cluster metrics view over HTTP:
 // each request runs pull (typically a ClusterPull closure) and renders
 // the merged snapshot with any per-peer scrape errors. Peer failures
 // degrade to a partial view, exactly like /trace/cluster.
 func ClusterMetricsHandler(pull func(ctx context.Context) (Snapshot, map[protocol.SiteID]error)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		snap, errs := pull(r.Context())
-		errMsgs := make(map[string]string, len(errs))
-		for id, err := range errs {
-			errMsgs[id.String()] = err.Error()
-		}
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		enc.Encode(ClusterMetrics{Metrics: snap, Errors: errMsgs})
+		WriteJSON(w, http.StatusOK, NewClusterMetrics(pull(r.Context())))
 	}
 }

@@ -138,8 +138,10 @@ func (r *RepairObs) PageFetched(donor protocol.SiteID, installed, payloadBytes i
 	if payloadBytes > 0 {
 		r.bytes.Add(uint64(payloadBytes))
 	}
-	r.emit(Event{Kind: EvRepairPage, Op: protocol.OpRepair, Block: NoBlock, Lane: int(donor) + 1,
-		Detail: fmt.Sprintf("donor=%v installed=%d bytes=%d", donor, installed, payloadBytes)})
+	if r.o.tracer != nil {
+		r.emit(Event{Kind: EvRepairPage, Op: protocol.OpRepair, Block: NoBlock, Lane: int(donor) + 1,
+			Detail: fmt.Sprintf("donor=%v installed=%d bytes=%d", donor, installed, payloadBytes)})
+	}
 }
 
 // Round records one discovery round (a summary broadcast).
@@ -167,13 +169,15 @@ func (r *RepairObs) Demoted(donor protocol.SiteID, reason string) {
 		return
 	}
 	r.demotions.Inc()
-	r.emit(Event{Kind: EvRepairDonor, Op: protocol.OpRepair, Block: NoBlock, Lane: int(donor) + 1,
-		Detail: fmt.Sprintf("demoted donor=%v reason=%s", donor, reason)})
+	if r.o.tracer != nil {
+		r.emit(Event{Kind: EvRepairDonor, Op: protocol.OpRepair, Block: NoBlock, Lane: int(donor) + 1,
+			Detail: fmt.Sprintf("demoted donor=%v reason=%s", donor, reason)})
+	}
 }
 
 // Enlisted records the donor set selected at discovery.
 func (r *RepairObs) Enlisted(donors []protocol.SiteID, stale int) {
-	if r == nil {
+	if r == nil || r.o.tracer == nil {
 		return
 	}
 	r.emit(Event{Kind: EvRepairDonor, Op: protocol.OpRepair, Block: NoBlock,

@@ -1,9 +1,9 @@
 package slo
 
 import (
-	"encoding/json"
 	"net/http"
 
+	"relidev/internal/obs"
 	"relidev/internal/obs/health"
 )
 
@@ -18,13 +18,10 @@ func Handler(e *Engine) http.HandlerFunc {
 			http.Error(w, "slo engine disabled", http.StatusNotFound)
 			return
 		}
-		rep := e.Evaluate()
-		w.Header().Set("Content-Type", "application/json")
+		rep, status := e.Evaluate(), http.StatusOK
 		if rep.Overall >= health.Critical {
-			w.WriteHeader(http.StatusServiceUnavailable)
+			status = http.StatusServiceUnavailable
 		}
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		enc.Encode(rep)
+		obs.WriteJSON(w, status, rep)
 	}
 }

@@ -131,15 +131,6 @@ func NewEngine(db *tsdb.DB, clk clock.Clock, seal func(trigger string), slos ...
 	}
 }
 
-// Names returns the SLO names in evaluation order.
-func (e *Engine) Names() []string {
-	names := make([]string, len(e.slos))
-	for i, s := range e.slos {
-		names[i] = s.Name
-	}
-	return names
-}
-
 // burnRate turns a window's (bad, total) into a burn rate against the
 // SLO's error budget; a window with no traffic burns nothing.
 func burnRate(bad, total uint64, target float64) float64 {

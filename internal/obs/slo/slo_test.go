@@ -153,8 +153,8 @@ func TestDefaultsAndNames(t *testing.T) {
 	if st.FastWindowNs != DefaultFastNs || st.SlowWindowNs != DefaultSlowNs || st.BurnAlert != DefaultBurn {
 		t.Fatalf("defaults not applied: %+v", st)
 	}
-	if n := e.Names(); len(n) != 2 || n[0] != "a" || n[1] != "b" {
-		t.Fatalf("Names = %v", n)
+	if got := e.Evaluate().SLOs; len(got) != 2 || got[0].Name != "a" || got[1].Name != "b" {
+		t.Fatalf("evaluation order = %+v", got)
 	}
 }
 

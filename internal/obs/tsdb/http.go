@@ -1,9 +1,10 @@
 package tsdb
 
 import (
-	"encoding/json"
 	"net/http"
 	"time"
+
+	"relidev/internal/obs"
 )
 
 // Handler serves the ring as JSON at /timeseries:
@@ -13,9 +14,13 @@ import (
 //
 // Durations parse with time.ParseDuration. The handler only reads
 // ring snapshots under the DB lock, so serving it beside a live
-// sampler is safe.
+// sampler is safe. A nil DB answers 404.
 func Handler(db *DB) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
+		if db == nil {
+			http.Error(w, "telemetry disabled", http.StatusNotFound)
+			return
+		}
 		var windowNs, stepNs int64
 		if v := r.URL.Query().Get("window"); v != "" {
 			d, err := time.ParseDuration(v)
@@ -33,9 +38,6 @@ func Handler(db *DB) http.HandlerFunc {
 			}
 			stepNs = d.Nanoseconds()
 		}
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		enc.Encode(db.Query(windowNs, stepNs))
+		obs.WriteJSON(w, http.StatusOK, db.Query(windowNs, stepNs))
 	}
 }

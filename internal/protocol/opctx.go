@@ -31,16 +31,39 @@ const (
 
 type opCtxKey struct{}
 
-// WithOp labels ctx with the protocol-level operation the enclosed
-// messages belong to.
-func WithOp(ctx context.Context, op string) context.Context {
-	return context.WithValue(ctx, opCtxKey{}, op)
+// An OpScope is what one operation's context carries for the layers
+// below the controller: the label the transport attributes traffic to
+// and the recorder it charges wire time to (phasectx.go). Both ride one
+// context node, so opening a metered operation costs one WithValue.
+type OpScope struct {
+	Op     string
+	Phases PhaseRecorder
 }
 
-// CtxOp returns the operation label attached by WithOp, or "" when the
-// context is unlabelled (uninstrumented callers; their traffic is
-// counted only in the aggregate totals).
+// WithOpScope attaches s to ctx for the enclosed operation. The caller
+// owns s: the observability layer embeds it in the allocation it makes
+// per operation anyway.
+func WithOpScope(ctx context.Context, s *OpScope) context.Context {
+	return context.WithValue(ctx, opCtxKey{}, s)
+}
+
+func ctxScope(ctx context.Context) *OpScope {
+	s, _ := ctx.Value(opCtxKey{}).(*OpScope)
+	return s
+}
+
+// WithOp labels ctx with the protocol-level operation the enclosed
+// messages belong to, keeping any phase recorder already attached.
+func WithOp(ctx context.Context, op string) context.Context {
+	return WithOpScope(ctx, &OpScope{Op: op, Phases: CtxPhases(ctx)})
+}
+
+// CtxOp returns the operation label attached by WithOp or WithOpScope,
+// or "" when the context is unlabelled (uninstrumented callers; their
+// traffic is counted only in the aggregate totals).
 func CtxOp(ctx context.Context) string {
-	op, _ := ctx.Value(opCtxKey{}).(string)
-	return op
+	if s := ctxScope(ctx); s != nil {
+		return s.Op
+	}
+	return ""
 }

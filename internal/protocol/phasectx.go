@@ -42,17 +42,11 @@ type PhaseRecorder interface {
 	RecordPeerRTT(to SiteID, ns int64)
 }
 
-type phaseCtxKey struct{}
-
-// WithPhases attaches a phase recorder to ctx for the enclosed
-// operation.
-func WithPhases(ctx context.Context, r PhaseRecorder) context.Context {
-	return context.WithValue(ctx, phaseCtxKey{}, r)
-}
-
-// CtxPhases returns the phase recorder attached by WithPhases, or nil
-// when the operation is unattributed.
+// CtxPhases returns the phase recorder of the operation ctx belongs to
+// (OpScope.Phases), or nil when the operation is unattributed.
 func CtxPhases(ctx context.Context) PhaseRecorder {
-	r, _ := ctx.Value(phaseCtxKey{}).(PhaseRecorder)
-	return r
+	if s := ctxScope(ctx); s != nil {
+		return s.Phases
+	}
+	return nil
 }

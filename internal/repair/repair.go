@@ -215,7 +215,6 @@ func (p Policy) Deadline(stale int) time.Duration {
 // retries later.
 func (r *Repairer) Run(ctx context.Context) (Result, error) {
 	start := r.pol.Clock.Now()
-	ctx = r.cfg.Obs.Label(ctx, protocol.OpRepair)
 	ctx, sp := r.cfg.Obs.StartOp(ctx, protocol.OpRepair, obs.NoBlock)
 	// The whole pass is one repair-interference window: foreground
 	// operations at this site while the stream runs are counted and

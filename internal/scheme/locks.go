@@ -19,7 +19,8 @@ const opStripes = 64
 // serialise — preserving the paper's per-block semantics exactly as the
 // old controller-wide mutex did. Recovery takes the whole structure
 // exclusively: it mutates site-wide state (version vectors, was-available
-// sets) and must not interleave with in-flight operations.
+// sets) and must not interleave with in-flight operations. Controllers
+// take either through the Op bracket (BeginOp, BeginRecovery).
 //
 // Cross-site concurrency control is explicitly out of scope for the
 // paper (§5: no commit protocols); concurrent writes to one block from
@@ -43,10 +44,3 @@ func (l *OpLocks) UnlockOp(idx block.Index) {
 	l.stripes[uint64(idx)%opStripes].Unlock()
 	l.state.RUnlock()
 }
-
-// LockRecovery acquires the structure exclusively, waiting out every
-// in-flight block operation and blocking new ones.
-func (l *OpLocks) LockRecovery() { l.state.Lock() }
-
-// UnlockRecovery releases LockRecovery.
-func (l *OpLocks) UnlockRecovery() { l.state.Unlock() }

@@ -1,0 +1,95 @@
+package scheme
+
+import (
+	"context"
+	"errors"
+	"testing"
+
+	"relidev/internal/block"
+	"relidev/internal/obs"
+	"relidev/internal/protocol"
+)
+
+// bracketed runs one operation the way every controller method does:
+// acquire, deferred end, an availability gate, start, the body's error.
+func bracketed(l *OpLocks, ob *obs.SchemeObs, kind string, gate, body error) (err error) {
+	var op Op
+	if kind == protocol.OpRecovery {
+		op = l.BeginRecovery(ob)
+	} else {
+		op = l.BeginOp(ob, kind, block.Index(3))
+	}
+	defer op.End(&err)
+	if gate != nil {
+		return gate
+	}
+	ctx := op.Start(context.Background())
+	if got := protocol.CtxOp(ctx); ob != nil && got != kind {
+		return errors.New("context labelled " + got + ", want " + kind)
+	}
+	op.Participants = 2
+	return body
+}
+
+// TestOpBracketCounts: an operation refused at the gate counts no
+// attempt, a started one counts its outcome, and the lock is released
+// on every path (each call below would deadlock on a leaked stripe or
+// recovery exclusion).
+func TestOpBracketCounts(t *testing.T) {
+	o := obs.New()
+	ob := o.SchemeSite("voting", 0)
+	var l OpLocks
+	boom := errors.New("boom")
+	for _, kind := range []string{protocol.OpRead, protocol.OpWrite, protocol.OpRecovery} {
+		if err := bracketed(&l, ob, kind, ErrNotAvailable, nil); !errors.Is(err, ErrNotAvailable) {
+			t.Fatalf("%s gate: %v", kind, err)
+		}
+		if err := bracketed(&l, ob, kind, nil, nil); err != nil {
+			t.Fatalf("%s: %v", kind, err)
+		}
+		if err := bracketed(&l, ob, kind, nil, boom); err != boom {
+			t.Fatalf("%s failing body: %v", kind, err)
+		}
+		if err := bracketed(&l, nil, kind, nil, nil); err != nil {
+			t.Fatalf("%s unmetered: %v", kind, err)
+		}
+	}
+	snap := o.Snapshot()
+	for name, want := range map[string]uint64{
+		obs.MetricOpAttempts:     6, // three kinds × (completed + failed); refused and unmetered ones count nothing
+		obs.MetricOpCompletions:  3,
+		obs.MetricOpFailures:     3,
+		obs.MetricOpParticipants: 6,
+	} {
+		if got := snap.CounterTotal(name); got != want {
+			t.Errorf("%s = %d, want %d", name, got, want)
+		}
+	}
+}
+
+// TestOpBracketAllocs: on a metered, untraced handle the whole bracket
+// — acquire, start (label, phase recorder, span), end — allocates what
+// StartOp+Done alone do: the op's accumulator and its context node. The
+// bracket itself is a stack value.
+func TestOpBracketAllocs(t *testing.T) {
+	ob := obs.New().SchemeSite("voting", 0)
+	var l OpLocks
+	ctx := context.Background()
+	bare := testing.AllocsPerRun(200, func() {
+		_, sp := ob.StartOp(ctx, protocol.OpWrite, 3)
+		sp.Done(2, nil)
+	})
+	if bare != 2 {
+		t.Errorf("StartOp+Done = %v allocs, want 2", bare)
+	}
+	got := testing.AllocsPerRun(200, func() { bracketed(&l, ob, protocol.OpWrite, nil, nil) })
+	if got > bare {
+		t.Errorf("bracket = %v allocs, StartOp+Done alone = %v", got, bare)
+	}
+	if refused := testing.AllocsPerRun(200, func() { bracketed(&l, ob, protocol.OpWrite, ErrNotAvailable, nil) }); refused != 0 {
+		t.Errorf("refused op = %v allocs, want 0", refused)
+	}
+	if unmetered := testing.AllocsPerRun(200, func() { bracketed(&l, nil, protocol.OpRead, nil, nil) }); unmetered != 0 {
+		t.Errorf("unmetered op = %v allocs, want 0", unmetered)
+	}
+}

@@ -15,7 +15,6 @@ import (
 	"fmt"
 
 	"relidev/internal/block"
-	"relidev/internal/obs"
 	"relidev/internal/protocol"
 	"relidev/internal/scheme"
 	"relidev/internal/site"
@@ -200,15 +199,9 @@ func currentDataSite(votes []vote, ver block.Version) (vote, bool) {
 // extra transmission), then read locally.
 func (c *Controller) Read(ctx context.Context, idx block.Index) (_ []byte, err error) {
 	ob := c.env.Obs
-	lockT0 := ob.Now()
-	c.locks.LockOp(idx)
-	defer c.locks.UnlockOp(idx)
-	lockWait := ob.Now() - lockT0
-	ctx = ob.Label(ctx, protocol.OpRead)
-	ctx, sp := ob.StartOp(ctx, protocol.OpRead, int64(idx))
-	sp.AddLockWait(lockWait)
-	participants := 0
-	defer func() { sp.Done(participants, err) }()
+	op := c.locks.BeginOp(ob, protocol.OpRead, idx)
+	defer op.End(&err)
+	ctx = op.Start(ctx)
 
 	votes, weight, err := c.collect(ctx, idx)
 	if err != nil {
@@ -219,7 +212,7 @@ func (c *Controller) Read(ctx context.Context, idx block.Index) (_ []byte, err e
 		return nil, fmt.Errorf("voting read of %v: collected weight %d of %d required: %w",
 			idx, weight, c.readThreshold+1, scheme.ErrNoQuorum)
 	}
-	participants = len(votes)
+	op.Participants = len(votes)
 	best := maxVote(votes)
 	ob.VersionResolved(protocol.OpRead, idx, best.version)
 	self := c.env.Self
@@ -311,24 +304,9 @@ func (c *Controller) prepare(ctx context.Context, idx block.Index, data []byte) 
 // WithTwoRoundWrites every write uses the classic shape.
 func (c *Controller) Write(ctx context.Context, idx block.Index, data []byte) (err error) {
 	ob := c.env.Obs
-	lockT0 := ob.Now()
-	c.locks.LockOp(idx)
-	defer c.locks.UnlockOp(idx)
-	lockWait := ob.Now() - lockT0
-	ctx = ob.Label(ctx, protocol.OpWrite)
-	ctx, sp := ob.StartOp(ctx, protocol.OpWrite, int64(idx))
-	sp.AddLockWait(lockWait)
-	participants := 0
-	twoRound := false
-	defer func() {
-		sp.Done(participants, err)
-		if err == nil && twoRound {
-			// The §5 conformance checker separates the two write shapes:
-			// a two-round write costs one extra put broadcast (multicast)
-			// or u-1 extra puts (unicast) over a single-round one.
-			ob.WriteTwoRound(participants)
-		}
-	}()
+	op := c.locks.BeginOp(ob, protocol.OpWrite, idx)
+	defer op.End(&err)
+	ctx = op.Start(ctx)
 
 	var (
 		votes    []vote
@@ -337,7 +315,6 @@ func (c *Controller) Write(ctx context.Context, idx block.Index, data []byte) (e
 		proposed block.Version
 	)
 	if c.twoRound {
-		twoRound = true
 		votes, weight, err = c.collect(ctx, idx)
 	} else {
 		votes, weight, staged, proposed, err = c.prepare(ctx, idx, data)
@@ -358,7 +335,7 @@ func (c *Controller) Write(ctx context.Context, idx block.Index, data []byte) (e
 		return fmt.Errorf("voting write of %v: collected weight %d of %d required: %w",
 			idx, weight, c.writeThreshold+1, scheme.ErrNoQuorum)
 	}
-	participants = len(votes)
+	op.Participants = len(votes)
 
 	if !c.twoRound {
 		conflict := maxVote(votes).version >= proposed
@@ -384,7 +361,6 @@ func (c *Controller) Write(ctx context.Context, idx block.Index, data []byte) (e
 		// the classic put fan-out. Every staged site is among the voters,
 		// so the fan-out's strictly greater version supersedes every
 		// staged install.
-		twoRound = true
 	}
 	return c.finishTwoRound(ctx, idx, data, votes)
 }
@@ -525,6 +501,10 @@ func (c *Controller) finishTwoRound(ctx context.Context, idx block.Index, data [
 		return fmt.Errorf("voting write of %v: update installed at weight %d of %d required: %w",
 			idx, installed, c.writeThreshold+1, scheme.ErrNoQuorum)
 	}
+	// The §5 conformance checker separates the two write shapes: a
+	// two-round write costs one extra put broadcast (multicast) or u-1
+	// extra puts (unicast) over a single-round one.
+	ob.WriteTwoRound(len(votes))
 	return nil
 }
 
@@ -535,17 +515,11 @@ func (c *Controller) finishTwoRound(ctx context.Context, idx block.Index, data [
 // refreshes the whole device from the most current reachable site, which
 // is the file-level behaviour the paper improves upon.
 func (c *Controller) Recover(ctx context.Context) (err error) {
-	ob := c.env.Obs
-	lockT0 := ob.Now()
-	c.locks.LockRecovery()
-	defer c.locks.UnlockRecovery()
-	lockWait := ob.Now() - lockT0
+	op := c.locks.BeginRecovery(c.env.Obs)
+	defer op.End(&err)
+	ctx = op.Start(ctx)
+	op.Participants = 1
 	self := c.env.Self
-	ctx = ob.Label(ctx, protocol.OpRecovery)
-	ctx, sp := ob.StartOp(ctx, protocol.OpRecovery, obs.NoBlock)
-	sp.AddLockWait(lockWait)
-	participants := 1
-	defer func() { sp.Done(participants, err) }()
 	if !c.eager {
 		self.SetState(protocol.StateAvailable)
 		return nil
@@ -560,7 +534,7 @@ func (c *Controller) Recover(ctx context.Context) (err error) {
 		if res.Err != nil {
 			continue
 		}
-		participants++
+		op.Participants++
 		st, ok := res.Resp.(protocol.StatusReply)
 		if !ok || st.Witness {
 			continue // witnesses cannot supply blocks

@@ -31,7 +31,6 @@ package relidev
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
 	"time"
@@ -41,8 +40,8 @@ import (
 	"relidev/internal/core"
 	"relidev/internal/obs"
 	"relidev/internal/obs/health"
+	"relidev/internal/obs/plane"
 	"relidev/internal/obs/slo"
-	"relidev/internal/obs/tsdb"
 	"relidev/internal/protocol"
 	"relidev/internal/repair"
 	"relidev/internal/simnet"
@@ -456,12 +455,10 @@ type TrafficStats struct {
 // Cluster is an in-process reliable device: n replica sites joined by a
 // simulated network, each exposing the device.
 type Cluster struct {
-	inner  *core.Cluster
-	obs    *obs.Observer
-	health *health.Engine
-	tsdb   *tsdb.DB
-	slo    *slo.Engine
-	step   time.Duration
+	inner *core.Cluster
+	// plane is the observability stack (nil when unmetered); it has no
+	// flight recorder — nothing in an in-process cluster drives one.
+	plane *plane.Plane
 }
 
 // New builds a cluster of n sites running the given consistency scheme.
@@ -494,15 +491,27 @@ func New(n int, scheme Scheme, opts ...Option) (*Cluster, error) {
 	if o.immediateW {
 		cfg.AvailCopyOptions = append(cfg.AvailCopyOptions, availcopy.WithImmediateW())
 	}
-	var observer *obs.Observer
-	if o.metered {
-		var obsOpts []obs.Option
-		if o.traceCap > 0 {
-			obsOpts = append(obsOpts, obs.WithTracing(o.traceCap))
-		}
-		observer = obs.New(obsOpts...)
-		cfg.Observer = observer
+	if !o.metered {
+		o.healthRules = nil // WithHealthRules requires WithMetering
 	}
+	if o.telemetry && o.telemetryStep <= 0 {
+		o.telemetryStep = time.Second
+	}
+	c := new(Cluster)
+	var err error
+	c.plane, err = plane.New(plane.Config{
+		Metered:     o.metered,
+		TraceCap:    o.traceCap,
+		HealthRules: o.healthRules,
+		StepNs:      o.telemetryStep.Nanoseconds(),
+		Retain:      o.telemetryKeep,
+		SLOs:        o.slos,
+		Pull:        c.clusterPull,
+	})
+	if err != nil {
+		return nil, fmt.Errorf("relidev: %w", err)
+	}
+	cfg.Observer = c.plane.Observer()
 	if o.storeDir != "" {
 		dir, segmented := o.storeDir, o.segmentStores
 		cfg.NewStore = func(id protocol.SiteID, geom Geometry) (store.Store, error) {
@@ -525,62 +534,14 @@ func New(n int, scheme Scheme, opts ...Option) (*Cluster, error) {
 			if err != nil {
 				return nil, err
 			}
-			batchOpts := storeObsOpts(observer, id)
-			return store.NewBatcher(st, policy, batchOpts...), nil
+			return store.NewBatcher(st, policy, storeObsOpts(cfg.Observer, id)...), nil
 		}
 	}
-	inner, err := core.NewCluster(cfg)
+	c.inner, err = core.NewCluster(cfg)
 	if err != nil {
 		return nil, err
 	}
-	c := &Cluster{inner: inner, obs: observer}
-	if observer != nil && len(o.healthRules) > 0 {
-		c.health = health.NewEngine(observer.Snapshot, observer.Clock(), o.healthRules...)
-	}
-	if o.telemetry {
-		if o.telemetryStep <= 0 {
-			o.telemetryStep = time.Second
-		}
-		if o.telemetryKeep <= 0 {
-			o.telemetryKeep = 600
-		}
-		c.step = o.telemetryStep
-		c.tsdb = tsdb.New(tsdb.Config{
-			Clock:  observer.Clock(),
-			Source: observer.Snapshot,
-			StepNs: o.telemetryStep.Nanoseconds(),
-			Retain: o.telemetryKeep,
-		})
-		if len(o.slos) > 0 {
-			c.slo = slo.NewEngine(c.tsdb, observer.Clock(), nil, o.slos...)
-		}
-	}
-	if observer != nil {
-		for i := 0; i < inner.Sites(); i++ {
-			c.installTelemetryHook(protocol.SiteID(i))
-		}
-	}
 	return c, nil
-}
-
-// installTelemetryHook makes one site answer TelemetryPull requests
-// with its slice of the shared registry: every series carrying the
-// site's own "site" label. The aggregation plane's merge of all slices
-// plus the aggregator's site-less residue reconstructs the full
-// snapshot exactly — in-process clusters share one registry, so the
-// partition is by label, not by process.
-func (c *Cluster) installTelemetryHook(id protocol.SiteID) {
-	rep, err := c.inner.Replica(id)
-	if err != nil {
-		return
-	}
-	want := id.String()
-	rep.SetTelemetryHook(func() []byte {
-		return obs.EncodeSnapshot(obs.FilterSnapshot(c.obs.Snapshot(),
-			func(name string, labels map[string]string) bool {
-				return labels["site"] == want
-			}))
-	})
 }
 
 // storeObsOpts wires a site's group-commit batcher to the observer:
@@ -657,12 +618,6 @@ func (c *Cluster) AvailableSites() int { return c.inner.AvailableCount() }
 // new membership.
 func (c *Cluster) Grow(ctx context.Context) (int, error) {
 	id, err := c.inner.Grow(ctx)
-	if err == nil && c.obs != nil {
-		// The new site joins the aggregation plane too: without a hook it
-		// would answer telemetry pulls with an empty snapshot and its
-		// series would silently drop from the cluster view.
-		c.installTelemetryHook(id)
-	}
 	return int(id), err
 }
 
@@ -687,18 +642,23 @@ func (c *Cluster) Traffic() TrafficStats {
 // ResetTraffic zeroes the traffic counters.
 func (c *Cluster) ResetTraffic() { c.inner.Network().ResetStats() }
 
-// ErrNotMetered is returned by the observability accessors when the
-// cluster was built without WithMetering.
-var ErrNotMetered = errors.New("relidev: cluster not built with WithMetering")
+// The observability accessors' typed refusals, on a Cluster and on a
+// RemoteSite alike: each names the option the host was built without.
+var (
+	ErrNotMetered    = plane.ErrNotMetered    // WithMetering / RemoteConfig.Metered
+	ErrNoHealthRules = plane.ErrNoHealthRules // WithHealthRules / HealthRules
+	ErrNoTelemetry   = plane.ErrNoTelemetry   // WithTelemetry / TelemetryStep
+	ErrNoSLOs        = plane.ErrNoSLOs        // WithSLOs / SLOs
+)
 
 // MetricsJSON returns the current metering snapshot — counters, gauges,
 // and latency histograms for every scheme/site/op series — encoded as
 // JSON. It requires WithMetering.
 func (c *Cluster) MetricsJSON() ([]byte, error) {
-	if c.obs == nil {
+	if c.plane == nil {
 		return nil, ErrNotMetered
 	}
-	return json.Marshal(c.obs.Snapshot())
+	return json.Marshal(c.plane.Observer().Snapshot())
 }
 
 // DebugHandler returns the observability HTTP surface (/metrics,
@@ -707,31 +667,7 @@ func (c *Cluster) MetricsJSON() ([]byte, error) {
 // /healthz, /timeseries, /slo) for this cluster, or an error when the
 // cluster was built without WithMetering. Mount it on any server the
 // embedding application already runs.
-func (c *Cluster) DebugHandler() (http.Handler, error) {
-	if c.obs == nil {
-		return nil, ErrNotMetered
-	}
-	mux := obs.NewDebugMux(c.obs)
-	if c.health != nil {
-		mux.HandleFunc("/healthz", health.Handler(c.health))
-	}
-	mux.HandleFunc("/cluster/metrics", obs.ClusterMetricsHandler(c.clusterPull))
-	if c.tsdb != nil {
-		mux.HandleFunc("/timeseries", tsdb.Handler(c.tsdb))
-	}
-	if c.slo != nil {
-		mux.HandleFunc("/slo", slo.Handler(c.slo))
-	}
-	return mux, nil
-}
-
-// ErrNoTelemetry is returned by the telemetry accessors when the
-// cluster was built without WithTelemetry.
-var ErrNoTelemetry = errors.New("relidev: cluster not built with WithTelemetry")
-
-// ErrNoSLOs is returned by Cluster.SLOs when the cluster was built
-// without WithSLOs.
-var ErrNoSLOs = errors.New("relidev: cluster not built with WithSLOs")
+func (c *Cluster) DebugHandler() (http.Handler, error) { return c.plane.DebugHandler() }
 
 // SampleTelemetry records one frame into the telemetry ring: the delta
 // of every counter and histogram since the previous frame plus current
@@ -739,20 +675,18 @@ var ErrNoSLOs = errors.New("relidev: cluster not built with WithSLOs")
 // never starts its own timer, so sampling stays under the caller's
 // scheduling (and deterministic harnesses replay it exactly).
 func (c *Cluster) SampleTelemetry() error {
-	if c.tsdb == nil {
-		return ErrNoTelemetry
+	db, err := c.plane.Ring()
+	if err == nil {
+		db.Sample()
 	}
-	c.tsdb.Sample()
-	return nil
+	return err
 }
 
 // TelemetryStep returns the nominal sampling cadence configured with
 // WithTelemetry, for pollers that drive SampleTelemetry.
 func (c *Cluster) TelemetryStep() (time.Duration, error) {
-	if c.tsdb == nil {
-		return 0, ErrNoTelemetry
-	}
-	return c.step, nil
+	db, err := c.plane.Ring()
+	return time.Duration(db.StepNs()), err
 }
 
 // TimeSeriesJSON returns the telemetry ring's retained history — every
@@ -760,25 +694,18 @@ func (c *Cluster) TelemetryStep() (time.Duration, error) {
 // the whole retention at the sampling step) — encoded as JSON, the same
 // shape /timeseries serves.
 func (c *Cluster) TimeSeriesJSON(window, step time.Duration) ([]byte, error) {
-	if c.tsdb == nil {
-		return nil, ErrNoTelemetry
+	db, err := c.plane.Ring()
+	if err != nil {
+		return nil, err
 	}
-	return json.Marshal(c.tsdb.Query(window.Nanoseconds(), step.Nanoseconds()))
+	return json.Marshal(db.Query(window.Nanoseconds(), step.Nanoseconds()))
 }
 
 // SLOs evaluates every configured objective's burn rates against the
 // telemetry ring and returns the report — the same evaluation /slo
 // serves. Requires WithSLOs (and telemetry samples to measure from;
 // windows with no samples burn nothing).
-func (c *Cluster) SLOs() (SLOReport, error) {
-	if c.tsdb == nil {
-		return SLOReport{}, ErrNoTelemetry
-	}
-	if c.slo == nil {
-		return SLOReport{}, ErrNoSLOs
-	}
-	return c.slo.Evaluate(), nil
-}
+func (c *Cluster) SLOs() (SLOReport, error) { return c.plane.SLOs() }
 
 // clusterPull assembles the cluster metrics view over the cluster's
 // own network: the aggregator (site 0's vantage) broadcasts a
@@ -795,7 +722,7 @@ func (c *Cluster) clusterPull(ctx context.Context) (obs.Snapshot, map[protocol.S
 	}
 	self := protocol.SiteID(0).String()
 	local := func() obs.Snapshot {
-		return obs.FilterSnapshot(c.obs.Snapshot(),
+		return obs.FilterSnapshot(c.plane.Observer().Snapshot(),
 			func(name string, labels map[string]string) bool {
 				site := labels["site"]
 				return site == "" || site == self
@@ -810,34 +737,14 @@ func (c *Cluster) clusterPull(ctx context.Context) (obs.Snapshot, map[protocol.S
 // as the same JSON shape /cluster/metrics serves. Requires
 // WithMetering.
 func (c *Cluster) ClusterMetricsJSON(ctx context.Context) ([]byte, error) {
-	if c.obs == nil {
-		return nil, ErrNotMetered
-	}
-	snap, errs := c.clusterPull(ctx)
-	errMsgs := make(map[string]string, len(errs))
-	for id, err := range errs {
-		errMsgs[id.String()] = err.Error()
-	}
-	return json.Marshal(obs.ClusterMetrics{Metrics: snap, Errors: errMsgs})
+	return c.plane.ClusterMetricsJSON(ctx)
 }
-
-// ErrNoHealthRules is returned by Cluster.Health when the cluster was
-// built without WithHealthRules.
-var ErrNoHealthRules = errors.New("relidev: cluster not built with WithHealthRules")
 
 // Health evaluates the health rule set against the current metrics and
 // returns the verdict: per-rule firing/active states (with hysteresis)
 // and the overall severity fold. Requires WithMetering and
 // WithHealthRules.
-func (c *Cluster) Health() (HealthVerdict, error) {
-	if c.obs == nil {
-		return HealthVerdict{}, ErrNotMetered
-	}
-	if c.health == nil {
-		return HealthVerdict{}, ErrNoHealthRules
-	}
-	return c.health.Evaluate(), nil
-}
+func (c *Cluster) Health() (HealthVerdict, error) { return c.plane.Health() }
 
 // CriticalPathProfile is the cluster-wide critical-path attribution:
 // per-scheme/op phase breakdowns (lock wait, fan-out, rpc, local
@@ -850,12 +757,7 @@ type CriticalPathProfile = obs.Profile
 // metrics. The partition phases of each op class sum to its measured
 // end-to-end latency (Coverage reports the ratio), so the breakdown
 // answers "where did the time go" exactly. Requires WithMetering.
-func (c *Cluster) CriticalPath() (*CriticalPathProfile, error) {
-	if c.obs == nil {
-		return nil, ErrNotMetered
-	}
-	return c.obs.CriticalPath(), nil
-}
+func (c *Cluster) CriticalPath() (*CriticalPathProfile, error) { return c.plane.CriticalPath() }
 
 // TraceSpan is one node of a stitched trace tree: an operation, a
 // client-side RPC, or a remote site's server-side handling, linked to
@@ -900,10 +802,11 @@ func (t *TraceTree) Complete() bool { return t.Root != nil && len(t.Orphans) == 
 // span tree per traced operation (newest operations last). It requires
 // WithTracing; a cluster built without it returns ErrNotMetered.
 func (c *Cluster) TraceTrees() ([]*TraceTree, error) {
-	if c.obs == nil || c.obs.Tracer() == nil {
+	o := c.plane.Observer()
+	if o.Tracer() == nil {
 		return nil, ErrNotMetered
 	}
-	trees := c.obs.TraceTrees()
+	trees := o.TraceTrees()
 	out := make([]*TraceTree, len(trees))
 	for i, t := range trees {
 		out[i] = publicTree(t)

@@ -468,6 +468,26 @@ func TestRemoteConfigValidation(t *testing.T) {
 	}); err == nil {
 		t.Fatal("accepted unknown scheme")
 	}
+	// Every observability part names what it reads; asking for one
+	// without it is refused, not silently dropped.
+	for name, mutate := range map[string]func(*relidev.RemoteConfig){
+		"health rules without Metered": func(c *relidev.RemoteConfig) {
+			c.HealthRules = relidev.DefaultHealthRules(relidev.Voting, 1, nil)
+		},
+		"telemetry without Metered": func(c *relidev.RemoteConfig) { c.TelemetryStep = time.Second },
+		"negative telemetry step":   func(c *relidev.RemoteConfig) { c.Metered, c.TelemetryStep = true, -time.Second },
+		"SLOs without TelemetryStep": func(c *relidev.RemoteConfig) {
+			c.Metered = true
+			c.SLOs = []relidev.SLO{relidev.WriteAvailabilitySLO(relidev.Voting, 0.9, relidev.SLOWindows{})}
+		},
+	} {
+		cfg := relidev.RemoteConfig{Self: 0, Peers: map[int]string{0: "127.0.0.1:0"}, Scheme: relidev.Voting}
+		mutate(&cfg)
+		if s, err := relidev.OpenRemote(cfg); err == nil {
+			s.Close()
+			t.Errorf("accepted %s", name)
+		}
+	}
 }
 
 func TestErrMustWaitSurfaces(t *testing.T) {
@@ -626,8 +646,8 @@ func TestTraceTreeSurface(t *testing.T) {
 }
 
 // TestHealthSurface exercises the public health engine: default rules,
-// the on-demand verdict, the /healthz endpoint, and the unconfigured
-// error paths.
+// the on-demand verdict, and the unconfigured error paths (the /healthz
+// route is in TestHostDebugSurfaceParity's table).
 func TestHealthSurface(t *testing.T) {
 	ctx := context.Background()
 	cluster, err := relidev.New(3, relidev.Voting,
@@ -660,28 +680,7 @@ func TestHealthSurface(t *testing.T) {
 		t.Fatalf("fresh healthy cluster reports %v: %+v", v.Overall, v.Rules)
 	}
 
-	h, err := cluster.DebugHandler()
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := httptest.NewServer(h)
-	defer srv.Close()
-	resp, err := http.Get(srv.URL + "/healthz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != 200 {
-		t.Fatalf("/healthz = %d:\n%s", resp.StatusCode, body)
-	}
-	if !strings.Contains(string(body), `"overall": "ok"`) {
-		t.Errorf("/healthz body lacks the overall verdict:\n%s", body)
-	}
-
-	// Metered but no rules: typed error, and /healthz stays unmounted
-	// (the mux serves /metrics at "/" so any path answers, but the
-	// health handler specifically is absent — probe via Health()).
+	// Metered but no rules: typed error.
 	noRules, err := relidev.New(3, relidev.Voting, relidev.WithMetering())
 	if err != nil {
 		t.Fatal(err)
@@ -769,8 +768,8 @@ func TestCriticalPathSurface(t *testing.T) {
 }
 
 // TestRemoteObservabilitySurface: a metered remote site with health
-// rules serves /healthz, /debug/flight, and /profile on its debug
-// handler, and answers Health()/CriticalPath() directly.
+// rules answers Health()/CriticalPath() directly (its debug routes are
+// in TestHostDebugSurfaceParity's table).
 func TestRemoteObservabilitySurface(t *testing.T) {
 	ctx := context.Background()
 	geom := relidev.Geometry{BlockSize: 64, NumBlocks: 8}
@@ -828,30 +827,5 @@ func TestRemoteObservabilitySurface(t *testing.T) {
 	}
 	if len(p.Ops) == 0 {
 		t.Fatal("remote critical path profile is empty")
-	}
-
-	h, err := sites[0].DebugHandler()
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := httptest.NewServer(h)
-	defer srv.Close()
-	for path, want := range map[string]string{
-		"/healthz":      `"overall"`,
-		"/debug/flight": `"trigger": "http request"`,
-		"/profile":      `"ops"`,
-	} {
-		resp, err := http.Get(srv.URL + path)
-		if err != nil {
-			t.Fatalf("GET %s: %v", path, err)
-		}
-		body, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != 200 {
-			t.Errorf("GET %s = %d:\n%s", path, resp.StatusCode, body)
-		}
-		if !strings.Contains(string(body), want) {
-			t.Errorf("GET %s body lacks %q:\n%s", path, want, body)
-		}
 	}
 }

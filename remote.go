@@ -2,30 +2,24 @@ package relidev
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io/fs"
 	"net/http"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
-	"relidev/internal/availcopy"
 	"relidev/internal/block"
 	"relidev/internal/core"
-	"relidev/internal/naiveac"
 	"relidev/internal/obs"
 	"relidev/internal/obs/flight"
-	"relidev/internal/obs/health"
-	"relidev/internal/obs/slo"
-	"relidev/internal/obs/tsdb"
+	"relidev/internal/obs/plane"
 	"relidev/internal/protocol"
 	"relidev/internal/rpcnet"
 	"relidev/internal/scheme"
 	"relidev/internal/site"
 	"relidev/internal/store"
-	"relidev/internal/voting"
 )
 
 // RemoteConfig describes one site of a reliable device deployed as real
@@ -104,11 +98,7 @@ type RemoteSite struct {
 	transport protocol.Transport
 	ctrl      scheme.Controller
 	device    *core.ReliableDevice
-	obs       *obs.Observer
-	health    *health.Engine
-	flight    *flight.Recorder
-	tsdb      *tsdb.DB
-	slo       *slo.Engine
+	plane     *plane.Plane // nil when not Metered
 	// stopPoll is closed by Close to stop the telemetry poller and
 	// pollDone by the poller as it exits; both are nil when no poller
 	// runs, and neither is reassigned after OpenRemote.
@@ -128,36 +118,43 @@ func OpenRemote(cfg RemoteConfig) (*RemoteSite, error) {
 	if len(cfg.Peers) == 0 {
 		return nil, errors.New("relidev: remote config needs peer addresses")
 	}
-	if cfg.TelemetryStep < 0 {
-		return nil, fmt.Errorf("relidev: negative telemetry step %v", cfg.TelemetryStep)
-	}
-	if cfg.TelemetryStep > 0 && !cfg.Metered {
-		return nil, errors.New("relidev: telemetry requires Metered")
-	}
-	if len(cfg.SLOs) > 0 && cfg.TelemetryStep == 0 {
-		return nil, errors.New("relidev: SLOs require TelemetryStep")
-	}
 	selfAddr, ok := cfg.Peers[cfg.Self]
 	if !ok {
 		return nil, fmt.Errorf("relidev: peers map has no entry for self (%d)", cfg.Self)
 	}
+	self := protocol.SiteID(cfg.Self)
 
-	var observer *obs.Observer
-	if cfg.Metered {
-		observer = obs.New(obs.WithTracing(4096))
+	// The black-box recorder rides the plane (the poller feeds it, a
+	// critical verdict or an exhausted budget seals it); the failure
+	// detector's suspect set is this host's own probe.
+	rs := &RemoteSite{cfg: cfg}
+	var err error
+	rs.plane, err = plane.New(plane.Config{
+		Metered:     cfg.Metered,
+		TraceCap:    4096,
+		Flight:      true,
+		Probes:      []flight.Source{flight.Suspects(func() protocol.SiteSet { return rs.client.SuspectSet() })},
+		HealthRules: cfg.HealthRules,
+		StepNs:      cfg.TelemetryStep.Nanoseconds(),
+		Retain:      cfg.TelemetryRetain,
+		SLOs:        cfg.SLOs,
+		Pull:        rs.clusterPull,
+	})
+	if err != nil {
+		return nil, fmt.Errorf("relidev: %w", err)
 	}
+	observer := rs.plane.Observer()
 
 	var st store.Store
-	var err error
 	switch {
 	case cfg.StoreDir != "":
 		st, err = store.OpenSeg(cfg.StoreDir)
-		if isNotExist(err) || errors.Is(err, store.ErrNoSegments) {
+		if errors.Is(err, fs.ErrNotExist) || errors.Is(err, store.ErrNoSegments) {
 			st, err = store.CreateSeg(cfg.StoreDir, cfg.Geometry)
 		}
 	case cfg.StorePath != "":
 		st, err = store.OpenFile(cfg.StorePath)
-		if errors.Is(err, store.ErrBadImage) || isNotExist(err) {
+		if errors.Is(err, store.ErrBadImage) || errors.Is(err, fs.ErrNotExist) {
 			st, err = store.CreateFile(cfg.StorePath, cfg.Geometry)
 		}
 	default:
@@ -170,18 +167,14 @@ func OpenRemote(cfg RemoteConfig) (*RemoteSite, error) {
 		st = store.NewBatcher(st, store.BatchPolicy{
 			MaxDelay: cfg.GroupCommitDelay,
 			MaxBatch: cfg.GroupCommitBatch,
-		}, storeObsOpts(observer, protocol.SiteID(cfg.Self))...)
+		}, storeObsOpts(observer, self)...)
 	}
 
 	initial := protocol.StateAvailable
 	if cfg.Comatose {
 		initial = protocol.StateComatose
 	}
-	replica, err := site.New(site.Config{
-		ID:           protocol.SiteID(cfg.Self),
-		Store:        st,
-		InitialState: initial,
-	})
+	rs.replica, err = site.New(site.Config{ID: self, Store: st, InitialState: initial})
 	if err != nil {
 		st.Close()
 		return nil, err
@@ -193,110 +186,28 @@ func OpenRemote(cfg RemoteConfig) (*RemoteSite, error) {
 		addrs[protocol.SiteID(id)] = addr
 		ids = append(ids, protocol.SiteID(id))
 	}
-	sortSiteIDs(ids)
-	client, err := rpcnet.NewClient(protocol.SiteID(cfg.Self), addrs, cfg.Timeout)
+	slices.Sort(ids)
+	rs.client, err = rpcnet.NewClient(self, addrs, cfg.Timeout)
 	if err != nil {
 		st.Close()
 		return nil, err
 	}
-
-	weights := make([]int64, len(ids))
-	for i := range weights {
-		weights[i] = 1000
+	// Metering wraps the client, so it sees what the controller sends.
+	rs.transport = obs.WrapTransport(observer, "rpc", rs.client, ids)
+	rs.ctrl, err = core.WireSite(core.ClusterConfig{Scheme: cfg.Scheme.kind(), Observer: observer},
+		rs.replica, rs.transport, ids, false)
+	if err == nil {
+		rs.device, err = core.NewReliableDevice(cfg.Geometry, rs.ctrl)
 	}
-	if len(ids)%2 == 0 {
-		weights[0]++
-	}
-	var transport protocol.Transport = client
-	if observer != nil {
-		transport = obs.WrapTransport(observer, "rpc", transport, ids)
-	}
-	env := scheme.Env{Self: replica, Transport: transport, Sites: ids, Weights: weights}
-	if observer != nil {
-		env.Obs = observer.SchemeSite(cfg.Scheme.String(), protocol.SiteID(cfg.Self))
-		replica.SetWTransitionHook(env.Obs.WTransition)
-		if hook := observer.HandleHook(cfg.Scheme.String(), protocol.SiteID(cfg.Self)); hook != nil {
-			replica.SetHandleHook(hook)
-		}
-	}
-	var ctrl scheme.Controller
-	switch cfg.Scheme {
-	case Voting:
-		ctrl, err = voting.New(env)
-	case AvailableCopy:
-		ctrl, err = availcopy.New(env)
-	case NaiveAvailableCopy:
-		ctrl, err = naiveac.New(env)
-	default:
-		err = fmt.Errorf("relidev: unknown scheme %v", cfg.Scheme)
+	if err == nil {
+		rs.server, err = rpcnet.Serve(selfAddr, rs.replica)
 	}
 	if err != nil {
-		client.Close()
+		rs.client.Close()
 		st.Close()
 		return nil, err
-	}
-
-	server, err := rpcnet.Serve(selfAddr, replica)
-	if err != nil {
-		client.Close()
-		st.Close()
-		return nil, err
-	}
-	dev, err := core.NewReliableDevice(cfg.Geometry, ctrl)
-	if err != nil {
-		server.Close()
-		client.Close()
-		st.Close()
-		return nil, err
-	}
-	rs := &RemoteSite{
-		cfg:       cfg,
-		replica:   replica,
-		server:    server,
-		client:    client,
-		transport: transport,
-		ctrl:      ctrl,
-		device:    dev,
-		obs:       observer,
-	}
-	if observer != nil {
-		// The black-box recorder rides the debug surface: each
-		// /debug/flight request snapshots the live signals — metrics
-		// deltas, the trace tail, the failure detector's suspect set,
-		// repair lag, batcher occupancy — and seals the ring into a dump.
-		rs.flight = flight.New(observer.Clock(), 64,
-			flight.MetricsDelta(observer),
-			flight.TraceTail(observer, 64),
-			flight.Suspects(client.SuspectSet),
-			flight.RepairLag(observer),
-			flight.Occupancy(observer),
-		)
-		if len(cfg.HealthRules) > 0 {
-			rs.health = health.NewEngine(observer.Snapshot, observer.Clock(), cfg.HealthRules...)
-		}
-		// Answer peers' TelemetryPull scrapes with the full local
-		// registry: separate processes hold genuinely separate
-		// registries, so unlike the in-process cluster there is no
-		// site-label slicing to do — the whole snapshot is this site's
-		// contribution.
-		replica.SetTelemetryHook(func() []byte {
-			return obs.EncodeSnapshot(observer.Snapshot())
-		})
 	}
 	if cfg.TelemetryStep > 0 {
-		retain := cfg.TelemetryRetain
-		if retain <= 0 {
-			retain = 600
-		}
-		rs.tsdb = tsdb.New(tsdb.Config{
-			Clock:  observer.Clock(),
-			Source: observer.Snapshot,
-			StepNs: cfg.TelemetryStep.Nanoseconds(),
-			Retain: retain,
-		})
-		if len(cfg.SLOs) > 0 {
-			rs.slo = slo.NewEngine(rs.tsdb, observer.Clock(), rs.sealOnExhaustion, cfg.SLOs...)
-		}
 		rs.stopPoll = make(chan struct{})
 		rs.pollDone = make(chan struct{})
 		go rs.poll(cfg.TelemetryStep)
@@ -304,9 +215,10 @@ func OpenRemote(cfg RemoteConfig) (*RemoteSite, error) {
 	return rs, nil
 }
 
-// poll drives the telemetry plane on the deployment cadence: sample the
-// registry into the ring, then re-evaluate the burn rates so budget
-// exhaustion seals the flight recorder even with nobody polling /slo.
+// poll drives the plane on the deployment cadence: one flight frame,
+// one registry sample and one burn-rate evaluation per step, so budget
+// exhaustion seals a recorder that holds the frames leading up to it
+// even with nobody polling /slo.
 func (r *RemoteSite) poll(step time.Duration) {
 	defer close(r.pollDone)
 	t := time.NewTicker(step)
@@ -314,48 +226,23 @@ func (r *RemoteSite) poll(step time.Duration) {
 	for {
 		select {
 		case <-t.C:
-			r.tsdb.Sample()
-			if r.slo != nil {
-				r.slo.Evaluate()
-			}
+			r.plane.Step("poll", false)
 		case <-r.stopPoll:
 			return
 		}
 	}
 }
 
-// sealOnExhaustion is the SLO engine's seal hook: the forensic ring is
-// frozen at the moment an error budget runs out, retrievable later via
-// /debug/flight (flight.Recorder.LastDump).
-func (r *RemoteSite) sealOnExhaustion(trigger string) {
-	if r.flight != nil {
-		r.flight.Seal(trigger)
-	}
-}
-
 // DebugHandler returns this site's observability HTTP surface
 // (/metrics, /metrics.prom, /trace, /trace/tree, /profile,
-// /debug/flight, /debug/pprof/, /cluster/metrics, and — with the
-// matching RemoteConfig options — /healthz, /timeseries, /slo), or
-// ErrNotMetered when the site was opened without RemoteConfig.Metered.
-func (r *RemoteSite) DebugHandler() (http.Handler, error) {
-	if r.obs == nil {
-		return nil, ErrNotMetered
-	}
-	mux := obs.NewDebugMux(r.obs)
-	mux.HandleFunc("/debug/flight", flight.Handler(r.flight))
-	if r.health != nil {
-		mux.HandleFunc("/healthz", health.Handler(r.health))
-	}
-	mux.HandleFunc("/cluster/metrics", obs.ClusterMetricsHandler(r.clusterPull))
-	if r.tsdb != nil {
-		mux.HandleFunc("/timeseries", tsdb.Handler(r.tsdb))
-	}
-	if r.slo != nil {
-		mux.HandleFunc("/slo", slo.Handler(r.slo))
-	}
-	return mux, nil
-}
+// /debug/flight, /debug/flight/sealed, /debug/pprof/, /cluster/metrics,
+// and — with the matching RemoteConfig options — /healthz, /timeseries,
+// /slo), or ErrNotMetered when the site was opened without
+// RemoteConfig.Metered. /debug/flight records one more frame and
+// returns an on-demand dump; /debug/flight/sealed returns the dump the
+// first trigger sealed (a critical health verdict, an exhausted error
+// budget), 404 while nothing has.
+func (r *RemoteSite) DebugHandler() (http.Handler, error) { return r.plane.DebugHandler() }
 
 // clusterPull assembles the cluster metrics view from this site's
 // vantage: a TelemetryPull broadcast to every peer over the real RPC
@@ -371,8 +258,8 @@ func (r *RemoteSite) clusterPull(ctx context.Context) (obs.Snapshot, map[protoco
 			peers = append(peers, protocol.SiteID(id))
 		}
 	}
-	sortSiteIDs(peers)
-	return obs.ClusterPull(ctx, r.transport, protocol.SiteID(r.cfg.Self), peers, r.obs.Snapshot)
+	slices.Sort(peers)
+	return obs.ClusterPull(ctx, r.transport, protocol.SiteID(r.cfg.Self), peers, r.plane.Observer().Snapshot)
 }
 
 // ClusterMetricsJSON returns the cross-site aggregated metrics view —
@@ -381,50 +268,22 @@ func (r *RemoteSite) clusterPull(ctx context.Context) (obs.Snapshot, map[protoco
 // same JSON shape /cluster/metrics serves. Requires
 // RemoteConfig.Metered.
 func (r *RemoteSite) ClusterMetricsJSON(ctx context.Context) ([]byte, error) {
-	if r.obs == nil {
-		return nil, ErrNotMetered
-	}
-	snap, errs := r.clusterPull(ctx)
-	errMsgs := make(map[string]string, len(errs))
-	for id, err := range errs {
-		errMsgs[id.String()] = err.Error()
-	}
-	return json.Marshal(obs.ClusterMetrics{Metrics: snap, Errors: errMsgs})
+	return r.plane.ClusterMetricsJSON(ctx)
 }
 
 // SLOs re-evaluates every configured objective against the telemetry
 // ring and returns the report — the same evaluation /slo serves.
 // Requires RemoteConfig.SLOs.
-func (r *RemoteSite) SLOs() (SLOReport, error) {
-	if r.tsdb == nil {
-		return SLOReport{}, ErrNoTelemetry
-	}
-	if r.slo == nil {
-		return SLOReport{}, ErrNoSLOs
-	}
-	return r.slo.Evaluate(), nil
-}
+func (r *RemoteSite) SLOs() (SLOReport, error) { return r.plane.SLOs() }
 
 // Health evaluates the site's health rule set against its current
-// metrics. Requires RemoteConfig.Metered and HealthRules.
-func (r *RemoteSite) Health() (HealthVerdict, error) {
-	if r.obs == nil {
-		return HealthVerdict{}, ErrNotMetered
-	}
-	if r.health == nil {
-		return HealthVerdict{}, ErrNoHealthRules
-	}
-	return r.health.Evaluate(), nil
-}
+// metrics; a critical verdict seals the flight recorder. Requires
+// RemoteConfig.Metered and HealthRules.
+func (r *RemoteSite) Health() (HealthVerdict, error) { return r.plane.Health() }
 
 // CriticalPath computes this site's critical-path profile from its
 // current metrics. Requires RemoteConfig.Metered.
-func (r *RemoteSite) CriticalPath() (*CriticalPathProfile, error) {
-	if r.obs == nil {
-		return nil, ErrNotMetered
-	}
-	return r.obs.CriticalPath(), nil
-}
+func (r *RemoteSite) CriticalPath() (*CriticalPathProfile, error) { return r.plane.CriticalPath() }
 
 // ClusterTraceHandler returns an HTTP handler serving cluster-wide
 // stitched trace trees: on each request it merges this site's trace
@@ -433,18 +292,14 @@ func (r *RemoteSite) CriticalPath() (*CriticalPathProfile, error) {
 // operation. Unreachable peers degrade to partial trees and are listed
 // in the response's "errors" field. Requires RemoteConfig.Metered.
 func (r *RemoteSite) ClusterTraceHandler(peerTraceURLs []string) (http.Handler, error) {
-	if r.obs == nil {
+	if r.plane == nil {
 		return nil, ErrNotMetered
 	}
-	return obs.ClusterTraceHandler(r.obs, nil, peerTraceURLs), nil
+	return obs.ClusterTraceHandler(r.plane.Observer(), nil, peerTraceURLs), nil
 }
 
 func isNotExist(err error) bool {
 	return errors.Is(err, fs.ErrNotExist)
-}
-
-func sortSiteIDs(ids []protocol.SiteID) {
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 }
 
 // Addr returns the address this site's server is listening on.
