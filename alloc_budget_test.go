@@ -1,0 +1,72 @@
+//go:build !race
+
+package relidev_test
+
+import (
+	"context"
+	"testing"
+
+	"relidev"
+)
+
+// TestQuorumOpAllocBudget pins what one metered voting op on a 5-site
+// in-process cluster allocates in steady state (the block already
+// written once, so the remote sites recycle their pre-image buffers).
+// Every allocation left has an owner that sits behind an interface this
+// module does not control — protocol.Transport returns a map and boxed
+// replies, protocol.Handler and Request box the messages:
+//
+//	read 14 = 2  op scope: the per-op phase accumulator + its context node
+//	        + 1  the VoteRequest boxed into protocol.Request
+//	        + 2  the Broadcast result map (header + group)
+//	        + 1  the fan-out state
+//	        + 3  one closure per spawned leg (four remotes, last one inline)
+//	        + 4  one VoteReply per remote boxed into protocol.Response
+//	        + 1  the returned block
+//	write 13: the same with a PrepareWriteRequest and four
+//	          PrepareWriteReplies, and no returned block; the four
+//	          4 KiB pre-images are read into recycled buffers.
+//	traced +2: the op's and the broadcast's span-context nodes; every
+//	          trace event is a ring write.
+//
+// A change that moves a count edits this table and says who owns the
+// difference. The race detector allocates, hence the build tag.
+func TestQuorumOpAllocBudget(t *testing.T) {
+	for _, tc := range []struct {
+		name        string
+		opt         relidev.Option
+		read, write float64
+	}{
+		{"untraced", relidev.WithMetering(), 14, 13},
+		{"traced", relidev.WithTracing(1 << 12), 16, 15},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c, err := relidev.New(5, relidev.Voting, tc.opt, relidev.WithGeometry(relidev.Geometry{BlockSize: 4096, NumBlocks: 512}))
+			if err != nil {
+				t.Fatal(err)
+			}
+			dev, err := c.Device(0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Block 300: an index Go cannot box for free (it can below 256).
+			ctx, payload := context.Background(), make([]byte, 4096)
+			write := func() {
+				if err := dev.WriteBlock(ctx, 300, payload); err != nil {
+					t.Fatal(err)
+				}
+			}
+			write()
+			if got := testing.AllocsPerRun(200, write); got != tc.write {
+				t.Errorf("write: %v allocations, budget is exactly %v", got, tc.write)
+			}
+			if got := testing.AllocsPerRun(200, func() {
+				if _, err := dev.ReadBlock(ctx, 300); err != nil {
+					t.Fatal(err)
+				}
+			}); got != tc.read {
+				t.Errorf("read: %v allocations, budget is exactly %v", got, tc.read)
+			}
+		})
+	}
+}

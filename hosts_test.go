@@ -3,6 +3,8 @@ package relidev_test
 import (
 	"context"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -11,6 +13,7 @@ import (
 	"time"
 
 	"relidev"
+	"relidev/internal/scheme"
 )
 
 // get fetches one debug route and returns its status and body.
@@ -347,5 +350,87 @@ func TestGrownSiteIsWiredByCore(t *testing.T) {
 	}
 	if !handled {
 		t.Fatal("no handle span recorded at the grown site")
+	}
+}
+
+// TestEvenGroupTieBreak: §4.1 nudges site 0's weight so a 4-site group
+// split 2–2 still has one half with a majority. Both hosts must give
+// the replica the weight their controllers count (OpenRemote once built
+// site 0's replica at 1000 against the controllers' 1001, so over TCP
+// neither half had a quorum).
+func TestEvenGroupTieBreak(t *testing.T) {
+	ctx := context.Background()
+	geom := relidev.Geometry{BlockSize: 64, NumBlocks: 8}
+	payload := make([]byte, geom.BlockSize)
+	copy(payload, "tie")
+	// check drives the two surviving sites' devices after `down` failed.
+	check := func(t *testing.T, down [2]int, devs [2]relidev.Device) {
+		t.Helper()
+		for _, dev := range devs {
+			err := dev.WriteBlock(ctx, 1, payload)
+			if down[0] != 0 { // the half with site 0 survives
+				if err != nil {
+					t.Fatalf("write in the half holding site 0: %v", err)
+				}
+				if got, err := dev.ReadBlock(ctx, 1); err != nil || string(got[:3]) != "tie" {
+					t.Fatalf("read in the half holding site 0: %q, %v", got, err)
+				}
+				continue
+			}
+			if !errors.Is(err, scheme.ErrNoQuorum) {
+				t.Fatalf("write in the half without site 0: %v, want ErrNoQuorum", err)
+			}
+			if _, err := dev.ReadBlock(ctx, 1); !errors.Is(err, scheme.ErrNoQuorum) {
+				t.Fatalf("read in the half without site 0: %v, want ErrNoQuorum", err)
+			}
+		}
+	}
+	for _, down := range [][2]int{{2, 3}, {0, 1}} {
+		up := [2]int{down[0] ^ 2, down[1] ^ 2}
+		t.Run(fmt.Sprintf("cluster/down%v", down), func(t *testing.T) {
+			c, err := relidev.New(4, relidev.Voting, relidev.WithGeometry(geom))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var devs [2]relidev.Device
+			for i := range devs {
+				if err := c.Fail(down[i]); err != nil {
+					t.Fatal(err)
+				}
+				if devs[i], err = c.Device(up[i]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			check(t, down, devs)
+		})
+		t.Run(fmt.Sprintf("tcp/down%v", down), func(t *testing.T) {
+			// Learn four free loopback addresses, then open the group on them.
+			addrs := make(map[int]string, 4)
+			for i := 0; i < 4; i++ {
+				s, err := relidev.OpenRemote(relidev.RemoteConfig{Self: i, Peers: map[int]string{i: "127.0.0.1:0"}, Scheme: relidev.Voting, Geometry: geom})
+				if err != nil {
+					t.Fatal(err)
+				}
+				addrs[i] = s.Addr()
+				s.Close()
+			}
+			sites := make([]*relidev.RemoteSite, 4)
+			for i := range sites {
+				s, err := relidev.OpenRemote(relidev.RemoteConfig{Self: i, Peers: addrs, Scheme: relidev.Voting, Geometry: geom, Timeout: time.Second})
+				if err != nil {
+					t.Fatal(err)
+				}
+				sites[i] = s
+				t.Cleanup(func() { s.Close() })
+			}
+			var devs [2]relidev.Device
+			for i := range devs {
+				if err := sites[down[i]].Close(); err != nil {
+					t.Fatal(err)
+				}
+				devs[i] = sites[up[i]].Device()
+			}
+			check(t, down, devs)
+		})
 	}
 }

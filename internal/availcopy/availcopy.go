@@ -59,6 +59,7 @@ func WithPagedRecovery(maxBlocks int) Option {
 // Controller is the available copy engine at one site.
 type Controller struct {
 	env          scheme.Env
+	remotes      []protocol.SiteID // every site but Self, fixed at construction
 	immediateW   bool
 	recoveryPage int
 
@@ -82,7 +83,7 @@ func New(env scheme.Env, opts ...Option) (*Controller, error) {
 	if err := env.Validate(); err != nil {
 		return nil, err
 	}
-	c := &Controller{env: env}
+	c := &Controller{env: env, remotes: env.Remotes()}
 	for _, opt := range opts {
 		opt(c)
 	}
@@ -148,7 +149,7 @@ func (c *Controller) Write(ctx context.Context, idx block.Index, data []byte) (e
 		// established.
 		WasAvail: self.WasAvailable(),
 	}
-	results := c.env.Transport.Broadcast(ctx, self.ID(), c.env.Remotes(), put)
+	results := c.env.Transport.Broadcast(ctx, self.ID(), c.remotes, put)
 
 	recipients := protocol.NewSiteSet(self.ID())
 	for id, res := range results {
@@ -221,7 +222,7 @@ func (c *Controller) Recover(ctx context.Context) (err error) {
 	self.SetState(protocol.StateComatose)
 	ctx = op.Start(ctx)
 
-	results := c.env.Transport.Broadcast(ctx, self.ID(), c.env.Remotes(), protocol.StatusRequest{})
+	results := c.env.Transport.Broadcast(ctx, self.ID(), c.remotes, protocol.StatusRequest{})
 	states := map[protocol.SiteID]status{
 		self.ID(): {state: protocol.StateComatose, wasAvail: self.WasAvailable(), sum: self.VersionSum()},
 	}

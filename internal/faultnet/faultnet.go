@@ -322,47 +322,43 @@ func (n *Network) rule(from, to protocol.SiteID, req protocol.Request) (simnet.F
 	return n.decide(from, to, req.Kind())
 }
 
-// Call implements protocol.Transport.
-func (n *Network) Call(ctx context.Context, from, to protocol.SiteID, req protocol.Request) (protocol.Response, error) {
+// roundTrip decides one Call or Fetch's fate (wrap mode only: in rule
+// mode the inner transport asks per delivery) and forwards it.
+func (n *Network) roundTrip(ctx context.Context, from, to protocol.SiteID, req protocol.Request,
+	do func(context.Context, protocol.SiteID, protocol.SiteID, protocol.Request) (protocol.Response, error)) (protocol.Response, error) {
 	if n.ruleMode || from == to {
-		return n.inner.Call(ctx, from, to, req)
+		return do(ctx, from, to, req)
 	}
 	dec, ferr := n.decide(from, to, req.Kind())
 	if dec == simnet.DropRequest {
 		return nil, ferr
 	}
-	resp, err := n.inner.Call(ctx, from, to, req)
+	resp, err := do(ctx, from, to, req)
 	if dec == simnet.DropReply {
 		return nil, ferr
 	}
 	return resp, err
+}
+
+// Call implements protocol.Transport.
+func (n *Network) Call(ctx context.Context, from, to protocol.SiteID, req protocol.Request) (protocol.Response, error) {
+	return n.roundTrip(ctx, from, to, req, n.inner.Call)
 }
 
 // Fetch implements protocol.Transport.
 func (n *Network) Fetch(ctx context.Context, from, to protocol.SiteID, req protocol.Request) (protocol.Response, error) {
-	if n.ruleMode || from == to {
-		return n.inner.Fetch(ctx, from, to, req)
-	}
-	dec, ferr := n.decide(from, to, req.Kind())
-	if dec == simnet.DropRequest {
-		return nil, ferr
-	}
-	resp, err := n.inner.Fetch(ctx, from, to, req)
-	if dec == simnet.DropReply {
-		return nil, ferr
-	}
-	return resp, err
+	return n.roundTrip(ctx, from, to, req, n.inner.Fetch)
 }
 
 // Broadcast implements protocol.Transport. In rule mode the inner
 // transport consults the decorator per destination; in wrap mode the
-// broadcast decomposes into per-destination calls so each destination
+// broadcast decomposes into per-destination Calls so each destination
 // gets its own fault decision.
 func (n *Network) Broadcast(ctx context.Context, from protocol.SiteID, dests []protocol.SiteID, req protocol.Request) map[protocol.SiteID]protocol.Result {
 	if n.ruleMode {
 		return n.inner.Broadcast(ctx, from, dests, req)
 	}
-	return n.fanOut(ctx, from, dests, req)
+	return protocol.FanOut(ctx, from, dests, req, n)
 }
 
 // Notify implements protocol.Transport.
@@ -370,28 +366,5 @@ func (n *Network) Notify(ctx context.Context, from protocol.SiteID, dests []prot
 	if n.ruleMode {
 		return n.inner.Notify(ctx, from, dests, req)
 	}
-	return n.fanOut(ctx, from, dests, req)
-}
-
-func (n *Network) fanOut(ctx context.Context, from protocol.SiteID, dests []protocol.SiteID, req protocol.Request) map[protocol.SiteID]protocol.Result {
-	out := make(map[protocol.SiteID]protocol.Result, len(dests))
-	var (
-		wg sync.WaitGroup
-		rm sync.Mutex
-	)
-	for _, to := range dests {
-		if to == from {
-			continue
-		}
-		wg.Add(1)
-		go func(to protocol.SiteID) {
-			defer wg.Done()
-			resp, err := n.Call(ctx, from, to, req)
-			rm.Lock()
-			out[to] = protocol.Result{Resp: resp, Err: err}
-			rm.Unlock()
-		}(to)
-	}
-	wg.Wait()
-	return out
+	return protocol.FanOut(ctx, from, dests, req, n)
 }

@@ -20,7 +20,8 @@ import (
 
 // Controller is the naive available copy engine at one site.
 type Controller struct {
-	env scheme.Env
+	env     scheme.Env
+	remotes []protocol.SiteID // every site but Self, fixed at construction
 
 	// locks serialises same-block operations while letting distinct
 	// blocks proceed concurrently; recovery excludes all in-flight
@@ -35,7 +36,7 @@ func New(env scheme.Env) (*Controller, error) {
 	if err := env.Validate(); err != nil {
 		return nil, err
 	}
-	return &Controller{env: env}, nil
+	return &Controller{env: env, remotes: env.Remotes()}, nil
 }
 
 // Name implements scheme.Controller.
@@ -85,7 +86,7 @@ func (c *Controller) Write(ctx context.Context, idx block.Index, data []byte) (e
 	// Fire-and-forget: failed sites miss the write and repair later;
 	// comatose sites reject it (they must not mix old and new blocks).
 	//relidev:allow transport: §3.3's naive scheme assumes reliable delivery to available sites; per-site outcomes are intentionally not observed
-	c.env.Transport.Notify(ctx, self.ID(), c.env.Remotes(), put)
+	c.env.Transport.Notify(ctx, self.ID(), c.remotes, put)
 	if err := self.WriteLocal(idx, data, newVer); err != nil {
 		return fmt.Errorf("naive write of %v: %w", idx, err)
 	}
@@ -105,7 +106,7 @@ func (c *Controller) Recover(ctx context.Context) (err error) {
 	self.SetState(protocol.StateComatose)
 	ctx = op.Start(ctx)
 
-	results := c.env.Transport.Broadcast(ctx, self.ID(), c.env.Remotes(), protocol.StatusRequest{})
+	results := c.env.Transport.Broadcast(ctx, self.ID(), c.remotes, protocol.StatusRequest{})
 
 	type status struct {
 		state protocol.SiteState

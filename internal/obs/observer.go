@@ -140,7 +140,7 @@ func (o *Observer) HandleHook(scheme string, site protocol.SiteID) func(ctx cont
 			Op:     protocol.CtxOp(ctx),
 			Kind:   EvHandle,
 			Block:  NoBlock,
-			Detail: fmt.Sprintf("req=%s from=%v", req.Kind(), from),
+			d:      detail{form: detailHandle, s: req.Kind(), a: int64(from)},
 		}))
 	}
 }
@@ -296,8 +296,7 @@ type SchemeObs struct {
 	wTransitions         *Counter
 	closures             *Counter
 
-	peerMu sync.RWMutex
-	peers  map[protocol.SiteID]*Histogram
+	peers [protocol.MaxSites]atomic.Pointer[Histogram] // fan-out RTT, by destination
 }
 
 // NoBlock marks spans and events not tied to a particular block
@@ -367,7 +366,7 @@ func (sp OpSpan) Done(participants int, err error) {
 	if err != nil {
 		s.failures[sp.idx].Inc()
 		if s.tracing() {
-			s.emit(withSpan(sp.span, Event{Kind: EvOpEnd, Op: sp.op, Block: sp.block, Detail: "err=" + errClass(err)}))
+			s.emit(withSpan(sp.span, Event{Kind: EvOpEnd, Op: sp.op, Block: sp.block, d: detail{form: detailErr, s: classifyError(err)}}))
 		}
 		return
 	}
@@ -382,27 +381,19 @@ func (sp OpSpan) Done(participants int, err error) {
 	if sp.interfered {
 		s.interference[sp.idx].Observe(total)
 	}
-	if s.tracing() {
-		s.emit(withSpan(sp.span, Event{Kind: EvOpEnd, Op: sp.op, Block: sp.block, Detail: fmt.Sprintf("participants=%d", participants)}))
-	}
+	s.emit(withSpan(sp.span, Event{Kind: EvOpEnd, Op: sp.op, Block: sp.block, d: detail{form: detailParticipants, a: int64(participants)}}))
 }
 
 // QuorumAssembled traces a voting quorum collection.
 func (s *SchemeObs) QuorumAssembled(op string, idx block.Index, participants int, weight int64) {
-	if !s.tracing() {
-		return
-	}
 	s.emit(Event{Kind: EvQuorumAssembled, Op: op, Block: int64(idx),
-		Detail: fmt.Sprintf("participants=%d weight=%d", participants, weight)})
+		d: detail{form: detailQuorum, a: int64(participants), b: weight}})
 }
 
 // VersionResolved traces the version-resolution step of a quorum.
 func (s *SchemeObs) VersionResolved(op string, idx block.Index, ver block.Version) {
-	if !s.tracing() {
-		return
-	}
 	s.emit(Event{Kind: EvVersionResolved, Op: op, Block: int64(idx),
-		Detail: fmt.Sprintf("version=%d", uint64(ver))})
+		d: detail{form: detailVersion, b: int64(ver)}})
 }
 
 // LazyRefresh records a voting read repairing a stale local copy from
@@ -412,10 +403,8 @@ func (s *SchemeObs) LazyRefresh(idx block.Index, src protocol.SiteID, ver block.
 		return
 	}
 	s.staleReads.Inc()
-	if s.tracing() {
-		s.emit(Event{Kind: EvLazyRefresh, Op: protocol.OpRead, Block: int64(idx),
-			Detail: fmt.Sprintf("from=%v version=%d", src, uint64(ver))})
-	}
+	s.emit(Event{Kind: EvLazyRefresh, Op: protocol.OpRead, Block: int64(idx),
+		d: detail{form: detailRefresh, a: int64(src), b: int64(ver)}})
 }
 
 // WriteTwoRound records a completed write that took the classic
@@ -458,13 +447,13 @@ func (s *SchemeObs) ClosureRecomputed(root, closure protocol.SiteSet, complete b
 	}
 }
 
-// tracing reports whether trace events go anywhere. Callers that format
-// an event's detail check it first: with tracing off a metered op must
-// not pay for a string nobody reads.
+// tracing reports whether trace events go anywhere. Callers that
+// compute something for an event (a formatted detail, an error class)
+// check it first: with tracing off a metered op must not pay for it.
 func (s *SchemeObs) tracing() bool { return s != nil && s.o.tracer != nil }
 
 // emit stamps the shared fields and forwards to the tracer (a no-op
-// when tracing is off).
+// when tracing is off, and for a nil receiver).
 func (s *SchemeObs) emit(e Event) {
 	if !s.tracing() {
 		return
@@ -472,9 +461,4 @@ func (s *SchemeObs) emit(e Event) {
 	e.Scheme = s.scheme
 	e.Site = int(s.site)
 	s.o.tracer.Emit(e)
-}
-
-// errClass names an error's failure class for trace details.
-func errClass(err error) string {
-	return classifyError(err)
 }

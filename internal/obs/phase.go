@@ -120,27 +120,19 @@ func (a *phaseAcc) RecordPeerRTT(to protocol.SiteID, ns int64) {
 	a.s.peerRTT(to).Observe(ns)
 }
 
-// peerRTT resolves the fan-out RTT histogram for one destination,
-// cached per SchemeObs. The read path is an RLock map hit; creation
-// takes the registry path once per peer.
+// peerRTT resolves the fan-out RTT histogram for one destination, on
+// its first round trip and then from the per-SchemeObs slot; nil for an
+// id outside the site space.
 func (s *SchemeObs) peerRTT(to protocol.SiteID) *Histogram {
-	s.peerMu.RLock()
-	h, ok := s.peers[to]
-	s.peerMu.RUnlock()
-	if ok {
-		return h
+	if to < 0 || int(to) >= len(s.peers) {
+		return nil
 	}
-	s.peerMu.Lock()
-	defer s.peerMu.Unlock()
-	if h, ok = s.peers[to]; ok {
-		return h
+	h := s.peers[to].Load()
+	if h == nil {
+		h = s.o.reg.Histogram(MetricPeerRTT,
+			L("scheme", s.scheme), L("site", s.site.String()), L("peer", to.String()))
+		s.peers[to].Store(h)
 	}
-	h = s.o.reg.Histogram(MetricPeerRTT,
-		L("scheme", s.scheme), L("site", s.site.String()), L("peer", to.String()))
-	if s.peers == nil {
-		s.peers = make(map[protocol.SiteID]*Histogram)
-	}
-	s.peers[to] = h
 	return h
 }
 
@@ -217,7 +209,7 @@ func (sp *OpSpan) emitPhases(durs [len(phases)]int64) {
 		}
 		child := s.o.newSpan(s.site, protocol.SpanContext{TraceID: sp.span.TraceID, SpanID: sp.span.SpanID})
 		s.emit(withSpan(child, Event{Kind: EvPhase, Op: sp.op, Block: sp.block,
-			Detail: fmt.Sprintf("phase=%s dur_ns=%d", phases[i], ns)}))
+			d: detail{form: detailPhase, s: phases[i], a: ns}}))
 	}
 }
 

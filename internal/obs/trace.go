@@ -1,10 +1,12 @@
 package obs
 
 import (
+	"fmt"
 	"sync"
 	"sync/atomic"
 
 	"relidev/internal/clock"
+	"relidev/internal/protocol"
 )
 
 // Trace event kinds. Each names the protocol moment it records; the
@@ -81,6 +83,61 @@ type Event struct {
 	// events), and 0 on its sequential path; flight.TraceTail puts a
 	// concurrent section in lane order instead of scheduler order.
 	Lane int `json:"-"`
+	// d holds Detail as fields, set by this package's hot-path emitters
+	// instead of Detail; Events renders it.
+	d detail
+}
+
+// A detail is an event's Detail as the ring keeps it: a form plus up to
+// two integers and two strings that already exist (a request kind, a
+// phase name, an error class). Events, the ring's only reader, renders
+// the text, so an operation pays a ring write per event and nobody
+// formats a string that is never read.
+type detail struct {
+	form detailForm
+	a, b int64
+	s, t string // t, when set, is an error class appended as " err=<t>"
+}
+
+type detailForm uint8
+
+const (
+	detailText detailForm = iota // Event.Detail, as emitted
+	detailHandle
+	detailErr
+	detailParticipants
+	detailQuorum
+	detailVersion
+	detailRefresh
+	detailPhase
+	detailRPC // + the MeteredTransport method index
+)
+
+// detailFormats is the text of each form: [1] and [2] are a and b, [3]
+// is s, [4] is a as a site, [5] is b unsigned (a version).
+var detailFormats = [...]string{
+	detailHandle:           "req=%[3]s from=%[4]v",
+	detailErr:              "err=%[3]s",
+	detailParticipants:     "participants=%[1]d",
+	detailQuorum:           "participants=%[1]d weight=%[2]d",
+	detailVersion:          "version=%[5]d",
+	detailRefresh:          "from=%[4]v version=%[5]d",
+	detailPhase:            "phase=%[3]s dur_ns=%[1]d",
+	detailRPC + mCall:      "call to=%[4]v req=%[3]s",
+	detailRPC + mFetch:     "fetch to=%[4]v req=%[3]s",
+	detailRPC + mBroadcast: "broadcast dests=%[1]d req=%[3]s",
+	detailRPC + mNotify:    "notify dests=%[1]d req=%[3]s",
+}
+
+// render returns the Detail text of an event emitted with d.
+func (d detail) render(text string) string {
+	if d.form != detailText {
+		text = fmt.Sprintf(detailFormats[d.form], d.a, d.b, d.s, protocol.SiteID(d.a), uint64(d.b))
+	}
+	if d.t != "" {
+		text += " err=" + d.t
+	}
+	return text
 }
 
 // A Tracer collects events into a bounded ring buffer; when full, the
@@ -115,9 +172,9 @@ func (t *Tracer) Emit(e Event) {
 	if t == nil {
 		return
 	}
-	e.Seq = t.seq.Add(1)
 	e.At = t.clock.Now().UnixNano()
 	t.mu.Lock()
+	e.Seq = t.seq.Add(1) // under the lock, so ring order is Seq order
 	if t.wrapped {
 		t.dropped++
 	}
@@ -129,21 +186,25 @@ func (t *Tracer) Emit(e Event) {
 	t.mu.Unlock()
 }
 
-// Events returns the retained events, oldest first.
+// Events returns the retained events, oldest first, with Detail
+// rendered.
 func (t *Tracer) Events() []Event {
 	if t == nil {
 		return nil
 	}
+	// Copy under the lock, render outside it: emitters never wait for a
+	// formatter.
 	t.mu.Lock()
-	defer t.mu.Unlock()
-	if !t.wrapped {
-		out := make([]Event, t.next)
-		copy(out, t.ring[:t.next])
-		return out
+	var older []Event
+	if t.wrapped {
+		older = t.ring[t.next:]
 	}
-	out := make([]Event, 0, len(t.ring))
-	out = append(out, t.ring[t.next:]...)
-	out = append(out, t.ring[:t.next]...)
+	out := append(append(make([]Event, 0, len(older)+t.next), older...), t.ring[:t.next]...)
+	t.mu.Unlock()
+	for i := range out {
+		e := &out[i]
+		e.Detail, e.d = e.d.render(e.Detail), detail{}
+	}
 	return out
 }
 

@@ -1,12 +1,16 @@
 package obs
 
 import (
+	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
 
+	"relidev/internal/block"
 	"relidev/internal/clock"
+	"relidev/internal/protocol"
 )
 
 func TestTracerNil(t *testing.T) {
@@ -187,5 +191,110 @@ func TestStitchDeterministicOrder(t *testing.T) {
 	// Equal-start children tie-break by SpanID.
 	if a[0].Root.Children[0].SpanID != 2 || a[0].Root.Children[1].SpanID != 3 {
 		t.Fatalf("child order = %+v", a[0].Root.Children)
+	}
+}
+
+// TestTraceDetailGolden emits every event kind through the record path
+// and compares what Events renders with the string the emitters used
+// to build with fmt.Sprintf on the hot path — byte for byte, since
+// /trace consumers and criticalpath's Sscanf parse these.
+func TestTraceDetailGolden(t *testing.T) {
+	clk := clock.NewManual()
+	o := New(WithClock(clk), WithTracing(256))
+	s := o.SchemeSite("voting", 2)
+	bg := context.Background()
+	bigVer := block.Version(1<<63 + 5) // must print unsigned
+
+	var want []string // Kind + " " + Detail, in emission order
+	expect := func(kind, detail string) { want = append(want, kind+" "+detail) }
+
+	o.HandleHook("voting", 2)(bg, 4, protocol.VoteRequest{Block: 9})
+	expect(EvHandle, fmt.Sprintf("req=%s from=%v", "vote", protocol.SiteID(4)))
+
+	ctx, sp := s.StartOp(bg, protocol.OpRead, 9)
+	expect(EvOpStart, "")
+	sp.AddLockWait(10)
+	protocol.CtxPhases(ctx).RecordPhase(protocol.PhaseFanout, 30)
+	protocol.CtxPhases(ctx).RecordPhase(protocol.PhaseStraggler, 7)
+	s.QuorumAssembled(protocol.OpRead, 9, 3, 3001)
+	expect(EvQuorumAssembled, fmt.Sprintf("participants=%d weight=%d", 3, int64(3001)))
+	s.VersionResolved(protocol.OpRead, 9, bigVer)
+	expect(EvVersionResolved, fmt.Sprintf("version=%d", uint64(bigVer)))
+	s.LazyRefresh(9, 4, bigVer)
+	expect(EvLazyRefresh, fmt.Sprintf("from=%v version=%d", protocol.SiteID(4), uint64(bigVer)))
+	clk.Advance(50) // total 60: lock_wait 10, fanout 30, local 20, straggler 7
+	sp.Done(3, nil)
+	for _, p := range []struct {
+		name string
+		ns   int64
+	}{{protocol.PhaseLockWait, 10}, {protocol.PhaseFanout, 30}, {protocol.PhaseLocal, 20}, {protocol.PhaseStraggler, 7}} {
+		expect(EvPhase, fmt.Sprintf("phase=%s dur_ns=%d", p.name, p.ns))
+	}
+	expect(EvOpEnd, fmt.Sprintf("participants=%d", 3))
+
+	for _, err := range []error{protocol.ErrSiteDown, protocol.ErrTransient, context.Canceled, errTestInjected, errors.New("disk")} {
+		_, sp := s.StartOp(bg, protocol.OpWrite, 1)
+		expect(EvOpStart, "")
+		sp.Done(0, err)
+		expect(EvOpEnd, "err="+classifyError(err))
+	}
+
+	ft := &fakeTransport{results: map[protocol.SiteID]protocol.Result{1: {Err: protocol.ErrSiteDown}}}
+	mt := WrapTransport(o, "sim", ft, nil)
+	dests := []protocol.SiteID{0, 1, 3, 4}
+	mt.Call(bg, 2, 3, fakeReq{})
+	expect(EvRPC, fmt.Sprintf("call to=%v req=%s", protocol.SiteID(3), "fake"))
+	mt.Fetch(bg, 2, 0, fakeReq{})
+	expect(EvRPC, fmt.Sprintf("fetch to=%v req=%s", protocol.SiteID(0), "fake"))
+	ft.callErr, ft.fetchErr = protocol.ErrSiteUnreachable, errTestExotic
+	mt.Call(bg, 2, 3, fakeReq{})
+	expect(EvRPC, fmt.Sprintf("call to=%v req=%s", protocol.SiteID(3), "fake")+" err="+ClassUnreachable)
+	mt.Fetch(bg, 2, 63, fakeReq{})
+	expect(EvRPC, fmt.Sprintf("fetch to=%v req=%s", protocol.SiteID(63), "fake")+" err=exotic")
+	mt.Broadcast(bg, 2, dests, protocol.VoteRequest{})
+	expect(EvRPC, fmt.Sprintf("broadcast dests=%d req=%s", 4, "vote")) // per-destination errors are not the span's
+	mt.Notify(bg, 2, dests[:1], protocol.PutRequest{})
+	expect(EvRPC, fmt.Sprintf("notify dests=%d req=%s", 1, "put"))
+
+	// Off the per-op path the emitters still hand over finished text.
+	s.WTransition(0b111, 0b011)
+	expect(EvWTransition, "{0,1,2}->{0,1}")
+	s.ClosureRecomputed(0b001, 0b011, false)
+	expect(EvClosureRecomputed, "root={0} closure={0,1} complete=false")
+	r := o.Repair("voting", 2)
+	r.Active(true)
+	expect(EvRepairWindow, "window=open")
+	r.Enlisted([]protocol.SiteID{1, 3}, 12)
+	expect(EvRepairDonor, "enlisted donors=[site1 site3] stale=12")
+	r.PageFetched(3, 8, 4096)
+	expect(EvRepairPage, "donor=site3 installed=8 bytes=4096")
+	r.Demoted(3, "severed")
+	expect(EvRepairDonor, "demoted donor=site3 reason=severed")
+	r.Active(false)
+	expect(EvRepairWindow, "window=closed")
+	o.Tracer().Emit(Event{Kind: EvRPC, Detail: "free text"})
+	expect(EvRPC, "free text")
+
+	evs := o.Tracer().Events()
+	if len(evs) != len(want) {
+		t.Fatalf("%d events, want %d", len(evs), len(want))
+	}
+	for i, e := range evs {
+		if got := e.Kind + " " + e.Detail; got != want[i] {
+			t.Errorf("event %d = %q, want %q", i, got, want[i])
+		}
+	}
+
+	// The phase events still parse the way criticalpath reads them.
+	trees := o.TraceTrees()
+	var phases map[string]int64
+	for _, tr := range trees {
+		if tr.Root != nil && tr.Root.Op == protocol.OpRead {
+			phases = SpanPhases(tr.Root)
+		}
+	}
+	if len(phases) != 4 || phases[protocol.PhaseLockWait] != 10 || phases[protocol.PhaseFanout] != 30 ||
+		phases[protocol.PhaseLocal] != 20 || phases[protocol.PhaseStraggler] != 7 {
+		t.Errorf("SpanPhases of the read = %v", phases)
 	}
 }

@@ -3,7 +3,6 @@ package obs
 import (
 	"context"
 	"errors"
-	"fmt"
 	"sync"
 	"sync/atomic"
 
@@ -94,8 +93,9 @@ func classifyError(err error) string {
 	}
 }
 
-// Transport methods: index, metric label, and rpc span detail format
-// (round trips name their destination, fan-outs their width).
+// Transport methods: index and metric label; an rpc span's detail
+// leads with the label (round trips then name their destination,
+// fan-outs their width — detailRPC).
 const (
 	mCall = iota
 	mFetch
@@ -104,8 +104,6 @@ const (
 )
 
 var methods = [...]string{"call", "fetch", "broadcast", "notify"}
-
-var traceFormats = [...]string{"call to=%v req=%s", "fetch to=%v req=%s", "broadcast dests=%d req=%s", "notify dests=%d req=%s"}
 
 // methodMetrics is the pre-resolved series set for one transport
 // method, so the wire path is atomics-only.
@@ -192,45 +190,51 @@ func (t *MeteredTransport) peerHist(to protocol.SiteID) *Histogram {
 	return h
 }
 
+// An rpcSpan is an open client-side rpc span: the event its end will
+// emit. A plain value — opening and closing a span allocates only the
+// context node. The zero value (tracing off) ends as a no-op.
+type rpcSpan struct {
+	tracer *Tracer
+	ev     Event
+}
+
 // traceCall opens a client-side rpc span under the caller's operation
 // span when tracing is on: the returned context carries the new span
 // (so the remote site's handle span links to it, through simnet's
-// shared context or rpcnet's wire trace field) and the returned closer
-// emits the span's trace event with the outcome. Without tracing the
-// context passes through, the closer is nil, and nothing is formatted.
-func (t *MeteredTransport) traceCall(ctx context.Context, m int, from, to protocol.SiteID, dests []protocol.SiteID, req protocol.Request) (context.Context, func(err error)) {
+// shared context or rpcnet's wire trace field). n is the destination
+// for a round trip (whose lane is n+1) and the fan-out width otherwise.
+// Without tracing the context passes through and nothing is recorded.
+func (t *MeteredTransport) traceCall(ctx context.Context, m int, from protocol.SiteID, n, lane int, req protocol.Request) (context.Context, rpcSpan) {
 	if t.o.tracer == nil {
-		return ctx, nil
-	}
-	var detail string
-	lane := 0
-	if m == mCall || m == mFetch {
-		detail, lane = fmt.Sprintf(traceFormats[m], to, req.Kind()), int(to)+1
-	} else {
-		detail = fmt.Sprintf(traceFormats[m], len(dests), req.Kind())
+		return ctx, rpcSpan{}
 	}
 	sp := t.o.newSpan(from, protocol.CtxSpan(ctx))
+	ev := withSpan(sp, Event{Site: int(from), Op: protocol.CtxOp(ctx), Kind: EvRPC, Block: NoBlock, Lane: lane,
+		d: detail{form: detailRPC + detailForm(m), a: int64(n), s: req.Kind()}})
 	ctx = protocol.WithSpan(ctx, protocol.SpanContext{TraceID: sp.TraceID, SpanID: sp.SpanID})
-	op := protocol.CtxOp(ctx)
-	return ctx, func(err error) {
-		if err != nil {
-			detail += " err=" + classifyError(err)
-		}
-		t.o.tracer.Emit(withSpan(sp, Event{Site: int(from), Op: op, Kind: EvRPC, Block: NoBlock, Detail: detail, Lane: lane}))
+	return ctx, rpcSpan{t.o.tracer, ev}
+}
+
+// end emits the span's trace event with the outcome.
+func (r rpcSpan) end(err error) {
+	if r.tracer == nil {
+		return
 	}
+	if err != nil {
+		r.ev.d.t = classifyError(err)
+	}
+	r.tracer.Emit(r.ev)
 }
 
 // roundTrip meters and traces one Call or Fetch.
 func (t *MeteredTransport) roundTrip(ctx context.Context, m int, from, to protocol.SiteID, req protocol.Request,
 	do func(context.Context, protocol.SiteID, protocol.SiteID, protocol.Request) (protocol.Response, error)) (protocol.Response, error) {
-	ctx, end := t.traceCall(ctx, m, from, to, nil, req)
+	ctx, span := t.traceCall(ctx, m, from, int(to), int(to)+1, req)
 	mm := &t.methods[m]
 	mm.ops.Inc()
 	start := t.o.Now()
 	resp, err := do(ctx, from, to, req)
-	if end != nil {
-		end(err)
-	}
+	span.end(err)
 	elapsed := t.o.Now() - start
 	mm.latency.Observe(elapsed)
 	if h := t.peerHist(to); h != nil {
@@ -261,7 +265,7 @@ func (t *MeteredTransport) fanOut(ctx context.Context, m int, from protocol.Site
 	do func(context.Context, protocol.SiteID, []protocol.SiteID, protocol.Request) map[protocol.SiteID]protocol.Result) map[protocol.SiteID]protocol.Result {
 	mm := &t.methods[m]
 	mm.ops.Inc()
-	ctx, end := t.traceCall(ctx, m, from, 0, dests, req)
+	ctx, span := t.traceCall(ctx, m, from, len(dests), 0, req)
 	start := t.o.Now()
 	results := do(ctx, from, dests, req)
 	elapsed := t.o.Now() - start
@@ -269,7 +273,7 @@ func (t *MeteredTransport) fanOut(ctx context.Context, m int, from protocol.Site
 	if rec := protocol.CtxPhases(ctx); rec != nil {
 		// The whole concurrent fan-out is one critical-path slice: the
 		// coordinator waits for the slowest destination, and the
-		// straggler sub-phase (recorded inside simnet/rpcnet, which see
+		// straggler sub-phase (recorded by protocol.FanOut, which sees
 		// per-destination completions) re-slices this wait.
 		rec.RecordPhase(protocol.PhaseFanout, elapsed)
 	}
@@ -278,9 +282,7 @@ func (t *MeteredTransport) fanOut(ctx context.Context, m int, from protocol.Site
 			mm.countErr(res.Err)
 		}
 	}
-	if end != nil {
-		end(nil)
-	}
+	span.end(nil)
 	return results
 }
 

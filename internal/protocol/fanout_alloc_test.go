@@ -1,0 +1,35 @@
+//go:build !race
+
+package protocol
+
+import (
+	"context"
+	"testing"
+)
+
+// noAllocLegs answers every leg without allocating: a pointer converts
+// to Caller for free, and so does a fanResp holding 0 to Response.
+type noAllocLegs struct{}
+
+func (*noAllocLegs) Call(context.Context, SiteID, SiteID, Request) (Response, error) {
+	return fanResp{}, nil
+}
+
+// One FanOut over four targets allocates exactly:
+//
+//	2  the result map (header + its one group) — Transport's signature
+//	1  the fan-out state: what the legs share, with the slots inline
+//	3  one closure per spawned leg; the fourth leg runs on the caller
+//
+// The race detector's instrumentation allocates, hence the build tag.
+func TestFanOutAllocBudget(t *testing.T) {
+	ctx, dests, legs := context.Background(), []SiteID{0, 1, 2, 3, 4}, &noAllocLegs{}
+	var req Request = fanReq{}
+	if got := testing.AllocsPerRun(200, func() { FanOut(ctx, 0, dests, req, legs) }); got != 6 {
+		t.Fatalf("FanOut over 4 targets: %v allocations, budget is exactly 6", got)
+	}
+	// A single target spawns nothing and keeps its state on the stack.
+	if got := testing.AllocsPerRun(200, func() { FanOut(ctx, 0, dests[:2], req, legs) }); got != 2 {
+		t.Fatalf("FanOut over 1 target: %v allocations, budget is exactly 2 (the result map)", got)
+	}
+}

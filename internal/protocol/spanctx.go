@@ -23,15 +23,33 @@ func (sc SpanContext) Valid() bool { return sc.TraceID != 0 && sc.SpanID != 0 }
 
 type spanCtxKey struct{}
 
+// spanCtx is the context node WithSpan adds. It holds the SpanContext
+// inline and answers the lookup with a pointer into itself, so
+// attaching a span is one allocation (context.WithValue would box the
+// 16-byte value into a second one) and reading it is none.
+type spanCtx struct {
+	context.Context
+	sc SpanContext
+}
+
+func (c *spanCtx) Value(key any) any {
+	if key == (spanCtxKey{}) {
+		return &c.sc
+	}
+	return c.Context.Value(key)
+}
+
 // WithSpan attaches a trace span context to ctx. Transport decorators
 // and the wire layer propagate it alongside the WithOp label.
 func WithSpan(ctx context.Context, sc SpanContext) context.Context {
-	return context.WithValue(ctx, spanCtxKey{}, sc)
+	return &spanCtx{ctx, sc}
 }
 
 // CtxSpan returns the span context attached by WithSpan; the zero
 // SpanContext (Valid() == false) means the caller is untraced.
 func CtxSpan(ctx context.Context) SpanContext {
-	sc, _ := ctx.Value(spanCtxKey{}).(SpanContext)
-	return sc
+	if sc, ok := ctx.Value(spanCtxKey{}).(*SpanContext); ok {
+		return *sc
+	}
+	return SpanContext{}
 }

@@ -719,98 +719,12 @@ func (c *Client) Fetch(ctx context.Context, from, to protocol.SiteID, req protoc
 }
 
 // Broadcast implements protocol.Transport. TCP has no multicast; the
-// logical broadcast is one call per destination, issued concurrently so
-// the slowest peer bounds latency instead of the sum of all peers.
+// logical broadcast is one Call per destination, issued concurrently so
+// the slowest peer bounds latency instead of the sum of all peers. A
+// cancelled context stops the fan-out before any dialing; roundTrip
+// re-checks per destination for a cancellation that races it.
 func (c *Client) Broadcast(ctx context.Context, from protocol.SiteID, dests []protocol.SiteID, req protocol.Request) map[protocol.SiteID]protocol.Result {
-	targets := make([]protocol.SiteID, 0, len(dests))
-	for _, to := range dests {
-		if to != from {
-			targets = append(targets, to)
-		}
-	}
-	out := make(map[protocol.SiteID]protocol.Result, len(targets))
-	if len(targets) == 0 {
-		return out
-	}
-	// A cancelled context stops the fan-out before any dialing: every
-	// destination reports the cancellation instead of waiting out its
-	// timeout. roundTrip re-checks per destination, so a cancellation
-	// racing the fan-out stops the remaining round trips the same way.
-	if err := ctx.Err(); err != nil {
-		for _, to := range targets {
-			out[to] = protocol.Result{Err: fmt.Errorf("rpcnet: broadcast to %v: %w", to, err)}
-		}
-		return out
-	}
-	// rec, when the operation carries critical-path attribution, wants
-	// per-destination round trips and the straggler wait; durations use
-	// the recorder's clock so the time base matches the rest of the
-	// operation's phases.
-	rec := protocol.CtxPhases(ctx)
-	if len(targets) == 1 {
-		to := targets[0]
-		var t0 int64
-		if rec != nil {
-			t0 = rec.Now()
-		}
-		resp, err := c.roundTrip(ctx, to, req)
-		out[to] = protocol.Result{Resp: resp, Err: err}
-		if rec != nil {
-			rec.RecordPeerRTT(to, rec.Now()-t0)
-		}
-		return out
-	}
-	var (
-		rm   sync.Mutex
-		wg   sync.WaitGroup
-		durs []int64
-	)
-	if rec != nil {
-		durs = make([]int64, len(targets))
-	}
-	for i, to := range targets {
-		wg.Add(1)
-		go func(i int, to protocol.SiteID) {
-			defer wg.Done()
-			var t0 int64
-			if rec != nil {
-				t0 = rec.Now()
-			}
-			resp, err := c.roundTrip(ctx, to, req)
-			rm.Lock()
-			out[to] = protocol.Result{Resp: resp, Err: err}
-			if rec != nil {
-				durs[i] = rec.Now() - t0
-			}
-			rm.Unlock()
-		}(i, to)
-	}
-	wg.Wait()
-	if rec != nil {
-		for i, to := range targets {
-			rec.RecordPeerRTT(to, durs[i])
-		}
-		rec.RecordPhase(protocol.PhaseStraggler, stragglerWait(durs))
-	}
-	return out
-}
-
-// stragglerWait is the marginal cost of the slowest fan-out member:
-// how much later it finished than the second-slowest destination.
-func stragglerWait(durs []int64) int64 {
-	if len(durs) < 2 {
-		return 0
-	}
-	max, second := int64(-1), int64(-1)
-	for _, d := range durs {
-		switch {
-		case d > max:
-			second, max = max, d
-		case d > second:
-			second = d
-		}
-	}
-	return max - second
+	return protocol.FanOut(ctx, from, dests, req, c)
 }
 
 // Notify implements protocol.Transport. The underlying TCP exchange

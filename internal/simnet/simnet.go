@@ -415,27 +415,25 @@ func (n *Network) countReply(opIdx int, resp protocol.Response) {
 	}
 }
 
-// Call sends a request to one site and waits for the response. It is
-// charged as two transmissions: the request and the response (this is how
-// §5.1 counts the recovery version-vector exchange). A site calling
-// itself is free: local operations generate no network traffic.
-func (n *Network) Call(ctx context.Context, from, to protocol.SiteID, req protocol.Request) (protocol.Response, error) {
+// roundTrip performs one delivery to a single destination: route, the
+// fault rule, the simulated latency, the handler. chargeReq and
+// chargeReply say which of its two transmissions are charged here (the
+// request only once the destination is known to be routable). A site
+// calling itself is free: local operations generate no network traffic.
+func (n *Network) roundTrip(ctx context.Context, from, to protocol.SiteID, req protocol.Request, chargeReq, chargeReply bool) (protocol.Response, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
-	}
-	if from == to {
-		h, err := n.route(from, to)
-		if err != nil {
-			return nil, err
-		}
-		return h.Handle(ctx, from, req)
 	}
 	h, err := n.route(from, to)
 	if err != nil {
 		return nil, err
 	}
-	opIdx := opClassIndex(protocol.CtxOp(ctx))
-	n.countRequest(opIdx, req.Kind(), 1, uint64(protocol.WireSize(req)))
+	if from == to {
+		return h.Handle(ctx, from, req)
+	}
+	if chargeReq {
+		n.countRequest(opClassIndex(protocol.CtxOp(ctx)), req.Kind(), 1, uint64(protocol.WireSize(req)))
+	}
 	deliver, ferr := n.applyFault(from, to, req)
 	if !deliver {
 		return nil, ferr
@@ -452,8 +450,17 @@ func (n *Network) Call(ctx context.Context, from, to protocol.SiteID, req protoc
 	if err != nil {
 		return nil, err
 	}
-	n.countReply(opIdx, resp)
+	if chargeReply {
+		n.countReply(opClassIndex(protocol.CtxOp(ctx)), resp)
+	}
 	return resp, nil
+}
+
+// Call sends a request to one site and waits for the response. It is
+// charged as two transmissions: the request and the response (this is how
+// §5.1 counts the recovery version-vector exchange).
+func (n *Network) Call(ctx context.Context, from, to protocol.SiteID, req protocol.Request) (protocol.Response, error) {
+	return n.roundTrip(ctx, from, to, req, true, true)
 }
 
 // Fetch pulls data from one site and is charged as a single transmission:
@@ -461,36 +468,7 @@ func (n *Network) Call(ctx context.Context, from, to protocol.SiteID, req protoc
 // destination already returned during quorum collection (§5.1 charges a
 // voting read repair exactly one extra message).
 func (n *Network) Fetch(ctx context.Context, from, to protocol.SiteID, req protocol.Request) (protocol.Response, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if from == to {
-		h, err := n.route(from, to)
-		if err != nil {
-			return nil, err
-		}
-		return h.Handle(ctx, from, req)
-	}
-	h, err := n.route(from, to)
-	if err != nil {
-		return nil, err
-	}
-	deliver, ferr := n.applyFault(from, to, req)
-	if !deliver {
-		return nil, ferr
-	}
-	if err := n.sleepLatency(ctx); err != nil {
-		return nil, err
-	}
-	resp, err := h.Handle(ctx, from, req)
-	if ferr != nil {
-		return nil, ferr
-	}
-	if err != nil {
-		return nil, err
-	}
-	n.countReply(opClassIndex(protocol.CtxOp(ctx)), resp)
-	return resp, nil
+	return n.roundTrip(ctx, from, to, req, false, true)
 }
 
 // Broadcast sends a request to every site in dests and collects the
@@ -500,8 +478,7 @@ func (n *Network) Fetch(ctx context.Context, from, to protocol.SiteID, req proto
 // charged: local operations cost no traffic (§5). Destinations are
 // contacted concurrently; the round trips overlap.
 func (n *Network) Broadcast(ctx context.Context, from protocol.SiteID, dests []protocol.SiteID, req protocol.Request) map[protocol.SiteID]protocol.Result {
-	results := n.deliver(ctx, from, dests, req, true)
-	return results
+	return n.deliver(ctx, from, dests, req, true)
 }
 
 // Notify sends a request to every site in dests without charging for
@@ -513,140 +490,43 @@ func (n *Network) Notify(ctx context.Context, from protocol.SiteID, dests []prot
 	return n.deliver(ctx, from, dests, req, false)
 }
 
+// leg is the Network as protocol.FanOut drives it: an uncharged round
+// trip. deliver charges the broadcast before it and the replies after.
+type leg Network
+
+func (l *leg) Call(ctx context.Context, from, to protocol.SiteID, req protocol.Request) (protocol.Response, error) {
+	return (*Network)(l).roundTrip(ctx, from, to, req, false, false)
+}
+
 func (n *Network) deliver(ctx context.Context, from protocol.SiteID, dests []protocol.SiteID, req protocol.Request, countReplies bool) map[protocol.SiteID]protocol.Result {
-	results := make(map[protocol.SiteID]protocol.Result, len(dests))
-	if err := ctx.Err(); err != nil {
-		for _, to := range dests {
-			results[to] = protocol.Result{Err: err}
-		}
-		return results
-	}
 	// A destination equal to the sender is skipped before accounting: a
 	// self-send is a local operation and costs no traffic per §5.
-	targets := dests
+	targets := uint64(0)
 	for _, to := range dests {
-		if to == from {
-			targets = make([]protocol.SiteID, 0, len(dests)-1)
-			for _, t := range dests {
-				if t != from {
-					targets = append(targets, t)
-				}
-			}
-			break
+		if to != from {
+			targets++
 		}
 	}
-	if len(targets) == 0 {
-		return results
-	}
-	reqBytes := uint64(protocol.WireSize(req))
 	opIdx := opClassIndex(protocol.CtxOp(ctx))
-	switch n.Mode() {
-	case Unicast:
-		// One transmission per destination, whether or not it is up: the
-		// sender cannot know (§5.2).
-		n.countRequest(opIdx, req.Kind(), uint64(len(targets)), reqBytes*uint64(len(targets)))
-	default:
-		// One transmission reaches every destination; the payload goes
-		// over the wire once.
-		n.countRequest(opIdx, req.Kind(), 1, reqBytes)
-	}
-	// rec, when the operation is attributed (obs critical path), wants
-	// per-destination round trips and the straggler wait — facts only
-	// this fan-out can see. Durations come from the recorder's injected
-	// clock, never the wall clock, so deterministic harnesses stay
-	// deterministic.
-	rec := protocol.CtxPhases(ctx)
-	if len(targets) == 1 {
-		// Nothing to fan out; skip the goroutine machinery.
-		var t0 int64
-		if rec != nil {
-			t0 = rec.Now()
+	if targets > 0 && ctx.Err() == nil {
+		reqBytes := uint64(protocol.WireSize(req))
+		if n.Mode() == Unicast {
+			// One transmission per destination, whether or not it is up: the
+			// sender cannot know (§5.2).
+			n.countRequest(opIdx, req.Kind(), targets, reqBytes*targets)
+		} else {
+			// One transmission reaches every destination; the payload goes
+			// over the wire once.
+			n.countRequest(opIdx, req.Kind(), 1, reqBytes)
 		}
-		results[targets[0]] = n.deliverOne(ctx, from, targets[0], req, countReplies, opIdx)
-		if rec != nil {
-			rec.RecordPeerRTT(targets[0], rec.Now()-t0)
-		}
-		return results
 	}
-	// Fan out: each destination's round trip proceeds concurrently, so a
-	// quorum collection costs one round-trip time, not one per site.
-	var (
-		wg   sync.WaitGroup
-		rm   sync.Mutex
-		durs []int64
-	)
-	if rec != nil {
-		durs = make([]int64, len(targets))
-	}
-	for i, to := range targets {
-		wg.Add(1)
-		go func(i int, to protocol.SiteID) {
-			defer wg.Done()
-			var t0 int64
-			if rec != nil {
-				t0 = rec.Now()
+	results := protocol.FanOut(ctx, from, dests, req, (*leg)(n))
+	if countReplies {
+		for _, res := range results {
+			if res.Err == nil {
+				n.countReply(opIdx, res.Resp)
 			}
-			res := n.deliverOne(ctx, from, to, req, countReplies, opIdx)
-			rm.Lock()
-			results[to] = res
-			if rec != nil {
-				durs[i] = rec.Now() - t0
-			}
-			rm.Unlock()
-		}(i, to)
-	}
-	wg.Wait()
-	if rec != nil {
-		for i, to := range targets {
-			rec.RecordPeerRTT(to, durs[i])
 		}
-		rec.RecordPhase(protocol.PhaseStraggler, stragglerWait(durs))
 	}
 	return results
-}
-
-// stragglerWait is the marginal cost of the slowest fan-out member:
-// how much later it finished than the second-slowest destination. The
-// coordinator waits for every reply, so this is exactly the wall time
-// a one-member-smaller quorum would have saved.
-func stragglerWait(durs []int64) int64 {
-	if len(durs) < 2 {
-		return 0
-	}
-	max, second := int64(-1), int64(-1)
-	for _, d := range durs {
-		switch {
-		case d > max:
-			second, max = max, d
-		case d > second:
-			second = d
-		}
-	}
-	return max - second
-}
-
-// deliverOne performs the round trip to a single destination.
-func (n *Network) deliverOne(ctx context.Context, from, to protocol.SiteID, req protocol.Request, countReply bool, opIdx int) protocol.Result {
-	h, err := n.route(from, to)
-	if err != nil {
-		return protocol.Result{Err: err}
-	}
-	deliver, ferr := n.applyFault(from, to, req)
-	if !deliver {
-		return protocol.Result{Err: ferr}
-	}
-	if err := n.sleepLatency(ctx); err != nil {
-		return protocol.Result{Err: err}
-	}
-	resp, err := h.Handle(ctx, from, req)
-	if ferr != nil {
-		return protocol.Result{Err: ferr}
-	}
-	if err != nil {
-		return protocol.Result{Err: err}
-	}
-	if countReply {
-		n.countReply(opIdx, resp)
-	}
-	return protocol.Result{Resp: resp}
 }

@@ -58,6 +58,12 @@ type Replica struct {
 	// newer install supersedes the staged version; memory is bounded by
 	// the number of blocks. Guarded by mu.
 	prov map[block.Index]provRecord
+	// readInto is the store's ReadInto when it has one, resolved once in
+	// New; pre-images are then read into spare — the buffer of the last
+	// record a stage superseded, recycled only once that record has left
+	// prov — instead of a fresh copy. Guarded by mu.
+	readInto store.ReaderInto
+	spare    []byte
 
 	// wHook observes was-available transitions (old, new); nil observes
 	// nothing. A plain func keeps the site mechanism free of any
@@ -115,6 +121,7 @@ func New(cfg Config) (*Replica, error) {
 		st = protocol.StateAvailable
 	}
 	r := &Replica{id: cfg.ID, weight: w, witness: cfg.Witness, st: cfg.Store, state: st}
+	r.readInto, _ = cfg.Store.(store.ReaderInto)
 	meta, err := cfg.Store.LoadMeta()
 	if err != nil {
 		return nil, fmt.Errorf("load replica meta: %w", err)
@@ -420,30 +427,55 @@ func (r *Replica) handlePrepareWrite(state protocol.SiteState, from protocol.Sit
 	// PutRequest. A witness never stages either: a fast commit would
 	// leave its version table behind the data sites', so the coordinator
 	// falls back to the put fan-out whenever a witness is in the quorum.
-	if state == protocol.StateComatose || r.witness {
+	// And a proposal no newer than the local copy only collects the vote.
+	if state == protocol.StateComatose || r.witness || q.Version <= ver {
 		return reply, nil
 	}
-	var prevData []byte
-	if q.Version > ver {
-		// Retain the displaced pre-image so a failed quorum can abort the
-		// stage; read it before the install overwrites it.
-		prevData, _, err = r.st.Read(q.Block)
-		if err != nil {
-			return nil, err
-		}
-	}
-	staged, err := r.stageLocked(q.Block, q.Data, q.Version)
+	// Retain the displaced pre-image so a failed quorum can abort the
+	// stage; read it before the install overwrites it.
+	prevData, err := r.preImage(q.Block)
 	if err != nil {
 		return nil, err
 	}
-	reply.Staged = staged
-	if staged {
-		if r.prov == nil {
-			r.prov = make(map[block.Index]provRecord)
+	superseded := r.prov[q.Block].prevData
+	reply.Staged, err = r.stageLocked(q.Block, q.Data, q.Version)
+	if !reply.Staged {
+		// No install (the store failed, or an unlocked local write got
+		// ahead): the block and any earlier stage's record stand as they
+		// were; only the unused buffer goes back.
+		r.spare = prevData
+		if err != nil {
+			return nil, err
 		}
-		r.prov[q.Block] = provRecord{from: from, stagedVer: q.Version, prevVer: ver, prevData: prevData}
+		return reply, nil
 	}
+	if superseded != nil {
+		r.spare = superseded // the install dropped that record from prov
+	}
+	if r.prov == nil {
+		r.prov = make(map[block.Index]provRecord)
+	}
+	r.prov[q.Block] = provRecord{from: from, stagedVer: q.Version, prevVer: ver, prevData: prevData}
 	return reply, nil
+}
+
+// preImage reads block idx's current contents for a prov record, into
+// the spare buffer when the store can fill one. Callers hold r.mu.
+func (r *Replica) preImage(idx block.Index) ([]byte, error) {
+	if r.readInto == nil {
+		data, _, err := r.st.Read(idx)
+		return data, err
+	}
+	buf := r.spare
+	r.spare = nil
+	if buf == nil {
+		buf = make([]byte, r.st.Geometry().BlockSize)
+	}
+	if _, err := r.readInto.ReadInto(idx, buf); err != nil {
+		r.spare = buf
+		return nil, err
+	}
+	return buf, nil
 }
 
 // handleAbortWrite reverts a staged prepare-write whose coordinator

@@ -148,6 +148,17 @@ func (b *Batcher) Geometry() block.Geometry { return b.st.Geometry() }
 // Read passes through to the underlying store.
 func (b *Batcher) Read(idx block.Index) ([]byte, block.Version, error) { return b.st.Read(idx) }
 
+// ReadInto implements ReaderInto: reads bypass the queue, through the
+// underlying store's ReadInto when it has one.
+func (b *Batcher) ReadInto(idx block.Index, buf []byte) (block.Version, error) {
+	if ri, ok := b.st.(ReaderInto); ok {
+		return ri.ReadInto(idx, buf)
+	}
+	data, ver, err := b.st.Read(idx)
+	copy(buf, data)
+	return ver, err
+}
+
 // Version passes through to the underlying store.
 func (b *Batcher) Version(idx block.Index) (block.Version, error) { return b.st.Version(idx) }
 

@@ -46,9 +46,22 @@ func (m *MemStore) Read(idx block.Index) ([]byte, block.Version, error) {
 	if err := checkAccess(m.geom, idx); err != nil {
 		return nil, 0, err
 	}
-	out := make([]byte, m.geom.BlockSize)
-	copy(out, m.slice(idx))
-	return out, m.versions[idx], nil
+	// Cloned, not made and copied: make would zero the block first.
+	return append([]byte(nil), m.slice(idx)...), m.versions[idx], nil
+}
+
+// ReadInto implements ReaderInto.
+func (m *MemStore) ReadInto(idx block.Index, buf []byte) (block.Version, error) {
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	if m.closed {
+		return 0, ErrClosed
+	}
+	if err := checkWrite(m.geom, idx, buf); err != nil {
+		return 0, err
+	}
+	copy(buf, m.slice(idx))
+	return m.versions[idx], nil
 }
 
 // Write replaces block idx with data at version ver.

@@ -271,6 +271,11 @@ func (s *SegStore) Read(idx block.Index) ([]byte, block.Version, error) {
 	return s.mem.Read(idx)
 }
 
+// ReadInto implements ReaderInto from the in-memory image.
+func (s *SegStore) ReadInto(idx block.Index, buf []byte) (block.Version, error) {
+	return s.mem.ReadInto(idx, buf)
+}
+
 // Version returns the version of block idx.
 func (s *SegStore) Version(idx block.Index) (block.Version, error) {
 	return s.mem.Version(idx)

@@ -80,6 +80,16 @@ type Store interface {
 	Close() error
 }
 
+// ReaderInto is the optional capability of reading a block into a
+// buffer the caller owns (exactly one block long) instead of a fresh
+// copy; a replica recycles pre-image buffers through it (DESIGN.md
+// §12). MemStore, SegStore and Batcher have it. It stays out of Store
+// only because benchmark/ implements Store; folding it in is the
+// follow-up.
+type ReaderInto interface {
+	ReadInto(idx block.Index, buf []byte) (block.Version, error)
+}
+
 func checkAccess(g block.Geometry, idx block.Index) error {
 	if !g.Contains(idx) {
 		return &OutOfRangeError{Index: idx, NumBlocks: g.NumBlocks}

@@ -334,3 +334,42 @@ func TestStoreLastWriteWins(t *testing.T) {
 		})
 	}
 }
+
+// ReadInto fills the caller's buffer with exactly what Read returns, on
+// every store that has it — and on a Batcher over a store that does
+// not (FileStore), which falls back to Read.
+func TestStoreReadInto(t *testing.T) {
+	mk := openers(t)
+	mk["batched-file"] = func(t *testing.T, g block.Geometry) Store {
+		return NewBatcher(mk["file"](t, g), BatchPolicy{MaxBatch: 8})
+	}
+	want := map[string]bool{"mem": true, "file": false, "segment": true, "batched-segment": true, "batched-file": true}
+	for name, open := range mk {
+		t.Run(name, func(t *testing.T) {
+			s := open(t, testGeom)
+			defer s.Close()
+			ri, ok := s.(ReaderInto)
+			if ok != want[name] {
+				t.Fatalf("ReaderInto = %v, want %v", ok, want[name])
+			}
+			if !ok {
+				return
+			}
+			if err := s.Write(3, fill(0xAB, testGeom.BlockSize), 7); err != nil {
+				t.Fatal(err)
+			}
+			buf := fill(0xFF, testGeom.BlockSize)
+			ver, err := ri.ReadInto(3, buf)
+			if err != nil || ver != 7 || !bytes.Equal(buf, fill(0xAB, testGeom.BlockSize)) {
+				t.Fatalf("ReadInto = %x@%d, %v", buf[:4], ver, err)
+			}
+			if ver, err := ri.ReadInto(4, buf); err != nil || ver != 0 || !bytes.Equal(buf, make([]byte, testGeom.BlockSize)) {
+				t.Fatalf("ReadInto of a fresh block = %x@%d, %v", buf[:4], ver, err)
+			}
+			var oor *OutOfRangeError
+			if _, err := ri.ReadInto(block.Index(testGeom.NumBlocks), buf); !errors.As(err, &oor) {
+				t.Fatalf("out-of-range ReadInto: %v", err)
+			}
+		})
+	}
+}

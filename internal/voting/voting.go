@@ -69,6 +69,7 @@ func WithPagedRecovery(maxBlocks int) Option {
 // Controller is the voting consistency engine at one site.
 type Controller struct {
 	env            scheme.Env
+	remotes        []protocol.SiteID // every site but Self, fixed at construction
 	readThreshold  int64
 	writeThreshold int64
 	eager          bool
@@ -99,6 +100,7 @@ func New(env scheme.Env, opts ...Option) (*Controller, error) {
 	total := env.TotalWeight()
 	c := &Controller{
 		env:            env,
+		remotes:        env.Remotes(),
 		readThreshold:  total / 2,
 		writeThreshold: total / 2,
 	}
@@ -137,35 +139,63 @@ type vote struct {
 	witness bool
 }
 
-// collect gathers votes for block idx from every reachable site,
-// including the local one (which costs no traffic). It returns the votes
-// and the total collected weight.
-func (c *Controller) collect(ctx context.Context, idx block.Index) ([]vote, int64, error) {
-	localVer, err := c.env.Self.VersionLocal(idx)
-	if err != nil {
-		return nil, 0, fmt.Errorf("voting: local version: %w", err)
-	}
-	votes := []vote{{
-		from:    c.env.Self.ID(),
-		version: localVer,
-		weight:  c.env.Self.Weight(),
-		witness: c.env.Self.Witness(),
-	}}
-	weight := c.env.Self.Weight()
+// ballot is the votes of one round, collected on the coordinator's
+// stack: a group has at most MaxSites voters.
+type ballot struct {
+	votes     [protocol.MaxSites]vote
+	n         int
+	witnesses int   // how many of votes[:n] are witnesses
+	weight    int64 // total weight of votes[:n]
+	staged    int64 // weight of the remote sites that installed a prepare-write
+}
 
-	results := c.env.Transport.Broadcast(ctx, c.env.Self.ID(), c.env.Remotes(), protocol.VoteRequest{Block: idx})
-	for id, res := range results {
+func (b *ballot) add(v vote) {
+	b.votes[b.n] = v
+	b.n++
+	b.weight += v.weight
+	if v.witness {
+		b.witnesses++
+	}
+}
+
+// collect runs one vote round for block idx: the local vote (which
+// costs no traffic) plus a VoteRequest broadcast to every remote site.
+// With stage set it is the single-round write path's combined round
+// instead: it proposes the local version + 1 and ships stage in a
+// PrepareWriteRequest, which every reachable site answers with the same
+// vote fields, staging the proposal when it is strictly newer than its
+// copy. collect returns that proposed version.
+func (c *Controller) collect(ctx context.Context, b *ballot, idx block.Index, stage []byte) (proposed block.Version, err error) {
+	self := c.env.Self
+	localVer, err := self.VersionLocal(idx)
+	if err != nil {
+		return 0, fmt.Errorf("voting: local version: %w", err)
+	}
+	proposed = localVer + 1
+	var req protocol.Request
+	if stage == nil {
+		req = protocol.VoteRequest{Block: idx}
+	} else {
+		req = protocol.PrepareWriteRequest{Block: idx, Data: stage, Version: proposed}
+	}
+	b.add(vote{from: self.ID(), version: localVer, weight: self.Weight(), witness: self.Witness()})
+	for id, res := range c.env.Transport.Broadcast(ctx, self.ID(), c.remotes, req) {
 		if res.Err != nil {
 			continue // unreachable or failed site: no vote
 		}
-		reply, ok := res.Resp.(protocol.VoteReply)
-		if !ok {
-			return nil, 0, fmt.Errorf("voting: site %v answered %T to a vote request", id, res.Resp)
+		switch reply := res.Resp.(type) {
+		case protocol.VoteReply:
+			b.add(vote{from: id, version: reply.Version, weight: reply.Weight, witness: reply.Witness})
+		case protocol.PrepareWriteReply:
+			b.add(vote{from: id, version: reply.Version, weight: reply.Weight, witness: reply.Witness})
+			if reply.Staged {
+				b.staged += reply.Weight
+			}
+		default:
+			return 0, fmt.Errorf("voting: site %v answered %T to a %s", id, res.Resp, req.Kind())
 		}
-		votes = append(votes, vote{from: id, version: reply.Version, weight: reply.Weight, witness: reply.Witness})
-		weight += reply.Weight
 	}
-	return votes, weight, nil
+	return proposed, nil
 }
 
 func maxVote(votes []vote) vote {
@@ -203,10 +233,11 @@ func (c *Controller) Read(ctx context.Context, idx block.Index) (_ []byte, err e
 	defer op.End(&err)
 	ctx = op.Start(ctx)
 
-	votes, weight, err := c.collect(ctx, idx)
-	if err != nil {
+	var b ballot
+	if _, err := c.collect(ctx, &b, idx, nil); err != nil {
 		return nil, err
 	}
+	votes, weight := b.votes[:b.n], b.weight
 	ob.QuorumAssembled(protocol.OpRead, idx, len(votes), weight)
 	if weight <= c.readThreshold {
 		return nil, fmt.Errorf("voting read of %v: collected weight %d of %d required: %w",
@@ -253,46 +284,6 @@ func (c *Controller) Read(ctx context.Context, idx block.Index) (_ []byte, err e
 	return data, nil
 }
 
-// prepare runs the combined round of the single-round write path: it
-// proposes version localVer+1 and ships the data in the same broadcast.
-// Every reachable site answers with its vote (the same fields a
-// VoteRequest would return) and stages the proposal when it is strictly
-// newer than the site's copy. staged maps each remote site that
-// installed the proposal to its weight.
-func (c *Controller) prepare(ctx context.Context, idx block.Index, data []byte) (votes []vote, weight int64, staged map[protocol.SiteID]int64, proposed block.Version, err error) {
-	self := c.env.Self
-	localVer, err := self.VersionLocal(idx)
-	if err != nil {
-		return nil, 0, nil, 0, fmt.Errorf("voting: local version: %w", err)
-	}
-	proposed = localVer + 1
-	votes = []vote{{
-		from:    self.ID(),
-		version: localVer,
-		weight:  self.Weight(),
-		witness: self.Witness(),
-	}}
-	weight = self.Weight()
-	staged = make(map[protocol.SiteID]int64)
-	req := protocol.PrepareWriteRequest{Block: idx, Data: data, Version: proposed}
-	results := c.env.Transport.Broadcast(ctx, self.ID(), c.env.Remotes(), req)
-	for id, res := range results {
-		if res.Err != nil {
-			continue // unreachable or failed site: no vote
-		}
-		reply, ok := res.Resp.(protocol.PrepareWriteReply)
-		if !ok {
-			return nil, 0, nil, 0, fmt.Errorf("voting: site %v answered %T to a prepare-write", id, res.Resp)
-		}
-		votes = append(votes, vote{from: id, version: reply.Version, weight: reply.Weight, witness: reply.Witness})
-		weight += reply.Weight
-		if reply.Staged {
-			staged[id] = reply.Weight
-		}
-	}
-	return votes, weight, staged, proposed, nil
-}
-
 // Write realises the Figure 4 write. By default it takes the pipelined
 // single-round path (DESIGN.md §12): one prepare-write broadcast both
 // collects the votes and provisionally installs the data, and the write
@@ -308,20 +299,16 @@ func (c *Controller) Write(ctx context.Context, idx block.Index, data []byte) (e
 	defer op.End(&err)
 	ctx = op.Start(ctx)
 
-	var (
-		votes    []vote
-		weight   int64
-		staged   map[protocol.SiteID]int64
-		proposed block.Version
-	)
+	stage := data // the single-round path ships the data in the vote round
 	if c.twoRound {
-		votes, weight, err = c.collect(ctx, idx)
-	} else {
-		votes, weight, staged, proposed, err = c.prepare(ctx, idx, data)
+		stage = nil
 	}
+	var b ballot
+	proposed, err := c.collect(ctx, &b, idx, stage)
 	if err != nil {
 		return err
 	}
+	votes, weight := b.votes[:b.n], b.weight
 	ob.QuorumAssembled(protocol.OpWrite, idx, len(votes), weight)
 	if weight <= c.writeThreshold {
 		// On the single-round path some sites staged the proposal before
@@ -338,16 +325,8 @@ func (c *Controller) Write(ctx context.Context, idx block.Index, data []byte) (e
 	op.Participants = len(votes)
 
 	if !c.twoRound {
-		conflict := maxVote(votes).version >= proposed
-		witnessInQuorum := false
-		for _, v := range votes {
-			if v.witness {
-				witnessInQuorum = true
-				break
-			}
-		}
-		if !conflict && !witnessInQuorum {
-			committed, ferr := c.commitFast(ctx, idx, data, staged, proposed)
+		if conflict := maxVote(votes).version >= proposed; !conflict && b.witnesses == 0 {
+			committed, ferr := c.commitFast(ctx, idx, data, b.staged, proposed)
 			if committed || ferr != nil {
 				return ferr
 			}
@@ -362,7 +341,7 @@ func (c *Controller) Write(ctx context.Context, idx block.Index, data []byte) (e
 		// so the fan-out's strictly greater version supersedes every
 		// staged install.
 	}
-	return c.finishTwoRound(ctx, idx, data, votes)
+	return c.finishTwoRound(ctx, idx, data, &b)
 }
 
 // abortStaged undoes the staged installs of a failed prepare round:
@@ -376,25 +355,21 @@ func (c *Controller) Write(ctx context.Context, idx block.Index, data []byte) (e
 // during a put fan-out.
 func (c *Controller) abortStaged(ctx context.Context, idx block.Index, proposed block.Version) {
 	//relidev:allow transport: abort is best-effort by design — a site that misses it keeps staged data, the documented crash-during-put equivalence; there is no recovery action to drive from per-site errors
-	c.env.Transport.Notify(ctx, c.env.Self.ID(), c.env.Remotes(),
+	c.env.Transport.Notify(ctx, c.env.Self.ID(), c.remotes,
 		protocol.AbortWriteRequest{Block: idx, Version: proposed})
 }
 
 // commitFast completes a single-round write: no site voted a version at
 // or above the proposal and no witness is involved, so the staged
-// installs *are* the update. The coordinator counts the staged weight,
-// aborts cleanly if it cannot clear the write threshold, and otherwise
+// installs *are* the update. The coordinator adds its own weight to the
+// remote sites' staged weight, aborts cleanly if it cannot clear the write threshold, and otherwise
 // installs locally with the same atomic conditional install the remote
 // sites performed. committed=false with a nil error means the local
 // install lost a race and the caller must fall back to the two-round
 // path.
-func (c *Controller) commitFast(ctx context.Context, idx block.Index, data []byte, staged map[protocol.SiteID]int64, proposed block.Version) (committed bool, err error) {
-	ob := c.env.Obs
-	ob.VersionResolved(protocol.OpWrite, idx, proposed)
-	installed := c.env.Self.Weight()
-	for _, w := range staged {
-		installed += w
-	}
+func (c *Controller) commitFast(ctx context.Context, idx block.Index, data []byte, staged int64, proposed block.Version) (committed bool, err error) {
+	c.env.Obs.VersionResolved(protocol.OpWrite, idx, proposed)
+	installed := c.env.Self.Weight() + staged
 	if installed <= c.writeThreshold {
 		// Enough sites voted but too few staged (comatose voters hold
 		// weight back from the install). The local copy is untouched at
@@ -423,8 +398,8 @@ func (c *Controller) commitFast(ctx context.Context, idx block.Index, data []byt
 // effect. On the fast path's fallback the vote round was the prepare
 // round, whose staged installs the strictly greater put version
 // supersedes.
-func (c *Controller) finishTwoRound(ctx context.Context, idx block.Index, data []byte, votes []vote) error {
-	ob := c.env.Obs
+func (c *Controller) finishTwoRound(ctx context.Context, idx block.Index, data []byte, b *ballot) error {
+	ob, votes := c.env.Obs, b.votes[:b.n]
 	newVer := maxVote(votes).version + 1
 	// A preceding prepare round — this write's own, or a concurrent
 	// coordinator's staged on this replica — may have advanced the local
@@ -437,13 +412,7 @@ func (c *Controller) finishTwoRound(ctx context.Context, idx block.Index, data [
 		newVer = localVer + 1
 	}
 	ob.VersionResolved(protocol.OpWrite, idx, newVer)
-	dataSites := 0
-	for _, v := range votes {
-		if !v.witness {
-			dataSites++
-		}
-	}
-	if dataSites == 0 {
+	if b.witnesses == b.n {
 		// A quorum of witnesses alone could version a write whose data no
 		// site would hold; refuse it.
 		return fmt.Errorf("voting write of %v: quorum holds no data site: %w", idx, ErrNoCurrentCopy)
@@ -527,7 +496,7 @@ func (c *Controller) Recover(ctx context.Context) (err error) {
 
 	// Eager (ablation): find the most current reachable site and run the
 	// version-vector exchange against it.
-	results := c.env.Transport.Broadcast(ctx, self.ID(), c.env.Remotes(), protocol.StatusRequest{})
+	results := c.env.Transport.Broadcast(ctx, self.ID(), c.remotes, protocol.StatusRequest{})
 	var best protocol.SiteID = -1
 	var bestSum uint64
 	for id, res := range results {

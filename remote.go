@@ -174,12 +174,6 @@ func OpenRemote(cfg RemoteConfig) (*RemoteSite, error) {
 	if cfg.Comatose {
 		initial = protocol.StateComatose
 	}
-	rs.replica, err = site.New(site.Config{ID: self, Store: st, InitialState: initial})
-	if err != nil {
-		st.Close()
-		return nil, err
-	}
-
 	addrs := make(map[protocol.SiteID]string, len(cfg.Peers))
 	ids := make([]protocol.SiteID, 0, len(cfg.Peers))
 	for id, addr := range cfg.Peers {
@@ -187,6 +181,15 @@ func OpenRemote(cfg RemoteConfig) (*RemoteSite, error) {
 		ids = append(ids, protocol.SiteID(id))
 	}
 	slices.Sort(ids)
+	// The replica votes with the weight the controllers count for it:
+	// both from DefaultWeights, so the §4.1 tie-break holds over TCP.
+	pos, _ := slices.BinarySearch(ids, self)
+	rs.replica, err = site.New(site.Config{ID: self, Store: st, InitialState: initial,
+		Weight: core.DefaultWeights(len(ids))[pos]})
+	if err != nil {
+		st.Close()
+		return nil, err
+	}
 	rs.client, err = rpcnet.NewClient(self, addrs, cfg.Timeout)
 	if err != nil {
 		st.Close()
