@@ -308,3 +308,43 @@ func TestReportBytesPinned(t *testing.T) {
 		}
 	}
 }
+
+// TestReportBytesPinnedWithoutAlerts pins the same three reports with
+// the alert-engine sections (health, slo, slo_alerts, flight) cut out,
+// to the bytes captured before the two engines were merged: schedule,
+// digest, metrics, conformance, availability and time-to-freshness do
+// not depend on how alerts are evaluated, so this hash must not move
+// when the sections above change shape.
+func TestReportBytesPinnedWithoutAlerts(t *testing.T) {
+	for scheme, want := range map[string]string{
+		"voting": "d1db89b68bb1b5aac4685de0b8534686ed691a7f9f4e3f635019856ace6ff7b0",
+		"ac":     "6560ff2fca80d5fd9ca6b8b76ca6d5a9f77ec3b939883a99888d40818aa910e3",
+		"nac":    "9615f001124607b6751ffed18b85de322df13f337cd0a43bb182eaff47b368c0",
+	} {
+		cfg := testConfig(t, scheme, 7, 150, 4)
+		cfg.Sites, cfg.Blocks = 5, 12
+		cfg.Flight, cfg.Telemetry, cfg.Coda = true, true, 4
+		var buf bytes.Buffer
+		if _, err := run(&buf, cfg, true, "", "", "", "", ""); err != nil {
+			t.Fatalf("%s: %v", scheme, err)
+		}
+		var rep map[string]json.RawMessage
+		if err := json.Unmarshal(buf.Bytes(), &rep); err != nil {
+			t.Fatalf("%s: %v", scheme, err)
+		}
+		// slo_alerts and flight are absent from a run that never paged.
+		for _, k := range []string{"health", "slo", "slo_alerts", "flight"} {
+			if _, ok := rep[k]; !ok && (k == "health" || k == "slo") {
+				t.Errorf("%s: report has no %q section to cut", scheme, k)
+			}
+			delete(rep, k)
+		}
+		stripped, err := json.Marshal(rep) // map keys marshal sorted
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256(stripped)); got != want {
+			t.Errorf("%s: stripped report sha256 = %s, want %s", scheme, got, want)
+		}
+	}
+}

@@ -3,13 +3,23 @@ package main
 import (
 	"bytes"
 	"context"
+	"errors"
+	"flag"
 	"net/http/httptest"
+	"os"
 	"strings"
 	"testing"
 	"time"
 
 	"relidev"
+	"relidev/internal/clock"
+	"relidev/internal/obs"
+	"relidev/internal/obs/plane"
+	"relidev/internal/obs/slo"
+	"relidev/internal/protocol"
 )
+
+var update = flag.Bool("update", false, "rewrite testdata/once.golden")
 
 // startCluster serves a metered in-process cluster's debug surface —
 // the same endpoints a blockserver exposes — and runs a small workload
@@ -119,5 +129,82 @@ func TestFmtNs(t *testing.T) {
 		if got := fmtNs(in); got != want {
 			t.Errorf("fmtNs(%v) = %q, want %q", in, got, want)
 		}
+	}
+}
+
+// TestOnceGolden byte-pins one -once frame (scrape time masked)
+// against a host on a manual clock: three steps of voting traffic, the
+// second with every write failing and a repair backlog at site 2.
+func TestOnceGolden(t *testing.T) {
+	clk := clock.NewManual()
+	var p *plane.Plane
+	w := slo.Windows{FastNs: 2e9, SlowNs: 3e9, Burn: 2}
+	p, err := plane.New(plane.Config{
+		Metered: true,
+		Clock:   clk,
+		StepNs:  1e9,
+		Retain:  8,
+		SLOs: []slo.SLO{
+			slo.ReadLatency("voting", 50e6, 0.99, w),
+			slo.WriteAvailability("voting", 0.9, w),
+			slo.RepairFreshness(2e9, 0.9, w),
+		},
+		Pull: func(context.Context) (obs.Snapshot, map[protocol.SiteID]error) {
+			return p.Observer().Snapshot(), map[protocol.SiteID]error{2: errors.New("site is down")}
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := p.Observer()
+	for step := 1; step <= 3; step++ {
+		for s := 0; s < 2; s++ {
+			site := o.SchemeSite("voting", protocol.SiteID(s))
+			for b := 0; b < 4; b++ {
+				_, sp := site.StartOp(context.Background(), protocol.OpWrite, int64(b))
+				clk.Advance(3 * time.Microsecond)
+				if step == 2 {
+					sp.Done(0, context.DeadlineExceeded)
+				} else {
+					sp.Done(2, nil)
+				}
+				_, sp = site.StartOp(context.Background(), protocol.OpRead, int64(b))
+				clk.Advance(time.Microsecond)
+				sp.Done(2, nil)
+			}
+		}
+		o.Repair("voting", 2).SetLag(5 * (step - 1))
+		clk.Advance(time.Duration(step)*time.Second - time.Duration(clk.Now().UnixNano()))
+		p.Step("poll", false)
+	}
+	h, err := p.DebugHandler()
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(h)
+	defer srv.Close()
+	var buf bytes.Buffer
+	if err := run(&buf, srv.URL, time.Second, 5*time.Second, true); err != nil {
+		t.Fatal(err)
+	}
+	// The header ends with the scrape's wall time.
+	head, rest, _ := strings.Cut(buf.String(), "\n")
+	got := []byte(head[:strings.LastIndex(head, "— ")] + "— <scrape time>\n" + rest)
+	const path = "testdata/once.golden"
+	if *update {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("-once frame differs from %s (rerun with -update after reading the diff):\n--- got\n%s--- want\n%s", path, got, want)
 	}
 }

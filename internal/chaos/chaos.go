@@ -323,12 +323,23 @@ type engine struct {
 
 	hash   hash.Hash64
 	report *Report
+	// onVerdict, when set (tests), sees every checkpoint's verdicts.
+	onVerdict func(*health.Verdict, *slo.Report)
 }
 
 // Run executes one chaos schedule and returns its report. The report is
 // returned (with partial counts) even when violations were found; the
 // error is reserved for setup problems and context cancellation.
 func Run(ctx context.Context, cfg Config) (*Report, error) {
+	e, err := newEngine(cfg)
+	if err != nil {
+		return nil, err
+	}
+	return e.finish(e.run(ctx))
+}
+
+// newEngine builds the cluster under test and everything that watches it.
+func newEngine(cfg Config) (*engine, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
@@ -396,8 +407,12 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 	for i := 0; i < cfg.Sites; i++ {
 		e.highWater[i] = block.NewVector(cfg.Blocks)
 	}
+	return e, nil
+}
 
-	err = e.run(ctx)
+// finish turns a completed schedule (err is what run returned) into
+// the report: the digest, then the end-of-run observation checks.
+func (e *engine) finish(err error) (*Report, error) {
 	// The first trigger's dump: an invariant violation, a critical health
 	// verdict or an exhausted error budget, whichever came first.
 	e.report.Flight = e.plane.Sealed()
@@ -918,6 +933,9 @@ func (e *engine) checkpoint() {
 	e.report.Health, e.report.SLO = e.plane.Step("checkpoint", true)
 	if e.report.SLO != nil {
 		e.logAlerts(e.report.SLO)
+	}
+	if e.onVerdict != nil {
+		e.onVerdict(e.report.Health, e.report.SLO)
 	}
 	for i := 0; i < e.cfg.Sites; i++ {
 		rep, err := e.cl.Replica(protocol.SiteID(i))

@@ -1,0 +1,321 @@
+package plane
+
+import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"errors"
+	"flag"
+	"net/http"
+	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+	"time"
+
+	"relidev/internal/clock"
+	"relidev/internal/obs"
+	"relidev/internal/obs/flight"
+	"relidev/internal/obs/health"
+	"relidev/internal/obs/slo"
+	"relidev/internal/protocol"
+	"relidev/internal/repair"
+)
+
+var update = flag.Bool("update", false, "rewrite the golden files under testdata/")
+
+// golden compares got with testdata/<name>, or rewrites it under -update.
+func golden(t *testing.T, name string, got []byte) {
+	t.Helper()
+	path := filepath.Join("testdata", name)
+	if *update {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("%s differs from its golden (rerun with -update after reading the diff):\n--- got\n%s\n--- want\n%s", name, got, want)
+	}
+}
+
+func indented(t *testing.T, v any) []byte {
+	t.Helper()
+	b, err := json.MarshalIndent(v, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return append(b, '\n')
+}
+
+// get serves one GET on the plane's debug surface.
+func get(t *testing.T, h http.Handler, path string) (int, []byte) {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest("GET", path, nil))
+	return rec.Code, rec.Body.Bytes()
+}
+
+// scriptPolicy has a two-second deadline for one stale block, so the
+// scripted backlog outlives it.
+var scriptPolicy = repair.Policy{MaxRounds: 1, MaxAttemptsPerPage: 2, RetryMax: time.Second}
+
+// scriptConfig is a three-site voting host with every part attached:
+// the default alert conditions at a one-second step, burn windows of
+// three and eight steps.
+func scriptConfig(clk clock.Clock) Config {
+	w := slo.Windows{FastNs: 3e9, SlowNs: 8e9, Burn: 2}
+	return Config{
+		Metered:  true,
+		Clock:    clk,
+		TraceCap: 24,
+		Flight:   true,
+		Probes:   []flight.Source{flight.Probe("suspects", func() any { return "{site2}" })},
+		HealthRules: []health.Rule{
+			health.QuorumMarginRule("voting", 2),
+			health.ErrorRateRule(0.1),
+			health.BatcherOccupancyRule(64),
+			health.ConformanceDriftRule("voting", 0),
+			health.StalenessRule(scriptPolicy),
+		},
+		StepNs: 1e9,
+		Retain: 64,
+		SLOs: []slo.SLO{
+			slo.ReadLatency("voting", 50e6, 0.99, w),
+			slo.WriteAvailability("voting", 0.9, w),
+			slo.ConformanceDrift("voting", 0, w),
+			slo.RepairFreshness(2e9, 0.9, w),
+		},
+		Pull: func(context.Context) (obs.Snapshot, map[protocol.SiteID]error) { return obs.Snapshot{}, nil },
+	}
+}
+
+// script drives twelve one-second steps of traffic through p: four
+// writes and four reads a step (2µs each on the manual clock), the
+// writes of steps 5-7 failing, writes from step 9 on reaching only a
+// bare quorum, and a repair backlog at site 2 that appears in step 4
+// and drains by step 9. each, when set, runs after every Step with the
+// step number and what Step returned.
+func script(t *testing.T, p *Plane, clk *clock.Manual, each func(step int, hv *health.Verdict, rep *slo.Report)) {
+	t.Helper()
+	o := p.Observer()
+	site := o.SchemeSite("voting", 0)
+	lag := map[int]int{4: 7, 5: 5, 6: 3, 7: 3, 8: 1, 9: 0}
+	op := func(kind string, blk, participants int, err error) {
+		_, sp := site.StartOp(context.Background(), kind, int64(blk))
+		clk.Advance(2 * time.Microsecond)
+		sp.Done(participants, err)
+	}
+	for step := 1; step <= 12; step++ {
+		for b := 0; b < 4; b++ {
+			switch {
+			case step >= 5 && step <= 7:
+				op(protocol.OpWrite, b, 0, context.DeadlineExceeded)
+			case step >= 9:
+				op(protocol.OpWrite, b, 2, nil)
+			default:
+				op(protocol.OpWrite, b, 3, nil)
+			}
+			op(protocol.OpRead, b, 3, nil)
+		}
+		if n, ok := lag[step]; ok {
+			o.Repair("voting", 2).SetLag(n)
+		}
+		clk.Advance(time.Duration(step)*time.Second - time.Duration(clk.Now().UnixNano()))
+		hv, rep := p.Step("poll", true)
+		if each != nil {
+			each(step, hv, rep)
+		}
+	}
+}
+
+// TestEndpointGoldens byte-pins what the alert and dump endpoints serve
+// for the scripted run: Step's verdicts in the middle of the failing
+// burst, then every endpoint after the last step.
+func TestEndpointGoldens(t *testing.T) {
+	clk := clock.NewManual()
+	p, err := New(scriptConfig(clk))
+	if err != nil {
+		t.Fatal(err)
+	}
+	script(t, p, clk, func(step int, hv *health.Verdict, rep *slo.Report) {
+		if step == 6 {
+			golden(t, "step6_health.json", indented(t, hv))
+			golden(t, "step6_slo.json", indented(t, rep))
+		}
+	})
+	h, err := p.DebugHandler()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ep := range []struct {
+		path, file string
+		status     int
+	}{
+		{"/healthz", "healthz.json", 200},
+		{"/slo", "slo.json", 503}, // the write-availability budget is spent
+		{"/timeseries", "timeseries.json", 200},
+		{"/profile", "profile.json", 200},
+		{"/debug/flight/sealed", "flight_sealed.json", 200},
+		{"/debug/flight", "flight.json", 200},
+	} {
+		status, body := get(t, h, ep.path)
+		if status != ep.status {
+			t.Errorf("GET %s = %d, want %d", ep.path, status, ep.status)
+		}
+		golden(t, ep.file, body)
+	}
+}
+
+// TestSealKeepsFirstTrigger: the retained dump is the first trigger's;
+// later triggers, a fresh on-demand dump included, leave it alone.
+func TestSealKeepsFirstTrigger(t *testing.T) {
+	clk := clock.NewManual()
+	p, err := New(scriptConfig(clk))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.Sealed() != nil {
+		t.Fatal("sealed before any trigger")
+	}
+	p.Step("poll", true)
+	p.Seal("first")
+	p.Step("poll", true)
+	p.Seal("second")
+	h, _ := p.DebugHandler()
+	if status, _ := get(t, h, "/debug/flight"); status != 200 {
+		t.Fatalf("/debug/flight = %d", status)
+	}
+	if d := p.Sealed(); d == nil || d.Trigger != "first" {
+		t.Fatalf("sealed = %+v, want the first trigger's dump", d)
+	}
+}
+
+// TestStepSealsWithItsOwnFrame: a Step whose evaluation goes critical
+// seals a dump that already holds that step's record of the registry —
+// recording comes before evaluation.
+func TestStepSealsWithItsOwnFrame(t *testing.T) {
+	clk := clock.NewManual()
+	p, err := New(scriptConfig(clk))
+	if err != nil {
+		t.Fatal(err)
+	}
+	script(t, p, clk, func(step int, hv *health.Verdict, _ *slo.Report) {
+		sealed := p.Sealed()
+		switch {
+		case step < 5 && sealed != nil:
+			t.Fatalf("step %d: sealed %q before the burst", step, sealed.Trigger)
+		case step == 5:
+			if hv.Overall != health.Critical || sealed == nil || !strings.HasPrefix(sealed.Trigger, "health: error_rate") {
+				t.Fatalf("step 5: verdict %v, sealed %+v", hv.Overall, sealed)
+			}
+			if last := sealed.Frames[len(sealed.Frames)-1]; sealed.SealedAtNs != 5e9 || last.AtNs != 5e9 {
+				t.Fatalf("dump sealed at %d ends with the record of %d, want step 5's", sealed.SealedAtNs, last.AtNs)
+			}
+		}
+	})
+}
+
+// TestOneSnapshotPerStep counts full registry reads per Step.
+func TestOneSnapshotPerStep(t *testing.T) {
+	clk := clock.NewManual()
+	p, err := New(scriptConfig(clk))
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := p.Observer().Registry()
+	p.Step("poll", true)
+	before := reg.Snapshots()
+	p.Step("poll", true)
+	if got := reg.Snapshots() - before; got != 5 {
+		t.Fatalf("one Step read the registry %d times, want 5", got)
+	}
+}
+
+// TestNilPlaneRefuses: the unmetered host's plane is nil, and every
+// method on it is a typed refusal or a no-op.
+func TestNilPlaneRefuses(t *testing.T) {
+	p, err := New(Config{})
+	if err != nil || p != nil {
+		t.Fatalf("New(unmetered) = %v, %v; want nil, nil", p, err)
+	}
+	if p.Observer() != nil || p.Sealed() != nil {
+		t.Error("nil plane has parts")
+	}
+	p.Seal("x")
+	if hv, rep := p.Step("x", true); hv != nil || rep != nil {
+		t.Error("nil plane stepped")
+	}
+	if _, err := p.Health(); !errors.Is(err, ErrNotMetered) {
+		t.Errorf("Health: %v", err)
+	}
+	if _, err := p.SLOs(); !errors.Is(err, ErrNoTelemetry) {
+		t.Errorf("SLOs: %v", err)
+	}
+	if _, err := p.Ring(); !errors.Is(err, ErrNoTelemetry) {
+		t.Errorf("Ring: %v", err)
+	}
+	if _, err := p.CriticalPath(); !errors.Is(err, ErrNotMetered) {
+		t.Errorf("CriticalPath: %v", err)
+	}
+	if _, err := p.ClusterMetricsJSON(context.Background()); !errors.Is(err, ErrNotMetered) {
+		t.Errorf("ClusterMetricsJSON: %v", err)
+	}
+	if _, err := p.DebugHandler(); !errors.Is(err, ErrNotMetered) {
+		t.Errorf("DebugHandler: %v", err)
+	}
+}
+
+// TestPartialPlaneRefuses: a metered plane without a part answers that
+// part's accessor with its own refusal and its route with 404.
+func TestPartialPlaneRefuses(t *testing.T) {
+	p, err := New(Config{Metered: true, Clock: clock.NewManual()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.Health(); !errors.Is(err, ErrNoHealthRules) {
+		t.Errorf("Health: %v", err)
+	}
+	if _, err := p.SLOs(); !errors.Is(err, ErrNoTelemetry) {
+		t.Errorf("SLOs: %v", err)
+	}
+	if _, err := p.Ring(); !errors.Is(err, ErrNoTelemetry) {
+		t.Errorf("Ring: %v", err)
+	}
+	p.Seal("ignored")
+	if p.Sealed() != nil {
+		t.Error("sealed without a recorder")
+	}
+	h, _ := p.DebugHandler()
+	for _, path := range []string{"/healthz", "/slo", "/timeseries", "/debug/flight", "/debug/flight/sealed", "/trace"} {
+		if status, _ := get(t, h, path); status != 404 {
+			t.Errorf("GET %s = %d, want 404", path, status)
+		}
+	}
+	if status, _ := get(t, h, "/profile"); status != 200 {
+		t.Errorf("GET /profile = %d", status)
+	}
+}
+
+// TestNewDependencyErrors: New refuses a part without what it reads.
+func TestNewDependencyErrors(t *testing.T) {
+	full := scriptConfig(clock.NewManual())
+	for name, cfg := range map[string]Config{
+		"negative step":          {Metered: true, StepNs: -1},
+		"SLOs without a step":    {Metered: true, SLOs: full.SLOs},
+		"rules without metering": {HealthRules: full.HealthRules},
+		"step without metering":  {StepNs: 1},
+	} {
+		if p, err := New(cfg); err == nil || p != nil {
+			t.Errorf("%s: New = %v, %v; want an error", name, p, err)
+		}
+	}
+}

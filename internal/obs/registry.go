@@ -149,6 +149,9 @@ type Registry struct {
 	counters map[string]*counterSeries
 	gauges   map[string]*gaugeSeries
 	hists    map[string]*histSeries
+	// snapshots counts full reads of the registry, the unit a telemetry
+	// step's cost is budgeted in.
+	snapshots atomic.Uint64
 }
 
 // NewRegistry returns an empty registry.
@@ -323,6 +326,7 @@ func (r *Registry) Snapshot() Snapshot {
 	if r == nil {
 		return snap
 	}
+	r.snapshots.Add(1)
 	r.mu.Lock()
 	counterKeys := sortedKeys(r.counters)
 	gaugeKeys := sortedKeys(r.gauges)
@@ -359,6 +363,9 @@ func (r *Registry) Snapshot() Snapshot {
 	}
 	return snap
 }
+
+// Snapshots returns how many times Snapshot has read the registry.
+func (r *Registry) Snapshots() uint64 { return r.snapshots.Load() }
 
 func sortedKeys[V any](m map[string]V) []string {
 	keys := make([]string, 0, len(m))
