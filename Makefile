@@ -75,11 +75,11 @@ repair-race:
 # conformance invariants, runs the background repairer after every
 # recovery (bounded time-to-freshness is a standing invariant), and
 # leaves its metrics snapshot, availability verdict, time-to-freshness
-# samples, sealed flight-recorder dump, and final SLO evaluation (with
-# the alert transition log — empty on a clean run, fire/clear stamped
-# on a degraded one) in artifacts/ (CI uploads all five; the flight
-# dump is null unless an invariant violation or a critical health
-# breach sealed it).
+# samples, sealed flight-recorder dump, and final burn-rate evaluation
+# (with the alert transition log — empty on a clean run, fire/clear
+# stamped on a degraded one) in artifacts/ (CI uploads all five; the
+# flight dump is null unless an invariant violation or a critical
+# objective sealed it).
 chaos-short:
 	mkdir -p artifacts
 	$(GO) run -race ./cmd/chaos -scheme=voting -seed=7 -events=150 -ops-per-event=4 -metrics-out=artifacts/chaos-voting-metrics.json -avail-out=artifacts/chaos-voting-avail.json -ttf-out=artifacts/chaos-voting-ttf.json -flight-out=artifacts/chaos-voting-flight.json -slo-out=artifacts/chaos-voting-slo.json
@@ -87,7 +87,7 @@ chaos-short:
 	$(GO) run -race ./cmd/chaos -scheme=nac    -seed=7 -events=150 -ops-per-event=4 -metrics-out=artifacts/chaos-nac-metrics.json -avail-out=artifacts/chaos-nac-avail.json -ttf-out=artifacts/chaos-nac-ttf.json -flight-out=artifacts/chaos-nac-flight.json -slo-out=artifacts/chaos-nac-slo.json
 
 # report-stable is the whole-report replay check (DESIGN.md "Time"): a
-# chaos report — metrics, health, flight, SLOs and time-to-freshness,
+# chaos report — metrics, alerts, flight dump and time-to-freshness,
 # not only the digest — must be the same bytes at any GOMAXPROCS, plain
 # and under the race detector's different scheduling (~15 min there, so
 # past go test's 10 min default).
@@ -112,9 +112,9 @@ loc-check:
 	fi; \
 	echo "loc-check: $$loc non-test lines (ledger: $$max)"
 
-# obs-race hammers the new observability surfaces — the health engine's
-# hysteresis state machines and the flight recorder's ring — under the
-# race detector, alongside the phase-attribution integration tests.
+# obs-race runs the two hosts' observability surfaces — debug routes,
+# the RemoteSite poller, on-demand and unattended seals, interleaved
+# probers — under the race detector. The packages under internal/obs
+# are race-tested once, by `make race` / CI's `go test -race ./...`.
 obs-race:
-	$(GO) test -race ./internal/obs/...
-	$(GO) test -race -run 'TestHealthSurface|TestCriticalPathSurface|TestRemoteObservabilitySurface|TestHostDebugSurfaceParity|TestRemoteBlackBox|TestRemoteCriticalHealthSeals' .
+	$(GO) test -race -run 'TestHealthSurface|TestCriticalPathSurface|TestRemoteObservabilitySurface|TestHostDebugSurfaceParity|TestRemoteBlackBox|TestRemoteCriticalHealthSeals|TestRemotePollerSealsUnattended|TestInterleavedProbersSeeOneVerdict|TestLazyRefreshRaisesNoObjective' .

@@ -18,15 +18,14 @@
 //
 // Pass -debug-addr to expose the observability surface: /metrics
 // (JSON), /metrics.prom (Prometheus text), /trace (recent protocol
-// events), /profile (critical-path phase attribution), /healthz (the
-// rule-driven health verdict; 503 once a critical alert is active),
-// /debug/flight (the black-box flight recorder's sealed dump),
-// /cluster/metrics (every site's registry scraped over the RPC plane
-// and merged into one view), /timeseries (the local telemetry ring;
-// cadence set by -telemetry-step), /slo (burn-rate evaluation of the
-// default SLO set; 503 once an error budget is exhausted; disable with
-// -slo=false), and the standard /debug/pprof/ handlers. relitop points
-// at this address.
+// events), /profile (critical-path phase attribution), /healthz and /slo
+// (the default objectives' threshold and burn-rate views; each 503 once
+// one of its objectives is critical), /debug/flight (an on-demand
+// black-box dump) and /debug/flight/sealed (the one the first critical
+// objective sealed), /cluster/metrics (every site's registry scraped
+// over the RPC plane and merged into one view), /timeseries (the local
+// telemetry ring; cadence set by -telemetry-step), and the standard
+// /debug/pprof/ handlers. relitop points at this address.
 package main
 
 import (
@@ -60,11 +59,10 @@ func main() {
 		comatose   = flag.Bool("comatose", false, "start comatose and run recovery (use after a crash)")
 		debugAddr  = flag.String("debug-addr", "", "serve /metrics, /metrics.prom, /trace and /debug/pprof/ on this address (empty = off)")
 		tracePeers = flag.String("trace-peers", "", "comma-separated peer /trace URLs; mounts /trace/cluster on the debug surface with the cluster-wide stitched view")
-		teleStep   = flag.Duration("telemetry-step", time.Second, "telemetry sampling cadence for /timeseries and the SLO burn rates (0 = off; requires -debug-addr)")
-		sloOn      = flag.Bool("slo", true, "attach the default SLO set (read latency, write availability, conformance drift, repair freshness) and serve /slo (requires -telemetry-step)")
+		teleStep   = flag.Duration("telemetry-step", time.Second, "telemetry sampling and alert evaluation cadence (0 = evaluate only when /healthz or /slo is asked; requires -debug-addr)")
 	)
 	flag.Parse()
-	if err := run(*id, *peersF, *schemeF, *storePath, *storeDir, *commitN, *commitWait, *blocks, *blockSize, *comatose, *debugAddr, *tracePeers, *teleStep, *sloOn); err != nil {
+	if err := run(*id, *peersF, *schemeF, *storePath, *storeDir, *commitN, *commitWait, *blocks, *blockSize, *comatose, *debugAddr, *tracePeers, *teleStep); err != nil {
 		fmt.Fprintln(os.Stderr, "blockserver:", err)
 		os.Exit(1)
 	}
@@ -106,7 +104,18 @@ func parseScheme(s string) (relidev.Scheme, error) {
 	}
 }
 
-func run(id int, peersF, schemeF, storePath, storeDir string, commitN int, commitWait time.Duration, blocks, blockSize int, comatose bool, debugAddr, tracePeers string, teleStep time.Duration, sloOn bool) error {
+// objectives is the server's alert set: the defaults, with the
+// availability target budgeted from the paper's own §4 prediction for
+// this deployment, like the chaos harness does. The repair policy backs
+// the freshness SLO only: a server pages nobody over the staleness
+// threshold, because one long repair of many blocks outlives the
+// single-block deadline that threshold judges.
+func objectives(scheme relidev.Scheme, n, blocks int) []relidev.Objective {
+	return append(relidev.DefaultObjectives(scheme, n, 0.05, blocks, nil),
+		relidev.RepairFreshnessSLO(relidev.RepairPolicy{}.Deadline(blocks), relidev.BurnPolicy{Target: 0.99}))
+}
+
+func run(id int, peersF, schemeF, storePath, storeDir string, commitN int, commitWait time.Duration, blocks, blockSize int, comatose bool, debugAddr, tracePeers string, teleStep time.Duration) error {
 	peers, err := parsePeers(peersF)
 	if err != nil {
 		return err
@@ -128,14 +137,8 @@ func run(id int, peersF, schemeF, storePath, storeDir string, commitN int, commi
 		Metered:          debugAddr != "",
 	}
 	if cfg.Metered {
-		cfg.HealthRules = relidev.DefaultHealthRules(scheme, len(peers), nil)
+		cfg.Objectives = objectives(scheme, len(peers), blocks)
 		cfg.TelemetryStep = teleStep
-		if sloOn && teleStep > 0 {
-			// Budget the availability target from the paper's own §4
-			// prediction for this deployment, like the chaos harness does.
-			cfg.SLOs = relidev.DefaultSLOs(scheme, len(peers), 0.05, blocks,
-				&relidev.RepairPolicy{})
-		}
 	}
 	site, err := relidev.OpenRemote(cfg)
 	if err != nil {

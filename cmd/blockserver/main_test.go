@@ -45,13 +45,13 @@ func TestParseScheme(t *testing.T) {
 }
 
 func TestRunRejectsBadFlags(t *testing.T) {
-	if err := run(0, "", "naive", "", "", 0, 0, 8, 256, false, "", "", 0, false); err == nil {
+	if err := run(0, "", "naive", "", "", 0, 0, 8, 256, false, "", "", 0); err == nil {
 		t.Fatal("missing peers accepted")
 	}
-	if err := run(0, "0=127.0.0.1:0", "bogus", "", "", 0, 0, 8, 256, false, "", "", 0, false); err == nil {
+	if err := run(0, "0=127.0.0.1:0", "bogus", "", "", 0, 0, 8, 256, false, "", "", 0); err == nil {
 		t.Fatal("bogus scheme accepted")
 	}
-	if err := run(1, "0=127.0.0.1:0", "naive", "", "", 0, 0, 8, 256, false, "", "", 0, false); err == nil {
+	if err := run(1, "0=127.0.0.1:0", "naive", "", "", 0, 0, 8, 256, false, "", "", 0); err == nil {
 		t.Fatal("id missing from peer map accepted")
 	}
 }
@@ -314,5 +314,21 @@ func TestClusterTraceStitchesCrossSiteWrite(t *testing.T) {
 	}
 	if found != 1 {
 		t.Fatalf("stitched %d write trees, want exactly 1:\n%s", found, body)
+	}
+}
+
+// TestObjectivesAreThePreMergeSet pins what a blockserver alerts on:
+// the set it had before health rules and SLOs became one list, less
+// conformance drift — in particular no staleness threshold, which would
+// answer 503 to a load balancer through any repair longer than the
+// single-block deadline.
+func TestObjectivesAreThePreMergeSet(t *testing.T) {
+	var names []string
+	for _, o := range objectives(relidev.Voting, 3, 64) {
+		names = append(names, o.Name)
+	}
+	want := "quorum_margin_voting error_rate batcher_occupancy read_latency_voting write_availability_voting repair_freshness"
+	if got := strings.Join(names, " "); got != want {
+		t.Fatalf("blockserver objectives:\n got %s\nwant %s", got, want)
 	}
 }

@@ -40,9 +40,9 @@ func main() {
 		availOut   = flag.String("avail-out", "", "write the availability observatory stats and §4 conformance verdict (JSON) to this file (implies -obs)")
 		repairF    = flag.Bool("repair", true, "run the background anti-entropy repairer after every recovery and enforce bounded time-to-freshness")
 		ttfOut     = flag.String("ttf-out", "", "write the per-recovery time-to-freshness samples (JSON) to this file (implies -repair)")
-		flightF    = flag.Bool("flight", true, "attach the black-box flight recorder and health engine (requires -obs)")
-		flightOut  = flag.String("flight-out", "", "write the sealed flight-recorder dump (JSON) to this file (implies -flight; dump is null unless a violation or critical health breach sealed it)")
-		telemetryF = flag.Bool("telemetry", true, "attach the telemetry plane: tsdb sampling and SLO burn-rate evaluation at every checkpoint (requires -obs)")
+		flightF    = flag.Bool("flight", true, "attach the black-box flight recorder and the threshold objectives (requires -obs)")
+		flightOut  = flag.String("flight-out", "", "write the sealed flight-recorder dump (JSON) to this file (implies -flight; dump is null unless a violation or a critical objective sealed it)")
+		telemetryF = flag.Bool("telemetry", true, "attach the burn-rate objectives, evaluated at every checkpoint over a ring that spans the run (requires -obs)")
 		sloOut     = flag.String("slo-out", "", "write the final SLO evaluation and the alert transition log (JSON) to this file (implies -telemetry; alerts are null on a quiet run)")
 		coda       = flag.Int("coda", 4, "fault-free workload batches appended after convergence, so burn-rate alerts can clear inside the run")
 	)
@@ -261,16 +261,16 @@ func printReport(w io.Writer, rep *chaos.Report) {
 	}
 	fmt.Fprintf(w, "  digest   %s\n", rep.Digest)
 	if rep.Health != nil {
-		active := 0
-		for _, rv := range rep.Health.Rules {
-			if rv.Active {
-				active++
+		latched := 0
+		for _, s := range rep.Health.Objectives {
+			if s.Latched {
+				latched++
 			}
 		}
-		fmt.Fprintf(w, "  health   %s (%d of %d rules active)\n", rep.Health.Overall, active, len(rep.Health.Rules))
+		fmt.Fprintf(w, "  health   %s (%d of %d objectives latched)\n", rep.Health.Overall, latched, len(rep.Health.Objectives))
 	}
 	if rep.Flight != nil {
-		fmt.Fprintf(w, "  flight   sealed: %s (%d frames)\n", rep.Flight.Trigger, len(rep.Flight.Frames))
+		fmt.Fprintf(w, "  flight   sealed: %s (%d steps)\n", rep.Flight.Trigger, rep.Flight.Steps)
 	}
 	if rep.SLO != nil {
 		fmt.Fprintf(w, "  slo      %s (%d firing, %d alert transitions over the run)\n",

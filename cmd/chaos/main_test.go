@@ -247,7 +247,7 @@ func TestRunWritesSLOArtifact(t *testing.T) {
 			Overall string `json:"overall"`
 			SLOs    []struct {
 				Name string `json:"name"`
-			} `json:"slos"`
+			} `json:"objectives"`
 		} `json:"slo"`
 		Alerts json.RawMessage `json:"alerts"`
 	}
@@ -284,17 +284,20 @@ func TestRunAvailOutRequiresObservation(t *testing.T) {
 	}
 }
 
-// TestReportBytesPinned pins the whole -json report — metrics, health,
-// flight, SLOs and time-to-freshness, not only the digest — of the CI
+// TestReportBytesPinned pins the whole -json report — metrics, alerts,
+// flight dump and time-to-freshness, not only the digest — of the CI
 // schedule (`chaos -scheme=S -seed=7 -events=150 -ops-per-event=4
-// -json`) to the bytes captured before the wiring was moved behind the
-// op bracket and the observability plane: a refactor of either must
-// leave every trace event, metric and verdict where it was.
+// -json`): a refactor must leave every trace event, metric and verdict
+// where it was. The hashes moved once, deliberately, when the health
+// and SLO engines became one alert engine (report shape of health/slo,
+// the flight dump as a sealed view, conformance drift deleted); what
+// that merge may not touch is pinned by the test below, and the
+// verdicts themselves by internal/chaos TestVerdictStreamPinned.
 func TestReportBytesPinned(t *testing.T) {
 	for scheme, want := range map[string]string{
-		"voting": "f4ba9ec87f3b5f2f9cb246562adc3729347f1ef6fde9f40fce8a3ca977fa66fe",
-		"ac":     "4c105d1178334e47fb409ae54de19f84e37c0b158de3c5d5c2151dd93c0ab651",
-		"nac":    "d084c2852f76527d773517cc523af378712ef212de646f693bab8fc34debccac",
+		"voting": "5cf67e00b65e88f71599270945c1965482db12fe65ec7a32b046848d9556217b",
+		"ac":     "2c2b4826537f2c7b08431551a85ea3a2934e5ddfea1527712a7447562384cb05",
+		"nac":    "628b95f06e49204d5223e65db9984e2bd29ce464a41dcd620a93ae9c2fcafbad",
 	} {
 		cfg := testConfig(t, scheme, 7, 150, 4)
 		cfg.Sites, cfg.Blocks = 5, 12 // the command's flag defaults

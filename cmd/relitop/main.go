@@ -27,7 +27,7 @@ import (
 	"time"
 
 	"relidev/internal/obs"
-	"relidev/internal/obs/slo"
+	"relidev/internal/obs/alert"
 )
 
 func main() {
@@ -75,7 +75,7 @@ type frame struct {
 	at      time.Time
 	metrics obs.Snapshot
 	scrapes map[string]string // per-site scrape errors from the aggregator
-	slo     *slo.Report       // nil when the deployment runs without SLOs
+	slo     *alert.Report     // nil when the deployment runs without SLOs
 }
 
 func collect(c *http.Client, base string) (*frame, error) {
@@ -105,7 +105,7 @@ func collect(c *http.Client, base string) (*frame, error) {
 	case http.StatusOK, http.StatusServiceUnavailable:
 		// 503 is an exhausted error budget, not a broken endpoint —
 		// the report body is still the thing to show.
-		var rep slo.Report
+		var rep alert.Report
 		if err := json.NewDecoder(sresp.Body).Decode(&rep); err != nil {
 			return nil, fmt.Errorf("decode slo report: %w", err)
 		}
@@ -123,23 +123,21 @@ func render(w io.Writer, prev, cur *frame) {
 
 	if cur.slo != nil {
 		worst := 0.0
-		for _, s := range cur.slo.SLOs {
-			if s.BudgetSpent > worst {
-				worst = s.BudgetSpent
-			}
+		for _, s := range cur.slo.Objectives {
+			worst = max(worst, s.Value)
 		}
 		fmt.Fprintf(w, "slo: %d firing / %d objectives, overall %s, worst budget %.0f%% spent\n",
-			cur.slo.Firing, len(cur.slo.SLOs), cur.slo.Overall, 100*worst)
-		for _, s := range cur.slo.SLOs {
-			if !s.Firing && !s.Exhausted {
+			cur.slo.Firing, len(cur.slo.Objectives), cur.slo.Overall, 100*worst)
+		for _, s := range cur.slo.Objectives {
+			if !s.Firing && !s.Latched {
 				continue
 			}
 			state := "FIRING"
-			if s.Exhausted {
+			if s.Latched {
 				state = "EXHAUSTED"
 			}
 			fmt.Fprintf(w, "  ! %-40s %s  burn fast %.1fx slow %.1fx  budget %.0f%% spent\n",
-				s.Name, state, s.FastBurn, s.SlowBurn, 100*s.BudgetSpent)
+				s.Name, state, s.Burn.FastBurn, s.Burn.SlowBurn, 100*s.Value)
 		}
 	}
 
@@ -169,7 +167,7 @@ func render(w io.Writer, prev, cur *frame) {
 		fmt.Fprintf(w, "\nrepair lag: %d stale blocks (%s)\n", lag, detail)
 	}
 	if stale := counterBy(cur.metrics, obs.MetricStaleReads); stale[""] > 0 {
-		fmt.Fprintf(w, "stale reads served: %d\n", stale[""])
+		fmt.Fprintf(w, "lazy refreshes: %d\n", stale[""])
 	}
 	if len(cur.scrapes) > 0 {
 		keys := make([]string, 0, len(cur.scrapes))

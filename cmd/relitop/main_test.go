@@ -14,8 +14,8 @@ import (
 	"relidev"
 	"relidev/internal/clock"
 	"relidev/internal/obs"
+	"relidev/internal/obs/alert"
 	"relidev/internal/obs/plane"
-	"relidev/internal/obs/slo"
 	"relidev/internal/protocol"
 )
 
@@ -28,8 +28,8 @@ func startCluster(t *testing.T) *httptest.Server {
 	t.Helper()
 	pol := relidev.RepairPolicy{}
 	c, err := relidev.New(3, relidev.Voting,
-		relidev.WithTelemetry(time.Second, 64),
-		relidev.WithSLOs(relidev.DefaultSLOs(relidev.Voting, 3, 0.05, 16, &pol)...),
+		relidev.WithTelemetry(time.Second),
+		relidev.WithObjectives(relidev.DefaultObjectives(relidev.Voting, 3, 0.05, 16, &pol)...),
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -73,7 +73,7 @@ func TestOnceRendersDashboard(t *testing.T) {
 	out := buf.String()
 	for _, want := range []string{
 		"3 sites up, 0 down",
-		"slo: 0 firing / 4 objectives",
+		"slo: 0 firing / 3 objectives",
 		"SCHEME",
 		"voting   write",
 		"voting   read",
@@ -138,16 +138,18 @@ func TestFmtNs(t *testing.T) {
 func TestOnceGolden(t *testing.T) {
 	clk := clock.NewManual()
 	var p *plane.Plane
-	w := slo.Windows{FastNs: 2e9, SlowNs: 3e9, Burn: 2}
+	burn := func(target float64) alert.Burn {
+		return alert.Burn{Target: target, FastNs: 2e9, SlowNs: 3e9, Rate: 2}
+	}
 	p, err := plane.New(plane.Config{
 		Metered: true,
 		Clock:   clk,
 		StepNs:  1e9,
 		Retain:  8,
-		SLOs: []slo.SLO{
-			slo.ReadLatency("voting", 50e6, 0.99, w),
-			slo.WriteAvailability("voting", 0.9, w),
-			slo.RepairFreshness(2e9, 0.9, w),
+		Objectives: []alert.Objective{
+			alert.ReadLatency("voting", 50e6, burn(0.99)),
+			alert.WriteAvailability("voting", burn(0.9)),
+			alert.RepairFreshness(2e9, burn(0.9)),
 		},
 		Pull: func(context.Context) (obs.Snapshot, map[protocol.SiteID]error) {
 			return p.Observer().Snapshot(), map[protocol.SiteID]error{2: errors.New("site is down")}
@@ -175,7 +177,7 @@ func TestOnceGolden(t *testing.T) {
 		}
 		o.Repair("voting", 2).SetLag(5 * (step - 1))
 		clk.Advance(time.Duration(step)*time.Second - time.Duration(clk.Now().UnixNano()))
-		p.Step("poll", false)
+		p.Step()
 	}
 	h, err := p.DebugHandler()
 	if err != nil {

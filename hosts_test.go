@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -51,33 +52,38 @@ func loneVoter(t *testing.T, cfg relidev.RemoteConfig) (*relidev.RemoteSite, *ht
 }
 
 type flightDump struct {
-	Trigger string `json:"trigger"`
-	Frames  []struct {
-		Reason       string `json:"reason"`
-		Observations []struct {
-			Source string `json:"source"`
-			Value  any    `json:"value"`
-		} `json:"observations"`
-	} `json:"frames"`
+	Trigger    string `json:"trigger"`
+	Steps      int    `json:"steps"`
+	Timeseries struct {
+		Series []struct {
+			Name   string            `json:"name"`
+			Labels map[string]string `json:"labels"`
+			Points []struct {
+				Value float64 `json:"value"`
+			} `json:"points"`
+		} `json:"series"`
+	} `json:"timeseries"`
+	Probes []struct {
+		Source string `json:"source"`
+	} `json:"probes"`
 }
 
 // TestRemoteBlackBox is the regression test for the TCP black box: the
-// poller feeds the flight ring one frame per telemetry step, budget
-// exhaustion seals a dump that holds the frames leading up to it — with
-// nobody watching — and that dump stays retrievable over the debug
-// surface after later on-demand /debug/flight GETs. Before the plane
-// owned the wiring the sealed dump had no frames and no endpoint
-// returned it.
+// poller samples the ring once per telemetry step, budget exhaustion
+// seals a dump that holds the steps leading up to it — with nobody
+// watching — and that dump stays retrievable over the debug surface
+// after later on-demand /debug/flight GETs. Before the plane owned the
+// wiring the sealed dump had no history and no endpoint returned it.
 func TestRemoteBlackBox(t *testing.T) {
 	ctx := context.Background()
 	s, srv := loneVoter(t, relidev.RemoteConfig{
 		TelemetryStep: 5 * time.Millisecond,
-		SLOs:          []relidev.SLO{relidev.WriteAvailabilitySLO(relidev.Voting, 0.99, relidev.SLOWindows{})},
+		Objectives:    []relidev.Objective{relidev.WriteAvailabilitySLO(relidev.Voting, relidev.BurnPolicy{Target: 0.99})},
 	})
 	if code, _ := get(t, srv, "/debug/flight/sealed"); code != http.StatusNotFound {
 		t.Fatalf("/debug/flight/sealed before any trigger = %d, want 404", code)
 	}
-	time.Sleep(25 * time.Millisecond) // a few quiet frames first
+	time.Sleep(25 * time.Millisecond) // a few quiet steps first
 	payload := make([]byte, 64)
 	deadline := time.Now().Add(10 * time.Second)
 	for sealed := false; !sealed; {
@@ -107,37 +113,34 @@ func TestRemoteBlackBox(t *testing.T) {
 	if !strings.HasPrefix(d.Trigger, "slo ") || !strings.Contains(d.Trigger, "error budget exhausted") {
 		t.Fatalf("sealed trigger = %q, want the SLO exhaustion", d.Trigger)
 	}
-	if len(d.Frames) < 2 {
-		t.Fatalf("sealed dump has %d frames, want the poller's history (>= 2)", len(d.Frames))
+	if d.Steps < 2 {
+		t.Fatalf("sealed dump holds %d steps, want the poller's history (>= 2)", d.Steps)
 	}
-	failing := 0
-	for _, f := range d.Frames {
-		if f.Reason != "poll" {
-			t.Errorf("frame reason %q, want poll", f.Reason)
-		}
-		for _, o := range f.Observations {
-			if o.Source != "metrics_delta" {
-				continue
-			}
-			if lines, _ := json.Marshal(o.Value); strings.Contains(string(lines), "relidev_op_failures_total{op=write") {
-				failing++
+	if len(d.Probes) != 1 || d.Probes[0].Source != "suspects" {
+		t.Errorf("sealed probes = %+v, want the suspect set", d.Probes)
+	}
+	failing := 0.0
+	for _, ser := range d.Timeseries.Series {
+		if ser.Name == "relidev_op_failures_total" && ser.Labels["op"] == "write" {
+			for _, p := range ser.Points {
+				failing += p.Value
 			}
 		}
 	}
 	if failing == 0 {
-		t.Fatalf("no frame's metrics_delta shows the failing writes:\n%s", body)
+		t.Fatalf("the dump's timeseries does not show the failing writes:\n%s", body)
 	}
 }
 
-// TestRemoteCriticalHealthSeals: a critical verdict seals the recorder
-// wherever it is computed — Health() here, /healthz below — not only in
-// the chaos harness.
+// TestRemoteCriticalHealthSeals: on a host with no telemetry step a
+// critical verdict seals the recorder wherever it is asked for —
+// Health() here, /healthz below — over samples the asking takes.
 func TestRemoteCriticalHealthSeals(t *testing.T) {
 	ctx := context.Background()
 	for _, probe := range []string{"Health()", "/healthz"} {
 		t.Run(probe, func(t *testing.T) {
 			s, srv := loneVoter(t, relidev.RemoteConfig{
-				HealthRules: relidev.DefaultHealthRules(relidev.Voting, 2, nil),
+				Objectives: relidev.DefaultObjectives(relidev.Voting, 2, 0.05, 8, nil),
 			})
 			critical := func() bool {
 				if probe == "/healthz" {
@@ -148,12 +151,12 @@ func TestRemoteCriticalHealthSeals(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				return v.Overall >= relidev.HealthCritical
+				return v.Overall >= relidev.SeverityCritical
 			}
 			if critical() {
 				t.Fatal("critical before any operation")
 			}
-			get(t, srv, "/debug/flight") // one frame in the ring
+			get(t, srv, "/debug/flight") // a dump takes a sample too
 			if err := s.Device().WriteBlock(ctx, 1, make([]byte, 64)); err == nil {
 				t.Fatal("write succeeded without a quorum")
 			}
@@ -168,18 +171,143 @@ func TestRemoteCriticalHealthSeals(t *testing.T) {
 	}
 }
 
-// TestHostDebugSurfaceParity: for the same rules, step and SLOs the two
+// TestRemotePollerSealsUnattended: with a telemetry step the poller
+// evaluates every objective each step, so a critical threshold
+// condition seals the black box with nobody asking for a verdict. (The
+// poller used to evaluate only the SLOs: an error-rate breach sealed
+// nothing until somebody happened to GET /healthz.)
+func TestRemotePollerSealsUnattended(t *testing.T) {
+	// Thresholds only: an exhausted write-availability budget would seal
+	// too, and that much the poller always did.
+	s, srv := loneVoter(t, relidev.RemoteConfig{
+		TelemetryStep: 5 * time.Millisecond,
+		Objectives:    thresholds(relidev.DefaultObjectives(relidev.Voting, 2, 0.05, 8, nil)),
+	})
+	time.Sleep(25 * time.Millisecond) // a few quiet steps: error_rate needs a previous sample
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		if err := s.Device().WriteBlock(context.Background(), 1, make([]byte, 64)); err == nil {
+			t.Fatal("write succeeded without a quorum")
+		}
+		time.Sleep(5 * time.Millisecond)
+		// Reading the retained dump evaluates nothing.
+		code, body := get(t, srv, "/debug/flight/sealed")
+		if code == http.StatusOK {
+			if !strings.Contains(body, `"trigger": "health: error_rate (`) {
+				t.Fatalf("sealed by something other than the error rate:\n%.300s", body)
+			}
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the poller never sealed the recorder")
+		}
+	}
+}
+
+// thresholds keeps the threshold-policy objectives of a set.
+func thresholds(objs []relidev.Objective) []relidev.Objective {
+	return slices.DeleteFunc(objs, func(o relidev.Objective) bool { return o.Policy.Kind() != "threshold" })
+}
+
+// verdicts reduces a /healthz body to what a prober acts on.
+func verdicts(t *testing.T, body string) string {
+	t.Helper()
+	var rep relidev.AlertReport
+	if err := json.Unmarshal([]byte(body), &rep); err != nil {
+		t.Fatalf("%v:\n%s", err, body)
+	}
+	out := rep.Overall.String()
+	for _, o := range rep.Objectives {
+		out += fmt.Sprintf(" %s:%t/%t/%g", o.Name, o.Firing, o.Latched, o.Value)
+	}
+	return out
+}
+
+// TestInterleavedProbersSeeOneVerdict: on a host whose ring is sampled
+// on a cadence, a GET /healthz reads the ring and samples nothing, so a
+// balancer and an operator probing between the same two samples get the
+// verdict a single prober would. (Each probe used to move one shared
+// "since the previous probe" window: the second of two probers judged
+// only the operations since the first one's GET.)
+func TestInterleavedProbersSeeOneVerdict(t *testing.T) {
+	ctx := context.Background()
+	host := func() (*relidev.Cluster, *httptest.Server) {
+		c, err := relidev.New(3, relidev.Voting,
+			relidev.WithGeometry(relidev.Geometry{BlockSize: 64, NumBlocks: 8}),
+			relidev.WithTelemetry(time.Hour), // stepped by hand below
+			relidev.WithObjectives(relidev.DefaultObjectives(relidev.Voting, 3, 0.05, 8, nil)...))
+		if err != nil {
+			t.Fatal(err)
+		}
+		h, err := c.DebugHandler()
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv := httptest.NewServer(h)
+		t.Cleanup(srv.Close)
+		return c, srv
+	}
+	// step runs four writes at site 0 — failing once its peers are down
+	// — and takes the step's sample.
+	step := func(c *relidev.Cluster, wantErr bool) {
+		dev, err := c.Device(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for b := 0; b < 4; b++ {
+			if err := dev.WriteBlock(ctx, relidev.Index(b), make([]byte, 64)); (err != nil) != wantErr {
+				t.Fatalf("write: %v", err)
+			}
+		}
+		if err := c.SampleTelemetry(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	outage := func(c *relidev.Cluster) {
+		for _, site := range []int{1, 2} {
+			if err := c.Fail(site); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+
+	alone, aloneSrv := host()
+	step(alone, false)
+	outage(alone)
+	step(alone, true)
+	wantCode, wantBody := get(t, aloneSrv, "/healthz")
+	if wantCode != http.StatusServiceUnavailable {
+		t.Fatalf("a sample of failing writes is not critical: %d\n%s", wantCode, wantBody)
+	}
+
+	shared, sharedSrv := host()
+	step(shared, false)
+	if code, _ := get(t, sharedSrv, "/healthz"); code != 200 { // the balancer, before the outage
+		t.Fatalf("healthy /healthz = %d", code)
+	}
+	outage(shared)
+	step(shared, true)
+	for _, prober := range []string{"balancer", "operator", "balancer again"} {
+		code, body := get(t, sharedSrv, "/healthz")
+		if code != wantCode || verdicts(t, body) != verdicts(t, wantBody) {
+			t.Errorf("%s got %d %s\nwant what a lone prober gets: %d %s",
+				prober, code, verdicts(t, body), wantCode, verdicts(t, wantBody))
+		}
+	}
+}
+
+// TestHostDebugSurfaceParity: for the same objectives and step the two
 // hosts serve the same route set with the same status codes (and the
 // same kind of body), plane by plane. The in-process Cluster only lacks
-// the flight recorder, which nothing there would feed.
+// the flight recorder, which nothing there would seal.
 func TestHostDebugSurfaceParity(t *testing.T) {
-	rules := relidev.DefaultHealthRules(relidev.NaiveAvailableCopy, 1, nil)
-	slos := []relidev.SLO{relidev.WriteAvailabilitySLO(relidev.NaiveAvailableCopy, 0.9, relidev.SLOWindows{})}
+	rules := thresholds(relidev.DefaultObjectives(relidev.NaiveAvailableCopy, 1, 0.05, 8, nil))
+	slos := []relidev.Objective{relidev.WriteAvailabilitySLO(relidev.NaiveAvailableCopy, relidev.BurnPolicy{Target: 0.9})}
 	// route -> what a 200 body must contain.
 	routes := map[string]string{
 		"/metrics": `"counters"`, "/metrics.prom": "", "/trace": `"events"`, "/trace/tree": `"traces"`,
 		"/profile": `"ops"`, "/cluster/metrics": `"metrics"`, "/healthz": `"overall"`, "/timeseries": `"step_ns"`,
-		"/slo": `"slos"`, "/debug/flight": `"trigger": "http request"`, "/debug/flight/sealed": "", "/nope": "",
+		"/slo": `"burn"`, "/debug/flight": `"trigger": "http request"`, "/debug/flight/sealed": "", "/nope": "",
 	}
 	for _, tc := range []struct {
 		name          string
@@ -194,12 +322,12 @@ func TestHostDebugSurfaceParity(t *testing.T) {
 			rc := relidev.RemoteConfig{Self: 0, Peers: map[int]string{0: "127.0.0.1:0"},
 				Scheme: relidev.NaiveAvailableCopy, Metered: true}
 			if tc.health {
-				opts = append(opts, relidev.WithHealthRules(rules...))
-				rc.HealthRules = rules
+				opts = append(opts, relidev.WithObjectives(rules...))
+				rc.Objectives = rules
 			}
 			if tc.telem {
-				opts = append(opts, relidev.WithTelemetry(time.Hour, 8), relidev.WithSLOs(slos...))
-				rc.TelemetryStep, rc.TelemetryRetain, rc.SLOs = time.Hour, 8, slos
+				opts = append(opts, relidev.WithTelemetry(time.Hour), relidev.WithObjectives(slos...))
+				rc.TelemetryStep, rc.Objectives = time.Hour, slices.Concat(rules, slos)
 			}
 			c, err := relidev.New(1, relidev.NaiveAvailableCopy, opts...)
 			if err != nil {
@@ -432,5 +560,65 @@ func TestEvenGroupTieBreak(t *testing.T) {
 			}
 			check(t, down, devs)
 		})
+	}
+}
+
+// TestLazyRefreshRaisesNoObjective: a voting site that was down while a
+// block was written rejoins at once (§5: no recovery messages) and, on
+// its first read of that block, finds its copy stale and fetches the
+// current one — Figure 3's lazy refresh, priced by §5.1 at one extra
+// message. That is the scheme working. The conformance-drift objective,
+// deleted from every default set, counted each such read as a stale
+// read served and went critical on the first one.
+func TestLazyRefreshRaisesNoObjective(t *testing.T) {
+	ctx := context.Background()
+	c, err := relidev.New(3, relidev.Voting,
+		relidev.WithGeometry(relidev.Geometry{BlockSize: 64, NumBlocks: 8}),
+		relidev.WithObjectives(relidev.DefaultObjectives(relidev.Voting, 3, 0.05, 8, nil)...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Fail(2); err != nil {
+		t.Fatal(err)
+	}
+	payload := make([]byte, 64)
+	copy(payload, "written while site 2 was down")
+	dev0, _ := c.Device(0)
+	if err := dev0.WriteBlock(ctx, 5, payload); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Restart(ctx, 2); err != nil {
+		t.Fatal(err)
+	}
+	// The degraded write is judged here (and warns, rightly: it had no
+	// quorum margin); the refresh falls in the next sample, alone.
+	if _, err := c.Health(); err != nil {
+		t.Fatal(err)
+	}
+	dev2, _ := c.Device(2)
+	got, err := dev2.ReadBlock(ctx, 5)
+	if err != nil || string(got) != string(payload) {
+		t.Fatalf("read at the rejoined site = %q, %v", got, err)
+	}
+	raw, err := c.MetricsJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(raw), `"relidev_stale_reads_total"`) {
+		t.Fatalf("the read did not go through a lazy refresh; the test proves nothing:\n%s", raw)
+	}
+	for view, eval := range map[string]func() (relidev.AlertReport, error){"Health": c.Health, "SLOs": c.SLOs} {
+		rep, err := eval()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Overall != relidev.SeverityOK || rep.Firing != 0 {
+			t.Errorf("%s after a lazy refresh: %+v", view, rep)
+		}
+		for _, o := range rep.Objectives {
+			if strings.Contains(o.Name, "conformance_drift") {
+				t.Errorf("%s still lists %s", view, o.Name)
+			}
+		}
 	}
 }

@@ -42,11 +42,10 @@ import (
 	"relidev/internal/core"
 	"relidev/internal/faultnet"
 	"relidev/internal/obs"
+	"relidev/internal/obs/alert"
 	"relidev/internal/obs/avail"
 	"relidev/internal/obs/flight"
-	"relidev/internal/obs/health"
 	"relidev/internal/obs/plane"
-	"relidev/internal/obs/slo"
 	"relidev/internal/protocol"
 	"relidev/internal/repair"
 	"relidev/internal/scheme"
@@ -89,19 +88,19 @@ type Config struct {
 	// schemes a successful run leaves the repaired site's vector
 	// dominating every available data peer's.
 	Repair bool
-	// Flight attaches the black-box flight recorder and the health
-	// engine (requires Observe): every quiescent checkpoint snapshots
-	// metrics deltas, the trace tail, repair lag, and site states into
-	// a bounded ring, and the first invariant violation or critical
-	// health breach seals the ring into Report.Flight.
+	// Flight attaches the black-box flight recorder and the threshold
+	// objectives (requires Observe): every quiescent checkpoint samples
+	// the registry into the telemetry ring and evaluates them, the last
+	// verdict lands in Report.Health, and the first invariant violation
+	// or critical objective seals the ring's newest steps, the trace
+	// tail and the site states into Report.Flight.
 	Flight bool
-	// Telemetry attaches the telemetry plane (requires Observe): a tsdb
-	// ring sampled at every quiescent checkpoint — burn-rate windows are
-	// sized in checkpoint cycles — and the SLO engine evaluated over it.
-	// Alert transitions land in Report.SLOAlerts stamped with the
-	// schedule tick they happened at, the final evaluation in
-	// Report.SLO, and an exhausted error budget seals the flight
-	// recorder.
+	// Telemetry attaches the burn-rate objectives (requires Observe)
+	// and keeps a ring long enough for their budgets to span the run —
+	// windows are sized in checkpoint cycles. Alert transitions land in
+	// Report.SLOAlerts stamped with the schedule tick they happened at,
+	// the final evaluation in Report.SLO, and an exhausted error budget
+	// seals the flight recorder.
 	Telemetry bool
 	// Coda appends this many fault-free workload batches (each followed
 	// by a checkpoint) after convergence. The quiet tail is part of the
@@ -241,20 +240,19 @@ type Report struct {
 	Repair []TTFSample `json:"repair,omitempty"`
 	// Flight is the sealed flight-recorder dump, present when
 	// Config.Flight is set and a trigger fired: the first invariant
-	// violation or the first critical health breach seals the ring so
-	// the dump shows the system's last recorded frames before the
-	// failure.
+	// violation or the first critical objective seals it, so the dump
+	// shows the system's last recorded steps before the failure.
 	Flight *flight.Dump `json:"flight,omitempty"`
-	// Health is the health engine's verdict at the last quiescent
+	// Health is the threshold objectives' verdict at the last quiescent
 	// checkpoint, present when Config.Flight is set.
-	Health *health.Verdict `json:"health,omitempty"`
-	// SLO is the burn-rate engine's evaluation at the last quiescent
+	Health *alert.Report `json:"health,omitempty"`
+	// SLO is the burn-rate objectives' evaluation at the last quiescent
 	// checkpoint and SLOAlerts the run's full alert transition log, both
 	// present when Config.Telemetry is set. Timestamps are schedule
 	// ticks, so a replayed run fires and clears the same alerts at the
 	// same instants.
-	SLO       *slo.Report `json:"slo,omitempty"`
-	SLOAlerts []SLOAlert  `json:"slo_alerts,omitempty"`
+	SLO       *alert.Report `json:"slo,omitempty"`
+	SLOAlerts []SLOAlert    `json:"slo_alerts,omitempty"`
 }
 
 // An SLOAlert records one burn-rate alert's lifetime: the schedule
@@ -296,8 +294,8 @@ type engine struct {
 	clk *clock.Manual
 	// plane is the observability stack, attached under Config.Observe
 	// (nil otherwise): observer and tracer always, the flight recorder
-	// and health engine under Config.Flight, the tsdb ring and SLO engine
-	// under Config.Telemetry. All of it only reads snapshots on the
+	// and threshold objectives under Config.Flight, the burn-rate
+	// objectives under Config.Telemetry. All of it only reads snapshots on the
 	// schedule clock — none of it may ever reach stamp().
 	plane *plane.Plane
 	// repairPol is the policy the cluster's repairers run under, kept
@@ -323,8 +321,8 @@ type engine struct {
 
 	hash   hash.Hash64
 	report *Report
-	// onVerdict, when set (tests), sees every checkpoint's verdicts.
-	onVerdict func(*health.Verdict, *slo.Report)
+	// onVerdict, when set (tests), sees every checkpoint's evaluation.
+	onVerdict func(*alert.Report)
 }
 
 // Run executes one chaos schedule and returns its report. The report is
@@ -369,12 +367,10 @@ func newEngine(cfg Config) (*engine, error) {
 		// observation cannot perturb a replay. One sample per checkpoint,
 		// so the ring's nominal step is one checkpoint cycle.
 		pc := plane.Config{Metered: true, Clock: e.clk, TraceCap: 4096, Flight: cfg.Flight,
-			Probes: []flight.Source{flight.Probe("site_states", e.siteStates)}}
-		if cfg.Flight {
-			pc.HealthRules = healthRules(cfg, pol)
-		}
+			Probes:     []flight.Source{{Name: "site_states", Collect: e.siteStates}},
+			Objectives: objectives(cfg, pol)}
 		if cfg.Telemetry {
-			pc.StepNs, pc.Retain, pc.SLOs = cycleNs(cfg), 4096, chaosSLOs(cfg)
+			pc.StepNs, pc.Retain = cycleNs(cfg), 4096 // the budgets span the run
 		}
 		var err error
 		if e.plane, err = plane.New(pc); err != nil {
@@ -449,28 +445,6 @@ func (e *engine) telemetryCheck() {
 	}
 }
 
-// healthRules is the rule set chaos runs evaluate at every quiescent
-// checkpoint: quorum margin for the scheme under test, the overall
-// failure rate (generous threshold — injected faults make op errors
-// routine), conformance drift (voting must never serve a stale read),
-// and — when repair is on — staleness outliving the policy's bounded
-// time-to-freshness promise.
-func healthRules(cfg Config, pol *repair.Policy) []health.Rule {
-	quorum := 1
-	if cfg.Scheme == core.Voting {
-		quorum = cfg.Sites/2 + 1
-	}
-	rules := []health.Rule{
-		health.QuorumMarginRule(cfg.Scheme.String(), quorum),
-		health.ErrorRateRule(0.5),
-		health.ConformanceDriftRule(cfg.Scheme.String(), 0),
-	}
-	if pol != nil {
-		rules = append(rules, health.StalenessRule(*pol))
-	}
-	return rules
-}
-
 // tick moves the schedule clock one schedule point: a nanosecond, so
 // report timestamps count schedule points.
 func (e *engine) tick() { e.clk.Advance(1) }
@@ -479,38 +453,48 @@ func (e *engine) tick() { e.clk.Advance(1) }
 // workload op, one for the event and one for the checkpoint.
 func cycleNs(cfg Config) int64 { return int64(cfg.OpsPerEvent + 2) }
 
-// chaosSLOs is the objective set chaos runs evaluate at every quiescent
-// checkpoint, the SLO-engine mirror of healthRules. Windows are sized
-// in checkpoint cycles: the fast window spans 5 checkpoints and the
-// slow 20. The availability target is deliberately loose — injected
-// faults make op errors routine and only a sustained degradation should
-// page — while the latency and conformance objectives are strict: the
-// schedule clock stands still inside an op, so every op lands in the
-// lowest histogram bucket, and voting must never serve a stale read at
-// all.
-func chaosSLOs(cfg Config) []slo.SLO {
-	cycle := cycleNs(cfg)
-	w := slo.Windows{FastNs: 5 * cycle, SlowNs: 20 * cycle, Burn: 2}
-	scheme := cfg.Scheme.String()
-	slos := []slo.SLO{
-		slo.ReadLatency(scheme, 1024, 0.99, w),
-		slo.WriteAvailability(scheme, 0.8, w),
-		slo.ConformanceDrift(scheme, 0, w),
+// objectives is the set chaos runs evaluate at every quiescent
+// checkpoint. Under Config.Flight, the thresholds: quorum margin for the
+// scheme under test, the overall failure rate (generous limit — injected
+// faults make op errors routine) and — when repair is on — staleness
+// outliving the policy's bounded time-to-freshness promise. Under
+// Config.Telemetry, the burn rates, windows sized in checkpoint cycles
+// (fast 5, slow 20): read latency (strict: the schedule clock stands
+// still inside an op, so every op lands in the lowest histogram bucket),
+// write availability (deliberately loose: only a sustained degradation
+// should page) and — with repair — backlogs that survive three whole
+// checkpoints, which have outlived the drain-at-quiescence cadence the
+// engine promises.
+func objectives(cfg Config, pol *repair.Policy) []alert.Objective {
+	scheme, cycle := cfg.Scheme.String(), cycleNs(cfg)
+	var objs []alert.Objective
+	if cfg.Flight {
+		quorum := 1
+		if cfg.Scheme == core.Voting {
+			quorum = cfg.Sites/2 + 1
+		}
+		objs = append(objs, alert.QuorumMargin(scheme, quorum), alert.ErrorRate(0.5))
+		if pol != nil {
+			objs = append(objs, alert.StalenessLag(pol.Deadline(1).Nanoseconds()))
+		}
 	}
-	if cfg.Repair {
-		// Deadline in checkpoint dwell: a repair backlog that survives
-		// three whole checkpoints has outlived the drain-at-quiescence
-		// cadence the engine promises.
-		slos = append(slos, slo.RepairFreshness(3*cycle, 0.9, w))
+	if cfg.Telemetry {
+		burn := func(target float64) alert.Burn {
+			return alert.Burn{Target: target, FastNs: 5 * cycle, SlowNs: 20 * cycle, Rate: 2}
+		}
+		objs = append(objs, alert.ReadLatency(scheme, 1024, burn(0.99)), alert.WriteAvailability(scheme, burn(0.8)))
+		if cfg.Repair {
+			objs = append(objs, alert.RepairFreshness(3*cycle, burn(0.9)))
+		}
 	}
-	return slos
+	return objs
 }
 
-// logAlerts records the SLO alert transitions of one checkpoint's
+// logAlerts records the burn-rate alert transitions of one checkpoint's
 // evaluation in Report.SLOAlerts; an entry with no clear tick is an
 // alert still firing.
-func (e *engine) logAlerts(rep *slo.Report) {
-	for _, st := range rep.SLOs {
+func (e *engine) logAlerts(rep *alert.Report) {
+	for _, st := range rep.Objectives {
 		var open *SLOAlert
 		for i := range e.report.SLOAlerts {
 			if a := &e.report.SLOAlerts[i]; a.Name == st.Name && a.ClearedAtNs == 0 {
@@ -923,19 +907,26 @@ func (e *engine) step(ctx context.Context) {
 
 // checkpoint runs the quiescent-point invariants: per-site version
 // monotonicity for every scheme, was-available closure safety for the
-// available copy scheme. It is also the plane's step — one flight frame,
-// one health evaluation, one telemetry sample and SLO evaluation per
-// quiescent point, so alert windows are measured in checkpoints on the
-// schedule clock; a critical verdict or an exhausted budget seals the
-// recorder even when no hard invariant has (yet) been violated.
+// available copy scheme. It is also the plane's step — one telemetry
+// sample and one evaluation of every objective per quiescent point, so
+// alert windows are measured in checkpoints on the schedule clock; a
+// critical objective seals the recorder even when no hard invariant has
+// (yet) been violated.
 func (e *engine) checkpoint() {
 	e.tick()
-	e.report.Health, e.report.SLO = e.plane.Step("checkpoint", true)
-	if e.report.SLO != nil {
-		e.logAlerts(e.report.SLO)
-	}
-	if e.onVerdict != nil {
-		e.onVerdict(e.report.Health, e.report.SLO)
+	if rep := e.plane.Step(); rep != nil {
+		if e.cfg.Flight {
+			health := rep.View(alert.PolicyThreshold)
+			e.report.Health = &health
+		}
+		if e.cfg.Telemetry {
+			slo := rep.View(alert.PolicyBurn)
+			e.report.SLO = &slo
+			e.logAlerts(&slo)
+		}
+		if e.onVerdict != nil {
+			e.onVerdict(rep)
+		}
 	}
 	for i := 0; i < e.cfg.Sites; i++ {
 		rep, err := e.cl.Replica(protocol.SiteID(i))

@@ -11,7 +11,7 @@ import (
 
 	"relidev/internal/clock"
 	"relidev/internal/core"
-	"relidev/internal/obs/health"
+	"relidev/internal/obs/alert"
 	"relidev/internal/obs/plane"
 )
 
@@ -254,8 +254,8 @@ func TestFlightRecordingDoesNotPerturbReplay(t *testing.T) {
 				if !strings.HasPrefix(a.Flight.Trigger, "health: ") && !strings.HasPrefix(a.Flight.Trigger, "slo ") {
 					t.Fatalf("violation-free run sealed with trigger %q, want a health or slo trigger", a.Flight.Trigger)
 				}
-				if len(a.Flight.Frames) == 0 {
-					t.Fatal("sealed dump has no frames")
+				if a.Flight.Steps == 0 || len(a.Flight.Timeseries.Series) == 0 {
+					t.Fatal("sealed dump holds no steps of the ring")
 				}
 			}
 		})
@@ -280,7 +280,7 @@ func TestFlightHealthVerdictIsDeterministic(t *testing.T) {
 	if !bytes.Equal(aj, bj) {
 		t.Fatalf("health verdicts diverged:\n%s\n---\n%s", aj, bj)
 	}
-	if a.Health.Overall >= health.Critical {
+	if a.Health.Overall >= alert.Critical {
 		t.Fatalf("healthy replay reports critical: %+v", a.Health)
 	}
 }
@@ -297,9 +297,9 @@ func TestViolationSealsFlight(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.plane.Step("checkpoint", true)
+	e.plane.Step()
 	e.violatef("first invariant broke")
-	e.plane.Step("checkpoint", true)
+	e.plane.Step()
 	e.violatef("second invariant broke")
 	if len(e.report.Violations) != 2 {
 		t.Fatalf("violations = %v", e.report.Violations)
@@ -311,8 +311,8 @@ func TestViolationSealsFlight(t *testing.T) {
 	if dump.Trigger != "violation: first invariant broke" {
 		t.Fatalf("trigger = %q, want the FIRST violation", dump.Trigger)
 	}
-	if len(dump.Frames) != 1 {
-		t.Fatalf("dump frames = %d, want 1", len(dump.Frames))
+	if dump.Steps != 1 {
+		t.Fatalf("dump steps = %d, want 1", dump.Steps)
 	}
 }
 

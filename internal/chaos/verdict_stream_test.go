@@ -13,8 +13,7 @@ import (
 	"testing"
 
 	"relidev/internal/core"
-	"relidev/internal/obs/health"
-	"relidev/internal/obs/slo"
+	"relidev/internal/obs/alert"
 )
 
 var (
@@ -36,29 +35,21 @@ type verdict struct {
 
 func fmtFloat(f float64) string { return strconv.FormatFloat(f, 'g', -1, 64) }
 
-// verdictsOf flattens one checkpoint's evaluation. The conformance
-// drift objective is left out: it was deleted as a false alarm, and the
-// stream pins the objectives that survive.
-func verdictsOf(hv *health.Verdict, rep *slo.Report) []verdict {
+// verdictsOf flattens one checkpoint's evaluation, thresholds first —
+// the order the separate engines ran in. (The golden was captured with
+// the since-deleted conformance drift objective left out.)
+func verdictsOf(rep *alert.Report) []verdict {
 	var out []verdict
-	if hv != nil {
-		for _, r := range hv.Rules {
-			out = append(out, verdict{name: r.Rule, firing: r.Firing, latched: r.Active, value: r.Value})
+	for _, policy := range []string{alert.PolicyThreshold, alert.PolicyBurn} {
+		for _, s := range rep.View(policy).Objectives {
+			v := verdict{name: s.Name, firing: s.Firing, latched: s.Latched, value: s.Value}
+			if s.Burn != nil {
+				v.burns = []float64{s.Burn.FastBurn, s.Burn.SlowBurn}
+			}
+			out = append(out, v)
 		}
 	}
-	if rep != nil {
-		for _, s := range rep.SLOs {
-			out = append(out, verdict{name: s.Name, firing: s.Firing, latched: s.Exhausted,
-				value: s.BudgetSpent, burns: []float64{s.FastBurn, s.SlowBurn}})
-		}
-	}
-	kept := out[:0]
-	for _, v := range out {
-		if !strings.HasPrefix(v.name, "conformance_drift_") {
-			kept = append(kept, v)
-		}
-	}
-	return kept
+	return out
 }
 
 // verdictStream runs cfg and returns every checkpoint's verdicts as
@@ -71,8 +62,8 @@ func verdictStream(t *testing.T, cfg Config) (full, transitions []string) {
 		t.Fatal(err)
 	}
 	last := map[string][2]bool{}
-	e.onVerdict = func(hv *health.Verdict, rep *slo.Report) {
-		for _, v := range verdictsOf(hv, rep) {
+	e.onVerdict = func(rep *alert.Report) {
+		for _, v := range verdictsOf(rep) {
 			line := fmt.Sprintf("t=%d %s firing=%t latched=%t value=%s",
 				e.clk.Now().UnixNano(), v.name, v.firing, v.latched, fmtFloat(v.value))
 			for _, b := range v.burns {

@@ -52,16 +52,12 @@ func TestDetCheckFlightFixtures(t *testing.T) {
 	linttest.Run(t, testdata, "fixtures/detcheck/flight", lint.DetCheck)
 }
 
-func TestDetCheckHealthFixtures(t *testing.T) {
-	linttest.Run(t, testdata, "fixtures/detcheck/health", lint.DetCheck)
+func TestDetCheckAlertFixtures(t *testing.T) {
+	linttest.Run(t, testdata, "fixtures/detcheck/alert", lint.DetCheck)
 }
 
 func TestDetCheckTsdbFixtures(t *testing.T) {
 	linttest.Run(t, testdata, "fixtures/detcheck/tsdb", lint.DetCheck)
-}
-
-func TestDetCheckSloFixtures(t *testing.T) {
-	linttest.Run(t, testdata, "fixtures/detcheck/slo", lint.DetCheck)
 }
 
 func TestDetCheckClockFixtures(t *testing.T) {

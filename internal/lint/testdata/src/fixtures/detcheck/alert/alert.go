@@ -1,13 +1,15 @@
-// Fixtures for detcheck in the SLO engine: FiredAt/ClearedAt stamps
-// ride chaos reports that are compared across replays, so burn-rate
-// evaluation must take its timestamps from the injected clock and
-// never poll on a wall-clock timer. slo is already in scope via its
-// parent "obs" path element; it is named explicitly so the scope
-// survives the package ever moving out from under it.
-package slo
+// Fixtures for detcheck in the alert engine: hysteresis streaks and
+// FiredAt/ClearedAt stamps ride chaos reports that are compared across
+// replays, so evaluation must take its timestamps from the injected
+// clock, never poll on a wall-clock timer and never jitter its cadence
+// from the global rand source. alert is already in scope via its parent
+// "obs" path element; it is named explicitly so the scope survives the
+// package ever moving out from under it.
+package alert
 
 import (
 	"fmt"
+	"math/rand"
 	"sort"
 	"time"
 )
@@ -43,13 +45,23 @@ func BadPollLoop(e *Engine, step time.Duration) *time.Ticker {
 	return time.NewTicker(step) // want "time.NewTicker in a replay-deterministic package"
 }
 
+func JitteredPollInterval(base time.Duration) time.Duration {
+	return base + time.Duration(rand.Int63n(int64(base))) // want "global rand.Int63n draws from the process-seeded source"
+}
+
+// ok: a sanctioned wall-clock read carries the directive and a reason.
+func wallClock() int64 {
+	//relidev:allow nondeterminism: default clock for live /healthz serving; deterministic harnesses inject a manual clock
+	return time.Now().UnixNano()
+}
+
 func BadReport(w fmt.Writer, e *Engine) {
 	for name, st := range e.status { // want "map iteration order is nondeterministic"
 		fmt.Fprintf(w, "%s firing=%v\n", name, st.Firing)
 	}
 }
 
-// ok: objectives are reported in sorted order, so the /slo payload and
+// ok: objectives are reported in sorted order, so the alert payloads and
 // the chaos artifact built from it replay byte-identically.
 func Report(w fmt.Writer, e *Engine) {
 	names := make([]string, 0, len(e.status))

@@ -34,7 +34,8 @@ type OpObservation struct {
 	// ParticipantsSum is the participation total over completed
 	// operations (local site included).
 	ParticipantsSum uint64 `json:"participants_sum"`
-	// StaleReads counts voting reads that also fetched the block.
+	// StaleReads counts lazy refreshes: voting reads that also fetched
+	// the block because the local copy was behind.
 	StaleReads uint64 `json:"stale_reads,omitempty"`
 	// TwoRound counts completed voting writes that used the classic
 	// two-round shape (vote round + put fan-out); the remainder used the
@@ -205,7 +206,7 @@ func strictCheck(in ConformanceInput, op string, o OpObservation) (OpCheck, erro
 			}
 		}
 	case protocol.OpRead:
-		// Each stale read costs ReadStale - Read extra (one fetch).
+		// Each lazy refresh costs ReadStale - Read extra (one fetch).
 		predicted = costs.Read + (costs.ReadStale-costs.Read)*float64(o.StaleReads)/float64(o.Completions)
 	case protocol.OpRecovery:
 		predicted = costs.Recovery

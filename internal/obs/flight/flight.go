@@ -1,165 +1,117 @@
-// Package flight implements a black-box flight recorder: a bounded
-// in-memory ring of periodic system snapshots (metrics deltas, trace
-// tail, suspect lists, repair lag, batcher occupancy) that is sealed
-// into a diagnostic dump when something goes wrong — a chaos invariant
-// violation, an SLO breach from the health engine, or an explicit
-// /debug/flight request. The recorder is strictly an observer: it
-// never feeds replay digests, and on a clock.Manual its dumps are
-// deterministic given a deterministic workload (DESIGN.md §15).
+// Package flight is the black-box recorder: when something goes wrong
+// — a chaos invariant violation, a critical alert, an exhausted error
+// budget, an explicit /debug/flight request — it seals a diagnostic
+// dump of what the host already keeps: the newest steps of the tsdb
+// ring, the tail of the trace ring and the host's own probes. It holds
+// no history of its own, so between seals it costs nothing. The
+// recorder is strictly an observer: it never feeds replay digests, and
+// on a clock.Manual its dumps are deterministic given a deterministic
+// workload (DESIGN.md "Alerts").
 package flight
 
 import (
+	"fmt"
 	"net/http"
-	"sync"
 
 	"relidev/internal/clock"
 	"relidev/internal/obs"
+	"relidev/internal/obs/tsdb"
+	"relidev/internal/protocol"
 )
 
-// A Source is one named probe collected into every frame. Collect
-// returns a JSON-serialisable value; sources that need determinism
-// must return deterministically ordered data (sorted slices, not
-// bare maps iterated into strings).
+// What a dump keeps of each ring.
+const (
+	Steps       = 64 // newest tsdb samples
+	TraceEvents = 64 // newest trace events
+)
+
+// A Source is one named probe of host state the registry does not
+// carry (a failure detector's suspect set, a harness's site states),
+// read when a dump is sealed. Collect returns a JSON-serialisable
+// value; a source that needs determinism must return deterministically
+// ordered data (sorted slices, not bare maps iterated into strings).
 type Source struct {
 	Name    string
 	Collect func() any
 }
 
-// An Observation is one source's value inside a frame, kept as an
-// ordered list (registration order) rather than a map so frames
-// serialise identically run to run.
+// Suspects probes a failure detector's suspect set (e.g. the rpcnet
+// client's SuspectSet), rendered via SiteSet's sorted String form.
+func Suspects(fn func() protocol.SiteSet) Source {
+	return Source{Name: "suspects", Collect: func() any { return fn().String() }}
+}
+
+// An Observation is one source's value, kept in an ordered list
+// (registration order) rather than a map so dumps serialise identically
+// run to run.
 type Observation struct {
 	Source string `json:"source"`
 	Value  any    `json:"value"`
 }
 
-// A Frame is one snapshot of every source at a single instant.
-type Frame struct {
-	Seq          int64         `json:"seq"`
-	AtNs         int64         `json:"at_ns"`
-	Reason       string        `json:"reason"`
-	Observations []Observation `json:"observations"`
-}
-
-// A Dump is a sealed copy of the recorder's ring: the artifact written
-// out when a trigger fires. Frames are ordered oldest first. Its JSON is
-// byte-for-byte deterministic for deterministic frames (encoding/json
-// sorts map keys; frame observations are ordered lists).
+// A Dump is the artifact a trigger seals. Its JSON is byte-for-byte
+// deterministic for deterministic contents (encoding/json sorts map
+// keys; series, events and probes are ordered lists).
 type Dump struct {
-	Trigger    string  `json:"trigger"`
-	SealedAtNs int64   `json:"sealed_at_ns"`
-	Dropped    int64   `json:"dropped_frames"`
-	Frames     []Frame `json:"frames"`
+	Trigger    string `json:"trigger"`
+	SealedAtNs int64  `json:"sealed_at_ns"`
+	// Timeseries is the ring's newest Steps samples — every series'
+	// deltas and levels leading up to the trigger.
+	Steps      int              `json:"steps"`
+	Timeseries tsdb.QueryResult `json:"timeseries"`
+	// TraceTail is the newest TraceEvents trace events in schedule order
+	// (obs.Tracer.Tail), one line each; absent with tracing off.
+	TraceTail []string `json:"trace_tail,omitempty"`
+	// Probes are the host's sources, read at the seal: how each got to
+	// its state is in the timeseries (per-peer transport errors) and the
+	// trace tail.
+	Probes []Observation `json:"probes,omitempty"`
 }
 
-// A Recorder keeps the last capacity frames in a ring and seals them
-// into Dumps on demand. All methods are safe for concurrent use and
-// no-ops on a nil receiver, so wiring layers can thread an optional
-// recorder without guards.
+// A Recorder seals dumps over one ring, one tracer and a set of probes.
+// Seal is safe for concurrent use and nil-safe, so wiring layers can
+// thread an optional recorder without guards.
 type Recorder struct {
-	// collect serialises Snapshot: frames come from a poller and from
-	// HTTP handlers at once, sources may keep state between frames
-	// (MetricsDelta), and ring order must be collection order.
-	collect sync.Mutex
-
-	mu      sync.Mutex // the ring
-	clk     clock.Clock
-	cap     int
-	sources []Source
-
-	seq     int64
-	dropped int64
-	frames  []Frame // ring storage
-	head    int     // index of the oldest frame
-	count   int
+	clk    clock.Clock
+	db     *tsdb.DB
+	tracer *obs.Tracer // nil with tracing off
+	probes []Source
 }
 
-// New builds a recorder over the given sources. clk is the frame
-// timestamp source (a *clock.Manual makes dumps replayable);
-// capacity bounds the ring (minimum 1).
-func New(clk clock.Clock, capacity int, sources ...Source) *Recorder {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &Recorder{
-		clk:     clk,
-		cap:     capacity,
-		sources: sources,
-		frames:  make([]Frame, capacity),
-	}
+// New builds a recorder; clk stamps the seal (a *clock.Manual makes
+// dumps replayable).
+func New(clk clock.Clock, db *tsdb.DB, tracer *obs.Tracer, probes ...Source) *Recorder {
+	return &Recorder{clk: clk, db: db, tracer: tracer, probes: probes}
 }
 
-// Snapshot collects every source into a new frame tagged with reason
-// ("checkpoint", "health", ...). When the ring is full the oldest
-// frame is evicted and counted in the next dump's Dropped.
-func (r *Recorder) Snapshot(reason string) {
-	if r == nil {
-		return
-	}
-	r.collect.Lock()
-	defer r.collect.Unlock()
-	// Collect outside the ring lock: sources take registry or tracer
-	// locks of their own, and a seal must not wait for them.
-	obs := make([]Observation, len(r.sources))
-	for i, src := range r.sources {
-		obs[i] = Observation{Source: src.Name, Value: src.Collect()}
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.seq++
-	f := Frame{Seq: r.seq, AtNs: r.clk.Now().UnixNano(), Reason: reason, Observations: obs}
-	if r.count < r.cap {
-		r.frames[(r.head+r.count)%r.cap] = f
-		r.count++
-		return
-	}
-	r.frames[r.head] = f
-	r.head = (r.head + 1) % r.cap
-	r.dropped++
-}
-
-// Seal copies the ring into a Dump tagged with the trigger, without
-// clearing it — later frames keep accumulating and a later seal sees
-// them. Keeping a trigger's dump is the caller's business (plane.Seal
-// retains the first).
+// Seal builds a dump tagged with the trigger. It changes nothing: a
+// later seal sees whatever the rings hold then. Keeping a trigger's
+// dump is the caller's business (plane.Seal retains the first).
 func (r *Recorder) Seal(trigger string) *Dump {
 	if r == nil {
 		return nil
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	d := &Dump{
-		Trigger:    trigger,
-		SealedAtNs: r.clk.Now().UnixNano(),
-		Dropped:    r.dropped,
-		Frames:     make([]Frame, r.count),
+	d := &Dump{Trigger: trigger, SealedAtNs: r.clk.Now().UnixNano()}
+	d.Timeseries, d.Steps = r.db.Tail(Steps)
+	for _, e := range r.tracer.Tail(TraceEvents) {
+		d.TraceTail = append(d.TraceTail, fmt.Sprintf("at=%d site=%d kind=%s op=%s block=%d %s",
+			e.At, e.Site, e.Kind, e.Op, e.Block, e.Detail))
 	}
-	for i := 0; i < r.count; i++ {
-		d.Frames[i] = r.frames[(r.head+i)%r.cap]
+	for _, src := range r.probes {
+		d.Probes = append(d.Probes, Observation{Source: src.Name, Value: src.Collect()})
 	}
 	return d
 }
 
-// Len reports how many frames the ring currently holds.
-func (r *Recorder) Len() int {
-	if r == nil {
-		return 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.count
-}
-
-// Handler serves the recorder at /debug/flight: each GET snapshots
-// once more (reason "http"), seals with trigger "http request", and
-// returns the dump as JSON. A nil recorder answers 404.
+// Handler serves the recorder at /debug/flight: each GET seals with
+// trigger "http request" and returns the dump as JSON. A nil recorder
+// answers 404.
 func Handler(r *Recorder) http.HandlerFunc {
 	return func(w http.ResponseWriter, req *http.Request) {
 		if r == nil {
 			http.Error(w, "flight recorder disabled", http.StatusNotFound)
 			return
 		}
-		r.Snapshot("http")
 		obs.WriteJSON(w, http.StatusOK, r.Seal("http request"))
 	}
 }

@@ -27,28 +27,29 @@ func MergeSnapshots(snaps ...Snapshot) Snapshot {
 	hists := make(map[string]HistogramPoint)
 	for _, s := range snaps {
 		for _, p := range s.Counters {
-			k := pointKey(p.Name, p.Labels)
+			k := KeyOf(p.Key, p.Name, p.Labels)
 			acc := counters[k]
-			acc.Name, acc.Labels = p.Name, p.Labels
+			acc.Key, acc.Name, acc.Labels = k, p.Name, p.Labels
 			acc.Value += p.Value
 			counters[k] = acc
 		}
 		for _, p := range s.Gauges {
-			k := pointKey(p.Name, p.Labels)
+			k := KeyOf(p.Key, p.Name, p.Labels)
 			acc := gauges[k]
-			acc.Name, acc.Labels = p.Name, p.Labels
+			acc.Key, acc.Name, acc.Labels = k, p.Name, p.Labels
 			acc.Value += p.Value
 			gauges[k] = acc
 		}
 		for _, p := range s.Histograms {
-			k := pointKey(p.Name, p.Labels)
+			k := KeyOf(p.Key, p.Name, p.Labels)
 			acc, ok := hists[k]
 			if !ok {
+				p.Key = k
 				hists[k] = p
 				continue
 			}
 			m := mergeHist(acc, p)
-			m.Labels = p.Labels
+			m.Key, m.Labels = k, p.Labels
 			hists[k] = m
 		}
 	}
@@ -73,6 +74,16 @@ func MergeSnapshots(snaps ...Snapshot) Snapshot {
 		out.Histograms = append(out.Histograms, h)
 	}
 	return out
+}
+
+// KeyOf returns a snapshot point's canonical series key: the one it
+// carries, or — for a point that was decoded or built by hand — the
+// key rebuilt from its label map.
+func KeyOf(key, name string, labels map[string]string) string {
+	if key != "" {
+		return key
+	}
+	return pointKey(name, labels)
 }
 
 // pointKey reconstructs the canonical series key from a snapshot

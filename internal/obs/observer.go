@@ -28,8 +28,11 @@ const (
 	MetricOpParticipants = "relidev_op_participants_total"
 	// MetricOpLatency is the per-operation latency histogram.
 	MetricOpLatency = "relidev_op_latency_ns"
-	// MetricStaleReads counts voting reads that had to repair the local
-	// copy with a block fetch (§5.1 charges them one extra message).
+	// MetricStaleReads counts lazy refreshes: voting reads that found the
+	// local copy behind the quorum's version and repaired it with one
+	// block fetch before answering (Figure 3; §5.1 charges the extra
+	// message). Every such read returned current data — the name is
+	// historical, no stale read was served.
 	MetricStaleReads = "relidev_stale_reads_total"
 	// MetricWriteTwoRound counts completed voting writes that used the
 	// classic two-round shape (vote round then put fan-out) instead of

@@ -1,10 +1,10 @@
 // Package plane assembles the observability stack of one host of the
 // reliable device — the in-process Cluster, a TCP RemoteSite, a chaos
-// run — in one place: observer, flight recorder, health engine, tsdb
-// ring and SLO engine on one clock, the rule that says what seals the
-// recorder, the step a host's sampling cadence drives, and the debug
-// HTTP surface over all of it (DESIGN.md "Wiring"). It sits beside the
-// packages it wires because obs itself cannot import them.
+// run — in one place: observer, tsdb ring, alert engine and flight
+// recorder on one clock, the rule that says who samples the ring, the
+// step a host's cadence drives, and the debug HTTP surface over all of
+// it (DESIGN.md "Wiring", "Alerts"). It sits beside the packages it
+// wires because obs itself cannot import them.
 package plane
 
 import (
@@ -16,9 +16,8 @@ import (
 
 	"relidev/internal/clock"
 	"relidev/internal/obs"
+	"relidev/internal/obs/alert"
 	"relidev/internal/obs/flight"
-	"relidev/internal/obs/health"
-	"relidev/internal/obs/slo"
 	"relidev/internal/obs/tsdb"
 	"relidev/internal/protocol"
 )
@@ -26,18 +25,14 @@ import (
 // The accessors' typed refusals; the public package re-exports them,
 // so the texts name its options.
 var (
-	ErrNotMetered    = errors.New("relidev: cluster not built with WithMetering")
-	ErrNoHealthRules = errors.New("relidev: cluster not built with WithHealthRules")
-	ErrNoTelemetry   = errors.New("relidev: cluster not built with WithTelemetry")
-	ErrNoSLOs        = errors.New("relidev: cluster not built with WithSLOs")
+	ErrNotMetered   = errors.New("relidev: cluster not built with WithMetering")
+	ErrNoObjectives = errors.New("relidev: cluster not built with WithObjectives")
+	ErrNoTelemetry  = errors.New("relidev: cluster not built with WithTelemetry")
 )
 
-// Ring sizes every host uses.
-const (
-	flightFrames  = 64  // flight frames kept
-	traceTail     = 64  // trace events per flight frame
-	defaultRetain = 600 // tsdb frames: ten minutes at a 1s step
-)
+// defaultRetain is the ring size of a host that does not say: ten
+// minutes at a 1s step.
+const defaultRetain = 600
 
 // Config is what a host asks for. New refuses a config that asks for a
 // part without what it reads.
@@ -49,19 +44,21 @@ type Config struct {
 	Clock clock.Clock
 	// TraceCap, when positive, keeps that many trace events.
 	TraceCap int
-	// Flight attaches the black-box recorder over the standard sources
-	// (metrics deltas, trace tail, repair lag, batch occupancy) followed
-	// by the host's own Probes (a failure detector's suspect set, a
-	// harness's site states).
+	// Flight attaches the black-box recorder: a sealed dump holds the
+	// ring's newest steps, the trace tail and the host's own Probes (a
+	// failure detector's suspect set, a harness's site states).
 	Flight bool
 	Probes []flight.Source
-	// HealthRules attaches the health engine; StepNs (positive) the tsdb
-	// ring at that nominal sampling step, keeping Retain frames (zero:
-	// 600); SLOs the burn-rate engine over the ring.
-	HealthRules []health.Rule
-	StepNs      int64
-	Retain      int
-	SLOs        []slo.SLO
+	// Objectives attaches the alert engine over the ring.
+	Objectives []alert.Objective
+	// StepNs, when positive, is the cadence the host promises to drive
+	// Step (or the ring's Sample) at: the ring's nominal step, what
+	// burn-rate windows are sized against, and what turns /timeseries
+	// on. At zero nobody owns a cadence, and the ring — built whenever
+	// objectives or the recorder read it — is sampled by whoever
+	// evaluates or dumps. Retain frames are kept (zero: 600).
+	StepNs int64
+	Retain int
 	// Pull assembles the host's cross-site metrics view, for hosts that
 	// serve ClusterMetricsJSON or DebugHandler; it is only called after
 	// the host is built.
@@ -73,23 +70,26 @@ type Config struct {
 // the accessors return ErrNotMetered.
 type Plane struct {
 	obs    *obs.Observer
+	ring   *tsdb.DB // nil when nothing reads it
+	stepNs int64
+	alerts *alert.Engine
+	views  map[string]bool // the policies that have objectives
 	flight *flight.Recorder
-	health *health.Engine
-	tsdb   *tsdb.DB
-	slo    *slo.Engine
 	pull   func(ctx context.Context) (obs.Snapshot, map[protocol.SiteID]error)
 	sealed atomic.Pointer[flight.Dump]
 }
 
 // New builds the stack cfg describes.
 func New(cfg Config) (*Plane, error) {
+	views := make(map[string]bool)
+	for _, o := range cfg.Objectives {
+		views[o.Policy.Kind()] = true
+	}
 	switch {
 	case cfg.StepNs < 0:
 		return nil, errors.New("negative telemetry step")
-	case len(cfg.SLOs) > 0 && cfg.StepNs == 0:
-		return nil, errors.New("SLOs require a telemetry step")
-	case !cfg.Metered && len(cfg.HealthRules) > 0:
-		return nil, errors.New("health rules require metering")
+	case !cfg.Metered && len(cfg.Objectives) > 0:
+		return nil, errors.New("objectives require metering")
 	case !cfg.Metered && cfg.StepNs > 0:
 		return nil, errors.New("telemetry requires metering")
 	case !cfg.Metered:
@@ -104,26 +104,18 @@ func New(cfg Config) (*Plane, error) {
 		opts = append(opts, obs.WithTracing(cfg.TraceCap))
 	}
 	o := obs.New(opts...)
-	p := &Plane{obs: o, pull: cfg.Pull}
-	if cfg.Flight {
-		p.flight = flight.New(clk, flightFrames, append([]flight.Source{
-			flight.MetricsDelta(o),
-			flight.TraceTail(o, traceTail),
-			flight.RepairLag(o),
-			flight.Occupancy(o),
-		}, cfg.Probes...)...)
-	}
-	if len(cfg.HealthRules) > 0 {
-		p.health = health.NewEngine(o.Snapshot, clk, p.Seal, cfg.HealthRules...)
-	}
-	if cfg.StepNs > 0 {
+	p := &Plane{obs: o, stepNs: cfg.StepNs, views: views, pull: cfg.Pull}
+	if cfg.Flight || cfg.StepNs > 0 || len(cfg.Objectives) > 0 {
 		if cfg.Retain <= 0 {
 			cfg.Retain = defaultRetain
 		}
-		p.tsdb = tsdb.New(tsdb.Config{Clock: clk, Source: o.Snapshot, StepNs: cfg.StepNs, Retain: cfg.Retain})
-		if len(cfg.SLOs) > 0 {
-			p.slo = slo.NewEngine(p.tsdb, clk, p.Seal, cfg.SLOs...)
-		}
+		p.ring = tsdb.New(tsdb.Config{Clock: clk, Source: o.Snapshot, StepNs: cfg.StepNs, Retain: cfg.Retain})
+	}
+	if cfg.Flight {
+		p.flight = flight.New(clk, p.ring, o.Tracer(), cfg.Probes...)
+	}
+	if len(cfg.Objectives) > 0 {
+		p.alerts = alert.NewEngine(p.ring, clk, p.Seal, cfg.Objectives...)
 	}
 	return p, nil
 }
@@ -137,12 +129,11 @@ func (p *Plane) Observer() *obs.Observer {
 	return p.obs
 }
 
-// Seal freezes the flight ring into the retained dump. The first trigger
-// wins: its dump shows the frames that led up to the failure, which
-// later triggers would only dilute. The engines call it on a critical
-// health verdict and on an exhausted error budget, wherever the
-// evaluation happened; harnesses call it on an invariant violation. A
-// no-op without a recorder.
+// Seal seals the flight recorder into the retained dump. The first
+// trigger wins: its dump shows what led up to the failure, which later
+// triggers would only dilute. The alert engine calls it when a critical
+// latch sets, wherever the evaluation happened; harnesses call it on an
+// invariant violation. A no-op without a recorder.
 func (p *Plane) Seal(trigger string) {
 	if p != nil && p.flight != nil && p.sealed.Load() == nil {
 		p.sealed.CompareAndSwap(nil, p.flight.Seal(trigger))
@@ -157,65 +148,57 @@ func (p *Plane) Sealed() *flight.Dump {
 	return p.sealed.Load()
 }
 
-// Step is one tick of the host's sampling cadence — a server's poller,
-// a harness's checkpoint: record a flight frame, sample the registry
-// into the ring, re-evaluate the SLOs; parts the plane lacks are
-// skipped and their result is nil. With evalHealth the health rules are
-// evaluated too, between the frame and the sample: a harness's
-// checkpoint is their cadence, while a server's are evaluated by whoever
-// asks (Health, /healthz), so their window stays "since the last probe".
-func (p *Plane) Step(reason string, evalHealth bool) (hv *health.Verdict, rep *slo.Report) {
-	if p == nil {
-		return nil, nil
+// Step is one tick of the host's cadence — a server's poller, a
+// harness's checkpoint: sample the registry into the ring, once, then
+// evaluate every objective off the ring; a critical latch seals the
+// recorder with this step's sample already in it. The report is nil
+// for a plane without objectives.
+func (p *Plane) Step() *alert.Report {
+	if p == nil || p.ring == nil {
+		return nil
 	}
-	p.flight.Snapshot(reason)
-	if evalHealth && p.health != nil {
-		v := p.health.Evaluate()
-		hv = &v
+	p.ring.Sample()
+	if p.alerts == nil {
+		return nil
 	}
-	p.tsdb.Sample()
-	if p.slo != nil {
-		r := p.slo.Evaluate()
-		rep = &r
-	}
-	return hv, rep
+	rep := p.alerts.Evaluate()
+	return &rep
 }
 
-// Health evaluates the rule set against the current metrics; a
-// critical verdict seals the recorder.
-func (p *Plane) Health() (health.Verdict, error) {
-	if p == nil {
-		return health.Verdict{}, ErrNotMetered
+// fresh samples a ring nobody else does: on a host with no cadence
+// whoever reads the ring takes the sample it reads. A host with one
+// never samples on a read, so two readers between steps see one ring.
+func (p *Plane) fresh() {
+	if p.stepNs == 0 {
+		p.ring.Sample()
 	}
-	if p.health == nil {
-		return health.Verdict{}, ErrNoHealthRules
-	}
-	return p.health.Evaluate(), nil
 }
 
-// SLOs evaluates every objective's burn rates against the ring; an
-// exhausted budget seals the recorder.
-func (p *Plane) SLOs() (slo.Report, error) {
-	if p == nil || p.tsdb == nil {
-		return slo.Report{}, ErrNoTelemetry
+// View evaluates the objectives and returns one policy's view of the
+// report — alert.PolicyThreshold is what /healthz serves, PolicyBurn
+// what /slo does — freshening the ring first when the host has no
+// cadence. A critical latch seals the recorder.
+func (p *Plane) View(policy string) (alert.Report, error) {
+	switch {
+	case p == nil:
+		return alert.Report{}, ErrNotMetered
+	case !p.views[policy]:
+		return alert.Report{}, ErrNoObjectives
 	}
-	if p.slo == nil {
-		return slo.Report{}, ErrNoSLOs
-	}
-	return p.slo.Evaluate(), nil
+	p.fresh()
+	return p.alerts.Evaluate().View(policy), nil
 }
 
-// Ring returns the tsdb ring, for hosts whose embedder samples and
-// queries it on its own cadence.
+// Ring returns the tsdb ring of a host with a cadence, for an embedder
+// that samples and queries it itself.
 func (p *Plane) Ring() (*tsdb.DB, error) {
-	if p == nil || p.tsdb == nil {
+	if p == nil || p.stepNs == 0 {
 		return nil, ErrNoTelemetry
 	}
-	return p.tsdb, nil
+	return p.ring, nil
 }
 
-// CriticalPath computes the critical-path profile from the current
-// metrics.
+// CriticalPath computes the critical-path profile of the current metrics.
 func (p *Plane) CriticalPath() (*obs.Profile, error) {
 	if p == nil {
 		return nil, ErrNotMetered
@@ -234,20 +217,29 @@ func (p *Plane) ClusterMetricsJSON(ctx context.Context) ([]byte, error) {
 
 // DebugHandler returns the debug HTTP surface: the observer's routes
 // (/metrics, /metrics.prom, /trace, /trace/tree, /profile,
-// /debug/pprof/) plus /cluster/metrics, /healthz, /timeseries, /slo,
-// /debug/flight (a fresh frame and an on-demand dump per GET) and
-// /debug/flight/sealed (the retained trigger-sealed dump). The route
-// set is the same on every host; a part the plane lacks answers 404.
+// /debug/pprof/) plus /cluster/metrics, /healthz and /slo (the two
+// views of one evaluation), /timeseries, /debug/flight (an on-demand
+// dump per GET) and /debug/flight/sealed (the retained trigger-sealed
+// dump). The route set is the same on every host; a part the plane
+// lacks answers 404.
 func (p *Plane) DebugHandler() (http.Handler, error) {
 	if p == nil {
 		return nil, ErrNotMetered
 	}
+	ring, _ := p.Ring()
 	mux := obs.NewDebugMux(p.obs)
 	mux.HandleFunc("/cluster/metrics", obs.ClusterMetricsHandler(p.pull))
-	mux.HandleFunc("/healthz", health.Handler(p.health))
-	mux.HandleFunc("/timeseries", tsdb.Handler(p.tsdb))
-	mux.HandleFunc("/slo", slo.Handler(p.slo))
-	mux.HandleFunc("/debug/flight", flight.Handler(p.flight))
+	for route, policy := range map[string]string{"/healthz": alert.PolicyThreshold, "/slo": alert.PolicyBurn} {
+		mux.HandleFunc(route, alert.Handler(func() (alert.Report, error) { return p.View(policy) }))
+	}
+	mux.HandleFunc("/timeseries", tsdb.Handler(ring))
+	dump := flight.Handler(p.flight)
+	mux.HandleFunc("/debug/flight", func(w http.ResponseWriter, r *http.Request) {
+		if p.flight != nil {
+			p.fresh()
+		}
+		dump(w, r)
+	})
 	mux.HandleFunc("/debug/flight/sealed", func(w http.ResponseWriter, r *http.Request) {
 		if d := p.Sealed(); d != nil {
 			obs.WriteJSON(w, http.StatusOK, d)

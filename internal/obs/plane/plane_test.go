@@ -16,9 +16,8 @@ import (
 
 	"relidev/internal/clock"
 	"relidev/internal/obs"
+	"relidev/internal/obs/alert"
 	"relidev/internal/obs/flight"
-	"relidev/internal/obs/health"
-	"relidev/internal/obs/slo"
 	"relidev/internal/protocol"
 	"relidev/internal/repair"
 )
@@ -72,29 +71,27 @@ var scriptPolicy = repair.Policy{MaxRounds: 1, MaxAttemptsPerPage: 2, RetryMax: 
 // the default alert conditions at a one-second step, burn windows of
 // three and eight steps.
 func scriptConfig(clk clock.Clock) Config {
-	w := slo.Windows{FastNs: 3e9, SlowNs: 8e9, Burn: 2}
+	burn := func(target float64) alert.Burn {
+		return alert.Burn{Target: target, FastNs: 3e9, SlowNs: 8e9, Rate: 2}
+	}
 	return Config{
 		Metered:  true,
 		Clock:    clk,
 		TraceCap: 24,
 		Flight:   true,
-		Probes:   []flight.Source{flight.Probe("suspects", func() any { return "{site2}" })},
-		HealthRules: []health.Rule{
-			health.QuorumMarginRule("voting", 2),
-			health.ErrorRateRule(0.1),
-			health.BatcherOccupancyRule(64),
-			health.ConformanceDriftRule("voting", 0),
-			health.StalenessRule(scriptPolicy),
+		Probes:   []flight.Source{{Name: "suspects", Collect: func() any { return "{site2}" }}},
+		Objectives: []alert.Objective{
+			alert.QuorumMargin("voting", 2),
+			alert.ErrorRate(0.1),
+			alert.BatcherOccupancy(64),
+			alert.StalenessLag(scriptPolicy.Deadline(1).Nanoseconds()),
+			alert.ReadLatency("voting", 50e6, burn(0.99)),
+			alert.WriteAvailability("voting", burn(0.9)),
+			alert.RepairFreshness(2e9, burn(0.9)),
 		},
 		StepNs: 1e9,
 		Retain: 64,
-		SLOs: []slo.SLO{
-			slo.ReadLatency("voting", 50e6, 0.99, w),
-			slo.WriteAvailability("voting", 0.9, w),
-			slo.ConformanceDrift("voting", 0, w),
-			slo.RepairFreshness(2e9, 0.9, w),
-		},
-		Pull: func(context.Context) (obs.Snapshot, map[protocol.SiteID]error) { return obs.Snapshot{}, nil },
+		Pull:   func(context.Context) (obs.Snapshot, map[protocol.SiteID]error) { return obs.Snapshot{}, nil },
 	}
 }
 
@@ -104,7 +101,7 @@ func scriptConfig(clk clock.Clock) Config {
 // bare quorum, and a repair backlog at site 2 that appears in step 4
 // and drains by step 9. each, when set, runs after every Step with the
 // step number and what Step returned.
-func script(t *testing.T, p *Plane, clk *clock.Manual, each func(step int, hv *health.Verdict, rep *slo.Report)) {
+func script(t *testing.T, p *Plane, clk *clock.Manual, each func(step int, rep *alert.Report)) {
 	t.Helper()
 	o := p.Observer()
 	site := o.SchemeSite("voting", 0)
@@ -130,9 +127,8 @@ func script(t *testing.T, p *Plane, clk *clock.Manual, each func(step int, hv *h
 			o.Repair("voting", 2).SetLag(n)
 		}
 		clk.Advance(time.Duration(step)*time.Second - time.Duration(clk.Now().UnixNano()))
-		hv, rep := p.Step("poll", true)
-		if each != nil {
-			each(step, hv, rep)
+		if rep := p.Step(); each != nil {
+			each(step, rep)
 		}
 	}
 }
@@ -146,10 +142,10 @@ func TestEndpointGoldens(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	script(t, p, clk, func(step int, hv *health.Verdict, rep *slo.Report) {
+	script(t, p, clk, func(step int, rep *alert.Report) {
 		if step == 6 {
-			golden(t, "step6_health.json", indented(t, hv))
-			golden(t, "step6_slo.json", indented(t, rep))
+			golden(t, "step6_health.json", indented(t, rep.View(alert.PolicyThreshold)))
+			golden(t, "step6_slo.json", indented(t, rep.View(alert.PolicyBurn)))
 		}
 	})
 	h, err := p.DebugHandler()
@@ -186,9 +182,9 @@ func TestSealKeepsFirstTrigger(t *testing.T) {
 	if p.Sealed() != nil {
 		t.Fatal("sealed before any trigger")
 	}
-	p.Step("poll", true)
+	p.Step()
 	p.Seal("first")
-	p.Step("poll", true)
+	p.Step()
 	p.Seal("second")
 	h, _ := p.DebugHandler()
 	if status, _ := get(t, h, "/debug/flight"); status != 200 {
@@ -200,25 +196,26 @@ func TestSealKeepsFirstTrigger(t *testing.T) {
 }
 
 // TestStepSealsWithItsOwnFrame: a Step whose evaluation goes critical
-// seals a dump that already holds that step's record of the registry —
-// recording comes before evaluation.
+// seals a dump that already holds that step's sample of the registry —
+// sampling comes before evaluation.
 func TestStepSealsWithItsOwnFrame(t *testing.T) {
 	clk := clock.NewManual()
 	p, err := New(scriptConfig(clk))
 	if err != nil {
 		t.Fatal(err)
 	}
-	script(t, p, clk, func(step int, hv *health.Verdict, _ *slo.Report) {
+	script(t, p, clk, func(step int, rep *alert.Report) {
 		sealed := p.Sealed()
 		switch {
 		case step < 5 && sealed != nil:
 			t.Fatalf("step %d: sealed %q before the burst", step, sealed.Trigger)
 		case step == 5:
-			if hv.Overall != health.Critical || sealed == nil || !strings.HasPrefix(sealed.Trigger, "health: error_rate") {
-				t.Fatalf("step 5: verdict %v, sealed %+v", hv.Overall, sealed)
+			if rep.Overall != alert.Critical || sealed == nil || !strings.HasPrefix(sealed.Trigger, "health: error_rate") {
+				t.Fatalf("step 5: verdict %v, sealed %+v", rep.Overall, sealed)
 			}
-			if last := sealed.Frames[len(sealed.Frames)-1]; sealed.SealedAtNs != 5e9 || last.AtNs != 5e9 {
-				t.Fatalf("dump sealed at %d ends with the record of %d, want step 5's", sealed.SealedAtNs, last.AtNs)
+			if sealed.SealedAtNs != 5e9 || sealed.Timeseries.ToNs != 5e9 || sealed.Steps != 5 {
+				t.Fatalf("dump sealed at %d holds %d steps up to %d, want step 5's sample in it",
+					sealed.SealedAtNs, sealed.Steps, sealed.Timeseries.ToNs)
 			}
 		}
 	})
@@ -232,11 +229,11 @@ func TestOneSnapshotPerStep(t *testing.T) {
 		t.Fatal(err)
 	}
 	reg := p.Observer().Registry()
-	p.Step("poll", true)
+	p.Step()
 	before := reg.Snapshots()
-	p.Step("poll", true)
-	if got := reg.Snapshots() - before; got != 5 {
-		t.Fatalf("one Step read the registry %d times, want 5", got)
+	p.Step()
+	if got := reg.Snapshots() - before; got != 1 {
+		t.Fatalf("one Step read the registry %d times, want 1", got)
 	}
 }
 
@@ -251,14 +248,11 @@ func TestNilPlaneRefuses(t *testing.T) {
 		t.Error("nil plane has parts")
 	}
 	p.Seal("x")
-	if hv, rep := p.Step("x", true); hv != nil || rep != nil {
+	if rep := p.Step(); rep != nil {
 		t.Error("nil plane stepped")
 	}
-	if _, err := p.Health(); !errors.Is(err, ErrNotMetered) {
-		t.Errorf("Health: %v", err)
-	}
-	if _, err := p.SLOs(); !errors.Is(err, ErrNoTelemetry) {
-		t.Errorf("SLOs: %v", err)
+	if _, err := p.View(alert.PolicyThreshold); !errors.Is(err, ErrNotMetered) {
+		t.Errorf("View: %v", err)
 	}
 	if _, err := p.Ring(); !errors.Is(err, ErrNoTelemetry) {
 		t.Errorf("Ring: %v", err)
@@ -281,11 +275,13 @@ func TestPartialPlaneRefuses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.Health(); !errors.Is(err, ErrNoHealthRules) {
-		t.Errorf("Health: %v", err)
+	for _, policy := range []string{alert.PolicyThreshold, alert.PolicyBurn} {
+		if _, err := p.View(policy); !errors.Is(err, ErrNoObjectives) {
+			t.Errorf("View(%s): %v", policy, err)
+		}
 	}
-	if _, err := p.SLOs(); !errors.Is(err, ErrNoTelemetry) {
-		t.Errorf("SLOs: %v", err)
+	if rep := p.Step(); rep != nil {
+		t.Error("a plane with nothing to sample stepped")
 	}
 	if _, err := p.Ring(); !errors.Is(err, ErrNoTelemetry) {
 		t.Errorf("Ring: %v", err)
@@ -309,13 +305,45 @@ func TestPartialPlaneRefuses(t *testing.T) {
 func TestNewDependencyErrors(t *testing.T) {
 	full := scriptConfig(clock.NewManual())
 	for name, cfg := range map[string]Config{
-		"negative step":          {Metered: true, StepNs: -1},
-		"SLOs without a step":    {Metered: true, SLOs: full.SLOs},
-		"rules without metering": {HealthRules: full.HealthRules},
-		"step without metering":  {StepNs: 1},
+		"negative step":               {Metered: true, StepNs: -1},
+		"objectives without metering": {Objectives: full.Objectives},
+		"step without metering":       {StepNs: 1},
 	} {
 		if p, err := New(cfg); err == nil || p != nil {
 			t.Errorf("%s: New = %v, %v; want an error", name, p, err)
 		}
+	}
+}
+
+// BenchmarkPlaneStep prices one step of a host with every part
+// attached and a ring as long as a chaos run's: eight operations, then
+// sample + evaluate. BENCH_history.json has it before and after the
+// engines merged.
+func BenchmarkPlaneStep(b *testing.B) {
+	clk := clock.NewManual()
+	cfg := scriptConfig(clk)
+	cfg.TraceCap, cfg.Retain = 4096, 4096
+	p, err := New(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	sites := make([]*obs.SchemeObs, 5)
+	for i := range sites {
+		sites[i] = p.Observer().SchemeSite("voting", protocol.SiteID(i))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j := 0; j < 8; j++ {
+			kind := protocol.OpWrite
+			if j%2 == 1 {
+				kind = protocol.OpRead
+			}
+			_, sp := sites[j%5].StartOp(context.Background(), kind, int64(j))
+			clk.Advance(2 * time.Microsecond)
+			sp.Done(3, nil)
+		}
+		clk.Advance(time.Second)
+		p.Step()
 	}
 }

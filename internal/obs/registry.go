@@ -15,6 +15,7 @@ package obs
 import (
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -104,11 +105,6 @@ func seriesKey(name string, labels []Label) string {
 	return b.String()
 }
 
-// SeriesKey renders the canonical series identity for name+labels —
-// the same key the registry uses internally — so sibling packages
-// (tsdb) can intern series under identities that match snapshots.
-func SeriesKey(name string, labels []Label) string { return seriesKey(name, labels) }
-
 func labelMap(labels []Label) map[string]string {
 	if len(labels) == 0 {
 		return nil
@@ -120,22 +116,37 @@ func labelMap(labels []Label) map[string]string {
 	return m
 }
 
-type counterSeries struct {
-	name   string
-	labels []Label
-	c      *Counter
+// A series is one metric series of handle type H. Its label map is
+// built once and shared with every snapshot point of the series, so
+// nothing may write to a point's Labels.
+type series[H any] struct {
+	key, name string
+	labels    map[string]string
+	h         *H
 }
 
-type gaugeSeries struct {
-	name   string
-	labels []Label
-	g      *Gauge
+// A family is the series of one metric kind, by canonical key and in
+// key order — the order Snapshot emits, kept at insertion so a snapshot
+// sorts nothing.
+type family[H any] struct {
+	byKey  map[string]*series[H]
+	sorted []*series[H]
 }
 
-type histSeries struct {
-	name   string
-	labels []Label
-	h      *Histogram
+// get returns the handle of the series under key, creating it on first
+// use. Caller holds the registry lock.
+func (f *family[H]) get(key, name string, labels []Label) *H {
+	s, ok := f.byKey[key]
+	if !ok {
+		s = &series[H]{key: key, name: name, labels: labelMap(labels), h: new(H)}
+		if f.byKey == nil {
+			f.byKey = make(map[string]*series[H])
+		}
+		f.byKey[key] = s
+		i, _ := slices.BinarySearchFunc(f.sorted, key, func(s *series[H], k string) int { return strings.Compare(s.key, k) })
+		f.sorted = slices.Insert(f.sorted, i, s)
+	}
+	return s.h
 }
 
 // A Registry holds metric series keyed by name and labels. Series
@@ -146,22 +157,16 @@ type histSeries struct {
 // A nil *Registry hands out nil handles, which discard updates.
 type Registry struct {
 	mu       sync.Mutex
-	counters map[string]*counterSeries
-	gauges   map[string]*gaugeSeries
-	hists    map[string]*histSeries
+	counters family[Counter]
+	gauges   family[Gauge]
+	hists    family[Histogram]
 	// snapshots counts full reads of the registry, the unit a telemetry
 	// step's cost is budgeted in.
 	snapshots atomic.Uint64
 }
 
 // NewRegistry returns an empty registry.
-func NewRegistry() *Registry {
-	return &Registry{
-		counters: make(map[string]*counterSeries),
-		gauges:   make(map[string]*gaugeSeries),
-		hists:    make(map[string]*histSeries),
-	}
-}
+func NewRegistry() *Registry { return new(Registry) }
 
 // Counter returns the counter series for name+labels, creating it on
 // first use.
@@ -172,12 +177,7 @@ func (r *Registry) Counter(name string, labels ...Label) *Counter {
 	key := seriesKey(name, labels)
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	s, ok := r.counters[key]
-	if !ok {
-		s = &counterSeries{name: name, labels: labels, c: new(Counter)}
-		r.counters[key] = s
-	}
-	return s.c
+	return r.counters.get(key, name, labels)
 }
 
 // Gauge returns the gauge series for name+labels, creating it on first
@@ -189,12 +189,7 @@ func (r *Registry) Gauge(name string, labels ...Label) *Gauge {
 	key := seriesKey(name, labels)
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	s, ok := r.gauges[key]
-	if !ok {
-		s = &gaugeSeries{name: name, labels: labels, g: new(Gauge)}
-		r.gauges[key] = s
-	}
-	return s.g
+	return r.gauges.get(key, name, labels)
 }
 
 // Histogram returns the histogram series for name+labels, creating it
@@ -206,16 +201,15 @@ func (r *Registry) Histogram(name string, labels ...Label) *Histogram {
 	key := seriesKey(name, labels)
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	s, ok := r.hists[key]
-	if !ok {
-		s = &histSeries{name: name, labels: labels, h: new(Histogram)}
-		r.hists[key] = s
-	}
-	return s.h
+	return r.hists.get(key, name, labels)
 }
 
-// A CounterPoint is one counter series in a snapshot.
+// A CounterPoint is one counter series in a snapshot. Key, on every
+// point kind, is the registry's canonical series key when the point
+// came from Registry.Snapshot or MergeSnapshots and empty when it was
+// decoded or built by hand; read it through KeyOf.
 type CounterPoint struct {
+	Key    string            `json:"-"`
 	Name   string            `json:"name"`
 	Labels map[string]string `json:"labels,omitempty"`
 	Value  uint64            `json:"value"`
@@ -223,6 +217,7 @@ type CounterPoint struct {
 
 // A GaugePoint is one gauge series in a snapshot.
 type GaugePoint struct {
+	Key    string            `json:"-"`
 	Name   string            `json:"name"`
 	Labels map[string]string `json:"labels,omitempty"`
 	Value  int64             `json:"value"`
@@ -231,6 +226,7 @@ type GaugePoint struct {
 // A HistogramPoint is one histogram series in a snapshot, with
 // per-bucket (non-cumulative) counts merged across shards.
 type HistogramPoint struct {
+	Key    string            `json:"-"`
 	Name   string            `json:"name"`
 	Labels map[string]string `json:"labels,omitempty"`
 	Count  uint64            `json:"count"`
@@ -328,32 +324,24 @@ func (r *Registry) Snapshot() Snapshot {
 	}
 	r.snapshots.Add(1)
 	r.mu.Lock()
-	counterKeys := sortedKeys(r.counters)
-	gaugeKeys := sortedKeys(r.gauges)
-	histKeys := sortedKeys(r.hists)
-	counters := make([]*counterSeries, len(counterKeys))
-	for i, k := range counterKeys {
-		counters[i] = r.counters[k]
-	}
-	gauges := make([]*gaugeSeries, len(gaugeKeys))
-	for i, k := range gaugeKeys {
-		gauges[i] = r.gauges[k]
-	}
-	hists := make([]*histSeries, len(histKeys))
-	for i, k := range histKeys {
-		hists[i] = r.hists[k]
-	}
+	counters := slices.Clone(r.counters.sorted)
+	gauges := slices.Clone(r.gauges.sorted)
+	hists := slices.Clone(r.hists.sorted)
 	r.mu.Unlock()
 
+	// Grow keeps an empty kind nil, which is what the JSON goldens hold.
+	snap.Counters = slices.Grow(snap.Counters, len(counters))
+	snap.Gauges = slices.Grow(snap.Gauges, len(gauges))
+	snap.Histograms = slices.Grow(snap.Histograms, len(hists))
 	for _, s := range counters {
-		snap.Counters = append(snap.Counters, CounterPoint{Name: s.name, Labels: labelMap(s.labels), Value: s.c.Value()})
+		snap.Counters = append(snap.Counters, CounterPoint{Key: s.key, Name: s.name, Labels: s.labels, Value: s.h.Value()})
 	}
 	for _, s := range gauges {
-		snap.Gauges = append(snap.Gauges, GaugePoint{Name: s.name, Labels: labelMap(s.labels), Value: s.g.Value()})
+		snap.Gauges = append(snap.Gauges, GaugePoint{Key: s.key, Name: s.name, Labels: s.labels, Value: s.h.Value()})
 	}
 	for _, s := range hists {
 		p := s.h.snapshotPoint()
-		p.Name, p.Labels = s.name, labelMap(s.labels)
+		p.Key, p.Name, p.Labels = s.key, s.name, s.labels
 		if p.Count > 0 {
 			for _, q := range snapshotQuantiles {
 				p.Quantiles = append(p.Quantiles, QuantileValue{Q: q, ValueNs: p.Quantile(q)})

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"fmt"
+	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -80,8 +81,8 @@ type Event struct {
 	Detail   string `json:"detail,omitempty"`
 	// Lane is peer+1 on events a site may emit from several goroutines
 	// at once, one per peer (round-trip rpc spans, repair page and donor
-	// events), and 0 on its sequential path; flight.TraceTail puts a
-	// concurrent section in lane order instead of scheduler order.
+	// events), and 0 on its sequential path; Tail puts a concurrent
+	// section in lane order instead of scheduler order.
 	Lane int `json:"-"`
 	// d holds Detail as fields, set by this package's hot-path emitters
 	// instead of Detail; Events renders it.
@@ -189,23 +190,63 @@ func (t *Tracer) Emit(e Event) {
 // Events returns the retained events, oldest first, with Detail
 // rendered.
 func (t *Tracer) Events() []Event {
+	return rendered(t.retained())
+}
+
+// retained copies the ring, oldest first, Detail still unrendered.
+func (t *Tracer) retained() []Event {
 	if t == nil {
 		return nil
 	}
 	// Copy under the lock, render outside it: emitters never wait for a
 	// formatter.
 	t.mu.Lock()
+	defer t.mu.Unlock()
 	var older []Event
 	if t.wrapped {
 		older = t.ring[t.next:]
 	}
-	out := append(append(make([]Event, 0, len(older)+t.next), older...), t.ring[:t.next]...)
-	t.mu.Unlock()
-	for i := range out {
-		e := &out[i]
+	return append(append(make([]Event, 0, len(older)+t.next), older...), t.ring[:t.next]...)
+}
+
+func rendered(evs []Event) []Event {
+	for i := range evs {
+		e := &evs[i]
 		e.Detail, e.d = e.d.render(e.Detail), detail{}
 	}
-	return out
+	return evs
+}
+
+// Tail returns the last n retained events in schedule order, rendered.
+// The ring holds concurrent emitters' events in scheduler order, so the
+// tail is taken after a stable sort by (At, Site) — the merge of
+// per-site logs that CollectTraces implies for separate processes,
+// which keeps each site's own order — and, within one site and instant,
+// each run of consecutive per-peer lane events (a repairer's donor
+// workers) is put in peer order. On a clock.Manual the result is then
+// replayable; only the n events kept are rendered.
+func (t *Tracer) Tail(n int) []Event {
+	evs := t.retained()
+	sort.SliceStable(evs, func(i, j int) bool {
+		if evs[i].At != evs[j].At {
+			return evs[i].At < evs[j].At
+		}
+		return evs[i].Site < evs[j].Site
+	})
+	for i := 0; i < len(evs); i++ {
+		j := i
+		for j < len(evs) && evs[j].Lane != 0 && evs[j].At == evs[i].At && evs[j].Site == evs[i].Site {
+			j++
+		}
+		if run := evs[i:j]; len(run) > 1 {
+			sort.SliceStable(run, func(a, b int) bool { return run[a].Lane < run[b].Lane })
+			i = j - 1
+		}
+	}
+	if len(evs) > n {
+		evs = evs[len(evs)-n:]
+	}
+	return rendered(evs)
 }
 
 // Dropped returns how many events were overwritten by ring wrap.

@@ -21,23 +21,17 @@ func Handler(db *DB) http.HandlerFunc {
 			http.Error(w, "telemetry disabled", http.StatusNotFound)
 			return
 		}
-		var windowNs, stepNs int64
-		if v := r.URL.Query().Get("window"); v != "" {
-			d, err := time.ParseDuration(v)
-			if err != nil {
-				http.Error(w, "bad window: "+err.Error(), http.StatusBadRequest)
-				return
+		var ns [2]int64 // window, step
+		for i, key := range [...]string{"window", "step"} {
+			if v := r.URL.Query().Get(key); v != "" {
+				d, err := time.ParseDuration(v)
+				if err != nil {
+					http.Error(w, "bad "+key+": "+err.Error(), http.StatusBadRequest)
+					return
+				}
+				ns[i] = d.Nanoseconds()
 			}
-			windowNs = d.Nanoseconds()
 		}
-		if v := r.URL.Query().Get("step"); v != "" {
-			d, err := time.ParseDuration(v)
-			if err != nil {
-				http.Error(w, "bad step: "+err.Error(), http.StatusBadRequest)
-				return
-			}
-			stepNs = d.Nanoseconds()
-		}
-		obs.WriteJSON(w, http.StatusOK, db.Query(windowNs, stepNs))
+		obs.WriteJSON(w, http.StatusOK, db.Query(ns[0], ns[1]))
 	}
 }

@@ -40,22 +40,39 @@ type QueryResult struct {
 // window start, stamped with their bucket's end. Series are ordered by
 // canonical key; empty buckets emit no point.
 func (db *DB) Query(windowNs, stepNs int64) QueryResult {
-	var res QueryResult
 	if db == nil {
-		return res
+		return QueryResult{}
 	}
 	db.mu.Lock()
 	defer db.mu.Unlock()
+	return db.query(db.window(windowNs), stepNs)
+}
+
+// Tail reconstructs the newest n samples at the sampling resolution —
+// what a flight dump keeps of the ring — and reports how many it found.
+func (db *DB) Tail(n int) (res QueryResult, samples int) {
+	if db == nil {
+		return QueryResult{}, 0
+	}
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	from := max(db.count-n, 0)
+	return db.query(from, 0), db.count - from
+}
+
+// query reconstructs the live frames from index from on. Caller holds
+// db.mu.
+func (db *DB) query(from int, stepNs int64) QueryResult {
+	var res QueryResult
 	if stepNs < db.stepNs {
 		stepNs = db.stepNs
 	}
 	res.StepNs = stepNs
-	frames := db.windowLocked(windowNs)
-	if len(frames) == 0 {
+	if from >= db.count {
 		return res
 	}
-	res.ToNs = frames[len(frames)-1].atNs
-	res.FromNs = frames[0].atNs
+	res.ToNs = db.at(db.count - 1).atNs
+	res.FromNs = db.at(from).atNs
 	// bucketEnd stamps a frame with the end of its coarse step,
 	// counting steps forward from the window start.
 	bucketEnd := func(atNs int64) int64 {
@@ -66,27 +83,23 @@ func (db *DB) Query(windowNs, stepNs int64) QueryResult {
 		return res.FromNs + (n+1)*stepNs
 	}
 
-	type acc struct {
-		points []Point
-	}
-	accs := make([]acc, len(db.series))
-	touched := make([]bool, len(db.series))
+	points := make([][]Point, len(db.series)) // nil: the series has none in the window
 	add := func(id int, atNs int64, dv, dsum float64, gauge bool) {
-		touched[id] = true
-		a := &accs[id]
 		end := bucketEnd(atNs)
-		if n := len(a.points); n > 0 && a.points[n-1].AtNs == end {
+		if n := len(points[id]); n > 0 && points[id][n-1].AtNs == end {
+			last := &points[id][n-1]
 			if gauge {
-				a.points[n-1].Value = dv // last value wins within a step
+				last.Value = dv // last value wins within a step
 			} else {
-				a.points[n-1].Value += dv
-				a.points[n-1].SumNs += dsum
+				last.Value += dv
+				last.SumNs += dsum
 			}
 			return
 		}
-		a.points = append(a.points, Point{AtNs: end, Value: dv, SumNs: dsum})
+		points[id] = append(points[id], Point{AtNs: end, Value: dv, SumNs: dsum})
 	}
-	for _, f := range frames {
+	for i := from; i < db.count; i++ {
+		f := db.at(i)
 		for _, d := range f.counters {
 			add(d.id, f.atNs, float64(d.d), 0, false)
 		}
@@ -100,7 +113,7 @@ func (db *DB) Query(windowNs, stepNs int64) QueryResult {
 
 	ids := make([]int, 0, len(db.series))
 	for id := range db.series {
-		if touched[id] {
+		if points[id] != nil {
 			ids = append(ids, id)
 		}
 	}
@@ -111,7 +124,7 @@ func (db *DB) Query(windowNs, stepNs int64) QueryResult {
 			Name:   s.name,
 			Labels: s.labels,
 			Kind:   s.kind,
-			Points: accs[id].points,
+			Points: points[id],
 		})
 	}
 	return res

@@ -15,7 +15,6 @@
 package tsdb
 
 import (
-	"sort"
 	"sync"
 
 	"relidev/internal/clock"
@@ -40,7 +39,8 @@ type Config struct {
 	// StepNs is the nominal sampling step: the cadence the caller
 	// promises to drive Sample at, and the default resolution served by
 	// Query. The DB records whatever timestamps the clock yields, so a
-	// jittery caller degrades resolution, never correctness.
+	// jittery caller degrades resolution, never correctness. Zero is a
+	// ring with no cadence, sampled whenever somebody wants to read it.
 	StepNs int64
 	// Retain bounds the ring: at most Retain samples are kept, oldest
 	// evicted first.
@@ -107,11 +107,11 @@ type histDelta struct {
 	dBuckets     []obs.BucketCount
 }
 
-// New builds an empty DB. Nil clock or source, a non-positive step, or
-// a non-positive retention yield a DB that records nothing (Sample is
-// a no-op), so a disabled telemetry plane costs one nil check.
+// New builds an empty DB. Nil clock or source, a negative step, or a
+// non-positive retention yield a DB that records nothing (Sample is a
+// no-op), so a disabled telemetry plane costs one nil check.
 func New(cfg Config) *DB {
-	if cfg.Clock == nil || cfg.Source == nil || cfg.StepNs <= 0 || cfg.Retain <= 0 {
+	if cfg.Clock == nil || cfg.Source == nil || cfg.StepNs < 0 || cfg.Retain <= 0 {
 		return &DB{}
 	}
 	return &DB{
@@ -131,9 +131,9 @@ func (db *DB) StepNs() int64 {
 	return db.stepNs
 }
 
-// sid resolves (interning on first sight) the table slot for a series.
-func (db *DB) sid(name string, labels map[string]string, kind string) int {
-	key := pointKey(name, labels)
+// sid resolves, interning on first sight, a series' slot under its key.
+func (db *DB) sid(key, name string, labels map[string]string, kind string) int {
+	key = obs.KeyOf(key, name, labels)
 	if id, ok := db.index[key]; ok {
 		return id
 	}
@@ -146,30 +146,32 @@ func (db *DB) sid(name string, labels map[string]string, kind string) int {
 }
 
 // Sample reads the source registry, stamps it with the clock, and
-// appends one delta-encoded frame, evicting the oldest frame when the
-// ring is full. The caller owns the cadence (a poller on live servers,
-// the checkpoint hook under chaos). No-op on a disabled DB.
+// appends one delta-encoded frame, evicting the oldest when the ring is
+// full; a no-op on a disabled DB. The caller owns the cadence (a
+// server's poller, a chaos checkpoint, a GET on a host with neither).
+// The source is read under the lock: a delta is against the previous
+// sample, so overlapping samplers must commit in the order they read.
 func (db *DB) Sample() {
 	if db == nil || db.source == nil {
 		return
 	}
-	snap := db.source()
 	db.mu.Lock()
 	defer db.mu.Unlock()
+	snap := db.source()
 	f := frame{atNs: db.clock.Now().UnixNano()}
 	for _, p := range snap.Counters {
-		id := db.sid(p.Name, p.Labels, KindCounter)
+		id := db.sid(p.Key, p.Name, p.Labels, KindCounter)
 		if d := p.Value - db.prevCounter[id]; d != 0 {
 			f.counters = append(f.counters, delta{id: id, d: d})
 		}
 		db.prevCounter[id] = p.Value
 	}
 	for _, p := range snap.Gauges {
-		id := db.sid(p.Name, p.Labels, KindGauge)
+		id := db.sid(p.Key, p.Name, p.Labels, KindGauge)
 		f.gauges = append(f.gauges, gaugeVal{id: id, v: p.Value})
 	}
 	for _, p := range snap.Histograms {
-		id := db.sid(p.Name, p.Labels, KindHist)
+		id := db.sid(p.Key, p.Name, p.Labels, KindHist)
 		prev := &db.prevHist[id]
 		hd := histDelta{id: id, dCount: p.Count - prev.count, dSum: p.Sum - prev.sum}
 		if prev.buckets == nil {
@@ -193,37 +195,32 @@ func (db *DB) Sample() {
 	}
 }
 
-// window returns the live frames whose timestamps fall in
-// (toNs-windowNs, toNs], oldest first, where toNs is the newest
-// frame's timestamp. Caller holds db.mu.
-func (db *DB) windowLocked(windowNs int64) []frame {
-	if db.count == 0 {
-		return nil
-	}
-	out := make([]frame, 0, db.count)
-	start := (db.head - db.count + len(db.frames)) % len(db.frames)
-	newest := db.frames[(db.head-1+len(db.frames))%len(db.frames)].atNs
-	for i := 0; i < db.count; i++ {
-		f := db.frames[(start+i)%len(db.frames)]
-		if windowNs > 0 && f.atNs <= newest-windowNs {
-			continue
-		}
-		out = append(out, f)
-	}
-	return out
+// Newest, as a window, is the newest sample alone, picked by position:
+// samples sharing its stamp (a clock.Manual nobody advanced) stay out.
+const Newest int64 = 1
+
+// at returns the i-th live frame, oldest first. Caller holds db.mu.
+func (db *DB) at(i int) *frame {
+	return &db.frames[(db.head-db.count+i+len(db.frames))%len(db.frames)]
 }
 
-// LastNs returns the newest sample's timestamp, false when empty.
-func (db *DB) LastNs() (int64, bool) {
-	if db == nil {
-		return 0, false
+// window returns the index range [from, db.count) of the live frames
+// stamped in (toNs-windowNs, toNs], toNs being the newest frame's stamp;
+// windowNs <= 0 is every live frame and Newest the last one. Frames are
+// in time order, so it walks back from the newest to the boundary.
+// Caller holds db.mu and reads the frames in place.
+func (db *DB) window(windowNs int64) (from int) {
+	switch {
+	case windowNs <= 0 || db.count == 0:
+		return 0
+	case windowNs == Newest:
+		return db.count - 1
 	}
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if db.count == 0 {
-		return 0, false
+	from = db.count
+	for cut := db.at(db.count-1).atNs - windowNs; from > 0 && db.at(from-1).atNs > cut; {
+		from--
 	}
-	return db.frames[(db.head-1+len(db.frames))%len(db.frames)].atNs, true
+	return from
 }
 
 // Len returns the number of retained samples.
@@ -236,86 +233,78 @@ func (db *DB) Len() int {
 	return db.count
 }
 
-// WindowTotal sums the deltas of every counter series called name
-// whose labels include match, over the trailing window (all retained
-// samples when windowNs <= 0) — the numerator of a burn-rate ratio.
-func (db *DB) WindowTotal(name string, windowNs int64, match ...obs.Label) uint64 {
+// scan is every windowed query: under the lock it selects the series
+// called name that carry every match label — once, by table slot, so
+// the walk compares integers — and calls fn on each live frame of the
+// trailing window, oldest first. A nil DB has none.
+func (db *DB) scan(name string, windowNs int64, match []obs.Label, fn func(f *frame, sel []bool)) {
 	if db == nil {
-		return 0
+		return
 	}
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	var total uint64
-	for _, f := range db.windowLocked(windowNs) {
+	sel := make([]bool, len(db.series))
+series:
+	for id, s := range db.series {
+		if s.name != name {
+			continue
+		}
+		for _, l := range match {
+			if s.labels[l.Key] != l.Value {
+				continue series
+			}
+		}
+		sel[id] = true
+	}
+	for i := db.window(windowNs); i < db.count; i++ {
+		fn(db.at(i), sel)
+	}
+}
+
+// WindowTotal sums the selected counter series' deltas over the
+// trailing window (all retained samples when windowNs <= 0) — one side
+// of an event ratio.
+func (db *DB) WindowTotal(name string, windowNs int64, match ...obs.Label) (total uint64) {
+	db.scan(name, windowNs, match, func(f *frame, sel []bool) {
 		for _, d := range f.counters {
-			s := db.series[d.id]
-			if s.name == name && labelsMatch(s.labels, match) {
+			if sel[d.id] {
 				total += d.d
 			}
 		}
-	}
+	})
 	return total
 }
 
-// WindowHist merges the histogram deltas of every series called name
-// whose labels include match, over the trailing window, into one
-// distribution — windowed latency, ready for Quantile.
-func (db *DB) WindowHist(name string, windowNs int64, match ...obs.Label) obs.HistogramPoint {
-	if db == nil {
-		return obs.HistogramPoint{Name: name}
-	}
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	out := obs.HistogramPoint{Name: name}
-	buckets := make(map[int64]uint64)
-	for _, f := range db.windowLocked(windowNs) {
+// HistAbove counts, over the trailing window, the selected histogram
+// series' observations that landed in buckets above thresholdNs, and
+// all of them — the two sides of a latency objective.
+func (db *DB) HistAbove(name string, thresholdNs, windowNs int64, match ...obs.Label) (above, count uint64) {
+	db.scan(name, windowNs, match, func(f *frame, sel []bool) {
 		for _, hd := range f.hists {
-			s := db.series[hd.id]
-			if s.name != name || !labelsMatch(s.labels, match) {
+			if !sel[hd.id] {
 				continue
 			}
-			out.Count += hd.dCount
-			out.Sum += hd.dSum
+			count += hd.dCount
+			above += hd.dCount
 			for _, b := range hd.dBuckets {
-				buckets[b.UpperNs] += b.Count
+				if b.UpperNs >= 0 && b.UpperNs <= thresholdNs {
+					above -= b.Count
+				}
 			}
 		}
-	}
-	uppers := make([]int64, 0, len(buckets))
-	for u := range buckets {
-		uppers = append(uppers, u)
-	}
-	sort.Slice(uppers, func(i, j int) bool {
-		if uppers[i] < 0 {
-			return false
-		}
-		if uppers[j] < 0 {
-			return true
-		}
-		return uppers[i] < uppers[j]
 	})
-	for _, u := range uppers {
-		out.Buckets = append(out.Buckets, obs.BucketCount{UpperNs: u, Count: buckets[u]})
-	}
-	return out
+	return above, count
 }
 
-// GaugeWindow returns the per-sample sums of every gauge series called
-// name whose labels include match, over the trailing window, oldest
-// first — a gauge's trajectory, for threshold-dwell checks.
-func (db *DB) GaugeWindow(name string, windowNs int64, match ...obs.Label) []Point {
-	if db == nil {
-		return nil
-	}
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	var out []Point
-	for _, f := range db.windowLocked(windowNs) {
+// GaugeWindow returns the per-sample sums of the selected gauge series
+// over the trailing window, oldest first — a gauge's trajectory, for
+// dwell checks.
+func (db *DB) GaugeWindow(name string, windowNs int64, match ...obs.Label) (out []Point) {
+	db.scan(name, windowNs, match, func(f *frame, sel []bool) {
 		var v int64
 		seen := false
 		for _, g := range f.gauges {
-			s := db.series[g.id]
-			if s.name == name && labelsMatch(s.labels, match) {
+			if sel[g.id] {
 				v += g.v
 				seen = true
 			}
@@ -323,34 +312,20 @@ func (db *DB) GaugeWindow(name string, windowNs int64, match ...obs.Label) []Poi
 		if seen {
 			out = append(out, Point{AtNs: f.atNs, Value: float64(v)})
 		}
-	}
+	})
 	return out
 }
 
-// labelsMatch reports whether have includes every want label.
-func labelsMatch(have map[string]string, want []obs.Label) bool {
-	for _, l := range want {
-		if have[l.Key] != l.Value {
-			return false
+// GaugeMax returns the largest level any selected gauge series took
+// over the trailing window and the labels of the series that took it;
+// ok is false when the window holds no such series.
+func (db *DB) GaugeMax(name string, windowNs int64, match ...obs.Label) (max int64, labels map[string]string, ok bool) {
+	db.scan(name, windowNs, match, func(f *frame, sel []bool) {
+		for _, g := range f.gauges {
+			if sel[g.id] && (!ok || g.v > max) {
+				max, labels, ok = g.v, db.series[g.id].labels, true
+			}
 		}
-	}
-	return true
-}
-
-// pointKey reconstructs the canonical series key from a label map
-// (sorted keys, name{k="v",...}), matching the obs registry identity.
-func pointKey(name string, labels map[string]string) string {
-	if len(labels) == 0 {
-		return name
-	}
-	keys := make([]string, 0, len(labels))
-	for k := range labels {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	ls := make([]obs.Label, 0, len(keys))
-	for _, k := range keys {
-		ls = append(ls, obs.L(k, labels[k]))
-	}
-	return obs.SeriesKey(name, ls)
+	})
+	return max, labels, ok
 }

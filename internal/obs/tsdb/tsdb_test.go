@@ -2,7 +2,11 @@ package tsdb
 
 import (
 	"reflect"
+	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"relidev/internal/clock"
 	"relidev/internal/obs"
@@ -68,12 +72,13 @@ func TestDeltaEncodingAndWindows(t *testing.T) {
 		t.Fatalf("mismatched label total = %d, want 0", got)
 	}
 
-	hist := db.WindowHist("h", 0)
-	if hist.Count != 5 || hist.Sum != 60 {
-		t.Fatalf("merged hist = %d obs / %dns, want 5/60", hist.Count, hist.Sum)
+	// All five observations sit in the <=100ns bucket: none is above a
+	// 100ns threshold, all are above a 50ns one; the last 15ns saw three.
+	if above, count := db.HistAbove("h", 100, 0); above != 0 || count != 5 {
+		t.Fatalf("HistAbove(100ns) = %d of %d, want 0 of 5", above, count)
 	}
-	if len(hist.Buckets) != 1 || hist.Buckets[0] != (obs.BucketCount{UpperNs: 100, Count: 5}) {
-		t.Fatalf("merged buckets = %+v", hist.Buckets)
+	if above, count := db.HistAbove("h", 50, 15); above != 3 || count != 3 {
+		t.Fatalf("windowed HistAbove(50ns) = %d of %d, want 3 of 3", above, count)
 	}
 
 	gw := db.GaugeWindow("g", 0)
@@ -82,8 +87,61 @@ func TestDeltaEncodingAndWindows(t *testing.T) {
 		t.Fatalf("gauge trajectory = %+v, want %+v", gw, want)
 	}
 
-	if last, ok := db.LastNs(); !ok || last != 30 {
-		t.Fatalf("LastNs = %d,%v, want 30,true", last, ok)
+	// The newest-sample window is the t=30 frame alone.
+	if got := db.WindowTotal("c", Newest); got != 0 {
+		t.Fatalf("newest-sample counter total = %d, want 0 (nothing moved at t=30)", got)
+	}
+	if max, labels, ok := db.GaugeMax("g", Newest); !ok || max != 2 || labels != nil {
+		t.Fatalf("newest gauge level = %d %v %v, want 2", max, labels, ok)
+	}
+	if max, _, _ := db.GaugeMax("g", 0); max != 3 {
+		t.Fatalf("gauge maximum over the retention = %d, want 3", max)
+	}
+	if _, _, ok := db.GaugeMax("absent", 0); ok {
+		t.Fatal("GaugeMax found a family nobody recorded")
+	}
+
+	// Newest goes by position, not by stamp: two more samples at one
+	// instant (a manual clock nobody advanced) are still two windows.
+	h.set(12, 2, 5, 60, 5)
+	db.Sample() // t=30 again: +3
+	db.Sample() // t=30 again: nothing moved
+	if got := db.WindowTotal("c", Newest); got != 0 {
+		t.Fatalf("newest-sample counter total = %d, want 0: the +3 belongs to the sample before, stamped alike", got)
+	}
+}
+
+// TestTailIsTheNewestSamples: Tail(n) reconstructs exactly the newest n
+// samples whatever their stamps, all of them when fewer are held — also
+// on a ring with no nominal step, sampled whenever somebody reads it.
+func TestTailIsTheNewestSamples(t *testing.T) {
+	h := &harness{clk: clock.NewManual()}
+	db := New(Config{Clock: h.clk, Source: func() obs.Snapshot { return h.snap }, Retain: 8})
+	if q, n := db.Tail(4); n != 0 || len(q.Series) != 0 {
+		t.Fatalf("empty ring tail = %d samples, %+v", n, q)
+	}
+	for i, gap := range []int64{3, 40, 1, 7, 7, 100} { // no cadence at all
+		h.set(uint64(i+1), 0, 0, 0, 0)
+		h.clk.Advance(time.Duration(gap))
+		db.Sample()
+	}
+	q, n := db.Tail(4)
+	if n != 4 || q.FromNs != 44 || q.ToNs != 158 || q.StepNs != 0 {
+		t.Fatalf("tail = %d samples %d..%d step %d, want 4 samples 44..158 step 0", n, q.FromNs, q.ToNs, q.StepNs)
+	}
+	var total float64
+	for _, s := range q.Series {
+		if s.Name == "c" {
+			for _, p := range s.Points {
+				total += p.Value
+			}
+		}
+	}
+	if total != 4 {
+		t.Fatalf("tail counter deltas sum to %v, want the 4 newest +1 steps", total)
+	}
+	if _, n := db.Tail(64); n != 6 {
+		t.Fatalf("oversized tail = %d samples, want all 6", n)
 	}
 }
 
@@ -101,8 +159,8 @@ func TestRingEvictsOldestFrames(t *testing.T) {
 	if got := db.WindowTotal("c", 0); got != 4 {
 		t.Fatalf("total after eviction = %d, want 4", got)
 	}
-	if last, _ := db.LastNs(); last != 100 {
-		t.Fatalf("LastNs = %d, want 100", last)
+	if q := db.Query(0, 0); q.FromNs != 70 || q.ToNs != 100 {
+		t.Fatalf("retained %d..%d, want 70..100", q.FromNs, q.ToNs)
 	}
 }
 
@@ -174,11 +232,67 @@ func TestDisabledAndNilDBsAreInert(t *testing.T) {
 		if got := db.WindowTotal("c", 0); got != 0 {
 			t.Fatal("disabled DB returned data")
 		}
-		if _, ok := db.LastNs(); ok {
-			t.Fatal("disabled DB has a timestamp")
+		if _, n := db.Tail(4); n != 0 {
+			t.Fatal("disabled DB has a tail")
 		}
 		if q := db.Query(0, 0); len(q.Series) != 0 {
 			t.Fatal("disabled DB served series")
+		}
+	}
+}
+
+// TestConcurrentSamplersCommitInReadOrder is the step-less host's
+// contract: several readers sampling at once (GETs of /healthz, /slo
+// and /debug/flight) each store the delta against the sample before
+// theirs, so the ring always sums to the counter. A sampler that read
+// the source outside the lock could commit after a later reader and
+// store an underflowed delta of about 2^64. The source dawdles after its
+// read, unevenly, to invite exactly that overlap.
+func TestConcurrentSamplersCommitInReadOrder(t *testing.T) {
+	var ops atomic.Uint64
+	clk := clock.NewManual()
+	db := New(Config{
+		Clock: clk,
+		Source: func() obs.Snapshot {
+			n := ops.Load()
+			clk.Advance(1) // a frame per instant, so Query keeps them apart
+			for i := n % 3; i < 3; i++ {
+				runtime.Gosched()
+			}
+			return obs.Snapshot{
+				Counters:   []obs.CounterPoint{{Name: "c", Value: n}},
+				Histograms: []obs.HistogramPoint{{Name: "h", Count: n, Sum: 3 * n}},
+			}
+		},
+		Retain: 1 << 12,
+	})
+	const samplers, rounds = 4, 200
+	var wg sync.WaitGroup
+	for s := 0; s < samplers; s++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				ops.Add(1)
+				db.Sample()
+			}
+		}()
+	}
+	wg.Wait()
+	db.Sample()
+	// The whole ring telescopes to the counter even around an
+	// underflowed frame (the sums wrap back), so judge every frame.
+	const total = samplers * rounds
+	for _, s := range db.Query(0, 0).Series {
+		var sum float64
+		for _, p := range s.Points {
+			if p.Value > total {
+				t.Fatalf("series %s: the frame at %d holds a delta of %g, the series only ever reached %d", s.Name, p.AtNs, p.Value, total)
+			}
+			sum += p.Value
+		}
+		if sum != total {
+			t.Fatalf("series %s: the ring sums to %g, the source reads %d", s.Name, sum, total)
 		}
 	}
 }

@@ -190,8 +190,8 @@ func BenchmarkParallelWriteTelemetry(b *testing.B) {
 		b.Run(fmt.Sprintf("%v/n%d/%s", relidev.Voting, n, latName(lat)), func(b *testing.B) {
 			b.SetParallelism(8)
 			cluster, dev := parallelSimCluster(b, relidev.Voting, n, lat,
-				relidev.WithTelemetry(100*time.Millisecond, 600),
-				relidev.WithSLOs(relidev.DefaultSLOs(relidev.Voting, n, 0.05, parBlocks, &relidev.RepairPolicy{})...),
+				relidev.WithTelemetry(100*time.Millisecond),
+				relidev.WithObjectives(relidev.DefaultObjectives(relidev.Voting, n, 0.05, parBlocks, &relidev.RepairPolicy{})...),
 			)
 			ctx := context.Background()
 			stop := make(chan struct{})

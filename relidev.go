@@ -39,9 +39,8 @@ import (
 	"relidev/internal/block"
 	"relidev/internal/core"
 	"relidev/internal/obs"
-	"relidev/internal/obs/health"
+	"relidev/internal/obs/alert"
 	"relidev/internal/obs/plane"
-	"relidev/internal/obs/slo"
 	"relidev/internal/protocol"
 	"relidev/internal/repair"
 	"relidev/internal/simnet"
@@ -137,11 +136,8 @@ type options struct {
 	traceCap       int
 	repairPolicy   *repair.Policy
 	recoveryPage   int
-	healthRules    []health.Rule
-	telemetry      bool
+	objectives     []Objective
 	telemetryStep  time.Duration
-	telemetryKeep  int
-	slos           []SLO
 }
 
 // WithGeometry sets the device shape (default 512-byte blocks, 128
@@ -290,154 +286,126 @@ func WithPagedRecovery(maxBlocks int) Option {
 	return func(o *options) { o.recoveryPage = maxBlocks }
 }
 
-// HealthRule is one condition of the health engine: a named check over
-// metric snapshots with a severity and hysteresis windows (DESIGN.md
-// §15). Build custom rules directly or start from DefaultHealthRules.
-type HealthRule = health.Rule
+// Objective is one alert condition (DESIGN.md "Alerts"): a signal
+// measured from the telemetry ring under a policy — a threshold with
+// hysteresis, served at /healthz, or a multi-window burn rate against
+// an error budget, served at /slo. Start from DefaultObjectives or the
+// *SLO constructors.
+type Objective = alert.Objective
 
-// HealthVerdict is one health evaluation: per-rule states plus the
-// overall severity fold.
-type HealthVerdict = health.Verdict
+// BurnPolicy is the burn-rate policy of an SLO: the target good
+// fraction and, optionally, the two windows and the alert rate (zero
+// values take 5m/1h at 2x burn).
+type BurnPolicy = alert.Burn
 
-// HealthSeverity orders health states.
-type HealthSeverity = health.Severity
+// AlertReport is one evaluation of the objectives, or one policy's view
+// of it: per-objective state plus the overall severity fold.
+type AlertReport = alert.Report
 
-// Health severities.
+// AlertStatus is one objective's state inside an AlertReport.
+type AlertStatus = alert.Status
+
+// Severity orders alert states.
+type Severity = alert.Severity
+
+// Alert severities.
 const (
-	HealthOK       = health.OK
-	HealthWarn     = health.Warn
-	HealthCritical = health.Critical
+	SeverityOK       = alert.OK
+	SeverityWarn     = alert.Warn
+	SeverityCritical = alert.Critical
 )
 
-// DefaultHealthRules returns the standard rule set for a cluster of n
-// sites running the given scheme: quorum margin (is the cluster one
-// failure from unavailability?), overall error rate, group-commit
-// saturation, conformance drift (stale reads beyond what the scheme's
-// analysis allows — zero for voting), and — when a repair policy is
-// given — staleness outliving its bounded time-to-freshness promise.
-func DefaultHealthRules(scheme Scheme, n int, pol *RepairPolicy) []HealthRule {
-	quorum := 1
-	if scheme == Voting {
-		quorum = n/2 + 1
-	}
-	rules := []HealthRule{
-		health.QuorumMarginRule(scheme.String(), quorum),
-		health.ErrorRateRule(0.1),
-		health.BatcherOccupancyRule(64),
-		health.ConformanceDriftRule(scheme.String(), 0),
-	}
-	if pol != nil {
-		rules = append(rules, health.StalenessRule(*pol))
-	}
-	return rules
+// ReadLatencySLO promises that the policy's target fraction of the
+// scheme's reads complete within the threshold (the p99 objective at
+// target 0.99).
+func ReadLatencySLO(scheme Scheme, threshold time.Duration, p BurnPolicy) Objective {
+	return alert.ReadLatency(scheme.String(), threshold.Nanoseconds(), p)
 }
 
-// WithHealthRules attaches the rule-driven health engine (requires
-// WithMetering): the rules are evaluated on demand by Cluster.Health
-// and by the /healthz endpoint of the debug surface, which reports 503
-// once any critical alert is active.
-func WithHealthRules(rules ...HealthRule) Option {
-	return func(o *options) { o.healthRules = append(o.healthRules, rules...) }
-}
-
-// WithTelemetry attaches the time-series plane (DESIGN.md §16): a
-// bounded in-memory ring that records delta-encoded frames of every
-// counter, gauge, and latency histogram. step is the nominal sampling
-// cadence and retain the number of frames kept (zero values default to
-// 1s and 600 frames — ten minutes of history). Implies WithMetering.
-//
-// The ring never samples itself: call Cluster.SampleTelemetry on the
-// deployment's cadence (the TCP servers run a wall-clock poller;
-// deterministic harnesses call it from their own schedule). The history
-// serves /timeseries on the DebugHandler and feeds the SLO burn-rate
-// engine.
-func WithTelemetry(step time.Duration, retain int) Option {
-	return func(o *options) {
-		o.metered = true
-		o.telemetry = true
-		o.telemetryStep = step
-		o.telemetryKeep = retain
-	}
-}
-
-// SLO is one declarative service-level objective: a named good/bad
-// event ratio measured from the telemetry ring, a target good fraction,
-// and the burn-rate windows that decide when it pages. Build custom
-// objectives with the *SLO constructors or start from DefaultSLOs.
-type SLO = slo.SLO
-
-// SLOWindows bundles per-deployment burn-rate tuning for the SLO
-// constructors; the zero value takes the 5m/1h windows at 2x burn.
-type SLOWindows = slo.Windows
-
-// SLOReport is one full SLO evaluation: per-objective burn rates,
-// alert states with fire/clear timestamps, and the overall severity.
-type SLOReport = slo.Report
-
-// SLOStatus is one objective's state inside an SLOReport.
-type SLOStatus = slo.Status
-
-// ReadLatencySLO promises that a target fraction of the scheme's reads
-// complete within the threshold (the p99 objective at target 0.99).
-func ReadLatencySLO(scheme Scheme, threshold time.Duration, target float64, w SLOWindows) SLO {
-	return slo.ReadLatency(scheme.String(), threshold.Nanoseconds(), target, w)
-}
-
-// WriteAvailabilitySLO promises that a target fraction of write
-// attempts complete; derive the target from the §4 Markov prediction
-// (see Availability) so the alert means "writes fail more than the
-// analysis says they should".
-func WriteAvailabilitySLO(scheme Scheme, target float64, w SLOWindows) SLO {
-	return slo.WriteAvailability(scheme.String(), target, w)
+// WriteAvailabilitySLO promises that the policy's target fraction of
+// write attempts complete; derive the target from the §4 Markov
+// prediction (see Availability) so the alert means "writes fail more
+// than the analysis says they should".
+func WriteAvailabilitySLO(scheme Scheme, p BurnPolicy) Objective {
+	return alert.WriteAvailability(scheme.String(), p)
 }
 
 // RepairFreshnessSLO promises repair backlogs clear within the §13
 // deadline: a telemetry sample is bad when a site's repair lag has been
 // continuously non-zero for longer than deadline at that sample.
-func RepairFreshnessSLO(deadline time.Duration, target float64, w SLOWindows) SLO {
-	return slo.RepairFreshness(deadline.Nanoseconds(), target, w)
+func RepairFreshnessSLO(deadline time.Duration, p BurnPolicy) Objective {
+	return alert.RepairFreshness(deadline.Nanoseconds(), p)
 }
 
-// ConformanceDriftSLO promises the scheme's stale-read exposure stays
-// within what its consistency analysis allows (zero for voting).
-func ConformanceDriftSLO(scheme Scheme, maxStaleFrac float64, w SLOWindows) SLO {
-	return slo.ConformanceDrift(scheme.String(), maxStaleFrac, w)
-}
-
-// DefaultSLOs returns the standard objective set for a cluster of n
-// sites running the given scheme at failure/repair ratio rho: read p99
-// latency, write availability at the §4 Markov-predicted target,
-// conformance drift (zero stale reads for voting), and — when a repair
-// policy is given — §13 repair freshness against the policy's deadline
-// for a full device of work.
-func DefaultSLOs(scheme Scheme, n int, rho float64, blocks int, pol *RepairPolicy) []SLO {
-	var w SLOWindows
+// DefaultObjectives returns the standard set for a cluster of n sites
+// running the given scheme at failure/repair ratio rho. Thresholds:
+// quorum margin (is the cluster one failure from unavailability?),
+// overall error rate, group-commit saturation and — when a repair
+// policy is given — staleness outliving its bounded time-to-freshness
+// promise. Burn rates: read p99 latency, write availability at the §4
+// Markov-predicted target and — with a policy — §13 repair freshness
+// against the policy's deadline for a full device of work.
+func DefaultObjectives(scheme Scheme, n int, rho float64, blocks int, pol *RepairPolicy) []Objective {
+	quorum := 1
+	if scheme == Voting {
+		quorum = n/2 + 1
+	}
 	target := 0.99
 	if av, err := Availability(scheme, n, rho); err == nil {
 		// The prediction is the ceiling; leave one part in a thousand of
 		// slack so the alert needs real degradation, not rounding.
 		target = av * 0.999
 	}
-	slos := []SLO{
-		ReadLatencySLO(scheme, 50*time.Millisecond, 0.99, w),
-		WriteAvailabilitySLO(scheme, target, w),
-		ConformanceDriftSLO(scheme, 0, w),
+	objs := []Objective{
+		alert.QuorumMargin(scheme.String(), quorum),
+		alert.ErrorRate(0.1),
+		alert.BatcherOccupancy(64),
 	}
 	if pol != nil {
-		slos = append(slos, RepairFreshnessSLO(pol.Deadline(blocks), 0.99, w))
+		objs = append(objs, alert.StalenessLag(pol.Deadline(1).Nanoseconds()))
 	}
-	return slos
+	objs = append(objs,
+		ReadLatencySLO(scheme, 50*time.Millisecond, BurnPolicy{Target: 0.99}),
+		WriteAvailabilitySLO(scheme, BurnPolicy{Target: target}))
+	if pol != nil {
+		objs = append(objs, RepairFreshnessSLO(pol.Deadline(blocks), BurnPolicy{Target: 0.99}))
+	}
+	return objs
 }
 
-// WithSLOs attaches the burn-rate engine over the given objectives
-// (implies WithTelemetry at its defaults when not otherwise
-// configured): Cluster.SLOs evaluates on demand and the debug surface
-// serves /slo, answering 503 once any error budget is exhausted.
-func WithSLOs(slos ...SLO) Option {
+// WithObjectives attaches the alert engine over the given objectives
+// (implies WithMetering): Cluster.Health and Cluster.SLOs evaluate on
+// demand, and the debug surface serves /healthz and /slo, each
+// answering 503 once one of its objectives is critical. Without
+// WithTelemetry every evaluation takes its own sample of the metrics,
+// so a threshold judges what happened since the previous evaluation,
+// whoever made it; with it, evaluations read what SampleTelemetry
+// recorded and never move the window.
+func WithObjectives(objectives ...Objective) Option {
 	return func(o *options) {
 		o.metered = true
-		o.telemetry = true
-		o.slos = append(o.slos, slos...)
+		o.objectives = append(o.objectives, objectives...)
+	}
+}
+
+// WithTelemetry attaches the time-series plane (DESIGN.md "Alerts"): a
+// bounded in-memory ring that records delta-encoded frames of every
+// counter, gauge, and latency histogram, ten minutes of them at the
+// default step. step is the nominal sampling cadence (zero: 1s).
+// Implies WithMetering.
+//
+// The ring never samples itself: call Cluster.SampleTelemetry on the
+// deployment's cadence (the TCP servers run a wall-clock poller;
+// deterministic harnesses call it from their own schedule). The history
+// serves /timeseries on the DebugHandler and is what the objectives
+// are evaluated over.
+func WithTelemetry(step time.Duration) Option {
+	return func(o *options) {
+		o.metered = true
+		if step <= 0 {
+			step = time.Second
+		}
+		o.telemetryStep = step
 	}
 }
 
@@ -491,22 +459,14 @@ func New(n int, scheme Scheme, opts ...Option) (*Cluster, error) {
 	if o.immediateW {
 		cfg.AvailCopyOptions = append(cfg.AvailCopyOptions, availcopy.WithImmediateW())
 	}
-	if !o.metered {
-		o.healthRules = nil // WithHealthRules requires WithMetering
-	}
-	if o.telemetry && o.telemetryStep <= 0 {
-		o.telemetryStep = time.Second
-	}
 	c := new(Cluster)
 	var err error
 	c.plane, err = plane.New(plane.Config{
-		Metered:     o.metered,
-		TraceCap:    o.traceCap,
-		HealthRules: o.healthRules,
-		StepNs:      o.telemetryStep.Nanoseconds(),
-		Retain:      o.telemetryKeep,
-		SLOs:        o.slos,
-		Pull:        c.clusterPull,
+		Metered:    o.metered,
+		TraceCap:   o.traceCap,
+		Objectives: o.objectives,
+		StepNs:     o.telemetryStep.Nanoseconds(),
+		Pull:       c.clusterPull,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("relidev: %w", err)
@@ -645,10 +605,9 @@ func (c *Cluster) ResetTraffic() { c.inner.Network().ResetStats() }
 // The observability accessors' typed refusals, on a Cluster and on a
 // RemoteSite alike: each names the option the host was built without.
 var (
-	ErrNotMetered    = plane.ErrNotMetered    // WithMetering / RemoteConfig.Metered
-	ErrNoHealthRules = plane.ErrNoHealthRules // WithHealthRules / HealthRules
-	ErrNoTelemetry   = plane.ErrNoTelemetry   // WithTelemetry / TelemetryStep
-	ErrNoSLOs        = plane.ErrNoSLOs        // WithSLOs / SLOs
+	ErrNotMetered   = plane.ErrNotMetered   // WithMetering / RemoteConfig.Metered
+	ErrNoObjectives = plane.ErrNoObjectives // WithObjectives / Objectives
+	ErrNoTelemetry  = plane.ErrNoTelemetry  // WithTelemetry / TelemetryStep
 )
 
 // MetricsJSON returns the current metering snapshot — counters, gauges,
@@ -664,7 +623,7 @@ func (c *Cluster) MetricsJSON() ([]byte, error) {
 // DebugHandler returns the observability HTTP surface (/metrics,
 // /metrics.prom, /trace, /trace/tree, /profile, /debug/pprof/,
 // /cluster/metrics, and — when the matching options were given —
-// /healthz, /timeseries, /slo) for this cluster, or an error when the
+// /healthz, /slo, /timeseries) for this cluster, or an error when the
 // cluster was built without WithMetering. Mount it on any server the
 // embedding application already runs.
 func (c *Cluster) DebugHandler() (http.Handler, error) { return c.plane.DebugHandler() }
@@ -701,11 +660,11 @@ func (c *Cluster) TimeSeriesJSON(window, step time.Duration) ([]byte, error) {
 	return json.Marshal(db.Query(window.Nanoseconds(), step.Nanoseconds()))
 }
 
-// SLOs evaluates every configured objective's burn rates against the
-// telemetry ring and returns the report — the same evaluation /slo
-// serves. Requires WithSLOs (and telemetry samples to measure from;
-// windows with no samples burn nothing).
-func (c *Cluster) SLOs() (SLOReport, error) { return c.plane.SLOs() }
+// SLOs evaluates the objectives and returns the burn-rate view: burn
+// rates, alert states with fire/clear timestamps and budgets spent —
+// what /slo serves. Requires WithObjectives with at least one SLO;
+// windows with no samples burn nothing.
+func (c *Cluster) SLOs() (AlertReport, error) { return c.plane.View(alert.PolicyBurn) }
 
 // clusterPull assembles the cluster metrics view over the cluster's
 // own network: the aggregator (site 0's vantage) broadcasts a
@@ -740,11 +699,11 @@ func (c *Cluster) ClusterMetricsJSON(ctx context.Context) ([]byte, error) {
 	return c.plane.ClusterMetricsJSON(ctx)
 }
 
-// Health evaluates the health rule set against the current metrics and
-// returns the verdict: per-rule firing/active states (with hysteresis)
-// and the overall severity fold. Requires WithMetering and
-// WithHealthRules.
-func (c *Cluster) Health() (HealthVerdict, error) { return c.plane.Health() }
+// Health evaluates the objectives and returns the threshold view:
+// per-objective firing and latched states (with hysteresis) and the
+// overall severity fold — what /healthz serves. Requires WithObjectives
+// with at least one threshold objective.
+func (c *Cluster) Health() (AlertReport, error) { return c.plane.View(alert.PolicyThreshold) }
 
 // CriticalPathProfile is the cluster-wide critical-path attribution:
 // per-scheme/op phase breakdowns (lock wait, fan-out, rpc, local

@@ -471,15 +471,11 @@ func TestRemoteConfigValidation(t *testing.T) {
 	// Every observability part names what it reads; asking for one
 	// without it is refused, not silently dropped.
 	for name, mutate := range map[string]func(*relidev.RemoteConfig){
-		"health rules without Metered": func(c *relidev.RemoteConfig) {
-			c.HealthRules = relidev.DefaultHealthRules(relidev.Voting, 1, nil)
+		"objectives without Metered": func(c *relidev.RemoteConfig) {
+			c.Objectives = relidev.DefaultObjectives(relidev.Voting, 1, 0.05, 8, nil)
 		},
 		"telemetry without Metered": func(c *relidev.RemoteConfig) { c.TelemetryStep = time.Second },
 		"negative telemetry step":   func(c *relidev.RemoteConfig) { c.Metered, c.TelemetryStep = true, -time.Second },
-		"SLOs without TelemetryStep": func(c *relidev.RemoteConfig) {
-			c.Metered = true
-			c.SLOs = []relidev.SLO{relidev.WriteAvailabilitySLO(relidev.Voting, 0.9, relidev.SLOWindows{})}
-		},
 	} {
 		cfg := relidev.RemoteConfig{Self: 0, Peers: map[int]string{0: "127.0.0.1:0"}, Scheme: relidev.Voting}
 		mutate(&cfg)
@@ -652,8 +648,7 @@ func TestHealthSurface(t *testing.T) {
 	ctx := context.Background()
 	cluster, err := relidev.New(3, relidev.Voting,
 		relidev.WithGeometry(relidev.Geometry{BlockSize: 64, NumBlocks: 8}),
-		relidev.WithMetering(),
-		relidev.WithHealthRules(relidev.DefaultHealthRules(relidev.Voting, 3, nil)...))
+		relidev.WithObjectives(relidev.DefaultObjectives(relidev.Voting, 3, 0.05, 8, nil)...))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -673,20 +668,20 @@ func TestHealthSurface(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(v.Rules) != 4 {
-		t.Fatalf("verdict has %d rules, want the 4 defaults: %+v", len(v.Rules), v)
+	if len(v.Objectives) != 3 {
+		t.Fatalf("verdict has %d objectives, want the 3 default thresholds: %+v", len(v.Objectives), v)
 	}
-	if v.Overall != relidev.HealthOK {
-		t.Fatalf("fresh healthy cluster reports %v: %+v", v.Overall, v.Rules)
+	if v.Overall != relidev.SeverityOK {
+		t.Fatalf("fresh healthy cluster reports %v: %+v", v.Overall, v.Objectives)
 	}
 
-	// Metered but no rules: typed error.
+	// Metered but no objectives: typed error.
 	noRules, err := relidev.New(3, relidev.Voting, relidev.WithMetering())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := noRules.Health(); !errors.Is(err, relidev.ErrNoHealthRules) {
-		t.Fatalf("Health without rules = %v, want ErrNoHealthRules", err)
+	if _, err := noRules.Health(); !errors.Is(err, relidev.ErrNoObjectives) {
+		t.Fatalf("Health without objectives = %v, want ErrNoObjectives", err)
 	}
 
 	plain, err := relidev.New(3, relidev.Voting)
@@ -791,13 +786,13 @@ func TestRemoteObservabilitySurface(t *testing.T) {
 	sites := make([]*relidev.RemoteSite, 2)
 	for i := 0; i < 2; i++ {
 		s, err := relidev.OpenRemote(relidev.RemoteConfig{
-			Self:        i,
-			Peers:       addrs,
-			Scheme:      relidev.NaiveAvailableCopy,
-			Geometry:    geom,
-			Timeout:     time.Second,
-			Metered:     true,
-			HealthRules: relidev.DefaultHealthRules(relidev.NaiveAvailableCopy, 2, nil),
+			Self:       i,
+			Peers:      addrs,
+			Scheme:     relidev.NaiveAvailableCopy,
+			Geometry:   geom,
+			Timeout:    time.Second,
+			Metered:    true,
+			Objectives: relidev.DefaultObjectives(relidev.NaiveAvailableCopy, 2, 0.05, 8, nil),
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -818,8 +813,8 @@ func TestRemoteObservabilitySurface(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v.Overall >= relidev.HealthCritical {
-		t.Fatalf("healthy site reports critical: %+v", v.Rules)
+	if v.Overall >= relidev.SeverityCritical {
+		t.Fatalf("healthy site reports critical: %+v", v.Objectives)
 	}
 	p, err := sites[0].CriticalPath()
 	if err != nil {

@@ -13,6 +13,7 @@ import (
 	"relidev/internal/block"
 	"relidev/internal/core"
 	"relidev/internal/obs"
+	"relidev/internal/obs/alert"
 	"relidev/internal/obs/flight"
 	"relidev/internal/obs/plane"
 	"relidev/internal/protocol"
@@ -65,26 +66,25 @@ type RemoteConfig struct {
 	// Read the result through DebugHandler (the blockserver binds it on
 	// -debug-addr).
 	Metered bool
-	// HealthRules attaches the rule-driven health engine (requires
-	// Metered): DebugHandler then serves /healthz, answering 503 once a
-	// critical alert is active. Nil leaves the endpoint off; start from
-	// DefaultHealthRules for the standard set.
-	HealthRules []HealthRule
-	// TelemetryStep, when positive, attaches the telemetry plane
+	// TelemetryStep, when positive, gives the site a sampling cadence
 	// (requires Metered): a wall-clock poller samples the registry into
-	// the tsdb ring every step, DebugHandler serves /timeseries and
-	// /cluster/metrics, and the site answers peers' TelemetryPull
-	// scrapes with its full registry snapshot.
+	// the telemetry ring and evaluates every objective each step,
+	// DebugHandler serves /timeseries and /cluster/metrics, and the site
+	// answers peers' TelemetryPull scrapes with its full registry
+	// snapshot. The ring keeps ten minutes at a 1s step.
 	TelemetryStep time.Duration
-	// TelemetryRetain is the number of tsdb frames kept; zero keeps 600
-	// (ten minutes at a 1s step).
-	TelemetryRetain int
-	// SLOs attaches the burn-rate engine over the telemetry ring
-	// (requires TelemetryStep): the poller evaluates every objective
-	// each step — so budget exhaustion seals the flight recorder even
-	// with nobody watching — and DebugHandler serves /slo, answering 503
-	// once any error budget is exhausted. Start from DefaultSLOs.
-	SLOs []SLO
+	// Objectives attaches the alert engine (requires Metered):
+	// DebugHandler serves /healthz (the threshold objectives) and /slo
+	// (the burn-rate ones), each answering 503 once one of its
+	// objectives is critical, and a critical one seals the flight
+	// recorder — with a TelemetryStep, whether or not anybody is
+	// watching; without one the objectives are evaluated, over a sample
+	// taken then, only when somebody asks — and since a threshold judges
+	// the newest sample, each asker (a /healthz, /slo or /debug/flight
+	// GET alike) sees only what happened since the previous one asked.
+	// Give a site that more than one party watches a TelemetryStep.
+	// Start from DefaultObjectives.
+	Objectives []Objective
 }
 
 // RemoteSite is one running site of a TCP-deployed reliable device: a
@@ -124,21 +124,18 @@ func OpenRemote(cfg RemoteConfig) (*RemoteSite, error) {
 	}
 	self := protocol.SiteID(cfg.Self)
 
-	// The black-box recorder rides the plane (the poller feeds it, a
-	// critical verdict or an exhausted budget seals it); the failure
-	// detector's suspect set is this host's own probe.
+	// The black-box recorder rides the plane (a critical objective seals
+	// it); the failure detector's suspect set is this host's own probe.
 	rs := &RemoteSite{cfg: cfg}
 	var err error
 	rs.plane, err = plane.New(plane.Config{
-		Metered:     cfg.Metered,
-		TraceCap:    4096,
-		Flight:      true,
-		Probes:      []flight.Source{flight.Suspects(func() protocol.SiteSet { return rs.client.SuspectSet() })},
-		HealthRules: cfg.HealthRules,
-		StepNs:      cfg.TelemetryStep.Nanoseconds(),
-		Retain:      cfg.TelemetryRetain,
-		SLOs:        cfg.SLOs,
-		Pull:        rs.clusterPull,
+		Metered:    cfg.Metered,
+		TraceCap:   4096,
+		Flight:     true,
+		Probes:     []flight.Source{flight.Suspects(func() protocol.SiteSet { return rs.client.SuspectSet() })},
+		Objectives: cfg.Objectives,
+		StepNs:     cfg.TelemetryStep.Nanoseconds(),
+		Pull:       rs.clusterPull,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("relidev: %w", err)
@@ -218,10 +215,10 @@ func OpenRemote(cfg RemoteConfig) (*RemoteSite, error) {
 	return rs, nil
 }
 
-// poll drives the plane on the deployment cadence: one flight frame,
-// one registry sample and one burn-rate evaluation per step, so budget
-// exhaustion seals a recorder that holds the frames leading up to it
-// even with nobody polling /slo.
+// poll drives the plane on the deployment cadence: one registry sample
+// and one evaluation of every objective per step, so a critical
+// objective seals a recorder that holds the steps leading up to it even
+// with nobody polling /healthz or /slo.
 func (r *RemoteSite) poll(step time.Duration) {
 	defer close(r.pollDone)
 	t := time.NewTicker(step)
@@ -229,7 +226,7 @@ func (r *RemoteSite) poll(step time.Duration) {
 	for {
 		select {
 		case <-t.C:
-			r.plane.Step("poll", false)
+			r.plane.Step()
 		case <-r.stopPoll:
 			return
 		}
@@ -239,12 +236,12 @@ func (r *RemoteSite) poll(step time.Duration) {
 // DebugHandler returns this site's observability HTTP surface
 // (/metrics, /metrics.prom, /trace, /trace/tree, /profile,
 // /debug/flight, /debug/flight/sealed, /debug/pprof/, /cluster/metrics,
-// and — with the matching RemoteConfig options — /healthz, /timeseries,
-// /slo), or ErrNotMetered when the site was opened without
-// RemoteConfig.Metered. /debug/flight records one more frame and
-// returns an on-demand dump; /debug/flight/sealed returns the dump the
-// first trigger sealed (a critical health verdict, an exhausted error
-// budget), 404 while nothing has.
+// and — with the matching RemoteConfig options — /healthz, /slo,
+// /timeseries), or ErrNotMetered when the site was opened without
+// RemoteConfig.Metered. /debug/flight returns an on-demand dump;
+// /debug/flight/sealed returns the dump the first trigger sealed (a
+// critical threshold objective, an exhausted error budget), 404 while
+// nothing has.
 func (r *RemoteSite) DebugHandler() (http.Handler, error) { return r.plane.DebugHandler() }
 
 // clusterPull assembles the cluster metrics view from this site's
@@ -274,15 +271,16 @@ func (r *RemoteSite) ClusterMetricsJSON(ctx context.Context) ([]byte, error) {
 	return r.plane.ClusterMetricsJSON(ctx)
 }
 
-// SLOs re-evaluates every configured objective against the telemetry
-// ring and returns the report — the same evaluation /slo serves.
-// Requires RemoteConfig.SLOs.
-func (r *RemoteSite) SLOs() (SLOReport, error) { return r.plane.SLOs() }
+// SLOs evaluates the site's objectives and returns the burn-rate view —
+// what /slo serves; an exhausted budget seals the flight recorder.
+// Requires RemoteConfig.Objectives with at least one SLO.
+func (r *RemoteSite) SLOs() (AlertReport, error) { return r.plane.View(alert.PolicyBurn) }
 
-// Health evaluates the site's health rule set against its current
-// metrics; a critical verdict seals the flight recorder. Requires
-// RemoteConfig.Metered and HealthRules.
-func (r *RemoteSite) Health() (HealthVerdict, error) { return r.plane.Health() }
+// Health evaluates the site's objectives and returns the threshold view
+// — what /healthz serves; a critical one seals the flight recorder.
+// Requires RemoteConfig.Objectives with at least one threshold
+// objective.
+func (r *RemoteSite) Health() (AlertReport, error) { return r.plane.View(alert.PolicyThreshold) }
 
 // CriticalPath computes this site's critical-path profile from its
 // current metrics. Requires RemoteConfig.Metered.

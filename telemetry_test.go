@@ -135,8 +135,8 @@ func TestClusterMetricsDegradesWithSiteDown(t *testing.T) {
 func TestTelemetryAndSLOViaPublicAPI(t *testing.T) {
 	pol := relidev.RepairPolicy{}
 	c, err := relidev.New(3, relidev.NaiveAvailableCopy,
-		relidev.WithTelemetry(time.Second, 64),
-		relidev.WithSLOs(relidev.DefaultSLOs(relidev.NaiveAvailableCopy, 3, 0.05, 128, &pol)...),
+		relidev.WithTelemetry(time.Second),
+		relidev.WithObjectives(relidev.DefaultObjectives(relidev.NaiveAvailableCopy, 3, 0.05, 128, &pol)...),
 		relidev.WithBackgroundRepair(pol),
 	)
 	if err != nil {
@@ -165,10 +165,10 @@ func TestTelemetryAndSLOViaPublicAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.SLOs) != 4 {
-		t.Fatalf("objectives = %d, want 4 (latency, availability, drift, freshness)", len(rep.SLOs))
+	if len(rep.Objectives) != 3 {
+		t.Fatalf("objectives = %d, want 3 (latency, availability, freshness)", len(rep.Objectives))
 	}
-	if rep.Firing != 0 || rep.Overall != relidev.HealthOK {
+	if rep.Firing != 0 || rep.Overall != relidev.SeverityOK {
 		t.Fatalf("healthy cluster fires alerts: %+v", rep)
 	}
 
@@ -229,7 +229,7 @@ func TestRemoteClusterMetrics(t *testing.T) {
 			Timeout:       time.Second,
 			Metered:       true,
 			TelemetryStep: 5 * time.Millisecond,
-			SLOs: relidev.DefaultSLOs(relidev.Voting, 3, 0.05, 16,
+			Objectives: relidev.DefaultObjectives(relidev.Voting, 3, 0.05, 16,
 				&relidev.RepairPolicy{}),
 		})
 		if err != nil {
@@ -299,7 +299,7 @@ func TestRemoteClusterMetrics(t *testing.T) {
 		}
 		resp.Body.Close()
 	}
-	if rep, err := sites[0].SLOs(); err != nil || len(rep.SLOs) == 0 {
+	if rep, err := sites[0].SLOs(); err != nil || len(rep.Objectives) == 0 {
 		t.Fatalf("remote SLO evaluation: %+v, %v", rep, err)
 	}
 
@@ -349,14 +349,14 @@ func TestTelemetryAccessorsRequireOptions(t *testing.T) {
 	if _, err := metered.TimeSeriesJSON(0, 0); err != relidev.ErrNoTelemetry {
 		t.Fatalf("TimeSeriesJSON without telemetry: %v", err)
 	}
-	if _, err := metered.SLOs(); err != relidev.ErrNoTelemetry {
-		t.Fatalf("SLOs without telemetry: %v", err)
+	if _, err := metered.SLOs(); err != relidev.ErrNoObjectives {
+		t.Fatalf("SLOs without objectives: %v", err)
 	}
-	sampled, err := relidev.New(3, relidev.Voting, relidev.WithTelemetry(0, 0))
+	sampled, err := relidev.New(3, relidev.Voting, relidev.WithTelemetry(0))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sampled.SLOs(); err != relidev.ErrNoSLOs {
-		t.Fatalf("SLOs without WithSLOs: %v", err)
+	if _, err := sampled.SLOs(); err != relidev.ErrNoObjectives {
+		t.Fatalf("SLOs with telemetry but no objectives: %v", err)
 	}
 }
