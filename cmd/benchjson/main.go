@@ -1,17 +1,17 @@
 // Command benchjson converts the text output of the parallel data-path
 // benchmarks (go test -bench=Parallel) into machine-readable JSON, so
-// runs can be archived and diffed (see BENCH_parallel.json and the
+// runs can be archived and diffed (see BENCH_history.json and the
 // "running the parallel benchmarks" section of EXPERIMENTS.md).
 //
 // Usage:
 //
-//	go test -run='^$' -bench=Parallel . | benchjson -o BENCH_parallel.json
+//	go test -run='^$' -bench=Parallel . | benchjson -o run.json
 //	go test -run='^$' -bench=Parallel -benchmem . | benchjson ...
 //	                               also records B/op and allocs/op
 //	benchjson bench.txt            read from a file instead of stdin
 //	benchjson -obs snap.json ...   embed a metrics snapshot from a
-//	                               metered run (see BENCH_obs.json)
-//	benchjson -baseline BENCH_parallel.json ...
+//	                               metered run
+//	benchjson -baseline prior-run.json ...
 //	                               diff against a prior report: print
 //	                               per-benchmark speedup ratios
 //	benchjson -history BENCH_history.json -label "$(git rev-parse --short HEAD)" ...
@@ -34,7 +34,7 @@ import (
 func main() {
 	out := flag.String("o", "", "output path (default stdout)")
 	obsPath := flag.String("obs", "", "metrics snapshot JSON (from a metered bench run) to embed in the report")
-	basePath := flag.String("baseline", "", "prior BENCH_*.json report to diff against: prints per-benchmark speedup ratios")
+	basePath := flag.String("baseline", "", "prior report (a -o file) to diff against: prints per-benchmark speedup ratios")
 	histPath := flag.String("history", "", "history file to append this run to (created when missing)")
 	label := flag.String("label", "", "run label recorded in the history entry (e.g. a git revision)")
 	flag.Parse()

@@ -45,23 +45,11 @@ func WithImmediateW() Option {
 	return func(c *Controller) { c.immediateW = true }
 }
 
-// WithPagedRecovery bounds the Figure 5 repair exchange to maxBlocks
-// block copies per reply, continued under a resume token, instead of
-// the paper's single unbounded reply — the shape a real network needs
-// once devices hold millions of blocks. Each page costs one extra
-// request/response pair, so the §5 traffic tests that pin the Figure 5
-// recovery cost keep the default single-shot shape. maxBlocks <= 0
-// leaves paging off.
-func WithPagedRecovery(maxBlocks int) Option {
-	return func(c *Controller) { c.recoveryPage = maxBlocks }
-}
-
 // Controller is the available copy engine at one site.
 type Controller struct {
-	env          scheme.Env
-	remotes      []protocol.SiteID // every site but Self, fixed at construction
-	immediateW   bool
-	recoveryPage int
+	env        scheme.Env
+	remotes    []protocol.SiteID // every site but Self, fixed at construction
+	immediateW bool
 
 	// locks serialises same-block operations while letting distinct
 	// blocks proceed concurrently; recovery excludes all in-flight
@@ -203,8 +191,16 @@ type status struct {
 	sum      uint64
 }
 
-// Recover implements Figure 5. The local site is comatose. It broadcasts
-// a status query; then either
+// Recover implements Figure 5 over the was-available sets the sites
+// keep on stable storage.
+func (c *Controller) Recover(ctx context.Context) error {
+	return Recover(ctx, &c.locks, c.env, protocol.NewSiteSet())
+}
+
+// Recover is the recovery procedure of Figure 5 — and, given a frozen
+// was-available set, of Figure 6 — run at env.Self under locks'
+// recovery exclusion. The local site is comatose. It broadcasts a
+// status query; then either
 //
 //   - some site is available: repair from it immediately, or
 //   - every site in the closure C*(W_s) has recovered (is comatose or
@@ -212,19 +208,30 @@ type status struct {
 //     recent versions; repair from it (or, if that is the local site
 //     itself, just become available), or
 //   - otherwise: recovery must wait (ErrAwaitingSites).
-func (c *Controller) Recover(ctx context.Context) (err error) {
-	op := c.locks.BeginRecovery(c.env.Obs)
+//
+// frozenW is §3.3's "available copy with W_s ≡ S" supplied as data: when
+// non-empty it stands for every site's was-available set, so the
+// closure is frozenW itself and recovery waits for exactly those sites;
+// no stored set is read, joined at the source or persisted, and no
+// closure event is recorded. Empty means the sets the sites store.
+func Recover(ctx context.Context, locks *scheme.OpLocks, env scheme.Env, frozenW protocol.SiteSet) (err error) {
+	op := locks.BeginRecovery(env.Obs)
 	defer op.End(&err)
-	self := c.env.Self
+	self := env.Self
 	if self.State() == protocol.StateAvailable {
 		return nil
 	}
 	self.SetState(protocol.StateComatose)
 	ctx = op.Start(ctx)
+	// W_s ∪ {s}: the root of the closure, and the local site's own entry.
+	tracked, root := frozenW.Empty(), frozenW
+	if tracked {
+		root = self.WasAvailable().Add(self.ID())
+	}
 
-	results := c.env.Transport.Broadcast(ctx, self.ID(), c.remotes, protocol.StatusRequest{})
+	results := env.Transport.Broadcast(ctx, self.ID(), env.Remotes(), protocol.StatusRequest{})
 	states := map[protocol.SiteID]status{
-		self.ID(): {state: protocol.StateComatose, wasAvail: self.WasAvailable(), sum: self.VersionSum()},
+		self.ID(): {state: protocol.StateComatose, wasAvail: root, sum: self.VersionSum()},
 	}
 	for id, res := range results {
 		if res.Err != nil {
@@ -232,100 +239,95 @@ func (c *Controller) Recover(ctx context.Context) (err error) {
 		}
 		st, ok := res.Resp.(protocol.StatusReply)
 		if !ok {
-			return fmt.Errorf("available copy recovery: site %v answered %T", id, res.Resp)
+			return fmt.Errorf("recovery at %v: site %v answered %T", self.ID(), id, res.Resp)
 		}
-		states[id] = status{state: st.State, wasAvail: st.WasAvail, sum: st.VersionSum}
+		w := frozenW
+		if tracked {
+			w = st.WasAvail
+		}
+		states[id] = status{state: st.State, wasAvail: w, sum: st.VersionSum}
 	}
 	// Participation = status responders plus the recovering site itself.
 	op.Participants = len(states)
 
 	// Case 1: when ∃u ∈ S: state(u) = available, repair from any such u.
 	if t, ok := pickAvailable(states); ok {
-		return c.repairFrom(ctx, t)
+		return Exchange(ctx, env, t, tracked)
 	}
 
 	// Case 2: when all sites in C*(W_s) have recovered, repair from the
 	// most current member.
-	root := self.WasAvailable().Add(self.ID())
 	closure := Closure(root, func(u protocol.SiteID) (protocol.SiteSet, bool) {
 		st, ok := states[u]
 		return st.wasAvail, ok
 	})
-	allRecovered := true
-	for _, u := range closure.Members() {
-		if _, ok := states[u]; !ok {
-			allRecovered = false
-			break
-		}
-	}
-	c.env.Obs.ClosureRecomputed(root, closure, allRecovered)
-	if allRecovered {
-		t := mostCurrent(states, closure)
-		if t == self.ID() {
-			// The local copy is the most recent: "let t: ∀u, version(t) >=
-			// version(u)" picks s itself; no transfer needed and, per
-			// Figure 5, the was-available set is left unchanged.
-			self.SetState(protocol.StateAvailable)
-			return nil
-		}
-		return c.repairFrom(ctx, t)
-	}
 	missing := 0
 	for _, u := range closure.Members() {
 		if _, ok := states[u]; !ok {
 			missing++
 		}
 	}
-	return fmt.Errorf("available copy recovery at %v: %d site(s) of closure %v still failed: %w",
-		self.ID(), missing, closure, scheme.ErrAwaitingSites)
+	if tracked {
+		env.Obs.ClosureRecomputed(root, closure, missing == 0)
+	}
+	if missing > 0 {
+		return fmt.Errorf("recovery at %v: %d site(s) of closure %v still failed: %w",
+			self.ID(), missing, closure, scheme.ErrAwaitingSites)
+	}
+	t := mostCurrent(states, closure)
+	if t == self.ID() {
+		// The local copy is the most recent: "let t: ∀u, version(t) >=
+		// version(u)" picks s itself; no transfer needed and, per
+		// Figure 5, the was-available set is left unchanged.
+		self.SetState(protocol.StateAvailable)
+		return nil
+	}
+	return Exchange(ctx, env, t, tracked)
 }
 
-// repairFrom runs the version-vector exchange of Figure 5 against t and
-// marks the local site available. With WithPagedRecovery the exchange
-// is split into bounded pages continued under a resume token; the
-// was-available join happens on the first page only (it is one logical
-// join, however many pages carry the blocks). A source that vanishes
-// mid-stream leaves the site comatose with a partially freshened image
-// — harmless, since installs are version-monotone — and the next
-// membership change re-runs recovery against a live source.
-func (c *Controller) repairFrom(ctx context.Context, t protocol.SiteID) error {
-	self := c.env.Self
-	var cont block.Index
-	first := true
+// Exchange runs the version-vector exchange that ends Figures 5 and 6
+// (and voting's eager ablation) against source t and marks the local
+// site available; the caller holds the recovery exclusion. The transfer
+// arrives in pages of at most RecoveryBudget copies, continued
+// under the reply's resume token. joinW makes it Figure 5's: t folds
+// the local site into W_t and W_s <- W_t ∪ {s} — one logical join, on
+// the first page, however many pages carry the blocks. A source that
+// vanishes mid-stream leaves the site comatose with a partially
+// freshened image — harmless, since ApplyRepair's installs are
+// version-monotone — and ErrAwaitingSites has the next membership
+// change re-run recovery against a live source.
+func Exchange(ctx context.Context, env scheme.Env, t protocol.SiteID, joinW bool) error {
+	self := env.Self
+	req := protocol.RecoveryRequest{Vector: self.Vector(), JoinW: joinW, MaxBlocks: self.RecoveryBudget()}
 	for {
-		req := protocol.RecoveryRequest{Vector: self.Vector(), JoinW: first, MaxBlocks: c.recoveryPage, Cont: cont}
-		resp, err := c.env.Transport.Call(ctx, self.ID(), t, req)
+		resp, err := env.Transport.Call(ctx, self.ID(), t, req)
 		if err != nil {
 			if scheme.IsTransportError(err) {
-				// The repair source vanished between the status exchange
-				// and the version-vector exchange. Stay comatose; the next
-				// membership change re-runs recovery against a live source.
-				return fmt.Errorf("available copy recovery of %v from %v: %v: %w", self.ID(), t, err, scheme.ErrAwaitingSites)
+				return fmt.Errorf("recovery of %v from %v: %v: %w", self.ID(), t, err, scheme.ErrAwaitingSites)
 			}
-			return fmt.Errorf("available copy recovery of %v from %v: %w", self.ID(), t, err)
+			return fmt.Errorf("recovery of %v from %v: %w", self.ID(), t, err)
 		}
 		rec, ok := resp.(protocol.RecoveryReply)
 		if !ok {
-			return fmt.Errorf("available copy recovery: unexpected reply %T", resp)
+			return fmt.Errorf("recovery of %v from %v: unexpected reply %T", self.ID(), t, resp)
 		}
-		if err := self.ApplyRecovery(rec); err != nil {
+		if _, err := self.ApplyRepair(rec.Blocks); err != nil {
 			return err
 		}
-		if first {
-			// W_s <- W_t ∪ {s} (Figure 5); the reply carries W_t after
-			// the join.
+		if req.JoinW {
+			// The reply carries W_t after the join.
 			if err := self.SetWasAvailable(rec.WasAvail.Add(self.ID())); err != nil {
 				return err
 			}
-			first = false
+			req.JoinW = false
 		}
 		if !rec.More {
-			break
+			self.SetState(protocol.StateAvailable)
+			return nil
 		}
-		cont = rec.Next
+		req.Cont = rec.Next
+		env.Obs.RecoveryPage()
 	}
-	self.SetState(protocol.StateAvailable)
-	return nil
 }
 
 func pickAvailable(states map[protocol.SiteID]status) (protocol.SiteID, bool) {

@@ -95,11 +95,6 @@ type ClusterConfig struct {
 	// instead of waiting for the workload to touch every block. Nil
 	// keeps the paper's lazy-only behaviour.
 	Repair *repair.Policy
-	// RecoveryPageBlocks, when positive, makes the schemes' eager
-	// recovery exchange paged: at most this many blocks per
-	// RecoveryReply, continued under a resume token. Zero keeps the
-	// legacy single-shot Figure 5 shape the §5 traffic tests pin.
-	RecoveryPageBlocks int
 }
 
 func (c *ClusterConfig) applyDefaults() error {
@@ -289,10 +284,10 @@ func DefaultWeights(n int) []int64 {
 // WireSite assembles one site's consistency engine over a membership:
 // the scheme.Env, the replica's three observation hooks and the
 // controller of cfg.Scheme (of cfg it reads Scheme, Observer, Weights —
-// nil means DefaultWeights — the controller options and
-// RecoveryPageBlocks). Every host wires through here — the Cluster for
-// each site, again after Grow and Remove, and relidev.OpenRemote for
-// its one — so a site is observed the same way wherever it runs.
+// nil means DefaultWeights — and the controller options). Every host
+// wires through here — the Cluster for each site, again after Grow and
+// Remove, and relidev.OpenRemote for its one — so a site is observed
+// the same way wherever it runs.
 //
 // sharedRegistry says the observer's registry also holds other sites'
 // series (an in-process cluster): the site then answers telemetry pulls
@@ -330,17 +325,9 @@ func WireSite(cfg ClusterConfig, self *site.Replica, transport protocol.Transpor
 	}
 	switch cfg.Scheme {
 	case Voting:
-		opts := cfg.VotingOptions
-		if cfg.RecoveryPageBlocks > 0 {
-			opts = append(opts[:len(opts):len(opts)], voting.WithPagedRecovery(cfg.RecoveryPageBlocks))
-		}
-		return voting.New(env, opts...)
+		return voting.New(env, cfg.VotingOptions...)
 	case AvailableCopy:
-		opts := cfg.AvailCopyOptions
-		if cfg.RecoveryPageBlocks > 0 {
-			opts = append(opts[:len(opts):len(opts)], availcopy.WithPagedRecovery(cfg.RecoveryPageBlocks))
-		}
-		return availcopy.New(env, opts...)
+		return availcopy.New(env, cfg.AvailCopyOptions...)
 	case NaiveAvailableCopy:
 		return naiveac.New(env)
 	default:
@@ -350,9 +337,6 @@ func WireSite(cfg ClusterConfig, self *site.Replica, transport protocol.Transpor
 
 // Sites returns the number of sites.
 func (cl *Cluster) Sites() int { return cl.cfg.Sites }
-
-// Scheme returns the consistency algorithm in use.
-func (cl *Cluster) Scheme() SchemeKind { return cl.cfg.Scheme }
 
 // Geometry returns the device shape.
 func (cl *Cluster) Geometry() block.Geometry { return cl.cfg.Geometry }

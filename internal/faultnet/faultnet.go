@@ -184,13 +184,6 @@ func (n *Network) SetInjection(enabled bool) {
 	n.disabled.Store(!enabled)
 }
 
-// Detach removes the fault rule from a rule-hosting inner transport.
-func (n *Network) Detach() {
-	if host, ok := n.inner.(ruleHost); ok && n.ruleMode {
-		host.SetFaultRule(nil)
-	}
-}
-
 // Stats returns a snapshot of the injected-fault counters.
 func (n *Network) Stats() Stats {
 	return Stats{

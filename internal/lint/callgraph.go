@@ -79,8 +79,6 @@ type CGNode struct {
 type CallGraph struct {
 	pkg   *Package
 	nodes map[*types.Func]*CGNode
-	// funcs lists the declarations in source order.
-	funcs []*CGNode
 	// owner maps every AST node to its nearest enclosing FuncDecl or
 	// FuncLit; parent maps each FuncDecl/FuncLit to its enclosing one.
 	owner  map[ast.Node]ast.Node
@@ -127,7 +125,6 @@ func buildCallGraph(pkg *Package) *CallGraph {
 			}
 			node := &CGNode{Obj: obj, Decl: decl}
 			g.nodes[obj] = node
-			g.funcs = append(g.funcs, node)
 			g.declObj[decl] = obj
 		}
 	}
@@ -196,9 +193,6 @@ func (g *CallGraph) addEdge(e Edge) {
 // Node returns the graph node for fn, or nil if fn is not a
 // declaration in this package.
 func (g *CallGraph) Node(fn *types.Func) *CGNode { return g.nodes[fn] }
-
-// Funcs returns the package's function declarations in source order.
-func (g *CallGraph) Funcs() []*CGNode { return g.funcs }
 
 // EnclosingDecl returns the *types.Func of the function declaration
 // lexically enclosing n, walking out of any function literals (a

@@ -24,9 +24,11 @@ import (
 //     one self-deadlocks (stripe vs recovery exclusion must be split
 //     across functions);
 //  3. guarded mutation: calls to site.Replica mutators (WriteLocal,
-//     SetState, SetWasAvailable, ApplyRecovery) must happen in a
-//     locked context — after the function's own acquisition, or in a
-//     function every intra-package caller of which acquires.
+//     SetState, SetWasAvailable) must happen in a locked context —
+//     after the function's own acquisition, or in a function every
+//     intra-package caller of which acquires. (Installing a peer's
+//     block copies, ApplyRepair, is version-conditional and atomic at
+//     the replica and needs no OpLocks.)
 //
 // The store layer joined the scope with group commit (DESIGN.md §12):
 // SegStore serialises image and segment mutation under one mutex and
@@ -55,7 +57,6 @@ var replicaMutators = map[string]bool{
 	"WriteLocal":      true,
 	"SetState":        true,
 	"SetWasAvailable": true,
-	"ApplyRecovery":   true,
 }
 
 // bracketMethod returns the bracket method a call resolves to:

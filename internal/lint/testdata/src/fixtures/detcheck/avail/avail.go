@@ -73,8 +73,7 @@ func TotalSamples(ops map[string]uint64) uint64 {
 	return total
 }
 
-// ok: the sanctioned default epoch for live wiring, with a reason —
-// mirrors the WallObserver adapter in the real package.
+// ok: the sanctioned default epoch for live wiring, with a reason.
 func DefaultEpoch() time.Time {
 	//relidev:allow nondeterminism: live deployments anchor the estimator timeline at process start; tests pass a fixed epoch
 	return time.Now()

@@ -1,7 +1,8 @@
 // Seeded mutation for lockcheck (ROADMAP item 4): fixture copies of
-// availcopy.Write on the op bracket, one faithful and two with a real
-// bug of the analyzer's class planted. The analyzer must flag both
-// mutants and pass the original.
+// availcopy.Write on the op bracket and of the shared recovery code
+// (Recover + Exchange), each faithful once and with a real bug of the
+// analyzer's class planted. The analyzer must flag every mutant and
+// pass the originals.
 package availcopy
 
 import (
@@ -87,4 +88,38 @@ func (c *Controller) writeResetHoisted(ctx context.Context, idx block.Index, dat
 	c.transport.Broadcast(ctx, c.self.ID(), c.remotes, put{})
 	op.Participants = len(recipients)
 	return c.self.WriteLocal(idx, data, 1)
+}
+
+// ok: the shared recovery shape — a package-level Recover that takes
+// the recovery exclusion itself, and the exchange every scheme ends
+// in, vouched for by its one locked caller.
+func Recover(ctx context.Context, locks *scheme.OpLocks, obs *scheme.SchemeObs, self *site.Replica) (err error) {
+	op := locks.BeginRecovery(obs)
+	defer op.End(&err)
+	self.SetState(1)
+	ctx = op.Start(ctx)
+	return Exchange(ctx, self)
+}
+
+func Exchange(ctx context.Context, self *site.Replica) error {
+	if err := self.SetWasAvailable(protocol.SiteSet{self.ID(): {}}); err != nil {
+		return err
+	}
+	self.SetState(2)
+	return nil
+}
+
+// Mutant (c): a second way into the same exchange that skips the
+// recovery exclusion, so the join and the comatose→available flip race
+// in-flight writes resetting W_s.
+func exchangeUnlocked(ctx context.Context, self *site.Replica) error {
+	if err := self.SetWasAvailable(protocol.SiteSet{self.ID(): {}}); err != nil { // want "SetWasAvailable outside an OpLocks critical section"
+		return err
+	}
+	self.SetState(2) // want "SetState outside an OpLocks critical section"
+	return nil
+}
+
+func (c *Controller) recoverSkippingExclusion(ctx context.Context) error {
+	return exchangeUnlocked(ctx, c.self)
 }

@@ -26,5 +26,3 @@ func (r *Replica) WriteLocal(idx block.Index, data []byte, ver block.Version) er
 func (r *Replica) SetState(s int) { r.state = s }
 
 func (r *Replica) SetWasAvailable(w protocol.SiteSet) error { return nil }
-
-func (r *Replica) ApplyRecovery(v block.Version) error { return nil }

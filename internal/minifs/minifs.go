@@ -204,12 +204,6 @@ func Mount(ctx context.Context, dev core.Device) (*FS, error) {
 	return &FS{dev: dev, sb: sb}, nil
 }
 
-// Device returns the underlying device.
-func (fs *FS) Device() core.Device { return fs.dev }
-
-// BlockSize returns the file system block size.
-func (fs *FS) BlockSize() int { return int(fs.sb.BlockSize) }
-
 // MaxFileSize returns the largest representable file in bytes.
 func (fs *FS) MaxFileSize() int64 {
 	bs := int64(fs.sb.BlockSize)

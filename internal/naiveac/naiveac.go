@@ -13,6 +13,7 @@ import (
 	"context"
 	"fmt"
 
+	"relidev/internal/availcopy"
 	"relidev/internal/block"
 	"relidev/internal/protocol"
 	"relidev/internal/scheme"
@@ -93,97 +94,10 @@ func (c *Controller) Write(ctx context.Context, idx block.Index, data []byte) (e
 	return nil
 }
 
-// Recover implements Figure 6: if some site is available, repair from it;
+// Recover implements Figure 6, which is Figure 5 with the was-available
+// sets frozen at W_s = S: if some site is available, repair from it;
 // otherwise wait until every site has recovered and repair from (or
 // become) the one with the highest version.
-func (c *Controller) Recover(ctx context.Context) (err error) {
-	op := c.locks.BeginRecovery(c.env.Obs)
-	defer op.End(&err)
-	self := c.env.Self
-	if self.State() == protocol.StateAvailable {
-		return nil
-	}
-	self.SetState(protocol.StateComatose)
-	ctx = op.Start(ctx)
-
-	results := c.env.Transport.Broadcast(ctx, self.ID(), c.remotes, protocol.StatusRequest{})
-
-	type status struct {
-		state protocol.SiteState
-		sum   uint64
-	}
-	states := map[protocol.SiteID]status{
-		self.ID(): {state: protocol.StateComatose, sum: self.VersionSum()},
-	}
-	for id, res := range results {
-		if res.Err != nil {
-			continue
-		}
-		st, ok := res.Resp.(protocol.StatusReply)
-		if !ok {
-			return fmt.Errorf("naive recovery: site %v answered %T", id, res.Resp)
-		}
-		states[id] = status{state: st.State, sum: st.VersionSum}
-	}
-	// Participation = status responders plus the recovering site itself.
-	op.Participants = len(states)
-
-	// Case 1: ∃u ∈ S: state(u) = available.
-	var best protocol.SiteID = -1
-	var bestSum uint64
-	for id, st := range states {
-		if st.state != protocol.StateAvailable {
-			continue
-		}
-		if best == -1 || st.sum > bestSum || (st.sum == bestSum && id < best) {
-			best, bestSum = id, st.sum
-		}
-	}
-	if best != -1 {
-		return c.repairFrom(ctx, best)
-	}
-
-	// Case 2: all sites have recovered — pick the most current copy.
-	if len(states) < len(c.env.Sites) {
-		return fmt.Errorf("naive recovery at %v: %d of %d sites recovered: %w",
-			self.ID(), len(states), len(c.env.Sites), scheme.ErrAwaitingSites)
-	}
-	best, bestSum = -1, 0
-	for _, id := range c.env.Sites { // deterministic order
-		st := states[id]
-		if best == -1 || st.sum > bestSum {
-			best, bestSum = id, st.sum
-		}
-	}
-	if best == self.ID() {
-		self.SetState(protocol.StateAvailable)
-		return nil
-	}
-	return c.repairFrom(ctx, best)
-}
-
-// repairFrom runs the version-vector exchange of Figure 6 against t. No
-// was-available set is involved (JoinW false).
-func (c *Controller) repairFrom(ctx context.Context, t protocol.SiteID) error {
-	self := c.env.Self
-	req := protocol.RecoveryRequest{Vector: self.Vector()}
-	resp, err := c.env.Transport.Call(ctx, self.ID(), t, req)
-	if err != nil {
-		if scheme.IsTransportError(err) {
-			// The repair source vanished between the status exchange and
-			// the version-vector exchange; wait for the next membership
-			// change instead of failing the recovery driver.
-			return fmt.Errorf("naive recovery of %v from %v: %v: %w", self.ID(), t, err, scheme.ErrAwaitingSites)
-		}
-		return fmt.Errorf("naive recovery of %v from %v: %w", self.ID(), t, err)
-	}
-	rec, ok := resp.(protocol.RecoveryReply)
-	if !ok {
-		return fmt.Errorf("naive recovery: unexpected reply %T", resp)
-	}
-	if err := self.ApplyRecovery(rec); err != nil {
-		return err
-	}
-	self.SetState(protocol.StateAvailable)
-	return nil
+func (c *Controller) Recover(ctx context.Context) error {
+	return availcopy.Recover(ctx, &c.locks, c.env, c.env.FullSet())
 }

@@ -209,16 +209,6 @@ type OpStats struct {
 	Failure uint64 `json:"failure"`
 }
 
-// Availability is the op's empirical success fraction (1 with no
-// samples: no evidence of unavailability).
-func (o OpStats) Availability() float64 {
-	total := o.Success + o.Failure
-	if total == 0 {
-		return 1
-	}
-	return float64(o.Success) / float64(total)
-}
-
 // Stats is a sealed snapshot of the estimator at some horizon.
 type Stats struct {
 	Scheme  string  `json:"scheme"`

@@ -4,10 +4,8 @@ import (
 	"math"
 	"sync"
 	"testing"
-	"time"
 
 	"relidev/internal/analysis"
-	"relidev/internal/protocol"
 	"relidev/internal/sim"
 )
 
@@ -300,26 +298,5 @@ func TestConcurrentFeedsRaceFree(t *testing.T) {
 	st := e.Snapshot(300)
 	if st.Failures == 0 || st.Repairs == 0 {
 		t.Fatalf("no transitions recorded: %+v", st)
-	}
-}
-
-func TestWallObserver(t *testing.T) {
-	e, err := New(2, "available-copy")
-	if err != nil {
-		t.Fatal(err)
-	}
-	epoch := time.Unix(1000, 0)
-	obs := e.WallObserver(epoch)
-	obs(protocol.SiteID(1), true, epoch.Add(10*time.Second))
-	obs(protocol.SiteID(1), false, epoch.Add(30*time.Second))
-	// A pre-epoch timestamp clamps to 0, then the estimator's monotone
-	// timeline clamps it forward to the latest time seen (30).
-	obs(protocol.SiteID(0), true, epoch.Add(-5*time.Second))
-	st := e.Snapshot(40)
-	if st.PerSite[1].DownTime != 20 || st.PerSite[1].Fails != 1 {
-		t.Fatalf("site 1 = %+v", st.PerSite[1])
-	}
-	if st.PerSite[0].Fails != 1 || st.PerSite[0].UpTime != 30 || st.PerSite[0].DownTime != 10 {
-		t.Fatalf("site 0 = %+v", st.PerSite[0])
 	}
 }

@@ -46,6 +46,9 @@ type OpObservation struct {
 	// writes, needed in unicast mode where the put fan-out is priced per
 	// participant.
 	TwoRoundParticipants uint64 `json:"two_round_participants,omitempty"`
+	// Pages counts continuation pages of the recovery exchange: each is
+	// one request and one reply past the single pair §5 prices.
+	Pages uint64 `json:"pages,omitempty"`
 	// Messages is the §5 transmission total the transport attributed to
 	// this operation class.
 	Messages uint64 `json:"messages"`
@@ -209,7 +212,7 @@ func strictCheck(in ConformanceInput, op string, o OpObservation) (OpCheck, erro
 		// Each lazy refresh costs ReadStale - Read extra (one fetch).
 		predicted = costs.Read + (costs.ReadStale-costs.Read)*float64(o.StaleReads)/float64(o.Completions)
 	case protocol.OpRecovery:
-		predicted = costs.Recovery
+		predicted = costs.Recovery + 2*float64(o.Pages)/float64(o.Completions)
 	}
 	chk.Observed = float64(o.Messages) / float64(o.Completions)
 	chk.Predicted = predicted
@@ -303,8 +306,12 @@ func bracketCheck(in ConformanceInput, op string, o OpObservation) (OpCheck, err
 			// Local reads are message-free.
 			chk.Min, chk.Max = 0, 0
 		case protocol.OpRecovery:
-			// status broadcast + replies + version-vector Call (2).
+			// status broadcast + replies + version-vector Call (2), and 2
+			// more for every continuation page.
 			chk.Min, chk.Max = bcast, bcast+replies+2
+			if o.Attempts > 0 {
+				chk.Max += 2 * float64(o.Pages) / float64(o.Attempts)
+			}
 		}
 	default:
 		return chk, fmt.Errorf("obs: unknown scheme %v", in.Scheme)
@@ -360,6 +367,7 @@ func GatherObservations(snap Snapshot, schemeName string, transmissions map[stri
 	read = gather(protocol.OpRead)
 	read.StaleReads = snap.CounterTotal(MetricStaleReads, s)
 	recovery = gather(protocol.OpRecovery)
+	recovery.Pages = snap.CounterTotal(MetricRecoveryPages, s)
 	return write, read, recovery
 }
 

@@ -319,3 +319,62 @@ func TestObserverSurvivesReconfiguration(t *testing.T) {
 		t.Error("transport metering lost across Grow")
 	}
 }
+
+// TestConformancePricesRecoveryPages: a recovery that needs three pages
+// costs two request/reply pairs more than the single exchange §5
+// prices. The exchange counts its continuation pages and both checks
+// add them — drop the count and the same traffic is a violation.
+func TestConformancePricesRecoveryPages(t *testing.T) {
+	for _, kind := range []core.SchemeKind{core.AvailableCopy, core.NaiveAvailableCopy} {
+		for _, mode := range []simnet.Mode{simnet.Multicast, simnet.Unicast} {
+			t.Run(fmt.Sprintf("%v/%v", kind, mode), func(t *testing.T) {
+				o := obs.New(obs.WithClock(clock.NewManual()))
+				// Ten 256 KiB blocks: four to a 1 MiB page.
+				geom := block.Geometry{BlockSize: 256 << 10, NumBlocks: 10}
+				cl, err := core.NewCluster(core.ClusterConfig{Sites: 3, Geometry: geom, Scheme: kind, Mode: mode, Observer: o})
+				if err != nil {
+					t.Fatal(err)
+				}
+				ctx := context.Background()
+				if err := cl.Fail(2); err != nil {
+					t.Fatal(err)
+				}
+				ctrl, _ := cl.Controller(0)
+				for i := 0; i < geom.NumBlocks; i++ {
+					if err := ctrl.Write(ctx, block.Index(i), make([]byte, geom.BlockSize)); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if err := cl.Restart(ctx, 2); err != nil {
+					t.Fatal(err)
+				}
+
+				tx := make(map[string]uint64)
+				for op, s := range cl.Network().Stats().ByOp {
+					tx[op] = s.Transmissions
+				}
+				w, r, rec := obs.GatherObservations(o.Snapshot(), ctrl.Name(), tx)
+				if rec.Pages != 2 {
+					t.Fatalf("recovery counted %d continuation pages, want 2", rec.Pages)
+				}
+				in := obs.ConformanceInput{Scheme: mustScheme(t, ctrl.Name()), Sites: 3,
+					Unicast: mode == simnet.Unicast, Write: w, Read: r, Recovery: rec}
+				for _, strict := range []bool{true, false} {
+					rep, err := obs.CheckConformance(in, strict)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !rep.OK {
+						t.Errorf("strict=%v: %v (recovery=%+v)", strict, rep.Violations(), rec)
+					}
+				}
+				in.Recovery.Pages = 0
+				for _, strict := range []bool{true, false} {
+					if rep, _ := obs.CheckConformance(in, strict); rep.OK {
+						t.Errorf("strict=%v: four unpriced messages passed the check", strict)
+					}
+				}
+			})
+		}
+	}
+}

@@ -52,6 +52,10 @@ const (
 	// MetricClosures counts closure recomputations during available
 	// copy recovery.
 	MetricClosures = "relidev_closure_recomputations_total"
+	// MetricRecoveryPages counts continuation pages of the recovery
+	// exchange: each is one request and one reply past the single pair
+	// §5 prices a recovery at.
+	MetricRecoveryPages = "relidev_recovery_pages_total"
 )
 
 // ops indexes the per-operation metric arrays. OpRepair rides along so
@@ -448,6 +452,16 @@ func (s *SchemeObs) ClosureRecomputed(root, closure protocol.SiteSet, complete b
 		s.emit(Event{Kind: EvClosureRecomputed, Op: protocol.OpRecovery, Block: -1,
 			Detail: fmt.Sprintf("root=%v closure=%v complete=%t", root, closure, complete)})
 	}
+}
+
+// RecoveryPage counts one continuation page of the recovery exchange.
+// The series is created by the first such page, so a recovery that fits
+// one page leaves the snapshot exactly as it was.
+func (s *SchemeObs) RecoveryPage() {
+	if s == nil {
+		return
+	}
+	s.o.reg.Counter(MetricRecoveryPages, L("scheme", s.scheme), L("site", s.site.String())).Inc()
 }
 
 // tracing reports whether trace events go anywhere. Callers that

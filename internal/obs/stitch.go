@@ -52,10 +52,6 @@ type TraceTree struct {
 // tree with no ancestry lost.
 func (t *TraceTree) Complete() bool { return t.Root != nil && len(t.Orphans) == 0 }
 
-// AllSites returns the union of sites in the tree as a sorted slice —
-// convenience for asserting which sites took part in an operation.
-func (t *TraceTree) AllSites() []int { return t.Sites }
-
 // Stitch builds one TraceTree per TraceID present in events. Events
 // without span identity (tracing off, or record-only kinds like
 // w_transition) are ignored. Pass the concatenation of several sites'
@@ -205,15 +201,4 @@ func (o *Observer) TraceTrees() []*TraceTree {
 		return nil
 	}
 	return Stitch(o.tracer.Events())
-}
-
-// TraceTree returns the stitched tree for one trace ID, or nil when no
-// retained span belongs to it.
-func (o *Observer) TraceTree(traceID uint64) *TraceTree {
-	for _, t := range o.TraceTrees() {
-		if t.TraceID == traceID {
-			return t
-		}
-	}
-	return nil
 }

@@ -140,7 +140,7 @@ func TestStitchPartialTreeAfterEviction(t *testing.T) {
 	if tree.Spans != 2 {
 		t.Fatalf("spans = %d, want 2", tree.Spans)
 	}
-	if got := tree.AllSites(); len(got) != 2 || got[0] != 0 || got[1] != 2 {
+	if got := tree.Sites; len(got) != 2 || got[0] != 0 || got[1] != 2 {
 		t.Fatalf("sites = %v", got)
 	}
 	// The op span aggregated its start/end pair.

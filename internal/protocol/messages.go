@@ -162,41 +162,41 @@ type StatusReply struct {
 // RespKind implements Response.
 func (StatusReply) RespKind() string { return "status-reply" }
 
-// RecoveryRequest is the version-vector exchange of Figure 5: the
-// recovering site s sends its vector v to the repair source t. The
-// request also carries s's identity so that t can fold s into its
+// RecoveryRequest is one page of the version-vector exchange of Figure
+// 5: the recovering site s sends its vector v to the repair source t.
+// The request also carries s's identity so that t can fold s into its
 // was-available set (send(t, W_s) folded into the same high-level
-// exchange; §5.1 counts the whole repair as one request + one response).
+// exchange; §5.1 counts a repair that fits one page as one request +
+// one response).
 type RecoveryRequest struct {
 	Vector block.Vector
 	// JoinW asks the responder to add the sender to its was-available
-	// set (available copy scheme only).
+	// set (available copy scheme only, first page only).
 	JoinW bool
-	// MaxBlocks, when positive, bounds the number of block copies per
-	// reply: the responder returns at most MaxBlocks stale blocks with
-	// index >= Cont and sets RecoveryReply.More when further pages
-	// remain. Zero keeps the legacy single-shot shape of Figure 5 — the
-	// whole stale set in one reply — which the §5 traffic tests pin.
+	// MaxBlocks bounds the number of block copies per reply: the
+	// responder returns at most that many stale blocks with index >=
+	// Cont and sets RecoveryReply.More when further pages remain. The
+	// responder clamps it to its own page budget; a non-positive value
+	// asks for that budget.
 	MaxBlocks int
-	// Cont is the continuation token of a paged exchange: the first
-	// block index the responder should consider. Zero on the first page.
+	// Cont is the continuation token: the first block index the
+	// responder should consider. Zero on the first page.
 	Cont block.Index
 }
 
 // Kind implements Request.
 func (RecoveryRequest) Kind() string { return "recovery" }
 
-// RecoveryReply returns the correct vector v' and copies of every block
-// that changed while the requester was down.
+// RecoveryReply returns the correct vector v' and one page of copies of
+// the blocks that changed while the requester was down.
 type RecoveryReply struct {
 	Vector block.Vector
 	Blocks []BlockCopy
 	// WasAvail is the responder's was-available set after the join, so
 	// the recovering site starts from the merged set.
 	WasAvail SiteSet
-	// More reports that a paged exchange (MaxBlocks > 0) has further
-	// stale blocks beyond this reply; the requester continues with
-	// Cont = Next. Always false in the legacy single-shot shape.
+	// More reports further stale blocks beyond this reply; the requester
+	// continues with Cont = Next.
 	More bool
 	// Next is the continuation token for the next page when More is set.
 	Next block.Index

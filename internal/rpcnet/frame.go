@@ -21,11 +21,11 @@ const (
 
 	// maxFrame bounds a body. A reader allocates a body's worth of
 	// memory on the say-so of four bytes, so the bound is what a peer
-	// speaking some other protocol can cost us; 64 MiB is sixteen times
-	// the largest frame the benchmark moves (an unpaged 4 MiB recovery
-	// reply). A device whose stale set is larger must page its recovery
-	// (relidev.WithPagedRecovery), and gets a remote error telling it
-	// so rather than a dead connection.
+	// speaking some other protocol can cost us. Nothing of ours comes
+	// near it: the bulk exchanges (recovery, repair) always page at
+	// about 1 MiB, and a donor clamps the page size a peer asks for. An
+	// oversized reply becomes a remote error rather than a dead
+	// connection.
 	maxFrame = 64 << 20
 
 	// readBufSize is the per-connection read buffer: a 4 KiB block and
@@ -36,12 +36,12 @@ const (
 
 	// maxKeptWriteBuf caps the write buffer a connection keeps between
 	// messages; one that had to grow past it for a bulk reply is dropped
-	// after the write, so a 4 MiB recovery transfer does not pin 4 MiB
-	// per pooled connection.
+	// after the write, so a 1 MiB recovery page does not pin 1 MiB per
+	// pooled connection.
 	maxKeptWriteBuf = 64 << 10
 )
 
-var errFrameTooLarge = errors.New("rpcnet: frame exceeds the 64 MiB limit (a bulk exchange must be paged)")
+var errFrameTooLarge = errors.New("rpcnet: frame exceeds the 64 MiB limit")
 
 // checkFrameSize refuses a frame, header included, whose body is over
 // maxFrame.

@@ -35,7 +35,6 @@ import (
 	"syscall"
 	"time"
 
-	"relidev/internal/clock"
 	"relidev/internal/obs"
 	"relidev/internal/protocol"
 	"relidev/internal/site"
@@ -239,21 +238,6 @@ type Config struct {
 	// after which a peer is reported down (protocol.ErrSiteDown) rather
 	// than transiently unreachable (protocol.ErrTransient). Default 3.
 	SuspectThreshold int
-	// Clock supplies the current time to the failure detector (backoff
-	// arming, dial gating, and the timestamps reported to the
-	// DetectorObserver). Nil means clock.Wall; tests inject a
-	// *clock.Manual. Connection deadlines always use the wall clock —
-	// they are handed to the kernel.
-	Clock clock.Clock
-	// DetectorObserver, when non-nil, is told about suspect-list
-	// transitions: down=true when a peer crosses the suspect threshold,
-	// with since = the time of the *first* conclusive failure of the
-	// current streak (not the Nth retry — otherwise redial backoff
-	// inflates the observed repair time), and down=false on the next
-	// successful exchange, with since = the time of that exchange. It is
-	// invoked without client locks held and must not call back into the
-	// client.
-	DetectorObserver func(peer protocol.SiteID, down bool, since time.Time)
 }
 
 func (c Config) withDefaults() Config {
@@ -271,9 +255,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.SuspectThreshold == 0 {
 		c.SuspectThreshold = 3
-	}
-	if c.Clock == nil {
-		c.Clock = clock.Wall
 	}
 	return c
 }
@@ -307,14 +288,10 @@ type peerPool struct {
 
 	// Failure detector: fails counts consecutive failed exchanges;
 	// backoff/nextDialAt gate redials so a dead peer is probed, not
-	// hammered; firstFailAt remembers when the current failure streak
-	// began — the timestamp reported to detector observers, so that the
-	// Nth retry's backoff never inflates the observed downtime. All
-	// reset on the first successful exchange.
-	fails       int
-	backoff     time.Duration
-	nextDialAt  time.Time
-	firstFailAt time.Time
+	// hammered. All reset on the first successful exchange.
+	fails      int
+	backoff    time.Duration
+	nextDialAt time.Time
 }
 
 // get pops an idle connection, or returns nil when the caller must dial.
@@ -355,17 +332,11 @@ func (p *peerPool) close() {
 }
 
 // recordFault counts one failed exchange at time now and arms the
-// redial backoff. It reports whether the peer is past the suspect
-// threshold, whether this very fault pushed it there (a transition the
-// detector observer should hear about), and when the failure streak
-// began.
-func (p *peerPool) recordFault(cfg Config, now time.Time, jitter func(time.Duration) time.Duration) (fails int, down, transitioned bool, since time.Time) {
+// redial backoff. It reports the length of the failure streak and
+// whether the peer is past the suspect threshold.
+func (p *peerPool) recordFault(cfg Config, now time.Time, jitter func(time.Duration) time.Duration) (fails int, down bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.fails == 0 {
-		p.firstFailAt = now
-	}
-	wasDown := p.fails >= cfg.SuspectThreshold
 	p.fails++
 	if p.backoff == 0 {
 		p.backoff = cfg.RetryBase
@@ -376,21 +347,15 @@ func (p *peerPool) recordFault(cfg Config, now time.Time, jitter func(time.Durat
 		}
 	}
 	p.nextDialAt = now.Add(jitter(p.backoff))
-	down = p.fails >= cfg.SuspectThreshold
-	return p.fails, down, down && !wasDown, p.firstFailAt
+	return p.fails, p.fails >= cfg.SuspectThreshold
 }
 
 // markDown records conclusive fail-stop evidence against the peer at
 // time now: it jumps the failure counter straight to the suspect
-// threshold and arms the redial backoff. It reports whether this was
-// the transition onto the suspect list and when the streak began.
-func (p *peerPool) markDown(cfg Config, now time.Time, jitter func(time.Duration) time.Duration) (transitioned bool, since time.Time) {
+// threshold and arms the redial backoff.
+func (p *peerPool) markDown(cfg Config, now time.Time, jitter func(time.Duration) time.Duration) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.fails == 0 {
-		p.firstFailAt = now
-	}
-	wasDown := p.fails >= cfg.SuspectThreshold
 	if p.fails < cfg.SuspectThreshold {
 		p.fails = cfg.SuspectThreshold
 	}
@@ -398,21 +363,16 @@ func (p *peerPool) markDown(cfg Config, now time.Time, jitter func(time.Duration
 		p.backoff = cfg.RetryBase
 	}
 	p.nextDialAt = now.Add(jitter(p.backoff))
-	return !wasDown, p.firstFailAt
 }
 
 // recordSuccess clears the failure detector: the first successful
-// exchange removes the peer from the suspect list. It reports whether
-// the peer had been suspected (so the observer can be told it is back).
-func (p *peerPool) recordSuccess(threshold int) (cleared bool) {
+// exchange removes the peer from the suspect list.
+func (p *peerPool) recordSuccess() {
 	p.mu.Lock()
-	cleared = p.fails >= threshold
 	p.fails = 0
 	p.backoff = 0
 	p.nextDialAt = time.Time{}
-	p.firstFailAt = time.Time{}
 	p.mu.Unlock()
-	return cleared
 }
 
 // dialGate reports whether a redial is currently gated by backoff at
@@ -428,14 +388,6 @@ func (p *peerPool) suspected(threshold int) bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.fails >= threshold
-}
-
-// suspectedSince reports the suspect state together with the start of
-// the failure streak that caused it.
-func (p *peerPool) suspectedSince(threshold int) (down bool, since time.Time) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.fails >= threshold, p.firstFailAt
 }
 
 var _ protocol.Transport = (*Client)(nil)
@@ -478,27 +430,6 @@ func (c *Client) Suspected(id protocol.SiteID) bool {
 		return false
 	}
 	return p.suspected(c.cfg.SuspectThreshold)
-}
-
-// SuspectedSince reports whether the failure detector considers the
-// peer down and, when it does, the time of the first conclusive
-// failure of the streak — the honest start of the observed outage.
-func (c *Client) SuspectedSince(id protocol.SiteID) (down bool, since time.Time) {
-	c.mu.Lock()
-	p, ok := c.pools[id]
-	c.mu.Unlock()
-	if !ok {
-		return false, time.Time{}
-	}
-	return p.suspectedSince(c.cfg.SuspectThreshold)
-}
-
-// notifyDetector forwards a suspect-list transition to the configured
-// observer, if any.
-func (c *Client) notifyDetector(peer protocol.SiteID, down bool, since time.Time) {
-	if c.cfg.DetectorObserver != nil {
-		c.cfg.DetectorObserver(peer, down, since)
-	}
 }
 
 // SuspectSet returns the set of peers currently suspected down.
@@ -594,7 +525,7 @@ func (c *Client) exchange(p *peerPool, w *wireConn, deadline time.Time, req prot
 // redial is gated the call fails fast — classified by the current
 // suspicion — without touching the network or counting new evidence.
 func (c *Client) dial(ctx context.Context, p *peerPool, to protocol.SiteID, deadline time.Time) (*wireConn, error) {
-	if gated, down := p.dialGate(c.cfg.SuspectThreshold, c.cfg.Clock.Now()); gated {
+	if gated, down := p.dialGate(c.cfg.SuspectThreshold, time.Now()); gated {
 		if down {
 			return nil, fmt.Errorf("rpcnet: %v suspected down, redial backed off: %w", to, protocol.ErrSiteDown)
 		}
@@ -633,15 +564,10 @@ func (c *Client) fault(ctx context.Context, p *peerPool, to protocol.SiteID, op 
 		return fmt.Errorf("rpcnet: %s %v: %v: %w", op, to, cause, cerr)
 	}
 	if errors.Is(cause, syscall.ECONNREFUSED) {
-		if transitioned, since := p.markDown(c.cfg, c.cfg.Clock.Now(), c.jitter); transitioned {
-			c.notifyDetector(to, true, since)
-		}
+		p.markDown(c.cfg, time.Now(), c.jitter)
 		return fmt.Errorf("rpcnet: %s %v: %v: %w", op, to, cause, protocol.ErrSiteDown)
 	}
-	fails, down, transitioned, since := p.recordFault(c.cfg, c.cfg.Clock.Now(), c.jitter)
-	if transitioned {
-		c.notifyDetector(to, true, since)
-	}
+	fails, down := p.recordFault(c.cfg, time.Now(), c.jitter)
 	sev := ""
 	tail := error(protocol.ErrTransient)
 	if down {
@@ -699,9 +625,7 @@ func (c *Client) roundTrip(ctx context.Context, to protocol.SiteID, req protocol
 			return nil, c.fault(ctx, p, to, "exchange with", true, err)
 		}
 	}
-	if p.recordSuccess(c.cfg.SuspectThreshold) {
-		c.notifyDetector(to, false, c.cfg.Clock.Now())
-	}
+	p.recordSuccess()
 	if err := decodeErr(rep.code, rep.text); err != nil {
 		return nil, err
 	}

@@ -10,7 +10,6 @@ import (
 
 	"relidev/internal/availcopy"
 	"relidev/internal/block"
-	"relidev/internal/clock"
 	"relidev/internal/protocol"
 	"relidev/internal/scheme"
 	"relidev/internal/site"
@@ -770,112 +769,5 @@ func TestContextDeadlineRespected(t *testing.T) {
 	}
 	if elapsed := time.Since(start); elapsed > 3*time.Second {
 		t.Fatalf("context deadline ignored: call took %v", elapsed)
-	}
-}
-
-// TestSuspectSinceIsFirstConclusiveFailure: the suspect list must
-// report a peer's outage from the *first* conclusive failure of the
-// streak, not from the Nth retry that happened to cross the threshold
-// — the honest start of the observed downtime. Regression test with an
-// injectable clock: three ambiguous failures a second apart must yield
-// since == t(first failure), and further failures must not move it.
-func TestSuspectSinceIsFirstConclusiveFailure(t *testing.T) {
-	_, addrs := startCluster(t, 1)
-	// A listener that accepts and immediately drops every connection:
-	// ambiguous evidence, counted by the failure detector.
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	go func() {
-		for {
-			conn, aerr := ln.Accept()
-			if aerr != nil {
-				return
-			}
-			conn.Close()
-		}
-	}()
-	addrs[protocol.SiteID(1)] = ln.Addr().String()
-
-	clk := clock.NewManual()
-	clk.Advance(100_000 * time.Second) // a reading no zero-valued since can equal
-	var (
-		transMu     sync.Mutex
-		transitions []struct {
-			down  bool
-			since time.Time
-		}
-	)
-	cli, err := NewClientConfig(0, addrs, Config{
-		CallTimeout: 300 * time.Millisecond,
-		RetryBase:   time.Millisecond,
-		RetryMax:    4 * time.Millisecond,
-		Clock:       clk,
-		DetectorObserver: func(peer protocol.SiteID, down bool, since time.Time) {
-			if peer != 1 {
-				t.Errorf("observer saw peer %v", peer)
-			}
-			transMu.Lock()
-			transitions = append(transitions, struct {
-				down  bool
-				since time.Time
-			}{down, since})
-			transMu.Unlock()
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cli.Close()
-	ctx := context.Background()
-
-	firstFail := clk.Now()
-	// Drive ambiguous failures one fake-second apart until the detector
-	// suspects the peer (default threshold 3); the clock advance also
-	// clears the redial backoff gate between attempts.
-	deadline := time.Now().Add(5 * time.Second)
-	for !cli.Suspected(1) {
-		if time.Now().After(deadline) {
-			t.Fatal("peer never suspected")
-		}
-		cli.Call(ctx, 0, 1, protocol.StatusRequest{})
-		if !cli.Suspected(1) {
-			clk.Advance(time.Second)
-		}
-	}
-
-	down, since := cli.SuspectedSince(1)
-	if !down {
-		t.Fatal("SuspectedSince reports up after threshold")
-	}
-	if !since.Equal(firstFail) {
-		t.Fatalf("since = %v, want first failure time %v (not the threshold-crossing retry %v)",
-			since, firstFail, clk.Now())
-	}
-
-	// The observer's down transition carries the same honest timestamp.
-	transMu.Lock()
-	if len(transitions) != 1 || !transitions[0].down || !transitions[0].since.Equal(firstFail) {
-		t.Fatalf("transitions = %+v, want one down at %v", transitions, firstFail)
-	}
-	transMu.Unlock()
-
-	// Further failures must neither move the streak start nor re-notify.
-	clk.Advance(time.Second)
-	cli.Call(ctx, 0, 1, protocol.StatusRequest{})
-	if _, since2 := cli.SuspectedSince(1); !since2.Equal(firstFail) {
-		t.Fatalf("later failure moved since to %v, want %v", since2, firstFail)
-	}
-	transMu.Lock()
-	if len(transitions) != 1 {
-		t.Fatalf("redundant detector notifications: %+v", transitions)
-	}
-	transMu.Unlock()
-
-	// A peer the client never exchanged with is not suspected.
-	if down, _ := cli.SuspectedSince(0); down {
-		t.Fatal("healthy peer reported down")
 	}
 }

@@ -3,6 +3,7 @@ package site
 import (
 	"bytes"
 	"context"
+	"math"
 	"testing"
 
 	"relidev/internal/block"
@@ -23,21 +24,49 @@ func fillVersions(t *testing.T, r *Replica, vers []block.Version) {
 	}
 }
 
-func TestHandleRecoveryLegacySingleShot(t *testing.T) {
-	donor := newReplica(t, 1)
-	fillVersions(t, donor, []block.Version{3, 3, 3, 3, 3, 3, 3, 3})
-	// MaxBlocks zero — the wire default — must keep the Figure 5 shape:
-	// every stale block in one reply, no continuation.
-	resp, err := donor.Handle(context.Background(), 0, protocol.RecoveryRequest{Vector: make(block.Vector, 8)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec := resp.(protocol.RecoveryReply)
-	if rec.More || rec.Next != 0 {
-		t.Fatalf("legacy reply paged: More=%v Next=%v", rec.More, rec.Next)
-	}
-	if len(rec.Blocks) != 8 {
-		t.Fatalf("legacy reply carried %d blocks, want all 8", len(rec.Blocks))
+// TestHandleRecoveryClampsToBudget: whatever page size a peer asks for —
+// none, a negative one, an enormous one — the donor ships at most its
+// own derived budget (1 MiB of payload, at least one block) and says
+// where to resume.
+func TestHandleRecoveryClampsToBudget(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		geom   block.Geometry
+		budget int
+	}{
+		{"quarter-MiB blocks", block.Geometry{BlockSize: 256 << 10, NumBlocks: 10}, 4},
+		{"blocks over the budget", block.Geometry{BlockSize: 2 << 20, NumBlocks: 3}, 1},
+	} {
+		st, err := store.NewMem(tc.geom)
+		if err != nil {
+			t.Fatal(err)
+		}
+		donor, err := New(Config{ID: 1, Store: st})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := donor.RecoveryBudget(); got != tc.budget {
+			t.Fatalf("%s: RecoveryBudget = %d, want %d", tc.name, got, tc.budget)
+		}
+		data := make([]byte, tc.geom.BlockSize)
+		for i := 0; i < tc.geom.NumBlocks; i++ {
+			if err := donor.WriteLocal(block.Index(i), data, 3); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, maxBlocks := range []int{0, -1, math.MaxInt32} {
+			resp, err := donor.Handle(context.Background(), 0, protocol.RecoveryRequest{
+				Vector: make(block.Vector, tc.geom.NumBlocks), MaxBlocks: maxBlocks,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			rec := resp.(protocol.RecoveryReply)
+			if len(rec.Blocks) != tc.budget || !rec.More || rec.Next != block.Index(tc.budget) {
+				t.Fatalf("%s, MaxBlocks=%d: %d blocks More=%v Next=%v, want %d/true/%d",
+					tc.name, maxBlocks, len(rec.Blocks), rec.More, rec.Next, tc.budget, tc.budget)
+			}
+		}
 	}
 }
 

@@ -175,13 +175,6 @@ func (r *Replica) SetWasAvailable(w protocol.SiteSet) error {
 	return r.setWasAvailLocked(w)
 }
 
-// MergeWasAvailable unions sites into the stored was-available set.
-func (r *Replica) MergeWasAvailable(w protocol.SiteSet) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.setWasAvailLocked(r.wasAvail.Union(w))
-}
-
 func (r *Replica) setWasAvailLocked(w protocol.SiteSet) error {
 	old := r.wasAvail
 	r.wasAvail = w
@@ -519,31 +512,51 @@ func (r *Replica) applyWasAvailFromWrite(piggyback protocol.SiteSet, writer prot
 	return r.setWasAvailLocked(next)
 }
 
-// handleRecovery serves the version-vector exchange of Figure 5: compare
-// the requester's vector with ours, return the correct vector plus copies
-// of every block the requester is missing, and (for the available copy
-// scheme) fold the requester into our was-available set — "all of those
-// sites which have repaired from site s" belong to W_s.
+// recoveryBudgetBytes is the payload budget of one recovery page: the
+// 1 MiB SegStore's replay buffer already moves at a time, far under
+// rpcnet's frame limit, and large enough that per-page round trips
+// vanish beside the transfer.
+const recoveryBudgetBytes = 1 << 20
+
+// RecoveryBudget returns how many block copies one page of the
+// recovery exchange carries: the byte budget over the block size, at
+// least one. Derived from the geometry every site of a device shares,
+// so requester and donor arrive at the same figure.
+func (r *Replica) RecoveryBudget() int {
+	return max(1, recoveryBudgetBytes/r.st.Geometry().BlockSize)
+}
+
+// handleRecovery serves one page of the version-vector exchange of
+// Figure 5: compare the requester's vector with ours and return the
+// correct vector plus copies of the blocks the requester is missing,
+// from index q.Cont on, setting More/Next when further pages remain.
+// The page never exceeds RecoveryBudget — a requested MaxBlocks
+// that is non-positive or larger is clamped to it — so no peer can make
+// a donor build an unbounded reply. With JoinW (the available copy
+// scheme, first page only) the requester is folded into our
+// was-available set — "all of those sites which have repaired from
+// site s" belong to W_s.
 func (r *Replica) handleRecovery(from protocol.SiteID, q protocol.RecoveryRequest) (protocol.Response, error) {
 	mine := r.st.Vector()
+	limit := r.RecoveryBudget()
+	if q.MaxBlocks > 0 && q.MaxBlocks < limit {
+		limit = q.MaxBlocks
+	}
 	// A requester with a shorter history than ours may also hold blocks
 	// *newer* than ours only if it was available more recently, in which
 	// case the scheme selected the wrong source; the scheme layers
 	// guarantee the source dominates, and the property tests check it.
 	reply := protocol.RecoveryReply{Vector: mine}
 	for _, idx := range q.Vector.StaleAgainst(mine) {
-		if q.MaxBlocks > 0 {
-			// Paged shape: skip below the continuation token, stop at the
-			// page bound. StaleAgainst returns ascending indices, so the
-			// resume point is simply the first index past this page.
-			if idx < q.Cont {
-				continue
-			}
-			if len(reply.Blocks) == q.MaxBlocks {
-				reply.More = true
-				reply.Next = idx
-				break
-			}
+		// StaleAgainst returns ascending indices, so the resume point is
+		// simply the first index past this page.
+		if idx < q.Cont {
+			continue
+		}
+		if len(reply.Blocks) == limit {
+			reply.More = true
+			reply.Next = idx
+			break
 		}
 		data, ver, err := r.st.Read(idx)
 		if err != nil {
@@ -561,17 +574,6 @@ func (r *Replica) handleRecovery(from protocol.SiteID, q protocol.RecoveryReques
 		}
 	}
 	return reply, nil
-}
-
-// ApplyRecovery installs the blocks and vector received from the repair
-// source: "repair those blocks that differ in v'; v <- v'" (Figure 5).
-func (r *Replica) ApplyRecovery(reply protocol.RecoveryReply) error {
-	for _, c := range reply.Blocks {
-		if err := r.st.Write(c.Index, c.Data, c.Version); err != nil {
-			return fmt.Errorf("apply recovery block %v: %w", c.Index, err)
-		}
-	}
-	return nil
 }
 
 // handleRepairFetch serves one page of an anti-entropy stream (DESIGN.md
@@ -598,14 +600,16 @@ func (r *Replica) handleRepairFetch(q protocol.RepairFetchRequest) (protocol.Res
 	return reply, nil
 }
 
-// ApplyRepair installs fetched repair blocks through the same atomic
-// version-conditional gate as remote writes (stageLocked), so a repair
-// install racing a foreground write on the same block can never move a
-// version backwards or tear data: whichever carries the higher version
-// wins, the other is discarded. It deliberately takes no OpLocks — the
-// background stream must not block foreground reads and writes — and
-// returns how many blocks actually installed (stale copies are skipped,
-// not errors).
+// ApplyRepair installs block copies received from a peer — a page of the
+// recovery exchange ("repair those blocks that differ in v'", Figure 5)
+// or of the background repair stream — through the same atomic
+// version-conditional gate as remote writes (stageLocked): a copy can
+// never move a version backwards or tear data, whichever of it and a
+// racing foreground write carries the higher version wins, and a
+// recovery stream cut short leaves a version-monotone partial image. It
+// deliberately takes no OpLocks — the background stream must not block
+// foreground reads and writes — and returns how many blocks actually
+// installed (stale copies are skipped, not errors).
 func (r *Replica) ApplyRepair(blocks []protocol.BlockCopy) (int, error) {
 	installed := 0
 	for _, c := range blocks {

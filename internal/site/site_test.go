@@ -194,8 +194,8 @@ func TestApplyRecovery(t *testing.T) {
 			{Index: 3, Data: pad("b"), Version: 2},
 		},
 	}
-	if err := dst.ApplyRecovery(reply); err != nil {
-		t.Fatal(err)
+	if n, err := dst.ApplyRepair(reply.Blocks); err != nil || n != 2 {
+		t.Fatalf("installed %d of 2 blocks, err=%v", n, err)
 	}
 	data, ver, err := dst.ReadLocal(0)
 	if err != nil || ver != 5 || !bytes.Equal(data, pad("a")) {

@@ -14,6 +14,7 @@ import (
 	"errors"
 	"fmt"
 
+	"relidev/internal/availcopy"
 	"relidev/internal/block"
 	"relidev/internal/protocol"
 	"relidev/internal/scheme"
@@ -57,15 +58,6 @@ func WithEagerRecovery() Option {
 	return func(c *Controller) { c.eager = true }
 }
 
-// WithPagedRecovery bounds the eager recovery exchange to maxBlocks
-// block copies per reply, continued under a resume token, instead of
-// the single unbounded RecoveryReply. Only meaningful together with
-// WithEagerRecovery; maxBlocks <= 0 keeps the legacy single-shot shape
-// that the §5 traffic rigs price.
-func WithPagedRecovery(maxBlocks int) Option {
-	return func(c *Controller) { c.recoveryPage = maxBlocks }
-}
-
 // Controller is the voting consistency engine at one site.
 type Controller struct {
 	env            scheme.Env
@@ -73,7 +65,6 @@ type Controller struct {
 	readThreshold  int64
 	writeThreshold int64
 	eager          bool
-	recoveryPage   int
 	twoRound       bool
 
 	// locks serialises same-block operations issued at this site while
@@ -516,32 +507,5 @@ func (c *Controller) Recover(ctx context.Context) (err error) {
 		self.SetState(protocol.StateAvailable)
 		return nil
 	}
-	var cont block.Index
-	for {
-		resp, err := c.env.Transport.Call(ctx, self.ID(), best,
-			protocol.RecoveryRequest{Vector: self.Vector(), MaxBlocks: c.recoveryPage, Cont: cont})
-		if err != nil {
-			if scheme.IsTransportError(err) {
-				// The chosen source vanished mid-exchange; stay comatose and
-				// retry when membership changes instead of failing recovery.
-				// Pages already applied are version-monotone installs, so a
-				// partial stream leaves nothing to undo.
-				return fmt.Errorf("voting eager recovery from %v: %v: %w", best, err, scheme.ErrAwaitingSites)
-			}
-			return fmt.Errorf("voting eager recovery from %v: %w", best, err)
-		}
-		rec, ok := resp.(protocol.RecoveryReply)
-		if !ok {
-			return fmt.Errorf("voting eager recovery: unexpected reply %T", resp)
-		}
-		if err := self.ApplyRecovery(rec); err != nil {
-			return err
-		}
-		if !rec.More {
-			break
-		}
-		cont = rec.Next
-	}
-	self.SetState(protocol.StateAvailable)
-	return nil
+	return availcopy.Exchange(ctx, c.env, best, false)
 }

@@ -5,7 +5,7 @@
 // workload — so the deltas price the phase accumulator, the per-peer
 // RTT histograms, and the EvPhase trace emission respectively.
 // EXPERIMENTS.md tracks the headline: attribution stays under 5% on
-// voting/n5 writes; BENCH_obs.json records the series.
+// voting/n5 writes; BENCH_history.json records the series.
 //
 // Run: go test -run='^$' -bench=CriticalPathOverhead .
 package relidev_test

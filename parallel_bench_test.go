@@ -16,7 +16,7 @@
 // in-process server endpoints.
 //
 // Run: go test -bench=Parallel -benchtime=1s
-// Results are tracked in EXPERIMENTS.md and BENCH_parallel.json.
+// Results are tracked in EXPERIMENTS.md and BENCH_history.json.
 package relidev_test
 
 import (
@@ -152,7 +152,7 @@ func BenchmarkParallelRead(b *testing.B) {
 // the delta against the unmetered series is exactly the cost of
 // metering on the hot path. The instrumentation is contention-free
 // (striped counters, sharded histograms), so the delta must stay under
-// a few percent; BENCH_obs.json records the comparison. When
+// a few percent; BENCH_history.json records the comparison. When
 // RELIDEV_OBS_DIR is set, each sub-benchmark also writes its final
 // metrics snapshot there (benchjson -obs embeds one into the report).
 func BenchmarkParallelWriteMetered(b *testing.B) {
@@ -182,7 +182,7 @@ func BenchmarkParallelWriteMetered(b *testing.B) {
 // deployment (1s step, 10s+ scrape). The delta against the
 // Metered series is the cost of *watching* the system, and it must
 // stay within a few percent because the plane only reads snapshots —
-// it never takes the data path's locks. BENCH_obs.json records the
+// it never takes the data path's locks. BENCH_history.json records the
 // comparison.
 func BenchmarkParallelWriteTelemetry(b *testing.B) {
 	for _, lat := range []time.Duration{0, parLatency} {

@@ -135,7 +135,6 @@ type options struct {
 	metered        bool
 	traceCap       int
 	repairPolicy   *repair.Policy
-	recoveryPage   int
 	objectives     []Objective
 	telemetryStep  time.Duration
 }
@@ -234,7 +233,7 @@ func WithSimulatedLatency(d time.Duration) Option {
 // metering. Read the result through MetricsJSON or mount DebugHandler.
 // The instrumentation path is contention-free (striped counters,
 // sharded histograms), so metered clusters stay within a few percent
-// of unmetered throughput; BENCH_obs.json records the measured delta.
+// of unmetered throughput; BENCH_history.json records the measured delta.
 func WithMetering() Option {
 	return func(o *options) { o.metered = true }
 }
@@ -276,14 +275,6 @@ type RepairResult = repair.Result
 // paper's default). See DESIGN.md §13.
 func WithBackgroundRepair(p RepairPolicy) Option {
 	return func(o *options) { o.repairPolicy = &p }
-}
-
-// WithPagedRecovery bounds the recovery exchange to maxBlocks block
-// copies per reply, continued under a resume token, instead of the
-// single unbounded reply of Figure 5. Applies to the available copy
-// schemes' repair exchange and voting's eager-recovery ablation.
-func WithPagedRecovery(maxBlocks int) Option {
-	return func(o *options) { o.recoveryPage = maxBlocks }
 }
 
 // Objective is one alert condition (DESIGN.md "Alerts"): a signal
@@ -444,8 +435,6 @@ func New(n int, scheme Scheme, opts ...Option) (*Cluster, error) {
 		Witnesses: o.witnesses,
 		Latency:   o.latency,
 		Repair:    o.repairPolicy,
-
-		RecoveryPageBlocks: o.recoveryPage,
 	}
 	if o.unicast {
 		cfg.Mode = simnet.Unicast

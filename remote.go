@@ -299,10 +299,6 @@ func (r *RemoteSite) ClusterTraceHandler(peerTraceURLs []string) (http.Handler, 
 	return obs.ClusterTraceHandler(r.plane.Observer(), nil, peerTraceURLs), nil
 }
 
-func isNotExist(err error) bool {
-	return errors.Is(err, fs.ErrNotExist)
-}
-
 // Addr returns the address this site's server is listening on.
 func (r *RemoteSite) Addr() string { return r.server.Addr() }
 

@@ -8,7 +8,7 @@
 // to show the protocol win survives real fsyncs.
 //
 // Run: go test -run='^$' -bench=WritePath .
-// Results are tracked in BENCH_writepath.json and EXPERIMENTS.md.
+// Results are tracked in BENCH_history.json and EXPERIMENTS.md.
 package relidev_test
 
 import (
