@@ -175,13 +175,19 @@ func (r *Replica) SetWasAvailable(w protocol.SiteSet) error {
 	return r.setWasAvailLocked(w)
 }
 
+// setWasAvailLocked persists w only when it differs from the stored set:
+// most puts carry the W they find, and rewriting it would cost an AC put
+// a second record and, under group commit, a second fsync. The W hook
+// still sees every update, changed or not.
 func (r *Replica) setWasAvailLocked(w protocol.SiteSet) error {
 	old := r.wasAvail
-	r.wasAvail = w
-	var meta [8]byte
-	binary.LittleEndian.PutUint64(meta[:], uint64(w))
-	if err := r.st.SaveMeta(meta[:]); err != nil {
-		return fmt.Errorf("persist was-available set: %w", err)
+	if w != old {
+		var meta [8]byte
+		binary.LittleEndian.PutUint64(meta[:], uint64(w))
+		if err := r.st.SaveMeta(meta[:]); err != nil {
+			return fmt.Errorf("persist was-available set: %w", err)
+		}
+		r.wasAvail = w
 	}
 	if r.wHook != nil {
 		r.wHook(old, w)

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"maps"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -11,10 +12,11 @@ import (
 
 // BenchmarkOpenSeg times what a restarted site pays before it can take
 // part again: replaying an aged log. Every block is written once and
-// then overwritten seven times on average, at random, so the log holds
-// several bytes of superseded history per live byte and segments die
-// unevenly, as they do under a real workload. MB/s is log bytes
-// replayed.
+// then overwritten seven times on average, at random, so segments die
+// unevenly, as they do under a real workload; the cleaner holds the log
+// near cleanFactor log bytes per live byte (seven without it). MB/s is
+// log bytes replayed; appended/user-B is write amplification, the bytes
+// the aging appended — the cleaner's copies included — per byte written.
 func BenchmarkOpenSeg(b *testing.B) {
 	geom := block.Geometry{BlockSize: 4096, NumBlocks: 1024}
 	dir := filepath.Join(b.TempDir(), "segs")
@@ -25,7 +27,13 @@ func BenchmarkOpenSeg(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	payload := make([]byte, geom.BlockSize)
 	vers := make([]block.Version, geom.NumBlocks)
-	for i := 0; i < 8*geom.NumBlocks; i++ {
+	// sealed collects every segment's length as it is sealed; with the
+	// active segment's, the sum is what the aging appended. (One dead
+	// the moment it was sealed would be missed; random overwrites of
+	// 1 024 blocks never leave one.)
+	sealed := map[uint64]int64{}
+	writes := 8 * geom.NumBlocks
+	for i := 0; i < writes; i++ {
 		idx := i
 		if i >= geom.NumBlocks {
 			idx = rng.Intn(geom.NumBlocks)
@@ -35,6 +43,11 @@ func BenchmarkOpenSeg(b *testing.B) {
 		if err := s.Write(block.Index(idx), payload, vers[idx]); err != nil {
 			b.Fatal(err)
 		}
+		maps.Copy(sealed, s.size)
+	}
+	appended := s.activeLen
+	for _, n := range sealed {
+		appended += n
 	}
 	if err := s.Close(); err != nil {
 		b.Fatal(err)
@@ -68,4 +81,7 @@ func BenchmarkOpenSeg(b *testing.B) {
 		}
 		b.StartTimer()
 	}
+	// After the loop: ResetTimer drops metrics reported before it.
+	b.ReportMetric(float64(appended)/float64(writes*geom.BlockSize), "appended/user-B")
+	b.ReportMetric(float64(logBytes)/float64(geom.Size()), "log/live-B")
 }

@@ -165,7 +165,10 @@ func readDir(t testing.TB, dir string) map[string][]byte {
 // the in-test model and the in-order reference replay say, liveness
 // included; and since the twin that is never reopened keeps its
 // liveness from append-time accounting alone, the two directories must
-// go on holding the same files through every later rotation.
+// go on holding the same files through every later rotation. Twelve
+// blocks in segments of a handful of records make the log cleaner fire
+// every few rotations, so that check also pins "a reopened store makes
+// the cleaner's decisions".
 func TestSegReplayEquivalence(t *testing.T) {
 	geom := block.Geometry{BlockSize: 24, NumBlocks: 12}
 	for seed := int64(1); seed <= 12; seed++ {
@@ -191,12 +194,17 @@ func TestSegReplayEquivalence(t *testing.T) {
 			}
 			vers := block.NewVector(geom.NumBlocks)
 			var meta []byte
+			cleanings := 0
 			both := func(op func(*SegStore) error) {
 				t.Helper()
+				before := append([]uint64(nil), twin.liveSeg...)
 				for _, st := range []*SegStore{s, twin} {
 					if err := op(st); err != nil {
 						t.Fatal(err)
 					}
+				}
+				if cleaned(before, twin) {
+					cleanings++
 				}
 			}
 			reopens := 0
@@ -244,6 +252,9 @@ func TestSegReplayEquivalence(t *testing.T) {
 			}
 			if reopens == 0 {
 				t.Fatal("history never reopened the store")
+			}
+			if cleanings == 0 {
+				t.Fatal("history never made the cleaner copy more than one block")
 			}
 			both(func(st *SegStore) error { return st.Close() })
 			if got, want := readDir(t, dir), readDir(t, twinDir); !reflect.DeepEqual(got, want) {
