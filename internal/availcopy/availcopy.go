@@ -27,6 +27,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync"
 
 	"relidev/internal/block"
 	"relidev/internal/protocol"
@@ -288,44 +289,63 @@ func Recover(ctx context.Context, locks *scheme.OpLocks, env scheme.Env, frozenW
 // Exchange runs the version-vector exchange that ends Figures 5 and 6
 // (and voting's eager ablation) against source t and marks the local
 // site available; the caller holds the recovery exclusion. The transfer
-// arrives in pages of at most RecoveryBudget copies, continued
-// under the reply's resume token. joinW makes it Figure 5's: t folds
-// the local site into W_t and W_s <- W_t ∪ {s} — one logical join, on
-// the first page, however many pages carry the blocks. A source that
-// vanishes mid-stream leaves the site comatose with a partially
-// freshened image — harmless, since ApplyRepair's installs are
-// version-monotone — and ErrAwaitingSites has the next membership
-// change re-run recovery against a live source.
+// arrives in pages of at most RecoveryBudget copies, continued under
+// the reply's resume token, and the next page is on the wire while this
+// one installs: its request goes out on its own goroutine, at most one
+// ahead, and every return cancels it and waits for it. joinW makes it
+// Figure 5's: t folds the local site into W_t and W_s <- W_t ∪ {s} — one
+// logical join, after the first page. A source that vanishes mid-stream
+// leaves the site comatose with a partially freshened image — harmless,
+// since ApplyRepair's installs are version-monotone — and
+// ErrAwaitingSites has the next membership change re-run recovery
+// against a live source.
 func Exchange(ctx context.Context, env scheme.Env, t protocol.SiteID, joinW bool) error {
 	self := env.Self
+	ctx, cancel := context.WithCancel(ctx)
+	var wg sync.WaitGroup
+	defer wg.Wait()
+	defer cancel()
+	next := make(chan protocol.Result, 1)
+	fetch := func(req protocol.RecoveryRequest) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			resp, err := env.Transport.Call(ctx, self.ID(), t, req)
+			next <- protocol.Result{Resp: resp, Err: err}
+		}()
+	}
 	req := protocol.RecoveryRequest{Vector: self.Vector(), JoinW: joinW, MaxBlocks: self.RecoveryBudget()}
+	fetch(req)
 	for {
-		resp, err := env.Transport.Call(ctx, self.ID(), t, req)
-		if err != nil {
+		p := <-next
+		if err := p.Err; err != nil {
 			if scheme.IsTransportError(err) {
 				return fmt.Errorf("recovery of %v from %v: %v: %w", self.ID(), t, err, scheme.ErrAwaitingSites)
 			}
 			return fmt.Errorf("recovery of %v from %v: %w", self.ID(), t, err)
 		}
-		rec, ok := resp.(protocol.RecoveryReply)
+		rec, ok := p.Resp.(protocol.RecoveryReply)
 		if !ok {
-			return fmt.Errorf("recovery of %v from %v: unexpected reply %T", self.ID(), t, resp)
+			return fmt.Errorf("recovery of %v from %v: unexpected reply %T", self.ID(), t, p.Resp)
+		}
+		if rec.More {
+			req.JoinW, req.Cont = false, rec.Next
+			fetch(req)
 		}
 		if _, err := self.ApplyRepair(rec.Blocks); err != nil {
 			return err
 		}
-		if req.JoinW {
-			// The reply carries W_t after the join.
+		if joinW {
+			// The first reply carries W_t after the join.
 			if err := self.SetWasAvailable(rec.WasAvail.Add(self.ID())); err != nil {
 				return err
 			}
-			req.JoinW = false
+			joinW = false
 		}
 		if !rec.More {
 			self.SetState(protocol.StateAvailable)
 			return nil
 		}
-		req.Cont = rec.Next
 		env.Obs.RecoveryPage()
 	}
 }

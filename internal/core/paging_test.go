@@ -11,6 +11,7 @@ import (
 	"relidev/internal/block"
 	"relidev/internal/protocol"
 	"relidev/internal/scheme"
+	"relidev/internal/store"
 	"relidev/internal/voting"
 )
 
@@ -65,14 +66,29 @@ var pagedGeom = block.Geometry{BlockSize: 256 << 10, NumBlocks: 10}
 // 2, and overwrites every block through site 0 — so site 2 restarts
 // three pages behind. It returns the contents written while it was down.
 func pagedCluster(t *testing.T, kind SchemeKind) (*Cluster, *pageSpy, [][]byte) {
+	return pagedClusterWith(t, kind, nil, nil)
+}
+
+// pagedClusterWith is pagedCluster with site 2 on the given store and
+// wrap, when set, decorating the network beneath the spy.
+func pagedClusterWith(t *testing.T, kind SchemeKind, site2 store.Store, wrap func(protocol.Transport) protocol.Transport) (*Cluster, *pageSpy, [][]byte) {
 	t.Helper()
 	spy := &pageSpy{}
 	cl, err := NewCluster(ClusterConfig{
 		Sites: 3, Geometry: pagedGeom, Scheme: kind,
+		NewStore: func(id protocol.SiteID, geom block.Geometry) (store.Store, error) {
+			if id == 2 && site2 != nil {
+				return site2, nil
+			}
+			return store.NewMem(geom)
+		},
 		// Eager recovery is voting's use of the exchange; the lazy
 		// default sends nothing.
 		VotingOptions: []voting.Option{voting.WithEagerRecovery()},
 		WrapTransport: func(inner protocol.Transport) protocol.Transport {
+			if wrap != nil {
+				inner = wrap(inner)
+			}
 			spy.Transport = inner
 			return spy
 		},

@@ -26,9 +26,10 @@ import (
 //  3. guarded mutation: calls to site.Replica mutators (WriteLocal,
 //     SetState, SetWasAvailable) must happen in a locked context —
 //     after the function's own acquisition, or in a function every
-//     intra-package caller of which acquires. (Installing a peer's
-//     block copies, ApplyRepair, is version-conditional and atomic at
-//     the replica and needs no OpLocks.)
+//     intra-package caller of which acquires. (Installing a page of a
+//     peer's block copies, ApplyRepair, is version-conditional per block
+//     and atomic as a page under the replica's own mutex, one hold per
+//     page, and needs no OpLocks.)
 //
 // The store layer joined the scope with group commit (DESIGN.md §12):
 // SegStore serialises image and segment mutation under one mutex and

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"math"
+	"path/filepath"
+	"sync/atomic"
 	"testing"
 
 	"relidev/internal/block"
@@ -224,5 +226,169 @@ func TestApplyRepairVersionConditional(t *testing.T) {
 	}
 	if _, ver, _ := r.ReadLocal(1); ver != 6 {
 		t.Fatalf("block 1 = version %d, want 6", ver)
+	}
+}
+
+// repairStores runs a test over the three ways a page reaches storage:
+// a MemStore, which has no WriteRun and takes one Write per install; a
+// SegStore, which appends the page as one run; and a Batcher over a
+// SegStore, which makes it one batch. Each must give the same results.
+func repairStores(t *testing.T, run func(t *testing.T, r *Replica)) {
+	for _, kind := range []string{"mem", "seg", "batched"} {
+		t.Run(kind, func(t *testing.T) {
+			var st store.Store
+			var err error
+			if kind == "mem" {
+				st, err = store.NewMem(testGeom)
+			} else if st, err = store.CreateSeg(filepath.Join(t.TempDir(), "segs"), testGeom); kind == "batched" {
+				st = store.NewBatcher(st, store.BatchPolicy{MaxBatch: 8})
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer st.Close()
+			r, err := New(Config{ID: 0, Store: st})
+			if err != nil {
+				t.Fatal(err)
+			}
+			run(t, r)
+		})
+	}
+}
+
+// TestApplyRepairRepeatedBlock: a page naming one block twice ends at
+// the higher version in either order, with the count two StageLocal
+// calls would give — both install when the later copy is newer, only
+// the first when it is older.
+func TestApplyRepairRepeatedBlock(t *testing.T) {
+	repairStores(t, func(t *testing.T, r *Replica) {
+		for _, tc := range []struct {
+			page      []protocol.BlockCopy
+			installed int
+			data      string
+			ver       block.Version
+		}{
+			{[]protocol.BlockCopy{{Index: 2, Data: pad("lo"), Version: 3}, {Index: 2, Data: pad("hi"), Version: 7}}, 2, "hi", 7},
+			{[]protocol.BlockCopy{{Index: 4, Data: pad("hi"), Version: 7}, {Index: 4, Data: pad("lo"), Version: 3}}, 1, "hi", 7},
+			{[]protocol.BlockCopy{{Index: 5, Data: pad("a"), Version: 2}, {Index: 1, Data: pad("b"), Version: 1}, {Index: 5, Data: pad("c"), Version: 2}}, 2, "a", 2},
+		} {
+			twin := newReplica(t, 1)
+			want := 0
+			for _, c := range tc.page {
+				if ok, err := twin.StageLocal(c.Index, c.Data, c.Version); err != nil {
+					t.Fatal(err)
+				} else if ok {
+					want++
+				}
+			}
+			got, err := r.ApplyRepair(tc.page)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != tc.installed || want != tc.installed {
+				t.Fatalf("page %v installed %d, StageLocal calls %d, want %d", tc.page, got, want, tc.installed)
+			}
+			wantBlock(t, r, tc.page[0].Index, tc.data, tc.ver)
+			wantBlock(t, twin, tc.page[0].Index, tc.data, tc.ver)
+		}
+	})
+}
+
+// TestApplyRepairStaleCopies: copies at or below the stored version are
+// skipped and not counted, and a page of nothing but stale copies
+// writes nothing.
+func TestApplyRepairStaleCopies(t *testing.T) {
+	repairStores(t, func(t *testing.T, r *Replica) {
+		if err := r.WriteLocal(0, pad("cur"), 5); err != nil {
+			t.Fatal(err)
+		}
+		n, err := r.ApplyRepair([]protocol.BlockCopy{
+			{Index: 0, Data: pad("old"), Version: 4},
+			{Index: 0, Data: pad("same"), Version: 5},
+			{Index: 3, Data: pad("new"), Version: 1},
+		})
+		if err != nil || n != 1 {
+			t.Fatalf("installed %d (err %v), want 1", n, err)
+		}
+		wantBlock(t, r, 0, "cur", 5)
+		wantBlock(t, r, 3, "new", 1)
+		if n, err := r.ApplyRepair([]protocol.BlockCopy{{Index: 3, Data: pad("x"), Version: 1}}); err != nil || n != 0 {
+			t.Fatalf("all-stale page installed %d (err %v)", n, err)
+		}
+	})
+}
+
+// TestApplyRepairDropsStagedPreImage: an install supersedes a staged
+// prepare-write, so its pre-image record goes; a stale copy leaves the
+// record, and the coordinator's abort still restores the block.
+func TestApplyRepairDropsStagedPreImage(t *testing.T) {
+	repairStores(t, func(t *testing.T, r *Replica) {
+		for _, idx := range []block.Index{1, 2} {
+			if err := r.WriteLocal(idx, pad("base"), 4); err != nil {
+				t.Fatal(err)
+			}
+			if !prepare(t, r, 2, idx, "staged", 5).Staged {
+				t.Fatalf("block %d: prepare not staged", idx)
+			}
+		}
+		n, err := r.ApplyRepair([]protocol.BlockCopy{
+			{Index: 1, Data: pad("repair"), Version: 6},
+			{Index: 2, Data: pad("stale"), Version: 5},
+		})
+		if err != nil || n != 1 {
+			t.Fatalf("installed %d (err %v), want 1", n, err)
+		}
+		if _, ok := r.prov[1]; ok {
+			t.Fatal("block 1's install left the staged pre-image record")
+		}
+		if _, ok := r.prov[2]; !ok {
+			t.Fatal("a stale copy of block 2 dropped the staged pre-image record")
+		}
+		abort(t, r, 2, 1, 5)
+		abort(t, r, 2, 2, 5)
+		wantBlock(t, r, 1, "repair", 6)
+		wantBlock(t, r, 2, "base", 4)
+	})
+}
+
+// syncCounter counts Syncs of the store it wraps and passes runs
+// through.
+type syncCounter struct {
+	store.Store
+	syncs atomic.Int64
+}
+
+func (c *syncCounter) Sync() error {
+	c.syncs.Add(1)
+	return c.Store.(store.Syncer).Sync()
+}
+
+func (c *syncCounter) WriteRun(ins []store.Install) error { return store.WriteRun(c.Store, ins) }
+
+// TestApplyRepairBatchedPageSyncsOnce: on a durable site, a 256-block
+// page costs one group-commit batch and so exactly one fsync, not one
+// per block.
+func TestApplyRepairBatchedPageSyncsOnce(t *testing.T) {
+	geom := block.Geometry{BlockSize: 4096, NumBlocks: 256}
+	seg, err := store.CreateSeg(filepath.Join(t.TempDir(), "segs"), geom)
+	if err != nil {
+		t.Fatal(err)
+	}
+	counted := &syncCounter{Store: seg}
+	b := store.NewBatcher(counted, store.BatchPolicy{MaxBatch: 64})
+	defer b.Close()
+	r, err := New(Config{ID: 0, Store: b})
+	if err != nil {
+		t.Fatal(err)
+	}
+	page := make([]protocol.BlockCopy, geom.NumBlocks)
+	for i := range page {
+		page[i] = protocol.BlockCopy{Index: block.Index(i), Data: make([]byte, geom.BlockSize), Version: 1}
+	}
+	if n, err := r.ApplyRepair(page); err != nil || n != len(page) {
+		t.Fatalf("installed %d of %d (err %v)", n, len(page), err)
+	}
+	if got := counted.syncs.Load(); got != 1 {
+		t.Fatalf("a %d-block page cost %d syncs, want 1", len(page), got)
 	}
 }

@@ -606,28 +606,53 @@ func (r *Replica) handleRepairFetch(q protocol.RepairFetchRequest) (protocol.Res
 	return reply, nil
 }
 
-// ApplyRepair installs block copies received from a peer — a page of the
-// recovery exchange ("repair those blocks that differ in v'", Figure 5)
-// or of the background repair stream — through the same atomic
-// version-conditional gate as remote writes (stageLocked): a copy can
-// never move a version backwards or tear data, whichever of it and a
-// racing foreground write carries the higher version wins, and a
-// recovery stream cut short leaves a version-monotone partial image. It
-// deliberately takes no OpLocks — the background stream must not block
-// foreground reads and writes — and returns how many blocks actually
-// installed (stale copies are skipped, not errors).
+// ApplyRepair installs a page of block copies received from a peer — of
+// the recovery exchange ("repair those blocks that differ in v'", Figure
+// 5) or of the background repair stream — by the rule of remote writes
+// (stageLocked), for the whole page under one r.mu hold: a copy installs
+// only if it is newer than the stored version and any earlier copy of
+// its block in the page, exactly as per-block StageLocal calls would.
+// The survivors reach the store as one store.WriteRun, and their staged
+// pre-images are dropped. A copy can never move a version backwards or
+// tear data, whichever of it and a racing foreground write carries the
+// higher version wins, and a recovery stream cut short leaves a
+// version-monotone partial image. It takes no OpLocks — the background
+// stream blocks foreground operations for at most one page install —
+// and returns how many blocks installed (stale copies are skipped, not
+// errors).
 func (r *Replica) ApplyRepair(blocks []protocol.BlockCopy) (int, error) {
-	installed := 0
-	for _, c := range blocks {
-		ok, err := r.StageLocal(c.Index, c.Data, c.Version)
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	run := make([]store.Install, 0, len(blocks))
+	ascending := true
+	for i, c := range blocks {
+		floor, err := r.st.Version(c.Index)
 		if err != nil {
-			return installed, fmt.Errorf("apply repair block %v: %w", c.Index, err)
+			return 0, fmt.Errorf("apply repair block %v: %w", c.Index, err)
 		}
-		if ok {
-			installed++
+		if ascending = ascending && (i == 0 || c.Index > blocks[i-1].Index); !ascending {
+			// Pages ascend; past a step back the block may already be in
+			// the run, and the copy must beat that install too.
+			for _, in := range run {
+				if in.Index == c.Index {
+					floor = max(floor, in.Version)
+				}
+			}
+		}
+		if c.Version > floor {
+			run = append(run, store.Install{Index: c.Index, Data: c.Data, Version: c.Version})
 		}
 	}
-	return installed, nil
+	if len(run) == 0 {
+		return 0, nil
+	}
+	if err := store.WriteRun(r.st, run); err != nil {
+		return 0, fmt.Errorf("apply repair page of %d blocks: %w", len(run), err)
+	}
+	for _, in := range run {
+		delete(r.prov, in.Index)
+	}
+	return len(run), nil
 }
 
 // Store exposes the underlying stable storage (examples and tests only).

@@ -31,13 +31,14 @@ type BatchPolicy struct {
 	MaxBatch int
 }
 
-// batchReq is one writer waiting for its record to be applied and
-// made durable. enq is the enqueue timestamp from the injected
-// now-source (zero when flush stats are off).
+// batchReq is one writer waiting for its records to be applied and
+// made durable: a WriteRun's installs, a Write's one (held in one), or
+// with meta a metadata area in run[0].Data. enq is the enqueue
+// timestamp from the injected now-source (zero when flush stats are
+// off).
 type batchReq struct {
-	idx  block.Index
-	data []byte
-	ver  block.Version
+	run  []Install
+	one  [1]Install
 	meta bool
 	enq  int64
 	done chan error
@@ -174,24 +175,37 @@ func (b *Batcher) Write(idx block.Index, data []byte, ver block.Version) error {
 	if err := checkWrite(b.st.Geometry(), idx, data); err != nil {
 		return err
 	}
-	req := &batchReq{idx: idx, data: data, ver: ver, done: make(chan error, 1)}
-	if b.now != nil {
-		req.enq = b.now()
-	}
+	req := &batchReq{one: [1]Install{{Index: idx, Data: data, Version: ver}}}
+	req.run = req.one[:]
 	return b.submit(req)
+}
+
+// WriteRun enqueues the run as one batch entry — one apply through the
+// underlying store's WriteRun, then the batch's one Sync — and blocks
+// until it is durable: a page of installs costs one fsync, not one per
+// block.
+func (b *Batcher) WriteRun(ins []Install) error {
+	for _, in := range ins {
+		if err := checkWrite(b.st.Geometry(), in.Index, in.Data); err != nil {
+			return err
+		}
+	}
+	return b.submit(&batchReq{run: ins})
 }
 
 // SaveMeta rides the same batch queue so metadata updates share the
 // group fsync too.
 func (b *Batcher) SaveMeta(meta []byte) error {
-	req := &batchReq{data: meta, meta: true, done: make(chan error, 1)}
-	if b.now != nil {
-		req.enq = b.now()
-	}
+	req := &batchReq{one: [1]Install{{Data: meta}}, meta: true}
+	req.run = req.one[:]
 	return b.submit(req)
 }
 
 func (b *Batcher) submit(req *batchReq) error {
+	req.done = make(chan error, 1)
+	if b.now != nil {
+		req.enq = b.now()
+	}
 	b.mu.Lock()
 	if b.closed {
 		b.mu.Unlock()
@@ -284,9 +298,9 @@ func (b *Batcher) flush(batch []*batchReq) {
 	errs := make([]error, len(batch))
 	for i, r := range batch {
 		if r.meta {
-			errs[i] = b.st.SaveMeta(r.data)
+			errs[i] = b.st.SaveMeta(r.run[0].Data)
 		} else {
-			errs[i] = b.st.Write(r.idx, r.data, r.ver)
+			errs[i] = WriteRun(b.st, r.run)
 		}
 	}
 	var applied int64

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"path/filepath"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -17,12 +18,54 @@ import (
 // tests can assert how many fsyncs a workload cost.
 type syncCountingStore struct {
 	Store
-	syncs atomic.Int64
+	syncs, runs atomic.Int64
 }
 
 func (s *syncCountingStore) Sync() error {
 	s.syncs.Add(1)
 	return s.Store.(Syncer).Sync()
+}
+
+// WriteRun passes runs through to the wrapped store, counting them.
+func (s *syncCountingStore) WriteRun(ins []Install) error {
+	s.runs.Add(1)
+	return WriteRun(s.Store, ins)
+}
+
+// TestBatcherWriteRunSyncsOnce: a 256-block page through a Batcher is
+// one batch entry — one WriteRun of the segment store underneath, then
+// exactly one Sync — where 256 Writes from one writer cost 256.
+func TestBatcherWriteRunSyncsOnce(t *testing.T) {
+	geom := block.Geometry{BlockSize: 4096, NumBlocks: 512}
+	seg, err := CreateSeg(filepath.Join(t.TempDir(), "segs"), geom)
+	if err != nil {
+		t.Fatal(err)
+	}
+	counted := &syncCountingStore{Store: seg}
+	var sizes []int
+	b := NewBatcher(counted, BatchPolicy{MaxBatch: 64}, WithFlushObserver(func(n int) { sizes = append(sizes, n) }))
+	defer b.Close()
+	run := make([]Install, 256)
+	for i := range run {
+		run[i] = Install{Index: block.Index(2 * i), Data: fill(byte(i), geom.BlockSize), Version: 1}
+	}
+	if err := b.WriteRun(run); err != nil {
+		t.Fatal(err)
+	}
+	if s, r := counted.syncs.Load(), counted.runs.Load(); s != 1 || r != 1 || !reflect.DeepEqual(sizes, []int{1}) {
+		t.Fatalf("a 256-block run cost %d syncs, %d store runs and batches %v, want 1, 1 and [1]", s, r, sizes)
+	}
+	for _, in := range run {
+		if data, ver, err := b.Read(in.Index); err != nil || ver != 1 || data[0] != in.Data[0] {
+			t.Fatalf("block %d after the run: version %d, err %v", in.Index, ver, err)
+		}
+	}
+	if err := b.WriteRun([]Install{{Index: 1, Data: fill(1, geom.BlockSize-1), Version: 1}}); err == nil {
+		t.Fatal("Batcher.WriteRun accepted a short block")
+	}
+	if s := counted.syncs.Load(); s != 1 {
+		t.Fatalf("a refused run reached the flush: %d syncs", s)
+	}
 }
 
 func TestBatcherCoalescesConcurrentWrites(t *testing.T) {

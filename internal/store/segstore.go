@@ -9,6 +9,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 
 	"relidev/internal/block"
@@ -105,8 +106,9 @@ type SegStore struct {
 	// the rotations its own copies cause do not clean again.
 	cleaning bool
 
-	// rec is appendLocked's scratch record. The append is a synchronous
-	// file write, so the buffer is free again when it returns.
+	// rec is appendLocked's scratch, the records of one write(2): about
+	// a segment at most (a recovery page is 1 MiB). The write is
+	// synchronous, so the buffer is free again when it returns.
 	rec []byte
 }
 
@@ -303,23 +305,27 @@ func (s *SegStore) Version(idx block.Index) (block.Version, error) {
 func (s *SegStore) Vector() block.Vector { return s.mem.Vector() }
 
 // Write appends a block record to the active segment and installs it
-// in the image.
+// in the image: a run of one.
 func (s *SegStore) Write(idx block.Index, data []byte, ver block.Version) error {
+	return s.WriteRun([]Install{{Index: idx, Data: data, Version: ver}})
+}
+
+// WriteRun appends ins as block records and installs them in the image,
+// in order, exactly as that many Writes would, but with one write(2)
+// unless the Writes would have rotated in between (see appendLocked).
+// Every install is checked before anything is written.
+func (s *SegStore) WriteRun(ins []Install) error {
 	s.mem.mu.Lock()
 	defer s.mem.mu.Unlock()
 	if s.mem.closed {
 		return ErrClosed
 	}
-	if err := checkWrite(s.mem.geom, idx, data); err != nil {
-		return err
+	for _, in := range ins {
+		if err := checkWrite(s.mem.geom, in.Index, in.Data); err != nil {
+			return err
+		}
 	}
-	if err := s.appendLocked(recBlock, idx, ver, data); err != nil {
-		return err
-	}
-	copy(s.mem.slice(idx), data)
-	s.mem.versions[idx] = ver
-	s.retireLocked(&s.liveSeg[idx])
-	return nil
+	return s.appendLocked(recBlock, ins)
 }
 
 // LoadMeta returns a copy of the metadata area.
@@ -335,11 +341,10 @@ func (s *SegStore) SaveMeta(meta []byte) error {
 	if len(meta) > defaultMetaCap {
 		return fmt.Errorf("store: metadata %d bytes exceeds capacity %d", len(meta), defaultMetaCap)
 	}
-	if err := s.appendLocked(recMeta, 0, 0, meta); err != nil {
+	if err := s.appendLocked(recMeta, []Install{{Data: meta}}); err != nil {
 		return err
 	}
 	s.mem.meta = append([]byte(nil), meta...)
-	s.retireLocked(&s.metaSeg)
 	return nil
 }
 
@@ -371,31 +376,60 @@ func (s *SegStore) Close() error {
 	return s.active.Close()
 }
 
-// appendLocked frames and appends one record, rotating first when the
-// active segment is full. Callers hold s.mem.mu.
-func (s *SegStore) appendLocked(typ byte, idx block.Index, ver block.Version, payload []byte) error {
-	if s.activeLen >= s.maxBytes {
-		if err := s.rotateLocked(); err != nil {
-			return err
+// appendLocked appends ins as records of type typ — block installs, or
+// one metadata area in ins[0].Data — and moves each slot's liveness, and
+// a block's image, to its record. The active segment is rotated before
+// any record once it has reached maxBytes, and only there is the run
+// cut: each piece is framed into s.rec, written with one write(2), and
+// installed before the next rotation, whose cleaner copies from the
+// image. So segment boundaries, live counts and cleaner decisions are
+// those of record-at-a-time appends, byte for byte. Callers hold
+// s.mem.mu and have checked every install.
+func (s *SegStore) appendLocked(typ byte, ins []Install) error {
+	for len(ins) > 0 {
+		if s.activeLen >= s.maxBytes {
+			if err := s.rotateLocked(); err != nil {
+				return err
+			}
 		}
+		// One allocation for a piece, not a doubling series: a run's
+		// records are of one size, and a piece is about a segment at most.
+		s.rec = slices.Grow(s.rec[:0], min(len(ins)*(recHeaderSize+len(ins[0].Data)), int(s.maxBytes)))
+		n := 0
+		for n < len(ins) && (n == 0 || s.activeLen+int64(len(s.rec)) < s.maxBytes) {
+			s.rec = frameRecord(s.rec, typ, ins[n])
+			n++
+		}
+		if _, err := s.active.Write(s.rec); err != nil {
+			return fmt.Errorf("append segment record: %w", err)
+		}
+		s.activeLen += int64(len(s.rec))
+		s.live[s.activeSeq] += n
+		for _, in := range ins[:n] {
+			if typ == recMeta {
+				s.retireLocked(&s.metaSeg)
+				continue
+			}
+			copy(s.mem.slice(in.Index), in.Data)
+			s.mem.versions[in.Index] = in.Version
+			s.retireLocked(&s.liveSeg[in.Index])
+		}
+		ins = ins[n:]
 	}
-	n := recHeaderSize + len(payload)
-	if cap(s.rec) < n {
-		s.rec = make([]byte, n)
-	}
-	rec := s.rec[:n]
-	rec[4] = typ
-	binary.LittleEndian.PutUint32(rec[5:], uint32(idx))
-	binary.LittleEndian.PutUint64(rec[9:], uint64(ver))
-	binary.LittleEndian.PutUint32(rec[17:], uint32(len(payload)))
-	copy(rec[recHeaderSize:], payload)
-	binary.LittleEndian.PutUint32(rec[:4], crc32.ChecksumIEEE(rec[4:]))
-	if _, err := s.active.Write(rec); err != nil {
-		return fmt.Errorf("append segment record: %w", err)
-	}
-	s.activeLen += int64(len(rec))
-	s.live[s.activeSeq]++
 	return nil
+}
+
+// frameRecord appends one CRC-framed record to buf.
+func frameRecord(buf []byte, typ byte, in Install) []byte {
+	at := len(buf)
+	buf = slices.Grow(buf, recHeaderSize+len(in.Data))[:at+recHeaderSize]
+	buf[at+4] = typ
+	binary.LittleEndian.PutUint32(buf[at+5:], uint32(in.Index))
+	binary.LittleEndian.PutUint64(buf[at+9:], uint64(in.Version))
+	binary.LittleEndian.PutUint32(buf[at+17:], uint32(len(in.Data)))
+	buf = append(buf, in.Data...)
+	binary.LittleEndian.PutUint32(buf[at:], crc32.ChecksumIEEE(buf[at+4:]))
+	return buf
 }
 
 // retireLocked moves a liveness slot (a block's or the metadata's) to
@@ -493,23 +527,21 @@ func (s *SegStore) cleanLocked() error {
 }
 
 // evacuateLocked re-appends every current record segment victim holds,
-// from the image, leaving its live count zero. Callers hold s.mem.mu.
+// from the image — the blocks as one run — leaving its live count zero.
+// Callers hold s.mem.mu.
 func (s *SegStore) evacuateLocked(victim uint64) error {
+	run := make([]Install, 0, s.live[victim])
 	for i, seq := range s.liveSeg {
-		if seq != victim {
-			continue
+		if seq == victim {
+			idx := block.Index(i)
+			run = append(run, Install{Index: idx, Data: s.mem.slice(idx), Version: s.mem.versions[idx]})
 		}
-		idx := block.Index(i)
-		if err := s.appendLocked(recBlock, idx, s.mem.versions[idx], s.mem.slice(idx)); err != nil {
-			return err
-		}
-		s.retireLocked(&s.liveSeg[i])
+	}
+	if err := s.appendLocked(recBlock, run); err != nil {
+		return err
 	}
 	if s.metaSeg == victim {
-		if err := s.appendLocked(recMeta, 0, 0, s.mem.meta); err != nil {
-			return err
-		}
-		s.retireLocked(&s.metaSeg)
+		return s.appendLocked(recMeta, []Install{{Data: s.mem.meta}})
 	}
 	return nil
 }

@@ -90,6 +90,32 @@ type ReaderInto interface {
 	ReadInto(idx block.Index, buf []byte) (block.Version, error)
 }
 
+// Install is one block write of a run: block Index holds Data at
+// Version.
+type Install struct {
+	Index   block.Index
+	Data    []byte
+	Version block.Version
+}
+
+// WriteRun writes ins to st in order, as that many Writes would. A store
+// with its own WriteRun takes the run whole (SegStore: one append;
+// Batcher: one group commit); any other — FileStore, VersionOnlyStore,
+// MemStore, a decorator — gets one Write per install up to the first
+// error. Like ReaderInto, the method stays out of Store only because
+// benchmark/ implements Store; folding both in is the follow-up.
+func WriteRun(st Store, ins []Install) error {
+	if rw, ok := st.(interface{ WriteRun([]Install) error }); ok {
+		return rw.WriteRun(ins)
+	}
+	for _, in := range ins {
+		if err := st.Write(in.Index, in.Data, in.Version); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 func checkAccess(g block.Geometry, idx block.Index) error {
 	if !g.Contains(idx) {
 		return &OutOfRangeError{Index: idx, NumBlocks: g.NumBlocks}
