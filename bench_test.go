@@ -277,98 +277,6 @@ func BenchmarkRecovery(b *testing.B) {
 	}
 }
 
-// --- Ablation benchmarks (DESIGN.md §5) ---
-
-// BenchmarkAblationVotingRecovery compares the paper's lazy block-level
-// voting recovery (free) against the eager file-level variant.
-func BenchmarkAblationVotingRecovery(b *testing.B) {
-	for _, eager := range []bool{false, true} {
-		name := "lazy"
-		opts := []relidev.Option{relidev.WithGeometry(relidev.Geometry{BlockSize: 512, NumBlocks: 64})}
-		if eager {
-			name = "eager"
-			opts = append(opts, relidev.WithEagerVotingRecovery())
-		}
-		b.Run(name, func(b *testing.B) {
-			cluster, err := relidev.New(4, relidev.Voting, opts...)
-			if err != nil {
-				b.Fatal(err)
-			}
-			dev, _ := cluster.Device(0)
-			ctx := context.Background()
-			payload := make([]byte, 512)
-			// Dirty every block so eager recovery has work to do.
-			for i := 0; i < 64; i++ {
-				if err := dev.WriteBlock(ctx, relidev.Index(i), payload); err != nil {
-					b.Fatal(err)
-				}
-			}
-			var recoveryMsgs uint64
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := cluster.Fail(2); err != nil {
-					b.Fatal(err)
-				}
-				payload[0] = byte(i)
-				if err := dev.WriteBlock(ctx, relidev.Index(i%64), payload); err != nil {
-					b.Fatal(err)
-				}
-				before := cluster.Traffic().Transmissions
-				if err := cluster.Restart(ctx, 2); err != nil {
-					b.Fatal(err)
-				}
-				recoveryMsgs += cluster.Traffic().Transmissions - before
-			}
-			b.StopTimer()
-			b.ReportMetric(float64(recoveryMsgs)/float64(b.N), "msgs/recovery")
-		})
-	}
-}
-
-// BenchmarkAblationImmediateW compares delayed (piggybacked) and
-// immediate was-available set propagation in the available copy scheme.
-func BenchmarkAblationImmediateW(b *testing.B) {
-	for _, immediate := range []bool{false, true} {
-		name := "delayed"
-		opts := []relidev.Option{relidev.WithGeometry(relidev.Geometry{BlockSize: 512, NumBlocks: 64})}
-		if immediate {
-			name = "immediate"
-			opts = append(opts, relidev.WithImmediateWasAvailable())
-		}
-		b.Run(name, func(b *testing.B) {
-			cluster, err := relidev.New(4, relidev.AvailableCopy, opts...)
-			if err != nil {
-				b.Fatal(err)
-			}
-			dev, _ := cluster.Device(0)
-			ctx := context.Background()
-			payload := make([]byte, 512)
-			cluster.ResetTraffic()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				// Membership changes every other iteration, which is where
-				// the two variants differ.
-				if i%2 == 0 {
-					if err := cluster.Fail(3); err != nil {
-						b.Fatal(err)
-					}
-				}
-				payload[0] = byte(i)
-				if err := dev.WriteBlock(ctx, relidev.Index(i%64), payload); err != nil {
-					b.Fatal(err)
-				}
-				if i%2 == 0 {
-					if err := cluster.Restart(ctx, 3); err != nil {
-						b.Fatal(err)
-					}
-				}
-			}
-			b.StopTimer()
-			b.ReportMetric(float64(cluster.Traffic().Transmissions)/float64(b.N), "msgs/iter")
-		})
-	}
-}
-
 // BenchmarkCachedVotingRead shows the Figure 1 buffer-cache effect: a
 // hot read served from the cache skips the quorum collection entirely.
 func BenchmarkCachedVotingRead(b *testing.B) {

@@ -1,16 +1,13 @@
-// Command benchjson converts the text output of the parallel data-path
-// benchmarks (go test -bench=Parallel) into machine-readable JSON, so
-// runs can be archived and diffed (see BENCH_history.json and the
-// "running the parallel benchmarks" section of EXPERIMENTS.md).
+// Command benchjson converts `go test -bench` text output into
+// machine-readable JSON, so runs can be archived and diffed (see
+// BENCH_history.json).
 //
 // Usage:
 //
-//	go test -run='^$' -bench=Parallel . | benchjson -o run.json
-//	go test -run='^$' -bench=Parallel -benchmem . | benchjson ...
+//	go test -run='^$' -bench=OpenSeg ./internal/store | benchjson -o run.json
+//	go test -run='^$' -bench=OpenSeg -benchmem ./internal/store | benchjson ...
 //	                               also records B/op and allocs/op
 //	benchjson bench.txt            read from a file instead of stdin
-//	benchjson -obs snap.json ...   embed a metrics snapshot from a
-//	                               metered run
 //	benchjson -baseline prior-run.json ...
 //	                               diff against a prior report: print
 //	                               per-benchmark speedup ratios
@@ -33,7 +30,6 @@ import (
 
 func main() {
 	out := flag.String("o", "", "output path (default stdout)")
-	obsPath := flag.String("obs", "", "metrics snapshot JSON (from a metered bench run) to embed in the report")
 	basePath := flag.String("baseline", "", "prior report (a -o file) to diff against: prints per-benchmark speedup ratios")
 	histPath := flag.String("history", "", "history file to append this run to (created when missing)")
 	label := flag.String("label", "", "run label recorded in the history entry (e.g. a git revision)")
@@ -52,14 +48,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	rep := report{Benchmarks: results}
-	if *obsPath != "" {
-		rep.Obs, err = loadObs(*obsPath)
-		if err != nil {
-			fatal(err)
-		}
-	}
-	data, err := json.MarshalIndent(rep, "", "  ")
+	data, err := json.MarshalIndent(report{Benchmarks: results}, "", "  ")
 	if err != nil {
 		fatal(err)
 	}
@@ -180,27 +169,12 @@ func fatal(err error) {
 
 type report struct {
 	Benchmarks []result `json:"benchmarks"`
-	// Obs is the metering snapshot of a metered benchmark run (counters,
-	// gauges, latency histograms), embedded verbatim via -obs.
-	Obs json.RawMessage `json:"obs,omitempty"`
-}
-
-// loadObs reads a metrics snapshot file and validates it is JSON before
-// embedding it untouched.
-func loadObs(path string) (json.RawMessage, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	if !json.Valid(data) {
-		return nil, fmt.Errorf("%s: not valid JSON", path)
-	}
-	return json.RawMessage(data), nil
 }
 
 // result is one benchmark line, decomposed. Scheme, Sites and Latency
-// are filled in when the sub-benchmark name follows the parallel
-// benchmarks' <scheme>/n<sites>[/lat<...>] convention.
+// are filled in when the sub-benchmark name follows the
+// <scheme>/n<sites>[/lat<...>] convention; older history entries carry
+// them, and appendHistory rewrites the whole file through this type.
 type result struct {
 	Name       string  `json:"name"`
 	Benchmark  string  `json:"benchmark"`
@@ -237,7 +211,7 @@ func parse(in io.Reader) ([]result, error) {
 // parseLine decodes one `go test -bench` result line, with or without
 // the two -benchmem columns:
 //
-//	BenchmarkParallelWrite/voting/n5/lat100us-1  100  9000 ns/op  111.7 ops/sec  22128 B/op  287 allocs/op
+//	BenchmarkOpenSeg-1  100  9000 ns/op  111.7 ops/sec  22128 B/op  287 allocs/op
 func parseLine(line string) (result, bool) {
 	fields := strings.Fields(line)
 	if len(fields) < 4 || !strings.HasPrefix(fields[0], "Benchmark") {

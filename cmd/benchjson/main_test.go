@@ -200,36 +200,3 @@ func TestAppendHistoryRejectsCorruptFile(t *testing.T) {
 		t.Fatalf("corrupt history rewritten: %s", data)
 	}
 }
-
-func TestLoadObsEmbedsSnapshot(t *testing.T) {
-	dir := t.TempDir()
-	good := filepath.Join(dir, "snap.json")
-	if err := os.WriteFile(good, []byte(`{"counters":[{"name":"x","value":1}]}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	raw, err := loadObs(good)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data, err := json.Marshal(report{
-		Benchmarks: []result{{Name: "BenchmarkParallelWriteMetered/voting/n5/lat0"}},
-		Obs:        raw,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(data), `"obs":{"counters"`) {
-		t.Fatalf("snapshot not embedded:\n%s", data)
-	}
-
-	bad := filepath.Join(dir, "bad.json")
-	if err := os.WriteFile(bad, []byte("not json"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := loadObs(bad); err == nil {
-		t.Fatal("invalid snapshot accepted")
-	}
-	if _, err := loadObs(filepath.Join(dir, "missing.json")); err == nil {
-		t.Fatal("missing snapshot accepted")
-	}
-}

@@ -90,21 +90,29 @@ func (c *Controller) Name() string { return "available-copy" }
 
 // Read serves the block from the local copy: every available site holds
 // the most recent version of every block, so reads cost no messages.
-func (c *Controller) Read(ctx context.Context, idx block.Index) (_ []byte, err error) {
-	op := c.locks.BeginOp(c.env.Obs, protocol.OpRead, idx)
+func (c *Controller) Read(ctx context.Context, idx block.Index) ([]byte, error) {
+	return LocalRead(ctx, &c.locks, c.env, idx, "available copy")
+}
+
+// LocalRead is the read of both available copy schemes (§3.2, §3.3),
+// run at env.Self under locks: serve the local copy, with zero network
+// traffic, while the site is available. name labels the scheme in
+// errors.
+func LocalRead(ctx context.Context, locks *scheme.OpLocks, env scheme.Env, idx block.Index, name string) (_ []byte, err error) {
+	op := locks.BeginOp(env.Obs, protocol.OpRead, idx)
 	defer op.End(&err)
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	if c.env.Self.State() != protocol.StateAvailable {
-		return nil, fmt.Errorf("available copy read of %v at %v (%v): %w",
-			idx, c.env.Self.ID(), c.env.Self.State(), scheme.ErrNotAvailable)
+	if env.Self.State() != protocol.StateAvailable {
+		return nil, fmt.Errorf("%s read of %v at %v (%v): %w",
+			name, idx, env.Self.ID(), env.Self.State(), scheme.ErrNotAvailable)
 	}
 	op.Start(ctx)
 	op.Participants = 1
-	data, _, err := c.env.Self.ReadLocal(idx)
+	data, _, err := env.Self.ReadLocal(idx)
 	if err != nil {
-		return nil, fmt.Errorf("available copy read of %v: %w", idx, err)
+		return nil, fmt.Errorf("%s read of %v: %w", name, idx, err)
 	}
 	return data, nil
 }

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"time"
 
 	"relidev/internal/availcopy"
 	"relidev/internal/block"
@@ -71,10 +70,6 @@ type ClusterConfig struct {
 	VotingOptions []voting.Option
 	// AvailCopyOptions are passed to available copy controllers.
 	AvailCopyOptions []availcopy.Option
-	// Latency simulates a per-round-trip network delay on the simulated
-	// network; zero keeps it instantaneous. Traffic accounting is
-	// unaffected.
-	Latency time.Duration
 	// WrapTransport optionally decorates the cluster's transport before
 	// the controllers see it — the hook the chaos harness uses to splice
 	// a fault-injecting faultnet.Network between the controllers and the
@@ -179,7 +174,6 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 		ctrls:    make([]scheme.Controller, cfg.Sites),
 		devices:  make([]*ReliableDevice, cfg.Sites),
 	}
-	cl.net.SetLatency(cfg.Latency)
 	ids := make([]protocol.SiteID, cfg.Sites)
 	for i := range ids {
 		ids[i] = protocol.SiteID(i)
@@ -485,18 +479,6 @@ func (cl *Cluster) DriveRecovery(ctx context.Context) error {
 		}
 	}
 	return nil
-}
-
-// RepairSite runs one on-demand anti-entropy pass on a site (manual
-// freshening, harness retries). It requires repair to be configured.
-func (cl *Cluster) RepairSite(ctx context.Context, id protocol.SiteID) (repair.Result, error) {
-	if err := cl.check(id); err != nil {
-		return repair.Result{}, err
-	}
-	if cl.repairers == nil || cl.repairers[id] == nil {
-		return repair.Result{}, fmt.Errorf("core: site %v has no repairer configured", id)
-	}
-	return cl.repairers[id].Run(ctx)
 }
 
 // TakeRepairOutcomes drains the log of background repair runs driven by

@@ -317,7 +317,7 @@ func TestDeviceHandleSurvivesReconfiguration(t *testing.T) {
 	}
 }
 
-func TestGrowWithFileStores(t *testing.T) {
+func TestGrowOverFileStores(t *testing.T) {
 	ctx := context.Background()
 	dir := t.TempDir()
 	cl, err := NewCluster(ClusterConfig{

@@ -45,23 +45,8 @@ func (c *Controller) Name() string { return "naive" }
 
 // Read serves the block locally, exactly as the available copy scheme
 // does: zero network traffic.
-func (c *Controller) Read(ctx context.Context, idx block.Index) (_ []byte, err error) {
-	op := c.locks.BeginOp(c.env.Obs, protocol.OpRead, idx)
-	defer op.End(&err)
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if c.env.Self.State() != protocol.StateAvailable {
-		return nil, fmt.Errorf("naive read of %v at %v (%v): %w",
-			idx, c.env.Self.ID(), c.env.Self.State(), scheme.ErrNotAvailable)
-	}
-	op.Start(ctx)
-	op.Participants = 1
-	data, _, err := c.env.Self.ReadLocal(idx)
-	if err != nil {
-		return nil, fmt.Errorf("naive read of %v: %w", idx, err)
-	}
-	return data, nil
+func (c *Controller) Read(ctx context.Context, idx block.Index) ([]byte, error) {
+	return availcopy.LocalRead(ctx, &c.locks, c.env, idx, "naive")
 }
 
 // Write broadcasts the block to all sites with no acknowledgement

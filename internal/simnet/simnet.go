@@ -24,7 +24,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"relidev/internal/protocol"
 )
@@ -158,11 +157,6 @@ type Network struct {
 	// torn half-reset snapshot).
 	bank atomic.Pointer[counterBank]
 
-	// latency is the simulated round-trip time per remote interaction,
-	// in nanoseconds. Zero (the default) keeps the network instantaneous;
-	// it never affects §5 transmission accounting.
-	latency atomic.Int64
-
 	// faultRule, when set, is consulted once per remote delivery (after
 	// routing, before the handler) and may fail or degrade it. It is the
 	// injection point the faultnet decorator uses: deciding inside the
@@ -265,15 +259,6 @@ func (n *Network) HealPartitions() {
 	}
 }
 
-// SetLatency sets the simulated round-trip time charged to every remote
-// interaction (one per destination of a broadcast). It models wire and
-// peer service time so that benchmarks can observe round-trip overlap;
-// §5 transmission accounting is unaffected. Zero restores an
-// instantaneous network.
-func (n *Network) SetLatency(d time.Duration) {
-	n.latency.Store(int64(d))
-}
-
 // SetFaultRule installs (or, with nil, removes) the per-delivery fault
 // rule. Only test harnesses and the faultnet decorator call this; no
 // production path injects faults.
@@ -300,24 +285,6 @@ func (n *Network) applyFault(from, to protocol.SiteID, req protocol.Request) (de
 		return true, ferr
 	default:
 		return true, nil
-	}
-}
-
-// sleepLatency blocks for the configured simulated round-trip time,
-// honoring ctx cancellation. It returns ctx.Err when cancelled.
-func (n *Network) sleepLatency(ctx context.Context) error {
-	d := time.Duration(n.latency.Load())
-	if d <= 0 {
-		return nil
-	}
-	//relidev:allow nondeterminism: simulated latency is the one sanctioned wall-clock sleep in simnet; it delays delivery without feeding any replayed decision or digest
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-ctx.Done():
-		return ctx.Err()
-	case <-t.C:
-		return nil
 	}
 }
 
@@ -416,7 +383,7 @@ func (n *Network) countReply(opIdx int, resp protocol.Response) {
 }
 
 // roundTrip performs one delivery to a single destination: route, the
-// fault rule, the simulated latency, the handler. chargeReq and
+// fault rule, the handler. chargeReq and
 // chargeReply say which of its two transmissions are charged here (the
 // request only once the destination is known to be routable). A site
 // calling itself is free: local operations generate no network traffic.
@@ -437,9 +404,6 @@ func (n *Network) roundTrip(ctx context.Context, from, to protocol.SiteID, req p
 	deliver, ferr := n.applyFault(from, to, req)
 	if !deliver {
 		return nil, ferr
-	}
-	if err := n.sleepLatency(ctx); err != nil {
-		return nil, err
 	}
 	resp, err := h.Handle(ctx, from, req)
 	if ferr != nil {

@@ -35,7 +35,6 @@ import (
 	"net/http"
 	"time"
 
-	"relidev/internal/availcopy"
 	"relidev/internal/block"
 	"relidev/internal/core"
 	"relidev/internal/obs"
@@ -45,7 +44,6 @@ import (
 	"relidev/internal/repair"
 	"relidev/internal/simnet"
 	"relidev/internal/store"
-	"relidev/internal/voting"
 )
 
 // Geometry describes a device: block size in bytes and number of blocks.
@@ -120,23 +118,14 @@ type Device interface {
 type Option func(*options)
 
 type options struct {
-	geometry       Geometry
-	unicast        bool
-	weights        []int64
-	eager          bool
-	immediateW     bool
-	twoRoundWrites bool
-	storeDir       string
-	segmentStores  bool
-	groupCommit    store.BatchPolicy
-	batched        bool
-	witnesses      int
-	latency        time.Duration
-	metered        bool
-	traceCap       int
-	repairPolicy   *repair.Policy
-	objectives     []Objective
-	telemetryStep  time.Duration
+	geometry      Geometry
+	unicast       bool
+	witnesses     int
+	metered       bool
+	traceCap      int
+	repairPolicy  *repair.Policy
+	objectives    []Objective
+	telemetryStep time.Duration
 }
 
 // WithGeometry sets the device shape (default 512-byte blocks, 128
@@ -152,88 +141,13 @@ func WithUnicastNetwork() Option {
 	return func(o *options) { o.unicast = true }
 }
 
-// WithWeights assigns per-site voting weights in thousandths of a vote
-// (ignored by the available copy schemes). By default all sites weigh
-// 1000, with site 0 nudged to 1001 when the site count is even (§4.1
-// tie-breaking).
-func WithWeights(weights []int64) Option {
-	return func(o *options) {
-		o.weights = make([]int64, len(weights))
-		copy(o.weights, weights)
-	}
-}
-
-// WithEagerVotingRecovery makes voting sites refresh all blocks on
-// restart instead of lazily on access — the file-level behaviour the
-// paper improves upon; provided for ablation.
-func WithEagerVotingRecovery() Option {
-	return func(o *options) { o.eager = true }
-}
-
-// WithImmediateWasAvailable makes available copy coordinators push exact
-// recipient sets instead of piggybacking one write late (§3.2 ablation).
-func WithImmediateWasAvailable() Option {
-	return func(o *options) { o.immediateW = true }
-}
-
-// WithTwoRoundVotingWrites forces voting writes onto the paper's
-// literal Figure 4 shape — a version-collection round followed by a put
-// fan-out — instead of the default single-round prepare-write fast path
-// (DESIGN.md §12). Semantics are identical; the knob exists so traffic
-// experiments can reproduce the §5 message counts exactly.
-func WithTwoRoundVotingWrites() Option {
-	return func(o *options) { o.twoRoundWrites = true }
-}
-
-// WithFileStores keeps each site's blocks in a file under dir instead of
-// memory, so simulated crashes exercise genuinely persistent state.
-func WithFileStores(dir string) Option {
-	return func(o *options) {
-		o.storeDir = dir
-		o.segmentStores = false
-	}
-}
-
-// WithSegmentStores keeps each site's blocks in an append-only
-// checksummed segment store under dir (one subdirectory per site). The
-// write path is a sequential append instead of FileStore's seek+write,
-// and a crashed site recovers by replaying its segments, truncating
-// any torn tail (DESIGN.md §12).
-func WithSegmentStores(dir string) Option {
-	return func(o *options) {
-		o.storeDir = dir
-		o.segmentStores = true
-	}
-}
-
-// WithGroupCommit layers a group-commit batcher over each site's
-// store: concurrent writes coalesce into a single apply+fsync.
-// maxDelay bounds how long the flush leader waits for joiners (zero
-// batches opportunistically, adding no latency); maxBatch caps the
-// writes per flush. When metering is on, the
-// relidev_group_commit_batch_occupancy gauge tracks batch sizes per
-// site.
-func WithGroupCommit(maxDelay time.Duration, maxBatch int) Option {
-	return func(o *options) {
-		o.groupCommit = store.BatchPolicy{MaxDelay: maxDelay, MaxBatch: maxBatch}
-		o.batched = true
-	}
-}
-
-// WithSimulatedLatency charges every remote round trip on the simulated
-// network the given delay, modelling wire and peer service time. Traffic
-// accounting (§5 transmission counts) is unchanged; the knob exists so
-// benchmarks can observe how the data path overlaps round trips.
-func WithSimulatedLatency(d time.Duration) Option {
-	return func(o *options) { o.latency = d }
-}
-
 // WithMetering attaches the observability layer to the cluster:
 // per-scheme/site/op counters, latency histograms, and transport
 // metering. Read the result through MetricsJSON or mount DebugHandler.
 // The instrumentation path is contention-free (striped counters,
 // sharded histograms), so metered clusters stay within a few percent
-// of unmetered throughput; BENCH_history.json records the measured delta.
+// of unmetered throughput; the benchmark module's ladder.obs_op_ns
+// measures the per-op delta.
 func WithMetering() Option {
 	return func(o *options) { o.metered = true }
 }
@@ -264,9 +178,6 @@ func WithWitnesses(w int) Option {
 // value takes sensible defaults (16-block pages, 2 pages in flight per
 // donor, unlimited rate).
 type RepairPolicy = repair.Policy
-
-// RepairResult summarises one anti-entropy pass.
-type RepairResult = repair.Result
 
 // WithBackgroundRepair enables the background anti-entropy repairer:
 // after a restarted site is readmitted, it streams the site's stale
@@ -431,22 +342,11 @@ func New(n int, scheme Scheme, opts ...Option) (*Cluster, error) {
 		Sites:     n,
 		Geometry:  o.geometry,
 		Scheme:    scheme.kind(),
-		Weights:   o.weights,
 		Witnesses: o.witnesses,
-		Latency:   o.latency,
 		Repair:    o.repairPolicy,
 	}
 	if o.unicast {
 		cfg.Mode = simnet.Unicast
-	}
-	if o.eager {
-		cfg.VotingOptions = append(cfg.VotingOptions, voting.WithEagerRecovery())
-	}
-	if o.twoRoundWrites {
-		cfg.VotingOptions = append(cfg.VotingOptions, voting.WithTwoRoundWrites())
-	}
-	if o.immediateW {
-		cfg.AvailCopyOptions = append(cfg.AvailCopyOptions, availcopy.WithImmediateW())
 	}
 	c := new(Cluster)
 	var err error
@@ -461,31 +361,6 @@ func New(n int, scheme Scheme, opts ...Option) (*Cluster, error) {
 		return nil, fmt.Errorf("relidev: %w", err)
 	}
 	cfg.Observer = c.plane.Observer()
-	if o.storeDir != "" {
-		dir, segmented := o.storeDir, o.segmentStores
-		cfg.NewStore = func(id protocol.SiteID, geom Geometry) (store.Store, error) {
-			if segmented {
-				return store.CreateSeg(fmt.Sprintf("%s/site%d", dir, id), geom)
-			}
-			return store.CreateFile(fmt.Sprintf("%s/site%d.img", dir, id), geom)
-		}
-	}
-	if o.batched {
-		base, policy := cfg.NewStore, o.groupCommit
-		cfg.NewStore = func(id protocol.SiteID, geom Geometry) (store.Store, error) {
-			var st store.Store
-			var err error
-			if base != nil {
-				st, err = base(id, geom)
-			} else {
-				st, err = store.NewMem(geom)
-			}
-			if err != nil {
-				return nil, err
-			}
-			return store.NewBatcher(st, policy, storeObsOpts(cfg.Observer, id)...), nil
-		}
-	}
 	c.inner, err = core.NewCluster(cfg)
 	if err != nil {
 		return nil, err
@@ -543,13 +418,6 @@ func (c *Cluster) Fail(site int) error {
 // procedure, cascading to any other site whose recovery was waiting.
 func (c *Cluster) Restart(ctx context.Context, site int) error {
 	return c.inner.Restart(ctx, protocol.SiteID(site))
-}
-
-// RepairSite runs one on-demand anti-entropy pass on a site,
-// freshening its stale blocks from up-to-date peers. The cluster must
-// have been built with WithBackgroundRepair.
-func (c *Cluster) RepairSite(ctx context.Context, site int) (RepairResult, error) {
-	return c.inner.RepairSite(ctx, protocol.SiteID(site))
 }
 
 // State returns a site's current state.

@@ -34,9 +34,6 @@ func TestNewValidation(t *testing.T) {
 		relidev.WithGeometry(relidev.Geometry{BlockSize: -1, NumBlocks: 2})); err == nil {
 		t.Fatal("accepted invalid geometry")
 	}
-	if _, err := relidev.New(3, relidev.Voting, relidev.WithWeights([]int64{1})); err == nil {
-		t.Fatal("accepted mismatched weights")
-	}
 }
 
 func TestSchemeStrings(t *testing.T) {
@@ -132,66 +129,60 @@ func TestUnicastOption(t *testing.T) {
 	}
 }
 
-func TestFileStoresOption(t *testing.T) {
-	ctx := context.Background()
-	dir := t.TempDir()
-	cluster, err := relidev.New(2, relidev.AvailableCopy,
-		relidev.WithFileStores(dir),
-		relidev.WithGeometry(relidev.Geometry{BlockSize: 128, NumBlocks: 8}))
+// openLoneSite opens a one-site group over loopback with the given store
+// and metering knobs set on top.
+func openLoneSite(t *testing.T, cfg relidev.RemoteConfig) *relidev.RemoteSite {
+	t.Helper()
+	cfg.Self, cfg.Peers = 0, map[int]string{0: "127.0.0.1:0"}
+	cfg.Scheme, cfg.Geometry = relidev.Voting, relidev.Geometry{BlockSize: 128, NumBlocks: 8}
+	cfg.Timeout = time.Second
+	s, err := relidev.OpenRemote(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dev, _ := cluster.Device(0)
-	payload := make([]byte, 128)
-	copy(payload, "on disk")
-	if err := dev.WriteBlock(ctx, 1, payload); err != nil {
+	t.Cleanup(func() { s.Close() })
+	return s
+}
+
+// writeReadBack writes msg into block idx and checks it reads back.
+func writeReadBack(t *testing.T, dev relidev.Device, idx relidev.Index, msg string) {
+	t.Helper()
+	ctx := context.Background()
+	payload := make([]byte, dev.Geometry().BlockSize)
+	copy(payload, msg)
+	if err := dev.WriteBlock(ctx, idx, payload); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 2; i++ {
-		if _, err := filepath.Glob(filepath.Join(dir, "site*.img")); err != nil {
-			t.Fatal(err)
-		}
+	got, err := dev.ReadBlock(ctx, idx)
+	if err != nil || string(got[:len(msg)]) != msg {
+		t.Fatalf("read back = %q, %v", got[:len(msg)], err)
 	}
-	matches, _ := filepath.Glob(filepath.Join(dir, "site*.img"))
-	if len(matches) != 2 {
-		t.Fatalf("store files = %v, want 2", matches)
+}
+
+func TestFileStoresOption(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "site0.img")
+	s := openLoneSite(t, relidev.RemoteConfig{StorePath: path})
+	writeReadBack(t, s.Device(), 1, "on disk")
+	if matches, _ := filepath.Glob(path); len(matches) != 1 {
+		t.Fatalf("store file %s not created", path)
 	}
 }
 
 func TestSegmentStoresAndGroupCommitOptions(t *testing.T) {
-	ctx := context.Background()
-	dir := t.TempDir()
-	cluster, err := relidev.New(3, relidev.Voting,
-		relidev.WithSegmentStores(dir),
-		relidev.WithGroupCommit(0, 32),
-		relidev.WithMetering(),
-		relidev.WithGeometry(relidev.Geometry{BlockSize: 128, NumBlocks: 8}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	dev, _ := cluster.Device(0)
-	payload := make([]byte, 128)
-	copy(payload, "segmented")
-	if err := dev.WriteBlock(ctx, 2, payload); err != nil {
-		t.Fatal(err)
-	}
-	got, err := dev.ReadBlock(ctx, 2)
-	if err != nil || string(got[:9]) != "segmented" {
-		t.Fatalf("read back = %q, %v", got[:9], err)
-	}
-	// One segment directory per site, each holding at least one segment.
-	for i := 0; i < 3; i++ {
-		segs, err := filepath.Glob(filepath.Join(dir, fmt.Sprintf("site%d", i), "seg-*.log"))
-		if err != nil || len(segs) == 0 {
-			t.Fatalf("site %d segment files = %v, %v", i, segs, err)
-		}
+	dir := filepath.Join(t.TempDir(), "site0")
+	s := openLoneSite(t, relidev.RemoteConfig{StoreDir: dir, GroupCommitBatch: 32, Metered: true})
+	writeReadBack(t, s.Device(), 2, "segmented")
+	if segs, err := filepath.Glob(filepath.Join(dir, "seg-*.log")); err != nil || len(segs) == 0 {
+		t.Fatalf("segment files = %v, %v", segs, err)
 	}
 	// The group-commit occupancy gauge is exposed once a flush ran.
-	raw, err := cluster.MetricsJSON()
+	h, err := s.DebugHandler()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(string(raw), "relidev_group_commit_batch_occupancy") {
+	srv := httptest.NewServer(h)
+	defer srv.Close()
+	if _, body := get(t, srv, "/metrics"); !strings.Contains(body, "relidev_group_commit_batch_occupancy") {
 		t.Fatal("metrics missing the group-commit occupancy gauge")
 	}
 }

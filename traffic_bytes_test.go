@@ -4,7 +4,9 @@ import (
 	"context"
 	"testing"
 
-	"relidev"
+	"relidev/internal/block"
+	"relidev/internal/core"
+	"relidev/internal/voting"
 )
 
 // §5: "While it is possible to instead focus on the sizes of the
@@ -15,12 +17,11 @@ import (
 // while the ordering itself is preserved.
 func TestByteAccountingLessPronouncedThanMessageCounts(t *testing.T) {
 	type result struct{ msgs, bytes uint64 }
-	measure := func(scheme relidev.Scheme, opts ...relidev.Option) result {
+	measure := func(cfg core.ClusterConfig) result {
 		t.Helper()
 		ctx := context.Background()
-		opts = append(opts,
-			relidev.WithGeometry(relidev.Geometry{BlockSize: 1024, NumBlocks: 32}))
-		cluster, err := relidev.New(5, scheme, opts...)
+		cfg.Sites, cfg.Geometry = 5, block.Geometry{BlockSize: 1024, NumBlocks: 32}
+		cluster, err := core.NewCluster(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -29,38 +30,39 @@ func TestByteAccountingLessPronouncedThanMessageCounts(t *testing.T) {
 			t.Fatal(err)
 		}
 		payload := make([]byte, 1024)
-		cluster.ResetTraffic()
+		cluster.Network().ResetStats()
 		for i := 0; i < 100; i++ {
 			payload[0] = byte(i)
-			if err := dev.WriteBlock(ctx, relidev.Index(i%32), payload); err != nil {
+			if err := dev.WriteBlock(ctx, block.Index(i%32), payload); err != nil {
 				t.Fatal(err)
 			}
 		}
-		st := cluster.Traffic()
+		st := cluster.Network().Stats()
 		return result{msgs: st.Transmissions, bytes: st.Bytes}
 	}
 
 	// The §5 quote prices the literal Figure 4 write, so pin voting to
 	// the two-round shape (the default single-round path narrows the
 	// message-count gap the comparison is about).
-	voting := measure(relidev.Voting, relidev.WithTwoRoundVotingWrites())
-	naive := measure(relidev.NaiveAvailableCopy)
-	ac := measure(relidev.AvailableCopy)
+	vote := measure(core.ClusterConfig{Scheme: core.Voting,
+		VotingOptions: []voting.Option{voting.WithTwoRoundWrites()}})
+	naive := measure(core.ClusterConfig{Scheme: core.NaiveAvailableCopy})
+	ac := measure(core.ClusterConfig{Scheme: core.AvailableCopy})
 
 	// Ordering preserved in both metrics.
-	if !(naive.msgs < ac.msgs && ac.msgs < voting.msgs) {
+	if !(naive.msgs < ac.msgs && ac.msgs < vote.msgs) {
 		t.Fatalf("message ordering broken: naive %d, ac %d, voting %d",
-			naive.msgs, ac.msgs, voting.msgs)
+			naive.msgs, ac.msgs, vote.msgs)
 	}
-	if !(naive.bytes < ac.bytes && ac.bytes < voting.bytes) {
+	if !(naive.bytes < ac.bytes && ac.bytes < vote.bytes) {
 		t.Fatalf("byte ordering broken: naive %d, ac %d, voting %d",
-			naive.bytes, ac.bytes, voting.bytes)
+			naive.bytes, ac.bytes, vote.bytes)
 	}
 	// ...but less pronounced in bytes: every scheme broadcasts the block
 	// payload once per write on a multicast network, so the byte ratio
 	// shrinks toward 1 while the message ratio stays at ~6x.
-	msgRatio := float64(voting.msgs) / float64(naive.msgs)
-	byteRatio := float64(voting.bytes) / float64(naive.bytes)
+	msgRatio := float64(vote.msgs) / float64(naive.msgs)
+	byteRatio := float64(vote.bytes) / float64(naive.bytes)
 	if byteRatio >= msgRatio {
 		t.Fatalf("byte ratio %.2f not less pronounced than message ratio %.2f", byteRatio, msgRatio)
 	}
