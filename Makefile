@@ -112,9 +112,9 @@ loc-check:
 	fi; \
 	echo "loc-check: $$loc non-test lines (ledger: $$max)"
 
-# obs-race runs the two hosts' observability surfaces — debug routes,
-# the RemoteSite poller, on-demand and unattended seals, interleaved
-# probers — under the race detector. The packages under internal/obs
+# obs-race runs the serving host's observability surface — the
+# RemoteSite's debug routes and poller, on-demand and unattended seals,
+# interleaved probers on a hand-stepped plane — under the race detector. The packages under internal/obs
 # are race-tested once, by `make race` / CI's `go test -race ./...`.
 obs-race:
 	$(GO) test -race -run 'TestHealthSurface|TestCriticalPathSurface|TestRemoteObservabilitySurface|TestHostDebugSurfaceParity|TestRemoteBlackBox|TestRemoteCriticalHealthSeals|TestRemotePollerSealsUnattended|TestInterleavedProbersSeeOneVerdict|TestLazyRefreshRaisesNoObjective' .

@@ -7,6 +7,8 @@ import (
 	"testing"
 
 	"relidev"
+	"relidev/internal/core"
+	"relidev/internal/obs"
 )
 
 // TestQuorumOpAllocBudget pins what one metered voting op on a 5-site
@@ -32,20 +34,31 @@ import (
 // A change that moves a count edits this table and says who owns the
 // difference. The race detector allocates, hence the build tag.
 func TestQuorumOpAllocBudget(t *testing.T) {
+	geom := relidev.Geometry{BlockSize: 4096, NumBlocks: 512}
 	for _, tc := range []struct {
 		name        string
-		opt         relidev.Option
+		device      func() (relidev.Device, error)
 		read, write float64
 	}{
-		{"untraced", relidev.WithMetering(), 14, 13},
-		{"traced", relidev.WithTracing(1 << 12), 16, 15},
+		{"untraced", func() (relidev.Device, error) {
+			c, err := relidev.New(5, relidev.Voting, relidev.WithMetering(), relidev.WithGeometry(geom))
+			if err != nil {
+				return nil, err
+			}
+			return c.Device(0)
+		}, 14, 13},
+		// The public Cluster only meters; a traced one is core's.
+		{"traced", func() (relidev.Device, error) {
+			c, err := core.NewCluster(core.ClusterConfig{Sites: 5, Scheme: core.Voting, Geometry: geom,
+				Observer: obs.New(obs.WithTracing(1 << 12))})
+			if err != nil {
+				return nil, err
+			}
+			return c.Device(0)
+		}, 16, 15},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			c, err := relidev.New(5, relidev.Voting, tc.opt, relidev.WithGeometry(relidev.Geometry{BlockSize: 4096, NumBlocks: 512}))
-			if err != nil {
-				t.Fatal(err)
-			}
-			dev, err := c.Device(0)
+			dev, err := tc.device()
 			if err != nil {
 				t.Fatal(err)
 			}

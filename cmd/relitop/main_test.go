@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"flag"
+	"net"
 	"net/http/httptest"
 	"os"
 	"strings"
@@ -21,26 +22,34 @@ import (
 
 var update = flag.Bool("update", false, "rewrite testdata/once.golden")
 
-// startCluster serves a metered in-process cluster's debug surface —
-// the same endpoints a blockserver exposes — and runs a small workload
-// through it.
-func startCluster(t *testing.T) *httptest.Server {
+// startGroup opens a three-site voting group on loopback, each site
+// with cfg's metering knobs, runs a small workload at site 0 and serves
+// site 0's debug surface — what relitop points at on a blockserver.
+func startGroup(t *testing.T, cfg relidev.RemoteConfig) *httptest.Server {
 	t.Helper()
-	pol := relidev.RepairPolicy{}
-	c, err := relidev.New(3, relidev.Voting,
-		relidev.WithTelemetry(time.Second),
-		relidev.WithObjectives(relidev.DefaultObjectives(relidev.Voting, 3, 0.05, 16, &pol)...),
-	)
-	if err != nil {
-		t.Fatal(err)
+	cfg.Scheme, cfg.Timeout, cfg.Peers = relidev.Voting, time.Second, map[int]string{}
+	for i := 0; i < 3; i++ {
+		l, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.Peers[i] = l.Addr().String()
+		l.Close()
+	}
+	sites := make([]*relidev.RemoteSite, 3)
+	for i := range sites {
+		cfg.Self = i
+		s, err := relidev.OpenRemote(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sites[i] = s
+		t.Cleanup(func() { s.Close() })
 	}
 	ctx := context.Background()
-	data := make([]byte, c.Geometry().BlockSize)
+	dev := sites[0].Device()
+	data := make([]byte, dev.Geometry().BlockSize)
 	copy(data, "relitop smoke")
-	dev, err := c.Device(0)
-	if err != nil {
-		t.Fatal(err)
-	}
 	for b := 0; b < 4; b++ {
 		if err := dev.WriteBlock(ctx, relidev.Index(b), data); err != nil {
 			t.Fatal(err)
@@ -49,10 +58,7 @@ func startCluster(t *testing.T) *httptest.Server {
 			t.Fatal(err)
 		}
 	}
-	if err := c.SampleTelemetry(); err != nil {
-		t.Fatal(err)
-	}
-	h, err := c.DebugHandler()
+	h, err := sites[0].DebugHandler()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +71,9 @@ func startCluster(t *testing.T) *httptest.Server {
 // against a live debug surface must carry the site census, the SLO
 // summary, and the per-op table with its critical-path phases.
 func TestOnceRendersDashboard(t *testing.T) {
-	srv := startCluster(t)
+	pol := relidev.RepairPolicy{}
+	srv := startGroup(t, relidev.RemoteConfig{Metered: true,
+		Objectives: relidev.DefaultObjectives(relidev.Voting, 3, 0.05, 16, &pol)})
 	var buf bytes.Buffer
 	if err := run(&buf, srv.URL, time.Second, 5*time.Second, true); err != nil {
 		t.Fatal(err)
@@ -93,16 +101,7 @@ func TestOnceRendersDashboard(t *testing.T) {
 // TestOnceWithoutSLOEngine: a deployment without SLOs serves 404 on
 // /slo; the dashboard drops the section instead of failing.
 func TestOnceWithoutSLOEngine(t *testing.T) {
-	c, err := relidev.New(3, relidev.AvailableCopy, relidev.WithMetering())
-	if err != nil {
-		t.Fatal(err)
-	}
-	h, err := c.DebugHandler()
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := httptest.NewServer(h)
-	defer srv.Close()
+	srv := startGroup(t, relidev.RemoteConfig{Metered: true})
 	var buf bytes.Buffer
 	if err := run(&buf, srv.URL, time.Second, 5*time.Second, true); err != nil {
 		t.Fatal(err)

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"slices"
@@ -14,6 +15,11 @@ import (
 	"time"
 
 	"relidev"
+	"relidev/internal/core"
+	"relidev/internal/obs"
+	"relidev/internal/obs/alert"
+	"relidev/internal/obs/plane"
+	"relidev/internal/protocol"
 	"relidev/internal/scheme"
 )
 
@@ -29,6 +35,47 @@ func get(t *testing.T, srv *httptest.Server, path string) (int, string) {
 	return resp.StatusCode, string(body)
 }
 
+// serveDebug serves a site's debug surface until the test ends.
+func serveDebug(t *testing.T, s *relidev.RemoteSite) *httptest.Server {
+	t.Helper()
+	h, err := s.DebugHandler()
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(h)
+	t.Cleanup(srv.Close)
+	return srv
+}
+
+// openGroup opens an n-site group on loopback, each site from cfg with
+// its own Self and the group's Peers, and closes it when the test ends.
+func openGroup(t *testing.T, n int, cfg relidev.RemoteConfig) []*relidev.RemoteSite {
+	t.Helper()
+	cfg.Peers = make(map[int]string, n)
+	for i := 0; i < n; i++ {
+		l, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.Peers[i] = l.Addr().String()
+		l.Close()
+	}
+	if cfg.Timeout == 0 {
+		cfg.Timeout = time.Second
+	}
+	sites := make([]*relidev.RemoteSite, n)
+	for i := range sites {
+		cfg.Self = i
+		s, err := relidev.OpenRemote(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sites[i] = s
+		t.Cleanup(func() { s.Close() })
+	}
+	return sites
+}
+
 // loneVoter opens site 1 of a two-site voting group whose peer (site 0,
 // which holds the §4.1 tie-breaking weight) never comes up: every write
 // fails its quorum, quickly.
@@ -42,13 +89,7 @@ func loneVoter(t *testing.T, cfg relidev.RemoteConfig) (*relidev.RemoteSite, *ht
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { s.Close() })
-	h, err := s.DebugHandler()
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := httptest.NewServer(h)
-	t.Cleanup(srv.Close)
-	return s, srv
+	return s, serveDebug(t, s)
 }
 
 type flightDump struct {
@@ -231,26 +272,36 @@ func verdicts(t *testing.T, body string) string {
 // only the operations since the first one's GET.)
 func TestInterleavedProbersSeeOneVerdict(t *testing.T) {
 	ctx := context.Background()
-	host := func() (*relidev.Cluster, *httptest.Server) {
-		c, err := relidev.New(3, relidev.Voting,
-			relidev.WithGeometry(relidev.Geometry{BlockSize: 64, NumBlocks: 8}),
-			relidev.WithTelemetry(time.Hour), // stepped by hand below
-			relidev.WithObjectives(relidev.DefaultObjectives(relidev.Voting, 3, 0.05, 8, nil)...))
+	// A host stepped by hand: its cadence is a promise nobody keeps but
+	// the test.
+	type host struct {
+		c   *core.Cluster
+		p   *plane.Plane
+		srv *httptest.Server
+	}
+	newHost := func() host {
+		p, err := plane.New(plane.Config{Metered: true, StepNs: time.Hour.Nanoseconds(),
+			Objectives: relidev.DefaultObjectives(relidev.Voting, 3, 0.05, 8, nil)})
 		if err != nil {
 			t.Fatal(err)
 		}
-		h, err := c.DebugHandler()
+		c, err := core.NewCluster(core.ClusterConfig{Sites: 3, Scheme: core.Voting,
+			Geometry: relidev.Geometry{BlockSize: 64, NumBlocks: 8}, Observer: p.Observer()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		h, err := p.DebugHandler()
 		if err != nil {
 			t.Fatal(err)
 		}
 		srv := httptest.NewServer(h)
 		t.Cleanup(srv.Close)
-		return c, srv
+		return host{c, p, srv}
 	}
 	// step runs four writes at site 0 — failing once its peers are down
-	// — and takes the step's sample.
-	step := func(c *relidev.Cluster, wantErr bool) {
-		dev, err := c.Device(0)
+	// — and takes the step.
+	step := func(h host, wantErr bool) {
+		dev, err := h.c.Device(0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -259,36 +310,34 @@ func TestInterleavedProbersSeeOneVerdict(t *testing.T) {
 				t.Fatalf("write: %v", err)
 			}
 		}
-		if err := c.SampleTelemetry(); err != nil {
-			t.Fatal(err)
-		}
+		h.p.Step()
 	}
-	outage := func(c *relidev.Cluster) {
-		for _, site := range []int{1, 2} {
-			if err := c.Fail(site); err != nil {
+	outage := func(h host) {
+		for _, site := range []protocol.SiteID{1, 2} {
+			if err := h.c.Fail(site); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
 
-	alone, aloneSrv := host()
+	alone := newHost()
 	step(alone, false)
 	outage(alone)
 	step(alone, true)
-	wantCode, wantBody := get(t, aloneSrv, "/healthz")
+	wantCode, wantBody := get(t, alone.srv, "/healthz")
 	if wantCode != http.StatusServiceUnavailable {
 		t.Fatalf("a sample of failing writes is not critical: %d\n%s", wantCode, wantBody)
 	}
 
-	shared, sharedSrv := host()
+	shared := newHost()
 	step(shared, false)
-	if code, _ := get(t, sharedSrv, "/healthz"); code != 200 { // the balancer, before the outage
+	if code, _ := get(t, shared.srv, "/healthz"); code != 200 { // the balancer, before the outage
 		t.Fatalf("healthy /healthz = %d", code)
 	}
 	outage(shared)
 	step(shared, true)
 	for _, prober := range []string{"balancer", "operator", "balancer again"} {
-		code, body := get(t, sharedSrv, "/healthz")
+		code, body := get(t, shared.srv, "/healthz")
 		if code != wantCode || verdicts(t, body) != verdicts(t, wantBody) {
 			t.Errorf("%s got %d %s\nwant what a lone prober gets: %d %s",
 				prober, code, verdicts(t, body), wantCode, verdicts(t, wantBody))
@@ -296,10 +345,10 @@ func TestInterleavedProbersSeeOneVerdict(t *testing.T) {
 	}
 }
 
-// TestHostDebugSurfaceParity: for the same objectives and step the two
-// hosts serve the same route set with the same status codes (and the
-// same kind of body), plane by plane. The in-process Cluster only lacks
-// the flight recorder, which nothing there would seal.
+// TestHostDebugSurfaceParity is the route table of the one host that
+// serves: for each set of objectives and step a RemoteSite serves every
+// route with the status code (and the kind of body) the plane's parts
+// say.
 func TestHostDebugSurfaceParity(t *testing.T) {
 	rules := thresholds(relidev.DefaultObjectives(relidev.NaiveAvailableCopy, 1, 0.05, 8, nil))
 	slos := []relidev.Objective{relidev.WriteAvailabilitySLO(relidev.NaiveAvailableCopy, relidev.BurnPolicy{Target: 0.9})}
@@ -318,93 +367,53 @@ func TestHostDebugSurfaceParity(t *testing.T) {
 		{name: "health+telemetry+slo", health: true, telem: true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			opts := []relidev.Option{relidev.WithTracing(4096)}
-			rc := relidev.RemoteConfig{Self: 0, Peers: map[int]string{0: "127.0.0.1:0"},
-				Scheme: relidev.NaiveAvailableCopy, Metered: true}
+			rc := relidev.RemoteConfig{Metered: true}
 			if tc.health {
-				opts = append(opts, relidev.WithObjectives(rules...))
 				rc.Objectives = rules
 			}
 			if tc.telem {
-				opts = append(opts, relidev.WithTelemetry(time.Hour), relidev.WithObjectives(slos...))
 				rc.TelemetryStep, rc.Objectives = time.Hour, slices.Concat(rules, slos)
 			}
-			c, err := relidev.New(1, relidev.NaiveAvailableCopy, opts...)
-			if err != nil {
-				t.Fatal(err)
-			}
-			r, err := relidev.OpenRemote(rc)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer r.Close()
-			ch, err := c.DebugHandler()
-			if err != nil {
-				t.Fatal(err)
-			}
-			rh, err := r.DebugHandler()
-			if err != nil {
-				t.Fatal(err)
-			}
-			hosts := map[string]*httptest.Server{"Cluster": httptest.NewServer(ch), "RemoteSite": httptest.NewServer(rh)}
-			for host, srv := range hosts {
-				defer srv.Close()
-				for path, marker := range routes {
-					want := 200
-					switch path {
-					case "/healthz":
-						if !tc.health {
-							want = 404
-						}
-					case "/timeseries", "/slo":
-						if !tc.telem {
-							want = 404
-						}
-					case "/debug/flight":
-						if host == "Cluster" {
-							want = 404
-						}
-					case "/debug/flight/sealed", "/nope": // nothing has sealed; no such route
+			srv := serveDebug(t, openLoneSite(t, rc))
+			for path, marker := range routes {
+				want := 200
+				switch path {
+				case "/healthz":
+					if !tc.health {
 						want = 404
 					}
-					got, body := get(t, srv, path)
-					if got != want {
-						t.Errorf("%s %s = %d, want %d:\n%s", host, path, got, want, body)
+				case "/timeseries", "/slo":
+					if !tc.telem {
+						want = 404
 					}
-					if got == 200 && !strings.Contains(body, marker) {
-						t.Errorf("%s %s body lacks %s:\n%s", host, path, marker, body)
-					}
+				case "/debug/flight/sealed", "/nope": // nothing has sealed; no such route
+					want = 404
+				}
+				got, body := get(t, srv, path)
+				if got != want {
+					t.Errorf("%s = %d, want %d:\n%s", path, got, want, body)
+				}
+				if got == 200 && !strings.Contains(body, marker) {
+					t.Errorf("%s body lacks %s:\n%s", path, marker, body)
 				}
 			}
 		})
 	}
-	// Unmetered hosts have no surface at all.
-	plain, err := relidev.New(1, relidev.Voting)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := plain.DebugHandler(); err != relidev.ErrNotMetered {
-		t.Fatalf("unmetered Cluster.DebugHandler: %v", err)
-	}
-	bare, err := relidev.OpenRemote(relidev.RemoteConfig{Self: 0, Peers: map[int]string{0: "127.0.0.1:0"}, Scheme: relidev.Voting})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer bare.Close()
-	if _, err := bare.DebugHandler(); err != relidev.ErrNotMetered {
+	// An unmetered site has no surface at all.
+	if _, err := openLoneSite(t, relidev.RemoteConfig{}).DebugHandler(); !errors.Is(err, relidev.ErrNotMetered) {
 		t.Fatalf("unmetered RemoteSite.DebugHandler: %v", err)
 	}
 }
 
 // TestGrownSiteIsWiredByCore: a site added by Grow is wired by the same
-// core path as a founding one — it answers telemetry pulls with its own
-// registry slice and records handle spans — with no code in
-// relidev.Grow beyond the call into core.
+// core path as a founding one — its operations land in its own series
+// and the requests it serves leave handle spans — with no code in Grow
+// beyond the rebuild every founding site goes through.
 func TestGrownSiteIsWiredByCore(t *testing.T) {
 	ctx := context.Background()
-	c, err := relidev.New(2, relidev.AvailableCopy,
-		relidev.WithGeometry(relidev.Geometry{BlockSize: 64, NumBlocks: 8}),
-		relidev.WithTracing(1024))
+	o := obs.New(obs.WithTracing(1024))
+	c, err := core.NewCluster(core.ClusterConfig{Sites: 2, Scheme: core.AvailableCopy,
+		Geometry: relidev.Geometry{BlockSize: 64, NumBlocks: 8}, Observer: o})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -414,7 +423,7 @@ func TestGrownSiteIsWiredByCore(t *testing.T) {
 	}
 	// Coordinate from the newcomer (so its own op series exist) and from
 	// site 0 (so the newcomer serves a put: a handle span at its site).
-	for _, site := range []int{grown, 0} {
+	for _, site := range []protocol.SiteID{grown, 0} {
 		dev, err := c.Device(site)
 		if err != nil {
 			t.Fatal(err)
@@ -424,51 +433,27 @@ func TestGrownSiteIsWiredByCore(t *testing.T) {
 		}
 	}
 
-	raw, err := c.ClusterMetricsJSON(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var view struct {
-		Metrics struct {
-			Counters []struct {
-				Name   string            `json:"name"`
-				Labels map[string]string `json:"labels"`
-				Value  uint64            `json:"value"`
-			} `json:"counters"`
-		} `json:"metrics"`
-		Errors map[string]string `json:"errors"`
-	}
-	if err := json.Unmarshal(raw, &view); err != nil {
-		t.Fatal(err)
-	}
-	if len(view.Errors) != 0 {
-		t.Fatalf("scrape degraded: %v", view.Errors)
-	}
-	pulled := false
-	for _, p := range view.Metrics.Counters {
-		if p.Name == "relidev_op_completions_total" && p.Labels["site"] == "site2" && p.Labels["op"] == "write" && p.Value > 0 {
-			pulled = true
+	counted := false
+	for _, p := range o.Snapshot().Counters {
+		if p.Name == obs.MetricOpCompletions && p.Labels["site"] == grown.String() && p.Labels["op"] == "write" && p.Value > 0 {
+			counted = true
 		}
 	}
-	if !pulled {
-		t.Fatalf("cluster view lacks the grown site's slice — it answered the telemetry pull with nothing:\n%s", raw)
+	if !counted {
+		t.Fatalf("the grown site's write landed in no series of its own:\n%+v", o.Snapshot().Counters)
 	}
 
-	trees, err := c.TraceTrees()
-	if err != nil {
-		t.Fatal(err)
-	}
 	handled := false
-	var walk func(sp *relidev.TraceSpan)
-	walk = func(sp *relidev.TraceSpan) {
-		if sp.Kind == "handle" && sp.Site == grown {
+	var walk func(sp *obs.Span)
+	walk = func(sp *obs.Span) {
+		if sp.Kind == "handle" && sp.Site == int(grown) {
 			handled = true
 		}
 		for _, ch := range sp.Children {
 			walk(ch)
 		}
 	}
-	for _, tr := range trees {
+	for _, tr := range o.TraceTrees() {
 		if tr.Root != nil {
 			walk(tr.Root)
 		}
@@ -572,9 +557,13 @@ func TestEvenGroupTieBreak(t *testing.T) {
 // read served and went critical on the first one.
 func TestLazyRefreshRaisesNoObjective(t *testing.T) {
 	ctx := context.Background()
-	c, err := relidev.New(3, relidev.Voting,
-		relidev.WithGeometry(relidev.Geometry{BlockSize: 64, NumBlocks: 8}),
-		relidev.WithObjectives(relidev.DefaultObjectives(relidev.Voting, 3, 0.05, 8, nil)...))
+	p, err := plane.New(plane.Config{Metered: true,
+		Objectives: relidev.DefaultObjectives(relidev.Voting, 3, 0.05, 8, nil)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := core.NewCluster(core.ClusterConfig{Sites: 3, Scheme: core.Voting,
+		Geometry: relidev.Geometry{BlockSize: 64, NumBlocks: 8}, Observer: p.Observer()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -592,7 +581,7 @@ func TestLazyRefreshRaisesNoObjective(t *testing.T) {
 	}
 	// The degraded write is judged here (and warns, rightly: it had no
 	// quorum margin); the refresh falls in the next sample, alone.
-	if _, err := c.Health(); err != nil {
+	if _, err := p.View(alert.PolicyThreshold); err != nil {
 		t.Fatal(err)
 	}
 	dev2, _ := c.Device(2)
@@ -600,24 +589,24 @@ func TestLazyRefreshRaisesNoObjective(t *testing.T) {
 	if err != nil || string(got) != string(payload) {
 		t.Fatalf("read at the rejoined site = %q, %v", got, err)
 	}
-	raw, err := c.MetricsJSON()
-	if err != nil {
-		t.Fatal(err)
+	refreshed := false
+	for _, pt := range p.Observer().Snapshot().Counters {
+		refreshed = refreshed || pt.Name == obs.MetricStaleReads && pt.Value > 0
 	}
-	if !strings.Contains(string(raw), `"relidev_stale_reads_total"`) {
-		t.Fatalf("the read did not go through a lazy refresh; the test proves nothing:\n%s", raw)
+	if !refreshed {
+		t.Fatal("the read did not go through a lazy refresh; the test proves nothing")
 	}
-	for view, eval := range map[string]func() (relidev.AlertReport, error){"Health": c.Health, "SLOs": c.SLOs} {
-		rep, err := eval()
+	for _, view := range []string{alert.PolicyThreshold, alert.PolicyBurn} {
+		rep, err := p.View(view)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if rep.Overall != relidev.SeverityOK || rep.Firing != 0 {
-			t.Errorf("%s after a lazy refresh: %+v", view, rep)
+			t.Errorf("%s view after a lazy refresh: %+v", view, rep)
 		}
 		for _, o := range rep.Objectives {
 			if strings.Contains(o.Name, "conformance_drift") {
-				t.Errorf("%s still lists %s", view, o.Name)
+				t.Errorf("%s view still lists %s", view, o.Name)
 			}
 		}
 	}

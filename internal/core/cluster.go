@@ -276,19 +276,13 @@ func DefaultWeights(n int) []int64 {
 }
 
 // WireSite assembles one site's consistency engine over a membership:
-// the scheme.Env, the replica's three observation hooks and the
-// controller of cfg.Scheme (of cfg it reads Scheme, Observer, Weights —
-// nil means DefaultWeights — and the controller options). Every host
-// wires through here — the Cluster for each site, again after Grow and
-// Remove, and relidev.OpenRemote for its one — so a site is observed
-// the same way wherever it runs.
-//
-// sharedRegistry says the observer's registry also holds other sites'
-// series (an in-process cluster): the site then answers telemetry pulls
-// with its own "site"-labelled slice, which the aggregator merges with
-// its site-less residue; a site alone in its process answers with the
-// whole registry.
-func WireSite(cfg ClusterConfig, self *site.Replica, transport protocol.Transport, ids []protocol.SiteID, sharedRegistry bool) (scheme.Controller, error) {
+// the scheme.Env, the replica's two observation hooks (W-transitions
+// and handled requests) and the controller of cfg.Scheme (of cfg it
+// reads Scheme, Observer, Weights — nil means DefaultWeights — and the
+// controller options). Every host wires through here — the Cluster for
+// each site, again after Grow and Remove, and relidev.OpenRemote for
+// its one — so a site is observed the same way wherever it runs.
+func WireSite(cfg ClusterConfig, self *site.Replica, transport protocol.Transport, ids []protocol.SiteID) (scheme.Controller, error) {
 	weights := cfg.Weights
 	if weights == nil {
 		weights = DefaultWeights(len(ids))
@@ -306,16 +300,6 @@ func WireSite(cfg ClusterConfig, self *site.Replica, transport protocol.Transpor
 		if hook := o.HandleHook(name, id); hook != nil {
 			self.SetHandleHook(hook)
 		}
-		want := id.String()
-		self.SetTelemetryHook(func() []byte {
-			snap := o.Snapshot()
-			if sharedRegistry {
-				snap = obs.FilterSnapshot(snap, func(_ string, labels map[string]string) bool {
-					return labels["site"] == want
-				})
-			}
-			return obs.EncodeSnapshot(snap)
-		})
 	}
 	switch cfg.Scheme {
 	case Voting:

@@ -130,7 +130,7 @@ func (cl *Cluster) rebuildControllers() error {
 		// Keep the WrapTransport decoration (fault injection, accounting):
 		// rebuilding over the bare network would silently strip it after
 		// Grow/Remove.
-		ctrl, err := WireSite(cl.cfg, cl.replicas[i], cl.transport, ids, true)
+		ctrl, err := WireSite(cl.cfg, cl.replicas[i], cl.transport, ids)
 		if err != nil {
 			return err
 		}

@@ -1,0 +1,148 @@
+package lint_test
+
+import (
+	"go/ast"
+	"go/build"
+	"go/importer"
+	"go/parser"
+	"go/token"
+	"go/types"
+	"io/fs"
+	"os"
+	"path/filepath"
+	"regexp"
+	"slices"
+	"strings"
+	"testing"
+)
+
+// moduleTree is the type-checked module: every package by import path,
+// plus every Go file's slash path relative to the module root.
+type moduleTree struct {
+	root  string
+	fset  *token.FileSet
+	std   types.Importer
+	pkgs  map[string]*types.Package
+	files []string
+}
+
+// Import type-checks the module's own packages from their source and
+// hands everything else to the standard library's source importer.
+func (m *moduleTree) Import(path string) (*types.Package, error) {
+	if path != "relidev" && !strings.HasPrefix(path, "relidev/") {
+		return m.std.Import(path)
+	}
+	if pkg, ok := m.pkgs[path]; ok {
+		return pkg, nil
+	}
+	dir := filepath.Join(m.root, strings.TrimPrefix(strings.TrimPrefix(path, "relidev"), "/"))
+	bp, err := build.Default.ImportDir(dir, 0)
+	if err != nil {
+		return nil, err
+	}
+	var files []*ast.File
+	for _, name := range bp.GoFiles {
+		f, err := parser.ParseFile(m.fset, filepath.Join(dir, name), nil, parser.SkipObjectResolution)
+		if err != nil {
+			return nil, err
+		}
+		files = append(files, f)
+	}
+	pkg, err := (&types.Config{Importer: m}).Check(path, m.fset, files, nil)
+	m.pkgs[path] = pkg
+	return pkg, err
+}
+
+func loadModule(t *testing.T) *moduleTree {
+	t.Helper()
+	m := &moduleTree{root: filepath.Join("..", ".."), fset: token.NewFileSet(), pkgs: map[string]*types.Package{}}
+	m.std = importer.ForCompiler(m.fset, "source", nil)
+	err := filepath.WalkDir(m.root, func(path string, d fs.DirEntry, err error) error {
+		switch {
+		case err != nil:
+			return err
+		case d.IsDir() && (d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".") && path != m.root):
+			return filepath.SkipDir
+		case !d.IsDir() && strings.HasSuffix(path, ".go"):
+			rel, _ := filepath.Rel(m.root, path)
+			m.files = append(m.files, filepath.ToSlash(rel))
+		case d.IsDir():
+			// benchmark/ is its own module: its files count, its packages not.
+			rel, _ := filepath.Rel(m.root, path)
+			rel = filepath.ToSlash(rel)
+			if _, err := build.Default.ImportDir(path, 0); err == nil && rel != "benchmark" && !strings.HasPrefix(rel, "benchmark/") {
+				if _, err := m.Import(strings.TrimSuffix("relidev/"+rel, "/.")); err != nil {
+					return err
+				}
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+// resolve checks a `X.Y` or `X.Y.Z` reference. X must name a package or
+// a type of this module, or the reference is not ours to judge.
+func (m *moduleTree) resolve(x, y, z string) (ours, ok bool) {
+	member := func(obj types.Object, name string) bool {
+		if _, isType := obj.(*types.TypeName); !isType {
+			return false
+		}
+		found, _, _ := types.LookupFieldOrMethod(obj.Type(), true, obj.Pkg(), name)
+		return found != nil
+	}
+	for _, pkg := range m.pkgs {
+		if pkg.Name() == x {
+			ours = true
+			if obj := pkg.Scope().Lookup(y); obj != nil && (z == "" || member(obj, z)) {
+				return true, true
+			}
+		}
+		if obj := pkg.Scope().Lookup(x); obj != nil && z == "" {
+			if _, isType := obj.(*types.TypeName); isType {
+				ours = true
+				if member(obj, y) {
+					return true, true
+				}
+			}
+		}
+	}
+	return ours, false
+}
+
+var (
+	codeSpan = regexp.MustCompile("`([^`\n]+)`")
+	selector = regexp.MustCompile(`^\*?([A-Za-z_]\w*)\.([A-Za-z_]\w*)(?:\.([A-Za-z_]\w*))?(?:\(.*\))?$`)
+	goFile   = regexp.MustCompile(`^[\w./-]+\.go$`)
+)
+
+// TestDocNamesResolve: every backticked `pkg.Ident`, `Type.Method` and
+// `path/file.go` in README.md and DESIGN.md names something that exists
+// in the type-checked tree, so the prose shrinks with the code.
+func TestDocNamesResolve(t *testing.T) {
+	m := loadModule(t)
+	for _, doc := range []string{"README.md", "DESIGN.md"} {
+		raw, err := os.ReadFile(filepath.Join(m.root, doc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, line := range strings.Split(string(raw), "\n") {
+			for _, match := range codeSpan.FindAllStringSubmatch(line, -1) {
+				span := match[1]
+				switch s := selector.FindStringSubmatch(span); {
+				case goFile.MatchString(span):
+					if !slices.ContainsFunc(m.files, func(f string) bool { return f == span || strings.HasSuffix(f, "/"+span) }) {
+						t.Errorf("%s:%d: `%s` names no file of the tree", doc, i+1, span)
+					}
+				case s != nil:
+					if ours, ok := m.resolve(s[1], s[2], s[3]); ours && !ok {
+						t.Errorf("%s:%d: `%s` names nothing in package or type %s", doc, i+1, span, s[1])
+					}
+				}
+			}
+		}
+	}
+}

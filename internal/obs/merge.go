@@ -104,31 +104,6 @@ func pointKey(name string, labels map[string]string) string {
 	return seriesKey(name, ls)
 }
 
-// FilterSnapshot keeps only the series keep accepts, preserving order.
-// The aggregation plane uses it to slice a shared in-process registry
-// into per-site views (series carrying that site's label) plus the
-// site-less residue; the slices partition the snapshot, so their merge
-// reconstructs it exactly.
-func FilterSnapshot(s Snapshot, keep func(name string, labels map[string]string) bool) Snapshot {
-	var out Snapshot
-	for _, p := range s.Counters {
-		if keep(p.Name, p.Labels) {
-			out.Counters = append(out.Counters, p)
-		}
-	}
-	for _, p := range s.Gauges {
-		if keep(p.Name, p.Labels) {
-			out.Gauges = append(out.Gauges, p)
-		}
-	}
-	for _, p := range s.Histograms {
-		if keep(p.Name, p.Labels) {
-			out.Histograms = append(out.Histograms, p)
-		}
-	}
-	return out
-}
-
 // EncodeSnapshot encodes a snapshot for a TelemetryPullReply. JSON is
 // the wire form: the protocol layer cannot name these types, so the
 // snapshot crosses as opaque bytes and decodes on the aggregator.

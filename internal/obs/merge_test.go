@@ -102,8 +102,8 @@ func TestMergeHistProperties(t *testing.T) {
 }
 
 // TestMergeSnapshotsPartition: merging any partition of a snapshot's
-// series reconstructs the snapshot exactly — the invariant that makes
-// the in-process cluster view exact.
+// series reconstructs the snapshot exactly — here the per-site slices
+// plus the site-less residue.
 func TestMergeSnapshotsPartition(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	var full Snapshot
@@ -124,16 +124,22 @@ func TestMergeSnapshotsPartition(t *testing.T) {
 	// conventions match Registry.Snapshot's.
 	full = MergeSnapshots(full)
 
-	parts := make([]Snapshot, 0, 4)
-	for i := 0; i < 3; i++ {
-		site := fmt.Sprintf("site%d", i)
-		parts = append(parts, FilterSnapshot(full, func(_ string, labels map[string]string) bool {
-			return labels["site"] == site
-		}))
+	// parts[i] is site i's slice; parts[3] the residue.
+	parts := make([]Snapshot, 4)
+	part := func(labels map[string]string) *Snapshot {
+		i := 3
+		fmt.Sscanf(labels["site"], "site%d", &i)
+		return &parts[i]
 	}
-	parts = append(parts, FilterSnapshot(full, func(_ string, labels map[string]string) bool {
-		return labels["site"] == ""
-	}))
+	for _, p := range full.Counters {
+		part(p.Labels).Counters = append(part(p.Labels).Counters, p)
+	}
+	for _, p := range full.Gauges {
+		part(p.Labels).Gauges = append(part(p.Labels).Gauges, p)
+	}
+	for _, p := range full.Histograms {
+		part(p.Labels).Histograms = append(part(p.Labels).Histograms, p)
+	}
 	if got := MergeSnapshots(parts...); !reflect.DeepEqual(got, full) {
 		t.Fatalf("partition merge diverged:\nwant %+v\ngot  %+v", full, got)
 	}

@@ -1,10 +1,11 @@
 // Package plane assembles the observability stack of one host of the
-// reliable device — the in-process Cluster, a TCP RemoteSite, a chaos
-// run — in one place: observer, tsdb ring, alert engine and flight
-// recorder on one clock, the rule that says who samples the ring, the
-// step a host's cadence drives, and the debug HTTP surface over all of
-// it (DESIGN.md "Wiring", "Alerts"). It sits beside the packages it
-// wires because obs itself cannot import them.
+// reliable device — a TCP RemoteSite, a chaos run — in one place:
+// observer, tsdb ring, alert engine and flight recorder on one clock,
+// the rule that says who samples the ring, the step a host's cadence
+// drives, and the debug HTTP surface over all of it (DESIGN.md
+// "Wiring", "Alerts"). The in-process Cluster takes only its metering
+// observer from here. It sits beside the packages it wires because obs
+// itself cannot import them.
 package plane
 
 import (
@@ -23,11 +24,10 @@ import (
 )
 
 // The accessors' typed refusals; the public package re-exports them,
-// so the texts name its options.
+// so the texts name its settings.
 var (
-	ErrNotMetered   = errors.New("relidev: cluster not built with WithMetering")
-	ErrNoObjectives = errors.New("relidev: cluster not built with WithObjectives")
-	ErrNoTelemetry  = errors.New("relidev: cluster not built with WithTelemetry")
+	ErrNotMetered   = errors.New("relidev: host not built with WithMetering / RemoteConfig.Metered")
+	ErrNoObjectives = errors.New("relidev: host not built with RemoteConfig.Objectives")
 )
 
 // defaultRetain is the ring size of a host that does not say: ten
@@ -189,15 +189,6 @@ func (p *Plane) View(policy string) (alert.Report, error) {
 	return p.alerts.Evaluate().View(policy), nil
 }
 
-// Ring returns the tsdb ring of a host with a cadence, for an embedder
-// that samples and queries it itself.
-func (p *Plane) Ring() (*tsdb.DB, error) {
-	if p == nil || p.stepNs == 0 {
-		return nil, ErrNoTelemetry
-	}
-	return p.ring, nil
-}
-
 // CriticalPath computes the critical-path profile of the current metrics.
 func (p *Plane) CriticalPath() (*obs.Profile, error) {
 	if p == nil {
@@ -226,7 +217,10 @@ func (p *Plane) DebugHandler() (http.Handler, error) {
 	if p == nil {
 		return nil, ErrNotMetered
 	}
-	ring, _ := p.Ring()
+	var ring *tsdb.DB // /timeseries needs a cadence to serve
+	if p.stepNs > 0 {
+		ring = p.ring
+	}
 	mux := obs.NewDebugMux(p.obs)
 	mux.HandleFunc("/cluster/metrics", obs.ClusterMetricsHandler(p.pull))
 	for route, policy := range map[string]string{"/healthz": alert.PolicyThreshold, "/slo": alert.PolicyBurn} {

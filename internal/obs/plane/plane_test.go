@@ -254,9 +254,6 @@ func TestNilPlaneRefuses(t *testing.T) {
 	if _, err := p.View(alert.PolicyThreshold); !errors.Is(err, ErrNotMetered) {
 		t.Errorf("View: %v", err)
 	}
-	if _, err := p.Ring(); !errors.Is(err, ErrNoTelemetry) {
-		t.Errorf("Ring: %v", err)
-	}
 	if _, err := p.CriticalPath(); !errors.Is(err, ErrNotMetered) {
 		t.Errorf("CriticalPath: %v", err)
 	}
@@ -282,9 +279,6 @@ func TestPartialPlaneRefuses(t *testing.T) {
 	}
 	if rep := p.Step(); rep != nil {
 		t.Error("a plane with nothing to sample stepped")
-	}
-	if _, err := p.Ring(); !errors.Is(err, ErrNoTelemetry) {
-		t.Errorf("Ring: %v", err)
 	}
 	p.Seal("ignored")
 	if p.Sealed() != nil {

@@ -331,10 +331,10 @@ func (p *peerPool) close() {
 	}
 }
 
-// recordFault counts one failed exchange at time now and arms the
-// redial backoff. It reports the length of the failure streak and
-// whether the peer is past the suspect threshold.
-func (p *peerPool) recordFault(cfg Config, now time.Time, jitter func(time.Duration) time.Duration) (fails int, down bool) {
+// recordFault counts one failed exchange and arms the redial backoff.
+// It reports the length of the failure streak and whether the peer is
+// past the suspect threshold.
+func (p *peerPool) recordFault(cfg Config, jitter func(time.Duration) time.Duration) (fails int, down bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.fails++
@@ -346,14 +346,14 @@ func (p *peerPool) recordFault(cfg Config, now time.Time, jitter func(time.Durat
 			p.backoff = cfg.RetryMax
 		}
 	}
-	p.nextDialAt = now.Add(jitter(p.backoff))
+	p.nextDialAt = time.Now().Add(jitter(p.backoff))
 	return p.fails, p.fails >= cfg.SuspectThreshold
 }
 
-// markDown records conclusive fail-stop evidence against the peer at
-// time now: it jumps the failure counter straight to the suspect
-// threshold and arms the redial backoff.
-func (p *peerPool) markDown(cfg Config, now time.Time, jitter func(time.Duration) time.Duration) {
+// markDown records conclusive fail-stop evidence against the peer: it
+// jumps the failure counter straight to the suspect threshold and arms
+// the redial backoff.
+func (p *peerPool) markDown(cfg Config, jitter func(time.Duration) time.Duration) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.fails < cfg.SuspectThreshold {
@@ -362,7 +362,7 @@ func (p *peerPool) markDown(cfg Config, now time.Time, jitter func(time.Duration
 	if p.backoff == 0 {
 		p.backoff = cfg.RetryBase
 	}
-	p.nextDialAt = now.Add(jitter(p.backoff))
+	p.nextDialAt = time.Now().Add(jitter(p.backoff))
 }
 
 // recordSuccess clears the failure detector: the first successful
@@ -375,13 +375,13 @@ func (p *peerPool) recordSuccess() {
 	p.mu.Unlock()
 }
 
-// dialGate reports whether a redial is currently gated by backoff at
-// time now, and whether the peer is suspected down. Gated calls fail
-// fast without network activity and without counting as new evidence.
-func (p *peerPool) dialGate(threshold int, now time.Time) (gated, down bool) {
+// dialGate reports whether a redial is currently gated by backoff, and
+// whether the peer is suspected down. Gated calls fail fast without
+// network activity and without counting as new evidence.
+func (p *peerPool) dialGate(threshold int) (gated, down bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return now.Before(p.nextDialAt), p.fails >= threshold
+	return time.Now().Before(p.nextDialAt), p.fails >= threshold
 }
 
 func (p *peerPool) suspected(threshold int) bool {
@@ -525,7 +525,7 @@ func (c *Client) exchange(p *peerPool, w *wireConn, deadline time.Time, req prot
 // redial is gated the call fails fast — classified by the current
 // suspicion — without touching the network or counting new evidence.
 func (c *Client) dial(ctx context.Context, p *peerPool, to protocol.SiteID, deadline time.Time) (*wireConn, error) {
-	if gated, down := p.dialGate(c.cfg.SuspectThreshold, time.Now()); gated {
+	if gated, down := p.dialGate(c.cfg.SuspectThreshold); gated {
 		if down {
 			return nil, fmt.Errorf("rpcnet: %v suspected down, redial backed off: %w", to, protocol.ErrSiteDown)
 		}
@@ -564,10 +564,10 @@ func (c *Client) fault(ctx context.Context, p *peerPool, to protocol.SiteID, op 
 		return fmt.Errorf("rpcnet: %s %v: %v: %w", op, to, cause, cerr)
 	}
 	if errors.Is(cause, syscall.ECONNREFUSED) {
-		p.markDown(c.cfg, time.Now(), c.jitter)
+		p.markDown(c.cfg, c.jitter)
 		return fmt.Errorf("rpcnet: %s %v: %v: %w", op, to, cause, protocol.ErrSiteDown)
 	}
-	fails, down := p.recordFault(c.cfg, time.Now(), c.jitter)
+	fails, down := p.recordFault(c.cfg, c.jitter)
 	sev := ""
 	tail := error(protocol.ErrTransient)
 	if down {

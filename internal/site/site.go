@@ -218,7 +218,7 @@ func (r *Replica) SetHandleHook(hook func(ctx context.Context, from protocol.Sit
 
 // SetTelemetryHook installs the telemetry snapshot source answering
 // TelemetryPullRequest: the hook returns the site's registry snapshot
-// encoded for the wire (obs.EncodeSnapshot). The cluster wires it
+// encoded for the wire (obs.EncodeSnapshot). A site process wires it
 // before traffic flows; nil makes pulls answer with an empty snapshot.
 func (r *Replica) SetTelemetryHook(hook func() []byte) {
 	r.mu.Lock()

@@ -31,8 +31,6 @@ package relidev
 import (
 	"context"
 	"encoding/json"
-	"fmt"
-	"net/http"
 	"time"
 
 	"relidev/internal/block"
@@ -118,14 +116,10 @@ type Device interface {
 type Option func(*options)
 
 type options struct {
-	geometry      Geometry
-	unicast       bool
-	witnesses     int
-	metered       bool
-	traceCap      int
-	repairPolicy  *repair.Policy
-	objectives    []Objective
-	telemetryStep time.Duration
+	geometry  Geometry
+	unicast   bool
+	witnesses int
+	metered   bool
 }
 
 // WithGeometry sets the device shape (default 512-byte blocks, 128
@@ -143,27 +137,14 @@ func WithUnicastNetwork() Option {
 
 // WithMetering attaches the observability layer to the cluster:
 // per-scheme/site/op counters, latency histograms, and transport
-// metering. Read the result through MetricsJSON or mount DebugHandler.
-// The instrumentation path is contention-free (striped counters,
-// sharded histograms), so metered clusters stay within a few percent
-// of unmetered throughput; the benchmark module's ladder.obs_op_ns
+// metering. Read the result through MetricsJSON and CriticalPath; the
+// debug HTTP surface, traces and alerts are a RemoteSite's. The
+// instrumentation path is contention-free (striped counters, sharded
+// histograms), so metered clusters stay within a few percent of
+// unmetered throughput; the benchmark module's ladder.obs_op_ns
 // measures the per-op delta.
 func WithMetering() Option {
 	return func(o *options) { o.metered = true }
-}
-
-// WithTracing additionally retains the last capacity protocol trace
-// events (operation spans, quorum assemblies, W-set transitions) in a
-// lock-free ring, exposed at /trace on the DebugHandler. Implies
-// WithMetering; capacity <= 0 uses the default ring size.
-func WithTracing(capacity int) Option {
-	return func(o *options) {
-		o.metered = true
-		o.traceCap = capacity
-		if o.traceCap <= 0 {
-			o.traceCap = 4096
-		}
-	}
 }
 
 // WithWitnesses turns the last w sites into voting witnesses (Pâris
@@ -174,25 +155,18 @@ func WithWitnesses(w int) Option {
 	return func(o *options) { o.witnesses = w }
 }
 
-// RepairPolicy tunes the background anti-entropy repairer; the zero
-// value takes sensible defaults (16-block pages, 2 pages in flight per
-// donor, unlimited rate).
+// RepairPolicy tunes the background anti-entropy repairer (DESIGN.md
+// §13); the zero value takes sensible defaults (16-block pages, 2 pages
+// in flight per donor, unlimited rate). Its Deadline sizes the repair
+// objectives of DefaultObjectives and RepairFreshnessSLO.
 type RepairPolicy = repair.Policy
-
-// WithBackgroundRepair enables the background anti-entropy repairer:
-// after a restarted site is readmitted, it streams the site's stale
-// blocks from multiple up-to-date peers under the given policy instead
-// of waiting for the workload to touch every block (lazy-only, the
-// paper's default). See DESIGN.md §13.
-func WithBackgroundRepair(p RepairPolicy) Option {
-	return func(o *options) { o.repairPolicy = &p }
-}
 
 // Objective is one alert condition (DESIGN.md "Alerts"): a signal
 // measured from the telemetry ring under a policy — a threshold with
 // hysteresis, served at /healthz, or a multi-window burn rate against
-// an error budget, served at /slo. Start from DefaultObjectives or the
-// *SLO constructors.
+// an error budget, served at /slo. A site takes them in
+// RemoteConfig.Objectives; start from DefaultObjectives or the *SLO
+// constructors.
 type Objective = alert.Objective
 
 // BurnPolicy is the burn-rate policy of an SLO: the target good
@@ -275,42 +249,6 @@ func DefaultObjectives(scheme Scheme, n int, rho float64, blocks int, pol *Repai
 	return objs
 }
 
-// WithObjectives attaches the alert engine over the given objectives
-// (implies WithMetering): Cluster.Health and Cluster.SLOs evaluate on
-// demand, and the debug surface serves /healthz and /slo, each
-// answering 503 once one of its objectives is critical. Without
-// WithTelemetry every evaluation takes its own sample of the metrics,
-// so a threshold judges what happened since the previous evaluation,
-// whoever made it; with it, evaluations read what SampleTelemetry
-// recorded and never move the window.
-func WithObjectives(objectives ...Objective) Option {
-	return func(o *options) {
-		o.metered = true
-		o.objectives = append(o.objectives, objectives...)
-	}
-}
-
-// WithTelemetry attaches the time-series plane (DESIGN.md "Alerts"): a
-// bounded in-memory ring that records delta-encoded frames of every
-// counter, gauge, and latency histogram, ten minutes of them at the
-// default step. step is the nominal sampling cadence (zero: 1s).
-// Implies WithMetering.
-//
-// The ring never samples itself: call Cluster.SampleTelemetry on the
-// deployment's cadence (the TCP servers run a wall-clock poller;
-// deterministic harnesses call it from their own schedule). The history
-// serves /timeseries on the DebugHandler and is what the objectives
-// are evaluated over.
-func WithTelemetry(step time.Duration) Option {
-	return func(o *options) {
-		o.metered = true
-		if step <= 0 {
-			step = time.Second
-		}
-		o.telemetryStep = step
-	}
-}
-
 // TrafficStats counts high-level network transmissions as defined in §5,
 // plus the byte-volume alternative metric §5 mentions.
 type TrafficStats struct {
@@ -326,8 +264,8 @@ type TrafficStats struct {
 // simulated network, each exposing the device.
 type Cluster struct {
 	inner *core.Cluster
-	// plane is the observability stack (nil when unmetered); it has no
-	// flight recorder — nothing in an in-process cluster drives one.
+	// plane is the metering stack (nil when unmetered): an observer and
+	// nothing else — no tracer, ring, alerts or recorder.
 	plane *plane.Plane
 }
 
@@ -343,29 +281,18 @@ func New(n int, scheme Scheme, opts ...Option) (*Cluster, error) {
 		Geometry:  o.geometry,
 		Scheme:    scheme.kind(),
 		Witnesses: o.witnesses,
-		Repair:    o.repairPolicy,
 	}
 	if o.unicast {
 		cfg.Mode = simnet.Unicast
 	}
-	c := new(Cluster)
-	var err error
-	c.plane, err = plane.New(plane.Config{
-		Metered:    o.metered,
-		TraceCap:   o.traceCap,
-		Objectives: o.objectives,
-		StepNs:     o.telemetryStep.Nanoseconds(),
-		Pull:       c.clusterPull,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("relidev: %w", err)
-	}
-	cfg.Observer = c.plane.Observer()
-	c.inner, err = core.NewCluster(cfg)
+	// Metering alone asks for no part plane.New could refuse.
+	p, _ := plane.New(plane.Config{Metered: o.metered})
+	cfg.Observer = p.Observer()
+	inner, err := core.NewCluster(cfg)
 	if err != nil {
 		return nil, err
 	}
-	return c, nil
+	return &Cluster{inner: inner, plane: p}, nil
 }
 
 // storeObsOpts wires a site's group-commit batcher to the observer:
@@ -460,11 +387,10 @@ func (c *Cluster) Traffic() TrafficStats {
 func (c *Cluster) ResetTraffic() { c.inner.Network().ResetStats() }
 
 // The observability accessors' typed refusals, on a Cluster and on a
-// RemoteSite alike: each names the option the host was built without.
+// RemoteSite alike: each names the setting the host was built without.
 var (
 	ErrNotMetered   = plane.ErrNotMetered   // WithMetering / RemoteConfig.Metered
-	ErrNoObjectives = plane.ErrNoObjectives // WithObjectives / Objectives
-	ErrNoTelemetry  = plane.ErrNoTelemetry  // WithTelemetry / TelemetryStep
+	ErrNoObjectives = plane.ErrNoObjectives // RemoteConfig.Objectives
 )
 
 // MetricsJSON returns the current metering snapshot — counters, gauges,
@@ -477,96 +403,11 @@ func (c *Cluster) MetricsJSON() ([]byte, error) {
 	return json.Marshal(c.plane.Observer().Snapshot())
 }
 
-// DebugHandler returns the observability HTTP surface (/metrics,
-// /metrics.prom, /trace, /trace/tree, /profile, /debug/pprof/,
-// /cluster/metrics, and — when the matching options were given —
-// /healthz, /slo, /timeseries) for this cluster, or an error when the
-// cluster was built without WithMetering. Mount it on any server the
-// embedding application already runs.
-func (c *Cluster) DebugHandler() (http.Handler, error) { return c.plane.DebugHandler() }
-
-// SampleTelemetry records one frame into the telemetry ring: the delta
-// of every counter and histogram since the previous frame plus current
-// gauge values. Call it on the deployment's sampling cadence — the ring
-// never starts its own timer, so sampling stays under the caller's
-// scheduling (and deterministic harnesses replay it exactly).
-func (c *Cluster) SampleTelemetry() error {
-	db, err := c.plane.Ring()
-	if err == nil {
-		db.Sample()
-	}
-	return err
-}
-
-// TelemetryStep returns the nominal sampling cadence configured with
-// WithTelemetry, for pollers that drive SampleTelemetry.
-func (c *Cluster) TelemetryStep() (time.Duration, error) {
-	db, err := c.plane.Ring()
-	return time.Duration(db.StepNs()), err
-}
-
-// TimeSeriesJSON returns the telemetry ring's retained history — every
-// series downsampled to step over the trailing window (zero values mean
-// the whole retention at the sampling step) — encoded as JSON, the same
-// shape /timeseries serves.
-func (c *Cluster) TimeSeriesJSON(window, step time.Duration) ([]byte, error) {
-	db, err := c.plane.Ring()
-	if err != nil {
-		return nil, err
-	}
-	return json.Marshal(db.Query(window.Nanoseconds(), step.Nanoseconds()))
-}
-
-// SLOs evaluates the objectives and returns the burn-rate view: burn
-// rates, alert states with fire/clear timestamps and budgets spent —
-// what /slo serves. Requires WithObjectives with at least one SLO;
-// windows with no samples burn nothing.
-func (c *Cluster) SLOs() (AlertReport, error) { return c.plane.View(alert.PolicyBurn) }
-
-// clusterPull assembles the cluster metrics view over the cluster's
-// own network: the aggregator (site 0's vantage) broadcasts a
-// TelemetryPull to every site and merges the returned registry slices
-// with its local contribution — its own site slice (the network skips
-// self-sends: local operations are free per §5, so site 0's slice never
-// crosses the wire) plus the site-less residue (transport series —
-// everything not carrying a "site" label). Failed sites degrade to a
-// partial view reported per peer, never an error for the whole view.
-func (c *Cluster) clusterPull(ctx context.Context) (obs.Snapshot, map[protocol.SiteID]error) {
-	peers := make([]protocol.SiteID, c.inner.Sites())
-	for i := range peers {
-		peers[i] = protocol.SiteID(i)
-	}
-	self := protocol.SiteID(0).String()
-	local := func() obs.Snapshot {
-		return obs.FilterSnapshot(c.plane.Observer().Snapshot(),
-			func(name string, labels map[string]string) bool {
-				site := labels["site"]
-				return site == "" || site == self
-			})
-	}
-	return obs.ClusterPull(ctx, c.inner.Network(), 0, peers, local)
-}
-
-// ClusterMetricsJSON returns the cross-site aggregated metrics view —
-// every site's registry slice scraped over the cluster network and
-// merged into one snapshot — plus any per-site scrape errors, encoded
-// as the same JSON shape /cluster/metrics serves. Requires
-// WithMetering.
-func (c *Cluster) ClusterMetricsJSON(ctx context.Context) ([]byte, error) {
-	return c.plane.ClusterMetricsJSON(ctx)
-}
-
-// Health evaluates the objectives and returns the threshold view:
-// per-objective firing and latched states (with hysteresis) and the
-// overall severity fold — what /healthz serves. Requires WithObjectives
-// with at least one threshold objective.
-func (c *Cluster) Health() (AlertReport, error) { return c.plane.View(alert.PolicyThreshold) }
-
 // CriticalPathProfile is the cluster-wide critical-path attribution:
 // per-scheme/op phase breakdowns (lock wait, fan-out, rpc, local
 // residual, straggler), store-side flush phases, and repair
-// interference. Serve it live from the debug surface at /profile, or
-// render it as a text flamegraph with its Flame method.
+// interference. A RemoteSite serves it live at /profile; its Flame
+// method renders it as a text flamegraph.
 type CriticalPathProfile = obs.Profile
 
 // CriticalPath computes the critical-path profile from the current
@@ -574,96 +415,3 @@ type CriticalPathProfile = obs.Profile
 // end-to-end latency (Coverage reports the ratio), so the breakdown
 // answers "where did the time go" exactly. Requires WithMetering.
 func (c *Cluster) CriticalPath() (*CriticalPathProfile, error) { return c.plane.CriticalPath() }
-
-// TraceSpan is one node of a stitched trace tree: an operation, a
-// client-side RPC, or a remote site's server-side handling, linked to
-// its parent by span identity. See Cluster.TraceTrees.
-type TraceSpan struct {
-	TraceID  uint64
-	SpanID   uint64
-	ParentID uint64
-	// Site is the site whose trace ring recorded the span — for handle
-	// spans, the remote site that served the request.
-	Site   int
-	Op     string
-	Kind   string // "op", "rpc", or "handle"
-	Detail string
-	// StartNs/EndNs bound the span on the recording process's clock.
-	StartNs, EndNs int64
-	// Orphaned marks a span whose parent was evicted from its ring (or
-	// whose site was not collected): the tree is partial, not broken.
-	Orphaned bool
-	Children []*TraceSpan
-}
-
-// TraceTree is the stitched, cluster-wide view of one traced
-// operation: the operation's root span with every RPC it issued and
-// every site-side handling as descendants. Orphans holds subtrees
-// whose ancestry was lost to ring eviction.
-type TraceTree struct {
-	TraceID uint64
-	Root    *TraceSpan
-	Orphans []*TraceSpan
-	// Sites lists every site that contributed at least one span, sorted.
-	Sites []int
-	// Spans counts all nodes in the tree.
-	Spans int
-}
-
-// Complete reports whether the trace stitched into a single rooted
-// tree with no ancestry lost.
-func (t *TraceTree) Complete() bool { return t.Root != nil && len(t.Orphans) == 0 }
-
-// TraceTrees stitches the cluster's retained trace events into one
-// span tree per traced operation (newest operations last). It requires
-// WithTracing; a cluster built without it returns ErrNotMetered.
-func (c *Cluster) TraceTrees() ([]*TraceTree, error) {
-	o := c.plane.Observer()
-	if o.Tracer() == nil {
-		return nil, ErrNotMetered
-	}
-	trees := o.TraceTrees()
-	out := make([]*TraceTree, len(trees))
-	for i, t := range trees {
-		out[i] = publicTree(t)
-	}
-	return out, nil
-}
-
-// TraceTree returns the stitched tree for one trace id, or nil when no
-// retained span belongs to it.
-func (c *Cluster) TraceTree(traceID uint64) (*TraceTree, error) {
-	trees, err := c.TraceTrees()
-	if err != nil {
-		return nil, err
-	}
-	for _, t := range trees {
-		if t.TraceID == traceID {
-			return t, nil
-		}
-	}
-	return nil, nil
-}
-
-func publicTree(t *obs.TraceTree) *TraceTree {
-	out := &TraceTree{TraceID: t.TraceID, Sites: t.Sites, Spans: t.Spans}
-	if t.Root != nil {
-		out.Root = publicSpan(t.Root)
-	}
-	for _, o := range t.Orphans {
-		out.Orphans = append(out.Orphans, publicSpan(o))
-	}
-	return out
-}
-
-func publicSpan(sp *obs.Span) *TraceSpan {
-	out := &TraceSpan{
-		TraceID: sp.TraceID, SpanID: sp.SpanID, ParentID: sp.ParentID,
-		Site: sp.Site, Op: sp.Op, Kind: sp.Kind, Detail: sp.Detail,
-		StartNs: sp.StartNs, EndNs: sp.EndNs, Orphaned: sp.Orphaned,
-	}
-	for _, c := range sp.Children {
-		out.Children = append(out.Children, publicSpan(c))
-	}
-	return out
-}

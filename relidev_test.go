@@ -6,17 +6,17 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 	"net"
-	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
 	"relidev"
+	"relidev/internal/obs"
 )
 
 func allSchemes() []relidev.Scheme {
@@ -603,14 +603,15 @@ func TestErrMustWaitSurfaces(t *testing.T) {
 	}
 }
 
-// TestMeteringSurface exercises the public observability API: a metered
-// cluster exposes its counters through MetricsJSON and the debug HTTP
-// handler, while an unmetered cluster reports ErrNotMetered.
+// TestMeteringSurface exercises the public metering API: a metered
+// cluster exposes its counters through MetricsJSON, a metered site
+// through its debug HTTP handler, and unmetered hosts report
+// ErrNotMetered.
 func TestMeteringSurface(t *testing.T) {
 	ctx := context.Background()
 	cluster, err := relidev.New(3, relidev.Voting,
 		relidev.WithGeometry(relidev.Geometry{BlockSize: 64, NumBlocks: 8}),
-		relidev.WithTracing(128))
+		relidev.WithMetering())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -636,22 +637,9 @@ func TestMeteringSurface(t *testing.T) {
 		}
 	}
 
-	h, err := cluster.DebugHandler()
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := httptest.NewServer(h)
-	defer srv.Close()
-	resp, err := http.Get(srv.URL + "/metrics.prom")
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(body), `relidev_op_attempts_total{op="write",scheme="voting",site="site0"} 1`) {
+	site := openLoneSite(t, relidev.RemoteConfig{Metered: true})
+	writeReadBack(t, site.Device(), 2, "metered")
+	if _, body := get(t, serveDebug(t, site), "/metrics.prom"); !strings.Contains(body, `relidev_op_attempts_total{op="write",scheme="voting",site="site0"} 1`) {
 		t.Errorf("prometheus exposition missing the write series:\n%s", body)
 	}
 
@@ -662,41 +650,45 @@ func TestMeteringSurface(t *testing.T) {
 	if _, err := plain.MetricsJSON(); !errors.Is(err, relidev.ErrNotMetered) {
 		t.Fatalf("MetricsJSON on unmetered cluster = %v, want ErrNotMetered", err)
 	}
-	if _, err := plain.DebugHandler(); !errors.Is(err, relidev.ErrNotMetered) {
-		t.Fatalf("DebugHandler on unmetered cluster = %v, want ErrNotMetered", err)
+	if _, err := openLoneSite(t, relidev.RemoteConfig{}).DebugHandler(); !errors.Is(err, relidev.ErrNotMetered) {
+		t.Fatalf("DebugHandler on unmetered site = %v, want ErrNotMetered", err)
 	}
 }
 
 // TestTraceTreeSurface exercises the public distributed-tracing API: a
-// traced cluster stitches each operation into a complete span tree,
-// TraceTree resolves one by ID, and clusters without tracing report
+// metered site stitches each operation — its own ring plus every peer's
+// /trace — into a complete span tree, and an unmetered site reports
 // ErrNotMetered.
 func TestTraceTreeSurface(t *testing.T) {
 	ctx := context.Background()
-	cluster, err := relidev.New(3, relidev.AvailableCopy,
-		relidev.WithGeometry(relidev.Geometry{BlockSize: 64, NumBlocks: 8}),
-		relidev.WithTracing(256))
-	if err != nil {
-		t.Fatal(err)
-	}
-	dev, err := cluster.Device(0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sites := openGroup(t, 3, relidev.RemoteConfig{Scheme: relidev.AvailableCopy, Metered: true,
+		Geometry: relidev.Geometry{BlockSize: 64, NumBlocks: 8}})
 	payload := make([]byte, 64)
-	if err := dev.WriteBlock(ctx, 2, payload); err != nil {
+	if err := sites[0].Device().WriteBlock(ctx, 2, payload); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := dev.ReadBlock(ctx, 2); err != nil {
+	if _, err := sites[0].Device().ReadBlock(ctx, 2); err != nil {
 		t.Fatal(err)
 	}
-
-	trees, err := cluster.TraceTrees()
+	var peers []string
+	for _, s := range sites[1:] {
+		peers = append(peers, serveDebug(t, s).URL+"/trace")
+	}
+	h, err := sites[0].ClusterTraceHandler(peers)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var write *relidev.TraceTree
-	for _, tr := range trees {
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest("GET", "/trace/cluster", nil))
+	var view struct {
+		Traces []*obs.TraceTree  `json:"traces"`
+		Errors map[string]string `json:"errors"`
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &view); err != nil || len(view.Errors) != 0 {
+		t.Fatalf("stitched view = %v, errors %v:\n%s", err, view.Errors, rec.Body)
+	}
+	var write *obs.TraceTree
+	for _, tr := range view.Traces {
 		if tr.Root != nil && tr.Root.Kind == "op" && tr.Root.Op == "write" {
 			if write != nil {
 				t.Fatal("more than one write tree stitched")
@@ -705,7 +697,7 @@ func TestTraceTreeSurface(t *testing.T) {
 		}
 	}
 	if write == nil {
-		t.Fatalf("no write tree among %d traces", len(trees))
+		t.Fatalf("no write tree among %d traces", len(view.Traces))
 	}
 	if !write.Complete() {
 		t.Fatalf("write tree incomplete: %+v", write)
@@ -713,24 +705,12 @@ func TestTraceTreeSurface(t *testing.T) {
 	if write.Root.Site != 0 || write.Root.TraceID != write.TraceID {
 		t.Fatalf("root = %+v", write.Root)
 	}
-	if len(write.Sites) == 0 || write.Sites[0] != 0 {
-		t.Fatalf("sites = %v", write.Sites)
+	if !reflect.DeepEqual(write.Sites, []int{0, 1, 2}) {
+		t.Fatalf("sites = %v, want every site the write reached", write.Sites)
 	}
 
-	got, err := cluster.TraceTree(write.TraceID)
-	if err != nil || got == nil || got.TraceID != write.TraceID || got.Spans != write.Spans {
-		t.Fatalf("TraceTree(%d) = %+v, %v", write.TraceID, got, err)
-	}
-	if absent, err := cluster.TraceTree(0xdead); err != nil || absent != nil {
-		t.Fatalf("absent trace = %+v, %v", absent, err)
-	}
-
-	metered, err := relidev.New(3, relidev.AvailableCopy, relidev.WithMetering())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := metered.TraceTrees(); !errors.Is(err, relidev.ErrNotMetered) {
-		t.Fatalf("TraceTrees without tracing = %v, want ErrNotMetered", err)
+	if _, err := openLoneSite(t, relidev.RemoteConfig{}).ClusterTraceHandler(nil); !errors.Is(err, relidev.ErrNotMetered) {
+		t.Fatalf("ClusterTraceHandler unmetered = %v, want ErrNotMetered", err)
 	}
 }
 
@@ -739,16 +719,10 @@ func TestTraceTreeSurface(t *testing.T) {
 // route is in TestHostDebugSurfaceParity's table).
 func TestHealthSurface(t *testing.T) {
 	ctx := context.Background()
-	cluster, err := relidev.New(3, relidev.Voting,
-		relidev.WithGeometry(relidev.Geometry{BlockSize: 64, NumBlocks: 8}),
-		relidev.WithObjectives(relidev.DefaultObjectives(relidev.Voting, 3, 0.05, 8, nil)...))
-	if err != nil {
-		t.Fatal(err)
-	}
-	dev, err := cluster.Device(0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sites := openGroup(t, 3, relidev.RemoteConfig{Scheme: relidev.Voting, Metered: true,
+		Geometry:   relidev.Geometry{BlockSize: 64, NumBlocks: 8},
+		Objectives: relidev.DefaultObjectives(relidev.Voting, 3, 0.05, 8, nil)})
+	dev := sites[0].Device()
 	payload := make([]byte, 64)
 	if err := dev.WriteBlock(ctx, 2, payload); err != nil {
 		t.Fatal(err)
@@ -757,7 +731,7 @@ func TestHealthSurface(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	v, err := cluster.Health()
+	v, err := sites[0].Health()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -765,30 +739,22 @@ func TestHealthSurface(t *testing.T) {
 		t.Fatalf("verdict has %d objectives, want the 3 default thresholds: %+v", len(v.Objectives), v)
 	}
 	if v.Overall != relidev.SeverityOK {
-		t.Fatalf("fresh healthy cluster reports %v: %+v", v.Overall, v.Objectives)
+		t.Fatalf("fresh healthy site reports %v: %+v", v.Overall, v.Objectives)
 	}
 
 	// Metered but no objectives: typed error.
-	noRules, err := relidev.New(3, relidev.Voting, relidev.WithMetering())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := noRules.Health(); !errors.Is(err, relidev.ErrNoObjectives) {
+	if _, err := openLoneSite(t, relidev.RemoteConfig{Metered: true}).Health(); !errors.Is(err, relidev.ErrNoObjectives) {
 		t.Fatalf("Health without objectives = %v, want ErrNoObjectives", err)
 	}
-
-	plain, err := relidev.New(3, relidev.Voting)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := plain.Health(); !errors.Is(err, relidev.ErrNotMetered) {
+	if _, err := openLoneSite(t, relidev.RemoteConfig{}).Health(); !errors.Is(err, relidev.ErrNotMetered) {
 		t.Fatalf("Health unmetered = %v, want ErrNotMetered", err)
 	}
 }
 
 // TestCriticalPathSurface exercises the public attribution API: the
 // profile covers the driven ops with a partition that matches the
-// measured latency, and the /profile endpoint serves both renderings.
+// measured latency, and a site's /profile endpoint serves the flame
+// rendering.
 func TestCriticalPathSurface(t *testing.T) {
 	ctx := context.Background()
 	cluster, err := relidev.New(3, relidev.Voting,
@@ -830,20 +796,10 @@ func TestCriticalPathSurface(t *testing.T) {
 		t.Errorf("Flame() lacks the write block:\n%s", flame)
 	}
 
-	h, err := cluster.DebugHandler()
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := httptest.NewServer(h)
-	defer srv.Close()
-	resp, err := http.Get(srv.URL + "/profile?format=flame")
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != 200 || !strings.Contains(string(body), "critical path — phase attribution") {
-		t.Errorf("/profile?format=flame = %d:\n%s", resp.StatusCode, body)
+	site := openLoneSite(t, relidev.RemoteConfig{Metered: true})
+	writeReadBack(t, site.Device(), 1, "profiled")
+	if code, body := get(t, serveDebug(t, site), "/profile?format=flame"); code != 200 || !strings.Contains(body, "critical path — phase attribution") {
+		t.Errorf("/profile?format=flame = %d:\n%s", code, body)
 	}
 
 	plain, err := relidev.New(3, relidev.Voting)

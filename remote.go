@@ -64,14 +64,14 @@ type RemoteConfig struct {
 	// Metered attaches the observability layer to this site: op counters,
 	// latency histograms, metering of every peer RPC, and a trace ring.
 	// Read the result through DebugHandler (the blockserver binds it on
-	// -debug-addr).
+	// -debug-addr); the site answers peers' TelemetryPull scrapes with
+	// its full registry snapshot, which /cluster/metrics merges.
 	Metered bool
 	// TelemetryStep, when positive, gives the site a sampling cadence
 	// (requires Metered): a wall-clock poller samples the registry into
-	// the telemetry ring and evaluates every objective each step,
-	// DebugHandler serves /timeseries and /cluster/metrics, and the site
-	// answers peers' TelemetryPull scrapes with its full registry
-	// snapshot. The ring keeps ten minutes at a 1s step.
+	// the telemetry ring and evaluates every objective each step, and
+	// DebugHandler serves /timeseries. The ring keeps ten minutes at a
+	// 1s step.
 	TelemetryStep time.Duration
 	// Objectives attaches the alert engine (requires Metered):
 	// DebugHandler serves /healthz (the threshold objectives) and /slo
@@ -195,7 +195,12 @@ func OpenRemote(cfg RemoteConfig) (*RemoteSite, error) {
 	// Metering wraps the client, so it sees what the controller sends.
 	rs.transport = obs.WrapTransport(observer, "rpc", rs.client, ids)
 	rs.ctrl, err = core.WireSite(core.ClusterConfig{Scheme: cfg.Scheme.kind(), Observer: observer},
-		rs.replica, rs.transport, ids, false)
+		rs.replica, rs.transport, ids)
+	if observer != nil {
+		// Alone in its process, the site answers a peer's TelemetryPull
+		// with its whole registry.
+		rs.replica.SetTelemetryHook(func() []byte { return obs.EncodeSnapshot(observer.Snapshot()) })
+	}
 	if err == nil {
 		rs.device, err = core.NewReliableDevice(cfg.Geometry, rs.ctrl)
 	}

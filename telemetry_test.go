@@ -3,6 +3,7 @@ package relidev_test
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"net/http/httptest"
 	"reflect"
 	"strings"
@@ -10,50 +11,53 @@ import (
 	"time"
 
 	"relidev"
+	"relidev/internal/obs"
 )
 
-// telemetryWorkload runs a small mixed workload from several sites so
-// every site's registry slice carries series.
-func telemetryWorkload(t *testing.T, c *relidev.Cluster) {
+// telemetryWorkload runs a small mixed workload from every site so
+// every site's registry carries series.
+func telemetryWorkload(t *testing.T, sites []*relidev.RemoteSite) {
 	t.Helper()
 	ctx := context.Background()
-	for site := 0; site < c.Sites(); site++ {
-		dev, err := c.Device(site)
-		if err != nil {
-			t.Fatal(err)
-		}
-		data := make([]byte, c.Geometry().BlockSize)
+	for i, s := range sites {
+		dev := s.Device()
+		data := make([]byte, dev.Geometry().BlockSize)
 		copy(data, "telemetry")
 		for b := 0; b < 4; b++ {
 			if err := dev.WriteBlock(ctx, relidev.Index(b), data); err != nil {
-				t.Fatalf("write site %d block %d: %v", site, b, err)
+				t.Fatalf("write site %d block %d: %v", i, b, err)
 			}
 			if _, err := dev.ReadBlock(ctx, relidev.Index(b)); err != nil {
-				t.Fatalf("read site %d block %d: %v", site, b, err)
+				t.Fatalf("read site %d block %d: %v", i, b, err)
 			}
 		}
 	}
 }
 
+// clusterView is the /cluster/metrics shape with its counters decoded.
+type clusterView struct {
+	Metrics struct {
+		Counters []struct {
+			Name   string            `json:"name"`
+			Labels map[string]string `json:"labels"`
+		} `json:"counters"`
+	} `json:"metrics"`
+	Errors map[string]string `json:"errors"`
+}
+
 // TestClusterMetricsEqualsLocalSnapshot is the aggregation plane's
-// exactness claim: the cluster view — every site's registry slice
-// scraped over the wire and merged with the aggregator's site-less
-// residue — reconstructs the full registry snapshot exactly. Counters
-// sum, histograms merge, nothing drops.
+// exactness claim: the cluster view — every peer's registry scraped
+// over the wire and merged with the aggregator's own — is exactly the
+// merge of the sites' local snapshots. Counters sum, histograms merge,
+// nothing drops.
 func TestClusterMetricsEqualsLocalSnapshot(t *testing.T) {
 	for _, scheme := range allSchemes() {
 		t.Run(scheme.String(), func(t *testing.T) {
-			c, err := relidev.New(5, scheme, relidev.WithMetering())
-			if err != nil {
-				t.Fatal(err)
-			}
-			telemetryWorkload(t, c)
+			sites := openGroup(t, 3, relidev.RemoteConfig{Scheme: scheme, Metered: true,
+				Geometry: relidev.Geometry{BlockSize: 64, NumBlocks: 8}})
+			telemetryWorkload(t, sites)
 
-			full, err := c.MetricsJSON()
-			if err != nil {
-				t.Fatal(err)
-			}
-			raw, err := c.ClusterMetricsJSON(context.Background())
+			raw, err := sites[0].ClusterMetricsJSON(context.Background())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -67,6 +71,24 @@ func TestClusterMetricsEqualsLocalSnapshot(t *testing.T) {
 			if len(cluster.Errors) != 0 {
 				t.Fatalf("healthy cluster scrape degraded: %v", cluster.Errors)
 			}
+			// Nothing moves a registry after the scrape: no poller runs,
+			// and serving a pull records no metric.
+			locals := make([]obs.Snapshot, len(sites))
+			for i, s := range sites {
+				h, err := s.DebugHandler()
+				if err != nil {
+					t.Fatal(err)
+				}
+				rec := httptest.NewRecorder()
+				h.ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+				if err := json.Unmarshal(rec.Body.Bytes(), &locals[i]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			full, err := json.Marshal(obs.MergeSnapshots(locals...))
+			if err != nil {
+				t.Fatal(err)
+			}
 			var want, got any
 			if err := json.Unmarshal(full, &want); err != nil {
 				t.Fatal(err)
@@ -75,49 +97,39 @@ func TestClusterMetricsEqualsLocalSnapshot(t *testing.T) {
 				t.Fatal(err)
 			}
 			if !reflect.DeepEqual(want, got) {
-				t.Fatalf("merged cluster view diverges from the registry snapshot:\nwant %s\ngot  %s", full, cluster.Metrics)
+				t.Fatalf("merged cluster view diverges from the sites' snapshots:\nwant %s\ngot  %s", full, cluster.Metrics)
 			}
 		})
 	}
 }
 
-// TestClusterMetricsDegradesWithSiteDown: scraping with a failed site
-// yields a partial view plus a per-site error — the failed site's slice
-// is missing, every other site's survives, and the call itself
+// TestClusterMetricsDegradesWithSiteDown: scraping with a closed site
+// yields a partial view plus a per-site error — the closed site's
+// series are missing, every other site's survive, and the call itself
 // succeeds. One site down must never take the cluster view down.
 func TestClusterMetricsDegradesWithSiteDown(t *testing.T) {
-	c, err := relidev.New(5, relidev.Voting, relidev.WithMetering())
+	sites := openGroup(t, 3, relidev.RemoteConfig{Scheme: relidev.Voting, Metered: true,
+		Geometry: relidev.Geometry{BlockSize: 64, NumBlocks: 8}})
+	telemetryWorkload(t, sites)
+	if err := sites[1].Close(); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := sites[0].ClusterMetricsJSON(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	telemetryWorkload(t, c)
-	if err := c.Fail(3); err != nil {
-		t.Fatal(err)
-	}
-	raw, err := c.ClusterMetricsJSON(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var cluster struct {
-		Metrics struct {
-			Counters []struct {
-				Name   string            `json:"name"`
-				Labels map[string]string `json:"labels"`
-			} `json:"counters"`
-		} `json:"metrics"`
-		Errors map[string]string `json:"errors"`
-	}
+	var cluster clusterView
 	if err := json.Unmarshal(raw, &cluster); err != nil {
 		t.Fatal(err)
 	}
-	if _, down := cluster.Errors["site3"]; !down || len(cluster.Errors) != 1 {
-		t.Fatalf("errors = %v, want exactly site 3 reported down", cluster.Errors)
+	if _, down := cluster.Errors["site1"]; !down || len(cluster.Errors) != 1 {
+		t.Fatalf("errors = %v, want exactly site 1 reported down", cluster.Errors)
 	}
 	others := 0
 	for _, p := range cluster.Metrics.Counters {
 		switch p.Labels["site"] {
-		case "site3":
-			t.Fatalf("failed site's slice leaked into the degraded view: %+v", p)
+		case "site1":
+			t.Fatalf("closed site's series leaked into the degraded view: %+v", p)
 		case "":
 		default:
 			others++
@@ -129,39 +141,31 @@ func TestClusterMetricsDegradesWithSiteDown(t *testing.T) {
 }
 
 // TestTelemetryAndSLOViaPublicAPI drives the whole plane through the
-// public surface: sampling fills the ring, the ring serves the query
-// API, the SLO engine evaluates a healthy cluster to zero firing
+// public surface: the poller fills the ring, the ring serves the query
+// API, the SLO engine evaluates a healthy deployment to zero firing
 // alerts, and the debug endpoints answer.
 func TestTelemetryAndSLOViaPublicAPI(t *testing.T) {
 	pol := relidev.RepairPolicy{}
-	c, err := relidev.New(3, relidev.NaiveAvailableCopy,
-		relidev.WithTelemetry(time.Second),
-		relidev.WithObjectives(relidev.DefaultObjectives(relidev.NaiveAvailableCopy, 3, 0.05, 128, &pol)...),
-		relidev.WithBackgroundRepair(pol),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.TelemetryStep(); err != nil {
-		t.Fatal(err)
-	}
-	telemetryWorkload(t, c)
-	for i := 0; i < 3; i++ {
-		if err := c.SampleTelemetry(); err != nil {
-			t.Fatal(err)
+	sites := openGroup(t, 3, relidev.RemoteConfig{
+		Scheme:        relidev.NaiveAvailableCopy,
+		Geometry:      relidev.Geometry{BlockSize: 64, NumBlocks: 8},
+		Metered:       true,
+		TelemetryStep: 5 * time.Millisecond,
+		Objectives:    relidev.DefaultObjectives(relidev.NaiveAvailableCopy, 3, 0.05, 8, &pol),
+	})
+	telemetryWorkload(t, sites)
+	srv := serveDebug(t, sites[0])
+	for deadline := time.Now().Add(5 * time.Second); ; {
+		if _, ts := get(t, srv, "/timeseries"); strings.Contains(ts, "relidev_op_attempts_total") {
+			break
 		}
-		telemetryWorkload(t, c)
+		if time.Now().After(deadline) {
+			t.Fatal("the poller never sampled the op counters into the ring")
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 
-	ts, err := c.TimeSeriesJSON(0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(ts), "relidev_op_attempts_total") {
-		t.Fatalf("time series missing op counters:\n%s", ts)
-	}
-
-	rep, err := c.SLOs()
+	rep, err := sites[0].SLOs()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,28 +173,17 @@ func TestTelemetryAndSLOViaPublicAPI(t *testing.T) {
 		t.Fatalf("objectives = %d, want 3 (latency, availability, freshness)", len(rep.Objectives))
 	}
 	if rep.Firing != 0 || rep.Overall != relidev.SeverityOK {
-		t.Fatalf("healthy cluster fires alerts: %+v", rep)
+		t.Fatalf("healthy deployment fires alerts: %+v", rep)
 	}
-
-	h, err := c.DebugHandler()
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := httptest.NewServer(h)
-	defer srv.Close()
 	for _, path := range []string{"/timeseries?window=1h&step=1s", "/slo", "/cluster/metrics"} {
-		resp, err := srv.Client().Get(srv.URL + path)
-		if err != nil {
-			t.Fatalf("%s: %v", path, err)
-		}
-		if resp.StatusCode != 200 {
-			t.Fatalf("%s: status %d", path, resp.StatusCode)
+		code, body := get(t, srv, path)
+		if code != 200 {
+			t.Fatalf("%s: status %d", path, code)
 		}
 		var v any
-		if err := json.NewDecoder(resp.Body).Decode(&v); err != nil {
+		if err := json.Unmarshal([]byte(body), &v); err != nil {
 			t.Fatalf("%s: not JSON: %v", path, err)
 		}
-		resp.Body.Close()
 	}
 }
 
@@ -200,44 +193,13 @@ func TestTelemetryAndSLOViaPublicAPI(t *testing.T) {
 // closes and the view degrades partially instead of failing.
 func TestRemoteClusterMetrics(t *testing.T) {
 	ctx := context.Background()
-	geom := relidev.Geometry{BlockSize: 128, NumBlocks: 16}
-	addrs := make(map[int]string, 3)
-	var boot []*relidev.RemoteSite
-	for i := 0; i < 3; i++ {
-		s, err := relidev.OpenRemote(relidev.RemoteConfig{
-			Self:     i,
-			Peers:    map[int]string{i: "127.0.0.1:0"},
-			Scheme:   relidev.Voting,
-			Geometry: geom,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		addrs[i] = s.Addr()
-		boot = append(boot, s)
-	}
-	for _, s := range boot {
-		s.Close()
-	}
-	sites := make([]*relidev.RemoteSite, 3)
-	for i := 0; i < 3; i++ {
-		s, err := relidev.OpenRemote(relidev.RemoteConfig{
-			Self:          i,
-			Peers:         addrs,
-			Scheme:        relidev.Voting,
-			Geometry:      geom,
-			Timeout:       time.Second,
-			Metered:       true,
-			TelemetryStep: 5 * time.Millisecond,
-			Objectives: relidev.DefaultObjectives(relidev.Voting, 3, 0.05, 16,
-				&relidev.RepairPolicy{}),
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		sites[i] = s
-		defer func() { s.Close() }()
-	}
+	sites := openGroup(t, 3, relidev.RemoteConfig{
+		Scheme:        relidev.Voting,
+		Geometry:      relidev.Geometry{BlockSize: 128, NumBlocks: 16},
+		Metered:       true,
+		TelemetryStep: 5 * time.Millisecond,
+		Objectives:    relidev.DefaultObjectives(relidev.Voting, 3, 0.05, 16, &relidev.RepairPolicy{}),
+	})
 
 	payload := make([]byte, 128)
 	copy(payload, "scraped over tcp")
@@ -251,15 +213,7 @@ func TestRemoteClusterMetrics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var cluster struct {
-		Metrics struct {
-			Counters []struct {
-				Name   string            `json:"name"`
-				Labels map[string]string `json:"labels"`
-			} `json:"counters"`
-		} `json:"metrics"`
-		Errors map[string]string `json:"errors"`
-	}
+	var cluster clusterView
 	if err := json.Unmarshal(raw, &cluster); err != nil {
 		t.Fatalf("cluster view is not JSON: %v", err)
 	}
@@ -279,25 +233,16 @@ func TestRemoteClusterMetrics(t *testing.T) {
 	}
 
 	// The debug surface answers on every telemetry endpoint.
-	h, err := sites[0].DebugHandler()
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := httptest.NewServer(h)
-	defer srv.Close()
+	srv := serveDebug(t, sites[0])
 	for _, path := range []string{"/cluster/metrics", "/timeseries", "/slo"} {
-		resp, err := srv.Client().Get(srv.URL + path)
-		if err != nil {
-			t.Fatalf("%s: %v", path, err)
-		}
-		if resp.StatusCode != 200 {
-			t.Fatalf("%s: status %d", path, resp.StatusCode)
+		code, body := get(t, srv, path)
+		if code != 200 {
+			t.Fatalf("%s: status %d", path, code)
 		}
 		var v any
-		if err := json.NewDecoder(resp.Body).Decode(&v); err != nil {
+		if err := json.Unmarshal([]byte(body), &v); err != nil {
 			t.Fatalf("%s: not JSON: %v", path, err)
 		}
-		resp.Body.Close()
 	}
 	if rep, err := sites[0].SLOs(); err != nil || len(rep.Objectives) == 0 {
 		t.Fatalf("remote SLO evaluation: %+v, %v", rep, err)
@@ -312,8 +257,7 @@ func TestRemoteClusterMetrics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cluster.Errors = nil
-	cluster.Metrics.Counters = nil
+	cluster = clusterView{}
 	if err := json.Unmarshal(raw, &cluster); err != nil {
 		t.Fatal(err)
 	}
@@ -330,33 +274,27 @@ func TestRemoteClusterMetrics(t *testing.T) {
 }
 
 // TestTelemetryAccessorsRequireOptions pins the error contract of the
-// new accessors.
+// accessors: each refusal is typed, and its text names the setting the
+// host was built without.
 func TestTelemetryAccessorsRequireOptions(t *testing.T) {
-	bare, err := relidev.New(3, relidev.Voting)
-	if err != nil {
-		t.Fatal(err)
+	bare := openLoneSite(t, relidev.RemoteConfig{})
+	if _, err := bare.ClusterMetricsJSON(context.Background()); !errors.Is(err, relidev.ErrNotMetered) {
+		t.Fatalf("ClusterMetricsJSON on an unmetered site: %v", err)
 	}
-	if _, err := bare.ClusterMetricsJSON(context.Background()); err != relidev.ErrNotMetered {
-		t.Fatalf("ClusterMetricsJSON on unmetered cluster: %v", err)
+	if _, err := bare.SLOs(); !errors.Is(err, relidev.ErrNotMetered) {
+		t.Fatalf("SLOs on an unmetered site: %v", err)
 	}
-	metered, err := relidev.New(3, relidev.Voting, relidev.WithMetering())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := metered.SampleTelemetry(); err != relidev.ErrNoTelemetry {
-		t.Fatalf("SampleTelemetry without telemetry: %v", err)
-	}
-	if _, err := metered.TimeSeriesJSON(0, 0); err != relidev.ErrNoTelemetry {
-		t.Fatalf("TimeSeriesJSON without telemetry: %v", err)
-	}
-	if _, err := metered.SLOs(); err != relidev.ErrNoObjectives {
+	metered := openLoneSite(t, relidev.RemoteConfig{Metered: true})
+	if _, err := metered.SLOs(); !errors.Is(err, relidev.ErrNoObjectives) {
 		t.Fatalf("SLOs without objectives: %v", err)
 	}
-	sampled, err := relidev.New(3, relidev.Voting, relidev.WithTelemetry(0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sampled.SLOs(); err != relidev.ErrNoObjectives {
+	sampled := openLoneSite(t, relidev.RemoteConfig{Metered: true, TelemetryStep: time.Hour})
+	if _, err := sampled.SLOs(); !errors.Is(err, relidev.ErrNoObjectives) {
 		t.Fatalf("SLOs with telemetry but no objectives: %v", err)
+	}
+	for err, setting := range map[error]string{relidev.ErrNotMetered: "RemoteConfig.Metered", relidev.ErrNoObjectives: "RemoteConfig.Objectives"} {
+		if !strings.Contains(err.Error(), setting) {
+			t.Errorf("%q does not name %s", err, setting)
+		}
 	}
 }
