@@ -18,18 +18,20 @@ import (
 // module does not control — protocol.Transport returns a map and boxed
 // replies, protocol.Handler and Request box the messages:
 //
-//	read 14 = 2  op scope: the per-op phase accumulator + its context node
+//	read 10 = 2  op scope: the per-op phase accumulator + its context node
 //	        + 1  the VoteRequest boxed into protocol.Request
 //	        + 2  the Broadcast result map (header + group)
-//	        + 1  the fan-out state
-//	        + 3  one closure per spawned leg (four remotes, last one inline)
 //	        + 4  one VoteReply per remote boxed into protocol.Response
 //	        + 1  the returned block
-//	write 13: the same with a PrepareWriteRequest and four
+//	write 9: the same with a PrepareWriteRequest and four
 //	          PrepareWriteReplies, and no returned block; the four
 //	          4 KiB pre-images are read into recycled buffers.
 //	traced +2: the op's and the broadcast's span-context nodes; every
 //	          trace event is a ring write.
+//
+// simnet runs a broadcast's legs in order on the caller's goroutine
+// (protocol.FanOutInOrder), so the fan-out state and the one closure per
+// spawned leg (1 + 3 here) are rpcnet's alone.
 //
 // A change that moves a count edits this table and says who owns the
 // difference. The race detector allocates, hence the build tag.
@@ -46,7 +48,7 @@ func TestQuorumOpAllocBudget(t *testing.T) {
 				return nil, err
 			}
 			return c.Device(0)
-		}, 14, 13},
+		}, 10, 9},
 		// The public Cluster only meters; a traced one is core's.
 		{"traced", func() (relidev.Device, error) {
 			c, err := core.NewCluster(core.ClusterConfig{Sites: 5, Scheme: core.Voting, Geometry: geom,
@@ -55,7 +57,7 @@ func TestQuorumOpAllocBudget(t *testing.T) {
 				return nil, err
 			}
 			return c.Device(0)
-		}, 16, 15},
+		}, 12, 11},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dev, err := tc.device()

@@ -14,15 +14,15 @@
 // splitmix64(seed, from, to, i). Concurrent calls on *different* links
 // never perturb each other's streams, so a workload that issues a
 // deterministic sequence of operations per link sees identical faults
-// on every run, regardless of goroutine scheduling inside broadcast
-// fan-outs.
+// on every run, regardless of goroutine scheduling.
 //
 // Over the simulated network the decorator installs a simnet.FaultRule
 // and forwards all traffic untouched: decisions then happen inside the
 // fan-out, per destination, and the §5 transmission accounting of the
-// enclosing broadcast stays exact. Over any other transport (rpcnet)
-// broadcasts are decomposed into per-destination calls, which matches
-// what a TCP "broadcast" is anyway.
+// enclosing broadcast stays exact; simnet runs the legs in order, so
+// delays injected into one broadcast add up instead of overlapping.
+// Over any other transport (rpcnet) broadcasts are decomposed into
+// concurrent per-destination calls, as a TCP "broadcast" is anyway.
 package faultnet
 
 import (

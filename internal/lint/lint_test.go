@@ -88,6 +88,13 @@ func TestLeakCheckFixtures(t *testing.T) {
 	linttest.Run(t, testdata, "fixtures/leakcheck/lib", lint.LeakCheck)
 }
 
+// TestLeakCheckSeededMutation is leakcheck's planted-bug test: a
+// fixture copy of protocol.FanOut's spawning loop with the WaitGroup
+// join deleted must be flagged.
+func TestLeakCheckSeededMutation(t *testing.T) {
+	linttest.Run(t, testdata, "fixtures/leakcheck/fanout", lint.LeakCheck)
+}
+
 func TestLeakCheckMainPackage(t *testing.T) {
 	linttest.Run(t, testdata, "fixtures/leakcheck/cmd", lint.LeakCheck)
 }

@@ -271,10 +271,10 @@ func (t *MeteredTransport) fanOut(ctx context.Context, m int, from protocol.Site
 	elapsed := t.o.Now() - start
 	mm.latency.Observe(elapsed)
 	if rec := protocol.CtxPhases(ctx); rec != nil {
-		// The whole concurrent fan-out is one critical-path slice: the
-		// coordinator waits for the slowest destination, and the
-		// straggler sub-phase (recorded by protocol.FanOut, which sees
-		// per-destination completions) re-slices this wait.
+		// The whole fan-out is one critical-path slice: the coordinator
+		// waits for every destination, and the straggler sub-phase
+		// (recorded by the fan-out's join, which sees per-destination
+		// round trips) re-slices this wait.
 		rec.RecordPhase(protocol.PhaseFanout, elapsed)
 	}
 	for _, res := range results {

@@ -41,16 +41,27 @@ type fanState struct {
 	inline [fanInline]fanLeg
 }
 
-// FanOut is the one broadcast loop (DESIGN.md §7): it sends req through
-// via to every site of dests except from (a self-send is a local
-// operation) concurrently and returns each result. The last target is
-// delivered on the caller's goroutine, which would otherwise only wait:
-// n targets cost n-1 goroutines, and a single target allocates nothing
-// but the result map. A context already cancelled reports that for
-// every target without calling via. When ctx carries a PhaseRecorder,
-// FanOut charges it each target's round trip and the straggler wait, on
-// the recorder's clock — facts only the fan-out can see.
+// FanOut is the broadcast loop of a transport whose legs wait on a
+// network (DESIGN.md §7): it sends req through via to every site of
+// dests except from (a self-send is a local operation) concurrently and
+// returns each result. The last target is delivered on the caller's
+// goroutine, which would otherwise only wait: n targets cost n-1
+// goroutines. A context already cancelled reports that for every target
+// without calling via. When ctx carries a PhaseRecorder, FanOut charges
+// it each target's round trip and the straggler wait, on the recorder's
+// clock — facts only the fan-out can see.
 func FanOut(ctx context.Context, from SiteID, dests []SiteID, req Request, via Caller) map[SiteID]Result {
+	return fanOut(ctx, from, dests, req, via, false)
+}
+
+// FanOutInOrder is FanOut for a transport whose legs wait on nothing
+// (simnet's in-process Handle calls): every leg runs on the caller's
+// goroutine, in destination order, and only the result map allocates.
+func FanOutInOrder(ctx context.Context, from SiteID, dests []SiteID, req Request, via Caller) map[SiteID]Result {
+	return fanOut(ctx, from, dests, req, via, true)
+}
+
+func fanOut(ctx context.Context, from SiteID, dests []SiteID, req Request, via Caller, inOrder bool) map[SiteID]Result {
 	var buf [MaxSites]SiteID
 	targets := buf[:0]
 	for _, to := range dests {
@@ -67,9 +78,12 @@ func FanOut(ctx context.Context, from SiteID, dests []SiteID, req Request, via C
 	}
 	call := fanCall{ctx: ctx, rec: CtxPhases(ctx), via: via, from: from, req: req}
 	last := len(targets) - 1
-	if last == 0 {
-		one := [1]fanLeg{call.leg(targets[0])}
-		call.join(targets, one[:], out)
+	if inOrder || last == 0 {
+		var slots [MaxSites]fanLeg
+		for i, to := range targets {
+			slots[i] = call.leg(to)
+		}
+		call.join(targets, slots[:len(targets)], out)
 		return out
 	}
 	st := &fanState{fanCall: call}
@@ -103,8 +117,8 @@ func (c *fanCall) leg(to SiteID) (l fanLeg) {
 }
 
 // join moves the slots into the result map and charges the recorder.
-// The straggler wait is how much later the slowest leg finished than
-// the second-slowest: the wall time a one-member-smaller quorum saves.
+// The straggler wait is how much longer the slowest leg took than the
+// second-slowest: with concurrent legs, what a smaller quorum saves.
 func (c *fanCall) join(targets []SiteID, legs []fanLeg, out map[SiteID]Result) {
 	max, second := int64(-1), int64(-1)
 	for i, to := range targets {

@@ -12,7 +12,7 @@ const (
 	// its per-block stripe in scheme.OpLocks before the protocol ran.
 	PhaseLockWait = "lock_wait"
 	// PhaseFanout is the time inside quorum fan-outs (Broadcast/Notify):
-	// the whole concurrent round, bounded by the slowest destination.
+	// the whole round, concurrent (rpcnet) or in order (simnet).
 	PhaseFanout = "fanout"
 	// PhaseRPC is the time inside point-to-point rounds (Call/Fetch).
 	PhaseRPC = "rpc"
@@ -21,15 +21,15 @@ const (
 	// span close as end-to-end minus the attributed phases.
 	PhaseLocal = "local"
 	// PhaseStraggler is the marginal wait charged to the slowest member
-	// of a fan-out: how much later it answered than the second-slowest
-	// destination. A sub-slice of PhaseFanout, so it is excluded from
-	// the partition sum.
+	// of a fan-out: how much longer its round trip took than the
+	// second-slowest destination's. A sub-slice of PhaseFanout, so it is
+	// excluded from the partition sum.
 	PhaseStraggler = "straggler"
 )
 
 // A PhaseRecorder receives critical-path attribution from layers below
 // the observability decorators — the fan-out internals of simnet and
-// rpcnet, which alone can see per-destination completion times. The
+// rpcnet, which alone can see per-destination round-trip times. The
 // observability layer implements it; transports reach it through the
 // operation context so they need no obs dependency.
 //

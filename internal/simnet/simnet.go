@@ -440,7 +440,7 @@ func (n *Network) Fetch(ctx context.Context, from, to protocol.SiteID, req proto
 // per destination in unicast mode, plus one transmission per reply
 // received. A destination equal to the sender is skipped and never
 // charged: local operations cost no traffic (§5). Destinations are
-// contacted concurrently; the round trips overlap.
+// contacted in order on the caller's goroutine: a leg waits on nothing.
 func (n *Network) Broadcast(ctx context.Context, from protocol.SiteID, dests []protocol.SiteID, req protocol.Request) map[protocol.SiteID]protocol.Result {
 	return n.deliver(ctx, from, dests, req, true)
 }
@@ -454,8 +454,8 @@ func (n *Network) Notify(ctx context.Context, from protocol.SiteID, dests []prot
 	return n.deliver(ctx, from, dests, req, false)
 }
 
-// leg is the Network as protocol.FanOut drives it: an uncharged round
-// trip. deliver charges the broadcast before it and the replies after.
+// leg is the Network as protocol.FanOutInOrder drives it: an uncharged
+// round trip; deliver charges the broadcast before and the replies after.
 type leg Network
 
 func (l *leg) Call(ctx context.Context, from, to protocol.SiteID, req protocol.Request) (protocol.Response, error) {
@@ -484,7 +484,7 @@ func (n *Network) deliver(ctx context.Context, from protocol.SiteID, dests []pro
 			n.countRequest(opIdx, req.Kind(), 1, reqBytes)
 		}
 	}
-	results := protocol.FanOut(ctx, from, dests, req, (*leg)(n))
+	results := protocol.FanOutInOrder(ctx, from, dests, req, (*leg)(n))
 	if countReplies {
 		for _, res := range results {
 			if res.Err == nil {

@@ -10,9 +10,9 @@ import (
 	"relidev/internal/protocol"
 )
 
-// echoHandler records calls and answers StatusRequests. Handlers are
-// invoked concurrently by the network's fan-out, so the counter is
-// atomic.
+// echoHandler records calls and answers StatusRequests. Concurrent
+// callers invoke a handler from several goroutines at once, so the
+// counter is atomic.
 type echoHandler struct {
 	id    protocol.SiteID
 	calls atomic.Int64
