@@ -13,7 +13,7 @@ import (
 
 // TestQuorumOpAllocBudget pins what one metered voting op on a 5-site
 // in-process cluster allocates in steady state (the block already
-// written once, so the remote sites recycle their pre-image buffers).
+// written once, so the remote sites recycle their staging buffers).
 // Every allocation left has an owner that sits behind an interface this
 // module does not control — protocol.Transport returns a map and boxed
 // replies, protocol.Handler and Request box the messages:
@@ -24,8 +24,10 @@ import (
 //	        + 4  one VoteReply per remote boxed into protocol.Response
 //	        + 1  the returned block
 //	write 9: the same with a PrepareWriteRequest and four
-//	          PrepareWriteReplies, and no returned block; the four
-//	          4 KiB pre-images are read into recycled buffers.
+//	          PrepareWriteReplies, and no returned block; each of the
+//	          four staging sites copies the payload into a recycled
+//	          buffer and swaps it for the block's, which becomes the
+//	          pre-image.
 //	traced +2: the op's and the broadcast's span-context nodes; every
 //	          trace event is a ring write.
 //

@@ -17,6 +17,8 @@ import (
 // between readings (and UnixNano stamps) are ever used.
 type Clock interface {
 	Now() time.Time
+	// Nanotime is Now().UnixNano(), monotonic and without a time.Time.
+	Nanotime() int64
 	// Sleep pauses the caller for d, or less if ctx is done first.
 	Sleep(ctx context.Context, d time.Duration)
 	// NewTimer returns a timer that fires once, d from now.
@@ -33,15 +35,21 @@ type Timer struct {
 // when the timer already fired or was stopped).
 func (t *Timer) Stop() bool { return t.stop() }
 
-// Wall is real time: the clock of every live host.
-var Wall Clock = wall{}
+// Wall is real time: the clock of every live host. Now and Nanotime add
+// to one base reading the time since it, which time.Since takes from the
+// monotonic clock alone: half a time.Now, and never stepping back.
+//
+//relidev:allow nondeterminism: the one sanctioned wall-clock read (a base, then the monotonic time since it); replayed runs inject a Manual clock
+var Wall Clock = wall{base: time.Now(), since: time.Since}
 
-type wall struct{}
-
-func (wall) Now() time.Time {
-	//relidev:allow nondeterminism: the one sanctioned wall-clock read; replayed runs inject a Manual clock
-	return time.Now()
+type wall struct {
+	base  time.Time
+	since func(time.Time) time.Duration
 }
+
+func (w wall) Now() time.Time { return w.base.Add(w.since(w.base)) }
+
+func (w wall) Nanotime() int64 { return w.base.UnixNano() + int64(w.since(w.base)) }
 
 func (w wall) Sleep(ctx context.Context, d time.Duration) {
 	t := w.NewTimer(d)
@@ -80,6 +88,9 @@ func NewManual() *Manual { return &Manual{} }
 
 // Now implements Clock.
 func (m *Manual) Now() time.Time { return time.Unix(0, m.ns.Load()) }
+
+// Nanotime implements Clock: the counter itself.
+func (m *Manual) Nanotime() int64 { return m.ns.Load() }
 
 // Advance moves time forward by d (d <= 0 is a no-op) and fires every
 // timer whose deadline it reaches, in deadline order (creation order

@@ -194,3 +194,57 @@ func TestWallSleepHonoursContextAndTimerFires(t *testing.T) {
 }
 
 func elapsed(m *Manual) time.Duration { return m.Now().Sub(time.Unix(0, 0)) }
+
+// Manual's Nanotime is its Now in nanoseconds after every Advance and
+// Sleep, whatever moved it.
+func TestManualNanotimeIsNow(t *testing.T) {
+	m := NewManual()
+	check := func(what string) {
+		t.Helper()
+		if n, now := m.Nanotime(), m.Now().UnixNano(); n != now {
+			t.Fatalf("after %s: Nanotime %d, Now %d", what, n, now)
+		}
+	}
+	check("start")
+	for i, d := range []time.Duration{time.Nanosecond, 0, -time.Second, 3 * time.Millisecond, time.Hour} {
+		m.Advance(d)
+		check("Advance")
+		m.Sleep(context.Background(), time.Duration(i)*time.Microsecond)
+		check("Sleep")
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	m.Sleep(ctx, time.Second)
+	check("a cancelled Sleep")
+}
+
+// Wall's Nanotime never goes back, read from many goroutines at once,
+// and a Now in nanoseconds falls between the Nanotimes read around it:
+// both count from one base reading.
+func TestWallNanotimeMonotonic(t *testing.T) {
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			last := Wall.Nanotime()
+			for i := 0; i < 10000; i++ {
+				n := Wall.Nanotime()
+				if n < last {
+					t.Errorf("Nanotime went back: %d after %d", n, last)
+					return
+				}
+				last = n
+			}
+		}()
+	}
+	wg.Wait()
+	for i := 0; i < 100; i++ {
+		before := Wall.Nanotime()
+		now := Wall.Now().UnixNano()
+		after := Wall.Nanotime()
+		if now < before || now > after {
+			t.Fatalf("Now %d outside the Nanotime readings around it [%d, %d]", now, before, after)
+		}
+	}
+}

@@ -198,12 +198,12 @@ func New(opts ...Option) *Observer {
 
 // Now reads the observer's clock in nanoseconds (0 for a nil observer),
 // so wiring layers can time external phases — group-commit flushes,
-// lock waits — on the same clock the op latencies use.
+// lock waits — on the same clock the op latencies use: its Nanotime.
 func (o *Observer) Now() int64 {
 	if o == nil {
 		return 0
 	}
-	return o.clock.Now().UnixNano()
+	return o.clock.Nanotime()
 }
 
 // Clock returns the observer's clock (clock.Wall for a nil observer),

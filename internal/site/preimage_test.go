@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"path/filepath"
 	"sync"
 	"testing"
 
@@ -12,44 +13,50 @@ import (
 	"relidev/internal/store"
 )
 
-// plainStore hides every optional capability of the store it wraps, so
-// the replica sees a Store without ReadInto (the shape a store
-// implemented outside this module has). failWrites makes the next n
-// Writes fail without touching the block.
-type plainStore struct {
+// failStore makes the next n Writes of the store it wraps fail without
+// touching the block. It hides every optional capability of that store,
+// so a replica over it stages through store.Swap's Read+Write fallback
+// (the shape a store implemented outside this module has).
+type failStore struct {
 	store.Store
-	mu         sync.Mutex
-	failWrites int
+	mu sync.Mutex
+	n  int
 }
 
 var errDisk = errors.New("disk on fire")
 
-func (p *plainStore) Write(idx block.Index, data []byte, ver block.Version) error {
-	p.mu.Lock()
-	fail := p.failWrites > 0
-	if fail {
-		p.failWrites--
-	}
-	p.mu.Unlock()
-	if fail {
-		return errDisk
-	}
-	return p.Store.Write(idx, data, ver)
+func (f *failStore) failNext(n int) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.n = n
 }
 
-// failingMem is a MemStore (so it keeps ReadInto) whose next n Writes
-// fail.
-type failingMem struct {
-	*store.MemStore
-	failWrites int
+// fail consumes one pending failure, if any.
+func (f *failStore) fail() bool {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if f.n == 0 {
+		return false
+	}
+	f.n--
+	return true
 }
 
-func (f *failingMem) Write(idx block.Index, data []byte, ver block.Version) error {
-	if f.failWrites > 0 {
-		f.failWrites--
+func (f *failStore) Write(idx block.Index, data []byte, ver block.Version) error {
+	if f.fail() {
 		return errDisk
 	}
-	return f.MemStore.Write(idx, data, ver)
+	return f.Store.Write(idx, data, ver)
+}
+
+// swapStore is a failStore that keeps its store's Swap, failing it too.
+type swapStore struct{ *failStore }
+
+func (s swapStore) Swap(idx block.Index, buf []byte, ver block.Version) ([]byte, error) {
+	if s.fail() {
+		return nil, errDisk
+	}
+	return store.Swap(s.Store, idx, buf, ver)
 }
 
 func prepare(t *testing.T, r *Replica, from protocol.SiteID, idx block.Index, data string, ver block.Version) protocol.PrepareWriteReply {
@@ -79,46 +86,38 @@ func wantBlock(t *testing.T, r *Replica, idx block.Index, data string, ver block
 	}
 }
 
-// replicaKinds builds the same replica over a store with ReadInto and
-// over one without: every pre-image test must read the same either way.
-func replicaKinds(t *testing.T, run func(t *testing.T, r *Replica, failWrites func(n int))) {
-	t.Run("ReadInto", func(t *testing.T) {
-		mem, err := store.NewMem(testGeom)
-		if err != nil {
-			t.Fatal(err)
-		}
-		st := &failingMem{MemStore: mem}
-		r, err := New(Config{ID: 0, Store: st})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if r.readInto == nil {
-			t.Fatal("replica did not resolve the store's ReadInto")
-		}
-		run(t, r, func(n int) { st.failWrites = n })
-	})
-	t.Run("plain", func(t *testing.T) {
-		mem, err := store.NewMem(testGeom)
-		if err != nil {
-			t.Fatal(err)
-		}
-		st := &plainStore{Store: mem}
-		r, err := New(Config{ID: 0, Store: st})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if r.readInto != nil {
-			t.Fatal("plainStore leaked ReadInto")
-		}
-		run(t, r, func(n int) { st.failWrites = n })
-	})
+// stageKinds runs a pre-image test over repairStores' three stores, which
+// stage by swapping buffers, and over a MemStore without Swap ("plain"),
+// which stages through the Read+Write fallback: every pre-image test
+// must read the same either way. failNext(n) makes the next n Writes and
+// Swaps fail without touching the block; swaps says whether the store
+// keeps the buffers it is handed.
+func stageKinds(t *testing.T, run func(t *testing.T, r *Replica, failNext func(n int), swaps bool)) {
+	for _, kind := range []string{"mem", "seg", "batched", "plain"} {
+		t.Run(kind, func(t *testing.T) {
+			var st store.Store
+			f := &failStore{}
+			if kind == "plain" {
+				f.Store, st = openStore(t, "mem"), f
+			} else {
+				f.Store, st = openStore(t, kind), swapStore{f}
+			}
+			r, err := New(Config{ID: 0, Store: st})
+			if err != nil {
+				t.Fatal(err)
+			}
+			run(t, r, f.failNext, kind != "plain")
+		})
+	}
 }
 
 // Stage A (coordinator 1), then stage B (coordinator 2) over it: B
 // supersedes A's record and recycles its buffer. Aborting B must
-// restore A's data bit for bit, and a late abort of A is a no-op.
+// restore A's data bit for bit — on a store that swaps, by reinstalling
+// the record's own buffer and leaving B's staged buffer as the spare —
+// and a late abort of A is a no-op.
 func TestAbortAfterRecycledPreImage(t *testing.T) {
-	replicaKinds(t, func(t *testing.T, r *Replica, _ func(int)) {
+	stageKinds(t, func(t *testing.T, r *Replica, _ func(int), swaps bool) {
 		// Cycle the spare once on another block so B's pre-image lands
 		// in a buffer that has held other bytes.
 		prepare(t, r, 1, 5, "x1", 1)
@@ -127,33 +126,46 @@ func TestAbortAfterRecycledPreImage(t *testing.T) {
 		if !prepare(t, r, 1, 3, "A", 1).Staged {
 			t.Fatal("A not staged")
 		}
+		staged := make([]byte, testGeom.BlockSize)
+		r.spare = staged // B's payload is copied here
 		if !prepare(t, r, 2, 3, "B", 2).Staged {
 			t.Fatal("B not staged")
 		}
 		wantBlock(t, r, 3, "B", 2)
+		record := r.prov[3].prevData
 		abort(t, r, 2, 3, 2)
 		wantBlock(t, r, 3, "A", 1)
-		abort(t, r, 1, 3, 1) // A's record left the map when B superseded it
+		abort(t, r, 1, 3, 1) // A's record left prov when B superseded it
 		wantBlock(t, r, 3, "A", 1)
 		wantBlock(t, r, 5, "x2", 2)
+		if !swaps {
+			return
+		}
+		if &r.spare[0] != &staged[0] {
+			t.Fatal("the abort did not leave B's staged buffer as the spare")
+		}
+		installed, err := store.Swap(r.st, 3, make([]byte, testGeom.BlockSize), 3)
+		if err != nil || &installed[0] != &record[0] {
+			t.Fatalf("the abort did not reinstall the record's own buffer (err %v)", err)
+		}
 	})
 }
 
-// A store whose Write fails in the middle of stage B leaves stage A's
-// record live and unclobbered: A's abort still restores the bytes A
-// displaced.
+// A store whose Write or Swap fails in the middle of stage B leaves
+// stage A's record live and unclobbered: A's abort still restores the
+// bytes A displaced.
 func TestFailedStageKeepsEarlierRecord(t *testing.T) {
-	replicaKinds(t, func(t *testing.T, r *Replica, failWrites func(int)) {
+	stageKinds(t, func(t *testing.T, r *Replica, failNext func(int), _ bool) {
 		if err := r.WriteLocal(3, pad("base"), 4); err != nil {
 			t.Fatal(err)
 		}
 		prepare(t, r, 1, 3, "A", 5)
-		failWrites(1)
+		failNext(1)
 		if _, err := r.Handle(context.Background(), 2, protocol.PrepareWriteRequest{Block: 3, Data: pad("B"), Version: 6}); !errors.Is(err, errDisk) {
 			t.Fatalf("stage B over a failing store: err = %v, want errDisk", err)
 		}
 		wantBlock(t, r, 3, "A", 5)
-		// The buffer B read its pre-image into went back to the spare;
+		// The buffer B copied its payload into went back to the spare;
 		// staging elsewhere reuses it and must not disturb A's record.
 		prepare(t, r, 2, 6, "y", 1)
 		abort(t, r, 1, 3, 5)
@@ -161,10 +173,48 @@ func TestFailedStageKeepsEarlierRecord(t *testing.T) {
 	})
 }
 
+// failSync is a segment store whose Sync always fails.
+type failSync struct{ *store.SegStore }
+
+func (failSync) Sync() error { return errDisk }
+
+// Behind a Batcher whose Sync fails, a stage has still installed: the
+// replica answers with the error, never takes back as its spare the
+// buffer the store kept, and keeps the record, so the coordinator's
+// abort restores the block (and fails the same way).
+func TestStageThroughFailedSync(t *testing.T) {
+	seg, err := store.CreateSeg(filepath.Join(t.TempDir(), "segs"), testGeom)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := store.NewBatcher(failSync{seg}, store.BatchPolicy{MaxBatch: 8})
+	defer st.Close()
+	r, err := New(Config{ID: 0, Store: st})
+	if err != nil {
+		t.Fatal(err)
+	}
+	staged := make([]byte, testGeom.BlockSize)
+	r.spare = staged
+	if _, err := r.Handle(context.Background(), 1, protocol.PrepareWriteRequest{Block: 3, Data: pad("A"), Version: 1}); !errors.Is(err, errDisk) {
+		t.Fatalf("stage over a failing Sync: err = %v, want errDisk", err)
+	}
+	wantBlock(t, r, 3, "A", 1)
+	if len(r.spare) > 0 && &r.spare[0] == &staged[0] {
+		t.Fatal("the replica kept as its spare the buffer the store installed")
+	}
+	if _, err := r.Handle(context.Background(), 1, protocol.AbortWriteRequest{Block: 3, Version: 1}); !errors.Is(err, errDisk) {
+		t.Fatalf("abort over a failing Sync: err = %v, want errDisk", err)
+	}
+	wantBlock(t, r, 3, "", 0)
+	if &r.spare[0] != &staged[0] {
+		t.Fatal("the abort did not hand the staged buffer back as the spare")
+	}
+}
+
 // Concurrent stage/abort cycles on distinct blocks share the replica's
 // one spare buffer; every block must end with exactly its own bytes.
 func TestConcurrentStagesRecyclePreImages(t *testing.T) {
-	replicaKinds(t, func(t *testing.T, r *Replica, _ func(int)) {
+	stageKinds(t, func(t *testing.T, r *Replica, _ func(int), _ bool) {
 		var wg sync.WaitGroup
 		for b := 0; b < testGeom.NumBlocks; b++ {
 			wg.Add(1)

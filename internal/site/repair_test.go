@@ -236,24 +236,31 @@ func TestApplyRepairVersionConditional(t *testing.T) {
 func repairStores(t *testing.T, run func(t *testing.T, r *Replica)) {
 	for _, kind := range []string{"mem", "seg", "batched"} {
 		t.Run(kind, func(t *testing.T) {
-			var st store.Store
-			var err error
-			if kind == "mem" {
-				st, err = store.NewMem(testGeom)
-			} else if st, err = store.CreateSeg(filepath.Join(t.TempDir(), "segs"), testGeom); kind == "batched" {
-				st = store.NewBatcher(st, store.BatchPolicy{MaxBatch: 8})
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer st.Close()
-			r, err := New(Config{ID: 0, Store: st})
+			r, err := New(Config{ID: 0, Store: openStore(t, kind)})
 			if err != nil {
 				t.Fatal(err)
 			}
 			run(t, r)
 		})
 	}
+}
+
+// openStore opens one of repairStores' kinds of store, closed when the
+// test ends.
+func openStore(t *testing.T, kind string) store.Store {
+	t.Helper()
+	var st store.Store
+	var err error
+	if kind == "mem" {
+		st, err = store.NewMem(testGeom)
+	} else if st, err = store.CreateSeg(filepath.Join(t.TempDir(), "segs"), testGeom); kind == "batched" {
+		st = store.NewBatcher(st, store.BatchPolicy{MaxBatch: 8})
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { st.Close() })
+	return st
 }
 
 // TestApplyRepairRepeatedBlock: a page naming one block twice ends at
@@ -338,10 +345,10 @@ func TestApplyRepairDropsStagedPreImage(t *testing.T) {
 		if err != nil || n != 1 {
 			t.Fatalf("installed %d (err %v), want 1", n, err)
 		}
-		if _, ok := r.prov[1]; ok {
+		if r.prov[1].stagedVer != 0 {
 			t.Fatal("block 1's install left the staged pre-image record")
 		}
-		if _, ok := r.prov[2]; !ok {
+		if r.prov[2].stagedVer == 0 {
 			t.Fatal("a stale copy of block 2 dropped the staged pre-image record")
 		}
 		abort(t, r, 2, 1, 5)

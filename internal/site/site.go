@@ -54,16 +54,12 @@ type Replica struct {
 
 	// prov retains, per block, the pre-image displaced by the most recent
 	// staged prepare-write, so an AbortWriteRequest can restore it if the
-	// coordinator's quorum fails. Entries are dropped as soon as any
-	// newer install supersedes the staged version; memory is bounded by
-	// the number of blocks. Guarded by mu.
-	prov map[block.Index]provRecord
-	// readInto is the store's ReadInto when it has one, resolved once in
-	// New; pre-images are then read into spare — the buffer of the last
-	// record a stage superseded, recycled only once that record has left
-	// prov — instead of a fresh copy. Guarded by mu.
-	readInto store.ReaderInto
-	spare    []byte
+	// coordinator's quorum fails. Allocated at the first stage; a record
+	// with stagedVer 0 is empty, and any newer install empties it. spare
+	// is the buffer the next stage copies its payload into, one no record
+	// holds (DESIGN.md §12). Guarded by mu.
+	prov  []provRecord
+	spare []byte
 
 	// wHook observes was-available transitions (old, new); nil observes
 	// nothing. A plain func keeps the site mechanism free of any
@@ -121,7 +117,6 @@ func New(cfg Config) (*Replica, error) {
 		st = protocol.StateAvailable
 	}
 	r := &Replica{id: cfg.ID, weight: w, witness: cfg.Witness, st: cfg.Store, state: st}
-	r.readInto, _ = cfg.Store.(store.ReaderInto)
 	meta, err := cfg.Store.LoadMeta()
 	if err != nil {
 		return nil, fmt.Errorf("load replica meta: %w", err)
@@ -256,12 +251,12 @@ func (r *Replica) StageLocal(idx block.Index, data []byte, ver block.Version) (b
 	return r.stageLocked(idx, data, ver)
 }
 
-// provRecord is the pre-image a staged prepare-write displaced. from
-// identifies the staging coordinator: aborts are broadcast (the
-// coordinator cannot know which sites staged when replies were lost),
-// so a record must only ever be reverted by the coordinator that
-// created it — another coordinator's abort of the same version number
-// must not undo a committed write.
+// provRecord is the pre-image (a buffer it owns) a staged prepare-write
+// displaced. from identifies the staging coordinator: aborts are
+// broadcast (the coordinator cannot know which sites staged when replies
+// were lost), so a record must only ever be reverted by the coordinator
+// that created it — another coordinator's abort of the same version
+// number must not undo a committed write.
 type provRecord struct {
 	from      protocol.SiteID
 	stagedVer block.Version
@@ -283,7 +278,9 @@ func (r *Replica) stageLocked(idx block.Index, data []byte, ver block.Version) (
 	}
 	// Any successful install supersedes an abortable staged proposal: the
 	// retained pre-image is no longer the block's history.
-	delete(r.prov, idx)
+	if r.prov != nil {
+		r.prov[idx] = provRecord{}
+	}
 	return true, nil
 }
 
@@ -430,51 +427,32 @@ func (r *Replica) handlePrepareWrite(state protocol.SiteState, from protocol.Sit
 	if state == protocol.StateComatose || r.witness || q.Version <= ver {
 		return reply, nil
 	}
-	// Retain the displaced pre-image so a failed quorum can abort the
-	// stage; read it before the install overwrites it.
-	prevData, err := r.preImage(q.Block)
-	if err != nil {
-		return nil, err
-	}
-	superseded := r.prov[q.Block].prevData
-	reply.Staged, err = r.stageLocked(q.Block, q.Data, q.Version)
-	if !reply.Staged {
-		// No install (the store failed, or an unlocked local write got
-		// ahead): the block and any earlier stage's record stand as they
-		// were; only the unused buffer goes back.
-		r.spare = prevData
-		if err != nil {
-			return nil, err
-		}
-		return reply, nil
-	}
-	if superseded != nil {
-		r.spare = superseded // the install dropped that record from prov
-	}
-	if r.prov == nil {
-		r.prov = make(map[block.Index]provRecord)
-	}
-	r.prov[q.Block] = provRecord{from: from, stagedVer: q.Version, prevVer: ver, prevData: prevData}
-	return reply, nil
-}
-
-// preImage reads block idx's current contents for a prov record, into
-// the spare buffer when the store can fill one. Callers hold r.mu.
-func (r *Replica) preImage(idx block.Index) ([]byte, error) {
-	if r.readInto == nil {
-		data, _, err := r.st.Read(idx)
-		return data, err
-	}
-	buf := r.spare
+	// Stage a copy of the payload (it may alias the transport's buffer)
+	// by exchanging it for the block's own buffer, which becomes the
+	// pre-image a failed quorum's abort swaps back.
+	buf := append(r.spare[:0], q.Data...)
 	r.spare = nil
-	if buf == nil {
-		buf = make([]byte, r.st.Geometry().BlockSize)
-	}
-	if _, err := r.readInto.ReadInto(idx, buf); err != nil {
+	prev, err := store.Swap(r.st, q.Block, buf, q.Version)
+	if prev == nil {
+		// Nothing installed: the block and any earlier stage's record
+		// stand as they were, and the buffer is still ours.
 		r.spare = buf
 		return nil, err
 	}
-	return buf, nil
+	if r.prov == nil {
+		r.prov = make([]provRecord, r.st.Geometry().NumBlocks)
+	}
+	if old := r.prov[q.Block]; old.stagedVer != 0 {
+		r.spare = old.prevData // this stage supersedes that record
+	}
+	// Installed, even if the store then failed to make it durable: the
+	// record lets an abort undo it either way.
+	r.prov[q.Block] = provRecord{from: from, stagedVer: q.Version, prevVer: ver, prevData: prev}
+	if err != nil {
+		return nil, err
+	}
+	reply.Staged = true
+	return reply, nil
 }
 
 // handleAbortWrite reverts a staged prepare-write whose coordinator
@@ -486,8 +464,11 @@ func (r *Replica) preImage(idx block.Index) ([]byte, error) {
 func (r *Replica) handleAbortWrite(from protocol.SiteID, q protocol.AbortWriteRequest) (protocol.Response, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	rec, ok := r.prov[q.Block]
-	if !ok || rec.from != from || rec.stagedVer != q.Version {
+	if int(q.Block) >= len(r.prov) {
+		return protocol.AbortWriteReply{}, nil
+	}
+	rec := r.prov[q.Block]
+	if rec.stagedVer == 0 || rec.from != from || rec.stagedVer != q.Version {
 		return protocol.AbortWriteReply{}, nil
 	}
 	cur, err := r.st.Version(q.Block)
@@ -497,13 +478,18 @@ func (r *Replica) handleAbortWrite(from protocol.SiteID, q protocol.AbortWriteRe
 	if cur != q.Version {
 		// A newer install landed without clearing the record (defensive;
 		// stageLocked clears it). Nothing to restore.
-		delete(r.prov, q.Block)
+		r.prov[q.Block] = provRecord{}
 		return protocol.AbortWriteReply{}, nil
 	}
-	if err := r.st.Write(q.Block, rec.prevData, rec.prevVer); err != nil {
+	staged, err := store.Swap(r.st, q.Block, rec.prevData, rec.prevVer)
+	if staged == nil {
 		return nil, err
 	}
-	delete(r.prov, q.Block)
+	r.prov[q.Block] = provRecord{}
+	r.spare = staged
+	if err != nil {
+		return nil, err
+	}
 	return protocol.AbortWriteReply{}, nil
 }
 
@@ -650,7 +636,9 @@ func (r *Replica) ApplyRepair(blocks []protocol.BlockCopy) (int, error) {
 		return 0, fmt.Errorf("apply repair page of %d blocks: %w", len(run), err)
 	}
 	for _, in := range run {
-		delete(r.prov, in.Index)
+		if r.prov != nil {
+			r.prov[in.Index] = provRecord{}
+		}
 	}
 	return len(run), nil
 }

@@ -32,14 +32,17 @@ type BatchPolicy struct {
 }
 
 // batchReq is one writer waiting for its records to be applied and
-// made durable: a WriteRun's installs, a Write's one (held in one), or
-// with meta a metadata area in run[0].Data. enq is the enqueue
+// made durable: a WriteRun's installs, a Write's one (held in one), with
+// meta a metadata area in run[0].Data, or with swap a Swap of run[0]
+// that leaves the displaced buffer in prev. enq is the enqueue
 // timestamp from the injected now-source (zero when flush stats are
 // off).
 type batchReq struct {
 	run  []Install
 	one  [1]Install
 	meta bool
+	swap bool
+	prev []byte
 	enq  int64
 	done chan error
 }
@@ -149,17 +152,6 @@ func (b *Batcher) Geometry() block.Geometry { return b.st.Geometry() }
 // Read passes through to the underlying store.
 func (b *Batcher) Read(idx block.Index) ([]byte, block.Version, error) { return b.st.Read(idx) }
 
-// ReadInto implements ReaderInto: reads bypass the queue, through the
-// underlying store's ReadInto when it has one.
-func (b *Batcher) ReadInto(idx block.Index, buf []byte) (block.Version, error) {
-	if ri, ok := b.st.(ReaderInto); ok {
-		return ri.ReadInto(idx, buf)
-	}
-	data, ver, err := b.st.Read(idx)
-	copy(buf, data)
-	return ver, err
-}
-
 // Version passes through to the underlying store.
 func (b *Batcher) Version(idx block.Index) (block.Version, error) { return b.st.Version(idx) }
 
@@ -172,12 +164,24 @@ func (b *Batcher) LoadMeta() ([]byte, error) { return b.st.LoadMeta() }
 // Write enqueues the record and blocks until the batch holding it has
 // been applied and synced.
 func (b *Batcher) Write(idx block.Index, data []byte, ver block.Version) error {
+	_, err := b.submitOne(idx, data, ver, false)
+	return err
+}
+
+// Swap is Write through the underlying store's Swap (see the package
+// func Swap): prev comes back even when the batch's Sync fails.
+func (b *Batcher) Swap(idx block.Index, buf []byte, ver block.Version) (prev []byte, err error) {
+	return b.submitOne(idx, buf, ver, true)
+}
+
+func (b *Batcher) submitOne(idx block.Index, data []byte, ver block.Version, swap bool) ([]byte, error) {
 	if err := checkWrite(b.st.Geometry(), idx, data); err != nil {
-		return err
+		return nil, err
 	}
-	req := &batchReq{one: [1]Install{{Index: idx, Data: data, Version: ver}}}
+	req := &batchReq{one: [1]Install{{Index: idx, Data: data, Version: ver}}, swap: swap}
 	req.run = req.one[:]
-	return b.submit(req)
+	err := b.submit(req)
+	return req.prev, err
 }
 
 // WriteRun enqueues the run as one batch entry — one apply through the
@@ -297,9 +301,13 @@ func (b *Batcher) flush(batch []*batchReq) {
 	}
 	errs := make([]error, len(batch))
 	for i, r := range batch {
-		if r.meta {
+		switch {
+		case r.meta:
 			errs[i] = b.st.SaveMeta(r.run[0].Data)
-		} else {
+		case r.swap:
+			in := r.run[0]
+			r.prev, errs[i] = Swap(b.st, in.Index, in.Data, in.Version)
+		default:
 			errs[i] = WriteRun(b.st, r.run)
 		}
 	}

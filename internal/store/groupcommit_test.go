@@ -15,15 +15,26 @@ import (
 )
 
 // syncCountingStore wraps a Store+Syncer and counts Sync calls, so the
-// tests can assert how many fsyncs a workload cost.
+// tests can assert how many fsyncs a workload cost. With syncErr set,
+// each Sync fails with it instead.
 type syncCountingStore struct {
 	Store
-	syncs, runs atomic.Int64
+	syncs, runs, swaps atomic.Int64
+	syncErr            error
 }
 
 func (s *syncCountingStore) Sync() error {
 	s.syncs.Add(1)
+	if s.syncErr != nil {
+		return s.syncErr
+	}
 	return s.Store.(Syncer).Sync()
+}
+
+// Swap passes swaps through to the wrapped store, counting them.
+func (s *syncCountingStore) Swap(idx block.Index, buf []byte, ver block.Version) ([]byte, error) {
+	s.swaps.Add(1)
+	return Swap(s.Store, idx, buf, ver)
 }
 
 // WriteRun passes runs through to the wrapped store, counting them.
@@ -65,6 +76,39 @@ func TestBatcherWriteRunSyncsOnce(t *testing.T) {
 	}
 	if s := counted.syncs.Load(); s != 1 {
 		t.Fatalf("a refused run reached the flush: %d syncs", s)
+	}
+}
+
+// TestBatcherSwapSyncsOnce: a Swap through a Batcher is one batch entry —
+// one Swap of the segment store underneath, then one Sync — and the
+// store keeps the caller's buffer. When that Sync fails the install has
+// still happened, so prev comes back beside the error: the caller must
+// know the store kept buf.
+func TestBatcherSwapSyncsOnce(t *testing.T) {
+	seg, err := CreateSeg(filepath.Join(t.TempDir(), "segs"), testGeom)
+	if err != nil {
+		t.Fatal(err)
+	}
+	counted := &syncCountingStore{Store: seg}
+	b := NewBatcher(counted, BatchPolicy{MaxBatch: 8})
+	defer b.Close()
+	buf := fill(1, testGeom.BlockSize)
+	prev, err := b.Swap(2, buf, 1)
+	if err != nil || !bytes.Equal(prev, make([]byte, testGeom.BlockSize)) {
+		t.Fatalf("Swap of a fresh block displaced %x (err %v), want zeros", prev, err)
+	}
+	if s, w := counted.syncs.Load(), counted.swaps.Load(); s != 1 || w != 1 {
+		t.Fatalf("a Swap cost %d syncs and %d store swaps, want 1 and 1", s, w)
+	}
+
+	errSync := errors.New("fsync failed")
+	counted.syncErr = errSync
+	prev, err = b.Swap(2, fill(2, testGeom.BlockSize), 2)
+	if !errors.Is(err, errSync) || prev == nil || &prev[0] != &buf[0] {
+		t.Fatalf("Swap over a failing Sync = %p, %v; want the first Swap's buffer and the sync error", prev, err)
+	}
+	if data, ver, err := b.Read(2); err != nil || ver != 2 || data[0] != 2 {
+		t.Fatalf("block after the unsynced Swap = %d@%d (err %v), want it installed", data[0], ver, err)
 	}
 }
 

@@ -90,10 +90,21 @@ func cleaned(before []uint64, s *SegStore) bool {
 	return moved > 1
 }
 
+// imageData renders a MemStore's blocks as one image in block order,
+// wherever each slot's buffer lives: the one way tests read block data
+// out of a store's internals.
+func imageData(m *MemStore) []byte {
+	out := make([]byte, 0, m.geom.Size())
+	for _, b := range m.blocks {
+		out = append(out, b...)
+	}
+	return out
+}
+
 // imageOf renders what a store serves — block data, versions, metadata —
 // for comparing states.
 func imageOf(s *SegStore) string {
-	return fmt.Sprintf("%x|%v|%x", s.mem.data, s.mem.versions, s.mem.meta)
+	return fmt.Sprintf("%x|%v|%x", imageData(s.mem), s.mem.Vector(), s.mem.meta)
 }
 
 // TestSegCleanCrashPoints copies the directory after every call of a
@@ -135,7 +146,7 @@ func TestSegCleanCrashPoints(t *testing.T) {
 		if call < 3 || rng.Intn(12) == 0 {
 			idx = block.Index(rng.Intn(3))
 		}
-		switch ver := s.mem.versions[idx]; {
+		switch ver := block.Version(s.mem.versions[idx].Load()); {
 		case call == 2 || call%23 == 22:
 			err = s.SaveMeta(data[:rng.Intn(len(data))])
 		case call%5 == 4 && ver > 1:

@@ -121,11 +121,11 @@ func refReplay(t testing.TB, dir string) refImage {
 // the directory it was opened from.
 func (ref refImage) checkAgainst(t testing.TB, s *SegStore) {
 	t.Helper()
-	if !bytes.Equal(s.mem.data, ref.data) {
+	if !bytes.Equal(imageData(s.mem), ref.data) {
 		t.Fatal("image data differs from in-order replay")
 	}
-	if !reflect.DeepEqual(s.mem.versions, ref.vers) {
-		t.Fatalf("versions %v, in-order replay gives %v", s.mem.versions, ref.vers)
+	if vers := s.mem.Vector(); !reflect.DeepEqual(vers, ref.vers) {
+		t.Fatalf("versions %v, in-order replay gives %v", vers, ref.vers)
 	}
 	if !bytes.Equal(s.mem.meta, ref.meta) || (s.mem.meta == nil) != (ref.meta == nil) {
 		t.Fatalf("meta %q, in-order replay gives %q", s.mem.meta, ref.meta)

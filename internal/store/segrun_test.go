@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -72,7 +73,7 @@ func TestSegWriteRunCrashPoints(t *testing.T) {
 		if i == 20 {
 			err = s.SaveMeta([]byte("w"))
 		} else {
-			err = s.Write(idx, data(), s.mem.versions[idx]+1)
+			err = s.Write(idx, data(), block.Version(s.mem.versions[idx].Load())+1)
 		}
 		if err != nil {
 			t.Fatal(err)
@@ -82,7 +83,7 @@ func TestSegWriteRunCrashPoints(t *testing.T) {
 	// The run: twelve installs over the cold blocks and the hot ones,
 	// block 3 twice.
 	var run []Install
-	next := append(block.Vector(nil), s.mem.versions...)
+	next := s.mem.Vector()
 	for _, idx := range []block.Index{0, 1, 2, 3, 9, 4, 5, 3, 10, 6, 7, 11} {
 		next[idx]++
 		run = append(run, Install{Index: idx, Data: data(), Version: next[idx]})
@@ -91,7 +92,7 @@ func TestSegWriteRunCrashPoints(t *testing.T) {
 	model := struct {
 		data []byte
 		vers block.Vector
-	}{append([]byte(nil), s.mem.data...), append(block.Vector(nil), s.mem.versions...)}
+	}{imageData(s.mem), s.mem.Vector()}
 	render := func() string { return fmt.Sprintf("%x|%v|%x", model.data, model.vers, s.mem.meta) }
 	prefix := []string{render()}
 	for _, in := range run {
@@ -200,11 +201,12 @@ func TestSegWriteRunCrashPoints(t *testing.T) {
 
 // TestSegWriteRunMatchesWrites feeds seeded random runs — of one record
 // to three segments, with repeated blocks, lowered versions and
-// metadata saves between them — to one store as WriteRuns and to a twin
-// one Write at a time. After every step the two directories must hold
-// the same bytes, so every rotation fell between the same records and
-// every cleaning pass emptied the same victim, and the liveness
-// accounting must agree.
+// metadata saves between them — to one store as WriteRuns, or as one
+// Swap per install, and to a twin one Write at a time. After every step
+// the two directories must hold the same bytes, so every rotation fell
+// between the same records and every cleaning pass emptied the same
+// victim, and the liveness accounting must agree; each Swap must hand
+// back the bytes the twin held before its Write.
 func TestSegWriteRunMatchesWrites(t *testing.T) {
 	geom := block.Geometry{BlockSize: 24, NumBlocks: 12}
 	recSize := recHeaderSize + geom.BlockSize
@@ -252,10 +254,20 @@ func TestSegWriteRunMatchesWrites(t *testing.T) {
 						rng.Read(d)
 						run[i] = Install{Index: block.Index(idx), Data: d, Version: vers[idx]}
 					}
-					if err := runs.WriteRun(run); err != nil {
-						t.Fatal(err)
+					swapped := rng.Intn(4) == 0
+					if !swapped {
+						if err := runs.WriteRun(run); err != nil {
+							t.Fatal(err)
+						}
 					}
 					for _, in := range run {
+						if swapped {
+							was, _, _ := twin.Read(in.Index)
+							prev, err := runs.Swap(in.Index, in.Data, in.Version)
+							if err != nil || !bytes.Equal(prev, was) {
+								t.Fatalf("step %d: Swap displaced %x (err %v), the twin held %x", step, prev, err, was)
+							}
+						}
 						if err := twin.Write(in.Index, in.Data, in.Version); err != nil {
 							t.Fatal(err)
 						}

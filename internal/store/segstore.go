@@ -291,11 +291,6 @@ func (s *SegStore) Read(idx block.Index) ([]byte, block.Version, error) {
 	return s.mem.Read(idx)
 }
 
-// ReadInto implements ReaderInto from the in-memory image.
-func (s *SegStore) ReadInto(idx block.Index, buf []byte) (block.Version, error) {
-	return s.mem.ReadInto(idx, buf)
-}
-
 // Version returns the version of block idx.
 func (s *SegStore) Version(idx block.Index) (block.Version, error) {
 	return s.mem.Version(idx)
@@ -314,10 +309,19 @@ func (s *SegStore) Write(idx block.Index, data []byte, ver block.Version) error 
 // in order, exactly as that many Writes would, but with one write(2)
 // unless the Writes would have rotated in between (see appendLocked).
 // Every install is checked before anything is written.
-func (s *SegStore) WriteRun(ins []Install) error {
+func (s *SegStore) WriteRun(ins []Install) error { return s.install(ins, nil) }
+
+// Swap appends the record Write would, then makes buf itself block idx's
+// image slot (see the package func Swap).
+func (s *SegStore) Swap(idx block.Index, buf []byte, ver block.Version) (prev []byte, err error) {
+	err = s.install([]Install{{Index: idx, Data: buf, Version: ver}}, &prev)
+	return prev, err
+}
+
+func (s *SegStore) install(ins []Install, swapped *[]byte) error {
 	s.mem.mu.Lock()
 	defer s.mem.mu.Unlock()
-	if s.mem.closed {
+	if s.mem.closed.Load() {
 		return ErrClosed
 	}
 	for _, in := range ins {
@@ -325,7 +329,7 @@ func (s *SegStore) WriteRun(ins []Install) error {
 			return err
 		}
 	}
-	return s.appendLocked(recBlock, ins)
+	return s.appendLocked(recBlock, ins, swapped)
 }
 
 // LoadMeta returns a copy of the metadata area.
@@ -335,13 +339,13 @@ func (s *SegStore) LoadMeta() ([]byte, error) { return s.mem.LoadMeta() }
 func (s *SegStore) SaveMeta(meta []byte) error {
 	s.mem.mu.Lock()
 	defer s.mem.mu.Unlock()
-	if s.mem.closed {
+	if s.mem.closed.Load() {
 		return ErrClosed
 	}
 	if len(meta) > defaultMetaCap {
 		return fmt.Errorf("store: metadata %d bytes exceeds capacity %d", len(meta), defaultMetaCap)
 	}
-	if err := s.appendLocked(recMeta, []Install{{Data: meta}}); err != nil {
+	if err := s.appendLocked(recMeta, []Install{{Data: meta}}, nil); err != nil {
 		return err
 	}
 	s.mem.meta = append([]byte(nil), meta...)
@@ -352,7 +356,7 @@ func (s *SegStore) SaveMeta(meta []byte) error {
 func (s *SegStore) Sync() error {
 	s.mem.mu.Lock()
 	defer s.mem.mu.Unlock()
-	if s.mem.closed {
+	if s.mem.closed.Load() {
 		return ErrClosed
 	}
 	return s.active.Sync()
@@ -362,10 +366,10 @@ func (s *SegStore) Sync() error {
 func (s *SegStore) Close() error {
 	s.mem.mu.Lock()
 	defer s.mem.mu.Unlock()
-	if s.mem.closed {
+	if s.mem.closed.Load() {
 		return nil
 	}
-	s.mem.closed = true
+	s.mem.closed.Store(true)
 	if s.active == nil {
 		return nil
 	}
@@ -383,9 +387,11 @@ func (s *SegStore) Close() error {
 // cut: each piece is framed into s.rec, written with one write(2), and
 // installed before the next rotation, whose cleaner copies from the
 // image. So segment boundaries, live counts and cleaner decisions are
-// those of record-at-a-time appends, byte for byte. Callers hold
-// s.mem.mu and have checked every install.
-func (s *SegStore) appendLocked(typ byte, ins []Install) error {
+// those of record-at-a-time appends, byte for byte. A Swap's one install
+// passes swapped: the image slot takes its buffer instead of a copy, and
+// *swapped the slot's old one. Callers hold s.mem.mu and have checked
+// every install.
+func (s *SegStore) appendLocked(typ byte, ins []Install, swapped *[]byte) error {
 	for len(ins) > 0 {
 		if s.activeLen >= s.maxBytes {
 			if err := s.rotateLocked(); err != nil {
@@ -410,8 +416,12 @@ func (s *SegStore) appendLocked(typ byte, ins []Install) error {
 				s.retireLocked(&s.metaSeg)
 				continue
 			}
-			copy(s.mem.slice(in.Index), in.Data)
-			s.mem.versions[in.Index] = in.Version
+			if swapped != nil {
+				*swapped, s.mem.blocks[in.Index] = s.mem.blocks[in.Index], in.Data
+			} else {
+				copy(s.mem.blocks[in.Index], in.Data)
+			}
+			s.mem.versions[in.Index].Store(uint64(in.Version))
 			s.retireLocked(&s.liveSeg[in.Index])
 		}
 		ins = ins[n:]
@@ -534,14 +544,14 @@ func (s *SegStore) evacuateLocked(victim uint64) error {
 	for i, seq := range s.liveSeg {
 		if seq == victim {
 			idx := block.Index(i)
-			run = append(run, Install{Index: idx, Data: s.mem.slice(idx), Version: s.mem.versions[idx]})
+			run = append(run, Install{Index: idx, Data: s.mem.blocks[idx], Version: block.Version(s.mem.versions[idx].Load())})
 		}
 	}
-	if err := s.appendLocked(recBlock, run); err != nil {
+	if err := s.appendLocked(recBlock, run, nil); err != nil {
 		return err
 	}
 	if s.metaSeg == victim {
-		return s.appendLocked(recMeta, []Install{{Data: s.mem.meta}})
+		return s.appendLocked(recMeta, []Install{{Data: s.mem.meta}}, nil)
 	}
 	return nil
 }
@@ -695,8 +705,8 @@ func (s *SegStore) replaySegment(f *os.File, seq uint64, buf []byte, tornTailOK 
 				return 0, fmt.Errorf("%w: %s: record at %d: %v", ErrCorruptSegment, name, at, err)
 			}
 			if current(&s.liveSeg[idx]) {
-				copy(s.mem.slice(idx), payload)
-				s.mem.versions[idx] = block.Version(binary.LittleEndian.Uint64(rec[9:]))
+				copy(s.mem.blocks[idx], payload)
+				s.mem.versions[idx].Store(binary.LittleEndian.Uint64(rec[9:]))
 			}
 		case recMeta:
 			if current(&s.metaSeg) {

@@ -15,6 +15,9 @@
 // persist its was-available set across crashes. Batcher layers group
 // commit over any of them, coalescing concurrent writes into a single
 // apply+fsync.
+//
+// The package funcs WriteRun and Swap reach what not every store has;
+// any other store gets the same result from Write and Read.
 package store
 
 import (
@@ -80,16 +83,6 @@ type Store interface {
 	Close() error
 }
 
-// ReaderInto is the optional capability of reading a block into a
-// buffer the caller owns (exactly one block long) instead of a fresh
-// copy; a replica recycles pre-image buffers through it (DESIGN.md
-// §12). MemStore, SegStore and Batcher have it. It stays out of Store
-// only because benchmark/ implements Store; folding it in is the
-// follow-up.
-type ReaderInto interface {
-	ReadInto(idx block.Index, buf []byte) (block.Version, error)
-}
-
 // Install is one block write of a run: block Index holds Data at
 // Version.
 type Install struct {
@@ -102,7 +95,7 @@ type Install struct {
 // with its own WriteRun takes the run whole (SegStore: one append;
 // Batcher: one group commit); any other — FileStore, VersionOnlyStore,
 // MemStore, a decorator — gets one Write per install up to the first
-// error. Like ReaderInto, the method stays out of Store only because
+// error. Like Swap, the method stays out of Store only because
 // benchmark/ implements Store; folding both in is the follow-up.
 func WriteRun(st Store, ins []Install) error {
 	if rw, ok := st.(interface{ WriteRun([]Install) error }); ok {
@@ -114,6 +107,29 @@ func WriteRun(st Store, ins []Install) error {
 		}
 	}
 	return nil
+}
+
+// Swap installs buf as block idx at version ver and returns the bytes it
+// displaced. A store with its own Swap (MemStore, SegStore, Batcher)
+// keeps buf itself and hands back the buffer that held the block; any
+// other gets a Read and a Write. prev is non-nil exactly when buf was
+// installed: the store then owns buf and the caller prev, even when a
+// Batcher's Sync then fails and err says so. On a nil prev buf stays
+// the caller's.
+func Swap(st Store, idx block.Index, buf []byte, ver block.Version) (prev []byte, err error) {
+	if sw, ok := st.(interface {
+		Swap(block.Index, []byte, block.Version) ([]byte, error)
+	}); ok {
+		return sw.Swap(idx, buf, ver)
+	}
+	prev, _, err = st.Read(idx)
+	if err != nil {
+		return nil, err
+	}
+	if err := st.Write(idx, buf, ver); err != nil {
+		return nil, err
+	}
+	return prev, nil
 }
 
 func checkAccess(g block.Geometry, idx block.Index) error {

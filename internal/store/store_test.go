@@ -335,41 +335,74 @@ func TestStoreLastWriteWins(t *testing.T) {
 	}
 }
 
-// ReadInto fills the caller's buffer with exactly what Read returns, on
-// every store that has it — and on a Batcher over a store that does
-// not (FileStore), which falls back to Read.
-func TestStoreReadInto(t *testing.T) {
+// TestStoreSwap holds every store to Swap's contract, the stores that
+// keep the caller's buffer (mem, segment, batched-segment) and the
+// Read+Write fallback (file, and a Batcher over it) alike: prev holds
+// exactly the displaced bytes and the block reads back buf at ver; a
+// swap refused for a bad index, a short buffer or a closed store returns
+// no prev and leaves buf the caller's, the block untouched.
+func TestStoreSwap(t *testing.T) {
 	mk := openers(t)
 	mk["batched-file"] = func(t *testing.T, g block.Geometry) Store {
 		return NewBatcher(mk["file"](t, g), BatchPolicy{MaxBatch: 8})
 	}
-	want := map[string]bool{"mem": true, "file": false, "segment": true, "batched-segment": true, "batched-file": true}
+	keeps := map[string]bool{"mem": true, "segment": true, "batched-segment": true}
+	bs := testGeom.BlockSize
 	for name, open := range mk {
 		t.Run(name, func(t *testing.T) {
 			s := open(t, testGeom)
-			defer s.Close()
-			ri, ok := s.(ReaderInto)
-			if ok != want[name] {
-				t.Fatalf("ReaderInto = %v, want %v", ok, want[name])
-			}
-			if !ok {
-				return
-			}
-			if err := s.Write(3, fill(0xAB, testGeom.BlockSize), 7); err != nil {
+			if err := s.Write(3, fill(0xAB, bs), 7); err != nil {
 				t.Fatal(err)
 			}
-			buf := fill(0xFF, testGeom.BlockSize)
-			ver, err := ri.ReadInto(3, buf)
-			if err != nil || ver != 7 || !bytes.Equal(buf, fill(0xAB, testGeom.BlockSize)) {
-				t.Fatalf("ReadInto = %x@%d, %v", buf[:4], ver, err)
+			buf := fill(0xCD, bs)
+			prev, err := Swap(s, 3, buf, 8)
+			if err != nil || !bytes.Equal(prev, fill(0xAB, bs)) {
+				t.Fatalf("Swap displaced %x (err %v), want the block's old bytes", prev, err)
 			}
-			if ver, err := ri.ReadInto(4, buf); err != nil || ver != 0 || !bytes.Equal(buf, make([]byte, testGeom.BlockSize)) {
-				t.Fatalf("ReadInto of a fresh block = %x@%d, %v", buf[:4], ver, err)
+			if data, ver, err := s.Read(3); err != nil || ver != 8 || !bytes.Equal(data, buf) {
+				t.Fatalf("block after Swap = %x@%d (err %v), want buf@8", data, ver, err)
+			}
+			// Swapping again hands back buf itself from a store that kept
+			// it, and a copy of its bytes from the fallback.
+			again, err := Swap(s, 3, prev, 9)
+			if err != nil || !bytes.Equal(again, fill(0xCD, bs)) {
+				t.Fatalf("second Swap displaced %x (err %v)", again, err)
+			}
+			if kept := &again[0] == &buf[0]; kept != keeps[name] {
+				t.Fatalf("second Swap returned the first one's buffer = %v, want %v", kept, keeps[name])
+			}
+
+			spare := fill(0xEE, bs)
+			refused := func(what string, prev []byte, err error, want error) {
+				t.Helper()
+				if prev != nil || err == nil || (want != nil && !errors.Is(err, want)) {
+					t.Fatalf("Swap %s = %v, %v; want nil and an error", what, prev, err)
+				}
+				spare[0]++ // still the caller's: writing it must not reach the store
+				if err == ErrClosed {
+					return
+				}
+				if data, ver, err := s.Read(3); err != nil || ver != 9 || !bytes.Equal(data, fill(0xAB, bs)) {
+					t.Fatalf("block after a refused Swap %s = %x@%d (err %v)", what, data, ver, err)
+				}
 			}
 			var oor *OutOfRangeError
-			if _, err := ri.ReadInto(block.Index(testGeom.NumBlocks), buf); !errors.As(err, &oor) {
-				t.Fatalf("out-of-range ReadInto: %v", err)
+			prev, err = Swap(s, block.Index(testGeom.NumBlocks), spare, 10)
+			if !errors.As(err, &oor) {
+				t.Fatalf("out-of-range Swap: %v", err)
 			}
+			refused("out of range", prev, err, nil)
+			var se *SizeError
+			prev, err = Swap(s, 3, spare[:bs-1], 10)
+			if !errors.As(err, &se) {
+				t.Fatalf("short-buffer Swap: %v", err)
+			}
+			refused("of a short buffer", prev, err, nil)
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+			prev, err = Swap(s, 3, spare, 10)
+			refused("after Close", prev, err, ErrClosed)
 		})
 	}
 }
