@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build test race lint lint-sweep fuzz-smoke bench-smoke chaos-short repair-race obs-race report-stable loc loc-check
+.PHONY: all build test race lint lint-sweep fuzz-smoke bench-smoke chaos-short obs-race report-stable loc loc-check
 
 all: build test
 
@@ -61,36 +61,26 @@ fuzz-smoke:
 bench-smoke:
 	cd benchmark && $(GO) vet . && $(GO) test .
 
-# repair-race hammers the background repairer's concurrency surface:
-# foreground writes racing repair installs, mid-stream donor failover,
-# and the paged recovery handler, all under the race detector.
-repair-race:
-	$(GO) test -race -count=2 ./internal/repair ./internal/rpcnet
-	$(GO) test -race -run 'TestHandleRecovery|TestHandleRepair|TestApplyRepair' ./internal/site
-	$(GO) test -race -run 'TestDonorKill|TestRepair' ./internal/chaos
-
 # chaos-short replays the three seeded schedules CI runs, under the race
 # detector, one per consistency scheme. Each run carries the
 # observability layer, checks the §5 bracket and §4 availability
-# conformance invariants, runs the background repairer after every
-# recovery (bounded time-to-freshness is a standing invariant), and
-# leaves its metrics snapshot, availability verdict, time-to-freshness
-# samples, sealed flight-recorder dump, and final burn-rate evaluation
+# conformance invariants, and leaves its metrics snapshot, availability
+# verdict, sealed flight-recorder dump, and final burn-rate evaluation
 # (with the alert transition log — empty on a clean run, fire/clear
-# stamped on a degraded one) in artifacts/ (CI uploads all five; the
+# stamped on a degraded one) in artifacts/ (CI uploads all four; the
 # flight dump is null unless an invariant violation or a critical
 # objective sealed it).
 chaos-short:
 	mkdir -p artifacts
-	$(GO) run -race ./cmd/chaos -scheme=voting -seed=7 -events=150 -ops-per-event=4 -metrics-out=artifacts/chaos-voting-metrics.json -avail-out=artifacts/chaos-voting-avail.json -ttf-out=artifacts/chaos-voting-ttf.json -flight-out=artifacts/chaos-voting-flight.json -slo-out=artifacts/chaos-voting-slo.json
-	$(GO) run -race ./cmd/chaos -scheme=ac     -seed=7 -events=150 -ops-per-event=4 -metrics-out=artifacts/chaos-ac-metrics.json -avail-out=artifacts/chaos-ac-avail.json -ttf-out=artifacts/chaos-ac-ttf.json -flight-out=artifacts/chaos-ac-flight.json -slo-out=artifacts/chaos-ac-slo.json
-	$(GO) run -race ./cmd/chaos -scheme=nac    -seed=7 -events=150 -ops-per-event=4 -metrics-out=artifacts/chaos-nac-metrics.json -avail-out=artifacts/chaos-nac-avail.json -ttf-out=artifacts/chaos-nac-ttf.json -flight-out=artifacts/chaos-nac-flight.json -slo-out=artifacts/chaos-nac-slo.json
+	$(GO) run -race ./cmd/chaos -scheme=voting -seed=7 -events=150 -ops-per-event=4 -metrics-out=artifacts/chaos-voting-metrics.json -avail-out=artifacts/chaos-voting-avail.json -flight-out=artifacts/chaos-voting-flight.json -slo-out=artifacts/chaos-voting-slo.json
+	$(GO) run -race ./cmd/chaos -scheme=ac     -seed=7 -events=150 -ops-per-event=4 -metrics-out=artifacts/chaos-ac-metrics.json -avail-out=artifacts/chaos-ac-avail.json -flight-out=artifacts/chaos-ac-flight.json -slo-out=artifacts/chaos-ac-slo.json
+	$(GO) run -race ./cmd/chaos -scheme=nac    -seed=7 -events=150 -ops-per-event=4 -metrics-out=artifacts/chaos-nac-metrics.json -avail-out=artifacts/chaos-nac-avail.json -flight-out=artifacts/chaos-nac-flight.json -slo-out=artifacts/chaos-nac-slo.json
 
 # report-stable is the whole-report replay check (DESIGN.md "Time"): a
-# chaos report — metrics, alerts, flight dump and time-to-freshness,
-# not only the digest — must be the same bytes at any GOMAXPROCS, plain
-# and under the race detector's different scheduling (~15 min there, so
-# past go test's 10 min default).
+# chaos report — metrics, alerts and flight dump, not only the
+# digest — must be the same bytes at any GOMAXPROCS, plain and under
+# the race detector's different scheduling (about 2.5 min there on a
+# 2-core box; the -timeout leaves room past go test's 10 min default).
 STABLE := -timeout 60m -cpu 1,2,4 -count=5 -run 'TestRunDigestStableAcrossInvocations|TestReportBytesStableAcrossGOMAXPROCS' ./cmd/chaos ./internal/chaos
 report-stable:
 	$(GO) test $(STABLE)

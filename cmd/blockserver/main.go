@@ -106,13 +106,9 @@ func parseScheme(s string) (relidev.Scheme, error) {
 
 // objectives is the server's alert set: the defaults, with the
 // availability target budgeted from the paper's own §4 prediction for
-// this deployment, like the chaos harness does. The repair policy backs
-// the freshness SLO only: a server pages nobody over the staleness
-// threshold, because one long repair of many blocks outlives the
-// single-block deadline that threshold judges.
-func objectives(scheme relidev.Scheme, n, blocks int) []relidev.Objective {
-	return append(relidev.DefaultObjectives(scheme, n, 0.05, blocks, nil),
-		relidev.RepairFreshnessSLO(relidev.RepairPolicy{}.Deadline(blocks), relidev.BurnPolicy{Target: 0.99}))
+// this deployment, like the chaos harness does.
+func objectives(scheme relidev.Scheme, n int) []relidev.Objective {
+	return relidev.DefaultObjectives(scheme, n, 0.05)
 }
 
 func run(id int, peersF, schemeF, storePath, storeDir string, commitN int, commitWait time.Duration, blocks, blockSize int, comatose bool, debugAddr, tracePeers string, teleStep time.Duration) error {
@@ -137,7 +133,7 @@ func run(id int, peersF, schemeF, storePath, storeDir string, commitN int, commi
 		Metered:          debugAddr != "",
 	}
 	if cfg.Metered {
-		cfg.Objectives = objectives(scheme, len(peers), blocks)
+		cfg.Objectives = objectives(scheme, len(peers))
 		cfg.TelemetryStep = teleStep
 	}
 	site, err := relidev.OpenRemote(cfg)

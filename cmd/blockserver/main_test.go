@@ -319,16 +319,121 @@ func TestClusterTraceStitchesCrossSiteWrite(t *testing.T) {
 
 // TestObjectivesAreThePreMergeSet pins what a blockserver alerts on:
 // the set it had before health rules and SLOs became one list, less
-// conformance drift — in particular no staleness threshold, which would
-// answer 503 to a load balancer through any repair longer than the
-// single-block deadline.
+// conformance drift.
 func TestObjectivesAreThePreMergeSet(t *testing.T) {
 	var names []string
-	for _, o := range objectives(relidev.Voting, 3, 64) {
+	for _, o := range objectives(relidev.Voting, 3) {
 		names = append(names, o.Name)
 	}
-	want := "quorum_margin_voting error_rate batcher_occupancy read_latency_voting write_availability_voting repair_freshness"
+	want := "quorum_margin_voting error_rate batcher_occupancy read_latency_voting write_availability_voting"
 	if got := strings.Join(names, " "); got != want {
 		t.Fatalf("blockserver objectives:\n got %s\nwant %s", got, want)
+	}
+}
+
+// objectiveFamilies maps each objective a blockserver evaluates to the
+// metric families its signal reads. An objective whose families no
+// serving site exports can never fire, so every objective needs an
+// entry here, and TestObjectivesHaveProducers checks a live site
+// exports every family listed.
+var objectiveFamilies = map[string][]string{
+	"quorum_margin_voting":      {"relidev_op_participants_total", "relidev_op_completions_total"},
+	"error_rate":                {"relidev_op_failures_total", "relidev_op_attempts_total"},
+	"batcher_occupancy":         {"relidev_group_commit_batch_occupancy"},
+	"read_latency_voting":       {"relidev_op_latency_ns"},
+	"write_availability_voting": {"relidev_op_failures_total", "relidev_op_attempts_total"},
+}
+
+// TestObjectivesHaveProducers runs a three-site voting group over
+// loopback TCP configured the way run configures a site — segment
+// store, group commit, metered with the server's objectives — through
+// writes, reads and one site down, then checks that site 0's /metrics
+// carries every family its objectives read.
+func TestObjectivesHaveProducers(t *testing.T) {
+	ctx := context.Background()
+	geom := relidev.Geometry{BlockSize: 64, NumBlocks: 8}
+	objs := objectives(relidev.Voting, 3)
+	for _, o := range objs {
+		if len(objectiveFamilies[o.Name]) == 0 {
+			t.Fatalf("objective %s has no entry in objectiveFamilies", o.Name)
+		}
+	}
+
+	addrs := make(map[int]string, 3)
+	for i := 0; i < 3; i++ {
+		s, err := relidev.OpenRemote(relidev.RemoteConfig{
+			Self: i, Peers: map[int]string{i: "127.0.0.1:0"}, Scheme: relidev.Voting, Geometry: geom,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		addrs[i] = s.Addr()
+		s.Close()
+	}
+	sites := make([]*relidev.RemoteSite, 3)
+	for i := range sites {
+		s, err := relidev.OpenRemote(relidev.RemoteConfig{
+			Self:             i,
+			Peers:            addrs,
+			Scheme:           relidev.Voting,
+			Geometry:         geom,
+			StoreDir:         t.TempDir(),
+			GroupCommitBatch: 4,
+			Timeout:          time.Second,
+			Metered:          true,
+			Objectives:       objs,
+			TelemetryStep:    10 * time.Millisecond,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sites[i] = s
+		defer s.Close()
+	}
+	srv, ln, err := serveDebug(sites[0], "127.0.0.1:0", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+
+	dev := sites[0].Device()
+	payload := make([]byte, geom.BlockSize)
+	exercise := func() {
+		for b := relidev.Index(0); int(b) < geom.NumBlocks; b++ {
+			if err := dev.WriteBlock(ctx, b, payload); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := dev.ReadBlock(ctx, b); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	exercise()
+	sites[2].Close()
+	exercise() // a bare quorum of two still serves
+
+	resp, err := http.Get("http://" + ln.Addr().String() + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var snap map[string][]struct {
+		Name string `json:"name"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
+		t.Fatalf("/metrics is not JSON: %v", err)
+	}
+	exported := make(map[string]bool)
+	for _, series := range snap {
+		for _, s := range series {
+			exported[s.Name] = true
+		}
+	}
+	for _, o := range objs {
+		for _, family := range objectiveFamilies[o.Name] {
+			if !exported[family] {
+				t.Errorf("objective %s reads %s, which /metrics does not export", o.Name, family)
+			}
+		}
 	}
 }

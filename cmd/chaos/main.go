@@ -38,8 +38,6 @@ func main() {
 		observe    = flag.Bool("obs", true, "attach the observability layer and check §5 bracket conformance")
 		metricsOut = flag.String("metrics-out", "", "write the metrics snapshot (JSON) to this file (implies -obs)")
 		availOut   = flag.String("avail-out", "", "write the availability observatory stats and §4 conformance verdict (JSON) to this file (implies -obs)")
-		repairF    = flag.Bool("repair", true, "run the background anti-entropy repairer after every recovery and enforce bounded time-to-freshness")
-		ttfOut     = flag.String("ttf-out", "", "write the per-recovery time-to-freshness samples (JSON) to this file (implies -repair)")
 		flightF    = flag.Bool("flight", true, "attach the black-box flight recorder and the threshold objectives (requires -obs)")
 		flightOut  = flag.String("flight-out", "", "write the sealed flight-recorder dump (JSON) to this file (implies -flight; dump is null unless a violation or a critical objective sealed it)")
 		telemetryF = flag.Bool("telemetry", true, "attach the burn-rate objectives, evaluated at every checkpoint over a ring that spans the run (requires -obs)")
@@ -61,12 +59,11 @@ func main() {
 		OpsPerEvent: *ops,
 		Rho:         *rho,
 		Observe:     *observe || *metricsOut != "" || *availOut != "",
-		Repair:      *repairF || *ttfOut != "",
 		Flight:      *flightF || *flightOut != "",
 		Telemetry:   *telemetryF || *sloOut != "",
 		Coda:        *coda,
 	}
-	ok, err := run(os.Stdout, cfg, *asJSON, *metricsOut, *availOut, *ttfOut, *flightOut, *sloOut)
+	ok, err := run(os.Stdout, cfg, *asJSON, *metricsOut, *availOut, *flightOut, *sloOut)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "chaos:", err)
 		os.Exit(1)
@@ -76,7 +73,7 @@ func main() {
 	}
 }
 
-func run(w io.Writer, cfg chaos.Config, asJSON bool, metricsOut, availOut, ttfOut, flightOut, sloOut string) (bool, error) {
+func run(w io.Writer, cfg chaos.Config, asJSON bool, metricsOut, availOut, flightOut, sloOut string) (bool, error) {
 	rep, err := chaos.Run(context.Background(), cfg)
 	if err != nil {
 		return false, err
@@ -88,11 +85,6 @@ func run(w io.Writer, cfg chaos.Config, asJSON bool, metricsOut, availOut, ttfOu
 	}
 	if availOut != "" {
 		if err := writeAvail(availOut, rep); err != nil {
-			return false, err
-		}
-	}
-	if ttfOut != "" {
-		if err := writeTTF(ttfOut, rep); err != nil {
 			return false, err
 		}
 	}
@@ -163,29 +155,6 @@ func writeAvail(path string, rep *chaos.Report) error {
 	}{rep.Scheme, rep.Seed, rep.Digest, rep.Avail, rep.AvailConformance})
 }
 
-// writeTTF stores the per-recovery time-to-freshness samples as a
-// standalone JSON artifact (the CI chaos job uploads it). Each sample
-// records how much staleness lazy readmission left behind and how long
-// the background repairer took, against its policy deadline.
-func writeTTF(path string, rep *chaos.Report) error {
-	if rep.Repair == nil {
-		return fmt.Errorf("no repair samples collected (repair disabled)")
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	return enc.Encode(struct {
-		Scheme  string      `json:"scheme"`
-		Seed    int64       `json:"seed"`
-		Digest  string      `json:"digest"`
-		Samples interface{} `json:"samples"`
-	}{rep.Scheme, rep.Seed, rep.Digest, rep.Repair})
-}
-
 // writeFlight stores the sealed flight-recorder dump (plus the final
 // health verdict) as a standalone JSON artifact. Unlike the other
 // writers it succeeds on a healthy run — the dump is null when nothing
@@ -240,25 +209,6 @@ func printReport(w io.Writer, rep *chaos.Report) {
 		rep.Ops, rep.Reads, rep.Writes, rep.OpErrors)
 	fmt.Fprintf(w, "  faults   %d drops, %d reply losses, %d timeouts, %d delays, %d partition hits\n",
 		rep.Faults.Drops, rep.Faults.ReplyLosses, rep.Faults.Timeouts, rep.Faults.Delays, rep.Faults.Partitions)
-	if len(rep.Repair) > 0 {
-		streamed, installed, missed := 0, 0, 0
-		var worst, worstDeadline int64
-		for _, s := range rep.Repair {
-			if s.Stale > 0 {
-				streamed++
-			}
-			installed += s.Installed
-			if !s.OK {
-				missed++
-			}
-			if s.ElapsedNS > worst {
-				worst, worstDeadline = s.ElapsedNS, s.DeadlineNS
-			}
-		}
-		fmt.Fprintf(w, "  repair   %d runs (%d with staleness, %d blocks installed, %d deadline misses), worst ttf %.2fms of %.2fms allowed\n",
-			len(rep.Repair), streamed, installed, missed,
-			float64(worst)/1e6, float64(worstDeadline)/1e6)
-	}
 	fmt.Fprintf(w, "  digest   %s\n", rep.Digest)
 	if rep.Health != nil {
 		latched := 0

@@ -28,14 +28,13 @@ func testConfig(t *testing.T, scheme string, seed int64, events, ops int) chaos.
 		OpsPerEvent: ops,
 		Rho:         0.25,
 		Observe:     true,
-		Repair:      true,
 	}
 }
 
 func TestRunAllSchemes(t *testing.T) {
 	for _, scheme := range []string{"voting", "ac", "nac"} {
 		var buf bytes.Buffer
-		ok, err := run(&buf, testConfig(t, scheme, 3, 40, 4), false, "", "", "", "", "")
+		ok, err := run(&buf, testConfig(t, scheme, 3, 40, 4), false, "", "", "", "")
 		if err != nil {
 			t.Fatalf("%s: %v", scheme, err)
 		}
@@ -56,7 +55,7 @@ func TestRunAllSchemes(t *testing.T) {
 
 func TestRunJSONOutput(t *testing.T) {
 	var buf bytes.Buffer
-	ok, err := run(&buf, testConfig(t, "voting", 3, 20, 2), true, "", "", "", "", "")
+	ok, err := run(&buf, testConfig(t, "voting", 3, 20, 2), true, "", "", "", "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +76,7 @@ func TestRunJSONOutput(t *testing.T) {
 func TestRunDigestStableAcrossInvocations(t *testing.T) {
 	digest := func() string {
 		var buf bytes.Buffer
-		if _, err := run(&buf, testConfig(t, "voting", 11, 30, 4), true, "", "", "", "", ""); err != nil {
+		if _, err := run(&buf, testConfig(t, "voting", 11, 30, 4), true, "", "", "", ""); err != nil {
 			t.Fatal(err)
 		}
 		return buf.String()
@@ -90,7 +89,7 @@ func TestRunDigestStableAcrossInvocations(t *testing.T) {
 func TestRunWritesMetricsArtifact(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "metrics.json")
 	var buf bytes.Buffer
-	ok, err := run(&buf, testConfig(t, "ac", 3, 30, 4), false, path, "", "", "", "")
+	ok, err := run(&buf, testConfig(t, "ac", 3, 30, 4), false, path, "", "", "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +121,7 @@ func TestRunMetricsOutRequiresObservation(t *testing.T) {
 	cfg := testConfig(t, "voting", 3, 10, 2)
 	cfg.Observe = false
 	path := filepath.Join(t.TempDir(), "metrics.json")
-	if _, err := run(&bytes.Buffer{}, cfg, false, path, "", "", "", ""); err == nil {
+	if _, err := run(&bytes.Buffer{}, cfg, false, path, "", "", ""); err == nil {
 		t.Fatal("metrics-out accepted without observation")
 	}
 }
@@ -136,7 +135,7 @@ func TestParseSchemeRejectsUnknown(t *testing.T) {
 func TestRunWritesAvailArtifact(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "avail.json")
 	var buf bytes.Buffer
-	ok, err := run(&buf, testConfig(t, "nac", 3, 60, 4), false, "", path, "", "", "")
+	ok, err := run(&buf, testConfig(t, "nac", 3, 60, 4), false, "", path, "", "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,64 +171,12 @@ func TestRunWritesAvailArtifact(t *testing.T) {
 	}
 }
 
-func TestRunWritesTTFArtifact(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "ttf.json")
-	var buf bytes.Buffer
-	ok, err := run(&buf, testConfig(t, "voting", 3, 60, 4), false, "", "", path, "", "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !ok {
-		t.Fatalf("violations:\n%s", buf.String())
-	}
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var artifact struct {
-		Scheme  string `json:"scheme"`
-		Digest  string `json:"digest"`
-		Samples []struct {
-			Site       int   `json:"site"`
-			Stale      int   `json:"stale"`
-			DeadlineNS int64 `json:"deadline_ns"`
-			OK         bool  `json:"ok"`
-		} `json:"samples"`
-	}
-	if err := json.Unmarshal(raw, &artifact); err != nil {
-		t.Fatalf("artifact is not JSON: %v\n%s", err, raw)
-	}
-	if artifact.Scheme != "voting" || artifact.Digest == "" {
-		t.Fatalf("artifact header incomplete: %+v", artifact)
-	}
-	if len(artifact.Samples) == 0 {
-		t.Fatalf("artifact has no time-to-freshness samples:\n%s", raw)
-	}
-	for _, s := range artifact.Samples {
-		if !s.OK {
-			t.Fatalf("sample missed its deadline: %+v", s)
-		}
-		if s.DeadlineNS <= 0 {
-			t.Fatalf("sample has no deadline: %+v", s)
-		}
-	}
-}
-
-func TestRunTTFOutRequiresRepair(t *testing.T) {
-	cfg := testConfig(t, "voting", 3, 10, 2)
-	cfg.Repair = false
-	path := filepath.Join(t.TempDir(), "ttf.json")
-	if _, err := run(&bytes.Buffer{}, cfg, false, "", "", path, "", ""); err == nil {
-		t.Fatal("ttf-out accepted without repair enabled")
-	}
-}
-
 func TestRunWritesSLOArtifact(t *testing.T) {
 	cfg := testConfig(t, "voting", 3, 60, 4)
 	cfg.Telemetry = true
 	path := filepath.Join(t.TempDir(), "slo.json")
 	var buf bytes.Buffer
-	ok, err := run(&buf, cfg, false, "", "", "", "", path)
+	ok, err := run(&buf, cfg, false, "", "", "", path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,7 +217,7 @@ func TestRunWritesSLOArtifact(t *testing.T) {
 func TestRunSLOOutRequiresTelemetry(t *testing.T) {
 	cfg := testConfig(t, "voting", 3, 10, 2)
 	path := filepath.Join(t.TempDir(), "slo.json")
-	if _, err := run(&bytes.Buffer{}, cfg, false, "", "", "", "", path); err == nil {
+	if _, err := run(&bytes.Buffer{}, cfg, false, "", "", "", path); err == nil {
 		t.Fatal("slo-out accepted without telemetry enabled")
 	}
 }
@@ -279,31 +226,33 @@ func TestRunAvailOutRequiresObservation(t *testing.T) {
 	cfg := testConfig(t, "voting", 3, 10, 2)
 	cfg.Observe = false
 	path := filepath.Join(t.TempDir(), "avail.json")
-	if _, err := run(&bytes.Buffer{}, cfg, false, "", path, "", "", ""); err == nil {
+	if _, err := run(&bytes.Buffer{}, cfg, false, "", path, "", ""); err == nil {
 		t.Fatal("avail-out accepted without observation")
 	}
 }
 
-// TestReportBytesPinned pins the whole -json report — metrics, alerts,
-// flight dump and time-to-freshness, not only the digest — of the CI
-// schedule (`chaos -scheme=S -seed=7 -events=150 -ops-per-event=4
-// -json`): a refactor must leave every trace event, metric and verdict
-// where it was. The hashes moved once, deliberately, when the health
-// and SLO engines became one alert engine (report shape of health/slo,
-// the flight dump as a sealed view, conformance drift deleted); what
-// that merge may not touch is pinned by the test below, and the
-// verdicts themselves by internal/chaos TestVerdictStreamPinned.
+// TestReportBytesPinned pins the whole -json report — metrics, alerts
+// and flight dump, not only the digest — of the CI schedule (`chaos
+// -scheme=S -seed=7 -events=150 -ops-per-event=4 -json`): a refactor
+// must leave every trace event, metric and verdict where it was. The
+// hashes moved deliberately when the health and SLO engines became one
+// alert engine (report shape of health/slo, the flight dump as a sealed
+// view, conformance drift deleted) and when background repair was
+// retired (each report is the one the repair-off run gave, less the
+// op="repair" series and the repair conformance row); what the first
+// may not touch is pinned by the test below, and the verdicts
+// themselves by internal/chaos TestVerdictStreamPinned.
 func TestReportBytesPinned(t *testing.T) {
 	for scheme, want := range map[string]string{
-		"voting": "5cf67e00b65e88f71599270945c1965482db12fe65ec7a32b046848d9556217b",
-		"ac":     "2c2b4826537f2c7b08431551a85ea3a2934e5ddfea1527712a7447562384cb05",
-		"nac":    "628b95f06e49204d5223e65db9984e2bd29ce464a41dcd620a93ae9c2fcafbad",
+		"voting": "8a74797a2b4d3fcbf901885e908fd99aeef7f5b26147190c21a3af9ea66d0333",
+		"ac":     "a10cdda2a4aaee38ce44a5ca5e6d6c7268263783ba619c9b5cdc96160d14fdeb",
+		"nac":    "defed3e33cd3de26b1bea591e55b119cf73b55260eacba0b27974ecc17268322",
 	} {
 		cfg := testConfig(t, scheme, 7, 150, 4)
 		cfg.Sites, cfg.Blocks = 5, 12 // the command's flag defaults
 		cfg.Flight, cfg.Telemetry, cfg.Coda = true, true, 4
 		var buf bytes.Buffer
-		if _, err := run(&buf, cfg, true, "", "", "", "", ""); err != nil {
+		if _, err := run(&buf, cfg, true, "", "", "", ""); err != nil {
 			t.Fatalf("%s: %v", scheme, err)
 		}
 		if got := fmt.Sprintf("%x", sha256.Sum256(buf.Bytes())); got != want {
@@ -314,21 +263,22 @@ func TestReportBytesPinned(t *testing.T) {
 
 // TestReportBytesPinnedWithoutAlerts pins the same three reports with
 // the alert-engine sections (health, slo, slo_alerts, flight) cut out,
-// to the bytes captured before the two engines were merged: schedule,
-// digest, metrics, conformance, availability and time-to-freshness do
-// not depend on how alerts are evaluated, so this hash must not move
-// when the sections above change shape.
+// to the bytes captured before the two engines were merged (re-captured
+// once when background repair was retired): schedule, digest, metrics,
+// conformance and availability do not depend on how alerts are
+// evaluated, so this hash must not move when the sections above change
+// shape.
 func TestReportBytesPinnedWithoutAlerts(t *testing.T) {
 	for scheme, want := range map[string]string{
-		"voting": "d1db89b68bb1b5aac4685de0b8534686ed691a7f9f4e3f635019856ace6ff7b0",
-		"ac":     "6560ff2fca80d5fd9ca6b8b76ca6d5a9f77ec3b939883a99888d40818aa910e3",
-		"nac":    "9615f001124607b6751ffed18b85de322df13f337cd0a43bb182eaff47b368c0",
+		"voting": "ee3f4ce3694a566eefd25d9bc319e31f88b1dcba68750ddc3004207648015e46",
+		"ac":     "6eea746b7c2499f2690fc6a67efa05597c222c17977f580bba29f4eb5d5a8027",
+		"nac":    "4bd0278da735df1490a35dab245afc3de9d8c022f0ada30415cc9667374c54b2",
 	} {
 		cfg := testConfig(t, scheme, 7, 150, 4)
 		cfg.Sites, cfg.Blocks = 5, 12
 		cfg.Flight, cfg.Telemetry, cfg.Coda = true, true, 4
 		var buf bytes.Buffer
-		if _, err := run(&buf, cfg, true, "", "", "", "", ""); err != nil {
+		if _, err := run(&buf, cfg, true, "", "", "", ""); err != nil {
 			t.Fatalf("%s: %v", scheme, err)
 		}
 		var rep map[string]json.RawMessage

@@ -3,8 +3,7 @@
 // every refresh it scrapes /cluster/metrics (that site's TelemetryPull
 // broadcast, merged into one cluster view) and /slo (the burn-rate
 // evaluation) and renders per-scheme throughput, latency and
-// critical-path phase breakdown, quorum margin, repair lag, and the
-// firing alerts.
+// critical-path phase breakdown, quorum margin, and the firing alerts.
 //
 // Usage:
 //
@@ -163,9 +162,6 @@ func render(w io.Writer, prev, cur *frame) {
 			fmtNs(op.P50Ns), fmtNs(op.P99Ns), phaseSummary(op.Phases))
 	}
 
-	if lag, detail := repairLag(cur.metrics); detail != "" {
-		fmt.Fprintf(w, "\nrepair lag: %d stale blocks (%s)\n", lag, detail)
-	}
 	if stale := counterBy(cur.metrics, obs.MetricStaleReads); stale[""] > 0 {
 		fmt.Fprintf(w, "lazy refreshes: %d\n", stale[""])
 	}
@@ -267,25 +263,6 @@ func phaseSummary(phases []obs.PhaseStat) string {
 		parts[i] = fmt.Sprintf("%s %.0f%%", p.Phase, 100*p.Share)
 	}
 	return strings.Join(parts, " | ")
-}
-
-// repairLag sums the per-site repair-lag gauges and lists the laggards.
-func repairLag(s obs.Snapshot) (total int64, detail string) {
-	var parts []string
-	for _, g := range s.Gauges {
-		if g.Name != obs.MetricRepairLag {
-			continue
-		}
-		total += g.Value
-		if g.Value > 0 {
-			parts = append(parts, fmt.Sprintf("%s:%d", g.Labels["site"], g.Value))
-		}
-	}
-	sort.Strings(parts)
-	if total > 0 {
-		detail = strings.Join(parts, " ")
-	}
-	return total, detail
 }
 
 func fmtNs(ns float64) string {

@@ -71,9 +71,8 @@ func startGroup(t *testing.T, cfg relidev.RemoteConfig) *httptest.Server {
 // against a live debug surface must carry the site census, the SLO
 // summary, and the per-op table with its critical-path phases.
 func TestOnceRendersDashboard(t *testing.T) {
-	pol := relidev.RepairPolicy{}
 	srv := startGroup(t, relidev.RemoteConfig{Metered: true,
-		Objectives: relidev.DefaultObjectives(relidev.Voting, 3, 0.05, 16, &pol)})
+		Objectives: relidev.DefaultObjectives(relidev.Voting, 3, 0.05)})
 	var buf bytes.Buffer
 	if err := run(&buf, srv.URL, time.Second, 5*time.Second, true); err != nil {
 		t.Fatal(err)
@@ -81,7 +80,7 @@ func TestOnceRendersDashboard(t *testing.T) {
 	out := buf.String()
 	for _, want := range []string{
 		"3 sites up, 0 down",
-		"slo: 0 firing / 3 objectives",
+		"slo: 0 firing / 2 objectives",
 		"SCHEME",
 		"voting   write",
 		"voting   read",
@@ -133,7 +132,7 @@ func TestFmtNs(t *testing.T) {
 
 // TestOnceGolden byte-pins one -once frame (scrape time masked)
 // against a host on a manual clock: three steps of voting traffic, the
-// second with every write failing and a repair backlog at site 2.
+// second with every write failing.
 func TestOnceGolden(t *testing.T) {
 	clk := clock.NewManual()
 	var p *plane.Plane
@@ -148,7 +147,6 @@ func TestOnceGolden(t *testing.T) {
 		Objectives: []alert.Objective{
 			alert.ReadLatency("voting", 50e6, burn(0.99)),
 			alert.WriteAvailability("voting", burn(0.9)),
-			alert.RepairFreshness(2e9, burn(0.9)),
 		},
 		Pull: func(context.Context) (obs.Snapshot, map[protocol.SiteID]error) {
 			return p.Observer().Snapshot(), map[protocol.SiteID]error{2: errors.New("site is down")}
@@ -174,7 +172,6 @@ func TestOnceGolden(t *testing.T) {
 				sp.Done(2, nil)
 			}
 		}
-		o.Repair("voting", 2).SetLag(5 * (step - 1))
 		clk.Advance(time.Duration(step)*time.Second - time.Duration(clk.Now().UnixNano()))
 		p.Step()
 	}

@@ -181,7 +181,7 @@ func TestRemoteCriticalHealthSeals(t *testing.T) {
 	for _, probe := range []string{"Health()", "/healthz"} {
 		t.Run(probe, func(t *testing.T) {
 			s, srv := loneVoter(t, relidev.RemoteConfig{
-				Objectives: relidev.DefaultObjectives(relidev.Voting, 2, 0.05, 8, nil),
+				Objectives: relidev.DefaultObjectives(relidev.Voting, 2, 0.05),
 			})
 			critical := func() bool {
 				if probe == "/healthz" {
@@ -222,7 +222,7 @@ func TestRemotePollerSealsUnattended(t *testing.T) {
 	// too, and that much the poller always did.
 	s, srv := loneVoter(t, relidev.RemoteConfig{
 		TelemetryStep: 5 * time.Millisecond,
-		Objectives:    thresholds(relidev.DefaultObjectives(relidev.Voting, 2, 0.05, 8, nil)),
+		Objectives:    thresholds(relidev.DefaultObjectives(relidev.Voting, 2, 0.05)),
 	})
 	time.Sleep(25 * time.Millisecond) // a few quiet steps: error_rate needs a previous sample
 	deadline := time.Now().Add(10 * time.Second)
@@ -281,7 +281,7 @@ func TestInterleavedProbersSeeOneVerdict(t *testing.T) {
 	}
 	newHost := func() host {
 		p, err := plane.New(plane.Config{Metered: true, StepNs: time.Hour.Nanoseconds(),
-			Objectives: relidev.DefaultObjectives(relidev.Voting, 3, 0.05, 8, nil)})
+			Objectives: relidev.DefaultObjectives(relidev.Voting, 3, 0.05)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -350,7 +350,7 @@ func TestInterleavedProbersSeeOneVerdict(t *testing.T) {
 // route with the status code (and the kind of body) the plane's parts
 // say.
 func TestHostDebugSurfaceParity(t *testing.T) {
-	rules := thresholds(relidev.DefaultObjectives(relidev.NaiveAvailableCopy, 1, 0.05, 8, nil))
+	rules := thresholds(relidev.DefaultObjectives(relidev.NaiveAvailableCopy, 1, 0.05))
 	slos := []relidev.Objective{relidev.WriteAvailabilitySLO(relidev.NaiveAvailableCopy, relidev.BurnPolicy{Target: 0.9})}
 	// route -> what a 200 body must contain.
 	routes := map[string]string{
@@ -558,7 +558,7 @@ func TestEvenGroupTieBreak(t *testing.T) {
 func TestLazyRefreshRaisesNoObjective(t *testing.T) {
 	ctx := context.Background()
 	p, err := plane.New(plane.Config{Metered: true,
-		Objectives: relidev.DefaultObjectives(relidev.Voting, 3, 0.05, 8, nil)})
+		Objectives: relidev.DefaultObjectives(relidev.Voting, 3, 0.05)})
 	if err != nil {
 		t.Fatal(err)
 	}

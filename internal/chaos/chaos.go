@@ -34,7 +34,6 @@ import (
 	"hash"
 	"hash/fnv"
 	"math/rand"
-	"time"
 
 	"relidev/internal/availcopy"
 	"relidev/internal/block"
@@ -47,7 +46,6 @@ import (
 	"relidev/internal/obs/flight"
 	"relidev/internal/obs/plane"
 	"relidev/internal/protocol"
-	"relidev/internal/repair"
 	"relidev/internal/scheme"
 	"relidev/internal/sim"
 	"relidev/internal/simnet"
@@ -78,16 +76,6 @@ type Config struct {
 	// (DESIGN.md "Time") and never feeds the replay digest, so a run's
 	// digest is bit-identical with any of them on or off.
 	Observe bool
-	// Repair enables the background anti-entropy repairer (DESIGN.md
-	// §13) on every readmitted site, under a deterministic policy: one
-	// in-flight page per donor so every faultnet link sees a sequential,
-	// replayable request stream, a manual clock so backoff costs no
-	// wall time, and seeded jitter. It adds a standing invariant —
-	// bounded time-to-freshness: every repair run must finish within
-	// Policy.Deadline of the staleness it found, and on the loss-free
-	// schemes a successful run leaves the repaired site's vector
-	// dominating every available data peer's.
-	Repair bool
 	// Flight attaches the black-box flight recorder and the threshold
 	// objectives (requires Observe): every quiescent checkpoint samples
 	// the registry into the telemetry ring and evaluates them, the last
@@ -122,31 +110,9 @@ func Defaults(kind core.SchemeKind) Config {
 		OpsPerEvent: 8,
 		Rho:         0.25,
 		Observe:     true,
-		Repair:      true,
 		Flight:      true,
 		Telemetry:   true,
 		Coda:        4,
-	}
-}
-
-// repairPolicy is the deterministic repair tuning chaos runs use. The
-// rate limiter stays off (the manual clock would count its debt
-// sleeps against the deadline without modelling any real bandwidth);
-// rate-limit behaviour is covered by the repair package's own tests.
-//
-// The repairers get a clock.Manual of their own, not the schedule
-// clock: donor workers back off concurrently and each Sleep advances
-// the clock, so on a shared instance a reading taken by one worker
-// would depend on whether another's sleep had landed yet. On their own
-// instance only the sum is read (Elapsed, after the workers join).
-func repairPolicy(seed int64) repair.Policy {
-	return repair.Policy{
-		PageBlocks:         4,
-		MaxInFlightPerPeer: 1,
-		RetryBase:          5 * time.Millisecond,
-		RetryMax:           40 * time.Millisecond,
-		Seed:               uint64(seed),
-		Clock:              clock.NewManual(),
 	}
 }
 
@@ -234,10 +200,6 @@ type Report struct {
 	// measured rates (failures appear in Violations as well).
 	Avail            *avail.Stats  `json:"avail,omitempty"`
 	AvailConformance *avail.Report `json:"avail_conformance,omitempty"`
-	// Repair holds one time-to-freshness sample per background repair
-	// run, present when Config.Repair is set. Elapsed is measured on the
-	// repairers' manual clock, so samples replay bit-identically.
-	Repair []TTFSample `json:"repair,omitempty"`
 	// Flight is the sealed flight-recorder dump, present when
 	// Config.Flight is set and a trigger fired: the first invariant
 	// violation or the first critical objective seals it, so the dump
@@ -264,23 +226,6 @@ type SLOAlert struct {
 	ClearedAtNs int64  `json:"cleared_at_ns,omitempty"`
 }
 
-// A TTFSample records one background repair run's bounded
-// time-to-freshness outcome: how stale the site was at readmission,
-// what the stream did, how long it took on the repair clock, and the
-// deadline the policy promised. OK is the deadline verdict.
-type TTFSample struct {
-	Site       int    `json:"site"`
-	Stale      int    `json:"stale"`
-	Installed  int    `json:"installed"`
-	Rounds     int    `json:"rounds"`
-	Retries    int    `json:"retries"`
-	Demotions  int    `json:"demotions"`
-	ElapsedNS  int64  `json:"elapsed_ns"`
-	DeadlineNS int64  `json:"deadline_ns"`
-	OK         bool   `json:"ok"`
-	Err        string `json:"err,omitempty"`
-}
-
 // engine is the mutable state of one run.
 type engine struct {
 	cfg Config
@@ -298,9 +243,6 @@ type engine struct {
 	// objectives under Config.Telemetry. All of it only reads snapshots on the
 	// schedule clock — none of it may ever reach stamp().
 	plane *plane.Plane
-	// repairPol is the policy the cluster's repairers run under, kept
-	// for computing each run's time-to-freshness deadline.
-	repairPol repair.Policy
 	// est is the availability observatory, fed the schedule's site
 	// transitions on the Poisson process's own simulated timeline
 	// (simNow tracks the latest event time). Like the tracer, it never
@@ -356,11 +298,6 @@ func newEngine(cfg Config) (*engine, error) {
 			Rho:    cfg.Rho,
 		},
 	}
-	var pol *repair.Policy
-	if cfg.Repair {
-		e.repairPol = repairPolicy(cfg.Seed)
-		pol = &e.repairPol
-	}
 	if cfg.Observe {
 		// The schedule clock keeps timestamps a pure function of the
 		// schedule, and nothing the plane records feeds the digest:
@@ -368,7 +305,7 @@ func newEngine(cfg Config) (*engine, error) {
 		// so the ring's nominal step is one checkpoint cycle.
 		pc := plane.Config{Metered: true, Clock: e.clk, TraceCap: 4096, Flight: cfg.Flight,
 			Probes:     []flight.Source{{Name: "site_states", Collect: e.siteStates}},
-			Objectives: objectives(cfg, pol)}
+			Objectives: objectives(cfg)}
 		if cfg.Telemetry {
 			pc.StepNs, pc.Retain = cycleNs(cfg), 4096 // the budgets span the run
 		}
@@ -385,7 +322,6 @@ func newEngine(cfg Config) (*engine, error) {
 		Geometry: block.Geometry{BlockSize: 32, NumBlocks: cfg.Blocks},
 		Scheme:   cfg.Scheme,
 		Observer: e.plane.Observer(),
-		Repair:   pol,
 		WrapTransport: func(inner protocol.Transport) protocol.Transport {
 			fn, ferr := faultnet.New(inner, menu(cfg.Scheme, cfg.Seed))
 			if ferr != nil {
@@ -455,17 +391,13 @@ func cycleNs(cfg Config) int64 { return int64(cfg.OpsPerEvent + 2) }
 
 // objectives is the set chaos runs evaluate at every quiescent
 // checkpoint. Under Config.Flight, the thresholds: quorum margin for the
-// scheme under test, the overall failure rate (generous limit — injected
-// faults make op errors routine) and — when repair is on — staleness
-// outliving the policy's bounded time-to-freshness promise. Under
-// Config.Telemetry, the burn rates, windows sized in checkpoint cycles
-// (fast 5, slow 20): read latency (strict: the schedule clock stands
-// still inside an op, so every op lands in the lowest histogram bucket),
-// write availability (deliberately loose: only a sustained degradation
-// should page) and — with repair — backlogs that survive three whole
-// checkpoints, which have outlived the drain-at-quiescence cadence the
-// engine promises.
-func objectives(cfg Config, pol *repair.Policy) []alert.Objective {
+// scheme under test and the overall failure rate (generous limit —
+// injected faults make op errors routine). Under Config.Telemetry, the
+// burn rates, windows sized in checkpoint cycles (fast 5, slow 20): read
+// latency (strict: the schedule clock stands still inside an op, so
+// every op lands in the lowest histogram bucket) and write availability
+// (deliberately loose: only a sustained degradation should page).
+func objectives(cfg Config) []alert.Objective {
 	scheme, cycle := cfg.Scheme.String(), cycleNs(cfg)
 	var objs []alert.Objective
 	if cfg.Flight {
@@ -474,18 +406,12 @@ func objectives(cfg Config, pol *repair.Policy) []alert.Objective {
 			quorum = cfg.Sites/2 + 1
 		}
 		objs = append(objs, alert.QuorumMargin(scheme, quorum), alert.ErrorRate(0.5))
-		if pol != nil {
-			objs = append(objs, alert.StalenessLag(pol.Deadline(1).Nanoseconds()))
-		}
 	}
 	if cfg.Telemetry {
 		burn := func(target float64) alert.Burn {
 			return alert.Burn{Target: target, FastNs: 5 * cycle, SlowNs: 20 * cycle, Rate: 2}
 		}
 		objs = append(objs, alert.ReadLatency(scheme, 1024, burn(0.99)), alert.WriteAvailability(scheme, burn(0.8)))
-		if cfg.Repair {
-			objs = append(objs, alert.RepairFreshness(3*cycle, burn(0.9)))
-		}
 	}
 	return objs
 }
@@ -553,7 +479,6 @@ func (e *engine) conformanceCheck() {
 		Read:     r,
 		Recovery: rec,
 	}
-	obs.GatherRepairObservation(snap, e.report.Scheme, tx).Apply(&in)
 	rep, err := obs.CheckConformance(in, false)
 	if err != nil {
 		e.report.Violations = append(e.report.Violations, fmt.Sprintf("§5 conformance: %v", err))
@@ -690,109 +615,6 @@ func (e *engine) applyEvent(ctx context.Context, ev sim.Event) {
 	// fault draws; ErrAwaitingSites inside is not an error.
 	if err := e.cl.DriveRecovery(ctx); err != nil {
 		e.violatef("drive recovery: %v", err)
-	}
-	e.drainRepairs()
-}
-
-// drainRepairs collects the background repair outcomes the cluster
-// logged since the last drain and applies the standing bounded
-// time-to-freshness invariant. Only deterministic facts feed the
-// digest (staleness, installs, the error class); elapsed times stay in
-// the report, where the manual repair clock keeps them replayable.
-func (e *engine) drainRepairs() {
-	if !e.cfg.Repair {
-		return
-	}
-	for _, out := range e.cl.TakeRepairOutcomes() {
-		res := out.Result
-		deadline := e.repairPol.Deadline(res.Stale)
-		sample := TTFSample{
-			Site:       int(out.Site),
-			Stale:      res.Stale,
-			Installed:  res.Installed,
-			Rounds:     res.Rounds,
-			Retries:    res.Retries,
-			Demotions:  res.Demotions,
-			ElapsedNS:  res.Elapsed.Nanoseconds(),
-			DeadlineNS: deadline.Nanoseconds(),
-			OK:         res.Elapsed <= deadline,
-		}
-		if out.Err != nil {
-			sample.Err = out.Err.Error()
-		}
-		e.report.Repair = append(e.report.Repair, sample)
-		e.stamp("REP%d stale=%d installed=%d %s", out.Site, res.Stale, res.Installed, repairClass(out.Err))
-		if res.Elapsed > deadline {
-			e.violatef("repair of site %v took %v, deadline %v (stale=%d, retries=%d)",
-				out.Site, res.Elapsed, deadline, res.Stale, res.Retries)
-		}
-		switch {
-		case out.Err == nil:
-			// A successful run promises the site matched the freshest
-			// reachable peers. On the loss-free schemes every available
-			// peer was reachable, so the promise is checkable exactly; the
-			// voting menu's message faults can legitimately hide a peer
-			// from discovery, so there the end-of-run convergence check
-			// owns the claim.
-			if e.cfg.Scheme != core.Voting {
-				e.freshnessCheck(out.Site)
-			}
-		case errors.Is(out.Err, repair.ErrIncomplete), errors.Is(out.Err, repair.ErrNoDonors):
-			// Chaos may have killed or hidden every donor; the site stays
-			// available (scheme recovery already passed) and the next
-			// readmission repairs the remainder.
-		default:
-			e.violatef("repair of site %v: %v", out.Site, out.Err)
-		}
-	}
-}
-
-// repairClass folds a repair error into its digest-stable class.
-func repairClass(err error) string {
-	switch {
-	case err == nil:
-		return "ok"
-	case errors.Is(err, repair.ErrIncomplete):
-		return "incomplete"
-	case errors.Is(err, repair.ErrNoDonors):
-		return "nodonors"
-	default:
-		return "err"
-	}
-}
-
-// freshnessCheck asserts the repaired site's vector dominates every
-// available data peer's — the "matches a live quorum" reading of
-// bounded time-to-freshness. It runs at the quiescent drain point,
-// before any further workload, so domination is exact.
-func (e *engine) freshnessCheck(id protocol.SiteID) {
-	self, err := e.cl.Replica(id)
-	if err != nil {
-		e.violatef("replica %v: %v", id, err)
-		return
-	}
-	mine := self.Vector()
-	for i := 0; i < e.cfg.Sites; i++ {
-		peerID := protocol.SiteID(i)
-		if peerID == id {
-			continue
-		}
-		peer, err := e.cl.Replica(peerID)
-		if err != nil {
-			e.violatef("replica %v: %v", peerID, err)
-			continue
-		}
-		if peer.State() != protocol.StateAvailable || peer.Witness() {
-			continue
-		}
-		pv := peer.Vector()
-		for b := 0; b < e.cfg.Blocks; b++ {
-			idx := block.Index(b)
-			if mine.Get(idx) < pv.Get(idx) {
-				e.violatef("repair left site %v stale: block %v at %v while peer %v holds %v",
-					id, idx, mine.Get(idx), peerID, pv.Get(idx))
-			}
-		}
 	}
 }
 
@@ -1033,7 +855,6 @@ func (e *engine) totalFailure(ctx context.Context) {
 	if got := e.cl.AvailableCount(); got != e.cfg.Sites {
 		e.violatef("after total failure %d of %d sites recovered", got, e.cfg.Sites)
 	}
-	e.drainRepairs()
 }
 
 // convergenceCheck verifies the post-recovery state: the available copy

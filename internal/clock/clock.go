@@ -1,26 +1,22 @@
 // Package clock is the repo's one time abstraction (DESIGN.md "Time"):
-// everything that reads the time, sleeps or arms a timer — the obs
-// planes, repair backoff and rate limiting, the group-commit batcher,
-// the rpcnet failure detector — takes a Clock. Live hosts use Wall;
+// everything that reads the time or arms a timer — the obs planes and
+// the group-commit batcher — takes a Clock. Live hosts use Wall;
 // replayed runs and tests a Manual, which moves only when told to.
 package clock
 
 import (
-	"context"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 )
 
-// A Clock reads the time, sleeps, and makes timers. Only differences
+// A Clock reads the time and makes timers. Only differences
 // between readings (and UnixNano stamps) are ever used.
 type Clock interface {
 	Now() time.Time
 	// Nanotime is Now().UnixNano(), monotonic and without a time.Time.
 	Nanotime() int64
-	// Sleep pauses the caller for d, or less if ctx is done first.
-	Sleep(ctx context.Context, d time.Duration)
 	// NewTimer returns a timer that fires once, d from now.
 	NewTimer(d time.Duration) *Timer
 }
@@ -51,26 +47,17 @@ func (w wall) Now() time.Time { return w.base.Add(w.since(w.base)) }
 
 func (w wall) Nanotime() int64 { return w.base.UnixNano() + int64(w.since(w.base)) }
 
-func (w wall) Sleep(ctx context.Context, d time.Duration) {
-	t := w.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-	case <-ctx.Done():
-	}
-}
-
 func (wall) NewTimer(d time.Duration) *Timer {
-	//relidev:allow nondeterminism: the one sanctioned wall-clock timer (Sleep is built on it); replayed runs inject a Manual clock
+	//relidev:allow nondeterminism: the one sanctioned wall-clock timer; replayed runs inject a Manual clock
 	t := time.NewTimer(d)
 	return &Timer{C: t.C, stop: t.Stop}
 }
 
 // Manual is a Clock on which time moves only when someone says so: the
-// harness calls Advance, and Sleep advances by its argument instead of
-// blocking. A reading never depends on how often the clock was read, so
-// a duration measured on it is a function of the schedule that advanced
-// it. It starts at UnixNano 0. Methods are safe for concurrent use.
+// harness calls Advance. A reading never depends on how often the clock
+// was read, so a duration measured on it is a function of the schedule
+// that advanced it. It starts at UnixNano 0. Methods are safe for
+// concurrent use.
 type Manual struct {
 	ns atomic.Int64 // written under mu, read lock-free by Now
 
@@ -109,16 +96,8 @@ func (m *Manual) Advance(d time.Duration) {
 	}
 }
 
-// Sleep implements Clock: it advances the clock by d and returns at
-// once. A done ctx sleeps nothing.
-func (m *Manual) Sleep(ctx context.Context, d time.Duration) {
-	if ctx.Err() == nil {
-		m.Advance(d)
-	}
-}
-
-// NewTimer implements Clock. The timer fires when Advance (or a Sleep)
-// carries time to its deadline; d <= 0 fires immediately.
+// NewTimer implements Clock. The timer fires when Advance carries time
+// to its deadline; d <= 0 fires immediately.
 func (m *Manual) NewTimer(d time.Duration) *Timer {
 	m.mu.Lock()
 	defer m.mu.Unlock()

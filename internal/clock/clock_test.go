@@ -1,7 +1,6 @@
 package clock
 
 import (
-	"context"
 	"sync"
 	"testing"
 	"time"
@@ -103,30 +102,7 @@ func TestManualTimerStop(t *testing.T) {
 	}
 }
 
-func TestManualSleepAdvancesWithoutBlocking(t *testing.T) {
-	m := NewManual()
-	tm := m.NewTimer(90 * time.Minute)
-	start := time.Now()
-	m.Sleep(context.Background(), time.Hour)
-	m.Sleep(context.Background(), 30*time.Minute)
-	if elapsed(m) != 90*time.Minute {
-		t.Fatalf("Elapsed = %v, want 1h30m", elapsed(m))
-	}
-	if wall := time.Since(start); wall > time.Second {
-		t.Fatalf("Manual.Sleep blocked for %v", wall)
-	}
-	if !fired(tm) {
-		t.Fatal("Sleep carried time past a timer without firing it")
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	m.Sleep(ctx, time.Hour)
-	if elapsed(m) != 90*time.Minute {
-		t.Fatalf("Sleep under a done ctx advanced the clock to %v", elapsed(m))
-	}
-}
-
-// Concurrent Advance, Sleep, Now and timer traffic: race-clean, readings
+// Concurrent Advance, Now and timer traffic: race-clean, readings
 // never go backwards, and the total is the sum of the advances.
 func TestManualConcurrentAdvanceAndNow(t *testing.T) {
 	const writers, readers, perG = 4, 4, 500
@@ -134,16 +110,12 @@ func TestManualConcurrentAdvanceAndNow(t *testing.T) {
 	var wg sync.WaitGroup
 	for g := 0; g < writers; g++ {
 		wg.Add(1)
-		go func(g int) {
+		go func() {
 			defer wg.Done()
 			for i := 0; i < perG; i++ {
-				if g%2 == 0 {
-					m.Advance(time.Microsecond)
-				} else {
-					m.Sleep(context.Background(), time.Microsecond)
-				}
+				m.Advance(time.Microsecond)
 			}
-		}(g)
+		}()
 	}
 	for g := 0; g < readers; g++ {
 		wg.Add(1)
@@ -170,17 +142,10 @@ func TestManualConcurrentAdvanceAndNow(t *testing.T) {
 	}
 }
 
-func TestWallSleepHonoursContextAndTimerFires(t *testing.T) {
+func TestWallTimerFires(t *testing.T) {
 	before := time.Now()
 	if Wall.Now().Before(before) {
 		t.Fatal("Wall.Now is behind time.Now")
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	start := time.Now()
-	Wall.Sleep(ctx, time.Hour)
-	if time.Since(start) > 5*time.Second {
-		t.Fatal("Wall.Sleep ignored a done ctx")
 	}
 	tm := Wall.NewTimer(time.Millisecond)
 	select {
@@ -195,8 +160,8 @@ func TestWallSleepHonoursContextAndTimerFires(t *testing.T) {
 
 func elapsed(m *Manual) time.Duration { return m.Now().Sub(time.Unix(0, 0)) }
 
-// Manual's Nanotime is its Now in nanoseconds after every Advance and
-// Sleep, whatever moved it.
+// Manual's Nanotime is its Now in nanoseconds after every Advance,
+// however far it moved.
 func TestManualNanotimeIsNow(t *testing.T) {
 	m := NewManual()
 	check := func(what string) {
@@ -206,16 +171,10 @@ func TestManualNanotimeIsNow(t *testing.T) {
 		}
 	}
 	check("start")
-	for i, d := range []time.Duration{time.Nanosecond, 0, -time.Second, 3 * time.Millisecond, time.Hour} {
+	for _, d := range []time.Duration{time.Nanosecond, 0, -time.Second, 3 * time.Millisecond, time.Hour} {
 		m.Advance(d)
 		check("Advance")
-		m.Sleep(context.Background(), time.Duration(i)*time.Microsecond)
-		check("Sleep")
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	m.Sleep(ctx, time.Second)
-	check("a cancelled Sleep")
 }
 
 // Wall's Nanotime never goes back, read from many goroutines at once,

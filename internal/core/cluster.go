@@ -4,14 +4,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
 
 	"relidev/internal/availcopy"
 	"relidev/internal/block"
 	"relidev/internal/naiveac"
 	"relidev/internal/obs"
 	"relidev/internal/protocol"
-	"relidev/internal/repair"
 	"relidev/internal/scheme"
 	"relidev/internal/simnet"
 	"relidev/internal/site"
@@ -83,13 +81,6 @@ type ClusterConfig struct {
 	// exactly what the controllers see, fault injection included. Nil
 	// leaves the cluster unmetered at zero overhead.
 	Observer *obs.Observer
-	// Repair, when set, enables the background anti-entropy engine
-	// (DESIGN.md §13): after a restarted site completes scheme recovery,
-	// DriveRecovery runs a rate-limited repairer that streams the site's
-	// stale blocks from up-to-date peers, bounding its time to freshness
-	// instead of waiting for the workload to touch every block. Nil
-	// keeps the paper's lazy-only behaviour.
-	Repair *repair.Policy
 }
 
 func (c *ClusterConfig) applyDefaults() error {
@@ -142,23 +133,6 @@ type Cluster struct {
 	replicas  []*site.Replica
 	ctrls     []scheme.Controller
 	devices   []*ReliableDevice
-	repairers []*repair.Repairer // nil when cfg.Repair is nil
-
-	// repairLog accumulates background repair outcomes for harnesses
-	// (chaos reads and drains it between events).
-	repairMu  sync.Mutex
-	repairLog []RepairOutcome
-}
-
-// RepairOutcome records one completed background repair run driven by
-// DriveRecovery: which site repaired and how it went. Err is nil on
-// full freshness, or repair.ErrNoDonors / repair.ErrIncomplete when
-// staleness remains (the site stays available; a later recovery event
-// retries).
-type RepairOutcome struct {
-	Site   protocol.SiteID
-	Result repair.Result
-	Err    error
 }
 
 // NewCluster builds and starts a cluster; all sites begin available with
@@ -216,48 +190,6 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 		return nil, err
 	}
 	return cl, nil
-}
-
-// buildRepairers (re)constructs the per-site background repairers over
-// the current membership; a no-op when repair is disabled. Witnesses
-// get no repairer — they hold no data to freshen.
-func (cl *Cluster) buildRepairers(ids []protocol.SiteID) error {
-	if cl.cfg.Repair == nil {
-		cl.repairers = nil
-		return nil
-	}
-	cl.repairers = make([]*repair.Repairer, len(ids))
-	for i, id := range ids {
-		if cl.replicas[i].Witness() {
-			continue
-		}
-		pol := *cl.cfg.Repair
-		// Distinct per-site jitter streams, stable across runs.
-		pol.Seed ^= uint64(id+1) * 0x9e3779b97f4a7c15
-		rp, err := repair.New(repair.Config{
-			Self:      cl.replicas[i],
-			Transport: cl.transport,
-			Peers:     remotesOf(ids, id),
-			Policy:    pol,
-			Obs:       cl.cfg.Observer.SchemeSite(cl.cfg.Scheme.String(), id),
-			RepairObs: cl.cfg.Observer.Repair(cl.cfg.Scheme.String(), id),
-		})
-		if err != nil {
-			return fmt.Errorf("core: repairer for %v: %w", id, err)
-		}
-		cl.repairers[i] = rp
-	}
-	return nil
-}
-
-func remotesOf(ids []protocol.SiteID, self protocol.SiteID) []protocol.SiteID {
-	out := make([]protocol.SiteID, 0, len(ids)-1)
-	for _, id := range ids {
-		if id != self {
-			out = append(out, id)
-		}
-	}
-	return out
 }
 
 // DefaultWeights gives each of n sites one vote (1000 thousandths).
@@ -419,16 +351,7 @@ func (cl *Cluster) Restart(ctx context.Context, id protocol.SiteID) error {
 // DriveRecovery repeatedly runs the scheme's recovery procedure on every
 // comatose site until no further site can make progress. Sites whose
 // recovery must still wait stay comatose; that is not an error.
-//
-// When background repair is configured, every site that completed
-// scheme recovery here then runs one anti-entropy pass (DESIGN.md §13):
-// scheme recovery readmits the site cheaply (the paper's lazy trick),
-// the repairer erases the staleness that readmission left behind.
-// Repair shortfalls — no donor reachable, donors exhausted — are
-// recorded, not errors: the site is already available and a later
-// recovery event retries.
 func (cl *Cluster) DriveRecovery(ctx context.Context) error {
-	var readmitted []int
 	for {
 		progress := false
 		for i, r := range cl.replicas {
@@ -439,7 +362,6 @@ func (cl *Cluster) DriveRecovery(ctx context.Context) error {
 			switch {
 			case err == nil:
 				progress = true
-				readmitted = append(readmitted, i)
 			case errors.Is(err, scheme.ErrAwaitingSites):
 				// Stay comatose; maybe a later recovery unblocks it.
 			default:
@@ -447,30 +369,7 @@ func (cl *Cluster) DriveRecovery(ctx context.Context) error {
 			}
 		}
 		if !progress {
-			break
+			return nil
 		}
 	}
-	for _, i := range readmitted {
-		if cl.repairers == nil || cl.repairers[i] == nil {
-			continue
-		}
-		res, err := cl.repairers[i].Run(ctx)
-		cl.repairMu.Lock()
-		cl.repairLog = append(cl.repairLog, RepairOutcome{Site: cl.replicas[i].ID(), Result: res, Err: err})
-		cl.repairMu.Unlock()
-		if err != nil && ctx.Err() != nil {
-			return fmt.Errorf("core: repair of %v: %w", cl.replicas[i].ID(), err)
-		}
-	}
-	return nil
-}
-
-// TakeRepairOutcomes drains the log of background repair runs driven by
-// DriveRecovery since the previous call, in completion order.
-func (cl *Cluster) TakeRepairOutcomes() []RepairOutcome {
-	cl.repairMu.Lock()
-	defer cl.repairMu.Unlock()
-	out := cl.repairLog
-	cl.repairLog = nil
-	return out
 }

@@ -137,6 +137,5 @@ func (cl *Cluster) rebuildControllers() error {
 		cl.ctrls[i] = ctrl
 		cl.devices[i].setController(ctrl)
 	}
-	// Repairers hold the membership list too; rebuild them over it.
-	return cl.buildRepairers(ids)
+	return nil
 }

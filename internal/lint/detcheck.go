@@ -33,12 +33,12 @@ var DetCheck = &Analyzer{
 // The scope is every package whose decisions or output ride a replayed
 // artifact: the harnesses and their models, the observability tree
 // whose snapshots, traces, dumps and alerts land in chaos reports (its
-// subpackages named so the scope survives a move), and store, repair
-// and cache, whose flush timing, backoff and admission replay. All take
+// subpackages named so the scope survives a move), and store and
+// cache, whose flush timing and admission replay. All take
 // their time from an injected clock.Clock (DESIGN.md "Time"): the only
 // allowed wall-clock touches are clock.Wall's two, plus the pacing
 // sleeps in simnet and faultnet.
-var detScopeElems = []string{"faultnet", "chaos", "sim", "simnet", "workload", "markov", "obs", "avail", "store", "repair", "cache", "flight", "alert", "tsdb", "clock"}
+var detScopeElems = []string{"faultnet", "chaos", "sim", "simnet", "workload", "markov", "obs", "avail", "store", "cache", "flight", "alert", "tsdb", "clock"}
 
 var wallClockFuncs = map[string]bool{
 	"Now": true, "Since": true, "Until": true, "Sleep": true,

@@ -44,10 +44,6 @@ func TestDetCheckStoreFixtures(t *testing.T) {
 	linttest.Run(t, testdata, "fixtures/detcheck/store", lint.DetCheck)
 }
 
-func TestDetCheckRepairFixtures(t *testing.T) {
-	linttest.Run(t, testdata, "fixtures/detcheck/repair", lint.DetCheck)
-}
-
 func TestDetCheckFlightFixtures(t *testing.T) {
 	linttest.Run(t, testdata, "fixtures/detcheck/flight", lint.DetCheck)
 }

@@ -105,8 +105,8 @@ func (st *Status) observe(firing bool, nowNs int64) {
 // newest sample's value is beyond Limit (above it, or under it with
 // Below); the latch sets once the condition has held continuously for
 // ForNs and releases once it has been clear for ClearNs (zero: at
-// once, both ways). Hysteresis keeps flapping conditions — a repair
-// lag bouncing off zero, a one-sample error burst — out of the alerts.
+// once, both ways). Hysteresis keeps flapping conditions — a gauge
+// bouncing off zero, a one-sample error burst — out of the alerts.
 type Threshold struct {
 	Limit          float64
 	Below          bool

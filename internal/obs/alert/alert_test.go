@@ -93,8 +93,8 @@ func TestLazyRefreshIsNotAnAlert(t *testing.T) {
 	r := newRig()
 	burn := alert.Burn{Target: 0.99, FastNs: 20, SlowNs: 40}
 	e := alert.NewEngine(r.db, r.clk, func(s string) { t.Errorf("sealed: %s", s) },
-		alert.QuorumMargin("voting", 2), alert.ErrorRate(0.1), alert.BatcherOccupancy(64), alert.StalenessLag(100),
-		alert.ReadLatency("voting", 4096, burn), alert.WriteAvailability("voting", burn), alert.RepairFreshness(100, burn))
+		alert.QuorumMargin("voting", 2), alert.ErrorRate(0.1), alert.BatcherOccupancy(64),
+		alert.ReadLatency("voting", 4096, burn), alert.WriteAvailability("voting", burn))
 	r.sample()
 	for i := 0; i < 3; i++ {
 		r.op(protocol.OpRead, 5, nil)
@@ -131,31 +131,5 @@ func TestReadLatencyOverRing(t *testing.T) {
 	}
 	if st := rep.Objectives[1]; st.Firing || st.Value != 0 {
 		t.Errorf("no read is over 1s: %+v", st)
-	}
-}
-
-// TestRepairFreshnessDwell: a sample is bad once a backlog has stayed
-// non-zero for longer than the deadline; a backlog that drains in time,
-// and one that drains and comes back, start the dwell over.
-func TestRepairFreshnessDwell(t *testing.T) {
-	r := newRig()
-	e := alert.NewEngine(r.db, r.clk, nil,
-		alert.RepairFreshness(25, alert.Burn{Target: 0.5, FastNs: 1000, SlowNs: 1000}))
-	lag := r.o.Repair("voting", 2)
-	// Samples at t=10,20,..: dwell starts at the first non-zero sample.
-	for _, n := range []int{0, 4, 4, 0, 3, 3, 3, 3, 3, 0} {
-		lag.SetLag(n)
-		r.sample()
-	}
-	// Stretch 1 (t=20,30) never exceeds 25ns; stretch 2 starts at t=50,
-	// so t=80 and t=90 are bad: 2 bad samples of 10.
-	st := e.Evaluate().Objectives[0]
-	if got, want := st.Value, 2.0/10/0.5; got != want {
-		t.Fatalf("budget spent = %v, want %v (2 late samples of 10): %+v", got, want, st)
-	}
-	// A window that starts mid-stretch still knows how long the backlog
-	// had been there: the signal looks one deadline back.
-	if r := alert.GaugeDwell(obs.MetricRepairLag, 25)(r.db, 20); r.Bad != 1 || r.Total != 2 {
-		t.Fatalf("last two samples = %d late of %d, want 1 of 2", r.Bad, r.Total)
 	}
 }

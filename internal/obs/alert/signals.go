@@ -83,45 +83,6 @@ func HistAbove(family string, thresholdNs int64, match ...obs.Label) Signal {
 	}
 }
 
-// GaugeDwell counts the window's samples at which a gauge family had
-// been continuously non-zero for longer than deadlineNs, out of all the
-// window's samples.
-func GaugeDwell(family string, deadlineNs int64) Signal {
-	return func(db *tsdb.DB, windowNs int64) Reading {
-		// Look one deadline beyond the window so a dwell is measured
-		// even for the window's oldest samples.
-		look := windowNs
-		if look > 0 {
-			look += deadlineNs
-		}
-		points := db.GaugeWindow(family, look)
-		if len(points) == 0 {
-			return Reading{}
-		}
-		cut := points[len(points)-1].AtNs - windowNs
-		// since is when the current contiguous non-zero stretch began;
-		// a zero sample ends it.
-		var bad, total uint64
-		var since int64
-		dwelling := false
-		for _, p := range points {
-			if p.Value <= 0 {
-				dwelling = false
-			} else if !dwelling {
-				dwelling, since = true, p.AtNs
-			}
-			if windowNs > 0 && p.AtNs <= cut {
-				continue // dwell warm-up only
-			}
-			total++
-			if dwelling && p.AtNs-since > deadlineNs {
-				bad++
-			}
-		}
-		return ratio(bad, total)
-	}
-}
-
 // The conditions the default sets are made of, one constructor each.
 // Threshold limits, targets and windows come from the caller, so the
 // same objective runs on wall time in a blockserver and on the schedule
@@ -181,33 +142,6 @@ func BatcherOccupancy(saturated int64) Objective {
 		Severity: Warn,
 		Signal:   GaugeMax(obs.MetricGroupCommitOccupancy),
 		Policy:   Threshold{Limit: float64(saturated - 1)},
-	}
-}
-
-// StalenessLag is critical once some site's repair backlog has stayed
-// non-zero for deadlineNs — the repair policy's bounded
-// time-to-freshness promise for one stale block — so lag that repair
-// clears inside its promise never alerts, and lag outliving it is the
-// §6 invariant failing in production.
-func StalenessLag(deadlineNs int64) Objective {
-	return Objective{
-		Name:     "staleness_lag",
-		Severity: Critical,
-		Signal:   GaugeMax(obs.MetricRepairLag),
-		Policy:   Threshold{ForNs: deadlineNs},
-	}
-}
-
-// RepairFreshness promises that repair backlogs clear within the §13
-// deadline: a sample is bad when some site's repair lag has been
-// continuously non-zero for longer than deadlineNs at that sample.
-func RepairFreshness(deadlineNs int64, p Burn) Objective {
-	return Objective{
-		Name:        "repair_freshness",
-		Description: fmt.Sprintf("repair backlogs clear within %v (§13 bounded time-to-freshness)", time.Duration(deadlineNs)),
-		Severity:    Critical,
-		Signal:      GaugeDwell(obs.MetricRepairLag, deadlineNs),
-		Policy:      p,
 	}
 }
 

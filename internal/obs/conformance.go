@@ -64,21 +64,6 @@ type ConformanceInput struct {
 	// Recovery covers every Recover invocation, including attempts that
 	// ended with ErrAwaitingSites (they still query status).
 	Recovery OpObservation
-	// Repair covers background anti-entropy runs (DESIGN.md §13). Its
-	// cost is structural rather than affine in participation — each run
-	// issues a variable number of discovery broadcasts and page fetches —
-	// so the checker prices it from the structural counters below:
-	// each discovery round costs one logical broadcast plus its replies,
-	// each fetched page one transmission.
-	Repair OpObservation
-	// RepairRounds counts discovery rounds (summary broadcasts) over all
-	// repair runs; RepairPages the successfully applied page fetches;
-	// RepairRetries and RepairDemotions the failed fetch attempts, which
-	// only appear under chaos (bracket mode).
-	RepairRounds    uint64
-	RepairPages     uint64
-	RepairRetries   uint64
-	RepairDemotions uint64
 }
 
 // An OpCheck is the verdict for one operation class.
@@ -131,7 +116,6 @@ func CheckConformance(in ConformanceInput, strict bool) (ConformanceReport, erro
 		{protocol.OpWrite, in.Write},
 		{protocol.OpRead, in.Read},
 		{protocol.OpRecovery, in.Recovery},
-		{protocol.OpRepair, in.Repair},
 	} {
 		var (
 			chk OpCheck
@@ -180,9 +164,6 @@ func strictCheck(in ConformanceInput, op string, o OpObservation) (OpCheck, erro
 		chk.Note = fmt.Sprintf("strict mode requires failure-free attempts: %d attempts, %d completions", o.Attempts, o.Completions)
 		return chk, nil
 	}
-	if op == protocol.OpRepair {
-		return repairStrictCheck(in, o)
-	}
 	u := float64(o.ParticipantsSum) / float64(o.Completions)
 	costs, err := analysis.CostsForParticipation(in.Scheme, in.Sites, u, in.Unicast)
 	if err != nil {
@@ -223,32 +204,6 @@ func strictCheck(in ConformanceInput, op string, o OpObservation) (OpCheck, erro
 	return chk, nil
 }
 
-// repairStrictCheck prices failure-free repair runs from their
-// structure: each discovery round is one logical broadcast answered by
-// every remote site, each applied page one fetch transmission. The
-// formula is exact because failure-free runs have no retries, no
-// demotions, and a reply from every peer (comatose peers and witnesses
-// answer summaries too).
-func repairStrictCheck(in ConformanceInput, o OpObservation) (OpCheck, error) {
-	chk := OpCheck{Op: protocol.OpRepair}
-	if in.RepairRetries != 0 || in.RepairDemotions != 0 {
-		chk.Note = fmt.Sprintf("strict mode requires failure-free runs: %d retries, %d demotions", in.RepairRetries, in.RepairDemotions)
-		return chk, nil
-	}
-	bcast := 1.0
-	if in.Unicast {
-		bcast = float64(in.Sites - 1)
-	}
-	replies := float64(in.Sites - 1)
-	chk.Observed = float64(o.Messages) / float64(o.Completions)
-	chk.Predicted = (float64(in.RepairRounds)*(bcast+replies) + float64(in.RepairPages)) / float64(o.Completions)
-	chk.OK = math.Abs(chk.Observed-chk.Predicted) <= strictTolerance
-	if !chk.OK {
-		chk.Note = fmt.Sprintf("rounds=%d pages=%d over %d runs", in.RepairRounds, in.RepairPages, o.Completions)
-	}
-	return chk, nil
-}
-
 // bracketCheck bounds the per-attempt mean. The envelopes follow from
 // the §5 accounting: every attempt issues its initial broadcast (one
 // transmission in multicast mode, n-1 in unicast mode — or zero for
@@ -262,23 +217,6 @@ func bracketCheck(in ConformanceInput, op string, o OpObservation) (OpCheck, err
 		bcast = n - 1
 	}
 	replies := n - 1 // at most one reply per remote site
-	if op == protocol.OpRepair {
-		// Repair's envelope is structural: each discovery round costs at
-		// most its broadcast plus a reply from every remote, each applied
-		// page one transmission, and each retry or demotion one failed
-		// fetch attempt. The floor is zero — a run cancelled before its
-		// first broadcast sends nothing.
-		chk.Max = float64(in.RepairRounds)*(bcast+replies) + float64(in.RepairPages+in.RepairRetries+in.RepairDemotions)
-		if o.Attempts > 0 {
-			chk.Max /= float64(o.Attempts)
-		}
-		chk.Observed = float64(o.Messages)
-		if o.Attempts > 0 {
-			chk.Observed /= float64(o.Attempts)
-		}
-		chk.OK = chk.Observed >= chk.Min-strictTolerance && chk.Observed <= chk.Max+strictTolerance
-		return chk, nil
-	}
 	switch in.Scheme {
 	case analysis.SchemeVoting:
 		switch op {
@@ -369,45 +307,6 @@ func GatherObservations(snap Snapshot, schemeName string, transmissions map[stri
 	recovery = gather(protocol.OpRecovery)
 	recovery.Pages = snap.CounterTotal(MetricRecoveryPages, s)
 	return write, read, recovery
-}
-
-// A RepairObservation bundles the repair op class with the structural
-// counters that price its variable-length runs.
-type RepairObservation struct {
-	Op        OpObservation
-	Rounds    uint64
-	Pages     uint64
-	Retries   uint64
-	Demotions uint64
-}
-
-// GatherRepairObservation extracts the repair observation for one
-// scheme from a metrics snapshot (summed across sites) plus the
-// transport's per-operation transmission totals.
-func GatherRepairObservation(snap Snapshot, schemeName string, transmissions map[string]uint64) RepairObservation {
-	s := L("scheme", schemeName)
-	o := L("op", protocol.OpRepair)
-	return RepairObservation{
-		Op: OpObservation{
-			Attempts:        snap.CounterTotal(MetricOpAttempts, s, o),
-			Completions:     snap.CounterTotal(MetricOpCompletions, s, o),
-			ParticipantsSum: snap.CounterTotal(MetricOpParticipants, s, o),
-			Messages:        transmissions[protocol.OpRepair],
-		},
-		Rounds:    snap.CounterTotal(MetricRepairRounds, s),
-		Pages:     snap.CounterTotal(MetricRepairPages, s),
-		Retries:   snap.CounterTotal(MetricRepairRetries, s),
-		Demotions: snap.CounterTotal(MetricRepairDemotions, s),
-	}
-}
-
-// Apply folds the observation into a ConformanceInput.
-func (r RepairObservation) Apply(in *ConformanceInput) {
-	in.Repair = r.Op
-	in.RepairRounds = r.Rounds
-	in.RepairPages = r.Pages
-	in.RepairRetries = r.Retries
-	in.RepairDemotions = r.Demotions
 }
 
 // UnpricedKinds returns, sorted, the request kinds observed on the

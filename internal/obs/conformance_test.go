@@ -84,8 +84,8 @@ func TestStrictConformanceExact(t *testing.T) {
 		if !rep.OK {
 			t.Errorf("%s: conformance failed: %v", c.name, rep.Violations())
 		}
-		if len(rep.Checks) != 4 {
-			t.Errorf("%s: %d checks, want 4", c.name, len(rep.Checks))
+		if len(rep.Checks) != 3 {
+			t.Errorf("%s: %d checks, want 3 (write, read, recovery)", c.name, len(rep.Checks))
 		}
 	}
 }
@@ -297,87 +297,9 @@ func TestGatherObservations(t *testing.T) {
 	}
 }
 
-func TestStrictConformanceRepair(t *testing.T) {
-	// One failure-free repair run on n=4 multicast: 2 discovery rounds
-	// (the working round plus the confirming one) at 1 broadcast + 3
-	// replies each, plus 5 applied pages at one fetch transmission:
-	// 2*4 + 5 = 13.
-	in := ConformanceInput{
-		Scheme:       analysis.SchemeAvailableCopy,
-		Sites:        4,
-		Repair:       OpObservation{Attempts: 1, Completions: 1, ParticipantsSum: 3, Messages: 13},
-		RepairRounds: 2,
-		RepairPages:  5,
-	}
-	rep, err := CheckConformance(in, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep.OK {
-		t.Fatalf("exact repair pricing failed: %v", rep.Violations())
-	}
-
-	// One stray message must trip the check.
-	in.Repair.Messages++
-	rep, _ = CheckConformance(in, true)
-	if rep.OK {
-		t.Fatal("off-by-one repair total passed strict conformance")
-	}
-
-	// Unicast prices each discovery broadcast at n-1: 2*(3+3) + 5 = 17.
-	in.Unicast = true
-	in.Repair.Messages = 17
-	rep, _ = CheckConformance(in, true)
-	if !rep.OK {
-		t.Fatalf("unicast repair pricing failed: %v", rep.Violations())
-	}
-
-	// Retries mean faults happened: outside strict mode's contract.
-	in.RepairRetries = 1
-	rep, _ = CheckConformance(in, true)
-	if rep.OK {
-		t.Fatal("repair run with retries passed strict conformance")
-	}
-}
-
-func TestBracketConformanceRepair(t *testing.T) {
-	// Chaos run on n=4 multicast: 3 rounds, 4 pages, 2 retries, 1
-	// demotion. Ceiling: 3*(1+3) + 4+2+1 = 19 over 2 attempts = 9.5.
-	in := ConformanceInput{
-		Scheme:          analysis.SchemeAvailableCopy,
-		Sites:           4,
-		Repair:          OpObservation{Attempts: 2, Completions: 1, Messages: 19},
-		RepairRounds:    3,
-		RepairPages:     4,
-		RepairRetries:   2,
-		RepairDemotions: 1,
-	}
-	rep, err := CheckConformance(in, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep.OK {
-		t.Fatalf("repair at the ceiling rejected: %v", rep.Violations())
-	}
-
-	in.Repair.Messages = 20
-	rep, _ = CheckConformance(in, false)
-	if rep.OK {
-		t.Fatal("repair traffic above the structural ceiling passed")
-	}
-
-	// No attempts but attributed messages: something mislabelled.
-	in.Repair = OpObservation{Messages: 2}
-	in.RepairRounds, in.RepairPages, in.RepairRetries, in.RepairDemotions = 0, 0, 0, 0
-	rep, _ = CheckConformance(in, false)
-	if rep.OK {
-		t.Fatal("repair messages without attempts passed")
-	}
-}
-
 func TestUnpricedKinds(t *testing.T) {
 	// Every kind a real transport reports is priced: nothing to flag.
-	clean := map[string]uint64{"vote": 12, "fetch": 3, "put": 9, "repair-fetch": 2}
+	clean := map[string]uint64{"vote": 12, "fetch": 3, "put": 9, "recovery": 2}
 	if got := UnpricedKinds(clean); len(got) != 0 {
 		t.Fatalf("UnpricedKinds(clean) = %v, want none", got)
 	}

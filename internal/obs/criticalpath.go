@@ -63,31 +63,15 @@ type StorePhaseStat struct {
 	P95Ns   float64 `json:"p95_ns"`
 }
 
-// An InterferenceStat compares one scheme/op's latency inside repair
-// windows against its overall latency.
-type InterferenceStat struct {
-	Scheme string `json:"scheme"`
-	Op     string `json:"op"`
-	// Started counts ops that began inside a repair window; Count and
-	// MeanNs describe the completed ones' latency, OverallMeanNs the
-	// op's latency across all windows.
-	Started       uint64  `json:"started"`
-	Count         uint64  `json:"count"`
-	MeanNs        float64 `json:"mean_ns"`
-	OverallMeanNs float64 `json:"overall_mean_ns"`
-}
-
 // A Profile is the full critical-path report served at /profile.
 type Profile struct {
-	Ops          []OpProfile        `json:"ops"`
-	Store        []StorePhaseStat   `json:"store,omitempty"`
-	Interference []InterferenceStat `json:"interference,omitempty"`
+	Ops   []OpProfile      `json:"ops"`
+	Store []StorePhaseStat `json:"store,omitempty"`
 }
 
 // CriticalPath folds the observer's registry into a Profile: per
 // scheme/op latency and phase histograms merged across sites, plus the
-// store-side phases and repair-interference comparison. Nil observer
-// yields an empty profile.
+// store-side phases. Nil observer yields an empty profile.
 func (o *Observer) CriticalPath() *Profile {
 	if o == nil {
 		return &Profile{}
@@ -101,7 +85,6 @@ func CriticalPathOf(snap Snapshot) *Profile {
 	type opKey struct{ scheme, op string }
 	lat := make(map[opKey]HistogramPoint)
 	phase := make(map[opKey]map[string]HistogramPoint)
-	interf := make(map[opKey]HistogramPoint)
 	type storeKey struct{ site, phase string }
 	storePh := make(map[storeKey]HistogramPoint)
 	for _, h := range snap.Histograms {
@@ -118,18 +101,9 @@ func CriticalPathOf(snap Snapshot) *Profile {
 			}
 			p := h.Labels["phase"]
 			m[p] = mergeHist(m[p], h)
-		case MetricOpInterference:
-			k := opKey{h.Labels["scheme"], h.Labels["op"]}
-			interf[k] = mergeHist(interf[k], h)
 		case MetricStorePhase:
 			k := storeKey{h.Labels["site"], h.Labels["phase"]}
 			storePh[k] = mergeHist(storePh[k], h)
-		}
-	}
-	started := make(map[opKey]uint64)
-	for _, c := range snap.Counters {
-		if c.Name == MetricOpDuringRepair {
-			started[opKey{c.Labels["scheme"], c.Labels["op"]}] += c.Value
 		}
 	}
 
@@ -177,13 +151,6 @@ func CriticalPathOf(snap Snapshot) *Profile {
 			op.Coverage = float64(op.PartitionNs) / float64(l.Sum)
 		}
 		p.Ops = append(p.Ops, op)
-		if in := interf[k]; in.Count > 0 || started[k] > 0 {
-			p.Interference = append(p.Interference, InterferenceStat{
-				Scheme: k.scheme, Op: k.op,
-				Started: started[k], Count: in.Count,
-				MeanNs: in.Mean(), OverallMeanNs: l.Mean(),
-			})
-		}
 	}
 
 	sKeys := make([]storeKey, 0, len(storePh))
@@ -209,7 +176,7 @@ func CriticalPathOf(snap Snapshot) *Profile {
 	return p
 }
 
-// opRank orders ops write, read, recovery, repair (then unknowns).
+// opRank orders ops write, read, recovery (then unknowns).
 func opRank(op string) int {
 	if i := opIndex(op); i >= 0 {
 		return i
@@ -273,13 +240,6 @@ func (p *Profile) Flame() string {
 		for _, s := range p.Store {
 			fmt.Fprintf(&b, "  site=%s %-10s n=%d mean=%s p95=%s\n",
 				s.Site, s.Phase, s.Count, fmtNs(s.MeanNs), fmtNs(s.P95Ns))
-		}
-	}
-	if len(p.Interference) > 0 {
-		fmt.Fprintf(&b, "\nrepair interference (ops started inside repair windows)\n")
-		for _, in := range p.Interference {
-			fmt.Fprintf(&b, "  %s/%s started=%d completed=%d mean=%s overall-mean=%s\n",
-				in.Scheme, in.Op, in.Started, in.Count, fmtNs(in.MeanNs), fmtNs(in.OverallMeanNs))
 		}
 	}
 	return b.String()

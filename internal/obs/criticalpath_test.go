@@ -104,7 +104,7 @@ func TestPhasePartitionClampsPipelinedOverlap(t *testing.T) {
 	o := New(WithClock(clk))
 	s := o.SchemeSite("ac", 1)
 
-	ctx, sp := s.StartOp(context.Background(), protocol.OpRepair, NoBlock)
+	ctx, sp := s.StartOp(context.Background(), protocol.OpRecovery, NoBlock)
 	rec := protocol.CtxPhases(ctx)
 	rec.RecordPhase(protocol.PhaseRPC, 300) // three overlapped 100ns fetches
 	clk.Advance(120)
@@ -143,39 +143,6 @@ func TestFailedOpsRecordNoPhases(t *testing.T) {
 	p := o.CriticalPath()
 	if len(p.Ops) != 0 {
 		t.Fatalf("failed op produced %d profile entries, want 0", len(p.Ops))
-	}
-}
-
-// TestInterferenceProfile: operations started inside a repair window
-// land in the interference comparison.
-func TestInterferenceProfile(t *testing.T) {
-	clk := clock.NewManual()
-	o := New(WithClock(clk))
-	r := o.Repair("voting", 2)
-	s := o.SchemeSite("voting", 2)
-
-	r.Active(true)
-	_, sp := s.StartOp(context.Background(), protocol.OpRead, 0)
-	clk.Advance(500)
-	sp.Done(1, nil)
-	r.Active(false)
-	_, sp2 := s.StartOp(context.Background(), protocol.OpRead, 1)
-	clk.Advance(100)
-	sp2.Done(1, nil)
-
-	p := o.CriticalPath()
-	if len(p.Interference) != 1 {
-		t.Fatalf("profile has %d interference rows, want 1", len(p.Interference))
-	}
-	in := p.Interference[0]
-	if in.Started != 1 || in.Count != 1 {
-		t.Errorf("interference started=%d completed=%d, want 1/1", in.Started, in.Count)
-	}
-	if in.MeanNs != 500 {
-		t.Errorf("interference mean = %v, want 500", in.MeanNs)
-	}
-	if in.OverallMeanNs != 300 {
-		t.Errorf("overall mean = %v, want 300 ((500+100)/2)", in.OverallMeanNs)
 	}
 }
 

@@ -215,8 +215,8 @@ func TestTraceTailSource(t *testing.T) {
 
 // TestTraceTailOrderIsScheduleNotScheduler: whatever order concurrent
 // emitters reached the ring in, the tail renders by (time, site) with
-// each site's own order kept, and a run of per-peer lane events (a
-// repairer's donor workers) in peer order with each lane's order kept.
+// each site's own order kept, and a run of per-peer lane events (round
+// trips in flight at once) in peer order with each lane's order kept.
 func TestTraceTailOrderIsScheduleNotScheduler(t *testing.T) {
 	render := func(arrival []obs.Event) []string {
 		r := newRig(4)
@@ -230,8 +230,8 @@ func TestTraceTailOrderIsScheduleNotScheduler(t *testing.T) {
 		return obs.Event{Site: site, Lane: lane, Kind: obs.EvRPC, Block: obs.NoBlock, Detail: detail}
 	}
 	// One instant: site 0 fans out (sites 1..3 handle concurrently), then
-	// site 2 repairs from donors 0 and 3 at once between two sequential
-	// events of its own.
+	// site 2 has round trips to sites 0 and 3 in flight at once between
+	// two sequential events of its own.
 	a := render([]obs.Event{
 		ev(0, 0, "start"), ev(3, 0, "h3"), ev(1, 0, "h1"), ev(2, 0, "h2"), ev(0, 0, "end"),
 		ev(2, 0, "enlisted"), ev(2, 4, "d3.p1"), ev(2, 1, "d0.p1"), ev(2, 4, "d3.p2"), ev(2, 1, "d0.p2"), ev(2, 0, "done"),

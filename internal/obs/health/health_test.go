@@ -19,7 +19,6 @@ import (
 	"relidev/internal/obs/alert"
 	"relidev/internal/obs/tsdb"
 	"relidev/internal/protocol"
-	"relidev/internal/repair"
 )
 
 // flag fires whenever *on is true — the minimal signal for driving the
@@ -248,36 +247,6 @@ func TestConcurrentEvaluate(t *testing.T) {
 }
 
 // --- the shipped threshold objectives over a real ring ---
-
-func TestStalenessRule(t *testing.T) {
-	pol := repair.Policy{}
-	obj := alert.StalenessLag(pol.Deadline(1).Nanoseconds())
-	if th := obj.Policy.(alert.Threshold); th.ForNs != pol.Deadline(1).Nanoseconds() || obj.Severity != alert.Critical {
-		t.Errorf("policy = %+v, want ForNs = the policy deadline %d", th, pol.Deadline(1).Nanoseconds())
-	}
-	r := newRig(nil, obj)
-	if st := r.step(); st.Firing {
-		t.Errorf("fired with no lag gauge: %+v", st)
-	}
-	r.o.Repair("voting", 1).SetLag(2)
-	r.o.Repair("voting", 2).SetLag(7)
-	st := r.step()
-	if !st.Firing || st.Value != 7 || st.Latched {
-		t.Errorf("lagged sample = %+v, want firing at the worst site's 7, not yet latched", st)
-	}
-	if !strings.Contains(st.Detail, "site2") {
-		t.Errorf("detail %q does not name the stale site", st.Detail)
-	}
-	r.clk.Advance(pol.Deadline(1))
-	if st := r.step(); !st.Latched || st.Severity != alert.Critical {
-		t.Errorf("lag outlived the deadline unlatched: %+v", st)
-	}
-	r.o.Repair("voting", 1).SetLag(0)
-	r.o.Repair("voting", 2).SetLag(0)
-	if st := r.step(); st.Firing || st.Latched {
-		t.Errorf("fired after lag cleared: %+v", st)
-	}
-}
 
 func TestQuorumMarginRule(t *testing.T) {
 	r := newRig(nil, alert.QuorumMargin("voting", 3))

@@ -113,7 +113,7 @@ func TestMergeSnapshotsPartition(t *testing.T) {
 			Name: "relidev_op_attempts_total", Labels: map[string]string{"site": site},
 			Value: uint64(rng.Intn(1000))})
 		full.Gauges = append(full.Gauges, GaugePoint{
-			Name: "relidev_repair_lag_blocks", Labels: map[string]string{"site": site},
+			Name: "relidev_group_commit_batch_occupancy", Labels: map[string]string{"site": site},
 			Value: int64(rng.Intn(50))})
 		h := randHist(rng)
 		h.Name, h.Labels = "relidev_op_latency_ns", map[string]string{"site": site}

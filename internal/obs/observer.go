@@ -58,12 +58,8 @@ const (
 	MetricRecoveryPages = "relidev_recovery_pages_total"
 )
 
-// ops indexes the per-operation metric arrays. OpRepair rides along so
-// the background anti-entropy engine (DESIGN.md §13) gets the same
-// attempt/completion/failure/latency families and op spans as the §5
-// rows, while staying a distinct label the conformance checker can
-// price separately.
-var ops = [...]string{protocol.OpWrite, protocol.OpRead, protocol.OpRecovery, protocol.OpRepair}
+// ops indexes the per-operation metric arrays: the three §5 rows.
+var ops = [...]string{protocol.OpWrite, protocol.OpRead, protocol.OpRecovery}
 
 func opIndex(op string) int {
 	for i, o := range ops {
@@ -90,11 +86,6 @@ type Observer struct {
 
 	mu      sync.Mutex
 	schemes map[string]*SchemeObs
-	repairs map[string]*RepairObs
-	// repairFlags are the per-scheme/site repair-window flags shared
-	// between each SchemeObs (reader) and RepairObs (writer); see
-	// repairFlag in phase.go.
-	repairFlags map[string]*atomic.Bool
 }
 
 // spanIDs is one span's identity triple inside a trace tree.
@@ -256,7 +247,7 @@ func (o *Observer) SchemeSite(scheme string, site protocol.SiteID) *SchemeObs {
 	if s, ok := o.schemes[key]; ok {
 		return s
 	}
-	s := &SchemeObs{o: o, scheme: scheme, site: site, repairActive: o.repairFlag(scheme, site)}
+	s := &SchemeObs{o: o, scheme: scheme, site: site}
 	siteLabel := L("site", site.String())
 	schemeLabel := L("scheme", scheme)
 	for i, op := range ops {
@@ -269,8 +260,6 @@ func (o *Observer) SchemeSite(scheme string, site protocol.SiteID) *SchemeObs {
 		for j, phase := range phases {
 			s.phase[i][j] = o.reg.Histogram(MetricOpPhase, schemeLabel, siteLabel, opLabel, L("phase", phase))
 		}
-		s.interference[i] = o.reg.Histogram(MetricOpInterference, schemeLabel, siteLabel, opLabel)
-		s.duringRepair[i] = o.reg.Counter(MetricOpDuringRepair, schemeLabel, siteLabel, opLabel)
 	}
 	s.staleReads = o.reg.Counter(MetricStaleReads, schemeLabel, siteLabel)
 	s.twoRound = o.reg.Counter(MetricWriteTwoRound, schemeLabel, siteLabel)
@@ -294,9 +283,6 @@ type SchemeObs struct {
 	participants         [len(ops)]*Counter
 	latency              [len(ops)]*Histogram
 	phase                [len(ops)][len(phases)]*Histogram
-	interference         [len(ops)]*Histogram
-	duringRepair         [len(ops)]*Counter
-	repairActive         *atomic.Bool
 	staleReads           *Counter
 	twoRound             *Counter
 	twoRoundParticipants *Counter
@@ -335,10 +321,6 @@ func (s *SchemeObs) StartOp(ctx context.Context, op string, blk int64) (context.
 	sp.acc = &phaseAcc{s: s, op: i}
 	sp.acc.scope = protocol.OpScope{Op: op, Phases: sp.acc}
 	ctx = protocol.WithOpScope(ctx, &sp.acc.scope)
-	if s.repairActive.Load() {
-		sp.interfered = true
-		s.duringRepair[i].Inc()
-	}
 	if s.o.tracer != nil {
 		sp.span = s.o.newSpan(s.site, protocol.CtxSpan(ctx))
 		ctx = protocol.WithSpan(ctx, protocol.SpanContext{TraceID: sp.span.TraceID, SpanID: sp.span.SpanID})
@@ -350,14 +332,13 @@ func (s *SchemeObs) StartOp(ctx context.Context, op string, blk int64) (context.
 // An OpSpan is one in-flight operation. The zero value (from a nil
 // SchemeObs) is a valid no-op.
 type OpSpan struct {
-	s          *SchemeObs
-	op         string
-	idx        int
-	block      int64
-	start      int64
-	span       spanIDs
-	acc        *phaseAcc
-	interfered bool
+	s     *SchemeObs
+	op    string
+	idx   int
+	block int64
+	start int64
+	span  spanIDs
+	acc   *phaseAcc
 }
 
 // Done closes the span: outcome counters, participation, latency, and
@@ -385,9 +366,6 @@ func (sp OpSpan) Done(participants int, err error) {
 	s.latency[sp.idx].Observe(total)
 	durs := sp.closePhases(total)
 	sp.emitPhases(durs)
-	if sp.interfered {
-		s.interference[sp.idx].Observe(total)
-	}
 	s.emit(withSpan(sp.span, Event{Kind: EvOpEnd, Op: sp.op, Block: sp.block, d: detail{form: detailParticipants, a: int64(participants)}}))
 }
 

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"fmt"
 	"sync/atomic"
 
 	"relidev/internal/protocol"
@@ -21,14 +20,6 @@ const (
 	// Fetch only), this sees every broadcast member, so the slowest
 	// quorum member is identifiable per peer.
 	MetricPeerRTT = "relidev_fanout_peer_rtt_ns"
-	// MetricOpInterference is the latency histogram of operations that
-	// ran while the site's background repairer was streaming — the
-	// repair-interference window. Compare against MetricOpLatency to
-	// price the interference.
-	MetricOpInterference = "relidev_op_repair_interference_ns"
-	// MetricOpDuringRepair counts operations started inside a repair
-	// window.
-	MetricOpDuringRepair = "relidev_op_during_repair_total"
 	// MetricStorePhase is the store-side phase histogram (queue_wait,
 	// apply, fsync), keyed by site/phase. Store phases are per batched
 	// request (queue_wait) or per flush (apply, fsync) — one fsync
@@ -86,8 +77,8 @@ func phaseIndex(phase string) int {
 // is the protocol.PhaseRecorder the op context's scope carries, so
 // transports (and the fan-out internals of simnet/rpcnet) can charge
 // wire time to the operation without an obs dependency. Sums are atomics because
-// pipelined operations (background repair) issue concurrent fetches
-// under one span.
+// an operation's round trips may run on goroutines of their own (the
+// recovery exchange's next page, rpcnet's concurrent fan-out legs).
 type phaseAcc struct {
 	s    *SchemeObs
 	op   int // ops index
@@ -211,38 +202,4 @@ func (sp *OpSpan) emitPhases(durs [len(phases)]int64) {
 		s.emit(withSpan(child, Event{Kind: EvPhase, Op: sp.op, Block: sp.block,
 			d: detail{form: detailPhase, s: phases[i], a: ns}}))
 	}
-}
-
-// repairFlag returns the shared repair-window flag for one scheme/site
-// pair, creating it on first use. Both the SchemeObs (reader: is an op
-// starting inside a repair window?) and the RepairObs (writer: the
-// repairer raising/lowering the window) hold the same *atomic.Bool.
-// Callers hold o.mu.
-func (o *Observer) repairFlag(scheme string, site protocol.SiteID) *atomic.Bool {
-	key := fmt.Sprintf("%s/%d", scheme, site)
-	if f, ok := o.repairFlags[key]; ok {
-		return f
-	}
-	f := new(atomic.Bool)
-	if o.repairFlags == nil {
-		o.repairFlags = make(map[string]*atomic.Bool)
-	}
-	o.repairFlags[key] = f
-	return f
-}
-
-// Active raises or lowers this site's repair-interference window:
-// while raised, foreground operations started at the site are counted
-// and their latency lands in the interference histogram beside the
-// regular one. Emits the repair_window trace event on each edge.
-func (r *RepairObs) Active(on bool) {
-	if r == nil {
-		return
-	}
-	r.active.Store(on)
-	detail := "window=open"
-	if !on {
-		detail = "window=closed"
-	}
-	r.emit(Event{Kind: EvRepairWindow, Op: protocol.OpRepair, Block: NoBlock, Detail: detail})
 }

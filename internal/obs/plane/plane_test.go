@@ -19,7 +19,6 @@ import (
 	"relidev/internal/obs/alert"
 	"relidev/internal/obs/flight"
 	"relidev/internal/protocol"
-	"relidev/internal/repair"
 )
 
 var update = flag.Bool("update", false, "rewrite the golden files under testdata/")
@@ -63,10 +62,6 @@ func get(t *testing.T, h http.Handler, path string) (int, []byte) {
 	return rec.Code, rec.Body.Bytes()
 }
 
-// scriptPolicy has a two-second deadline for one stale block, so the
-// scripted backlog outlives it.
-var scriptPolicy = repair.Policy{MaxRounds: 1, MaxAttemptsPerPage: 2, RetryMax: time.Second}
-
 // scriptConfig is a three-site voting host with every part attached:
 // the default alert conditions at a one-second step, burn windows of
 // three and eight steps.
@@ -84,10 +79,8 @@ func scriptConfig(clk clock.Clock) Config {
 			alert.QuorumMargin("voting", 2),
 			alert.ErrorRate(0.1),
 			alert.BatcherOccupancy(64),
-			alert.StalenessLag(scriptPolicy.Deadline(1).Nanoseconds()),
 			alert.ReadLatency("voting", 50e6, burn(0.99)),
 			alert.WriteAvailability("voting", burn(0.9)),
-			alert.RepairFreshness(2e9, burn(0.9)),
 		},
 		StepNs: 1e9,
 		Retain: 64,
@@ -98,14 +91,12 @@ func scriptConfig(clk clock.Clock) Config {
 // script drives twelve one-second steps of traffic through p: four
 // writes and four reads a step (2µs each on the manual clock), the
 // writes of steps 5-7 failing, writes from step 9 on reaching only a
-// bare quorum, and a repair backlog at site 2 that appears in step 4
-// and drains by step 9. each, when set, runs after every Step with the
+// bare quorum. each, when set, runs after every Step with the
 // step number and what Step returned.
 func script(t *testing.T, p *Plane, clk *clock.Manual, each func(step int, rep *alert.Report)) {
 	t.Helper()
 	o := p.Observer()
 	site := o.SchemeSite("voting", 0)
-	lag := map[int]int{4: 7, 5: 5, 6: 3, 7: 3, 8: 1, 9: 0}
 	op := func(kind string, blk, participants int, err error) {
 		_, sp := site.StartOp(context.Background(), kind, int64(blk))
 		clk.Advance(2 * time.Microsecond)
@@ -122,9 +113,6 @@ func script(t *testing.T, p *Plane, clk *clock.Manual, each func(step int, rep *
 				op(protocol.OpWrite, b, 3, nil)
 			}
 			op(protocol.OpRead, b, 3, nil)
-		}
-		if n, ok := lag[step]; ok {
-			o.Repair("voting", 2).SetLag(n)
 		}
 		clk.Advance(time.Duration(step)*time.Second - time.Duration(clk.Now().UnixNano()))
 		if rep := p.Step(); each != nil {

@@ -15,7 +15,7 @@ import (
 // view. Pulls ride the same transport as file operations — so the
 // scrape traffic is metered, fault-injected, and priced like any other
 // kind — but under the OpTelemetry context label, which keeps it out of
-// the §5 write/read/recovery/repair brackets.
+// the §5 write/read/recovery brackets.
 
 // PullSnapshots scrapes every peer's registry over the transport. Down
 // or unreachable peers degrade rather than fail: they appear in errs

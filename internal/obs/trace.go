@@ -39,23 +39,11 @@ const (
 	// EvHandle records the server side: the remote replica serving a
 	// request under the caller's wire-propagated span context.
 	EvHandle = "handle"
-	// EvRepairPage records one page of the background anti-entropy
-	// stream (DESIGN.md §13): which donor served it and how many blocks
-	// and bytes it carried.
-	EvRepairPage = "repair_page"
-	// EvRepairDonor records a donor lifecycle moment in a repair run:
-	// enlisted at discovery, demoted after repeated failure, or the
-	// target of a mid-stream failover.
-	EvRepairDonor = "repair_donor"
 	// EvPhase records one critical-path phase of a closed operation
 	// span (DESIGN.md §15): a child span whose Detail carries
 	// "phase=<name> dur_ns=<n>". Emitted at op close, so the phase
 	// spans of an op sit under its op span in the stitched tree.
 	EvPhase = "phase"
-	// EvRepairWindow records a repair-interference window edge: the
-	// background repairer opening (window=open) or closing
-	// (window=closed) its streaming window at a site.
-	EvRepairWindow = "repair_window"
 )
 
 // An Event is one structured trace record. Block is -1 when the event
@@ -80,9 +68,9 @@ type Event struct {
 	Block    int64  `json:"block"`
 	Detail   string `json:"detail,omitempty"`
 	// Lane is peer+1 on events a site may emit from several goroutines
-	// at once, one per peer (round-trip rpc spans, repair page and donor
-	// events), and 0 on its sequential path; Tail puts a concurrent
-	// section in lane order instead of scheduler order.
+	// at once, one per peer (round-trip rpc spans), and 0 on its
+	// sequential path; Tail puts a concurrent section in lane order
+	// instead of scheduler order.
 	Lane int `json:"-"`
 	// d holds Detail as fields, set by this package's hot-path emitters
 	// instead of Detail; Events renders it.
@@ -222,9 +210,9 @@ func rendered(evs []Event) []Event {
 // tail is taken after a stable sort by (At, Site) — the merge of
 // per-site logs that CollectTraces implies for separate processes,
 // which keeps each site's own order — and, within one site and instant,
-// each run of consecutive per-peer lane events (a repairer's donor
-// workers) is put in peer order. On a clock.Manual the result is then
-// replayable; only the n events kept are rendered.
+// each run of consecutive per-peer lane events (round trips issued
+// from several goroutines) is put in peer order. On a clock.Manual the
+// result is then replayable; only the n events kept are rendered.
 func (t *Tracer) Tail(n int) []Event {
 	evs := t.retained()
 	sort.SliceStable(evs, func(i, j int) bool {

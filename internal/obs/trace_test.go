@@ -261,17 +261,6 @@ func TestTraceDetailGolden(t *testing.T) {
 	expect(EvWTransition, "{0,1,2}->{0,1}")
 	s.ClosureRecomputed(0b001, 0b011, false)
 	expect(EvClosureRecomputed, "root={0} closure={0,1} complete=false")
-	r := o.Repair("voting", 2)
-	r.Active(true)
-	expect(EvRepairWindow, "window=open")
-	r.Enlisted([]protocol.SiteID{1, 3}, 12)
-	expect(EvRepairDonor, "enlisted donors=[site1 site3] stale=12")
-	r.PageFetched(3, 8, 4096)
-	expect(EvRepairPage, "donor=site3 installed=8 bytes=4096")
-	r.Demoted(3, "severed")
-	expect(EvRepairDonor, "demoted donor=site3 reason=severed")
-	r.Active(false)
-	expect(EvRepairWindow, "window=closed")
 	o.Tracer().Emit(Event{Kind: EvRPC, Detail: "free text"})
 	expect(EvRPC, "free text")
 

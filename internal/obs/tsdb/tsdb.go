@@ -296,26 +296,6 @@ func (db *DB) HistAbove(name string, thresholdNs, windowNs int64, match ...obs.L
 	return above, count
 }
 
-// GaugeWindow returns the per-sample sums of the selected gauge series
-// over the trailing window, oldest first — a gauge's trajectory, for
-// dwell checks.
-func (db *DB) GaugeWindow(name string, windowNs int64, match ...obs.Label) (out []Point) {
-	db.scan(name, windowNs, match, func(f *frame, sel []bool) {
-		var v int64
-		seen := false
-		for _, g := range f.gauges {
-			if sel[g.id] {
-				v += g.v
-				seen = true
-			}
-		}
-		if seen {
-			out = append(out, Point{AtNs: f.atNs, Value: float64(v)})
-		}
-	})
-	return out
-}
-
 // GaugeMax returns the largest level any selected gauge series took
 // over the trailing window and the labels of the series that took it;
 // ok is false when the window holds no such series.

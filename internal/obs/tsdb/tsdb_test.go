@@ -1,7 +1,6 @@
 package tsdb
 
 import (
-	"reflect"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -79,12 +78,6 @@ func TestDeltaEncodingAndWindows(t *testing.T) {
 	}
 	if above, count := db.HistAbove("h", 50, 15); above != 3 || count != 3 {
 		t.Fatalf("windowed HistAbove(50ns) = %d of %d, want 3 of 3", above, count)
-	}
-
-	gw := db.GaugeWindow("g", 0)
-	want := []Point{{AtNs: 10, Value: 1}, {AtNs: 20, Value: 3}, {AtNs: 30, Value: 2}}
-	if !reflect.DeepEqual(gw, want) {
-		t.Fatalf("gauge trajectory = %+v, want %+v", gw, want)
 	}
 
 	// The newest-sample window is the t=30 frame alone.

@@ -42,10 +42,12 @@ const (
 	kindStatusReply
 	kindRecoveryRequest
 	kindRecoveryReply
-	kindRepairSummaryRequest
-	kindRepairSummaryReply
-	kindRepairFetchRequest
-	kindRepairFetchReply
+	// Tags 15–18 carried the retired background-repair summary and fetch
+	// exchange. They stay reserved: a frame naming one is malformed.
+	_
+	_
+	_
+	_
 	kindTelemetryPullRequest
 	kindTelemetryPullReply
 )
@@ -59,7 +61,6 @@ var ErrBadFrame = errors.New("protocol: malformed frame")
 // by the bytes remaining before allocating for it.
 const (
 	versionSize      = 8
-	blockWantSize    = 4 + 8
 	minBlockCopySize = 4 + 8 + 4
 )
 
@@ -149,15 +150,6 @@ func AppendRequest(dst []byte, from SiteID, trace SpanContext, req Request) ([]b
 		b = appendU64(b, uint64(q.MaxBlocks))
 		b = appendU32(b, uint32(q.Cont))
 		b = appendVector(b, q.Vector)
-	case RepairSummaryRequest:
-		kind = kindRepairSummaryRequest
-	case RepairFetchRequest:
-		kind = kindRepairFetchRequest
-		b = appendU32(b, uint32(len(q.Wants)))
-		for _, w := range q.Wants {
-			b = appendU32(b, uint32(w.Index))
-			b = appendU64(b, uint64(w.MinVersion))
-		}
 	case TelemetryPullRequest:
 		kind = kindTelemetryPullRequest
 	default:
@@ -215,14 +207,6 @@ func AppendResponse(dst []byte, resp Response, code uint8, text string) ([]byte,
 		b = appendBool(b, p.More)
 		b = appendU32(b, uint32(p.Next))
 		b = appendVector(b, p.Vector)
-		b = appendBlocks(b, p.Blocks)
-	case RepairSummaryReply:
-		kind = kindRepairSummaryReply
-		b = append(b, byte(p.State))
-		b = appendBool(b, p.Witness)
-		b = appendVector(b, p.Vector)
-	case RepairFetchReply:
-		kind = kindRepairFetchReply
 		b = appendBlocks(b, p.Blocks)
 	case TelemetryPullReply:
 		kind = kindTelemetryPullReply
@@ -395,17 +379,6 @@ func DecodeRequest(b []byte) (from SiteID, trace SpanContext, req Request, err e
 			Cont:      block.Index(r.u32()),
 			Vector:    r.vector(),
 		}
-	case kindRepairSummaryRequest:
-		req = RepairSummaryRequest{}
-	case kindRepairFetchRequest:
-		var wants []BlockWant
-		if n := r.count(blockWantSize); n > 0 {
-			wants = make([]BlockWant, n)
-			for i := range wants {
-				wants[i] = BlockWant{Index: block.Index(r.u32()), MinVersion: block.Version(r.u64())}
-			}
-		}
-		req = RepairFetchRequest{Wants: wants}
 	case kindTelemetryPullRequest:
 		req = TelemetryPullRequest{}
 	default:
@@ -466,14 +439,6 @@ func DecodeResponse(b []byte, alias bool) (resp Response, code uint8, text strin
 			Vector:   r.vector(),
 			Blocks:   r.blocks(),
 		}
-	case kindRepairSummaryReply:
-		resp = RepairSummaryReply{
-			State:   SiteState(r.u8()),
-			Witness: r.flag(),
-			Vector:  r.vector(),
-		}
-	case kindRepairFetchReply:
-		resp = RepairFetchReply{Blocks: r.blocks()}
 	case kindTelemetryPullReply:
 		resp = TelemetryPullReply{Snap: r.bytes()}
 	default:

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"reflect"
 	"runtime"
 	"testing"
@@ -43,11 +44,6 @@ func requestCases() []reqCase {
 		{name: "recovery/nil-vector", from: 1, req: RecoveryRequest{MaxBlocks: -1}},
 		{name: "recovery/empty-vector", from: 1, req: RecoveryRequest{Vector: block.Vector{}},
 			want: RecoveryRequest{}},
-		{name: "repair-summary", from: 0, req: RepairSummaryRequest{}},
-		{name: "repair-fetch", from: 0, req: RepairFetchRequest{Wants: []BlockWant{{Index: 1, MinVersion: 2}, {Index: 900, MinVersion: 1 << 40}}}},
-		{name: "repair-fetch/nil", from: 0, req: RepairFetchRequest{}},
-		{name: "repair-fetch/empty", from: 0, req: RepairFetchRequest{Wants: []BlockWant{}},
-			want: RepairFetchRequest{}},
 		{name: "telemetry-pull", from: 5, trace: trace, req: TelemetryPullRequest{}},
 	}
 }
@@ -85,10 +81,6 @@ func responseCases() []respCase {
 		{name: "recovery-reply/nothing-stale", resp: RecoveryReply{Vector: block.Vector{1, 2, 3}}},
 		{name: "recovery-reply/empty-slices", resp: RecoveryReply{Vector: block.Vector{}, Blocks: []BlockCopy{}},
 			want: RecoveryReply{}},
-		{name: "repair-summary-reply", resp: RepairSummaryReply{Vector: block.Vector{7, 0, 7}, State: StateAvailable, Witness: true}},
-		{name: "repair-summary-reply/nil-vector", resp: RepairSummaryReply{State: StateFailed}},
-		{name: "repair-fetch-reply", resp: RepairFetchReply{Blocks: blocks}},
-		{name: "repair-fetch-reply/nil", resp: RepairFetchReply{}},
 		{name: "telemetry-pull-reply", resp: TelemetryPullReply{Snap: []byte(`{"counters":[]}`)}},
 		{name: "telemetry-pull-reply/no-hook", resp: TelemetryPullReply{}},
 		{name: "no-message", resp: nil},
@@ -159,8 +151,8 @@ func TestResponseRoundTrip(t *testing.T) {
 			}
 		}
 	}
-	if len(kinds) != 10 {
-		t.Fatalf("table covers %d response kinds, want 10", len(kinds))
+	if len(kinds) != 8 {
+		t.Fatalf("table covers %d response kinds, want 8", len(kinds))
 	}
 }
 
@@ -222,6 +214,10 @@ func TestAppendRejectsUnknownTypes(t *testing.T) {
 	}
 }
 
+// retiredKinds are the tags of the deleted background-repair summary and
+// fetch messages (requests and replies alike).
+var retiredKinds = []byte{15, 16, 17, 18}
+
 func TestDecodeRejectsMalformed(t *testing.T) {
 	put, err := AppendRequest(nil, 1, SpanContext{}, PutRequest{Block: 1, Data: []byte("abcd"), Version: 1, HasW: true})
 	if err != nil {
@@ -239,7 +235,7 @@ func TestDecodeRejectsMalformed(t *testing.T) {
 	statusWithBody := append(append([]byte(nil), put[:21]...), 1)
 	statusWithBody[0] = kindStatusRequest
 
-	for name, b := range map[string][]byte{
+	requests := map[string][]byte{
 		"empty":            nil,
 		"envelope only":    put[:21],
 		"cut mid-field":    put[:25],
@@ -252,7 +248,14 @@ func TestDecodeRejectsMalformed(t *testing.T) {
 		"kind none":        make([]byte, 21),
 		"all ones":         bytes.Repeat([]byte{0xff}, 64),
 		"status with body": statusWithBody,
-	} {
+	}
+	// The retired background-repair tags stay reserved, never reused.
+	for _, tag := range retiredKinds {
+		b := make([]byte, 21)
+		b[0] = tag
+		requests[fmt.Sprintf("retired kind %d", tag)] = b
+	}
+	for name, b := range requests {
 		if _, _, req, err := DecodeRequest(b); !errors.Is(err, ErrBadFrame) || req != nil {
 			t.Errorf("DecodeRequest(%s) = %v, %v; want nil, ErrBadFrame", name, req, err)
 		}
@@ -268,7 +271,7 @@ func TestDecodeRejectsMalformed(t *testing.T) {
 	unknownResp[0] = 200
 	requestAsReply := append([]byte(nil), fetch...)
 	requestAsReply[0] = kindFetchRequest
-	for name, b := range map[string][]byte{
+	responses := map[string][]byte{
 		"empty":           nil,
 		"kind only":       fetch[:1],
 		"cut in text":     fetch[:8],
@@ -277,7 +280,11 @@ func TestDecodeRejectsMalformed(t *testing.T) {
 		"text past end":   longText,
 		"unknown kind":    unknownResp,
 		"request kind":    requestAsReply,
-	} {
+	}
+	for _, tag := range retiredKinds {
+		responses[fmt.Sprintf("retired kind %d", tag)] = []byte{tag, 0, 0, 0, 0, 0}
+	}
+	for name, b := range responses {
 		for _, alias := range []bool{false, true} {
 			if resp, _, _, err := DecodeResponse(b, alias); !errors.Is(err, ErrBadFrame) || resp != nil {
 				t.Errorf("DecodeResponse(%s, alias=%v) = %v, %v; want nil, ErrBadFrame", name, alias, resp, err)
@@ -286,39 +293,34 @@ func TestDecodeRejectsMalformed(t *testing.T) {
 	}
 }
 
-// TestDecodeChecksCountsBeforeAllocating: a twelve-byte body that
+// TestDecodeChecksCountsBeforeAllocating: a 23-byte body that
 // announces 2^31 vector entries (16 GiB of versions) must be refused on
 // arithmetic alone. The same goes for the other counted parts.
 func TestDecodeChecksCountsBeforeAllocating(t *testing.T) {
 	huge := make([]byte, 4)
 	binary.LittleEndian.PutUint32(huge, 1<<31)
-	// kind, code, text length 0, State, Witness, vector count.
-	summary := append([]byte{kindRepairSummaryReply, 0, 0, 0, 0, 0, byte(StateAvailable), 0}, huge...)
-	if len(summary) != 12 {
-		t.Fatalf("frame is %d bytes, want 12", len(summary))
-	}
+	// kind, code, text length 0, WasAvail, More, Next, vector count.
+	recovery := append([]byte{kindRecoveryReply, 0, 0, 0, 0, 0}, make([]byte, 8+1+4)...)
 	reqEnvelope := make([]byte, 21)
 	frames := map[string]func() error{
-		"summary vector": func() error { _, _, _, err := DecodeResponse(summary, true); return err },
+		"recovery reply vector": func() error {
+			_, _, _, err := DecodeResponse(append(append([]byte(nil), recovery...), huge...), true)
+			return err
+		},
 		"fetch data": func() error {
 			b := append([]byte{kindFetchReply, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0}, huge...)
 			_, _, _, err := DecodeResponse(b, false)
 			return err
 		},
-		"repair blocks": func() error {
-			b := append([]byte{kindRepairFetchReply, 0, 0, 0, 0, 0}, huge...)
+		"recovery reply blocks": func() error {
+			// An empty vector, then the blocks count.
+			b := append(append(append([]byte(nil), recovery...), 0, 0, 0, 0), huge...)
 			_, _, _, err := DecodeResponse(b, false)
 			return err
 		},
 		"error text": func() error {
 			b := append([]byte{kindNone, 1}, huge...)
 			_, _, _, err := DecodeResponse(b, false)
-			return err
-		},
-		"repair wants": func() error {
-			b := append(append([]byte(nil), reqEnvelope...), huge...)
-			b[0] = kindRepairFetchRequest
-			_, _, _, err := DecodeRequest(b)
 			return err
 		},
 		"recovery vector": func() error {
@@ -344,6 +346,19 @@ func TestDecodeChecksCountsBeforeAllocating(t *testing.T) {
 	}
 }
 
+// retiredKindFrames seeds the fuzzers with frames that carry a retired
+// tag: for each, a bare header of headerLen bytes and the same header
+// followed by a zero count, the shape the deleted messages began with.
+func retiredKindFrames(headerLen int) [][]byte {
+	var frames [][]byte
+	for _, tag := range retiredKinds {
+		b := make([]byte, headerLen, headerLen+4)
+		b[0] = tag
+		frames = append(frames, b, append(b, 0, 0, 0, 0))
+	}
+	return frames
+}
+
 // FuzzDecodeRequest: no input may panic the decoder, and any input it
 // accepts is the one encoding of what it decoded to.
 func FuzzDecodeRequest(f *testing.F) {
@@ -354,6 +369,9 @@ func FuzzDecodeRequest(f *testing.F) {
 		}
 		f.Add(enc)
 		f.Add(enc[:len(enc)/2])
+	}
+	for _, b := range retiredKindFrames(21) {
+		f.Add(b)
 	}
 	f.Fuzz(func(t *testing.T, b []byte) {
 		from, trace, req, err := DecodeRequest(b)
@@ -383,6 +401,9 @@ func FuzzDecodeResponse(f *testing.F) {
 		}
 		f.Add(enc)
 		f.Add(enc[:len(enc)/2])
+	}
+	for _, b := range retiredKindFrames(6) {
+		f.Add(b)
 	}
 	f.Fuzz(func(t *testing.T, b []byte) {
 		resp, code, text, err := DecodeResponse(b, false)

@@ -2,10 +2,8 @@ package protocol
 
 // KindOps maps every request kind to the §5 operation classes whose
 // cost formulas cover its traffic. The paper prices three operation
-// rows (write, read, recovery; this repo adds the repair row for the
-// background anti-entropy stream, DESIGN.md §13), and the conformance
-// checker compares the transport's per-op transmission counts against
-// those formulas. A request kind missing from this table is traffic
+// rows (write, read, recovery), and the conformance checker compares
+// the transport's per-op transmission counts against those formulas. A request kind missing from this table is traffic
 // the model cannot attribute: it inflates the aggregate counters while
 // every per-op bracket stays green, which is exactly the silent skew
 // the table exists to prevent.
@@ -23,8 +21,6 @@ var KindOps = map[string][]string{
 	"abort-write":    {OpWrite},         // two-round rollback
 	"status":         {OpRecovery},      // readmission probe
 	"recovery":       {OpRecovery},      // readmission state/block transfer
-	"repair-summary": {OpRepair},        // anti-entropy digest exchange
-	"repair-fetch":   {OpRepair},        // anti-entropy paged block pull
 	"telemetry-pull": {OpTelemetry},     // aggregation-plane registry scrape
 }
 

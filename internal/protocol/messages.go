@@ -205,60 +205,6 @@ type RecoveryReply struct {
 // RespKind implements Response.
 func (RecoveryReply) RespKind() string { return "recovery-reply" }
 
-// RepairSummaryRequest asks a site for its repair-relevant summary: the
-// anti-entropy repairer (DESIGN.md §13) broadcasts it after readmission
-// to discover which peers hold newer block versions. The reply carries
-// the full version vector — unlike StatusReply's scalar VersionSum — so
-// the repairer can compute the exact stale set without a Figure 5
-// exchange per candidate donor.
-type RepairSummaryRequest struct{}
-
-// Kind implements Request.
-func (RepairSummaryRequest) Kind() string { return "repair-summary" }
-
-// RepairSummaryReply is a site's repair summary.
-type RepairSummaryReply struct {
-	Vector block.Vector
-	State  SiteState
-	// Witness marks a site that holds version numbers but no data;
-	// witnesses can never serve as repair donors.
-	Witness bool
-}
-
-// RespKind implements Response.
-func (RepairSummaryReply) RespKind() string { return "repair-summary-reply" }
-
-// BlockWant names one block a repairer is missing and the version floor
-// that makes a donor's copy useful. A donor whose copy is older than
-// MinVersion omits the block rather than ship a stale copy the repairer
-// would have to discard.
-type BlockWant struct {
-	Index      block.Index
-	MinVersion block.Version
-}
-
-// RepairFetchRequest asks a donor for one page of stale blocks. The
-// repairer — not the donor — owns the pagination state: it slices its
-// want-list into bounded pages and pipelines several outstanding pages
-// per donor, so a donor crash mid-stream loses only the in-flight pages
-// and the remainder fails over to the next donor unchanged.
-type RepairFetchRequest struct {
-	Wants []BlockWant
-}
-
-// Kind implements Request.
-func (RepairFetchRequest) Kind() string { return "repair-fetch" }
-
-// RepairFetchReply returns the donor's copies of the wanted blocks. A
-// block the donor no longer holds at MinVersion or newer is simply
-// absent; the repairer re-requests it from a fresher donor.
-type RepairFetchReply struct {
-	Blocks []BlockCopy
-}
-
-// RespKind implements Response.
-func (RepairFetchReply) RespKind() string { return "repair-fetch-reply" }
-
 // TelemetryPullRequest asks a site for its metrics registry snapshot:
 // the cross-site aggregation plane (DESIGN.md §16) broadcasts it from a
 // designated aggregator to build the cluster-wide metrics view. The
@@ -304,10 +250,6 @@ func RegisterGob() {
 	gob.Register(StatusReply{})
 	gob.Register(RecoveryRequest{})
 	gob.Register(RecoveryReply{})
-	gob.Register(RepairSummaryRequest{})
-	gob.Register(RepairSummaryReply{})
-	gob.Register(RepairFetchRequest{})
-	gob.Register(RepairFetchReply{})
 	gob.Register(TelemetryPullRequest{})
 	gob.Register(TelemetryPullReply{})
 }

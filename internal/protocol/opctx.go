@@ -13,17 +13,11 @@ const (
 	OpWrite    = "write"
 	OpRead     = "read"
 	OpRecovery = "recovery"
-	// OpRepair labels background anti-entropy traffic (DESIGN.md §13):
-	// summary exchanges and paged block fetches issued by internal/repair
-	// after a site has been readmitted. Kept distinct from OpRecovery so
-	// the §5 tables — which price only the readmission exchange — are not
-	// polluted by the background stream.
-	OpRepair = "repair"
 	// OpTelemetry labels cross-site telemetry scrapes (DESIGN.md §16):
 	// the aggregation plane's registry pulls. Telemetry is not one of
 	// the §5 rows — the paper prices file operations, not monitoring —
 	// so the class exists purely to keep scrape traffic out of the
-	// write/read/recovery/repair brackets while still appearing in the
+	// write/read/recovery brackets while still appearing in the
 	// KindOps table, where the wirecheck/UnpricedKinds contract can see
 	// that it is deliberate, attributed traffic rather than silent skew.
 	OpTelemetry = "telemetry"

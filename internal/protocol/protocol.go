@@ -159,10 +159,9 @@ var (
 	// established when it broke: the peer accepted the connection and
 	// then the stream died mid-request. Transports wrap it *alongside*
 	// ErrTransient or ErrSiteDown (it refines, not replaces, the
-	// severity classification). To a retrying client it means
-	// "conclusive here, retryable elsewhere": the background repairer
-	// fails over to another donor immediately instead of burning its
-	// backoff budget against a peer that just dropped dead mid-stream.
+	// severity classification). Unlike a failed dial, the request may
+	// have reached the peer and been applied there, so the exchange's
+	// outcome is unknown rather than known-failed.
 	ErrSevered = errors.New("protocol: established exchange severed mid-stream")
 )
 

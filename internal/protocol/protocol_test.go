@@ -176,9 +176,6 @@ func TestWireSizeCoversEveryMessage(t *testing.T) {
 		StatusRequest{}, StatusReply{},
 		RecoveryRequest{Vector: make(block.Vector, 3)},
 		RecoveryReply{Vector: make(block.Vector, 3), Blocks: []BlockCopy{{Data: make([]byte, 5)}}},
-		RepairSummaryRequest{}, RepairSummaryReply{Vector: make(block.Vector, 3)},
-		RepairFetchRequest{Wants: []BlockWant{{Index: 1, MinVersion: 2}}},
-		RepairFetchReply{Blocks: []BlockCopy{{Data: make([]byte, 5)}}},
 		TelemetryPullRequest{}, TelemetryPullReply{Snap: make([]byte, 7)},
 	}
 	for _, m := range msgs {
@@ -198,10 +195,9 @@ func TestWireSizeCoversEveryMessage(t *testing.T) {
 func TestKindOpsCoversEveryRequest(t *testing.T) {
 	reqs := []Request{
 		VoteRequest{}, FetchRequest{}, PutRequest{}, PrepareWriteRequest{},
-		AbortWriteRequest{}, StatusRequest{}, RecoveryRequest{},
-		RepairSummaryRequest{}, RepairFetchRequest{}, TelemetryPullRequest{},
+		AbortWriteRequest{}, StatusRequest{}, RecoveryRequest{}, TelemetryPullRequest{},
 	}
-	validOps := map[string]bool{OpWrite: true, OpRead: true, OpRecovery: true, OpRepair: true, OpTelemetry: true}
+	validOps := map[string]bool{OpWrite: true, OpRead: true, OpRecovery: true, OpTelemetry: true}
 	kinds := make(map[string]bool, len(reqs))
 	for _, r := range reqs {
 		k := r.Kind()

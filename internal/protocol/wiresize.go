@@ -47,18 +47,6 @@ func WireSize(msg interface{}) int {
 			size += 12 + len(b.Data)
 		}
 		return size
-	case RepairSummaryRequest:
-		return wireHeader
-	case RepairSummaryReply:
-		return wireHeader + 1 + 1 + 8*len(m.Vector)
-	case RepairFetchRequest:
-		return wireHeader + 12*len(m.Wants)
-	case RepairFetchReply:
-		size := wireHeader
-		for _, b := range m.Blocks {
-			size += 12 + len(b.Data)
-		}
-		return size
 	case TelemetryPullRequest:
 		return wireHeader
 	case TelemetryPullReply:

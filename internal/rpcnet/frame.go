@@ -22,8 +22,8 @@ const (
 	// maxFrame bounds a body. A reader allocates a body's worth of
 	// memory on the say-so of four bytes, so the bound is what a peer
 	// speaking some other protocol can cost us. Nothing of ours comes
-	// near it: the bulk exchanges (recovery, repair) always page at
-	// about 1 MiB, and a donor clamps the page size a peer asks for. An
+	// near it: the bulk exchange, recovery, always pages at about
+	// 1 MiB, and a donor clamps the page size a peer asks for. An
 	// oversized reply becomes a remote error rather than a dead
 	// connection.
 	maxFrame = 64 << 20

@@ -554,11 +554,10 @@ func (c *Client) dial(ctx context.Context, p *peerPool, to protocol.SiteID, dead
 //
 // severed marks a failure of an *established* exchange — the stream
 // was accepted and then died mid-request, the signature of a peer
-// crashing under load. Those additionally wrap protocol.ErrSevered so
-// clients with somewhere else to go (the anti-entropy repairer) can
-// fail over at once instead of retrying into a dead donor, while the
-// severity classification (transient vs down) still feeds the detector
-// exactly as before.
+// crashing under load. Those additionally wrap protocol.ErrSevered: the
+// request may have reached the peer, so the caller cannot tell whether
+// it took effect. The severity classification (transient vs down) still
+// feeds the detector exactly as for any other fault.
 func (c *Client) fault(ctx context.Context, p *peerPool, to protocol.SiteID, op string, severed bool, cause error) error {
 	if cerr := ctx.Err(); cerr != nil {
 		return fmt.Errorf("rpcnet: %s %v: %v: %w", op, to, cause, cerr)

@@ -13,10 +13,10 @@ import (
 
 // TestSeveredExchangeClassification: a peer that accepts the TCP dial
 // and then kills the stream mid-exchange must produce an error that
-// wraps protocol.ErrSevered — the repairer's cue to fail over to
-// another donor at once — while remaining a transport error of the
-// same severity the failure detector would otherwise assign
-// (ErrTransient below the suspect threshold).
+// wraps protocol.ErrSevered — the request may have reached the peer, so
+// the outcome of the exchange is unknown — while remaining a transport
+// error of the same severity the failure detector would otherwise
+// assign (ErrTransient below the suspect threshold).
 func TestSeveredExchangeClassification(t *testing.T) {
 	// A listener that accepts connections and slams them shut: the dial
 	// succeeds, the exchange dies.
@@ -41,9 +41,7 @@ func TestSeveredExchangeClassification(t *testing.T) {
 	}
 	defer cli.Close()
 
-	_, err = cli.Fetch(context.Background(), 0, 1, protocol.RepairFetchRequest{
-		Wants: []protocol.BlockWant{{Index: 0, MinVersion: 1}},
-	})
+	_, err = cli.Fetch(context.Background(), 0, 1, protocol.FetchRequest{Block: 0})
 	if err == nil {
 		t.Fatal("fetch over a slammed stream succeeded")
 	}
@@ -63,14 +61,14 @@ func TestSeveredExchangeClassification(t *testing.T) {
 
 // TestDialFailureIsNotSevered: a peer that never accepts produces a
 // plain transport error — no ErrSevered, because no stream was ever
-// established and the repairer gains nothing from the distinction.
+// established, so no request can have reached the peer.
 func TestDialFailureIsNotSevered(t *testing.T) {
 	cli, err := NewClient(0, map[protocol.SiteID]string{1: "127.0.0.1:1"}, time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cli.Close()
-	_, err = cli.Fetch(context.Background(), 0, 1, protocol.RepairFetchRequest{})
+	_, err = cli.Fetch(context.Background(), 0, 1, protocol.FetchRequest{})
 	if err == nil {
 		t.Fatal("fetch to a dead address succeeded")
 	}

@@ -376,17 +376,18 @@ func TestLargeFramesRoundTrip(t *testing.T) {
 		t.Fatalf("recovery returned %d blocks, want %d", len(rec.Blocks), geom.NumBlocks)
 	}
 	// The next exchange reuses the connection; the blocks must not change
-	// under it. It is a 96 KiB request that asks for nothing the peer has.
-	wants := make([]protocol.BlockWant, 8192)
-	for i := range wants {
-		wants[i].MinVersion = 4
+	// under it. It is a 96 KiB request that asks for nothing the peer has:
+	// a vector ahead of every block the peer holds.
+	ahead := make(block.Vector, 12288)
+	for i := range ahead {
+		ahead[i] = 4
 	}
-	resp, err = cli.Fetch(ctx, 0, 1, protocol.RepairFetchRequest{Wants: wants})
+	resp, err = cli.Call(ctx, 0, 1, protocol.RecoveryRequest{Vector: ahead})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := resp.(protocol.RepairFetchReply); len(got.Blocks) != 0 {
-		t.Fatalf("repair fetch returned %d blocks, want none", len(got.Blocks))
+	if got := resp.(protocol.RecoveryReply); len(got.Blocks) != 0 {
+		t.Fatalf("recovery against a newer vector returned %d blocks, want none", len(got.Blocks))
 	}
 	for _, c := range rec.Blocks {
 		if c.Version != 3 || !bytes.Equal(c.Data, want[c.Index]) {

@@ -94,7 +94,7 @@ type OpStats struct {
 
 // opClasses are the attribution buckets of Stats.ByOp; unlabelled
 // traffic (empty CtxOp) is not attributed at all.
-var opClasses = [...]string{protocol.OpWrite, protocol.OpRead, protocol.OpRecovery, protocol.OpRepair, "other"}
+var opClasses = [...]string{protocol.OpWrite, protocol.OpRead, protocol.OpRecovery, "other"}
 
 // opClassIndex maps a context operation label to its bucket, or -1 for
 // unlabelled traffic.
@@ -108,8 +108,6 @@ func opClassIndex(op string) int {
 		return 1
 	case protocol.OpRecovery:
 		return 2
-	case protocol.OpRepair:
-		return 3
 	default:
 		return len(opClasses) - 1
 	}

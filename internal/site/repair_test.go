@@ -148,60 +148,6 @@ func TestHandleRecoveryPagedSkipsFreshBlocks(t *testing.T) {
 	}
 }
 
-func TestHandleRepairSummary(t *testing.T) {
-	r := newReplica(t, 1)
-	fillVersions(t, r, []block.Version{2, 4})
-	resp, err := r.Handle(context.Background(), 0, protocol.RepairSummaryRequest{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sum := resp.(protocol.RepairSummaryReply)
-	if sum.State != protocol.StateAvailable || sum.Witness {
-		t.Fatalf("summary = %+v, want available non-witness", sum)
-	}
-	if sum.Vector.Get(0) != 2 || sum.Vector.Get(1) != 4 {
-		t.Fatalf("summary vector = %v", sum.Vector)
-	}
-}
-
-func TestHandleRepairFetchFloor(t *testing.T) {
-	donor := newReplica(t, 1)
-	fillVersions(t, donor, []block.Version{7, 2})
-	resp, err := donor.Handle(context.Background(), 0, protocol.RepairFetchRequest{
-		Wants: []protocol.BlockWant{
-			{Index: 0, MinVersion: 5}, // held at 7 ≥ 5: shipped
-			{Index: 1, MinVersion: 5}, // held at 2 < 5: omitted, not shipped stale
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep := resp.(protocol.RepairFetchReply)
-	if len(rep.Blocks) != 1 || rep.Blocks[0].Index != 0 || rep.Blocks[0].Version != 7 {
-		t.Fatalf("fetch reply = %+v, want only block 0 at version 7", rep.Blocks)
-	}
-}
-
-func TestHandleRepairFetchWitnessIsEmpty(t *testing.T) {
-	st, err := store.NewVersionOnly(testGeom)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w, err := New(Config{ID: 1, Store: st, Witness: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := w.Handle(context.Background(), 0, protocol.RepairFetchRequest{
-		Wants: []protocol.BlockWant{{Index: 0, MinVersion: 1}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep := resp.(protocol.RepairFetchReply); len(rep.Blocks) != 0 {
-		t.Fatalf("witness shipped %d blocks", len(rep.Blocks))
-	}
-}
-
 func TestApplyRepairVersionConditional(t *testing.T) {
 	r := newReplica(t, 0)
 	if err := r.WriteLocal(0, pad("new"), 9); err != nil {

@@ -368,16 +368,6 @@ func (r *Replica) Handle(ctx context.Context, from protocol.SiteID, req protocol
 	case protocol.RecoveryRequest:
 		return r.handleRecovery(from, q)
 
-	case protocol.RepairSummaryRequest:
-		return protocol.RepairSummaryReply{
-			Vector:  r.st.Vector(),
-			State:   state,
-			Witness: r.witness,
-		}, nil
-
-	case protocol.RepairFetchRequest:
-		return r.handleRepairFetch(q)
-
 	case protocol.TelemetryPullRequest:
 		// Comatose sites answer too: the aggregation plane should see a
 		// degraded site's metrics, not a hole — only a failed site (which
@@ -568,44 +558,19 @@ func (r *Replica) handleRecovery(from protocol.SiteID, q protocol.RecoveryReques
 	return reply, nil
 }
 
-// handleRepairFetch serves one page of an anti-entropy stream (DESIGN.md
-// §13): return copies of the wanted blocks that this site holds at their
-// version floor or newer. Blocks that have regressed below the floor —
-// possible only if the repairer picked a donor from a stale summary —
-// are omitted rather than shipped; the repairer re-requests them from a
-// fresher donor. Witnesses hold no data and answer with an empty page.
-func (r *Replica) handleRepairFetch(q protocol.RepairFetchRequest) (protocol.Response, error) {
-	reply := protocol.RepairFetchReply{}
-	if r.witness {
-		return reply, nil
-	}
-	for _, w := range q.Wants {
-		data, ver, err := r.st.Read(w.Index)
-		if err != nil {
-			return nil, fmt.Errorf("repair read: %w", err)
-		}
-		if ver < w.MinVersion {
-			continue
-		}
-		reply.Blocks = append(reply.Blocks, protocol.BlockCopy{Index: w.Index, Data: data, Version: ver})
-	}
-	return reply, nil
-}
-
-// ApplyRepair installs a page of block copies received from a peer — of
+// ApplyRepair installs a page of block copies received from a peer in
 // the recovery exchange ("repair those blocks that differ in v'", Figure
-// 5) or of the background repair stream — by the rule of remote writes
-// (stageLocked), for the whole page under one r.mu hold: a copy installs
-// only if it is newer than the stored version and any earlier copy of
-// its block in the page, exactly as per-block StageLocal calls would.
-// The survivors reach the store as one store.WriteRun, and their staged
-// pre-images are dropped. A copy can never move a version backwards or
-// tear data, whichever of it and a racing foreground write carries the
-// higher version wins, and a recovery stream cut short leaves a
-// version-monotone partial image. It takes no OpLocks — the background
-// stream blocks foreground operations for at most one page install —
-// and returns how many blocks installed (stale copies are skipped, not
-// errors).
+// 5) by the rule of remote writes (stageLocked), for the whole page
+// under one r.mu hold: a copy installs only if it is newer than the
+// stored version and any earlier copy of its block in the page, exactly
+// as per-block StageLocal calls would. The survivors reach the store as
+// one store.WriteRun, and their staged pre-images are dropped. A copy
+// can never move a version backwards or tear data, whichever of it and
+// a racing foreground write carries the higher version wins, and a
+// recovery stream cut short leaves a version-monotone partial image. It
+// takes no OpLocks — foreground operations wait for at most one page
+// install — and returns how many blocks installed (stale copies are
+// skipped, not errors).
 func (r *Replica) ApplyRepair(blocks []protocol.BlockCopy) (int, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()

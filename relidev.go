@@ -39,7 +39,6 @@ import (
 	"relidev/internal/obs/alert"
 	"relidev/internal/obs/plane"
 	"relidev/internal/protocol"
-	"relidev/internal/repair"
 	"relidev/internal/simnet"
 	"relidev/internal/store"
 )
@@ -155,12 +154,6 @@ func WithWitnesses(w int) Option {
 	return func(o *options) { o.witnesses = w }
 }
 
-// RepairPolicy tunes the background anti-entropy repairer (DESIGN.md
-// §13); the zero value takes sensible defaults (16-block pages, 2 pages
-// in flight per donor, unlimited rate). Its Deadline sizes the repair
-// objectives of DefaultObjectives and RepairFreshnessSLO.
-type RepairPolicy = repair.Policy
-
 // Objective is one alert condition (DESIGN.md "Alerts"): a signal
 // measured from the telemetry ring under a policy — a threshold with
 // hysteresis, served at /healthz, or a multi-window burn rate against
@@ -206,22 +199,12 @@ func WriteAvailabilitySLO(scheme Scheme, p BurnPolicy) Objective {
 	return alert.WriteAvailability(scheme.String(), p)
 }
 
-// RepairFreshnessSLO promises repair backlogs clear within the §13
-// deadline: a telemetry sample is bad when a site's repair lag has been
-// continuously non-zero for longer than deadline at that sample.
-func RepairFreshnessSLO(deadline time.Duration, p BurnPolicy) Objective {
-	return alert.RepairFreshness(deadline.Nanoseconds(), p)
-}
-
 // DefaultObjectives returns the standard set for a cluster of n sites
 // running the given scheme at failure/repair ratio rho. Thresholds:
 // quorum margin (is the cluster one failure from unavailability?),
-// overall error rate, group-commit saturation and — when a repair
-// policy is given — staleness outliving its bounded time-to-freshness
-// promise. Burn rates: read p99 latency, write availability at the §4
-// Markov-predicted target and — with a policy — §13 repair freshness
-// against the policy's deadline for a full device of work.
-func DefaultObjectives(scheme Scheme, n int, rho float64, blocks int, pol *RepairPolicy) []Objective {
+// overall error rate and group-commit saturation. Burn rates: read p99
+// latency and write availability at the §4 Markov-predicted target.
+func DefaultObjectives(scheme Scheme, n int, rho float64) []Objective {
 	quorum := 1
 	if scheme == Voting {
 		quorum = n/2 + 1
@@ -232,21 +215,13 @@ func DefaultObjectives(scheme Scheme, n int, rho float64, blocks int, pol *Repai
 		// slack so the alert needs real degradation, not rounding.
 		target = av * 0.999
 	}
-	objs := []Objective{
+	return []Objective{
 		alert.QuorumMargin(scheme.String(), quorum),
 		alert.ErrorRate(0.1),
 		alert.BatcherOccupancy(64),
-	}
-	if pol != nil {
-		objs = append(objs, alert.StalenessLag(pol.Deadline(1).Nanoseconds()))
-	}
-	objs = append(objs,
 		ReadLatencySLO(scheme, 50*time.Millisecond, BurnPolicy{Target: 0.99}),
-		WriteAvailabilitySLO(scheme, BurnPolicy{Target: target}))
-	if pol != nil {
-		objs = append(objs, RepairFreshnessSLO(pol.Deadline(blocks), BurnPolicy{Target: 0.99}))
+		WriteAvailabilitySLO(scheme, BurnPolicy{Target: target}),
 	}
-	return objs
 }
 
 // TrafficStats counts high-level network transmissions as defined in §5,
@@ -405,9 +380,9 @@ func (c *Cluster) MetricsJSON() ([]byte, error) {
 
 // CriticalPathProfile is the cluster-wide critical-path attribution:
 // per-scheme/op phase breakdowns (lock wait, fan-out, rpc, local
-// residual, straggler), store-side flush phases, and repair
-// interference. A RemoteSite serves it live at /profile; its Flame
-// method renders it as a text flamegraph.
+// residual, straggler) and store-side flush phases. A RemoteSite serves
+// it live at /profile; its Flame method renders it as a text
+// flamegraph.
 type CriticalPathProfile = obs.Profile
 
 // CriticalPath computes the critical-path profile from the current

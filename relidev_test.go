@@ -565,7 +565,7 @@ func TestRemoteConfigValidation(t *testing.T) {
 	// without it is refused, not silently dropped.
 	for name, mutate := range map[string]func(*relidev.RemoteConfig){
 		"objectives without Metered": func(c *relidev.RemoteConfig) {
-			c.Objectives = relidev.DefaultObjectives(relidev.Voting, 1, 0.05, 8, nil)
+			c.Objectives = relidev.DefaultObjectives(relidev.Voting, 1, 0.05)
 		},
 		"telemetry without Metered": func(c *relidev.RemoteConfig) { c.TelemetryStep = time.Second },
 		"negative telemetry step":   func(c *relidev.RemoteConfig) { c.Metered, c.TelemetryStep = true, -time.Second },
@@ -721,7 +721,7 @@ func TestHealthSurface(t *testing.T) {
 	ctx := context.Background()
 	sites := openGroup(t, 3, relidev.RemoteConfig{Scheme: relidev.Voting, Metered: true,
 		Geometry:   relidev.Geometry{BlockSize: 64, NumBlocks: 8},
-		Objectives: relidev.DefaultObjectives(relidev.Voting, 3, 0.05, 8, nil)})
+		Objectives: relidev.DefaultObjectives(relidev.Voting, 3, 0.05)})
 	dev := sites[0].Device()
 	payload := make([]byte, 64)
 	if err := dev.WriteBlock(ctx, 2, payload); err != nil {
@@ -841,7 +841,7 @@ func TestRemoteObservabilitySurface(t *testing.T) {
 			Geometry:   geom,
 			Timeout:    time.Second,
 			Metered:    true,
-			Objectives: relidev.DefaultObjectives(relidev.NaiveAvailableCopy, 2, 0.05, 8, nil),
+			Objectives: relidev.DefaultObjectives(relidev.NaiveAvailableCopy, 2, 0.05),
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -145,13 +145,12 @@ func TestClusterMetricsDegradesWithSiteDown(t *testing.T) {
 // API, the SLO engine evaluates a healthy deployment to zero firing
 // alerts, and the debug endpoints answer.
 func TestTelemetryAndSLOViaPublicAPI(t *testing.T) {
-	pol := relidev.RepairPolicy{}
 	sites := openGroup(t, 3, relidev.RemoteConfig{
 		Scheme:        relidev.NaiveAvailableCopy,
 		Geometry:      relidev.Geometry{BlockSize: 64, NumBlocks: 8},
 		Metered:       true,
 		TelemetryStep: 5 * time.Millisecond,
-		Objectives:    relidev.DefaultObjectives(relidev.NaiveAvailableCopy, 3, 0.05, 8, &pol),
+		Objectives:    relidev.DefaultObjectives(relidev.NaiveAvailableCopy, 3, 0.05),
 	})
 	telemetryWorkload(t, sites)
 	srv := serveDebug(t, sites[0])
@@ -169,8 +168,8 @@ func TestTelemetryAndSLOViaPublicAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.Objectives) != 3 {
-		t.Fatalf("objectives = %d, want 3 (latency, availability, freshness)", len(rep.Objectives))
+	if len(rep.Objectives) != 2 {
+		t.Fatalf("objectives = %d, want 2 (latency, availability)", len(rep.Objectives))
 	}
 	if rep.Firing != 0 || rep.Overall != relidev.SeverityOK {
 		t.Fatalf("healthy deployment fires alerts: %+v", rep)
@@ -198,7 +197,7 @@ func TestRemoteClusterMetrics(t *testing.T) {
 		Geometry:      relidev.Geometry{BlockSize: 128, NumBlocks: 16},
 		Metered:       true,
 		TelemetryStep: 5 * time.Millisecond,
-		Objectives:    relidev.DefaultObjectives(relidev.Voting, 3, 0.05, 16, &relidev.RepairPolicy{}),
+		Objectives:    relidev.DefaultObjectives(relidev.Voting, 3, 0.05),
 	})
 
 	payload := make([]byte, 128)
