@@ -86,7 +86,7 @@ report-stable:
 	$(GO) test $(STABLE)
 	$(GO) test -race $(STABLE)
 
-# loc prints the tracked size (ROADMAP item 5): non-test Go lines
+# loc prints the tracked size (ROADMAP house rule 2): non-test Go lines
 # outside benchmark/ and testdata/. BENCH_history.json keeps the trend.
 loc:
 	@find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' -not -path '*/testdata/*' | xargs cat | wc -l

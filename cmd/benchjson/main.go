@@ -78,7 +78,7 @@ type historyEntry struct {
 	At    string `json:"at"`
 	Label string `json:"label,omitempty"`
 	// NonTestLOC is `make loc` at the labelled revision, written by hand
-	// and kept here so an append does not drop it (ROADMAP item 5).
+	// and kept here so an append does not drop it (ROADMAP house rule 2).
 	NonTestLOC int      `json:"non_test_loc,omitempty"`
 	Benchmarks []result `json:"benchmarks"`
 }

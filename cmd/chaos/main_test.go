@@ -239,14 +239,16 @@ func TestRunAvailOutRequiresObservation(t *testing.T) {
 // alert engine (report shape of health/slo, the flight dump as a sealed
 // view, conformance drift deleted) and when background repair was
 // retired (each report is the one the repair-off run gave, less the
-// op="repair" series and the repair conformance row); what the first
+// op="repair" series and the repair conformance row), and when faultnet
+// lost its crash windows (each report less its `"CrashBlocks": 0` line,
+// the only difference); what the first
 // may not touch is pinned by the test below, and the verdicts
 // themselves by internal/chaos TestVerdictStreamPinned.
 func TestReportBytesPinned(t *testing.T) {
 	for scheme, want := range map[string]string{
-		"voting": "8a74797a2b4d3fcbf901885e908fd99aeef7f5b26147190c21a3af9ea66d0333",
-		"ac":     "a10cdda2a4aaee38ce44a5ca5e6d6c7268263783ba619c9b5cdc96160d14fdeb",
-		"nac":    "defed3e33cd3de26b1bea591e55b119cf73b55260eacba0b27974ecc17268322",
+		"voting": "d2c0519e92dfe8fb8ada5c817b1949661f3ffed5a44d67a332ba3ade479b2acb",
+		"ac":     "f5b4c746800aba174a06f579ddc9f07122a1141598b7620cf56784d1d540a75b",
+		"nac":    "0b131f4552c64c5776385e80fcb42d7b821f46a8f24ef70cd47b4c42accb5c29",
 	} {
 		cfg := testConfig(t, scheme, 7, 150, 4)
 		cfg.Sites, cfg.Blocks = 5, 12 // the command's flag defaults
@@ -264,15 +266,16 @@ func TestReportBytesPinned(t *testing.T) {
 // TestReportBytesPinnedWithoutAlerts pins the same three reports with
 // the alert-engine sections (health, slo, slo_alerts, flight) cut out,
 // to the bytes captured before the two engines were merged (re-captured
-// once when background repair was retired): schedule, digest, metrics,
+// when background repair was retired and when faultnet's Stats lost
+// CrashBlocks): schedule, digest, metrics,
 // conformance and availability do not depend on how alerts are
 // evaluated, so this hash must not move when the sections above change
 // shape.
 func TestReportBytesPinnedWithoutAlerts(t *testing.T) {
 	for scheme, want := range map[string]string{
-		"voting": "ee3f4ce3694a566eefd25d9bc319e31f88b1dcba68750ddc3004207648015e46",
-		"ac":     "6eea746b7c2499f2690fc6a67efa05597c222c17977f580bba29f4eb5d5a8027",
-		"nac":    "4bd0278da735df1490a35dab245afc3de9d8c022f0ada30415cc9667374c54b2",
+		"voting": "60489b78a1742344f552758defbe33b2a9d44196814a2da651b08de065f03339",
+		"ac":     "0597a73be74e88ab8cb46e159d33dedec93e41a84f8e609c8e30859edea06c0c",
+		"nac":    "9e9638d6a3423e566a252dc49e68c3fce6d119b15c6b2726828209a0b1d52608",
 	} {
 		cfg := testConfig(t, scheme, 7, 150, 4)
 		cfg.Sites, cfg.Blocks = 5, 12

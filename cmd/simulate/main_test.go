@@ -2,7 +2,9 @@ package main
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/json"
+	"fmt"
 	"io"
 	"strings"
 	"testing"
@@ -23,6 +25,19 @@ func TestRunTrafficAllSchemes(t *testing.T) {
 				t.Fatalf("traffic %s/%s: %v", scheme, net, err)
 			}
 		}
+	}
+	// The text reports of `simulate -kind traffic -sites 5 -ops 3000
+	// -seed 3`, one per scheme, pin the workload generator's two seeded
+	// streams (block indices and op kinds) and every count they drive.
+	var buf bytes.Buffer
+	for _, scheme := range []string{"voting", "ac", "naive"} {
+		if err := run(&buf, false, "traffic", scheme, 5, 0.05, 0, "multicast", 3000, 2.5, 3); err != nil {
+			t.Fatalf("traffic %s: %v", scheme, err)
+		}
+	}
+	const want = "638bd611064af67ceb9567b91a391af19e4ad457dad2750250951dd837b1cfc9"
+	if got := fmt.Sprintf("%x", sha256.Sum256(buf.Bytes())); got != want {
+		t.Errorf("traffic reports sha256 = %s, want %s\n%s", got, want, buf.String())
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"relidev/internal/block"
+	"relidev/internal/faultnet"
 	"relidev/internal/protocol"
 	"relidev/internal/scheme"
 	"relidev/internal/simnet"
@@ -449,15 +450,20 @@ func TestPartitionSplitBrain(t *testing.T) {
 	if err := r.ctrls[0].Write(ctx, 0, pad("base")); err != nil {
 		t.Fatal(err)
 	}
-	// Partition {0} | {1,2}.
-	r.net.SetPartition(0, 1)
+	// Partition {0} | {1,2}: faultnet's map, installed as simnet's
+	// fault rule.
+	fn, err := faultnet.New(r.net, faultnet.Config{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fn.SetPartition(0, 1)
 	if err := r.ctrls[0].Write(ctx, 0, pad("left")); err != nil {
 		t.Fatalf("minority-side write: %v (available copy has no quorum check)", err)
 	}
 	if err := r.ctrls[1].Write(ctx, 0, pad("right")); err != nil {
 		t.Fatalf("majority-side write: %v", err)
 	}
-	r.net.HealPartitions()
+	fn.Heal()
 	left, err := r.ctrls[0].Read(ctx, 0)
 	if err != nil {
 		t.Fatal(err)

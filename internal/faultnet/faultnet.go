@@ -4,10 +4,13 @@
 // simulated network or the TCP client — and injects, from a seeded
 // deterministic decision stream, the failures the paper's reliable
 // network rules out but a real deployment must survive: lost requests,
-// lost replies, call timeouts, added per-link latency, crash windows,
-// and partitions. The same seed replays the same faults bit-identically
-// against the same workload, so a chaos scenario that finds a
-// consistency violation is a reproducible test case, not an anecdote.
+// lost replies, call timeouts, added per-link latency, and partitions.
+// Crashes are not among them: a site fails and restarts through the
+// network it runs on (simnet's fail-stop SetUp, or a closed and reopened
+// process over TCP), which is what a chaos schedule drives. The same
+// seed replays the same faults bit-identically against the same
+// workload, so a chaos scenario that finds a consistency violation is a
+// reproducible test case, not an anecdote.
 //
 // Determinism. Every ordered link (from, to) owns an independent
 // decision stream: the i-th remote call on a link draws its fate from
@@ -104,13 +107,12 @@ type Stats struct {
 	ReplyLosses uint64
 	Timeouts    uint64
 	Delays      uint64
-	CrashBlocks uint64
 	Partitions  uint64
 }
 
 // Total returns the number of injected fault events (delays included).
 func (s Stats) Total() uint64 {
-	return s.Drops + s.ReplyLosses + s.Timeouts + s.Delays + s.CrashBlocks + s.Partitions
+	return s.Drops + s.ReplyLosses + s.Timeouts + s.Delays + s.Partitions
 }
 
 // ruleHost is implemented by transports (simnet) that accept an
@@ -131,7 +133,6 @@ type Network struct {
 
 	mu       sync.Mutex
 	seq      map[linkKey]uint64
-	crashed  protocol.SiteSet
 	groups   map[protocol.SiteID]int
 	noDrops  map[string]bool
 	disabled atomic.Bool
@@ -140,7 +141,6 @@ type Network struct {
 	replyLosses atomic.Uint64
 	timeouts    atomic.Uint64
 	delays      atomic.Uint64
-	crashBlocks atomic.Uint64
 	partitions  atomic.Uint64
 }
 
@@ -176,10 +176,10 @@ func New(inner protocol.Transport, cfg Config) (*Network, error) {
 }
 
 // SetInjection enables or disables the probabilistic fault classes.
-// Explicit crash and partition windows keep working either way. The
-// chaos harness turns injection off for its final convergence phase:
-// "the network eventually behaves" is exactly the paper's §6 condition
-// for recovery to complete.
+// Partitions keep working either way. The chaos harness turns
+// injection off for its final convergence phase: "the network
+// eventually behaves" is exactly the paper's §6 condition for recovery
+// to complete.
 func (n *Network) SetInjection(enabled bool) {
 	n.disabled.Store(!enabled)
 }
@@ -191,25 +191,8 @@ func (n *Network) Stats() Stats {
 		ReplyLosses: n.replyLosses.Load(),
 		Timeouts:    n.timeouts.Load(),
 		Delays:      n.delays.Load(),
-		CrashBlocks: n.crashBlocks.Load(),
 		Partitions:  n.partitions.Load(),
 	}
-}
-
-// CrashSite opens a crash window: every call to or from the site fails
-// with ErrSiteDown until RestartSite. Over rpcnet this is the only way
-// to make a remote site "fail-stop" without killing its process.
-func (n *Network) CrashSite(id protocol.SiteID) {
-	n.mu.Lock()
-	n.crashed = n.crashed.Add(id)
-	n.mu.Unlock()
-}
-
-// RestartSite closes a crash window.
-func (n *Network) RestartSite(id protocol.SiteID) {
-	n.mu.Lock()
-	n.crashed = n.crashed.Remove(id)
-	n.mu.Unlock()
 }
 
 // SetPartition places a site in a partition group; sites in different
@@ -258,20 +241,15 @@ func (n *Network) draw(from, to protocol.SiteID) (float64, float64) {
 	return unit(splitmix64(base)), unit(splitmix64(base + 1))
 }
 
-// decide classifies one remote call. It checks the explicit windows
-// (crash, partition) first, then the probabilistic classes, and sleeps
-// itself for injected latency. Kinds with guaranteed delivery have the
-// drop and timeout classes remapped to plain delivery; the stream draw
-// still advances, so exempting a kind does not shift other links' fates.
+// decide classifies one remote call. It checks the partition map first,
+// then the probabilistic classes, and sleeps itself for injected
+// latency. Kinds with guaranteed delivery have the drop and timeout
+// classes remapped to plain delivery; the stream draw still advances,
+// so exempting a kind does not shift other links' fates.
 func (n *Network) decide(from, to protocol.SiteID, kind string) (simnet.FaultDecision, error) {
 	n.mu.Lock()
-	crashed := n.crashed.Has(from) || n.crashed.Has(to)
 	partitioned := n.groups[from] != n.groups[to]
 	n.mu.Unlock()
-	if crashed {
-		n.crashBlocks.Add(1)
-		return simnet.DropRequest, fmt.Errorf("%w: crash window %v->%v: %w", ErrInjected, from, to, protocol.ErrSiteDown)
-	}
 	if partitioned {
 		n.partitions.Add(1)
 		return simnet.DropRequest, fmt.Errorf("%w: partition %v->%v: %w", ErrInjected, from, to, protocol.ErrSiteUnreachable)

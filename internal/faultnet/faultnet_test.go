@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -131,26 +132,11 @@ func TestReplyLossDeliversButHidesOutcome(t *testing.T) {
 	}
 }
 
-func TestCrashWindowBlocksBothDirections(t *testing.T) {
-	net, _ := buildSim(t, 3)
-	fn, err := New(net, Config{Seed: 1})
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	fn.CrashSite(1)
-	ctx := context.Background()
-	if _, err := fn.Call(ctx, 0, 1, protocol.StatusRequest{}); !errors.Is(err, protocol.ErrSiteDown) {
-		t.Fatalf("call into crash window: %v, want ErrSiteDown", err)
-	}
-	if _, err := fn.Call(ctx, 1, 2, protocol.StatusRequest{}); !errors.Is(err, protocol.ErrSiteDown) {
-		t.Fatalf("call out of crash window: %v, want ErrSiteDown", err)
-	}
-	fn.RestartSite(1)
-	if _, err := fn.Call(ctx, 0, 1, protocol.StatusRequest{}); err != nil {
-		t.Fatalf("call after restart: %v", err)
-	}
-}
-
+// TestPartitionSeparatesGroupsUntilHeal pins the partition accounting
+// the chaos digests depend on. Over simnet a partition is a fault rule,
+// so it acts after routing: the request leaves the sender and is charged,
+// no reply comes back, and a multicast broadcast is charged once however
+// many of its legs the partition blocks.
 func TestPartitionSeparatesGroupsUntilHeal(t *testing.T) {
 	net, _ := buildSim(t, 3)
 	fn, err := New(net, Config{Seed: 1})
@@ -159,12 +145,44 @@ func TestPartitionSeparatesGroupsUntilHeal(t *testing.T) {
 	}
 	fn.SetPartition(2, 1)
 	ctx := context.Background()
-	if _, err := fn.Call(ctx, 0, 2, protocol.StatusRequest{}); !errors.Is(err, protocol.ErrSiteUnreachable) {
-		t.Fatalf("cross-partition call: %v, want ErrSiteUnreachable", err)
+	_, err = fn.Call(ctx, 0, 2, protocol.StatusRequest{})
+	if !errors.Is(err, ErrInjected) || !errors.Is(err, protocol.ErrSiteUnreachable) {
+		t.Fatalf("cross-partition call: %v, want ErrInjected and ErrSiteUnreachable", err)
+	}
+	if st := net.Stats(); st.Requests != 1 || st.Replies != 0 {
+		t.Fatalf("cross-partition call charged %d requests, %d replies; want 1, 0", st.Requests, st.Replies)
 	}
 	if _, err := fn.Call(ctx, 0, 1, protocol.StatusRequest{}); err != nil {
 		t.Fatalf("same-partition call: %v", err)
 	}
+
+	net.ResetStats()
+	res := fn.Broadcast(ctx, 0, []protocol.SiteID{1, 2}, protocol.StatusRequest{})
+	if res[1].Err != nil {
+		t.Fatalf("same-partition leg: %v", res[1].Err)
+	}
+	if err := res[2].Err; !errors.Is(err, ErrInjected) || !errors.Is(err, protocol.ErrSiteUnreachable) {
+		t.Fatalf("cross-partition leg: %v, want ErrInjected and ErrSiteUnreachable", err)
+	}
+	if st := net.Stats(); st.Requests != 1 || st.Replies != 1 {
+		t.Fatalf("half-blocked broadcast charged %d requests, %d replies; want 1, 1", st.Requests, st.Replies)
+	}
+
+	net.ResetStats()
+	fn.SetPartition(1, 1)
+	for to, r := range fn.Broadcast(ctx, 0, []protocol.SiteID{1, 2}, protocol.StatusRequest{}) {
+		if !errors.Is(r.Err, protocol.ErrSiteUnreachable) {
+			t.Fatalf("leg to %v: %v, want ErrSiteUnreachable", to, r.Err)
+		}
+	}
+	if st := net.Stats(); st.Requests != 1 || st.Replies != 0 {
+		t.Fatalf("fully blocked broadcast charged %d requests, %d replies; want 1, 0", st.Requests, st.Replies)
+	}
+	// One blocked call, one blocked leg, then two.
+	if got := fn.Stats().Partitions; got != 4 {
+		t.Fatalf("Partitions = %d, want 4 (one per blocked leg)", got)
+	}
+
 	fn.Heal()
 	if _, err := fn.Call(ctx, 0, 2, protocol.StatusRequest{}); err != nil {
 		t.Fatalf("call after heal: %v", err)
@@ -244,16 +262,16 @@ func TestWrapModeDecoratesPerDestination(t *testing.T) {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	fn.CrashSite(2)
+	fn.SetPartition(2, 1)
 	res := fn.Broadcast(context.Background(), 0, []protocol.SiteID{1, 2}, protocol.StatusRequest{})
 	if res[1].Err != nil {
 		t.Fatalf("healthy destination errored: %v", res[1].Err)
 	}
-	if !errors.Is(res[2].Err, protocol.ErrSiteDown) {
-		t.Fatalf("crashed destination: %v, want ErrSiteDown", res[2].Err)
+	if !errors.Is(res[2].Err, protocol.ErrSiteUnreachable) {
+		t.Fatalf("partitioned destination: %v, want ErrSiteUnreachable", res[2].Err)
 	}
 	if got := hs[2].calls.Load(); got != 0 {
-		t.Fatalf("crashed destination handled %d calls, want 0", got)
+		t.Fatalf("partitioned destination handled %d calls, want 0", got)
 	}
 }
 
@@ -269,5 +287,47 @@ func TestWrapModeDropNeverReachesInner(t *testing.T) {
 	}
 	if got := hs[1].calls.Load(); got != 0 {
 		t.Fatalf("inner handled %d calls after injected drop, want 0", got)
+	}
+}
+
+// TestConcurrentPartitionChanges races the partition map and the
+// injection switch against live broadcasts through simnet with the rule
+// installed, under the race detector.
+func TestConcurrentPartitionChanges(t *testing.T) {
+	net, _ := buildSim(t, 3)
+	fn, err := New(net, Config{Seed: 5, DropProb: 0.2})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	ctx := context.Background()
+	const rounds = 200
+	var wg sync.WaitGroup
+	wg.Add(3)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < rounds; i++ {
+			fn.SetPartition(1, i%2)
+			if i%3 == 0 {
+				fn.Heal()
+			}
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for i := 0; i < rounds; i++ {
+			fn.SetInjection(i%2 == 0)
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for i := 0; i < rounds; i++ {
+			fn.Broadcast(ctx, 0, []protocol.SiteID{1, 2}, protocol.StatusRequest{})
+			_ = fn.Stats()
+		}
+	}()
+	wg.Wait()
+	// A multicast is charged once whatever its legs met.
+	if st := net.Stats(); st.Requests != rounds {
+		t.Fatalf("requests = %d, want %d", st.Requests, rounds)
 	}
 }

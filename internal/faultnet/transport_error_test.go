@@ -69,16 +69,21 @@ func TestIsTransportErrorClassification(t *testing.T) {
 		}
 	})
 
+	// A crash is the network's own fail-stop (what a chaos schedule's
+	// Fail does), not an injected fault.
 	t.Run("crash window", func(t *testing.T) {
 		net, _ := buildSim(t, 2)
 		fn, err := New(net, Config{Seed: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
-		fn.CrashSite(1)
+		net.SetUp(1, false)
 		_, err = fn.Call(ctx, 0, 1, protocol.StatusRequest{})
 		if !errors.Is(err, protocol.ErrSiteDown) || !scheme.IsTransportError(err) {
 			t.Fatalf("crash window err = %v, want ErrSiteDown transport error", err)
+		}
+		if errors.Is(err, ErrInjected) {
+			t.Fatalf("fail-stop crash tagged as injected: %v", err)
 		}
 	})
 

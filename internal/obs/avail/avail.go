@@ -1,8 +1,8 @@
 // Package avail is the availability observatory: an online estimator
 // of the empirical quantities that §4's Markov analysis predicts. It
-// consumes the live stream of site up/down transitions (from chaos
-// schedules, core.Cluster Fail/Restart, faultnet crash windows, or
-// rpcnet's failure detector) plus per-operation outcomes, and
+// consumes the live stream of site up/down transitions (the Fail and
+// Restart events of a chaos schedule, or of cmd/simulate's failure
+// process) plus per-operation outcomes, and
 // maintains per-site empirical availability, MTBF and MTTR, the
 // scheme-level fraction of time the replicated block was accessible,
 // and — after total failures — the recovery delay that separates the

@@ -19,7 +19,7 @@
 // error is first retried once on a freshly dialed connection (requests
 // are versioned and idempotent at the replica, so a duplicate delivery
 // is harmless), then reported as protocol.ErrTransient, and only after
-// SuspectThreshold consecutive failures does the peer get reported as
+// three consecutive failures does the peer get reported as
 // protocol.ErrSiteDown. The first successful exchange clears the
 // suspicion. Redials back off exponentially with jitter up to a cap so
 // a dead peer does not eat a dial timeout on every call.
@@ -221,40 +221,35 @@ func (s *Server) serveConn(conn net.Conn) {
 // still dial more than the bound, they just don't all linger idle.
 const maxIdleConnsPerPeer = 4
 
-// Config tunes the client's failure handling. The zero value of any
-// field selects its default.
-type Config struct {
-	// CallTimeout bounds one round trip (request sent, response read).
+// config tunes the client's failure handling. NewClient sets only
+// callTimeout; the zero value of any field selects its default.
+type config struct {
+	// callTimeout bounds one round trip (request sent, response read).
 	// Default 5s. A context deadline shorter than this wins.
-	CallTimeout time.Duration
-	// DialTimeout bounds one connection attempt. Default CallTimeout.
-	DialTimeout time.Duration
-	// RetryBase is the redial backoff after the first failure against a
+	callTimeout time.Duration
+	// retryBase is the redial backoff after the first failure against a
 	// peer. Default 25ms.
-	RetryBase time.Duration
-	// RetryMax caps the exponential redial backoff. Default 1s.
-	RetryMax time.Duration
-	// SuspectThreshold is the number of consecutive failed exchanges
+	retryBase time.Duration
+	// retryMax caps the exponential redial backoff. Default 1s.
+	retryMax time.Duration
+	// suspectThreshold is the number of consecutive failed exchanges
 	// after which a peer is reported down (protocol.ErrSiteDown) rather
 	// than transiently unreachable (protocol.ErrTransient). Default 3.
-	SuspectThreshold int
+	suspectThreshold int
 }
 
-func (c Config) withDefaults() Config {
-	if c.CallTimeout == 0 {
-		c.CallTimeout = 5 * time.Second
+func (c config) withDefaults() config {
+	if c.callTimeout == 0 {
+		c.callTimeout = 5 * time.Second
 	}
-	if c.DialTimeout == 0 {
-		c.DialTimeout = c.CallTimeout
+	if c.retryBase == 0 {
+		c.retryBase = 25 * time.Millisecond
 	}
-	if c.RetryBase == 0 {
-		c.RetryBase = 25 * time.Millisecond
+	if c.retryMax == 0 {
+		c.retryMax = time.Second
 	}
-	if c.RetryMax == 0 {
-		c.RetryMax = time.Second
-	}
-	if c.SuspectThreshold == 0 {
-		c.SuspectThreshold = 3
+	if c.suspectThreshold == 0 {
+		c.suspectThreshold = 3
 	}
 	return c
 }
@@ -266,7 +261,7 @@ func (c Config) withDefaults() Config {
 // list distinguishes transient wire errors from fail-stop peers.
 type Client struct {
 	self protocol.SiteID
-	cfg  Config
+	cfg  config
 
 	mu    sync.Mutex
 	addrs map[protocol.SiteID]string
@@ -334,33 +329,33 @@ func (p *peerPool) close() {
 // recordFault counts one failed exchange and arms the redial backoff.
 // It reports the length of the failure streak and whether the peer is
 // past the suspect threshold.
-func (p *peerPool) recordFault(cfg Config, jitter func(time.Duration) time.Duration) (fails int, down bool) {
+func (p *peerPool) recordFault(cfg config, jitter func(time.Duration) time.Duration) (fails int, down bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.fails++
 	if p.backoff == 0 {
-		p.backoff = cfg.RetryBase
-	} else if p.backoff < cfg.RetryMax {
+		p.backoff = cfg.retryBase
+	} else if p.backoff < cfg.retryMax {
 		p.backoff *= 2
-		if p.backoff > cfg.RetryMax {
-			p.backoff = cfg.RetryMax
+		if p.backoff > cfg.retryMax {
+			p.backoff = cfg.retryMax
 		}
 	}
 	p.nextDialAt = time.Now().Add(jitter(p.backoff))
-	return p.fails, p.fails >= cfg.SuspectThreshold
+	return p.fails, p.fails >= cfg.suspectThreshold
 }
 
 // markDown records conclusive fail-stop evidence against the peer: it
 // jumps the failure counter straight to the suspect threshold and arms
 // the redial backoff.
-func (p *peerPool) markDown(cfg Config, jitter func(time.Duration) time.Duration) {
+func (p *peerPool) markDown(cfg config, jitter func(time.Duration) time.Duration) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.fails < cfg.SuspectThreshold {
-		p.fails = cfg.SuspectThreshold
+	if p.fails < cfg.suspectThreshold {
+		p.fails = cfg.suspectThreshold
 	}
 	if p.backoff == 0 {
-		p.backoff = cfg.RetryBase
+		p.backoff = cfg.retryBase
 	}
 	p.nextDialAt = time.Now().Add(jitter(p.backoff))
 }
@@ -394,15 +389,8 @@ var _ protocol.Transport = (*Client)(nil)
 
 // NewClient builds a transport for the given site talking to peers at
 // the given addresses. timeout bounds each remote call (zero means 5s);
-// every other knob takes its default. Use NewClientConfig for full
-// control.
+// the failure detector's other knobs take their defaults.
 func NewClient(self protocol.SiteID, addrs map[protocol.SiteID]string, timeout time.Duration) (*Client, error) {
-	return NewClientConfig(self, addrs, Config{CallTimeout: timeout})
-}
-
-// NewClientConfig builds a transport with explicit failure-handling
-// configuration.
-func NewClientConfig(self protocol.SiteID, addrs map[protocol.SiteID]string, cfg Config) (*Client, error) {
 	if len(addrs) == 0 {
 		return nil, errors.New("rpcnet: client needs peer addresses")
 	}
@@ -412,7 +400,7 @@ func NewClientConfig(self protocol.SiteID, addrs map[protocol.SiteID]string, cfg
 	}
 	return &Client{
 		self:  self,
-		cfg:   cfg.withDefaults(),
+		cfg:   config{callTimeout: timeout}.withDefaults(),
 		addrs: m,
 		pools: make(map[protocol.SiteID]*peerPool),
 		rng:   rand.New(rand.NewSource(time.Now().UnixNano())),
@@ -420,7 +408,7 @@ func NewClientConfig(self protocol.SiteID, addrs map[protocol.SiteID]string, cfg
 }
 
 // Suspected reports whether the failure detector currently considers
-// the peer down (SuspectThreshold consecutive failures, no success
+// the peer down (suspectThreshold consecutive failures, no success
 // since).
 func (c *Client) Suspected(id protocol.SiteID) bool {
 	c.mu.Lock()
@@ -429,7 +417,7 @@ func (c *Client) Suspected(id protocol.SiteID) bool {
 	if !ok {
 		return false
 	}
-	return p.suspected(c.cfg.SuspectThreshold)
+	return p.suspected(c.cfg.suspectThreshold)
 }
 
 // SuspectSet returns the set of peers currently suspected down.
@@ -442,7 +430,7 @@ func (c *Client) SuspectSet() protocol.SiteSet {
 	c.mu.Unlock()
 	var s protocol.SiteSet
 	for id, p := range pools {
-		if p.suspected(c.cfg.SuspectThreshold) {
+		if p.suspected(c.cfg.suspectThreshold) {
 			s = s.Add(id)
 		}
 	}
@@ -521,21 +509,18 @@ func (c *Client) exchange(p *peerPool, w *wireConn, deadline time.Time, req prot
 	return rep, nil
 }
 
-// dial opens a fresh connection, honoring the backoff gate: while a
-// redial is gated the call fails fast — classified by the current
-// suspicion — without touching the network or counting new evidence.
+// dial opens a fresh connection within the call's deadline, honoring
+// the backoff gate: while a redial is gated the call fails fast —
+// classified by the current suspicion — without touching the network or
+// counting new evidence.
 func (c *Client) dial(ctx context.Context, p *peerPool, to protocol.SiteID, deadline time.Time) (*wireConn, error) {
-	if gated, down := p.dialGate(c.cfg.SuspectThreshold); gated {
+	if gated, down := p.dialGate(c.cfg.suspectThreshold); gated {
 		if down {
 			return nil, fmt.Errorf("rpcnet: %v suspected down, redial backed off: %w", to, protocol.ErrSiteDown)
 		}
 		return nil, fmt.Errorf("rpcnet: redial of %v backed off: %w", to, protocol.ErrTransient)
 	}
-	dd := time.Now().Add(c.cfg.DialTimeout)
-	if deadline.Before(dd) {
-		dd = deadline
-	}
-	d := net.Dialer{Deadline: dd}
+	d := net.Dialer{Deadline: deadline}
 	conn, err := d.DialContext(ctx, "tcp", p.addr)
 	if err != nil {
 		return nil, c.fault(ctx, p, to, "dial", false, err)
@@ -600,7 +585,7 @@ func (c *Client) roundTrip(ctx context.Context, to protocol.SiteID, req protocol
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("rpcnet: call to %v: %w", to, err)
 	}
-	deadline := time.Now().Add(c.cfg.CallTimeout)
+	deadline := time.Now().Add(c.cfg.callTimeout)
 	if d, ok := ctx.Deadline(); ok && d.Before(deadline) {
 		deadline = d
 	}

@@ -143,7 +143,7 @@ func TestSentinelErrorsCrossTheWire(t *testing.T) {
 
 // TestDeadServerSuspectedAfterThreshold: ambiguous wire failures — here
 // a listener that accepts connections and drops them mid-exchange — are
-// first reported as transient; only SuspectThreshold consecutive
+// first reported as transient; only the suspect threshold's consecutive
 // failures promote the peer to ErrSiteDown (the suspect-list failure
 // detector). Contrast with connection refusal, which is conclusive
 // (TestConnectionRefusedIsConclusive).
@@ -166,14 +166,11 @@ func TestDeadServerSuspectedAfterThreshold(t *testing.T) {
 		}
 	}()
 	addrs[protocol.SiteID(1)] = ln.Addr().String()
-	cli, err := NewClientConfig(0, addrs, Config{
-		CallTimeout: 300 * time.Millisecond,
-		RetryBase:   time.Millisecond,
-		RetryMax:    4 * time.Millisecond,
-	})
+	cli, err := NewClient(0, addrs, 300*time.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}
+	cli.cfg.retryBase, cli.cfg.retryMax = time.Millisecond, 4*time.Millisecond
 	defer cli.Close()
 	ctx := context.Background()
 
@@ -381,17 +378,14 @@ func TestSuspectListClearsOnFirstSuccess(t *testing.T) {
 	}
 	addr := srv.Addr()
 	srv.Close()
-	cli, err := NewClientConfig(0, map[protocol.SiteID]string{1: addr}, Config{
-		CallTimeout: 300 * time.Millisecond,
-		RetryBase:   time.Millisecond,
-		RetryMax:    4 * time.Millisecond,
-		// Threshold 1: the very first failure suspects the peer, which
-		// keeps this test fast.
-		SuspectThreshold: 1,
-	})
+	cli, err := NewClient(0, map[protocol.SiteID]string{1: addr}, 300*time.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}
+	cli.cfg.retryBase, cli.cfg.retryMax = time.Millisecond, 4*time.Millisecond
+	// Threshold 1: the very first failure suspects the peer, which keeps
+	// this test fast.
+	cli.cfg.suspectThreshold = 1
 	defer cli.Close()
 	ctx := context.Background()
 

@@ -55,36 +55,26 @@ func TestConcurrentTrafficAccounting(t *testing.T) {
 	}
 }
 
-// TestConcurrentModeAndPartitionChanges exercises the remaining mutable
-// surface under the race detector.
-func TestConcurrentModeAndPartitionChanges(t *testing.T) {
+// TestConcurrentSetUpAndResetStats races the network's mutable
+// surface, site liveness and the counter bank, against live calls under
+// the race detector.
+func TestConcurrentSetUpAndResetStats(t *testing.T) {
 	net, _ := buildNet(t, Multicast, 3)
 	ctx := context.Background()
 	var wg sync.WaitGroup
-	wg.Add(3)
+	wg.Add(2)
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 200; i++ {
-			if i%2 == 0 {
-				net.SetMode(Unicast)
-			} else {
-				net.SetMode(Multicast)
-			}
+			net.SetUp(1, i%2 == 0)
 		}
-	}()
-	go func() {
-		defer wg.Done()
-		for i := 0; i < 200; i++ {
-			net.SetPartition(1, i%2)
-			net.HealPartitions()
-		}
+		net.SetUp(1, true)
 	}()
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 200; i++ {
 			net.Call(ctx, 0, 1, protocol.StatusRequest{})
 			net.ResetStats()
-			_ = net.Up(1)
 			_ = net.Mode()
 		}
 	}()

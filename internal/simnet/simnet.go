@@ -1,9 +1,8 @@
 // Package simnet is an in-process network connecting replica sites.
 //
 // It provides the communication model of the paper (§2, §5): reliable
-// message delivery, no spontaneous partitions (partitions can be injected
-// explicitly for tests of the voting scheme), fail-stop sites that simply
-// do not answer, and — crucially — exact accounting of *high-level
+// message delivery, no partitions, fail-stop sites that simply do not
+// answer, and — crucially — exact accounting of *high-level
 // transmissions* in both network flavours analysed in §5:
 //
 //   - Multicast: one transmission reaches any number of destinations;
@@ -139,13 +138,14 @@ func newCounterBank() *counterBank {
 }
 
 // Network connects up to protocol.MaxSites sites. The zero value is not
-// usable; use New.
+// usable; use New. Faults beyond fail-stop, partitions among them, are
+// injected through a FaultRule (the faultnet decorator installs one).
 type Network struct {
-	mu        sync.Mutex
-	mode      Mode
-	handlers  map[protocol.SiteID]protocol.Handler
-	up        map[protocol.SiteID]bool
-	partition map[protocol.SiteID]int
+	// mode is fixed at New, so it is read without mu.
+	mode     Mode
+	mu       sync.Mutex
+	handlers map[protocol.SiteID]protocol.Handler
+	up       map[protocol.SiteID]bool
 
 	// Traffic counters are contention-free atomics grouped into a bank:
 	// metering sits on every message of the data path and must not
@@ -191,29 +191,16 @@ var _ protocol.Transport = (*Network)(nil)
 // New returns an empty network in the given mode.
 func New(mode Mode) *Network {
 	n := &Network{
-		mode:      mode,
-		handlers:  make(map[protocol.SiteID]protocol.Handler),
-		up:        make(map[protocol.SiteID]bool),
-		partition: make(map[protocol.SiteID]int),
+		mode:     mode,
+		handlers: make(map[protocol.SiteID]protocol.Handler),
+		up:       make(map[protocol.SiteID]bool),
 	}
 	n.bank.Store(newCounterBank())
 	return n
 }
 
 // Mode returns the network flavour.
-func (n *Network) Mode() Mode {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.mode
-}
-
-// SetMode switches the network flavour. Tests use this to compare §5.1
-// and §5.2 accounting over identical protocol runs.
-func (n *Network) SetMode(m Mode) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.mode = m
-}
+func (n *Network) Mode() Mode { return n.mode }
 
 // Attach registers the handler serving site id and marks the site up.
 func (n *Network) Attach(id protocol.SiteID, h protocol.Handler) {
@@ -229,32 +216,6 @@ func (n *Network) SetUp(id protocol.SiteID, up bool) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	n.up[id] = up
-}
-
-// Up reports whether the site's process is running.
-func (n *Network) Up(id protocol.SiteID) bool {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.up[id]
-}
-
-// SetPartition places a site in a partition group. Sites in different
-// groups cannot exchange messages. The default group is 0. This exists
-// only to demonstrate the §6 caveat that available copy requires a
-// partition-free network; no production path creates partitions.
-func (n *Network) SetPartition(id protocol.SiteID, group int) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.partition[id] = group
-}
-
-// HealPartitions returns every site to partition group 0.
-func (n *Network) HealPartitions() {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	for id := range n.partition {
-		n.partition[id] = 0
-	}
 }
 
 // SetFaultRule installs (or, with nil, removes) the per-delivery fault
@@ -331,16 +292,13 @@ func (n *Network) ResetStats() {
 	n.bank.Store(newCounterBank())
 }
 
-// route returns the handler for `to` if it is up and reachable from
-// `from`, without holding the lock during the handler call.
+// route returns the handler for `to` if it is up, without holding the
+// lock during the handler call.
 func (n *Network) route(from, to protocol.SiteID) (protocol.Handler, error) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if !n.up[to] {
 		return nil, fmt.Errorf("%v -> %v: %w", from, to, protocol.ErrSiteDown)
-	}
-	if n.partition[from] != n.partition[to] {
-		return nil, fmt.Errorf("%v -> %v: %w", from, to, protocol.ErrSiteUnreachable)
 	}
 	h, ok := n.handlers[to]
 	if !ok {
@@ -472,7 +430,7 @@ func (n *Network) deliver(ctx context.Context, from protocol.SiteID, dests []pro
 	opIdx := opClassIndex(protocol.CtxOp(ctx))
 	if targets > 0 && ctx.Err() == nil {
 		reqBytes := uint64(protocol.WireSize(req))
-		if n.Mode() == Unicast {
+		if n.mode == Unicast {
 			// One transmission per destination, whether or not it is up: the
 			// sender cannot know (§5.2).
 			n.countRequest(opIdx, req.Kind(), targets, reqBytes*targets)

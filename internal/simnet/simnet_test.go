@@ -170,23 +170,6 @@ func TestDownSiteDoesNotAnswer(t *testing.T) {
 	}
 }
 
-func TestPartitionBlocksTraffic(t *testing.T) {
-	net, _ := buildNet(t, Multicast, 3)
-	net.SetPartition(2, 1)
-	_, err := net.Call(context.Background(), 0, 2, protocol.StatusRequest{})
-	if !errors.Is(err, protocol.ErrSiteUnreachable) {
-		t.Fatalf("err = %v, want ErrSiteUnreachable", err)
-	}
-	// Same partition still works.
-	if _, err := net.Call(context.Background(), 0, 1, protocol.StatusRequest{}); err != nil {
-		t.Fatalf("same-partition call: %v", err)
-	}
-	net.HealPartitions()
-	if _, err := net.Call(context.Background(), 0, 2, protocol.StatusRequest{}); err != nil {
-		t.Fatalf("after heal: %v", err)
-	}
-}
-
 func TestHandlerErrorProducesNoReplyTraffic(t *testing.T) {
 	net, hs := buildNet(t, Multicast, 2)
 	hs[1].fail = fmt.Errorf("disk on fire")

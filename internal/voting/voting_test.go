@@ -10,6 +10,7 @@ import (
 	"testing/quick"
 
 	"relidev/internal/block"
+	"relidev/internal/faultnet"
 	"relidev/internal/protocol"
 	"relidev/internal/scheme"
 	"relidev/internal/simnet"
@@ -652,16 +653,21 @@ func TestPartitionsCannotSplitBrain(t *testing.T) {
 	// Voting's raison d'être: with the network split 2|3, only the
 	// 3-site side can write; the 2-site side is denied.
 	r := newRig(t, 5, simnet.Multicast)
+	// The partition is faultnet's, installed as simnet's fault rule.
+	fn, err := faultnet.New(r.net, faultnet.Config{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
 	ctx := context.Background()
-	r.net.SetPartition(0, 1)
-	r.net.SetPartition(1, 1)
+	fn.SetPartition(0, 1)
+	fn.SetPartition(1, 1)
 	if err := r.ctrls[0].Write(ctx, 0, pad("minor")); !errors.Is(err, scheme.ErrNoQuorum) {
 		t.Fatalf("minority write = %v, want ErrNoQuorum", err)
 	}
 	if err := r.ctrls[2].Write(ctx, 0, pad("major")); err != nil {
 		t.Fatalf("majority write: %v", err)
 	}
-	r.net.HealPartitions()
+	fn.Heal()
 	got, err := r.ctrls[0].Read(ctx, 0)
 	if err != nil {
 		t.Fatal(err)

@@ -3,9 +3,8 @@
 // The paper's traffic analysis (§5) parameterises on the read to write
 // ratio and cites the 4.2 BSD trace study [9] for a typical ratio around
 // 2.5:1. No trace from 1985 is available here, so this package plays its
-// role: streams of read/write operations with a configurable ratio and a
-// choice of block access patterns (uniform, Zipf-skewed, sequential) that
-// cover the access shapes the trace study reports.
+// role: streams of read/write operations with a configurable ratio over
+// a uniform block access pattern, the one the §5 cost formulas assume.
 package workload
 
 import (
@@ -45,21 +44,11 @@ type Op struct {
 	Index block.Index
 }
 
-// Pattern produces a stream of block indices.
-type Pattern interface {
-	// Next returns the next block index to access.
-	Next() block.Index
-	// Name identifies the pattern.
-	Name() string
-}
-
 // UniformPattern accesses every block with equal probability.
 type UniformPattern struct {
 	n   int
 	rng *rand.Rand
 }
-
-var _ Pattern = (*UniformPattern)(nil)
 
 // NewUniform returns a uniform pattern over n blocks.
 func NewUniform(n int, seed int64) (*UniformPattern, error) {
@@ -69,73 +58,14 @@ func NewUniform(n int, seed int64) (*UniformPattern, error) {
 	return &UniformPattern{n: n, rng: rand.New(rand.NewSource(seed))}, nil
 }
 
-// Next implements Pattern.
+// Next returns the next block index to access.
 func (p *UniformPattern) Next() block.Index { return block.Index(p.rng.Intn(p.n)) }
 
-// Name implements Pattern.
-func (p *UniformPattern) Name() string { return "uniform" }
-
-// ZipfPattern skews accesses toward low-numbered blocks, modelling the
-// strong locality file system traces exhibit.
-type ZipfPattern struct {
-	z *rand.Zipf
-}
-
-var _ Pattern = (*ZipfPattern)(nil)
-
-// NewZipf returns a Zipf(s) pattern over n blocks; s must be > 1, with
-// larger values skewing harder.
-func NewZipf(n int, s float64, seed int64) (*ZipfPattern, error) {
-	if n <= 0 {
-		return nil, fmt.Errorf("workload: zipf pattern needs n > 0, got %d", n)
-	}
-	if s <= 1 {
-		return nil, fmt.Errorf("workload: zipf exponent %v must be > 1", s)
-	}
-	z := rand.NewZipf(rand.New(rand.NewSource(seed)), s, 1, uint64(n-1))
-	if z == nil {
-		return nil, fmt.Errorf("workload: invalid zipf parameters (n=%d, s=%v)", n, s)
-	}
-	return &ZipfPattern{z: z}, nil
-}
-
-// Next implements Pattern.
-func (p *ZipfPattern) Next() block.Index { return block.Index(p.z.Uint64()) }
-
-// Name implements Pattern.
-func (p *ZipfPattern) Name() string { return "zipf" }
-
-// SequentialPattern sweeps the device in order, wrapping at the end —
-// the shape of large-file scans, which §3 calls out as the case where
-// block-level recovery savings are most significant.
-type SequentialPattern struct {
-	n    int
-	next int
-}
-
-var _ Pattern = (*SequentialPattern)(nil)
-
-// NewSequential returns a sequential pattern over n blocks.
-func NewSequential(n int) (*SequentialPattern, error) {
-	if n <= 0 {
-		return nil, fmt.Errorf("workload: sequential pattern needs n > 0, got %d", n)
-	}
-	return &SequentialPattern{n: n}, nil
-}
-
-// Next implements Pattern.
-func (p *SequentialPattern) Next() block.Index {
-	idx := block.Index(p.next)
-	p.next = (p.next + 1) % p.n
-	return idx
-}
-
-// Name implements Pattern.
-func (p *SequentialPattern) Name() string { return "sequential" }
-
-// Generator produces a read/write operation stream over a pattern.
+// Generator produces a read/write operation stream over a pattern. The
+// pattern's stream picks the blocks and the generator's own stream picks
+// the kinds, so each is reproducible from its seed alone.
 type Generator struct {
-	pattern   Pattern
+	pattern   *UniformPattern
 	readRatio float64
 	rng       *rand.Rand
 	reads     uint64
@@ -144,7 +74,7 @@ type Generator struct {
 
 // NewGenerator builds a generator with the given read:write ratio
 // (reads per write; DefaultReadRatio mirrors [9]).
-func NewGenerator(pattern Pattern, readRatio float64, seed int64) (*Generator, error) {
+func NewGenerator(pattern *UniformPattern, readRatio float64, seed int64) (*Generator, error) {
 	if pattern == nil {
 		return nil, fmt.Errorf("workload: generator needs a pattern")
 	}

@@ -11,14 +11,8 @@ func TestPatternValidation(t *testing.T) {
 	if _, err := NewUniform(0, 1); err == nil {
 		t.Fatal("uniform accepted n=0")
 	}
-	if _, err := NewZipf(0, 1.5, 1); err == nil {
-		t.Fatal("zipf accepted n=0")
-	}
-	if _, err := NewZipf(10, 1.0, 1); err == nil {
-		t.Fatal("zipf accepted s=1")
-	}
-	if _, err := NewSequential(-1); err == nil {
-		t.Fatal("sequential accepted n=-1")
+	if _, err := NewUniform(-1, 1); err == nil {
+		t.Fatal("uniform accepted n=-1")
 	}
 }
 
@@ -37,46 +31,6 @@ func TestUniformPatternInRange(t *testing.T) {
 	}
 	if len(seen) != 16 {
 		t.Fatalf("uniform over 16 blocks touched only %d", len(seen))
-	}
-	if p.Name() != "uniform" {
-		t.Fatal("name mismatch")
-	}
-}
-
-func TestZipfPatternIsSkewed(t *testing.T) {
-	p, err := NewZipf(64, 1.5, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	counts := make([]int, 64)
-	for i := 0; i < 20000; i++ {
-		idx := p.Next()
-		if int(idx) >= 64 {
-			t.Fatalf("index %v out of range", idx)
-		}
-		counts[idx]++
-	}
-	if counts[0] <= counts[32]*4 {
-		t.Fatalf("zipf not skewed: counts[0]=%d counts[32]=%d", counts[0], counts[32])
-	}
-	if p.Name() != "zipf" {
-		t.Fatal("name mismatch")
-	}
-}
-
-func TestSequentialPatternWraps(t *testing.T) {
-	p, err := NewSequential(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []block.Index{0, 1, 2, 0, 1, 2, 0}
-	for i, w := range want {
-		if got := p.Next(); got != w {
-			t.Fatalf("step %d = %v, want %v", i, got, w)
-		}
-	}
-	if p.Name() != "sequential" {
-		t.Fatal("name mismatch")
 	}
 }
 
