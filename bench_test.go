@@ -1,8 +1,7 @@
 // Benchmarks regenerate the paper's evaluation: one benchmark per figure
 // (9-12) producing the same series the paper plots, plus per-operation
 // protocol benchmarks whose msgs/op metrics are the measured counterpart
-// of the §5 cost model, and ablation benchmarks for the design choices
-// called out in DESIGN.md §5.
+// of the §5 cost model.
 //
 // Run: go test -bench=. -benchmem
 //

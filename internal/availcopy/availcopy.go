@@ -18,9 +18,7 @@
 // safe (it can only wait for more sites than strictly necessary, never
 // fewer). The coordinator of a write, which observes the acknowledgement
 // set exactly, resets its own W to the true recipient set — W sets shrink
-// again whenever a site coordinates a write. The WithImmediateW option
-// instead pushes the exact recipient set to all recipients with one extra
-// message whenever it changed (DESIGN.md ablation).
+// again whenever a site coordinates a write.
 package availcopy
 
 import (
@@ -35,22 +33,10 @@ import (
 	"relidev/internal/site"
 )
 
-// Option customises a Controller.
-type Option func(*Controller)
-
-// WithImmediateW makes the coordinator propagate the exact recipient set
-// of a write to all recipients with a dedicated message whenever it
-// differs from the piggybacked (one-write-stale) set. Tightens W at the
-// cost of one extra transmission per membership change.
-func WithImmediateW() Option {
-	return func(c *Controller) { c.immediateW = true }
-}
-
 // Controller is the available copy engine at one site.
 type Controller struct {
-	env        scheme.Env
-	remotes    []protocol.SiteID // every site but Self, fixed at construction
-	immediateW bool
+	env     scheme.Env
+	remotes []protocol.SiteID // every site but Self, fixed at construction
 
 	// locks serialises same-block operations while letting distinct
 	// blocks proceed concurrently; recovery excludes all in-flight
@@ -68,14 +54,11 @@ var _ scheme.Controller = (*Controller)(nil)
 // New builds an available copy controller. A fresh, consistent replica
 // set starts with W_s = S everywhere (every site holds the freshly
 // formatted — hence identical — state).
-func New(env scheme.Env, opts ...Option) (*Controller, error) {
+func New(env scheme.Env) (*Controller, error) {
 	if err := env.Validate(); err != nil {
 		return nil, err
 	}
 	c := &Controller{env: env, remotes: env.Remotes()}
-	for _, opt := range opts {
-		opt(c)
-	}
 	if c.env.Self.WasAvailable().Empty() {
 		//relidev:allow locking: constructor runs single-threaded before the controller escapes; there is no concurrent operation to exclude yet
 		if err := c.env.Self.SetWasAvailable(env.FullSet()); err != nil {
@@ -177,20 +160,7 @@ func (c *Controller) Write(ctx context.Context, idx block.Index, data []byte) (e
 	op.Participants = recipients.Len()
 	// The coordinator knows the recipient set exactly: W_s = sites that
 	// received the most recent write.
-	if err := self.SetWasAvailable(recipients); err != nil {
-		return err
-	}
-	if c.immediateW && !put.WasAvail.SubsetOf(recipients) {
-		// Ablation: push the exact set so recipients do not carry the
-		// stale superset until the next write.
-		fix := protocol.PutRequest{
-			Block: idx, Data: data, Version: newVer,
-			HasW: true, WasAvail: recipients, ReplaceW: true,
-		}
-		//relidev:allow transport: best-effort W-set tightening; a lost fix leaves recipients with a stale *superset*, which the merge rules keep safe until the next write
-		c.env.Transport.Notify(ctx, self.ID(), recipients.Remove(self.ID()).Members(), fix)
-	}
-	return nil
+	return self.SetWasAvailable(recipients)
 }
 
 // status is one site's answer to the recovery broadcast.
@@ -261,7 +231,7 @@ func Recover(ctx context.Context, locks *scheme.OpLocks, env scheme.Env, frozenW
 
 	// Case 1: when ∃u ∈ S: state(u) = available, repair from any such u.
 	if t, ok := pickAvailable(states); ok {
-		return Exchange(ctx, env, t, tracked)
+		return exchange(ctx, env, t, tracked)
 	}
 
 	// Case 2: when all sites in C*(W_s) have recovered, repair from the
@@ -291,12 +261,12 @@ func Recover(ctx context.Context, locks *scheme.OpLocks, env scheme.Env, frozenW
 		self.SetState(protocol.StateAvailable)
 		return nil
 	}
-	return Exchange(ctx, env, t, tracked)
+	return exchange(ctx, env, t, tracked)
 }
 
-// Exchange runs the version-vector exchange that ends Figures 5 and 6
-// (and voting's eager ablation) against source t and marks the local
-// site available; the caller holds the recovery exclusion. The transfer
+// exchange runs the version-vector exchange that ends Figures 5 and 6
+// against source t and marks the local site available; the caller, this
+// package's Recover, holds the recovery exclusion. The transfer
 // arrives in pages of at most RecoveryBudget copies, continued under
 // the reply's resume token, and the next page is on the wire while this
 // one installs: its request goes out on its own goroutine, at most one
@@ -307,7 +277,7 @@ func Recover(ctx context.Context, locks *scheme.OpLocks, env scheme.Env, frozenW
 // since ApplyRepair's installs are version-monotone — and
 // ErrAwaitingSites has the next membership change re-run recovery
 // against a live source.
-func Exchange(ctx context.Context, env scheme.Env, t protocol.SiteID, joinW bool) error {
+func exchange(ctx context.Context, env scheme.Env, t protocol.SiteID, joinW bool) error {
 	self := env.Self
 	ctx, cancel := context.WithCancel(ctx)
 	var wg sync.WaitGroup

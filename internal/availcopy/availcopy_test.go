@@ -23,7 +23,7 @@ type rig struct {
 	ctrls    []*Controller
 }
 
-func newRig(t *testing.T, n int, mode simnet.Mode, opts ...Option) *rig {
+func newRig(t *testing.T, n int, mode simnet.Mode) *rig {
 	t.Helper()
 	r := &rig{net: simnet.New(mode)}
 	ids := make([]protocol.SiteID, n)
@@ -43,7 +43,7 @@ func newRig(t *testing.T, n int, mode simnet.Mode, opts ...Option) *rig {
 		r.net.Attach(ids[i], rep)
 	}
 	for i := 0; i < n; i++ {
-		ctrl, err := New(scheme.Env{Self: r.replicas[i], Transport: r.net, Sites: ids}, opts...)
+		ctrl, err := New(scheme.Env{Self: r.replicas[i], Transport: r.net, Sites: ids})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -341,20 +341,6 @@ func TestWriteAtComatoseSiteRefused(t *testing.T) {
 	}
 	if _, err := r.ctrls[1].Read(ctx, 0); !errors.Is(err, scheme.ErrNotAvailable) {
 		t.Fatalf("read at comatose site = %v, want ErrNotAvailable", err)
-	}
-}
-
-func TestImmediateWAblationTightensSets(t *testing.T) {
-	r := newRig(t, 3, simnet.Multicast, WithImmediateW())
-	ctx := context.Background()
-	r.fail(2)
-	// First write: piggyback (stale) says {0,1,2}; acks say {0,1}; the
-	// immediate fix pushes {0,1} to site 1 right away.
-	if err := r.ctrls[0].Write(ctx, 0, pad("w")); err != nil {
-		t.Fatal(err)
-	}
-	if w := r.replicas[1].WasAvailable(); w.Has(2) {
-		t.Fatalf("site1 W = %v still contains the failed site", w)
 	}
 }
 

@@ -51,10 +51,6 @@ type ClusterConfig struct {
 	Scheme SchemeKind
 	// Mode selects the §5 network flavour; zero defaults to Multicast.
 	Mode simnet.Mode
-	// Weights optionally assigns per-site voting weights (thousandths).
-	// Nil assigns 1000 everywhere with the §4.1 tie-breaking nudge (+1 to
-	// site 0) when the site count is even.
-	Weights []int64
 	// Witnesses makes the last Witnesses sites voting witnesses ([10]):
 	// they vote with per-block version numbers but store no data, cutting
 	// the storage cost of a copy to a version table. Valid only with the
@@ -66,8 +62,6 @@ type ClusterConfig struct {
 	NewStore func(id protocol.SiteID, geom block.Geometry) (store.Store, error)
 	// VotingOptions are passed to voting controllers.
 	VotingOptions []voting.Option
-	// AvailCopyOptions are passed to available copy controllers.
-	AvailCopyOptions []availcopy.Option
 	// WrapTransport optionally decorates the cluster's transport before
 	// the controllers see it — the hook the chaos harness uses to splice
 	// a fault-injecting faultnet.Network between the controllers and the
@@ -100,12 +94,6 @@ func (c *ClusterConfig) applyDefaults() error {
 	}
 	if c.Mode == 0 {
 		c.Mode = simnet.Multicast
-	}
-	if c.Weights == nil {
-		c.Weights = DefaultWeights(c.Sites)
-	}
-	if len(c.Weights) != c.Sites {
-		return fmt.Errorf("core: %d weights for %d sites", len(c.Weights), c.Sites)
 	}
 	if c.NewStore == nil {
 		c.NewStore = func(_ protocol.SiteID, geom block.Geometry) (store.Store, error) {
@@ -164,7 +152,7 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 		if err != nil {
 			return nil, fmt.Errorf("core: store for %v: %w", ids[i], err)
 		}
-		rep, err := site.New(site.Config{ID: ids[i], Store: st, Weight: cfg.Weights[i], Witness: witness})
+		rep, err := site.New(site.Config{ID: ids[i], Store: st, Witness: witness})
 		if err != nil {
 			return nil, err
 		}
@@ -210,21 +198,19 @@ func DefaultWeights(n int) []int64 {
 // WireSite assembles one site's consistency engine over a membership:
 // the scheme.Env, the replica's two observation hooks (W-transitions
 // and handled requests) and the controller of cfg.Scheme (of cfg it
-// reads Scheme, Observer, Weights — nil means DefaultWeights — and the
-// controller options). Every host wires through here — the Cluster for
-// each site, again after Grow and Remove, and relidev.OpenRemote for
-// its one — so a site is observed the same way wherever it runs.
+// reads Scheme, Observer and VotingOptions). The vote weights are
+// DefaultWeights over ids, so a membership of even size keeps §4.1's
+// tie-break however it was reached. Every host wires through here —
+// the Cluster for each site, again after Grow and Remove, and
+// relidev.OpenRemote for its one — so a site is observed the same way
+// wherever it runs.
 func WireSite(cfg ClusterConfig, self *site.Replica, transport protocol.Transport, ids []protocol.SiteID) (scheme.Controller, error) {
-	weights := cfg.Weights
-	if weights == nil {
-		weights = DefaultWeights(len(ids))
-	}
 	name, id := cfg.Scheme.String(), self.ID()
 	env := scheme.Env{
 		Self:      self,
 		Transport: transport,
 		Sites:     ids,
-		Weights:   weights,
+		Weights:   DefaultWeights(len(ids)),
 		Obs:       cfg.Observer.SchemeSite(name, id),
 	}
 	if o := cfg.Observer; o != nil {
@@ -237,7 +223,7 @@ func WireSite(cfg ClusterConfig, self *site.Replica, transport protocol.Transpor
 	case Voting:
 		return voting.New(env, cfg.VotingOptions...)
 	case AvailableCopy:
-		return availcopy.New(env, cfg.AvailCopyOptions...)
+		return availcopy.New(env)
 	case NaiveAvailableCopy:
 		return naiveac.New(env)
 	default:

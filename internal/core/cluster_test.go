@@ -48,34 +48,47 @@ func TestClusterConfigValidation(t *testing.T) {
 	if _, err := NewCluster(ClusterConfig{Sites: 3}); err == nil {
 		t.Fatal("accepted missing scheme")
 	}
-	if _, err := NewCluster(ClusterConfig{Sites: 3, Scheme: Voting, Weights: []int64{1}}); err == nil {
-		t.Fatal("accepted mismatched weights")
-	}
 	if _, err := NewCluster(ClusterConfig{Sites: 3, Scheme: Voting,
 		Geometry: block.Geometry{BlockSize: -1, NumBlocks: 1}}); err == nil {
 		t.Fatal("accepted bad geometry")
 	}
 }
 
+// splitEvenly checks §4.1's tie-break on a four-site voting cluster:
+// with sites 2 and 3 down site 0's half holds the write quorum, and with
+// sites 0 and 1 down the other half does not. It leaves every site up.
+func splitEvenly(t *testing.T, cl *Cluster) {
+	t.Helper()
+	ctx := context.Background()
+	write := func(at protocol.SiteID, down ...protocol.SiteID) error {
+		t.Helper()
+		for _, id := range down {
+			if err := cl.Fail(id); err != nil {
+				t.Fatal(err)
+			}
+		}
+		dev, err := cl.Device(at)
+		if err != nil {
+			t.Fatal(err)
+		}
+		werr := dev.WriteBlock(ctx, 0, pad(cl, fmt.Sprintf("from %v", at)))
+		for _, id := range down {
+			if err := cl.Restart(ctx, id); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return werr
+	}
+	if err := write(0, 2, 3); err != nil {
+		t.Fatalf("write at site 0 with sites 2 and 3 down: %v", err)
+	}
+	if err := write(2, 0, 1); !errors.Is(err, scheme.ErrNoQuorum) {
+		t.Fatalf("write at site 2 with sites 0 and 1 down = %v, want ErrNoQuorum", err)
+	}
+}
+
 func TestClusterDefaultsApplyTieBreaker(t *testing.T) {
-	cl := newTestCluster(t, 4, Voting)
-	rep, err := cl.Replica(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Weight() != 1001 {
-		t.Fatalf("site 0 weight = %d, want 1001 (tie-break)", rep.Weight())
-	}
-	rep1, _ := cl.Replica(1)
-	if rep1.Weight() != 1000 {
-		t.Fatalf("site 1 weight = %d, want 1000", rep1.Weight())
-	}
-	// Odd cluster: no nudge.
-	cl3 := newTestCluster(t, 3, Voting)
-	rep0, _ := cl3.Replica(0)
-	if rep0.Weight() != 1000 {
-		t.Fatalf("odd cluster site 0 weight = %d, want 1000", rep0.Weight())
-	}
+	splitEvenly(t, newTestCluster(t, 4, Voting))
 }
 
 func TestDeviceRoundtripAllSchemes(t *testing.T) {

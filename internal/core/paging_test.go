@@ -12,19 +12,29 @@ import (
 	"relidev/internal/protocol"
 	"relidev/internal/scheme"
 	"relidev/internal/store"
-	"relidev/internal/voting"
 )
 
 // pageSpy sits between the controllers and the simulated network and
-// watches the recovery exchange: how many pages each exchange took and
-// the most block copies any one reply carried. With cutAfter > 0 the
-// source "vanishes" once that many pages of an exchange have arrived.
+// watches the recovery exchange: how many recovery requests went out,
+// how many pages each exchange took and the most block copies any one
+// reply carried. It also counts block fetches, voting's lazy repair.
+// With cutAfter > 0 the source "vanishes" once that many pages of an
+// exchange have arrived.
 type pageSpy struct {
 	protocol.Transport
 	mu        sync.Mutex
 	cutAfter  int
+	requests  int // recovery requests sent, over all exchanges
 	pages     int // pages of the exchange in progress (or last finished)
 	maxBlocks int
+	fetches   int
+}
+
+func (s *pageSpy) Fetch(ctx context.Context, from, to protocol.SiteID, req protocol.Request) (protocol.Response, error) {
+	s.mu.Lock()
+	s.fetches++
+	s.mu.Unlock()
+	return s.Transport.Fetch(ctx, from, to, req)
 }
 
 func (s *pageSpy) Call(ctx context.Context, from, to protocol.SiteID, req protocol.Request) (protocol.Response, error) {
@@ -33,6 +43,7 @@ func (s *pageSpy) Call(ctx context.Context, from, to protocol.SiteID, req protoc
 		return s.Transport.Call(ctx, from, to, req)
 	}
 	s.mu.Lock()
+	s.requests++
 	if q.Cont == 0 {
 		s.pages = 0
 	}
@@ -82,9 +93,6 @@ func pagedClusterWith(t *testing.T, kind SchemeKind, site2 store.Store, wrap fun
 			}
 			return store.NewMem(geom)
 		},
-		// Eager recovery is voting's use of the exchange; the lazy
-		// default sends nothing.
-		VotingOptions: []voting.Option{voting.WithEagerRecovery()},
 		WrapTransport: func(inner protocol.Transport) protocol.Transport {
 			if wrap != nil {
 				inner = wrap(inner)
@@ -136,14 +144,52 @@ func sameCopy(t *testing.T, cl *Cluster, id protocol.SiteID, want [][]byte) {
 	}
 }
 
-// TestRecoveryPagesForEveryScheme: the one exchange all three schemes
-// end in moves a three-page device in three bounded replies — for the
-// naive scheme and voting's eager ablation too, which once could only
-// ask for everything at once.
+// lazyRecovery restarts site 2 of a voting pagedCluster and checks
+// §5.1's recovery: Restart puts no recovery request on the wire, the
+// site is available at once, and each of its ten stale blocks returns
+// the donor's data through exactly one fetch — the first read repairs
+// it, the second is local.
+func lazyRecovery(t *testing.T, cl *Cluster, spy *pageSpy, want [][]byte) {
+	t.Helper()
+	ctx := context.Background()
+	if err := cl.Restart(ctx, 2); err != nil {
+		t.Fatal(err)
+	}
+	if spy.requests != 0 {
+		t.Fatalf("voting recovery sent %d recovery requests, want 0", spy.requests)
+	}
+	if st, _ := cl.State(2); st != protocol.StateAvailable {
+		t.Fatalf("site 2 is %v after restart, want available at once", st)
+	}
+	dev, err := cl.Device(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for range 2 {
+		for i, w := range want {
+			got, err := dev.ReadBlock(ctx, block.Index(i))
+			if err != nil || !bytes.Equal(got, w) {
+				t.Fatalf("site 2 block %d differs from the donor's (err=%v)", i, err)
+			}
+		}
+	}
+	if spy.fetches != len(want) {
+		t.Fatalf("%d stale blocks read twice took %d fetches, want %d", len(want), spy.fetches, len(want))
+	}
+	sameCopy(t, cl, 2, want)
+}
+
+// TestRecoveryPagesForEveryScheme: the one exchange both available copy
+// schemes end in moves a three-page device in three bounded replies;
+// voting sends no exchange at all and repairs each block on first read.
 func TestRecoveryPagesForEveryScheme(t *testing.T) {
 	for _, kind := range allSchemes() {
 		t.Run(kind.String(), func(t *testing.T) {
 			cl, spy, want := pagedCluster(t, kind)
+			if kind == Voting {
+				lazyRecovery(t, cl, spy, want)
+				return
+			}
 			if err := cl.Restart(context.Background(), 2); err != nil {
 				t.Fatal(err)
 			}
@@ -165,13 +211,17 @@ func TestRecoveryPagesForEveryScheme(t *testing.T) {
 // TestRecoverySourceLostMidStream: the donor vanishes after the first
 // page. The site stays comatose holding a version-monotone partial
 // image, Recover reports ErrAwaitingSites, and the next Recover against
-// a live source finishes the job.
+// a live source finishes the job. Voting has no stream to lose.
 func TestRecoverySourceLostMidStream(t *testing.T) {
 	for _, kind := range allSchemes() {
 		t.Run(kind.String(), func(t *testing.T) {
 			ctx := context.Background()
 			cl, spy, want := pagedCluster(t, kind)
 			spy.setCut(1)
+			if kind == Voting {
+				lazyRecovery(t, cl, spy, want)
+				return
+			}
 			// Restart drives recovery itself and treats "must wait" as no
 			// error: the site is simply still comatose afterwards.
 			if err := cl.Restart(ctx, 2); err != nil {

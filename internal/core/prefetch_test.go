@@ -84,14 +84,19 @@ func awaitSecondPage(watch *laterPages) error {
 	}
 }
 
-// TestRecoveryRequestsNextPageDuringInstall: for every scheme, the
-// request for page k+1 goes out before page k's install returns — the
-// first install waits for it — and the exchange still ends with the
-// donor's copy in three pages.
+// TestRecoveryRequestsNextPageDuringInstall: for both available copy
+// schemes, the request for page k+1 goes out before page k's install
+// returns — the first install waits for it — and the exchange still
+// ends with the donor's copy in three pages. Voting recovers lazily,
+// with no pages to overlap.
 func TestRecoveryRequestsNextPageDuringInstall(t *testing.T) {
 	for _, kind := range allSchemes() {
 		t.Run(kind.String(), func(t *testing.T) {
 			cl, spy, want, gate, watch := gatedCluster(t, kind, false)
+			if kind == Voting {
+				lazyRecovery(t, cl, spy, want)
+				return
+			}
 			installs := 0
 			gate.hook = func() error {
 				if installs++; installs == 1 {
@@ -116,7 +121,8 @@ func TestRecoveryRequestsNextPageDuringInstall(t *testing.T) {
 // TestRecoveryJoinsPageInFlight: when page 1's install fails, or the
 // caller's context is cancelled during it, with page 2's request on the
 // wire, recovery returns only once that call has come back, leaving the
-// site comatose with a version-monotone image.
+// site comatose with a version-monotone image. Voting recovers lazily,
+// with no page in flight to join.
 func TestRecoveryJoinsPageInFlight(t *testing.T) {
 	errInstall := errors.New("install failed")
 	for _, kind := range allSchemes() {
@@ -126,7 +132,11 @@ func TestRecoveryJoinsPageInFlight(t *testing.T) {
 				name = kind.String() + "/cancelled"
 			}
 			t.Run(name, func(t *testing.T) {
-				cl, _, _, gate, watch := gatedCluster(t, kind, true)
+				cl, spy, want, gate, watch := gatedCluster(t, kind, true)
+				if kind == Voting {
+					lazyRecovery(t, cl, spy, want)
+					return
+				}
 				ctx, cancel := context.WithCancel(context.Background())
 				defer cancel()
 				gate.hook = func() error {

@@ -21,8 +21,9 @@ import (
 // immediately and repair lazily; available copy sites repair from any
 // available copy). It returns the new site's id.
 //
-// The new site is a full data copy with weight 1000; witness layouts are
-// fixed at construction.
+// The new site is a full data copy; witness layouts are fixed at
+// construction. Every site's vote weight follows from the new size
+// (DefaultWeights), so growing to an even size keeps §4.1's tie-break.
 func (cl *Cluster) Grow(ctx context.Context) (protocol.SiteID, error) {
 	if cl.cfg.Sites >= protocol.MaxSites {
 		return 0, fmt.Errorf("core: cluster already has the maximum of %d sites", protocol.MaxSites)
@@ -37,7 +38,6 @@ func (cl *Cluster) Grow(ctx context.Context) (protocol.SiteID, error) {
 	rep, err := site.New(site.Config{
 		ID:           id,
 		Store:        st,
-		Weight:       1000,
 		InitialState: protocol.StateComatose,
 	})
 	if err != nil {
@@ -45,7 +45,6 @@ func (cl *Cluster) Grow(ctx context.Context) (protocol.SiteID, error) {
 		return 0, err
 	}
 	cl.cfg.Sites++
-	cl.cfg.Weights = append(cl.cfg.Weights, 1000)
 	cl.replicas = append(cl.replicas, rep)
 	cl.net.Attach(id, rep)
 
@@ -96,7 +95,6 @@ func (cl *Cluster) Remove(ctx context.Context, force bool) error {
 	victim.SetState(protocol.StateFailed)
 	cl.net.SetUp(id, false)
 	cl.cfg.Sites--
-	cl.cfg.Weights = cl.cfg.Weights[:cl.cfg.Sites]
 	cl.replicas = cl.replicas[:cl.cfg.Sites]
 	cl.ctrls = cl.ctrls[:cl.cfg.Sites]
 	cl.devices = cl.devices[:cl.cfg.Sites]

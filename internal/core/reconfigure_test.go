@@ -161,6 +161,28 @@ func TestGrowRaisesVotingQuorum(t *testing.T) {
 	}
 }
 
+// TestReconfigureKeepsTieBreak: a voting cluster that reaches four
+// sites by Grow or by Remove splits two against two exactly like one
+// built with four — site 0's half wins — because every vote weight
+// follows from the current membership.
+func TestReconfigureKeepsTieBreak(t *testing.T) {
+	ctx := context.Background()
+	t.Run("grow-3-to-4", func(t *testing.T) {
+		cl := newTestCluster(t, 3, Voting)
+		if _, err := cl.Grow(ctx); err != nil {
+			t.Fatal(err)
+		}
+		splitEvenly(t, cl)
+	})
+	t.Run("remove-5-to-4", func(t *testing.T) {
+		cl := newTestCluster(t, 5, Voting)
+		if err := cl.Remove(ctx, false); err != nil {
+			t.Fatal(err)
+		}
+		splitEvenly(t, cl)
+	})
+}
+
 func TestRemoveShrinksCluster(t *testing.T) {
 	for _, kind := range allSchemes() {
 		t.Run(kind.String(), func(t *testing.T) {

@@ -1,6 +1,8 @@
 package lint_test
 
 import (
+	"encoding/json"
+	"fmt"
 	"go/ast"
 	"go/build"
 	"go/importer"
@@ -117,32 +119,78 @@ var (
 	codeSpan = regexp.MustCompile("`([^`\n]+)`")
 	selector = regexp.MustCompile(`^\*?([A-Za-z_]\w*)\.([A-Za-z_]\w*)(?:\.([A-Za-z_]\w*))?(?:\(.*\))?$`)
 	goFile   = regexp.MustCompile(`^[\w./-]+\.go$`)
+	section  = regexp.MustCompile(`^#{1,2} `)
+	retired  = regexp.MustCompile(`(?i)\bretired in PR \d+`)
 )
 
+// benchMetrics returns the metric names BENCHMARK.json declares, such as
+// `store.log_bytes_per_live_byte`: dotted like a selector, but names of
+// the benchmark's report, not of the tree.
+func benchMetrics(t *testing.T, root string) map[string]bool {
+	t.Helper()
+	raw, err := os.ReadFile(filepath.Join(root, "BENCHMARK.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var spec struct {
+		EndToEnd []struct{ Name string } `json:"end_to_end"`
+		PerLayer []struct{ Name string } `json:"per_layer"`
+	}
+	if err := json.Unmarshal(raw, &spec); err != nil {
+		t.Fatal(err)
+	}
+	names := map[string]bool{}
+	for _, m := range append(spec.EndToEnd, spec.PerLayer...) {
+		names[m.Name] = true
+	}
+	return names
+}
+
 // TestDocNamesResolve: every backticked `pkg.Ident`, `Type.Method` and
-// `path/file.go` in README.md and DESIGN.md names something that exists
-// in the type-checked tree, so the prose shrinks with the code.
+// `path/file.go` in README.md, DESIGN.md and EXPERIMENTS.md names
+// something that exists in the type-checked tree, so the prose shrinks
+// with the code. A span naming a BENCHMARK.json metric is not a name of
+// the tree. A section (from one `#` or `##` heading to the next) that
+// says its names were "retired in PR N" says so once and is history:
+// its spans are not checked.
 func TestDocNamesResolve(t *testing.T) {
 	m := loadModule(t)
-	for _, doc := range []string{"README.md", "DESIGN.md"} {
+	metrics := benchMetrics(t, m.root)
+	for _, doc := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md"} {
 		raw, err := os.ReadFile(filepath.Join(m.root, doc))
 		if err != nil {
 			t.Fatal(err)
 		}
+		var stale []string // unresolved spans of the current section
+		history := false
+		flush := func() {
+			if !history {
+				for _, msg := range stale {
+					t.Error(msg)
+				}
+			}
+			stale, history = nil, false
+		}
 		for i, line := range strings.Split(string(raw), "\n") {
+			if section.MatchString(line) {
+				flush()
+			}
+			history = history || retired.MatchString(line)
 			for _, match := range codeSpan.FindAllStringSubmatch(line, -1) {
 				span := match[1]
 				switch s := selector.FindStringSubmatch(span); {
+				case metrics[span]:
 				case goFile.MatchString(span):
 					if !slices.ContainsFunc(m.files, func(f string) bool { return f == span || strings.HasSuffix(f, "/"+span) }) {
-						t.Errorf("%s:%d: `%s` names no file of the tree", doc, i+1, span)
+						stale = append(stale, fmt.Sprintf("%s:%d: `%s` names no file of the tree", doc, i+1, span))
 					}
 				case s != nil:
 					if ours, ok := m.resolve(s[1], s[2], s[3]); ours && !ok {
-						t.Errorf("%s:%d: `%s` names nothing in package or type %s", doc, i+1, span, s[1])
+						stale = append(stale, fmt.Sprintf("%s:%d: `%s` names nothing in package or type %s", doc, i+1, span, s[1]))
 					}
 				}
 			}
 		}
+		flush()
 	}
 }

@@ -130,7 +130,6 @@ func AppendRequest(dst []byte, from SiteID, trace SpanContext, req Request) ([]b
 		b = appendU32(b, uint32(q.Block))
 		b = appendU64(b, uint64(q.Version))
 		b = appendBool(b, q.HasW)
-		b = appendBool(b, q.ReplaceW)
 		b = appendU64(b, uint64(q.WasAvail))
 		b = appendBytes(b, q.Data)
 	case PrepareWriteRequest:
@@ -177,7 +176,6 @@ func AppendResponse(dst []byte, resp Response, code uint8, text string) ([]byte,
 	case VoteReply:
 		kind = kindVoteReply
 		b = appendU64(b, uint64(p.Version))
-		b = appendU64(b, uint64(p.Weight))
 		b = append(b, byte(p.State))
 		b = appendBool(b, p.Witness)
 	case FetchReply:
@@ -189,7 +187,6 @@ func AppendResponse(dst []byte, resp Response, code uint8, text string) ([]byte,
 	case PrepareWriteReply:
 		kind = kindPrepareWriteReply
 		b = appendU64(b, uint64(p.Version))
-		b = appendU64(b, uint64(p.Weight))
 		b = append(b, byte(p.State))
 		b = appendBool(b, p.Witness)
 		b = appendBool(b, p.Staged)
@@ -198,7 +195,6 @@ func AppendResponse(dst []byte, resp Response, code uint8, text string) ([]byte,
 	case StatusReply:
 		kind = kindStatusReply
 		b = append(b, byte(p.State))
-		b = appendBool(b, p.Witness)
 		b = appendU64(b, uint64(p.WasAvail))
 		b = appendU64(b, p.VersionSum)
 	case RecoveryReply:
@@ -358,7 +354,6 @@ func DecodeRequest(b []byte) (from SiteID, trace SpanContext, req Request, err e
 			Block:    block.Index(r.u32()),
 			Version:  block.Version(r.u64()),
 			HasW:     r.flag(),
-			ReplaceW: r.flag(),
 			WasAvail: SiteSet(r.u64()),
 			Data:     r.bytes(),
 		}
@@ -406,7 +401,6 @@ func DecodeResponse(b []byte, alias bool) (resp Response, code uint8, text strin
 	case kindVoteReply:
 		resp = VoteReply{
 			Version: block.Version(r.u64()),
-			Weight:  int64(r.u64()),
 			State:   SiteState(r.u8()),
 			Witness: r.flag(),
 		}
@@ -417,7 +411,6 @@ func DecodeResponse(b []byte, alias bool) (resp Response, code uint8, text strin
 	case kindPrepareWriteReply:
 		resp = PrepareWriteReply{
 			Version: block.Version(r.u64()),
-			Weight:  int64(r.u64()),
 			State:   SiteState(r.u8()),
 			Witness: r.flag(),
 			Staged:  r.flag(),
@@ -427,7 +420,6 @@ func DecodeResponse(b []byte, alias bool) (resp Response, code uint8, text strin
 	case kindStatusReply:
 		resp = StatusReply{
 			State:      SiteState(r.u8()),
-			Witness:    r.flag(),
 			WasAvail:   SiteSet(r.u64()),
 			VersionSum: r.u64(),
 		}

@@ -31,7 +31,7 @@ func requestCases() []reqCase {
 		{name: "fetch", from: 2, req: FetchRequest{Block: 9}},
 		{name: "put", from: 1, trace: trace, req: PutRequest{Block: 3, Data: data, Version: 11}},
 		{name: "put/full-W", from: 4, req: PutRequest{Block: 3, Data: data, Version: ^block.Version(0),
-			HasW: true, WasAvail: FullSet(MaxSites), ReplaceW: true}},
+			HasW: true, WasAvail: FullSet(MaxSites)}},
 		{name: "put/nil-data", from: 1, req: PutRequest{Block: 1, Version: 2, HasW: true, WasAvail: NewSiteSet(0, 2)}},
 		{name: "put/empty-data", from: 1, req: PutRequest{Block: 1, Data: []byte{}, Version: 2},
 			want: PutRequest{Block: 1, Version: 2}},
@@ -65,16 +65,16 @@ func responseCases() []respCase {
 		{Index: ^block.Index(0), Data: []byte{1}, Version: ^block.Version(0)},
 	}
 	cases := []respCase{
-		{name: "vote-reply", resp: VoteReply{Version: 5, Weight: 1001, State: StateAvailable, Witness: true}},
-		{name: "vote-reply/negative-weight", resp: VoteReply{Weight: -1, State: StateComatose}},
+		{name: "vote-reply", resp: VoteReply{Version: 5, State: StateAvailable, Witness: true}},
+		{name: "vote-reply/comatose", resp: VoteReply{State: StateComatose}},
 		{name: "fetch-reply", resp: FetchReply{Data: data, Version: 5}},
 		{name: "fetch-reply/nil-data", resp: FetchReply{Version: 5}},
 		{name: "fetch-reply/empty-data", resp: FetchReply{Data: []byte{}, Version: 5}, want: FetchReply{Version: 5}},
 		{name: "put-reply", resp: PutReply{}},
-		{name: "prepare-write-reply", resp: PrepareWriteReply{Version: 8, Weight: 1000, State: StateAvailable, Staged: true}},
-		{name: "prepare-write-reply/witness", resp: PrepareWriteReply{Version: 8, Weight: 999, State: StateAvailable, Witness: true}},
+		{name: "prepare-write-reply", resp: PrepareWriteReply{Version: 8, State: StateAvailable, Staged: true}},
+		{name: "prepare-write-reply/witness", resp: PrepareWriteReply{Version: 8, State: StateAvailable, Witness: true}},
 		{name: "abort-write-reply", resp: AbortWriteReply{}},
-		{name: "status-reply", resp: StatusReply{State: StateComatose, WasAvail: FullSet(MaxSites), VersionSum: ^uint64(0), Witness: true}},
+		{name: "status-reply", resp: StatusReply{State: StateComatose, WasAvail: FullSet(MaxSites), VersionSum: ^uint64(0)}},
 		{name: "status-reply/empty-W", resp: StatusReply{State: StateAvailable}},
 		{name: "recovery-reply", resp: RecoveryReply{Vector: block.Vector{1, 2, 3}, Blocks: blocks, WasAvail: NewSiteSet(0, 1, 63)}},
 		{name: "recovery-reply/paged", resp: RecoveryReply{Vector: block.Vector{9}, Blocks: blocks[:1], More: true, Next: 4096}},

@@ -7,8 +7,7 @@ import (
 )
 
 // VoteRequest asks a site for its vote on one block (Figures 3 and 4):
-// the site answers with the block's version number and the weight
-// assigned to the site.
+// the site answers with the block's version number.
 type VoteRequest struct {
 	Block block.Index
 }
@@ -16,14 +15,11 @@ type VoteRequest struct {
 // Kind implements Request.
 func (VoteRequest) Kind() string { return "vote" }
 
-// VoteReply is a site's vote.
+// VoteReply is a site's vote. Its weight is not on the wire: the
+// coordinator counts each vote from its own weight table.
 type VoteReply struct {
 	Version block.Version
-	// Weight is the site's voting weight in thousandths, so that the
-	// even-n tie-breaking adjustment of §4.1 (one copy's weight nudged by
-	// a small quantity) is representable exactly.
-	Weight int64
-	State  SiteState
+	State   SiteState
 	// Witness marks a site that votes with version numbers but stores no
 	// block data ([10]); witnesses cannot serve fetches or repairs.
 	Witness bool
@@ -54,7 +50,7 @@ func (FetchReply) RespKind() string { return "fetch-reply" }
 // (voting: send_block(Q, k, B, v); available copy: the write broadcast).
 //
 // For the available copy schemes the request piggybacks the writer's
-// current was-available set; recipients replace their stored set with it
+// current was-available set; recipients merge it into their stored set
 // (§3.2: the information may be delayed by one write, which is how the
 // atomic broadcast assumption is relaxed).
 type PutRequest struct {
@@ -64,11 +60,6 @@ type PutRequest struct {
 	// HasW indicates WasAvail is meaningful (available copy scheme only).
 	HasW     bool
 	WasAvail SiteSet
-	// ReplaceW makes the receiver replace its stored was-available set
-	// with WasAvail (plus itself and the writer) instead of merging. Set
-	// only by the immediate-W ablation, where the coordinator knows the
-	// exact recipient set.
-	ReplaceW bool
 }
 
 // Kind implements Request.
@@ -102,7 +93,6 @@ func (PrepareWriteRequest) Kind() string { return "prepare-write" }
 type PrepareWriteReply struct {
 	// Version is the responder's version *before* any install: its vote.
 	Version block.Version
-	Weight  int64
 	State   SiteState
 	Witness bool
 	// Staged reports that the proposal was installed. Comatose sites and
@@ -154,9 +144,6 @@ type StatusReply struct {
 	// VersionSum is the responder's whole-device currency measure
 	// (Figures 5-6 compare sites by version(t)).
 	VersionSum uint64
-	// Witness marks a voting witness; witnesses cannot serve as repair
-	// sources since they hold no data.
-	Witness bool
 }
 
 // RespKind implements Response.

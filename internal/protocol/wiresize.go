@@ -18,19 +18,19 @@ func WireSize(msg interface{}) int {
 	case VoteRequest:
 		return wireHeader + 4
 	case VoteReply:
-		return wireHeader + 8 + 8 + 1 + 1
+		return wireHeader + 8 + 1 + 1
 	case FetchRequest:
 		return wireHeader + 4
 	case FetchReply:
 		return wireHeader + 8 + len(m.Data)
 	case PutRequest:
-		return wireHeader + 4 + 8 + 8 + 2 + len(m.Data)
+		return wireHeader + 4 + 8 + 8 + 1 + len(m.Data)
 	case PutReply:
 		return wireHeader
 	case PrepareWriteRequest:
 		return wireHeader + 4 + 8 + len(m.Data)
 	case PrepareWriteReply:
-		return wireHeader + 8 + 8 + 1 + 1 + 1
+		return wireHeader + 8 + 1 + 1 + 1
 	case AbortWriteRequest:
 		return wireHeader + 4 + 8
 	case AbortWriteReply:
@@ -38,7 +38,7 @@ func WireSize(msg interface{}) int {
 	case StatusRequest:
 		return wireHeader
 	case StatusReply:
-		return wireHeader + 8 + 8 + 1 + 1
+		return wireHeader + 8 + 8 + 1
 	case RecoveryRequest:
 		return wireHeader + 1 + 8*len(m.Vector) + 4 + 4
 	case RecoveryReply:

@@ -89,7 +89,7 @@ func TestRoundTripAllMessageTypes(t *testing.T) {
 	if err != nil {
 		t.Fatalf("vote: %v", err)
 	}
-	if v := resp.(protocol.VoteReply); v.Version != 5 || v.Weight != 1000 {
+	if v := resp.(protocol.VoteReply); v.Version != 5 || v.State != protocol.StateAvailable {
 		t.Fatalf("vote reply = %+v", v)
 	}
 	resp, err = cli.Fetch(ctx, 0, 1, protocol.FetchRequest{Block: 2})

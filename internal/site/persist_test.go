@@ -46,16 +46,14 @@ func TestPutPersistsOnlyChangedW(t *testing.T) {
 	}
 
 	puts := []struct {
-		from    protocol.SiteID
-		w       protocol.SiteSet
-		replace bool
+		from protocol.SiteID
+		w    protocol.SiteSet
 	}{
-		{0, protocol.NewSiteSet(0), false},       // {} -> {0,1}
-		{0, protocol.NewSiteSet(0, 1), false},    // unchanged
-		{2, protocol.NewSiteSet(0, 1), false},    // -> {0,1,2}
-		{2, protocol.NewSiteSet(0, 1, 2), false}, // unchanged
-		{0, protocol.NewSiteSet(0), true},        // replaced: -> {0,1}
-		{0, protocol.NewSiteSet(0), true},        // unchanged
+		{0, protocol.NewSiteSet(0)},       // {} -> {0,1}
+		{0, protocol.NewSiteSet(0, 1)},    // unchanged
+		{2, protocol.NewSiteSet(0, 1)},    // -> {0,1,2}
+		{2, protocol.NewSiteSet(0, 1, 2)}, // unchanged
+		{0, protocol.NewSiteSet(0)},       // a smaller set merges: unchanged
 	}
 	// cuts[i] is a record boundary and the W_s a log cut there holds.
 	type cut struct {
@@ -66,7 +64,7 @@ func TestPutPersistsOnlyChangedW(t *testing.T) {
 	var persisted protocol.SiteSet
 	for i, p := range puts {
 		before := logLen()
-		req := protocol.PutRequest{Block: block.Index(i), Data: pad("p"), Version: 1, HasW: true, WasAvail: p.w, ReplaceW: p.replace}
+		req := protocol.PutRequest{Block: block.Index(i), Data: pad("p"), Version: 1, HasW: true, WasAvail: p.w}
 		if _, err := r.Handle(context.Background(), p.from, req); err != nil {
 			t.Fatal(err)
 		}

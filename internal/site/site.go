@@ -1,11 +1,11 @@
 // Package site implements a replica server: one of the n server
 // processes that together realise the reliable device (§2).
 //
-// A Replica owns a versioned block store (stable storage), a voting
-// weight, the §3.2 site state (failed / comatose / available) and the
-// was-available set of the available copy scheme. It serves the inter-site
-// protocol: votes, block fetches, block installs, status queries and the
-// recovery version-vector exchange. The consistency *policy* lives in the
+// A Replica owns a versioned block store (stable storage), the §3.2 site
+// state (failed / comatose / available) and the was-available set of
+// the available copy scheme. It serves the inter-site protocol: votes,
+// block fetches, block installs, status queries and the recovery
+// version-vector exchange. The consistency *policy* lives in the
 // scheme packages (voting, availcopy, naiveac); the Replica is the
 // mechanism they all share.
 package site
@@ -44,7 +44,6 @@ var (
 // Replica is one site's server process plus its stable storage.
 type Replica struct {
 	id      protocol.SiteID
-	weight  int64
 	witness bool
 
 	mu       sync.Mutex
@@ -86,10 +85,6 @@ type Config struct {
 	ID protocol.SiteID
 	// Store is the site's stable storage.
 	Store store.Store
-	// Weight is the site's voting weight in thousandths (1000 = one
-	// vote). Zero means 1000. §4.1 breaks even-n ties by nudging one
-	// site's weight by a small quantity.
-	Weight int64
 	// InitialState is the state the replica starts in; zero means
 	// StateAvailable (a freshly formatted, consistent copy).
 	InitialState protocol.SiteState
@@ -108,15 +103,11 @@ func New(cfg Config) (*Replica, error) {
 	if cfg.ID < 0 || cfg.ID >= protocol.MaxSites {
 		return nil, fmt.Errorf("site: id %d out of range [0,%d)", cfg.ID, protocol.MaxSites)
 	}
-	w := cfg.Weight
-	if w == 0 {
-		w = 1000
-	}
 	st := cfg.InitialState
 	if st == 0 {
 		st = protocol.StateAvailable
 	}
-	r := &Replica{id: cfg.ID, weight: w, witness: cfg.Witness, st: cfg.Store, state: st}
+	r := &Replica{id: cfg.ID, witness: cfg.Witness, st: cfg.Store, state: st}
 	meta, err := cfg.Store.LoadMeta()
 	if err != nil {
 		return nil, fmt.Errorf("load replica meta: %w", err)
@@ -129,9 +120,6 @@ func New(cfg Config) (*Replica, error) {
 
 // ID returns the site identity.
 func (r *Replica) ID() protocol.SiteID { return r.id }
-
-// Weight returns the voting weight in thousandths.
-func (r *Replica) Weight() int64 { return r.weight }
 
 // Witness reports whether this site is a witness: it votes with version
 // numbers but holds no block data.
@@ -312,7 +300,7 @@ func (r *Replica) Handle(ctx context.Context, from protocol.SiteID, req protocol
 		if err != nil {
 			return nil, err
 		}
-		return protocol.VoteReply{Version: ver, Weight: r.weight, State: state, Witness: r.witness}, nil
+		return protocol.VoteReply{Version: ver, State: state, Witness: r.witness}, nil
 
 	case protocol.FetchRequest:
 		data, ver, err := r.st.Read(q.Block)
@@ -343,7 +331,7 @@ func (r *Replica) Handle(ctx context.Context, from protocol.SiteID, req protocol
 			// under one lock hold: puts for distinct blocks arrive
 			// concurrently, and a lost merge could shrink W below the set
 			// of sites holding newer data.
-			if err := r.applyWasAvailFromWrite(q.WasAvail, from, q.ReplaceW); err != nil {
+			if err := r.applyWasAvailFromWrite(q.WasAvail, from); err != nil {
 				return nil, err
 			}
 		}
@@ -362,7 +350,6 @@ func (r *Replica) Handle(ctx context.Context, from protocol.SiteID, req protocol
 			State:      r.state,
 			WasAvail:   r.wasAvail,
 			VersionSum: r.st.Vector().Sum(),
-			Witness:    r.witness,
 		}, nil
 
 	case protocol.RecoveryRequest:
@@ -387,7 +374,7 @@ func (r *Replica) Handle(ctx context.Context, from protocol.SiteID, req protocol
 
 // handlePrepareWrite serves the fast write path's combined
 // vote-and-stage request (DESIGN.md §12). The reply always carries the
-// site's vote — the version *before* any install, plus weight and
+// site's vote — the version *before* any install, plus state and
 // witness flag, exactly like a VoteReply — so the coordinator's quorum
 // arithmetic is unchanged. The proposal is installed only when the site
 // may hold data (available, not a witness) and the proposed version
@@ -407,7 +394,7 @@ func (r *Replica) handlePrepareWrite(state protocol.SiteState, from protocol.Sit
 	if err != nil {
 		return nil, err
 	}
-	reply := protocol.PrepareWriteReply{Version: ver, Weight: r.weight, State: state, Witness: r.witness}
+	reply := protocol.PrepareWriteReply{Version: ver, State: state, Witness: r.witness}
 	// A comatose site votes (its version numbers are genuine) but must
 	// not accept data, mirroring how it answers VoteRequest yet rejects
 	// PutRequest. A witness never stages either: a fast commit would
@@ -483,15 +470,10 @@ func (r *Replica) handleAbortWrite(from protocol.SiteID, q protocol.AbortWriteRe
 	return protocol.AbortWriteReply{}, nil
 }
 
-func (r *Replica) applyWasAvailFromWrite(piggyback protocol.SiteSet, writer protocol.SiteID, replace bool) error {
+func (r *Replica) applyWasAvailFromWrite(piggyback protocol.SiteSet, writer protocol.SiteID) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	next := r.wasAvail.Union(piggyback).Add(r.id).Add(writer)
-	if replace {
-		// The coordinator asserts it knows the exact recipient set.
-		next = piggyback.Add(r.id).Add(writer)
-	}
-	return r.setWasAvailLocked(next)
+	return r.setWasAvailLocked(r.wasAvail.Union(piggyback).Add(r.id).Add(writer))
 }
 
 // recoveryBudgetBytes is the payload budget of one recovery page: the

@@ -44,9 +44,6 @@ func TestNewValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Weight() != 1000 {
-		t.Fatalf("default weight = %d, want 1000", r.Weight())
-	}
 	if r.State() != protocol.StateAvailable {
 		t.Fatalf("default state = %v, want available", r.State())
 	}
@@ -65,7 +62,7 @@ func TestHandleVote(t *testing.T) {
 	if !ok {
 		t.Fatalf("resp = %T", resp)
 	}
-	if vote.Version != 9 || vote.Weight != 1000 || vote.State != protocol.StateAvailable {
+	if vote.Version != 9 || vote.State != protocol.StateAvailable {
 		t.Fatalf("vote = %+v", vote)
 	}
 }

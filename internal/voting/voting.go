@@ -14,7 +14,6 @@ import (
 	"errors"
 	"fmt"
 
-	"relidev/internal/availcopy"
 	"relidev/internal/block"
 	"relidev/internal/protocol"
 	"relidev/internal/scheme"
@@ -24,48 +23,29 @@ import (
 // Option customises a Controller.
 type Option func(*Controller)
 
-// WithThresholds overrides the read and write quorum thresholds, in
-// thousandths of a vote. A quorum is present when the collected weight is
-// strictly greater than the threshold. Gifford's constraints require
-// read+write thresholds >= total weight and 2*write threshold >= total
-// weight; New rejects violations.
-func WithThresholds(read, write int64) Option {
-	return func(c *Controller) {
-		c.readThreshold = read
-		c.writeThreshold = write
-	}
-}
-
 // WithTwoRoundWrites restores the literal Figure 4 write: a vote
 // collection round followed by a separate put fan-out. By default the
 // controller uses the pipelined single-round write path (DESIGN.md
 // §12), which ships the proposed version and the data in one combined
 // prepare-write broadcast and falls back to this two-round shape only
 // on version conflict or when a witness is in the quorum. The option
-// exists for the §5 traffic-model rigs and ablation benchmarks, whose
-// per-write transmission counts assume the paper's exact message
-// sequence.
+// exists for the §5 traffic-model rigs, whose per-write transmission
+// counts assume the paper's exact message sequence.
 func WithTwoRoundWrites() Option {
 	return func(c *Controller) { c.twoRound = true }
 }
 
-// WithEagerRecovery makes Recover bring every local block up to date
-// immediately by running a version-vector exchange against the most
-// current reachable site. This is the file-level behaviour the paper
-// argues block-level replication renders unnecessary; it exists for the
-// ablation benchmarks (DESIGN.md §5).
-func WithEagerRecovery() Option {
-	return func(c *Controller) { c.eager = true }
-}
-
 // Controller is the voting consistency engine at one site.
 type Controller struct {
-	env            scheme.Env
-	remotes        []protocol.SiteID // every site but Self, fixed at construction
-	readThreshold  int64
-	writeThreshold int64
-	eager          bool
-	twoRound       bool
+	env     scheme.Env
+	remotes []protocol.SiteID // every site but Self, fixed at construction
+	// weight is the vote of each site, indexed by id, copied from
+	// env.Weights: the one record of who counts for how much.
+	weight [protocol.MaxSites]int64
+	// threshold is half the total weight; a read or write quorum holds
+	// when the collected weight strictly exceeds it.
+	threshold int64
+	twoRound  bool
 
 	// locks serialises same-block operations issued at this site while
 	// letting distinct blocks proceed concurrently; recovery excludes all
@@ -77,10 +57,11 @@ type Controller struct {
 
 var _ scheme.Controller = (*Controller)(nil)
 
-// New builds a voting controller. By default both quorums are simple
-// majorities of the total weight: a quorum holds when the collected
-// weight strictly exceeds half the total. With the even-n tie-breaking
-// weight adjustment of §4.1 applied by the caller, draws are impossible.
+// New builds a voting controller. Both quorums are simple majorities of
+// the total weight: a quorum holds when the collected weight strictly
+// exceeds half the total, so any two quorums intersect. With the even-n
+// tie-breaking weight adjustment of §4.1 applied by the caller, draws
+// are impossible.
 func New(env scheme.Env, opts ...Option) (*Controller, error) {
 	if err := env.Validate(); err != nil {
 		return nil, err
@@ -88,27 +69,15 @@ func New(env scheme.Env, opts ...Option) (*Controller, error) {
 	if env.Weights == nil {
 		return nil, fmt.Errorf("voting: env requires site weights")
 	}
-	total := env.TotalWeight()
-	c := &Controller{
-		env:            env,
-		remotes:        env.Remotes(),
-		readThreshold:  total / 2,
-		writeThreshold: total / 2,
+	c := &Controller{env: env, remotes: env.Remotes(), threshold: env.TotalWeight() / 2}
+	for i, id := range env.Sites {
+		if id < 0 || id >= protocol.MaxSites {
+			return nil, fmt.Errorf("voting: site id %v out of range [0,%d)", id, protocol.MaxSites)
+		}
+		c.weight[id] = env.Weights[i]
 	}
 	for _, opt := range opts {
 		opt(c)
-	}
-	// A quorum holds with collected weight strictly greater than the
-	// threshold, i.e. weight >= threshold+1. Gifford's intersection
-	// constraints (read+write quorums overlap; any two write quorums
-	// overlap) therefore become:
-	if c.readThreshold+c.writeThreshold < total-1 {
-		return nil, fmt.Errorf("voting: read+write thresholds %d+%d cannot guarantee quorum intersection over total weight %d",
-			c.readThreshold, c.writeThreshold, total)
-	}
-	if 2*c.writeThreshold < total-1 {
-		return nil, fmt.Errorf("voting: write threshold %d cannot guarantee write-quorum intersection over total weight %d",
-			c.writeThreshold, total)
 	}
 	return c, nil
 }
@@ -126,7 +95,6 @@ var ErrNoCurrentCopy = errors.New("voting: no reachable current data copy")
 type vote struct {
 	from    protocol.SiteID
 	version block.Version
-	weight  int64
 	witness bool
 }
 
@@ -140,10 +108,10 @@ type ballot struct {
 	staged    int64 // weight of the remote sites that installed a prepare-write
 }
 
-func (b *ballot) add(v vote) {
+func (b *ballot) add(v vote, weight int64) {
 	b.votes[b.n] = v
 	b.n++
-	b.weight += v.weight
+	b.weight += weight
 	if v.witness {
 		b.witnesses++
 	}
@@ -169,18 +137,18 @@ func (c *Controller) collect(ctx context.Context, b *ballot, idx block.Index, st
 	} else {
 		req = protocol.PrepareWriteRequest{Block: idx, Data: stage, Version: proposed}
 	}
-	b.add(vote{from: self.ID(), version: localVer, weight: self.Weight(), witness: self.Witness()})
+	b.add(vote{from: self.ID(), version: localVer, witness: self.Witness()}, c.weight[self.ID()])
 	for id, res := range c.env.Transport.Broadcast(ctx, self.ID(), c.remotes, req) {
 		if res.Err != nil {
 			continue // unreachable or failed site: no vote
 		}
 		switch reply := res.Resp.(type) {
 		case protocol.VoteReply:
-			b.add(vote{from: id, version: reply.Version, weight: reply.Weight, witness: reply.Witness})
+			b.add(vote{from: id, version: reply.Version, witness: reply.Witness}, c.weight[id])
 		case protocol.PrepareWriteReply:
-			b.add(vote{from: id, version: reply.Version, weight: reply.Weight, witness: reply.Witness})
+			b.add(vote{from: id, version: reply.Version, witness: reply.Witness}, c.weight[id])
 			if reply.Staged {
-				b.staged += reply.Weight
+				b.staged += c.weight[id]
 			}
 		default:
 			return 0, fmt.Errorf("voting: site %v answered %T to a %s", id, res.Resp, req.Kind())
@@ -230,9 +198,9 @@ func (c *Controller) Read(ctx context.Context, idx block.Index) (_ []byte, err e
 	}
 	votes, weight := b.votes[:b.n], b.weight
 	ob.QuorumAssembled(protocol.OpRead, idx, len(votes), weight)
-	if weight <= c.readThreshold {
+	if weight <= c.threshold {
 		return nil, fmt.Errorf("voting read of %v: collected weight %d of %d required: %w",
-			idx, weight, c.readThreshold+1, scheme.ErrNoQuorum)
+			idx, weight, c.threshold+1, scheme.ErrNoQuorum)
 	}
 	op.Participants = len(votes)
 	best := maxVote(votes)
@@ -301,7 +269,7 @@ func (c *Controller) Write(ctx context.Context, idx block.Index, data []byte) (e
 	}
 	votes, weight := b.votes[:b.n], b.weight
 	ob.QuorumAssembled(protocol.OpWrite, idx, len(votes), weight)
-	if weight <= c.writeThreshold {
+	if weight <= c.threshold {
 		// On the single-round path some sites staged the proposal before
 		// the quorum check failed. Abort them so the failure leaves no
 		// trace — exactly like a failed Figure 4 vote round, whose data
@@ -311,7 +279,7 @@ func (c *Controller) Write(ctx context.Context, idx block.Index, data []byte) (e
 			c.abortStaged(ctx, idx, proposed)
 		}
 		return fmt.Errorf("voting write of %v: collected weight %d of %d required: %w",
-			idx, weight, c.writeThreshold+1, scheme.ErrNoQuorum)
+			idx, weight, c.threshold+1, scheme.ErrNoQuorum)
 	}
 	op.Participants = len(votes)
 
@@ -360,15 +328,15 @@ func (c *Controller) abortStaged(ctx context.Context, idx block.Index, proposed 
 // path.
 func (c *Controller) commitFast(ctx context.Context, idx block.Index, data []byte, staged int64, proposed block.Version) (committed bool, err error) {
 	c.env.Obs.VersionResolved(protocol.OpWrite, idx, proposed)
-	installed := c.env.Self.Weight() + staged
-	if installed <= c.writeThreshold {
+	installed := c.weight[c.env.Self.ID()] + staged
+	if installed <= c.threshold {
 		// Enough sites voted but too few staged (comatose voters hold
 		// weight back from the install). The local copy is untouched at
 		// this point, so aborting the remote stages makes the failure as
 		// clean as a failed vote round.
 		c.abortStaged(ctx, idx, proposed)
 		return true, fmt.Errorf("voting write of %v: update staged at weight %d of %d required: %w",
-			idx, installed, c.writeThreshold+1, scheme.ErrNoQuorum)
+			idx, installed, c.threshold+1, scheme.ErrNoQuorum)
 	}
 	// The no-conflict check covers the coordinator's own vote, so self is
 	// a non-witness data site and the new version never lives only on
@@ -415,12 +383,10 @@ func (c *Controller) finishTwoRound(ctx context.Context, idx block.Index, data [
 	// current. Acknowledgements ride on the reliable delivery assumption
 	// (Notify): §5.1 charges the update as a single broadcast.
 	quorum := make([]protocol.SiteID, 0, len(votes)-1)
-	weightOf := make(map[protocol.SiteID]int64, len(votes))
 	for _, v := range votes {
 		if v.from != c.env.Self.ID() {
 			quorum = append(quorum, v.from)
 		}
-		weightOf[v.from] = v.weight
 	}
 	put := protocol.PutRequest{Block: idx, Data: data, Version: newVer}
 	// Install locally before the fan-out: even if the write ends up
@@ -433,12 +399,12 @@ func (c *Controller) finishTwoRound(ctx context.Context, idx block.Index, data [
 	if ok, err := c.env.Self.StageLocal(idx, data, newVer); err != nil {
 		return fmt.Errorf("voting write of %v: %w", idx, err)
 	} else if ok {
-		installed = c.env.Self.Weight()
+		installed = c.weight[c.env.Self.ID()]
 	}
 	for id, res := range c.env.Transport.Notify(ctx, c.env.Self.ID(), quorum, put) {
 		switch {
 		case res.Err == nil:
-			installed += weightOf[id]
+			installed += c.weight[id]
 		case scheme.IsTransportError(res.Err):
 			// The site voted but the update did not (provably) arrive —
 			// it crashed in between, or the message was lost on an
@@ -453,13 +419,13 @@ func (c *Controller) finishTwoRound(ctx context.Context, idx block.Index, data [
 			return fmt.Errorf("voting write of %v at site %v: %w", idx, id, res.Err)
 		}
 	}
-	if installed <= c.writeThreshold {
+	if installed <= c.threshold {
 		// The update landed on fewer sites than a write quorum. The
 		// write is indeterminate: some copies hold the new version (a
 		// later write will build on it), but the caller must not treat
 		// it as committed.
 		return fmt.Errorf("voting write of %v: update installed at weight %d of %d required: %w",
-			idx, installed, c.writeThreshold+1, scheme.ErrNoQuorum)
+			idx, installed, c.threshold+1, scheme.ErrNoQuorum)
 	}
 	// The §5 conformance checker separates the two write shapes: a
 	// two-round write costs one extra put broadcast (multicast) or u-1
@@ -471,41 +437,12 @@ func (c *Controller) finishTwoRound(ctx context.Context, idx block.Index, data [
 // Recover implements the block-level voting recovery policy: nothing.
 // Out-of-date blocks are repaired lazily on access; the restarted site is
 // immediately operational because quorum intersection protects readers
-// from its stale copies. With WithEagerRecovery the controller instead
-// refreshes the whole device from the most current reachable site, which
-// is the file-level behaviour the paper improves upon.
+// from its stale copies, so recovery puts no message on the wire (§5.1).
 func (c *Controller) Recover(ctx context.Context) (err error) {
 	op := c.locks.BeginRecovery(c.env.Obs)
 	defer op.End(&err)
-	ctx = op.Start(ctx)
+	op.Start(ctx)
 	op.Participants = 1
-	self := c.env.Self
-	if !c.eager {
-		self.SetState(protocol.StateAvailable)
-		return nil
-	}
-
-	// Eager (ablation): find the most current reachable site and run the
-	// version-vector exchange against it.
-	results := c.env.Transport.Broadcast(ctx, self.ID(), c.remotes, protocol.StatusRequest{})
-	var best protocol.SiteID = -1
-	var bestSum uint64
-	for id, res := range results {
-		if res.Err != nil {
-			continue
-		}
-		op.Participants++
-		st, ok := res.Resp.(protocol.StatusReply)
-		if !ok || st.Witness {
-			continue // witnesses cannot supply blocks
-		}
-		if best == -1 || st.VersionSum > bestSum {
-			best, bestSum = id, st.VersionSum
-		}
-	}
-	if best == -1 || bestSum <= self.VersionSum() {
-		self.SetState(protocol.StateAvailable)
-		return nil
-	}
-	return availcopy.Exchange(ctx, c.env, best, false)
+	c.env.Self.SetState(protocol.StateAvailable)
+	return nil
 }

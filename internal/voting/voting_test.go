@@ -44,7 +44,7 @@ func newRig(t *testing.T, n int, mode simnet.Mode, opts ...Option) *rig {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rep, err := site.New(site.Config{ID: ids[i], Store: st, Weight: weights[i]})
+		rep, err := site.New(site.Config{ID: ids[i], Store: st})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -181,31 +181,6 @@ func TestRecoveryGeneratesNoTraffic(t *testing.T) {
 	}
 	if st := r.net.Stats(); st.Transmissions != 0 {
 		t.Fatalf("lazy recovery cost %d transmissions, want 0", st.Transmissions)
-	}
-}
-
-func TestEagerRecoveryAblation(t *testing.T) {
-	r := newRig(t, 3, simnet.Multicast, WithEagerRecovery())
-	ctx := context.Background()
-	r.fail(2)
-	for i := 0; i < testGeom.NumBlocks; i++ {
-		if err := r.ctrls[0].Write(ctx, block.Index(i), pad("new")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	r.restart(2)
-	r.net.ResetStats()
-	if err := r.ctrls[2].Recover(ctx); err != nil {
-		t.Fatal(err)
-	}
-	// Eager recovery refreshed every block immediately.
-	for i := 0; i < testGeom.NumBlocks; i++ {
-		if ver, _ := r.replicas[2].VersionLocal(block.Index(i)); ver != 1 {
-			t.Fatalf("block %d version = %v, want 1", i, ver)
-		}
-	}
-	if st := r.net.Stats(); st.Transmissions == 0 {
-		t.Fatal("eager recovery cost no traffic")
 	}
 }
 
@@ -366,45 +341,19 @@ func TestThresholdValidation(t *testing.T) {
 		Sites:     []protocol.SiteID{0, 1, 2},
 		Weights:   []int64{1000, 1000, 1000},
 	}
-	if _, err := New(env, WithThresholds(1000, 1000)); err == nil {
-		t.Fatal("accepted read+write < total")
+	if _, err := New(env); err != nil {
+		t.Fatalf("rejected a weighted env: %v", err)
 	}
-	if _, err := New(env, WithThresholds(2500, 500)); err == nil {
-		t.Fatal("accepted write threshold below half")
+	// A site id the weight table cannot index is rejected, not a panic.
+	env.Sites = []protocol.SiteID{0, 1, protocol.MaxSites}
+	if _, err := New(env); err == nil {
+		t.Fatal("accepted a site id out of range")
 	}
-	// Read-one-write-all is a legal configuration.
-	if _, err := New(env, WithThresholds(0, 3000)); err != nil {
-		t.Fatalf("rejected read-one/write-all: %v", err)
-	}
+	env.Sites = []protocol.SiteID{0, 1, 2}
 	// Missing weights rejected.
 	env.Weights = nil
 	if _, err := New(env); err == nil {
 		t.Fatal("accepted env without weights")
-	}
-}
-
-func TestReadOneWriteAll(t *testing.T) {
-	// With thresholds (0, total-1) reads need only the local copy while
-	// writes need every site.
-	n := 3
-	r := newRig(t, n, simnet.Multicast)
-	ids := []protocol.SiteID{0, 1, 2}
-	weights := []int64{1000, 1000, 1000}
-	ctrl, err := New(scheme.Env{Self: r.replicas[0], Transport: r.net, Sites: ids, Weights: weights},
-		WithThresholds(0, 2999))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
-	if err := ctrl.Write(ctx, 0, pad("row")); err != nil {
-		t.Fatal(err)
-	}
-	r.fail(1)
-	if err := ctrl.Write(ctx, 0, pad("x")); !errors.Is(err, scheme.ErrNoQuorum) {
-		t.Fatalf("write-all with a site down = %v, want ErrNoQuorum", err)
-	}
-	if _, err := ctrl.Read(ctx, 0); err != nil {
-		t.Fatalf("read-one with a site down: %v", err)
 	}
 }
 

@@ -37,7 +37,7 @@ func witnessRig(t *testing.T, nData, nWit int) *rig {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rep, err := site.New(site.Config{ID: ids[i], Store: st, Weight: weights[i], Witness: i >= nData})
+		rep, err := site.New(site.Config{ID: ids[i], Store: st, Witness: i >= nData})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -178,11 +178,7 @@ func OpenRemote(cfg RemoteConfig) (*RemoteSite, error) {
 		ids = append(ids, protocol.SiteID(id))
 	}
 	slices.Sort(ids)
-	// The replica votes with the weight the controllers count for it:
-	// both from DefaultWeights, so the §4.1 tie-break holds over TCP.
-	pos, _ := slices.BinarySearch(ids, self)
-	rs.replica, err = site.New(site.Config{ID: self, Store: st, InitialState: initial,
-		Weight: core.DefaultWeights(len(ids))[pos]})
+	rs.replica, err = site.New(site.Config{ID: self, Store: st, InitialState: initial})
 	if err != nil {
 		st.Close()
 		return nil, err
