@@ -104,7 +104,8 @@ loc-check:
 
 # obs-race runs the serving host's observability surface — the
 # RemoteSite's debug routes and poller, on-demand and unattended seals,
-# interleaved probers on a hand-stepped plane — under the race detector. The packages under internal/obs
+# interleaved probers on a hand-stepped plane, the cross-site trace
+# pull, whole and degraded — under the race detector. The packages under internal/obs
 # are race-tested once, by `make race` / CI's `go test -race ./...`.
 obs-race:
-	$(GO) test -race -run 'TestHealthSurface|TestCriticalPathSurface|TestRemoteObservabilitySurface|TestHostDebugSurfaceParity|TestRemoteBlackBox|TestRemoteCriticalHealthSeals|TestRemotePollerSealsUnattended|TestInterleavedProbersSeeOneVerdict|TestLazyRefreshRaisesNoObjective' .
+	$(GO) test -race -run 'TestHealthSurface|TestCriticalPathSurface|TestRemoteObservabilitySurface|TestHostDebugSurfaceParity|TestRemoteBlackBox|TestRemoteCriticalHealthSeals|TestRemotePollerSealsUnattended|TestInterleavedProbersSeeOneVerdict|TestLazyRefreshRaisesNoObjective|TestTraceTreeSurface|TestClusterTracesDegradeWithSiteDown' .

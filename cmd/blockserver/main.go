@@ -18,14 +18,16 @@
 //
 // Pass -debug-addr to expose the observability surface: /metrics
 // (JSON), /metrics.prom (Prometheus text), /trace (recent protocol
-// events), /profile (critical-path phase attribution), /healthz and /slo
-// (the default objectives' threshold and burn-rate views; each 503 once
-// one of its objectives is critical), /debug/flight (an on-demand
-// black-box dump) and /debug/flight/sealed (the one the first critical
-// objective sealed), /cluster/metrics (every site's registry scraped
-// over the RPC plane and merged into one view), /timeseries (the local
-// telemetry ring; cadence set by -telemetry-step), and the standard
-// /debug/pprof/ handlers. relitop points at this address.
+// events), /trace/tree (this site's stitched span trees), /profile
+// (critical-path phase attribution), /healthz and /slo (the default
+// objectives' threshold and burn-rate views; each 503 once one of its
+// objectives is critical), /debug/flight (an on-demand black-box dump)
+// and /debug/flight/sealed (the one the first critical objective
+// sealed), /cluster/metrics and /trace/cluster (every site's registry,
+// or trace ring, pulled over the RPC plane and merged into one view,
+// or stitched into one span tree per operation), /timeseries (the
+// local telemetry ring; cadence set by -telemetry-step), and the
+// standard /debug/pprof/ handlers. relitop points at this address.
 package main
 
 import (
@@ -57,12 +59,11 @@ func main() {
 		blocks     = flag.Int("blocks", 128, "number of blocks")
 		blockSize  = flag.Int("blocksize", 512, "block size in bytes")
 		comatose   = flag.Bool("comatose", false, "start comatose and run recovery (use after a crash)")
-		debugAddr  = flag.String("debug-addr", "", "serve /metrics, /metrics.prom, /trace and /debug/pprof/ on this address (empty = off)")
-		tracePeers = flag.String("trace-peers", "", "comma-separated peer /trace URLs; mounts /trace/cluster on the debug surface with the cluster-wide stitched view")
+		debugAddr  = flag.String("debug-addr", "", "serve the observability surface (/metrics, /trace, /cluster/metrics, /trace/cluster, /healthz, /debug/pprof/, ...) on this address (empty = off)")
 		teleStep   = flag.Duration("telemetry-step", time.Second, "telemetry sampling and alert evaluation cadence (0 = evaluate only when /healthz or /slo is asked; requires -debug-addr)")
 	)
 	flag.Parse()
-	if err := run(*id, *peersF, *schemeF, *storePath, *storeDir, *commitN, *commitWait, *blocks, *blockSize, *comatose, *debugAddr, *tracePeers, *teleStep); err != nil {
+	if err := run(*id, *peersF, *schemeF, *storePath, *storeDir, *commitN, *commitWait, *blocks, *blockSize, *comatose, *debugAddr, *teleStep); err != nil {
 		fmt.Fprintln(os.Stderr, "blockserver:", err)
 		os.Exit(1)
 	}
@@ -111,7 +112,7 @@ func objectives(scheme relidev.Scheme, n int) []relidev.Objective {
 	return relidev.DefaultObjectives(scheme, n, 0.05)
 }
 
-func run(id int, peersF, schemeF, storePath, storeDir string, commitN int, commitWait time.Duration, blocks, blockSize int, comatose bool, debugAddr, tracePeers string, teleStep time.Duration) error {
+func run(id int, peersF, schemeF, storePath, storeDir string, commitN int, commitWait time.Duration, blocks, blockSize int, comatose bool, debugAddr string, teleStep time.Duration) error {
 	peers, err := parsePeers(peersF)
 	if err != nil {
 		return err
@@ -145,7 +146,7 @@ func run(id int, peersF, schemeF, storePath, storeDir string, commitN int, commi
 		id, storeDesc(storePath, storeDir), site.Addr(), scheme, blockSize, blocks)
 
 	if debugAddr != "" {
-		srv, ln, err := serveDebug(site, debugAddr, splitURLs(tracePeers))
+		srv, ln, err := serveDebug(site, debugAddr)
 		if err != nil {
 			return err
 		}
@@ -185,22 +186,10 @@ func run(id int, peersF, schemeF, storePath, storeDir string, commitN int, commi
 
 // serveDebug mounts the site's observability handler on its own
 // listener and serves it in the background until the server is closed.
-// With peer trace URLs it also mounts /trace/cluster, the cluster-wide
-// stitched span-tree view.
-func serveDebug(site *relidev.RemoteSite, addr string, tracePeers []string) (*http.Server, net.Listener, error) {
+func serveDebug(site *relidev.RemoteSite, addr string) (*http.Server, net.Listener, error) {
 	h, err := site.DebugHandler()
 	if err != nil {
 		return nil, nil, err
-	}
-	if len(tracePeers) > 0 {
-		cluster, err := site.ClusterTraceHandler(tracePeers)
-		if err != nil {
-			return nil, nil, err
-		}
-		mux := http.NewServeMux()
-		mux.Handle("/", h)
-		mux.Handle("/trace/cluster", cluster)
-		h = mux
 	}
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
@@ -209,16 +198,6 @@ func serveDebug(site *relidev.RemoteSite, addr string, tracePeers []string) (*ht
 	srv := &http.Server{Handler: h}
 	go srv.Serve(ln)
 	return srv, ln, nil
-}
-
-func splitURLs(s string) []string {
-	var urls []string
-	for _, part := range strings.Split(s, ",") {
-		if part = strings.TrimSpace(part); part != "" {
-			urls = append(urls, part)
-		}
-	}
-	return urls
 }
 
 func storeDesc(path, dir string) string {

@@ -45,13 +45,13 @@ func TestParseScheme(t *testing.T) {
 }
 
 func TestRunRejectsBadFlags(t *testing.T) {
-	if err := run(0, "", "naive", "", "", 0, 0, 8, 256, false, "", "", 0); err == nil {
+	if err := run(0, "", "naive", "", "", 0, 0, 8, 256, false, "", 0); err == nil {
 		t.Fatal("missing peers accepted")
 	}
-	if err := run(0, "0=127.0.0.1:0", "bogus", "", "", 0, 0, 8, 256, false, "", "", 0); err == nil {
+	if err := run(0, "0=127.0.0.1:0", "bogus", "", "", 0, 0, 8, 256, false, "", 0); err == nil {
 		t.Fatal("bogus scheme accepted")
 	}
-	if err := run(1, "0=127.0.0.1:0", "naive", "", "", 0, 0, 8, 256, false, "", "", 0); err == nil {
+	if err := run(1, "0=127.0.0.1:0", "naive", "", "", 0, 0, 8, 256, false, "", 0); err == nil {
 		t.Fatal("id missing from peer map accepted")
 	}
 }
@@ -105,7 +105,7 @@ func TestDebugSurfaceServesMetrics(t *testing.T) {
 		defer s.Close()
 	}
 
-	srv, ln, err := serveDebug(sites[0], "127.0.0.1:0", nil)
+	srv, ln, err := serveDebug(sites[0], "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,9 +193,9 @@ func TestDebugSurfaceServesMetrics(t *testing.T) {
 // TestClusterTraceStitchesCrossSiteWrite is the distributed-tracing
 // acceptance test: a real three-site TCP deployment with every site
 // metered, one replicated write, then /trace/cluster on the
-// coordinator fetched over actual HTTP. The merged rings must stitch
-// into a single complete span tree for the write, with spans recorded
-// by every participating site.
+// coordinator fetched over actual HTTP, with no peer's debug surface
+// served. The merged rings must stitch into a single complete span
+// tree for the write, with spans recorded by every participating site.
 func TestClusterTraceStitchesCrossSiteWrite(t *testing.T) {
 	ctx := context.Background()
 	geom := relidev.Geometry{BlockSize: 64, NumBlocks: 8}
@@ -231,18 +231,9 @@ func TestClusterTraceStitchesCrossSiteWrite(t *testing.T) {
 		defer s.Close()
 	}
 
-	// Peers serve plain debug surfaces; the coordinator's aggregates
-	// their /trace rings behind /trace/cluster.
-	peerURLs := make([]string, 0, 2)
-	for i := 1; i < 3; i++ {
-		srv, ln, err := serveDebug(sites[i], "127.0.0.1:0", nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer srv.Close()
-		peerURLs = append(peerURLs, "http://"+ln.Addr().String()+"/trace")
-	}
-	srv, ln, err := serveDebug(sites[0], "127.0.0.1:0", peerURLs)
+	// Only the coordinator serves a debug surface: /trace/cluster pulls
+	// the peers' rings over the RPC plane, not over their HTTP.
+	srv, ln, err := serveDebug(sites[0], "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,7 +275,7 @@ func TestClusterTraceStitchesCrossSiteWrite(t *testing.T) {
 		t.Fatalf("/trace/cluster is not JSON: %v\n%s", err, body)
 	}
 	if len(out.Errors) != 0 {
-		t.Fatalf("peer trace fetches failed: %v", out.Errors)
+		t.Fatalf("peer trace pulls failed: %v", out.Errors)
 	}
 
 	// Exactly one write operation ran, so exactly one tree roots an "op"
@@ -390,7 +381,7 @@ func TestObjectivesHaveProducers(t *testing.T) {
 		sites[i] = s
 		defer s.Close()
 	}
-	srv, ln, err := serveDebug(sites[0], "127.0.0.1:0", nil)
+	srv, ln, err := serveDebug(sites[0], "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}

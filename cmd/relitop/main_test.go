@@ -14,7 +14,6 @@ import (
 
 	"relidev"
 	"relidev/internal/clock"
-	"relidev/internal/obs"
 	"relidev/internal/obs/alert"
 	"relidev/internal/obs/plane"
 	"relidev/internal/protocol"
@@ -135,7 +134,6 @@ func TestFmtNs(t *testing.T) {
 // second with every write failing.
 func TestOnceGolden(t *testing.T) {
 	clk := clock.NewManual()
-	var p *plane.Plane
 	burn := func(target float64) alert.Burn {
 		return alert.Burn{Target: target, FastNs: 2e9, SlowNs: 3e9, Rate: 2}
 	}
@@ -148,8 +146,8 @@ func TestOnceGolden(t *testing.T) {
 			alert.ReadLatency("voting", 50e6, burn(0.99)),
 			alert.WriteAvailability("voting", burn(0.9)),
 		},
-		Pull: func(context.Context) (obs.Snapshot, map[protocol.SiteID]error) {
-			return p.Observer().Snapshot(), map[protocol.SiteID]error{2: errors.New("site is down")}
+		Pull: func(context.Context, bool) (map[protocol.SiteID][]byte, map[protocol.SiteID]error) {
+			return nil, map[protocol.SiteID]error{2: errors.New("site is down")}
 		},
 	})
 	if err != nil {

@@ -354,7 +354,7 @@ func TestHostDebugSurfaceParity(t *testing.T) {
 	slos := []relidev.Objective{relidev.WriteAvailabilitySLO(relidev.NaiveAvailableCopy, relidev.BurnPolicy{Target: 0.9})}
 	// route -> what a 200 body must contain.
 	routes := map[string]string{
-		"/metrics": `"counters"`, "/metrics.prom": "", "/trace": `"events"`, "/trace/tree": `"traces"`,
+		"/metrics": `"counters"`, "/metrics.prom": "", "/trace": `"events"`, "/trace/tree": `"traces"`, "/trace/cluster": `"traces"`,
 		"/profile": `"ops"`, "/cluster/metrics": `"metrics"`, "/healthz": `"overall"`, "/timeseries": `"step_ns"`,
 		"/slo": `"burn"`, "/debug/flight": `"trigger": "http request"`, "/debug/flight/sealed": "", "/nope": "",
 	}

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"context"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -88,65 +87,4 @@ func writeTraceTrees(w http.ResponseWriter, trees []*TraceTree) {
 type traceDump struct {
 	Dropped uint64  `json:"dropped"`
 	Events  []Event `json:"events"`
-}
-
-// CollectTraces fetches each site's /trace endpoint (the urls point at
-// debug muxes, e.g. "http://host:port/trace") and returns the merged
-// event set, ready for Stitch. Collection degrades rather than fails:
-// an unreachable or malformed site contributes nothing and is reported
-// in errs by url — its spans simply end up missing from the stitched
-// trees, surfacing as orphaned children (exactly the ring-eviction
-// degradation mode). A nil client uses http.DefaultClient.
-func CollectTraces(ctx context.Context, client *http.Client, urls []string) (events []Event, errs map[string]error) {
-	if client == nil {
-		client = http.DefaultClient
-	}
-	errs = make(map[string]error)
-	for _, u := range urls {
-		req, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
-		if err != nil {
-			errs[u] = err
-			continue
-		}
-		resp, err := client.Do(req)
-		if err != nil {
-			errs[u] = err
-			continue
-		}
-		var dump traceDump
-		err = json.NewDecoder(resp.Body).Decode(&dump)
-		resp.Body.Close()
-		if err != nil {
-			errs[u] = err
-			continue
-		}
-		events = append(events, dump.Events...)
-	}
-	return events, errs
-}
-
-// ClusterTraceHandler serves cluster-wide stitched trace trees: on
-// each request it collects the local ring plus every peer's /trace
-// endpoint and stitches the union. Peer fetch failures degrade to
-// partial trees and are listed in the response's "errors" field. The
-// blockserver mounts it at /trace/cluster when given -trace-peers.
-func ClusterTraceHandler(o *Observer, client *http.Client, peerURLs []string) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		t := o.Tracer()
-		if t == nil {
-			http.Error(w, "tracing disabled", http.StatusNotFound)
-			return
-		}
-		events := t.Events()
-		remote, errs := CollectTraces(r.Context(), client, peerURLs)
-		events = append(events, remote...)
-		errMsgs := make(map[string]string, len(errs))
-		for u, err := range errs {
-			errMsgs[u] = err.Error()
-		}
-		WriteJSON(w, http.StatusOK, struct {
-			Traces []*TraceTree      `json:"traces"`
-			Errors map[string]string `json:"errors,omitempty"`
-		}{Stitch(events), errMsgs})
-	}
 }

@@ -95,10 +95,10 @@ func TestDebugMuxTracingDisabled(t *testing.T) {
 }
 
 // TestClusterTraceHandlerDegradesPartially: with one healthy peer, one
-// peer returning garbage, and one refusing connections, the cluster
-// trace endpoint still answers 200 with the stitchable union — the
-// healthy peer's child span joins the local tree, the two broken peers
-// are reported in the errors map, and spans whose parents lived on an
+// peer answering garbage, and one down, the cluster trace endpoint
+// still answers 200 with the stitchable union — the healthy peer's
+// child span joins the local tree, the two broken peers are reported in
+// the errors map by site, and spans whose parents lived on an
 // uncollected site surface as orphans rather than vanishing.
 func TestClusterTraceHandlerDegradesPartially(t *testing.T) {
 	local := New(WithClock(clock.NewManual()), WithTracing(64))
@@ -118,19 +118,11 @@ func TestClusterTraceHandlerDegradesPartially(t *testing.T) {
 	peer.Tracer().Emit(Event{TraceID: 999, SpanID: 888, ParentID: 555,
 		Site: 1, Kind: EvHandle, Op: protocol.OpRead, Block: 2})
 
-	healthy := httptest.NewServer(NewDebugMux(peer))
-	defer healthy.Close()
-	garbage := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		io.WriteString(w, "these bytes are not a trace dump")
-	}))
-	defer garbage.Close()
-	refused := httptest.NewServer(http.NotFoundHandler())
-	refusedURL := refused.URL
-	refused.Close() // connection refused from here on
-
-	urls := []string{healthy.URL + "/trace", garbage.URL + "/trace", refusedURL + "/trace"}
+	tr := &pullTransport{t: t, traces: true,
+		payloads: map[protocol.SiteID][]byte{1: peer.Telemetry(true), 2: []byte("these bytes are not a trace dump")},
+		down:     map[protocol.SiteID]bool{3: true}}
 	rec := httptest.NewRecorder()
-	ClusterTraceHandler(local, nil, urls)(rec, httptest.NewRequest("GET", "/trace/cluster", nil))
+	ClusterTraceHandler(local, tr.puller(1, 2, 3))(rec, httptest.NewRequest("GET", "/trace/cluster", nil))
 	if rec.Code != 200 {
 		t.Fatalf("status = %d, want 200 despite degraded peers", rec.Code)
 	}
@@ -142,16 +134,8 @@ func TestClusterTraceHandlerDegradesPartially(t *testing.T) {
 		t.Fatalf("response JSON: %v", err)
 	}
 
-	if len(page.Errors) != 2 {
-		t.Fatalf("errors = %v, want entries for the garbage and refused peers", page.Errors)
-	}
-	for _, u := range urls[1:] {
-		if page.Errors[u] == "" {
-			t.Errorf("no error reported for degraded peer %s", u)
-		}
-	}
-	if page.Errors[urls[0]] != "" {
-		t.Errorf("healthy peer reported an error: %s", page.Errors[urls[0]])
+	if len(page.Errors) != 2 || page.Errors["site2"] == "" || page.Errors["site3"] == "" {
+		t.Fatalf("errors = %v, want entries for the garbage site2 and the down site3", page.Errors)
 	}
 
 	var joined, orphaned bool

@@ -1,9 +1,6 @@
 package obs
 
-import (
-	"encoding/json"
-	"sort"
-)
+import "sort"
 
 // Snapshot merging for the cross-site aggregation plane (DESIGN.md
 // §16): the cluster metrics view is the element-wise merge of every
@@ -102,27 +99,4 @@ func pointKey(name string, labels map[string]string) string {
 		ls = append(ls, L(k, labels[k]))
 	}
 	return seriesKey(name, ls)
-}
-
-// EncodeSnapshot encodes a snapshot for a TelemetryPullReply. JSON is
-// the wire form: the protocol layer cannot name these types, so the
-// snapshot crosses as opaque bytes and decodes on the aggregator.
-func EncodeSnapshot(s Snapshot) []byte {
-	b, err := json.Marshal(s)
-	if err != nil {
-		// Snapshot is a tree of plain values; marshalling cannot fail.
-		return nil
-	}
-	return b
-}
-
-// DecodeSnapshot decodes a TelemetryPullReply payload. An empty
-// payload (site with no telemetry hook) decodes to an empty snapshot.
-func DecodeSnapshot(b []byte) (Snapshot, error) {
-	var s Snapshot
-	if len(b) == 0 {
-		return s, nil
-	}
-	err := json.Unmarshal(b, &s)
-	return s, err
 }

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -145,12 +146,34 @@ func TestMergeSnapshotsPartition(t *testing.T) {
 	}
 }
 
-// pullTransport fakes the RPC plane for ClusterPull: each peer either
-// answers with an encoded snapshot or fails.
+// TestMergeSnapshotsSumsSharedGauge: two snapshots exporting the same
+// gauge series fold into one point holding the sum of their values —
+// the cluster view of a gauge is its total across sites, not the last
+// site's reading.
+func TestMergeSnapshotsSumsSharedGauge(t *testing.T) {
+	gauge := func(v int64) Snapshot {
+		return Snapshot{Gauges: []GaugePoint{{Name: "relidev_group_commit_batch_occupancy", Value: v}}}
+	}
+	got := MergeSnapshots(gauge(3), gauge(4)).Gauges
+	if len(got) != 1 || got[0].Value != 7 {
+		t.Fatalf("shared gauge merged to %+v, want one point of value 7", got)
+	}
+}
+
+// pullTransport fakes the RPC plane for the cluster views: each peer
+// either answers a TelemetryPull with its payload or fails.
 type pullTransport struct {
-	t     *testing.T
-	snaps map[protocol.SiteID]Snapshot
-	down  map[protocol.SiteID]bool
+	t        *testing.T
+	traces   bool // the view every pull must ask for
+	payloads map[protocol.SiteID][]byte
+	down     map[protocol.SiteID]bool
+}
+
+// puller is the host's Puller over the fake: site 0 pulling peers.
+func (p *pullTransport) puller(peers ...protocol.SiteID) Puller {
+	return func(ctx context.Context, traces bool) (map[protocol.SiteID][]byte, map[protocol.SiteID]error) {
+		return Pull(ctx, p, 0, peers, traces)
+	}
 }
 
 func (p *pullTransport) Call(ctx context.Context, from, to protocol.SiteID, req protocol.Request) (protocol.Response, error) {
@@ -170,8 +193,8 @@ func (p *pullTransport) Broadcast(ctx context.Context, from protocol.SiteID, to 
 	if op := protocol.CtxOp(ctx); op != protocol.OpTelemetry {
 		p.t.Errorf("scrape rode op class %q, want %q", op, protocol.OpTelemetry)
 	}
-	if _, ok := m.(protocol.TelemetryPullRequest); !ok {
-		p.t.Errorf("scrape sent %T, want TelemetryPullRequest", m)
+	if q, ok := m.(protocol.TelemetryPullRequest); !ok || q.Traces != p.traces {
+		p.t.Errorf("scrape sent %#v, want TelemetryPullRequest{Traces: %v}", m, p.traces)
 	}
 	out := make(map[protocol.SiteID]protocol.Result, len(to))
 	for _, id := range to {
@@ -179,7 +202,7 @@ func (p *pullTransport) Broadcast(ctx context.Context, from protocol.SiteID, to 
 			out[id] = protocol.Result{Err: errors.New("connection refused")}
 			continue
 		}
-		out[id] = protocol.Result{Resp: protocol.TelemetryPullReply{Snap: EncodeSnapshot(p.snaps[id])}}
+		out[id] = protocol.Result{Resp: protocol.TelemetryPullReply{Snap: p.payloads[id]}}
 	}
 	return out
 }
@@ -200,28 +223,32 @@ func TestClusterPullMergesAndDegrades(t *testing.T) {
 		})
 	}
 	local := mk("site0")
-	tr := &pullTransport{
-		t:     t,
-		snaps: map[protocol.SiteID]Snapshot{1: mk("site1"), 2: mk("site2")},
-		down:  map[protocol.SiteID]bool{},
+	snaps := map[protocol.SiteID]Snapshot{1: mk("site1"), 2: mk("site2")}
+	tr := &pullTransport{t: t, payloads: map[protocol.SiteID][]byte{}, down: map[protocol.SiteID]bool{}}
+	for id, s := range snaps {
+		b, err := json.Marshal(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr.payloads[id] = b
 	}
-	peers := []protocol.SiteID{1, 2}
+	pull := tr.puller(1, 2)
 
-	got, errs := ClusterPull(context.Background(), tr, 0, peers, func() Snapshot { return local })
+	got, errs := ClusterPull(context.Background(), pull, func() Snapshot { return local })
 	if len(errs) != 0 {
 		t.Fatalf("healthy pull degraded: %v", errs)
 	}
-	want := MergeSnapshots(local, tr.snaps[1], tr.snaps[2])
+	want := MergeSnapshots(local, snaps[1], snaps[2])
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("aggregate != element-wise merge:\nwant %+v\ngot  %+v", want, got)
 	}
 
 	tr.down[2] = true
-	got, errs = ClusterPull(context.Background(), tr, 0, peers, func() Snapshot { return local })
+	got, errs = ClusterPull(context.Background(), pull, func() Snapshot { return local })
 	if len(errs) != 1 || errs[2] == nil {
 		t.Fatalf("degraded pull errors = %v, want exactly site 2", errs)
 	}
-	want = MergeSnapshots(local, tr.snaps[1])
+	want = MergeSnapshots(local, snaps[1])
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("degraded aggregate != merge of survivors:\nwant %+v\ngot  %+v", want, got)
 	}

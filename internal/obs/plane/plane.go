@@ -9,8 +9,6 @@
 package plane
 
 import (
-	"context"
-	"encoding/json"
 	"errors"
 	"net/http"
 	"sync/atomic"
@@ -20,7 +18,6 @@ import (
 	"relidev/internal/obs/alert"
 	"relidev/internal/obs/flight"
 	"relidev/internal/obs/tsdb"
-	"relidev/internal/protocol"
 )
 
 // The accessors' typed refusals; the public package re-exports them,
@@ -59,10 +56,10 @@ type Config struct {
 	// evaluates or dumps. Retain frames are kept (zero: 600).
 	StepNs int64
 	Retain int
-	// Pull assembles the host's cross-site metrics view, for hosts that
-	// serve ClusterMetricsJSON or DebugHandler; it is only called after
-	// the host is built.
-	Pull func(ctx context.Context) (obs.Snapshot, map[protocol.SiteID]error)
+	// Pull reaches the host's peers for the cross-site views DebugHandler
+	// serves, /cluster/metrics and /trace/cluster; it is only called
+	// after the host is built.
+	Pull obs.Puller
 }
 
 // A Plane is one host's observability stack. A nil *Plane is the
@@ -75,7 +72,7 @@ type Plane struct {
 	alerts *alert.Engine
 	views  map[string]bool // the policies that have objectives
 	flight *flight.Recorder
-	pull   func(ctx context.Context) (obs.Snapshot, map[protocol.SiteID]error)
+	pull   obs.Puller
 	sealed atomic.Pointer[flight.Dump]
 }
 
@@ -197,22 +194,14 @@ func (p *Plane) CriticalPath() (*obs.Profile, error) {
 	return p.obs.CriticalPath(), nil
 }
 
-// ClusterMetricsJSON renders the host's cross-site metrics view in the
-// /cluster/metrics shape.
-func (p *Plane) ClusterMetricsJSON(ctx context.Context) ([]byte, error) {
-	if p == nil {
-		return nil, ErrNotMetered
-	}
-	return json.Marshal(obs.NewClusterMetrics(p.pull(ctx)))
-}
-
 // DebugHandler returns the debug HTTP surface: the observer's routes
 // (/metrics, /metrics.prom, /trace, /trace/tree, /profile,
-// /debug/pprof/) plus /cluster/metrics, /healthz and /slo (the two
-// views of one evaluation), /timeseries, /debug/flight (an on-demand
-// dump per GET) and /debug/flight/sealed (the retained trigger-sealed
-// dump). The route set is the same on every host; a part the plane
-// lacks answers 404.
+// /debug/pprof/) plus /cluster/metrics and /trace/cluster (the two
+// cross-site views of one pull), /healthz and /slo (the two views of
+// one evaluation), /timeseries, /debug/flight (an on-demand dump per
+// GET) and /debug/flight/sealed (the retained trigger-sealed dump).
+// The route set is the same on every host; a part the plane lacks
+// answers 404.
 func (p *Plane) DebugHandler() (http.Handler, error) {
 	if p == nil {
 		return nil, ErrNotMetered
@@ -222,7 +211,8 @@ func (p *Plane) DebugHandler() (http.Handler, error) {
 		ring = p.ring
 	}
 	mux := obs.NewDebugMux(p.obs)
-	mux.HandleFunc("/cluster/metrics", obs.ClusterMetricsHandler(p.pull))
+	mux.HandleFunc("/cluster/metrics", obs.ClusterMetricsHandler(p.obs, p.pull))
+	mux.HandleFunc("/trace/cluster", obs.ClusterTraceHandler(p.obs, p.pull))
 	for route, policy := range map[string]string{"/healthz": alert.PolicyThreshold, "/slo": alert.PolicyBurn} {
 		mux.HandleFunc(route, alert.Handler(func() (alert.Report, error) { return p.View(policy) }))
 	}

@@ -84,7 +84,9 @@ func scriptConfig(clk clock.Clock) Config {
 		},
 		StepNs: 1e9,
 		Retain: 64,
-		Pull:   func(context.Context) (obs.Snapshot, map[protocol.SiteID]error) { return obs.Snapshot{}, nil },
+		Pull: func(context.Context, bool) (map[protocol.SiteID][]byte, map[protocol.SiteID]error) {
+			return nil, map[protocol.SiteID]error{}
+		},
 	}
 }
 
@@ -244,9 +246,6 @@ func TestNilPlaneRefuses(t *testing.T) {
 	}
 	if _, err := p.CriticalPath(); !errors.Is(err, ErrNotMetered) {
 		t.Errorf("CriticalPath: %v", err)
-	}
-	if _, err := p.ClusterMetricsJSON(context.Background()); !errors.Is(err, ErrNotMetered) {
-		t.Errorf("ClusterMetricsJSON: %v", err)
 	}
 	if _, err := p.DebugHandler(); !errors.Is(err, ErrNotMetered) {
 		t.Errorf("DebugHandler: %v", err)

@@ -13,6 +13,7 @@
 package obs
 
 import (
+	"cmp"
 	"fmt"
 	"io"
 	"slices"
@@ -355,12 +356,12 @@ func (r *Registry) Snapshot() Snapshot {
 // Snapshots returns how many times Snapshot has read the registry.
 func (r *Registry) Snapshots() uint64 { return r.snapshots.Load() }
 
-func sortedKeys[V any](m map[string]V) []string {
-	keys := make([]string, 0, len(m))
+func sortedKeys[K cmp.Ordered, V any](m map[K]V) []K {
+	keys := make([]K, 0, len(m))
 	for k := range m {
 		keys = append(keys, k)
 	}
-	sort.Strings(keys)
+	slices.Sort(keys)
 	return keys
 }
 

@@ -208,7 +208,7 @@ func rendered(evs []Event) []Event {
 // Tail returns the last n retained events in schedule order, rendered.
 // The ring holds concurrent emitters' events in scheduler order, so the
 // tail is taken after a stable sort by (At, Site) — the merge of
-// per-site logs that CollectTraces implies for separate processes,
+// per-site logs that ClusterTraces implies for separate processes,
 // which keeps each site's own order — and, within one site and instant,
 // each run of consecutive per-peer lane events (round trips issued
 // from several goroutines) is put in peer order. On a clock.Manual the

@@ -151,6 +151,7 @@ func AppendRequest(dst []byte, from SiteID, trace SpanContext, req Request) ([]b
 		b = appendVector(b, q.Vector)
 	case TelemetryPullRequest:
 		kind = kindTelemetryPullRequest
+		b = appendBool(b, q.Traces)
 	default:
 		return dst, fmt.Errorf("protocol: no wire encoding for request %T", req)
 	}
@@ -375,7 +376,7 @@ func DecodeRequest(b []byte) (from SiteID, trace SpanContext, req Request, err e
 			Vector:    r.vector(),
 		}
 	case kindTelemetryPullRequest:
-		req = TelemetryPullRequest{}
+		req = TelemetryPullRequest{Traces: r.flag()}
 	default:
 		return 0, SpanContext{}, nil, fmt.Errorf("%w: unknown request kind %d", ErrBadFrame, kind)
 	}

@@ -45,6 +45,7 @@ func requestCases() []reqCase {
 		{name: "recovery/empty-vector", from: 1, req: RecoveryRequest{Vector: block.Vector{}},
 			want: RecoveryRequest{}},
 		{name: "telemetry-pull", from: 5, trace: trace, req: TelemetryPullRequest{}},
+		{name: "telemetry-pull/traces", from: 5, req: TelemetryPullRequest{Traces: true}},
 	}
 }
 

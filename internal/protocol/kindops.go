@@ -21,7 +21,7 @@ var KindOps = map[string][]string{
 	"abort-write":    {OpWrite},         // two-round rollback
 	"status":         {OpRecovery},      // readmission probe
 	"recovery":       {OpRecovery},      // readmission state/block transfer
-	"telemetry-pull": {OpTelemetry},     // aggregation-plane registry scrape
+	"telemetry-pull": {OpTelemetry},     // registry or trace-ring scrape
 }
 
 // PricedKind reports whether the request kind is covered by the §5

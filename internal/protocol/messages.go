@@ -192,22 +192,27 @@ type RecoveryReply struct {
 // RespKind implements Response.
 func (RecoveryReply) RespKind() string { return "recovery-reply" }
 
-// TelemetryPullRequest asks a site for its metrics registry snapshot:
-// the cross-site aggregation plane (DESIGN.md §16) broadcasts it from a
-// designated aggregator to build the cluster-wide metrics view. The
-// request is deliberately empty — the reply carries everything — so a
-// scrape costs one transmission each way, the cheapest exchange the
-// transport can price.
-type TelemetryPullRequest struct{}
+// TelemetryPullRequest asks a site for one of its two telemetry views:
+// the cross-site aggregation plane (DESIGN.md §16) broadcasts it from
+// the host serving a cluster route to build the cluster-wide metrics
+// view (/cluster/metrics) or the stitched trace view (/trace/cluster).
+// The reply carries everything, so a scrape costs one transmission
+// each way, the cheapest exchange the transport can price.
+type TelemetryPullRequest struct {
+	// Traces asks for the site's trace events instead of its registry
+	// snapshot.
+	Traces bool
+}
 
 // Kind implements Request.
 func (TelemetryPullRequest) Kind() string { return "telemetry-pull" }
 
-// TelemetryPullReply carries the responding site's registry snapshot as
-// encoded JSON. The protocol layer cannot name the observability types
-// (obs imports protocol), so the snapshot crosses the wire opaque; the
-// aggregator decodes it with obs.DecodeSnapshot. A site with no
-// telemetry hook installed answers with an empty Snap.
+// TelemetryPullReply carries the responding site's registry snapshot —
+// or, for a Traces pull, its trace events — as encoded JSON. The
+// protocol layer cannot name the observability types (obs imports
+// protocol), so the payload crosses the wire opaque and the puller
+// decodes it. A site with no telemetry hook installed answers with an
+// empty Snap.
 type TelemetryPullReply struct {
 	Snap []byte
 }

@@ -48,7 +48,7 @@ func WireSize(msg interface{}) int {
 		}
 		return size
 	case TelemetryPullRequest:
-		return wireHeader
+		return wireHeader + 1
 	case TelemetryPullReply:
 		return wireHeader + len(m.Snap)
 	default:

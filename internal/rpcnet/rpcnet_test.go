@@ -3,6 +3,7 @@ package rpcnet
 import (
 	"context"
 	"errors"
+	"fmt"
 	"net"
 	"sync"
 	"testing"
@@ -117,6 +118,18 @@ func TestRoundTripAllMessageTypes(t *testing.T) {
 	}
 	if !replicas[1].WasAvailable().Has(0) {
 		t.Fatal("JoinW did not reach the server replica")
+	}
+
+	// TelemetryPull: the Traces flag reaches the hook, in both settings.
+	replicas[1].SetTelemetryHook(func(traces bool) []byte { return []byte(fmt.Sprint(traces)) })
+	for _, traces := range []bool{true, false} {
+		resp, err = cli.Call(ctx, 0, 1, protocol.TelemetryPullRequest{Traces: traces})
+		if err != nil {
+			t.Fatalf("telemetry pull: %v", err)
+		}
+		if got := string(resp.(protocol.TelemetryPullReply).Snap); got != fmt.Sprint(traces) {
+			t.Fatalf("telemetry pull Traces=%v reached the hook as %s", traces, got)
+		}
 	}
 }
 

@@ -71,10 +71,11 @@ type Replica struct {
 	hHook func(ctx context.Context, from protocol.SiteID, req protocol.Request)
 
 	// tHook serves telemetry pulls: it returns the site's encoded
-	// metrics snapshot for the aggregation plane (DESIGN.md §16). Same
-	// dependency-free shape as wHook — the site mechanism never names
-	// the observability types; nil answers pulls with an empty snapshot.
-	tHook func() []byte
+	// metrics snapshot, or its trace events, for the aggregation plane
+	// (DESIGN.md §16). Same dependency-free shape as wHook — the site
+	// mechanism never names the observability types; nil answers pulls
+	// with an empty payload.
+	tHook func(traces bool) []byte
 }
 
 var _ protocol.Handler = (*Replica)(nil)
@@ -199,11 +200,12 @@ func (r *Replica) SetHandleHook(hook func(ctx context.Context, from protocol.Sit
 	r.hHook = hook
 }
 
-// SetTelemetryHook installs the telemetry snapshot source answering
-// TelemetryPullRequest: the hook returns the site's registry snapshot
-// encoded for the wire (obs.EncodeSnapshot). A site process wires it
-// before traffic flows; nil makes pulls answer with an empty snapshot.
-func (r *Replica) SetTelemetryHook(hook func() []byte) {
+// SetTelemetryHook installs the telemetry source answering
+// TelemetryPullRequest: the hook is passed the request's Traces flag
+// and returns the site's registry snapshot, or its trace events,
+// encoded for the wire (obs.Observer.Telemetry). A site process wires
+// it before traffic flows; nil makes pulls answer with an empty payload.
+func (r *Replica) SetTelemetryHook(hook func(traces bool) []byte) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.tHook = hook
@@ -357,7 +359,7 @@ func (r *Replica) Handle(ctx context.Context, from protocol.SiteID, req protocol
 
 	case protocol.TelemetryPullRequest:
 		// Comatose sites answer too: the aggregation plane should see a
-		// degraded site's metrics, not a hole — only a failed site (which
+		// degraded site's telemetry, not a hole — only a failed site (which
 		// the transport already refuses to reach) is invisible.
 		r.mu.Lock()
 		hook := r.tHook
@@ -365,7 +367,7 @@ func (r *Replica) Handle(ctx context.Context, from protocol.SiteID, req protocol
 		if hook == nil {
 			return protocol.TelemetryPullReply{}, nil
 		}
-		return protocol.TelemetryPullReply{Snap: hook()}, nil
+		return protocol.TelemetryPullReply{Snap: hook(q.Traces)}, nil
 
 	default:
 		return nil, fmt.Errorf("%w: %T", ErrUnknownRequest, req)

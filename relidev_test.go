@@ -656,9 +656,9 @@ func TestMeteringSurface(t *testing.T) {
 }
 
 // TestTraceTreeSurface exercises the public distributed-tracing API: a
-// metered site stitches each operation — its own ring plus every peer's
-// /trace — into a complete span tree, and an unmetered site reports
-// ErrNotMetered.
+// metered site's /trace/cluster stitches each operation — its own ring
+// plus every peer's, pulled over the RPC plane — into a complete span
+// tree, with no peer's debug surface served.
 func TestTraceTreeSurface(t *testing.T) {
 	ctx := context.Background()
 	sites := openGroup(t, 3, relidev.RemoteConfig{Scheme: relidev.AvailableCopy, Metered: true,
@@ -670,22 +670,16 @@ func TestTraceTreeSurface(t *testing.T) {
 	if _, err := sites[0].Device().ReadBlock(ctx, 2); err != nil {
 		t.Fatal(err)
 	}
-	var peers []string
-	for _, s := range sites[1:] {
-		peers = append(peers, serveDebug(t, s).URL+"/trace")
+	code, body := get(t, serveDebug(t, sites[0]), "/trace/cluster")
+	if code != 200 {
+		t.Fatalf("/trace/cluster = %d:\n%s", code, body)
 	}
-	h, err := sites[0].ClusterTraceHandler(peers)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest("GET", "/trace/cluster", nil))
 	var view struct {
 		Traces []*obs.TraceTree  `json:"traces"`
 		Errors map[string]string `json:"errors"`
 	}
-	if err := json.Unmarshal(rec.Body.Bytes(), &view); err != nil || len(view.Errors) != 0 {
-		t.Fatalf("stitched view = %v, errors %v:\n%s", err, view.Errors, rec.Body)
+	if err := json.Unmarshal([]byte(body), &view); err != nil || len(view.Errors) != 0 {
+		t.Fatalf("stitched view = %v, errors %v:\n%s", err, view.Errors, body)
 	}
 	var write *obs.TraceTree
 	for _, tr := range view.Traces {
@@ -707,10 +701,6 @@ func TestTraceTreeSurface(t *testing.T) {
 	}
 	if !reflect.DeepEqual(write.Sites, []int{0, 1, 2}) {
 		t.Fatalf("sites = %v, want every site the write reached", write.Sites)
-	}
-
-	if _, err := openLoneSite(t, relidev.RemoteConfig{}).ClusterTraceHandler(nil); !errors.Is(err, relidev.ErrNotMetered) {
-		t.Fatalf("ClusterTraceHandler unmetered = %v, want ErrNotMetered", err)
 	}
 }
 

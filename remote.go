@@ -65,7 +65,8 @@ type RemoteConfig struct {
 	// latency histograms, metering of every peer RPC, and a trace ring.
 	// Read the result through DebugHandler (the blockserver binds it on
 	// -debug-addr); the site answers peers' TelemetryPull scrapes with
-	// its full registry snapshot, which /cluster/metrics merges.
+	// its full registry snapshot or trace ring, which /cluster/metrics
+	// merges and /trace/cluster stitches.
 	Metered bool
 	// TelemetryStep, when positive, gives the site a sampling cadence
 	// (requires Metered): a wall-clock poller samples the registry into
@@ -123,6 +124,14 @@ func OpenRemote(cfg RemoteConfig) (*RemoteSite, error) {
 		return nil, fmt.Errorf("relidev: peers map has no entry for self (%d)", cfg.Self)
 	}
 	self := protocol.SiteID(cfg.Self)
+	addrs := make(map[protocol.SiteID]string, len(cfg.Peers))
+	ids := make([]protocol.SiteID, 0, len(cfg.Peers))
+	for id, addr := range cfg.Peers {
+		addrs[protocol.SiteID(id)] = addr
+		ids = append(ids, protocol.SiteID(id))
+	}
+	slices.Sort(ids)
+	peers := slices.DeleteFunc(slices.Clone(ids), func(id protocol.SiteID) bool { return id == self })
 
 	// The black-box recorder rides the plane (a critical objective seals
 	// it); the failure detector's suspect set is this host's own probe.
@@ -135,7 +144,11 @@ func OpenRemote(cfg RemoteConfig) (*RemoteSite, error) {
 		Probes:     []flight.Source{flight.Suspects(func() protocol.SiteSet { return rs.client.SuspectSet() })},
 		Objectives: cfg.Objectives,
 		StepNs:     cfg.TelemetryStep.Nanoseconds(),
-		Pull:       rs.clusterPull,
+		// Both cross-site views pull over the metered RPC transport,
+		// priced like any other protocol message.
+		Pull: func(ctx context.Context, traces bool) (map[protocol.SiteID][]byte, map[protocol.SiteID]error) {
+			return obs.Pull(ctx, rs.transport, self, peers, traces)
+		},
 	})
 	if err != nil {
 		return nil, fmt.Errorf("relidev: %w", err)
@@ -171,13 +184,6 @@ func OpenRemote(cfg RemoteConfig) (*RemoteSite, error) {
 	if cfg.Comatose {
 		initial = protocol.StateComatose
 	}
-	addrs := make(map[protocol.SiteID]string, len(cfg.Peers))
-	ids := make([]protocol.SiteID, 0, len(cfg.Peers))
-	for id, addr := range cfg.Peers {
-		addrs[protocol.SiteID(id)] = addr
-		ids = append(ids, protocol.SiteID(id))
-	}
-	slices.Sort(ids)
 	rs.replica, err = site.New(site.Config{ID: self, Store: st, InitialState: initial})
 	if err != nil {
 		st.Close()
@@ -194,8 +200,8 @@ func OpenRemote(cfg RemoteConfig) (*RemoteSite, error) {
 		rs.replica, rs.transport, ids)
 	if observer != nil {
 		// Alone in its process, the site answers a peer's TelemetryPull
-		// with its whole registry.
-		rs.replica.SetTelemetryHook(func() []byte { return obs.EncodeSnapshot(observer.Snapshot()) })
+		// with its whole registry or trace ring.
+		rs.replica.SetTelemetryHook(observer.Telemetry)
 	}
 	if err == nil {
 		rs.device, err = core.NewReliableDevice(cfg.Geometry, rs.ctrl)
@@ -236,41 +242,17 @@ func (r *RemoteSite) poll(step time.Duration) {
 
 // DebugHandler returns this site's observability HTTP surface
 // (/metrics, /metrics.prom, /trace, /trace/tree, /profile,
-// /debug/flight, /debug/flight/sealed, /debug/pprof/, /cluster/metrics,
-// and — with the matching RemoteConfig options — /healthz, /slo,
-// /timeseries), or ErrNotMetered when the site was opened without
-// RemoteConfig.Metered. /debug/flight returns an on-demand dump;
+// /debug/flight, /debug/flight/sealed, /debug/pprof/, the cross-site
+// /cluster/metrics and /trace/cluster, and — with the matching
+// RemoteConfig options — /healthz, /slo, /timeseries), or
+// ErrNotMetered when the site was opened without RemoteConfig.Metered.
+// The two cross-site routes pull every peer over the RPC transport on
+// each GET; an unreachable peer degrades the view to a per-site entry
+// under "errors". /debug/flight returns an on-demand dump;
 // /debug/flight/sealed returns the dump the first trigger sealed (a
 // critical threshold objective, an exhausted error budget), 404 while
 // nothing has.
 func (r *RemoteSite) DebugHandler() (http.Handler, error) { return r.plane.DebugHandler() }
-
-// clusterPull assembles the cluster metrics view from this site's
-// vantage: a TelemetryPull broadcast to every peer over the real RPC
-// transport (priced and metered like any other protocol message),
-// merged with the full local registry — separate processes hold
-// separate registries, so the local snapshot is exactly this site's
-// contribution. Unreachable peers degrade to per-site errors, never an
-// error for the whole view.
-func (r *RemoteSite) clusterPull(ctx context.Context) (obs.Snapshot, map[protocol.SiteID]error) {
-	peers := make([]protocol.SiteID, 0, len(r.cfg.Peers))
-	for id := range r.cfg.Peers {
-		if id != r.cfg.Self {
-			peers = append(peers, protocol.SiteID(id))
-		}
-	}
-	slices.Sort(peers)
-	return obs.ClusterPull(ctx, r.transport, protocol.SiteID(r.cfg.Self), peers, r.plane.Observer().Snapshot)
-}
-
-// ClusterMetricsJSON returns the cross-site aggregated metrics view —
-// every peer's registry scraped over the RPC transport and merged with
-// this site's own — plus any per-site scrape errors, encoded as the
-// same JSON shape /cluster/metrics serves. Requires
-// RemoteConfig.Metered.
-func (r *RemoteSite) ClusterMetricsJSON(ctx context.Context) ([]byte, error) {
-	return r.plane.ClusterMetricsJSON(ctx)
-}
 
 // SLOs evaluates the site's objectives and returns the burn-rate view —
 // what /slo serves; an exhausted budget seals the flight recorder.
@@ -286,19 +268,6 @@ func (r *RemoteSite) Health() (AlertReport, error) { return r.plane.View(alert.P
 // CriticalPath computes this site's critical-path profile from its
 // current metrics. Requires RemoteConfig.Metered.
 func (r *RemoteSite) CriticalPath() (*CriticalPathProfile, error) { return r.plane.CriticalPath() }
-
-// ClusterTraceHandler returns an HTTP handler serving cluster-wide
-// stitched trace trees: on each request it merges this site's trace
-// ring with every peer /trace endpoint in peerTraceURLs (e.g.
-// "http://host:debugport/trace") and stitches one span tree per traced
-// operation. Unreachable peers degrade to partial trees and are listed
-// in the response's "errors" field. Requires RemoteConfig.Metered.
-func (r *RemoteSite) ClusterTraceHandler(peerTraceURLs []string) (http.Handler, error) {
-	if r.plane == nil {
-		return nil, ErrNotMetered
-	}
-	return obs.ClusterTraceHandler(r.plane.Observer(), nil, peerTraceURLs), nil
-}
 
 // Addr returns the address this site's server is listening on.
 func (r *RemoteSite) Addr() string { return r.server.Addr() }

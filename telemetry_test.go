@@ -45,6 +45,17 @@ type clusterView struct {
 	Errors map[string]string `json:"errors"`
 }
 
+// getOK fetches one debug route, which must answer 200, and returns
+// its body.
+func getOK(t *testing.T, srv *httptest.Server, path string) []byte {
+	t.Helper()
+	code, body := get(t, srv, path)
+	if code != 200 {
+		t.Fatalf("%s: status %d\n%s", path, code, body)
+	}
+	return []byte(body)
+}
+
 // TestClusterMetricsEqualsLocalSnapshot is the aggregation plane's
 // exactness claim: the cluster view — every peer's registry scraped
 // over the wire and merged with the aggregator's own — is exactly the
@@ -57,10 +68,7 @@ func TestClusterMetricsEqualsLocalSnapshot(t *testing.T) {
 				Geometry: relidev.Geometry{BlockSize: 64, NumBlocks: 8}})
 			telemetryWorkload(t, sites)
 
-			raw, err := sites[0].ClusterMetricsJSON(context.Background())
-			if err != nil {
-				t.Fatal(err)
-			}
+			raw := getOK(t, serveDebug(t, sites[0]), "/cluster/metrics")
 			var cluster struct {
 				Metrics json.RawMessage   `json:"metrics"`
 				Errors  map[string]string `json:"errors"`
@@ -114,10 +122,7 @@ func TestClusterMetricsDegradesWithSiteDown(t *testing.T) {
 	if err := sites[1].Close(); err != nil {
 		t.Fatal(err)
 	}
-	raw, err := sites[0].ClusterMetricsJSON(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
+	raw := getOK(t, serveDebug(t, sites[0]), "/cluster/metrics")
 	var cluster clusterView
 	if err := json.Unmarshal(raw, &cluster); err != nil {
 		t.Fatal(err)
@@ -137,6 +142,56 @@ func TestClusterMetricsDegradesWithSiteDown(t *testing.T) {
 	}
 	if others == 0 {
 		t.Fatal("degraded view lost the surviving sites' series too")
+	}
+}
+
+// TestClusterTracesDegradeWithSiteDown is the trace view's twin of
+// TestClusterMetricsDegradesWithSiteDown, over real TCP: with one site
+// closed after a write, /trace/cluster still answers, names exactly the
+// closed site under errors, and stitches the write from what the
+// surviving sites recorded — one tree rooted at the coordinator with
+// the surviving peer's handle span under it.
+func TestClusterTracesDegradeWithSiteDown(t *testing.T) {
+	sites := openGroup(t, 3, relidev.RemoteConfig{Scheme: relidev.Voting, Metered: true,
+		Geometry: relidev.Geometry{BlockSize: 64, NumBlocks: 8}})
+	if err := sites[0].Device().WriteBlock(context.Background(), 3, make([]byte, 64)); err != nil {
+		t.Fatal(err)
+	}
+	if err := sites[2].Close(); err != nil {
+		t.Fatal(err)
+	}
+	var view struct {
+		Traces []*obs.TraceTree  `json:"traces"`
+		Errors map[string]string `json:"errors"`
+	}
+	if err := json.Unmarshal(getOK(t, serveDebug(t, sites[0]), "/trace/cluster"), &view); err != nil {
+		t.Fatal(err)
+	}
+	if _, down := view.Errors["site2"]; !down || len(view.Errors) != 1 {
+		t.Fatalf("errors = %v, want exactly site 2 reported down", view.Errors)
+	}
+	var writes []*obs.TraceTree
+	for _, tr := range view.Traces {
+		if tr.Root != nil && tr.Root.Kind == "op" && tr.Root.Op == "write" {
+			writes = append(writes, tr)
+		}
+	}
+	if len(writes) != 1 || writes[0].Root.Site != 0 {
+		t.Fatalf("write trees = %+v, want one rooted at site 0", writes)
+	}
+	var site1Handles func(sp *obs.Span) int
+	site1Handles = func(sp *obs.Span) int {
+		n := 0
+		if sp.Kind == obs.EvHandle && sp.Site == 1 {
+			n++
+		}
+		for _, c := range sp.Children {
+			n += site1Handles(c)
+		}
+		return n
+	}
+	if site1Handles(writes[0].Root) == 0 {
+		t.Fatalf("site 1's handle span is not under the write's root: %+v", writes[0])
 	}
 }
 
@@ -208,10 +263,8 @@ func TestRemoteClusterMetrics(t *testing.T) {
 		}
 	}
 
-	raw, err := sites[0].ClusterMetricsJSON(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv := serveDebug(t, sites[0])
+	raw := getOK(t, srv, "/cluster/metrics")
 	var cluster clusterView
 	if err := json.Unmarshal(raw, &cluster); err != nil {
 		t.Fatalf("cluster view is not JSON: %v", err)
@@ -232,14 +285,9 @@ func TestRemoteClusterMetrics(t *testing.T) {
 	}
 
 	// The debug surface answers on every telemetry endpoint.
-	srv := serveDebug(t, sites[0])
-	for _, path := range []string{"/cluster/metrics", "/timeseries", "/slo"} {
-		code, body := get(t, srv, path)
-		if code != 200 {
-			t.Fatalf("%s: status %d", path, code)
-		}
+	for _, path := range []string{"/trace/cluster", "/timeseries", "/slo"} {
 		var v any
-		if err := json.Unmarshal([]byte(body), &v); err != nil {
+		if err := json.Unmarshal(getOK(t, srv, path), &v); err != nil {
 			t.Fatalf("%s: not JSON: %v", path, err)
 		}
 	}
@@ -252,10 +300,7 @@ func TestRemoteClusterMetrics(t *testing.T) {
 	if err := sites[2].Close(); err != nil {
 		t.Fatal(err)
 	}
-	raw, err = sites[0].ClusterMetricsJSON(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
+	raw = getOK(t, srv, "/cluster/metrics")
 	cluster = clusterView{}
 	if err := json.Unmarshal(raw, &cluster); err != nil {
 		t.Fatal(err)
@@ -277,8 +322,8 @@ func TestRemoteClusterMetrics(t *testing.T) {
 // host was built without.
 func TestTelemetryAccessorsRequireOptions(t *testing.T) {
 	bare := openLoneSite(t, relidev.RemoteConfig{})
-	if _, err := bare.ClusterMetricsJSON(context.Background()); !errors.Is(err, relidev.ErrNotMetered) {
-		t.Fatalf("ClusterMetricsJSON on an unmetered site: %v", err)
+	if _, err := bare.DebugHandler(); !errors.Is(err, relidev.ErrNotMetered) {
+		t.Fatalf("DebugHandler on an unmetered site: %v", err)
 	}
 	if _, err := bare.SLOs(); !errors.Is(err, relidev.ErrNotMetered) {
 		t.Fatalf("SLOs on an unmetered site: %v", err)
