@@ -14,6 +14,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"relidev/internal/analysis"
@@ -30,13 +31,13 @@ func main() {
 		seed   = flag.Int64("seed", 1, "simulation seed")
 	)
 	flag.Parse()
-	if err := run(*fig, *csv, *sim, *width, *height, *seed); err != nil {
+	if err := run(os.Stdout, *fig, *csv, *sim, *width, *height, *seed); err != nil {
 		fmt.Fprintln(os.Stderr, "figures:", err)
 		os.Exit(1)
 	}
 }
 
-func run(which string, csv, sim bool, width, height int, seed int64) error {
+func run(w io.Writer, which string, csv, sim bool, width, height int, seed int64) error {
 	printFig := func(f figures.Figure, nAC int) error {
 		if sim && nAC > 0 {
 			var err error
@@ -46,9 +47,9 @@ func run(which string, csv, sim bool, width, height int, seed int64) error {
 			}
 		}
 		if csv {
-			fmt.Print(figures.CSV(f))
+			fmt.Fprint(w, figures.CSV(f))
 		} else {
-			fmt.Println(figures.Render(f, width, height))
+			fmt.Fprintln(w, figures.Render(f, width, height))
 		}
 		return nil
 	}
@@ -96,15 +97,15 @@ func run(which string, csv, sim bool, width, height int, seed int64) error {
 			if err != nil {
 				return err
 			}
-			fmt.Println("Theorem 4.1: A_A(n) > A_V(2n-1) = A_V(2n) for rho <= 1")
-			fmt.Println("   n    rho        A_A(n)       A_V(2n-1)  holds")
+			fmt.Fprintln(w, "Theorem 4.1: A_A(n) > A_V(2n-1) = A_V(2n) for rho <= 1")
+			fmt.Fprintln(w, "   n    rho        A_A(n)       A_V(2n-1)  holds")
 			for _, r := range rows {
-				fmt.Printf("  %2d  %5.2f  %12.9f  %12.9f  %v\n", r.N, r.Rho, r.AC, r.Voting, r.Holds)
+				fmt.Fprintf(w, "  %2d  %5.2f  %12.9f  %12.9f  %v\n", r.N, r.Rho, r.AC, r.Voting, r.Holds)
 			}
 			return nil
 		case "mttf":
-			fmt.Println("Mean time to first inaccessibility (units of mean repair time), rho = 0.05")
-			fmt.Println("   n    MTTF voting      MTTF avail-copy   ratio")
+			fmt.Fprintln(w, "Mean time to first inaccessibility (units of mean repair time), rho = 0.05")
+			fmt.Fprintln(w, "   n    MTTF voting      MTTF avail-copy   ratio")
 			for n := 1; n <= 8; n++ {
 				v, err := analysis.MTTFVoting(n, 0.05)
 				if err != nil {
@@ -114,7 +115,7 @@ func run(which string, csv, sim bool, width, height int, seed int64) error {
 				if err != nil {
 					return err
 				}
-				fmt.Printf("  %2d  %14.4g  %16.4g  %6.4g\n", n, v, ac, ac/v)
+				fmt.Fprintf(w, "  %2d  %14.4g  %16.4g  %6.4g\n", n, v, ac, ac/v)
 			}
 			return nil
 		case "costs":
@@ -122,10 +123,10 @@ func run(which string, csv, sim bool, width, height int, seed int64) error {
 			if err != nil {
 				return err
 			}
-			fmt.Println("§5 cost model at rho = 0.05 (high-level transmissions per operation)")
-			fmt.Println("   n  mode       scheme              write     read  recovery")
+			fmt.Fprintln(w, "§5 cost model at rho = 0.05 (high-level transmissions per operation)")
+			fmt.Fprintln(w, "   n  mode       scheme              write     read  recovery")
 			for _, r := range rows {
-				fmt.Printf("  %2d  %-9s  %-16s  %7.3f  %7.3f  %8.3f\n",
+				fmt.Fprintf(w, "  %2d  %-9s  %-16s  %7.3f  %7.3f  %8.3f\n",
 					r.N, r.Mode, r.Scheme, r.Write, r.Read, r.Recovery)
 			}
 			return nil
@@ -139,7 +140,7 @@ func run(which string, csv, sim bool, width, height int, seed int64) error {
 			if err := show(id); err != nil {
 				return err
 			}
-			fmt.Println()
+			fmt.Fprintln(w)
 		}
 		return nil
 	}

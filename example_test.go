@@ -67,30 +67,6 @@ func ExampleTrafficCosts() {
 	// naive           write=1 read=0 recovery=7
 }
 
-// ExampleNew_witnesses builds a voting device where the third site is a
-// witness: it votes with version numbers but stores no blocks.
-func ExampleNew_witnesses() {
-	ctx := context.Background()
-	cluster, err := relidev.New(3, relidev.Voting, relidev.WithWitnesses(1),
-		relidev.WithGeometry(relidev.Geometry{BlockSize: 64, NumBlocks: 16}))
-	if err != nil {
-		log.Fatal(err)
-	}
-	dev, _ := cluster.Device(0)
-	payload := make([]byte, 64)
-	copy(payload, "data")
-	if err := dev.WriteBlock(ctx, 0, payload); err != nil {
-		log.Fatal(err)
-	}
-	// A data site plus the witness is a 2-of-3 majority.
-	cluster.Fail(1)
-	if _, err := dev.ReadBlock(ctx, 0); err == nil {
-		fmt.Println("served by data site + witness quorum")
-	}
-	// Output:
-	// served by data site + witness quorum
-}
-
 // ExampleCluster_Traffic shows the §5 headline measured live: a naive
 // available copy write costs exactly one multicast transmission.
 func ExampleCluster_Traffic() {

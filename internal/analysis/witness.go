@@ -14,9 +14,9 @@ import (
 // first data site when the total is even — and (b) at least one *data*
 // site is up to supply the block contents. (b) is the approximation that
 // data sites reachable together with a quorum hold current data, which
-// the write protocol maintains by pushing every write's data to all
-// quorum members; the protocol itself additionally refuses reads in the
-// rare residual case, tested in internal/voting.
+// a write that pushes its data to every quorum member maintains; in the
+// rare residual case a witness protocol must refuse the read. This is
+// analysis only: no replica in this tree runs as a witness.
 //
 // The result is computed by exact enumeration over the 2^(data+witnesses)
 // up/down configurations, each weighted by its stationary probability.

@@ -51,14 +51,8 @@ type ClusterConfig struct {
 	Scheme SchemeKind
 	// Mode selects the §5 network flavour; zero defaults to Multicast.
 	Mode simnet.Mode
-	// Witnesses makes the last Witnesses sites voting witnesses ([10]):
-	// they vote with per-block version numbers but store no data, cutting
-	// the storage cost of a copy to a version table. Valid only with the
-	// Voting scheme, and at least one data site must remain.
-	Witnesses int
-	// NewStore optionally builds each site's stable storage for data
-	// sites; nil uses in-memory stores. Witness sites always use
-	// version-only stores.
+	// NewStore optionally builds each site's stable storage; nil uses
+	// in-memory stores.
 	NewStore func(id protocol.SiteID, geom block.Geometry) (store.Store, error)
 	// VotingOptions are passed to voting controllers.
 	VotingOptions []voting.Option
@@ -100,12 +94,6 @@ func (c *ClusterConfig) applyDefaults() error {
 			return store.NewMem(geom)
 		}
 	}
-	if c.Witnesses < 0 || c.Witnesses >= c.Sites {
-		return fmt.Errorf("core: %d witnesses need at least one data site among %d sites", c.Witnesses, c.Sites)
-	}
-	if c.Witnesses > 0 && c.Scheme != Voting {
-		return fmt.Errorf("core: witnesses require the voting scheme, not %v", c.Scheme)
-	}
 	return nil
 }
 
@@ -141,18 +129,11 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 		ids[i] = protocol.SiteID(i)
 	}
 	for i := range ids {
-		witness := i >= cfg.Sites-cfg.Witnesses
-		var st store.Store
-		var err error
-		if witness {
-			st, err = store.NewVersionOnly(cfg.Geometry)
-		} else {
-			st, err = cfg.NewStore(ids[i], cfg.Geometry)
-		}
+		st, err := cfg.NewStore(ids[i], cfg.Geometry)
 		if err != nil {
 			return nil, fmt.Errorf("core: store for %v: %w", ids[i], err)
 		}
-		rep, err := site.New(site.Config{ID: ids[i], Store: st, Witness: witness})
+		rep, err := site.New(site.Config{ID: ids[i], Store: st})
 		if err != nil {
 			return nil, err
 		}

@@ -6,7 +6,6 @@ import (
 
 	"relidev/internal/protocol"
 	"relidev/internal/site"
-	"relidev/internal/store"
 )
 
 // Reconfiguration: the paper's introduction notes that "availability and
@@ -21,17 +20,15 @@ import (
 // immediately and repair lazily; available copy sites repair from any
 // available copy). It returns the new site's id.
 //
-// The new site is a full data copy; witness layouts are fixed at
-// construction. Every site's vote weight follows from the new size
-// (DefaultWeights), so growing to an even size keeps §4.1's tie-break.
+// The new site is a full data copy. Every site's vote weight follows
+// from the new size (DefaultWeights), so growing to an even size keeps
+// §4.1's tie-break.
 func (cl *Cluster) Grow(ctx context.Context) (protocol.SiteID, error) {
 	if cl.cfg.Sites >= protocol.MaxSites {
 		return 0, fmt.Errorf("core: cluster already has the maximum of %d sites", protocol.MaxSites)
 	}
 	id := protocol.SiteID(cl.cfg.Sites)
-	var st store.Store
-	var err error
-	st, err = cl.cfg.NewStore(id, cl.cfg.Geometry)
+	st, err := cl.cfg.NewStore(id, cl.cfg.Geometry)
 	if err != nil {
 		return 0, fmt.Errorf("core: store for new site %v: %w", id, err)
 	}

@@ -115,9 +115,21 @@ func (m *moduleTree) resolve(x, y, z string) (ours, ok bool) {
 	return ours, false
 }
 
+// hasFunc reports whether some package of this module declares a
+// package-level func called name.
+func (m *moduleTree) hasFunc(name string) bool {
+	for _, pkg := range m.pkgs {
+		if _, ok := pkg.Scope().Lookup(name).(*types.Func); ok {
+			return true
+		}
+	}
+	return false
+}
+
 var (
 	codeSpan = regexp.MustCompile("`([^`\n]+)`")
 	selector = regexp.MustCompile(`^\*?([A-Za-z_]\w*)\.([A-Za-z_]\w*)(?:\.([A-Za-z_]\w*))?(?:\(.*\))?$`)
+	option   = regexp.MustCompile(`^(With[A-Z]\w*)(?:\(.*\))?$`)
 	goFile   = regexp.MustCompile(`^[\w./-]+\.go$`)
 	section  = regexp.MustCompile(`^#{1,2} `)
 	retired  = regexp.MustCompile(`(?i)\bretired in PR \d+`)
@@ -146,13 +158,13 @@ func benchMetrics(t *testing.T, root string) map[string]bool {
 	return names
 }
 
-// TestDocNamesResolve: every backticked `pkg.Ident`, `Type.Method` and
-// `path/file.go` in README.md, DESIGN.md and EXPERIMENTS.md names
-// something that exists in the type-checked tree, so the prose shrinks
-// with the code. A span naming a BENCHMARK.json metric is not a name of
-// the tree. A section (from one `#` or `##` heading to the next) that
-// says its names were "retired in PR N" says so once and is history:
-// its spans are not checked.
+// TestDocNamesResolve: every backticked `pkg.Ident`, `Type.Method`,
+// bare option constructor `WithFoo` and `path/file.go` in README.md,
+// DESIGN.md and EXPERIMENTS.md names something that exists in the
+// type-checked tree, so the prose shrinks with the code. A span naming
+// a BENCHMARK.json metric is not a name of the tree. A section (from one
+// `#` or `##` heading to the next) that says its names were "retired in
+// PR N" says so once and is history: its spans are not checked.
 func TestDocNamesResolve(t *testing.T) {
 	m := loadModule(t)
 	metrics := benchMetrics(t, m.root)
@@ -187,6 +199,10 @@ func TestDocNamesResolve(t *testing.T) {
 				case s != nil:
 					if ours, ok := m.resolve(s[1], s[2], s[3]); ours && !ok {
 						stale = append(stale, fmt.Sprintf("%s:%d: `%s` names nothing in package or type %s", doc, i+1, span, s[1]))
+					}
+				case option.MatchString(span):
+					if !m.hasFunc(option.FindStringSubmatch(span)[1]) {
+						stale = append(stale, fmt.Sprintf("%s:%d: `%s` names no func of the module", doc, i+1, span))
 					}
 				}
 			}

@@ -36,8 +36,8 @@ const (
 	MetricStaleReads = "relidev_stale_reads_total"
 	// MetricWriteTwoRound counts completed voting writes that used the
 	// classic two-round shape (vote round then put fan-out) instead of
-	// the single-round prepare-write of DESIGN.md §12 — conflict or
-	// witness-in-quorum fallbacks, or forced-classic configurations.
+	// the single-round prepare-write of DESIGN.md §12 — version-conflict
+	// fallbacks, or forced-classic configurations.
 	MetricWriteTwoRound = "relidev_write_two_round_total"
 	// MetricWriteTwoRoundParticipants sums participation over those
 	// two-round writes, so §5 conformance can price each shape at its

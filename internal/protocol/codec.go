@@ -178,7 +178,6 @@ func AppendResponse(dst []byte, resp Response, code uint8, text string) ([]byte,
 		kind = kindVoteReply
 		b = appendU64(b, uint64(p.Version))
 		b = append(b, byte(p.State))
-		b = appendBool(b, p.Witness)
 	case FetchReply:
 		kind = kindFetchReply
 		b = appendU64(b, uint64(p.Version))
@@ -189,7 +188,6 @@ func AppendResponse(dst []byte, resp Response, code uint8, text string) ([]byte,
 		kind = kindPrepareWriteReply
 		b = appendU64(b, uint64(p.Version))
 		b = append(b, byte(p.State))
-		b = appendBool(b, p.Witness)
 		b = appendBool(b, p.Staged)
 	case AbortWriteReply:
 		kind = kindAbortWriteReply
@@ -403,7 +401,6 @@ func DecodeResponse(b []byte, alias bool) (resp Response, code uint8, text strin
 		resp = VoteReply{
 			Version: block.Version(r.u64()),
 			State:   SiteState(r.u8()),
-			Witness: r.flag(),
 		}
 	case kindFetchReply:
 		resp = FetchReply{Version: block.Version(r.u64()), Data: r.bytes()}
@@ -413,7 +410,6 @@ func DecodeResponse(b []byte, alias bool) (resp Response, code uint8, text strin
 		resp = PrepareWriteReply{
 			Version: block.Version(r.u64()),
 			State:   SiteState(r.u8()),
-			Witness: r.flag(),
 			Staged:  r.flag(),
 		}
 	case kindAbortWriteReply:

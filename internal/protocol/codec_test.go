@@ -66,14 +66,13 @@ func responseCases() []respCase {
 		{Index: ^block.Index(0), Data: []byte{1}, Version: ^block.Version(0)},
 	}
 	cases := []respCase{
-		{name: "vote-reply", resp: VoteReply{Version: 5, State: StateAvailable, Witness: true}},
+		{name: "vote-reply", resp: VoteReply{Version: 5, State: StateAvailable}},
 		{name: "vote-reply/comatose", resp: VoteReply{State: StateComatose}},
 		{name: "fetch-reply", resp: FetchReply{Data: data, Version: 5}},
 		{name: "fetch-reply/nil-data", resp: FetchReply{Version: 5}},
 		{name: "fetch-reply/empty-data", resp: FetchReply{Data: []byte{}, Version: 5}, want: FetchReply{Version: 5}},
 		{name: "put-reply", resp: PutReply{}},
 		{name: "prepare-write-reply", resp: PrepareWriteReply{Version: 8, State: StateAvailable, Staged: true}},
-		{name: "prepare-write-reply/witness", resp: PrepareWriteReply{Version: 8, State: StateAvailable, Witness: true}},
 		{name: "abort-write-reply", resp: AbortWriteReply{}},
 		{name: "status-reply", resp: StatusReply{State: StateComatose, WasAvail: FullSet(MaxSites), VersionSum: ^uint64(0)}},
 		{name: "status-reply/empty-W", resp: StatusReply{State: StateAvailable}},
@@ -219,6 +218,18 @@ func TestAppendRejectsUnknownTypes(t *testing.T) {
 // fetch messages (requests and replies alike).
 var retiredKinds = []byte{15, 16, 17, 18}
 
+// witnessEraReplies are a vote reply (kind 2) and a prepare-write reply
+// (kind 8) as binaries that still carried the retired Witness flag sent
+// them: version 5 or 8, state available, then the flag byte the current
+// format no longer has (kind 8 put it before Staged).
+var witnessEraReplies = []struct {
+	name  string
+	frame []byte
+}{
+	{"witness-era vote reply", []byte{kindVoteReply, 0, 0, 0, 0, 0, 5, 0, 0, 0, 0, 0, 0, 0, byte(StateAvailable), 1}},
+	{"witness-era prepare-write reply", []byte{kindPrepareWriteReply, 0, 0, 0, 0, 0, 8, 0, 0, 0, 0, 0, 0, 0, byte(StateAvailable), 1, 0}},
+}
+
 func TestDecodeRejectsMalformed(t *testing.T) {
 	put, err := AppendRequest(nil, 1, SpanContext{}, PutRequest{Block: 1, Data: []byte("abcd"), Version: 1, HasW: true})
 	if err != nil {
@@ -284,6 +295,14 @@ func TestDecodeRejectsMalformed(t *testing.T) {
 	}
 	for _, tag := range retiredKinds {
 		responses[fmt.Sprintf("retired kind %d", tag)] = []byte{tag, 0, 0, 0, 0, 0}
+	}
+	for _, w := range witnessEraReplies {
+		responses[w.name] = w.frame
+		// One byte shorter, each is a well-formed current frame: the
+		// extra flag alone is what the decoder refuses.
+		if _, _, _, err := DecodeResponse(w.frame[:len(w.frame)-1], false); err != nil {
+			t.Errorf("%s without its last byte: %v", w.name, err)
+		}
 	}
 	for name, b := range responses {
 		for _, alias := range []bool{false, true} {
@@ -405,6 +424,9 @@ func FuzzDecodeResponse(f *testing.F) {
 	}
 	for _, b := range retiredKindFrames(6) {
 		f.Add(b)
+	}
+	for _, w := range witnessEraReplies {
+		f.Add(w.frame)
 	}
 	f.Fuzz(func(t *testing.T, b []byte) {
 		resp, code, text, err := DecodeResponse(b, false)

@@ -20,9 +20,6 @@ func (VoteRequest) Kind() string { return "vote" }
 type VoteReply struct {
 	Version block.Version
 	State   SiteState
-	// Witness marks a site that votes with version numbers but stores no
-	// block data ([10]); witnesses cannot serve fetches or repairs.
-	Witness bool
 }
 
 // RespKind implements Response.
@@ -94,11 +91,9 @@ type PrepareWriteReply struct {
 	// Version is the responder's version *before* any install: its vote.
 	Version block.Version
 	State   SiteState
-	Witness bool
-	// Staged reports that the proposal was installed. Comatose sites and
-	// witnesses vote without staging, and a proposal at or below the
-	// local version is refused (the coordinator falls back to the
-	// two-round path).
+	// Staged reports that the proposal was installed. Comatose sites
+	// vote without staging, and a proposal at or below the local version
+	// is refused (the coordinator falls back to the two-round path).
 	Staged bool
 }
 

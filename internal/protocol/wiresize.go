@@ -18,7 +18,7 @@ func WireSize(msg interface{}) int {
 	case VoteRequest:
 		return wireHeader + 4
 	case VoteReply:
-		return wireHeader + 8 + 1 + 1
+		return wireHeader + 8 + 1
 	case FetchRequest:
 		return wireHeader + 4
 	case FetchReply:
@@ -30,7 +30,7 @@ func WireSize(msg interface{}) int {
 	case PrepareWriteRequest:
 		return wireHeader + 4 + 8 + len(m.Data)
 	case PrepareWriteReply:
-		return wireHeader + 8 + 1 + 1 + 1
+		return wireHeader + 8 + 1 + 1
 	case AbortWriteRequest:
 		return wireHeader + 4 + 8
 	case AbortWriteReply:

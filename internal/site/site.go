@@ -43,8 +43,7 @@ var (
 
 // Replica is one site's server process plus its stable storage.
 type Replica struct {
-	id      protocol.SiteID
-	witness bool
+	id protocol.SiteID
 
 	mu       sync.Mutex
 	st       store.Store
@@ -89,9 +88,6 @@ type Config struct {
 	// InitialState is the state the replica starts in; zero means
 	// StateAvailable (a freshly formatted, consistent copy).
 	InitialState protocol.SiteState
-	// Witness marks a site that votes but stores no data ([10]); pair it
-	// with a store.VersionOnlyStore.
-	Witness bool
 }
 
 // New builds a replica. The was-available set is loaded from stable
@@ -108,7 +104,7 @@ func New(cfg Config) (*Replica, error) {
 	if st == 0 {
 		st = protocol.StateAvailable
 	}
-	r := &Replica{id: cfg.ID, witness: cfg.Witness, st: cfg.Store, state: st}
+	r := &Replica{id: cfg.ID, st: cfg.Store, state: st}
 	meta, err := cfg.Store.LoadMeta()
 	if err != nil {
 		return nil, fmt.Errorf("load replica meta: %w", err)
@@ -121,10 +117,6 @@ func New(cfg Config) (*Replica, error) {
 
 // ID returns the site identity.
 func (r *Replica) ID() protocol.SiteID { return r.id }
-
-// Witness reports whether this site is a witness: it votes with version
-// numbers but holds no block data.
-func (r *Replica) Witness() bool { return r.witness }
 
 // Geometry returns the device shape.
 func (r *Replica) Geometry() block.Geometry { return r.st.Geometry() }
@@ -302,7 +294,7 @@ func (r *Replica) Handle(ctx context.Context, from protocol.SiteID, req protocol
 		if err != nil {
 			return nil, err
 		}
-		return protocol.VoteReply{Version: ver, State: state, Witness: r.witness}, nil
+		return protocol.VoteReply{Version: ver, State: state}, nil
 
 	case protocol.FetchRequest:
 		data, ver, err := r.st.Read(q.Block)
@@ -376,11 +368,11 @@ func (r *Replica) Handle(ctx context.Context, from protocol.SiteID, req protocol
 
 // handlePrepareWrite serves the fast write path's combined
 // vote-and-stage request (DESIGN.md §12). The reply always carries the
-// site's vote — the version *before* any install, plus state and
-// witness flag, exactly like a VoteReply — so the coordinator's quorum
-// arithmetic is unchanged. The proposal is installed only when the site
-// may hold data (available, not a witness) and the proposed version
-// strictly exceeds the local one.
+// site's vote — the version *before* any install, plus state, exactly
+// like a VoteReply — so the coordinator's quorum arithmetic is
+// unchanged. The proposal is installed only when the site may accept
+// data (available) and the proposed version strictly exceeds the local
+// one.
 //
 // The version check and the install happen under one r.mu hold: two
 // coordinators proposing the same version concurrently must not both
@@ -396,14 +388,12 @@ func (r *Replica) handlePrepareWrite(state protocol.SiteState, from protocol.Sit
 	if err != nil {
 		return nil, err
 	}
-	reply := protocol.PrepareWriteReply{Version: ver, State: state, Witness: r.witness}
+	reply := protocol.PrepareWriteReply{Version: ver, State: state}
 	// A comatose site votes (its version numbers are genuine) but must
 	// not accept data, mirroring how it answers VoteRequest yet rejects
-	// PutRequest. A witness never stages either: a fast commit would
-	// leave its version table behind the data sites', so the coordinator
-	// falls back to the put fan-out whenever a witness is in the quorum.
-	// And a proposal no newer than the local copy only collects the vote.
-	if state == protocol.StateComatose || r.witness || q.Version <= ver {
+	// PutRequest. And a proposal no newer than the local copy only
+	// collects the vote.
+	if state == protocol.StateComatose || q.Version <= ver {
 		return reply, nil
 	}
 	// Stage a copy of the payload (it may alias the transport's buffer)

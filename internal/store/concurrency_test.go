@@ -21,9 +21,6 @@ func TestConcurrentStoreAccess(t *testing.T) {
 	if f, err := CreateFile(filepath.Join(t.TempDir(), "img"), testGeom); err == nil {
 		impls["file"] = f
 	}
-	if v, err := NewVersionOnly(testGeom); err == nil {
-		impls["versiononly"] = v
-	}
 	if s, err := CreateSeg(filepath.Join(t.TempDir(), "segs"), testGeom, WithMaxSegmentBytes(16<<10)); err == nil {
 		impls["segment"] = s
 	}
@@ -47,7 +44,7 @@ func TestConcurrentStoreAccess(t *testing.T) {
 							t.Error(err)
 							return
 						}
-						if _, _, err := s.Read(idx); err != nil && name != "versiononly" {
+						if _, _, err := s.Read(idx); err != nil {
 							t.Error(err)
 							return
 						}

@@ -93,10 +93,10 @@ type Install struct {
 
 // WriteRun writes ins to st in order, as that many Writes would. A store
 // with its own WriteRun takes the run whole (SegStore: one append;
-// Batcher: one group commit); any other — FileStore, VersionOnlyStore,
-// MemStore, a decorator — gets one Write per install up to the first
-// error. Like Swap, the method stays out of Store only because
-// benchmark/ implements Store; folding both in is the follow-up.
+// Batcher: one group commit); any other — FileStore, MemStore, a
+// decorator — gets one Write per install up to the first error. Like
+// Swap, the method stays out of Store only because benchmark/
+// implements Store; folding both in is the follow-up.
 func WriteRun(st Store, ins []Install) error {
 	if rw, ok := st.(interface{ WriteRun([]Install) error }); ok {
 		return rw.WriteRun(ins)

@@ -28,9 +28,9 @@ type Option func(*Controller)
 // controller uses the pipelined single-round write path (DESIGN.md
 // §12), which ships the proposed version and the data in one combined
 // prepare-write broadcast and falls back to this two-round shape only
-// on version conflict or when a witness is in the quorum. The option
-// exists for the §5 traffic-model rigs, whose per-write transmission
-// counts assume the paper's exact message sequence.
+// on version conflict. The option exists for the §5 traffic-model rigs,
+// whose per-write transmission counts assume the paper's exact message
+// sequence.
 func WithTwoRoundWrites() Option {
 	return func(c *Controller) { c.twoRound = true }
 }
@@ -85,36 +85,25 @@ func New(env scheme.Env, opts ...Option) (*Controller, error) {
 // Name implements scheme.Controller.
 func (c *Controller) Name() string { return "voting" }
 
-// ErrNoCurrentCopy is returned when a quorum is present but no
-// reachable non-witness site holds the most recent version of the block:
-// witnesses prove how current the data *should* be without being able to
-// supply it ([10]).
-var ErrNoCurrentCopy = errors.New("voting: no reachable current data copy")
-
 // vote is one collected vote.
 type vote struct {
 	from    protocol.SiteID
 	version block.Version
-	witness bool
 }
 
 // ballot is the votes of one round, collected on the coordinator's
 // stack: a group has at most MaxSites voters.
 type ballot struct {
-	votes     [protocol.MaxSites]vote
-	n         int
-	witnesses int   // how many of votes[:n] are witnesses
-	weight    int64 // total weight of votes[:n]
-	staged    int64 // weight of the remote sites that installed a prepare-write
+	votes  [protocol.MaxSites]vote
+	n      int
+	weight int64 // total weight of votes[:n]
+	staged int64 // weight of the remote sites that installed a prepare-write
 }
 
 func (b *ballot) add(v vote, weight int64) {
 	b.votes[b.n] = v
 	b.n++
 	b.weight += weight
-	if v.witness {
-		b.witnesses++
-	}
 }
 
 // collect runs one vote round for block idx: the local vote (which
@@ -137,16 +126,16 @@ func (c *Controller) collect(ctx context.Context, b *ballot, idx block.Index, st
 	} else {
 		req = protocol.PrepareWriteRequest{Block: idx, Data: stage, Version: proposed}
 	}
-	b.add(vote{from: self.ID(), version: localVer, witness: self.Witness()}, c.weight[self.ID()])
+	b.add(vote{from: self.ID(), version: localVer}, c.weight[self.ID()])
 	for id, res := range c.env.Transport.Broadcast(ctx, self.ID(), c.remotes, req) {
 		if res.Err != nil {
 			continue // unreachable or failed site: no vote
 		}
 		switch reply := res.Resp.(type) {
 		case protocol.VoteReply:
-			b.add(vote{from: id, version: reply.Version, witness: reply.Witness}, c.weight[id])
+			b.add(vote{from: id, version: reply.Version}, c.weight[id])
 		case protocol.PrepareWriteReply:
-			b.add(vote{from: id, version: reply.Version, witness: reply.Witness}, c.weight[id])
+			b.add(vote{from: id, version: reply.Version}, c.weight[id])
 			if reply.Staged {
 				b.staged += c.weight[id]
 			}
@@ -157,30 +146,17 @@ func (c *Controller) collect(ctx context.Context, b *ballot, idx block.Index, st
 	return proposed, nil
 }
 
+// maxVote returns the vote with the highest version; among equal
+// versions the lowest site id wins, so a read repairs from the same
+// site whatever order the broadcast's replies arrived in.
 func maxVote(votes []vote) vote {
 	best := votes[0]
 	for _, v := range votes[1:] {
-		if v.version > best.version {
+		if v.version > best.version || v.version == best.version && v.from < best.from {
 			best = v
 		}
 	}
 	return best
-}
-
-// currentDataSite returns a non-witness voter holding version ver, if
-// any; the lowest id wins for determinism.
-func currentDataSite(votes []vote, ver block.Version) (vote, bool) {
-	var best vote
-	found := false
-	for _, v := range votes {
-		if v.witness || v.version != ver {
-			continue
-		}
-		if !found || v.from < best.from {
-			best, found = v, true
-		}
-	}
-	return best, found
 }
 
 // Read implements Figure 3: collect votes, check the read quorum, repair
@@ -207,33 +183,18 @@ func (c *Controller) Read(ctx context.Context, idx block.Index) (_ []byte, err e
 	ob.VersionResolved(protocol.OpRead, idx, best.version)
 	self := c.env.Self
 	localVer, _ := self.VersionLocal(idx)
-	if self.Witness() || localVer < best.version {
-		src, ok := currentDataSite(votes, best.version)
-		if !ok {
-			return nil, fmt.Errorf("voting read of %v: version %v held only by witnesses: %w",
-				idx, best.version, ErrNoCurrentCopy)
+	if localVer < best.version && best.from != self.ID() {
+		resp, err := c.env.Transport.Fetch(ctx, self.ID(), best.from, protocol.FetchRequest{Block: idx})
+		if err != nil {
+			return nil, fmt.Errorf("voting read repair of %v from %v: %w", idx, best.from, err)
 		}
-		if src.from == self.ID() {
-			// Only possible when the local copy already holds the maximal
-			// version; fall through to the local read.
-		} else {
-			resp, err := c.env.Transport.Fetch(ctx, self.ID(), src.from, protocol.FetchRequest{Block: idx})
-			if err != nil {
-				return nil, fmt.Errorf("voting read repair of %v from %v: %w", idx, src.from, err)
-			}
-			f, ok := resp.(protocol.FetchReply)
-			if !ok {
-				return nil, fmt.Errorf("voting read repair of %v: unexpected reply %T", idx, resp)
-			}
-			ob.LazyRefresh(idx, src.from, f.Version)
-			if self.Witness() {
-				// A witness cannot cache data; serve the fetched block
-				// directly (its store records the version on writes only).
-				return f.Data, nil
-			}
-			if err := self.WriteLocal(idx, f.Data, f.Version); err != nil {
-				return nil, fmt.Errorf("voting read repair of %v: %w", idx, err)
-			}
+		f, ok := resp.(protocol.FetchReply)
+		if !ok {
+			return nil, fmt.Errorf("voting read repair of %v: unexpected reply %T", idx, resp)
+		}
+		ob.LazyRefresh(idx, best.from, f.Version)
+		if err := self.WriteLocal(idx, f.Data, f.Version); err != nil {
+			return nil, fmt.Errorf("voting read repair of %v: %w", idx, err)
 		}
 	}
 	data, _, err := self.ReadLocal(idx)
@@ -248,10 +209,10 @@ func (c *Controller) Read(ctx context.Context, idx block.Index) (_ []byte, err e
 // collects the votes and provisionally installs the data, and the write
 // commits when the voted weight and the staged weight each exceed the
 // write threshold. A version conflict (some site voted >= the proposal)
-// or a witness in the quorum sends the write down the classic two-round
-// tail — the vote round has already happened, so only the put fan-out
-// is added, and correctness is exactly Figure 4's. With
-// WithTwoRoundWrites every write uses the classic shape.
+// sends the write down the classic two-round tail — the vote round has
+// already happened, so only the put fan-out is added, and correctness
+// is exactly Figure 4's. With WithTwoRoundWrites every write uses the
+// classic shape.
 func (c *Controller) Write(ctx context.Context, idx block.Index, data []byte) (err error) {
 	ob := c.env.Obs
 	op := c.locks.BeginOp(ob, protocol.OpWrite, idx)
@@ -284,7 +245,7 @@ func (c *Controller) Write(ctx context.Context, idx block.Index, data []byte) (e
 	op.Participants = len(votes)
 
 	if !c.twoRound {
-		if conflict := maxVote(votes).version >= proposed; !conflict && b.witnesses == 0 {
+		if maxVote(votes).version < proposed {
 			committed, ferr := c.commitFast(ctx, idx, data, b.staged, proposed)
 			if committed || ferr != nil {
 				return ferr
@@ -294,11 +255,9 @@ func (c *Controller) Write(ctx context.Context, idx block.Index, data []byte) (e
 			// after the prepare round read it. Treat it as the conflict
 			// it is and fall back.
 		}
-		// Conflict, or a witness voted (witnesses never stage, so a fast
-		// commit would leave their version tables behind): finish with
-		// the classic put fan-out. Every staged site is among the voters,
-		// so the fan-out's strictly greater version supersedes every
-		// staged install.
+		// Conflict: finish with the classic put fan-out. Every staged
+		// site is among the voters, so the fan-out's strictly greater
+		// version supersedes every staged install.
 	}
 	return c.finishTwoRound(ctx, idx, data, &b)
 }
@@ -319,9 +278,9 @@ func (c *Controller) abortStaged(ctx context.Context, idx block.Index, proposed 
 }
 
 // commitFast completes a single-round write: no site voted a version at
-// or above the proposal and no witness is involved, so the staged
-// installs *are* the update. The coordinator adds its own weight to the
-// remote sites' staged weight, aborts cleanly if it cannot clear the write threshold, and otherwise
+// or above the proposal, so the staged installs *are* the update. The
+// coordinator adds its own weight to the remote sites' staged weight,
+// aborts cleanly if it cannot clear the write threshold, and otherwise
 // installs locally with the same atomic conditional install the remote
 // sites performed. committed=false with a nil error means the local
 // install lost a race and the caller must fall back to the two-round
@@ -338,17 +297,11 @@ func (c *Controller) commitFast(ctx context.Context, idx block.Index, data []byt
 		return true, fmt.Errorf("voting write of %v: update staged at weight %d of %d required: %w",
 			idx, installed, c.threshold+1, scheme.ErrNoQuorum)
 	}
-	// The no-conflict check covers the coordinator's own vote, so self is
-	// a non-witness data site and the new version never lives only on
-	// witnesses.
 	ok, err := c.env.Self.StageLocal(idx, data, proposed)
 	if err != nil {
 		return false, fmt.Errorf("voting write of %v: %w", idx, err)
 	}
-	if !ok {
-		return false, nil
-	}
-	return true, nil
+	return ok, nil
 }
 
 // finishTwoRound is the second half of the Figure 4 write: bump the
@@ -371,11 +324,6 @@ func (c *Controller) finishTwoRound(ctx context.Context, idx block.Index, data [
 		newVer = localVer + 1
 	}
 	ob.VersionResolved(protocol.OpWrite, idx, newVer)
-	if b.witnesses == b.n {
-		// A quorum of witnesses alone could version a write whose data no
-		// site would hold; refuse it.
-		return fmt.Errorf("voting write of %v: quorum holds no data site: %w", idx, ErrNoCurrentCopy)
-	}
 
 	// Send the update to every remote site in the quorum. The quorum
 	// intersection property guarantees at least one of them already held

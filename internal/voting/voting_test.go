@@ -625,3 +625,57 @@ func TestPartitionsCannotSplitBrain(t *testing.T) {
 		t.Fatalf("after heal read = %q", got[:5])
 	}
 }
+
+// fetchRecorder is a Transport that notes the target of every Fetch.
+type fetchRecorder struct {
+	protocol.Transport
+	fetched []protocol.SiteID
+}
+
+func (f *fetchRecorder) Fetch(ctx context.Context, from, to protocol.SiteID, req protocol.Request) (protocol.Response, error) {
+	f.fetched = append(f.fetched, to)
+	return f.Transport.Fetch(ctx, from, to, req)
+}
+
+// TestReadRepairFetchesFromLowestCurrentSite: a stale coordinator
+// repairs from the lowest-id site holding the quorum's newest version,
+// never from whichever current reply the broadcast's map yielded first.
+// Each fresh rig draws a new reply order.
+func TestReadRepairFetchesFromLowestCurrentSite(t *testing.T) {
+	ctx := context.Background()
+	for run := 0; run < 20; run++ {
+		r := newRig(t, 5, simnet.Multicast)
+		if err := r.ctrls[1].Write(ctx, 0, pad("v1")); err != nil {
+			t.Fatal(err)
+		}
+		// Sites 0 and 4 miss v2, so 1, 2 and 3 are the current ones.
+		r.fail(0)
+		r.fail(4)
+		if err := r.ctrls[1].Write(ctx, 0, pad("v2")); err != nil {
+			t.Fatal(err)
+		}
+		for _, id := range []protocol.SiteID{0, 4} {
+			r.restart(id)
+			if err := r.ctrls[id].Recover(ctx); err != nil {
+				t.Fatal(err)
+			}
+		}
+		rec := &fetchRecorder{Transport: r.net}
+		coord, err := New(scheme.Env{
+			Self:      r.replicas[4],
+			Transport: rec,
+			Sites:     []protocol.SiteID{0, 1, 2, 3, 4},
+			Weights:   []int64{1000, 1000, 1000, 1000, 1000},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := coord.Read(ctx, 0)
+		if err != nil || string(got[:2]) != "v2" {
+			t.Fatalf("run %d: stale read = %q, %v", run, got, err)
+		}
+		if len(rec.fetched) != 1 || rec.fetched[0] != 1 {
+			t.Fatalf("run %d: fetched from %v, want [site1]", run, rec.fetched)
+		}
+	}
+}

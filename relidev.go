@@ -115,10 +115,9 @@ type Device interface {
 type Option func(*options)
 
 type options struct {
-	geometry  Geometry
-	unicast   bool
-	witnesses int
-	metered   bool
+	geometry Geometry
+	unicast  bool
+	metered  bool
 }
 
 // WithGeometry sets the device shape (default 512-byte blocks, 128
@@ -144,14 +143,6 @@ func WithUnicastNetwork() Option {
 // measures the per-op delta.
 func WithMetering() Option {
 	return func(o *options) { o.metered = true }
-}
-
-// WithWitnesses turns the last w sites into voting witnesses (Pâris
-// [10]): full quorum participants that track per-block version numbers
-// but store no data. Witnesses buy voting-grade consistency guarantees
-// at a fraction of the storage cost; valid only with the Voting scheme.
-func WithWitnesses(w int) Option {
-	return func(o *options) { o.witnesses = w }
 }
 
 // Objective is one alert condition (DESIGN.md "Alerts"): a signal
@@ -252,10 +243,9 @@ func New(n int, scheme Scheme, opts ...Option) (*Cluster, error) {
 		opt(&o)
 	}
 	cfg := core.ClusterConfig{
-		Sites:     n,
-		Geometry:  o.geometry,
-		Scheme:    scheme.kind(),
-		Witnesses: o.witnesses,
+		Sites:    n,
+		Geometry: o.geometry,
+		Scheme:   scheme.kind(),
 	}
 	if o.unicast {
 		cfg.Mode = simnet.Unicast

@@ -223,35 +223,6 @@ func TestReconfigurationViaPublicAPI(t *testing.T) {
 	}
 }
 
-func TestWitnessesViaPublicAPI(t *testing.T) {
-	ctx := context.Background()
-	cluster, err := relidev.New(3, relidev.Voting, relidev.WithWitnesses(1),
-		relidev.WithGeometry(relidev.Geometry{BlockSize: 64, NumBlocks: 4}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	dev, _ := cluster.Device(0)
-	payload := make([]byte, 64)
-	copy(payload, "w")
-	if err := dev.WriteBlock(ctx, 0, payload); err != nil {
-		t.Fatal(err)
-	}
-	// Data site + witness quorum survives a data-site failure.
-	if err := cluster.Fail(1); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := dev.ReadBlock(ctx, 0); err != nil {
-		t.Fatalf("read with data+witness quorum: %v", err)
-	}
-	// Witnesses are rejected outside the voting scheme.
-	if _, err := relidev.New(3, relidev.NaiveAvailableCopy, relidev.WithWitnesses(1)); err == nil {
-		t.Fatal("witnesses accepted for naive scheme")
-	}
-	if _, err := relidev.New(2, relidev.Voting, relidev.WithWitnesses(2)); err == nil {
-		t.Fatal("all-witness cluster accepted")
-	}
-}
-
 func TestAvailabilityFacade(t *testing.T) {
 	// The public formulas reproduce the §4 identities.
 	na2, err := relidev.Availability(relidev.NaiveAvailableCopy, 2, 0.1)
