@@ -51,7 +51,7 @@ func main() {
 	var (
 		id         = flag.Int("id", 0, "this site's id (0..n-1)")
 		peersF     = flag.String("peers", "", "comma-separated id=host:port for every site, including this one")
-		schemeF    = flag.String("scheme", "naive", "consistency scheme: voting, ac, naive")
+		schemeF    = flag.String("scheme", "naive", "consistency scheme: voting, ac (available-copy), nac (naive)")
 		storePath  = flag.String("store", "", "path of the block image file (empty = in-memory)")
 		storeDir   = flag.String("store-dir", "", "directory for an append-only segment store (DESIGN.md \u00a712); takes precedence over -store")
 		commitN    = flag.Int("commit-batch", 0, "group commit: coalesce up to this many concurrent writes into one fsync (0 = off)")
@@ -92,19 +92,6 @@ func parsePeers(s string) (map[int]string, error) {
 	return peers, nil
 }
 
-func parseScheme(s string) (relidev.Scheme, error) {
-	switch s {
-	case "voting":
-		return relidev.Voting, nil
-	case "ac", "available-copy":
-		return relidev.AvailableCopy, nil
-	case "naive":
-		return relidev.NaiveAvailableCopy, nil
-	default:
-		return 0, fmt.Errorf("unknown scheme %q (want voting, ac or naive)", s)
-	}
-}
-
 // objectives is the server's alert set: the defaults, with the
 // availability target budgeted from the paper's own §4 prediction for
 // this deployment, like the chaos harness does.
@@ -117,7 +104,7 @@ func run(id int, peersF, schemeF, storePath, storeDir string, commitN int, commi
 	if err != nil {
 		return err
 	}
-	scheme, err := parseScheme(schemeF)
+	scheme, err := relidev.ParseScheme(schemeF)
 	if err != nil {
 		return err
 	}

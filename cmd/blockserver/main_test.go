@@ -33,13 +33,13 @@ func TestParsePeers(t *testing.T) {
 
 func TestParseScheme(t *testing.T) {
 	tests := map[string]bool{
-		"voting": true, "ac": true, "available-copy": true, "naive": true,
+		"voting": true, "ac": true, "available-copy": true, "nac": true, "naive": true,
 		"paxos": false, "": false,
 	}
 	for in, ok := range tests {
-		_, err := parseScheme(in)
+		_, err := relidev.ParseScheme(in)
 		if (err == nil) != ok {
-			t.Fatalf("parseScheme(%q) err = %v, want ok=%v", in, err, ok)
+			t.Fatalf("ParseScheme(%q) err = %v, want ok=%v", in, err, ok)
 		}
 	}
 }

@@ -27,7 +27,7 @@ import (
 
 func main() {
 	var (
-		schemeF    = flag.String("scheme", "voting", "scheme: voting, ac, nac")
+		schemeF    = flag.String("scheme", "voting", "scheme: voting, ac (available-copy), nac (naive)")
 		sites      = flag.Int("sites", 5, "number of replica sites")
 		blocks     = flag.Int("blocks", 12, "device size in blocks")
 		seed       = flag.Int64("seed", 1, "schedule seed (same seed = same run)")
@@ -45,7 +45,7 @@ func main() {
 		coda       = flag.Int("coda", 4, "fault-free workload batches appended after convergence, so burn-rate alerts can clear inside the run")
 	)
 	flag.Parse()
-	kind, err := parseScheme(*schemeF)
+	kind, err := core.ParseScheme(*schemeF)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "chaos:", err)
 		os.Exit(1)
@@ -261,18 +261,5 @@ func printReport(w io.Writer, rep *chaos.Report) {
 	fmt.Fprintf(w, "  INVARIANT VIOLATIONS (%d):\n", len(rep.Violations))
 	for _, v := range rep.Violations {
 		fmt.Fprintf(w, "    - %s\n", v)
-	}
-}
-
-func parseScheme(name string) (core.SchemeKind, error) {
-	switch name {
-	case "voting":
-		return core.Voting, nil
-	case "ac", "available-copy":
-		return core.AvailableCopy, nil
-	case "nac", "naive":
-		return core.NaiveAvailableCopy, nil
-	default:
-		return 0, fmt.Errorf("unknown scheme %q (want voting, ac, or nac)", name)
 	}
 }

@@ -11,11 +11,12 @@ import (
 	"testing"
 
 	"relidev/internal/chaos"
+	"relidev/internal/core"
 )
 
 func testConfig(t *testing.T, scheme string, seed int64, events, ops int) chaos.Config {
 	t.Helper()
-	kind, err := parseScheme(scheme)
+	kind, err := core.ParseScheme(scheme)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +128,7 @@ func TestRunMetricsOutRequiresObservation(t *testing.T) {
 }
 
 func TestParseSchemeRejectsUnknown(t *testing.T) {
-	if _, err := parseScheme("nope"); err == nil {
+	if _, err := core.ParseScheme("nope"); err == nil {
 		t.Fatal("unknown scheme accepted")
 	}
 }

@@ -1,14 +1,18 @@
 // Command figures regenerates the figures of the paper's evaluation
-// section (Figures 9-12), the Theorem 4.1 check, and the §5 cost table.
+// section (Figures 9-12), the Theorem 4.1 check, the §5 cost table, and
+// the extension figures and table of DESIGN.md §4.
 //
 // Usage:
 //
-//	figures -fig 9            ASCII plot of Figure 9
-//	figures -fig 11 -csv      CSV data for Figure 11
-//	figures -fig all          everything, plots and tables
-//	figures -fig theorem      Theorem 4.1 over a (n, rho) grid
-//	figures -fig costs        §5 cost table
-//	figures -fig 9 -sim       overlay simulated spot measurements
+//	figures -fig 9                    ASCII plot of Figure 9 (10, 11, 12 likewise)
+//	figures -fig 11 -csv              CSV data for Figure 11
+//	figures -fig 9 -sim               overlay simulated spot measurements
+//	figures -fig theorem              Theorem 4.1 over a (n, rho) grid
+//	figures -fig costs                §5 cost table
+//	figures -fig witness              voting with witnesses (X1)
+//	figures -fig equal-availability   traffic at equal availability (X2)
+//	figures -fig mttf                 mean time to first inaccessibility (X6)
+//	figures -fig all                  every figure and table, 9 through mttf
 package main
 
 import (
@@ -23,7 +27,7 @@ import (
 
 func main() {
 	var (
-		fig    = flag.String("fig", "all", "which figure: 9, 10, 11, 12, theorem, costs, witness, equal-availability, all")
+		fig    = flag.String("fig", "all", "which figure: 9, 10, 11, 12, theorem, costs, witness, equal-availability, mttf, all")
 		csv    = flag.Bool("csv", false, "emit CSV instead of an ASCII plot")
 		sim    = flag.Bool("sim", false, "overlay simulated availability spot values (figures 9 and 10)")
 		width  = flag.Int("width", 72, "plot width in characters")
@@ -86,7 +90,7 @@ func run(w io.Writer, which string, csv, sim bool, width, height int, seed int64
 				return err
 			}
 			return printFig(f, 0)
-		case "equal-availability", "equalavail":
+		case "equal-availability":
 			f, err := figures.FigureEqualAvailability()
 			if err != nil {
 				return err

@@ -28,7 +28,7 @@ func main() {
 	var (
 		id        = flag.Int("id", 0, "this client's site id")
 		peersF    = flag.String("peers", "", "comma-separated id=host:port for every site, including this one")
-		schemeF   = flag.String("scheme", "naive", "consistency scheme: voting, ac, naive")
+		schemeF   = flag.String("scheme", "naive", "consistency scheme: voting, ac (available-copy), nac (naive)")
 		storePath = flag.String("store", "", "path of the local block image (empty = in-memory)")
 		blocks    = flag.Int("blocks", 128, "number of blocks")
 		blockSize = flag.Int("blocksize", 512, "block size in bytes")
@@ -60,16 +60,9 @@ func run(id int, peersF, schemeF, storePath string, blocks, blockSize int, args 
 		}
 		peers[n] = addr
 	}
-	var scheme relidev.Scheme
-	switch schemeF {
-	case "voting":
-		scheme = relidev.Voting
-	case "ac", "available-copy":
-		scheme = relidev.AvailableCopy
-	case "naive":
-		scheme = relidev.NaiveAvailableCopy
-	default:
-		return fmt.Errorf("unknown scheme %q", schemeF)
+	scheme, err := relidev.ParseScheme(schemeF)
+	if err != nil {
+		return err
 	}
 	if _, ok := peers[id]; !ok {
 		// The client is a site too; give it an ephemeral local address

@@ -7,6 +7,7 @@
 //	simulate -kind availability -scheme ac -sites 3 -rho 0.1 -horizon 500000
 //	simulate -kind traffic -scheme voting -sites 5 -rho 0.05 -net unicast
 //	simulate -kind traffic -scheme ac -json   # metrics + §5 conformance
+//	simulate -kind repairorder -sites 3 -rho 0.2 -shape 4
 package main
 
 import (
@@ -28,8 +29,8 @@ import (
 
 func main() {
 	var (
-		kind    = flag.String("kind", "availability", "experiment: availability or traffic")
-		schemeF = flag.String("scheme", "naive", "scheme: voting, ac, naive")
+		kind    = flag.String("kind", "availability", "experiment: availability, traffic or repairorder")
+		schemeF = flag.String("scheme", "naive", "scheme: voting, ac (available-copy), nac (naive)")
 		sites   = flag.Int("sites", 3, "number of replica sites")
 		rho     = flag.Float64("rho", 0.05, "failure-to-repair rate ratio")
 		horizon = flag.Float64("horizon", 500000, "simulated time units (availability)")
@@ -41,25 +42,20 @@ func main() {
 		asJSON  = flag.Bool("json", false, "emit JSON (traffic runs include the metrics snapshot and §5 conformance)")
 	)
 	flag.Parse()
-	if *kind == "repairorder" {
-		if err := runRepairOrder(*sites, *rho, *shape, *horizon, *seed); err != nil {
-			fmt.Fprintln(os.Stderr, "simulate:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if err := run(os.Stdout, *asJSON, *kind, *schemeF, *sites, *rho, *horizon, *netF, *ops, *ratio, *seed); err != nil {
+	if err := run(os.Stdout, *asJSON, *kind, *schemeF, *sites, *rho, *horizon, *netF, *ops, *ratio, *seed, *shape); err != nil {
 		fmt.Fprintln(os.Stderr, "simulate:", err)
 		os.Exit(1)
 	}
 }
 
-func run(w io.Writer, asJSON bool, kind, schemeName string, sites int, rho, horizon float64, netName string, ops int, ratio float64, seed int64) error {
+func run(w io.Writer, asJSON bool, kind, schemeName string, sites int, rho, horizon float64, netName string, ops int, ratio float64, seed int64, shape int) error {
 	switch kind {
 	case "availability":
 		return runAvailability(w, asJSON, schemeName, sites, rho, horizon, seed)
 	case "traffic":
 		return runTraffic(w, asJSON, schemeName, sites, rho, netName, ops, ratio, seed)
+	case "repairorder":
+		return runRepairOrder(w, sites, rho, shape, horizon, seed)
 	default:
 		return fmt.Errorf("unknown experiment kind %q", kind)
 	}
@@ -68,7 +64,7 @@ func run(w io.Writer, asJSON bool, kind, schemeName string, sites int, rho, hori
 // runRepairOrder reproduces the §4.4 discussion: with repair-time
 // coefficients of variation below one, the naive scheme's total-failure
 // outages increasingly coincide with the conventional scheme's.
-func runRepairOrder(sites int, rho float64, shape int, horizon float64, seed int64) error {
+func runRepairOrder(w io.Writer, sites int, rho float64, shape int, horizon float64, seed int64) error {
 	if shape < 1 {
 		return fmt.Errorf("shape %d must be >= 1", shape)
 	}
@@ -86,39 +82,40 @@ func runRepairOrder(sites int, rho float64, shape int, horizon float64, seed int
 	if err != nil {
 		return err
 	}
-	fmt.Printf("sites=%d rho=%g repair=%s (CV=%.2f) horizon=%g\n",
+	fmt.Fprintf(w, "sites=%d rho=%g repair=%s (CV=%.2f) horizon=%g\n",
 		sites, rho, dist.Name(), dist.CV(), horizon)
-	fmt.Printf("  total-failure episodes:          %d\n", res.Episodes)
-	fmt.Printf("  naive outage == AC outage:       %.1f%% of episodes\n", 100*res.FractionMatched())
-	fmt.Printf("  mean outage, available copy:     %.4f time units\n", res.MeanOutageAC)
-	fmt.Printf("  mean outage, naive:              %.4f time units\n", res.MeanOutageNaive)
+	fmt.Fprintf(w, "  total-failure episodes:          %d\n", res.Episodes)
+	fmt.Fprintf(w, "  naive outage == AC outage:       %.1f%% of episodes\n", 100*res.FractionMatched())
+	fmt.Fprintf(w, "  mean outage, available copy:     %.4f time units\n", res.MeanOutageAC)
+	fmt.Fprintf(w, "  mean outage, naive:              %.4f time units\n", res.MeanOutageNaive)
 	return nil
 }
 
 func runAvailability(w io.Writer, asJSON bool, schemeName string, sites int, rho, horizon float64, seed int64) error {
+	kind, err := core.ParseScheme(schemeName)
+	if err != nil {
+		return err
+	}
 	var (
 		model    sim.Model
 		analytic float64
-		err      error
 	)
-	switch schemeName {
-	case "voting":
+	switch kind {
+	case core.Voting:
 		model, err = sim.NewVotingModel(sites)
 		if err == nil {
 			analytic, err = analysis.AvailabilityVoting(sites, rho)
 		}
-	case "ac":
+	case core.AvailableCopy:
 		model, err = sim.NewACModel(sites)
 		if err == nil {
 			analytic, err = analysis.AvailabilityAC(sites, rho)
 		}
-	case "naive":
+	case core.NaiveAvailableCopy:
 		model, err = sim.NewNaiveModel(sites)
 		if err == nil {
 			analytic, err = analysis.AvailabilityNaive(sites, rho)
 		}
-	default:
-		return fmt.Errorf("unknown scheme %q", schemeName)
 	}
 	if err != nil {
 		return err
@@ -127,7 +124,7 @@ func runAvailability(w io.Writer, asJSON bool, schemeName string, sites int, rho
 	if err != nil {
 		return err
 	}
-	verdict, err := availVerdict(schemeName, sites, rho, horizon, seed)
+	verdict, err := availVerdict(kind.String(), sites, rho, horizon, seed)
 	if err != nil {
 		return err
 	}
@@ -166,12 +163,8 @@ func runAvailability(w io.Writer, asJSON bool, schemeName string, sites int, rho
 // availability observatory and checks §4 Markov conformance at the
 // *measured* rates — the same judgement cmd/chaos applies to a live
 // cluster, here for the pure state-machine models.
-func availVerdict(schemeName string, sites int, rho, horizon float64, seed int64) (*avail.Report, error) {
-	obsName := schemeName
-	if schemeName == "ac" {
-		obsName = "available-copy"
-	}
-	est, err := avail.New(sites, obsName)
+func availVerdict(scheme string, sites int, rho, horizon float64, seed int64) (*avail.Report, error) {
+	est, err := avail.New(sites, scheme)
 	if err != nil {
 		return nil, err
 	}
@@ -198,21 +191,13 @@ func availVerdict(schemeName string, sites int, rho, horizon float64, seed int64
 }
 
 func runTraffic(w io.Writer, asJSON bool, schemeName string, sites int, rho float64, netName string, ops int, ratio float64, seed int64) error {
-	var kind core.SchemeKind
-	var aScheme analysis.Scheme
-	switch schemeName {
-	case "voting":
-		kind, aScheme = core.Voting, analysis.SchemeVoting
-	case "ac":
-		kind, aScheme = core.AvailableCopy, analysis.SchemeAvailableCopy
-	case "naive":
-		kind, aScheme = core.NaiveAvailableCopy, analysis.SchemeNaive
-	default:
-		return fmt.Errorf("unknown scheme %q", schemeName)
+	kind, err := core.ParseScheme(schemeName)
+	if err != nil {
+		return err
 	}
+	aScheme, _ := obs.SchemeFromName(kind.String())
 	var mode simnet.Mode
 	var costs analysis.Costs
-	var err error
 	switch netName {
 	case "multicast":
 		mode = simnet.Multicast

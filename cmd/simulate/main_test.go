@@ -6,13 +6,14 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"os"
 	"strings"
 	"testing"
 )
 
 func TestRunAvailabilityAllSchemes(t *testing.T) {
 	for _, scheme := range []string{"voting", "ac", "naive"} {
-		if err := run(io.Discard, false, "availability", scheme, 3, 0.1, 5000, "multicast", 0, 0, 1); err != nil {
+		if err := run(io.Discard, false, "availability", scheme, 3, 0.1, 5000, "multicast", 0, 0, 1, 1); err != nil {
 			t.Fatalf("availability %s: %v", scheme, err)
 		}
 	}
@@ -21,7 +22,7 @@ func TestRunAvailabilityAllSchemes(t *testing.T) {
 func TestRunTrafficAllSchemes(t *testing.T) {
 	for _, scheme := range []string{"voting", "ac", "naive"} {
 		for _, net := range []string{"multicast", "unicast"} {
-			if err := run(io.Discard, false, "traffic", scheme, 4, 0.05, 0, net, 300, 2.5, 1); err != nil {
+			if err := run(io.Discard, false, "traffic", scheme, 4, 0.05, 0, net, 300, 2.5, 1, 1); err != nil {
 				t.Fatalf("traffic %s/%s: %v", scheme, net, err)
 			}
 		}
@@ -31,7 +32,7 @@ func TestRunTrafficAllSchemes(t *testing.T) {
 	// streams (block indices and op kinds) and every count they drive.
 	var buf bytes.Buffer
 	for _, scheme := range []string{"voting", "ac", "naive"} {
-		if err := run(&buf, false, "traffic", scheme, 5, 0.05, 0, "multicast", 3000, 2.5, 3); err != nil {
+		if err := run(&buf, false, "traffic", scheme, 5, 0.05, 0, "multicast", 3000, 2.5, 3, 1); err != nil {
 			t.Fatalf("traffic %s: %v", scheme, err)
 		}
 	}
@@ -46,7 +47,7 @@ func TestRunTrafficAllSchemes(t *testing.T) {
 // verdict ride along with the measured traffic.
 func TestRunTrafficJSONCarriesObservability(t *testing.T) {
 	var buf bytes.Buffer
-	if err := run(&buf, true, "traffic", "voting", 4, 0.05, 0, "multicast", 300, 2.5, 1); err != nil {
+	if err := run(&buf, true, "traffic", "voting", 4, 0.05, 0, "multicast", 300, 2.5, 1, 1); err != nil {
 		t.Fatal(err)
 	}
 	var rep struct {
@@ -76,7 +77,7 @@ func TestRunTrafficJSONCarriesObservability(t *testing.T) {
 
 func TestRunAvailabilityJSON(t *testing.T) {
 	var buf bytes.Buffer
-	if err := run(&buf, true, "availability", "ac", 3, 0.1, 5000, "multicast", 0, 0, 1); err != nil {
+	if err := run(&buf, true, "availability", "ac", 3, 0.1, 5000, "multicast", 0, 0, 1, 1); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), `"analytic_availability"`) {
@@ -85,34 +86,66 @@ func TestRunAvailabilityJSON(t *testing.T) {
 }
 
 func TestRunRepairOrder(t *testing.T) {
-	if err := runRepairOrder(3, 0.3, 1, 20000, 1); err != nil {
-		t.Fatal(err)
+	for shape, ok := range map[int]bool{1: true, 8: true, 0: false} {
+		if err := run(io.Discard, false, "repairorder", "", 3, 0.3, 20000, "", 0, 0, 1, shape); (err == nil) != ok {
+			t.Fatalf("shape %d: err = %v, want ok=%v", shape, err, ok)
+		}
 	}
-	if err := runRepairOrder(3, 0.3, 8, 20000, 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := runRepairOrder(3, 0.3, 0, 20000, 1); err == nil {
-		t.Fatal("shape 0 accepted")
-	}
-	if err := runRepairOrder(1, 0.3, 1, 20000, 1); err == nil {
+	if err := run(io.Discard, false, "repairorder", "", 1, 0.3, 20000, "", 0, 0, 1, 1); err == nil {
 		t.Fatal("single site accepted")
 	}
 }
 
+// TestRunAllGolden pins the text report of every experiment kind byte
+// for byte. testdata/all.golden is, in order, the output of
+//
+//	simulate -kind availability -scheme S -sites 3 -rho 0.1 -horizon 20000
+//	simulate -kind traffic -scheme S -sites 4 -rho 0.1 -net N -ops 3000 -seed 3
+//	simulate -kind repairorder -sites 3 -rho 0.3 -shape K -horizon 20000
+//
+// for S = voting, ac, naive, N = multicast, unicast and K = 1, 4.
+func TestRunAllGolden(t *testing.T) {
+	var buf bytes.Buffer
+	for _, scheme := range []string{"voting", "ac", "naive"} {
+		if err := run(&buf, false, "availability", scheme, 3, 0.1, 20000, "", 0, 0, 1, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, scheme := range []string{"voting", "ac", "naive"} {
+		for _, net := range []string{"multicast", "unicast"} {
+			if err := run(&buf, false, "traffic", scheme, 4, 0.1, 0, net, 3000, 2.5, 3, 1); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for _, shape := range []int{1, 4} {
+		if err := run(&buf, false, "repairorder", "", 3, 0.3, 20000, "", 0, 0, 1, shape); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile("testdata/all.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), want) {
+		t.Errorf("reports differ from testdata/all.golden:\n--- got\n%s--- want\n%s", buf.Bytes(), want)
+	}
+}
+
 func TestRunRejectsBadInputs(t *testing.T) {
-	if err := run(io.Discard, false, "nope", "ac", 3, 0.1, 100, "multicast", 0, 0, 1); err == nil {
+	if err := run(io.Discard, false, "nope", "ac", 3, 0.1, 100, "multicast", 0, 0, 1, 1); err == nil {
 		t.Fatal("unknown kind accepted")
 	}
-	if err := run(io.Discard, false, "availability", "nope", 3, 0.1, 100, "multicast", 0, 0, 1); err == nil {
+	if err := run(io.Discard, false, "availability", "nope", 3, 0.1, 100, "multicast", 0, 0, 1, 1); err == nil {
 		t.Fatal("unknown scheme accepted")
 	}
-	if err := run(io.Discard, false, "traffic", "ac", 3, 0.1, 100, "carrier-pigeon", 100, 2, 1); err == nil {
+	if err := run(io.Discard, false, "traffic", "ac", 3, 0.1, 100, "carrier-pigeon", 100, 2, 1, 1); err == nil {
 		t.Fatal("unknown network accepted")
 	}
-	if err := run(io.Discard, false, "traffic", "nope", 3, 0.1, 100, "multicast", 100, 2, 1); err == nil {
+	if err := run(io.Discard, false, "traffic", "nope", 3, 0.1, 100, "multicast", 100, 2, 1, 1); err == nil {
 		t.Fatal("unknown traffic scheme accepted")
 	}
-	if err := run(io.Discard, false, "availability", "ac", 0, 0.1, 100, "multicast", 0, 0, 1); err == nil {
+	if err := run(io.Discard, false, "availability", "ac", 0, 0.1, 100, "multicast", 0, 0, 1, 1); err == nil {
 		t.Fatal("zero sites accepted")
 	}
 }

@@ -13,6 +13,8 @@ package analysis
 import (
 	"fmt"
 	"math"
+
+	"relidev/internal/markov"
 )
 
 // checkN validates a copy count for the closed-form evaluations.
@@ -122,24 +124,7 @@ func AvailabilityACClosed(n int, rho float64) (float64, error) {
 // available copy scheme, computed from the Figure 7 state-transition-rate
 // diagram.
 func AvailabilityAC(n int, rho float64) (float64, error) {
-	if err := checkN(n); err != nil {
-		return 0, err
-	}
-	if err := checkRho(rho); err != nil {
-		return 0, err
-	}
-	if rho == 0 {
-		return 1, nil
-	}
-	chain, avail, err := ACChain(n, rho, 1)
-	if err != nil {
-		return 0, err
-	}
-	pi, err := chain.SteadyState()
-	if err != nil {
-		return 0, err
-	}
-	return clampProb(chain.Probe(pi, avail)), nil
+	return steadyState(n, rho, 1, ACChain, availableMass(n))
 }
 
 // AvailabilityACLowerBound returns the §4.2 bound (5):
@@ -194,59 +179,29 @@ func AvailabilityNaive(n int, rho float64) (float64, error) {
 }
 
 // AvailabilityNaiveMarkov returns A_NA(n) computed from the Figure 8
-// chain, for cross-validation of the closed form.
+// chain: what MarkovAvailability predicts for the naive scheme, and the
+// oracle the closed form is checked against.
 func AvailabilityNaiveMarkov(n int, rho float64) (float64, error) {
-	if err := checkN(n); err != nil {
-		return 0, err
-	}
-	if err := checkRho(rho); err != nil {
-		return 0, err
-	}
-	if rho == 0 {
-		return 1, nil
-	}
-	chain, avail, err := NaiveChain(n, rho, 1)
-	if err != nil {
-		return 0, err
-	}
-	pi, err := chain.SteadyState()
-	if err != nil {
-		return 0, err
-	}
-	return clampProb(chain.Probe(pi, avail)), nil
+	return steadyState(n, rho, 1, NaiveChain, availableMass(n))
 }
 
 // AvailabilityVotingMarkov returns A_V(n) computed from the voting
-// birth-death chain, for cross-validation of equations (1.a)/(1.b).
+// birth-death chain: what MarkovAvailability predicts for voting, and
+// the oracle equations (1.a)/(1.b) are checked against.
 func AvailabilityVotingMarkov(n int, rho float64) (float64, error) {
-	if err := checkN(n); err != nil {
-		return 0, err
-	}
-	if err := checkRho(rho); err != nil {
-		return 0, err
-	}
-	if rho == 0 {
-		return 1, nil
-	}
-	chain, err := VotingChain(n, rho, 1)
-	if err != nil {
-		return 0, err
-	}
-	pi, err := chain.SteadyState()
-	if err != nil {
-		return 0, err
-	}
 	// State k = k sites up. Strict majority is quorate; with even n the
 	// tie state contributes half its mass (the ε-weighted site is up in
 	// half of the equally likely tie configurations).
-	var a float64
-	for k := 0; k <= n; k++ {
-		switch {
-		case 2*k > n:
-			a += pi[k]
-		case 2*k == n:
-			a += pi[k] / 2
+	return steadyState(n, rho, 1, VotingChain, func(_ *markov.Chain, pi []float64) (float64, error) {
+		var a float64
+		for k := 0; k <= n; k++ {
+			switch {
+			case 2*k > n:
+				a += pi[k]
+			case 2*k == n:
+				a += pi[k] / 2
+			}
 		}
-	}
-	return clampProb(a), nil
+		return clampProb(a), nil
+	})
 }

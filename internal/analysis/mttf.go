@@ -49,27 +49,11 @@ func MTTFAvailableCopy(n int, rho float64) (float64, error) {
 	if rho == 0 {
 		return 0, fmt.Errorf("analysis: MTTF is infinite at rho=0")
 	}
-	chain, _, err := ACChain(n, rho, 1)
+	chain, err := ACChain(n, rho, 1)
 	if err != nil {
 		return 0, err
 	}
 	// Chain layout: states 0..n-1 are S_1..S_n (j+1 copies available);
 	// states n.. are the total-failure states S'_j. Absorb on any S'.
 	return chain.MeanTimeToAbsorption(n-1, func(s int) bool { return s >= n })
-}
-
-// MTTFRatio returns MTTF_AC(n) / MTTF_V(n): how much longer n copies
-// survive before first data inaccessibility under available copy
-// semantics (all must fail) than under voting (losing a majority
-// suffices).
-func MTTFRatio(n int, rho float64) (float64, error) {
-	ac, err := MTTFAvailableCopy(n, rho)
-	if err != nil {
-		return 0, err
-	}
-	v, err := MTTFVoting(n, rho)
-	if err != nil {
-		return 0, err
-	}
-	return ac / v, nil
 }

@@ -87,10 +87,15 @@ func TestMTTFRatioGrowsWithCopies(t *testing.T) {
 	const rho = 0.1
 	prev := 0.0
 	for n := 2; n <= 6; n++ {
-		r, err := MTTFRatio(n, rho)
+		ac, err := MTTFAvailableCopy(n, rho)
 		if err != nil {
 			t.Fatal(err)
 		}
+		v, err := MTTFVoting(n, rho)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := ac / v
 		if r <= prev {
 			t.Fatalf("n=%d: ratio %v did not grow from %v", n, r, prev)
 		}

@@ -3,6 +3,8 @@ package analysis
 import (
 	"fmt"
 	"math"
+
+	"relidev/internal/markov"
 )
 
 // Scheme enumerates the three consistency algorithms for the cost model.
@@ -49,61 +51,29 @@ func ParticipationVoting(n int, rho float64) (float64, error) {
 // ParticipationAC returns U_A^n, the average number of available sites
 // given at least one is available, from the Figure 7 chain.
 func ParticipationAC(n int, rho float64) (float64, error) {
-	if err := checkN(n); err != nil {
-		return 0, err
-	}
-	if err := checkRho(rho); err != nil {
-		return 0, err
-	}
-	if rho == 0 {
-		return float64(n), nil
-	}
-	chain, _, err := ACChain(n, rho, 1)
-	if err != nil {
-		return 0, err
-	}
-	pi, err := chain.SteadyState()
-	if err != nil {
-		return 0, err
-	}
-	return participation(pi, n)
+	return steadyState(n, rho, float64(n), ACChain, participation(n))
 }
 
 // ParticipationNaive returns U_N^n from the Figure 8 chain.
 func ParticipationNaive(n int, rho float64) (float64, error) {
-	if err := checkN(n); err != nil {
-		return 0, err
-	}
-	if err := checkRho(rho); err != nil {
-		return 0, err
-	}
-	if rho == 0 {
-		return float64(n), nil
-	}
-	chain, _, err := NaiveChain(n, rho, 1)
-	if err != nil {
-		return 0, err
-	}
-	pi, err := chain.SteadyState()
-	if err != nil {
-		return 0, err
-	}
-	return participation(pi, n)
+	return steadyState(n, rho, float64(n), NaiveChain, participation(n))
 }
 
 // participation computes U = Σ i·p_i / Σ p_i over the available states
 // S_1..S_n, which occupy chain indices 0..n-1 (state i-1 = i sites
 // available).
-func participation(pi []float64, n int) (float64, error) {
-	var num, den float64
-	for i := 1; i <= n; i++ {
-		num += float64(i) * pi[i-1]
-		den += pi[i-1]
+func participation(n int) func(*markov.Chain, []float64) (float64, error) {
+	return func(_ *markov.Chain, pi []float64) (float64, error) {
+		var num, den float64
+		for i := 1; i <= n; i++ {
+			num += float64(i) * pi[i-1]
+			den += pi[i-1]
+		}
+		if den == 0 {
+			return 0, fmt.Errorf("analysis: no probability mass on available states")
+		}
+		return num / den, nil
 	}
-	if den == 0 {
-		return 0, fmt.Errorf("analysis: no probability mass on available states")
-	}
-	return num / den, nil
 }
 
 // Costs is the §5 cost table for one scheme in one network flavour, in

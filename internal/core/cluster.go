@@ -41,6 +41,22 @@ func (k SchemeKind) String() string {
 	}
 }
 
+// ParseScheme maps a command-line scheme name to its kind. It accepts
+// each controller's own name (String) and the short forms: "voting",
+// "ac" or "available-copy", "nac" or "naive".
+func ParseScheme(name string) (SchemeKind, error) {
+	switch name {
+	case "voting":
+		return Voting, nil
+	case "ac", "available-copy":
+		return AvailableCopy, nil
+	case "nac", "naive":
+		return NaiveAvailableCopy, nil
+	default:
+		return 0, fmt.Errorf("unknown scheme %q (want voting, ac, available-copy, nac or naive)", name)
+	}
+}
+
 // ClusterConfig parameterises an in-process replica cluster.
 type ClusterConfig struct {
 	// Sites is the number of replica sites (1..protocol.MaxSites).

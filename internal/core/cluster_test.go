@@ -258,6 +258,34 @@ func TestSchemeKindString(t *testing.T) {
 	}
 }
 
+// TestParseScheme: every command's -scheme flag accepts the same names,
+// and each controller's own name parses back to its kind.
+func TestParseScheme(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		want SchemeKind
+	}{
+		{"voting", Voting},
+		{"ac", AvailableCopy},
+		{"available-copy", AvailableCopy},
+		{"nac", NaiveAvailableCopy},
+		{"naive", NaiveAvailableCopy},
+		{"paxos", 0},
+		{"", 0},
+		{"Voting", 0},
+	} {
+		got, err := ParseScheme(tc.name)
+		if got != tc.want || (err == nil) != (tc.want != 0) {
+			t.Errorf("ParseScheme(%q) = %v, %v; want %v", tc.name, got, err, tc.want)
+		}
+	}
+	for _, k := range []SchemeKind{Voting, AvailableCopy, NaiveAvailableCopy} {
+		if got, err := ParseScheme(k.String()); got != k || err != nil {
+			t.Errorf("ParseScheme(%q) = %v, %v; want %v", k.String(), got, err, k)
+		}
+	}
+}
+
 func TestLocalDevice(t *testing.T) {
 	geom := block.Geometry{BlockSize: 16, NumBlocks: 4}
 	st, err := store.NewMem(geom)

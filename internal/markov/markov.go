@@ -35,9 +35,6 @@ func NewChain(n int) (*Chain, error) {
 	return &Chain{n: n, rates: rates, labels: make([]string, n)}, nil
 }
 
-// States returns the number of states.
-func (c *Chain) States() int { return c.n }
-
 // SetLabel names a state for diagnostics.
 func (c *Chain) SetLabel(i int, label string) error {
 	if i < 0 || i >= c.n {
@@ -69,15 +66,6 @@ func (c *Chain) SetRate(i, j int, rate float64) error {
 	}
 	c.rates[i][j] = rate
 	return nil
-}
-
-// Rate returns the transition rate from i to j (zero when absent or out
-// of range).
-func (c *Chain) Rate(i, j int) float64 {
-	if i < 0 || i >= c.n || j < 0 || j >= c.n {
-		return 0
-	}
-	return c.rates[i][j]
 }
 
 // ErrReducible is returned when the steady state is not unique — the
@@ -171,110 +159,6 @@ func solve(a [][]float64) ([]float64, error) {
 		x[r] = sum / a[r][r]
 	}
 	return x, nil
-}
-
-// Transient returns the state distribution p(t) after running the chain
-// for time t from the initial distribution p0, computed by
-// uniformization:
-//
-//	p(t) = Σ_k e^{-Λt} (Λt)^k / k! · p0 Pᵏ,  P = I + Q/Λ
-//
-// §4 defines availability as "the limiting value of the probability p(t)
-// that the system will be operating correctly at time t"; Transient
-// computes that p(t) so the convergence to the steady state can be
-// observed directly.
-func (c *Chain) Transient(p0 []float64, t float64) ([]float64, error) {
-	if len(p0) != c.n {
-		return nil, fmt.Errorf("markov: initial distribution has %d entries for %d states", len(p0), c.n)
-	}
-	if t < 0 || math.IsNaN(t) || math.IsInf(t, 0) {
-		return nil, fmt.Errorf("markov: time %v must be finite and non-negative", t)
-	}
-	var sum float64
-	for _, p := range p0 {
-		if p < 0 {
-			return nil, fmt.Errorf("markov: negative initial probability %v", p)
-		}
-		sum += p
-	}
-	if math.Abs(sum-1) > 1e-9 {
-		return nil, fmt.Errorf("markov: initial distribution sums to %v", sum)
-	}
-	// Uniformization rate: at least the largest total outflow.
-	var lambda float64
-	for i := 0; i < c.n; i++ {
-		var out float64
-		for j := 0; j < c.n; j++ {
-			if j != i {
-				out += c.rates[i][j]
-			}
-		}
-		if out > lambda {
-			lambda = out
-		}
-	}
-	cur := make([]float64, c.n)
-	copy(cur, p0)
-	if lambda == 0 || t == 0 {
-		return cur, nil
-	}
-	lambda *= 1.05 // margin keeps P's diagonal strictly positive
-
-	// e^{-Λt} underflows for large Λt; split the horizon into steps with
-	// ΛΔt <= 50 and chain them.
-	if lambda*t > 50 {
-		steps := int(lambda*t/50) + 1
-		dt := t / float64(steps)
-		p := cur
-		for s := 0; s < steps; s++ {
-			var err error
-			p, err = c.Transient(p, dt)
-			if err != nil {
-				return nil, err
-			}
-		}
-		return p, nil
-	}
-
-	out := make([]float64, c.n)
-	lt := lambda * t
-	// Poisson weights computed iteratively; truncate when the cumulative
-	// mass is within 1e-12 of one.
-	weight := math.Exp(-lt)
-	cumulative := weight
-	for i := range cur {
-		out[i] = weight * cur[i]
-	}
-	next := make([]float64, c.n)
-	for k := 1; cumulative < 1-1e-12; k++ {
-		// cur <- cur · P, with P = I + Q/Λ.
-		for j := 0; j < c.n; j++ {
-			var in float64
-			for i := 0; i < c.n; i++ {
-				if i == j {
-					continue
-				}
-				in += cur[i] * c.rates[i][j]
-			}
-			var outflow float64
-			for l := 0; l < c.n; l++ {
-				if l != j {
-					outflow += c.rates[j][l]
-				}
-			}
-			next[j] = cur[j]*(1-outflow/lambda) + in/lambda
-		}
-		cur, next = next, cur
-		weight *= lt / float64(k)
-		cumulative += weight
-		for i := range cur {
-			out[i] += weight * cur[i]
-		}
-		if k > 10_000_000 {
-			return nil, fmt.Errorf("markov: uniformization did not converge (Λt = %v)", lt)
-		}
-	}
-	return out, nil
 }
 
 // MeanTimeToAbsorption returns the expected time to first reach any

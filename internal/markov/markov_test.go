@@ -38,11 +38,8 @@ func TestSetRateValidation(t *testing.T) {
 	if err := c.SetRate(0, 1, 3); err != nil {
 		t.Fatalf("rejected valid rate: %v", err)
 	}
-	if got := c.Rate(0, 1); got != 3 {
-		t.Fatalf("Rate = %v, want 3", got)
-	}
-	if got := c.Rate(9, 9); got != 0 {
-		t.Fatalf("out-of-range Rate = %v, want 0", got)
+	if got := c.rates[0][1]; got != 3 {
+		t.Fatalf("rate = %v, want 3", got)
 	}
 }
 
@@ -197,8 +194,8 @@ func TestGlobalBalanceRandomDenseChain(t *testing.T) {
 				if i == j {
 					continue
 				}
-				in += pi[j] * c.Rate(j, i)
-				out += pi[i] * c.Rate(i, j)
+				in += pi[j] * c.rates[j][i]
+				out += pi[i] * c.rates[i][j]
 			}
 			if !almostEqual(in, out, 1e-9*(1+in)) {
 				t.Fatalf("trial %d state %d: in %v != out %v", trial, i, in, out)
@@ -287,95 +284,6 @@ func TestMeanTimeToAbsorptionErrors(t *testing.T) {
 	}
 }
 
-func TestTransientTwoState(t *testing.T) {
-	// Up/down machine: p_up(t) = pi + (1-pi) e^{-(l+m)t} starting up.
-	lambda, mu := 0.4, 1.6
-	c, _ := NewChain(2)
-	c.SetRate(0, 1, lambda)
-	c.SetRate(1, 0, mu)
-	pi := mu / (lambda + mu)
-	for _, tt := range []float64{0, 0.1, 0.5, 1, 3, 10} {
-		p, err := c.Transient([]float64{1, 0}, tt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := pi + (1-pi)*math.Exp(-(lambda+mu)*tt)
-		if !almostEqual(p[0], want, 1e-9) {
-			t.Fatalf("p_up(%v) = %v, want %v", tt, p[0], want)
-		}
-		if !almostEqual(p[0]+p[1], 1, 1e-9) {
-			t.Fatalf("p(%v) sums to %v", tt, p[0]+p[1])
-		}
-	}
-}
-
-func TestTransientConvergesToSteadyState(t *testing.T) {
-	// §4: A = lim p(t). A random irreducible chain's transient
-	// distribution converges to the steady state.
-	rng := rand.New(rand.NewSource(13))
-	c, _ := NewChain(5)
-	for i := 0; i < 5; i++ {
-		for j := 0; j < 5; j++ {
-			if i != j {
-				c.SetRate(i, j, 0.1+rng.Float64())
-			}
-		}
-	}
-	pi, err := c.SteadyState()
-	if err != nil {
-		t.Fatal(err)
-	}
-	p0 := []float64{1, 0, 0, 0, 0}
-	pt, err := c.Transient(p0, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range pi {
-		if !almostEqual(pt[i], pi[i], 1e-6) {
-			t.Fatalf("p(100)[%d] = %v, steady state %v", i, pt[i], pi[i])
-		}
-	}
-	// Monotone-ish approach: distance at t=5 is smaller than at t=0.5.
-	dist := func(t1 float64) float64 {
-		p, err := c.Transient(p0, t1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var d float64
-		for i := range pi {
-			d += math.Abs(p[i] - pi[i])
-		}
-		return d
-	}
-	if !(dist(5) < dist(0.5)) {
-		t.Fatal("transient distribution not approaching the steady state")
-	}
-}
-
-func TestTransientValidation(t *testing.T) {
-	c, _ := NewChain(2)
-	c.SetRate(0, 1, 1)
-	c.SetRate(1, 0, 1)
-	if _, err := c.Transient([]float64{1}, 1); err == nil {
-		t.Fatal("accepted wrong-length distribution")
-	}
-	if _, err := c.Transient([]float64{0.5, 0.4}, 1); err == nil {
-		t.Fatal("accepted non-normalised distribution")
-	}
-	if _, err := c.Transient([]float64{1, 0}, -1); err == nil {
-		t.Fatal("accepted negative time")
-	}
-	if _, err := c.Transient([]float64{-0.5, 1.5}, 1); err == nil {
-		t.Fatal("accepted negative probability")
-	}
-	// No transitions: distribution unchanged.
-	c2, _ := NewChain(2)
-	p, err := c2.Transient([]float64{0.3, 0.7}, 5)
-	if err != nil || p[0] != 0.3 {
-		t.Fatalf("static chain transient = %v, %v", p, err)
-	}
-}
-
 func TestLabels(t *testing.T) {
 	c, _ := NewChain(2)
 	if err := c.SetLabel(0, "up"); err != nil {
@@ -386,8 +294,5 @@ func TestLabels(t *testing.T) {
 	}
 	if c.Label(0) != "up" || c.Label(1) != "s1" || c.Label(9) != "s9" {
 		t.Fatalf("labels = %q %q %q", c.Label(0), c.Label(1), c.Label(9))
-	}
-	if c.States() != 2 {
-		t.Fatalf("States = %d", c.States())
 	}
 }

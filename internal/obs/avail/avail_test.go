@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"relidev/internal/analysis"
+	"relidev/internal/obs"
 	"relidev/internal/sim"
 )
 
@@ -202,9 +203,9 @@ func TestConvergesToMarkovPrediction(t *testing.T) {
 
 func mustScheme(t *testing.T, name string) analysis.Scheme {
 	t.Helper()
-	s, ok := schemeFromName(name)
+	s, ok := obs.SchemeFromName(name)
 	if !ok {
-		t.Fatalf("schemeFromName(%q)", name)
+		t.Fatalf("SchemeFromName(%q)", name)
 	}
 	return s
 }

@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"relidev/internal/analysis"
+	"relidev/internal/obs"
 )
 
 // Availability conformance: feed the *measured* failure and repair
@@ -67,7 +68,7 @@ const minTransitions = 4
 // than a report — those are harness bugs, not violations.
 func CheckConformance(st Stats, tol float64, strict bool) (Report, error) {
 	r := Report{Scheme: st.Scheme, Sites: st.Sites, Lambda: st.Lambda, Mu: st.Mu, Rho: st.Rho, Strict: strict, OK: true}
-	scheme, ok := schemeFromName(st.Scheme)
+	scheme, ok := obs.SchemeFromName(st.Scheme)
 	if !ok {
 		return r, fmt.Errorf("avail: unknown scheme %q", st.Scheme)
 	}
@@ -103,17 +104,4 @@ func CheckConformance(st Stats, tol float64, strict bool) (Report, error) {
 		r.OK = false
 	}
 	return r, nil
-}
-
-func schemeFromName(name string) (analysis.Scheme, bool) {
-	switch name {
-	case "voting":
-		return analysis.SchemeVoting, true
-	case "available-copy":
-		return analysis.SchemeAvailableCopy, true
-	case "naive":
-		return analysis.SchemeNaive, true
-	default:
-		return 0, false
-	}
 }

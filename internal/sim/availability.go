@@ -8,8 +8,6 @@ import (
 // the site failure/repair event stream and answers whether the replicated
 // block is currently accessible.
 type Model interface {
-	// Name identifies the scheme.
-	Name() string
 	// Apply consumes one site transition.
 	Apply(e Event)
 	// Available reports whether the block is accessible now.
@@ -52,9 +50,6 @@ func NewVotingModel(n int) (*VotingModel, error) {
 	}
 	return &VotingModel{n: n, up: up, nUp: n}, nil
 }
-
-// Name implements Model.
-func (m *VotingModel) Name() string { return "voting" }
 
 // Apply implements Model.
 func (m *VotingModel) Apply(e Event) {
@@ -115,9 +110,6 @@ func NewACModel(n int) (*ACModel, error) {
 	}
 	return &ACModel{n: n, mode: mode, nAvail: n, lastAvailable: -1}, nil
 }
-
-// Name implements Model.
-func (m *ACModel) Name() string { return "available-copy" }
 
 // Apply implements Model.
 func (m *ACModel) Apply(e Event) {
@@ -188,9 +180,6 @@ func NewNaiveModel(n int) (*NaiveModel, error) {
 	}
 	return &NaiveModel{n: n, mode: mode, nAvail: n, nUp: n}, nil
 }
-
-// Name implements Model.
-func (m *NaiveModel) Name() string { return "naive" }
 
 // Apply implements Model.
 func (m *NaiveModel) Apply(e Event) {

@@ -85,7 +85,6 @@ type FailureProcess struct {
 	mu     float64
 	rng    *rand.Rand
 	queue  eventQueue
-	now    float64
 }
 
 // NewFailureProcess starts all n sites up and schedules their first
@@ -114,7 +113,6 @@ func (p *FailureProcess) Next() (Event, bool) {
 	if math.IsInf(e.At, 1) {
 		return Event{}, false
 	}
-	p.now = e.At
 	switch e.Kind {
 	case EventFail:
 		heap.Push(&p.queue, Event{At: e.At + Exp(p.rng, p.mu), Site: e.Site, Kind: EventRepair})
@@ -123,6 +121,3 @@ func (p *FailureProcess) Next() (Event, bool) {
 	}
 	return e, true
 }
-
-// Now returns the time of the last delivered event.
-func (p *FailureProcess) Now() float64 { return p.now }

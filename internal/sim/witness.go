@@ -31,9 +31,6 @@ func NewWitnessVotingModel(data, witnesses int) (*WitnessVotingModel, error) {
 	return &WitnessVotingModel{data: data, witnesses: witnesses, up: up, nUp: n, dataUp: data}, nil
 }
 
-// Name implements Model.
-func (m *WitnessVotingModel) Name() string { return "voting-witness" }
-
 // Apply implements Model.
 func (m *WitnessVotingModel) Apply(e Event) {
 	n := m.data + m.witnesses

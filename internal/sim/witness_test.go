@@ -46,8 +46,8 @@ func TestWitnessModelSemantics(t *testing.T) {
 	}
 	// Out-of-range events are ignored.
 	m.Apply(Event{Site: 99, Kind: EventFail})
-	if m.Name() != "voting-witness" {
-		t.Fatal("name mismatch")
+	if m.Available() {
+		t.Fatal("out-of-range event changed the state")
 	}
 }
 

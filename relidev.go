@@ -73,18 +73,16 @@ const (
 // String implements fmt.Stringer.
 func (s Scheme) String() string { return s.kind().String() }
 
-func (s Scheme) kind() core.SchemeKind {
-	switch s {
-	case Voting:
-		return core.Voting
-	case AvailableCopy:
-		return core.AvailableCopy
-	case NaiveAvailableCopy:
-		return core.NaiveAvailableCopy
-	default:
-		return core.SchemeKind(int(s))
-	}
+// ParseScheme returns the scheme a command-line name selects: "voting",
+// "ac" or "available-copy", "nac" or "naive".
+func ParseScheme(name string) (Scheme, error) {
+	k, err := core.ParseScheme(name)
+	return Scheme(k), err
 }
+
+// kind is s as the core package's scheme: the two enumerations share
+// their values.
+func (s Scheme) kind() core.SchemeKind { return core.SchemeKind(s) }
 
 // SiteState reports a site's §3.2 state.
 type SiteState = protocol.SiteState
