@@ -39,8 +39,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strconv"
-	"strings"
 	"syscall"
 	"time"
 
@@ -69,29 +67,6 @@ func main() {
 	}
 }
 
-func parsePeers(s string) (map[int]string, error) {
-	peers := make(map[int]string)
-	for _, part := range strings.Split(s, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		id, addr, ok := strings.Cut(part, "=")
-		if !ok {
-			return nil, fmt.Errorf("peer %q is not id=addr", part)
-		}
-		n, err := strconv.Atoi(id)
-		if err != nil {
-			return nil, fmt.Errorf("peer id %q: %w", id, err)
-		}
-		peers[n] = addr
-	}
-	if len(peers) == 0 {
-		return nil, errors.New("no peers given (use -peers 0=host:port,...)")
-	}
-	return peers, nil
-}
-
 // objectives is the server's alert set: the defaults, with the
 // availability target budgeted from the paper's own §4 prediction for
 // this deployment, like the chaos harness does.
@@ -100,9 +75,12 @@ func objectives(scheme relidev.Scheme, n int) []relidev.Objective {
 }
 
 func run(id int, peersF, schemeF, storePath, storeDir string, commitN int, commitWait time.Duration, blocks, blockSize int, comatose bool, debugAddr string, teleStep time.Duration) error {
-	peers, err := parsePeers(peersF)
+	peers, err := relidev.ParsePeers(peersF)
 	if err != nil {
 		return err
+	}
+	if len(peers) == 0 {
+		return errors.New("no peers given (use -peers 0=host:port,...)")
 	}
 	scheme, err := relidev.ParseScheme(schemeF)
 	if err != nil {

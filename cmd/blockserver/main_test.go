@@ -12,25 +12,6 @@ import (
 	"relidev"
 )
 
-func TestParsePeers(t *testing.T) {
-	peers, err := parsePeers("0=127.0.0.1:7000, 1=127.0.0.1:7001,2=host:7002")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(peers) != 3 || peers[0] != "127.0.0.1:7000" || peers[2] != "host:7002" {
-		t.Fatalf("peers = %v", peers)
-	}
-	if _, err := parsePeers(""); err == nil {
-		t.Fatal("empty peers accepted")
-	}
-	if _, err := parsePeers("0:127.0.0.1"); err == nil {
-		t.Fatal("malformed entry accepted")
-	}
-	if _, err := parsePeers("x=127.0.0.1:1"); err == nil {
-		t.Fatal("non-numeric id accepted")
-	}
-}
-
 func TestParseScheme(t *testing.T) {
 	tests := map[string]bool{
 		"voting": true, "ac": true, "available-copy": true, "nac": true, "naive": true,

@@ -44,21 +44,9 @@ func run(id int, peersF, schemeF, storePath string, blocks, blockSize int, args 
 	if len(args) == 0 {
 		return errors.New("missing command: read <block> | write <block> <text> | status")
 	}
-	peers := make(map[int]string)
-	for _, part := range strings.Split(peersF, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		idStr, addr, ok := strings.Cut(part, "=")
-		if !ok {
-			return fmt.Errorf("peer %q is not id=addr", part)
-		}
-		n, err := strconv.Atoi(idStr)
-		if err != nil {
-			return fmt.Errorf("peer id %q: %w", idStr, err)
-		}
-		peers[n] = addr
+	peers, err := relidev.ParsePeers(peersF)
+	if err != nil {
+		return err
 	}
 	scheme, err := relidev.ParseScheme(schemeF)
 	if err != nil {

@@ -89,21 +89,6 @@ func (v Vector) Set(idx Index, ver Version) {
 	}
 }
 
-// DominatesOrEqual reports whether every entry of v is >= the matching
-// entry of other. A continuously available site's vector dominates every
-// other site's vector (available copy invariant, §3.2).
-func (v Vector) DominatesOrEqual(other Vector) bool {
-	if len(v) != len(other) {
-		return false
-	}
-	for i := range v {
-		if v[i] < other[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // Equal reports whether the two vectors are identical.
 func (v Vector) Equal(other Vector) bool {
 	if len(v) != len(other) {

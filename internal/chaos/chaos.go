@@ -52,7 +52,11 @@ import (
 )
 
 // Config parameterises one chaos run. The zero value is not valid; use
-// Defaults as a base.
+// Defaults as a base. There is no switch for observation: every run
+// carries the whole plane — metrics and trace ring, flight recorder,
+// threshold and burn-rate objectives, availability observatory — and
+// checks the §4, §5 and SLO invariants. All of it runs on the engine's
+// schedule clock (DESIGN.md "Time") and never feeds the replay digest.
 type Config struct {
 	// Scheme selects the consistency algorithm under test.
 	Scheme core.SchemeKind
@@ -69,27 +73,6 @@ type Config struct {
 	// Rho is the per-site failure-to-repair rate ratio lambda/mu of the
 	// Poisson process (repair rate fixed at 1).
 	Rho float64
-	// Observe attaches the observability layer: per-scheme metrics, a
-	// protocol trace ring, and the §5 bracket-conformance check as an
-	// additional end-of-run invariant. The whole observability layer —
-	// this, Flight and Telemetry — runs on the engine's schedule clock
-	// (DESIGN.md "Time") and never feeds the replay digest, so a run's
-	// digest is bit-identical with any of them on or off.
-	Observe bool
-	// Flight attaches the black-box flight recorder and the threshold
-	// objectives (requires Observe): every quiescent checkpoint samples
-	// the registry into the telemetry ring and evaluates them, the last
-	// verdict lands in Report.Health, and the first invariant violation
-	// or critical objective seals the ring's newest steps, the trace
-	// tail and the site states into Report.Flight.
-	Flight bool
-	// Telemetry attaches the burn-rate objectives (requires Observe)
-	// and keeps a ring long enough for their budgets to span the run —
-	// windows are sized in checkpoint cycles. Alert transitions land in
-	// Report.SLOAlerts stamped with the schedule tick they happened at,
-	// the final evaluation in Report.SLO, and an exhausted error budget
-	// seals the flight recorder.
-	Telemetry bool
 	// Coda appends this many fault-free workload batches (each followed
 	// by a checkpoint) after convergence. The quiet tail is part of the
 	// schedule — it stamps and digests like any other batch — and gives
@@ -109,9 +92,6 @@ func Defaults(kind core.SchemeKind) Config {
 		Events:      200,
 		OpsPerEvent: 8,
 		Rho:         0.25,
-		Observe:     true,
-		Flight:      true,
-		Telemetry:   true,
 		Coda:        4,
 	}
 }
@@ -188,31 +168,30 @@ type Report struct {
 	Faults        faultnet.Stats `json:"faults"`
 	Violations    []string       `json:"violations"`
 	Digest        string         `json:"digest"`
-	// Metrics and Conformance are present when Config.Observe is set:
-	// the end-of-run metrics snapshot and the §5 bracket-conformance
-	// verdict (whose failures also appear in Violations).
+	// Metrics and Conformance are the end-of-run metrics snapshot and
+	// the §5 bracket-conformance verdict (whose failures also appear in
+	// Violations).
 	Metrics     *obs.Snapshot          `json:"metrics,omitempty"`
 	Conformance *obs.ConformanceReport `json:"conformance,omitempty"`
 	// Avail and AvailConformance are the availability observatory's
-	// output, also present only under Config.Observe: the empirical
-	// per-site and scheme-level availability measured over the run's
-	// simulated timeline, and the §4 Markov-conformance verdict at the
-	// measured rates (failures appear in Violations as well).
+	// output: the empirical per-site and scheme-level availability
+	// measured over the run's simulated timeline, and the §4
+	// Markov-conformance verdict at the measured rates (failures appear
+	// in Violations as well).
 	Avail            *avail.Stats  `json:"avail,omitempty"`
 	AvailConformance *avail.Report `json:"avail_conformance,omitempty"`
-	// Flight is the sealed flight-recorder dump, present when
-	// Config.Flight is set and a trigger fired: the first invariant
-	// violation or the first critical objective seals it, so the dump
-	// shows the system's last recorded steps before the failure.
+	// Flight is the sealed flight-recorder dump, present when a trigger
+	// fired: the first invariant violation or the first critical
+	// objective seals it, so the dump shows the system's last recorded
+	// steps before the failure.
 	Flight *flight.Dump `json:"flight,omitempty"`
 	// Health is the threshold objectives' verdict at the last quiescent
-	// checkpoint, present when Config.Flight is set.
+	// checkpoint.
 	Health *alert.Report `json:"health,omitempty"`
 	// SLO is the burn-rate objectives' evaluation at the last quiescent
-	// checkpoint and SLOAlerts the run's full alert transition log, both
-	// present when Config.Telemetry is set. Timestamps are schedule
-	// ticks, so a replayed run fires and clears the same alerts at the
-	// same instants.
+	// checkpoint and SLOAlerts the run's full alert transition log.
+	// Timestamps are schedule ticks, so a replayed run fires and clears
+	// the same alerts at the same instants.
 	SLO       *alert.Report `json:"slo,omitempty"`
 	SLOAlerts []SLOAlert    `json:"slo_alerts,omitempty"`
 }
@@ -237,11 +216,9 @@ type engine struct {
 	// each duration and timestamp in the report is a function of the
 	// schedule, never of how often or in what order goroutines read it.
 	clk *clock.Manual
-	// plane is the observability stack, attached under Config.Observe
-	// (nil otherwise): observer and tracer always, the flight recorder
-	// and threshold objectives under Config.Flight, the burn-rate
-	// objectives under Config.Telemetry. All of it only reads snapshots on the
-	// schedule clock — none of it may ever reach stamp().
+	// plane is the observability stack: observer and tracer, flight
+	// recorder, threshold and burn-rate objectives. All of it only reads
+	// snapshots on the schedule clock — none of it may ever reach stamp().
 	plane *plane.Plane
 	// est is the availability observatory, fed the schedule's site
 	// transitions on the Poisson process's own simulated timeline
@@ -298,24 +275,21 @@ func newEngine(cfg Config) (*engine, error) {
 			Rho:    cfg.Rho,
 		},
 	}
-	if cfg.Observe {
-		// The schedule clock keeps timestamps a pure function of the
-		// schedule, and nothing the plane records feeds the digest:
-		// observation cannot perturb a replay. One sample per checkpoint,
-		// so the ring's nominal step is one checkpoint cycle.
-		pc := plane.Config{Metered: true, Clock: e.clk, TraceCap: 4096, Flight: cfg.Flight,
-			Probes:     []flight.Source{{Name: "site_states", Collect: e.siteStates}},
-			Objectives: objectives(cfg)}
-		if cfg.Telemetry {
-			pc.StepNs, pc.Retain = cycleNs(cfg), 4096 // the budgets span the run
-		}
-		var err error
-		if e.plane, err = plane.New(pc); err != nil {
-			return nil, err
-		}
-		if e.est, err = avail.New(cfg.Sites, cfg.Scheme.String()); err != nil {
-			return nil, err
-		}
+	// The schedule clock keeps timestamps a pure function of the
+	// schedule, and nothing the plane records feeds the digest:
+	// observation cannot perturb a replay. One sample per checkpoint, so
+	// the ring's nominal step is one checkpoint cycle, and it retains
+	// enough of them for the burn-rate budgets to span the run.
+	var err error
+	e.plane, err = plane.New(plane.Config{Metered: true, Clock: e.clk, TraceCap: 4096, Flight: true,
+		StepNs: cycleNs(cfg), Retain: 4096,
+		Probes:     []flight.Source{{Name: "site_states", Collect: e.siteStates}},
+		Objectives: objectives(cfg)})
+	if err != nil {
+		return nil, err
+	}
+	if e.est, err = avail.New(cfg.Sites, cfg.Scheme.String()); err != nil {
+		return nil, err
 	}
 	cl, err := core.NewCluster(core.ClusterConfig{
 		Sites:    cfg.Sites,
@@ -353,8 +327,8 @@ func (e *engine) finish(err error) (*Report, error) {
 	}
 	e.report.Faults = e.fn.Stats()
 	// The digest is sealed before observation is consulted: conformance
-	// verdicts go straight into Violations, never through stamp(), so a
-	// run digests identically with Observe on or off.
+	// verdicts go straight into Violations, never through stamp(), so
+	// observation cannot move the digest.
 	e.report.Digest = fmt.Sprintf("%016x", e.hash.Sum64())
 	e.conformanceCheck()
 	e.availCheck()
@@ -390,30 +364,26 @@ func (e *engine) tick() { e.clk.Advance(1) }
 func cycleNs(cfg Config) int64 { return int64(cfg.OpsPerEvent + 2) }
 
 // objectives is the set chaos runs evaluate at every quiescent
-// checkpoint. Under Config.Flight, the thresholds: quorum margin for the
-// scheme under test and the overall failure rate (generous limit —
-// injected faults make op errors routine). Under Config.Telemetry, the
-// burn rates, windows sized in checkpoint cycles (fast 5, slow 20): read
-// latency (strict: the schedule clock stands still inside an op, so
-// every op lands in the lowest histogram bucket) and write availability
-// (deliberately loose: only a sustained degradation should page).
+// checkpoint. The thresholds: quorum margin for the scheme under test
+// and the overall failure rate (generous limit — injected faults make op
+// errors routine). The burn rates, windows sized in checkpoint cycles
+// (fast 5, slow 20): read latency (strict: the schedule clock stands
+// still inside an op, so every op lands in the lowest histogram bucket)
+// and write availability (deliberately loose: only a sustained
+// degradation should page).
 func objectives(cfg Config) []alert.Objective {
 	scheme, cycle := cfg.Scheme.String(), cycleNs(cfg)
-	var objs []alert.Objective
-	if cfg.Flight {
-		quorum := 1
-		if cfg.Scheme == core.Voting {
-			quorum = cfg.Sites/2 + 1
-		}
-		objs = append(objs, alert.QuorumMargin(scheme, quorum), alert.ErrorRate(0.5))
+	quorum := 1
+	if cfg.Scheme == core.Voting {
+		quorum = cfg.Sites/2 + 1
 	}
-	if cfg.Telemetry {
-		burn := func(target float64) alert.Burn {
-			return alert.Burn{Target: target, FastNs: 5 * cycle, SlowNs: 20 * cycle, Rate: 2}
-		}
-		objs = append(objs, alert.ReadLatency(scheme, 1024, burn(0.99)), alert.WriteAvailability(scheme, burn(0.8)))
+	burn := func(target float64) alert.Burn {
+		return alert.Burn{Target: target, FastNs: 5 * cycle, SlowNs: 20 * cycle, Rate: 2}
 	}
-	return objs
+	return []alert.Objective{
+		alert.QuorumMargin(scheme, quorum), alert.ErrorRate(0.5),
+		alert.ReadLatency(scheme, 1024, burn(0.99)), alert.WriteAvailability(scheme, burn(0.8)),
+	}
 }
 
 // logAlerts records the burn-rate alert transitions of one checkpoint's
@@ -454,9 +424,6 @@ func (e *engine) siteStates() any {
 // attempts. Strict (exact) conformance is a separate, failure-free
 // check — see internal/obs's integration test.
 func (e *engine) conformanceCheck() {
-	if e.plane == nil {
-		return
-	}
 	snap := e.plane.Observer().Snapshot()
 	e.report.Metrics = &snap
 	as, ok := obs.SchemeFromName(e.report.Scheme)
@@ -506,9 +473,6 @@ func (e *engine) conformanceCheck() {
 // Violations directly, never through stamp(), so observation cannot
 // perturb a replay.
 func (e *engine) availCheck() {
-	if e.est == nil {
-		return
-	}
 	st := e.est.Snapshot(e.simNow)
 	e.report.Avail = &st
 	rep, err := avail.CheckConformance(st, 0.02, false)
@@ -547,7 +511,7 @@ func (e *engine) run(ctx context.Context) error {
 // coda runs the configured number of fault-free workload batches after
 // convergence. It is part of the schedule — every step stamps and
 // digests like the faulty phase — so the digest stays a pure function
-// of (config, seed) whether or not telemetry is attached; its purpose
+// of (config, seed); its purpose
 // is to give the burn-rate windows a quiet tail to drain into, so
 // alerts raised under injected degradation get to demonstrate their
 // clear transition inside the run.
@@ -736,27 +700,20 @@ func (e *engine) step(ctx context.Context) {
 // (yet) been violated.
 func (e *engine) checkpoint() {
 	e.tick()
-	if rep := e.plane.Step(); rep != nil {
-		if e.cfg.Flight {
-			health := rep.View(alert.PolicyThreshold)
-			e.report.Health = &health
-		}
-		if e.cfg.Telemetry {
-			slo := rep.View(alert.PolicyBurn)
-			e.report.SLO = &slo
-			e.logAlerts(&slo)
-		}
-		if e.onVerdict != nil {
-			e.onVerdict(rep)
-		}
+	rep := e.plane.Step()
+	health, slo := rep.View(alert.PolicyThreshold), rep.View(alert.PolicyBurn)
+	e.report.Health, e.report.SLO = &health, &slo
+	e.logAlerts(&slo)
+	if e.onVerdict != nil {
+		e.onVerdict(rep)
 	}
 	for i := 0; i < e.cfg.Sites; i++ {
-		rep, err := e.cl.Replica(protocol.SiteID(i))
+		r, err := e.cl.Replica(protocol.SiteID(i))
 		if err != nil {
 			e.violatef("replica %d: %v", i, err)
 			continue
 		}
-		vec := rep.Vector()
+		vec := r.Vector()
 		for b := 0; b < e.cfg.Blocks; b++ {
 			idx := block.Index(b)
 			if vec.Get(idx) < e.highWater[i].Get(idx) {

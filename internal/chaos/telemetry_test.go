@@ -9,31 +9,6 @@ import (
 	"relidev/internal/core"
 )
 
-// TestTelemetryDoesNotPerturbReplay extends the observation-determinism
-// claim to the telemetry plane: the tsdb sampler and SLO engine run on
-// the schedule clock, read registry snapshots only, and never stamp —
-// so attaching them must leave the replay digest bit-identical.
-func TestTelemetryDoesNotPerturbReplay(t *testing.T) {
-	for _, kind := range []core.SchemeKind{core.Voting, core.AvailableCopy, core.NaiveAvailableCopy} {
-		t.Run(kind.String(), func(t *testing.T) {
-			on := short(kind, 42)
-			off := on
-			off.Telemetry = false
-			a := run(t, on)
-			b := run(t, off)
-			if a.Digest != b.Digest {
-				t.Fatalf("telemetry changed the digest: %s (on) vs %s (off)", a.Digest, b.Digest)
-			}
-			if a.SLO == nil {
-				t.Fatal("telemetry-enabled run missing the SLO report")
-			}
-			if b.SLO != nil || b.SLOAlerts != nil {
-				t.Fatal("telemetry-disabled run carries SLO state")
-			}
-		})
-	}
-}
-
 // TestSLOAlertsFireAndClearDeterministically is the acceptance claim
 // for burn-rate alerting: a schedule with heavy injected degradation
 // (voting under high churn loses its quorum routinely) makes the write

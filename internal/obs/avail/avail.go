@@ -113,7 +113,7 @@ func (e *Estimator) advance(t float64) {
 // SiteDown records that a site stopped serving at time t. Repeated
 // downs for an already-down site are ignored.
 func (e *Estimator) SiteDown(site int, t float64) {
-	if e == nil || site < 0 || site >= e.n {
+	if site < 0 || site >= e.n {
 		return
 	}
 	e.mu.Lock()
@@ -136,7 +136,7 @@ func (e *Estimator) SiteDown(site int, t float64) {
 // pending the scheme's recovery rule) at time t. Repeated ups are
 // ignored.
 func (e *Estimator) SiteUp(site int, t float64) {
-	if e == nil || site < 0 || site >= e.n {
+	if site < 0 || site >= e.n {
 		return
 	}
 	e.mu.Lock()
@@ -169,9 +169,6 @@ func (e *Estimator) upCount() int {
 // Op records one operation outcome under the given label ("read",
 // "write", "recovery", ...).
 func (e *Estimator) Op(op string, ok bool) {
-	if e == nil {
-		return
-	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	a := e.ops[op]

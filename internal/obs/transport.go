@@ -173,9 +173,6 @@ func WrapTransport(o *Observer, name string, inner protocol.Transport, peers []p
 	return t
 }
 
-// Inner returns the wrapped transport.
-func (t *MeteredTransport) Inner() protocol.Transport { return t.inner }
-
 // peerHist returns a peer's round-trip latency series, resolving it on
 // first use; nil for an id outside the site space.
 func (t *MeteredTransport) peerHist(to protocol.SiteID) *Histogram {

@@ -30,9 +30,3 @@ func PricedKind(kind string) bool {
 	_, ok := KindOps[kind]
 	return ok
 }
-
-// OpsForKind returns the §5 operation classes that price the request
-// kind, or nil for an unpriced kind.
-func OpsForKind(kind string) []string {
-	return KindOps[kind]
-}

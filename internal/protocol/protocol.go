@@ -105,9 +105,6 @@ func (s SiteSet) Has(id SiteID) bool {
 // Union returns the union of the two sets.
 func (s SiteSet) Union(other SiteSet) SiteSet { return s | other }
 
-// Intersect returns the intersection of the two sets.
-func (s SiteSet) Intersect(other SiteSet) SiteSet { return s & other }
-
 // SubsetOf reports whether every member of s is in other.
 func (s SiteSet) SubsetOf(other SiteSet) bool { return s&^other == 0 }
 

@@ -407,20 +407,9 @@ func NewClient(self protocol.SiteID, addrs map[protocol.SiteID]string, timeout t
 	}, nil
 }
 
-// Suspected reports whether the failure detector currently considers
-// the peer down (suspectThreshold consecutive failures, no success
+// SuspectSet returns the set of peers the failure detector currently
+// considers down (suspectThreshold consecutive failures, no success
 // since).
-func (c *Client) Suspected(id protocol.SiteID) bool {
-	c.mu.Lock()
-	p, ok := c.pools[id]
-	c.mu.Unlock()
-	if !ok {
-		return false
-	}
-	return p.suspected(c.cfg.suspectThreshold)
-}
-
-// SuspectSet returns the set of peers currently suspected down.
 func (c *Client) SuspectSet() protocol.SiteSet {
 	c.mu.Lock()
 	pools := make(map[protocol.SiteID]*peerPool, len(c.pools))

@@ -194,7 +194,7 @@ func TestDeadServerSuspectedAfterThreshold(t *testing.T) {
 	if errors.Is(err, protocol.ErrSiteDown) {
 		t.Fatalf("first failure = %v, already ErrSiteDown", err)
 	}
-	if cli.Suspected(1) {
+	if cli.SuspectSet().Has(1) {
 		t.Fatal("suspected after a single failure")
 	}
 	// Keep calling (waiting out the redial backoff) until the detector
@@ -210,11 +210,8 @@ func TestDeadServerSuspectedAfterThreshold(t *testing.T) {
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
-	if !cli.Suspected(1) {
-		t.Fatal("Suspected(1) = false after threshold failures")
-	}
 	if !cli.SuspectSet().Has(1) {
-		t.Fatal("SuspectSet misses site 1")
+		t.Fatal("SuspectSet misses site 1 after threshold failures")
 	}
 	// Unknown site id is a configuration error, down immediately.
 	_, err = cli.Call(ctx, 0, 9, protocol.StatusRequest{})
@@ -238,7 +235,7 @@ func TestConnectionRefusedIsConclusive(t *testing.T) {
 	if !errors.Is(err, protocol.ErrSiteDown) {
 		t.Fatalf("refused call = %v, want ErrSiteDown", err)
 	}
-	if !cli.Suspected(1) {
+	if !cli.SuspectSet().Has(1) {
 		t.Fatal("refused peer not suspected")
 	}
 }
@@ -279,7 +276,7 @@ func TestStalePooledConnRetriesOnFreshDial(t *testing.T) {
 	if _, err := cli.Call(ctx, 0, 1, protocol.StatusRequest{}); err != nil {
 		t.Fatalf("call over stale pooled conn = %v, want transparent retry", err)
 	}
-	if cli.Suspected(1) {
+	if cli.SuspectSet().Has(1) {
 		t.Fatal("live peer entered the suspect list over one stale connection")
 	}
 }
@@ -405,7 +402,7 @@ func TestSuspectListClearsOnFirstSuccess(t *testing.T) {
 	if _, err := cli.Call(ctx, 0, 1, protocol.StatusRequest{}); !errors.Is(err, protocol.ErrSiteDown) {
 		t.Fatalf("err = %v, want ErrSiteDown at threshold 1", err)
 	}
-	if !cli.Suspected(1) {
+	if !cli.SuspectSet().Has(1) {
 		t.Fatal("peer not suspected")
 	}
 	srv2, err := Serve(addr, rep)
@@ -423,7 +420,7 @@ func TestSuspectListClearsOnFirstSuccess(t *testing.T) {
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
-	if cli.Suspected(1) {
+	if cli.SuspectSet().Has(1) {
 		t.Fatal("suspicion not cleared by first success")
 	}
 }

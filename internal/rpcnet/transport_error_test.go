@@ -98,7 +98,7 @@ func TestIsTransportErrorClassification(t *testing.T) {
 		if scheme.IsTransportError(err) {
 			t.Fatalf("caller's own cancellation classified as transport failure: %v", err)
 		}
-		if cli.Suspected(1) {
+		if cli.SuspectSet().Has(1) {
 			t.Fatal("cancellation put a healthy peer on the suspect list")
 		}
 	})

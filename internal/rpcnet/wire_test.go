@@ -254,7 +254,7 @@ func TestGarbageResponseClassification(t *testing.T) {
 			if errors.Is(err, ErrRemote) || !scheme.IsTransportError(err) {
 				t.Fatalf("err = %v, want a transport error, not a remote one", err)
 			}
-			if cli.Suspected(1) {
+			if cli.SuspectSet().Has(1) {
 				t.Fatal("one garbage response put the peer on the suspect list")
 			}
 		})
@@ -287,7 +287,7 @@ func TestGarbageResponseClassification(t *testing.T) {
 			if got := conns.Load(); got != 2 {
 				t.Fatalf("server saw %d connections, want 2 (pooled, then one fresh dial)", got)
 			}
-			if cli.Suspected(1) {
+			if cli.SuspectSet().Has(1) {
 				t.Fatal("peer suspected after a retried exchange")
 			}
 		})

@@ -68,8 +68,6 @@ type Generator struct {
 	pattern   *UniformPattern
 	readRatio float64
 	rng       *rand.Rand
-	reads     uint64
-	writes    uint64
 }
 
 // NewGenerator builds a generator with the given read:write ratio
@@ -96,13 +94,5 @@ func (g *Generator) Next() Op {
 	if g.rng.Float64() < g.readRatio/(g.readRatio+1) {
 		kind = Read
 	}
-	if kind == Read {
-		g.reads++
-	} else {
-		g.writes++
-	}
 	return Op{Kind: kind, Index: g.pattern.Next()}
 }
-
-// Counts returns how many reads and writes have been generated.
-func (g *Generator) Counts() (reads, writes uint64) { return g.reads, g.writes }

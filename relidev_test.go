@@ -514,6 +514,36 @@ func TestRemoteRecoveryPages(t *testing.T) {
 	}
 }
 
+// TestParsePeers: the -peers flag both commands share. An empty list
+// parses to an empty map — each command applies its own rule to it —
+// and a malformed entry is refused whole.
+func TestParsePeers(t *testing.T) {
+	for _, tt := range []struct {
+		name, in string
+		want     map[int]string // nil: refused
+	}{
+		{"three sites with spaces", "0=127.0.0.1:7000, 1=127.0.0.1:7001,2=host:7002",
+			map[int]string{0: "127.0.0.1:7000", 1: "127.0.0.1:7001", 2: "host:7002"}},
+		{"empty", "", map[int]string{}},
+		{"blank entries skipped", " ,0=a:1,, ", map[int]string{0: "a:1"}},
+		{"no equals sign", "0:127.0.0.1", nil},
+		{"non-numeric id", "x=127.0.0.1:1", nil},
+	} {
+		t.Run(tt.name, func(t *testing.T) {
+			got, err := relidev.ParsePeers(tt.in)
+			if tt.want == nil {
+				if err == nil {
+					t.Fatalf("ParsePeers(%q) = %v, want an error", tt.in, got)
+				}
+				return
+			}
+			if err != nil || !reflect.DeepEqual(got, tt.want) {
+				t.Fatalf("ParsePeers(%q) = %v, %v; want %v", tt.in, got, err, tt.want)
+			}
+		})
+	}
+}
+
 func TestRemoteConfigValidation(t *testing.T) {
 	if _, err := relidev.OpenRemote(relidev.RemoteConfig{Self: 0, Scheme: relidev.Voting}); err == nil {
 		t.Fatal("accepted empty peers")

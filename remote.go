@@ -7,6 +7,8 @@ import (
 	"io/fs"
 	"net/http"
 	"slices"
+	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -86,6 +88,30 @@ type RemoteConfig struct {
 	// Give a site that more than one party watches a TelemetryStep.
 	// Start from DefaultObjectives.
 	Objectives []Objective
+}
+
+// ParsePeers reads a -peers flag into RemoteConfig.Peers: a
+// comma-separated list of id=host:port entries. Blank entries are
+// skipped, so an empty list parses to an empty map; whether that is
+// allowed is the caller's rule.
+func ParsePeers(s string) (map[int]string, error) {
+	peers := make(map[int]string)
+	for _, part := range strings.Split(s, ",") {
+		part = strings.TrimSpace(part)
+		if part == "" {
+			continue
+		}
+		id, addr, ok := strings.Cut(part, "=")
+		if !ok {
+			return nil, fmt.Errorf("peer %q is not id=addr", part)
+		}
+		n, err := strconv.Atoi(id)
+		if err != nil {
+			return nil, fmt.Errorf("peer id %q: %w", id, err)
+		}
+		peers[n] = addr
+	}
+	return peers, nil
 }
 
 // RemoteSite is one running site of a TCP-deployed reliable device: a
