@@ -104,7 +104,7 @@ loc-check:
 	echo "loc-check: $$loc non-test lines (ledger: $$max)"
 
 # obs-race runs the serving host's observability surface — the
-# RemoteSite's debug routes and poller, on-demand and unattended seals,
+# RemoteSite's debug routes and poller, the seals it takes unattended,
 # interleaved probers on a hand-stepped plane, the cross-site trace
 # pull, whole and degraded — under the race detector. The packages under internal/obs
 # are race-tested once, by `make race` / CI's `go test -race ./...`.

@@ -19,15 +19,17 @@
 // Pass -debug-addr to expose the observability surface: /metrics
 // (JSON), /metrics.prom (Prometheus text), /trace (recent protocol
 // events), /trace/tree (this site's stitched span trees), /profile
-// (critical-path phase attribution), /healthz and /slo (the default
-// objectives' threshold and burn-rate views; each 503 once one of its
-// objectives is critical), /debug/flight (an on-demand black-box dump)
-// and /debug/flight/sealed (the one the first critical objective
-// sealed), /cluster/metrics and /trace/cluster (every site's registry,
-// or trace ring, pulled over the RPC plane and merged into one view,
-// or stitched into one span tree per operation), /timeseries (the
-// local telemetry ring; cadence set by -telemetry-step), and the
-// standard /debug/pprof/ handlers. relitop points at this address.
+// (critical-path phase attribution), /debug/flight/sealed (the
+// black-box dump the first critical objective sealed), /cluster/metrics
+// and /trace/cluster (every site's registry, or trace ring, pulled over
+// the RPC plane and merged into one view, or stitched into one span
+// tree per operation), and the standard /debug/pprof/ handlers.
+// relitop points at this address. -telemetry-step (default 1s) is the
+// cadence at which the site samples its telemetry ring and evaluates
+// the default objectives; it adds /healthz and /slo (their threshold
+// and burn-rate views; each 503 once one of its objectives is
+// critical), /timeseries (the ring) and /debug/flight (an on-demand
+// black-box dump). At -telemetry-step 0 those four routes answer 404.
 package main
 
 import (
@@ -58,20 +60,13 @@ func main() {
 		blockSize  = flag.Int("blocksize", 512, "block size in bytes")
 		comatose   = flag.Bool("comatose", false, "start comatose and run recovery (use after a crash)")
 		debugAddr  = flag.String("debug-addr", "", "serve the observability surface (/metrics, /trace, /cluster/metrics, /trace/cluster, /healthz, /debug/pprof/, ...) on this address (empty = off)")
-		teleStep   = flag.Duration("telemetry-step", time.Second, "telemetry sampling and alert evaluation cadence (0 = evaluate only when /healthz or /slo is asked; requires -debug-addr)")
+		teleStep   = flag.Duration("telemetry-step", time.Second, "telemetry sampling and alert evaluation cadence (0 = no ring, alerts or flight recorder: /healthz, /slo, /timeseries and /debug/flight answer 404; requires -debug-addr)")
 	)
 	flag.Parse()
 	if err := run(*id, *peersF, *schemeF, *storePath, *storeDir, *commitN, *commitWait, *blocks, *blockSize, *comatose, *debugAddr, *teleStep); err != nil {
 		fmt.Fprintln(os.Stderr, "blockserver:", err)
 		os.Exit(1)
 	}
-}
-
-// objectives is the server's alert set: the defaults, with the
-// availability target budgeted from the paper's own §4 prediction for
-// this deployment, like the chaos harness does.
-func objectives(scheme relidev.Scheme, n int) []relidev.Objective {
-	return relidev.DefaultObjectives(scheme, n, 0.05)
 }
 
 func run(id int, peersF, schemeF, storePath, storeDir string, commitN int, commitWait time.Duration, blocks, blockSize int, comatose bool, debugAddr string, teleStep time.Duration) error {
@@ -99,7 +94,6 @@ func run(id int, peersF, schemeF, storePath, storeDir string, commitN int, commi
 		Metered:          debugAddr != "",
 	}
 	if cfg.Metered {
-		cfg.Objectives = objectives(scheme, len(peers))
 		cfg.TelemetryStep = teleStep
 	}
 	site, err := relidev.OpenRemote(cfg)

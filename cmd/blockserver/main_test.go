@@ -289,13 +289,28 @@ func TestClusterTraceStitchesCrossSiteWrite(t *testing.T) {
 	}
 }
 
-// TestObjectivesAreThePreMergeSet pins what a blockserver alerts on:
-// the set it had before health rules and SLOs became one list, less
-// conformance drift.
+// TestObjectivesAreThePreMergeSet pins what a blockserver alerts on —
+// a site metered at the default -telemetry-step, as run opens it, in a
+// three-site voting group: the set it had before health rules and SLOs
+// became one list, less conformance drift.
 func TestObjectivesAreThePreMergeSet(t *testing.T) {
+	site, err := relidev.OpenRemote(relidev.RemoteConfig{
+		Self: 0, Peers: map[int]string{0: "127.0.0.1:0", 1: "127.0.0.1:1", 2: "127.0.0.1:2"},
+		Scheme: relidev.Voting, Metered: true, TelemetryStep: time.Second,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer site.Close()
 	var names []string
-	for _, o := range objectives(relidev.Voting, 3) {
-		names = append(names, o.Name)
+	for _, view := range []func() (relidev.AlertReport, error){site.Health, site.SLOs} {
+		rep, err := view()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, o := range rep.Objectives {
+			names = append(names, o.Name)
+		}
 	}
 	want := "quorum_margin_voting error_rate batcher_occupancy read_latency_voting write_availability_voting"
 	if got := strings.Join(names, " "); got != want {
@@ -318,13 +333,13 @@ var objectiveFamilies = map[string][]string{
 
 // TestObjectivesHaveProducers runs a three-site voting group over
 // loopback TCP configured the way run configures a site — segment
-// store, group commit, metered with the server's objectives — through
+// store, group commit, metered with a telemetry step — through
 // writes, reads and one site down, then checks that site 0's /metrics
 // carries every family its objectives read.
 func TestObjectivesHaveProducers(t *testing.T) {
 	ctx := context.Background()
 	geom := relidev.Geometry{BlockSize: 64, NumBlocks: 8}
-	objs := objectives(relidev.Voting, 3)
+	objs := relidev.DefaultObjectives(relidev.Voting, 3)
 	for _, o := range objs {
 		if len(objectiveFamilies[o.Name]) == 0 {
 			t.Fatalf("objective %s has no entry in objectiveFamilies", o.Name)
@@ -353,7 +368,6 @@ func TestObjectivesHaveProducers(t *testing.T) {
 			GroupCommitBatch: 4,
 			Timeout:          time.Second,
 			Metered:          true,
-			Objectives:       objs,
 			TelemetryStep:    10 * time.Millisecond,
 		})
 		if err != nil {

@@ -74,7 +74,7 @@ type frame struct {
 	at      time.Time
 	metrics obs.Snapshot
 	scrapes map[string]string // per-site scrape errors from the aggregator
-	slo     *alert.Report     // nil when the deployment runs without SLOs
+	slo     *alert.Report     // nil when the site runs without a telemetry step
 }
 
 func collect(c *http.Client, base string) (*frame, error) {

@@ -70,8 +70,7 @@ func startGroup(t *testing.T, cfg relidev.RemoteConfig) *httptest.Server {
 // against a live debug surface must carry the site census, the SLO
 // summary, and the per-op table with its critical-path phases.
 func TestOnceRendersDashboard(t *testing.T) {
-	srv := startGroup(t, relidev.RemoteConfig{Metered: true,
-		Objectives: relidev.DefaultObjectives(relidev.Voting, 3, 0.05)})
+	srv := startGroup(t, relidev.RemoteConfig{Metered: true, TelemetryStep: time.Hour})
 	var buf bytes.Buffer
 	if err := run(&buf, srv.URL, time.Second, 5*time.Second, true); err != nil {
 		t.Fatal(err)
@@ -96,8 +95,9 @@ func TestOnceRendersDashboard(t *testing.T) {
 	}
 }
 
-// TestOnceWithoutSLOEngine: a deployment without SLOs serves 404 on
-// /slo; the dashboard drops the section instead of failing.
+// TestOnceWithoutSLOEngine: a deployment without a telemetry step
+// serves 404 on /slo; the dashboard drops the section instead of
+// failing.
 func TestOnceWithoutSLOEngine(t *testing.T) {
 	srv := startGroup(t, relidev.RemoteConfig{Metered: true})
 	var buf bytes.Buffer

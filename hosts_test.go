@@ -9,7 +9,6 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
-	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -77,8 +76,8 @@ func openGroup(t *testing.T, n int, cfg relidev.RemoteConfig) []*relidev.RemoteS
 }
 
 // loneVoter opens site 1 of a two-site voting group whose peer (site 0,
-// which holds the §4.1 tie-breaking weight) never comes up: every write
-// fails its quorum, quickly.
+// which holds the §4.1 tie-breaking weight) never comes up: every read
+// and write fails its quorum, quickly.
 func loneVoter(t *testing.T, cfg relidev.RemoteConfig) (*relidev.RemoteSite, *httptest.Server) {
 	t.Helper()
 	cfg.Self, cfg.Peers = 1, map[int]string{0: "127.0.0.1:1", 1: "127.0.0.1:0"}
@@ -110,17 +109,14 @@ type flightDump struct {
 }
 
 // TestRemoteBlackBox is the regression test for the TCP black box: the
-// poller samples the ring once per telemetry step, budget exhaustion
+// poller samples the ring once per telemetry step, a critical objective
 // seals a dump that holds the steps leading up to it — with nobody
 // watching — and that dump stays retrievable over the debug surface
 // after later on-demand /debug/flight GETs. Before the plane owned the
 // wiring the sealed dump had no history and no endpoint returned it.
 func TestRemoteBlackBox(t *testing.T) {
 	ctx := context.Background()
-	s, srv := loneVoter(t, relidev.RemoteConfig{
-		TelemetryStep: 5 * time.Millisecond,
-		Objectives:    []relidev.Objective{relidev.WriteAvailabilitySLO(relidev.Voting, relidev.BurnPolicy{Target: 0.99})},
-	})
+	s, srv := loneVoter(t, relidev.RemoteConfig{TelemetryStep: 5 * time.Millisecond})
 	if code, _ := get(t, srv, "/debug/flight/sealed"); code != http.StatusNotFound {
 		t.Fatalf("/debug/flight/sealed before any trigger = %d, want 404", code)
 	}
@@ -129,7 +125,7 @@ func TestRemoteBlackBox(t *testing.T) {
 	deadline := time.Now().Add(10 * time.Second)
 	for sealed := false; !sealed; {
 		if time.Now().After(deadline) {
-			t.Fatal("budget exhaustion never sealed the recorder")
+			t.Fatal("failing writes never sealed the recorder")
 		}
 		if err := s.Device().WriteBlock(ctx, 1, payload); err == nil {
 			t.Fatal("write succeeded without a quorum")
@@ -151,8 +147,11 @@ func TestRemoteBlackBox(t *testing.T) {
 	if err := json.Unmarshal([]byte(body), &d); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.HasPrefix(d.Trigger, "slo ") || !strings.Contains(d.Trigger, "error budget exhausted") {
-		t.Fatalf("sealed trigger = %q, want the SLO exhaustion", d.Trigger)
+	// Either critical objective may judge the failing writes first: the
+	// error rate of the newest step, or the write budget, which a step
+	// holding a write's failure but not its attempt reaches alone.
+	if !strings.HasPrefix(d.Trigger, "health: error_rate (") && d.Trigger != "slo write_availability_voting error budget exhausted" {
+		t.Fatalf("sealed trigger = %q, want a critical objective", d.Trigger)
 	}
 	if d.Steps < 2 {
 		t.Fatalf("sealed dump holds %d steps, want the poller's history (>= 2)", d.Steps)
@@ -173,16 +172,35 @@ func TestRemoteBlackBox(t *testing.T) {
 	}
 }
 
-// TestRemoteCriticalHealthSeals: on a host with no telemetry step a
-// critical verdict seals the recorder wherever it is asked for —
-// Health() here, /healthz below — over samples the asking takes.
+// failReads reads from a lone voter until the test ends: every read
+// fails its quorum, so every step holds failed attempts. Reads, unlike
+// writes, spend no objective's budget, so the error rate alone judges
+// them.
+func failReads(t *testing.T, s *relidev.RemoteSite) {
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan struct{})
+	t.Cleanup(func() { cancel(); <-done })
+	go func() {
+		defer close(done)
+		for ctx.Err() == nil {
+			if _, err := s.Device().ReadBlock(ctx, 1); err == nil {
+				t.Error("read succeeded without a quorum")
+				return
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}()
+}
+
+// TestRemoteCriticalHealthSeals: whichever way a prober asks — Health()
+// here, /healthz below — a critical verdict means the recorder is
+// sealed by it: the evaluation that latched it, the poller's or the
+// prober's own, seals once it has let go of the engine, so the seal
+// may land just after a concurrent prober saw the verdict.
 func TestRemoteCriticalHealthSeals(t *testing.T) {
-	ctx := context.Background()
 	for _, probe := range []string{"Health()", "/healthz"} {
 		t.Run(probe, func(t *testing.T) {
-			s, srv := loneVoter(t, relidev.RemoteConfig{
-				Objectives: relidev.DefaultObjectives(relidev.Voting, 2, 0.05),
-			})
+			s, srv := loneVoter(t, relidev.RemoteConfig{TelemetryStep: 5 * time.Millisecond})
 			critical := func() bool {
 				if probe == "/healthz" {
 					code, _ := get(t, srv, "/healthz")
@@ -197,14 +215,17 @@ func TestRemoteCriticalHealthSeals(t *testing.T) {
 			if critical() {
 				t.Fatal("critical before any operation")
 			}
-			get(t, srv, "/debug/flight") // a dump takes a sample too
-			if err := s.Device().WriteBlock(ctx, 1, make([]byte, 64)); err == nil {
-				t.Fatal("write succeeded without a quorum")
-			}
-			if !critical() {
-				t.Fatal("an all-failing window is not critical")
+			failReads(t, s)
+			for deadline := time.Now().Add(10 * time.Second); !critical(); time.Sleep(time.Millisecond) {
+				if time.Now().After(deadline) {
+					t.Fatal("failing reads never turned the verdict critical")
+				}
 			}
 			code, body := get(t, srv, "/debug/flight/sealed")
+			for deadline := time.Now().Add(time.Second); code == http.StatusNotFound && time.Now().Before(deadline); {
+				time.Sleep(time.Millisecond)
+				code, body = get(t, srv, "/debug/flight/sealed")
+			}
 			if code != 200 || !strings.Contains(body, `"trigger": "health: error_rate (`) {
 				t.Fatalf("/debug/flight/sealed = %d, want the health seal:\n%s", code, body)
 			}
@@ -212,25 +233,16 @@ func TestRemoteCriticalHealthSeals(t *testing.T) {
 	}
 }
 
-// TestRemotePollerSealsUnattended: with a telemetry step the poller
-// evaluates every objective each step, so a critical threshold
-// condition seals the black box with nobody asking for a verdict. (The
-// poller used to evaluate only the SLOs: an error-rate breach sealed
-// nothing until somebody happened to GET /healthz.)
+// TestRemotePollerSealsUnattended: the poller evaluates every objective
+// each step, so a critical threshold condition seals the black box with
+// nobody asking for a verdict. (The poller used to evaluate only the
+// SLOs: an error-rate breach sealed nothing until somebody happened to
+// GET /healthz.)
 func TestRemotePollerSealsUnattended(t *testing.T) {
-	// Thresholds only: an exhausted write-availability budget would seal
-	// too, and that much the poller always did.
-	s, srv := loneVoter(t, relidev.RemoteConfig{
-		TelemetryStep: 5 * time.Millisecond,
-		Objectives:    thresholds(relidev.DefaultObjectives(relidev.Voting, 2, 0.05)),
-	})
+	s, srv := loneVoter(t, relidev.RemoteConfig{TelemetryStep: 5 * time.Millisecond})
 	time.Sleep(25 * time.Millisecond) // a few quiet steps: error_rate needs a previous sample
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		if err := s.Device().WriteBlock(context.Background(), 1, make([]byte, 64)); err == nil {
-			t.Fatal("write succeeded without a quorum")
-		}
-		time.Sleep(5 * time.Millisecond)
+	failReads(t, s)
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(5 * time.Millisecond) {
 		// Reading the retained dump evaluates nothing.
 		code, body := get(t, srv, "/debug/flight/sealed")
 		if code == http.StatusOK {
@@ -243,11 +255,6 @@ func TestRemotePollerSealsUnattended(t *testing.T) {
 			t.Fatal("the poller never sealed the recorder")
 		}
 	}
-}
-
-// thresholds keeps the threshold-policy objectives of a set.
-func thresholds(objs []relidev.Objective) []relidev.Objective {
-	return slices.DeleteFunc(objs, func(o relidev.Objective) bool { return o.Policy.Kind() != "threshold" })
 }
 
 // verdicts reduces a /healthz body to what a prober acts on.
@@ -281,7 +288,7 @@ func TestInterleavedProbersSeeOneVerdict(t *testing.T) {
 	}
 	newHost := func() host {
 		p, err := plane.New(plane.Config{Metered: true, StepNs: time.Hour.Nanoseconds(),
-			Objectives: relidev.DefaultObjectives(relidev.Voting, 3, 0.05)})
+			Objectives: relidev.DefaultObjectives(relidev.Voting, 3)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -346,12 +353,10 @@ func TestInterleavedProbersSeeOneVerdict(t *testing.T) {
 }
 
 // TestHostDebugSurfaceParity is the route table of the one host that
-// serves: for each set of objectives and step a RemoteSite serves every
-// route with the status code (and the kind of body) the plane's parts
-// say.
+// serves: metered without a telemetry step and with one, a RemoteSite
+// serves every route with the status code (and the kind of body) the
+// plane's parts say.
 func TestHostDebugSurfaceParity(t *testing.T) {
-	rules := thresholds(relidev.DefaultObjectives(relidev.NaiveAvailableCopy, 1, 0.05))
-	slos := []relidev.Objective{relidev.WriteAvailabilitySLO(relidev.NaiveAvailableCopy, relidev.BurnPolicy{Target: 0.9})}
 	// route -> what a 200 body must contain.
 	routes := map[string]string{
 		"/metrics": `"counters"`, "/metrics.prom": "", "/trace": `"events"`, "/trace/tree": `"traces"`, "/trace/cluster": `"traces"`,
@@ -359,31 +364,19 @@ func TestHostDebugSurfaceParity(t *testing.T) {
 		"/slo": `"burn"`, "/debug/flight": `"trigger": "http request"`, "/debug/flight/sealed": "", "/nope": "",
 	}
 	for _, tc := range []struct {
-		name          string
-		health, telem bool
+		name string
+		step time.Duration
 	}{
 		{name: "bare metering"},
-		{name: "health", health: true},
-		{name: "health+telemetry+slo", health: true, telem: true},
+		{name: "health+telemetry+slo", step: time.Hour},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			rc := relidev.RemoteConfig{Metered: true}
-			if tc.health {
-				rc.Objectives = rules
-			}
-			if tc.telem {
-				rc.TelemetryStep, rc.Objectives = time.Hour, slices.Concat(rules, slos)
-			}
-			srv := serveDebug(t, openLoneSite(t, rc))
+			srv := serveDebug(t, openLoneSite(t, relidev.RemoteConfig{Metered: true, TelemetryStep: tc.step}))
 			for path, marker := range routes {
 				want := 200
 				switch path {
-				case "/healthz":
-					if !tc.health {
-						want = 404
-					}
-				case "/timeseries", "/slo":
-					if !tc.telem {
+				case "/healthz", "/slo", "/timeseries", "/debug/flight":
+					if tc.step == 0 {
 						want = 404
 					}
 				case "/debug/flight/sealed", "/nope": // nothing has sealed; no such route
@@ -557,8 +550,8 @@ func TestEvenGroupTieBreak(t *testing.T) {
 // read served and went critical on the first one.
 func TestLazyRefreshRaisesNoObjective(t *testing.T) {
 	ctx := context.Background()
-	p, err := plane.New(plane.Config{Metered: true,
-		Objectives: relidev.DefaultObjectives(relidev.Voting, 3, 0.05)})
+	p, err := plane.New(plane.Config{Metered: true, StepNs: time.Hour.Nanoseconds(),
+		Objectives: relidev.DefaultObjectives(relidev.Voting, 3)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -580,10 +573,8 @@ func TestLazyRefreshRaisesNoObjective(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The degraded write is judged here (and warns, rightly: it had no
-	// quorum margin); the refresh falls in the next sample, alone.
-	if _, err := p.View(alert.PolicyThreshold); err != nil {
-		t.Fatal(err)
-	}
+	// quorum margin); the refresh falls in the next step, alone.
+	p.Step()
 	dev2, _ := c.Device(2)
 	got, err := dev2.ReadBlock(ctx, 5)
 	if err != nil || string(got) != string(payload) {
@@ -596,6 +587,7 @@ func TestLazyRefreshRaisesNoObjective(t *testing.T) {
 	if !refreshed {
 		t.Fatal("the read did not go through a lazy refresh; the test proves nothing")
 	}
+	p.Step()
 	for _, view := range []string{alert.PolicyThreshold, alert.PolicyBurn} {
 		rep, err := p.View(view)
 		if err != nil {

@@ -281,7 +281,7 @@ func newEngine(cfg Config) (*engine, error) {
 	// the ring's nominal step is one checkpoint cycle, and it retains
 	// enough of them for the burn-rate budgets to span the run.
 	var err error
-	e.plane, err = plane.New(plane.Config{Metered: true, Clock: e.clk, TraceCap: 4096, Flight: true,
+	e.plane, err = plane.New(plane.Config{Metered: true, Clock: e.clk, TraceCap: 4096,
 		StepNs: cycleNs(cfg), Retain: 4096,
 		Probes:     []flight.Source{{Name: "site_states", Collect: e.siteStates}},
 		Objectives: objectives(cfg)})
@@ -875,7 +875,7 @@ func acceptable(err error) bool {
 	return errors.Is(err, scheme.ErrNoQuorum) ||
 		errors.Is(err, scheme.ErrNotAvailable) ||
 		errors.Is(err, scheme.ErrAwaitingSites) ||
-		errors.Is(err, faultnet.ErrInjected) ||
+		errors.Is(err, protocol.ErrInjected) ||
 		scheme.IsTransportError(err)
 }
 

@@ -259,7 +259,7 @@ func TestViolationSealsFlight(t *testing.T) {
 	cfg := short(core.Voting, 7)
 	e := &engine{cfg: cfg, report: &Report{}, hash: fnv.New64a()}
 	var err error
-	e.plane, err = plane.New(plane.Config{Metered: true, Clock: clock.NewManual(), Flight: true})
+	e.plane, err = plane.New(plane.Config{Metered: true, Clock: clock.NewManual(), StepNs: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

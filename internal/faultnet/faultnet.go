@@ -36,28 +36,9 @@ import (
 	"sync/atomic"
 	"time"
 
-	"relidev/internal/obs"
 	"relidev/internal/protocol"
 	"relidev/internal/simnet"
 )
-
-// ErrInjected marks every error produced by the decorator, so tests and
-// the chaos engine can tell injected faults from organic ones.
-var ErrInjected = errors.New("faultnet: injected fault")
-
-func init() {
-	// Teach the metering transport to bucket injected faults. The
-	// classifier must run before the protocol sentinel checks (which
-	// obs guarantees for registered classifiers) because an injected
-	// fault *wraps* a protocol sentinel, and the injection is the more
-	// specific fact.
-	obs.RegisterErrorClassifier(func(err error) (string, bool) {
-		if errors.Is(err, ErrInjected) {
-			return obs.ClassInjected, true
-		}
-		return "", false
-	})
-}
 
 // Config parameterises the probabilistic fault classes. Probabilities
 // are per remote call and are cut from the same unit draw, so their sum
@@ -252,7 +233,7 @@ func (n *Network) decide(from, to protocol.SiteID, kind string) (simnet.FaultDec
 	n.mu.Unlock()
 	if partitioned {
 		n.partitions.Add(1)
-		return simnet.DropRequest, fmt.Errorf("%w: partition %v->%v: %w", ErrInjected, from, to, protocol.ErrSiteUnreachable)
+		return simnet.DropRequest, fmt.Errorf("%w: partition %v->%v: %w", protocol.ErrInjected, from, to, protocol.ErrSiteUnreachable)
 	}
 	if n.disabled.Load() {
 		return simnet.Deliver, nil
@@ -265,16 +246,16 @@ func (n *Network) decide(from, to protocol.SiteID, kind string) (simnet.FaultDec
 			return simnet.Deliver, nil
 		}
 		n.drops.Add(1)
-		return simnet.DropRequest, fmt.Errorf("%w: dropped request %v->%v: %w", ErrInjected, from, to, protocol.ErrTransient)
+		return simnet.DropRequest, fmt.Errorf("%w: dropped request %v->%v: %w", protocol.ErrInjected, from, to, protocol.ErrTransient)
 	case u < n.cfg.DropProb+n.cfg.ReplyLossProb:
 		n.replyLosses.Add(1)
-		return simnet.DropReply, fmt.Errorf("%w: lost reply %v->%v: %w", ErrInjected, from, to, protocol.ErrTransient)
+		return simnet.DropReply, fmt.Errorf("%w: lost reply %v->%v: %w", protocol.ErrInjected, from, to, protocol.ErrTransient)
 	case u < n.cfg.DropProb+n.cfg.ReplyLossProb+n.cfg.TimeoutProb:
 		if guaranteed {
 			return simnet.Deliver, nil
 		}
 		n.timeouts.Add(1)
-		return simnet.DropRequest, fmt.Errorf("%w: call timeout %v->%v: %w", ErrInjected, from, to, protocol.ErrTransient)
+		return simnet.DropRequest, fmt.Errorf("%w: call timeout %v->%v: %w", protocol.ErrInjected, from, to, protocol.ErrTransient)
 	case u < n.cfg.DropProb+n.cfg.ReplyLossProb+n.cfg.TimeoutProb+n.cfg.LatencyProb:
 		n.delays.Add(1)
 		d := time.Duration(v * float64(n.cfg.MaxLatency))

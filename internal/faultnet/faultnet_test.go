@@ -109,8 +109,8 @@ func TestInjectedErrorsAreTransient(t *testing.T) {
 		t.Fatalf("New: %v", err)
 	}
 	_, err = fn.Call(context.Background(), 0, 1, protocol.StatusRequest{})
-	if !errors.Is(err, ErrInjected) {
-		t.Fatalf("err = %v, want ErrInjected", err)
+	if !errors.Is(err, protocol.ErrInjected) {
+		t.Fatalf("err = %v, want protocol.ErrInjected", err)
 	}
 	if !errors.Is(err, protocol.ErrTransient) {
 		t.Fatalf("err = %v, want ErrTransient", err)
@@ -146,8 +146,8 @@ func TestPartitionSeparatesGroupsUntilHeal(t *testing.T) {
 	fn.SetPartition(2, 1)
 	ctx := context.Background()
 	_, err = fn.Call(ctx, 0, 2, protocol.StatusRequest{})
-	if !errors.Is(err, ErrInjected) || !errors.Is(err, protocol.ErrSiteUnreachable) {
-		t.Fatalf("cross-partition call: %v, want ErrInjected and ErrSiteUnreachable", err)
+	if !errors.Is(err, protocol.ErrInjected) || !errors.Is(err, protocol.ErrSiteUnreachable) {
+		t.Fatalf("cross-partition call: %v, want protocol.ErrInjected and ErrSiteUnreachable", err)
 	}
 	if st := net.Stats(); st.Requests != 1 || st.Replies != 0 {
 		t.Fatalf("cross-partition call charged %d requests, %d replies; want 1, 0", st.Requests, st.Replies)
@@ -161,8 +161,8 @@ func TestPartitionSeparatesGroupsUntilHeal(t *testing.T) {
 	if res[1].Err != nil {
 		t.Fatalf("same-partition leg: %v", res[1].Err)
 	}
-	if err := res[2].Err; !errors.Is(err, ErrInjected) || !errors.Is(err, protocol.ErrSiteUnreachable) {
-		t.Fatalf("cross-partition leg: %v, want ErrInjected and ErrSiteUnreachable", err)
+	if err := res[2].Err; !errors.Is(err, protocol.ErrInjected) || !errors.Is(err, protocol.ErrSiteUnreachable) {
+		t.Fatalf("cross-partition leg: %v, want protocol.ErrInjected and ErrSiteUnreachable", err)
 	}
 	if st := net.Stats(); st.Requests != 1 || st.Replies != 1 {
 		t.Fatalf("half-blocked broadcast charged %d requests, %d replies; want 1, 1", st.Requests, st.Replies)

@@ -34,8 +34,8 @@ func TestIsTransportErrorClassification(t *testing.T) {
 			t.Fatal(err)
 		}
 		_, err = fn.Call(ctx, 0, 1, protocol.StatusRequest{})
-		if !errors.Is(err, ErrInjected) || !errors.Is(err, protocol.ErrTransient) {
-			t.Fatalf("err = %v, want ErrInjected and ErrTransient", err)
+		if !errors.Is(err, protocol.ErrInjected) || !errors.Is(err, protocol.ErrTransient) {
+			t.Fatalf("err = %v, want protocol.ErrInjected and ErrTransient", err)
 		}
 		if !scheme.IsTransportError(err) {
 			t.Fatalf("dropped request not a transport error: %v", err)
@@ -64,7 +64,7 @@ func TestIsTransportErrorClassification(t *testing.T) {
 			t.Fatal(err)
 		}
 		_, err = fn.Call(ctx, 0, 1, protocol.StatusRequest{})
-		if !errors.Is(err, ErrInjected) || !scheme.IsTransportError(err) {
+		if !errors.Is(err, protocol.ErrInjected) || !scheme.IsTransportError(err) {
 			t.Fatalf("timeout not an injected transport error: %v", err)
 		}
 	})
@@ -82,7 +82,7 @@ func TestIsTransportErrorClassification(t *testing.T) {
 		if !errors.Is(err, protocol.ErrSiteDown) || !scheme.IsTransportError(err) {
 			t.Fatalf("crash window err = %v, want ErrSiteDown transport error", err)
 		}
-		if errors.Is(err, ErrInjected) {
+		if errors.Is(err, protocol.ErrInjected) {
 			t.Fatalf("fail-stop crash tagged as injected: %v", err)
 		}
 	})
@@ -112,7 +112,7 @@ func TestIsTransportErrorClassification(t *testing.T) {
 		if !errors.Is(err, errApplication) {
 			t.Fatalf("err = %v, want the handler's own error", err)
 		}
-		if errors.Is(err, ErrInjected) {
+		if errors.Is(err, protocol.ErrInjected) {
 			t.Fatalf("application error tagged as injected: %v", err)
 		}
 		if scheme.IsTransportError(err) {

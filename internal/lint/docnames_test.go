@@ -16,6 +16,7 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"unicode"
 )
 
 // moduleTree is the type-checked module: every package by import path,
@@ -126,6 +127,36 @@ func (m *moduleTree) hasFunc(name string) bool {
 	return false
 }
 
+// hasMethod reports whether some type of this module has a method
+// called name.
+func (m *moduleTree) hasMethod(name string) bool {
+	for _, pkg := range m.pkgs {
+		for _, n := range pkg.Scope().Names() {
+			if tn, ok := pkg.Scope().Lookup(n).(*types.TypeName); ok {
+				if obj, _, _ := types.LookupFieldOrMethod(tn.Type(), true, pkg, name); obj != nil {
+					if _, isMethod := obj.(*types.Func); isMethod {
+						return true
+					}
+				}
+			}
+		}
+	}
+	return false
+}
+
+// imports reports whether some package of this module imports a
+// package called name: `time.Now()` is the standard library's.
+func (m *moduleTree) imports(name string) bool {
+	for _, pkg := range m.pkgs {
+		for _, imp := range pkg.Imports() {
+			if imp.Name() == name {
+				return true
+			}
+		}
+	}
+	return false
+}
+
 var (
 	codeSpan = regexp.MustCompile("`([^`\n]+)`")
 	selector = regexp.MustCompile(`^\*?([A-Za-z_]\w*)\.([A-Za-z_]\w*)(?:\.([A-Za-z_]\w*))?(?:\(.*\))?$`)
@@ -159,7 +190,9 @@ func benchMetrics(t *testing.T, root string) map[string]bool {
 }
 
 // TestDocNamesResolve: every backticked `pkg.Ident`, `Type.Method`,
-// bare option constructor `WithFoo` and `path/file.go` in README.md,
+// method call on a lower-case receiver such as `cluster.Health()`
+// (some type of the module must declare the method), bare option
+// constructor `WithFoo` and `path/file.go` in README.md,
 // DESIGN.md and EXPERIMENTS.md names something that exists in the
 // type-checked tree, so the prose shrinks with the code. A span naming
 // a BENCHMARK.json metric is not a name of the tree. A section (from one
@@ -197,7 +230,12 @@ func TestDocNamesResolve(t *testing.T) {
 						stale = append(stale, fmt.Sprintf("%s:%d: `%s` names no file of the tree", doc, i+1, span))
 					}
 				case s != nil:
-					if ours, ok := m.resolve(s[1], s[2], s[3]); ours && !ok {
+					ours, ok := m.resolve(s[1], s[2], s[3])
+					if !ours && s[3] == "" && strings.HasSuffix(span, ")") && unicode.IsLower(rune(s[1][0])) && !m.imports(s[1]) {
+						if !m.hasMethod(s[2]) {
+							stale = append(stale, fmt.Sprintf("%s:%d: `%s` calls a method no type of the module declares", doc, i+1, span))
+						}
+					} else if ours && !ok {
 						stale = append(stale, fmt.Sprintf("%s:%d: `%s` names nothing in package or type %s", doc, i+1, span, s[1]))
 					}
 				case option.MatchString(span):

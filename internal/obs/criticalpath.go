@@ -263,54 +263,3 @@ func flameBar(share float64) string {
 func fmtNs(ns float64) string {
 	return time.Duration(int64(ns)).Round(time.Microsecond / 10).String()
 }
-
-// SpanPhases reads the phase attribution back out of one stitched op
-// span: its EvPhase children carry "phase=<name> dur_ns=<n>" details.
-// Returns phase name → total ns (phases of nested ops are not
-// included; walk those spans separately).
-func SpanPhases(sp *Span) map[string]int64 {
-	out := make(map[string]int64)
-	for _, c := range sp.Children {
-		if c.Kind != EvPhase {
-			continue
-		}
-		var name string
-		var ns int64
-		if _, err := fmt.Sscanf(c.Detail, "phase=%s dur_ns=%d", &name, &ns); err == nil {
-			out[name] += ns
-		}
-	}
-	return out
-}
-
-// TreePhases walks a stitched trace tree and sums phase durations per
-// scheme/op across every op span in it (root and orphans included) —
-// the span-tree counterpart of the registry aggregation, usable on a
-// single collected trace.
-func TreePhases(t *TraceTree) map[string]map[string]int64 {
-	out := make(map[string]map[string]int64)
-	var walk func(sp *Span)
-	walk = func(sp *Span) {
-		if sp.Kind == "op" {
-			key := sp.Scheme + "/" + sp.Op
-			m := out[key]
-			if m == nil {
-				m = make(map[string]int64)
-				out[key] = m
-			}
-			for name, ns := range SpanPhases(sp) {
-				m[name] += ns
-			}
-		}
-		for _, c := range sp.Children {
-			walk(c)
-		}
-	}
-	if t.Root != nil {
-		walk(t.Root)
-	}
-	for _, o := range t.Orphans {
-		walk(o)
-	}
-	return out
-}

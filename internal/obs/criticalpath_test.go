@@ -230,23 +230,19 @@ func TestSpanPhases(t *testing.T) {
 	if len(trees) != 1 || trees[0].Root == nil {
 		t.Fatalf("stitched %d trees (root=%v), want 1 rooted tree", len(trees), len(trees) > 0 && trees[0].Root != nil)
 	}
-	got := SpanPhases(trees[0].Root)
+	got := spanPhases(trees[0].Root)
 	want := map[string]int64{
 		protocol.PhaseLockWait: 10,
 		protocol.PhaseFanout:   30,
 		protocol.PhaseLocal:    20,
 	}
 	if len(got) != len(want) {
-		t.Fatalf("SpanPhases = %v, want %v", got, want)
+		t.Fatalf("phases = %v, want %v", got, want)
 	}
 	for k, v := range want {
 		if got[k] != v {
-			t.Errorf("SpanPhases[%s] = %d, want %d", k, got[k], v)
+			t.Errorf("phase %s = %d, want %d", k, got[k], v)
 		}
 	}
 
-	byOp := TreePhases(trees[0])
-	if sum := byOp["ac/write"]; sum[protocol.PhaseFanout] != 30 || sum[protocol.PhaseLocal] != 20 {
-		t.Errorf("TreePhases[ac/write] = %v, want fanout=30 local=20", sum)
-	}
 }

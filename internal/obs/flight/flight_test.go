@@ -194,7 +194,8 @@ func TestHandlerSnapshotsAndSeals(t *testing.T) {
 func TestTraceTailSource(t *testing.T) {
 	clk := clock.NewManual()
 	off := obs.New(obs.WithClock(clk))
-	if d := New(clk, nil, off.Tracer()).Seal("x"); d.TraceTail != nil {
+	ring := tsdb.New(tsdb.Config{Clock: clk, Source: off.Snapshot, StepNs: 1, Retain: 4})
+	if d := New(clk, ring, off.Tracer()).Seal("x"); d.TraceTail != nil {
 		t.Fatalf("tracing off: tail = %v, want none", d.TraceTail)
 	}
 

@@ -46,7 +46,7 @@ type rig struct {
 func newRig(seal func(string), objectives ...alert.Objective) *rig {
 	clk := clock.NewManual()
 	o := obs.New(obs.WithClock(clk))
-	db := tsdb.New(tsdb.Config{Clock: clk, Source: o.Snapshot, Retain: 16})
+	db := tsdb.New(tsdb.Config{Clock: clk, Source: o.Snapshot, StepNs: 1, Retain: 16})
 	return &rig{clk: clk, o: o, db: db, e: alert.NewEngine(db, clk, seal, objectives...)}
 }
 

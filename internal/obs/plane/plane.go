@@ -1,11 +1,11 @@
 // Package plane assembles the observability stack of one host of the
 // reliable device — a TCP RemoteSite, a chaos run — in one place:
 // observer, tsdb ring, alert engine and flight recorder on one clock,
-// the rule that says who samples the ring, the step a host's cadence
-// drives, and the debug HTTP surface over all of it (DESIGN.md
-// "Wiring", "Alerts"). The in-process Cluster takes only its metering
-// observer from here. It sits beside the packages it wires because obs
-// itself cannot import them.
+// the step a host's cadence drives (the ring's only sampler), and the
+// debug HTTP surface over all of it (DESIGN.md "Wiring", "Alerts").
+// The in-process Cluster takes only its metering observer from here.
+// It sits beside the packages it wires because obs itself cannot
+// import them.
 package plane
 
 import (
@@ -24,7 +24,7 @@ import (
 // so the texts name its settings.
 var (
 	ErrNotMetered   = errors.New("relidev: host not built with WithMetering / RemoteConfig.Metered")
-	ErrNoObjectives = errors.New("relidev: host not built with RemoteConfig.Objectives")
+	ErrNoObjectives = errors.New("relidev: host not built with RemoteConfig.TelemetryStep")
 )
 
 // defaultRetain is the ring size of a host that does not say: ten
@@ -41,21 +41,18 @@ type Config struct {
 	Clock clock.Clock
 	// TraceCap, when positive, keeps that many trace events.
 	TraceCap int
-	// Flight attaches the black-box recorder: a sealed dump holds the
-	// ring's newest steps, the trace tail and the host's own Probes (a
-	// failure detector's suspect set, a harness's site states).
-	Flight bool
-	Probes []flight.Source
-	// Objectives attaches the alert engine over the ring.
-	Objectives []alert.Objective
 	// StepNs, when positive, is the cadence the host promises to drive
-	// Step (or the ring's Sample) at: the ring's nominal step, what
-	// burn-rate windows are sized against, and what turns /timeseries
-	// on. At zero nobody owns a cadence, and the ring — built whenever
-	// objectives or the recorder read it — is sampled by whoever
-	// evaluates or dumps. Retain frames are kept (zero: 600).
+	// Step at, and builds what Step drives: the ring (Retain frames,
+	// zero: 600), the alert engine over it and the black-box recorder,
+	// whose dumps hold the ring's newest steps, the trace tail and the
+	// host's own Probes (a failure detector's suspect set, a harness's
+	// site states). At zero the host has none of them.
 	StepNs int64
 	Retain int
+	Probes []flight.Source
+	// Objectives are what the alert engine judges each step; they
+	// require a step.
+	Objectives []alert.Objective
 	// Pull reaches the host's peers for the cross-site views DebugHandler
 	// serves, /cluster/metrics and /trace/cluster; it is only called
 	// after the host is built.
@@ -67,8 +64,7 @@ type Config struct {
 // the accessors return ErrNotMetered.
 type Plane struct {
 	obs    *obs.Observer
-	ring   *tsdb.DB // nil when nothing reads it
-	stepNs int64
+	ring   *tsdb.DB // nil without a step, like alerts and flight
 	alerts *alert.Engine
 	views  map[string]bool // the policies that have objectives
 	flight *flight.Recorder
@@ -85,8 +81,8 @@ func New(cfg Config) (*Plane, error) {
 	switch {
 	case cfg.StepNs < 0:
 		return nil, errors.New("negative telemetry step")
-	case !cfg.Metered && len(cfg.Objectives) > 0:
-		return nil, errors.New("objectives require metering")
+	case cfg.StepNs == 0 && len(cfg.Objectives) > 0:
+		return nil, errors.New("objectives require a telemetry step")
 	case !cfg.Metered && cfg.StepNs > 0:
 		return nil, errors.New("telemetry requires metering")
 	case !cfg.Metered:
@@ -101,17 +97,13 @@ func New(cfg Config) (*Plane, error) {
 		opts = append(opts, obs.WithTracing(cfg.TraceCap))
 	}
 	o := obs.New(opts...)
-	p := &Plane{obs: o, stepNs: cfg.StepNs, views: views, pull: cfg.Pull}
-	if cfg.Flight || cfg.StepNs > 0 || len(cfg.Objectives) > 0 {
+	p := &Plane{obs: o, views: views, pull: cfg.Pull}
+	if cfg.StepNs > 0 {
 		if cfg.Retain <= 0 {
 			cfg.Retain = defaultRetain
 		}
 		p.ring = tsdb.New(tsdb.Config{Clock: clk, Source: o.Snapshot, StepNs: cfg.StepNs, Retain: cfg.Retain})
-	}
-	if cfg.Flight {
 		p.flight = flight.New(clk, p.ring, o.Tracer(), cfg.Probes...)
-	}
-	if len(cfg.Objectives) > 0 {
 		p.alerts = alert.NewEngine(p.ring, clk, p.Seal, cfg.Objectives...)
 	}
 	return p, nil
@@ -148,33 +140,22 @@ func (p *Plane) Sealed() *flight.Dump {
 // Step is one tick of the host's cadence — a server's poller, a
 // harness's checkpoint: sample the registry into the ring, once, then
 // evaluate every objective off the ring; a critical latch seals the
-// recorder with this step's sample already in it. The report is nil
-// for a plane without objectives.
+// recorder with this step's sample already in it. It is the ring's
+// only sampler, so readers between two steps all see one ring. The
+// report is nil for a plane without a step.
 func (p *Plane) Step() *alert.Report {
 	if p == nil || p.ring == nil {
 		return nil
 	}
 	p.ring.Sample()
-	if p.alerts == nil {
-		return nil
-	}
 	rep := p.alerts.Evaluate()
 	return &rep
 }
 
-// fresh samples a ring nobody else does: on a host with no cadence
-// whoever reads the ring takes the sample it reads. A host with one
-// never samples on a read, so two readers between steps see one ring.
-func (p *Plane) fresh() {
-	if p.stepNs == 0 {
-		p.ring.Sample()
-	}
-}
-
-// View evaluates the objectives and returns one policy's view of the
-// report — alert.PolicyThreshold is what /healthz serves, PolicyBurn
-// what /slo does — freshening the ring first when the host has no
-// cadence. A critical latch seals the recorder.
+// View evaluates the objectives over the ring as the last step left it
+// and returns one policy's view of the report — alert.PolicyThreshold
+// is what /healthz serves, PolicyBurn what /slo does. A critical latch
+// seals the recorder.
 func (p *Plane) View(policy string) (alert.Report, error) {
 	switch {
 	case p == nil:
@@ -182,7 +163,6 @@ func (p *Plane) View(policy string) (alert.Report, error) {
 	case !p.views[policy]:
 		return alert.Report{}, ErrNoObjectives
 	}
-	p.fresh()
 	return p.alerts.Evaluate().View(policy), nil
 }
 
@@ -206,24 +186,14 @@ func (p *Plane) DebugHandler() (http.Handler, error) {
 	if p == nil {
 		return nil, ErrNotMetered
 	}
-	var ring *tsdb.DB // /timeseries needs a cadence to serve
-	if p.stepNs > 0 {
-		ring = p.ring
-	}
 	mux := obs.NewDebugMux(p.obs)
 	mux.HandleFunc("/cluster/metrics", obs.ClusterMetricsHandler(p.obs, p.pull))
 	mux.HandleFunc("/trace/cluster", obs.ClusterTraceHandler(p.obs, p.pull))
 	for route, policy := range map[string]string{"/healthz": alert.PolicyThreshold, "/slo": alert.PolicyBurn} {
 		mux.HandleFunc(route, alert.Handler(func() (alert.Report, error) { return p.View(policy) }))
 	}
-	mux.HandleFunc("/timeseries", tsdb.Handler(ring))
-	dump := flight.Handler(p.flight)
-	mux.HandleFunc("/debug/flight", func(w http.ResponseWriter, r *http.Request) {
-		if p.flight != nil {
-			p.fresh()
-		}
-		dump(w, r)
-	})
+	mux.HandleFunc("/timeseries", tsdb.Handler(p.ring))
+	mux.HandleFunc("/debug/flight", flight.Handler(p.flight))
 	mux.HandleFunc("/debug/flight/sealed", func(w http.ResponseWriter, r *http.Request) {
 		if d := p.Sealed(); d != nil {
 			obs.WriteJSON(w, http.StatusOK, d)

@@ -73,7 +73,6 @@ func scriptConfig(clk clock.Clock) Config {
 		Metered:  true,
 		Clock:    clk,
 		TraceCap: 24,
-		Flight:   true,
 		Probes:   []flight.Source{{Name: "suspects", Collect: func() any { return "{site2}" }}},
 		Objectives: []alert.Objective{
 			alert.QuorumMargin("voting", 2),
@@ -211,16 +210,30 @@ func TestStepSealsWithItsOwnFrame(t *testing.T) {
 	})
 }
 
-// TestOneSnapshotPerStep counts full registry reads per Step.
+// TestOneSnapshotPerStep counts full registry reads: one per Step, and
+// none for a reader between two steps — Step is the ring's only
+// sampler.
 func TestOneSnapshotPerStep(t *testing.T) {
 	clk := clock.NewManual()
 	p, err := New(scriptConfig(clk))
 	if err != nil {
 		t.Fatal(err)
 	}
+	h, err := p.DebugHandler()
+	if err != nil {
+		t.Fatal(err)
+	}
 	reg := p.Observer().Registry()
 	p.Step()
 	before := reg.Snapshots()
+	for _, path := range []string{"/healthz", "/slo", "/timeseries", "/debug/flight"} {
+		if status, _ := get(t, h, path); status != 200 {
+			t.Fatalf("GET %s = %d", path, status)
+		}
+		if got := reg.Snapshots() - before; got != 0 {
+			t.Fatalf("GET %s read the registry %d times, want 0", path, got)
+		}
+	}
 	p.Step()
 	if got := reg.Snapshots() - before; got != 1 {
 		t.Fatalf("one Step read the registry %d times, want 1", got)
@@ -252,8 +265,8 @@ func TestNilPlaneRefuses(t *testing.T) {
 	}
 }
 
-// TestPartialPlaneRefuses: a metered plane without a part answers that
-// part's accessor with its own refusal and its route with 404.
+// TestPartialPlaneRefuses: a metered plane without a step has no ring,
+// alerts or recorder: their accessors refuse and their routes are 404.
 func TestPartialPlaneRefuses(t *testing.T) {
 	p, err := New(Config{Metered: true, Clock: clock.NewManual()})
 	if err != nil {
@@ -288,6 +301,7 @@ func TestNewDependencyErrors(t *testing.T) {
 	for name, cfg := range map[string]Config{
 		"negative step":               {Metered: true, StepNs: -1},
 		"objectives without metering": {Objectives: full.Objectives},
+		"objectives without a step":   {Metered: true, Objectives: full.Objectives},
 		"step without metering":       {StepNs: 1},
 	} {
 		if p, err := New(cfg); err == nil || p != nil {

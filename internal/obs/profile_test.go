@@ -113,16 +113,7 @@ func TestTreePhasesMatchRegistry(t *testing.T) {
 
 	fromTrees := make(map[string]map[string]int64)
 	for _, tree := range o.TraceTrees() {
-		for key, sums := range obs.TreePhases(tree) {
-			m := fromTrees[key]
-			if m == nil {
-				m = make(map[string]int64)
-				fromTrees[key] = m
-			}
-			for ph, ns := range sums {
-				m[ph] += ns
-			}
-		}
+		treePhases(fromTrees, tree)
 	}
 
 	p := o.CriticalPath()
@@ -199,4 +190,31 @@ func runProfileWorkload(t *testing.T, kind core.SchemeKind) (*obs.Observer, *cor
 	read(4, 0)
 	read(1, 2)
 	return o, cl
+}
+
+// treePhases adds the phase durations of every op span in a stitched
+// trace tree (root and orphans included) into sums, per scheme/op: an
+// op span's EvPhase children carry "phase=<name> dur_ns=<n>".
+func treePhases(sums map[string]map[string]int64, tree *obs.TraceTree) {
+	var walk func(sp *obs.Span)
+	walk = func(sp *obs.Span) {
+		for _, c := range sp.Children {
+			var name string
+			var ns int64
+			if _, err := fmt.Sscanf(c.Detail, "phase=%s dur_ns=%d", &name, &ns); sp.Kind == "op" && c.Kind == obs.EvPhase && err == nil {
+				key := sp.Scheme + "/" + sp.Op
+				if sums[key] == nil {
+					sums[key] = make(map[string]int64)
+				}
+				sums[key][name] += ns
+			}
+			walk(c)
+		}
+	}
+	if tree.Root != nil {
+		walk(tree.Root)
+	}
+	for _, o := range tree.Orphans {
+		walk(o)
+	}
 }

@@ -232,7 +232,7 @@ func TestTraceDetailGolden(t *testing.T) {
 	}
 	expect(EvOpEnd, fmt.Sprintf("participants=%d", 3))
 
-	for _, err := range []error{protocol.ErrSiteDown, protocol.ErrTransient, context.Canceled, errTestInjected, errors.New("disk")} {
+	for _, err := range []error{protocol.ErrSiteDown, protocol.ErrTransient, context.Canceled, protocol.ErrInjected, errors.New("disk")} {
 		_, sp := s.StartOp(bg, protocol.OpWrite, 1)
 		expect(EvOpStart, "")
 		sp.Done(0, err)
@@ -246,11 +246,11 @@ func TestTraceDetailGolden(t *testing.T) {
 	expect(EvRPC, fmt.Sprintf("call to=%v req=%s", protocol.SiteID(3), "fake"))
 	mt.Fetch(bg, 2, 0, fakeReq{})
 	expect(EvRPC, fmt.Sprintf("fetch to=%v req=%s", protocol.SiteID(0), "fake"))
-	ft.callErr, ft.fetchErr = protocol.ErrSiteUnreachable, errTestExotic
+	ft.callErr, ft.fetchErr = protocol.ErrSiteUnreachable, protocol.ErrRemote
 	mt.Call(bg, 2, 3, fakeReq{})
 	expect(EvRPC, fmt.Sprintf("call to=%v req=%s", protocol.SiteID(3), "fake")+" err="+ClassUnreachable)
 	mt.Fetch(bg, 2, 63, fakeReq{})
-	expect(EvRPC, fmt.Sprintf("fetch to=%v req=%s", protocol.SiteID(63), "fake")+" err=exotic")
+	expect(EvRPC, fmt.Sprintf("fetch to=%v req=%s", protocol.SiteID(63), "fake")+" err="+ClassRemote)
 	mt.Broadcast(bg, 2, dests, protocol.VoteRequest{})
 	expect(EvRPC, fmt.Sprintf("broadcast dests=%d req=%s", 4, "vote")) // per-destination errors are not the span's
 	mt.Notify(bg, 2, dests[:1], protocol.PutRequest{})
@@ -279,11 +279,26 @@ func TestTraceDetailGolden(t *testing.T) {
 	var phases map[string]int64
 	for _, tr := range trees {
 		if tr.Root != nil && tr.Root.Op == protocol.OpRead {
-			phases = SpanPhases(tr.Root)
+			phases = spanPhases(tr.Root)
 		}
 	}
 	if len(phases) != 4 || phases[protocol.PhaseLockWait] != 10 || phases[protocol.PhaseFanout] != 30 ||
 		phases[protocol.PhaseLocal] != 20 || phases[protocol.PhaseStraggler] != 7 {
-		t.Errorf("SpanPhases of the read = %v", phases)
+		t.Errorf("phases of the read = %v", phases)
 	}
+}
+
+// spanPhases reads the phase attribution back out of one stitched op
+// span: its EvPhase children carry "phase=<name> dur_ns=<n>" details.
+// Phases of nested ops are not included.
+func spanPhases(sp *Span) map[string]int64 {
+	out := make(map[string]int64)
+	for _, c := range sp.Children {
+		var name string
+		var ns int64
+		if _, err := fmt.Sscanf(c.Detail, "phase=%s dur_ns=%d", &name, &ns); c.Kind == EvPhase && err == nil {
+			out[name] += ns
+		}
+	}
+	return out
 }

@@ -3,7 +3,6 @@ package obs
 import (
 	"context"
 	"errors"
-	"sync"
 	"sync/atomic"
 
 	"relidev/internal/protocol"
@@ -24,11 +23,7 @@ const (
 	MetricTransportPeerLatency = "relidev_transport_peer_latency_ns"
 )
 
-// Failure classes, derived from the transport sentinels. ClassInjected
-// and ClassRemote are claimed by registered classifiers (faultnet and
-// rpcnet respectively) — obs cannot import those packages without a
-// cycle, so they push their sentinel knowledge in via
-// RegisterErrorClassifier.
+// Failure classes, derived from the protocol sentinels.
 const (
 	ClassDown        = "down"
 	ClassUnreachable = "unreachable"
@@ -41,45 +36,18 @@ const (
 
 var errorClasses = [...]string{ClassDown, ClassUnreachable, ClassTransient, ClassInjected, ClassRemote, ClassCanceled, ClassOther}
 
-// Registered classifiers run before the built-in sentinel checks:
-// decorator packages (faultnet, rpcnet) wrap or precede the protocol
-// sentinels, so their verdict is the more specific fact. Registration
-// happens in package init only; reads take the lock per classified
-// *error*, which is off the success path.
-var (
-	classifierMu sync.RWMutex
-	classifiers  []func(error) (string, bool)
-)
-
-// RegisterErrorClassifier adds a failure classifier consulted (in
-// registration order) before the built-in protocol/context checks. f
-// returns the class and true when it recognises the error; it should
-// return one of the Class* constants, or a new class name (unknown
-// classes are counted under ClassOther's series fallback).
-func RegisterErrorClassifier(f func(error) (string, bool)) {
-	classifierMu.Lock()
-	defer classifierMu.Unlock()
-	classifiers = append(classifiers, f)
-}
-
-// classifyError buckets a transport error by its sentinel: registered
-// decorator sentinels first (an injected fault wraps a protocol
-// sentinel, and the injection is the more specific fact), then the
-// protocol errors (down/unreachable/transient) and context
-// cancellation.
+// classifyError buckets a transport error by its sentinel: an injected
+// fault first (it wraps the sentinel it imitates, and the injection is
+// the more specific fact), then a delivered remote error, the
+// down/unreachable/transient sentinels and context cancellation.
 func classifyError(err error) string {
-	if err == nil {
-		return "ok"
-	}
-	classifierMu.RLock()
-	cs := classifiers
-	classifierMu.RUnlock()
-	for _, f := range cs {
-		if class, ok := f(err); ok {
-			return class
-		}
-	}
 	switch {
+	case err == nil:
+		return "ok"
+	case errors.Is(err, protocol.ErrInjected):
+		return ClassInjected
+	case errors.Is(err, protocol.ErrRemote):
+		return ClassRemote
 	case errors.Is(err, protocol.ErrSiteDown):
 		return ClassDown
 	case errors.Is(err, protocol.ErrSiteUnreachable):
@@ -113,22 +81,17 @@ type methodMetrics struct {
 	errs    map[string]*Counter // by failure class
 }
 
-// countErr buckets one failure; classes outside the pre-resolved set
-// (a registered classifier inventing its own name) land in ClassOther.
+// countErr buckets one failure under its class.
 func (mm *methodMetrics) countErr(err error) {
-	c, ok := mm.errs[classifyError(err)]
-	if !ok {
-		c = mm.errs[ClassOther]
-	}
-	c.Inc()
+	mm.errs[classifyError(err)].Inc()
 }
 
 // A MeteredTransport decorates any protocol.Transport with metering:
-// invocation counts, failure classes via the rpcnet/faultnet/protocol
-// sentinels, per-method latency, and per-peer round-trip latency for
-// Call/Fetch. It composes with other decorators (apply it outermost so
-// it observes exactly what the controllers see, fault injection
-// included) and never alters results.
+// invocation counts, failure classes via the protocol sentinels,
+// per-method latency, and per-peer round-trip latency for Call/Fetch.
+// It composes with other decorators (apply it outermost so it observes
+// exactly what the controllers see, fault injection included) and
+// never alters results.
 //
 // It does not attempt §5 transmission accounting — a decorator cannot
 // see, e.g., whether a failed delivery was charged — that stays inside

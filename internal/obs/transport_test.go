@@ -52,49 +52,36 @@ func (f *fakeTransport) Notify(ctx context.Context, from protocol.SiteID, dests 
 	return f.results
 }
 
-// Test sentinels for the classifier registry. Registered once for the
-// whole test binary (registration is append-only and global, like the
-// faultnet/rpcnet init registrations it stands in for).
-var (
-	errTestInjected = errors.New("obs_test: injected")
-	errTestExotic   = errors.New("obs_test: exotic")
-)
-
-func init() {
-	RegisterErrorClassifier(func(err error) (string, bool) {
-		if errors.Is(err, errTestInjected) {
-			return ClassInjected, true
-		}
-		return "", false
-	})
-	RegisterErrorClassifier(func(err error) (string, bool) {
-		if errors.Is(err, errTestExotic) {
-			return "exotic", true // not a pre-resolved class
-		}
-		return "", false
-	})
-}
-
+// TestClassifyError is the failure taxonomy, one row per class: an
+// injected fault outranks the sentinel it imitates, and a delivered
+// remote error is neither down nor transient.
 func TestClassifyError(t *testing.T) {
 	cases := []struct {
 		err  error
 		want string
 	}{
 		{nil, "ok"},
-		{protocol.ErrSiteDown, ClassDown},
-		{protocol.ErrSiteUnreachable, ClassUnreachable},
-		{protocol.ErrTransient, ClassTransient},
+		{fmt.Errorf("dial: %w", protocol.ErrSiteDown), ClassDown},
+		{fmt.Errorf("partition: %w", protocol.ErrSiteUnreachable), ClassUnreachable},
+		{fmt.Errorf("%w: %w", protocol.ErrSevered, protocol.ErrTransient), ClassTransient},
+		{fmt.Errorf("%w: lost reply: %w", protocol.ErrInjected, protocol.ErrTransient), ClassInjected},
+		{fmt.Errorf("%w: partition: %w", protocol.ErrInjected, protocol.ErrSiteUnreachable), ClassInjected},
+		{fmt.Errorf("bad payload: %w", protocol.ErrRemote), ClassRemote},
 		{context.Canceled, ClassCanceled},
 		{context.DeadlineExceeded, ClassCanceled},
 		{errors.New("mystery"), ClassOther},
-		// Registered classifiers win even when the error also wraps a
-		// protocol sentinel (injection is the more specific fact).
-		{fmt.Errorf("%w: %w", errTestInjected, protocol.ErrSiteDown), ClassInjected},
-		{errTestExotic, "exotic"},
 	}
+	seen := map[string]bool{}
 	for _, c := range cases {
-		if got := classifyError(c.err); got != c.want {
+		got := classifyError(c.err)
+		if got != c.want {
 			t.Errorf("classifyError(%v) = %q, want %q", c.err, got, c.want)
+		}
+		seen[got] = true
+	}
+	for _, class := range errorClasses {
+		if !seen[class] {
+			t.Errorf("no row classifies as %q", class)
 		}
 	}
 }
@@ -112,7 +99,7 @@ func TestMeteredTransportCounts(t *testing.T) {
 		results: map[protocol.SiteID]protocol.Result{
 			1: {Resp: fakeResp{}},
 			2: {Err: protocol.ErrSiteDown},
-			3: {Err: errTestInjected},
+			3: {Err: fmt.Errorf("%w: %w", protocol.ErrInjected, protocol.ErrTransient)},
 		},
 	}
 	peers := []protocol.SiteID{0, 1, 2, 3}
@@ -129,7 +116,7 @@ func TestMeteredTransportCounts(t *testing.T) {
 	if _, err := tr.Call(ctx, 0, 2, fakeReq{}); err == nil {
 		t.Fatal("expected call error")
 	}
-	inner.fetchErr = errTestExotic
+	inner.fetchErr = fmt.Errorf("bad payload: %w", protocol.ErrRemote)
 	if _, err := tr.Fetch(ctx, 0, 3, fakeReq{}); err == nil {
 		t.Fatal("expected fetch error")
 	}
@@ -149,9 +136,8 @@ func TestMeteredTransportCounts(t *testing.T) {
 		}
 	}
 	wantErrs := map[[2]string]uint64{
-		{"call", ClassUnreachable}: 1,
-		// "exotic" is not pre-resolved: it falls back to ClassOther.
-		{"fetch", ClassOther}:         1,
+		{"call", ClassUnreachable}:    1,
+		{"fetch", ClassRemote}:        1,
 		{"broadcast", ClassDown}:      1,
 		{"broadcast", ClassInjected}:  1,
 		{"notify", ClassDown}:         1,

@@ -14,7 +14,8 @@ import (
 //
 // Durations parse with time.ParseDuration. The handler only reads
 // ring snapshots under the DB lock, so serving it beside a live
-// sampler is safe. A nil DB answers 404.
+// sampler is safe. A nil DB — a host without a step has no ring —
+// answers 404.
 func Handler(db *DB) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		if db == nil {

@@ -40,9 +40,6 @@ type QueryResult struct {
 // window start, stamped with their bucket's end. Series are ordered by
 // canonical key; empty buckets emit no point.
 func (db *DB) Query(windowNs, stepNs int64) QueryResult {
-	if db == nil {
-		return QueryResult{}
-	}
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	return db.query(db.window(windowNs), stepNs)
@@ -51,9 +48,6 @@ func (db *DB) Query(windowNs, stepNs int64) QueryResult {
 // Tail reconstructs the newest n samples at the sampling resolution —
 // what a flight dump keeps of the ring — and reports how many it found.
 func (db *DB) Tail(n int) (res QueryResult, samples int) {
-	if db == nil {
-		return QueryResult{}, 0
-	}
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	from := max(db.count-n, 0)
@@ -76,9 +70,6 @@ func (db *DB) query(from int, stepNs int64) QueryResult {
 	// bucketEnd stamps a frame with the end of its coarse step,
 	// counting steps forward from the window start.
 	bucketEnd := func(atNs int64) int64 {
-		if stepNs <= 0 {
-			return atNs
-		}
 		n := (atNs - res.FromNs) / stepNs
 		return res.FromNs + (n+1)*stepNs
 	}

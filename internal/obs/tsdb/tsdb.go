@@ -39,8 +39,7 @@ type Config struct {
 	// StepNs is the nominal sampling step: the cadence the caller
 	// promises to drive Sample at, and the default resolution served by
 	// Query. The DB records whatever timestamps the clock yields, so a
-	// jittery caller degrades resolution, never correctness. Zero is a
-	// ring with no cadence, sampled whenever somebody wants to read it.
+	// jittery caller degrades resolution, never correctness.
 	StepNs int64
 	// Retain bounds the ring: at most Retain samples are kept, oldest
 	// evicted first.
@@ -107,13 +106,9 @@ type histDelta struct {
 	dBuckets     []obs.BucketCount
 }
 
-// New builds an empty DB. Nil clock or source, a negative step, or a
-// non-positive retention yield a DB that records nothing (Sample is a
-// no-op), so a disabled telemetry plane costs one nil check.
+// New builds an empty DB. Every field of cfg is required: a clock, a
+// source, a positive step and a positive retention.
 func New(cfg Config) *DB {
-	if cfg.Clock == nil || cfg.Source == nil || cfg.StepNs < 0 || cfg.Retain <= 0 {
-		return &DB{}
-	}
 	return &DB{
 		clock:  cfg.Clock,
 		source: cfg.Source,
@@ -121,14 +116,6 @@ func New(cfg Config) *DB {
 		index:  make(map[string]int),
 		frames: make([]frame, cfg.Retain),
 	}
-}
-
-// StepNs returns the nominal sampling step (0 for a disabled DB).
-func (db *DB) StepNs() int64 {
-	if db == nil {
-		return 0
-	}
-	return db.stepNs
 }
 
 // sid resolves, interning on first sight, a series' slot under its key.
@@ -147,14 +134,10 @@ func (db *DB) sid(key, name string, labels map[string]string, kind string) int {
 
 // Sample reads the source registry, stamps it with the clock, and
 // appends one delta-encoded frame, evicting the oldest when the ring is
-// full; a no-op on a disabled DB. The caller owns the cadence (a
-// server's poller, a chaos checkpoint, a GET on a host with neither).
-// The source is read under the lock: a delta is against the previous
-// sample, so overlapping samplers must commit in the order they read.
+// full. The caller owns the cadence (a host's plane.Step). The source
+// is read under the lock: a delta is against the previous sample, so
+// overlapping samplers must commit in the order they read.
 func (db *DB) Sample() {
-	if db == nil || db.source == nil {
-		return
-	}
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	snap := db.source()
@@ -225,9 +208,6 @@ func (db *DB) window(windowNs int64) (from int) {
 
 // Len returns the number of retained samples.
 func (db *DB) Len() int {
-	if db == nil {
-		return 0
-	}
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	return db.count
@@ -236,11 +216,8 @@ func (db *DB) Len() int {
 // scan is every windowed query: under the lock it selects the series
 // called name that carry every match label — once, by table slot, so
 // the walk compares integers — and calls fn on each live frame of the
-// trailing window, oldest first. A nil DB has none.
+// trailing window, oldest first.
 func (db *DB) scan(name string, windowNs int64, match []obs.Label, fn func(f *frame, sel []bool)) {
-	if db == nil {
-		return
-	}
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	sel := make([]bool, len(db.series))

@@ -2,6 +2,7 @@ package tsdb
 
 import (
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -105,33 +106,39 @@ func TestDeltaEncodingAndWindows(t *testing.T) {
 }
 
 // TestTailIsTheNewestSamples: Tail(n) reconstructs exactly the newest n
-// samples whatever their stamps, all of them when fewer are held — also
-// on a ring with no nominal step, sampled whenever somebody reads it.
+// samples whatever their stamps, all of them when fewer are held, at
+// the nominal step: samples a jittery caller took within one step share
+// its point.
 func TestTailIsTheNewestSamples(t *testing.T) {
-	h := &harness{clk: clock.NewManual()}
-	db := New(Config{Clock: h.clk, Source: func() obs.Snapshot { return h.snap }, Retain: 8})
+	h := &harness{}
+	db := h.db(8)
 	if q, n := db.Tail(4); n != 0 || len(q.Series) != 0 {
 		t.Fatalf("empty ring tail = %d samples, %+v", n, q)
 	}
-	for i, gap := range []int64{3, 40, 1, 7, 7, 100} { // no cadence at all
+	for i, gap := range []int64{3, 40, 1, 7, 7, 100} { // nothing like the 10ns step
 		h.set(uint64(i+1), 0, 0, 0, 0)
 		h.clk.Advance(time.Duration(gap))
 		db.Sample()
 	}
 	q, n := db.Tail(4)
-	if n != 4 || q.FromNs != 44 || q.ToNs != 158 || q.StepNs != 0 {
-		t.Fatalf("tail = %d samples %d..%d step %d, want 4 samples 44..158 step 0", n, q.FromNs, q.ToNs, q.StepNs)
+	if n != 4 || q.FromNs != 44 || q.ToNs != 158 || q.StepNs != 10 {
+		t.Fatalf("tail = %d samples %d..%d step %d, want 4 samples 44..158 step 10", n, q.FromNs, q.ToNs, q.StepNs)
 	}
 	var total float64
+	var stamps []int64
 	for _, s := range q.Series {
 		if s.Name == "c" {
 			for _, p := range s.Points {
 				total += p.Value
+				stamps = append(stamps, p.AtNs)
 			}
 		}
 	}
 	if total != 4 {
 		t.Fatalf("tail counter deltas sum to %v, want the 4 newest +1 steps", total)
+	}
+	if want := []int64{54, 64, 164}; !slices.Equal(stamps, want) {
+		t.Fatalf("tail points stamped %v, want %v (44 and 51 share a step)", stamps, want)
 	}
 	if _, n := db.Tail(64); n != 6 {
 		t.Fatalf("oversized tail = %d samples, want all 6", n)
@@ -216,31 +223,12 @@ func TestQueryDownsamplesExactly(t *testing.T) {
 	}
 }
 
-func TestDisabledAndNilDBsAreInert(t *testing.T) {
-	for _, db := range []*DB{nil, New(Config{})} {
-		db.Sample()
-		if db.Len() != 0 || db.StepNs() != 0 {
-			t.Fatal("disabled DB retained state")
-		}
-		if got := db.WindowTotal("c", 0); got != 0 {
-			t.Fatal("disabled DB returned data")
-		}
-		if _, n := db.Tail(4); n != 0 {
-			t.Fatal("disabled DB has a tail")
-		}
-		if q := db.Query(0, 0); len(q.Series) != 0 {
-			t.Fatal("disabled DB served series")
-		}
-	}
-}
-
-// TestConcurrentSamplersCommitInReadOrder is the step-less host's
-// contract: several readers sampling at once (GETs of /healthz, /slo
-// and /debug/flight) each store the delta against the sample before
-// theirs, so the ring always sums to the counter. A sampler that read
-// the source outside the lock could commit after a later reader and
-// store an underflowed delta of about 2^64. The source dawdles after its
-// read, unevenly, to invite exactly that overlap.
+// TestConcurrentSamplersCommitInReadOrder: samplers that overlap each
+// store the delta against the sample before theirs, so the ring always
+// sums to the counter. A sampler that read the source outside the lock
+// could commit after a later one and store an underflowed delta of
+// about 2^64. The source dawdles after its read, unevenly, to invite
+// exactly that overlap.
 func TestConcurrentSamplersCommitInReadOrder(t *testing.T) {
 	var ops atomic.Uint64
 	clk := clock.NewManual()
@@ -257,6 +245,7 @@ func TestConcurrentSamplersCommitInReadOrder(t *testing.T) {
 				Histograms: []obs.HistogramPoint{{Name: "h", Count: n, Sum: 3 * n}},
 			}
 		},
+		StepNs: 1,
 		Retain: 1 << 12,
 	})
 	const samplers, rounds = 4, 200

@@ -160,6 +160,18 @@ var (
 	// have reached the peer and been applied there, so the exchange's
 	// outcome is unknown rather than known-failed.
 	ErrSevered = errors.New("protocol: established exchange severed mid-stream")
+
+	// ErrInjected marks every error the fault-injecting decorator
+	// (faultnet) produces, wrapped alongside the sentinel the fault
+	// imitates, so tests and the chaos engine can tell injected faults
+	// from organic ones.
+	ErrInjected = errors.New("faultnet: injected fault")
+	// ErrRemote marks an error produced by the remote handler itself,
+	// as opposed to a transport failure: the call reached the peer and
+	// was answered. scheme.IsTransportError(err) is false for it by
+	// design — under the paper's fail-stop model (§3) only a *missing*
+	// answer may be treated as a site failure, never a delivered one.
+	ErrRemote = errors.New("rpcnet: remote error")
 )
 
 // Request is the interface implemented by all protocol request messages.

@@ -35,7 +35,6 @@ import (
 	"syscall"
 	"time"
 
-	"relidev/internal/obs"
 	"relidev/internal/protocol"
 	"relidev/internal/site"
 )
@@ -49,23 +48,6 @@ const (
 	errComatose
 	errNotOperational
 )
-
-// ErrRemote marks an error produced by the remote handler itself, as
-// opposed to a transport failure: the call reached the peer and was
-// answered. scheme.IsTransportError(err) is false for it by design —
-// under the paper's fail-stop model (§3) only a *missing* answer may
-// be treated as a site failure, never a delivered one.
-var ErrRemote = errors.New("rpcnet: remote error")
-
-func init() {
-	// Teach the metering transport to bucket remote-handler failures.
-	obs.RegisterErrorClassifier(func(err error) (string, bool) {
-		if errors.Is(err, ErrRemote) {
-			return obs.ClassRemote, true
-		}
-		return "", false
-	})
-}
 
 // reply is one decoded response frame: the handler's answer, or the
 // error it returned as a wire code plus its text.
@@ -97,7 +79,7 @@ func decodeErr(code uint8, text string) error {
 	case errNotOperational:
 		return fmt.Errorf("%s: %w", text, site.ErrNotOperational)
 	default:
-		return fmt.Errorf("%s: %w", text, ErrRemote)
+		return fmt.Errorf("%s: %w", text, protocol.ErrRemote)
 	}
 }
 

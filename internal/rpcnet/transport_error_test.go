@@ -34,8 +34,8 @@ func TestIsTransportErrorClassification(t *testing.T) {
 		if err == nil {
 			t.Fatal("fetch of an out-of-range block succeeded")
 		}
-		if !errors.Is(err, ErrRemote) {
-			t.Fatalf("err = %v, want ErrRemote: the peer answered", err)
+		if !errors.Is(err, protocol.ErrRemote) {
+			t.Fatalf("err = %v, want protocol.ErrRemote: the peer answered", err)
 		}
 		if scheme.IsTransportError(err) {
 			t.Fatalf("delivered error classified as transport failure: %v", err)
@@ -49,7 +49,7 @@ func TestIsTransportErrorClassification(t *testing.T) {
 		if !errors.Is(err, site.ErrComatose) {
 			t.Fatalf("err = %v, want ErrComatose across TCP", err)
 		}
-		if errors.Is(err, ErrRemote) {
+		if errors.Is(err, protocol.ErrRemote) {
 			t.Fatalf("sentinel decoded as generic remote error: %v", err)
 		}
 		if scheme.IsTransportError(err) {

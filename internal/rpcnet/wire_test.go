@@ -251,7 +251,7 @@ func TestGarbageResponseClassification(t *testing.T) {
 			if !errors.Is(err, protocol.ErrSevered) || !errors.Is(err, protocol.ErrTransient) {
 				t.Fatalf("err = %v, want ErrSevered and ErrTransient", err)
 			}
-			if errors.Is(err, ErrRemote) || !scheme.IsTransportError(err) {
+			if errors.Is(err, protocol.ErrRemote) || !scheme.IsTransportError(err) {
 				t.Fatalf("err = %v, want a transport error, not a remote one", err)
 			}
 			if cli.SuspectSet().Has(1) {
@@ -319,8 +319,8 @@ func TestOversizedReplyIsARemoteError(t *testing.T) {
 	defer cli.Close()
 	ctx := context.Background()
 	_, err = cli.Call(ctx, 0, 1, protocol.TelemetryPullRequest{})
-	if !errors.Is(err, ErrRemote) || scheme.IsTransportError(err) {
-		t.Fatalf("oversized reply = %v, want ErrRemote", err)
+	if !errors.Is(err, protocol.ErrRemote) || scheme.IsTransportError(err) {
+		t.Fatalf("oversized reply = %v, want protocol.ErrRemote", err)
 	}
 	if _, err := cli.Call(ctx, 0, 1, protocol.StatusRequest{}); err != nil {
 		t.Fatalf("call after an oversized reply: %v", err)

@@ -146,15 +146,9 @@ func WithMetering() Option {
 // Objective is one alert condition (DESIGN.md "Alerts"): a signal
 // measured from the telemetry ring under a policy — a threshold with
 // hysteresis, served at /healthz, or a multi-window burn rate against
-// an error budget, served at /slo. A site takes them in
-// RemoteConfig.Objectives; start from DefaultObjectives or the *SLO
-// constructors.
+// an error budget, served at /slo. A site with a
+// RemoteConfig.TelemetryStep evaluates DefaultObjectives.
 type Objective = alert.Objective
-
-// BurnPolicy is the burn-rate policy of an SLO: the target good
-// fraction and, optionally, the two windows and the alert rate (zero
-// values take 5m/1h at 2x burn).
-type BurnPolicy = alert.Burn
 
 // AlertReport is one evaluation of the objectives, or one policy's view
 // of it: per-objective state plus the overall severity fold.
@@ -173,33 +167,24 @@ const (
 	SeverityCritical = alert.Critical
 )
 
-// ReadLatencySLO promises that the policy's target fraction of the
-// scheme's reads complete within the threshold (the p99 objective at
-// target 0.99).
-func ReadLatencySLO(scheme Scheme, threshold time.Duration, p BurnPolicy) Objective {
-	return alert.ReadLatency(scheme.String(), threshold.Nanoseconds(), p)
-}
+// objectiveRho is the failure/repair ratio a site's write-availability
+// target is budgeted at: the §4 prediction for ρ = 0.05.
+const objectiveRho = 0.05
 
-// WriteAvailabilitySLO promises that the policy's target fraction of
-// write attempts complete; derive the target from the §4 Markov
-// prediction (see Availability) so the alert means "writes fail more
-// than the analysis says they should".
-func WriteAvailabilitySLO(scheme Scheme, p BurnPolicy) Objective {
-	return alert.WriteAvailability(scheme.String(), p)
-}
-
-// DefaultObjectives returns the standard set for a cluster of n sites
-// running the given scheme at failure/repair ratio rho. Thresholds:
-// quorum margin (is the cluster one failure from unavailability?),
-// overall error rate and group-commit saturation. Burn rates: read p99
-// latency and write availability at the §4 Markov-predicted target.
-func DefaultObjectives(scheme Scheme, n int, rho float64) []Objective {
+// DefaultObjectives returns the set a site with a telemetry step
+// evaluates, for a group of n sites running the given scheme.
+// Thresholds: quorum margin (is the group one failure from
+// unavailability?), overall error rate and group-commit saturation.
+// Burn rates: 99% of reads within 50ms, and write availability at the
+// §4 Markov prediction for ρ = objectiveRho, so the alert means
+// "writes fail more than the analysis says they should".
+func DefaultObjectives(scheme Scheme, n int) []Objective {
 	quorum := 1
 	if scheme == Voting {
 		quorum = n/2 + 1
 	}
 	target := 0.99
-	if av, err := Availability(scheme, n, rho); err == nil {
+	if av, err := Availability(scheme, n, objectiveRho); err == nil {
 		// The prediction is the ceiling; leave one part in a thousand of
 		// slack so the alert needs real degradation, not rounding.
 		target = av * 0.999
@@ -208,8 +193,8 @@ func DefaultObjectives(scheme Scheme, n int, rho float64) []Objective {
 		alert.QuorumMargin(scheme.String(), quorum),
 		alert.ErrorRate(0.1),
 		alert.BatcherOccupancy(64),
-		ReadLatencySLO(scheme, 50*time.Millisecond, BurnPolicy{Target: 0.99}),
-		WriteAvailabilitySLO(scheme, BurnPolicy{Target: target}),
+		alert.ReadLatency(scheme.String(), (50 * time.Millisecond).Nanoseconds(), alert.Burn{Target: 0.99}),
+		alert.WriteAvailability(scheme.String(), alert.Burn{Target: target}),
 	}
 }
 
@@ -353,7 +338,7 @@ func (c *Cluster) ResetTraffic() { c.inner.Network().ResetStats() }
 // RemoteSite alike: each names the setting the host was built without.
 var (
 	ErrNotMetered   = plane.ErrNotMetered   // WithMetering / RemoteConfig.Metered
-	ErrNoObjectives = plane.ErrNoObjectives // RemoteConfig.Objectives
+	ErrNoObjectives = plane.ErrNoObjectives // RemoteConfig.TelemetryStep
 )
 
 // MetricsJSON returns the current metering snapshot — counters, gauges,

@@ -565,9 +565,6 @@ func TestRemoteConfigValidation(t *testing.T) {
 	// Every observability part names what it reads; asking for one
 	// without it is refused, not silently dropped.
 	for name, mutate := range map[string]func(*relidev.RemoteConfig){
-		"objectives without Metered": func(c *relidev.RemoteConfig) {
-			c.Objectives = relidev.DefaultObjectives(relidev.Voting, 1, 0.05)
-		},
 		"telemetry without Metered": func(c *relidev.RemoteConfig) { c.TelemetryStep = time.Second },
 		"negative telemetry step":   func(c *relidev.RemoteConfig) { c.Metered, c.TelemetryStep = true, -time.Second },
 	} {
@@ -705,14 +702,15 @@ func TestTraceTreeSurface(t *testing.T) {
 	}
 }
 
-// TestHealthSurface exercises the public health engine: default rules,
-// the on-demand verdict, and the unconfigured error paths (the /healthz
-// route is in TestHostDebugSurfaceParity's table).
+// TestHealthSurface exercises the public health engine: the default
+// thresholds a site with a telemetry step judges, the verdict, and the
+// error paths of a site without one (the /healthz route is in
+// TestHostDebugSurfaceParity's table).
 func TestHealthSurface(t *testing.T) {
 	ctx := context.Background()
 	sites := openGroup(t, 3, relidev.RemoteConfig{Scheme: relidev.Voting, Metered: true,
-		Geometry:   relidev.Geometry{BlockSize: 64, NumBlocks: 8},
-		Objectives: relidev.DefaultObjectives(relidev.Voting, 3, 0.05)})
+		Geometry:      relidev.Geometry{BlockSize: 64, NumBlocks: 8},
+		TelemetryStep: 5 * time.Millisecond})
 	dev := sites[0].Device()
 	payload := make([]byte, 64)
 	if err := dev.WriteBlock(ctx, 2, payload); err != nil {
@@ -733,9 +731,9 @@ func TestHealthSurface(t *testing.T) {
 		t.Fatalf("fresh healthy site reports %v: %+v", v.Overall, v.Objectives)
 	}
 
-	// Metered but no objectives: typed error.
+	// Metered but no telemetry step: typed error.
 	if _, err := openLoneSite(t, relidev.RemoteConfig{Metered: true}).Health(); !errors.Is(err, relidev.ErrNoObjectives) {
-		t.Fatalf("Health without objectives = %v, want ErrNoObjectives", err)
+		t.Fatalf("Health without a telemetry step = %v, want ErrNoObjectives", err)
 	}
 	if _, err := openLoneSite(t, relidev.RemoteConfig{}).Health(); !errors.Is(err, relidev.ErrNotMetered) {
 		t.Fatalf("Health unmetered = %v, want ErrNotMetered", err)
@@ -802,8 +800,8 @@ func TestCriticalPathSurface(t *testing.T) {
 	}
 }
 
-// TestRemoteObservabilitySurface: a metered remote site with health
-// rules answers Health()/CriticalPath() directly (its debug routes are
+// TestRemoteObservabilitySurface: a metered remote site with a
+// telemetry step answers Health()/CriticalPath() directly (its debug routes are
 // in TestHostDebugSurfaceParity's table).
 func TestRemoteObservabilitySurface(t *testing.T) {
 	ctx := context.Background()
@@ -826,13 +824,13 @@ func TestRemoteObservabilitySurface(t *testing.T) {
 	sites := make([]*relidev.RemoteSite, 2)
 	for i := 0; i < 2; i++ {
 		s, err := relidev.OpenRemote(relidev.RemoteConfig{
-			Self:       i,
-			Peers:      addrs,
-			Scheme:     relidev.NaiveAvailableCopy,
-			Geometry:   geom,
-			Timeout:    time.Second,
-			Metered:    true,
-			Objectives: relidev.DefaultObjectives(relidev.NaiveAvailableCopy, 2, 0.05),
+			Self:          i,
+			Peers:         addrs,
+			Scheme:        relidev.NaiveAvailableCopy,
+			Geometry:      geom,
+			Timeout:       time.Second,
+			Metered:       true,
+			TelemetryStep: 5 * time.Millisecond,
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -70,24 +70,19 @@ type RemoteConfig struct {
 	// its full registry snapshot or trace ring, which /cluster/metrics
 	// merges and /trace/cluster stitches.
 	Metered bool
-	// TelemetryStep, when positive, gives the site a sampling cadence
+	// TelemetryStep, when positive, gives the site its telemetry
 	// (requires Metered): a wall-clock poller samples the registry into
-	// the telemetry ring and evaluates every objective each step, and
-	// DebugHandler serves /timeseries. The ring keeps ten minutes at a
-	// 1s step.
+	// a ring that keeps ten minutes at a 1s step, and evaluates
+	// DefaultObjectives for the site's scheme and group size, each
+	// step. DebugHandler then serves /timeseries, /healthz (the
+	// threshold objectives) and /slo (the burn-rate ones), each of the
+	// last two answering 503 once one of its objectives is critical;
+	// and a critical one seals the flight recorder whether or not
+	// anybody is watching. Only the poller samples: every reader
+	// between two steps sees one ring. At zero the site has no ring,
+	// objectives or recorder, and /timeseries, /healthz, /slo and
+	// /debug/flight answer 404.
 	TelemetryStep time.Duration
-	// Objectives attaches the alert engine (requires Metered):
-	// DebugHandler serves /healthz (the threshold objectives) and /slo
-	// (the burn-rate ones), each answering 503 once one of its
-	// objectives is critical, and a critical one seals the flight
-	// recorder — with a TelemetryStep, whether or not anybody is
-	// watching; without one the objectives are evaluated, over a sample
-	// taken then, only when somebody asks — and since a threshold judges
-	// the newest sample, each asker (a /healthz, /slo or /debug/flight
-	// GET alike) sees only what happened since the previous one asked.
-	// Give a site that more than one party watches a TelemetryStep.
-	// Start from DefaultObjectives.
-	Objectives []Objective
 }
 
 // ParsePeers reads a -peers flag into RemoteConfig.Peers: a
@@ -159,17 +154,21 @@ func OpenRemote(cfg RemoteConfig) (*RemoteSite, error) {
 	slices.Sort(ids)
 	peers := slices.DeleteFunc(slices.Clone(ids), func(id protocol.SiteID) bool { return id == self })
 
-	// The black-box recorder rides the plane (a critical objective seals
-	// it); the failure detector's suspect set is this host's own probe.
+	// The step brings the ring, the default objectives and the
+	// black-box recorder (a critical objective seals it); the failure
+	// detector's suspect set is this host's own probe.
 	rs := &RemoteSite{cfg: cfg}
+	var objectives []Objective
+	if cfg.TelemetryStep > 0 {
+		objectives = DefaultObjectives(cfg.Scheme, len(cfg.Peers))
+	}
 	var err error
 	rs.plane, err = plane.New(plane.Config{
 		Metered:    cfg.Metered,
 		TraceCap:   4096,
-		Flight:     true,
-		Probes:     []flight.Source{flight.Suspects(func() protocol.SiteSet { return rs.client.SuspectSet() })},
-		Objectives: cfg.Objectives,
 		StepNs:     cfg.TelemetryStep.Nanoseconds(),
+		Probes:     []flight.Source{flight.Suspects(func() protocol.SiteSet { return rs.client.SuspectSet() })},
+		Objectives: objectives,
 		// Both cross-site views pull over the metered RPC transport,
 		// priced like any other protocol message.
 		Pull: func(ctx context.Context, traces bool) (map[protocol.SiteID][]byte, map[protocol.SiteID]error) {
@@ -268,10 +267,10 @@ func (r *RemoteSite) poll(step time.Duration) {
 
 // DebugHandler returns this site's observability HTTP surface
 // (/metrics, /metrics.prom, /trace, /trace/tree, /profile,
-// /debug/flight, /debug/flight/sealed, /debug/pprof/, the cross-site
-// /cluster/metrics and /trace/cluster, and — with the matching
-// RemoteConfig options — /healthz, /slo, /timeseries), or
-// ErrNotMetered when the site was opened without RemoteConfig.Metered.
+// /debug/flight/sealed, /debug/pprof/, the cross-site /cluster/metrics
+// and /trace/cluster, and — with a RemoteConfig.TelemetryStep —
+// /healthz, /slo, /timeseries, /debug/flight), or ErrNotMetered when
+// the site was opened without RemoteConfig.Metered.
 // The two cross-site routes pull every peer over the RPC transport on
 // each GET; an unreachable peer degrades the view to a per-site entry
 // under "errors". /debug/flight returns an on-demand dump;
@@ -282,13 +281,12 @@ func (r *RemoteSite) DebugHandler() (http.Handler, error) { return r.plane.Debug
 
 // SLOs evaluates the site's objectives and returns the burn-rate view —
 // what /slo serves; an exhausted budget seals the flight recorder.
-// Requires RemoteConfig.Objectives with at least one SLO.
+// Requires RemoteConfig.TelemetryStep.
 func (r *RemoteSite) SLOs() (AlertReport, error) { return r.plane.View(alert.PolicyBurn) }
 
 // Health evaluates the site's objectives and returns the threshold view
 // — what /healthz serves; a critical one seals the flight recorder.
-// Requires RemoteConfig.Objectives with at least one threshold
-// objective.
+// Requires RemoteConfig.TelemetryStep.
 func (r *RemoteSite) Health() (AlertReport, error) { return r.plane.View(alert.PolicyThreshold) }
 
 // CriticalPath computes this site's critical-path profile from its

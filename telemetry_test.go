@@ -205,7 +205,6 @@ func TestTelemetryAndSLOViaPublicAPI(t *testing.T) {
 		Geometry:      relidev.Geometry{BlockSize: 64, NumBlocks: 8},
 		Metered:       true,
 		TelemetryStep: 5 * time.Millisecond,
-		Objectives:    relidev.DefaultObjectives(relidev.NaiveAvailableCopy, 3, 0.05),
 	})
 	telemetryWorkload(t, sites)
 	srv := serveDebug(t, sites[0])
@@ -252,7 +251,6 @@ func TestRemoteClusterMetrics(t *testing.T) {
 		Geometry:      relidev.Geometry{BlockSize: 128, NumBlocks: 16},
 		Metered:       true,
 		TelemetryStep: 5 * time.Millisecond,
-		Objectives:    relidev.DefaultObjectives(relidev.Voting, 3, 0.05),
 	})
 
 	payload := make([]byte, 128)
@@ -330,13 +328,13 @@ func TestTelemetryAccessorsRequireOptions(t *testing.T) {
 	}
 	metered := openLoneSite(t, relidev.RemoteConfig{Metered: true})
 	if _, err := metered.SLOs(); !errors.Is(err, relidev.ErrNoObjectives) {
-		t.Fatalf("SLOs without objectives: %v", err)
+		t.Fatalf("SLOs without a telemetry step: %v", err)
 	}
 	sampled := openLoneSite(t, relidev.RemoteConfig{Metered: true, TelemetryStep: time.Hour})
-	if _, err := sampled.SLOs(); !errors.Is(err, relidev.ErrNoObjectives) {
-		t.Fatalf("SLOs with telemetry but no objectives: %v", err)
+	if rep, err := sampled.SLOs(); err != nil || len(rep.Objectives) != 2 {
+		t.Fatalf("SLOs with a telemetry step: %+v, %v; want the two default SLOs", rep, err)
 	}
-	for err, setting := range map[error]string{relidev.ErrNotMetered: "RemoteConfig.Metered", relidev.ErrNoObjectives: "RemoteConfig.Objectives"} {
+	for err, setting := range map[error]string{relidev.ErrNotMetered: "RemoteConfig.Metered", relidev.ErrNoObjectives: "RemoteConfig.TelemetryStep"} {
 		if !strings.Contains(err.Error(), setting) {
 			t.Errorf("%q does not name %s", err, setting)
 		}
