@@ -18,12 +18,13 @@ import (
 // module does not control — protocol.Transport returns a map and boxed
 // replies, protocol.Handler and Request box the messages:
 //
-//	read 10 = 2  op scope: the per-op phase accumulator + its context node
-//	        + 1  the VoteRequest boxed into protocol.Request
-//	        + 2  the Broadcast result map (header + group)
-//	        + 4  one VoteReply per remote boxed into protocol.Response
-//	        + 1  the returned block
-//	write 9: the same with a PrepareWriteRequest and four
+//	read 9 = 1  op scope: the per-op phase accumulator, which is also
+//	            the op's context node
+//	       + 1  the VoteRequest boxed into protocol.Request
+//	       + 2  the Broadcast result map (header + group)
+//	       + 4  one VoteReply per remote boxed into protocol.Response
+//	       + 1  the returned block
+//	write 8: the same with a PrepareWriteRequest and four
 //	          PrepareWriteReplies, and no returned block; each of the
 //	          four staging sites copies the payload into a recycled
 //	          buffer and swaps it for the block's, which becomes the
@@ -32,8 +33,10 @@ import (
 //	          trace event is a ring write.
 //
 // simnet runs a broadcast's legs in order on the caller's goroutine
-// (protocol.FanOutInOrder), so the fan-out state and the one closure per
-// spawned leg (1 + 3 here) are rpcnet's alone.
+// (protocol.FanOutInOrder) and hands each remote the boxed request, so
+// no message is encoded. Over rpcnet the request travels encoded and
+// each server boxes its decoded copy; TestBroadcastAllocBudget pins
+// that round.
 //
 // A change that moves a count edits this table and says who owns the
 // difference. The race detector allocates, hence the build tag.
@@ -50,7 +53,7 @@ func TestQuorumOpAllocBudget(t *testing.T) {
 				return nil, err
 			}
 			return c.Device(0)
-		}, 10, 9},
+		}, 9, 8},
 		// The public Cluster only meters; a traced one is core's.
 		{"traced", func() (relidev.Device, error) {
 			c, err := core.NewCluster(core.ClusterConfig{Sites: 5, Scheme: core.Voting, Geometry: geom,
@@ -59,7 +62,7 @@ func TestQuorumOpAllocBudget(t *testing.T) {
 				return nil, err
 			}
 			return c.Device(0)
-		}, 12, 11},
+		}, 11, 10},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dev, err := tc.device()

@@ -319,8 +319,8 @@ func (s *SchemeObs) StartOp(ctx context.Context, op string, blk int64) (context.
 	s.attempts[i].Inc()
 	sp := OpSpan{s: s, op: op, idx: i, block: blk, start: s.o.Now()}
 	sp.acc = &phaseAcc{s: s, op: i}
-	sp.acc.scope = protocol.OpScope{Op: op, Phases: sp.acc}
-	ctx = protocol.WithOpScope(ctx, &sp.acc.scope)
+	sp.acc.node = protocol.OpNode{Context: ctx, Scope: protocol.OpScope{Op: op, Phases: sp.acc}}
+	ctx = &sp.acc.node
 	if s.o.tracer != nil {
 		sp.span = s.o.newSpan(s.site, protocol.CtxSpan(ctx))
 		ctx = protocol.WithSpan(ctx, protocol.SpanContext{TraceID: sp.span.TraceID, SpanID: sp.span.SpanID})

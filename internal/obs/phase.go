@@ -78,15 +78,14 @@ func phaseIndex(phase string) int {
 // transports (and the fan-out internals of simnet/rpcnet) can charge
 // wire time to the operation without an obs dependency. Sums are atomics because
 // an operation's round trips may run on goroutines of their own (the
-// recovery exchange's next page, rpcnet's concurrent fan-out legs).
+// recovery exchange's next page, the concurrent legs of a fan-out).
 type phaseAcc struct {
 	s    *SchemeObs
 	op   int // ops index
 	sums [len(phases)]atomic.Int64
-	// scope is the context value StartOp attaches (label + this
-	// recorder), embedded so an op start is one allocation plus the
-	// context node.
-	scope protocol.OpScope
+	// node is the context node StartOp attaches (label + this
+	// recorder), embedded so an op start is one allocation.
+	node protocol.OpNode
 }
 
 var _ protocol.PhaseRecorder = (*phaseAcc)(nil)

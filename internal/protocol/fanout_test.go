@@ -175,7 +175,7 @@ func (r *fanRecorder) RecordPeerRTT(to SiteID, ns int64) {
 
 func newFanRecorder() (*fanRecorder, context.Context) {
 	rec := &fanRecorder{rtt: map[SiteID]int64{}, phases: map[string]int64{}}
-	return rec, WithOpScope(context.Background(), &OpScope{Op: OpRead, Phases: rec})
+	return rec, &OpNode{context.Background(), OpScope{Op: OpRead, Phases: rec}}
 }
 
 // wantCharges checks the recorder holds exactly these round trips and

@@ -27,18 +27,28 @@ type opCtxKey struct{}
 
 // An OpScope is what one operation's context carries for the layers
 // below the controller: the label the transport attributes traffic to
-// and the recorder it charges wire time to (phasectx.go). Both ride one
-// context node, so opening a metered operation costs one WithValue.
+// and the recorder it charges wire time to (phasectx.go).
 type OpScope struct {
 	Op     string
 	Phases PhaseRecorder
 }
 
-// WithOpScope attaches s to ctx for the enclosed operation. The caller
-// owns s: the observability layer embeds it in the allocation it makes
-// per operation anyway.
-func WithOpScope(ctx context.Context, s *OpScope) context.Context {
-	return context.WithValue(ctx, opCtxKey{}, s)
+// An OpNode is the context node that carries an operation's OpScope
+// inline, so attaching the scope is one allocation — and none for a
+// caller that embeds the node in an allocation it makes per operation
+// anyway, as the observability layer's phase accumulator does.
+type OpNode struct {
+	context.Context
+	Scope OpScope
+}
+
+// Value answers the scope lookup with the inline OpScope and passes
+// every other key to the parent.
+func (n *OpNode) Value(key any) any {
+	if key == (opCtxKey{}) {
+		return &n.Scope
+	}
+	return n.Context.Value(key)
 }
 
 func ctxScope(ctx context.Context) *OpScope {
@@ -49,10 +59,10 @@ func ctxScope(ctx context.Context) *OpScope {
 // WithOp labels ctx with the protocol-level operation the enclosed
 // messages belong to, keeping any phase recorder already attached.
 func WithOp(ctx context.Context, op string) context.Context {
-	return WithOpScope(ctx, &OpScope{Op: op, Phases: CtxPhases(ctx)})
+	return &OpNode{ctx, OpScope{Op: op, Phases: CtxPhases(ctx)}}
 }
 
-// CtxOp returns the operation label attached by WithOp or WithOpScope,
+// CtxOp returns the operation label attached by WithOp or an OpNode,
 // or "" when the context is unlabelled (uninstrumented callers; their
 // traffic is counted only in the aggregate totals).
 func CtxOp(ctx context.Context) string {

@@ -12,7 +12,7 @@ const (
 	// its per-block stripe in scheme.OpLocks before the protocol ran.
 	PhaseLockWait = "lock_wait"
 	// PhaseFanout is the time inside quorum fan-outs (Broadcast/Notify):
-	// the whole round, concurrent (rpcnet) or in order (simnet).
+	// the whole round, however the transport runs its legs.
 	PhaseFanout = "fanout"
 	// PhaseRPC is the time inside point-to-point rounds (Call/Fetch).
 	PhaseRPC = "rpc"

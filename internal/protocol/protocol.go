@@ -203,7 +203,10 @@ type Result struct {
 // place over its per-connection read buffer and reuses that buffer for
 // the next request. A handler that needs the bytes afterwards must copy
 // them; handing them to a store.Store is enough, every store copies or
-// finishes writing before its Write returns.
+// finishes writing before its Write returns. The same holds for ctx:
+// rpcnet's server re-points one span node per connection (SpanNode) for
+// each request, so a handler must not keep ctx, or a context derived
+// from it, past its return.
 type Handler interface {
 	Handle(ctx context.Context, from SiteID, req Request) (Response, error)
 }

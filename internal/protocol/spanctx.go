@@ -45,6 +45,18 @@ func WithSpan(ctx context.Context, sc SpanContext) context.Context {
 	return &spanCtx{ctx, sc}
 }
 
+// A SpanNode is the node WithSpan adds, for an owner that attaches one
+// span after another and re-points a node of its own instead of
+// allocating one per span: rpcnet's server keeps one per connection. A
+// context Attach returned is valid only until the next Attach.
+type SpanNode struct{ n spanCtx }
+
+// Attach re-points the node at parent and sc and returns it.
+func (n *SpanNode) Attach(parent context.Context, sc SpanContext) context.Context {
+	n.n = spanCtx{parent, sc}
+	return &n.n
+}
+
 // CtxSpan returns the span context attached by WithSpan; the zero
 // SpanContext (Valid() == false) means the caller is untraced.
 func CtxSpan(ctx context.Context) SpanContext {

@@ -12,6 +12,12 @@
 // Unlike simnet, rpcnet does not meter §5 transmission counts (a real
 // network's cost is measured, not modelled).
 //
+// A broadcast sends to every pooled peer from the caller's goroutine
+// and reads the replies in send order (DESIGN.md §7). A server
+// connection serves one request at a time through its own buffers and
+// span node, so a handler's ctx and payloads are valid only until
+// Handle returns.
+//
 // A real wire, unlike the paper's reliable network, produces failures
 // that do not mean the peer is down: a pooled connection gone stale, a
 // router hiccup, a slow dial. The client therefore separates *transient*
@@ -31,6 +37,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
+	"os"
 	"sync"
 	"syscall"
 	"time"
@@ -160,6 +167,9 @@ func (s *Server) serveConn(conn net.Conn) {
 		s.mu.Unlock()
 	}()
 	w := newWireConn(conn)
+	// One span node per connection, re-pointed for each request: a
+	// handler's ctx is valid only until Handle returns (protocol.Handler).
+	var span protocol.SpanNode
 	for {
 		body, _, err := w.readFrame()
 		if err != nil {
@@ -178,7 +188,7 @@ func (s *Server) serveConn(conn net.Conn) {
 		//relidev:allow context: server side of the wire is a call root; the caller's deadline stays on the caller
 		ctx := context.Background()
 		if trace.Valid() {
-			ctx = protocol.WithSpan(ctx, trace)
+			ctx = span.Attach(ctx, trace)
 		}
 		resp, err := s.handler.Handle(ctx, from, req)
 		code, text := encodeErr(err)
@@ -463,6 +473,12 @@ func (c *Client) exchange(p *peerPool, w *wireConn, deadline time.Time, req prot
 		w.close()
 		return reply{}, fmt.Errorf("send: %w", err)
 	}
+	return receive(p, w)
+}
+
+// receive reads and decodes the reply to the request last sent on w,
+// then returns w to the pool, or closes it on a wire error.
+func receive(p *peerPool, w *wireConn) (reply, error) {
 	body, inPlace, err := w.readFrame()
 	if err != nil {
 		w.close()
@@ -485,11 +501,8 @@ func (c *Client) exchange(p *peerPool, w *wireConn, deadline time.Time, req prot
 // classified by the current suspicion — without touching the network or
 // counting new evidence.
 func (c *Client) dial(ctx context.Context, p *peerPool, to protocol.SiteID, deadline time.Time) (*wireConn, error) {
-	if gated, down := p.dialGate(c.cfg.suspectThreshold); gated {
-		if down {
-			return nil, fmt.Errorf("rpcnet: %v suspected down, redial backed off: %w", to, protocol.ErrSiteDown)
-		}
-		return nil, fmt.Errorf("rpcnet: redial of %v backed off: %w", to, protocol.ErrTransient)
+	if err := c.backedOff(p, to); err != nil {
+		return nil, err
 	}
 	d := net.Dialer{Deadline: deadline}
 	conn, err := d.DialContext(ctx, "tcp", p.addr)
@@ -497,6 +510,19 @@ func (c *Client) dial(ctx context.Context, p *peerPool, to protocol.SiteID, dead
 		return nil, c.fault(ctx, p, to, "dial", false, err)
 	}
 	return newWireConn(conn), nil
+}
+
+// backedOff returns the error a dial fails with while the peer's redial
+// is gated, or nil when a dial may go ahead.
+func (c *Client) backedOff(p *peerPool, to protocol.SiteID) error {
+	gated, down := p.dialGate(c.cfg.suspectThreshold)
+	switch {
+	case !gated:
+		return nil
+	case down:
+		return fmt.Errorf("rpcnet: %v suspected down, redial backed off: %w", to, protocol.ErrSiteDown)
+	}
+	return fmt.Errorf("rpcnet: redial of %v backed off: %w", to, protocol.ErrTransient)
 }
 
 // fault classifies one failed dial or exchange. Context cancellation is
@@ -541,6 +567,16 @@ func (c *Client) fault(ctx context.Context, p *peerPool, to protocol.SiteID, op 
 	return fmt.Errorf("rpcnet: %s %v: %v: %w", op, to, cause, tail)
 }
 
+// deadline is when a round trip started now must end: one call timeout
+// away, or the context's deadline if that is sooner.
+func (c *Client) deadline(ctx context.Context) time.Time {
+	deadline := time.Now().Add(c.cfg.callTimeout)
+	if d, ok := ctx.Deadline(); ok && d.Before(deadline) {
+		deadline = d
+	}
+	return deadline
+}
+
 // roundTrip performs one request/response over a pooled (or freshly
 // dialed) peer connection. Concurrent callers each get their own
 // stream. A wire error on a *pooled* connection — which may simply have
@@ -556,30 +592,34 @@ func (c *Client) roundTrip(ctx context.Context, to protocol.SiteID, req protocol
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("rpcnet: call to %v: %w", to, err)
 	}
-	deadline := time.Now().Add(c.cfg.callTimeout)
-	if d, ok := ctx.Deadline(); ok && d.Before(deadline) {
-		deadline = d
-	}
-	trace := protocol.CtxSpan(ctx)
-	var rep reply
-	done := false
+	deadline, trace := c.deadline(ctx), protocol.CtxSpan(ctx)
 	if w := p.get(); w != nil {
-		if rep, err = c.exchange(p, w, deadline, req, trace); err == nil {
-			done = true
+		if rep, err := c.exchange(p, w, deadline, req, trace); err == nil {
+			return answer(p, rep)
 		}
 		// On error: fall through to one fresh-dial retry.
 	}
-	if !done {
-		w, err := c.dial(ctx, p, to, deadline)
-		if err != nil {
-			return nil, err
-		}
-		if rep, err = c.exchange(p, w, deadline, req, trace); err != nil {
-			// The dial above succeeded, so this stream was established
-			// and then broke: classify as severed.
-			return nil, c.fault(ctx, p, to, "exchange with", true, err)
-		}
+	return c.redial(ctx, p, to, deadline, req, trace)
+}
+
+// redial runs the exchange on a freshly dialed connection.
+func (c *Client) redial(ctx context.Context, p *peerPool, to protocol.SiteID, deadline time.Time, req protocol.Request, trace protocol.SpanContext) (protocol.Response, error) {
+	w, err := c.dial(ctx, p, to, deadline)
+	if err != nil {
+		return nil, err
 	}
+	rep, err := c.exchange(p, w, deadline, req, trace)
+	if err != nil {
+		// The dial above succeeded, so this stream was established
+		// and then broke: classify as severed.
+		return nil, c.fault(ctx, p, to, "exchange with", true, err)
+	}
+	return answer(p, rep)
+}
+
+// answer clears the peer's suspicion after a completed exchange and
+// returns the handler's result.
+func answer(p *peerPool, rep reply) (protocol.Response, error) {
 	p.recordSuccess()
 	if err := decodeErr(rep.code, rep.text); err != nil {
 		return nil, err
@@ -597,13 +637,178 @@ func (c *Client) Fetch(ctx context.Context, from, to protocol.SiteID, req protoc
 	return c.roundTrip(ctx, to, req)
 }
 
+// replyGrace is how long a broadcast keeps reading after a leg timed
+// out: a reply already in a later leg's socket is read, not failed and
+// re-sent, though the round's deadline has passed.
+const replyGrace = 10 * time.Millisecond
+
+// A leg is one destination of a broadcast, and then its outcome.
+type leg struct {
+	to    protocol.SiteID
+	w     *wireConn // the pooled stream the request went out on
+	p     *peerPool
+	async bool // the leg runs in the dialing
+	t0    int64
+	res   protocol.Result
+	dur   int64
+}
+
+// dialing runs the legs of one broadcast that must dial, each on a
+// goroutine of its own, so a dial that hangs delays no leg the caller
+// reads.
+type dialing struct {
+	wg   sync.WaitGroup
+	legs []leg
+}
+
+// start runs call as leg i of n, creating d on first use.
+func (d *dialing) start(n, i int, rec protocol.PhaseRecorder, call func() (protocol.Response, error)) *dialing {
+	if d == nil {
+		d = &dialing{legs: make([]leg, n)}
+	}
+	d.wg.Add(1)
+	go func() {
+		defer d.wg.Done()
+		l := &d.legs[i]
+		l.t0 = now(rec)
+		l.res.Resp, l.res.Err = call()
+		l.dur = now(rec) - l.t0
+	}()
+	return d
+}
+
+func now(rec protocol.PhaseRecorder) int64 {
+	if rec == nil {
+		return 0
+	}
+	return rec.Now()
+}
+
 // Broadcast implements protocol.Transport. TCP has no multicast; the
-// logical broadcast is one Call per destination, issued concurrently so
-// the slowest peer bounds latency instead of the sum of all peers. A
-// cancelled context stops the fan-out before any dialing; roundTrip
-// re-checks per destination for a cancellation that races it.
+// logical broadcast is one exchange per destination. A leg with an idle
+// pooled stream runs on the caller's goroutine: the request is encoded
+// once and written to each such stream under one deadline, then the
+// replies are read in send order. The exchanges still overlap on the
+// wire, so the slowest peer bounds the round, not the sum over peers.
+// A leg with no pooled stream (first contact, after a failure) runs
+// roundTrip in the dialing, and so does a stale stream's one retry on a
+// fresh dial; while the peer's redial backs off, the leg fails at once.
+// A leg whose reply misses the deadline is severed, not retried. A
+// cancelled context stops the fan-out before any dialing. When ctx
+// carries a PhaseRecorder, each leg's round trip and the straggler
+// wait are charged to it as protocol.FanOut's join does; a pooled
+// leg's round trip ends when its reply is read.
 func (c *Client) Broadcast(ctx context.Context, from protocol.SiteID, dests []protocol.SiteID, req protocol.Request) map[protocol.SiteID]protocol.Result {
-	return protocol.FanOut(ctx, from, dests, req, c)
+	var legs [protocol.MaxSites]leg
+	n := 0
+	for _, to := range dests {
+		if to != from {
+			legs[n].to = to
+			n++
+		}
+	}
+	out := make(map[protocol.SiteID]protocol.Result, n)
+	if err := ctx.Err(); err != nil || n == 0 {
+		for _, l := range legs[:n] {
+			out[l.to] = protocol.Result{Err: err}
+		}
+		return out
+	}
+	rec, deadline, trace := protocol.CtxPhases(ctx), c.deadline(ctx), protocol.CtxSpan(ctx)
+	var d *dialing
+	retry := func(i int) { // a stale pooled stream: one fresh dial
+		l := &legs[i]
+		l.w.close()
+		l.w, l.async = nil, true
+		p, to := l.p, l.to
+		d = d.start(n, i, rec, func() (protocol.Response, error) { return c.redial(ctx, p, to, deadline, req, trace) })
+	}
+	var frame []byte // encoded once, in the first stream's buffer
+	for i := range legs[:n] {
+		l := &legs[i]
+		if p, err := c.peer(l.to); err == nil {
+			l.p, l.w = p, p.get()
+		}
+		if l.w == nil {
+			if l.p != nil {
+				if l.res.Err = c.backedOff(l.p, l.to); l.res.Err != nil {
+					continue // fails at once, as roundTrip would: no goroutine
+				}
+			}
+			l.async = true
+			to := l.to
+			d = d.start(n, i, rec, func() (protocol.Response, error) { return c.roundTrip(ctx, to, req) })
+			continue
+		}
+		l.w.conn.SetDeadline(deadline)
+		var err error
+		if frame == nil {
+			if frame, err = protocol.AppendRequest(l.w.beginFrame(), c.self, trace, req); err == nil {
+				err = l.w.sendFrame(frame)
+			}
+			if err != nil {
+				frame = nil
+			}
+		} else {
+			_, err = l.w.conn.Write(frame)
+		}
+		if err != nil {
+			retry(i)
+			continue
+		}
+		l.t0 = now(rec)
+	}
+	var grace time.Time
+	for i := range legs[:n] {
+		l := &legs[i]
+		if l.w == nil {
+			continue
+		}
+		if !grace.IsZero() {
+			l.w.conn.SetReadDeadline(grace)
+		}
+		rep, err := receive(l.p, l.w)
+		switch {
+		case err == nil:
+			l.res.Resp, l.res.Err = answer(l.p, rep)
+		case errors.Is(err, os.ErrDeadlineExceeded):
+			// The request went out and no reply came: the outcome is
+			// unknown, and the round's time is spent.
+			l.res.Err = c.fault(ctx, l.p, l.to, "exchange with", true, err)
+			if grace.IsZero() {
+				grace = time.Now().Add(replyGrace)
+			}
+		default:
+			retry(i)
+			continue
+		}
+		l.dur = now(rec) - l.t0
+	}
+	if d != nil {
+		d.wg.Wait()
+	}
+	max, second := int64(-1), int64(-1)
+	for i := range legs[:n] {
+		l := &legs[i]
+		if l.async {
+			l.res, l.dur = d.legs[i].res, d.legs[i].dur
+		}
+		out[l.to] = l.res
+		if rec == nil {
+			continue
+		}
+		rec.RecordPeerRTT(l.to, l.dur)
+		switch {
+		case l.dur > max:
+			second, max = max, l.dur
+		case l.dur > second:
+			second = l.dur
+		}
+	}
+	if rec != nil && n > 1 {
+		rec.RecordPhase(protocol.PhaseStraggler, max-second)
+	}
+	return out
 }
 
 // Notify implements protocol.Transport. The underlying TCP exchange

@@ -69,8 +69,8 @@ func TestOpBracketCounts(t *testing.T) {
 
 // TestOpBracketAllocs: on a metered, untraced handle the whole bracket
 // — acquire, start (label, phase recorder, span), end — allocates what
-// StartOp+Done alone do: the op's accumulator and its context node. The
-// bracket itself is a stack value.
+// StartOp+Done alone do: the op's accumulator, which is also its
+// context node. The bracket itself is a stack value.
 func TestOpBracketAllocs(t *testing.T) {
 	ob := obs.New().SchemeSite("voting", 0)
 	var l OpLocks
@@ -79,8 +79,8 @@ func TestOpBracketAllocs(t *testing.T) {
 		_, sp := ob.StartOp(ctx, protocol.OpWrite, 3)
 		sp.Done(2, nil)
 	})
-	if bare != 2 {
-		t.Errorf("StartOp+Done = %v allocs, want 2", bare)
+	if bare != 1 {
+		t.Errorf("StartOp+Done = %v allocs, want 1", bare)
 	}
 	got := testing.AllocsPerRun(200, func() { bracketed(&l, ob, protocol.OpWrite, nil, nil) })
 	if got > bare {

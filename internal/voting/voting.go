@@ -127,8 +127,13 @@ func (c *Controller) collect(ctx context.Context, b *ballot, idx block.Index, st
 		req = protocol.PrepareWriteRequest{Block: idx, Data: stage, Version: proposed}
 	}
 	b.add(vote{from: self.ID(), version: localVer}, c.weight[self.ID()])
-	for id, res := range c.env.Transport.Broadcast(ctx, self.ID(), c.remotes, req) {
-		if res.Err != nil {
+	// The ballot is filled in c.remotes order, not the map's, so the
+	// votes, the error returned and the put fan-out built from them are
+	// the same on every run.
+	results := c.env.Transport.Broadcast(ctx, self.ID(), c.remotes, req)
+	for _, id := range c.remotes {
+		res, ok := results[id]
+		if !ok || res.Err != nil {
 			continue // unreachable or failed site: no vote
 		}
 		switch reply := res.Resp.(type) {

@@ -679,3 +679,47 @@ func TestReadRepairFetchesFromLowestCurrentSite(t *testing.T) {
 		}
 	}
 }
+
+// notifyRecorder is a Transport that notes the destinations of every
+// Notify, in the order the controller passed them.
+type notifyRecorder struct {
+	protocol.Transport
+	dests [][]protocol.SiteID
+}
+
+func (n *notifyRecorder) Notify(ctx context.Context, from protocol.SiteID, dests []protocol.SiteID, req protocol.Request) map[protocol.SiteID]protocol.Result {
+	n.dests = append(n.dests, append([]protocol.SiteID(nil), dests...))
+	return n.Transport.Notify(ctx, from, dests, req)
+}
+
+// TestPutFanOutOrderIsStable: the ballot follows the remotes' order,
+// not the broadcast map's, so a two-round write sends its put legs in
+// the same order every time.
+func TestPutFanOutOrderIsStable(t *testing.T) {
+	ctx := context.Background()
+	r := newRig(t, 5, simnet.Multicast)
+	rec := &notifyRecorder{Transport: r.net}
+	coord, err := New(scheme.Env{
+		Self:      r.replicas[2],
+		Transport: rec,
+		Sites:     []protocol.SiteID{0, 1, 2, 3, 4},
+		Weights:   []int64{1000, 1000, 1000, 1000, 1000},
+	}, WithTwoRoundWrites())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 20; i++ {
+		if err := coord.Write(ctx, 1, pad(fmt.Sprint(i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := []protocol.SiteID{0, 1, 3, 4}
+	for i, got := range rec.dests {
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("write %d sent its puts to %v, want %v", i, got, want)
+		}
+	}
+	if len(rec.dests) != 20 {
+		t.Fatalf("recorded %d put fan-outs, want 20", len(rec.dests))
+	}
+}
