@@ -18,8 +18,8 @@ bin/relidevlint: $(wildcard cmd/relidevlint/*.go internal/lint/*.go)
 	$(GO) build -o $@ ./cmd/relidevlint
 
 # lint runs the repo's own analyzer suite (locking, determinism,
-# transport-error, context, goroutine-lifetime, atomic-discipline, and
-# wire-registry/codec-coverage invariants — see DESIGN.md §9 and §14) over every
+# transport-error, context and goroutine-lifetime invariants — see
+# DESIGN.md §9 and §14) over every
 # package, then govulncheck when it is installed (CI installs it;
 # offline dev boxes skip it).
 lint: bin/relidevlint
@@ -36,7 +36,7 @@ lint: bin/relidevlint
 lint-sweep: bin/relidevlint
 	@out=$$($(GO) vet -vettool=$(CURDIR)/bin/relidevlint ./... 2>&1 || true); \
 	printf '%s\n' "$$out" | grep '\[relidevlint/' || true; \
-	for a in lockcheck detcheck transportcheck ctxcheck leakcheck atomiccheck wirecheck; do \
+	for a in lockcheck detcheck transportcheck ctxcheck leakcheck; do \
 		n=$$(printf '%s\n' "$$out" | grep -c "\[relidevlint/$$a\]" || true); \
 		printf 'lint-sweep: %-14s %s finding(s)\n' "$$a" "$$n"; \
 	done

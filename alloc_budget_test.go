@@ -33,7 +33,7 @@ import (
 //	          trace event is a ring write.
 //
 // simnet runs a broadcast's legs in order on the caller's goroutine
-// (protocol.FanOutInOrder) and hands each remote the boxed request, so
+// (protocol.FanOut) and hands each remote the boxed request, so
 // no message is encoded. Over rpcnet the request travels encoded and
 // each server boxes its decoded copy; TestBroadcastAllocBudget pins
 // that round.

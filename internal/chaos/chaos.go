@@ -453,16 +453,6 @@ func (e *engine) conformanceCheck() {
 	}
 	e.report.Conformance = &rep
 	e.report.Violations = append(e.report.Violations, rep.Violations()...)
-
-	// The per-op brackets only see traffic attributed to an op class; a
-	// request kind outside the protocol.KindOps pricing table would slip
-	// past them while inflating the aggregate counters, so any observed
-	// unpriced kind is itself a violation (wirecheck enforces the same
-	// contract statically at lint time).
-	for _, kind := range obs.UnpricedKinds(st.ByKind) {
-		e.report.Violations = append(e.report.Violations,
-			fmt.Sprintf("§5 conformance: request kind %q is not in the KindOps pricing table; its traffic is unattributed", kind))
-	}
 }
 
 // availCheck is the end-of-run §4 invariant: the measured failure and

@@ -24,8 +24,9 @@
 // fan-out, per destination, and the §5 transmission accounting of the
 // enclosing broadcast stays exact; simnet runs the legs in order, so
 // delays injected into one broadcast add up instead of overlapping.
-// Over any other transport (rpcnet) broadcasts are decomposed into
-// concurrent per-destination calls, as a TCP "broadcast" is anyway.
+// Over any other transport (rpcnet) a broadcast is decomposed into
+// per-destination calls, run one after another by protocol.FanOut, so
+// each destination gets its own fault decision.
 package faultnet
 
 import (
@@ -304,8 +305,8 @@ func (n *Network) Fetch(ctx context.Context, from, to protocol.SiteID, req proto
 
 // Broadcast implements protocol.Transport. In rule mode the inner
 // transport consults the decorator per destination; in wrap mode the
-// broadcast decomposes into per-destination Calls so each destination
-// gets its own fault decision.
+// broadcast decomposes into per-destination Calls, made in order, so
+// each destination gets its own fault decision.
 func (n *Network) Broadcast(ctx context.Context, from protocol.SiteID, dests []protocol.SiteID, req protocol.Request) map[protocol.SiteID]protocol.Result {
 	if n.ruleMode {
 		return n.inner.Broadcast(ctx, from, dests, req)

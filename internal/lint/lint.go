@@ -3,7 +3,11 @@
 // correctness rests on: OpLocks critical-section discipline on the
 // replicated-block data path (paper §3 fail-stop model, §3.1 version
 // numbers), replay determinism in the fault/chaos/simulation layers,
-// sentinel-classified transport errors, and context propagation.
+// sentinel-classified transport errors, context propagation, and a
+// provable join for every goroutine a library package spawns. The wire
+// format needs no analyzer: each protocol message carries its own
+// encoding and size as methods, so a message missing one does not
+// compile (DESIGN.md §17).
 //
 // The framework mirrors the shape of golang.org/x/tools/go/analysis
 // (Analyzer, Pass, Diagnostic) but is built on the standard library
@@ -88,7 +92,7 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 
 // Analyzers returns the full relidevlint suite in stable order.
 func Analyzers() []*Analyzer {
-	return []*Analyzer{LockCheck, DetCheck, TransportCheck, CtxCheck, LeakCheck, AtomicCheck, WireCheck}
+	return []*Analyzer{LockCheck, DetCheck, TransportCheck, CtxCheck, LeakCheck}
 }
 
 // Run applies the given analyzers to one package and returns the

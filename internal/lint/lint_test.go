@@ -85,8 +85,8 @@ func TestLeakCheckFixtures(t *testing.T) {
 }
 
 // TestLeakCheckSeededMutation is leakcheck's planted-bug test: a
-// fixture copy of protocol.FanOut's spawning loop with the WaitGroup
-// join deleted must be flagged.
+// fan-out that spawns its legs, with the WaitGroup join deleted, must
+// be flagged.
 func TestLeakCheckSeededMutation(t *testing.T) {
 	linttest.Run(t, testdata, "fixtures/leakcheck/fanout", lint.LeakCheck)
 }
@@ -95,22 +95,10 @@ func TestLeakCheckMainPackage(t *testing.T) {
 	linttest.Run(t, testdata, "fixtures/leakcheck/cmd", lint.LeakCheck)
 }
 
-func TestAtomicCheckFixtures(t *testing.T) {
-	linttest.Run(t, testdata, "fixtures/atomiccheck/counters", lint.AtomicCheck)
-}
-
-func TestWireCheckFixtures(t *testing.T) {
-	linttest.Run(t, testdata, "fixtures/wirecheck/protocol", lint.WireCheck)
-}
-
-func TestWireCheckOutOfScope(t *testing.T) {
-	linttest.Run(t, testdata, "fixtures/wirecheck/other", lint.WireCheck)
-}
-
 // TestSuiteStable pins the analyzer roster: CI wiring and the DESIGN
 // docs reference these names.
 func TestSuiteStable(t *testing.T) {
-	want := []string{"lockcheck", "detcheck", "transportcheck", "ctxcheck", "leakcheck", "atomiccheck", "wirecheck"}
+	want := []string{"lockcheck", "detcheck", "transportcheck", "ctxcheck", "leakcheck"}
 	got := lint.Analyzers()
 	if len(got) != len(want) {
 		t.Fatalf("Analyzers() returned %d analyzers, want %d", len(got), len(want))

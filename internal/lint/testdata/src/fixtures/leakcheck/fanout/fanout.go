@@ -1,9 +1,8 @@
-// Seeded mutation for leakcheck: a fixture copy of
-// protocol.FanOut's spawning loop — the only production fan-out that
-// spawns, since simnet runs a broadcast's legs in order — with the join
-// (st.wg.Wait()) deleted. The caller then reads slots the spawned legs
-// may not have written yet, and a leg stuck on a dead peer outlives the
-// broadcast. The analyzer must flag the spawn.
+// Seeded mutation for leakcheck: a fan-out that spawns one goroutine per
+// leg, the shape a broadcast takes where each leg waits on a network,
+// with the join (st.wg.Wait()) deleted. The caller then reads slots the
+// spawned legs may not have written yet, and a leg stuck on a dead peer
+// outlives the broadcast. The analyzer must flag the spawn.
 //
 // The mutant lives alone in its package: leakcheck proves a join by the
 // WaitGroup field, package-wide, so a faithful copy's Wait on the same
@@ -21,7 +20,7 @@ type Caller interface {
 	Call(ctx context.Context, from, to protocol.SiteID, req protocol.Request) (protocol.Response, error)
 }
 
-const fanInline = 8
+const inlineLegs = 8
 
 type fanLeg struct {
 	res protocol.Result
@@ -34,11 +33,11 @@ type fanCall struct {
 	req  protocol.Request
 }
 
-type fanState struct {
+type legGroup struct {
 	fanCall
 	wg     sync.WaitGroup
 	legs   []fanLeg
-	inline [fanInline]fanLeg
+	inline [inlineLegs]fanLeg
 }
 
 func FanOut(ctx context.Context, from protocol.SiteID, targets []protocol.SiteID, req protocol.Request, via Caller) map[protocol.SiteID]protocol.Result {
@@ -47,8 +46,8 @@ func FanOut(ctx context.Context, from protocol.SiteID, targets []protocol.SiteID
 		return out
 	}
 	last := len(targets) - 1
-	st := &fanState{fanCall: fanCall{ctx: ctx, via: via, from: from, req: req}}
-	if st.legs = st.inline[:]; len(targets) > fanInline {
+	st := &legGroup{fanCall: fanCall{ctx: ctx, via: via, from: from, req: req}}
+	if st.legs = st.inline[:]; len(targets) > inlineLegs {
 		st.legs = make([]fanLeg, len(targets))
 	}
 	st.wg.Add(last)

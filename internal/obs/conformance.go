@@ -3,7 +3,6 @@ package obs
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"relidev/internal/analysis"
 	"relidev/internal/protocol"
@@ -307,22 +306,4 @@ func GatherObservations(snap Snapshot, schemeName string, transmissions map[stri
 	recovery = gather(protocol.OpRecovery)
 	recovery.Pages = snap.CounterTotal(MetricRecoveryPages, s)
 	return write, read, recovery
-}
-
-// UnpricedKinds returns, sorted, the request kinds observed on the
-// wire (a transport's per-kind transmission counts, e.g. simnet's
-// Stats.ByKind) that the protocol.KindOps §5 pricing table does not
-// cover. A non-empty result means traffic reached the network that no
-// cost formula attributes — the aggregate counters absorb it while
-// every per-op bracket stays green — so conformance harnesses treat
-// any unpriced kind as a model violation, not a tolerable residue.
-func UnpricedKinds(byKind map[string]uint64) []string {
-	var unpriced []string
-	for kind, n := range byKind {
-		if n > 0 && !protocol.PricedKind(kind) {
-			unpriced = append(unpriced, kind)
-		}
-	}
-	sort.Strings(unpriced)
-	return unpriced
 }

@@ -296,34 +296,3 @@ func TestGatherObservations(t *testing.T) {
 		t.Errorf("recovery observation = %+v", rec)
 	}
 }
-
-func TestUnpricedKinds(t *testing.T) {
-	// Every kind a real transport reports is priced: nothing to flag.
-	clean := map[string]uint64{"vote": 12, "fetch": 3, "put": 9, "recovery": 2}
-	if got := UnpricedKinds(clean); len(got) != 0 {
-		t.Fatalf("UnpricedKinds(clean) = %v, want none", got)
-	}
-
-	// A kind outside protocol.KindOps with observed traffic is a model
-	// violation; zero-count residue and priced kinds are not.
-	mixed := map[string]uint64{
-		"vote":      4,
-		"gossip":    7,
-		"heartbeat": 1,
-		"debug":     0, // never transmitted: not a violation
-	}
-	got := UnpricedKinds(mixed)
-	want := []string{"gossip", "heartbeat"}
-	if len(got) != len(want) {
-		t.Fatalf("UnpricedKinds = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("UnpricedKinds = %v, want %v (sorted)", got, want)
-		}
-	}
-
-	if got := UnpricedKinds(nil); len(got) != 0 {
-		t.Fatalf("UnpricedKinds(nil) = %v, want none", got)
-	}
-}

@@ -10,13 +10,13 @@ import (
 	"relidev/internal/protocol"
 )
 
-type fakeReq struct{}
+// fakeReq and fakeResp borrow a real message's sealed methods and keep
+// types of their own.
+type fakeReq struct{ protocol.StatusRequest }
 
 func (fakeReq) Kind() string { return "fake" }
 
-type fakeResp struct{}
-
-func (fakeResp) RespKind() string { return "fake" }
+type fakeResp struct{ protocol.PutReply }
 
 // fakeTransport returns canned results and records the contexts it saw.
 type fakeTransport struct {

@@ -50,6 +50,8 @@ const (
 	_
 	kindTelemetryPullRequest
 	kindTelemetryPullReply
+	// kindEnd is one past the last tag in use.
+	kindEnd
 )
 
 // ErrBadFrame reports a message body that is truncated, carries a count
@@ -107,110 +109,117 @@ func appendBlocks(b []byte, blocks []BlockCopy) []byte {
 
 // AppendRequest appends the body of one request frame to dst: the
 // envelope (kind, sender, trace context) and then the request's fields
-// in declaration order of the list in DESIGN.md §17. It fails only for
-// a request type the codec does not know.
-func AppendRequest(dst []byte, from SiteID, trace SpanContext, req Request) ([]byte, error) {
+// in declaration order of the list in DESIGN.md §17.
+func AppendRequest(dst []byte, from SiteID, trace SpanContext, req Request) []byte {
 	// The envelope is the same for every kind, so it is written first
-	// with a placeholder tag that the switch fills in.
+	// with a placeholder tag that the request's own method supplies.
 	at := len(dst)
 	b := append(dst, kindNone)
 	b = appendU32(b, uint32(from))
 	b = appendU64(b, trace.TraceID)
 	b = appendU64(b, trace.SpanID)
-	var kind byte
-	switch q := req.(type) {
-	case VoteRequest:
-		kind = kindVoteRequest
-		b = appendU32(b, uint32(q.Block))
-	case FetchRequest:
-		kind = kindFetchRequest
-		b = appendU32(b, uint32(q.Block))
-	case PutRequest:
-		kind = kindPutRequest
-		b = appendU32(b, uint32(q.Block))
-		b = appendU64(b, uint64(q.Version))
-		b = appendBool(b, q.HasW)
-		b = appendU64(b, uint64(q.WasAvail))
-		b = appendBytes(b, q.Data)
-	case PrepareWriteRequest:
-		kind = kindPrepareWriteRequest
-		b = appendU32(b, uint32(q.Block))
-		b = appendU64(b, uint64(q.Version))
-		b = appendBytes(b, q.Data)
-	case AbortWriteRequest:
-		kind = kindAbortWriteRequest
-		b = appendU32(b, uint32(q.Block))
-		b = appendU64(b, uint64(q.Version))
-	case StatusRequest:
-		kind = kindStatusRequest
-	case RecoveryRequest:
-		kind = kindRecoveryRequest
-		b = appendBool(b, q.JoinW)
-		b = appendU64(b, uint64(q.MaxBlocks))
-		b = appendU32(b, uint32(q.Cont))
-		b = appendVector(b, q.Vector)
-	case TelemetryPullRequest:
-		kind = kindTelemetryPullRequest
-		b = appendBool(b, q.Traces)
-	default:
-		return dst, fmt.Errorf("protocol: no wire encoding for request %T", req)
-	}
+	kind, b := req.appendRequest(b)
 	b[at] = kind
-	return b, nil
+	return b
 }
 
 // AppendResponse appends the body of one response frame to dst: the
 // envelope (kind, error code, error text) and then the response's
 // fields. The error code is the transport's to define; the codec only
 // carries it. A nil resp is encoded as "no message", which is what
-// accompanies a non-zero code. It fails only for a response type the
-// codec does not know.
-func AppendResponse(dst []byte, resp Response, code uint8, text string) ([]byte, error) {
+// accompanies a non-zero code.
+func AppendResponse(dst []byte, resp Response, code uint8, text string) []byte {
 	at := len(dst)
 	b := append(dst, kindNone, code)
 	b = appendU32(b, uint32(len(text)))
 	b = append(b, text...)
-	var kind byte
-	switch p := resp.(type) {
-	case nil:
-		kind = kindNone
-	case VoteReply:
-		kind = kindVoteReply
-		b = appendU64(b, uint64(p.Version))
-		b = append(b, byte(p.State))
-	case FetchReply:
-		kind = kindFetchReply
-		b = appendU64(b, uint64(p.Version))
-		b = appendBytes(b, p.Data)
-	case PutReply:
-		kind = kindPutReply
-	case PrepareWriteReply:
-		kind = kindPrepareWriteReply
-		b = appendU64(b, uint64(p.Version))
-		b = append(b, byte(p.State))
-		b = appendBool(b, p.Staged)
-	case AbortWriteReply:
-		kind = kindAbortWriteReply
-	case StatusReply:
-		kind = kindStatusReply
-		b = append(b, byte(p.State))
-		b = appendU64(b, uint64(p.WasAvail))
-		b = appendU64(b, p.VersionSum)
-	case RecoveryReply:
-		kind = kindRecoveryReply
-		b = appendU64(b, uint64(p.WasAvail))
-		b = appendBool(b, p.More)
-		b = appendU32(b, uint32(p.Next))
-		b = appendVector(b, p.Vector)
-		b = appendBlocks(b, p.Blocks)
-	case TelemetryPullReply:
-		kind = kindTelemetryPullReply
-		b = appendBytes(b, p.Snap)
-	default:
-		return dst, fmt.Errorf("protocol: no wire encoding for response %T", resp)
+	if resp == nil {
+		return b
 	}
+	kind, b := resp.appendResponse(b)
 	b[at] = kind
-	return b, nil
+	return b
+}
+
+// Each message appends its own fields after the envelope and returns
+// its tag, in tag order below; the decoders further down read them back.
+
+func (q VoteRequest) appendRequest(b []byte) (byte, []byte) {
+	return kindVoteRequest, appendU32(b, uint32(q.Block))
+}
+
+func (p VoteReply) appendResponse(b []byte) (byte, []byte) {
+	b = appendU64(b, uint64(p.Version))
+	return kindVoteReply, append(b, byte(p.State))
+}
+
+func (q FetchRequest) appendRequest(b []byte) (byte, []byte) {
+	return kindFetchRequest, appendU32(b, uint32(q.Block))
+}
+
+func (p FetchReply) appendResponse(b []byte) (byte, []byte) {
+	b = appendU64(b, uint64(p.Version))
+	return kindFetchReply, appendBytes(b, p.Data)
+}
+
+func (q PutRequest) appendRequest(b []byte) (byte, []byte) {
+	b = appendU32(b, uint32(q.Block))
+	b = appendU64(b, uint64(q.Version))
+	b = appendBool(b, q.HasW)
+	b = appendU64(b, uint64(q.WasAvail))
+	return kindPutRequest, appendBytes(b, q.Data)
+}
+
+func (PutReply) appendResponse(b []byte) (byte, []byte) { return kindPutReply, b }
+
+func (q PrepareWriteRequest) appendRequest(b []byte) (byte, []byte) {
+	b = appendU32(b, uint32(q.Block))
+	b = appendU64(b, uint64(q.Version))
+	return kindPrepareWriteRequest, appendBytes(b, q.Data)
+}
+
+func (p PrepareWriteReply) appendResponse(b []byte) (byte, []byte) {
+	b = appendU64(b, uint64(p.Version))
+	b = append(b, byte(p.State))
+	return kindPrepareWriteReply, appendBool(b, p.Staged)
+}
+
+func (q AbortWriteRequest) appendRequest(b []byte) (byte, []byte) {
+	b = appendU32(b, uint32(q.Block))
+	return kindAbortWriteRequest, appendU64(b, uint64(q.Version))
+}
+
+func (AbortWriteReply) appendResponse(b []byte) (byte, []byte) { return kindAbortWriteReply, b }
+
+func (StatusRequest) appendRequest(b []byte) (byte, []byte) { return kindStatusRequest, b }
+
+func (p StatusReply) appendResponse(b []byte) (byte, []byte) {
+	b = append(b, byte(p.State))
+	b = appendU64(b, uint64(p.WasAvail))
+	return kindStatusReply, appendU64(b, p.VersionSum)
+}
+
+func (q RecoveryRequest) appendRequest(b []byte) (byte, []byte) {
+	b = appendBool(b, q.JoinW)
+	b = appendU64(b, uint64(q.MaxBlocks))
+	b = appendU32(b, uint32(q.Cont))
+	return kindRecoveryRequest, appendVector(b, q.Vector)
+}
+
+func (p RecoveryReply) appendResponse(b []byte) (byte, []byte) {
+	b = appendU64(b, uint64(p.WasAvail))
+	b = appendBool(b, p.More)
+	b = appendU32(b, uint32(p.Next))
+	b = appendVector(b, p.Vector)
+	return kindRecoveryReply, appendBlocks(b, p.Blocks)
+}
+
+func (q TelemetryPullRequest) appendRequest(b []byte) (byte, []byte) {
+	return kindTelemetryPullRequest, appendBool(b, q.Traces)
+}
+
+func (p TelemetryPullReply) appendResponse(b []byte) (byte, []byte) {
+	return kindTelemetryPullReply, appendBytes(b, p.Snap)
 }
 
 // frameReader consumes a message body front to back. The first
@@ -321,7 +330,7 @@ func (r *frameReader) blocks() []BlockCopy {
 // The decoders below build each message as one struct literal whose
 // fields are listed in wire order: Go evaluates the r.u32()/r.bytes()
 // calls of a literal in source order, so the order written there is the
-// format and must match the Append functions.
+// format and must match the append methods.
 func (r *frameReader) finish() error {
 	switch {
 	case r.bad:

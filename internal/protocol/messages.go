@@ -22,9 +22,6 @@ type VoteReply struct {
 	State   SiteState
 }
 
-// RespKind implements Response.
-func (VoteReply) RespKind() string { return "vote-reply" }
-
 // FetchRequest asks for a copy of one block (voting read repair, Figure
 // 3: request_block(t, k, B)).
 type FetchRequest struct {
@@ -39,9 +36,6 @@ type FetchReply struct {
 	Data    []byte
 	Version block.Version
 }
-
-// RespKind implements Response.
-func (FetchReply) RespKind() string { return "fetch-reply" }
 
 // PutRequest installs a block at a new version on the receiving site
 // (voting: send_block(Q, k, B, v); available copy: the write broadcast).
@@ -64,9 +58,6 @@ func (PutRequest) Kind() string { return "put" }
 
 // PutReply acknowledges a PutRequest.
 type PutReply struct{}
-
-// RespKind implements Response.
-func (PutReply) RespKind() string { return "put-reply" }
 
 // PrepareWriteRequest is the combined single-round write of the fast
 // write path (DESIGN.md §12): it carries the coordinator's proposed
@@ -97,9 +88,6 @@ type PrepareWriteReply struct {
 	Staged bool
 }
 
-// RespKind implements Response.
-func (PrepareWriteReply) RespKind() string { return "prepare-write-reply" }
-
 // AbortWriteRequest undoes a staged prepare-write that failed to gather
 // a quorum: the recipient restores the pre-image it retained when it
 // staged version Version, provided nothing newer has been installed
@@ -120,9 +108,6 @@ func (AbortWriteRequest) Kind() string { return "abort-write" }
 // superseded, succeeds as a no-op.
 type AbortWriteReply struct{}
 
-// RespKind implements Response.
-func (AbortWriteReply) RespKind() string { return "abort-write-reply" }
-
 // StatusRequest asks a site for its recovery-relevant state. A recovering
 // site broadcasts it to learn which sites are up, their states, their
 // was-available sets and how current they are (§3.2, §5.1).
@@ -140,9 +125,6 @@ type StatusReply struct {
 	// (Figures 5-6 compare sites by version(t)).
 	VersionSum uint64
 }
-
-// RespKind implements Response.
-func (StatusReply) RespKind() string { return "status-reply" }
 
 // RecoveryRequest is one page of the version-vector exchange of Figure
 // 5: the recovering site s sends its vector v to the repair source t.
@@ -184,9 +166,6 @@ type RecoveryReply struct {
 	Next block.Index
 }
 
-// RespKind implements Response.
-func (RecoveryReply) RespKind() string { return "recovery-reply" }
-
 // TelemetryPullRequest asks a site for one of its two telemetry views:
 // the cross-site aggregation plane (DESIGN.md §16) broadcasts it from
 // the host serving a cluster route to build the cluster-wide metrics
@@ -211,9 +190,6 @@ func (TelemetryPullRequest) Kind() string { return "telemetry-pull" }
 type TelemetryPullReply struct {
 	Snap []byte
 }
-
-// RespKind implements Response.
-func (TelemetryPullReply) RespKind() string { return "telemetry-pull-reply" }
 
 // RegisterGob registers all protocol messages with encoding/gob so that
 // they can travel as interface values in a gob stream. Nothing in the

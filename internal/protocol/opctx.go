@@ -17,9 +17,8 @@ const (
 	// the aggregation plane's registry pulls. Telemetry is not one of
 	// the §5 rows — the paper prices file operations, not monitoring —
 	// so the class exists purely to keep scrape traffic out of the
-	// write/read/recovery brackets while still appearing in the
-	// KindOps table, where the wirecheck/UnpricedKinds contract can see
-	// that it is deliberate, attributed traffic rather than silent skew.
+	// write/read/recovery brackets while the transport still counts it,
+	// as attributed traffic under its own label.
 	OpTelemetry = "telemetry"
 )
 

@@ -175,15 +175,26 @@ var (
 )
 
 // Request is the interface implemented by all protocol request messages.
+// Its unexported methods seal the set to this package and make each
+// request carry its frame encoding (codec.go) and its size (wiresize.go):
+// a request missing either does not compile.
 type Request interface {
 	// Kind names the request for logging and traffic accounting.
 	Kind() string
+	// appendRequest appends the request's fields to b and returns its
+	// kind tag.
+	appendRequest(b []byte) (tag byte, out []byte)
+	sized
 }
 
-// Response is the interface implemented by all protocol responses.
+// Response is the interface implemented by all protocol responses,
+// sealed the same way. Its append method has another name than a
+// request's, so a request cannot pass as a response.
 type Response interface {
-	// RespKind names the response for logging.
-	RespKind() string
+	// appendResponse appends the response's fields to b and returns its
+	// kind tag.
+	appendResponse(b []byte) (tag byte, out []byte)
+	sized
 }
 
 // Result pairs a response with a per-destination error for broadcasts.

@@ -142,14 +142,6 @@ func TestMessageKinds(t *testing.T) {
 		}
 		seen[k] = true
 	}
-	resps := []Response{
-		VoteReply{}, FetchReply{}, PutReply{}, StatusReply{}, RecoveryReply{},
-	}
-	for _, r := range resps {
-		if r.RespKind() == "" {
-			t.Fatalf("%T has empty RespKind", r)
-		}
-	}
 }
 
 func TestSiteIDString(t *testing.T) {
@@ -166,7 +158,7 @@ func TestRegisterGobIdempotent(t *testing.T) {
 }
 
 func TestWireSizeCoversEveryMessage(t *testing.T) {
-	msgs := []interface{}{
+	msgs := []sized{
 		VoteRequest{}, VoteReply{}, FetchRequest{},
 		FetchReply{Data: make([]byte, 10)},
 		PutRequest{Data: make([]byte, 20)}, PutReply{},
@@ -183,44 +175,6 @@ func TestWireSizeCoversEveryMessage(t *testing.T) {
 	// Payload-carrying messages dominate fixed-size ones.
 	if WireSize(PutRequest{Data: make([]byte, 4096)}) <= WireSize(VoteRequest{}) {
 		t.Fatal("put smaller than vote")
-	}
-	if WireSize(struct{ X int }{}) != 8 {
-		t.Fatal("unknown type should cost exactly one header")
-	}
-}
-
-func TestKindOpsCoversEveryRequest(t *testing.T) {
-	reqs := []Request{
-		VoteRequest{}, FetchRequest{}, PutRequest{}, PrepareWriteRequest{},
-		AbortWriteRequest{}, StatusRequest{}, RecoveryRequest{}, TelemetryPullRequest{},
-	}
-	validOps := map[string]bool{OpWrite: true, OpRead: true, OpRecovery: true, OpTelemetry: true}
-	kinds := make(map[string]bool, len(reqs))
-	for _, r := range reqs {
-		k := r.Kind()
-		kinds[k] = true
-		if !PricedKind(k) {
-			t.Errorf("request kind %q (%T) missing from KindOps: its traffic is invisible to the §5 pricing tables", k, r)
-			continue
-		}
-		ops := KindOps[k]
-		if len(ops) == 0 {
-			t.Errorf("KindOps[%q] prices no op classes", k)
-		}
-		for _, op := range ops {
-			if !validOps[op] {
-				t.Errorf("KindOps[%q] names unknown op class %q", k, op)
-			}
-		}
-	}
-	// The reverse direction: no stale pricing entries.
-	for k := range KindOps {
-		if !kinds[k] {
-			t.Errorf("KindOps prices kind %q but no request type declares it", k)
-		}
-	}
-	if PricedKind("no-such-kind") {
-		t.Error("PricedKind should reject unknown kinds")
 	}
 }
 

@@ -11,47 +11,36 @@ package protocol
 // message; exact framing constants do not matter for the comparisons.
 const wireHeader = 8
 
-// WireSize returns the estimated size of req or resp in bytes. Unknown
-// message types count as a bare header.
-func WireSize(msg interface{}) int {
-	switch m := msg.(type) {
-	case VoteRequest:
-		return wireHeader + 4
-	case VoteReply:
-		return wireHeader + 8 + 1
-	case FetchRequest:
-		return wireHeader + 4
-	case FetchReply:
-		return wireHeader + 8 + len(m.Data)
-	case PutRequest:
-		return wireHeader + 4 + 8 + 8 + 1 + len(m.Data)
-	case PutReply:
-		return wireHeader
-	case PrepareWriteRequest:
-		return wireHeader + 4 + 8 + len(m.Data)
-	case PrepareWriteReply:
-		return wireHeader + 8 + 1 + 1
-	case AbortWriteRequest:
-		return wireHeader + 4 + 8
-	case AbortWriteReply:
-		return wireHeader
-	case StatusRequest:
-		return wireHeader
-	case StatusReply:
-		return wireHeader + 8 + 8 + 1
-	case RecoveryRequest:
-		return wireHeader + 1 + 8*len(m.Vector) + 4 + 4
-	case RecoveryReply:
-		size := wireHeader + 8 + 1 + 4 + 8*len(m.Vector)
-		for _, b := range m.Blocks {
-			size += 12 + len(b.Data)
-		}
-		return size
-	case TelemetryPullRequest:
-		return wireHeader + 1
-	case TelemetryPullReply:
-		return wireHeader + len(m.Snap)
-	default:
-		return wireHeader
-	}
+// sized is what every request and response implements: its estimated
+// size on the wire. Each message's formula is below, in tag order.
+type sized interface {
+	wireSize() int
 }
+
+// WireSize returns the estimated size of a request or response in bytes.
+func WireSize(msg sized) int { return msg.wireSize() }
+
+func (VoteRequest) wireSize() int           { return wireHeader + 4 }
+func (VoteReply) wireSize() int             { return wireHeader + 8 + 1 }
+func (FetchRequest) wireSize() int          { return wireHeader + 4 }
+func (m FetchReply) wireSize() int          { return wireHeader + 8 + len(m.Data) }
+func (m PutRequest) wireSize() int          { return wireHeader + 4 + 8 + 8 + 1 + len(m.Data) }
+func (PutReply) wireSize() int              { return wireHeader }
+func (m PrepareWriteRequest) wireSize() int { return wireHeader + 4 + 8 + len(m.Data) }
+func (PrepareWriteReply) wireSize() int     { return wireHeader + 8 + 1 + 1 }
+func (AbortWriteRequest) wireSize() int     { return wireHeader + 4 + 8 }
+func (AbortWriteReply) wireSize() int       { return wireHeader }
+func (StatusRequest) wireSize() int         { return wireHeader }
+func (StatusReply) wireSize() int           { return wireHeader + 8 + 8 + 1 }
+func (m RecoveryRequest) wireSize() int     { return wireHeader + 1 + 8*len(m.Vector) + 4 + 4 }
+
+func (m RecoveryReply) wireSize() int {
+	size := wireHeader + 8 + 1 + 4 + 8*len(m.Vector)
+	for _, b := range m.Blocks {
+		size += 12 + len(b.Data)
+	}
+	return size
+}
+
+func (TelemetryPullRequest) wireSize() int { return wireHeader + 1 }
+func (m TelemetryPullReply) wireSize() int { return wireHeader + len(m.Snap) }

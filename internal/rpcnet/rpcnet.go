@@ -192,15 +192,12 @@ func (s *Server) serveConn(conn net.Conn) {
 		}
 		resp, err := s.handler.Handle(ctx, from, req)
 		code, text := encodeErr(err)
-		frame, err := protocol.AppendResponse(w.beginFrame(), resp, code, text)
-		if err == nil {
-			err = checkFrameSize(frame)
-		}
-		if err != nil {
-			// The answer cannot travel (too large, or a type the codec
-			// does not know). The stream itself is fine, so say why in an
-			// error reply instead of dropping the connection.
-			frame, _ = protocol.AppendResponse(w.beginFrame(), nil, errGeneric, err.Error())
+		frame := protocol.AppendResponse(w.beginFrame(), resp, code, text)
+		if err := checkFrameSize(frame); err != nil {
+			// The answer is too large to travel. The stream itself is
+			// fine, so say why in an error reply instead of dropping the
+			// connection.
+			frame = protocol.AppendResponse(w.beginFrame(), nil, errGeneric, err.Error())
 		}
 		if err := w.sendFrame(frame); err != nil {
 			return
@@ -465,11 +462,7 @@ func (c *Client) peer(to protocol.SiteID) (*peerPool, error) {
 // including a response that is not a well-formed frame — it is closed.
 func (c *Client) exchange(p *peerPool, w *wireConn, deadline time.Time, req protocol.Request, trace protocol.SpanContext) (reply, error) {
 	w.conn.SetDeadline(deadline)
-	frame, err := protocol.AppendRequest(w.beginFrame(), c.self, trace, req)
-	if err == nil {
-		err = w.sendFrame(frame)
-	}
-	if err != nil {
+	if err := w.sendFrame(protocol.AppendRequest(w.beginFrame(), c.self, trace, req)); err != nil {
 		w.close()
 		return reply{}, fmt.Errorf("send: %w", err)
 	}
@@ -696,7 +689,7 @@ func now(rec protocol.PhaseRecorder) int64 {
 // A leg whose reply misses the deadline is severed, not retried. A
 // cancelled context stops the fan-out before any dialing. When ctx
 // carries a PhaseRecorder, each leg's round trip and the straggler
-// wait are charged to it as protocol.FanOut's join does; a pooled
+// wait are charged to it as protocol.FanOut charges them; a pooled
 // leg's round trip ends when its reply is read.
 func (c *Client) Broadcast(ctx context.Context, from protocol.SiteID, dests []protocol.SiteID, req protocol.Request) map[protocol.SiteID]protocol.Result {
 	var legs [protocol.MaxSites]leg
@@ -743,10 +736,8 @@ func (c *Client) Broadcast(ctx context.Context, from protocol.SiteID, dests []pr
 		l.w.conn.SetDeadline(deadline)
 		var err error
 		if frame == nil {
-			if frame, err = protocol.AppendRequest(l.w.beginFrame(), c.self, trace, req); err == nil {
-				err = l.w.sendFrame(frame)
-			}
-			if err != nil {
+			frame = protocol.AppendRequest(l.w.beginFrame(), c.self, trace, req)
+			if err = l.w.sendFrame(frame); err != nil {
 				frame = nil
 			}
 		} else {

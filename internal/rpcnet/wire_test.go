@@ -28,11 +28,7 @@ func frameOf(body []byte) []byte {
 
 func requestFrame(t *testing.T, req protocol.Request) []byte {
 	t.Helper()
-	body, err := protocol.AppendRequest(nil, 0, protocol.SpanContext{}, req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return frameOf(body)
+	return frameOf(protocol.AppendRequest(nil, 0, protocol.SpanContext{}, req))
 }
 
 // oldPeerStream is what a pre-frame rpcnet client put on the wire: a gob
@@ -206,11 +202,7 @@ func fakeServer(t *testing.T, answer func(conn, nth int) (out []byte, hangUp boo
 
 func statusReplyFrame(t *testing.T) []byte {
 	t.Helper()
-	body, err := protocol.AppendResponse(nil, protocol.StatusReply{State: protocol.StateAvailable}, errNone, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	return frameOf(body)
+	return frameOf(protocol.AppendResponse(nil, protocol.StatusReply{State: protocol.StateAvailable}, errNone, ""))
 }
 
 // TestGarbageResponseClassification is the client-side twin: a response

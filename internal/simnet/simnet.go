@@ -410,7 +410,7 @@ func (n *Network) Notify(ctx context.Context, from protocol.SiteID, dests []prot
 	return n.deliver(ctx, from, dests, req, false)
 }
 
-// leg is the Network as protocol.FanOutInOrder drives it: an uncharged
+// leg is the Network as protocol.FanOut drives it: an uncharged
 // round trip; deliver charges the broadcast before and the replies after.
 type leg Network
 
@@ -440,7 +440,7 @@ func (n *Network) deliver(ctx context.Context, from protocol.SiteID, dests []pro
 			n.countRequest(opIdx, req.Kind(), 1, reqBytes)
 		}
 	}
-	results := protocol.FanOutInOrder(ctx, from, dests, req, (*leg)(n))
+	results := protocol.FanOut(ctx, from, dests, req, (*leg)(n))
 	if countReplies {
 		for _, res := range results {
 			if res.Err == nil {

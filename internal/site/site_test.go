@@ -210,7 +210,9 @@ func TestUnknownRequest(t *testing.T) {
 	}
 }
 
-type bogusRequest struct{}
+// bogusRequest is a request type Handle has no case for: it borrows a
+// real message's sealed methods but is a type of its own.
+type bogusRequest struct{ protocol.StatusRequest }
 
 func (bogusRequest) Kind() string { return "bogus" }
 
