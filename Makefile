@@ -63,11 +63,12 @@ bench-smoke:
 
 # chaos-short replays the three seeded schedules CI runs, under the race
 # detector, one per consistency scheme. Every run carries the whole
-# observability plane and checks the §4 availability and §5 bracket
-# conformance invariants and the clean-run SLO invariant; its whole
-# report — metrics, both verdicts, health, burn-rate evaluation and
-# alert log, and the sealed flight dump (absent unless an invariant
-# violation or a critical objective sealed it) — lands in
+# observability plane and checks the §4 refinement (the cluster against
+# the scheme's availability state machine), §5 bracket conformance and
+# clean-run SLO invariants; its whole report — metrics, the §5
+# verdict, health, burn-rate evaluation and alert log, and the sealed
+# flight dump (absent unless an invariant violation or a critical
+# objective sealed it) — lands in
 # artifacts/chaos-<scheme>.json, the bytes TestReportBytesPinned pins,
 # and the summary with the digest on stderr. CI uploads the three
 # reports whether or not the run passed.

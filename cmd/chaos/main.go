@@ -1,9 +1,10 @@
 // Command chaos runs a seeded fault-injection schedule against a live
 // in-process replica cluster and checks the paper's consistency claims
-// — including the §4 availability and §5 traffic conformance and the
-// clean-run SLO invariants — on every run. The same seed replays the
-// same schedule bit-identically (compare the digest field); the exit
-// status is non-zero when any invariant was violated.
+// — including the §4 refinement of the scheme's availability state
+// machine, §5 traffic conformance and the clean-run SLO invariants — on
+// every run. The same seed replays the same schedule bit-identically
+// (compare the digest field); the exit status is non-zero when any
+// invariant was violated.
 //
 // Usage:
 //
@@ -11,8 +12,8 @@
 //	chaos -scheme nac -seed 7 -sites 6
 //	chaos -scheme ac -events 1000 -ops-per-event 8 -rho 0.3 -json > report.json
 //
-// With -json the whole report — metrics, conformance and availability
-// verdicts, health, SLO evaluation and alert log, sealed flight dump —
+// With -json the whole report — metrics, the §5 conformance verdict,
+// health, SLO evaluation and alert log, sealed flight dump —
 // goes to stdout as one JSON document and the summary to stderr.
 package main
 
@@ -118,21 +119,6 @@ func printReport(w io.Writer, rep *chaos.Report) {
 		}
 		fmt.Fprintf(w, ")\n")
 	}
-	fmt.Fprintf(w, "  §4 avail empirical %.4f (lambda=%.4f mu=%.4f rho=%.4f, %d total failures)",
-		rep.Avail.SystemAvailability, rep.Avail.Lambda, rep.Avail.Mu, rep.Avail.Rho, rep.Avail.TotalFailures)
-	if c := rep.AvailConformance; c != nil && len(c.Checks) > 0 {
-		verdict := "OK"
-		if !c.OK {
-			verdict = "VIOLATED"
-		}
-		ck := c.Checks[0]
-		if ck.Note != "" {
-			fmt.Fprintf(w, " — %s (%s)", verdict, ck.Note)
-		} else {
-			fmt.Fprintf(w, " — %s (Markov predicts %.4f, tolerance %.4f)", verdict, ck.Predicted, ck.Tolerance)
-		}
-	}
-	fmt.Fprintf(w, "\n")
 	if len(rep.Violations) == 0 {
 		fmt.Fprintf(w, "  invariants OK\n")
 		return

@@ -46,9 +46,6 @@ func TestRunAllSchemes(t *testing.T) {
 		if !strings.Contains(buf.String(), "§5 conf  OK") {
 			t.Fatalf("%s: report missing conformance line:\n%s", scheme, buf.String())
 		}
-		if !strings.Contains(buf.String(), "§4 avail empirical") {
-			t.Fatalf("%s: report missing availability line:\n%s", scheme, buf.String())
-		}
 	}
 }
 
@@ -68,7 +65,7 @@ func TestRunJSONOutput(t *testing.T) {
 	if err := json.Unmarshal(out.Bytes(), &rep); err != nil {
 		t.Fatalf("report is not one JSON document: %v\n%s", err, out.String())
 	}
-	for _, k := range []string{"digest", "metrics", "conformance", "avail", "avail_conformance", "health", "slo"} {
+	for _, k := range []string{"digest", "metrics", "conformance", "health", "slo"} {
 		if len(rep[k]) == 0 || string(rep[k]) == "null" {
 			t.Errorf("JSON report missing %q", k)
 		}
@@ -106,16 +103,18 @@ func TestParseSchemeRejectsUnknown(t *testing.T) {
 // alert engine (report shape of health/slo, the flight dump as a sealed
 // view, conformance drift deleted) and when background repair was
 // retired (each report is the one the repair-off run gave, less the
-// op="repair" series and the repair conformance row), and when faultnet
+// op="repair" series and the repair conformance row), when faultnet
 // lost its crash windows (each report less its `"CrashBlocks": 0` line,
-// the only difference); what the first
-// may not touch is pinned by the test below, and the verdicts
-// themselves by internal/chaos TestVerdictStreamPinned.
+// the only difference), and when the availability estimator was
+// retired (each report less its "avail" and "avail_conformance"
+// sections, the only difference); what the first may not touch is
+// pinned by the test below, and the verdicts themselves by
+// internal/chaos TestVerdictStreamPinned.
 func TestReportBytesPinned(t *testing.T) {
 	for scheme, want := range map[string]string{
-		"voting": "d2c0519e92dfe8fb8ada5c817b1949661f3ffed5a44d67a332ba3ade479b2acb",
-		"ac":     "f5b4c746800aba174a06f579ddc9f07122a1141598b7620cf56784d1d540a75b",
-		"nac":    "0b131f4552c64c5776385e80fcb42d7b821f46a8f24ef70cd47b4c42accb5c29",
+		"voting": "3d372fa528c9f74c07a616d32aeb0b3d43c52acca0abaeeb58d321fc3a650a45",
+		"ac":     "edafac76856ca3af1d58d92804a8bdd2861dc45e5c5cab4387bdd9bf4f9b7352",
+		"nac":    "59015a59572b629fe29d94739fdba2014a691312650a254f0637520752efaeee",
 	} {
 		cfg := testConfig(t, scheme, 7, 150, 4)
 		cfg.Sites, cfg.Blocks = 5, 12 // the command's flag defaults
@@ -133,16 +132,16 @@ func TestReportBytesPinned(t *testing.T) {
 // TestReportBytesPinnedWithoutAlerts pins the same three reports with
 // the alert-engine sections (health, slo, slo_alerts, flight) cut out,
 // to the bytes captured before the two engines were merged (re-captured
-// when background repair was retired and when faultnet's Stats lost
-// CrashBlocks): schedule, digest, metrics,
-// conformance and availability do not depend on how alerts are
-// evaluated, so this hash must not move when the sections above change
-// shape.
+// when background repair was retired, when faultnet's Stats lost
+// CrashBlocks and when the availability estimator's sections were
+// deleted): schedule, digest, metrics and conformance do not depend on
+// how alerts are evaluated, so this hash must not move when the
+// sections above change shape.
 func TestReportBytesPinnedWithoutAlerts(t *testing.T) {
 	for scheme, want := range map[string]string{
-		"voting": "60489b78a1742344f552758defbe33b2a9d44196814a2da651b08de065f03339",
-		"ac":     "0597a73be74e88ab8cb46e159d33dedec93e41a84f8e609c8e30859edea06c0c",
-		"nac":    "9e9638d6a3423e566a252dc49e68c3fce6d119b15c6b2726828209a0b1d52608",
+		"voting": "8fb5ca4389f72e2c91cba8c2362d338a47819c2801a3788691cc3d450e5b0429",
+		"ac":     "c4e521a34b007632558c6c7e9c46b7c84c22c2b4e349364d2ff18e0152ca6ee2",
+		"nac":    "10ae1b73fc5f8bd7724e0b4b9d9529464793df63de38a4bb38ba83be00fe0827",
 	} {
 		cfg := testConfig(t, scheme, 7, 150, 4)
 		cfg.Sites, cfg.Blocks = 5, 12

@@ -22,7 +22,6 @@ import (
 	"relidev/internal/clock"
 	"relidev/internal/core"
 	"relidev/internal/obs"
-	"relidev/internal/obs/avail"
 	"relidev/internal/sim"
 	"relidev/internal/simnet"
 )
@@ -124,10 +123,6 @@ func runAvailability(w io.Writer, asJSON bool, schemeName string, sites int, rho
 	if err != nil {
 		return err
 	}
-	verdict, err := availVerdict(kind.String(), sites, rho, horizon, seed)
-	if err != nil {
-		return err
-	}
 	if asJSON {
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
@@ -140,8 +135,7 @@ func runAvailability(w io.Writer, asJSON bool, schemeName string, sites int, rho
 			Seed     int64                  `json:"seed"`
 			Result   sim.AvailabilityResult `json:"result"`
 			Analytic float64                `json:"analytic_availability"`
-			Verdict  *avail.Report          `json:"verdict"`
-		}{"availability", schemeName, sites, rho, horizon, seed, res, analytic, verdict})
+		}{"availability", schemeName, sites, rho, horizon, seed, res, analytic})
 	}
 	fmt.Fprintf(w, "scheme=%s sites=%d rho=%g horizon=%g failures=%d\n",
 		schemeName, sites, rho, horizon, res.Failures)
@@ -150,44 +144,7 @@ func runAvailability(w io.Writer, asJSON bool, schemeName string, sites int, rho
 	fmt.Fprintf(w, "  simulated unavailability: %.3e vs analytic %.3e\n",
 		1-res.Availability, 1-analytic)
 	fmt.Fprintf(w, "  mean participating sites: %.4f\n", res.MeanAvailableSites)
-	state := "OK"
-	if !verdict.OK {
-		state = "VIOLATED"
-	}
-	fmt.Fprintf(w, "  empirical-vs-predicted verdict: %s (Markov at measured rates lambda=%.4f mu=%.4f)\n",
-		state, verdict.Lambda, verdict.Mu)
 	return nil
-}
-
-// availVerdict replays the same seeded failure process through the
-// availability observatory and checks §4 Markov conformance at the
-// *measured* rates — the same judgement cmd/chaos applies to a live
-// cluster, here for the pure state-machine models.
-func availVerdict(scheme string, sites int, rho, horizon float64, seed int64) (*avail.Report, error) {
-	est, err := avail.New(sites, scheme)
-	if err != nil {
-		return nil, err
-	}
-	proc, err := sim.NewFailureProcess(sites, rho, 1, seed)
-	if err != nil {
-		return nil, err
-	}
-	for {
-		ev, ok := proc.Next()
-		if !ok || ev.At >= horizon {
-			break
-		}
-		if ev.Kind == sim.EventFail {
-			est.SiteDown(ev.Site, ev.At)
-		} else {
-			est.SiteUp(ev.Site, ev.At)
-		}
-	}
-	rep, err := avail.CheckConformance(est.Snapshot(horizon), 0.02, false)
-	if err != nil {
-		return nil, err
-	}
-	return &rep, nil
 }
 
 func runTraffic(w io.Writer, asJSON bool, schemeName string, sites int, rho float64, netName string, ops int, ratio float64, seed int64) error {

@@ -179,15 +179,14 @@ func AvailabilityNaive(n int, rho float64) (float64, error) {
 }
 
 // AvailabilityNaiveMarkov returns A_NA(n) computed from the Figure 8
-// chain: what MarkovAvailability predicts for the naive scheme, and the
-// oracle the closed form is checked against.
+// chain: the oracle the closed form is checked against.
 func AvailabilityNaiveMarkov(n int, rho float64) (float64, error) {
 	return steadyState(n, rho, 1, NaiveChain, availableMass(n))
 }
 
 // AvailabilityVotingMarkov returns A_V(n) computed from the voting
-// birth-death chain: what MarkovAvailability predicts for voting, and
-// the oracle equations (1.a)/(1.b) are checked against.
+// birth-death chain: the oracle equations (1.a)/(1.b) are checked
+// against.
 func AvailabilityVotingMarkov(n int, rho float64) (float64, error) {
 	// State k = k sites up. Strict majority is quorate; with even n the
 	// tie state contributes half its mass (the ε-weighted site is up in

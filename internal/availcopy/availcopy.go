@@ -119,6 +119,12 @@ func (c *Controller) Write(ctx context.Context, idx block.Index, data []byte) (e
 		return fmt.Errorf("available copy write of %v: %w", idx, err)
 	}
 	newVer := localVer + 1
+	// Install locally before the fan-out: a peer may apply the put even
+	// when its reply is lost, and the next write here must then number
+	// above it rather than reuse newVer for different data.
+	if err := self.WriteLocal(idx, data, newVer); err != nil {
+		return fmt.Errorf("available copy write of %v: %w", idx, err)
+	}
 
 	put := protocol.PutRequest{
 		Block:   idx,
@@ -142,7 +148,9 @@ func (c *Controller) Write(ctx context.Context, idx block.Index, data []byte) (e
 			// the peer: excluding a live site from the recipient set
 			// would shrink W_s below the set of sites holding the most
 			// recent write, and a later recovery could then adopt a
-			// stale copy. The caller retries; W_s is left untouched.
+			// stale copy. Nothing retries: W_s is left untouched, and the
+			// local copy already holds newVer, so the next write here
+			// supersedes whatever the indeterminate peer installed.
 			return fmt.Errorf("available copy write of %v: outcome at site %v indeterminate: %w", idx, id, res.Err)
 		case errors.Is(res.Err, protocol.ErrSiteDown),
 			errors.Is(res.Err, protocol.ErrSiteUnreachable),
@@ -153,9 +161,6 @@ func (c *Controller) Write(ctx context.Context, idx block.Index, data []byte) (e
 		default:
 			return fmt.Errorf("available copy write of %v at site %v: %w", idx, id, res.Err)
 		}
-	}
-	if err := self.WriteLocal(idx, data, newVer); err != nil {
-		return fmt.Errorf("available copy write of %v: %w", idx, err)
 	}
 	op.Participants = recipients.Len()
 	// The coordinator knows the recipient set exactly: W_s = sites that

@@ -111,6 +111,38 @@ func TestReadWriteRoundtrip(t *testing.T) {
 	}
 }
 
+// TestIndeterminateWriteIsSuperseded: a put whose reply is lost still
+// lands at its peer, so the coordinator's own copy must already hold
+// that version. Otherwise the next write reuses the version number with
+// different data and the copies disagree at equal versions for good.
+func TestIndeterminateWriteIsSuperseded(t *testing.T) {
+	r := newRig(t, 3, simnet.Multicast)
+	ctx := context.Background()
+	dropped := false
+	r.net.SetFaultRule(func(_, to protocol.SiteID, _ protocol.Request) (simnet.FaultDecision, error) {
+		if to == 2 && !dropped {
+			dropped = true
+			return simnet.DropReply, protocol.ErrTransient
+		}
+		return simnet.Deliver, nil
+	})
+	if err := r.ctrls[0].Write(ctx, 1, pad("A")); !errors.Is(err, protocol.ErrTransient) {
+		t.Fatalf("write A = %v, want an indeterminate outcome", err)
+	}
+	if err := r.ctrls[0].Write(ctx, 1, pad("B")); err != nil {
+		t.Fatalf("write B: %v", err)
+	}
+	for i, c := range r.ctrls {
+		got, err := c.Read(ctx, 1)
+		if err != nil {
+			t.Fatalf("read at %d: %v", i, err)
+		}
+		if got[0] != 'B' {
+			t.Fatalf("site %d reads %q, want B", i, got[:1])
+		}
+	}
+}
+
 func TestReadIsFree(t *testing.T) {
 	r := newRig(t, 4, simnet.Multicast)
 	ctx := context.Background()

@@ -23,6 +23,11 @@
 //     closure C*(W_s ∪ {s}) contains a site holding the globally newest
 //     version of every block — the §3.2 claim that recovery from the
 //     most current closure member never adopts a stale copy;
+//   - refinement: while the schedule runs, the cluster never has more
+//     available sites than the scheme's §4 state machine (Figure 7 or
+//     8, or the voting quorum model) fed the same applied events — and,
+//     except for available copy, whose W_s may be one write stale
+//     (§3.2), never fewer;
 //   - convergence: after a forced total failure every site recovers and
 //     (for the available copy schemes) all version vectors are equal.
 package chaos
@@ -42,7 +47,6 @@ import (
 	"relidev/internal/faultnet"
 	"relidev/internal/obs"
 	"relidev/internal/obs/alert"
-	"relidev/internal/obs/avail"
 	"relidev/internal/obs/flight"
 	"relidev/internal/obs/plane"
 	"relidev/internal/protocol"
@@ -54,9 +58,9 @@ import (
 // Config parameterises one chaos run. The zero value is not valid; use
 // Defaults as a base. There is no switch for observation: every run
 // carries the whole plane — metrics and trace ring, flight recorder,
-// threshold and burn-rate objectives, availability observatory — and
-// checks the §4, §5 and SLO invariants. All of it runs on the engine's
-// schedule clock (DESIGN.md "Time") and never feeds the replay digest.
+// threshold and burn-rate objectives — and checks the §4, §5 and SLO
+// invariants. The plane runs on the engine's schedule clock (DESIGN.md
+// "Time") and never feeds the replay digest.
 type Config struct {
 	// Scheme selects the consistency algorithm under test.
 	Scheme core.SchemeKind
@@ -173,13 +177,6 @@ type Report struct {
 	// Violations).
 	Metrics     *obs.Snapshot          `json:"metrics,omitempty"`
 	Conformance *obs.ConformanceReport `json:"conformance,omitempty"`
-	// Avail and AvailConformance are the availability observatory's
-	// output: the empirical per-site and scheme-level availability
-	// measured over the run's simulated timeline, and the §4
-	// Markov-conformance verdict at the measured rates (failures appear
-	// in Violations as well).
-	Avail            *avail.Stats  `json:"avail,omitempty"`
-	AvailConformance *avail.Report `json:"avail_conformance,omitempty"`
 	// Flight is the sealed flight-recorder dump, present when a trigger
 	// fired: the first invariant violation or the first critical
 	// objective seals it, so the dump shows the system's last recorded
@@ -220,12 +217,9 @@ type engine struct {
 	// recorder, threshold and burn-rate objectives. All of it only reads
 	// snapshots on the schedule clock — none of it may ever reach stamp().
 	plane *plane.Plane
-	// est is the availability observatory, fed the schedule's site
-	// transitions on the Poisson process's own simulated timeline
-	// (simNow tracks the latest event time). Like the tracer, it never
-	// feeds the replay digest.
-	est    *avail.Estimator
-	simNow float64
+	// model is the scheme's §4 state machine, fed every event the
+	// schedule applies; the refinement check holds the cluster to it.
+	model sim.Model
 
 	// maxIssued and committed bracket, per block, the write sequence
 	// numbers a read may legally return. committed also absorbs every
@@ -288,7 +282,15 @@ func newEngine(cfg Config) (*engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	if e.est, err = avail.New(cfg.Sites, cfg.Scheme.String()); err != nil {
+	switch cfg.Scheme {
+	case core.Voting:
+		e.model, err = sim.NewVotingModel(cfg.Sites)
+	case core.AvailableCopy:
+		e.model, err = sim.NewACModel(cfg.Sites)
+	default:
+		e.model, err = sim.NewNaiveModel(cfg.Sites)
+	}
+	if err != nil {
 		return nil, err
 	}
 	cl, err := core.NewCluster(core.ClusterConfig{
@@ -331,7 +333,6 @@ func (e *engine) finish(err error) (*Report, error) {
 	// observation cannot move the digest.
 	e.report.Digest = fmt.Sprintf("%016x", e.hash.Sum64())
 	e.conformanceCheck()
-	e.availCheck()
 	e.telemetryCheck()
 	return e.report, nil
 }
@@ -340,8 +341,8 @@ func (e *engine) finish(err error) (*Report, error) {
 // — no site failures and no disruptive injected faults (pure latency
 // delays don't count) — must end with zero burn-rate alerts on record.
 // A schedule that never degraded anything yet paged would mean the
-// telemetry plane is hallucinating error budget. Like the §4/§5 checks
-// it runs after the digest is sealed and reports through Violations
+// telemetry plane is hallucinating error budget. Like the §5 check it
+// runs after the digest is sealed and reports through Violations
 // directly.
 func (e *engine) telemetryCheck() {
 	disruptive := e.report.Faults.Total() - e.report.Faults.Delays
@@ -455,23 +456,17 @@ func (e *engine) conformanceCheck() {
 	e.report.Violations = append(e.report.Violations, rep.Violations()...)
 }
 
-// availCheck is the end-of-run §4 invariant: the measured failure and
-// repair rates, fed into the scheme's Markov chain, must predict an
-// availability that the empirically integrated availability brackets
-// (within a tolerance widened by the run's sampling error). Like the
-// §5 check it runs after the digest is sealed and reports through
-// Violations directly, never through stamp(), so observation cannot
-// perturb a replay.
-func (e *engine) availCheck() {
-	st := e.est.Snapshot(e.simNow)
-	e.report.Avail = &st
-	rep, err := avail.CheckConformance(st, 0.02, false)
-	if err != nil {
-		e.report.Violations = append(e.report.Violations, fmt.Sprintf("§4 availability conformance: %v", err))
-		return
+// refinementCheck is the §4 invariant: the live cluster refines the
+// scheme's state machine. A site the model counts as unavailable must
+// not serve, and, under voting and naive available copy, a site the
+// model counts as available must have rejoined. Available copy may
+// trail the model: a recovering site's W_s can be one write stale
+// (§3.2), so it waits for a site the model would not wait for.
+func (e *engine) refinementCheck() {
+	got, want := e.cl.AvailableCount(), e.model.AvailableSites()
+	if got > want || (got < want && e.cfg.Scheme != core.AvailableCopy) {
+		e.violatef("§4 refinement: %d sites available, the §4 model has %d", got, want)
 	}
-	e.report.AvailConformance = &rep
-	e.report.Violations = append(e.report.Violations, rep.Violations()...)
 }
 
 func (e *engine) run(ctx context.Context) error {
@@ -490,6 +485,7 @@ func (e *engine) run(ctx context.Context) error {
 		}
 		e.applyEvent(ctx, ev)
 		e.checkpoint()
+		e.refinementCheck()
 	}
 	e.totalFailure(ctx)
 	e.checkpoint()
@@ -529,9 +525,6 @@ func (e *engine) coda(ctx context.Context) {
 // silently dropped.
 func (e *engine) applyEvent(ctx context.Context, ev sim.Event) {
 	e.tick()
-	if ev.At > e.simNow {
-		e.simNow = ev.At
-	}
 	id := protocol.SiteID(ev.Site)
 	st, _ := e.cl.State(id)
 	switch ev.Kind {
@@ -545,7 +538,6 @@ func (e *engine) applyEvent(ctx context.Context, ev sim.Event) {
 			return
 		}
 		e.report.Fails++
-		e.est.SiteDown(ev.Site, ev.At)
 		e.stamp("F%d", id)
 		if e.allFailed() {
 			e.report.TotalFailures++
@@ -561,9 +553,9 @@ func (e *engine) applyEvent(ctx context.Context, ev sim.Event) {
 			return
 		}
 		e.report.Repairs++
-		e.est.SiteUp(ev.Site, ev.At)
 		e.stamp("R%d", id)
 	}
+	e.model.Apply(ev)
 	e.report.EventsApplied++
 	// Give stuck comatose sites another recovery attempt under fresh
 	// fault draws; ErrAwaitingSites inside is not an error.
@@ -636,7 +628,6 @@ func (e *engine) step(ctx context.Context) {
 		seq := e.maxIssued[idx] + 1
 		e.maxIssued[idx] = seq
 		err := ctrl.Write(ctx, idx, payload(e.cl.Geometry().BlockSize, idx, seq))
-		e.est.Op("write", err == nil)
 		switch {
 		case err == nil:
 			e.committed[idx] = seq
@@ -651,7 +642,6 @@ func (e *engine) step(ctx context.Context) {
 	}
 	e.report.Reads++
 	data, err := ctrl.Read(ctx, idx)
-	e.est.Op("read", err == nil)
 	switch {
 	case err == nil:
 		got, perr := parsePayload(data)

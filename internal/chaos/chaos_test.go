@@ -13,6 +13,8 @@ import (
 	"relidev/internal/core"
 	"relidev/internal/obs/alert"
 	"relidev/internal/obs/plane"
+	"relidev/internal/protocol"
+	"relidev/internal/sim"
 )
 
 func run(t *testing.T, cfg Config) *Report {
@@ -33,9 +35,23 @@ func short(kind core.SchemeKind, seed int64) Config {
 }
 
 func TestChaosZeroViolationsAllSchemes(t *testing.T) {
-	for _, kind := range []core.SchemeKind{core.Voting, core.AvailableCopy, core.NaiveAvailableCopy} {
-		t.Run(kind.String(), func(t *testing.T) {
-			rep := run(t, short(kind, 7))
+	// The CI-shaped naive run at seed 9 (`chaos -scheme=nac -seed=9
+	// -events=150 -ops-per-event=4`) is clean; an estimator that judged
+	// its availability against the Markov prediction once called it a
+	// §4 violation.
+	naive9 := Defaults(core.NaiveAvailableCopy)
+	naive9.Seed, naive9.Events, naive9.OpsPerEvent = 9, 150, 4
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{core.Voting.String(), short(core.Voting, 7)},
+		{core.AvailableCopy.String(), short(core.AvailableCopy, 7)},
+		{core.NaiveAvailableCopy.String(), short(core.NaiveAvailableCopy, 7)},
+		{"naive-ci-seed9", naive9},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rep := run(t, tc.cfg)
 			if len(rep.Violations) != 0 {
 				t.Fatalf("violations: %v", rep.Violations)
 			}
@@ -74,8 +90,8 @@ func TestChaosReplayIsDeterministic(t *testing.T) {
 // of the observability layer: the plane runs on the schedule clock and
 // never feeds stamp(), so a fully observed run digests exactly as the
 // bare engine did. The digests were captured from runs with metrics,
-// tracing, flight recorder, objectives and availability observatory
-// all detached, when the engine could still run that way.
+// tracing, flight recorder and objectives all detached, when the
+// engine could still run that way.
 //
 // Chaos injects real faults, so a critical health breach or an
 // exhausted SLO error budget (and with it a sealed dump) is legitimate
@@ -92,8 +108,7 @@ func TestObservationDoesNotPerturbReplay(t *testing.T) {
 			if rep.Digest != bare {
 				t.Fatalf("observation changed the digest: %s, the bare engine's was %s", rep.Digest, bare)
 			}
-			if rep.Metrics == nil || rep.Conformance == nil || rep.Avail == nil || rep.AvailConformance == nil ||
-				rep.Health == nil || rep.SLO == nil {
+			if rep.Metrics == nil || rep.Conformance == nil || rep.Health == nil || rep.SLO == nil {
 				t.Fatal("observed run is missing a section")
 			}
 			if len(rep.Violations) == 0 && rep.Flight != nil {
@@ -108,51 +123,49 @@ func TestObservationDoesNotPerturbReplay(t *testing.T) {
 	}
 }
 
-// TestAvailabilityConvergesToMarkovUnderChaos is the §4 counterpart of
-// the §5 conformance test: a long seeded chaos schedule must yield an
-// empirical availability that matches the Markov chain evaluated at
-// the rates the schedule actually produced, for every scheme.
-func TestAvailabilityConvergesToMarkovUnderChaos(t *testing.T) {
+// TestClusterRefinesAvailabilityModel: a long seeded schedule keeps the
+// live cluster within its scheme's §4 state machine at every
+// checkpoint, and the check holds to its relation — a cluster with more
+// available sites than the model is a violation under every scheme, one
+// with fewer only where the model is exact (voting and naive), since
+// available copy may trail.
+func TestClusterRefinesAvailabilityModel(t *testing.T) {
 	for _, kind := range []core.SchemeKind{core.Voting, core.AvailableCopy, core.NaiveAvailableCopy} {
 		t.Run(kind.String(), func(t *testing.T) {
 			cfg := Defaults(kind)
-			cfg.Seed = 7
-			cfg.Events = 600
-			cfg.OpsPerEvent = 2
-			rep := run(t, cfg)
-			if len(rep.Violations) != 0 {
+			cfg.Seed, cfg.Events, cfg.OpsPerEvent = 7, 600, 2
+			if rep := run(t, cfg); len(rep.Violations) != 0 {
 				t.Fatalf("violations: %v", rep.Violations)
 			}
-			st := rep.Avail
-			if st == nil || rep.AvailConformance == nil {
-				t.Fatal("availability observatory missing from report")
+
+			e, err := newEngine(short(kind, 7))
+			if err != nil {
+				t.Fatal(err)
 			}
-			if !rep.AvailConformance.OK {
-				t.Fatalf("§4 conformance failed: %v", rep.AvailConformance.Violations())
+			e.refinementCheck()
+			if len(e.report.Violations) != 0 {
+				t.Fatalf("a fresh cluster disagrees with a fresh model: %v", e.report.Violations)
 			}
-			// Enough evidence that the verdict is not vacuous.
-			if st.Failures < 10 || st.Repairs < 10 {
-				t.Fatalf("too few transitions for a meaningful check: %+v", st)
+			// The model loses site 0 that the cluster still serves.
+			e.model.Apply(sim.Event{Kind: sim.EventFail, Site: 0})
+			e.refinementCheck()
+			if want := "§4 refinement: 5 sites available, the §4 model has 4"; len(e.report.Violations) != 1 || e.report.Violations[0] != want {
+				t.Fatalf("violations = %q, want [%q]", e.report.Violations, want)
 			}
-			for _, c := range rep.AvailConformance.Checks {
-				if c.Note != "" {
-					t.Fatalf("vacuous conformance check: %+v", c)
+			// The cluster catches up with the model, then loses a site the
+			// model keeps.
+			want := []int{1, 2}
+			if kind == core.AvailableCopy {
+				want[1] = 1
+			}
+			for i, id := range []protocol.SiteID{0, 1} {
+				if err := e.cl.Fail(id); err != nil {
+					t.Fatal(err)
 				}
-			}
-			// The measured rates recover the schedule's configured ratio.
-			if st.Rho <= 0 || st.Rho > 2*cfg.Rho {
-				t.Fatalf("measured rho %v implausible for configured %v", st.Rho, cfg.Rho)
-			}
-			// The workload's op outcomes landed in the per-op table.
-			if st.OpAvailability <= 0 || len(st.Ops) != 2 {
-				t.Fatalf("op table = %+v", st.Ops)
-			}
-			// Replaying the identical schedule reproduces the identical
-			// estimate — the observatory is as deterministic as the digest.
-			again := run(t, cfg)
-			if again.Avail == nil || again.Avail.SystemAvailability != st.SystemAvailability {
-				t.Fatalf("availability estimate not reproducible: %v vs %v",
-					again.Avail.SystemAvailability, st.SystemAvailability)
+				e.refinementCheck()
+				if len(e.report.Violations) != want[i] {
+					t.Fatalf("after failing site %v: violations = %q, want %d", id, e.report.Violations, want[i])
+				}
 			}
 		})
 	}

@@ -23,8 +23,9 @@ const opStripes = 64
 // take either through the Op bracket (BeginOp, BeginRecovery).
 //
 // Cross-site concurrency control is explicitly out of scope for the
-// paper (§5: no commit protocols); concurrent writes to one block from
-// different sites remain last-writer-wins, unchanged by this type.
+// paper (§5: no commit protocols); this type does not order concurrent
+// writes to one block from different sites, which under voting can
+// leave copies that disagree at equal versions.
 type OpLocks struct {
 	// state is held shared by block operations and exclusively by
 	// recovery, so recovery drains and excludes all in-flight operations.

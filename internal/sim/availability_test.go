@@ -155,8 +155,10 @@ func TestSimulatedAvailabilityMatchesAnalysis(t *testing.T) {
 		{"voting/4-tiebreak", 4, 0.2, func(n int) (Model, error) { return NewVotingModel(n) }, analysis.AvailabilityVoting},
 		{"ac/2", 2, 0.2, func(n int) (Model, error) { return NewACModel(n) }, analysis.AvailabilityAC},
 		{"ac/3", 3, 0.2, func(n int) (Model, error) { return NewACModel(n) }, analysis.AvailabilityAC},
+		{"ac/5", 5, 0.2, func(n int) (Model, error) { return NewACModel(n) }, analysis.AvailabilityAC},
 		{"naive/2", 2, 0.2, func(n int) (Model, error) { return NewNaiveModel(n) }, analysis.AvailabilityNaive},
 		{"naive/3", 3, 0.2, func(n int) (Model, error) { return NewNaiveModel(n) }, analysis.AvailabilityNaive},
+		{"naive/5", 5, 0.2, func(n int) (Model, error) { return NewNaiveModel(n) }, analysis.AvailabilityNaive},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -50,8 +50,9 @@ type Controller struct {
 	// locks serialises same-block operations issued at this site while
 	// letting distinct blocks proceed concurrently; recovery excludes all
 	// in-flight operations. The paper explicitly leaves multi-writer
-	// concurrency control (commit protocols) out of scope (§5);
-	// cross-site writes are last-writer-wins.
+	// concurrency control (commit protocols) out of scope (§5): concurrent
+	// writes from different sites are not ordered, and can leave copies
+	// that disagree at equal versions.
 	locks scheme.OpLocks
 }
 

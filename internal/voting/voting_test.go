@@ -450,14 +450,15 @@ func TestConcurrentSameBlockWritersSingleWinner(t *testing.T) {
 }
 
 // TestConcurrentCrossSiteWritersConverge races writers through
-// *different* controllers at one block. Cross-site writes are
-// last-writer-wins (no commit protocol — out of scope for the paper,
-// see scheme.OpLocks), so mid-flight interleavings are free to
-// overwrite each other; what must hold is that the conflict fallback
-// and abort protocol never wedge or corrupt the cluster: every write
-// call succeeds, and after the storm the device is still writable and
-// converges — a final write is visible at every site with a version
-// above everything the storm produced.
+// *different* controllers at one block. Cross-site writes are not
+// ordered (no commit protocol — out of scope for the paper, see
+// scheme.OpLocks): mid-flight interleavings may overwrite each other or
+// leave copies that disagree at equal versions, which this test does
+// not look for, since the final write settles every copy. What must
+// hold is that the conflict fallback and abort protocol never wedge or
+// corrupt the cluster: every write call succeeds, and after the storm
+// the device is still writable and converges — a final write is visible
+// at every site with a version above everything the storm produced.
 func TestConcurrentCrossSiteWritersConverge(t *testing.T) {
 	const (
 		n       = 3
