@@ -19,7 +19,8 @@ import (
 // replies, protocol.Handler and Request box the messages:
 //
 //	read 9 = 1  op scope: the per-op phase accumulator, which is also
-//	            the op's context node
+//	            the op's context node and, traced, carries the op's
+//	            span node and its transport call's
 //	       + 1  the VoteRequest boxed into protocol.Request
 //	       + 2  the Broadcast result map (header + group)
 //	       + 4  one VoteReply per remote boxed into protocol.Response
@@ -29,8 +30,9 @@ import (
 //	          four staging sites copies the payload into a recycled
 //	          buffer and swaps it for the block's, which becomes the
 //	          pre-image.
-//	traced +2: the op's and the broadcast's span-context nodes; every
-//	          trace event is a ring write.
+//	traced +0: the op's span node and the broadcast's are re-pointed
+//	          in the op scope's allocation (a larger size class than
+//	          untraced), and every trace event is a ring write.
 //
 // simnet runs a broadcast's legs in order on the caller's goroutine
 // (protocol.FanOut) and hands each remote the boxed request, so
@@ -62,7 +64,7 @@ func TestQuorumOpAllocBudget(t *testing.T) {
 				return nil, err
 			}
 			return c.Device(0)
-		}, 11, 10},
+		}, 9, 8},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dev, err := tc.device()

@@ -36,10 +36,6 @@ func TestDetCheckObsFixtures(t *testing.T) {
 	linttest.Run(t, testdata, "fixtures/detcheck/obs", lint.DetCheck)
 }
 
-func TestDetCheckAvailFixtures(t *testing.T) {
-	linttest.Run(t, testdata, "fixtures/detcheck/avail", lint.DetCheck)
-}
-
 func TestDetCheckStoreFixtures(t *testing.T) {
 	linttest.Run(t, testdata, "fixtures/detcheck/store", lint.DetCheck)
 }

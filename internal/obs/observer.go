@@ -318,12 +318,16 @@ func (s *SchemeObs) StartOp(ctx context.Context, op string, blk int64) (context.
 	}
 	s.attempts[i].Inc()
 	sp := OpSpan{s: s, op: op, idx: i, block: blk, start: s.o.Now()}
-	sp.acc = &phaseAcc{s: s, op: i}
-	sp.acc.node = protocol.OpNode{Context: ctx, Scope: protocol.OpScope{Op: op, Phases: sp.acc}}
-	ctx = &sp.acc.node
-	if s.o.tracer != nil {
+	if s.o.tracer == nil {
+		sp.acc = &phaseAcc{s: s, op: i}
+		sp.acc.node = protocol.OpNode{Context: ctx, Scope: protocol.OpScope{Op: op, Phases: sp.acc}}
+		ctx = &sp.acc.node
+	} else {
+		ta := &tracedAcc{phaseAcc: phaseAcc{s: s, op: i}}
+		sp.acc = &ta.phaseAcc
+		sp.acc.node = protocol.OpNode{Context: ctx, Scope: protocol.OpScope{Op: op, Phases: ta}}
 		sp.span = s.o.newSpan(s.site, protocol.CtxSpan(ctx))
-		ctx = protocol.WithSpan(ctx, protocol.SpanContext{TraceID: sp.span.TraceID, SpanID: sp.span.SpanID})
+		ctx = ta.span.Attach(&sp.acc.node, protocol.SpanContext{TraceID: sp.span.TraceID, SpanID: sp.span.SpanID})
 	}
 	s.emit(withSpan(sp.span, Event{Kind: EvOpStart, Op: op, Block: blk}))
 	return ctx, sp

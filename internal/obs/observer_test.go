@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"testing"
+	"unsafe"
 
 	"relidev/internal/clock"
 	"relidev/internal/protocol"
@@ -129,5 +130,14 @@ func TestLabelRoundTrip(t *testing.T) {
 	defer sp.Done(1, nil)
 	if got := protocol.CtxOp(ctx); got != protocol.OpRecovery {
 		t.Fatalf("CtxOp = %q, want %q", got, protocol.OpRecovery)
+	}
+}
+
+// TestUntracedOpScopeSizeClass: an untraced op's one allocation, its
+// phase accumulator, fits the 112-byte size class; the span nodes only a
+// traced op needs ride in tracedAcc, which embeds it.
+func TestUntracedOpScopeSizeClass(t *testing.T) {
+	if n := unsafe.Sizeof(phaseAcc{}); n > 112 {
+		t.Fatalf("phaseAcc is %d bytes, past the 112-byte size class", n)
 	}
 }

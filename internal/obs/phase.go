@@ -88,6 +88,19 @@ type phaseAcc struct {
 	node protocol.OpNode
 }
 
+// A tracedAcc is a traced op's scope: the phase accumulator and the
+// op's span nodes in one allocation, kept out of phaseAcc so an untraced
+// scope stays in its smaller size class. It is the scope's recorder,
+// which is how traceCall finds call.
+type tracedAcc struct {
+	phaseAcc
+	span protocol.SpanNode // the op's span, attached once
+	// call is the span node of the op's transport call in flight,
+	// claimed through held and released when the call's span ends.
+	call protocol.SpanNode
+	held atomic.Bool
+}
+
 var _ protocol.PhaseRecorder = (*phaseAcc)(nil)
 
 // Now implements protocol.PhaseRecorder with the observer's injected

@@ -18,6 +18,7 @@ import (
 	"io"
 	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -90,20 +91,20 @@ func seriesKey(name string, labels []Label) string {
 	if len(labels) == 0 {
 		return name
 	}
-	sorted := make([]Label, len(labels))
-	copy(sorted, labels)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Key < sorted[j].Key })
-	var b strings.Builder
-	b.WriteString(name)
-	b.WriteByte('{')
+	// The labels and the key are built on the stack, so the key string
+	// is the one allocation.
+	var lbuf [8]Label
+	sorted := append(lbuf[:0], labels...)
+	slices.SortFunc(sorted, func(a, b Label) int { return strings.Compare(a.Key, b.Key) })
+	var kbuf [256]byte
+	b := append(append(kbuf[:0], name...), '{')
 	for i, l := range sorted {
 		if i > 0 {
-			b.WriteByte(',')
+			b = append(b, ',')
 		}
-		fmt.Fprintf(&b, "%s=%q", l.Key, l.Value)
+		b = strconv.AppendQuote(append(append(b, l.Key...), '='), l.Value)
 	}
-	b.WriteByte('}')
-	return b.String()
+	return string(append(b, '}'))
 }
 
 func labelMap(labels []Label) map[string]string {

@@ -151,31 +151,41 @@ func (t *MeteredTransport) peerHist(to protocol.SiteID) *Histogram {
 }
 
 // An rpcSpan is an open client-side rpc span: the event its end will
-// emit. A plain value — opening and closing a span allocates only the
-// context node. The zero value (tracing off) ends as a no-op.
+// emit, and the op's call node when the span holds it. A plain value —
+// opening and closing a span inside a traced op allocates nothing. The
+// zero value (tracing off) ends as a no-op.
 type rpcSpan struct {
 	tracer *Tracer
 	ev     Event
+	held   *atomic.Bool
 }
 
 // traceCall opens a client-side rpc span under the caller's operation
 // span when tracing is on: the returned context carries the new span
 // (so the remote site's handle span links to it, through simnet's
-// shared context or rpcnet's wire trace field). n is the destination
-// for a round trip (whose lane is n+1) and the fan-out width otherwise.
-// Without tracing the context passes through and nothing is recorded.
+// shared context or rpcnet's wire trace field). Inside a traced op that
+// context is the op's call node, re-pointed (a Transport keeps no ctx
+// past its return); outside one, or while another of the op's calls
+// holds the node, it is a new node. n is the destination for a round
+// trip (whose lane is n+1) and the fan-out width otherwise. Without
+// tracing the context passes through and nothing is recorded.
 func (t *MeteredTransport) traceCall(ctx context.Context, m int, from protocol.SiteID, n, lane int, req protocol.Request) (context.Context, rpcSpan) {
 	if t.o.tracer == nil {
 		return ctx, rpcSpan{}
 	}
 	sp := t.o.newSpan(from, protocol.CtxSpan(ctx))
-	ev := withSpan(sp, Event{Site: int(from), Op: protocol.CtxOp(ctx), Kind: EvRPC, Block: NoBlock, Lane: lane,
-		d: detail{form: detailRPC + detailForm(m), a: int64(n), s: req.Kind()}})
-	ctx = protocol.WithSpan(ctx, protocol.SpanContext{TraceID: sp.TraceID, SpanID: sp.SpanID})
-	return ctx, rpcSpan{t.o.tracer, ev}
+	span := rpcSpan{tracer: t.o.tracer, ev: withSpan(sp, Event{Site: int(from), Op: protocol.CtxOp(ctx), Kind: EvRPC, Block: NoBlock, Lane: lane,
+		d: detail{form: detailRPC + detailForm(m), a: int64(n), s: req.Kind()}})}
+	sc := protocol.SpanContext{TraceID: sp.TraceID, SpanID: sp.SpanID}
+	if ta, ok := protocol.CtxPhases(ctx).(*tracedAcc); ok && ta.held.CompareAndSwap(false, true) {
+		span.held = &ta.held
+		return ta.call.Attach(ctx, sc), span
+	}
+	return protocol.WithSpan(ctx, sc), span
 }
 
-// end emits the span's trace event with the outcome.
+// end emits the span's trace event with the outcome and releases the
+// op's call node; the call's context is dead from here on.
 func (r rpcSpan) end(err error) {
 	if r.tracer == nil {
 		return
@@ -184,16 +194,19 @@ func (r rpcSpan) end(err error) {
 		r.ev.d.t = classifyError(err)
 	}
 	r.tracer.Emit(r.ev)
+	if r.held != nil {
+		r.held.Store(false)
+	}
 }
 
 // roundTrip meters and traces one Call or Fetch.
 func (t *MeteredTransport) roundTrip(ctx context.Context, m int, from, to protocol.SiteID, req protocol.Request,
 	do func(context.Context, protocol.SiteID, protocol.SiteID, protocol.Request) (protocol.Response, error)) (protocol.Response, error) {
-	ctx, span := t.traceCall(ctx, m, from, int(to), int(to)+1, req)
+	callCtx, span := t.traceCall(ctx, m, from, int(to), int(to)+1, req)
 	mm := &t.methods[m]
 	mm.ops.Inc()
 	start := t.o.Now()
-	resp, err := do(ctx, from, to, req)
+	resp, err := do(callCtx, from, to, req)
 	span.end(err)
 	elapsed := t.o.Now() - start
 	mm.latency.Observe(elapsed)
@@ -225,9 +238,9 @@ func (t *MeteredTransport) fanOut(ctx context.Context, m int, from protocol.Site
 	do func(context.Context, protocol.SiteID, []protocol.SiteID, protocol.Request) map[protocol.SiteID]protocol.Result) map[protocol.SiteID]protocol.Result {
 	mm := &t.methods[m]
 	mm.ops.Inc()
-	ctx, span := t.traceCall(ctx, m, from, len(dests), 0, req)
+	callCtx, span := t.traceCall(ctx, m, from, len(dests), 0, req)
 	start := t.o.Now()
-	results := do(ctx, from, dests, req)
+	results := do(callCtx, from, dests, req)
 	elapsed := t.o.Now() - start
 	mm.latency.Observe(elapsed)
 	if rec := protocol.CtxPhases(ctx); rec != nil {

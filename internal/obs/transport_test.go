@@ -200,3 +200,103 @@ func TestMeteredTransportUndeclaredPeer(t *testing.T) {
 		t.Fatalf("call ops = %d, want 1", got)
 	}
 }
+
+// parkingTransport answers every Call at once, except one to parkTo,
+// which reports its context on entered and holds until release closes.
+// Each call reports its context and the span it carried on seen.
+type parkingTransport struct {
+	fakeTransport
+	parkTo  protocol.SiteID
+	entered chan context.Context
+	release chan struct{}
+	seen    chan seenCall
+}
+
+type seenCall struct {
+	ctx context.Context
+	sc  protocol.SpanContext
+}
+
+func (p *parkingTransport) Call(ctx context.Context, from, to protocol.SiteID, req protocol.Request) (protocol.Response, error) {
+	if to == p.parkTo {
+		p.entered <- ctx
+		<-p.release
+	}
+	p.seen <- seenCall{ctx, protocol.CtxSpan(ctx)}
+	return fakeResp{}, nil
+}
+
+// TestTracedOpCallsShareOneNode: a traced op's transport calls ride the
+// call node of its scope, and a call made while another holds it — two
+// calls overlapping on goroutines of their own, as the recovery
+// exchange's next-page request runs on one — gets a node of its own.
+// Both spans are distinct children of the op span, the parked call's
+// context still names its own span after the other call ran, the node
+// is free again once its call ends, and a call made outside any op is
+// still traced.
+func TestTracedOpCallsShareOneNode(t *testing.T) {
+	o := New(WithClock(clock.NewManual()), WithTracing(64))
+	inner := &parkingTransport{parkTo: 1, entered: make(chan context.Context),
+		release: make(chan struct{}), seen: make(chan seenCall, 4)}
+	tr := WrapTransport(o, "sim", inner, []protocol.SiteID{0, 1, 2})
+	ctx, op := o.SchemeSite("ac", 0).StartOp(context.Background(), protocol.OpRecovery, NoBlock)
+	opSpan := protocol.CtxSpan(ctx)
+
+	done := make(chan error)
+	go func() {
+		_, err := tr.Call(ctx, 0, 1, fakeReq{})
+		done <- err
+	}()
+	parked := <-inner.entered
+	first := protocol.CtxSpan(parked)
+	if _, err := tr.Call(ctx, 0, 2, fakeReq{}); err != nil {
+		t.Fatal(err)
+	}
+	second := <-inner.seen
+	if second.ctx == parked {
+		t.Fatal("a call made while the node was held was handed the held node")
+	}
+	if again := protocol.CtxSpan(parked); again != first {
+		t.Fatalf("the parked call's span moved from %+v to %+v while another call ran", first, again)
+	}
+	close(inner.release)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	<-inner.seen
+	if _, err := tr.Call(ctx, 0, 2, fakeReq{}); err != nil {
+		t.Fatal(err)
+	}
+	third := <-inner.seen
+	if third.ctx != parked {
+		t.Fatal("a call after the node was released did not get the node")
+	}
+	op.Done(1, nil)
+	if _, err := tr.Call(context.Background(), 0, 2, fakeReq{}); err != nil {
+		t.Fatal(err)
+	}
+	if bare := (<-inner.seen).sc; !bare.Valid() || bare.TraceID == opSpan.TraceID {
+		t.Fatalf("a call outside any op carries %+v, want a trace of its own", bare)
+	}
+
+	ids := map[uint64]bool{}
+	for _, sc := range []protocol.SpanContext{first, second.sc, third.sc} {
+		if !sc.Valid() || sc.TraceID != opSpan.TraceID || sc.SpanID == opSpan.SpanID || ids[sc.SpanID] {
+			t.Fatalf("call spans %+v, %+v, %+v under op span %+v: want three distinct children", first, second.sc, third.sc, opSpan)
+		}
+		ids[sc.SpanID] = true
+	}
+	rpcs := 0
+	for _, e := range o.Tracer().Events() {
+		if e.Kind != EvRPC || e.TraceID != opSpan.TraceID {
+			continue
+		}
+		rpcs++
+		if !ids[e.SpanID] || e.ParentID != opSpan.SpanID {
+			t.Errorf("rpc event span %d parent %d; want one of the calls' spans, parented to the op's %d", e.SpanID, e.ParentID, opSpan.SpanID)
+		}
+	}
+	if rpcs != 3 {
+		t.Errorf("%d rpc events in the op's trace, want 3", rpcs)
+	}
+}

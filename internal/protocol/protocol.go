@@ -227,6 +227,12 @@ type Handler interface {
 // one transmission regardless of the number of destinations; with unique
 // addressing it is one transmission per destination. Responses are always
 // individually addressed.
+//
+// As for a Handler, a call's ctx is valid only until the call returns:
+// the metering decorator (obs) re-points a span node of the operation's
+// scope for each call, so an implementation must not keep ctx, or a
+// context derived from it, past its return — a goroutine the call
+// starts is joined before it returns.
 type Transport interface {
 	// Call sends req from site `from` to site `to` and waits for the
 	// response. Charged as two transmissions (request + response), which

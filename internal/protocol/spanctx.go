@@ -47,8 +47,9 @@ func WithSpan(ctx context.Context, sc SpanContext) context.Context {
 
 // A SpanNode is the node WithSpan adds, for an owner that attaches one
 // span after another and re-points a node of its own instead of
-// allocating one per span: rpcnet's server keeps one per connection. A
-// context Attach returned is valid only until the next Attach.
+// allocating one per span: rpcnet's server keeps one per connection,
+// and obs keeps a traced op's in the op's scope. A context Attach
+// returned is valid only until the next Attach.
 type SpanNode struct{ n spanCtx }
 
 // Attach re-points the node at parent and sc and returns it.

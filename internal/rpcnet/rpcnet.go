@@ -265,6 +265,9 @@ type Client struct {
 // peer's failure-detector state.
 type peerPool struct {
 	addr string
+	// downErr and backoffErr fail a backed-off dial (backedOff), built
+	// once so a leg to a dead peer allocates nothing.
+	downErr, backoffErr error
 
 	mu     sync.Mutex
 	idle   []*wireConn
@@ -359,13 +362,20 @@ func (p *peerPool) recordSuccess() {
 	p.mu.Unlock()
 }
 
-// dialGate reports whether a redial is currently gated by backoff, and
-// whether the peer is suspected down. Gated calls fail fast without
-// network activity and without counting as new evidence.
-func (p *peerPool) dialGate(threshold int) (gated, down bool) {
+// backedOff returns the error a dial fails with while the redial is
+// gated by backoff, classified by whether the peer is suspected down, or
+// nil when a dial may go ahead. Gated calls fail fast without network
+// activity and without counting as new evidence.
+func (p *peerPool) backedOff(threshold int) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return time.Now().Before(p.nextDialAt), p.fails >= threshold
+	switch {
+	case !time.Now().Before(p.nextDialAt):
+		return nil
+	case p.fails >= threshold:
+		return p.downErr
+	}
+	return p.backoffErr
 }
 
 func (p *peerPool) suspected(threshold int) bool {
@@ -451,7 +461,11 @@ func (c *Client) peer(to protocol.SiteID) (*peerPool, error) {
 		if !ok {
 			return nil, fmt.Errorf("rpcnet: no address for %v: %w", to, protocol.ErrSiteDown)
 		}
-		p = &peerPool{addr: addr}
+		p = &peerPool{
+			addr:       addr,
+			downErr:    fmt.Errorf("rpcnet: %v suspected down, redial backed off: %w", to, protocol.ErrSiteDown),
+			backoffErr: fmt.Errorf("rpcnet: redial of %v backed off: %w", to, protocol.ErrTransient),
+		}
 		c.pools[to] = p
 	}
 	return p, nil
@@ -494,7 +508,7 @@ func receive(p *peerPool, w *wireConn) (reply, error) {
 // classified by the current suspicion — without touching the network or
 // counting new evidence.
 func (c *Client) dial(ctx context.Context, p *peerPool, to protocol.SiteID, deadline time.Time) (*wireConn, error) {
-	if err := c.backedOff(p, to); err != nil {
+	if err := p.backedOff(c.cfg.suspectThreshold); err != nil {
 		return nil, err
 	}
 	d := net.Dialer{Deadline: deadline}
@@ -503,19 +517,6 @@ func (c *Client) dial(ctx context.Context, p *peerPool, to protocol.SiteID, dead
 		return nil, c.fault(ctx, p, to, "dial", false, err)
 	}
 	return newWireConn(conn), nil
-}
-
-// backedOff returns the error a dial fails with while the peer's redial
-// is gated, or nil when a dial may go ahead.
-func (c *Client) backedOff(p *peerPool, to protocol.SiteID) error {
-	gated, down := p.dialGate(c.cfg.suspectThreshold)
-	switch {
-	case !gated:
-		return nil
-	case down:
-		return fmt.Errorf("rpcnet: %v suspected down, redial backed off: %w", to, protocol.ErrSiteDown)
-	}
-	return fmt.Errorf("rpcnet: redial of %v backed off: %w", to, protocol.ErrTransient)
 }
 
 // fault classifies one failed dial or exchange. Context cancellation is
@@ -724,7 +725,7 @@ func (c *Client) Broadcast(ctx context.Context, from protocol.SiteID, dests []pr
 		}
 		if l.w == nil {
 			if l.p != nil {
-				if l.res.Err = c.backedOff(l.p, l.to); l.res.Err != nil {
+				if l.res.Err = l.p.backedOff(c.cfg.suspectThreshold); l.res.Err != nil {
 					continue // fails at once, as roundTrip would: no goroutine
 				}
 			}
