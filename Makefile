@@ -107,9 +107,14 @@ loc-check:
 # obs-race runs the serving host's observability surface — the
 # RemoteSite's debug routes and poller, the seals it takes unattended,
 # interleaved probers on a hand-stepped plane, the cross-site trace
-# pull, whole and degraded — and a traced op's shared call span node
-# under the race detector. The other tests under internal/obs are
-# race-tested once, by `make race` / CI's `go test -race ./...`.
+# pull, whole and degraded — a traced op's shared call span node, and
+# the op scope slots of scheme.OpLocks (a context kept past its op's
+# End resolves nothing; same-stripe clients and a paged recovery keep
+# each op's phases and spans its own) under the race detector. The
+# other tests under internal/obs are race-tested once, by `make race` /
+# CI's `go test -race ./...`.
 obs-race:
 	$(GO) test -race -run 'TestHealthSurface|TestCriticalPathSurface|TestRemoteObservabilitySurface|TestHostDebugSurfaceParity|TestRemoteBlackBox|TestRemoteCriticalHealthSeals|TestRemotePollerSealsUnattended|TestInterleavedProbersSeeOneVerdict|TestLazyRefreshRaisesNoObjective|TestTraceTreeSurface|TestClusterTracesDegradeWithSiteDown' .
 	$(GO) test -race -run 'TestTracedOpCallsShareOneNode' ./internal/obs
+	$(GO) test -race -run 'TestOpContextDiesAtEnd' ./internal/scheme
+	$(GO) test -race -run 'TestOpScopesStayTheirOps' ./internal/core

@@ -11,28 +11,32 @@ import (
 	"relidev/internal/obs"
 )
 
-// TestQuorumOpAllocBudget pins what one metered voting op on a 5-site
-// in-process cluster allocates in steady state (the block already
-// written once, so the remote sites recycle their staging buffers).
-// Every allocation left has an owner that sits behind an interface this
+// TestQuorumOpAllocBudget pins what one voting op on a 5-site, and one
+// available-copy op on a 3-site, in-process cluster allocates in steady
+// state (the block already written once, so the remote sites recycle
+// their staging buffers), unmetered, metered and traced. Every
+// allocation left has an owner that sits behind an interface this
 // module does not control — protocol.Transport returns a map and boxed
 // replies, protocol.Handler and Request box the messages:
 //
-//	read 9 = 1  op scope: the per-op phase accumulator, which is also
-//	            the op's context node and, traced, carries the op's
-//	            span node and its transport call's
-//	       + 1  the VoteRequest boxed into protocol.Request
-//	       + 2  the Broadcast result map (header + group)
-//	       + 4  one VoteReply per remote boxed into protocol.Response
-//	       + 1  the returned block
-//	write 8: the same with a PrepareWriteRequest and four
+//	voting read 8 = 1  the VoteRequest boxed into protocol.Request
+//	              + 2  the Broadcast result map (header + group)
+//	              + 4  one VoteReply per remote boxed into protocol.Response
+//	              + 1  the returned block
+//	voting write 7: the same with a PrepareWriteRequest and four
 //	          PrepareWriteReplies, and no returned block; each of the
 //	          four staging sites copies the payload into a recycled
 //	          buffer and swaps it for the block's, which becomes the
 //	          pre-image.
-//	traced +0: the op's span node and the broadcast's are re-pointed
-//	          in the op scope's allocation (a larger size class than
-//	          untraced), and every trace event is a ring write.
+//	ac read 1: the returned block; the read is local.
+//	ac write 3 = 1  the PutRequest boxed into protocol.Request
+//	           + 2  the Broadcast result map; a put's reply boxes
+//	                nothing.
+//	metered and traced +0: the op scope — the §5 label, the phase
+//	          recorder, the op's context node and, traced, its span
+//	          node and its transport call's — lives in the lock stripe
+//	          that serialises the op (scheme.OpLocks), and every trace
+//	          event is a ring write.
 //
 // simnet runs a broadcast's legs in order on the caller's goroutine
 // (protocol.FanOut) and hands each remote the boxed request, so
@@ -44,27 +48,39 @@ import (
 // difference. The race detector allocates, hence the build tag.
 func TestQuorumOpAllocBudget(t *testing.T) {
 	geom := relidev.Geometry{BlockSize: 4096, NumBlocks: 512}
-	for _, tc := range []struct {
-		name        string
-		device      func() (relidev.Device, error)
-		read, write float64
-	}{
-		{"untraced", func() (relidev.Device, error) {
-			c, err := relidev.New(5, relidev.Voting, relidev.WithMetering(), relidev.WithGeometry(geom))
+	public := func(sites int, scheme relidev.Scheme, opts ...relidev.Option) func() (relidev.Device, error) {
+		return func() (relidev.Device, error) {
+			c, err := relidev.New(sites, scheme, append(opts, relidev.WithGeometry(geom))...)
 			if err != nil {
 				return nil, err
 			}
 			return c.Device(0)
-		}, 9, 8},
-		// The public Cluster only meters; a traced one is core's.
-		{"traced", func() (relidev.Device, error) {
-			c, err := core.NewCluster(core.ClusterConfig{Sites: 5, Scheme: core.Voting, Geometry: geom,
+		}
+	}
+	// The public Cluster only meters; a traced one is core's.
+	traced := func(sites int, scheme core.SchemeKind) func() (relidev.Device, error) {
+		return func() (relidev.Device, error) {
+			c, err := core.NewCluster(core.ClusterConfig{Sites: sites, Scheme: scheme, Geometry: geom,
 				Observer: obs.New(obs.WithTracing(1 << 12))})
 			if err != nil {
 				return nil, err
 			}
 			return c.Device(0)
-		}, 9, 8},
+		}
+	}
+	type counts struct{ read, write float64 }
+	measured := map[string]counts{}
+	for _, tc := range []struct {
+		name, scheme string
+		device       func() (relidev.Device, error)
+		want         counts
+	}{
+		{"unmetered", "voting", public(5, relidev.Voting), counts{8, 7}},
+		{"untraced", "voting", public(5, relidev.Voting, relidev.WithMetering()), counts{8, 7}},
+		{"traced", "voting", traced(5, core.Voting), counts{8, 7}},
+		{"ac-unmetered", "ac", public(3, relidev.AvailableCopy), counts{1, 3}},
+		{"ac-untraced", "ac", public(3, relidev.AvailableCopy, relidev.WithMetering()), counts{1, 3}},
+		{"ac-traced", "ac", traced(3, core.AvailableCopy), counts{1, 3}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dev, err := tc.device()
@@ -79,15 +95,26 @@ func TestQuorumOpAllocBudget(t *testing.T) {
 				}
 			}
 			write()
-			if got := testing.AllocsPerRun(200, write); got != tc.write {
-				t.Errorf("write: %v allocations, budget is exactly %v", got, tc.write)
+			var got counts
+			if got.write = testing.AllocsPerRun(200, write); got.write != tc.want.write {
+				t.Errorf("write: %v allocations, budget is exactly %v", got.write, tc.want.write)
 			}
-			if got := testing.AllocsPerRun(200, func() {
+			if got.read = testing.AllocsPerRun(200, func() {
 				if _, err := dev.ReadBlock(ctx, 300); err != nil {
 					t.Fatal(err)
 				}
-			}); got != tc.read {
-				t.Errorf("read: %v allocations, budget is exactly %v", got, tc.read)
+			}); got.read != tc.want.read {
+				t.Errorf("read: %v allocations, budget is exactly %v", got.read, tc.want.read)
+			}
+			measured[tc.name] = got
+			// Observation costs no allocation: a metered or traced op
+			// allocates exactly what the same op unmetered does.
+			bare := "unmetered"
+			if tc.scheme == "ac" {
+				bare = "ac-unmetered"
+			}
+			if base, ok := measured[bare]; ok && got != base {
+				t.Errorf("%+v allocations, but %+v unmetered", got, base)
 			}
 		})
 	}

@@ -18,7 +18,7 @@ func TestPhasePartitionExact(t *testing.T) {
 	o := New(WithClock(clk), WithTracing(256))
 	s := o.SchemeSite("voting", 0)
 
-	ctx, sp := s.StartOp(context.Background(), protocol.OpWrite, 3)
+	ctx, sp := s.StartOp(context.Background(), new(Scope), protocol.OpWrite, 3)
 	sp.AddLockWait(40) // backdates the span start
 	rec := protocol.CtxPhases(ctx)
 	if rec == nil {
@@ -104,7 +104,7 @@ func TestPhasePartitionClampsPipelinedOverlap(t *testing.T) {
 	o := New(WithClock(clk))
 	s := o.SchemeSite("ac", 1)
 
-	ctx, sp := s.StartOp(context.Background(), protocol.OpRecovery, NoBlock)
+	ctx, sp := s.StartOp(context.Background(), new(Scope), protocol.OpRecovery, NoBlock)
 	rec := protocol.CtxPhases(ctx)
 	rec.RecordPhase(protocol.PhaseRPC, 300) // three overlapped 100ns fetches
 	clk.Advance(120)
@@ -135,7 +135,7 @@ func TestFailedOpsRecordNoPhases(t *testing.T) {
 	clk := clock.NewManual()
 	o := New(WithClock(clk))
 	s := o.SchemeSite("naive", 0)
-	ctx, sp := s.StartOp(context.Background(), protocol.OpRead, 1)
+	ctx, sp := s.StartOp(context.Background(), new(Scope), protocol.OpRead, 1)
 	protocol.CtxPhases(ctx).RecordPhase(protocol.PhaseRPC, 50)
 	clk.Advance(80)
 	sp.Done(0, context.DeadlineExceeded)
@@ -179,7 +179,7 @@ func TestFlameRendering(t *testing.T) {
 	clk := clock.NewManual()
 	o := New(WithClock(clk))
 	s := o.SchemeSite("voting", 0)
-	ctx, sp := s.StartOp(context.Background(), protocol.OpWrite, 0)
+	ctx, sp := s.StartOp(context.Background(), new(Scope), protocol.OpWrite, 0)
 	rec := protocol.CtxPhases(ctx)
 	rec.RecordPhase(protocol.PhaseFanout, 800)
 	rec.RecordPhase(protocol.PhaseStraggler, 200)
@@ -220,7 +220,7 @@ func TestSpanPhases(t *testing.T) {
 	clk := clock.NewManual()
 	o := New(WithClock(clk), WithTracing(256))
 	s := o.SchemeSite("ac", 0)
-	ctx, sp := s.StartOp(context.Background(), protocol.OpWrite, 7)
+	ctx, sp := s.StartOp(context.Background(), new(Scope), protocol.OpWrite, 7)
 	sp.AddLockWait(10)
 	protocol.CtxPhases(ctx).RecordPhase(protocol.PhaseFanout, 30)
 	clk.Advance(50) // total = 60, local residual = 20

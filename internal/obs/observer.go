@@ -296,8 +296,8 @@ type SchemeObs struct {
 // (recovery operates on the whole device).
 const NoBlock int64 = -1
 
-// StartOp opens one operation span: it counts the attempt, emits the
-// op_start trace event, and returns the span to close with Done. blk
+// StartOp opens one operation span in sc: it counts the attempt, emits
+// the op_start trace event, and returns the span to close with Done. blk
 // is the block index, or NoBlock for whole-device operations. Call it
 // only once the operation will actually run (past the availability
 // gate), so attempt counts line up with the §5 conformance brackets.
@@ -306,9 +306,10 @@ const NoBlock int64 = -1
 // transport attributes this operation's traffic to and the recorder it
 // charges wire time to — and, when tracing is on, the operation's span,
 // so transport calls made with it produce causally-linked child spans
-// (on remote sites too). With a nil receiver the context passes through
-// untouched, and unlabelled traffic costs nothing extra.
-func (s *SchemeObs) StartOp(ctx context.Context, op string, blk int64) (context.Context, OpSpan) {
+// (on remote sites too). Both live in sc, the op's own until Done, and
+// the context is valid until then. With a nil receiver the context
+// passes through untouched, and unlabelled traffic costs nothing extra.
+func (s *SchemeObs) StartOp(ctx context.Context, sc *Scope, op string, blk int64) (context.Context, OpSpan) {
 	if s == nil {
 		return ctx, OpSpan{}
 	}
@@ -317,17 +318,13 @@ func (s *SchemeObs) StartOp(ctx context.Context, op string, blk int64) (context.
 		return ctx, OpSpan{}
 	}
 	s.attempts[i].Inc()
-	sp := OpSpan{s: s, op: op, idx: i, block: blk, start: s.o.Now()}
-	if s.o.tracer == nil {
-		sp.acc = &phaseAcc{s: s, op: i}
-		sp.acc.node = protocol.OpNode{Context: ctx, Scope: protocol.OpScope{Op: op, Phases: sp.acc}}
-		ctx = &sp.acc.node
-	} else {
-		ta := &tracedAcc{phaseAcc: phaseAcc{s: s, op: i}}
-		sp.acc = &ta.phaseAcc
-		sp.acc.node = protocol.OpNode{Context: ctx, Scope: protocol.OpScope{Op: op, Phases: ta}}
+	sp := OpSpan{s: s, op: op, idx: i, block: blk, start: s.o.Now(), scope: sc}
+	*sc = Scope{s: s, op: i}
+	sc.node = protocol.OpNode{Context: ctx, Scope: protocol.OpScope{Op: op, Phases: sc}}
+	ctx = &sc.node
+	if s.o.tracer != nil {
 		sp.span = s.o.newSpan(s.site, protocol.CtxSpan(ctx))
-		ctx = ta.span.Attach(&sp.acc.node, protocol.SpanContext{TraceID: sp.span.TraceID, SpanID: sp.span.SpanID})
+		ctx = sc.span.Attach(ctx, protocol.SpanContext{TraceID: sp.span.TraceID, SpanID: sp.span.SpanID})
 	}
 	s.emit(withSpan(sp.span, Event{Kind: EvOpStart, Op: op, Block: blk}))
 	return ctx, sp
@@ -342,19 +339,27 @@ type OpSpan struct {
 	block int64
 	start int64
 	span  spanIDs
-	acc   *phaseAcc
+	scope *Scope
 }
 
 // Done closes the span: outcome counters, participation, latency, and
 // the op_end trace event. participants is the number of sites that
 // took part in the operation, local site included — the measured
 // counterpart of the §5 participation level U; it is recorded only for
-// completed operations.
+// completed operations. Last, it empties the op's Scope, so a context
+// kept past the op resolves no op and keeps nothing of the caller's.
 func (sp OpSpan) Done(participants int, err error) {
 	s := sp.s
 	if s == nil {
 		return
 	}
+	defer func() {
+		//relidev:allow context: a released scope parents no call; its nodes only answer, as an empty context, what is kept past the op
+		bg := context.Background()
+		*sp.scope = Scope{node: protocol.OpNode{Context: bg}}
+		sp.scope.span.Attach(bg, protocol.SpanContext{})
+		sp.scope.call.Attach(bg, protocol.SpanContext{})
+	}()
 	if err != nil {
 		s.failures[sp.idx].Inc()
 		if s.tracing() {

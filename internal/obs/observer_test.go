@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"testing"
-	"unsafe"
 
 	"relidev/internal/clock"
 	"relidev/internal/protocol"
@@ -24,7 +23,7 @@ func TestNilObserverAndSchemeObs(t *testing.T) {
 	}
 	// Every SchemeObs method must be a nil-receiver no-op.
 	ctx := context.Background()
-	got, sp := s.StartOp(ctx, protocol.OpWrite, 3)
+	got, sp := s.StartOp(ctx, new(Scope), protocol.OpWrite, 3)
 	if got != ctx {
 		t.Fatal("nil SchemeObs.StartOp altered the context")
 	}
@@ -45,11 +44,11 @@ func TestSchemeObsCounters(t *testing.T) {
 		t.Fatal("SchemeSite handle not cached")
 	}
 
-	_, sp := s.StartOp(context.Background(), protocol.OpWrite, 7)
+	_, sp := s.StartOp(context.Background(), new(Scope), protocol.OpWrite, 7)
 	sp.Done(3, nil)
-	_, sp = s.StartOp(context.Background(), protocol.OpWrite, 7)
+	_, sp = s.StartOp(context.Background(), new(Scope), protocol.OpWrite, 7)
 	sp.Done(0, errors.New("quorum lost"))
-	_, sp = s.StartOp(context.Background(), protocol.OpRead, 7)
+	_, sp = s.StartOp(context.Background(), new(Scope), protocol.OpRead, 7)
 	sp.Done(2, nil)
 	s.LazyRefresh(7, 1, 9)
 	s.WTransition(0b111, 0b011)
@@ -116,7 +115,7 @@ func TestSchemeObsCounters(t *testing.T) {
 func TestStartOpUnknownOp(t *testing.T) {
 	o := New()
 	s := o.SchemeSite("naive", 0)
-	_, sp := s.StartOp(context.Background(), "compact", NoBlock) // not an §5 op: ignored
+	_, sp := s.StartOp(context.Background(), new(Scope), "compact", NoBlock) // not an §5 op: ignored
 	sp.Done(1, nil)
 	if got := o.Snapshot().CounterTotal(MetricOpAttempts); got != 0 {
 		t.Fatalf("unknown op counted: %d attempts", got)
@@ -126,18 +125,9 @@ func TestStartOpUnknownOp(t *testing.T) {
 func TestLabelRoundTrip(t *testing.T) {
 	o := New()
 	s := o.SchemeSite("naive", 0)
-	ctx, sp := s.StartOp(context.Background(), protocol.OpRecovery, NoBlock)
+	ctx, sp := s.StartOp(context.Background(), new(Scope), protocol.OpRecovery, NoBlock)
 	defer sp.Done(1, nil)
 	if got := protocol.CtxOp(ctx); got != protocol.OpRecovery {
 		t.Fatalf("CtxOp = %q, want %q", got, protocol.OpRecovery)
-	}
-}
-
-// TestUntracedOpScopeSizeClass: an untraced op's one allocation, its
-// phase accumulator, fits the 112-byte size class; the span nodes only a
-// traced op needs ride in tracedAcc, which embeds it.
-func TestUntracedOpScopeSizeClass(t *testing.T) {
-	if n := unsafe.Sizeof(phaseAcc{}); n > 112 {
-		t.Fatalf("phaseAcc is %d bytes, past the 112-byte size class", n)
 	}
 }

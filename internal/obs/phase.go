@@ -73,42 +73,30 @@ func phaseIndex(phase string) int {
 	return -1
 }
 
-// A phaseAcc accumulates one operation's critical-path attribution. It
-// is the protocol.PhaseRecorder the op context's scope carries, so
-// transports (and the fan-out internals of simnet/rpcnet) can charge
-// wire time to the operation without an obs dependency. Sums are atomics because
-// an operation's round trips may run on goroutines of their own (the
-// recovery exchange's next page, the concurrent legs of a fan-out).
-type phaseAcc struct {
+// A Scope is one operation's instrumentation: its critical-path sums,
+// the context node carrying its §5 label and this phase recorder, and
+// its span nodes. StartOp fills in a Scope the caller owns and Done
+// empties it, so an op allocates none (scheme.OpLocks keeps one per
+// lock). Sums are atomics: an op's round trips may run on goroutines
+// of their own (the recovery exchange's next page, a fan-out's legs).
+type Scope struct {
 	s    *SchemeObs
 	op   int // ops index
 	sums [len(phases)]atomic.Int64
-	// node is the context node StartOp attaches (label + this
-	// recorder), embedded so an op start is one allocation.
-	node protocol.OpNode
-}
-
-// A tracedAcc is a traced op's scope: the phase accumulator and the
-// op's span nodes in one allocation, kept out of phaseAcc so an untraced
-// scope stays in its smaller size class. It is the scope's recorder,
-// which is how traceCall finds call.
-type tracedAcc struct {
-	phaseAcc
-	span protocol.SpanNode // the op's span, attached once
+	node protocol.OpNode   // label + this recorder
+	span protocol.SpanNode // the op's span, attached once when traced
 	// call is the span node of the op's transport call in flight,
 	// claimed through held and released when the call's span ends.
 	call protocol.SpanNode
 	held atomic.Bool
 }
 
-var _ protocol.PhaseRecorder = (*phaseAcc)(nil)
-
 // Now implements protocol.PhaseRecorder with the observer's injected
 // clock, so in-scope transports measure durations deterministically.
-func (a *phaseAcc) Now() int64 { return a.s.o.Now() }
+func (a *Scope) Now() int64 { return a.s.o.Now() }
 
 // RecordPhase implements protocol.PhaseRecorder.
-func (a *phaseAcc) RecordPhase(phase string, ns int64) {
+func (a *Scope) RecordPhase(phase string, ns int64) {
 	if ns <= 0 {
 		return
 	}
@@ -119,7 +107,7 @@ func (a *phaseAcc) RecordPhase(phase string, ns int64) {
 
 // RecordPeerRTT implements protocol.PhaseRecorder: one fan-out
 // destination's round trip, charged to the peer's RTT series.
-func (a *phaseAcc) RecordPeerRTT(to protocol.SiteID, ns int64) {
+func (a *Scope) RecordPeerRTT(to protocol.SiteID, ns int64) {
 	a.s.peerRTT(to).Observe(ns)
 }
 
@@ -159,9 +147,7 @@ func (sp *OpSpan) AddLockWait(ns int64) {
 		return
 	}
 	sp.start -= ns
-	if sp.acc != nil {
-		sp.acc.sums[phaseLockWait].Add(ns)
-	}
+	sp.scope.sums[phaseLockWait].Add(ns)
 }
 
 // closePhases observes the op's phase histograms at span close and
@@ -170,22 +156,19 @@ func (sp *OpSpan) AddLockWait(ns int64) {
 // pipelined ops can attribute more wire time than wall time.
 func (sp *OpSpan) closePhases(total int64) [len(phases)]int64 {
 	var durs [len(phases)]int64
-	if sp.acc == nil {
-		return durs
-	}
 	attributed := int64(0)
 	for i := 0; i < phasePartition; i++ {
 		if i == phaseLocal {
 			continue
 		}
-		durs[i] = sp.acc.sums[i].Load()
+		durs[i] = sp.scope.sums[i].Load()
 		attributed += durs[i]
 	}
 	if local := total - attributed; local > 0 {
 		durs[phaseLocal] = local
 	}
 	for i := phasePartition; i < len(phases); i++ {
-		durs[i] = sp.acc.sums[i].Load()
+		durs[i] = sp.scope.sums[i].Load()
 	}
 	for i, ns := range durs {
 		if ns > 0 || i < phasePartition {

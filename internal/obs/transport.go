@@ -177,9 +177,9 @@ func (t *MeteredTransport) traceCall(ctx context.Context, m int, from protocol.S
 	span := rpcSpan{tracer: t.o.tracer, ev: withSpan(sp, Event{Site: int(from), Op: protocol.CtxOp(ctx), Kind: EvRPC, Block: NoBlock, Lane: lane,
 		d: detail{form: detailRPC + detailForm(m), a: int64(n), s: req.Kind()}})}
 	sc := protocol.SpanContext{TraceID: sp.TraceID, SpanID: sp.SpanID}
-	if ta, ok := protocol.CtxPhases(ctx).(*tracedAcc); ok && ta.held.CompareAndSwap(false, true) {
-		span.held = &ta.held
-		return ta.call.Attach(ctx, sc), span
+	if scope, ok := protocol.CtxPhases(ctx).(*Scope); ok && scope.held.CompareAndSwap(false, true) {
+		span.held = &scope.held
+		return scope.call.Attach(ctx, sc), span
 	}
 	return protocol.WithSpan(ctx, sc), span
 }

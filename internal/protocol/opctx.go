@@ -33,9 +33,11 @@ type OpScope struct {
 }
 
 // An OpNode is the context node that carries an operation's OpScope
-// inline, so attaching the scope is one allocation — and none for a
-// caller that embeds the node in an allocation it makes per operation
-// anyway, as the observability layer's phase accumulator does.
+// inline, so attaching the scope is one allocation — and none for an
+// owner that keeps the node in storage of its own and re-points it per
+// operation, as the observability layer's op scope does in the lock
+// stripe that serialises the op. A context holding such a node is
+// valid only until its operation ends.
 type OpNode struct {
 	context.Context
 	Scope OpScope

@@ -4,12 +4,13 @@ import (
 	"sync"
 
 	"relidev/internal/block"
+	"relidev/internal/obs"
 )
 
 // opStripes is the number of lock stripes in an OpLocks. Operations on
 // blocks that hash to different stripes proceed concurrently; 64 stripes
 // keep the collision probability low for realistic client counts while
-// costing a few KB per controller.
+// costing about 12 KB per controller, nearly all of it op scopes.
 const opStripes = 64
 
 // OpLocks is the concurrency regime shared by the three consistency
@@ -32,6 +33,11 @@ type OpLocks struct {
 	state sync.RWMutex
 	// stripes serialise same-block (and same-stripe) operations.
 	stripes [opStripes]sync.Mutex
+	// scopes[i] is the obs.Scope of the op holding stripes[i], recovery
+	// that of the op holding state exclusively: the lock that
+	// serialises an op makes its slot its own until Op.End.
+	scopes   [opStripes]obs.Scope
+	recovery obs.Scope
 }
 
 // LockOp acquires the operation lock for one block.

@@ -68,28 +68,70 @@ func TestOpBracketCounts(t *testing.T) {
 }
 
 // TestOpBracketAllocs: on a metered, untraced handle the whole bracket
-// — acquire, start (label, phase recorder, span), end — allocates what
-// StartOp+Done alone do: the op's accumulator, which is also its
-// context node. The bracket itself is a stack value.
+// — acquire, start (label, phase recorder, span), end — allocates
+// nothing, and neither do StartOp+Done alone: the op's scope, which is
+// also its context node, is storage the caller owns (the bracket's is
+// the held stripe's slot). The bracket itself is a stack value.
 func TestOpBracketAllocs(t *testing.T) {
 	ob := obs.New().SchemeSite("voting", 0)
 	var l OpLocks
+	var sc obs.Scope
 	ctx := context.Background()
-	bare := testing.AllocsPerRun(200, func() {
-		_, sp := ob.StartOp(ctx, protocol.OpWrite, 3)
+	if bare := testing.AllocsPerRun(200, func() {
+		_, sp := ob.StartOp(ctx, &sc, protocol.OpWrite, 3)
 		sp.Done(2, nil)
-	})
-	if bare != 1 {
-		t.Errorf("StartOp+Done = %v allocs, want 1", bare)
+	}); bare != 0 {
+		t.Errorf("StartOp+Done = %v allocs, want 0", bare)
 	}
-	got := testing.AllocsPerRun(200, func() { bracketed(&l, ob, protocol.OpWrite, nil, nil) })
-	if got > bare {
-		t.Errorf("bracket = %v allocs, StartOp+Done alone = %v", got, bare)
+	if got := testing.AllocsPerRun(200, func() { bracketed(&l, ob, protocol.OpWrite, nil, nil) }); got != 0 {
+		t.Errorf("bracket = %v allocs, want 0", got)
+	}
+	if recovery := testing.AllocsPerRun(200, func() { bracketed(&l, ob, protocol.OpRecovery, nil, nil) }); recovery != 0 {
+		t.Errorf("recovery bracket = %v allocs, want 0", recovery)
 	}
 	if refused := testing.AllocsPerRun(200, func() { bracketed(&l, ob, protocol.OpWrite, ErrNotAvailable, nil) }); refused != 0 {
 		t.Errorf("refused op = %v allocs, want 0", refused)
 	}
 	if unmetered := testing.AllocsPerRun(200, func() { bracketed(&l, nil, protocol.OpRead, nil, nil) }); unmetered != 0 {
 		t.Errorf("unmetered op = %v allocs, want 0", unmetered)
+	}
+}
+
+type callerKey struct{}
+
+// TestOpContextDiesAtEnd: the context an op hands its figure lives in
+// the held lock's scope slot, and End empties the slot. A context kept
+// from inside the op past End resolves no op — no label, no phase
+// recorder, no span — and keeps nothing of the caller's context, traced
+// or not, for block operations and recovery alike.
+func TestOpContextDiesAtEnd(t *testing.T) {
+	for _, o := range []*obs.Observer{obs.New(), obs.New(obs.WithTracing(64))} {
+		ob := o.SchemeSite("ac", 0)
+		var l OpLocks
+		for _, kind := range []string{protocol.OpWrite, protocol.OpRecovery} {
+			caller := context.WithValue(context.Background(), callerKey{}, "caller")
+			var kept context.Context
+			func() (err error) {
+				var op Op
+				if kind == protocol.OpRecovery {
+					op = l.BeginRecovery(ob)
+				} else {
+					op = l.BeginOp(ob, kind, 70)
+				}
+				defer op.End(&err)
+				kept = op.Start(caller)
+				if protocol.CtxOp(kept) != kind || protocol.CtxPhases(kept) == nil || kept.Value(callerKey{}) != "caller" {
+					t.Fatalf("%s: inside the op the context resolves op %q, phases %v, caller value %v",
+						kind, protocol.CtxOp(kept), protocol.CtxPhases(kept), kept.Value(callerKey{}))
+				}
+				return nil
+			}()
+			if op, rec, sc := protocol.CtxOp(kept), protocol.CtxPhases(kept), protocol.CtxSpan(kept); op != "" || rec != nil || sc.Valid() {
+				t.Errorf("%s: past End a kept context resolves op %q, phases %v, span %+v", kind, op, rec, sc)
+			}
+			if v := kept.Value(callerKey{}); v != nil {
+				t.Errorf("%s: past End a kept context still reaches the caller's value %v", kind, v)
+			}
+		}
 	}
 }
