@@ -398,26 +398,21 @@ func TestHostDebugSurfaceParity(t *testing.T) {
 	}
 }
 
-// TestGrownSiteIsWiredByCore: a site added by Grow is wired by the same
-// core path as a founding one — its operations land in its own series
-// and the requests it serves leave handle spans — with no code in Grow
-// beyond the rebuild every founding site goes through.
-func TestGrownSiteIsWiredByCore(t *testing.T) {
+// TestEverySiteIsWiredByCore: every site is wired by the one core path
+// at construction — its operations land in its own series and the
+// requests it serves leave handle spans in its own name.
+func TestEverySiteIsWiredByCore(t *testing.T) {
 	ctx := context.Background()
 	o := obs.New(obs.WithTracing(1024))
-	c, err := core.NewCluster(core.ClusterConfig{Sites: 2, Scheme: core.AvailableCopy,
+	c, err := core.NewCluster(core.ClusterConfig{Sites: 3, Scheme: core.AvailableCopy,
 		Geometry: relidev.Geometry{BlockSize: 64, NumBlocks: 8}, Observer: o})
 	if err != nil {
 		t.Fatal(err)
 	}
-	grown, err := c.Grow(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Coordinate from the newcomer (so its own op series exist) and from
-	// site 0 (so the newcomer serves a put: a handle span at its site).
-	for _, site := range []protocol.SiteID{grown, 0} {
-		dev, err := c.Device(site)
+	// Coordinate from every site, so each has op series of its own and
+	// serves its peers' puts.
+	for i := range c.Sites() {
+		dev, err := c.Device(protocol.SiteID(i))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -426,21 +421,17 @@ func TestGrownSiteIsWiredByCore(t *testing.T) {
 		}
 	}
 
-	counted := false
+	counted := make(map[string]bool)
 	for _, p := range o.Snapshot().Counters {
-		if p.Name == obs.MetricOpCompletions && p.Labels["site"] == grown.String() && p.Labels["op"] == "write" && p.Value > 0 {
-			counted = true
+		if p.Name == obs.MetricOpCompletions && p.Labels["op"] == "write" && p.Value > 0 {
+			counted[p.Labels["site"]] = true
 		}
 	}
-	if !counted {
-		t.Fatalf("the grown site's write landed in no series of its own:\n%+v", o.Snapshot().Counters)
-	}
-
-	handled := false
+	handled := make(map[int]bool)
 	var walk func(sp *obs.Span)
 	walk = func(sp *obs.Span) {
-		if sp.Kind == "handle" && sp.Site == int(grown) {
-			handled = true
+		if sp.Kind == "handle" {
+			handled[sp.Site] = true
 		}
 		for _, ch := range sp.Children {
 			walk(ch)
@@ -454,8 +445,14 @@ func TestGrownSiteIsWiredByCore(t *testing.T) {
 			walk(o)
 		}
 	}
-	if !handled {
-		t.Fatal("no handle span recorded at the grown site")
+	for i := range c.Sites() {
+		id := protocol.SiteID(i)
+		if !counted[id.String()] {
+			t.Errorf("%v's write landed in no series of its own:\n%+v", id, o.Snapshot().Counters)
+		}
+		if !handled[i] {
+			t.Errorf("no handle span recorded at %v", id)
+		}
 	}
 }
 

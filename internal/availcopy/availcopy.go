@@ -137,9 +137,14 @@ func (c *Controller) Write(ctx context.Context, idx block.Index, data []byte) (e
 	}
 	results := c.env.Transport.Broadcast(ctx, self.ID(), c.remotes, put)
 
+	// Read in c.remotes order, not the map's, so a write that fails at
+	// two sites returns the same error on every run.
 	recipients := protocol.NewSiteSet(self.ID())
-	for id, res := range results {
+	for _, id := range c.remotes {
+		res, ok := results[id]
 		switch {
+		case !ok:
+			// No answer at all: the site missed the write.
 		case res.Err == nil:
 			recipients = recipients.Add(id)
 		case errors.Is(res.Err, protocol.ErrTransient):
@@ -213,12 +218,14 @@ func Recover(ctx context.Context, locks *scheme.OpLocks, env scheme.Env, frozenW
 		root = self.WasAvailable().Add(self.ID())
 	}
 
-	results := env.Transport.Broadcast(ctx, self.ID(), env.Remotes(), protocol.StatusRequest{})
+	remotes := env.Remotes()
+	results := env.Transport.Broadcast(ctx, self.ID(), remotes, protocol.StatusRequest{})
 	states := map[protocol.SiteID]status{
 		self.ID(): {state: protocol.StateComatose, wasAvail: root, sum: self.VersionSum()},
 	}
-	for id, res := range results {
-		if res.Err != nil {
+	for _, id := range remotes {
+		res, ok := results[id]
+		if !ok || res.Err != nil {
 			continue
 		}
 		st, ok := res.Resp.(protocol.StatusReply)
@@ -280,8 +287,8 @@ func Recover(ctx context.Context, locks *scheme.OpLocks, env scheme.Env, frozenW
 // logical join, after the first page. A source that vanishes mid-stream
 // leaves the site comatose with a partially freshened image — harmless,
 // since ApplyRepair's installs are version-monotone — and
-// ErrAwaitingSites has the next membership change re-run recovery
-// against a live source.
+// ErrAwaitingSites has a later recovery attempt run against a live
+// source.
 func exchange(ctx context.Context, env scheme.Env, t protocol.SiteID, joinW bool) error {
 	self := env.Self
 	ctx, cancel := context.WithCancel(ctx)

@@ -516,3 +516,48 @@ func TestName(t *testing.T) {
 		t.Fatalf("Name = %q", r.ctrls[0].Name())
 	}
 }
+
+// failingPuts is a Transport that delivers every put, then reports a
+// fixed error for some of the sites.
+type failingPuts struct {
+	protocol.Transport
+	errs map[protocol.SiteID]error
+}
+
+func (f failingPuts) Broadcast(ctx context.Context, from protocol.SiteID, dests []protocol.SiteID, req protocol.Request) map[protocol.SiteID]protocol.Result {
+	results := f.Transport.Broadcast(ctx, from, dests, req)
+	if _, ok := req.(protocol.PutRequest); ok {
+		for id, err := range f.errs {
+			results[id] = protocol.Result{Err: err}
+		}
+	}
+	return results
+}
+
+// TestWriteErrorOrderIsStable: with two sites failing a put in
+// different ways, the write reads the fan-out in site order, not the
+// result map's, so it returns the same error every time — here site 1's
+// indeterminate outcome.
+func TestWriteErrorOrderIsStable(t *testing.T) {
+	ctx := context.Background()
+	r := newRig(t, 3, simnet.Multicast)
+	coord, err := New(scheme.Env{Self: r.replicas[0], Sites: []protocol.SiteID{0, 1, 2},
+		Transport: failingPuts{Transport: r.net, errs: map[protocol.SiteID]error{
+			1: protocol.ErrTransient,
+			2: errors.New("disk on fire"),
+		}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := make(map[string]int)
+	for i := 0; i < 50; i++ {
+		err := coord.Write(ctx, 1, pad("x"))
+		if !errors.Is(err, protocol.ErrTransient) {
+			t.Fatalf("write %d = %v, want site 1's ErrTransient", i, err)
+		}
+		seen[err.Error()]++
+	}
+	if len(seen) != 1 {
+		t.Fatalf("50 identical writes returned %d different errors: %v", len(seen), seen)
+	}
+}

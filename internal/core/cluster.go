@@ -114,16 +114,15 @@ func (c *ClusterConfig) applyDefaults() error {
 }
 
 // Cluster is an in-process set of replica sites joined by a simulated
-// network. It owns site lifecycle: failing a site, restarting it, and
-// driving the scheme's recovery procedure — including re-driving it for
-// sites whose recovery had to wait (comatose) whenever membership
-// changes.
+// network. Its membership is fixed at construction. It owns site
+// lifecycle: failing a site, restarting it, and driving the scheme's
+// recovery procedure — including re-driving it for sites whose recovery
+// had to wait (comatose) whenever another site comes back.
 type Cluster struct {
 	cfg       ClusterConfig
 	net       *simnet.Network
 	transport protocol.Transport // cl.net after WrapTransport decoration
 	replicas  []*site.Replica
-	ctrls     []scheme.Controller
 	devices   []*ReliableDevice
 }
 
@@ -137,7 +136,6 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 		cfg:      cfg,
 		net:      simnet.New(cfg.Mode),
 		replicas: make([]*site.Replica, cfg.Sites),
-		ctrls:    make([]scheme.Controller, cfg.Sites),
 		devices:  make([]*ReliableDevice, cfg.Sites),
 	}
 	ids := make([]protocol.SiteID, cfg.Sites)
@@ -166,13 +164,12 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	// send — including traffic the WrapTransport decorator (fault
 	// injection) will fail. A nil Observer leaves the transport as-is.
 	cl.transport = obs.WrapTransport(cfg.Observer, "sim", cl.transport, ids)
-	// Construction and reconfiguration share one wiring path, so a site
-	// added by Grow is observed exactly like a founding one.
-	for i := range cl.devices {
-		cl.devices[i] = &ReliableDevice{geom: cfg.Geometry}
-	}
-	if err := cl.rebuildControllers(); err != nil {
-		return nil, err
+	for i, rep := range cl.replicas {
+		ctrl, err := WireSite(cfg, rep, cl.transport, ids)
+		if err != nil {
+			return nil, err
+		}
+		cl.devices[i] = &ReliableDevice{geom: cfg.Geometry, ctrl: ctrl}
 	}
 	return cl, nil
 }
@@ -197,10 +194,9 @@ func DefaultWeights(n int) []int64 {
 // and handled requests) and the controller of cfg.Scheme (of cfg it
 // reads Scheme, Observer and VotingOptions). The vote weights are
 // DefaultWeights over ids, so a membership of even size keeps §4.1's
-// tie-break however it was reached. Every host wires through here —
-// the Cluster for each site, again after Grow and Remove, and
-// relidev.OpenRemote for its one — so a site is observed the same way
-// wherever it runs.
+// tie-break. Every host wires through here — the Cluster for each
+// site and relidev.OpenRemote for its one — so a site is observed the
+// same way wherever it runs.
 func WireSite(cfg ClusterConfig, self *site.Replica, transport protocol.Transport, ids []protocol.SiteID) (scheme.Controller, error) {
 	name, id := cfg.Scheme.String(), self.ID()
 	env := scheme.Env{
@@ -260,7 +256,7 @@ func (cl *Cluster) Controller(id protocol.SiteID) (scheme.Controller, error) {
 	if err := cl.check(id); err != nil {
 		return nil, err
 	}
-	return cl.ctrls[id], nil
+	return cl.devices[id].ctrl, nil
 }
 
 // State returns a site's current state.
@@ -341,7 +337,7 @@ func (cl *Cluster) DriveRecovery(ctx context.Context) error {
 			if r.State() != protocol.StateComatose {
 				continue
 			}
-			err := cl.ctrls[i].Recover(ctx)
+			err := cl.devices[i].ctrl.Recover(ctx)
 			switch {
 			case err == nil:
 				progress = true

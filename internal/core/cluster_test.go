@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"relidev/internal/block"
+	"relidev/internal/obs"
 	"relidev/internal/protocol"
 	"relidev/internal/scheme"
 	"relidev/internal/simnet"
@@ -132,9 +133,27 @@ func TestDeviceBoundsChecks(t *testing.T) {
 }
 
 func TestClusterLifecycleAllSchemes(t *testing.T) {
+	type lifecycleCase struct {
+		name string
+		cfg  ClusterConfig
+	}
+	var cases []lifecycleCase
 	for _, kind := range allSchemes() {
-		t.Run(kind.String(), func(t *testing.T) {
-			cl := newTestCluster(t, 3, kind)
+		cases = append(cases, lifecycleCase{kind.String(), ClusterConfig{Scheme: kind}})
+	}
+	// The same lifecycle with every site's copy in a file image.
+	dir := t.TempDir()
+	cases = append(cases, lifecycleCase{"available-copy-over-file-stores", ClusterConfig{Scheme: AvailableCopy,
+		NewStore: func(id protocol.SiteID, geom block.Geometry) (store.Store, error) {
+			return store.CreateFile(dir+"/s"+id.String()+".img", geom)
+		}}})
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			tc.cfg.Sites, tc.cfg.Geometry = 3, block.Geometry{BlockSize: 32, NumBlocks: 8}
+			cl, err := NewCluster(tc.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
 			ctx := context.Background()
 			dev, _ := cl.Device(0)
 
@@ -516,28 +535,91 @@ func (c *countingTransport) Notify(ctx context.Context, from protocol.SiteID, de
 }
 
 func TestWrapTransportDecoratesControllerPath(t *testing.T) {
-	var ct *countingTransport
+	ops := []struct {
+		name string
+		op   func(ctx context.Context, cl *Cluster, dev *ReliableDevice) error
+	}{
+		{"read", func(ctx context.Context, _ *Cluster, dev *ReliableDevice) error {
+			_, err := dev.ReadBlock(ctx, 0)
+			return err
+		}},
+		{"write", func(ctx context.Context, cl *Cluster, dev *ReliableDevice) error {
+			return dev.WriteBlock(ctx, 1, pad(cl, "decorated"))
+		}},
+	}
+	for _, tc := range ops {
+		t.Run(tc.name, func(t *testing.T) {
+			var ct *countingTransport
+			cl, err := NewCluster(ClusterConfig{
+				Sites:    3,
+				Geometry: block.Geometry{BlockSize: 32, NumBlocks: 4},
+				Scheme:   Voting,
+				WrapTransport: func(inner protocol.Transport) protocol.Transport {
+					ct = &countingTransport{Transport: inner}
+					return ct
+				},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			dev, err := cl.Device(0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := tc.op(context.Background(), cl, dev); err != nil {
+				t.Fatalf("%s: %v", tc.name, err)
+			}
+			if ct == nil || ct.calls.Load() == 0 {
+				t.Fatalf("decorated transport saw no controller traffic from a %s", tc.name)
+			}
+		})
+	}
+}
+
+// TestEverySiteIsObserved: the observer is wired into every site at
+// construction, so each one leaves handle spans for the requests it
+// serves and has its own per-peer round-trip series.
+func TestEverySiteIsObserved(t *testing.T) {
+	ctx := context.Background()
+	o := obs.New(obs.WithTracing(1 << 10))
 	cl, err := NewCluster(ClusterConfig{
 		Sites:    3,
-		Geometry: block.Geometry{BlockSize: 32, NumBlocks: 4},
+		Geometry: block.Geometry{BlockSize: 32, NumBlocks: 8},
 		Scheme:   Voting,
-		WrapTransport: func(inner protocol.Transport) protocol.Transport {
-			ct = &countingTransport{Transport: inner}
-			return ct
-		},
+		Observer: o,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	dev, err := cl.Device(0)
-	if err != nil {
+	dev, _ := cl.Device(0)
+	if err := dev.WriteBlock(ctx, 1, pad(cl, "observed")); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := dev.ReadBlock(context.Background(), 0); err != nil {
-		t.Fatalf("read: %v", err)
+	for id := protocol.SiteID(1); int(id) < cl.Sites(); id++ {
+		if _, err := cl.transport.Call(ctx, 0, id, protocol.StatusRequest{}); err != nil {
+			t.Fatalf("call to %v: %v", id, err)
+		}
 	}
-	if ct == nil || ct.calls.Load() == 0 {
-		t.Fatal("decorated transport saw no controller traffic")
+
+	handles := make(map[int]int)
+	for _, e := range o.Tracer().Events() {
+		if e.Kind == obs.EvHandle {
+			handles[e.Site]++
+		}
+	}
+	peerSeries := make(map[string]bool)
+	for _, h := range o.Snapshot().Histograms {
+		if h.Name == obs.MetricTransportPeerLatency && h.Count >= 1 {
+			peerSeries[h.Labels["peer"]] = true
+		}
+	}
+	for id := protocol.SiteID(1); int(id) < cl.Sites(); id++ {
+		if handles[int(id)] < 2 {
+			t.Errorf("%v emitted %d handle spans, want one per request it served (write fan-out, status call)", id, handles[int(id)])
+		}
+		if !peerSeries[id.String()] {
+			t.Errorf("no %s{peer=%v} observation after a round trip to it", obs.MetricTransportPeerLatency, id)
+		}
 	}
 }
 

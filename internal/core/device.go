@@ -10,7 +10,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
 
 	"relidev/internal/block"
 	"relidev/internal/scheme"
@@ -70,14 +69,8 @@ func (d *LocalDevice) WriteBlock(ctx context.Context, idx block.Index, data []by
 // ordinary device whose reads and writes are mediated by a consistency
 // controller. Every site of the cluster exposes its own ReliableDevice;
 // a diskless workstation would talk to any of them (§2).
-//
-// The controller behind a device can be swapped while handles are live:
-// reconfiguration (growing or shrinking the replica set) rebuilds the
-// controllers but leaves every issued device handle valid.
 type ReliableDevice struct {
 	geom block.Geometry
-
-	mu   sync.RWMutex
 	ctrl scheme.Controller
 }
 
@@ -102,7 +95,7 @@ func (d *ReliableDevice) ReadBlock(ctx context.Context, idx block.Index) ([]byte
 	if !d.geom.Contains(idx) {
 		return nil, fmt.Errorf("reliable device: read of %v beyond %d blocks", idx, d.geom.NumBlocks)
 	}
-	return d.Controller().Read(ctx, idx)
+	return d.ctrl.Read(ctx, idx)
 }
 
 // WriteBlock implements Device.
@@ -113,19 +106,5 @@ func (d *ReliableDevice) WriteBlock(ctx context.Context, idx block.Index, data [
 	if len(data) != d.geom.BlockSize {
 		return fmt.Errorf("reliable device: write of %d bytes, block size is %d", len(data), d.geom.BlockSize)
 	}
-	return d.Controller().Write(ctx, idx, data)
-}
-
-// Controller returns the current consistency engine behind the device.
-func (d *ReliableDevice) Controller() scheme.Controller {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return d.ctrl
-}
-
-// setController swaps the consistency engine (reconfiguration).
-func (d *ReliableDevice) setController(ctrl scheme.Controller) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.ctrl = ctrl
+	return d.ctrl.Write(ctx, idx, data)
 }

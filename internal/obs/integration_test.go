@@ -284,39 +284,43 @@ func mustScheme(t *testing.T, name string) analysis.Scheme {
 	return s
 }
 
-// TestObserverSurvivesReconfiguration checks that instrumentation stays
-// attached across Grow: the metering decorator wraps the shared
-// transport, so traffic from sites added later is still observed.
-func TestObserverSurvivesReconfiguration(t *testing.T) {
-	o := obs.New(obs.WithClock(clock.NewManual()))
-	cl, err := core.NewCluster(core.ClusterConfig{
-		Sites:    3,
-		Geometry: block.Geometry{BlockSize: 32, NumBlocks: 4},
-		Scheme:   core.Voting,
-		Observer: o,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
-	added, err := cl.Grow(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctrl, err := cl.Controller(added)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data := make([]byte, 32)
-	if err := ctrl.Write(ctx, 0, data); err != nil {
-		t.Fatal(err)
-	}
-	snap := o.Snapshot()
-	if got := snap.CounterTotal(obs.MetricOpCompletions, obs.L("site", "site3"), obs.L("op", "write")); got != 1 {
-		t.Errorf("write at grown site not observed: %d completions", got)
-	}
-	if got := snap.CounterTotal(obs.MetricTransportOps); got == 0 {
-		t.Error("transport metering lost across Grow")
+// TestObserverMetersEverySite: the metering decorator wraps the shared
+// transport at construction, so a write coordinated at any site lands in
+// that site's own completion series and its traffic is metered.
+func TestObserverMetersEverySite(t *testing.T) {
+	for _, kind := range []core.SchemeKind{core.Voting, core.AvailableCopy, core.NaiveAvailableCopy} {
+		t.Run(kind.String(), func(t *testing.T) {
+			o := obs.New(obs.WithClock(clock.NewManual()))
+			cl, err := core.NewCluster(core.ClusterConfig{
+				Sites:    3,
+				Geometry: block.Geometry{BlockSize: 32, NumBlocks: 4},
+				Scheme:   kind,
+				Observer: o,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctx := context.Background()
+			for i := range cl.Sites() {
+				ctrl, err := cl.Controller(protocol.SiteID(i))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := ctrl.Write(ctx, 0, make([]byte, 32)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			snap := o.Snapshot()
+			for i := range cl.Sites() {
+				id := protocol.SiteID(i)
+				if got := snap.CounterTotal(obs.MetricOpCompletions, obs.L("site", id.String()), obs.L("op", "write")); got != 1 {
+					t.Errorf("write at %v not observed: %d completions", id, got)
+				}
+			}
+			if got := snap.CounterTotal(obs.MetricTransportOps); got == 0 {
+				t.Error("no transport traffic metered")
+			}
+		})
 	}
 }
 

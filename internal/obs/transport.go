@@ -102,17 +102,18 @@ type MeteredTransport struct {
 	o       *Observer
 	name    Label // transport=<name>
 	methods [len(methods)]methodMetrics
-	// peerLat is indexed by SiteID. The peers declared at wrap time are
-	// resolved there (so their series exist from the start); a peer that
-	// joins later (Cluster.Grow) is resolved on its first round trip.
-	peerLat [protocol.MaxSites]atomic.Pointer[Histogram]
+	// peerLat is indexed by SiteID: the series of the peers declared at
+	// wrap time, nil for any other id.
+	peerLat [protocol.MaxSites]*Histogram
 }
 
 var _ protocol.Transport = (*MeteredTransport)(nil)
 
 // WrapTransport meters inner under the given transport name
-// ("sim", "rpc", ...). peers pre-resolves the per-peer latency series.
-// A nil observer returns inner unchanged.
+// ("sim", "rpc", ...). peers is the whole membership: their per-peer
+// latency series exist from here on, and a round trip to any other id
+// is metered under its method only. A nil observer returns inner
+// unchanged.
 func WrapTransport(o *Observer, name string, inner protocol.Transport, peers []protocol.SiteID) protocol.Transport {
 	if o == nil {
 		return inner
@@ -131,23 +132,11 @@ func WrapTransport(o *Observer, name string, inner protocol.Transport, peers []p
 		t.methods[i] = mm
 	}
 	for _, p := range peers {
-		t.peerHist(p)
+		if p >= 0 && int(p) < len(t.peerLat) {
+			t.peerLat[p] = o.reg.Histogram(MetricTransportPeerLatency, t.name, L("peer", p.String()))
+		}
 	}
 	return t
-}
-
-// peerHist returns a peer's round-trip latency series, resolving it on
-// first use; nil for an id outside the site space.
-func (t *MeteredTransport) peerHist(to protocol.SiteID) *Histogram {
-	if to < 0 || int(to) >= len(t.peerLat) {
-		return nil
-	}
-	h := t.peerLat[to].Load()
-	if h == nil {
-		h = t.o.reg.Histogram(MetricTransportPeerLatency, t.name, L("peer", to.String()))
-		t.peerLat[to].Store(h)
-	}
-	return h
 }
 
 // An rpcSpan is an open client-side rpc span: the event its end will
@@ -210,8 +199,8 @@ func (t *MeteredTransport) roundTrip(ctx context.Context, m int, from, to protoc
 	span.end(err)
 	elapsed := t.o.Now() - start
 	mm.latency.Observe(elapsed)
-	if h := t.peerHist(to); h != nil {
-		h.Observe(elapsed)
+	if to >= 0 && int(to) < len(t.peerLat) {
+		t.peerLat[to].Observe(elapsed) // nil for an undeclared peer: a no-op
 	}
 	if rec := protocol.CtxPhases(ctx); rec != nil {
 		rec.RecordPhase(protocol.PhaseRPC, elapsed)

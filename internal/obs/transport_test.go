@@ -165,15 +165,17 @@ func TestMeteredTransportCounts(t *testing.T) {
 	if latTotal != 5 {
 		t.Errorf("method latency observations = %d, want 5", latTotal)
 	}
-	for _, peer := range []string{"site1", "site2", "site3"} {
+	// Every declared peer has its series from WrapTransport on, site0's
+	// still empty.
+	for peer, want := range map[string]uint64{"site0": 0, "site1": 1, "site2": 1, "site3": 1} {
 		found := false
 		for _, h := range snap.Histograms {
-			if h.Name == MetricTransportPeerLatency && h.Labels["peer"] == peer && h.Count == 1 {
+			if h.Name == MetricTransportPeerLatency && h.Labels["peer"] == peer && h.Count == want {
 				found = true
 			}
 		}
 		if !found {
-			t.Errorf("missing peer latency observation for %s", peer)
+			t.Errorf("no peer latency series for %s with %d observations", peer, want)
 		}
 	}
 	// The op label flows through untouched.

@@ -89,14 +89,6 @@ func (s SiteSet) Add(id SiteID) SiteSet {
 	return s | 1<<uint(id)
 }
 
-// Remove returns the set with id removed.
-func (s SiteSet) Remove(id SiteID) SiteSet {
-	if id < 0 || id >= MaxSites {
-		return s
-	}
-	return s &^ (1 << uint(id))
-}
-
 // Has reports whether id is in the set.
 func (s SiteSet) Has(id SiteID) bool {
 	return id >= 0 && id < MaxSites && s&(1<<uint(id)) != 0

@@ -20,11 +20,7 @@ func TestSiteSetBasics(t *testing.T) {
 	if s.Has(1) || s.Has(63) {
 		t.Fatal("spurious member")
 	}
-	s = s.Remove(3)
-	if s.Has(3) || s.Len() != 2 {
-		t.Fatalf("after Remove: %v", s)
-	}
-	if got := s.String(); got != "{0,5}" {
+	if got := s.String(); got != "{0,3,5}" {
 		t.Fatalf("String = %q", got)
 	}
 }
@@ -37,10 +33,6 @@ func TestSiteSetOutOfRangeIgnored(t *testing.T) {
 	}
 	if s.Has(-1) || s.Has(MaxSites) {
 		t.Fatal("Has accepted out-of-range id")
-	}
-	s = NewSiteSet(2).Remove(-5).Remove(MaxSites)
-	if s != NewSiteSet(2) {
-		t.Fatal("out-of-range Remove changed set")
 	}
 }
 

@@ -10,6 +10,7 @@ package scheme
 import (
 	"context"
 	"errors"
+	"fmt"
 
 	"relidev/internal/block"
 	"relidev/internal/obs"
@@ -33,8 +34,7 @@ var (
 	// cannot complete yet: no site is available and the sites this one
 	// must wait for (C*(W_s), or all sites in the naive scheme) have not
 	// all recovered — or the chosen repair source vanished mid-exchange.
-	// The site stays comatose; recovery is retried when cluster
-	// membership changes.
+	// The site stays comatose, and recovery is retried later.
 	ErrAwaitingSites = errors.New("scheme: recovery must wait for more sites")
 )
 
@@ -121,14 +121,17 @@ func (e Env) Validate() error {
 	if len(e.Sites) == 0 {
 		return errors.New("scheme: env requires at least one site")
 	}
-	found := false
+	var seen protocol.SiteSet
 	for _, id := range e.Sites {
-		if id == e.Self.ID() {
-			found = true
-			break
+		if id < 0 || id >= protocol.MaxSites {
+			return fmt.Errorf("scheme: site id %v out of range [0,%d)", id, protocol.MaxSites)
 		}
+		if seen.Has(id) {
+			return fmt.Errorf("scheme: site id %v listed twice", id)
+		}
+		seen = seen.Add(id)
 	}
-	if !found {
+	if !seen.Has(e.Self.ID()) {
 		return errors.New("scheme: env site list does not include the local site")
 	}
 	if e.Weights != nil && len(e.Weights) != len(e.Sites) {

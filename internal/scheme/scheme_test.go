@@ -59,6 +59,9 @@ func TestEnvValidate(t *testing.T) {
 		{"nil transport", Env{Self: rep, Sites: []protocol.SiteID{1}}},
 		{"no sites", Env{Self: rep, Transport: fakeTransport{}}},
 		{"self missing", Env{Self: rep, Transport: fakeTransport{}, Sites: []protocol.SiteID{0, 2}}},
+		{"id out of range", Env{Self: rep, Transport: fakeTransport{}, Sites: []protocol.SiteID{0, 1, 99}}},
+		{"negative id", Env{Self: rep, Transport: fakeTransport{}, Sites: []protocol.SiteID{-1, 1}}},
+		{"id listed twice", Env{Self: rep, Transport: fakeTransport{}, Sites: []protocol.SiteID{0, 1, 1}}},
 		{"weights mismatch", Env{Self: rep, Transport: fakeTransport{}, Sites: []protocol.SiteID{1}, Weights: []int64{1, 2}}},
 	}
 	for _, tc := range cases {

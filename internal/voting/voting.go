@@ -72,9 +72,6 @@ func New(env scheme.Env, opts ...Option) (*Controller, error) {
 	}
 	c := &Controller{env: env, remotes: env.Remotes(), threshold: env.TotalWeight() / 2}
 	for i, id := range env.Sites {
-		if id < 0 || id >= protocol.MaxSites {
-			return nil, fmt.Errorf("voting: site id %v out of range [0,%d)", id, protocol.MaxSites)
-		}
 		c.weight[id] = env.Weights[i]
 	}
 	for _, opt := range opts {
@@ -355,8 +352,14 @@ func (c *Controller) finishTwoRound(ctx context.Context, idx block.Index, data [
 	} else if ok {
 		installed = c.weight[c.env.Self.ID()]
 	}
-	for id, res := range c.env.Transport.Notify(ctx, c.env.Self.ID(), quorum, put) {
+	// Read in quorum order, not the map's, so the error returned is the
+	// same on every run.
+	results := c.env.Transport.Notify(ctx, c.env.Self.ID(), quorum, put)
+	for _, id := range quorum {
+		res, ok := results[id]
 		switch {
+		case !ok:
+			// No answer: like a lost update, its weight does not count.
 		case res.Err == nil:
 			installed += c.weight[id]
 		case scheme.IsTransportError(res.Err):

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -722,5 +723,53 @@ func TestPutFanOutOrderIsStable(t *testing.T) {
 	}
 	if len(rec.dests) != 20 {
 		t.Fatalf("recorded %d put fan-outs, want 20", len(rec.dests))
+	}
+}
+
+// failingPuts is a Transport that delivers every put, then reports a
+// fixed error for some of the sites.
+type failingPuts struct {
+	protocol.Transport
+	errs map[protocol.SiteID]error
+}
+
+func (f failingPuts) Notify(ctx context.Context, from protocol.SiteID, dests []protocol.SiteID, req protocol.Request) map[protocol.SiteID]protocol.Result {
+	results := f.Transport.Notify(ctx, from, dests, req)
+	if _, ok := req.(protocol.PutRequest); ok {
+		for id, err := range f.errs {
+			results[id] = protocol.Result{Err: err}
+		}
+	}
+	return results
+}
+
+// TestPutErrorOrderIsStable: with two quorum members failing the put,
+// the two-round write reads the fan-out in quorum order, not the result
+// map's, so it returns the same error every time — site 1's.
+func TestPutErrorOrderIsStable(t *testing.T) {
+	ctx := context.Background()
+	r := newRig(t, 3, simnet.Multicast)
+	coord, err := New(scheme.Env{
+		Self: r.replicas[0],
+		Transport: failingPuts{Transport: r.net, errs: map[protocol.SiteID]error{
+			1: errors.New("disk on fire at 1"),
+			2: errors.New("disk on fire at 2"),
+		}},
+		Sites:   []protocol.SiteID{0, 1, 2},
+		Weights: []int64{1000, 1000, 1000},
+	}, WithTwoRoundWrites())
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := make(map[string]int)
+	for i := 0; i < 50; i++ {
+		err := coord.Write(ctx, 1, pad("x"))
+		if err == nil || !strings.Contains(err.Error(), "at 1") {
+			t.Fatalf("write %d = %v, want site 1's error", i, err)
+		}
+		seen[err.Error()]++
+	}
+	if len(seen) != 1 {
+		t.Fatalf("50 identical writes returned %d different errors: %v", len(seen), seen)
 	}
 }

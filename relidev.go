@@ -303,23 +303,6 @@ func (c *Cluster) State(site int) (SiteState, error) {
 // AvailableSites returns how many sites currently serve the device.
 func (c *Cluster) AvailableSites() int { return c.inner.AvailableCount() }
 
-// Grow adds one replica site to the running cluster and brings it
-// current through the scheme's ordinary recovery procedure — the
-// introduction's "increasing the order of replication". Returns the new
-// site's id. Previously obtained Device handles remain valid and see the
-// new membership.
-func (c *Cluster) Grow(ctx context.Context) (int, error) {
-	id, err := c.inner.Grow(ctx)
-	return int(id), err
-}
-
-// Remove retires the highest-numbered site. It refuses configurations
-// that would discard the most recent data (no other available site)
-// unless force is set.
-func (c *Cluster) Remove(ctx context.Context, force bool) error {
-	return c.inner.Remove(ctx, force)
-}
-
 // Traffic returns a snapshot of the network traffic counters.
 func (c *Cluster) Traffic() TrafficStats {
 	st := c.inner.Network().Stats()

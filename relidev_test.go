@@ -187,42 +187,6 @@ func TestSegmentStoresAndGroupCommitOptions(t *testing.T) {
 	}
 }
 
-func TestReconfigurationViaPublicAPI(t *testing.T) {
-	ctx := context.Background()
-	cluster, err := relidev.New(2, relidev.NaiveAvailableCopy,
-		relidev.WithGeometry(relidev.Geometry{BlockSize: 64, NumBlocks: 8}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	dev, _ := cluster.Device(0)
-	payload := make([]byte, 64)
-	copy(payload, "grown")
-	if err := dev.WriteBlock(ctx, 0, payload); err != nil {
-		t.Fatal(err)
-	}
-	id, err := cluster.Grow(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if id != 2 || cluster.Sites() != 3 {
-		t.Fatalf("id=%d sites=%d", id, cluster.Sites())
-	}
-	devNew, err := cluster.Device(id)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := devNew.ReadBlock(ctx, 0)
-	if err != nil || string(got[:5]) != "grown" {
-		t.Fatalf("read at grown site = %q, %v", got[:5], err)
-	}
-	if err := cluster.Remove(ctx, false); err != nil {
-		t.Fatal(err)
-	}
-	if cluster.Sites() != 2 {
-		t.Fatalf("sites after remove = %d", cluster.Sites())
-	}
-}
-
 func TestAvailabilityFacade(t *testing.T) {
 	// The public formulas reproduce the §4 identities.
 	na2, err := relidev.Availability(relidev.NaiveAvailableCopy, 2, 0.1)
@@ -528,6 +492,7 @@ func TestParsePeers(t *testing.T) {
 		{"blank entries skipped", " ,0=a:1,, ", map[int]string{0: "a:1"}},
 		{"no equals sign", "0:127.0.0.1", nil},
 		{"non-numeric id", "x=127.0.0.1:1", nil},
+		{"repeated id", "0=a:1,0=b:2", nil},
 	} {
 		t.Run(tt.name, func(t *testing.T) {
 			got, err := relidev.ParsePeers(tt.in)
@@ -561,6 +526,18 @@ func TestRemoteConfigValidation(t *testing.T) {
 		Scheme: relidev.Scheme(77),
 	}); err == nil {
 		t.Fatal("accepted unknown scheme")
+	}
+	// A site id outside [0, MaxSites) is refused by every scheme — the
+	// available copy ones too, whose was-available sets could not hold it.
+	for _, s := range []relidev.Scheme{relidev.Voting, relidev.AvailableCopy, relidev.NaiveAvailableCopy} {
+		if site, err := relidev.OpenRemote(relidev.RemoteConfig{
+			Self:   0,
+			Peers:  map[int]string{0: "127.0.0.1:0", 99: "127.0.0.1:1"},
+			Scheme: s,
+		}); err == nil {
+			site.Close()
+			t.Errorf("%v accepted peer 99", s)
+		}
 	}
 	// Every observability part names what it reads; asking for one
 	// without it is refused, not silently dropped.

@@ -88,7 +88,7 @@ type RemoteConfig struct {
 // ParsePeers reads a -peers flag into RemoteConfig.Peers: a
 // comma-separated list of id=host:port entries. Blank entries are
 // skipped, so an empty list parses to an empty map; whether that is
-// allowed is the caller's rule.
+// allowed is the caller's rule. An id given twice is refused.
 func ParsePeers(s string) (map[int]string, error) {
 	peers := make(map[int]string)
 	for _, part := range strings.Split(s, ",") {
@@ -103,6 +103,9 @@ func ParsePeers(s string) (map[int]string, error) {
 		n, err := strconv.Atoi(id)
 		if err != nil {
 			return nil, fmt.Errorf("peer id %q: %w", id, err)
+		}
+		if prev, dup := peers[n]; dup {
+			return nil, fmt.Errorf("peer id %d given twice (%s and %s)", n, prev, addr)
 		}
 		peers[n] = addr
 	}
