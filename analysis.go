@@ -1,25 +1,12 @@
 package relidev
 
-import (
-	"fmt"
-
-	"relidev/internal/analysis"
-)
+import "relidev/internal/analysis"
 
 // Availability returns the steady-state probability that a replicated
 // block with n copies under the given scheme is accessible, where rho =
 // λ/μ is the per-site failure-to-repair rate ratio (§4).
 func Availability(scheme Scheme, n int, rho float64) (float64, error) {
-	switch scheme {
-	case Voting:
-		return analysis.AvailabilityVoting(n, rho)
-	case AvailableCopy:
-		return analysis.AvailabilityAC(n, rho)
-	case NaiveAvailableCopy:
-		return analysis.AvailabilityNaive(n, rho)
-	default:
-		return 0, fmt.Errorf("relidev: unknown scheme %v", scheme)
-	}
+	return analysis.Availability(scheme, n, rho)
 }
 
 // Costs is the expected number of high-level network transmissions per
@@ -30,21 +17,10 @@ type Costs = analysis.Costs
 // system: multicast selects the §5.1 multi-cast network, otherwise the
 // §5.2 unique-addressing network.
 func TrafficCosts(scheme Scheme, n int, rho float64, multicast bool) (Costs, error) {
-	var s analysis.Scheme
-	switch scheme {
-	case Voting:
-		s = analysis.SchemeVoting
-	case AvailableCopy:
-		s = analysis.SchemeAvailableCopy
-	case NaiveAvailableCopy:
-		s = analysis.SchemeNaive
-	default:
-		return Costs{}, fmt.Errorf("relidev: unknown scheme %v", scheme)
-	}
 	if multicast {
-		return analysis.MulticastCosts(s, n, rho)
+		return analysis.MulticastCosts(scheme, n, rho)
 	}
-	return analysis.UnicastCosts(s, n, rho)
+	return analysis.UnicastCosts(scheme, n, rho)
 }
 
 // SiteAvailability returns the availability of one site, 1/(1+rho).

@@ -101,7 +101,7 @@ func BenchmarkFigure12(b *testing.B) {
 func BenchmarkFigure9Simulated(b *testing.B) {
 	var avail float64
 	for i := 0; i < b.N; i++ {
-		m, err := sim.NewACModel(3)
+		m, err := sim.NewModel(analysis.SchemeAvailableCopy, 3)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -95,27 +95,11 @@ func runAvailability(w io.Writer, asJSON bool, schemeName string, sites int, rho
 	if err != nil {
 		return err
 	}
-	var (
-		model    sim.Model
-		analytic float64
-	)
-	switch kind {
-	case core.Voting:
-		model, err = sim.NewVotingModel(sites)
-		if err == nil {
-			analytic, err = analysis.AvailabilityVoting(sites, rho)
-		}
-	case core.AvailableCopy:
-		model, err = sim.NewACModel(sites)
-		if err == nil {
-			analytic, err = analysis.AvailabilityAC(sites, rho)
-		}
-	case core.NaiveAvailableCopy:
-		model, err = sim.NewNaiveModel(sites)
-		if err == nil {
-			analytic, err = analysis.AvailabilityNaive(sites, rho)
-		}
+	model, err := sim.NewModel(kind, sites)
+	if err != nil {
+		return err
 	}
+	analytic, err := analysis.Availability(kind, sites, rho)
 	if err != nil {
 		return err
 	}
@@ -152,16 +136,15 @@ func runTraffic(w io.Writer, asJSON bool, schemeName string, sites int, rho floa
 	if err != nil {
 		return err
 	}
-	aScheme, _ := obs.SchemeFromName(kind.String())
 	var mode simnet.Mode
 	var costs analysis.Costs
 	switch netName {
 	case "multicast":
 		mode = simnet.Multicast
-		costs, err = analysis.MulticastCosts(aScheme, sites, rho)
+		costs, err = analysis.MulticastCosts(kind, sites, rho)
 	case "unicast":
 		mode = simnet.Unicast
-		costs, err = analysis.UnicastCosts(aScheme, sites, rho)
+		costs, err = analysis.UnicastCosts(kind, sites, rho)
 	default:
 		return fmt.Errorf("unknown network flavour %q", netName)
 	}
@@ -201,7 +184,7 @@ func runTraffic(w io.Writer, asJSON bool, schemeName string, sites int, rho floa
 		// operations (voting below quorum still pays for the vote round),
 		// so per-attempt envelopes are the honest check here.
 		conf, err := obs.CheckConformance(obs.ConformanceInput{
-			Scheme:   aScheme,
+			Scheme:   kind,
 			Sites:    sites,
 			Unicast:  mode == simnet.Unicast,
 			Write:    wObs,

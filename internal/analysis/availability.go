@@ -65,6 +65,21 @@ func clampProb(p float64) float64 {
 	}
 }
 
+// Availability returns a scheme's §4 availability of n copies:
+// AvailabilityVoting, AvailabilityAC or AvailabilityNaive.
+func Availability(s Scheme, n int, rho float64) (float64, error) {
+	switch s {
+	case SchemeVoting:
+		return AvailabilityVoting(n, rho)
+	case SchemeAvailableCopy:
+		return AvailabilityAC(n, rho)
+	case SchemeNaive:
+		return AvailabilityNaive(n, rho)
+	default:
+		return 0, fmt.Errorf("analysis: unknown scheme %v", s)
+	}
+}
+
 // AvailabilityVoting returns A_V(n), the steady-state availability of a
 // replicated block with n equally weighted copies managed by majority
 // consensus voting (equations 1.a and 1.b). For even n the §4.1

@@ -23,25 +23,13 @@ func MinCopies(s Scheme, rho, target float64, maxN int) (int, error) {
 	if err := checkRho(rho); err != nil {
 		return 0, err
 	}
-	eval := func(n int) (float64, error) {
-		switch s {
-		case SchemeVoting:
-			return AvailabilityVoting(n, rho)
-		case SchemeAvailableCopy:
-			return AvailabilityAC(n, rho)
-		case SchemeNaive:
-			return AvailabilityNaive(n, rho)
-		default:
-			return 0, fmt.Errorf("analysis: unknown scheme %v", s)
-		}
-	}
 	step := 1
 	start := 1
 	if s == SchemeVoting {
 		step = 2 // even counts add cost but no availability
 	}
 	for n := start; n <= maxN; n += step {
-		a, err := eval(n)
+		a, err := Availability(s, n, rho)
 		if err != nil {
 			return 0, err
 		}

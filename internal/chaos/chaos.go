@@ -282,15 +282,7 @@ func newEngine(cfg Config) (*engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	switch cfg.Scheme {
-	case core.Voting:
-		e.model, err = sim.NewVotingModel(cfg.Sites)
-	case core.AvailableCopy:
-		e.model, err = sim.NewACModel(cfg.Sites)
-	default:
-		e.model, err = sim.NewNaiveModel(cfg.Sites)
-	}
-	if err != nil {
+	if e.model, err = sim.NewModel(cfg.Scheme, cfg.Sites); err != nil {
 		return nil, err
 	}
 	cl, err := core.NewCluster(core.ClusterConfig{
@@ -427,12 +419,6 @@ func (e *engine) siteStates() any {
 func (e *engine) conformanceCheck() {
 	snap := e.plane.Observer().Snapshot()
 	e.report.Metrics = &snap
-	as, ok := obs.SchemeFromName(e.report.Scheme)
-	if !ok {
-		e.report.Violations = append(e.report.Violations,
-			fmt.Sprintf("§5 conformance: no analysis scheme for %q", e.report.Scheme))
-		return
-	}
 	st := e.cl.Network().Stats()
 	tx := make(map[string]uint64, len(st.ByOp))
 	for op, s := range st.ByOp {
@@ -440,7 +426,7 @@ func (e *engine) conformanceCheck() {
 	}
 	w, r, rec := obs.GatherObservations(snap, e.report.Scheme, tx)
 	in := obs.ConformanceInput{
-		Scheme:   as,
+		Scheme:   e.cfg.Scheme,
 		Sites:    e.cfg.Sites,
 		Unicast:  e.cl.Network().Mode() == simnet.Unicast,
 		Write:    w,

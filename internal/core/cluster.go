@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 
+	"relidev/internal/analysis"
 	"relidev/internal/availcopy"
 	"relidev/internal/block"
 	"relidev/internal/naiveac"
@@ -17,29 +18,17 @@ import (
 	"relidev/internal/voting"
 )
 
-// SchemeKind selects a consistency control algorithm.
-type SchemeKind int
+// SchemeKind selects a consistency control algorithm: the analysis
+// package's scheme, so the controllers and the §4/§5 models name the
+// three algorithms of §3 with one enumeration.
+type SchemeKind = analysis.Scheme
 
 // The three algorithms of §3.
 const (
-	Voting SchemeKind = iota + 1
-	AvailableCopy
-	NaiveAvailableCopy
+	Voting             = analysis.SchemeVoting
+	AvailableCopy      = analysis.SchemeAvailableCopy
+	NaiveAvailableCopy = analysis.SchemeNaive
 )
-
-// String implements fmt.Stringer.
-func (k SchemeKind) String() string {
-	switch k {
-	case Voting:
-		return "voting"
-	case AvailableCopy:
-		return "available-copy"
-	case NaiveAvailableCopy:
-		return "naive"
-	default:
-		return fmt.Sprintf("scheme(%d)", int(k))
-	}
-}
 
 // ParseScheme maps a command-line scheme name to its kind. It accepts
 // each controller's own name (String) and the short forms: "voting",

@@ -103,19 +103,18 @@ type ruleHost interface {
 	SetFaultRule(simnet.FaultRule)
 }
 
-type linkKey struct {
-	from, to protocol.SiteID
-}
-
 // Network is the decorating transport.
 type Network struct {
 	inner    protocol.Transport
 	cfg      Config
 	ruleMode bool
 
-	mu       sync.Mutex
-	seq      map[linkKey]uint64
-	groups   map[protocol.SiteID]int
+	mu sync.Mutex
+	// seq counts each directed link's decisions: its position in the
+	// link's decision stream.
+	seq [protocol.MaxSites][protocol.MaxSites]uint64
+	// groups is each site's partition group; 0 is the default.
+	groups   [protocol.MaxSites]int
 	noDrops  map[string]bool
 	disabled atomic.Bool
 
@@ -143,8 +142,6 @@ func New(inner protocol.Transport, cfg Config) (*Network, error) {
 	n := &Network{
 		inner:   inner,
 		cfg:     cfg,
-		seq:     make(map[linkKey]uint64),
-		groups:  make(map[protocol.SiteID]int),
 		noDrops: make(map[string]bool, len(cfg.NoDropKinds)),
 	}
 	for _, k := range cfg.NoDropKinds {
@@ -181,18 +178,14 @@ func (n *Network) Stats() Stats {
 // groups cannot exchange messages. Group 0 is the default.
 func (n *Network) SetPartition(id protocol.SiteID, group int) {
 	n.mu.Lock()
-	if group == 0 {
-		delete(n.groups, id)
-	} else {
-		n.groups[id] = group
-	}
+	n.groups[id] = group
 	n.mu.Unlock()
 }
 
 // Heal returns every site to partition group 0.
 func (n *Network) Heal() {
 	n.mu.Lock()
-	n.groups = make(map[protocol.SiteID]int)
+	n.groups = [protocol.MaxSites]int{}
 	n.mu.Unlock()
 }
 
@@ -214,10 +207,9 @@ func unit(h uint64) float64 {
 // draw advances the link's decision stream and returns two independent
 // uniform variates: the class selector and the latency fraction.
 func (n *Network) draw(from, to protocol.SiteID) (float64, float64) {
-	k := linkKey{from, to}
 	n.mu.Lock()
-	i := n.seq[k]
-	n.seq[k] = i + 1
+	i := n.seq[from][to]
+	n.seq[from][to] = i + 1
 	n.mu.Unlock()
 	base := uint64(n.cfg.Seed) ^ uint64(from)<<40 ^ uint64(to)<<20 ^ i<<1
 	return unit(splitmix64(base)), unit(splitmix64(base + 1))

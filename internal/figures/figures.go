@@ -165,7 +165,7 @@ func WithSimulation(fig Figure, nAC int, horizon float64, seed int64) (Figure, e
 	spots := []float64{0.05, 0.10, 0.15, 0.20}
 	s := Series{Label: fmt.Sprintf("available copy (n=%d), simulated", nAC)}
 	for _, rho := range spots {
-		m, err := sim.NewACModel(nAC)
+		m, err := sim.NewModel(analysis.SchemeAvailableCopy, nAC)
 		if err != nil {
 			return Figure{}, err
 		}

@@ -38,7 +38,7 @@ var DetCheck = &Analyzer{
 // their time from an injected clock.Clock (DESIGN.md "Time"): the only
 // allowed wall-clock touches are clock.Wall's two, plus the pacing
 // sleeps in simnet and faultnet.
-var detScopeElems = []string{"faultnet", "chaos", "sim", "simnet", "workload", "markov", "obs", "store", "cache", "flight", "alert", "tsdb", "clock"}
+var detScopeElems = []string{"faultnet", "chaos", "sim", "simnet", "markov", "obs", "store", "cache", "flight", "alert", "tsdb", "clock"}
 
 var wallClockFuncs = map[string]bool{
 	"Now": true, "Since": true, "Until": true, "Sleep": true,

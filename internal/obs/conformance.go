@@ -268,21 +268,6 @@ func bracketCheck(in ConformanceInput, op string, o OpObservation) (OpCheck, err
 	return chk, nil
 }
 
-// SchemeFromName maps a controller name ("voting", "available-copy",
-// "naive") to its analysis scheme.
-func SchemeFromName(name string) (analysis.Scheme, bool) {
-	switch name {
-	case "voting":
-		return analysis.SchemeVoting, true
-	case "available-copy":
-		return analysis.SchemeAvailableCopy, true
-	case "naive":
-		return analysis.SchemeNaive, true
-	default:
-		return 0, false
-	}
-}
-
 // GatherObservations extracts the per-operation observations for one
 // scheme from a metrics snapshot (summed across sites) plus the
 // per-operation transmission totals reported by the metering transport

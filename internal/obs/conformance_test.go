@@ -249,22 +249,6 @@ func TestCheckConformanceUnknownScheme(t *testing.T) {
 	}
 }
 
-func TestSchemeFromName(t *testing.T) {
-	for name, want := range map[string]analysis.Scheme{
-		"voting":         analysis.SchemeVoting,
-		"available-copy": analysis.SchemeAvailableCopy,
-		"naive":          analysis.SchemeNaive,
-	} {
-		got, ok := SchemeFromName(name)
-		if !ok || got != want {
-			t.Errorf("SchemeFromName(%q) = %v, %v", name, got, ok)
-		}
-	}
-	if _, ok := SchemeFromName("paxos"); ok {
-		t.Error("SchemeFromName accepted an unknown name")
-	}
-}
-
 func TestGatherObservations(t *testing.T) {
 	o := New()
 	// Two sites contribute to the same scheme totals.

@@ -7,12 +7,13 @@ import (
 	"time"
 )
 
-// Critical-path analysis (DESIGN.md §15): fold the phase histograms —
-// and, for single traces, the EvPhase spans of a stitched tree — into
-// a per-scheme/op breakdown of where operation latency goes. The
-// top-level phases partition each op's wall time (lock wait + fanout +
-// rpc + local == end-to-end, by construction of OpSpan.closePhases),
-// so shares are exact, not sampled.
+// Critical-path analysis (DESIGN.md §15): fold the phase histograms
+// into a per-scheme/op breakdown of where operation latency goes. A
+// stitched tree's EvPhase spans carry the same partition for single
+// traces; TestTreePhasesMatchRegistry and TestSpanPhases read them
+// back. The top-level phases partition each op's wall time (lock wait
+// + fanout + rpc + local == end-to-end, by construction of
+// OpSpan.closePhases), so shares are exact, not sampled.
 
 // A PhaseStat summarises one phase of one scheme/op aggregate.
 type PhaseStat struct {

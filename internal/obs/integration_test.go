@@ -120,13 +120,9 @@ func runConformanceWorkload(t *testing.T, kind core.SchemeKind, mode simnet.Mode
 		t.Fatal(err)
 	}
 	schemeName := ctrl0.Name()
-	as, ok := obs.SchemeFromName(schemeName)
-	if !ok {
-		t.Fatalf("no analysis scheme for %q", schemeName)
-	}
 	w, r, rec := obs.GatherObservations(o.Snapshot(), schemeName, tx)
 	rep, err := obs.CheckConformance(obs.ConformanceInput{
-		Scheme:   as,
+		Scheme:   kind,
 		Sites:    n,
 		Unicast:  mode == simnet.Unicast,
 		Write:    w,
@@ -277,9 +273,9 @@ func TestTotalFailureClosureTrace(t *testing.T) {
 
 func mustScheme(t *testing.T, name string) analysis.Scheme {
 	t.Helper()
-	s, ok := obs.SchemeFromName(name)
-	if !ok {
-		t.Fatalf("no analysis scheme for %q", name)
+	s, err := core.ParseScheme(name)
+	if err != nil {
+		t.Fatal(err)
 	}
 	return s
 }

@@ -182,8 +182,8 @@ func (sp *OpSpan) closePhases(total int64) [len(phases)]int64 {
 }
 
 // emitPhases appends one EvPhase child span per non-zero phase to the
-// trace ring, so stitched trees carry the attribution (the span walker
-// in criticalpath.go reads them back).
+// trace ring, so stitched trees carry the attribution
+// (TestTreePhasesMatchRegistry and TestSpanPhases read them back).
 func (sp *OpSpan) emitPhases(durs [len(phases)]int64) {
 	s := sp.s
 	if s.o.tracer == nil {

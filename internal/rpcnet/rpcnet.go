@@ -251,10 +251,9 @@ func (c config) withDefaults() config {
 type Client struct {
 	self protocol.SiteID
 	cfg  config
-
-	mu    sync.Mutex
-	addrs map[protocol.SiteID]string
-	pools map[protocol.SiteID]*peerPool
+	// pools holds one pool per peer with an address, built by NewClient
+	// and never changed after: nil marks a site without an address.
+	pools [protocol.MaxSites]*peerPool
 
 	rngMu sync.Mutex
 	rng   *rand.Rand
@@ -393,33 +392,32 @@ func NewClient(self protocol.SiteID, addrs map[protocol.SiteID]string, timeout t
 	if len(addrs) == 0 {
 		return nil, errors.New("rpcnet: client needs peer addresses")
 	}
-	m := make(map[protocol.SiteID]string, len(addrs))
-	for id, a := range addrs {
-		m[id] = a
+	c := &Client{
+		self: self,
+		cfg:  config{callTimeout: timeout}.withDefaults(),
+		rng:  rand.New(rand.NewSource(time.Now().UnixNano())),
 	}
-	return &Client{
-		self:  self,
-		cfg:   config{callTimeout: timeout}.withDefaults(),
-		addrs: m,
-		pools: make(map[protocol.SiteID]*peerPool),
-		rng:   rand.New(rand.NewSource(time.Now().UnixNano())),
-	}, nil
+	for id, addr := range addrs {
+		if id < 0 || id >= protocol.MaxSites {
+			return nil, fmt.Errorf("rpcnet: peer id %d outside [0, %d)", id, protocol.MaxSites)
+		}
+		c.pools[id] = &peerPool{
+			addr:       addr,
+			downErr:    fmt.Errorf("rpcnet: %v suspected down, redial backed off: %w", id, protocol.ErrSiteDown),
+			backoffErr: fmt.Errorf("rpcnet: redial of %v backed off: %w", id, protocol.ErrTransient),
+		}
+	}
+	return c, nil
 }
 
 // SuspectSet returns the set of peers the failure detector currently
 // considers down (suspectThreshold consecutive failures, no success
 // since).
 func (c *Client) SuspectSet() protocol.SiteSet {
-	c.mu.Lock()
-	pools := make(map[protocol.SiteID]*peerPool, len(c.pools))
-	for id, p := range c.pools {
-		pools[id] = p
-	}
-	c.mu.Unlock()
 	var s protocol.SiteSet
-	for id, p := range pools {
-		if p.suspected(c.cfg.suspectThreshold) {
-			s = s.Add(id)
+	for id, p := range c.pools {
+		if p != nil && p.suspected(c.cfg.suspectThreshold) {
+			s = s.Add(protocol.SiteID(id))
 		}
 	}
 	return s
@@ -439,36 +437,19 @@ func (c *Client) jitter(d time.Duration) time.Duration {
 // Close drops all idle peer connections. Connections checked out by
 // in-flight round trips are closed as they are returned.
 func (c *Client) Close() error {
-	c.mu.Lock()
-	pools := make([]*peerPool, 0, len(c.pools))
-	for id, p := range c.pools {
-		pools = append(pools, p)
-		delete(c.pools, id)
-	}
-	c.mu.Unlock()
-	for _, p := range pools {
-		p.close()
+	for _, p := range c.pools {
+		if p != nil {
+			p.close()
+		}
 	}
 	return nil
 }
 
 func (c *Client) peer(to protocol.SiteID) (*peerPool, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	p, ok := c.pools[to]
-	if !ok {
-		addr, ok := c.addrs[to]
-		if !ok {
-			return nil, fmt.Errorf("rpcnet: no address for %v: %w", to, protocol.ErrSiteDown)
-		}
-		p = &peerPool{
-			addr:       addr,
-			downErr:    fmt.Errorf("rpcnet: %v suspected down, redial backed off: %w", to, protocol.ErrSiteDown),
-			backoffErr: fmt.Errorf("rpcnet: redial of %v backed off: %w", to, protocol.ErrTransient),
-		}
-		c.pools[to] = p
+	if to < 0 || to >= protocol.MaxSites || c.pools[to] == nil {
+		return nil, fmt.Errorf("rpcnet: no address for %v: %w", to, protocol.ErrSiteDown)
 	}
-	return p, nil
+	return c.pools[to], nil
 }
 
 // exchange runs one request/response on an established connection. On

@@ -71,6 +71,11 @@ func TestClientValidation(t *testing.T) {
 	if _, err := NewClient(0, nil, 0); err == nil {
 		t.Fatal("accepted empty address map")
 	}
+	for _, id := range []protocol.SiteID{-1, protocol.MaxSites} {
+		if _, err := NewClient(0, map[protocol.SiteID]string{id: "127.0.0.1:1"}, 0); err == nil {
+			t.Fatalf("accepted peer id %d", id)
+		}
+	}
 }
 
 func TestRoundTripAllMessageTypes(t *testing.T) {

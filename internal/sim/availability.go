@@ -2,6 +2,8 @@ package sim
 
 import (
 	"fmt"
+
+	"relidev/internal/analysis"
 )
 
 // Model is an abstract per-scheme availability state machine: it consumes
@@ -26,128 +28,150 @@ const (
 	modeComatose
 )
 
-// VotingModel tracks the quorum condition: the block is available while
-// the up sites hold a strict majority of the weight. Equal weights with
-// the §4.1 tie-break (site 0 nudged) are assumed, matching equations
-// (1.a)/(1.b).
-type VotingModel struct {
-	n     int
-	up    []bool
-	nUp   int
-	total int
+// NewModel returns the §4 availability state machine of a scheme over n
+// sites, all of them up: the voting quorum condition (equations
+// (1.a)/(1.b)) or the Figure 7 or Figure 8 machine.
+func NewModel(s analysis.Scheme, n int) (Model, error) {
+	if n <= 0 {
+		return nil, fmt.Errorf("sim: %v model needs n > 0, got %d", s, n)
+	}
+	switch s {
+	case analysis.SchemeVoting:
+		return NewWitnessVotingModel(n, 0)
+	case analysis.SchemeAvailableCopy, analysis.SchemeNaive:
+		mode := make([]siteMode, n)
+		for i := range mode {
+			mode[i] = modeUp
+		}
+		return &ACModel{mode: mode, nAvail: n, nUp: n, naive: s == analysis.SchemeNaive}, nil
+	default:
+		return nil, fmt.Errorf("sim: no availability model for %v", s)
+	}
 }
 
-var _ Model = (*VotingModel)(nil)
+// WitnessVotingModel is the availability state machine of a voting
+// system with data sites and witness sites ([10]): the block is
+// accessible when the up sites hold a weight majority (equal weights,
+// ε-nudge on data site 0 for even totals, the §4.1 tie-break) and at
+// least one data site is up to supply the contents. With no witnesses
+// it is plain voting's quorum condition.
+type WitnessVotingModel struct {
+	data   int
+	up     []bool
+	nUp    int
+	dataUp int
+}
 
-// NewVotingModel starts with all n sites up.
-func NewVotingModel(n int) (*VotingModel, error) {
-	if n <= 0 {
-		return nil, fmt.Errorf("sim: voting model needs n > 0, got %d", n)
+var _ Model = (*WitnessVotingModel)(nil)
+
+// NewWitnessVotingModel starts with all sites up. Sites 0..data-1 are
+// data sites; the rest are witnesses.
+func NewWitnessVotingModel(data, witnesses int) (*WitnessVotingModel, error) {
+	if data < 1 || witnesses < 0 {
+		return nil, fmt.Errorf("sim: witness model needs data >= 1, witnesses >= 0 (got %d, %d)", data, witnesses)
 	}
+	n := data + witnesses
 	up := make([]bool, n)
 	for i := range up {
 		up[i] = true
 	}
-	return &VotingModel{n: n, up: up, nUp: n}, nil
+	return &WitnessVotingModel{data: data, up: up, nUp: n, dataUp: data}, nil
 }
 
 // Apply implements Model.
-func (m *VotingModel) Apply(e Event) {
-	switch e.Kind {
-	case EventFail:
-		if m.up[e.Site] {
-			m.up[e.Site] = false
-			m.nUp--
-		}
-	case EventRepair:
-		if !m.up[e.Site] {
-			m.up[e.Site] = true
-			m.nUp++
-		}
+func (m *WitnessVotingModel) Apply(e Event) {
+	if e.Site < 0 || e.Site >= len(m.up) {
+		return
+	}
+	up := e.Kind == EventRepair
+	if m.up[e.Site] == up {
+		return
+	}
+	m.up[e.Site] = up
+	d := 1
+	if !up {
+		d = -1
+	}
+	m.nUp += d
+	if e.Site < m.data {
+		m.dataUp += d
 	}
 }
 
 // Available implements Model.
-func (m *VotingModel) Available() bool {
-	switch {
-	case 2*m.nUp > m.n:
+func (m *WitnessVotingModel) Available() bool {
+	if m.dataUp == 0 {
+		return false
+	}
+	switch n := len(m.up); {
+	case 2*m.nUp > n:
 		return true
-	case 2*m.nUp == m.n:
-		// Tie: the ε-weighted site (site 0) casts the deciding vote.
+	case 2*m.nUp == n:
+		// Tie: the ε-weighted site 0 (a data site) casts the deciding vote.
 		return m.up[0]
 	default:
 		return false
 	}
 }
 
-// AvailableSites implements Model. Every up site participates in quorums
-// immediately (lazy recovery).
-func (m *VotingModel) AvailableSites() int { return m.nUp }
+// AvailableSites implements Model: only up data sites can serve a block,
+// and every one of them participates in quorums at once (lazy recovery).
+func (m *WitnessVotingModel) AvailableSites() int { return m.dataUp }
 
-// ACModel is the Figure 7 state machine: available sites serve the block;
-// when the last available site fails the block is lost until *that* site
-// repairs, at which point it and every comatose site become available
-// together. Other sites repairing in the interim wait comatose.
+// ACModel is the Figure 7 and Figure 8 state machine: available sites
+// serve the block, and a site repairing while one is available rejoins
+// at once. When the last available site fails the block is lost; sites
+// repairing in the interim wait comatose until the total-failure exit
+// opens, and then every up site becomes available together. Under
+// available copy (Figure 7) the exit is the repair of the site that
+// failed last, which holds the most recent versions; under naive
+// available copy (Figure 8), which keeps no was-available sets, it is
+// the repair of the last of all n sites.
 type ACModel struct {
-	n      int
 	mode   []siteMode
 	nAvail int
-	// lastAvailable is the site whose repair ends a total failure, valid
-	// while nAvail == 0.
+	nUp    int // up in any mode
+	naive  bool
+	// lastAvailable is the available site that failed last, valid while
+	// nAvail == 0.
 	lastAvailable int
 }
 
 var _ Model = (*ACModel)(nil)
-
-// NewACModel starts with all n sites available.
-func NewACModel(n int) (*ACModel, error) {
-	if n <= 0 {
-		return nil, fmt.Errorf("sim: AC model needs n > 0, got %d", n)
-	}
-	mode := make([]siteMode, n)
-	for i := range mode {
-		mode[i] = modeUp
-	}
-	return &ACModel{n: n, mode: mode, nAvail: n, lastAvailable: -1}, nil
-}
 
 // Apply implements Model.
 func (m *ACModel) Apply(e Event) {
 	switch e.Kind {
 	case EventFail:
 		switch m.mode[e.Site] {
+		case modeDown:
+			return
 		case modeUp:
-			m.mode[e.Site] = modeDown
 			m.nAvail--
-			if m.nAvail == 0 {
-				m.lastAvailable = e.Site
-			}
-		case modeComatose:
-			m.mode[e.Site] = modeDown
+			m.lastAvailable = e.Site
 		}
+		m.mode[e.Site] = modeDown
+		m.nUp--
 	case EventRepair:
 		if m.mode[e.Site] != modeDown {
 			return
 		}
+		m.mode[e.Site] = modeComatose
+		m.nUp++
 		switch {
 		case m.nAvail > 0:
 			// Repair from any available copy completes immediately.
 			m.mode[e.Site] = modeUp
 			m.nAvail++
-		case e.Site == m.lastAvailable:
-			// The copy that failed last is back: it holds the most
-			// recent versions, so it and every comatose copy recover.
-			m.mode[e.Site] = modeUp
-			m.nAvail = 1
+		case m.naive && m.nUp == len(m.mode), !m.naive && e.Site == m.lastAvailable:
+			// The exit opens: a most recent copy is up again, so it and
+			// every comatose copy recover together.
 			for s := range m.mode {
 				if m.mode[s] == modeComatose {
 					m.mode[s] = modeUp
 					m.nAvail++
 				}
 			}
-			m.lastAvailable = -1
-		default:
-			m.mode[e.Site] = modeComatose
 		}
 	}
 }
@@ -157,70 +181,6 @@ func (m *ACModel) Available() bool { return m.nAvail > 0 }
 
 // AvailableSites implements Model.
 func (m *ACModel) AvailableSites() int { return m.nAvail }
-
-// NaiveModel is the Figure 8 state machine: after a total failure the
-// block stays inaccessible until every site is up again.
-type NaiveModel struct {
-	n      int
-	mode   []siteMode
-	nAvail int
-	nUp    int // up in any mode
-}
-
-var _ Model = (*NaiveModel)(nil)
-
-// NewNaiveModel starts with all n sites available.
-func NewNaiveModel(n int) (*NaiveModel, error) {
-	if n <= 0 {
-		return nil, fmt.Errorf("sim: naive model needs n > 0, got %d", n)
-	}
-	mode := make([]siteMode, n)
-	for i := range mode {
-		mode[i] = modeUp
-	}
-	return &NaiveModel{n: n, mode: mode, nAvail: n, nUp: n}, nil
-}
-
-// Apply implements Model.
-func (m *NaiveModel) Apply(e Event) {
-	switch e.Kind {
-	case EventFail:
-		switch m.mode[e.Site] {
-		case modeUp:
-			m.mode[e.Site] = modeDown
-			m.nAvail--
-			m.nUp--
-		case modeComatose:
-			m.mode[e.Site] = modeDown
-			m.nUp--
-		}
-	case EventRepair:
-		if m.mode[e.Site] != modeDown {
-			return
-		}
-		m.nUp++
-		switch {
-		case m.nAvail > 0:
-			m.mode[e.Site] = modeUp
-			m.nAvail++
-		case m.nUp == m.n:
-			// Everyone is back: the highest-version copy is identified
-			// and all copies become available (Figure 6).
-			for s := range m.mode {
-				m.mode[s] = modeUp
-			}
-			m.nAvail = m.n
-		default:
-			m.mode[e.Site] = modeComatose
-		}
-	}
-}
-
-// Available implements Model.
-func (m *NaiveModel) Available() bool { return m.nAvail > 0 }
-
-// AvailableSites implements Model.
-func (m *NaiveModel) AvailableSites() int { return m.nAvail }
 
 // AvailabilityResult summarises one availability simulation.
 type AvailabilityResult struct {

@@ -8,19 +8,21 @@ import (
 )
 
 func TestModelConstructorsReject(t *testing.T) {
-	if _, err := NewVotingModel(0); err == nil {
-		t.Fatal("voting model accepted n=0")
+	for _, s := range []analysis.Scheme{analysis.SchemeVoting, analysis.SchemeAvailableCopy, analysis.SchemeNaive} {
+		if _, err := NewModel(s, 0); err == nil {
+			t.Fatalf("%v model accepted n=0", s)
+		}
 	}
-	if _, err := NewACModel(-1); err == nil {
+	if _, err := NewModel(analysis.SchemeAvailableCopy, -1); err == nil {
 		t.Fatal("AC model accepted n=-1")
 	}
-	if _, err := NewNaiveModel(0); err == nil {
-		t.Fatal("naive model accepted n=0")
+	if _, err := NewModel(analysis.Scheme(99), 3); err == nil {
+		t.Fatal("accepted an unknown scheme")
 	}
 }
 
 func TestVotingModelQuorum(t *testing.T) {
-	m, err := NewVotingModel(5)
+	m, err := NewModel(analysis.SchemeVoting, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +45,7 @@ func TestVotingModelQuorum(t *testing.T) {
 }
 
 func TestVotingModelEvenTie(t *testing.T) {
-	m, err := NewVotingModel(4)
+	m, err := NewModel(analysis.SchemeVoting, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +66,7 @@ func TestVotingModelEvenTie(t *testing.T) {
 }
 
 func TestACModelTotalFailureSemantics(t *testing.T) {
-	m, err := NewACModel(3)
+	m, err := NewModel(analysis.SchemeAvailableCopy, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +93,7 @@ func TestACModelTotalFailureSemantics(t *testing.T) {
 }
 
 func TestACModelComatoseCanRefail(t *testing.T) {
-	m, _ := NewACModel(2)
+	m, _ := NewModel(analysis.SchemeAvailableCopy, 2)
 	m.Apply(Event{Site: 0, Kind: EventFail})
 	m.Apply(Event{Site: 1, Kind: EventFail}) // 1 failed last
 	m.Apply(Event{Site: 0, Kind: EventRepair})
@@ -107,7 +109,7 @@ func TestACModelComatoseCanRefail(t *testing.T) {
 }
 
 func TestNaiveModelWaitsForAll(t *testing.T) {
-	m, err := NewNaiveModel(3)
+	m, err := NewModel(analysis.SchemeNaive, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +131,7 @@ func TestSimulateAvailabilityValidation(t *testing.T) {
 	if _, err := SimulateAvailability(nil, 3, 0.1, 100, 1); err == nil {
 		t.Fatal("accepted nil model")
 	}
-	m, _ := NewACModel(3)
+	m, _ := NewModel(analysis.SchemeAvailableCopy, 3)
 	if _, err := SimulateAvailability(m, 3, 0.1, 0, 1); err == nil {
 		t.Fatal("accepted zero horizon")
 	}
@@ -144,25 +146,24 @@ func TestSimulatedAvailabilityMatchesAnalysis(t *testing.T) {
 	}
 	const horizon = 400000.0
 	cases := []struct {
-		name     string
-		n        int
-		rho      float64
-		model    func(int) (Model, error)
-		analytic func(int, float64) (float64, error)
+		name   string
+		n      int
+		rho    float64
+		scheme analysis.Scheme
 	}{
-		{"voting/3", 3, 0.2, func(n int) (Model, error) { return NewVotingModel(n) }, analysis.AvailabilityVoting},
-		{"voting/5", 5, 0.2, func(n int) (Model, error) { return NewVotingModel(n) }, analysis.AvailabilityVoting},
-		{"voting/4-tiebreak", 4, 0.2, func(n int) (Model, error) { return NewVotingModel(n) }, analysis.AvailabilityVoting},
-		{"ac/2", 2, 0.2, func(n int) (Model, error) { return NewACModel(n) }, analysis.AvailabilityAC},
-		{"ac/3", 3, 0.2, func(n int) (Model, error) { return NewACModel(n) }, analysis.AvailabilityAC},
-		{"ac/5", 5, 0.2, func(n int) (Model, error) { return NewACModel(n) }, analysis.AvailabilityAC},
-		{"naive/2", 2, 0.2, func(n int) (Model, error) { return NewNaiveModel(n) }, analysis.AvailabilityNaive},
-		{"naive/3", 3, 0.2, func(n int) (Model, error) { return NewNaiveModel(n) }, analysis.AvailabilityNaive},
-		{"naive/5", 5, 0.2, func(n int) (Model, error) { return NewNaiveModel(n) }, analysis.AvailabilityNaive},
+		{"voting/3", 3, 0.2, analysis.SchemeVoting},
+		{"voting/5", 5, 0.2, analysis.SchemeVoting},
+		{"voting/4-tiebreak", 4, 0.2, analysis.SchemeVoting},
+		{"ac/2", 2, 0.2, analysis.SchemeAvailableCopy},
+		{"ac/3", 3, 0.2, analysis.SchemeAvailableCopy},
+		{"ac/5", 5, 0.2, analysis.SchemeAvailableCopy},
+		{"naive/2", 2, 0.2, analysis.SchemeNaive},
+		{"naive/3", 3, 0.2, analysis.SchemeNaive},
+		{"naive/5", 5, 0.2, analysis.SchemeNaive},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			m, err := tc.model(tc.n)
+			m, err := NewModel(tc.scheme, tc.n)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -170,7 +171,7 @@ func TestSimulatedAvailabilityMatchesAnalysis(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := tc.analytic(tc.n, tc.rho)
+			want, err := analysis.Availability(tc.scheme, tc.n, tc.rho)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -198,7 +199,7 @@ func TestSimulatedParticipationMatchesAnalysis(t *testing.T) {
 		rho     = 0.1
 		horizon = 200000.0
 	)
-	m, _ := NewVotingModel(n)
+	m, _ := NewModel(analysis.SchemeVoting, n)
 	res, err := SimulateAvailability(m, n, rho, horizon, 99)
 	if err != nil {
 		t.Fatal(err)
@@ -210,7 +211,7 @@ func TestSimulatedParticipationMatchesAnalysis(t *testing.T) {
 		t.Fatalf("mean participating sites %v vs U_V %v", res.MeanAvailableSites, want)
 	}
 
-	ac, _ := NewACModel(n)
+	ac, _ := NewModel(analysis.SchemeAvailableCopy, n)
 	resAC, err := SimulateAvailability(ac, n, rho, horizon, 99)
 	if err != nil {
 		t.Fatal(err)

@@ -78,11 +78,12 @@ func Exp(rng *rand.Rand, rate float64) float64 {
 }
 
 // FailureProcess generates the alternating up/down event sequence for n
-// sites with failure rate lambda and repair rate mu.
+// sites: up periods are exponential with rate lambda, and down periods
+// are drawn from the repair distribution, exponential with rate mu
+// unless the package's §4.4 experiment substitutes another.
 type FailureProcess struct {
-	n      int
 	lambda float64
-	mu     float64
+	repair Dist
 	rng    *rand.Rand
 	queue  eventQueue
 }
@@ -96,7 +97,7 @@ func NewFailureProcess(n int, lambda, mu float64, seed int64) (*FailureProcess, 
 	if lambda < 0 || mu <= 0 {
 		return nil, fmt.Errorf("sim: rates lambda=%v mu=%v invalid (need lambda >= 0, mu > 0)", lambda, mu)
 	}
-	p := &FailureProcess{n: n, lambda: lambda, mu: mu, rng: rand.New(rand.NewSource(seed))}
+	p := &FailureProcess{lambda: lambda, repair: Exponential{Rate: mu}, rng: rand.New(rand.NewSource(seed))}
 	for s := 0; s < n; s++ {
 		heap.Push(&p.queue, Event{At: Exp(p.rng, lambda), Site: s, Kind: EventFail})
 	}
@@ -115,7 +116,7 @@ func (p *FailureProcess) Next() (Event, bool) {
 	}
 	switch e.Kind {
 	case EventFail:
-		heap.Push(&p.queue, Event{At: e.At + Exp(p.rng, p.mu), Site: e.Site, Kind: EventRepair})
+		heap.Push(&p.queue, Event{At: e.At + p.repair.Sample(p.rng), Site: e.Site, Kind: EventRepair})
 	case EventRepair:
 		heap.Push(&p.queue, Event{At: e.At + Exp(p.rng, p.lambda), Site: e.Site, Kind: EventFail})
 	}

@@ -52,35 +52,39 @@ func TestFailureProcessNoFailures(t *testing.T) {
 }
 
 func TestPerSiteUpFractionMatchesTheory(t *testing.T) {
-	// Each site should be up ~1/(1+rho) of the time.
+	// Each site should be up ~1/(1+rho) of the time: the mean up period
+	// is 1/rho and the mean repair 1, whatever the repair distribution.
 	const (
 		rho     = 0.25
 		horizon = 100000.0
 	)
-	p, err := NewFailureProcess(1, rho, 1, 11)
-	if err != nil {
-		t.Fatal(err)
-	}
-	up := true
-	now, upTime := 0.0, 0.0
-	for {
-		e, ok := p.Next()
-		if !ok || e.At > horizon {
-			break
+	for _, repair := range []Dist{Exponential{Rate: 1}, Erlang{K: 4, Mean: 1}} {
+		p, err := NewFailureProcess(1, rho, 1, 11)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.repair = repair
+		up := true
+		now, upTime := 0.0, 0.0
+		for {
+			e, ok := p.Next()
+			if !ok || e.At > horizon {
+				break
+			}
+			if up {
+				upTime += e.At - now
+			}
+			now = e.At
+			up = e.Kind == EventRepair
 		}
 		if up {
-			upTime += e.At - now
+			upTime += horizon - now
 		}
-		now = e.At
-		up = e.Kind == EventRepair
-	}
-	if up {
-		upTime += horizon - now
-	}
-	got := upTime / horizon
-	want := 1 / (1 + rho)
-	if math.Abs(got-want) > 0.01 {
-		t.Fatalf("up fraction = %v, want %v +- 0.01", got, want)
+		got := upTime / horizon
+		want := 1 / (1 + rho)
+		if math.Abs(got-want) > 0.01 {
+			t.Fatalf("%s repairs: up fraction = %v, want %v +- 0.01", repair.Name(), got, want)
+		}
 	}
 }
 

@@ -8,7 +8,7 @@ import (
 )
 
 func TestMeasureMTTFValidation(t *testing.T) {
-	factory := func() (Model, error) { return NewACModel(2) }
+	factory := func() (Model, error) { return NewModel(analysis.SchemeAvailableCopy, 2) }
 	if _, err := MeasureMTTF(nil, 2, 0.1, 10, 1); err == nil {
 		t.Fatal("accepted nil factory")
 	}
@@ -32,28 +32,18 @@ func TestSimulatedMTTFMatchesAnalysis(t *testing.T) {
 	cases := []struct {
 		name     string
 		n        int
-		factory  func(n int) func() (Model, error)
+		scheme   analysis.Scheme
 		analytic func(int, float64) (float64, error)
 	}{
-		{"ac/2", 2, func(n int) func() (Model, error) {
-			return func() (Model, error) { return NewACModel(n) }
-		}, analysis.MTTFAvailableCopy},
-		{"ac/3", 3, func(n int) func() (Model, error) {
-			return func() (Model, error) { return NewACModel(n) }
-		}, analysis.MTTFAvailableCopy},
-		{"naive/3 (same MTTF as ac)", 3, func(n int) func() (Model, error) {
-			return func() (Model, error) { return NewNaiveModel(n) }
-		}, analysis.MTTFAvailableCopy},
-		{"voting/3", 3, func(n int) func() (Model, error) {
-			return func() (Model, error) { return NewVotingModel(n) }
-		}, analysis.MTTFVoting},
-		{"voting/5", 5, func(n int) func() (Model, error) {
-			return func() (Model, error) { return NewVotingModel(n) }
-		}, analysis.MTTFVoting},
+		{"ac/2", 2, analysis.SchemeAvailableCopy, analysis.MTTFAvailableCopy},
+		{"ac/3", 3, analysis.SchemeAvailableCopy, analysis.MTTFAvailableCopy},
+		{"naive/3 (same MTTF as ac)", 3, analysis.SchemeNaive, analysis.MTTFAvailableCopy},
+		{"voting/3", 3, analysis.SchemeVoting, analysis.MTTFVoting},
+		{"voting/5", 5, analysis.SchemeVoting, analysis.MTTFVoting},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			got, err := MeasureMTTF(tc.factory(tc.n), tc.n, rho, episodes, 31)
+			got, err := MeasureMTTF(func() (Model, error) { return NewModel(tc.scheme, tc.n) }, tc.n, rho, episodes, 31)
 			if err != nil {
 				t.Fatal(err)
 			}

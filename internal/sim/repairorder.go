@@ -1,10 +1,11 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 	"math/rand"
+
+	"relidev/internal/analysis"
 )
 
 // Dist is a positive random-variate distribution for repair times.
@@ -121,23 +122,18 @@ func MeasureRepairOrder(cfg RepairOrderConfig) (RepairOrderResult, error) {
 	if cfg.Horizon <= 0 {
 		return RepairOrderResult{}, fmt.Errorf("sim: horizon %v must be positive", cfg.Horizon)
 	}
-	repair := cfg.Repair
-	if repair == nil {
-		repair = Exponential{Rate: 1}
-	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
-
-	// Event stream with the custom repair distribution.
-	var q eventQueue
-	for s := 0; s < cfg.Sites; s++ {
-		heap.Push(&q, Event{At: Exp(rng, cfg.Rho), Site: s, Kind: EventFail})
-	}
-
-	ac, err := NewACModel(cfg.Sites)
+	proc, err := NewFailureProcess(cfg.Sites, cfg.Rho, 1, cfg.Seed)
 	if err != nil {
 		return RepairOrderResult{}, err
 	}
-	na, err := NewNaiveModel(cfg.Sites)
+	if cfg.Repair != nil {
+		proc.repair = cfg.Repair
+	}
+	ac, err := NewModel(analysis.SchemeAvailableCopy, cfg.Sites)
+	if err != nil {
+		return RepairOrderResult{}, err
+	}
+	na, err := NewModel(analysis.SchemeNaive, cfg.Sites)
 	if err != nil {
 		return RepairOrderResult{}, err
 	}
@@ -159,16 +155,10 @@ func MeasureRepairOrder(cfg RepairOrderConfig) (RepairOrderResult, error) {
 		}
 		inEpisode = false
 	}
-	for q.Len() > 0 {
-		e := heap.Pop(&q).(Event)
-		if e.At >= cfg.Horizon {
+	for {
+		e, ok := proc.Next()
+		if !ok || e.At >= cfg.Horizon {
 			break
-		}
-		switch e.Kind {
-		case EventFail:
-			heap.Push(&q, Event{At: e.At + repair.Sample(rng), Site: e.Site, Kind: EventRepair})
-		case EventRepair:
-			heap.Push(&q, Event{At: e.At + Exp(rng, cfg.Rho), Site: e.Site, Kind: EventFail})
 		}
 		wasAC, wasNA := ac.Available(), na.Available()
 		ac.Apply(e)

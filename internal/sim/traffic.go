@@ -14,7 +14,6 @@ import (
 	"relidev/internal/scheme"
 	"relidev/internal/simnet"
 	"relidev/internal/voting"
-	"relidev/internal/workload"
 )
 
 // TrafficConfig parameterises a concrete traffic simulation: the real
@@ -29,7 +28,10 @@ type TrafficConfig struct {
 	Rho float64
 	// Mode selects the §5 network flavour; zero means multicast.
 	Mode simnet.Mode
-	// ReadRatio is reads per write; zero means workload.DefaultReadRatio.
+	// ReadRatio is reads per write; zero means 2.5, the ratio the 4.2 BSD
+	// trace study [9] observed. Each operation is a read with probability
+	// ReadRatio/(ReadRatio+1), on a block drawn uniformly: the access
+	// pattern the §5 cost formulas assume.
 	ReadRatio float64
 	// Ops is the number of operations to issue; zero means 2000.
 	Ops int
@@ -48,7 +50,7 @@ type TrafficConfig struct {
 
 func (c *TrafficConfig) applyDefaults() {
 	if c.ReadRatio == 0 {
-		c.ReadRatio = workload.DefaultReadRatio
+		c.ReadRatio = 2.5
 	}
 	if c.Ops == 0 {
 		c.Ops = 2000
@@ -94,6 +96,9 @@ type TrafficResult struct {
 // every block operation and recovery drive through the controllers.
 func SimulateTraffic(ctx context.Context, cfg TrafficConfig) (TrafficResult, error) {
 	cfg.applyDefaults()
+	if cfg.ReadRatio < 0 {
+		return TrafficResult{}, fmt.Errorf("sim: read ratio %v must be non-negative", cfg.ReadRatio)
+	}
 	cl, err := core.NewCluster(core.ClusterConfig{
 		Sites:    cfg.Sites,
 		Geometry: cfg.Geometry,
@@ -108,14 +113,10 @@ func SimulateTraffic(ctx context.Context, cfg TrafficConfig) (TrafficResult, err
 	if err != nil {
 		return TrafficResult{}, err
 	}
-	pattern, err := workload.NewUniform(cfg.Geometry.NumBlocks, cfg.Seed+1)
-	if err != nil {
-		return TrafficResult{}, err
-	}
-	gen, err := workload.NewGenerator(pattern, cfg.ReadRatio, cfg.Seed+2)
-	if err != nil {
-		return TrafficResult{}, err
-	}
+	// Blocks and op kinds come from streams of their own, so each is
+	// reproducible from the seed alone.
+	blocks := rand.New(rand.NewSource(cfg.Seed + 1))
+	kinds := rand.New(rand.NewSource(cfg.Seed + 2))
 	proc, err := NewFailureProcess(cfg.Sites, cfg.Rho, 1, cfg.Seed+3)
 	if err != nil {
 		return TrafficResult{}, err
@@ -191,7 +192,8 @@ func SimulateTraffic(ctx context.Context, cfg TrafficConfig) (TrafficResult, err
 			}
 			nextEvent()
 		}
-		w := gen.Next()
+		read := kinds.Float64() < cfg.ReadRatio/(cfg.ReadRatio+1)
+		idx := block.Index(blocks.Intn(cfg.Geometry.NumBlocks))
 		sites := eligible()
 		if len(sites) == 0 {
 			res.Denied++
@@ -203,20 +205,19 @@ func SimulateTraffic(ctx context.Context, cfg TrafficConfig) (TrafficResult, err
 			return TrafficResult{}, err
 		}
 		start := net.Stats().Transmissions
-		switch w.Kind {
-		case workload.Write:
-			seq++
-			binary.LittleEndian.PutUint64(payload, seq)
-			err = dev.WriteBlock(ctx, w.Index, payload)
-			if err == nil {
-				res.Writes++
-				writeTraf += net.Stats().Transmissions - start
-			}
-		case workload.Read:
-			_, err = dev.ReadBlock(ctx, w.Index)
+		if read {
+			_, err = dev.ReadBlock(ctx, idx)
 			if err == nil {
 				res.Reads++
 				readTraf += net.Stats().Transmissions - start
+			}
+		} else {
+			seq++
+			binary.LittleEndian.PutUint64(payload, seq)
+			err = dev.WriteBlock(ctx, idx, payload)
+			if err == nil {
+				res.Writes++
+				writeTraf += net.Stats().Transmissions - start
 			}
 		}
 		if err != nil {

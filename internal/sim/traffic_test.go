@@ -17,6 +17,9 @@ func TestSimulateTrafficValidation(t *testing.T) {
 	if _, err := SimulateTraffic(context.Background(), TrafficConfig{Sites: 3, Scheme: core.SchemeKind(99)}); err == nil {
 		t.Fatal("accepted unknown scheme")
 	}
+	if _, err := SimulateTraffic(context.Background(), TrafficConfig{Sites: 3, Scheme: core.Voting, ReadRatio: -1}); err == nil {
+		t.Fatal("accepted a negative read ratio")
+	}
 }
 
 func TestNaiveWriteCostIsExactlyOneMulticast(t *testing.T) {

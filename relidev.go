@@ -33,6 +33,7 @@ import (
 	"encoding/json"
 	"time"
 
+	"relidev/internal/analysis"
 	"relidev/internal/block"
 	"relidev/internal/core"
 	"relidev/internal/obs"
@@ -51,38 +52,28 @@ type Index = block.Index
 
 // Scheme selects one of the paper's three consistency control
 // algorithms.
-type Scheme int
+type Scheme = analysis.Scheme
 
 // The §3 consistency schemes.
 const (
 	// Voting is weighted majority consensus voting with per-block lazy
 	// recovery (§3.1): operations require a quorum; recovering sites
 	// generate no traffic.
-	Voting Scheme = iota + 1
+	Voting = analysis.SchemeVoting
 	// AvailableCopy writes to all available copies and reads locally,
 	// tracking was-available sets so that recovery after a total failure
 	// only waits for the closure of the last sites to fail (§3.2).
-	AvailableCopy
+	AvailableCopy = analysis.SchemeAvailableCopy
 	// NaiveAvailableCopy is available copy without any failure
 	// bookkeeping: single-message writes, but after a total failure every
 	// site must recover before the device is accessible again (§3.3).
 	// The paper's analysis concludes it is the algorithm of choice.
-	NaiveAvailableCopy
+	NaiveAvailableCopy = analysis.SchemeNaive
 )
-
-// String implements fmt.Stringer.
-func (s Scheme) String() string { return s.kind().String() }
 
 // ParseScheme returns the scheme a command-line name selects: "voting",
 // "ac" or "available-copy", "nac" or "naive".
-func ParseScheme(name string) (Scheme, error) {
-	k, err := core.ParseScheme(name)
-	return Scheme(k), err
-}
-
-// kind is s as the core package's scheme: the two enumerations share
-// their values.
-func (s Scheme) kind() core.SchemeKind { return core.SchemeKind(s) }
+func ParseScheme(name string) (Scheme, error) { return core.ParseScheme(name) }
 
 // SiteState reports a site's §3.2 state.
 type SiteState = protocol.SiteState
@@ -228,7 +219,7 @@ func New(n int, scheme Scheme, opts ...Option) (*Cluster, error) {
 	cfg := core.ClusterConfig{
 		Sites:    n,
 		Geometry: o.geometry,
-		Scheme:   scheme.kind(),
+		Scheme:   scheme,
 	}
 	if o.unicast {
 		cfg.Mode = simnet.Unicast

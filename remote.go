@@ -224,7 +224,7 @@ func OpenRemote(cfg RemoteConfig) (*RemoteSite, error) {
 	}
 	// Metering wraps the client, so it sees what the controller sends.
 	rs.transport = obs.WrapTransport(observer, "rpc", rs.client, ids)
-	rs.ctrl, err = core.WireSite(core.ClusterConfig{Scheme: cfg.Scheme.kind(), Observer: observer},
+	rs.ctrl, err = core.WireSite(core.ClusterConfig{Scheme: cfg.Scheme, Observer: observer},
 		rs.replica, rs.transport, ids)
 	if observer != nil {
 		// Alone in its process, the site answers a peer's TelemetryPull
