@@ -4,6 +4,7 @@ package relidev_test
 
 import (
 	"context"
+	"runtime"
 	"testing"
 
 	"relidev"
@@ -118,4 +119,46 @@ func TestQuorumOpAllocBudget(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestVotingPreImageHeap bounds what a voting site keeps beside its
+// block image. Two coordinators of a 5-site cluster with the benchmark's
+// geometry write every block, twice. A replica keeps a staged pre-image
+// only while its coordinator can still abort it — one per (coordinator,
+// stripe), 2 × 64 blocks here — so after a collection the live heap is
+// the five 16 MiB images plus a little. A pre-image kept per written
+// block would put a second 16 MiB beside each image, about 1.8 times
+// the bound. The race detector allocates, hence the build tag.
+func TestVotingPreImageHeap(t *testing.T) {
+	geom := relidev.Geometry{BlockSize: 4096, NumBlocks: 4096}
+	const sites = 5
+	c, err := relidev.New(sites, relidev.Voting, relidev.WithGeometry(geom))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var coords [2]relidev.Device
+	for i := range coords {
+		if coords[i], err = c.Device(i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ctx, payload := context.Background(), make([]byte, geom.BlockSize)
+	for range 2 {
+		for b := range geom.NumBlocks {
+			for _, dev := range coords {
+				if err := dev.WriteBlock(ctx, relidev.Index(b), payload); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	images := uint64(sites * geom.NumBlocks * geom.BlockSize)
+	t.Logf("live heap %.1f MiB, %.2f times the %d images", float64(ms.HeapAlloc)/(1<<20), float64(ms.HeapAlloc)/float64(images), sites)
+	if ms.HeapAlloc > images*115/100 {
+		t.Fatalf("live heap %d B is over 1.15 times the %d images' %d B", ms.HeapAlloc, sites, images)
+	}
+	runtime.KeepAlive(c)
 }

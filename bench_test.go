@@ -389,11 +389,12 @@ func BenchmarkMinifsOverReliableDevice(b *testing.B) {
 func BenchmarkSimulatedTrafficRun(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := sim.SimulateTraffic(context.Background(), sim.TrafficConfig{
-			Scheme: core.NaiveAvailableCopy,
-			Sites:  5,
-			Rho:    0.05,
-			Ops:    500,
-			Seed:   int64(i),
+			Scheme:    core.NaiveAvailableCopy,
+			Sites:     5,
+			Rho:       0.05,
+			ReadRatio: 2.5,
+			Ops:       500,
+			Seed:      int64(i),
 		}); err != nil {
 			b.Fatal(err)
 		}

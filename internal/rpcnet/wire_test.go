@@ -9,6 +9,7 @@ import (
 	"io"
 	"math/rand"
 	"net"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -161,6 +162,54 @@ func TestServerSurvivesHostileWire(t *testing.T) {
 		t.Fatal("Server.Close did not return: a serving goroutine is stranded")
 	}
 	expectClosed(t, "stuck peer", stuck)
+}
+
+// TestServerRefusesBadSender sends prepare-write and abort frames whose
+// sender id is outside [0, MaxSites). The decoder takes any int32 there;
+// the replica must answer each with an error reply, not panic on an
+// index, and the connection keeps serving.
+func TestServerRefusesBadSender(t *testing.T) {
+	rep := newReplica(t, 1)
+	srv, err := Serve("127.0.0.1:0", rep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	conn, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	w := newWireConn(conn)
+	exchange := func(from protocol.SiteID, req protocol.Request) (protocol.Response, uint8, string) {
+		t.Helper()
+		conn.SetDeadline(time.Now().Add(5 * time.Second))
+		if _, err := conn.Write(frameOf(protocol.AppendRequest(nil, from, protocol.SpanContext{}, req))); err != nil {
+			t.Fatalf("%s from %d: write: %v", req.Kind(), from, err)
+		}
+		body, _, err := w.readFrame()
+		if err != nil {
+			t.Fatalf("%s from %d: no reply: %v", req.Kind(), from, err)
+		}
+		resp, code, text, err := protocol.DecodeResponse(body, false)
+		if err != nil {
+			t.Fatalf("%s from %d: reply: %v", req.Kind(), from, err)
+		}
+		return resp, code, text
+	}
+	for _, from := range []protocol.SiteID{-1, protocol.MaxSites} {
+		for _, req := range []protocol.Request{
+			protocol.PrepareWriteRequest{Block: 3, Data: pad("bad"), Version: 1},
+			protocol.AbortWriteRequest{Block: 3, Version: 1},
+		} {
+			if _, code, text := exchange(from, req); code != errGeneric || !strings.Contains(text, site.ErrBadSender.Error()) {
+				t.Fatalf("%s from %d: code %d %q, want a refusal naming the sender", req.Kind(), from, code, text)
+			}
+		}
+	}
+	if resp, code, _ := exchange(0, protocol.PrepareWriteRequest{Block: 3, Data: pad("good"), Version: 1}); code != errNone || !resp.(protocol.PrepareWriteReply).Staged {
+		t.Fatalf("a well-formed prepare after the refusals: %#v code %d", resp, code)
+	}
 }
 
 // fakeServer accepts connections and lets answer decide, per connection

@@ -5,13 +5,8 @@ import (
 
 	"relidev/internal/block"
 	"relidev/internal/obs"
+	"relidev/internal/protocol"
 )
-
-// opStripes is the number of lock stripes in an OpLocks. Operations on
-// blocks that hash to different stripes proceed concurrently; 64 stripes
-// keep the collision probability low for realistic client counts while
-// costing about 12 KB per controller, nearly all of it op scopes.
-const opStripes = 64
 
 // OpLocks is the concurrency regime shared by the three consistency
 // controllers: data operations (read/write of one block) take a stripe
@@ -31,23 +26,28 @@ type OpLocks struct {
 	// state is held shared by block operations and exclusively by
 	// recovery, so recovery drains and excludes all in-flight operations.
 	state sync.RWMutex
-	// stripes serialise same-block (and same-stripe) operations.
-	stripes [opStripes]sync.Mutex
+	// stripes serialise same-block (and same-stripe) operations: block
+	// idx takes stripes[protocol.Stripe(idx)]. 64 stripes keep the
+	// collision probability low for realistic client counts while costing
+	// about 12 KB per controller, nearly all of it op scopes. Holding the
+	// stripe from a prepare-write until its abort is sent is what
+	// protocol.OpStripes promises every replica.
+	stripes [protocol.OpStripes]sync.Mutex
 	// scopes[i] is the obs.Scope of the op holding stripes[i], recovery
 	// that of the op holding state exclusively: the lock that
 	// serialises an op makes its slot its own until Op.End.
-	scopes   [opStripes]obs.Scope
+	scopes   [protocol.OpStripes]obs.Scope
 	recovery obs.Scope
 }
 
 // LockOp acquires the operation lock for one block.
 func (l *OpLocks) LockOp(idx block.Index) {
 	l.state.RLock()
-	l.stripes[uint64(idx)%opStripes].Lock()
+	l.stripes[protocol.Stripe(idx)].Lock()
 }
 
 // UnlockOp releases what LockOp acquired.
 func (l *OpLocks) UnlockOp(idx block.Index) {
-	l.stripes[uint64(idx)%opStripes].Unlock()
+	l.stripes[protocol.Stripe(idx)].Unlock()
 	l.state.RUnlock()
 }

@@ -28,10 +28,10 @@ type TrafficConfig struct {
 	Rho float64
 	// Mode selects the §5 network flavour; zero means multicast.
 	Mode simnet.Mode
-	// ReadRatio is reads per write; zero means 2.5, the ratio the 4.2 BSD
-	// trace study [9] observed. Each operation is a read with probability
-	// ReadRatio/(ReadRatio+1), on a block drawn uniformly: the access
-	// pattern the §5 cost formulas assume.
+	// ReadRatio is reads per write; zero means all writes, and 2.5 is the
+	// ratio the 4.2 BSD trace study [9] observed. Each operation is a
+	// read with probability ReadRatio/(ReadRatio+1), on a block drawn
+	// uniformly: the access pattern the §5 cost formulas assume.
 	ReadRatio float64
 	// Ops is the number of operations to issue; zero means 2000.
 	Ops int
@@ -49,9 +49,6 @@ type TrafficConfig struct {
 }
 
 func (c *TrafficConfig) applyDefaults() {
-	if c.ReadRatio == 0 {
-		c.ReadRatio = 2.5
-	}
 	if c.Ops == 0 {
 		c.Ops = 2000
 	}

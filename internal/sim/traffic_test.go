@@ -22,14 +22,29 @@ func TestSimulateTrafficValidation(t *testing.T) {
 	}
 }
 
+// A read ratio of zero is an all-write stream, not a request for the
+// default mix.
+func TestZeroReadRatioIsAllWrites(t *testing.T) {
+	res, err := SimulateTraffic(context.Background(), TrafficConfig{
+		Scheme: core.Voting, Sites: 3, Rho: 0.05, Ops: 500, Seed: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Reads != 0 || res.Writes == 0 {
+		t.Fatalf("ratio 0: %d reads and %d writes, want only writes", res.Reads, res.Writes)
+	}
+}
+
 func TestNaiveWriteCostIsExactlyOneMulticast(t *testing.T) {
 	res, err := SimulateTraffic(context.Background(), TrafficConfig{
-		Scheme: core.NaiveAvailableCopy,
-		Sites:  5,
-		Rho:    0.05,
-		Mode:   simnet.Multicast,
-		Ops:    800,
-		Seed:   1,
+		Scheme:    core.NaiveAvailableCopy,
+		Sites:     5,
+		Rho:       0.05,
+		Mode:      simnet.Multicast,
+		ReadRatio: 2.5,
+		Ops:       800,
+		Seed:      1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -45,12 +60,13 @@ func TestNaiveWriteCostIsExactlyOneMulticast(t *testing.T) {
 func TestNaiveWriteCostUnicast(t *testing.T) {
 	const n = 6
 	res, err := SimulateTraffic(context.Background(), TrafficConfig{
-		Scheme: core.NaiveAvailableCopy,
-		Sites:  n,
-		Rho:    0.05,
-		Mode:   simnet.Unicast,
-		Ops:    800,
-		Seed:   2,
+		Scheme:    core.NaiveAvailableCopy,
+		Sites:     n,
+		Rho:       0.05,
+		Mode:      simnet.Unicast,
+		ReadRatio: 2.5,
+		Ops:       800,
+		Seed:      2,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -82,12 +98,13 @@ func TestMeasuredTrafficMatchesCostModel(t *testing.T) {
 		} {
 			t.Run(c.scheme.String()+"/"+mode.String(), func(t *testing.T) {
 				res, err := SimulateTraffic(context.Background(), TrafficConfig{
-					Scheme: c.scheme,
-					Sites:  n,
-					Rho:    rho,
-					Mode:   mode,
-					Ops:    6000,
-					Seed:   7,
+					Scheme:    c.scheme,
+					Sites:     n,
+					Rho:       rho,
+					Mode:      mode,
+					ReadRatio: 2.5,
+					Ops:       6000,
+					Seed:      7,
 				})
 				if err != nil {
 					t.Fatal(err)
@@ -128,7 +145,7 @@ func TestRecoveryTrafficShape(t *testing.T) {
 		rho = 0.1
 	)
 	vres, err := SimulateTraffic(context.Background(), TrafficConfig{
-		Scheme: core.Voting, Sites: n, Rho: rho, Mode: simnet.Multicast, Ops: 4000, Seed: 21,
+		Scheme: core.Voting, Sites: n, Rho: rho, Mode: simnet.Multicast, ReadRatio: 2.5, Ops: 4000, Seed: 21,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -141,7 +158,7 @@ func TestRecoveryTrafficShape(t *testing.T) {
 	}
 
 	ares, err := SimulateTraffic(context.Background(), TrafficConfig{
-		Scheme: core.AvailableCopy, Sites: n, Rho: rho, Mode: simnet.Multicast, Ops: 4000, Seed: 21,
+		Scheme: core.AvailableCopy, Sites: n, Rho: rho, Mode: simnet.Multicast, ReadRatio: 2.5, Ops: 4000, Seed: 21,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -166,7 +183,7 @@ func TestMeasuredWriteOrdering(t *testing.T) {
 	perWrite := map[core.SchemeKind]float64{}
 	for _, k := range []core.SchemeKind{core.Voting, core.AvailableCopy, core.NaiveAvailableCopy} {
 		res, err := SimulateTraffic(context.Background(), TrafficConfig{
-			Scheme: k, Sites: 5, Rho: 0.05, Mode: simnet.Multicast, Ops: 3000, Seed: 5,
+			Scheme: k, Sites: 5, Rho: 0.05, Mode: simnet.Multicast, ReadRatio: 2.5, Ops: 3000, Seed: 5,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -192,7 +209,7 @@ func TestMeasuredOpAvailabilityOrdering(t *testing.T) {
 		for seed := int64(0); seed < 6; seed++ {
 			res, err := SimulateTraffic(context.Background(), TrafficConfig{
 				Scheme: k, Sites: 3, Rho: 0.25, Mode: simnet.Multicast,
-				Ops: 4000, OpRate: 20, Seed: 100 + seed,
+				ReadRatio: 2.5, Ops: 4000, OpRate: 20, Seed: 100 + seed,
 			})
 			if err != nil {
 				t.Fatal(err)

@@ -75,6 +75,14 @@ func abort(t *testing.T, r *Replica, from protocol.SiteID, idx block.Index, ver 
 	}
 }
 
+// liveRecord returns the record retaining block idx's staged pre-image,
+// or nil when none does: the tests' one window on the replica's records.
+func liveRecord(r *Replica, idx block.Index) *provRecord {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.liveRecord(idx)
+}
+
 func wantBlock(t *testing.T, r *Replica, idx block.Index, data string, ver block.Version) {
 	t.Helper()
 	got, v, err := r.ReadLocal(idx)
@@ -132,7 +140,7 @@ func TestAbortAfterRecycledPreImage(t *testing.T) {
 			t.Fatal("B not staged")
 		}
 		wantBlock(t, r, 3, "B", 2)
-		record := r.prov[3].prevData
+		record := liveRecord(r, 3).prevData
 		abort(t, r, 2, 3, 2)
 		wantBlock(t, r, 3, "A", 1)
 		abort(t, r, 1, 3, 1) // A's record left prov when B superseded it
@@ -251,4 +259,153 @@ func TestConcurrentStagesRecyclePreImages(t *testing.T) {
 		}
 		wg.Wait()
 	})
+}
+
+// stripedReplica builds a replica over a MemStore of n blocks, enough
+// for several blocks to share a stripe (protocol.OpStripes).
+func stripedReplica(t *testing.T, n int) *Replica {
+	t.Helper()
+	st, err := store.NewMem(block.Geometry{BlockSize: testGeom.BlockSize, NumBlocks: n})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := New(Config{ID: 0, Store: st})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
+// liveRecords counts the records holding a pre-image.
+func liveRecords(r *Replica) int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	n := 0
+	for _, row := range r.prov {
+		if row == nil {
+			continue
+		}
+		for _, rec := range row {
+			if rec.stagedVer != 0 {
+				n++
+			}
+		}
+	}
+	return n
+}
+
+// Two coordinators stage every block of a 4096-block replica, twice,
+// then one keeps staging. A coordinator's next stage in a stripe ends
+// the previous one's op, so the replica holds at most one pre-image per
+// (coordinator, stripe) instead of one per written block, and a
+// steady-state stage recycles the record it drops: it allocates no more
+// than a prepare that only votes.
+func TestPreImagesBoundedByStripes(t *testing.T) {
+	const blocks = 4096
+	r := stripedReplica(t, blocks)
+	ctx := context.Background()
+	data := pad("data")
+	var ver [blocks]block.Version
+	stage := func(from protocol.SiteID, idx block.Index) {
+		ver[idx]++
+		resp, err := r.Handle(ctx, from, protocol.PrepareWriteRequest{Block: idx, Data: data, Version: ver[idx]})
+		if err != nil || !resp.(protocol.PrepareWriteReply).Staged {
+			t.Fatalf("stage of block %d@%d from %v: %v %v", idx, ver[idx], from, resp, err)
+		}
+	}
+	const bound = 2 * protocol.OpStripes
+	for pass := 0; pass < 2; pass++ {
+		for b := block.Index(0); b < blocks; b++ {
+			stage(1, b)
+			stage(2, b)
+		}
+		if n := liveRecords(r); n > bound {
+			t.Fatalf("pass %d: %d live pre-image records, want at most %d", pass, n, bound)
+		}
+	}
+	next := block.Index(0)
+	more := func() {
+		stage(1, next)
+		next++
+	}
+	for range 2 * protocol.OpStripes {
+		more() // fill coordinator 1's row, so each stage now drops one
+	}
+	staging := testing.AllocsPerRun(200, more)
+	voting := testing.AllocsPerRun(200, func() {
+		if _, err := r.Handle(ctx, 1, protocol.PrepareWriteRequest{Block: 0, Data: data, Version: 1}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if staging > voting {
+		t.Fatalf("a steady-state stage allocates %v, a prepare that only votes %v: the stage allocated a buffer", staging, voting)
+	}
+	if n := liveRecords(r); n > bound {
+		t.Fatalf("after %d more stages: %d live pre-image records, want at most %d", next, n, bound)
+	}
+}
+
+// A delivered abort restores its pre-image after other coordinators'
+// stages in the same stripe and the same coordinator's stages in other
+// stripes: none of them ends the op the abort belongs to.
+func TestAbortRestoresAcrossStripes(t *testing.T) {
+	const s = protocol.OpStripes
+	r := stripedReplica(t, 3*s)
+	if err := r.WriteLocal(3, pad("base"), 4); err != nil {
+		t.Fatal(err)
+	}
+	prepare(t, r, 1, 3, "A", 5)
+	prepare(t, r, 2, 3+s, "B", 1)   // another coordinator, same stripe
+	prepare(t, r, 3, 3+2*s, "C", 1) // and a third
+	prepare(t, r, 1, 4, "x", 1)     // the same coordinator, other stripes
+	prepare(t, r, 1, 5+s, "y", 1)
+	abort(t, r, 1, 3, 5)
+	wantBlock(t, r, 3, "base", 4)
+	abort(t, r, 2, 3+s, 1)
+	wantBlock(t, r, 3+s, "", 0)
+	wantBlock(t, r, 3+2*s, "C", 1)
+	wantBlock(t, r, 4, "x", 1)
+	wantBlock(t, r, 5+s, "y", 1)
+}
+
+// A coordinator's next stage in a stripe ends its previous op there, so
+// the earlier stage's record goes and an abort for it arriving late (its
+// leg failed, and the bytes landed after the next prepare) is a no-op:
+// the block keeps the staged data, like an abort that never arrived.
+func TestLateAbortAfterNextStageInStripe(t *testing.T) {
+	const s = protocol.OpStripes
+	r := stripedReplica(t, 2*s)
+	if err := r.WriteLocal(3, pad("base"), 4); err != nil {
+		t.Fatal(err)
+	}
+	prepare(t, r, 1, 3, "A", 5)
+	prepare(t, r, 1, 3+s, "B", 1)
+	if liveRecord(r, 3) != nil {
+		t.Fatal("the coordinator's next stage in the stripe left the earlier record")
+	}
+	abort(t, r, 1, 3, 5)
+	wantBlock(t, r, 3, "A", 5)
+	abort(t, r, 1, 3+s, 1) // the newer stage's record still restores
+	wantBlock(t, r, 3+s, "", 0)
+}
+
+// A sender id is whatever a peer put on the wire. One outside
+// [0, MaxSites) is refused with an error before it can index anything,
+// and leaves the replica as it was.
+func TestHandleRefusesBadSender(t *testing.T) {
+	r := newReplica(t, 0)
+	prepare(t, r, 1, 3, "A", 1)
+	for _, from := range []protocol.SiteID{-1, protocol.MaxSites} {
+		for _, req := range []protocol.Request{
+			protocol.PrepareWriteRequest{Block: 3, Data: pad("bad"), Version: 2},
+			protocol.AbortWriteRequest{Block: 3, Version: 1},
+		} {
+			if _, err := r.Handle(context.Background(), from, req); !errors.Is(err, ErrBadSender) {
+				t.Fatalf("%s from %d: err = %v, want ErrBadSender", req.Kind(), from, err)
+			}
+		}
+	}
+	wantBlock(t, r, 3, "A", 1)
+	abort(t, r, 1, 3, 1)
+	wantBlock(t, r, 3, "", 0)
 }

@@ -291,10 +291,10 @@ func TestApplyRepairDropsStagedPreImage(t *testing.T) {
 		if err != nil || n != 1 {
 			t.Fatalf("installed %d (err %v), want 1", n, err)
 		}
-		if r.prov[1].stagedVer != 0 {
+		if liveRecord(r, 1) != nil {
 			t.Fatal("block 1's install left the staged pre-image record")
 		}
-		if r.prov[2].stagedVer == 0 {
+		if liveRecord(r, 2) == nil {
 			t.Fatal("a stale copy of block 2 dropped the staged pre-image record")
 		}
 		abort(t, r, 2, 1, 5)

@@ -15,6 +15,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
 	"sync"
 
 	"relidev/internal/block"
@@ -39,6 +40,11 @@ var (
 	// ErrUnknownRequest is returned for request types the replica does
 	// not understand.
 	ErrUnknownRequest = errors.New("site: unknown request type")
+
+	// ErrBadSender is returned for a request whose sender is not a
+	// possible site id, outside [0, protocol.MaxSites): the wire carries
+	// whatever a peer wrote there.
+	ErrBadSender = errors.New("site: sender id out of range")
 )
 
 // Replica is one site's server process plus its stable storage.
@@ -50,14 +56,19 @@ type Replica struct {
 	state    protocol.SiteState
 	wasAvail protocol.SiteSet
 
-	// prov retains, per block, the pre-image displaced by the most recent
-	// staged prepare-write, so an AbortWriteRequest can restore it if the
-	// coordinator's quorum fails. Allocated at the first stage; a record
-	// with stagedVer 0 is empty, and any newer install empties it. spare
-	// is the buffer the next stage copies its payload into, one no record
-	// holds (DESIGN.md §12). Guarded by mu.
-	prov  []provRecord
-	spare []byte
+	// prov retains the pre-images staged prepare-writes displaced, so an
+	// AbortWriteRequest can restore one if its coordinator's quorum
+	// fails. A coordinator sends any abort before its next prepare-write
+	// in the same stripe (protocol.OpStripes), so prov[from] holds one
+	// record per stripe: coordinator from's row, allocated at its first
+	// stage, with stagers the set of coordinators that have a row. A
+	// record with stagedVer 0 is empty; at most one record per block is
+	// live, and any newer install of the block empties it. spare is the
+	// buffer the next stage copies its payload into, one no record holds
+	// (DESIGN.md §12). Guarded by mu.
+	prov    [protocol.MaxSites]*provRow
+	stagers protocol.SiteSet
+	spare   []byte
 
 	// wHook observes was-available transitions (old, new); nil observes
 	// nothing. A plain func keeps the site mechanism free of any
@@ -233,17 +244,44 @@ func (r *Replica) StageLocal(idx block.Index, data []byte, ver block.Version) (b
 	return r.stageLocked(idx, data, ver)
 }
 
-// provRecord is the pre-image (a buffer it owns) a staged prepare-write
-// displaced. from identifies the staging coordinator: aborts are
-// broadcast (the coordinator cannot know which sites staged when replies
-// were lost), so a record must only ever be reverted by the coordinator
-// that created it — another coordinator's abort of the same version
-// number must not undo a committed write.
+// provRecord is the pre-image (a buffer it owns) that a staged
+// prepare-write of its block displaced. Its row names the staging
+// coordinator: aborts are broadcast (the coordinator cannot know which
+// sites staged when replies were lost), so a record must only ever be
+// reverted by the coordinator that created it — another coordinator's
+// abort of the same version number must not undo a committed write.
 type provRecord struct {
-	from      protocol.SiteID
+	block     block.Index
 	stagedVer block.Version
 	prevVer   block.Version
 	prevData  []byte
+}
+
+// provRow is one coordinator's records, indexed by stripe.
+type provRow [protocol.OpStripes]provRecord
+
+// liveRecord returns the record retaining block idx's staged pre-image,
+// or nil when no record does. Callers hold r.mu.
+func (r *Replica) liveRecord(idx block.Index) *provRecord {
+	for set := uint64(r.stagers); set != 0; set &= set - 1 {
+		rec := &r.prov[bits.TrailingZeros64(set)][protocol.Stripe(idx)]
+		if rec.stagedVer != 0 && rec.block == idx {
+			return rec
+		}
+	}
+	return nil
+}
+
+// dropRecord empties rec, if any, handing its buffer to the next stage
+// when the spare is empty. Callers hold r.mu.
+func (r *Replica) dropRecord(rec *provRecord) {
+	if rec == nil {
+		return
+	}
+	if r.spare == nil {
+		r.spare = rec.prevData
+	}
+	*rec = provRecord{}
 }
 
 // stageLocked is the shared conditional install. Callers hold r.mu.
@@ -260,9 +298,7 @@ func (r *Replica) stageLocked(idx block.Index, data []byte, ver block.Version) (
 	}
 	// Any successful install supersedes an abortable staged proposal: the
 	// retained pre-image is no longer the block's history.
-	if r.prov != nil {
-		r.prov[idx] = provRecord{}
-	}
+	r.dropRecord(r.liveRecord(idx))
 	return true, nil
 }
 
@@ -274,6 +310,9 @@ func (r *Replica) VersionLocal(idx block.Index) (block.Version, error) {
 // Handle implements protocol.Handler: the server side of the inter-site
 // protocol.
 func (r *Replica) Handle(ctx context.Context, from protocol.SiteID, req protocol.Request) (protocol.Response, error) {
+	if from < 0 || from >= protocol.MaxSites {
+		return nil, fmt.Errorf("%w: %d", ErrBadSender, int(from))
+	}
 	r.mu.Lock()
 	state := r.state
 	hook := r.hHook
@@ -408,15 +447,19 @@ func (r *Replica) handlePrepareWrite(state protocol.SiteState, from protocol.Sit
 		r.spare = buf
 		return nil, err
 	}
-	if r.prov == nil {
-		r.prov = make([]provRecord, r.st.Geometry().NumBlocks)
-	}
-	if old := r.prov[q.Block]; old.stagedVer != 0 {
-		r.spare = old.prevData // this stage supersedes that record
-	}
 	// Installed, even if the store then failed to make it durable: the
-	// record lets an abort undo it either way.
-	r.prov[q.Block] = provRecord{from: from, stagedVer: q.Version, prevVer: ver, prevData: prev}
+	// record lets an abort undo it either way. It supersedes the block's
+	// earlier record and this coordinator's previous record in the
+	// stripe, whose op is over, so no abort can come for it (DESIGN.md
+	// §12). The first dropped record's buffer becomes the spare.
+	r.dropRecord(r.liveRecord(q.Block))
+	if r.prov[from] == nil {
+		r.prov[from] = new(provRow)
+		r.stagers = r.stagers.Add(from)
+	}
+	rec := &r.prov[from][protocol.Stripe(q.Block)]
+	r.dropRecord(rec)
+	*rec = provRecord{block: q.Block, stagedVer: q.Version, prevVer: ver, prevData: prev}
 	if err != nil {
 		return nil, err
 	}
@@ -428,16 +471,18 @@ func (r *Replica) handlePrepareWrite(state protocol.SiteState, from protocol.Sit
 // failed to assemble a quorum: if the block still holds exactly the
 // version that coordinator staged here, the retained pre-image is
 // restored. A proposal that was never staged here, that somebody else
-// staged, or that a newer install has superseded needs no undoing — the
-// abort is then a successful no-op.
+// staged, that a newer install has superseded, or that this
+// coordinator's next prepare-write in the stripe has overtaken needs no
+// undoing — the abort is then a successful no-op.
 func (r *Replica) handleAbortWrite(from protocol.SiteID, q protocol.AbortWriteRequest) (protocol.Response, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if int(q.Block) >= len(r.prov) {
+	row := r.prov[from]
+	if row == nil {
 		return protocol.AbortWriteReply{}, nil
 	}
-	rec := r.prov[q.Block]
-	if rec.stagedVer == 0 || rec.from != from || rec.stagedVer != q.Version {
+	rec := &row[protocol.Stripe(q.Block)]
+	if rec.stagedVer == 0 || rec.block != q.Block || rec.stagedVer != q.Version {
 		return protocol.AbortWriteReply{}, nil
 	}
 	cur, err := r.st.Version(q.Block)
@@ -447,14 +492,14 @@ func (r *Replica) handleAbortWrite(from protocol.SiteID, q protocol.AbortWriteRe
 	if cur != q.Version {
 		// A newer install landed without clearing the record (defensive;
 		// stageLocked clears it). Nothing to restore.
-		r.prov[q.Block] = provRecord{}
+		r.dropRecord(rec)
 		return protocol.AbortWriteReply{}, nil
 	}
 	staged, err := store.Swap(r.st, q.Block, rec.prevData, rec.prevVer)
 	if staged == nil {
 		return nil, err
 	}
-	r.prov[q.Block] = provRecord{}
+	*rec = provRecord{}
 	r.spare = staged
 	if err != nil {
 		return nil, err
@@ -575,9 +620,7 @@ func (r *Replica) ApplyRepair(blocks []protocol.BlockCopy) (int, error) {
 		return 0, fmt.Errorf("apply repair page of %d blocks: %w", len(run), err)
 	}
 	for _, in := range run {
-		if r.prov != nil {
-			r.prov[in.Index] = provRecord{}
-		}
+		r.dropRecord(r.liveRecord(in.Index))
 	}
 	return len(run), nil
 }
