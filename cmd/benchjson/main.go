@@ -24,6 +24,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strconv"
 	"strings"
 	"time"
 )
@@ -124,19 +125,26 @@ func loadReport(path string) (report, error) {
 }
 
 // diff prints one line per current benchmark with a speedup ratio
-// against the baseline run, matching entries by full name. Speedup is
-// in throughput terms (>1 means the current run is faster), computed
-// from ops/sec when both runs report it and from ns/op otherwise.
+// against the baseline run, matching entries by name and GOMAXPROCS.
+// Speedup is in throughput terms (>1 means the current run is faster),
+// computed from ops/sec when both runs report it and from ns/op otherwise.
 func diff(w io.Writer, baseline, current []result) {
+	label := func(r result) string { // the name as go test printed it
+		if r.Procs == 0 {
+			return r.Name
+		}
+		return fmt.Sprintf("%s-%d", r.Name, r.Procs)
+	}
 	byName := make(map[string]result, len(baseline))
 	for _, r := range baseline {
-		byName[r.Name] = r
+		byName[label(r)] = r
 	}
 	fmt.Fprintf(w, "%-55s %14s %14s %9s\n", "benchmark", "baseline", "current", "speedup")
 	for _, cur := range current {
-		base, ok := byName[cur.Name]
+		name := label(cur)
+		base, ok := byName[name]
 		if !ok {
-			fmt.Fprintf(w, "%-55s %14s %14s %9s\n", cur.Name, "-", metric(cur), "new")
+			fmt.Fprintf(w, "%-55s %14s %14s %9s\n", name, "-", metric(cur), "new")
 			continue
 		}
 		var ratio float64
@@ -146,10 +154,10 @@ func diff(w io.Writer, baseline, current []result) {
 		case base.NsPerOp > 0 && cur.NsPerOp > 0:
 			ratio = base.NsPerOp / cur.NsPerOp
 		default:
-			fmt.Fprintf(w, "%-55s %14s %14s %9s\n", cur.Name, metric(base), metric(cur), "?")
+			fmt.Fprintf(w, "%-55s %14s %14s %9s\n", name, metric(base), metric(cur), "?")
 			continue
 		}
-		fmt.Fprintf(w, "%-55s %14s %14s %8.2fx\n", cur.Name, metric(base), metric(cur), ratio)
+		fmt.Fprintf(w, "%-55s %14s %14s %8.2fx\n", name, metric(base), metric(cur), ratio)
 	}
 }
 
@@ -176,8 +184,10 @@ type report struct {
 // <scheme>/n<sites>[/lat<...>] convention; older history entries carry
 // them, and appendHistory rewrites the whole file through this type.
 type result struct {
-	Name       string  `json:"name"`
-	Benchmark  string  `json:"benchmark"`
+	Name      string `json:"name"`
+	Benchmark string `json:"benchmark"`
+	// Procs is the name's -GOMAXPROCS suffix; go test prints none at 1.
+	Procs      int     `json:"procs,omitempty"`
 	Scheme     string  `json:"scheme,omitempty"`
 	Sites      int     `json:"sites,omitempty"`
 	Latency    string  `json:"latency,omitempty"`
@@ -218,15 +228,14 @@ func parseLine(line string) (result, bool) {
 		return result{}, false
 	}
 	var r result
-	r.Name = trimProcs(fields[0])
-	var err error
-	if _, e := fmt.Sscan(fields[1], &r.Iterations); e != nil {
+	r.Name, r.Procs = splitProcs(fields[0])
+	if _, err := fmt.Sscan(fields[1], &r.Iterations); err != nil {
 		return result{}, false
 	}
 	// The remainder alternates value / unit.
 	for i := 2; i+1 < len(fields); i += 2 {
 		var v float64
-		if _, err = fmt.Sscan(fields[i], &v); err != nil {
+		if _, err := fmt.Sscan(fields[i], &v); err != nil {
 			return result{}, false
 		}
 		switch fields[i+1] {
@@ -246,18 +255,19 @@ func parseLine(line string) (result, bool) {
 	return r, true
 }
 
-// trimProcs drops the trailing -GOMAXPROCS suffix go test appends.
-func trimProcs(name string) string {
+// splitProcs splits off the -GOMAXPROCS suffix go test appends.
+func splitProcs(name string) (string, int) {
 	for i := len(name) - 1; i >= 0; i-- {
 		c := name[i]
 		if c == '-' {
-			return name[:i]
+			procs, _ := strconv.Atoi(name[i+1:])
+			return name[:i], procs
 		}
 		if c < '0' || c > '9' {
 			break
 		}
 	}
-	return name
+	return name, 0
 }
 
 // decomposeName splits Benchmark<X>/<scheme>/n<sites>[/lat<...>].

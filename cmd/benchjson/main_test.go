@@ -200,3 +200,40 @@ func TestAppendHistoryRejectsCorruptFile(t *testing.T) {
 		t.Fatalf("corrupt history rewritten: %s", data)
 	}
 }
+
+// TestProcsKeptAndMatched: a -cpu 1,2 run gives two rows of one name,
+// told apart by procs (go test leaves the suffix off at GOMAXPROCS 1),
+// and -baseline compares each with its own row of the prior run.
+func TestProcsKeptAndMatched(t *testing.T) {
+	in := `BenchmarkOpenSeg     	      3	   8000000 ns/op
+BenchmarkOpenSeg-2   	      3	   5000000 ns/op
+`
+	results, err := parse(strings.NewReader(in))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(results) != 2 || results[0].Name != "BenchmarkOpenSeg" || results[1].Name != "BenchmarkOpenSeg" ||
+		results[0].Procs != 0 || results[1].Procs != 2 {
+		t.Fatalf("results = %+v, want one name at procs 0 and 2", results)
+	}
+	raw, err := json.Marshal(results)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Count(string(raw), `"procs"`) != 1 || !strings.Contains(string(raw), `"procs":2`) {
+		t.Fatalf("JSON = %s, want procs on the suffixed row only", raw)
+	}
+	base := []result{
+		{Name: "BenchmarkOpenSeg", Procs: 2, NsPerOp: 10000000},
+		{Name: "BenchmarkOpenSeg", NsPerOp: 4000000},
+	}
+	var sb strings.Builder
+	diff(&sb, base, results)
+	out := sb.String()
+	if !strings.Contains(out, "0.50x") || !strings.Contains(out, "2.00x") {
+		t.Fatalf("rows not matched on procs: want 4/8 = 0.50x and 10/5 = 2.00x:\n%s", out)
+	}
+	if !strings.Contains(out, "BenchmarkOpenSeg-2") {
+		t.Fatalf("parallel row not labelled with its procs:\n%s", out)
+	}
+}

@@ -547,9 +547,9 @@ func TestOpenSegGeometryMismatch(t *testing.T) {
 	}
 }
 
-// TestOpenSegRejectsMisnamedSegment: newest-first replay takes "newer"
-// from the file names, so a header must carry the sequence number its
-// file is named for.
+// TestOpenSegRejectsMisnamedSegment: replay orders segments by their
+// file names and claims slots by their headers' sequence numbers, so a
+// header must carry the sequence number its file is named for.
 func TestOpenSegRejectsMisnamedSegment(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "segs")
 	s, err := CreateSeg(dir, testGeom)

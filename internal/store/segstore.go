@@ -9,8 +9,11 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"sort"
+	"sync"
+	"sync/atomic"
 
 	"relidev/internal/block"
 )
@@ -37,7 +40,7 @@ import (
 // segments whose records have all been superseded are deleted, and the
 // log cleaner may empty one more (see cleanLocked).
 //
-// On open the segments are replayed newest first to rebuild the image
+// On open the segments are replayed, in parallel, to rebuild the image
 // (see OpenSeg). A torn tail — a short or CRC-damaged record at the end
 // of the *last* segment, the only place an in-flight append can be
 // interrupted — is truncated away; damage anywhere else is corruption
@@ -156,13 +159,12 @@ func CreateSeg(dir string, geom block.Geometry, opts ...SegOption) (*SegStore, e
 
 // OpenSeg rebuilds the image from an existing segment store.
 //
-// Segments are replayed newest first, each streamed through one buffer
-// with every record CRC-verified in place. A block (or the metadata
-// area) whose current record a newer segment already supplied has its
-// older records verified but neither copied into the image nor counted
-// live; records of the same segment overwrite each other in file
-// order. Log order decides, never the version number: an aborted write
-// legitimately restores a lower version over a higher one.
+// Segments are replayed on every core (see replay), each streamed
+// through a buffer with every record CRC-verified in place. A record
+// installs only if no newer segment claimed its slot (a block's or the
+// metadata's): an older one's may be copied, then overwritten, but is
+// never counted live. Log order decides, never the version number: an
+// aborted write legitimately restores a lower version.
 //
 // A bad frame in the final segment is a torn append and is truncated
 // away; anywhere else it is ErrCorruptSegment. A final segment shorter
@@ -219,45 +221,89 @@ func OpenSeg(dir string, opts ...SegOption) (*SegStore, error) {
 	return s, nil
 }
 
-// replay rebuilds the image and the liveness counts from the already
-// opened active segment and then the sealed ones, newest first.
+// replay rebuilds the image and liveness from every segment on
+// min(GOMAXPROCS, segments) workers, which take segments newest first
+// and stop at a failure: the newest failed segment's error is returned.
 func (s *SegStore) replay(sealed []string, tornTailOK bool) error {
-	// Two maximal records, so that a refill always leaves a whole
-	// record in the buffer.
-	buf := make([]byte, max(replayBufBytes, 2*(recHeaderSize+s.maxPayload())))
-	end, err := s.replaySegment(s.active, s.activeSeq, buf, tornTailOK)
-	if err != nil {
-		return err
+	done := make([]replayed, len(sealed)+1)
+	var locks replayLocks
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for range min(runtime.GOMAXPROCS(0), len(done)) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			// Two maximal records, so that a refill always leaves a whole
+			// record in the buffer.
+			buf := make([]byte, max(replayBufBytes, 2*(recHeaderSize+s.maxPayload())))
+			for i := int(next.Add(1) - 1); i < len(done); i = int(next.Add(1) - 1) {
+				if i == 0 {
+					done[0] = s.replaySegment(s.active, s.activeSeq, buf, tornTailOK, &locks)
+				} else {
+					done[i] = s.replaySealed(sealed[len(sealed)-i], buf, &locks)
+				}
+				if done[i].err != nil {
+					next.Store(int64(len(done)))
+				}
+			}
+		}()
 	}
-	if _, err := s.active.Seek(end, io.SeekStart); err != nil {
-		return fmt.Errorf("seek active segment: %w", err)
-	}
-	s.activeLen = end
-	for i := len(sealed) - 1; i >= 0; i-- {
-		if err := s.replaySealed(sealed[i], buf); err != nil {
-			return err
+	wg.Wait()
+	for _, r := range done {
+		if r.err != nil {
+			return r.err
 		}
 	}
+	if _, err := s.active.Seek(done[0].end, io.SeekStart); err != nil {
+		return fmt.Errorf("seek active segment: %w", err)
+	}
+	s.activeLen = done[0].end
+	s.tally(done)
 	return nil
 }
 
+// replayed is where a segment's last intact record ends, or why not.
+type replayed struct {
+	seq uint64
+	end int64
+	err error
+}
+
+// replayLocks guard a replay's slots: block idx's by [idx%64], the metadata's by [64].
+type replayLocks [65]sync.Mutex
+
 // replaySealed replays one sealed segment, opened read-only: only the
 // final segment can need truncating.
-func (s *SegStore) replaySealed(name string, buf []byte) error {
+func (s *SegStore) replaySealed(name string, buf []byte, locks *replayLocks) replayed {
 	f, err := os.Open(filepath.Join(s.dir, name))
 	if err != nil {
-		return fmt.Errorf("open segment: %w", err)
+		return replayed{err: fmt.Errorf("open segment: %w", err)}
 	}
 	defer f.Close()
 	geom, seq, err := readSegHeader(f)
 	if err != nil {
-		return err
+		return replayed{err: err}
 	}
 	if geom != s.mem.geom {
-		return fmt.Errorf("store: segment %s geometry %+v differs from %+v", name, geom, s.mem.geom)
+		return replayed{err: fmt.Errorf("store: segment %s geometry %+v differs from %+v", name, geom, s.mem.geom)}
 	}
-	s.size[seq], err = s.replaySegment(f, seq, buf, false)
-	return err
+	return s.replaySegment(f, seq, buf, false, locks)
+}
+
+// tally counts each replayed segment's live records, zero included so
+// that rotation-time GC sees it, and records each sealed one's length.
+func (s *SegStore) tally(done []replayed) {
+	for _, r := range done {
+		s.live[r.seq] = 0
+		if r.seq != s.activeSeq {
+			s.size[r.seq] = r.end
+		}
+	}
+	for _, seq := range s.liveSeg {
+		s.live[seq]++
+	}
+	s.live[s.metaSeg]++
+	delete(s.live, liveNone) // the slots never written
 }
 
 func newSegStore(dir string, geom block.Geometry, opts []SegOption) (*SegStore, error) {
@@ -658,21 +704,18 @@ func (sc *segScanner) fill(need int) error {
 }
 
 // replaySegment verifies every record of segment seq, streaming the
-// file through buf, and installs those that no newer segment has
-// superseded (see OpenSeg). It returns the offset just past the last
+// file through buf, and installs each one whose slot no newer segment
+// has claimed (see OpenSeg). It returns the offset just past the last
 // intact record. A damaged record is a torn append when tornTailOK: the
 // file is cut there and fsynced, and replay succeeds. Otherwise it is
 // corruption.
-func (s *SegStore) replaySegment(f *os.File, seq uint64, buf []byte, tornTailOK bool) (int64, error) {
+func (s *SegStore) replaySegment(f *os.File, seq uint64, buf []byte, tornTailOK bool, locks *replayLocks) replayed {
 	name := filepath.Base(f.Name())
 	sc := segScanner{f: f, buf: buf, off: segHeaderSize, maxPayload: uint32(s.maxPayload())}
-	live := 0
-	// current reports whether this segment holds a slot's current
-	// record, claiming a slot that no newer segment has.
+	// current claims a slot unless a newer segment holds it.
 	current := func(slot *uint64) bool {
-		if *slot == liveNone {
+		if *slot == liveNone || *slot < seq {
 			*slot = seq
-			live++
 		}
 		return *slot == seq
 	}
@@ -680,43 +723,46 @@ func (s *SegStore) replaySegment(f *os.File, seq uint64, buf []byte, tornTailOK 
 		at := sc.off
 		rec, bad, err := sc.next()
 		if err != nil {
-			return 0, err
+			return replayed{err: err}
 		}
 		if bad != "" {
 			if !tornTailOK {
-				return 0, fmt.Errorf("%w: %s: %s at %d", ErrCorruptSegment, name, bad, at)
+				return replayed{err: fmt.Errorf("%w: %s: %s at %d", ErrCorruptSegment, name, bad, at)}
 			}
 			if err := f.Truncate(at); err != nil {
-				return 0, fmt.Errorf("truncate torn tail: %w", err)
+				return replayed{err: fmt.Errorf("truncate torn tail: %w", err)}
 			}
 			if err := f.Sync(); err != nil {
-				return 0, fmt.Errorf("sync truncated tail: %w", err)
+				return replayed{err: fmt.Errorf("sync truncated tail: %w", err)}
 			}
 		}
 		if rec == nil {
-			s.live[seq] = live
-			return at, nil
+			return replayed{seq: seq, end: at}
 		}
 		payload := rec[recHeaderSize:]
 		switch rec[4] {
 		case recBlock:
 			idx := block.Index(binary.LittleEndian.Uint32(rec[5:]))
 			if err := checkWrite(s.mem.geom, idx, payload); err != nil {
-				return 0, fmt.Errorf("%w: %s: record at %d: %v", ErrCorruptSegment, name, at, err)
+				return replayed{err: fmt.Errorf("%w: %s: record at %d: %v", ErrCorruptSegment, name, at, err)}
 			}
+			locks[idx%64].Lock()
 			if current(&s.liveSeg[idx]) {
 				copy(s.mem.blocks[idx], payload)
 				s.mem.versions[idx].Store(binary.LittleEndian.Uint64(rec[9:]))
 			}
+			locks[idx%64].Unlock()
 		case recMeta:
+			locks[64].Lock()
 			if current(&s.metaSeg) {
 				// An empty area is nil, as SaveMeta leaves it.
 				if s.mem.meta = append(s.mem.meta[:0], payload...); len(payload) == 0 {
 					s.mem.meta = nil
 				}
 			}
+			locks[64].Unlock()
 		default:
-			return 0, fmt.Errorf("%w: %s: unknown record type %d at %d", ErrCorruptSegment, name, rec[4], at)
+			return replayed{err: fmt.Errorf("%w: %s: unknown record type %d at %d", ErrCorruptSegment, name, rec[4], at)}
 		}
 	}
 }

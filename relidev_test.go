@@ -168,6 +168,54 @@ func TestFileStoresOption(t *testing.T) {
 	}
 }
 
+// TestOpenRemoteRefusesStoreOfOtherGeometry: reopening a store under a
+// geometry other than its own — here the zero value's 512x128 default —
+// fails, naming both, rather than serving a device whose every write
+// the store refuses; the same store then reopens under its own.
+func TestOpenRemoteRefusesStoreOfOtherGeometry(t *testing.T) {
+	geom := relidev.Geometry{BlockSize: 4096, NumBlocks: 64}
+	for _, tc := range []struct {
+		name string
+		set  func(*relidev.RemoteConfig, string)
+	}{
+		{"dir", func(c *relidev.RemoteConfig, p string) { c.StoreDir = p }},
+		{"path", func(c *relidev.RemoteConfig, p string) { c.StorePath = p }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "site0")
+			open := func(g relidev.Geometry) (*relidev.RemoteSite, error) {
+				cfg := relidev.RemoteConfig{Peers: map[int]string{0: "127.0.0.1:0"}, Scheme: relidev.Voting, Geometry: g, Timeout: time.Second}
+				tc.set(&cfg, path)
+				return relidev.OpenRemote(cfg)
+			}
+			s, err := open(geom)
+			if err != nil {
+				t.Fatal(err)
+			}
+			writeReadBack(t, s.Device(), 3, "before")
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if s, err := open(relidev.Geometry{}); err == nil {
+				s.Close()
+				t.Fatal("a 4096x64 store reopened under the 512x128 default")
+			} else if !strings.Contains(err.Error(), "{BlockSize:4096 NumBlocks:64}") || !strings.Contains(err.Error(), "{BlockSize:512 NumBlocks:128}") {
+				t.Fatalf("error %q does not name both geometries", err)
+			}
+			s, err = open(geom)
+			if err != nil {
+				t.Fatalf("reopen under the store's own geometry: %v", err)
+			}
+			defer s.Close()
+			got, err := s.Device().ReadBlock(context.Background(), 3)
+			if err != nil || !strings.HasPrefix(string(got), "before") {
+				t.Fatalf("block 3 after the refused reopen = %q, %v", got[:6], err)
+			}
+			writeReadBack(t, s.Device(), 4, "after")
+		})
+	}
+}
+
 func TestSegmentStoresAndGroupCommitOptions(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "site0")
 	s := openLoneSite(t, relidev.RemoteConfig{StoreDir: dir, GroupCommitBatch: 32, Metered: true})

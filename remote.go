@@ -38,7 +38,7 @@ type RemoteConfig struct {
 	// sites.
 	Scheme Scheme
 	// Geometry is the device shape; the zero value defaults to 512x128.
-	// It must match across all sites.
+	// It must match across all sites and an existing store's.
 	Geometry Geometry
 	// StorePath optionally persists this site's blocks in a file; empty
 	// keeps them in memory. An existing image is reopened, which is how
@@ -200,6 +200,10 @@ func OpenRemote(cfg RemoteConfig) (*RemoteSite, error) {
 	}
 	if err != nil {
 		return nil, fmt.Errorf("relidev: open store: %w", err)
+	}
+	if g := st.Geometry(); g != cfg.Geometry {
+		st.Close()
+		return nil, fmt.Errorf("relidev: store geometry %+v differs from the config's %+v", g, cfg.Geometry)
 	}
 	if cfg.GroupCommitBatch > 0 {
 		st = store.NewBatcher(st, store.BatchPolicy{
