@@ -55,6 +55,18 @@ func (g Geometry) Size() int64 { return int64(g.BlockSize) * int64(g.NumBlocks) 
 // geometry.
 func (g Geometry) Contains(idx Index) bool { return int(idx) < g.NumBlocks }
 
+// OpStripes is the number of stripes block state is serialised in:
+// block idx belongs to stripe Stripe(idx). Two operations of one
+// coordinator in one stripe never overlap (scheme.OpLocks), so it has
+// at most one prepare-write in flight per (site, stripe) and sends any
+// abort of a stage before its next prepare-write there: a replica keeps
+// a staged pre-image per (coordinator, stripe), not per block (DESIGN.md
+// §12). A store's image takes one lock per stripe (§7).
+const OpStripes = 64
+
+// Stripe returns the stripe of block idx, in [0, OpStripes).
+func Stripe(idx Index) uint64 { return uint64(idx) % OpStripes }
+
 // Vector is a version vector: the version number of every block held by
 // one site. During recovery a comatose site sends its vector to an
 // up-to-date site and receives back the correct vector together with the

@@ -32,9 +32,10 @@ import (
 //     page, and needs no OpLocks.)
 //
 // The store layer joined the scope with group commit (DESIGN.md §12):
-// SegStore serialises image and segment mutation under one mutex and
-// names every helper that assumes it with a *Locked suffix. Within
-// internal/store a fourth rule enforces that convention:
+// SegStore serialises segment mutation under its log mutex, changes an
+// image slot only under that mutex and the slot's stripe lock, and
+// names every helper that assumes the log mutex with a *Locked suffix.
+// Within internal/store a fourth rule enforces that convention:
 //
 //  4. Locked-suffix discipline: a same-package *Locked function may
 //     only be called from a function that itself acquires a

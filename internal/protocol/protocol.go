@@ -58,20 +58,6 @@ func (s SiteState) String() string {
 // word. The paper's analysis covers n <= 8; 64 leaves ample headroom.
 const MaxSites = 64
 
-// OpStripes is the number of stripes a coordinator serialises its block
-// operations in (scheme.OpLocks): block idx belongs to stripe
-// Stripe(idx), and two operations of one coordinator in one stripe
-// never overlap. A voting coordinator's prepare-write and any abort of
-// it belong to one such operation, which gives replicas a contract to
-// rely on: a coordinator has at most one prepare-write in flight per
-// (site, stripe), and it sends any abort of a stage before its next
-// prepare-write in that stripe. A replica therefore keeps a staged
-// pre-image per (coordinator, stripe), not per block (DESIGN.md §12).
-const OpStripes = 64
-
-// Stripe returns the stripe of block idx, in [0, OpStripes).
-func Stripe(idx block.Index) uint64 { return uint64(idx) % OpStripes }
-
 // SiteSet is a set of sites, used for quorums and was-available sets.
 type SiteSet uint64
 

@@ -5,7 +5,6 @@ import (
 
 	"relidev/internal/block"
 	"relidev/internal/obs"
-	"relidev/internal/protocol"
 )
 
 // OpLocks is the concurrency regime shared by the three consistency
@@ -27,27 +26,27 @@ type OpLocks struct {
 	// recovery, so recovery drains and excludes all in-flight operations.
 	state sync.RWMutex
 	// stripes serialise same-block (and same-stripe) operations: block
-	// idx takes stripes[protocol.Stripe(idx)]. 64 stripes keep the
+	// idx takes stripes[block.Stripe(idx)]. 64 stripes keep the
 	// collision probability low for realistic client counts while costing
 	// about 12 KB per controller, nearly all of it op scopes. Holding the
 	// stripe from a prepare-write until its abort is sent is what
-	// protocol.OpStripes promises every replica.
-	stripes [protocol.OpStripes]sync.Mutex
+	// block.OpStripes promises every replica.
+	stripes [block.OpStripes]sync.Mutex
 	// scopes[i] is the obs.Scope of the op holding stripes[i], recovery
 	// that of the op holding state exclusively: the lock that
 	// serialises an op makes its slot its own until Op.End.
-	scopes   [protocol.OpStripes]obs.Scope
+	scopes   [block.OpStripes]obs.Scope
 	recovery obs.Scope
 }
 
 // LockOp acquires the operation lock for one block.
 func (l *OpLocks) LockOp(idx block.Index) {
 	l.state.RLock()
-	l.stripes[protocol.Stripe(idx)].Lock()
+	l.stripes[block.Stripe(idx)].Lock()
 }
 
 // UnlockOp releases what LockOp acquired.
 func (l *OpLocks) UnlockOp(idx block.Index) {
-	l.stripes[protocol.Stripe(idx)].Unlock()
+	l.stripes[block.Stripe(idx)].Unlock()
 	l.state.RUnlock()
 }

@@ -41,7 +41,7 @@ type Op struct {
 func (l *OpLocks) BeginOp(ob *obs.SchemeObs, kind string, idx block.Index) Op {
 	t0 := ob.Now()
 	l.LockOp(idx)
-	return Op{locks: l, obs: ob, scope: &l.scopes[protocol.Stripe(idx)], kind: kind, blk: int64(idx), wait: ob.Now() - t0}
+	return Op{locks: l, obs: ob, scope: &l.scopes[block.Stripe(idx)], kind: kind, blk: int64(idx), wait: ob.Now() - t0}
 }
 
 // BeginRecovery acquires the structure exclusively, waiting out every

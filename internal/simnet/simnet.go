@@ -20,7 +20,9 @@ package simnet
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 
@@ -60,10 +62,10 @@ func (m Mode) String() string {
 // by ResetStats, so a snapshot never mixes pre- and post-reset values.
 // Within a bank, a snapshot taken while deliveries are in flight is
 // *conservative*: Transmissions is incremented first on every charge
-// and loaded last, so Transmissions >= Requests + Replies holds in
-// every snapshot. Quiesce the network for exact totals; an operation
-// in flight across a ResetStats may split its charges between the old
-// and new bank.
+// and loaded last, from every sender's shard, so Transmissions >=
+// Requests + Replies holds in every snapshot. Quiesce the network for
+// exact totals; an operation in flight across a ResetStats may split
+// its charges between the old and new bank.
 type Stats struct {
 	// Transmissions is the total number of high-level transmissions.
 	Transmissions uint64
@@ -119,9 +121,9 @@ type opCounters struct {
 	replies       atomic.Uint64
 }
 
-// counterBank holds one epoch of traffic counters. ResetStats swaps
-// the whole bank, so Stats never observes a half-zeroed state.
-type counterBank struct {
+// counterShard holds the charges of the legs one site sends, requests
+// and replies, padded to cache lines of its own.
+type counterShard struct {
 	transmissions atomic.Uint64
 	requests      atomic.Uint64
 	replies       atomic.Uint64
@@ -131,28 +133,29 @@ type counterBank struct {
 	// the map is touched once per logical broadcast, not per delivery.
 	kindMu sync.Mutex
 	byKind map[string]uint64
+	_      [256 - (4+3*len(opClasses))*8 - 16]byte
 }
 
-func newCounterBank() *counterBank {
-	return &counterBank{byKind: make(map[string]uint64)}
-}
+// counterBank holds one epoch of traffic counters. ResetStats swaps
+// the whole bank, so Stats never observes a half-zeroed state.
+type counterBank [protocol.MaxSites]counterShard
 
 // Network connects up to protocol.MaxSites sites. The zero value is not
 // usable; use New. Faults beyond fail-stop, partitions among them, are
 // injected through a FaultRule (the faultnet decorator installs one).
+// A leg takes no lock and writes only its sender's counter shard
+// (DESIGN.md §7).
 type Network struct {
-	// mode is fixed at New, so it is read without mu.
-	mode     Mode
-	mu       sync.Mutex
-	handlers map[protocol.SiteID]protocol.Handler
-	up       map[protocol.SiteID]bool
+	mode     Mode // fixed at New
+	handlers [protocol.MaxSites]atomic.Pointer[protocol.Handler]
+	up       [protocol.MaxSites]atomic.Bool
 
-	// Traffic counters are contention-free atomics grouped into a bank:
-	// metering sits on every message of the data path and must not
-	// serialize concurrent deliveries behind the configuration mutex,
-	// and ResetStats swaps the bank pointer instead of zeroing counters
-	// one by one (zeroing in place lets a concurrent Stats observe a
-	// torn half-reset snapshot).
+	// Traffic counters are contention-free atomics grouped into a bank
+	// of per-sender shards: metering sits on every message of the data
+	// path and must not serialize concurrent deliveries, and ResetStats
+	// swaps the bank pointer instead of zeroing counters one by one
+	// (zeroing in place lets a concurrent Stats observe a torn
+	// half-reset snapshot).
 	bank atomic.Pointer[counterBank]
 
 	// faultRule, when set, is consulted once per remote delivery (after
@@ -160,8 +163,7 @@ type Network struct {
 	// injection point the faultnet decorator uses: deciding inside the
 	// fan-out keeps faults per-destination while the §5 accounting of
 	// the enclosing broadcast stays exact.
-	faultMu   sync.RWMutex
-	faultRule FaultRule
+	faultRule atomic.Pointer[FaultRule]
 }
 
 // FaultDecision tells the network what to do with one delivery.
@@ -190,54 +192,57 @@ var _ protocol.Transport = (*Network)(nil)
 
 // New returns an empty network in the given mode.
 func New(mode Mode) *Network {
-	n := &Network{
-		mode:     mode,
-		handlers: make(map[protocol.SiteID]protocol.Handler),
-		up:       make(map[protocol.SiteID]bool),
-	}
-	n.bank.Store(newCounterBank())
+	n := &Network{mode: mode}
+	n.bank.Store(new(counterBank))
 	return n
 }
 
 // Mode returns the network flavour.
 func (n *Network) Mode() Mode { return n.mode }
 
+// errBadSender fails every leg from an id that cannot name a site.
+var errBadSender = errors.New("simnet: sender id out of range")
+
+// validSite reports whether id can name a site, in [0, MaxSites).
+func validSite(id protocol.SiteID) bool { return id >= 0 && id < protocol.MaxSites }
+
+// mustBeSite panics with a message naming id unless it can name a site.
+func mustBeSite(op string, id protocol.SiteID) {
+	if !validSite(id) {
+		panic(fmt.Sprintf("simnet: %s: site id %d out of range [0,%d)", op, int(id), protocol.MaxSites))
+	}
+}
+
 // Attach registers the handler serving site id and marks the site up.
+// It panics for an id outside [0, protocol.MaxSites).
 func (n *Network) Attach(id protocol.SiteID, h protocol.Handler) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.handlers[id] = h
-	n.up[id] = true
+	mustBeSite("Attach", id)
+	n.handlers[id].Store(&h)
+	n.up[id].Store(true)
 }
 
 // SetUp marks a site's process up or down. A down site neither receives
-// requests nor produces replies (fail-stop).
+// requests nor produces replies (fail-stop). It panics for an id
+// outside [0, protocol.MaxSites).
 func (n *Network) SetUp(id protocol.SiteID, up bool) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.up[id] = up
+	mustBeSite("SetUp", id)
+	n.up[id].Store(up)
 }
 
 // SetFaultRule installs (or, with nil, removes) the per-delivery fault
 // rule. Only test harnesses and the faultnet decorator call this; no
 // production path injects faults.
-func (n *Network) SetFaultRule(rule FaultRule) {
-	n.faultMu.Lock()
-	n.faultRule = rule
-	n.faultMu.Unlock()
-}
+func (n *Network) SetFaultRule(rule FaultRule) { n.faultRule.Store(&rule) }
 
 // applyFault consults the fault rule for one remote delivery. It
 // reports whether the handler should still run and the injected error,
 // if any.
 func (n *Network) applyFault(from, to protocol.SiteID, req protocol.Request) (deliver bool, err error) {
-	n.faultMu.RLock()
-	rule := n.faultRule
-	n.faultMu.RUnlock()
-	if rule == nil {
+	rule := n.faultRule.Load()
+	if rule == nil || *rule == nil {
 		return true, nil
 	}
-	switch dec, ferr := rule(from, to, req); dec {
+	switch dec, ferr := (*rule)(from, to, req); dec {
 	case DropRequest:
 		return false, ferr
 	case DropReply:
@@ -254,33 +259,42 @@ func (n *Network) applyFault(from, to protocol.SiteID, req protocol.Request) (de
 // counts from before and after a ResetStats.
 func (n *Network) Stats() Stats {
 	b := n.bank.Load()
-	out := Stats{
-		Requests: b.requests.Load(),
-		Replies:  b.replies.Load(),
-		Bytes:    b.bytes.Load(),
-	}
-	byOp := make(map[string]OpStats, len(opClasses))
-	for i, op := range opClasses {
-		oc := &b.byOp[i]
-		s := OpStats{
-			Requests: oc.requests.Load(),
-			Replies:  oc.replies.Load(),
-		}
-		s.Transmissions = oc.transmissions.Load()
-		if s.Transmissions == 0 && s.Requests == 0 && s.Replies == 0 {
+	out := Stats{ByKind: make(map[string]uint64), ByOp: make(map[string]OpStats, len(opClasses))}
+	var byOp [len(opClasses)]OpStats
+	var senders protocol.SiteSet // shards with a charge; most sites send nothing
+	for i := range b {
+		sh := &b[i]
+		if sh.transmissions.Load() == 0 {
 			continue
 		}
-		byOp[op] = s
+		senders = senders.Add(protocol.SiteID(i))
+		out.Requests += sh.requests.Load()
+		out.Replies += sh.replies.Load()
+		out.Bytes += sh.bytes.Load()
+		for j := range byOp {
+			byOp[j].Requests += sh.byOp[j].requests.Load()
+			byOp[j].Replies += sh.byOp[j].replies.Load()
+		}
+		sh.kindMu.Lock()
+		for k, v := range sh.byKind {
+			out.ByKind[k] += v
+		}
+		sh.kindMu.Unlock()
 	}
-	b.kindMu.Lock()
-	out.ByKind = make(map[string]uint64, len(b.byKind))
-	for k, v := range b.byKind {
-		out.ByKind[k] = v
+	// Loaded last so the snapshot invariant holds (see Stats doc), from
+	// the shards whose requests and replies were loaded.
+	for set := uint64(senders); set != 0; set &= set - 1 {
+		sh := &b[bits.TrailingZeros64(set)]
+		out.Transmissions += sh.transmissions.Load()
+		for j := range byOp {
+			byOp[j].Transmissions += sh.byOp[j].transmissions.Load()
+		}
 	}
-	b.kindMu.Unlock()
-	out.ByOp = byOp
-	// Loaded last so the snapshot invariant holds (see Stats doc).
-	out.Transmissions = b.transmissions.Load()
+	for j, op := range opClasses {
+		if byOp[j] != (OpStats{}) {
+			out.ByOp[op] = byOp[j]
+		}
+	}
 	return out
 }
 
@@ -289,30 +303,33 @@ func (n *Network) Stats() Stats {
 // (zero) ones, never a torn mixture; an operation in flight across the
 // swap may split its charges between the banks.
 func (n *Network) ResetStats() {
-	n.bank.Store(newCounterBank())
+	n.bank.Store(new(counterBank))
 }
 
-// route returns the handler for `to` if it is up, without holding the
-// lock during the handler call.
+// route returns the handler for `to` if it is up. A `to` that cannot
+// name a site is down; a `from` that cannot fails the leg, and deliver
+// charges its broadcast nothing.
 func (n *Network) route(from, to protocol.SiteID) (protocol.Handler, error) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if !n.up[to] {
+	if !validSite(from) {
+		return nil, fmt.Errorf("%v -> %v: %w", from, to, errBadSender)
+	}
+	if !validSite(to) || !n.up[to].Load() {
 		return nil, fmt.Errorf("%v -> %v: %w", from, to, protocol.ErrSiteDown)
 	}
-	h, ok := n.handlers[to]
-	if !ok {
+	h := n.handlers[to].Load()
+	if h == nil {
 		return nil, fmt.Errorf("%v -> %v: %w", from, to, protocol.ErrSiteDown)
 	}
-	return h, nil
+	return *h, nil
 }
 
-// countRequest charges request transmissions. opIdx attributes them to
-// a §5 operation class (-1 for unlabelled traffic). Transmissions is
-// bumped before Requests — paired with Stats loading it last, this
-// keeps Transmissions >= Requests + Replies in every snapshot.
-func (n *Network) countRequest(opIdx int, kind string, transmissions, bytes uint64) {
-	b := n.bank.Load()
+// countRequest charges request transmissions to sender from's shard.
+// opIdx attributes them to a §5 operation class (-1 for unlabelled
+// traffic). Transmissions is bumped before Requests — paired with Stats
+// loading it last, this keeps Transmissions >= Requests + Replies in
+// every snapshot.
+func (n *Network) countRequest(from protocol.SiteID, opIdx int, kind string, transmissions, bytes uint64) {
+	b := &n.bank.Load()[from]
 	b.transmissions.Add(transmissions)
 	b.requests.Add(transmissions)
 	b.bytes.Add(bytes)
@@ -322,12 +339,15 @@ func (n *Network) countRequest(opIdx int, kind string, transmissions, bytes uint
 		oc.requests.Add(transmissions)
 	}
 	b.kindMu.Lock()
+	if b.byKind == nil {
+		b.byKind = make(map[string]uint64)
+	}
 	b.byKind[kind] += transmissions
 	b.kindMu.Unlock()
 }
 
-func (n *Network) countReply(opIdx int, resp protocol.Response) {
-	b := n.bank.Load()
+func (n *Network) countReply(from protocol.SiteID, opIdx int, resp protocol.Response) {
+	b := &n.bank.Load()[from]
 	b.transmissions.Add(1)
 	b.replies.Add(1)
 	b.bytes.Add(uint64(protocol.WireSize(resp)))
@@ -355,7 +375,7 @@ func (n *Network) roundTrip(ctx context.Context, from, to protocol.SiteID, req p
 		return h.Handle(ctx, from, req)
 	}
 	if chargeReq {
-		n.countRequest(opClassIndex(protocol.CtxOp(ctx)), req.Kind(), 1, uint64(protocol.WireSize(req)))
+		n.countRequest(from, opClassIndex(protocol.CtxOp(ctx)), req.Kind(), 1, uint64(protocol.WireSize(req)))
 	}
 	deliver, ferr := n.applyFault(from, to, req)
 	if !deliver {
@@ -371,7 +391,7 @@ func (n *Network) roundTrip(ctx context.Context, from, to protocol.SiteID, req p
 		return nil, err
 	}
 	if chargeReply {
-		n.countReply(opClassIndex(protocol.CtxOp(ctx)), resp)
+		n.countReply(from, opClassIndex(protocol.CtxOp(ctx)), resp)
 	}
 	return resp, nil
 }
@@ -428,23 +448,23 @@ func (n *Network) deliver(ctx context.Context, from protocol.SiteID, dests []pro
 		}
 	}
 	opIdx := opClassIndex(protocol.CtxOp(ctx))
-	if targets > 0 && ctx.Err() == nil {
+	if targets > 0 && ctx.Err() == nil && validSite(from) {
 		reqBytes := uint64(protocol.WireSize(req))
 		if n.mode == Unicast {
 			// One transmission per destination, whether or not it is up: the
 			// sender cannot know (§5.2).
-			n.countRequest(opIdx, req.Kind(), targets, reqBytes*targets)
+			n.countRequest(from, opIdx, req.Kind(), targets, reqBytes*targets)
 		} else {
 			// One transmission reaches every destination; the payload goes
 			// over the wire once.
-			n.countRequest(opIdx, req.Kind(), 1, reqBytes)
+			n.countRequest(from, opIdx, req.Kind(), 1, reqBytes)
 		}
 	}
 	results := protocol.FanOut(ctx, from, dests, req, (*leg)(n))
 	if countReplies {
 		for _, res := range results {
 			if res.Err == nil {
-				n.countReply(opIdx, res.Resp)
+				n.countReply(from, opIdx, res.Resp)
 			}
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -335,5 +336,68 @@ func TestFaultRuleAppliesPerBroadcastDestination(t *testing.T) {
 	}
 	if st := net.Stats(); st.Requests != 1 {
 		t.Fatalf("multicast requests = %d, want 1 (drop is per-link, transmission already charged)", st.Requests)
+	}
+}
+
+// TestSiteIDsOutsideTheTables pins what the network's fixed
+// [protocol.MaxSites] tables do with an id that cannot name a site:
+// Attach and SetUp panic with a message naming it, a leg to it finds
+// the site down, and a leg from it fails and charges nothing. No call
+// may panic on the index.
+func TestSiteIDsOutsideTheTables(t *testing.T) {
+	ctx := context.Background()
+	req := protocol.StatusRequest{}
+	for _, id := range []protocol.SiteID{-1, protocol.MaxSites, protocol.MaxSites + 7} {
+		t.Run(fmt.Sprint(int(id)), func(t *testing.T) {
+			net, hs := buildNet(t, Unicast, 3)
+			for what, call := range map[string]func(){
+				"Attach": func() { net.Attach(id, hs[0]) },
+				"SetUp":  func() { net.SetUp(id, true) },
+			} {
+				func() {
+					defer func() {
+						if msg := fmt.Sprint(recover()); !strings.Contains(msg, fmt.Sprintf("site id %d ", int(id))) {
+							t.Errorf("%s(%d) panicked with %q, want a message naming the id", what, int(id), msg)
+						}
+					}()
+					call()
+				}()
+			}
+
+			if _, err := net.Call(ctx, 0, id, req); !errors.Is(err, protocol.ErrSiteDown) {
+				t.Errorf("Call to %d: err = %v, want ErrSiteDown", int(id), err)
+			}
+			res := net.Broadcast(ctx, 0, []protocol.SiteID{1, id}, req)
+			if res[1].Err != nil || !errors.Is(res[id].Err, protocol.ErrSiteDown) {
+				t.Errorf("Broadcast to {1, %d} = %+v, want site 1 answered and %d down", int(id), res, int(id))
+			}
+
+			net.ResetStats()
+			if _, err := net.Call(ctx, id, 1, req); !errors.Is(err, errBadSender) {
+				t.Errorf("Call from %d: err = %v, want errBadSender", int(id), err)
+			}
+			if _, err := net.Fetch(ctx, id, 1, req); !errors.Is(err, errBadSender) {
+				t.Errorf("Fetch from %d: err = %v, want errBadSender", int(id), err)
+			}
+			for what, deliver := range map[string]func(context.Context, protocol.SiteID, []protocol.SiteID, protocol.Request) map[protocol.SiteID]protocol.Result{
+				"Broadcast": net.Broadcast, "Notify": net.Notify,
+			} {
+				res := deliver(ctx, id, []protocol.SiteID{0, 1, 2}, req)
+				for _, to := range []protocol.SiteID{0, 1, 2} {
+					if r, ok := res[to]; !ok || !errors.Is(r.Err, errBadSender) {
+						t.Errorf("%s from %d: leg to %d = %+v (present %v), want errBadSender", what, int(id), int(to), r, ok)
+					}
+				}
+			}
+			if st := net.Stats(); st.Transmissions != 0 || st.Bytes != 0 || len(st.ByKind) != 0 {
+				t.Errorf("legs from %d charged %+v, want nothing", int(id), st)
+			}
+			// Only the broadcast from site 0 reached a handler: site 1's.
+			for i, h := range hs {
+				if want := int64(i % 2); h.calls.Load() != want {
+					t.Errorf("site %d served %d calls, want %d", i, h.calls.Load(), want)
+				}
+			}
+		})
 	}
 }

@@ -262,7 +262,7 @@ func TestConcurrentStagesRecyclePreImages(t *testing.T) {
 }
 
 // stripedReplica builds a replica over a MemStore of n blocks, enough
-// for several blocks to share a stripe (protocol.OpStripes).
+// for several blocks to share a stripe (block.OpStripes).
 func stripedReplica(t *testing.T, n int) *Replica {
 	t.Helper()
 	st, err := store.NewMem(block.Geometry{BlockSize: testGeom.BlockSize, NumBlocks: n})
@@ -313,7 +313,7 @@ func TestPreImagesBoundedByStripes(t *testing.T) {
 			t.Fatalf("stage of block %d@%d from %v: %v %v", idx, ver[idx], from, resp, err)
 		}
 	}
-	const bound = 2 * protocol.OpStripes
+	const bound = 2 * block.OpStripes
 	for pass := 0; pass < 2; pass++ {
 		for b := block.Index(0); b < blocks; b++ {
 			stage(1, b)
@@ -328,7 +328,7 @@ func TestPreImagesBoundedByStripes(t *testing.T) {
 		stage(1, next)
 		next++
 	}
-	for range 2 * protocol.OpStripes {
+	for range 2 * block.OpStripes {
 		more() // fill coordinator 1's row, so each stage now drops one
 	}
 	staging := testing.AllocsPerRun(200, more)
@@ -349,7 +349,7 @@ func TestPreImagesBoundedByStripes(t *testing.T) {
 // stages in the same stripe and the same coordinator's stages in other
 // stripes: none of them ends the op the abort belongs to.
 func TestAbortRestoresAcrossStripes(t *testing.T) {
-	const s = protocol.OpStripes
+	const s = block.OpStripes
 	r := stripedReplica(t, 3*s)
 	if err := r.WriteLocal(3, pad("base"), 4); err != nil {
 		t.Fatal(err)
@@ -373,7 +373,7 @@ func TestAbortRestoresAcrossStripes(t *testing.T) {
 // leg failed, and the bytes landed after the next prepare) is a no-op:
 // the block keeps the staged data, like an abort that never arrived.
 func TestLateAbortAfterNextStageInStripe(t *testing.T) {
-	const s = protocol.OpStripes
+	const s = block.OpStripes
 	r := stripedReplica(t, 2*s)
 	if err := r.WriteLocal(3, pad("base"), 4); err != nil {
 		t.Fatal(err)

@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"math/bits"
 	"sync"
+	"sync/atomic"
 
 	"relidev/internal/block"
 	"relidev/internal/protocol"
@@ -51,15 +52,18 @@ var (
 type Replica struct {
 	id protocol.SiteID
 
-	mu       sync.Mutex
-	st       store.Store
-	state    protocol.SiteState
+	mu sync.Mutex
+	st store.Store
+	// state is written under mu, so (state, wasAvail) read under mu is
+	// one pair, and loaded without it by Handle's preamble, which a
+	// request on any block runs.
+	state    atomic.Int64
 	wasAvail protocol.SiteSet
 
 	// prov retains the pre-images staged prepare-writes displaced, so an
 	// AbortWriteRequest can restore one if its coordinator's quorum
 	// fails. A coordinator sends any abort before its next prepare-write
-	// in the same stripe (protocol.OpStripes), so prov[from] holds one
+	// in the same stripe (block.OpStripes), so prov[from] holds one
 	// record per stripe: coordinator from's row, allocated at its first
 	// stage, with stagers the set of coordinators that have a row. A
 	// record with stagedVer 0 is empty; at most one record per block is
@@ -77,8 +81,8 @@ type Replica struct {
 
 	// hHook observes served requests with the caller's context (trace
 	// span, op label); nil observes nothing. Same dependency-free shape
-	// as wHook.
-	hHook func(ctx context.Context, from protocol.SiteID, req protocol.Request)
+	// as wHook; stored under mu, loaded without it like state.
+	hHook atomic.Pointer[func(ctx context.Context, from protocol.SiteID, req protocol.Request)]
 
 	// tHook serves telemetry pulls: it returns the site's encoded
 	// metrics snapshot, or its trace events, for the aggregation plane
@@ -115,7 +119,8 @@ func New(cfg Config) (*Replica, error) {
 	if st == 0 {
 		st = protocol.StateAvailable
 	}
-	r := &Replica{id: cfg.ID, st: cfg.Store, state: st}
+	r := &Replica{id: cfg.ID, st: cfg.Store}
+	r.state.Store(int64(st))
 	meta, err := cfg.Store.LoadMeta()
 	if err != nil {
 		return nil, fmt.Errorf("load replica meta: %w", err)
@@ -133,11 +138,7 @@ func (r *Replica) ID() protocol.SiteID { return r.id }
 func (r *Replica) Geometry() block.Geometry { return r.st.Geometry() }
 
 // State returns the current site state.
-func (r *Replica) State() protocol.SiteState {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.state
-}
+func (r *Replica) State() protocol.SiteState { return protocol.SiteState(r.state.Load()) }
 
 // SetState forces the site state. The cluster orchestration uses it for
 // fail (-> StateFailed), restart (-> StateComatose) and recovery
@@ -145,7 +146,7 @@ func (r *Replica) State() protocol.SiteState {
 func (r *Replica) SetState(s protocol.SiteState) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.state = s
+	r.state.Store(int64(s))
 }
 
 // WasAvailable returns the stored was-available set.
@@ -200,7 +201,7 @@ func (r *Replica) SetWTransitionHook(hook func(old, next protocol.SiteSet)) {
 func (r *Replica) SetHandleHook(hook func(ctx context.Context, from protocol.SiteID, req protocol.Request)) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.hHook = hook
+	r.hHook.Store(&hook)
 }
 
 // SetTelemetryHook installs the telemetry source answering
@@ -258,13 +259,13 @@ type provRecord struct {
 }
 
 // provRow is one coordinator's records, indexed by stripe.
-type provRow [protocol.OpStripes]provRecord
+type provRow [block.OpStripes]provRecord
 
 // liveRecord returns the record retaining block idx's staged pre-image,
 // or nil when no record does. Callers hold r.mu.
 func (r *Replica) liveRecord(idx block.Index) *provRecord {
 	for set := uint64(r.stagers); set != 0; set &= set - 1 {
-		rec := &r.prov[bits.TrailingZeros64(set)][protocol.Stripe(idx)]
+		rec := &r.prov[bits.TrailingZeros64(set)][block.Stripe(idx)]
 		if rec.stagedVer != 0 && rec.block == idx {
 			return rec
 		}
@@ -313,18 +314,15 @@ func (r *Replica) Handle(ctx context.Context, from protocol.SiteID, req protocol
 	if from < 0 || from >= protocol.MaxSites {
 		return nil, fmt.Errorf("%w: %d", ErrBadSender, int(from))
 	}
-	r.mu.Lock()
-	state := r.state
-	hook := r.hHook
-	r.mu.Unlock()
+	state := r.State()
 	if state == protocol.StateFailed {
 		return nil, ErrNotOperational
 	}
-	if hook != nil {
+	if hook := r.hHook.Load(); hook != nil && *hook != nil {
 		// Record the server-side trace span before processing so the
 		// remote site's ring holds a causally-linked record even when the
 		// request itself fails.
-		hook(ctx, from, req)
+		(*hook)(ctx, from, req)
 	}
 
 	switch q := req.(type) {
@@ -380,7 +378,7 @@ func (r *Replica) Handle(ctx context.Context, from protocol.SiteID, req protocol
 		r.mu.Lock()
 		defer r.mu.Unlock()
 		return protocol.StatusReply{
-			State:      r.state,
+			State:      r.State(),
 			WasAvail:   r.wasAvail,
 			VersionSum: r.st.Vector().Sum(),
 		}, nil
@@ -457,7 +455,7 @@ func (r *Replica) handlePrepareWrite(state protocol.SiteState, from protocol.Sit
 		r.prov[from] = new(provRow)
 		r.stagers = r.stagers.Add(from)
 	}
-	rec := &r.prov[from][protocol.Stripe(q.Block)]
+	rec := &r.prov[from][block.Stripe(q.Block)]
 	r.dropRecord(rec)
 	*rec = provRecord{block: q.Block, stagedVer: q.Version, prevVer: ver, prevData: prev}
 	if err != nil {
@@ -481,7 +479,7 @@ func (r *Replica) handleAbortWrite(from protocol.SiteID, q protocol.AbortWriteRe
 	if row == nil {
 		return protocol.AbortWriteReply{}, nil
 	}
-	rec := &row[protocol.Stripe(q.Block)]
+	rec := &row[block.Stripe(q.Block)]
 	if rec.stagedVer == 0 || rec.block != q.Block || rec.stagedVer != q.Version {
 		return protocol.AbortWriteReply{}, nil
 	}

@@ -1,8 +1,11 @@
 package store
 
 import (
+	"bytes"
+	"math/bits"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"relidev/internal/block"
 )
@@ -13,13 +16,35 @@ import (
 // leaves the MemStore contents intact, matching the paper's failure model.
 // Writers store a block's data before its version, so a Read after a
 // lock-free Version returns data at least that new.
+// Operations on blocks of distinct stripes share no lock (DESIGN.md §7).
 type MemStore struct {
-	mu       sync.RWMutex
+	// stripes[block.Stripe(idx)] guards block idx's slot, each lock on
+	// two cache lines of its own; whatever takes several stripes takes
+	// them in ascending order. metaMu guards meta.
+	stripes [block.OpStripes]struct {
+		sync.RWMutex
+		_ [128 - unsafe.Sizeof(sync.RWMutex{})]byte
+	}
+	metaMu   sync.RWMutex
 	geom     block.Geometry
 	blocks   [][]byte // one slot per block, carved from one allocation; Swap hands a slot's buffer out
 	versions []atomic.Uint64
 	meta     []byte
 	closed   atomic.Bool
+}
+
+// lock write-locks the stripes in mask in ascending order; unlock
+// releases them.
+func (m *MemStore) lock(mask uint64) {
+	for ; mask != 0; mask &= mask - 1 {
+		m.stripes[bits.TrailingZeros64(mask)].Lock()
+	}
+}
+
+func (m *MemStore) unlock(mask uint64) {
+	for ; mask != 0; mask &= mask - 1 {
+		m.stripes[bits.TrailingZeros64(mask)].Unlock()
+	}
 }
 
 var _ Store = (*MemStore)(nil)
@@ -46,8 +71,9 @@ func (m *MemStore) Geometry() block.Geometry { return m.geom }
 
 // Read returns a copy of block idx and its version.
 func (m *MemStore) Read(idx block.Index) ([]byte, block.Version, error) {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
+	l := &m.stripes[block.Stripe(idx)]
+	l.RLock()
+	defer l.RUnlock()
 	if m.closed.Load() {
 		return nil, 0, ErrClosed
 	}
@@ -60,8 +86,9 @@ func (m *MemStore) Read(idx block.Index) ([]byte, block.Version, error) {
 
 // Write replaces block idx with data at version ver.
 func (m *MemStore) Write(idx block.Index, data []byte, ver block.Version) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
+	l := &m.stripes[block.Stripe(idx)]
+	l.Lock()
+	defer l.Unlock()
 	if m.closed.Load() {
 		return ErrClosed
 	}
@@ -75,8 +102,9 @@ func (m *MemStore) Write(idx block.Index, data []byte, ver block.Version) error 
 
 // Swap installs buf itself as block idx (see the package func Swap).
 func (m *MemStore) Swap(idx block.Index, buf []byte, ver block.Version) ([]byte, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
+	l := &m.stripes[block.Stripe(idx)]
+	l.Lock()
+	defer l.Unlock()
 	if m.closed.Load() {
 		return nil, ErrClosed
 	}
@@ -100,36 +128,32 @@ func (m *MemStore) Version(idx block.Index) (block.Version, error) {
 	return block.Version(m.versions[idx].Load()), nil
 }
 
-// Vector returns a copy of the full version vector.
+// Vector returns a copy of the full version vector, taken with every
+// stripe held: no install is half done in it.
 func (m *MemStore) Vector() block.Vector {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
+	m.lock(^uint64(0))
 	v := block.NewVector(len(m.versions))
 	for i := range v {
 		v[i] = block.Version(m.versions[i].Load())
 	}
+	m.unlock(^uint64(0))
 	return v
 }
 
 // LoadMeta returns a copy of the metadata area.
 func (m *MemStore) LoadMeta() ([]byte, error) {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
+	m.metaMu.RLock()
+	defer m.metaMu.RUnlock()
 	if m.closed.Load() {
 		return nil, ErrClosed
 	}
-	if m.meta == nil {
-		return nil, nil
-	}
-	out := make([]byte, len(m.meta))
-	copy(out, m.meta)
-	return out, nil
+	return bytes.Clone(m.meta), nil
 }
 
 // SaveMeta replaces the metadata area.
 func (m *MemStore) SaveMeta(meta []byte) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
+	m.metaMu.Lock()
+	defer m.metaMu.Unlock()
 	if m.closed.Load() {
 		return ErrClosed
 	}
@@ -138,10 +162,13 @@ func (m *MemStore) SaveMeta(meta []byte) error {
 	return nil
 }
 
-// Close marks the store closed.
+// Close marks the store closed. It takes every lock, so once it returns
+// every operation fails with ErrClosed.
 func (m *MemStore) Close() error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
+	m.lock(^uint64(0))
+	m.metaMu.Lock()
 	m.closed.Store(true)
+	m.metaMu.Unlock()
+	m.unlock(^uint64(0))
 	return nil
 }

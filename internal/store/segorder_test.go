@@ -90,10 +90,9 @@ func replayIn(t *testing.T, dir string, names []string, order []int) string {
 	}
 	s.activeSeq = seq
 	buf := make([]byte, replayBufBytes)
-	var locks replayLocks
 	var done []replayed
 	for _, i := range order {
-		r := s.replaySealed(names[i], buf, &locks)
+		r := s.replaySealed(names[i], buf)
 		if r.err != nil {
 			t.Fatal(r.err)
 		}

@@ -80,10 +80,17 @@ var ErrNoSegments = errors.New("store: no segments")
 // SegStore is a Store backed by a directory of append-only segment
 // files. Reads are served from an in-memory image; writes append.
 type SegStore struct {
-	// The embedded MemStore holds the authoritative in-memory image
-	// (data, versions, meta) and the mutex; SegStore layers the log
-	// underneath its write path.
+	// mem holds the authoritative in-memory image (data, versions,
+	// meta) and its stripe locks; SegStore layers the log underneath
+	// its write path.
 	mem *MemStore
+
+	// mu, the log mutex, serialises appends, rotation, cleaning, meta
+	// saves and Sync, and guards the fields below. An image slot changes
+	// only under mu and its stripe lock (the metadata's: mem.metaMu), so
+	// mu alone holds the image still, and a Read, under the stripe lock
+	// only, never waits behind a write(2), a seal fsync or a cleaner.
+	mu sync.Mutex
 
 	dir      string
 	maxBytes int64
@@ -226,7 +233,6 @@ func OpenSeg(dir string, opts ...SegOption) (*SegStore, error) {
 // and stop at a failure: the newest failed segment's error is returned.
 func (s *SegStore) replay(sealed []string, tornTailOK bool) error {
 	done := make([]replayed, len(sealed)+1)
-	var locks replayLocks
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	for range min(runtime.GOMAXPROCS(0), len(done)) {
@@ -238,9 +244,9 @@ func (s *SegStore) replay(sealed []string, tornTailOK bool) error {
 			buf := make([]byte, max(replayBufBytes, 2*(recHeaderSize+s.maxPayload())))
 			for i := int(next.Add(1) - 1); i < len(done); i = int(next.Add(1) - 1) {
 				if i == 0 {
-					done[0] = s.replaySegment(s.active, s.activeSeq, buf, tornTailOK, &locks)
+					done[0] = s.replaySegment(s.active, s.activeSeq, buf, tornTailOK)
 				} else {
-					done[i] = s.replaySealed(sealed[len(sealed)-i], buf, &locks)
+					done[i] = s.replaySealed(sealed[len(sealed)-i], buf)
 				}
 				if done[i].err != nil {
 					next.Store(int64(len(done)))
@@ -269,12 +275,9 @@ type replayed struct {
 	err error
 }
 
-// replayLocks guard a replay's slots: block idx's by [idx%64], the metadata's by [64].
-type replayLocks [65]sync.Mutex
-
 // replaySealed replays one sealed segment, opened read-only: only the
 // final segment can need truncating.
-func (s *SegStore) replaySealed(name string, buf []byte, locks *replayLocks) replayed {
+func (s *SegStore) replaySealed(name string, buf []byte) replayed {
 	f, err := os.Open(filepath.Join(s.dir, name))
 	if err != nil {
 		return replayed{err: fmt.Errorf("open segment: %w", err)}
@@ -287,7 +290,7 @@ func (s *SegStore) replaySealed(name string, buf []byte, locks *replayLocks) rep
 	if geom != s.mem.geom {
 		return replayed{err: fmt.Errorf("store: segment %s geometry %+v differs from %+v", name, geom, s.mem.geom)}
 	}
-	return s.replaySegment(f, seq, buf, false, locks)
+	return s.replaySegment(f, seq, buf, false)
 }
 
 // tally counts each replayed segment's live records, zero included so
@@ -365,8 +368,8 @@ func (s *SegStore) Swap(idx block.Index, buf []byte, ver block.Version) (prev []
 }
 
 func (s *SegStore) install(ins []Install, swapped *[]byte) error {
-	s.mem.mu.Lock()
-	defer s.mem.mu.Unlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.mem.closed.Load() {
 		return ErrClosed
 	}
@@ -383,8 +386,8 @@ func (s *SegStore) LoadMeta() ([]byte, error) { return s.mem.LoadMeta() }
 
 // SaveMeta appends a metadata record and installs it in the image.
 func (s *SegStore) SaveMeta(meta []byte) error {
-	s.mem.mu.Lock()
-	defer s.mem.mu.Unlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.mem.closed.Load() {
 		return ErrClosed
 	}
@@ -394,14 +397,16 @@ func (s *SegStore) SaveMeta(meta []byte) error {
 	if err := s.appendLocked(recMeta, []Install{{Data: meta}}, nil); err != nil {
 		return err
 	}
+	s.mem.metaMu.Lock()
 	s.mem.meta = append([]byte(nil), meta...)
+	s.mem.metaMu.Unlock()
 	return nil
 }
 
 // Sync flushes the active segment to disk.
 func (s *SegStore) Sync() error {
-	s.mem.mu.Lock()
-	defer s.mem.mu.Unlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.mem.closed.Load() {
 		return ErrClosed
 	}
@@ -410,12 +415,12 @@ func (s *SegStore) Sync() error {
 
 // Close syncs and closes the active segment.
 func (s *SegStore) Close() error {
-	s.mem.mu.Lock()
-	defer s.mem.mu.Unlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.mem.closed.Load() {
 		return nil
 	}
-	s.mem.closed.Store(true)
+	s.mem.Close()
 	if s.active == nil {
 		return nil
 	}
@@ -435,8 +440,9 @@ func (s *SegStore) Close() error {
 // image. So segment boundaries, live counts and cleaner decisions are
 // those of record-at-a-time appends, byte for byte. A Swap's one install
 // passes swapped: the image slot takes its buffer instead of a copy, and
-// *swapped the slot's old one. Callers hold s.mem.mu and have checked
-// every install.
+// *swapped the slot's old one. A piece's blocks are installed under
+// their stripe locks, taken together after its write(2). Callers hold
+// s.mu and have checked every install.
 func (s *SegStore) appendLocked(typ byte, ins []Install, swapped *[]byte) error {
 	for len(ins) > 0 {
 		if s.activeLen >= s.maxBytes {
@@ -457,11 +463,19 @@ func (s *SegStore) appendLocked(typ byte, ins []Install, swapped *[]byte) error 
 		}
 		s.activeLen += int64(len(s.rec))
 		s.live[s.activeSeq] += n
+		if typ == recMeta {
+			// The image's area is the caller's to install (SaveMeta) or
+			// already holds the record (evacuateLocked).
+			s.retireLocked(&s.metaSeg)
+			ins = ins[n:]
+			continue
+		}
+		var stripes uint64
 		for _, in := range ins[:n] {
-			if typ == recMeta {
-				s.retireLocked(&s.metaSeg)
-				continue
-			}
+			stripes |= 1 << block.Stripe(in.Index)
+		}
+		s.mem.lock(stripes)
+		for _, in := range ins[:n] {
 			if swapped != nil {
 				*swapped, s.mem.blocks[in.Index] = s.mem.blocks[in.Index], in.Data
 			} else {
@@ -470,6 +484,7 @@ func (s *SegStore) appendLocked(typ byte, ins []Install, swapped *[]byte) error 
 			s.mem.versions[in.Index].Store(uint64(in.Version))
 			s.retireLocked(&s.liveSeg[in.Index])
 		}
+		s.mem.unlock(stripes)
 		ins = ins[n:]
 	}
 	return nil
@@ -490,7 +505,7 @@ func frameRecord(buf []byte, typ byte, in Install) []byte {
 
 // retireLocked moves a liveness slot (a block's or the metadata's) to
 // the active segment, decrementing the old segment's live count.
-// Callers hold s.mem.mu; the record itself was already appended.
+// Callers hold s.mu; the record itself was already appended.
 func (s *SegStore) retireLocked(slot *uint64) {
 	if old := *slot; old != liveNone {
 		s.live[old]--
@@ -501,7 +516,7 @@ func (s *SegStore) retireLocked(slot *uint64) {
 // rotateLocked seals the active segment (fsync), opens the next one,
 // fsyncs the directory, deletes fully-superseded segments, and runs the
 // cleaner. Dead segments are only collected here, after the records
-// that displaced them are durable. Callers hold s.mem.mu.
+// that displaced them are durable. Callers hold s.mu.
 func (s *SegStore) rotateLocked() error {
 	if err := s.active.Sync(); err != nil {
 		return fmt.Errorf("seal segment %d: %w", s.activeSeq, err)
@@ -544,7 +559,7 @@ func (s *SegStore) rotateLocked() error {
 // goes by log order, rebuilds the same image with or without them. The
 // victim's live count is then zero and the next rotation deletes it,
 // after that rotation's seal has made the copies durable. Callers hold
-// s.mem.mu.
+// s.mu, under which the image holds still.
 func (s *SegStore) cleanLocked() error {
 	if s.cleaning {
 		return nil
@@ -584,7 +599,7 @@ func (s *SegStore) cleanLocked() error {
 
 // evacuateLocked re-appends every current record segment victim holds,
 // from the image — the blocks as one run — leaving its live count zero.
-// Callers hold s.mem.mu.
+// Callers hold s.mu.
 func (s *SegStore) evacuateLocked(victim uint64) error {
 	run := make([]Install, 0, s.live[victim])
 	for i, seq := range s.liveSeg {
@@ -603,8 +618,8 @@ func (s *SegStore) evacuateLocked(victim uint64) error {
 }
 
 // openSegmentLocked creates segment seq, writes its header, and fsyncs
-// the directory so the new name survives a crash. Callers hold
-// s.mem.mu (or are constructing the store).
+// the directory so the new name survives a crash. Callers hold s.mu
+// (or are constructing the store).
 func (s *SegStore) openSegmentLocked(seq uint64) error {
 	path := filepath.Join(s.dir, segmentName(seq))
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o644)
@@ -705,11 +720,12 @@ func (sc *segScanner) fill(need int) error {
 
 // replaySegment verifies every record of segment seq, streaming the
 // file through buf, and installs each one whose slot no newer segment
-// has claimed (see OpenSeg). It returns the offset just past the last
-// intact record. A damaged record is a torn append when tornTailOK: the
-// file is cut there and fsynced, and replay succeeds. Otherwise it is
-// corruption.
-func (s *SegStore) replaySegment(f *os.File, seq uint64, buf []byte, tornTailOK bool, locks *replayLocks) replayed {
+// has claimed (see OpenSeg), under the image's lock of that slot (its
+// stripe's, or the metadata's): workers replaying other segments race
+// for it. It returns the offset just past the last intact record. A
+// damaged record is a torn append when tornTailOK: the file is cut
+// there and fsynced, and replay succeeds. Otherwise it is corruption.
+func (s *SegStore) replaySegment(f *os.File, seq uint64, buf []byte, tornTailOK bool) replayed {
 	name := filepath.Base(f.Name())
 	sc := segScanner{f: f, buf: buf, off: segHeaderSize, maxPayload: uint32(s.maxPayload())}
 	// current claims a slot unless a newer segment holds it.
@@ -746,21 +762,22 @@ func (s *SegStore) replaySegment(f *os.File, seq uint64, buf []byte, tornTailOK 
 			if err := checkWrite(s.mem.geom, idx, payload); err != nil {
 				return replayed{err: fmt.Errorf("%w: %s: record at %d: %v", ErrCorruptSegment, name, at, err)}
 			}
-			locks[idx%64].Lock()
+			l := &s.mem.stripes[block.Stripe(idx)]
+			l.Lock()
 			if current(&s.liveSeg[idx]) {
 				copy(s.mem.blocks[idx], payload)
 				s.mem.versions[idx].Store(binary.LittleEndian.Uint64(rec[9:]))
 			}
-			locks[idx%64].Unlock()
+			l.Unlock()
 		case recMeta:
-			locks[64].Lock()
+			s.mem.metaMu.Lock()
 			if current(&s.metaSeg) {
 				// An empty area is nil, as SaveMeta leaves it.
 				if s.mem.meta = append(s.mem.meta[:0], payload...); len(payload) == 0 {
 					s.mem.meta = nil
 				}
 			}
-			locks[64].Unlock()
+			s.mem.metaMu.Unlock()
 		default:
 			return replayed{err: fmt.Errorf("%w: %s: unknown record type %d at %d", ErrCorruptSegment, name, rec[4], at)}
 		}
