@@ -159,14 +159,14 @@ func TestOnceGolden(t *testing.T) {
 		for s := 0; s < 2; s++ {
 			site := o.SchemeSite("voting", protocol.SiteID(s))
 			for b := 0; b < 4; b++ {
-				_, sp := site.StartOp(context.Background(), new(obs.Scope), protocol.OpWrite, int64(b))
+				_, sp := site.StartOp(context.Background(), new(obs.Scope), protocol.OpWrite, int64(b), site.Now())
 				clk.Advance(3 * time.Microsecond)
 				if step == 2 {
 					sp.Done(0, context.DeadlineExceeded)
 				} else {
 					sp.Done(2, nil)
 				}
-				_, sp = site.StartOp(context.Background(), new(obs.Scope), protocol.OpRead, int64(b))
+				_, sp = site.StartOp(context.Background(), new(obs.Scope), protocol.OpRead, int64(b), site.Now())
 				clk.Advance(time.Microsecond)
 				sp.Done(2, nil)
 			}

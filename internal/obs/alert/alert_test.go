@@ -35,7 +35,7 @@ func (r *rig) sample() {
 }
 
 func (r *rig) op(kind string, took time.Duration, err error) {
-	_, sp := r.o.SchemeSite("voting", 0).StartOp(context.Background(), new(obs.Scope), kind, 0)
+	_, sp := r.o.SchemeSite("voting", 0).StartOp(context.Background(), new(obs.Scope), kind, 0, r.o.Now())
 	r.clk.Advance(took)
 	sp.Done(3, err)
 }

@@ -254,17 +254,17 @@ func TestGatherObservations(t *testing.T) {
 	// Two sites contribute to the same scheme totals.
 	for site := protocol.SiteID(0); site < 2; site++ {
 		s := o.SchemeSite("voting", site)
-		_, sp := s.StartOp(context.Background(), new(Scope), protocol.OpWrite, 1)
+		_, sp := s.StartOp(context.Background(), new(Scope), protocol.OpWrite, 1, s.Now())
 		sp.Done(3, nil)
-		_, sp = s.StartOp(context.Background(), new(Scope), protocol.OpRead, 1)
+		_, sp = s.StartOp(context.Background(), new(Scope), protocol.OpRead, 1, s.Now())
 		sp.Done(3, nil)
-		_, sp = s.StartOp(context.Background(), new(Scope), protocol.OpRecovery, NoBlock)
+		_, sp = s.StartOp(context.Background(), new(Scope), protocol.OpRecovery, NoBlock, s.Now())
 		sp.Done(0, errors.New("awaiting sites"))
 	}
 	o.SchemeSite("voting", 0).LazyRefresh(1, 1, 5)
 	// A different scheme's counters must not leak in.
 	func() {
-		_, sp := o.SchemeSite("naive", 0).StartOp(context.Background(), new(Scope), protocol.OpWrite, 1)
+		_, sp := o.SchemeSite("naive", 0).StartOp(context.Background(), new(Scope), protocol.OpWrite, 1, o.Now())
 		sp.Done(1, nil)
 	}()
 

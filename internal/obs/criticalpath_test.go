@@ -18,8 +18,10 @@ func TestPhasePartitionExact(t *testing.T) {
 	o := New(WithClock(clk), WithTracing(256))
 	s := o.SchemeSite("voting", 0)
 
-	ctx, sp := s.StartOp(context.Background(), new(Scope), protocol.OpWrite, 3)
-	sp.AddLockWait(40) // backdates the span start
+	start := s.Now() // read before the lock
+	clk.Advance(40)  // the lock wait
+	ctx, sp := s.StartOp(context.Background(), new(Scope), protocol.OpWrite, 3, start)
+	sp.AddLockWait(40)
 	rec := protocol.CtxPhases(ctx)
 	if rec == nil {
 		t.Fatal("StartOp did not attach a phase recorder to the context")
@@ -28,7 +30,7 @@ func TestPhasePartitionExact(t *testing.T) {
 	rec.RecordPhase(protocol.PhaseRPC, 25)
 	rec.RecordPhase(protocol.PhaseStraggler, 60)
 	rec.RecordPeerRTT(1, 90)
-	clk.Advance(200) // end-to-end = 200 - (0 - 40) = 240
+	clk.Advance(200) // end-to-end = 40 + 200 = 240
 	sp.Done(3, nil)
 
 	p := o.CriticalPath()
@@ -40,7 +42,7 @@ func TestPhasePartitionExact(t *testing.T) {
 		t.Fatalf("op aggregate = %s/%s n=%d, want voting/%s n=1", op.Scheme, op.Op, op.Count, protocol.OpWrite)
 	}
 	if op.TotalNs != 240 {
-		t.Fatalf("TotalNs = %d, want 240 (lock wait must backdate the span start)", op.TotalNs)
+		t.Fatalf("TotalNs = %d, want 240 (the span starts before the lock wait)", op.TotalNs)
 	}
 	if op.PartitionNs != op.TotalNs {
 		t.Fatalf("PartitionNs = %d, TotalNs = %d: partition phases must sum to end-to-end latency exactly", op.PartitionNs, op.TotalNs)
@@ -104,7 +106,7 @@ func TestPhasePartitionClampsPipelinedOverlap(t *testing.T) {
 	o := New(WithClock(clk))
 	s := o.SchemeSite("ac", 1)
 
-	ctx, sp := s.StartOp(context.Background(), new(Scope), protocol.OpRecovery, NoBlock)
+	ctx, sp := s.StartOp(context.Background(), new(Scope), protocol.OpRecovery, NoBlock, s.Now())
 	rec := protocol.CtxPhases(ctx)
 	rec.RecordPhase(protocol.PhaseRPC, 300) // three overlapped 100ns fetches
 	clk.Advance(120)
@@ -135,7 +137,7 @@ func TestFailedOpsRecordNoPhases(t *testing.T) {
 	clk := clock.NewManual()
 	o := New(WithClock(clk))
 	s := o.SchemeSite("naive", 0)
-	ctx, sp := s.StartOp(context.Background(), new(Scope), protocol.OpRead, 1)
+	ctx, sp := s.StartOp(context.Background(), new(Scope), protocol.OpRead, 1, s.Now())
 	protocol.CtxPhases(ctx).RecordPhase(protocol.PhaseRPC, 50)
 	clk.Advance(80)
 	sp.Done(0, context.DeadlineExceeded)
@@ -179,7 +181,7 @@ func TestFlameRendering(t *testing.T) {
 	clk := clock.NewManual()
 	o := New(WithClock(clk))
 	s := o.SchemeSite("voting", 0)
-	ctx, sp := s.StartOp(context.Background(), new(Scope), protocol.OpWrite, 0)
+	ctx, sp := s.StartOp(context.Background(), new(Scope), protocol.OpWrite, 0, s.Now())
 	rec := protocol.CtxPhases(ctx)
 	rec.RecordPhase(protocol.PhaseFanout, 800)
 	rec.RecordPhase(protocol.PhaseStraggler, 200)
@@ -220,10 +222,12 @@ func TestSpanPhases(t *testing.T) {
 	clk := clock.NewManual()
 	o := New(WithClock(clk), WithTracing(256))
 	s := o.SchemeSite("ac", 0)
-	ctx, sp := s.StartOp(context.Background(), new(Scope), protocol.OpWrite, 7)
+	start := s.Now()
+	clk.Advance(10) // the lock wait
+	ctx, sp := s.StartOp(context.Background(), new(Scope), protocol.OpWrite, 7, start)
 	sp.AddLockWait(10)
 	protocol.CtxPhases(ctx).RecordPhase(protocol.PhaseFanout, 30)
-	clk.Advance(50) // total = 60, local residual = 20
+	clk.Advance(50) // total = 10 + 50 = 60, local residual = 20
 	sp.Done(2, nil)
 
 	trees := o.TraceTrees()

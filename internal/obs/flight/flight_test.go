@@ -129,7 +129,7 @@ func TestDeterministicDump(t *testing.T) {
 		r := newRig(4)
 		s := r.o.SchemeSite("voting", 0)
 		for i := 0; i < 3; i++ {
-			_, sp := s.StartOp(context.Background(), new(obs.Scope), protocol.OpWrite, int64(i))
+			_, sp := s.StartOp(context.Background(), new(obs.Scope), protocol.OpWrite, int64(i), s.Now())
 			sp.Done(3, nil)
 			r.sample()
 		}
@@ -202,7 +202,7 @@ func TestTraceTailSource(t *testing.T) {
 	r := newRig(4)
 	s := r.o.SchemeSite("voting", 0)
 	for i := 0; i < TraceEvents; i++ { // three events an op: the ring outgrows the tail
-		_, sp := s.StartOp(context.Background(), new(obs.Scope), protocol.OpWrite, int64(i))
+		_, sp := s.StartOp(context.Background(), new(obs.Scope), protocol.OpWrite, int64(i), s.Now())
 		sp.Done(1, nil)
 	}
 	lines := r.rec.Seal("x").TraceTail
@@ -287,7 +287,7 @@ func TestConcurrentHTTPSealDuringWraparound(t *testing.T) {
 			defer wg.Done()
 			s := o.SchemeSite("voting", protocol.SiteID(w))
 			for i := 0; i < rounds; i++ {
-				_, sp := s.StartOp(context.Background(), new(obs.Scope), protocol.OpWrite, int64(i))
+				_, sp := s.StartOp(context.Background(), new(obs.Scope), protocol.OpWrite, int64(i), s.Now())
 				sp.Done(1, nil)
 				clk.Advance(1)
 				db.Sample() // far more samples than the ring holds

@@ -62,7 +62,7 @@ func (r *rig) step() alert.Status {
 func (r *rig) ops(scheme string, participants int, fail bool, n int) {
 	s := r.o.SchemeSite(scheme, 0)
 	for i := 0; i < n; i++ {
-		_, sp := s.StartOp(context.Background(), new(obs.Scope), protocol.OpWrite, int64(i))
+		_, sp := s.StartOp(context.Background(), new(obs.Scope), protocol.OpWrite, int64(i), s.Now())
 		if fail {
 			sp.Done(0, context.DeadlineExceeded)
 		} else {

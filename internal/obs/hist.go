@@ -27,12 +27,12 @@ type BucketCount struct {
 }
 
 // histShard is one shard's counters, padded to its own cache lines so
-// concurrent recorders on different shards do not false-share.
+// concurrent recorders on different shards do not false-share. It keeps
+// no count: a snapshot sums the buckets.
 type histShard struct {
-	count   atomic.Uint64
 	sum     atomic.Uint64
 	buckets [histBuckets]atomic.Uint64
-	_       [64 - (2+histBuckets)*8%64]byte
+	_       [64 - (1+histBuckets)*8%64]byte
 }
 
 // A Histogram records latency observations into bounded exponential
@@ -66,24 +66,26 @@ func shardIndex() int {
 	return int(uintptr(unsafe.Pointer(&probe)) >> 10 % histShards)
 }
 
-// Observe records one latency observation in nanoseconds. Negative
+// Observe records one latency observation in nanoseconds: two atomic
+// adds, one for a zero, which leaves the sum as it is. Negative
 // observations are clamped to zero.
 func (h *Histogram) Observe(ns int64) {
 	if h == nil {
 		return
 	}
-	if ns < 0 {
+	s := &h.shards[shardIndex()]
+	if ns > 0 {
+		s.sum.Add(uint64(ns))
+	} else {
 		ns = 0
 	}
-	s := &h.shards[shardIndex()]
-	s.count.Add(1)
-	s.sum.Add(uint64(ns))
 	s.buckets[bucketFor(ns)].Add(1)
 }
 
 // snapshotPoint merges the shards into a HistogramPoint (name and
 // labels are filled by the registry). Merged totals equal the sum of
-// per-shard records: the merge only adds.
+// per-shard records: the merge only adds, and the count is the sum of
+// the buckets.
 func (h *Histogram) snapshotPoint() HistogramPoint {
 	var p HistogramPoint
 	if h == nil {
@@ -92,7 +94,6 @@ func (h *Histogram) snapshotPoint() HistogramPoint {
 	var buckets [histBuckets]uint64
 	for i := range h.shards {
 		s := &h.shards[i]
-		p.Count += s.count.Load()
 		p.Sum += s.sum.Load()
 		for b := range s.buckets {
 			buckets[b] += s.buckets[b].Load()
@@ -102,6 +103,7 @@ func (h *Histogram) snapshotPoint() HistogramPoint {
 		if c == 0 {
 			continue
 		}
+		p.Count += c
 		upper := int64(bucketBase) << uint(b)
 		if b == histBuckets-1 {
 			upper = -1 // overflow: +Inf
@@ -109,14 +111,4 @@ func (h *Histogram) snapshotPoint() HistogramPoint {
 		p.Buckets = append(p.Buckets, BucketCount{UpperNs: upper, Count: c})
 	}
 	return p
-}
-
-// shardTotals exposes per-shard (count, sum) pairs for the merge
-// property test.
-func (h *Histogram) shardTotals() (counts, sums [histShards]uint64) {
-	for i := range h.shards {
-		counts[i] = h.shards[i].count.Load()
-		sums[i] = h.shards[i].sum.Load()
-	}
-	return counts, sums
 }

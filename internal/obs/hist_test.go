@@ -50,6 +50,32 @@ func TestHistogramSnapshot(t *testing.T) {
 	}
 }
 
+// TestHistogramCountIsBucketSum: a snapshot's count is the sum of its
+// buckets, and a zero observation counts in bucket 0 without moving the
+// sum (it costs one atomic add, a non-zero one two).
+func TestHistogramCountIsBucketSum(t *testing.T) {
+	var h Histogram
+	h.Observe(700)
+	h.Observe(5000)
+	before := h.snapshotPoint()
+	h.Observe(0)
+	h.Observe(-3)
+	p := h.snapshotPoint()
+	if p.Sum != before.Sum || p.Sum != 5700 {
+		t.Fatalf("sum = %d after two zero observations, want %d", p.Sum, before.Sum)
+	}
+	var buckets uint64
+	for _, b := range p.Buckets {
+		buckets += b.Count
+	}
+	if p.Count != 4 || buckets != p.Count {
+		t.Fatalf("count = %d, buckets sum to %d: want 4 and 4", p.Count, buckets)
+	}
+	if p.Buckets[0].UpperNs != bucketBase || p.Buckets[0].Count != 3 {
+		t.Fatalf("bucket 0 = %+v, want 3 observations up to %d ns", p.Buckets[0], bucketBase)
+	}
+}
+
 // TestHistogramConcurrentMerge is the record+merge property test: with
 // G goroutines each recording K observations concurrently with
 // snapshot readers, every observation must land in exactly one shard,
@@ -136,4 +162,16 @@ func TestHistogramConcurrentMerge(t *testing.T) {
 	if bTot != p.Count {
 		t.Fatalf("bucket total %d != merged count %d", bTot, p.Count)
 	}
+}
+
+// shardTotals exposes per-shard (count, sum) pairs for the merge
+// property test.
+func (h *Histogram) shardTotals() (counts, sums [histShards]uint64) {
+	for i := range h.shards {
+		for b := range h.shards[i].buckets {
+			counts[i] += h.shards[i].buckets[b].Load()
+		}
+		sums[i] = h.shards[i].sum.Load()
+	}
+	return counts, sums
 }

@@ -18,7 +18,7 @@ func TestDebugMux(t *testing.T) {
 	o := New(WithClock(clk), WithTracing(16))
 	s := o.SchemeSite("voting", 0)
 	func() {
-		_, sp := s.StartOp(context.Background(), new(Scope), protocol.OpWrite, 1)
+		_, sp := s.StartOp(context.Background(), new(Scope), protocol.OpWrite, 1, s.Now())
 		clk.Advance(1) // a non-zero latency, so the op has a local phase
 		sp.Done(3, nil)
 	}()
@@ -103,7 +103,10 @@ func TestDebugMuxTracingDisabled(t *testing.T) {
 func TestClusterTraceHandlerDegradesPartially(t *testing.T) {
 	local := New(WithClock(clock.NewManual()), WithTracing(64))
 	s := local.SchemeSite("voting", 0)
-	func() { _, sp := s.StartOp(context.Background(), new(Scope), protocol.OpWrite, 1); sp.Done(3, nil) }()
+	func() {
+		_, sp := s.StartOp(context.Background(), new(Scope), protocol.OpWrite, 1, s.Now())
+		sp.Done(3, nil)
+	}()
 	evs := local.Tracer().Events()
 	if len(evs) == 0 || evs[0].Kind != EvOpStart {
 		t.Fatalf("local ring = %+v", evs)

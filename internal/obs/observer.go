@@ -296,11 +296,14 @@ type SchemeObs struct {
 // (recovery operates on the whole device).
 const NoBlock int64 = -1
 
-// StartOp opens one operation span in sc: it counts the attempt, emits
-// the op_start trace event, and returns the span to close with Done. blk
-// is the block index, or NoBlock for whole-device operations. Call it
-// only once the operation will actually run (past the availability
-// gate), so attempt counts line up with the §5 conformance brackets.
+// StartOp opens one operation span in sc, which Done left empty: it
+// counts the attempt, emits the op_start trace event, and returns the
+// span to close with Done. blk is the block index, or NoBlock for
+// whole-device operations. start is the op's start on this observer's
+// clock (Now), read by the caller before it queued for its lock, so the
+// span's latency includes the wait. Call it only once the operation
+// will actually run (past the availability gate), so attempt counts
+// line up with the §5 conformance brackets.
 //
 // The returned context carries the operation's scope — the §5 label the
 // transport attributes this operation's traffic to and the recorder it
@@ -309,7 +312,7 @@ const NoBlock int64 = -1
 // (on remote sites too). Both live in sc, the op's own until Done, and
 // the context is valid until then. With a nil receiver the context
 // passes through untouched, and unlabelled traffic costs nothing extra.
-func (s *SchemeObs) StartOp(ctx context.Context, sc *Scope, op string, blk int64) (context.Context, OpSpan) {
+func (s *SchemeObs) StartOp(ctx context.Context, sc *Scope, op string, blk, start int64) (context.Context, OpSpan) {
 	if s == nil {
 		return ctx, OpSpan{}
 	}
@@ -318,8 +321,8 @@ func (s *SchemeObs) StartOp(ctx context.Context, sc *Scope, op string, blk int64
 		return ctx, OpSpan{}
 	}
 	s.attempts[i].Inc()
-	sp := OpSpan{s: s, op: op, idx: i, block: blk, start: s.o.Now(), scope: sc}
-	*sc = Scope{s: s, op: i}
+	sp := OpSpan{s: s, op: op, idx: i, block: blk, start: start, scope: sc}
+	sc.s, sc.op = s, i
 	sc.node = protocol.OpNode{Context: ctx, Scope: protocol.OpScope{Op: op, Phases: sc}}
 	ctx = &sc.node
 	if s.o.tracer != nil {

@@ -23,7 +23,7 @@ func TestNilObserverAndSchemeObs(t *testing.T) {
 	}
 	// Every SchemeObs method must be a nil-receiver no-op.
 	ctx := context.Background()
-	got, sp := s.StartOp(ctx, new(Scope), protocol.OpWrite, 3)
+	got, sp := s.StartOp(ctx, new(Scope), protocol.OpWrite, 3, s.Now())
 	if got != ctx {
 		t.Fatal("nil SchemeObs.StartOp altered the context")
 	}
@@ -44,11 +44,11 @@ func TestSchemeObsCounters(t *testing.T) {
 		t.Fatal("SchemeSite handle not cached")
 	}
 
-	_, sp := s.StartOp(context.Background(), new(Scope), protocol.OpWrite, 7)
+	_, sp := s.StartOp(context.Background(), new(Scope), protocol.OpWrite, 7, s.Now())
 	sp.Done(3, nil)
-	_, sp = s.StartOp(context.Background(), new(Scope), protocol.OpWrite, 7)
+	_, sp = s.StartOp(context.Background(), new(Scope), protocol.OpWrite, 7, s.Now())
 	sp.Done(0, errors.New("quorum lost"))
-	_, sp = s.StartOp(context.Background(), new(Scope), protocol.OpRead, 7)
+	_, sp = s.StartOp(context.Background(), new(Scope), protocol.OpRead, 7, s.Now())
 	sp.Done(2, nil)
 	s.LazyRefresh(7, 1, 9)
 	s.WTransition(0b111, 0b011)
@@ -115,7 +115,7 @@ func TestSchemeObsCounters(t *testing.T) {
 func TestStartOpUnknownOp(t *testing.T) {
 	o := New()
 	s := o.SchemeSite("naive", 0)
-	_, sp := s.StartOp(context.Background(), new(Scope), "compact", NoBlock) // not an §5 op: ignored
+	_, sp := s.StartOp(context.Background(), new(Scope), "compact", NoBlock, s.Now()) // not an §5 op: ignored
 	sp.Done(1, nil)
 	if got := o.Snapshot().CounterTotal(MetricOpAttempts); got != 0 {
 		t.Fatalf("unknown op counted: %d attempts", got)
@@ -125,7 +125,7 @@ func TestStartOpUnknownOp(t *testing.T) {
 func TestLabelRoundTrip(t *testing.T) {
 	o := New()
 	s := o.SchemeSite("naive", 0)
-	ctx, sp := s.StartOp(context.Background(), new(Scope), protocol.OpRecovery, NoBlock)
+	ctx, sp := s.StartOp(context.Background(), new(Scope), protocol.OpRecovery, NoBlock, s.Now())
 	defer sp.Done(1, nil)
 	if got := protocol.CtxOp(ctx); got != protocol.OpRecovery {
 		t.Fatalf("CtxOp = %q, want %q", got, protocol.OpRecovery)

@@ -89,11 +89,49 @@ type Scope struct {
 	// claimed through held and released when the call's span ends.
 	call protocol.SpanNode
 	held atomic.Bool
+	// fan carries a metered fan-out's boundary readings between
+	// MeteredTransport and the fan-out loop below it. Only the op's own
+	// goroutine touches it: an op runs its fan-outs one at a time.
+	fan struct {
+		start, end       int64
+		hasStart, hasEnd bool
+	}
 }
 
 // Now implements protocol.PhaseRecorder with the observer's injected
 // clock, so in-scope transports measure durations deterministically.
 func (a *Scope) Now() int64 { return a.s.o.Now() }
+
+// FanOutStart implements protocol.PhaseRecorder: the metering
+// decorator's start reading, else a fresh one.
+func (a *Scope) FanOutStart() int64 {
+	if a.fan.hasStart {
+		return a.fan.start
+	}
+	return a.Now()
+}
+
+// FanOutEnd implements protocol.PhaseRecorder.
+func (a *Scope) FanOutEnd(at int64) { a.fan.end, a.fan.hasEnd = at, true }
+
+// openFan offers the fan-out loop below a metered fan-out the
+// decorator's start reading, and closeFan returns the end reading the
+// loop reported, if one did. Both accept the nil Scope of an
+// unattributed fan-out.
+func (a *Scope) openFan(start int64) {
+	if a != nil {
+		a.fan.start, a.fan.hasStart, a.fan.hasEnd = start, true, false
+	}
+}
+
+func (a *Scope) closeFan() (end int64, ok bool) {
+	if a == nil {
+		return 0, false
+	}
+	end, ok = a.fan.end, a.fan.hasEnd
+	a.fan.hasStart, a.fan.hasEnd = false, false
+	return end, ok
+}
 
 // RecordPhase implements protocol.PhaseRecorder.
 func (a *Scope) RecordPhase(phase string, ns int64) {
@@ -138,15 +176,14 @@ func (s *SchemeObs) Now() int64 {
 }
 
 // AddLockWait charges ns of pre-protocol lock-queue wait to the
-// operation: the span's start is backdated so end-to-end latency
-// includes the wait, and the lock_wait phase accounts for it — keeping
-// the phase partition equal to the measured latency. Call it once,
-// right after StartOp, with the measured OpLocks acquisition time.
+// lock_wait phase. The span started before the lock (StartOp's start),
+// so end-to-end latency already includes the wait and the partition
+// still sums to it. Call it once, right after StartOp, with the
+// measured OpLocks acquisition time.
 func (sp *OpSpan) AddLockWait(ns int64) {
 	if sp.s == nil || ns <= 0 {
 		return
 	}
-	sp.start -= ns
 	sp.scope.sums[phaseLockWait].Add(ns)
 }
 

@@ -99,7 +99,7 @@ func script(t *testing.T, p *Plane, clk *clock.Manual, each func(step int, rep *
 	o := p.Observer()
 	site := o.SchemeSite("voting", 0)
 	op := func(kind string, blk, participants int, err error) {
-		_, sp := site.StartOp(context.Background(), new(obs.Scope), kind, int64(blk))
+		_, sp := site.StartOp(context.Background(), new(obs.Scope), kind, int64(blk), site.Now())
 		clk.Advance(2 * time.Microsecond)
 		sp.Done(participants, err)
 	}
@@ -334,7 +334,7 @@ func BenchmarkPlaneStep(b *testing.B) {
 			if j%2 == 1 {
 				kind = protocol.OpRead
 			}
-			_, sp := sites[j%5].StartOp(context.Background(), new(obs.Scope), kind, int64(j))
+			_, sp := sites[j%5].StartOp(context.Background(), new(obs.Scope), kind, int64(j), sites[j%5].Now())
 			clk.Advance(2 * time.Microsecond)
 			sp.Done(3, nil)
 		}

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -32,6 +33,57 @@ func TestNilHandlesAreNoOps(t *testing.T) {
 	}
 	if snap := r.Snapshot(); len(snap.Counters) != 0 {
 		t.Fatal("nil registry snapshot not empty")
+	}
+}
+
+// TestCounterStripedConcurrentAdds: goroutines adding to one counter
+// land on its stripes, and Value sums them exactly, also while the adds
+// run. Under -race this also proves the stripes share no plain state.
+func TestCounterStripedConcurrentAdds(t *testing.T) {
+	const goroutines, perG = 8, 10000
+	var c Counter
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	read := make(chan struct{})
+	go func() {
+		defer close(read)
+		var last uint64
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			v := c.Value()
+			if v < last {
+				t.Errorf("counter went back from %d to %d", last, v)
+				return
+			}
+			last = v
+		}
+	}()
+	for g := range goroutines {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range perG {
+				if i%2 == 0 {
+					c.Inc()
+				} else {
+					c.Add(uint64(g + 1))
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(stop)
+	<-read
+	var want uint64
+	for g := range goroutines {
+		want += perG/2 + perG/2*uint64(g+1)
+	}
+	if got := c.Value(); got != want {
+		t.Fatalf("Value = %d, want %d", got, want)
 	}
 }
 

@@ -211,7 +211,9 @@ func TestTraceDetailGolden(t *testing.T) {
 	o.HandleHook("voting", 2)(bg, 4, protocol.VoteRequest{Block: 9})
 	expect(EvHandle, fmt.Sprintf("req=%s from=%v", "vote", protocol.SiteID(4)))
 
-	ctx, sp := s.StartOp(bg, new(Scope), protocol.OpRead, 9)
+	start := s.Now()
+	clk.Advance(10) // the lock wait
+	ctx, sp := s.StartOp(bg, new(Scope), protocol.OpRead, 9, start)
 	expect(EvOpStart, "")
 	sp.AddLockWait(10)
 	protocol.CtxPhases(ctx).RecordPhase(protocol.PhaseFanout, 30)
@@ -233,7 +235,7 @@ func TestTraceDetailGolden(t *testing.T) {
 	expect(EvOpEnd, fmt.Sprintf("participants=%d", 3))
 
 	for _, err := range []error{protocol.ErrSiteDown, protocol.ErrTransient, context.Canceled, protocol.ErrInjected, errors.New("disk")} {
-		_, sp := s.StartOp(bg, new(Scope), protocol.OpWrite, 1)
+		_, sp := s.StartOp(bg, new(Scope), protocol.OpWrite, 1, s.Now())
 		expect(EvOpStart, "")
 		sp.Done(0, err)
 		expect(EvOpEnd, "err="+classifyError(err))

@@ -223,24 +223,35 @@ func (t *MeteredTransport) Fetch(ctx context.Context, from, to protocol.SiteID, 
 
 // fanOut meters and traces one Broadcast or Notify. The whole fan-out
 // is one child span: every destination's handle span parents to it.
+// Inside an op it shares its start and end with the fan-out loop below
+// (protocol.FanOut), through the op's Scope; it reads the clock at the
+// end itself only where no loop reported one (rpcnet's overlapped
+// legs, a cancelled fan-out), and outside an op at both ends.
 func (t *MeteredTransport) fanOut(ctx context.Context, m int, from protocol.SiteID, dests []protocol.SiteID, req protocol.Request,
 	do func(context.Context, protocol.SiteID, []protocol.SiteID, protocol.Request) map[protocol.SiteID]protocol.Result) map[protocol.SiteID]protocol.Result {
 	mm := &t.methods[m]
 	mm.ops.Inc()
 	callCtx, span := t.traceCall(ctx, m, from, len(dests), 0, req)
+	rec := protocol.CtxPhases(ctx)
+	sc, _ := rec.(*Scope)
 	start := t.o.Now()
+	sc.openFan(start)
 	results := do(callCtx, from, dests, req)
-	elapsed := t.o.Now() - start
+	end, ok := sc.closeFan()
+	if !ok {
+		end = t.o.Now()
+	}
+	elapsed := end - start
 	mm.latency.Observe(elapsed)
-	if rec := protocol.CtxPhases(ctx); rec != nil {
+	if rec != nil {
 		// The whole fan-out is one critical-path slice: the coordinator
 		// waits for every destination, and the straggler sub-phase
 		// (recorded by the fan-out's join, which sees per-destination
 		// round trips) re-slices this wait.
 		rec.RecordPhase(protocol.PhaseFanout, elapsed)
 	}
-	for _, res := range results {
-		if res.Err != nil {
+	for _, to := range dests {
+		if res := results[to]; res.Err != nil {
 			mm.countErr(res.Err)
 		}
 	}

@@ -241,7 +241,7 @@ func TestTracedOpCallsShareOneNode(t *testing.T) {
 	inner := &parkingTransport{parkTo: 1, entered: make(chan context.Context),
 		release: make(chan struct{}), seen: make(chan seenCall, 4)}
 	tr := WrapTransport(o, "sim", inner, []protocol.SiteID{0, 1, 2})
-	ctx, op := o.SchemeSite("ac", 0).StartOp(context.Background(), new(Scope), protocol.OpRecovery, NoBlock)
+	ctx, op := o.SchemeSite("ac", 0).StartOp(context.Background(), new(Scope), protocol.OpRecovery, NoBlock, o.Now())
 	opSpan := protocol.CtxSpan(ctx)
 
 	done := make(chan error)

@@ -15,7 +15,9 @@ type Caller interface {
 // allocates. A context already cancelled reports that for every target
 // without calling via. When ctx carries a PhaseRecorder, FanOut charges
 // it each target's round trip and the straggler wait, on the recorder's
-// clock — facts only the fan-out can see.
+// clock — facts only the fan-out can see. Consecutive legs share their
+// boundary reading, so n legs read the clock n times past the
+// recorder's FanOutStart, and the round trips add up to the fan-out.
 func FanOut(ctx context.Context, from SiteID, dests []SiteID, req Request, via Caller) map[SiteID]Result {
 	var buf [MaxSites]SiteID
 	targets := buf[:0]
@@ -36,21 +38,23 @@ func FanOut(ctx context.Context, from SiteID, dests []SiteID, req Request, via C
 	// legs concurrent, what a smaller quorum would save.
 	rec := CtxPhases(ctx)
 	var dur [MaxSites]int64
+	var at int64 // the newest boundary: the start of the next leg
+	if rec != nil {
+		at = rec.FanOutStart()
+	}
 	for i, to := range targets {
-		var t0 int64
-		if rec != nil {
-			t0 = rec.Now()
-		}
 		var r Result
 		r.Resp, r.Err = via.Call(ctx, from, to, req)
-		out[to] = r
 		if rec != nil {
-			dur[i] = rec.Now() - t0
+			end := rec.Now()
+			dur[i], at = end-at, end
 		}
+		out[to] = r
 	}
 	if rec == nil {
 		return out
 	}
+	rec.FanOutEnd(at)
 	max, second := int64(-1), int64(-1)
 	for i, to := range targets {
 		d := dur[i]

@@ -131,6 +131,8 @@ type fanRecorder struct {
 func (r *fanRecorder) Now() int64                         { return r.now }
 func (r *fanRecorder) RecordPhase(phase string, ns int64) { r.phases[phase] += ns }
 func (r *fanRecorder) RecordPeerRTT(to SiteID, ns int64)  { r.rtt[to] = ns }
+func (r *fanRecorder) FanOutStart() int64                 { return r.now }
+func (r *fanRecorder) FanOutEnd(int64)                    {}
 
 func newFanRecorder() (*fanRecorder, context.Context) {
 	rec := &fanRecorder{rtt: map[SiteID]int64{}, phases: map[string]int64{}}

@@ -36,10 +36,19 @@ const (
 // Now reads the recorder's injected clock (nanoseconds; manual under
 // deterministic harnesses) so in-scope transports can measure
 // durations without touching the wall clock themselves.
+//
+// A fan-out loop and the metering decorator above it share the
+// fan-out's boundaries, so each is read once: FanOutStart returns the
+// reading the loop's first leg starts at (the decorator's, when it took
+// one just before, else a fresh one), and FanOutEnd hands back the
+// reading its last leg ended at, which the decorator takes as the
+// fan-out's end.
 type PhaseRecorder interface {
 	Now() int64
 	RecordPhase(phase string, ns int64)
 	RecordPeerRTT(to SiteID, ns int64)
+	FanOutStart() int64
+	FanOutEnd(at int64)
 }
 
 // CtxPhases returns the phase recorder of the operation ctx belongs to

@@ -59,6 +59,10 @@ type legRecorder struct {
 
 func (r *legRecorder) Now() int64 { return time.Now().UnixNano() }
 
+func (r *legRecorder) FanOutStart() int64 { return r.Now() }
+
+func (r *legRecorder) FanOutEnd(int64) {}
+
 func (r *legRecorder) RecordPhase(phase string, ns int64) {
 	if phase == protocol.PhaseStraggler {
 		r.mu.Lock()

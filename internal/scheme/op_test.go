@@ -78,7 +78,7 @@ func TestOpBracketAllocs(t *testing.T) {
 	var sc obs.Scope
 	ctx := context.Background()
 	if bare := testing.AllocsPerRun(200, func() {
-		_, sp := ob.StartOp(ctx, &sc, protocol.OpWrite, 3)
+		_, sp := ob.StartOp(ctx, &sc, protocol.OpWrite, 3, ob.Now())
 		sp.Done(2, nil)
 	}); bare != 0 {
 		t.Errorf("StartOp+Done = %v allocs, want 0", bare)

@@ -158,11 +158,11 @@ func SimulateTraffic(ctx context.Context, cfg TrafficConfig) (TrafficResult, err
 		case EventRepair:
 			if st == protocol.StateFailed {
 				before := cl.AvailableCount()
-				start := net.Stats().Transmissions
+				start := net.Transmissions()
 				if err := cl.Restart(ctx, id); err != nil {
 					return err
 				}
-				recovTraf += net.Stats().Transmissions - start
+				recovTraf += net.Transmissions() - start
 				res.Recoveries += cl.AvailableCount() - before
 			}
 		}
@@ -201,12 +201,12 @@ func SimulateTraffic(ctx context.Context, cfg TrafficConfig) (TrafficResult, err
 		if err != nil {
 			return TrafficResult{}, err
 		}
-		start := net.Stats().Transmissions
+		start := net.Transmissions()
 		if read {
 			_, err = dev.ReadBlock(ctx, idx)
 			if err == nil {
 				res.Reads++
-				readTraf += net.Stats().Transmissions - start
+				readTraf += net.Transmissions() - start
 			}
 		} else {
 			seq++
@@ -214,13 +214,13 @@ func SimulateTraffic(ctx context.Context, cfg TrafficConfig) (TrafficResult, err
 			err = dev.WriteBlock(ctx, idx, payload)
 			if err == nil {
 				res.Writes++
-				writeTraf += net.Stats().Transmissions - start
+				writeTraf += net.Transmissions() - start
 			}
 		}
 		if err != nil {
 			if errors.Is(err, scheme.ErrNoQuorum) || errors.Is(err, scheme.ErrNotAvailable) {
 				res.Denied++
-				res.DeniedTransmissions += net.Stats().Transmissions - start
+				res.DeniedTransmissions += net.Transmissions() - start
 				continue
 			}
 			return TrafficResult{}, fmt.Errorf("sim: op %d at %v: %w", op, at, err)

@@ -298,6 +298,17 @@ func (n *Network) Stats() Stats {
 	return out
 }
 
+// Transmissions returns Stats().Transmissions without building the
+// rest of the snapshot: the sum over the sender shards.
+func (n *Network) Transmissions() uint64 {
+	var total uint64
+	b := n.bank.Load()
+	for i := range b {
+		total += b[i].transmissions.Load()
+	}
+	return total
+}
+
 // ResetStats zeroes the traffic counters by installing a fresh bank.
 // Concurrent Stats callers see either the old bank's totals or the new
 // (zero) ones, never a torn mixture; an operation in flight across the
@@ -346,15 +357,17 @@ func (n *Network) countRequest(from protocol.SiteID, opIdx int, kind string, tra
 	b.kindMu.Unlock()
 }
 
-func (n *Network) countReply(from protocol.SiteID, opIdx int, resp protocol.Response) {
+// countReplies charges replies transmissions of the given total size
+// to sender from's shard, Transmissions first as countRequest does.
+func (n *Network) countReplies(from protocol.SiteID, opIdx int, replies, bytes uint64) {
 	b := &n.bank.Load()[from]
-	b.transmissions.Add(1)
-	b.replies.Add(1)
-	b.bytes.Add(uint64(protocol.WireSize(resp)))
+	b.transmissions.Add(replies)
+	b.replies.Add(replies)
+	b.bytes.Add(bytes)
 	if opIdx >= 0 {
 		oc := &b.byOp[opIdx]
-		oc.transmissions.Add(1)
-		oc.replies.Add(1)
+		oc.transmissions.Add(replies)
+		oc.replies.Add(replies)
 	}
 }
 
@@ -391,7 +404,7 @@ func (n *Network) roundTrip(ctx context.Context, from, to protocol.SiteID, req p
 		return nil, err
 	}
 	if chargeReply {
-		n.countReply(from, opClassIndex(protocol.CtxOp(ctx)), resp)
+		n.countReplies(from, opClassIndex(protocol.CtxOp(ctx)), 1, uint64(protocol.WireSize(resp)))
 	}
 	return resp, nil
 }
@@ -462,10 +475,16 @@ func (n *Network) deliver(ctx context.Context, from protocol.SiteID, dests []pro
 	}
 	results := protocol.FanOut(ctx, from, dests, req, (*leg)(n))
 	if countReplies {
-		for _, res := range results {
-			if res.Err == nil {
-				n.countReply(from, opIdx, res.Resp)
+		// The replies are charged together, once the fan-out is over.
+		var replies, bytes uint64
+		for _, to := range dests {
+			if res, ok := results[to]; ok && res.Err == nil {
+				replies++
+				bytes += uint64(protocol.WireSize(res.Resp))
 			}
+		}
+		if replies > 0 {
+			n.countReplies(from, opIdx, replies, bytes)
 		}
 	}
 	return results

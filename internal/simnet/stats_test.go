@@ -127,3 +127,36 @@ func TestStatsSnapshotNeverTears(t *testing.T) {
 		}
 	}
 }
+
+// TestTransmissionsMatchesStats: the one-counter read agrees with the
+// full snapshot's total in both modes, through broadcasts with a down
+// destination, round trips, fetches and notifies from several senders,
+// and across ResetStats.
+func TestTransmissionsMatchesStats(t *testing.T) {
+	for _, mode := range []Mode{Multicast, Unicast} {
+		net, _ := buildNet(t, mode, 5)
+		net.SetUp(4, false)
+		ctx := protocol.WithOp(context.Background(), protocol.OpWrite)
+		check := func(when string) {
+			t.Helper()
+			if got, want := net.Transmissions(), net.Stats().Transmissions; got != want {
+				t.Errorf("%v, %s: Transmissions() = %d, Stats().Transmissions = %d", mode, when, got, want)
+			}
+		}
+		check("before any traffic")
+		for from := protocol.SiteID(0); from < 3; from++ {
+			net.Broadcast(ctx, from, remotes(5, from), protocol.StatusRequest{})
+			net.Notify(context.Background(), from, remotes(5, from), protocol.StatusRequest{})
+			net.Call(ctx, from, 3, protocol.StatusRequest{})
+			net.Fetch(ctx, from, 3, protocol.StatusRequest{})
+		}
+		if net.Transmissions() == 0 {
+			t.Fatalf("%v: no transmissions charged", mode)
+		}
+		check("after traffic")
+		net.ResetStats()
+		check("after ResetStats")
+		net.Broadcast(ctx, 1, remotes(5, 1), protocol.StatusRequest{})
+		check("after a broadcast past ResetStats")
+	}
+}

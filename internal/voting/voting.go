@@ -271,11 +271,13 @@ func (c *Controller) Write(ctx context.Context, idx block.Index, data []byte) (e
 // a site whose reply was lost staged the proposal without the
 // coordinator learning of it, and sites that never staged treat the
 // abort as a no-op. Aborts ride the reliable-delivery channel (Notify,
-// like puts); a site that crashed since staging keeps the staged data,
-// which leaves the failure in the same indeterminate class as a crash
-// during a put fan-out.
+// like puts). A site that crashed since staging, or whose abort was
+// lost, keeps the staged data, and that is an open bug, not a safe
+// case (ROADMAP.md item 9, bug C): the coordinator's next write can
+// mint the same version for other contents on a quorum that misses
+// the site, whose reads then return the failed write for good.
 func (c *Controller) abortStaged(ctx context.Context, idx block.Index, proposed block.Version) {
-	//relidev:allow transport: abort is best-effort by design — a site that misses it keeps staged data, the documented crash-during-put equivalence; there is no recovery action to drive from per-site errors
+	//relidev:allow transport: abort is best-effort — a site that misses it keeps staged data (an open bug, see above); there is no recovery action to drive from per-site errors
 	c.env.Transport.Notify(ctx, c.env.Self.ID(), c.remotes,
 		protocol.AbortWriteRequest{Block: idx, Version: proposed})
 }
