@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"syscall"
 	"testing"
 	"time"
 
@@ -50,29 +51,60 @@ func serveDebug(t *testing.T, s *relidev.RemoteSite) *httptest.Server {
 // its own Self and the group's Peers, and closes it when the test ends.
 func openGroup(t *testing.T, n int, cfg relidev.RemoteConfig) []*relidev.RemoteSite {
 	t.Helper()
-	cfg.Peers = make(map[int]string, n)
-	for i := 0; i < n; i++ {
-		l, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg.Peers[i] = l.Addr().String()
-		l.Close()
-	}
 	if cfg.Timeout == 0 {
 		cfg.Timeout = time.Second
 	}
-	sites := make([]*relidev.RemoteSite, n)
-	for i := range sites {
-		cfg.Self = i
-		s, err := relidev.OpenRemote(cfg)
-		if err != nil {
+	sites, _ := openSites(t, n, func(i int, peers map[int]string) relidev.RemoteConfig {
+		c := cfg
+		c.Self, c.Peers = i, peers
+		return c
+	})
+	return sites
+}
+
+// openSites reserves a loopback port for each of n sites, opens site i
+// from cfg(i, peers) and closes them all when the test ends. A reserved
+// port is free only until its site binds it, and another connection can
+// take it in between: then the sites already open are closed and the
+// whole group is opened again on fresh ports, three attempts in all.
+func openSites(t *testing.T, n int, cfg func(i int, peers map[int]string) relidev.RemoteConfig) ([]*relidev.RemoteSite, map[int]string) {
+	t.Helper()
+	for attempt := 1; ; attempt++ {
+		sites, peers, err := openSitesOnce(n, cfg)
+		if err == nil {
+			for _, s := range sites {
+				t.Cleanup(func() { s.Close() })
+			}
+			return sites, peers
+		}
+		if !errors.Is(err, syscall.EADDRINUSE) || attempt == 3 {
 			t.Fatal(err)
 		}
-		sites[i] = s
-		t.Cleanup(func() { s.Close() })
 	}
-	return sites
+}
+
+func openSitesOnce(n int, cfg func(i int, peers map[int]string) relidev.RemoteConfig) ([]*relidev.RemoteSite, map[int]string, error) {
+	peers := make(map[int]string, n)
+	for i := 0; i < n; i++ {
+		l, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			return nil, nil, err
+		}
+		peers[i] = l.Addr().String()
+		l.Close()
+	}
+	sites := make([]*relidev.RemoteSite, 0, n)
+	for i := 0; i < n; i++ {
+		s, err := relidev.OpenRemote(cfg(i, peers))
+		if err != nil {
+			for _, s := range sites {
+				s.Close()
+			}
+			return nil, nil, err
+		}
+		sites = append(sites, s)
+	}
+	return sites, peers, nil
 }
 
 // loneVoter opens site 1 of a two-site voting group whose peer (site 0,
@@ -507,25 +539,9 @@ func TestEvenGroupTieBreak(t *testing.T) {
 			check(t, down, devs)
 		})
 		t.Run(fmt.Sprintf("tcp/down%v", down), func(t *testing.T) {
-			// Learn four free loopback addresses, then open the group on them.
-			addrs := make(map[int]string, 4)
-			for i := 0; i < 4; i++ {
-				s, err := relidev.OpenRemote(relidev.RemoteConfig{Self: i, Peers: map[int]string{i: "127.0.0.1:0"}, Scheme: relidev.Voting, Geometry: geom})
-				if err != nil {
-					t.Fatal(err)
-				}
-				addrs[i] = s.Addr()
-				s.Close()
-			}
-			sites := make([]*relidev.RemoteSite, 4)
-			for i := range sites {
-				s, err := relidev.OpenRemote(relidev.RemoteConfig{Self: i, Peers: addrs, Scheme: relidev.Voting, Geometry: geom, Timeout: time.Second})
-				if err != nil {
-					t.Fatal(err)
-				}
-				sites[i] = s
-				t.Cleanup(func() { s.Close() })
-			}
+			sites, _ := openSites(t, 4, func(i int, peers map[int]string) relidev.RemoteConfig {
+				return relidev.RemoteConfig{Self: i, Peers: peers, Scheme: relidev.Voting, Geometry: geom, Timeout: time.Second}
+			})
 			var devs [2]relidev.Device
 			for i := range devs {
 				if err := sites[down[i]].Close(); err != nil {

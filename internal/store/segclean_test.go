@@ -2,7 +2,10 @@ package store
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
+	"io/fs"
+	"maps"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -61,6 +64,7 @@ func TestSegCleanerBoundsLog(t *testing.T) {
 						continue
 					}
 					seq, rotations = s.activeSeq, rotations+1
+					reaped(s)
 					var onDisk int64
 					for _, raw := range readDir(t, dir) {
 						onDisk += int64(len(raw))
@@ -118,6 +122,14 @@ func imageOf(s *SegStore) string {
 // history really held since the final segment was created: the
 // cleaner's copies change no image, and a victim is deleted only once
 // they are sealed. A second open must change nothing.
+//
+// A rotation's reaper unlinks dead segments after the call returns, so
+// a crash may keep any of them. Each snapshot is taken once the reapers
+// are done; for a call that reaped segments, the snapshot with every
+// non-empty subset of them put back, at the bytes they were sealed with,
+// must reopen to the image, versions and metadata of the snapshot
+// without them and count them zero live, a second open must change
+// nothing, and the next rotation must delete them again.
 func TestSegCleanCrashPoints(t *testing.T) {
 	geom := block.Geometry{BlockSize: 8, NumBlocks: 6}
 	recSize := recHeaderSize + geom.BlockSize
@@ -129,16 +141,18 @@ func TestSegCleanCrashPoints(t *testing.T) {
 	defer s.Close()
 
 	type snapshot struct {
-		files map[string][]byte
-		first int // images[first:] are the states a cut may show
+		files  map[string][]byte
+		first  int               // images[first:] are the states a cut may show
+		reaped map[string][]byte // the segments the call's reapers deleted
 	}
 	images := []string{imageOf(s)} // images[k] is the state after k calls
 	var snaps []snapshot
 	rng := rand.New(rand.NewSource(3))
 	data := make([]byte, geom.BlockSize)
-	first, cleanings, lowered := 0, 0, 0
+	first, cleanings, lowered, reapings, pairs := 0, 0, 0, 0, 0
+	prev := readDir(t, s.dir)
 	for call := 0; call < 150; call++ {
-		seq, before := s.activeSeq, append([]uint64(nil), s.liveSeg...)
+		seq, before, sealed := s.activeSeq, append([]uint64(nil), s.liveSeg...), maps.Clone(s.size)
 		rng.Read(data)
 		// Blocks 0-2 and the metadata are written early and then rarely;
 		// blocks 3-5 are hot.
@@ -167,30 +181,33 @@ func TestSegCleanCrashPoints(t *testing.T) {
 			first = len(images) - 1
 		}
 		images = append(images, imageOf(s))
-		snaps = append(snaps, snapshot{files: readDir(t, s.dir), first: first})
+		reaped(s)
+		snap := snapshot{files: readDir(t, s.dir), first: first, reaped: map[string][]byte{}}
+		for name, raw := range prev {
+			if _, ok := snap.files[name]; ok {
+				continue
+			}
+			// Only a segment sealed before the call has its last bytes in
+			// the previous snapshot.
+			if n, ok := sealed[binary.LittleEndian.Uint64(raw[16:])]; !ok || n != int64(len(raw)) {
+				t.Fatalf("call %d reaped %s, which it appended to", call+1, name)
+			}
+			snap.reaped[name] = raw
+		}
+		if len(snap.reaped) > 0 {
+			reapings++
+		}
+		if len(snap.reaped) > 1 {
+			pairs++
+		}
+		snaps, prev = append(snaps, snap), snap.files
 	}
-	if cleanings < 5 || lowered == 0 {
-		t.Fatalf("history cleaned %d times and lowered %d versions, want several and some", cleanings, lowered)
+	if cleanings < 5 || lowered == 0 || reapings < 5 || pairs == 0 {
+		t.Fatalf("history cleaned %d times, lowered %d versions and reaped %d times (%d of them more than one segment), want several, some, several and some",
+			cleanings, lowered, reapings, pairs)
 	}
 
 	dir := filepath.Join(t.TempDir(), "crash")
-	materialise := func(files map[string][]byte, final string, cut int64) {
-		t.Helper()
-		if err := os.RemoveAll(dir); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			t.Fatal(err)
-		}
-		for name, raw := range files {
-			if name == final {
-				raw = raw[:cut]
-			}
-			if err := os.WriteFile(filepath.Join(dir, name), raw, 0o644); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
 	for k, snap := range snaps {
 		names := make([]string, 0, len(snap.files))
 		for name := range snap.files {
@@ -198,7 +215,7 @@ func TestSegCleanCrashPoints(t *testing.T) {
 		}
 		sort.Strings(names)
 		final := names[len(names)-1]
-		materialise(snap.files, final, int64(len(snap.files[final])))
+		materialise(t, dir, snap.files, final, int64(len(snap.files[final])))
 		var cuts []int64
 		for _, b := range refReplay(t, dir).bounds[final] {
 			cuts = append(cuts, b)
@@ -208,7 +225,7 @@ func TestSegCleanCrashPoints(t *testing.T) {
 		}
 		for _, cut := range cuts {
 			what := fmt.Sprintf("after call %d, %s cut at %d", k+1, final, cut)
-			materialise(snap.files, final, cut)
+			materialise(t, dir, snap.files, final, cut)
 			ref := refReplay(t, dir)
 			var settled map[string][]byte
 			for open := 1; open <= 2; open++ {
@@ -235,6 +252,97 @@ func TestSegCleanCrashPoints(t *testing.T) {
 				}
 				settled = got
 			}
+		}
+		if len(snap.reaped) > 0 {
+			checkReapedReturn(t, dir, opt, snap.files, snap.reaped, images[k+1], fmt.Sprintf("after call %d", k+1))
+		}
+	}
+}
+
+// checkReapedReturn puts back every non-empty subset of reaped into the
+// snapshot files: each directory must reopen to want, the image of the
+// store the snapshot was taken of, with the returned segments zero live,
+// twice without a change, and lose them at the next rotation.
+func checkReapedReturn(t *testing.T, dir string, opt SegOption, files, reaped map[string][]byte, want, what string) {
+	t.Helper()
+	open := func(what string) *SegStore {
+		t.Helper()
+		re, err := OpenSeg(dir, opt)
+		if err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		return re
+	}
+	names := make([]string, 0, len(reaped))
+	for name := range reaped {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for mask := 1; mask < 1<<len(names); mask++ {
+		with := maps.Clone(files)
+		var back []string
+		for i, name := range names {
+			if mask&(1<<i) != 0 {
+				with[name] = reaped[name]
+				back = append(back, name)
+			}
+		}
+		what := fmt.Sprintf("%s, with %v back", what, back)
+		materialise(t, dir, with, "", 0)
+		ref := refReplay(t, dir)
+		var settled map[string][]byte
+		for n := 1; n <= 2; n++ {
+			re := open(fmt.Sprintf("%s: open %d", what, n))
+			ref.checkAgainst(t, re)
+			if imageOf(re) != want {
+				t.Fatalf("%s: open %d rebuilt another image than the store held", what, n)
+			}
+			for _, name := range back {
+				if seq := binary.LittleEndian.Uint64(reaped[name][16:]); re.live[seq] != 0 {
+					t.Fatalf("%s: open %d counts %d live records in %s", what, n, re.live[seq], name)
+				}
+			}
+			if err := re.Close(); err != nil {
+				t.Fatal(err)
+			}
+			got := readDir(t, dir)
+			if n == 2 && !reflect.DeepEqual(got, settled) {
+				t.Fatalf("%s: the second open changed the files", what)
+			}
+			settled = got
+		}
+		re := open(what + ": open 3")
+		for seq := re.activeSeq; re.activeSeq == seq; {
+			if err := re.Write(0, make([]byte, re.mem.geom.BlockSize), 1); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := re.Close(); err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range back {
+			if _, err := os.Stat(filepath.Join(dir, name)); !errors.Is(err, fs.ErrNotExist) {
+				t.Fatalf("%s: %s survives the next rotation (stat: %v)", what, name, err)
+			}
+		}
+	}
+}
+
+// materialise makes dir hold exactly files, with final cut to cut bytes.
+func materialise(t *testing.T, dir string, files map[string][]byte, final string, cut int64) {
+	t.Helper()
+	if err := os.RemoveAll(dir); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for name, raw := range files {
+		if name == final {
+			raw = raw[:cut]
+		}
+		if err := os.WriteFile(filepath.Join(dir, name), raw, 0o644); err != nil {
+			t.Fatal(err)
 		}
 	}
 }

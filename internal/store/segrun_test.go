@@ -101,11 +101,13 @@ func TestSegWriteRunCrashPoints(t *testing.T) {
 		prefix = append(prefix, render())
 	}
 
+	reaped(s)
 	before := copyDir(t, s.dir)
 	seq := s.activeSeq
 	if err := s.WriteRun(run); err != nil {
 		t.Fatal(err)
 	}
+	reaped(s)
 	if s.activeSeq < seq+2 {
 		t.Fatalf("a run of three segments rotated %d times, want at least 2", s.activeSeq-seq)
 	}
@@ -277,6 +279,8 @@ func TestSegWriteRunMatchesWrites(t *testing.T) {
 						crossed++
 					}
 				}
+				reaped(runs)
+				reaped(twin)
 				if appendedRecords(t, beforeDir, twin.dir) > max(n, 1) {
 					cleanings++
 				}

@@ -36,9 +36,11 @@ import (
 // path is a single sequential append (plus one fsync per Sync call —
 // see Batcher for amortising that). When the active segment exceeds
 // the rotation threshold it is fsynced and sealed, a new segment is
-// created, the directory is fsynced so the new name survives crash,
-// segments whose records have all been superseded are deleted, and the
-// log cleaner may empty one more (see cleanLocked).
+// created, the directory is fsynced so the new name survives crash, the
+// segments whose records have all been superseded are handed to a
+// reaper goroutine, which unlinks them and syncs the directory off the
+// log mutex, and the log cleaner may empty one more (see cleanLocked).
+// Close waits for every reaper.
 //
 // On open the segments are replayed, in parallel, to rebuild the image
 // (see OpenSeg). A torn tail — a short or CRC-damaged record at the end
@@ -120,6 +122,11 @@ type SegStore struct {
 	// a segment at most (a recovery page is 1 MiB). The write is
 	// synchronous, so the buffer is free again when it returns.
 	rec []byte
+
+	// reapers counts the goroutines that delete dead segments (see
+	// reap); reapErr is the first error one met, which Close reports.
+	reapers sync.WaitGroup
+	reapErr atomic.Pointer[error]
 }
 
 const liveNone = ^uint64(0)
@@ -413,7 +420,8 @@ func (s *SegStore) Sync() error {
 	return s.active.Sync()
 }
 
-// Close syncs and closes the active segment.
+// Close syncs and closes the active segment and waits for every
+// reaper. It reports the first error of the two, or of any reaper.
 func (s *SegStore) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -421,14 +429,15 @@ func (s *SegStore) Close() error {
 		return nil
 	}
 	s.mem.Close()
-	if s.active == nil {
-		return nil
+	err := s.active.Sync()
+	if cerr := s.active.Close(); err == nil {
+		err = cerr
 	}
-	if err := s.active.Sync(); err != nil {
-		s.active.Close()
-		return err
+	s.reapers.Wait()
+	if p := s.reapErr.Load(); err == nil && p != nil {
+		err = *p
 	}
-	return s.active.Close()
+	return err
 }
 
 // appendLocked appends ins as records of type typ — block installs, or
@@ -514,9 +523,12 @@ func (s *SegStore) retireLocked(slot *uint64) {
 }
 
 // rotateLocked seals the active segment (fsync), opens the next one,
-// fsyncs the directory, deletes fully-superseded segments, and runs the
-// cleaner. Dead segments are only collected here, after the records
-// that displaced them are durable. Callers hold s.mu.
+// fsyncs the directory, hands the fully-superseded segments to a reaper
+// and runs the cleaner. Dead segments are only collected here, after the
+// records that displaced them are durable, so the reaper's unlinks need
+// not reach disk before anything else: a dead segment a crash keeps
+// replays to the same image, counts zero live and is collected again by
+// the first rotation after the reopen. Callers hold s.mu.
 func (s *SegStore) rotateLocked() error {
 	if err := s.active.Sync(); err != nil {
 		return fmt.Errorf("seal segment %d: %w", s.activeSeq, err)
@@ -528,26 +540,39 @@ func (s *SegStore) rotateLocked() error {
 	if err := s.openSegmentLocked(s.activeSeq + 1); err != nil {
 		return err
 	}
-	var dead []uint64
+	var dead []string
 	for seq, n := range s.live {
 		if n == 0 && seq != s.activeSeq {
-			dead = append(dead, seq)
+			dead = append(dead, filepath.Join(s.dir, segmentName(seq)))
+			delete(s.live, seq)
+			delete(s.size, seq)
 		}
-	}
-	sort.Slice(dead, func(i, j int) bool { return dead[i] < dead[j] })
-	for _, seq := range dead {
-		if err := os.Remove(filepath.Join(s.dir, segmentName(seq))); err != nil {
-			return fmt.Errorf("delete dead segment %d: %w", seq, err)
-		}
-		delete(s.live, seq)
-		delete(s.size, seq)
 	}
 	if len(dead) > 0 {
-		if err := syncDir(s.dir); err != nil {
-			return err
-		}
+		s.reapers.Add(1)
+		go s.reap(dead)
 	}
 	return s.cleanLocked()
+}
+
+// reap unlinks dead segment files, then fsyncs the directory, keeping
+// the first error for Close. It runs on its own goroutine: an unlink
+// that frees a whole segment takes milliseconds, and no append waits
+// for it.
+func (s *SegStore) reap(paths []string) {
+	defer s.reapers.Done()
+	var err error
+	for _, p := range paths {
+		if rerr := os.Remove(p); rerr != nil && err == nil {
+			err = fmt.Errorf("delete dead segment: %w", rerr)
+		}
+	}
+	if err == nil {
+		err = syncDir(s.dir)
+	}
+	if err != nil {
+		s.reapErr.CompareAndSwap(nil, &err)
+	}
 }
 
 // cleanLocked is the log cleaner. When the segments still holding live

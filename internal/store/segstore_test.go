@@ -8,6 +8,8 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"reflect"
+	"sort"
 	"testing"
 
 	"relidev/internal/block"
@@ -24,6 +26,10 @@ func smallSegs(t *testing.T, g block.Geometry) (*SegStore, string) {
 	}
 	return s, dir
 }
+
+// reaped waits for s's reapers, so that its directory holds exactly
+// the segments it counts. No call may be in flight on s.
+func reaped(s *SegStore) { s.reapers.Wait() }
 
 func TestSegStorePersistsAcrossReopen(t *testing.T) {
 	s, dir := smallSegs(t, testGeom)
@@ -80,12 +86,65 @@ func TestSegStoreRotationCollectsDeadSegments(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	reaped(s)
 	names, err := segmentNames(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(names) > 3 {
 		t.Fatalf("%d segments survive a single-block workload, want <= 3 (dead segments not collected)", len(names))
+	}
+}
+
+// TestSegCloseWaitsForReaper closes a store right after a rotation that
+// handed dead segments to a reaper, which may still be unlinking them.
+// Once Close returns, the directory must hold exactly the segments the
+// store counts, none that a reaper was handed, and a reopen must rebuild
+// the image.
+func TestSegCloseWaitsForReaper(t *testing.T) {
+	for round := 0; round < 20; round++ {
+		s, dir := smallSegs(t, testGeom)
+		for i := 0; i < testGeom.NumBlocks; i++ {
+			if err := s.Write(block.Index(i), fill(byte(i), testGeom.BlockSize), 1); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// Block 3 alone: each rotation strands a segment of its history.
+		for ver, rotations := block.Version(2), 0; rotations < 4+round%4; ver++ {
+			seq := s.activeSeq
+			if err := s.Write(3, fill(byte(ver), testGeom.BlockSize), ver); err != nil {
+				t.Fatal(err)
+			}
+			if s.activeSeq != seq {
+				rotations++
+			}
+		}
+		var counted []string
+		for seq := range s.live {
+			counted = append(counted, segmentName(seq))
+		}
+		sort.Strings(counted)
+		want := imageOf(s)
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		names, err := segmentNames(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(names, counted) {
+			t.Fatalf("round %d: Close left segments %v, the store counts %v", round, names, counted)
+		}
+		re, err := OpenSeg(dir)
+		if err != nil {
+			t.Fatalf("round %d: reopen: %v", round, err)
+		}
+		if imageOf(re) != want {
+			t.Fatalf("round %d: the reopened image differs from the closed store's", round)
+		}
+		if err := re.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"net"
 	"net/http/httptest"
 	"path/filepath"
 	"reflect"
@@ -334,46 +333,19 @@ func TestRemoteDeploymentEndToEnd(t *testing.T) {
 			ctx := context.Background()
 			geom := relidev.Geometry{BlockSize: 128, NumBlocks: 16}
 
-			// Reserve addresses by starting sites one by one on :0 and
-			// rebuilding the peer map afterwards. Simpler: fixed
-			// ephemeral-port discovery via two passes.
-			addrs := make(map[int]string, 3)
-			var boot []*relidev.RemoteSite
-			for i := 0; i < 3; i++ {
-				s, err := relidev.OpenRemote(relidev.RemoteConfig{
-					Self:     i,
-					Peers:    map[int]string{i: "127.0.0.1:0"},
-					Scheme:   scheme,
-					Geometry: geom,
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				addrs[i] = s.Addr()
-				boot = append(boot, s)
-			}
-			for _, s := range boot {
-				s.Close()
-			}
-			sites := make([]*relidev.RemoteSite, 3)
 			stores := make([]string, 3)
 			dir := t.TempDir()
-			for i := 0; i < 3; i++ {
+			sites, addrs := openSites(t, 3, func(i int, peers map[int]string) relidev.RemoteConfig {
 				stores[i] = filepath.Join(dir, fmt.Sprintf("s%d.img", i))
-				s, err := relidev.OpenRemote(relidev.RemoteConfig{
+				return relidev.RemoteConfig{
 					Self:      i,
-					Peers:     addrs,
+					Peers:     peers,
 					Scheme:    scheme,
 					Geometry:  geom,
 					StorePath: stores[i],
 					Timeout:   time.Second,
-				})
-				if err != nil {
-					t.Fatal(err)
 				}
-				sites[i] = s
-				defer func() { s.Close() }()
-			}
+			})
 
 			payload := make([]byte, 128)
 			copy(payload, "across processes")
@@ -444,24 +416,7 @@ func TestRemoteRecoveryPages(t *testing.T) {
 					StoreDir: filepath.Join(dir, fmt.Sprintf("s%d", i)), Timeout: 5 * time.Second,
 				}
 			}
-			addrs := make(map[int]string, 3)
-			for i := 0; i < 3; i++ {
-				l, err := net.Listen("tcp", "127.0.0.1:0")
-				if err != nil {
-					t.Fatal(err)
-				}
-				addrs[i] = l.Addr().String()
-				l.Close()
-			}
-			sites := make([]*relidev.RemoteSite, 3)
-			for i := range sites {
-				s, err := relidev.OpenRemote(cfg(i, addrs))
-				if err != nil {
-					t.Fatal(err)
-				}
-				sites[i] = s
-				defer s.Close()
-			}
+			sites, addrs := openSites(t, 3, cfg)
 			if err := sites[2].Close(); err != nil {
 				t.Fatal(err)
 			}
@@ -831,38 +786,17 @@ func TestCriticalPathSurface(t *testing.T) {
 func TestRemoteObservabilitySurface(t *testing.T) {
 	ctx := context.Background()
 	geom := relidev.Geometry{BlockSize: 64, NumBlocks: 8}
-	addrs := make(map[int]string, 2)
-	var boot []*relidev.RemoteSite
-	for i := 0; i < 2; i++ {
-		s, err := relidev.OpenRemote(relidev.RemoteConfig{
-			Self: i, Peers: map[int]string{i: "127.0.0.1:0"}, Scheme: relidev.NaiveAvailableCopy, Geometry: geom,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		addrs[i] = s.Addr()
-		boot = append(boot, s)
-	}
-	for _, s := range boot {
-		s.Close()
-	}
-	sites := make([]*relidev.RemoteSite, 2)
-	for i := 0; i < 2; i++ {
-		s, err := relidev.OpenRemote(relidev.RemoteConfig{
+	sites, _ := openSites(t, 2, func(i int, peers map[int]string) relidev.RemoteConfig {
+		return relidev.RemoteConfig{
 			Self:          i,
-			Peers:         addrs,
+			Peers:         peers,
 			Scheme:        relidev.NaiveAvailableCopy,
 			Geometry:      geom,
 			Timeout:       time.Second,
 			Metered:       true,
 			TelemetryStep: 5 * time.Millisecond,
-		})
-		if err != nil {
-			t.Fatal(err)
 		}
-		sites[i] = s
-		defer func() { s.Close() }()
-	}
+	})
 
 	payload := make([]byte, 64)
 	if err := sites[0].Device().WriteBlock(ctx, 1, payload); err != nil {
